@@ -432,32 +432,24 @@ func BenchmarkBrokerParallelMultiTopic(b *testing.B) {
 }
 
 // BenchmarkWireCodec measures one brokerd delivery frame through
-// encode+decode in each wire encoding. The binary codec avoids the JSON
-// round trip's reflection and base64 body inflation entirely.
+// encode+decode.
 func BenchmarkWireCodec(b *testing.B) {
 	frame := &brokerd.Frame{
 		Op: brokerd.OpMsg, Seq: 12345, MsgID: 67890, Attempts: 1,
 		Topic: "log_job42#x", Time: time.Unix(1479600000, 0).UTC(),
 		Body: bytes.Repeat([]byte("j"), 512),
 	}
-	for _, tc := range []struct {
-		name  string
-		codec brokerd.Codec
-	}{{"json", brokerd.JSONCodec}, {"binary", brokerd.BinaryCodec}} {
-		b.Run(tc.name, func(b *testing.B) {
-			var buf bytes.Buffer
-			b.SetBytes(int64(len(frame.Body)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				buf.Reset()
-				if err := tc.codec.Encode(&buf, frame); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := tc.codec.Decode(&buf); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	var buf bytes.Buffer
+	b.SetBytes(int64(len(frame.Body)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := brokerd.EncodeFrame(&buf, frame); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := brokerd.DecodeFrame(&buf); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -17,7 +17,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -28,7 +27,6 @@ import (
 	"syscall"
 	"time"
 
-	"rai/internal/archivex"
 	"rai/internal/auth"
 	"rai/internal/brokerd"
 	"rai/internal/build"
@@ -153,9 +151,9 @@ func observe(ctx context.Context, queue core.Queue, sampleRate float64) (*teleme
 // the §VIII future-work feature ("interactive sessions to enable more
 // debugging and profiling tools").
 func session(ctx context.Context, creds auth.Credentials, dir, brokerAddr, fsURL string, timeout time.Duration, rpc rpcConfig, sampleRate float64, stdin io.Reader, stdout, stderr io.Writer) int {
-	archive, err := archivex.PackDir(dir)
+	m, src, err := cas.BuildDir(dir)
 	if err != nil {
-		fmt.Fprintf(stderr, "rai: packing project: %v\n", err)
+		fmt.Fprintf(stderr, "rai: hashing project tree: %v\n", err)
 		return 1
 	}
 	queue, err := rpc.queue(ctx, brokerAddr)
@@ -175,7 +173,7 @@ func session(ctx context.Context, creds auth.Credentials, dir, brokerAddr, fsURL
 		Sampler: sampler,
 		Log:     logger,
 	}
-	sess, err := client.OpenSessionContext(ctx, archive)
+	sess, err := client.OpenSessionContext(ctx, m, src)
 	if err != nil {
 		fmt.Fprintf(stderr, "rai: opening session: %v\n", err)
 		return 1
@@ -266,21 +264,25 @@ func submit(ctx context.Context, cmd string, creds auth.Credentials, dir, broker
 		Log:     logger,
 	}
 
-	// Step 3: move the project. Preferred path is the delta protocol
-	// (DESIGN.md §16): hash the tree into a chunk manifest, negotiate,
-	// send only chunks the server lacks. Any capability problem falls
-	// back to the classic full .tar.bz2 upload, so old servers keep
-	// working without a flag.
-	res, err := submitDelta(ctx, client, kind, spec, dir, stdout)
-	if errors.Is(err, core.ErrDeltaUnsupported) {
-		archive, size, perr := packToTemp(dir)
-		if perr != nil {
-			fmt.Fprintf(stderr, "rai: packing project: %v\n", perr)
-			return 1
+	// Step 3: move the project (DESIGN.md §16): hash the tree into a
+	// chunk manifest, send only chunks the server lacks, then enqueue.
+	m, src, err := cas.BuildDir(dir)
+	if err != nil {
+		fmt.Fprintf(stderr, "rai: hashing project tree: %v\n", err)
+		return 1
+	}
+	res, err := client.SubmitContext(ctx, kind, spec, m, src)
+	if res != nil && res.Transfer != nil {
+		t := res.Transfer
+		if t.SentBytes < t.TotalBytes {
+			fmt.Fprintf(stdout, "transfer: %d of %d bytes sent, %d of %d chunks reused (%.1f%% deduplicated)\n",
+				t.SentBytes, t.TotalBytes, t.ChunksTotal-t.ChunksSent, t.ChunksTotal, 100*t.DedupRatio())
+		} else {
+			// Tiny trees: the manifest itself outweighs the content, so an
+			// "X of Y" framing would read as nonsense.
+			fmt.Fprintf(stdout, "transfer: %d bytes sent for a %d-byte tree (%d chunks)\n",
+				t.SentBytes, t.TotalBytes, t.ChunksTotal)
 		}
-		defer archive.Close()
-		fmt.Fprintf(stdout, "uploading %d byte project archive\n", size)
-		res, err = client.SubmitReaderContext(ctx, kind, spec, archive, size)
 	}
 	if err != nil {
 		fmt.Fprintf(stderr, "rai: %v\n", err)
@@ -300,33 +302,6 @@ func submit(ctx context.Context, cmd string, creds auth.Credentials, dir, broker
 	return 0
 }
 
-// submitDelta hashes dir into a manifest and submits it over the delta
-// protocol, printing the one-line transfer summary. Errors that mean
-// "server can't do this" surface as core.ErrDeltaUnsupported.
-func submitDelta(ctx context.Context, client *core.Client, kind string, spec *build.Spec, dir string, stdout io.Writer) (*core.JobResult, error) {
-	m, src, err := cas.BuildDir(dir)
-	if err != nil {
-		// An unhashable tree (permissions, exotic entries) is not fatal:
-		// the tar packer may still manage it.
-		return nil, fmt.Errorf("%w: hashing project tree: %w", core.ErrDeltaUnsupported, err)
-	}
-	res, err := client.SubmitManifestContext(ctx, kind, spec, m, src)
-	if res != nil && res.Transfer != nil {
-		t := res.Transfer
-		reused := t.ChunksTotal - t.ChunksSent
-		if t.SentBytes < t.TotalBytes {
-			fmt.Fprintf(stdout, "transfer: %d of %d bytes sent, %d of %d chunks reused (%.1f%% deduplicated)\n",
-				t.SentBytes, t.TotalBytes, reused, t.ChunksTotal, 100*t.DedupRatio())
-		} else {
-			// Tiny trees: the manifest itself outweighs the content, so an
-			// "X of Y" framing would read as nonsense.
-			fmt.Fprintf(stdout, "transfer: %d bytes sent for a %d-byte tree (%d chunks)\n",
-				t.SentBytes, t.TotalBytes, t.ChunksTotal)
-		}
-	}
-	return res, err
-}
-
 // showRanking prints the anonymized leaderboard (§VI).
 func showRanking(creds auth.Credentials, dbURL string, stdout, stderr io.Writer) int {
 	lb := &ranking.Leaderboard{DB: docstore.NewClient(dbURL)}
@@ -340,31 +315,6 @@ func showRanking(creds auth.Credentials, dbURL string, stdout, stderr io.Writer)
 		fmt.Fprintf(stdout, "\nyour team is ranked %d of %d\n", rank, total)
 	}
 	return 0
-}
-
-// packToTemp streams a .tar.bz2 of dir into an unlinked temp file and
-// returns it positioned at the start, with its size. Being an
-// *os.File, it is seekable, so the upload client can rewind and retry.
-func packToTemp(dir string) (*os.File, int64, error) {
-	f, err := os.CreateTemp("", "rai-archive-*.tar.bz2")
-	if err != nil {
-		return nil, 0, err
-	}
-	_ = os.Remove(f.Name()) // unlink now; the fd keeps the bytes alive
-	if err := archivex.PackDirTo(f, dir); err != nil {
-		_ = f.Close()
-		return nil, 0, err
-	}
-	size, err := f.Seek(0, io.SeekCurrent)
-	if err != nil {
-		_ = f.Close()
-		return nil, 0, err
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		_ = f.Close()
-		return nil, 0, err
-	}
-	return f, size, nil
 }
 
 // loadProfile reads credentials from path or $HOME/.rai.profile.

@@ -174,7 +174,7 @@ func adminServices(t *testing.T) (brokerAddr, fsURL, dbURL, keysPath string) {
 	for _, c := range creds {
 		spec := specs[c.UserName]
 		spec.Team, spec.WithUsage, spec.WithReport = c.UserName, true, true
-		archive, err := sim.PackProject(spec)
+		m, src, err := sim.ProjectManifest(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func adminServices(t *testing.T) (brokerAddr, fsURL, dbURL, keysPath string) {
 			Objects: objstore.NewClient(fsURL),
 			LogWait: time.Minute,
 		}
-		res, err := client.SubmitContext(context.Background(), core.KindSubmit, nil, archive)
+		res, err := client.SubmitContext(context.Background(), core.KindSubmit, nil, m, src)
 		clientQueue.Close()
 		if err != nil || res.Status != core.StatusSucceeded {
 			t.Fatalf("seeding submission for %s: %v %+v", c.UserName, err, res)

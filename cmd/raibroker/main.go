@@ -38,8 +38,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer, ready chan<- string, quit <-chan struct{}) int {
 	fs := flag.NewFlagSet("raibroker", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	addr := fs.String("addr", "127.0.0.1:7400", "listen address")
-	fs.StringVar(addr, "listen", *addr, "alias for -addr (\":0\" picks a free port, reported on stdout and the ready file)")
+	addr := fs.String("addr", "127.0.0.1:7400", "listen address (\":0\" picks a free port, reported on stdout and the ready file)")
 	metricsAddr := fs.String("metrics-addr", "", "serve GET /metrics on this address (empty = disabled)")
 	pprofOn := fs.Bool("pprof", false, "mount /debug/pprof on the metrics address")
 	readyPath := fs.String("ready-file", "", "write a JSON readiness document (pid, bound addresses) here once serving")

@@ -22,16 +22,16 @@ func TestVersionFlag(t *testing.T) {
 	}
 }
 
-// TestReadyFileAndListenAlias starts the daemon with -listen :0 and a
-// ready file, and checks the file reports the actual bound port.
-func TestReadyFileAndListenAlias(t *testing.T) {
+// TestReadyFile starts the daemon with -addr :0 and a ready file, and
+// checks the file reports the actual bound port.
+func TestReadyFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "broker.ready")
 	ready := make(chan string, 1)
 	quit := make(chan struct{})
 	var out, errb bytes.Buffer
 	done := make(chan int, 1)
 	go func() {
-		done <- run([]string{"-listen", "127.0.0.1:0", "-metrics-addr", "127.0.0.1:0",
+		done <- run([]string{"-addr", "127.0.0.1:0", "-metrics-addr", "127.0.0.1:0",
 			"-ready-file", path}, &out, &errb, ready, quit)
 	}()
 	var addr string

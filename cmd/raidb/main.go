@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	raidb [-addr host:port] [-journal file] [-metrics-addr host:port] [-pprof] [-broker host:port]
+//	raidb [-addr host:port] [-store-root dir] [-metrics-addr host:port] [-pprof] [-broker host:port]
 //	      [-trace-sample 1] [-ready-file path] [-version]
 package main
 
@@ -37,10 +37,8 @@ func main() {
 func run(args []string, stdout, stderr io.Writer, ready chan<- string, quit <-chan struct{}) int {
 	fs := flag.NewFlagSet("raidb", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	addr := fs.String("addr", "127.0.0.1:7402", "listen address")
-	journal := fs.String("journal", "", "journal file for durability (empty = in-memory only)")
-	storeBackend := fs.String("store-backend", "", "journal storage backend: memory or disk (default: disk when a journal path or -store-root is set, else memory)")
-	storeRoot := fs.String("store-root", "", "root directory for the disk backend; the journal lives at <root>/rai.journal")
+	addr := fs.String("addr", "127.0.0.1:7402", "listen address (\":0\" picks a free port, reported on stdout and the ready file)")
+	storeRoot := fs.String("store-root", "", "directory for durability; the journal lives at <root>/rai.journal (empty = in-memory only)")
 	metricsAddr := fs.String("metrics-addr", "", "serve GET /metrics on this address (empty = disabled)")
 	pprofOn := fs.Bool("pprof", false, "mount /debug/pprof on the metrics address")
 	brokerAddr := fs.String("broker", "", "broker address for shipping spans/events to the collector (empty = off)")
@@ -48,7 +46,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, quit <-ch
 	drain := fs.Duration("drain", 10*time.Second, "in-flight request drain budget at shutdown")
 	readyPath := fs.String("ready-file", "", "write a JSON readiness document (pid, bound addresses) here once serving")
 	showVersion := fs.Bool("version", false, "print build information and exit")
-	fs.StringVar(addr, "listen", *addr, "alias for -addr (\":0\" picks a free port, reported on stdout and the ready file)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -105,27 +102,11 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, quit <-ch
 			telemetry.WithLogWriter(stderr), telemetry.WithLogSink(exp.ExportEvent))
 		logger.Info(context.Background(), "database started", telemetry.L("addr", *addr))
 	}
-	// Backend selection mirrors raifs: -store-backend names it
-	// explicitly; otherwise a journal path (or -store-root) implies disk.
-	journalPath := *journal
-	if journalPath == "" && *storeRoot != "" {
-		journalPath = filepath.Join(*storeRoot, "rai.journal")
-	}
-	backend := *storeBackend
-	if backend == "" {
-		if journalPath != "" {
-			backend = "disk"
-		} else {
-			backend = "memory"
-		}
-	}
+	// As in raifs: a configured root directory means a journal on disk,
+	// its absence memory only.
 	var handler http.Handler
-	switch backend {
-	case "disk":
-		if journalPath == "" {
-			fmt.Fprintln(stderr, "raidb: -store-backend disk requires -journal or -store-root")
-			return 2
-		}
+	if *storeRoot != "" {
+		journalPath := filepath.Join(*storeRoot, "rai.journal")
 		pdb, err := docstore.OpenPersistent(journalPath)
 		if err != nil {
 			fmt.Fprintf(stderr, "raidb: opening journal: %v\n", err)
@@ -134,11 +115,8 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, quit <-ch
 		defer pdb.Close()
 		handler = docstore.HandlerStore(pdb, nil, handlerOpts...)
 		fmt.Fprintf(stdout, "raidb journaling to %s\n", journalPath)
-	case "memory":
+	} else {
 		handler = docstore.HandlerStore(docstore.New(), nil, handlerOpts...)
-	default:
-		fmt.Fprintf(stderr, "raidb: unknown -store-backend %q (want memory or disk)\n", backend)
-		return 2
 	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

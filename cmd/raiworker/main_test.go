@@ -74,7 +74,7 @@ func TestWorkerDaemonProcessesJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer queue.Close()
-	archive, err := sim.PackProject(project.Spec{Impl: cnn.ImplIm2col, Tuning: 1, Team: "daemon-team"})
+	m, src, err := sim.ProjectManifest(project.Spec{Impl: cnn.ImplIm2col, Tuning: 1, Team: "daemon-team"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestWorkerDaemonProcessesJobs(t *testing.T) {
 		Objects: objstore.NewClient("http://" + fsLn.Addr().String()),
 		LogWait: time.Minute,
 	}
-	res, err := client.SubmitContext(context.Background(), core.KindRun, nil, archive)
+	res, err := client.SubmitContext(context.Background(), core.KindRun, nil, m, src)
 	if err != nil {
 		t.Fatalf("submit through daemon: %v", err)
 	}

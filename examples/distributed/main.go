@@ -103,12 +103,12 @@ func main() {
 		Stdout:  os.Stdout,
 		LogWait: time.Minute,
 	}
-	archive, err := sim.PackProject(project.Spec{Impl: cnn.ImplParallel, Tuning: 1.0, Team: "team-remote"})
+	m, src, err := sim.ProjectManifest(project.Spec{Impl: cnn.ImplParallel, Tuning: 1.0, Team: "team-remote"})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\n== streaming job output over TCP ==")
-	res, err := client.SubmitContext(ctx, core.KindRun, nil, archive)
+	res, err := client.SubmitContext(ctx, core.KindRun, nil, m, src)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -42,11 +42,11 @@ func main() {
 	}
 	client.LogWait = time.Minute
 
-	archive, err := sim.PackProject(project.Spec{Impl: cnn.ImplIm2col, Tuning: 1, Team: "debug-team"})
+	m, src, err := sim.ProjectManifest(project.Spec{Impl: cnn.ImplIm2col, Tuning: 1, Team: "debug-team"})
 	if err != nil {
 		log.Fatal(err)
 	}
-	session, err := client.OpenSessionContext(ctx, archive)
+	session, err := client.OpenSessionContext(ctx, m, src)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"rai/internal/bzip2w"
+	"rai/internal/cas"
 	"rai/internal/vfs"
 )
 
@@ -32,11 +33,12 @@ type Limits struct {
 	MaxPerFile int64 // per-file bytes (default 256 MiB)
 }
 
-// Defaults chosen for a student project archive.
+// Defaults for a student project tree — the limits the manifest
+// transport enforces, declared once in cas.
 const (
-	defaultMaxBytes   = 1 << 30
-	defaultMaxFiles   = 100_000
-	defaultMaxPerFile = 256 << 20
+	defaultMaxBytes   = cas.MaxTreeBytes
+	defaultMaxFiles   = cas.MaxFiles
+	defaultMaxPerFile = cas.MaxFileBytes
 )
 
 func (l Limits) withDefaults() Limits {

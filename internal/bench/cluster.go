@@ -189,7 +189,7 @@ func StartCluster(ctx context.Context, clk clock.Clock, cfg ClusterConfig, creds
 	}
 
 	p, err := start("raibroker", pprofArgs([]string{
-		"-listen", "127.0.0.1:0", "-metrics-addr", "127.0.0.1:0",
+		"-addr", "127.0.0.1:0", "-metrics-addr", "127.0.0.1:0",
 		"-ready-file", filepath.Join(cfg.Dir, "raibroker.ready")}))
 	if err != nil {
 		return nil, err
@@ -199,7 +199,7 @@ func StartCluster(ctx context.Context, clk clock.Clock, cfg ClusterConfig, creds
 	}
 
 	p, err = start("raifs", pprofArgs([]string{
-		"-listen", "127.0.0.1:0", "-metrics-addr", "127.0.0.1:0",
+		"-addr", "127.0.0.1:0", "-metrics-addr", "127.0.0.1:0",
 		"-broker", c.BrokerAddr,
 		"-ready-file", filepath.Join(cfg.Dir, "raifs.ready")}))
 	if err != nil {
@@ -212,7 +212,7 @@ func StartCluster(ctx context.Context, clk clock.Clock, cfg ClusterConfig, creds
 	c.FSURL = "http://" + fsAddr
 
 	p, err = start("raidb", pprofArgs([]string{
-		"-listen", "127.0.0.1:0", "-metrics-addr", "127.0.0.1:0",
+		"-addr", "127.0.0.1:0", "-metrics-addr", "127.0.0.1:0",
 		"-broker", c.BrokerAddr,
 		"-ready-file", filepath.Join(cfg.Dir, "raidb.ready")}))
 	if err != nil {

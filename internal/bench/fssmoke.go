@@ -77,8 +77,7 @@ func FSSmoke(ctx context.Context, clk clock.Clock, cfg FSSmokeConfig, logTo io.W
 	}
 	readyPath := filepath.Join(cfg.Dir, "raifs.ready")
 	p, err := startProc("raifs", cfg.Bin, []string{
-		"-listen", "127.0.0.1:0",
-		"-store-backend", "disk",
+		"-addr", "127.0.0.1:0",
 		"-store-root", filepath.Join(cfg.Dir, "objects"),
 		"-metrics-addr", "127.0.0.1:0",
 		"-ready-file", readyPath,

@@ -207,14 +207,14 @@ func RunLoad(ctx context.Context, clk clock.Clock, c *Cluster, cfg LoadConfig, p
 			defer exp.Flush()
 			for turn := 0; clk.Now().Before(deadline) && loadCtx.Err() == nil; turn++ {
 				spec := plan.specs[turn%len(plan.specs)]
-				archive, err := sim.PackProject(spec)
+				m, src, err := sim.ProjectManifest(spec)
 				if err != nil {
 					setErr(fmt.Errorf("bench: packing project: %w", err))
 					return
 				}
 				t0 := clk.Now()
 				atomic.AddUint64(&counts.Submitted, 1)
-				res, err := client.SubmitContext(loadCtx, core.KindRun, nil, archive)
+				res, err := client.SubmitContext(loadCtx, core.KindRun, nil, m, src)
 				hists[i].ObserveDuration(clk.Now().Sub(t0))
 				if res != nil && res.JobID != "" {
 					jobMu.Lock()

@@ -245,7 +245,7 @@ func RunResubmitLoad(ctx context.Context, clk clock.Clock, c *Cluster, cfg LoadC
 				}
 				t0 := clk.Now()
 				atomic.AddUint64(&counts.Submitted, 1)
-				res, err := client.SubmitManifestContext(loadCtx, core.KindRun, nil, m, src)
+				res, err := client.SubmitContext(loadCtx, core.KindRun, nil, m, src)
 				hists[i].ObserveDuration(clk.Now().Sub(t0))
 				if res != nil && res.JobID != "" {
 					jobMu.Lock()

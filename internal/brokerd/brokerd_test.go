@@ -55,10 +55,10 @@ func recvT(t *testing.T, c *Client) *Delivery {
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	in := &Frame{Op: OpMsg, Seq: 7, Topic: "rai", MsgID: 42, Body: []byte("payload"), Attempts: 2}
-	if err := WriteFrame(&buf, in); err != nil {
+	if err := EncodeFrame(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadFrame(&buf)
+	out, err := DecodeFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,13 +70,13 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestFrameSizeLimit(t *testing.T) {
 	var buf bytes.Buffer
 	big := &Frame{Op: OpPub, Body: bytes.Repeat([]byte("x"), maxFrameSize)}
-	if err := WriteFrame(&buf, big); err == nil {
+	if err := EncodeFrame(&buf, big); err == nil {
 		t.Error("oversized frame accepted on write")
 	}
 	// Forged oversized header on read.
 	buf.Reset()
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := ReadFrame(&buf); err == nil || !strings.Contains(err.Error(), "exceeds") {
+	if _, err := DecodeFrame(&buf); err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Errorf("oversized header: %v", err)
 	}
 }

@@ -12,26 +12,6 @@ import (
 	"time"
 )
 
-// Codec is one payload encoding of the length-prefixed frame stream.
-// Implementations must be safe for concurrent use (they hold no state;
-// all connection state lives in frameReader/frameWriter).
-type Codec interface {
-	// Encode writes f as one length-prefixed frame.
-	Encode(w io.Writer, f *Frame) error
-	// Decode reads one length-prefixed frame.
-	Decode(r io.Reader) (*Frame, error)
-}
-
-// JSONCodec is the legacy encoding: a JSON object per frame. Bodies
-// are base64-inflated by encoding/json and every field name is spelled
-// out, but any pre-HELLO client can speak it.
-var JSONCodec Codec = jsonCodec{}
-
-// BinaryCodec is the negotiated fast encoding: one op byte, fixed-width
-// ids, and the body as raw bytes — no reflection, no base64. The rare
-// STATS snapshot rides as an embedded JSON blob.
-var BinaryCodec Codec = binaryCodec{}
-
 // encPool recycles encode staging buffers so steady-state publishing
 // allocates nothing for framing.
 var encPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
@@ -46,7 +26,7 @@ func putEncBuf(b *bytes.Buffer) {
 }
 
 // readPayload reads one length-prefixed payload, enforcing the frame
-// size limit. Shared by both codecs.
+// size limit.
 func readPayload(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -63,38 +43,9 @@ func readPayload(r io.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-type jsonCodec struct{}
-
-func (jsonCodec) Encode(w io.Writer, f *Frame) error {
-	buf := encPool.Get().(*bytes.Buffer)
-	defer putEncBuf(buf)
-	buf.Write([]byte{0, 0, 0, 0}) // length placeholder
-	if err := json.NewEncoder(buf).Encode(f); err != nil {
-		return err
-	}
-	p := buf.Bytes()
-	n := len(p) - 4
-	if n > maxFrameSize {
-		return fmt.Errorf("brokerd: frame of %d bytes exceeds limit", n)
-	}
-	binary.BigEndian.PutUint32(p[:4], uint32(n))
-	_, err := w.Write(p)
-	return err
-}
-
-func (jsonCodec) Decode(r io.Reader) (*Frame, error) {
-	payload, err := readPayload(r)
-	if err != nil {
-		return nil, err
-	}
-	var f Frame
-	if err := json.Unmarshal(payload, &f); err != nil {
-		return nil, fmt.Errorf("brokerd: bad frame: %w", err)
-	}
-	return &f, nil
-}
-
-// Binary frame layout (after the shared 4-byte big-endian length):
+// Frame layout (after the 4-byte big-endian length) — one op byte,
+// fixed-width ids and the body as raw bytes, so no reflection and no
+// base64; the rare STATS snapshot rides as an embedded JSON blob:
 //
 //	[0]     op code
 //	[1:9]   seq        (uint64 BE)
@@ -112,10 +63,11 @@ const (
 	flagHasTime  = 1 << 0 // distinguishes the zero time.Time from the epoch
 )
 
-// Binary op codes. Values are wire format — append only.
+// Op codes. Values are wire format — append only. 11 was HELLO (codec
+// negotiation, retired); do not reuse it.
 var opToCode = map[string]byte{
 	OpPub: 1, OpSub: 2, OpAck: 3, OpReq: 4, OpPing: 5,
-	OpOK: 6, OpErr: 7, OpMsg: 8, OpClose: 9, OpStats: 10, OpHello: 11,
+	OpOK: 6, OpErr: 7, OpMsg: 8, OpClose: 9, OpStats: 10,
 }
 
 var codeToOp = func() map[byte]string {
@@ -126,12 +78,11 @@ var codeToOp = func() map[byte]string {
 	return m
 }()
 
-type binaryCodec struct{}
-
-func (binaryCodec) Encode(w io.Writer, f *Frame) error {
+// EncodeFrame writes f as one length-prefixed frame.
+func EncodeFrame(w io.Writer, f *Frame) error {
 	code, ok := opToCode[f.Op]
 	if !ok {
-		return fmt.Errorf("brokerd: binary codec: unknown op %q", f.Op)
+		return fmt.Errorf("brokerd: unknown op %q", f.Op)
 	}
 	var statsJSON []byte
 	if len(f.Stats) > 0 {
@@ -177,17 +128,18 @@ func (binaryCodec) Encode(w io.Writer, f *Frame) error {
 	return err
 }
 
-func (binaryCodec) Decode(r io.Reader) (*Frame, error) {
+// DecodeFrame reads one length-prefixed frame.
+func DecodeFrame(r io.Reader) (*Frame, error) {
 	payload, err := readPayload(r)
 	if err != nil {
 		return nil, err
 	}
 	if len(payload) < binHeaderLen {
-		return nil, fmt.Errorf("brokerd: binary frame truncated at %d bytes", len(payload))
+		return nil, fmt.Errorf("brokerd: frame truncated at %d bytes", len(payload))
 	}
 	op, ok := codeToOp[payload[0]]
 	if !ok {
-		return nil, fmt.Errorf("brokerd: binary codec: unknown op code %d", payload[0])
+		return nil, fmt.Errorf("brokerd: unknown op code %d", payload[0])
 	}
 	f := &Frame{
 		Op:          op,
@@ -202,12 +154,12 @@ func (binaryCodec) Decode(r io.Reader) (*Frame, error) {
 	rest := payload[binHeaderLen:]
 	next := func() ([]byte, error) {
 		if len(rest) < 4 {
-			return nil, fmt.Errorf("brokerd: binary frame truncated in field length")
+			return nil, fmt.Errorf("brokerd: frame truncated in field length")
 		}
 		l := binary.BigEndian.Uint32(rest[:4])
 		rest = rest[4:]
 		if uint64(l) > uint64(len(rest)) {
-			return nil, fmt.Errorf("brokerd: binary frame field of %d bytes overruns frame", l)
+			return nil, fmt.Errorf("brokerd: frame field of %d bytes overruns frame", l)
 		}
 		s := rest[:l]
 		rest = rest[l:]
@@ -241,20 +193,6 @@ func (binaryCodec) Decode(r io.Reader) (*Frame, error) {
 	return f, nil
 }
 
-// frameReader reads frames for one connection. It is used by a single
-// goroutine (the connection's read loop), which is also the only place
-// the codec is switched after a HELLO exchange, so no locking.
-type frameReader struct {
-	br    *bufio.Reader
-	codec Codec
-}
-
-func newFrameReader(r io.Reader) *frameReader {
-	return &frameReader{br: bufio.NewReaderSize(r, 32<<10), codec: JSONCodec}
-}
-
-func (fr *frameReader) read() (*Frame, error) { return fr.codec.Decode(fr.br) }
-
 // frameWriter serializes frame writes onto one connection through a
 // buffered writer with flush coalescing: a writer that can see another
 // goroutine waiting for the lock leaves its frame buffered and lets the
@@ -266,14 +204,13 @@ func (fr *frameReader) read() (*Frame, error) { return fr.codec.Decode(fr.br) }
 type frameWriter struct {
 	waiters atomic.Int32
 
-	mu    sync.Mutex
-	bw    *bufio.Writer
-	codec Codec
-	err   error
+	mu  sync.Mutex
+	bw  *bufio.Writer
+	err error
 }
 
 func newFrameWriter(w io.Writer) *frameWriter {
-	return &frameWriter{bw: bufio.NewWriterSize(w, 32<<10), codec: JSONCodec}
+	return &frameWriter{bw: bufio.NewWriterSize(w, 32<<10)}
 }
 
 // write encodes f and flushes unless another writer is already waiting
@@ -291,7 +228,7 @@ func (fw *frameWriter) writeHint(f *Frame, more bool) error {
 	if fw.err != nil {
 		return fw.err
 	}
-	err := fw.codec.Encode(fw.bw, f)
+	err := EncodeFrame(fw.bw, f)
 	if err == nil && !more && fw.waiters.Load() == 0 {
 		err = fw.bw.Flush()
 	}
@@ -299,35 +236,4 @@ func (fw *frameWriter) writeHint(f *Frame, more bool) error {
 		fw.err = err
 	}
 	return err
-}
-
-// setCodec switches the encoding outside any write — used by the
-// client after the HELLO reply, before concurrent writers can exist.
-func (fw *frameWriter) setCodec(c Codec) {
-	fw.mu.Lock()
-	fw.codec = c
-	fw.mu.Unlock()
-}
-
-// writeSwitch writes f, flushes unconditionally, and switches the
-// encoding — the HELLO handshake's atomic codec cut-over: every byte
-// before f is in the old encoding, every byte after in the new.
-func (fw *frameWriter) writeSwitch(f *Frame, next Codec) error {
-	fw.waiters.Add(1)
-	fw.mu.Lock()
-	fw.waiters.Add(-1)
-	defer fw.mu.Unlock()
-	if fw.err != nil {
-		return fw.err
-	}
-	err := fw.codec.Encode(fw.bw, f)
-	if err == nil {
-		err = fw.bw.Flush()
-	}
-	if err != nil {
-		fw.err = err
-		return err
-	}
-	fw.codec = next
-	return nil
 }

@@ -1,6 +1,7 @@
 package brokerd
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"log"
@@ -38,7 +39,7 @@ func WithTelemetry(reg *telemetry.Registry) ServerOption {
 	return func(s *Server) {
 		s.connGauge = reg.Gauge("rai_brokerd_connections", "open client connections")
 		s.ops = map[string]*telemetry.Counter{}
-		for _, op := range []string{OpPing, OpPub, OpSub, OpAck, OpReq, OpStats, OpClose, OpHello} {
+		for _, op := range []string{OpPing, OpPub, OpSub, OpAck, OpReq, OpStats, OpClose} {
 			s.ops[op] = reg.Counter("rai_brokerd_ops_total", "wire operations served", telemetry.L("op", op))
 		}
 	}
@@ -102,8 +103,8 @@ func (s *Server) acceptLoop() {
 
 // serveConn handles one client connection: a read loop executing
 // commands, plus (once subscribed) a pump goroutine streaming
-// deliveries. Each connection starts in the JSON encoding; a HELLO
-// exchange switches both directions to the binary codec.
+// deliveries. A frame that does not decode ends the connection
+// without a reply.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	s.connGauge.Add(1)
@@ -115,7 +116,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.connGauge.Add(-1)
 	}()
 
-	fr := newFrameReader(conn)
+	br := bufio.NewReaderSize(conn, 32<<10)
 	fw := newFrameWriter(conn)
 	reply := func(seq uint64, err error, msgID uint64) {
 		if err != nil {
@@ -138,7 +139,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 
 	for {
-		f, err := fr.read()
+		f, err := DecodeFrame(br)
 		if err != nil {
 			return // disconnect (EOF or broken frame)
 		}
@@ -146,17 +147,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.ops[f.Op].Inc() // nil map entry (unknown op) is a no-op
 		}
 		switch f.Op {
-		case OpHello:
-			if f.Version >= ProtocolBinary {
-				// The OK still travels in the old encoding; everything after
-				// it — in both directions — is binary.
-				if err := fw.writeSwitch(&Frame{Op: OpOK, Seq: f.Seq, Version: ProtocolBinary}, BinaryCodec); err != nil {
-					return
-				}
-				fr.codec = BinaryCodec
-				continue
-			}
-			_ = fw.write(&Frame{Op: OpOK, Seq: f.Seq, Version: ProtocolJSON})
 		case OpPing:
 			reply(f.Seq, nil, 0)
 		case OpPub:

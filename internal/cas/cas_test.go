@@ -2,6 +2,8 @@ package cas
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -132,15 +134,8 @@ func TestManifestRoundTrip(t *testing.T) {
 		t.Fatalf("tree hash = %q", m.TreeHash)
 	}
 
-	// Encode → sniff → Decode survives and validates.
-	enc := m.Encode()
-	if !IsManifest(enc) {
-		t.Fatal("encoded manifest fails its own sniff")
-	}
-	if IsManifest([]byte("BZh91AY&SY...")) {
-		t.Fatal("bzip2 signature sniffed as manifest")
-	}
-	dec, err := Decode(enc)
+	// Encode → Decode survives and validates.
+	dec, err := Decode(m.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,42 +226,149 @@ func TestBuildVFSMatchesBuildDir(t *testing.T) {
 	}
 }
 
-func TestDecodeRejectsHostileManifests(t *testing.T) {
-	base := &Manifest{
-		Files: []FileEntry{{Path: "ok.txt", Size: 2, Chunks: []ChunkRef{{Hash: HashHex([]byte("hi")), Size: 2}}}},
-	}
-	base.TotalBytes = 2
+// hostileManifests are the shapes a student-written manifest can take to
+// escape /src or make the worker allocate, fetch or write without
+// bound. Each is otherwise well-formed — consistent sums, sealed tree
+// hash — so only the check named by its key stands between it and the
+// store. Shared by the table test and FuzzDecode's seed corpus.
+func hostileManifests() (valid []byte, hostile map[string][]byte) {
+	chunk := ChunkRef{Hash: HashHex([]byte("hi")), Size: 2}
+	base := &Manifest{Files: []FileEntry{{Path: "ok.txt", Size: 2, Chunks: []ChunkRef{chunk}}}, TotalBytes: 2}
 	base.Seal()
 
 	mutate := func(f func(*Manifest)) []byte {
-		var m Manifest
+		m := Manifest{TotalBytes: base.TotalBytes, TreeHash: base.TreeHash}
 		m.Dirs = append([]string(nil), base.Dirs...)
 		for _, fe := range base.Files {
 			fe.Chunks = append([]ChunkRef(nil), fe.Chunks...)
 			m.Files = append(m.Files, fe)
 		}
-		m.TotalBytes = base.TotalBytes
-		m.TreeHash = base.TreeHash
 		f(&m)
 		return m.Encode()
 	}
-	cases := map[string][]byte{
+	// repeated builds a sealed manifest of files×refs references to one
+	// full-size chunk: every ref is valid on its own.
+	repeated := func(files, refs int) []byte {
+		big := ChunkRef{Hash: HashHex([]byte("one 64 KiB chunk")), Size: MaxChunk}
+		m := &Manifest{}
+		for i := 0; i < files; i++ {
+			fe := FileEntry{Path: fmt.Sprintf("f%d", i), Size: int64(refs) * MaxChunk}
+			for j := 0; j < refs; j++ {
+				fe.Chunks = append(fe.Chunks, big)
+			}
+			m.Files = append(m.Files, fe)
+			m.TotalBytes += fe.Size
+		}
+		m.Seal()
+		return m.Encode()
+	}
+	return base.Encode(), map[string][]byte{
 		"no magic":       []byte(`{"tree_hash":""}`),
+		"tar.bz2 upload": []byte("BZh91AY&SY..."),
 		"traversal file": mutate(func(m *Manifest) { m.Files[0].Path = "../escape"; m.Seal() }),
 		"absolute file":  mutate(func(m *Manifest) { m.Files[0].Path = "/etc/passwd"; m.Seal() }),
 		"traversal dir":  mutate(func(m *Manifest) { m.Dirs = []string{"a/../../b"}; m.Seal() }),
 		"size mismatch":  mutate(func(m *Manifest) { m.Files[0].Size = 99; m.TreeHash = computeTreeHash(m) }),
 		"bad tree hash":  mutate(func(m *Manifest) { m.TreeHash = strings.Repeat("0", 64) }),
 		"bad chunk ref":  mutate(func(m *Manifest) { m.Files[0].Chunks[0].Hash = "short"; m.TreeHash = computeTreeHash(m) }),
+		"chunk over the chunker's max": mutate(func(m *Manifest) {
+			m.Files[0].Chunks[0].Size = MaxChunk + 1
+			m.Files[0].Size, m.TotalBytes = MaxChunk+1, MaxChunk+1
+			m.Seal()
+		}),
+		"file over 256 MiB":           repeated(1, MaxFileBytes/MaxChunk+1),
+		"one chunk 16k times (1 GiB)": repeated(1, 16<<10),
+		"tree over 1 GiB":             repeated(5, MaxFileBytes/MaxChunk),
 	}
-	for name, enc := range cases {
+}
+
+// TestDecodeRejectsHostileManifests: every hostile shape is refused by
+// Decode, and — for callers holding a *Manifest that never went through
+// Decode — by Materialize before the first chunk fetch.
+func TestDecodeRejectsHostileManifests(t *testing.T) {
+	valid, hostile := hostileManifests()
+	fetched := 0
+	fetch := func(string) ([]byte, error) { fetched++; return nil, errors.New("fetch must not run") }
+	for name, enc := range hostile {
 		if _, err := Decode(enc); err == nil {
 			t.Errorf("%s: hostile manifest accepted", name)
 		}
+		var m Manifest
+		if !bytes.HasPrefix(enc, []byte(Magic)) || json.Unmarshal(enc[len(Magic):], &m) != nil || name == "bad tree hash" {
+			continue // not a manifest at all, or hostile only to the cache key
+		}
+		dst := vfs.New()
+		if _, _, err := Materialize(&m, fetch, dst, "/src"); err == nil {
+			t.Errorf("%s: hostile manifest materialized", name)
+		}
+		if dst.Exists("/src") {
+			t.Errorf("%s: /src touched before the manifest was refused", name)
+		}
 	}
-	if _, err := Decode(base.Encode()); err != nil {
+	if fetched != 0 {
+		t.Errorf("%d chunk fetches ran for refused manifests", fetched)
+	}
+	if _, err := Decode(valid); err != nil {
 		t.Errorf("well-formed manifest rejected: %v", err)
 	}
+}
+
+// TestMaterializeChecksRepeatRefSize: a second ref to a cached chunk
+// claiming a smaller size must not write the full chunk while being
+// counted as one byte against the limits.
+func TestMaterializeChecksRepeatRefSize(t *testing.T) {
+	data := bytes.Repeat([]byte("x"), 4096)
+	h := HashHex(data)
+	m := &Manifest{Files: []FileEntry{{Path: "f", Size: 4097, Chunks: []ChunkRef{{Hash: h, Size: 4096}, {Hash: h, Size: 1}}}}, TotalBytes: 4097}
+	m.Seal()
+	_, _, err := Materialize(m, func(string) ([]byte, error) { return data, nil }, vfs.New(), "/src")
+	if err == nil || !strings.Contains(err.Error(), "ref says 1") {
+		t.Fatalf("err = %v, want repeat-ref size mismatch", err)
+	}
+}
+
+// FuzzDecode: arbitrary bytes never panic Decode, and anything it
+// accepts is within the limits, survives an encode round trip, and can
+// be handed to Materialize (whose fetches all fail here) safely.
+func FuzzDecode(f *testing.F) {
+	valid, hostile := hostileManifests()
+	f.Add(valid)
+	for _, enc := range hostile {
+		if len(enc) < 1<<20 { // the repeated-chunk shapes are MBs of refs; their small cousins mutate faster
+			f.Add(enc)
+		}
+	}
+	f.Add([]byte(Magic + `{"files":[{"path":"f","size":65537,"chunks":[{"h":"` + strings.Repeat("a", 64) + `","s":65537}]}],"total_bytes":65537}`))
+	f.Add([]byte(Magic + `{"files":[{"path":"f","size":-1}],"total_bytes":-1}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Decode(data)
+		if err != nil {
+			return
+		}
+		var total int64
+		for _, fe := range m.Files {
+			if fe.Size < 0 || fe.Size > MaxFileBytes {
+				t.Fatalf("accepted %s of %d bytes", fe.Path, fe.Size)
+			}
+			for _, c := range fe.Chunks {
+				if c.Size <= 0 || c.Size > MaxChunk {
+					t.Fatalf("accepted %d-byte chunk ref in %s", c.Size, fe.Path)
+				}
+			}
+			total += fe.Size
+		}
+		if len(m.Files) > MaxFiles || total > MaxTreeBytes || total != m.TotalBytes {
+			t.Fatalf("accepted %d files, %d bytes (declared %d)", len(m.Files), total, m.TotalBytes)
+		}
+		again, err := Decode(m.Encode())
+		if err != nil || again.TreeHash != m.TreeHash {
+			t.Fatalf("re-encoded manifest: %v", err)
+		}
+		fetch := func(string) ([]byte, error) { return nil, errors.New("no store") }
+		if _, _, err := Materialize(m, fetch, vfs.New(), "/src"); err == nil && len(m.ChunkSet()) > 0 {
+			t.Fatal("materialized chunks no store served")
+		}
+	})
 }
 
 func TestChunkKeyFanout(t *testing.T) {

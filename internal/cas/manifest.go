@@ -18,15 +18,18 @@ import (
 	"rai/internal/vfs"
 )
 
-// Magic prefixes every encoded manifest. The worker sniffs it to decide
-// whether an upload object is a manifest or a legacy tar.bz2 archive,
-// so it must not collide with the bzip2 signature ("BZh").
+// Magic prefixes every encoded manifest; an upload object without it
+// is not a project and fails the job.
 const Magic = "RAICAS1\n"
 
-// Limits mirroring archivex: a manifest describing more than this is
-// rejected before any chunk is fetched.
+// Limits of one project tree, declared here once: archivex's unpack
+// defaults are these same constants, so /src and /build are bounded by
+// one policy. A manifest describing more than this is rejected before
+// any chunk is fetched or any buffer sized from it.
 const (
 	MaxFiles         = 100_000
+	MaxFileBytes     = 256 << 20
+	MaxTreeBytes     = 1 << 30
 	MaxManifestBytes = 64 << 20
 )
 
@@ -45,8 +48,7 @@ type FileEntry struct {
 }
 
 // Manifest is the content-addressed description of a project tree: the
-// submission object that replaces the packed archive when both ends
-// speak the delta protocol.
+// upload object of every submission.
 type Manifest struct {
 	// TreeHash is the canonical content hash of the whole tree (dirs,
 	// paths, and chunk hashes); it keys the worker's build cache.
@@ -101,7 +103,7 @@ func (m *Manifest) Seal() {
 	m.TreeHash = computeTreeHash(m)
 }
 
-// Encode serializes the manifest with the sniffable magic prefix.
+// Encode serializes the manifest behind the magic prefix.
 func (m *Manifest) Encode() []byte {
 	body, err := json.Marshal(m)
 	if err != nil {
@@ -113,58 +115,72 @@ func (m *Manifest) Encode() []byte {
 	return append(out, body...)
 }
 
-// IsManifest reports whether data begins with the manifest magic. A
-// prefix of at least len(Magic) bytes is enough to sniff.
-func IsManifest(data []byte) bool {
-	return len(data) >= len(Magic) && string(data[:len(Magic)]) == Magic
-}
-
 // Decode parses and validates an encoded manifest: magic, size caps,
-// safe relative paths, and a tree hash that matches the content. A
-// manifest that fails here is rejected before any chunk I/O happens.
+// safe relative paths, per-chunk/per-file/per-tree limits, and a tree
+// hash that matches the content. A manifest that fails here is rejected
+// before any chunk I/O happens.
 func Decode(data []byte) (*Manifest, error) {
 	if int64(len(data)) > MaxManifestBytes {
 		return nil, fmt.Errorf("cas: manifest exceeds %d bytes", int64(MaxManifestBytes))
 	}
-	if !IsManifest(data) {
+	if !bytes.HasPrefix(data, []byte(Magic)) {
 		return nil, fmt.Errorf("cas: missing manifest magic")
 	}
 	var m Manifest
 	if err := json.Unmarshal(data[len(Magic):], &m); err != nil {
 		return nil, fmt.Errorf("cas: parsing manifest: %w", err)
 	}
-	if len(m.Files) > MaxFiles {
-		return nil, fmt.Errorf("cas: manifest lists %d files (limit %d)", len(m.Files), MaxFiles)
-	}
-	for _, d := range m.Dirs {
-		if err := checkRel(d); err != nil {
-			return nil, err
-		}
-	}
-	var total int64
-	for _, f := range m.Files {
-		if err := checkRel(f.Path); err != nil {
-			return nil, err
-		}
-		var sum int64
-		for _, c := range f.Chunks {
-			if len(c.Hash) != 64 || c.Size <= 0 {
-				return nil, fmt.Errorf("cas: malformed chunk ref %q in %s", c.Hash, f.Path)
-			}
-			sum += c.Size
-		}
-		if sum != f.Size {
-			return nil, fmt.Errorf("cas: %s: chunk sizes sum to %d, file size %d", f.Path, sum, f.Size)
-		}
-		total += f.Size
-	}
-	if total != m.TotalBytes {
-		return nil, fmt.Errorf("cas: total bytes %d, files sum to %d", m.TotalBytes, total)
+	if err := m.validate(); err != nil {
+		return nil, err
 	}
 	if got := computeTreeHash(&m); got != m.TreeHash {
 		return nil, fmt.Errorf("cas: tree hash mismatch: manifest says %s, content is %s", m.TreeHash, got)
 	}
 	return &m, nil
+}
+
+// validate checks everything about a manifest that bounds what
+// materializing it may touch or allocate: entry count, path safety,
+// chunk refs no larger than the chunker can produce, sizes that add up,
+// and the per-file and per-tree byte limits. Sizes are summed from the
+// refs, so a chunk referenced many times counts every time it would be
+// written.
+func (m *Manifest) validate() error {
+	if len(m.Files) > MaxFiles {
+		return fmt.Errorf("cas: manifest lists %d files (limit %d)", len(m.Files), MaxFiles)
+	}
+	for _, d := range m.Dirs {
+		if err := checkRel(d); err != nil {
+			return err
+		}
+	}
+	var total int64
+	for _, f := range m.Files {
+		if err := checkRel(f.Path); err != nil {
+			return err
+		}
+		var sum int64
+		for _, c := range f.Chunks {
+			if len(c.Hash) != 64 || c.Size <= 0 || c.Size > MaxChunk {
+				return fmt.Errorf("cas: malformed chunk ref %q (%d bytes) in %s", c.Hash, c.Size, f.Path)
+			}
+			sum += c.Size
+			if sum > MaxFileBytes {
+				return fmt.Errorf("cas: %s exceeds %d bytes", f.Path, int64(MaxFileBytes))
+			}
+		}
+		if sum != f.Size {
+			return fmt.Errorf("cas: %s: chunk sizes sum to %d, file size %d", f.Path, sum, f.Size)
+		}
+		total += sum
+		if total > MaxTreeBytes {
+			return fmt.Errorf("cas: tree exceeds %d bytes", int64(MaxTreeBytes))
+		}
+	}
+	if total != m.TotalBytes {
+		return fmt.Errorf("cas: total bytes %d, files sum to %d", m.TotalBytes, total)
+	}
+	return nil
 }
 
 // checkRel rejects the traversal shapes a hostile manifest could use to
@@ -313,8 +329,8 @@ func BuildDir(root string) (*Manifest, Source, error) {
 }
 
 // BuildVFS scans a virtual-filesystem subtree into a manifest plus a
-// chunk Source. The worker uses it to hash legacy (tar) uploads after
-// unpacking, so full-archive submissions still hit the build cache.
+// chunk Source — BuildDir for trees that live in memory (simulations,
+// examples, tests).
 func BuildVFS(fsys *vfs.FS, root string) (*Manifest, Source, error) {
 	m := &Manifest{}
 	src := &vfsSource{fs: fsys, root: root, locs: make(map[string]chunkLoc)}
@@ -391,9 +407,14 @@ const materializeCacheBudget = 32 << 20
 
 // Materialize reconstructs the manifest's tree under root in dst,
 // fetching each distinct chunk once (within a bounded cache) and
-// verifying every chunk against its hash before it lands. It returns
-// the number of chunk fetches and the bytes fetched.
+// verifying every chunk against its ref's size and hash before it
+// lands. The manifest is validated before the first fetch, so the bytes
+// written never exceed the tree limits however often a chunk repeats.
+// It returns the number of chunk fetches and the bytes fetched.
 func Materialize(m *Manifest, fetch Fetch, dst *vfs.FS, root string) (fetches int, bytesFetched int64, err error) {
+	if err := m.validate(); err != nil {
+		return 0, 0, err
+	}
 	if err := dst.MkdirAll(root); err != nil {
 		return fetches, bytesFetched, err
 	}
@@ -406,6 +427,10 @@ func Materialize(m *Manifest, fetch Fetch, dst *vfs.FS, root string) (fetches in
 	var cached int64
 	load := func(ref ChunkRef) ([]byte, error) {
 		if data, ok := cache[ref.Hash]; ok {
+			// A repeat ref must agree on the size validate counted.
+			if int64(len(data)) != ref.Size {
+				return nil, fmt.Errorf("cas: chunk %s is %d bytes, ref says %d", ref.Hash, len(data), ref.Size)
+			}
 			return data, nil
 		}
 		data, err := fetch(ref.Hash)

@@ -3,15 +3,16 @@ package collector_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
-	"rai/internal/archivex"
 	"rai/internal/auth"
 	"rai/internal/broker"
 	"rai/internal/build"
+	"rai/internal/cas"
 	"rai/internal/cnn"
 	"rai/internal/collector"
 	"rai/internal/core"
@@ -115,7 +116,11 @@ func TestEndToEndConnectedTrace(t *testing.T) {
 	if err := project.WriteTo(projFS, "/p", project.Spec{Impl: cnn.ImplIm2col, Team: "team-trace"}); err != nil {
 		t.Fatal(err)
 	}
-	archive, err := archivex.PackVFS(projFS, "/p")
+	// Enough distinct chunks that the worker stops tracing them one by one.
+	for i := 0; i < 20; i++ {
+		projFS.WriteFile(fmt.Sprintf("/p/notes/%02d.txt", i), []byte(fmt.Sprintf("note %d\n", i)))
+	}
+	m, src, err := cas.BuildVFS(projFS, "/p")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +130,7 @@ func TestEndToEndConnectedTrace(t *testing.T) {
 	}
 	done := make(chan out, 1)
 	go func() {
-		res, err := client.SubmitContext(context.Background(), core.KindRun, build.Default(), archive)
+		res, err := client.SubmitContext(context.Background(), core.KindRun, build.Default(), m, src)
 		done <- out{res, err}
 	}()
 	if _, err := worker.HandleOne(context.Background(), 10*time.Second); err != nil {
@@ -175,6 +180,26 @@ func TestEndToEndConnectedTrace(t *testing.T) {
 		if s.TraceID != traceID {
 			t.Errorf("span %s has trace %s, want %s", s.Name, s.TraceID, traceID)
 		}
+	}
+	// A download of this many chunks is one span: the manifest GET nests
+	// under it, the chunk GETs open no span of their own and are counted
+	// on it instead.
+	var download, manifestGet bool
+	for _, s := range spans {
+		switch path := s.Attrs["path"]; {
+		case s.Name == "download":
+			download = true
+			if s.Attrs["chunks"] == "" || s.Attrs["chunks"] == "0" {
+				t.Errorf("download span counts no chunks: %v", s.Attrs)
+			}
+		case strings.HasPrefix(path, "/o/"+cas.Bucket+"/"):
+			t.Errorf("chunk fetch opened its own span: %s %s", s.Name, path)
+		case s.Name == "objstore get" && strings.HasPrefix(path, "/o/"+core.BucketUploads+"/"):
+			manifestGet = true
+		}
+	}
+	if !download || !manifestGet {
+		t.Errorf("download span %v, manifest GET span %v (timeline:\n%s)", download, manifestGet, timeline)
 	}
 	phases := map[string]bool{}
 	for _, p := range collector.Phases(spans) {

@@ -2,38 +2,24 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
-	"rai/internal/build"
 	"rai/internal/cas"
-	"rai/internal/objstore"
-	"rai/internal/telemetry"
 )
 
-// CASObjects is the optional delta-resubmission extension of the
-// Objects port (DESIGN.md §16): negotiate a manifest against the
-// store's chunk inventory, then upload only what is missing. The HTTP
-// client implements it against the /cas endpoints; LocalObjects
-// implements it directly against the engine so simulations exercise the
-// same protocol. Callers type-assert and fall back to full uploads when
-// the port (or the server behind it) lacks the capability.
-type CASObjects interface {
-	// MissingChunks returns the subset of the manifest's chunks absent
-	// from the store, refreshing the TTL of those present.
-	MissingChunks(ctx context.Context, m *cas.Manifest) ([]string, error)
-	// PutChunks uploads the named chunks from src and returns the
-	// payload bytes transferred.
-	PutChunks(ctx context.Context, hashes []string, src cas.Source) (int64, error)
-}
+// The upload path (DESIGN.md §16). A project reaches the file server
+// one way: the client hashes the tree into a chunk manifest, asks the
+// store which chunks it lacks (Objects.MissingChunks), streams only
+// those (Objects.PutChunks), and stores the manifest itself as the
+// job's upload object. The worker reads that object back under
+// cas.MaxManifestBytes, validates it with cas.Decode and materializes
+// /src chunk by chunk (Worker.fetchProject). There is no second format
+// and nothing to negotiate: an upload object that is not a manifest
+// fails the job. `.tar.bz2` remains the format of the /build artifact
+// only.
 
-// ErrDeltaUnsupported reports that delta submission cannot be used on
-// this transport/server pair; callers should fall back to
-// SubmitReaderContext with a full archive.
-var ErrDeltaUnsupported = errors.New("core: delta submission unsupported; fall back to full upload")
-
-// TransferStats describes what one delta submission actually moved —
-// the numbers behind the CLI's transfer summary line.
+// TransferStats describes what one upload actually moved — the numbers
+// behind the CLI's transfer summary line.
 type TransferStats struct {
 	// TotalBytes is the tree size a full (uncompressed) upload would
 	// have carried.
@@ -50,57 +36,29 @@ type TransferStats struct {
 // DedupRatio is the fraction of tree bytes the negotiation avoided
 // re-uploading (0 when the tree was fully transferred).
 func (t *TransferStats) DedupRatio() float64 {
-	if t.TotalBytes <= 0 {
+	if t.TotalBytes <= 0 || t.SentBytes >= t.TotalBytes {
 		return 0
 	}
-	saved := t.TotalBytes - t.SentBytes
-	if saved < 0 {
-		return 0
-	}
-	return float64(saved) / float64(t.TotalBytes)
+	return float64(t.TotalBytes-t.SentBytes) / float64(t.TotalBytes)
 }
 
-// SubmitManifestContext runs the delta submission sequence: negotiate
-// the manifest, stream only missing chunks, store the manifest as the
-// upload object, and enqueue the job exactly like SubmitReaderContext.
-// Returns ErrDeltaUnsupported (possibly wrapping the probe error) when
-// the Objects port or the server cannot speak the protocol — the caller
-// falls back to a full archive upload.
-func (c *Client) SubmitManifestContext(ctx context.Context, kind string, spec *build.Spec, m *cas.Manifest, src cas.Source) (*JobResult, error) {
-	co, ok := c.Objects.(CASObjects)
-	if !ok {
-		return nil, ErrDeltaUnsupported
-	}
-	jobID := NewJobID()
-	root, sampled := c.startJobSpan(jobID, kind)
-	ctx = telemetry.ContextWithJobID(ctx, jobID)
-	ctx = telemetry.ContextWithSampling(ctx, sampled)
-	up := root.Child("upload")
-	upCtx := telemetry.ContextWithSpan(ctx, up)
-
-	missing, err := co.MissingChunks(upCtx, m)
+// uploadProject moves the tree described by m to the file server under
+// a fresh upload key for jobID: chunks the store lacks first, then the
+// manifest, so a worker that can read the manifest can fetch every
+// chunk it names. Shared by SubmitContext and OpenSessionContext.
+func (c *Client) uploadProject(ctx context.Context, jobID string, m *cas.Manifest, src cas.Source) (string, *TransferStats, error) {
+	missing, err := c.Objects.MissingChunks(ctx, m)
 	if err != nil {
-		up.End()
-		root.End()
-		// A server without the capability — or an unreachable /caps — is
-		// not a failed submission; report "fall back" and let the caller
-		// retry with the archive path, which has its own retry budget.
-		return nil, fmt.Errorf("%w: %w", ErrDeltaUnsupported, err)
+		return "", nil, fmt.Errorf("negotiating chunks: %w", err)
 	}
-	sent, err := co.PutChunks(upCtx, missing, src)
+	sent, err := c.Objects.PutChunks(ctx, missing, src)
 	if err != nil {
-		up.End()
-		root.End()
-		c.Log.Error(upCtx, "chunk upload failed", telemetry.L("error", err.Error()))
-		return nil, fmt.Errorf("core: uploading chunks: %w", err)
+		return "", nil, fmt.Errorf("uploading chunks: %w", err)
 	}
 	enc := m.Encode()
-	uploadKey := fmt.Sprintf("%s/%s/project.manifest", c.Creds.UserName, jobID)
-	if err := c.Objects.Put(upCtx, BucketUploads, uploadKey, enc, UploadTTL); err != nil {
-		up.End()
-		root.End()
-		c.Log.Error(upCtx, "manifest upload failed", telemetry.L("error", err.Error()))
-		return nil, fmt.Errorf("core: uploading manifest: %w", err)
+	key := fmt.Sprintf("%s/%s/project.manifest", c.Creds.UserName, jobID)
+	if err := c.Objects.Put(ctx, BucketUploads, key, enc, UploadTTL); err != nil {
+		return "", nil, fmt.Errorf("uploading manifest: %w", err)
 	}
 	stats := &TransferStats{
 		TotalBytes:  m.TotalBytes,
@@ -108,33 +66,13 @@ func (c *Client) SubmitManifestContext(ctx context.Context, kind string, spec *b
 		ChunksTotal: len(m.ChunkSet()),
 		ChunksSent:  len(missing),
 	}
-	up.SetAttr("bytes", fmt.Sprint(stats.SentBytes))
-	up.SetAttr("chunks_sent", fmt.Sprint(stats.ChunksSent))
-	up.SetAttr("chunks_total", fmt.Sprint(stats.ChunksTotal))
-	up.End()
-	c.Telemetry.Counter("rai_client_delta_bytes_total", "bytes sent via delta submission").Add(float64(stats.SentBytes))
+	c.Telemetry.Counter("rai_client_delta_bytes_total", "bytes sent uploading projects").Add(float64(stats.SentBytes))
 	c.Telemetry.Counter("rai_client_delta_saved_bytes_total", "upload bytes avoided by chunk reuse").
-		Add(float64(max64(0, stats.TotalBytes-stats.SentBytes)))
-
-	res, err := c.submitUploaded(ctx, root, jobID, kind, spec, BucketUploads, uploadKey)
-	if res != nil {
-		res.Transfer = stats
-	}
-	return res, err
+		Add(float64(max(0, stats.TotalBytes-stats.SentBytes)))
+	return key, stats, nil
 }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Compile-time: both Objects implementations speak the delta port.
-var _ CASObjects = (*objstore.Client)(nil)
-var _ CASObjects = LocalObjects{}
-
-// MissingChunks implements CASObjects against the in-process engine,
+// MissingChunks implements Objects against the in-process engine,
 // mirroring the server handler: present chunks get their TTL refreshed.
 func (o LocalObjects) MissingChunks(ctx context.Context, m *cas.Manifest) ([]string, error) {
 	if err := ctx.Err(); err != nil {
@@ -152,7 +90,7 @@ func (o LocalObjects) MissingChunks(ctx context.Context, m *cas.Manifest) ([]str
 	return missing, nil
 }
 
-// PutChunks implements CASObjects against the in-process engine.
+// PutChunks implements Objects against the in-process engine.
 func (o LocalObjects) PutChunks(ctx context.Context, hashes []string, src cas.Source) (int64, error) {
 	var total int64
 	for _, h := range hashes {

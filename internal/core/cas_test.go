@@ -3,12 +3,12 @@ package core
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"rai/internal/archivex"
 	"rai/internal/build"
 	"rai/internal/cas"
 	"rai/internal/cnn"
@@ -18,9 +18,9 @@ import (
 
 // projectTree renders a project into a fresh vfs — padded with a
 // deterministic multi-chunk weights file so the tree is big enough for
-// delta ratios to mean something — and returns its manifest and chunk
-// source (the delta client's view of the tree).
-func projectTree(t *testing.T, spec project.Spec) (*vfs.FS, *cas.Manifest, cas.Source) {
+// delta ratios to mean something — and returns it with its manifest and
+// chunk source.
+func projectTree(t *testing.T, spec project.Spec) (*vfs.FS, tree) {
 	t.Helper()
 	fs := vfs.New()
 	if err := project.WriteTo(fs, "/p", spec); err != nil {
@@ -37,45 +37,20 @@ func projectTree(t *testing.T, spec project.Spec) (*vfs.FS, *cas.Manifest, cas.S
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fs, m, src
+	return fs, tree{m, src}
 }
 
-// submitManifestAndHandle runs a delta submission concurrently with one
-// worker handling.
-func submitManifestAndHandle(t *testing.T, e *env, c *Client, kind string, spec *build.Spec, m *cas.Manifest, src cas.Source) (*JobResult, error) {
-	t.Helper()
-	type out struct {
-		res *JobResult
-		err error
-	}
-	done := make(chan out, 1)
-	go func() {
-		res, err := c.SubmitManifestContext(context.Background(), kind, spec, m, src)
-		done <- out{res, err}
-	}()
-	if _, err := e.worker.HandleOne(context.Background(), 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case o := <-done:
-		return o.res, o.err
-	case <-time.After(10 * time.Second):
-		t.Fatal("client did not finish")
-		return nil, nil
-	}
-}
-
-// TestDeltaSubmitEndToEnd is the tentpole's acceptance path: first
-// submission uploads every chunk, the identical resubmission moves
-// almost nothing and is answered from the warm build cache.
+// TestDeltaSubmitEndToEnd: the first submission uploads every chunk,
+// the identical resubmission moves almost nothing and is answered from
+// the warm build cache, and a one-file edit sends a partial delta.
 func TestDeltaSubmitEndToEnd(t *testing.T) {
 	e := newEnv(t)
 	c := e.client(t, "team-delta")
 	var termOut bytes.Buffer
 	c.Stdout = &termOut
 
-	_, m1, src1 := projectTree(t, project.Spec{Impl: cnn.ImplIm2col, Team: "team-delta"})
-	res, err := submitManifestAndHandle(t, e, c, KindRun, build.Default(), m1, src1)
+	_, p1 := projectTree(t, project.Spec{Impl: cnn.ImplIm2col, Team: "team-delta"})
+	res, err := submitAndHandle(t, e, c, KindRun, build.Default(), p1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +61,7 @@ func TestDeltaSubmitEndToEnd(t *testing.T) {
 		t.Fatal("first submit claims a cache hit")
 	}
 	if res.Transfer == nil {
-		t.Fatal("delta submit returned no transfer stats")
+		t.Fatal("submit returned no transfer stats")
 	}
 	if res.Transfer.ChunksSent != res.Transfer.ChunksTotal || res.Transfer.ChunksSent == 0 {
 		t.Fatalf("first submit sent %d of %d chunks", res.Transfer.ChunksSent, res.Transfer.ChunksTotal)
@@ -97,11 +72,11 @@ func TestDeltaSubmitEndToEnd(t *testing.T) {
 	// nothing but the manifest travels, and the worker replays the
 	// cached build instead of running the container.
 	e.clock.Advance(time.Minute)
-	_, m2, src2 := projectTree(t, project.Spec{Impl: cnn.ImplIm2col, Team: "team-delta"})
-	if m2.TreeHash != m1.TreeHash {
-		t.Fatalf("identical tree hashed differently: %s vs %s", m2.TreeHash, m1.TreeHash)
+	_, p2 := projectTree(t, project.Spec{Impl: cnn.ImplIm2col, Team: "team-delta"})
+	if p2.m.TreeHash != p1.m.TreeHash {
+		t.Fatalf("identical tree hashed differently: %s vs %s", p2.m.TreeHash, p1.m.TreeHash)
 	}
-	res2, err := submitManifestAndHandle(t, e, c, KindRun, build.Default(), m2, src2)
+	res2, err := submitAndHandle(t, e, c, KindRun, build.Default(), p2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,13 +92,16 @@ func TestDeltaSubmitEndToEnd(t *testing.T) {
 	if !res2.CachedBuild {
 		t.Error("identical-input resubmission did not hit the build cache")
 	}
+	if res2.Accuracy != res.Accuracy || res2.InternalTimer != res.InternalTimer {
+		t.Errorf("cached replay drifted: %+v vs %+v", res2, res)
+	}
 	if !strings.Contains(termOut.String(), "build cache hit") {
 		t.Error("cache hit not announced on the job log")
 	}
 
 	// An edited tree misses the cache and executes for real.
 	e.clock.Advance(time.Minute)
-	fs3, _, _ := projectTree(t, project.Spec{Impl: cnn.ImplIm2col, Team: "team-delta"})
+	fs3, _ := projectTree(t, project.Spec{Impl: cnn.ImplIm2col, Team: "team-delta"})
 	if err := fs3.WriteFile("/p/src/tuning.h", []byte("#define TILE_WIDTH 32\n")); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +109,7 @@ func TestDeltaSubmitEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res3, err := submitManifestAndHandle(t, e, c, KindRun, build.Default(), m3, src3)
+	res3, err := submitAndHandle(t, e, c, KindRun, build.Default(), tree{m3, src3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,50 +122,15 @@ func TestDeltaSubmitEndToEnd(t *testing.T) {
 	}
 }
 
-// TestLegacyArchiveSharesBuildCache is old-client↔new-server interop:
-// a plain tar.bz2 upload still executes — and its tree hash (computed
-// after unpack) shares the warm build cache with everyone else.
-func TestLegacyArchiveSharesBuildCache(t *testing.T) {
-	e := newEnv(t)
-	c := e.client(t, "team-legacy")
-	archive := packProject(t, project.Spec{Impl: cnn.ImplIm2col, Team: "team-legacy"})
-
-	res, err := submitAndHandle(t, e, c, KindRun, build.Default(), archive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != StatusSucceeded || res.CachedBuild {
-		t.Fatalf("first archive submit: %+v", res)
-	}
-	if res.Transfer != nil {
-		t.Error("full-archive upload reported delta transfer stats")
-	}
-
-	e.clock.Advance(time.Minute)
-	res2, err := submitAndHandle(t, e, c, KindRun, build.Default(), archive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Status != StatusSucceeded {
-		t.Fatalf("second archive submit: %+v", res2)
-	}
-	if !res2.CachedBuild {
-		t.Error("identical archive resubmission did not hit the build cache")
-	}
-	if res2.Accuracy != res.Accuracy || res2.InternalTimer != res.InternalTimer {
-		t.Errorf("cached replay drifted: %+v vs %+v", res2, res)
-	}
-}
-
 // TestSubmissionsNeverCached: final submissions always execute, even
 // with a warm cache entry for the exact tree, because their results
 // land on the ranking board.
 func TestSubmissionsNeverCached(t *testing.T) {
 	e := newEnv(t)
 	c := e.client(t, "team-final")
-	archive := packProject(t, project.Spec{Impl: cnn.ImplIm2col, Team: "team-final", WithUsage: true, WithReport: true})
+	proj := newProject(t, project.Spec{Impl: cnn.ImplIm2col, Team: "team-final", WithUsage: true, WithReport: true})
 
-	res, err := submitAndHandle(t, e, c, KindSubmit, nil, archive)
+	res, err := submitAndHandle(t, e, c, KindSubmit, nil, proj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +138,7 @@ func TestSubmissionsNeverCached(t *testing.T) {
 		t.Fatalf("first final submit: %+v", res)
 	}
 	e.clock.Advance(time.Minute)
-	res2, err := submitAndHandle(t, e, c, KindSubmit, nil, archive)
+	res2, err := submitAndHandle(t, e, c, KindSubmit, nil, proj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,20 +147,56 @@ func TestSubmissionsNeverCached(t *testing.T) {
 	}
 }
 
-// plainObjects hides the CAS methods of the underlying port — a stand-in
-// for an old transport that only speaks the Objects interface.
-type plainObjects struct{ Objects }
-
-// TestDeltaFallbackSignal is new-client↔old-server interop at the core
-// layer: a transport without the delta port yields ErrDeltaUnsupported
-// (the CLI's cue to fall back to a full upload), not a failed job.
-func TestDeltaFallbackSignal(t *testing.T) {
-	e := newEnv(t)
-	c := e.client(t, "team-fallback")
-	c.Objects = plainObjects{e.objects}
-	_, m, src := projectTree(t, project.Spec{Impl: cnn.ImplIm2col, Team: "team-fallback"})
-	_, err := c.SubmitManifestContext(context.Background(), KindRun, build.Default(), m, src)
-	if !errors.Is(err, ErrDeltaUnsupported) {
-		t.Fatalf("err = %v, want ErrDeltaUnsupported", err)
+// TestNonManifestUploadFailsJob: the upload object is a chunk manifest
+// or the job fails. A worker handed a .tar.bz2 (what uploads used to
+// be) or garbage says so once on the job's log and ends the job failed
+// — it neither unpacks the archive nor guesses.
+func TestNonManifestUploadFailsJob(t *testing.T) {
+	fs := vfs.New()
+	if err := project.WriteTo(fs, "/p", project.Spec{Impl: cnn.ImplIm2col}); err != nil {
+		t.Fatal(err)
+	}
+	tarball, err := archivex.PackVFS(fs, "/p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, object := range map[string][]byte{
+		"tar.bz2": tarball,
+		"garbage": []byte("RAICAS1\n{not json"),
+		"empty":   {},
+	} {
+		e := newEnv(t)
+		c := e.client(t, "team-legacy")
+		var term bytes.Buffer
+		c.Stdout = &term
+		key := "team-legacy/old/project.tar.bz2"
+		if err := e.objects.Put(context.Background(), BucketUploads, key, object, UploadTTL); err != nil {
+			t.Fatal(err)
+		}
+		type out struct {
+			res *JobResult
+			err error
+		}
+		done := make(chan out, 1)
+		go func() {
+			res, err := c.ResubmitContext(context.Background(), KindRun, BucketUploads, key)
+			done <- out{res, err}
+		}()
+		if _, err := e.worker.HandleOne(context.Background(), 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		o := <-done
+		if o.err != nil {
+			t.Fatalf("%s: %v", name, o.err)
+		}
+		if o.res.Status != StatusFailed {
+			t.Errorf("%s: status = %q, want failed", name, o.res.Status)
+		}
+		if n := strings.Count(term.String(), "cannot decode project manifest"); n != 1 {
+			t.Errorf("%s: decode failure reported %d times on the log:\n%s", name, n, term.String())
+		}
+		if strings.Contains(term.String(), "Building project") {
+			t.Errorf("%s: the build ran anyway:\n%s", name, term.String())
+		}
 	}
 }

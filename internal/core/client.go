@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -10,6 +9,7 @@ import (
 
 	"rai/internal/auth"
 	"rai/internal/build"
+	"rai/internal/cas"
 	"rai/internal/clock"
 	"rai/internal/telemetry"
 	"rai/internal/vfs"
@@ -69,8 +69,8 @@ type JobResult struct {
 	// CachedBuild reports that the worker satisfied the job from its
 	// warm build cache instead of running the build commands.
 	CachedBuild bool
-	// Transfer describes the delta upload when the submission went
-	// through SubmitManifestContext; nil for full-archive uploads.
+	// Transfer describes the upload; nil when the job reran an upload
+	// already on the file server (ResubmitContext).
 	Transfer *TransferStats
 }
 
@@ -108,45 +108,42 @@ func CheckSubmissionFiles(fs *vfs.FS, dir string) error {
 	return nil
 }
 
-// SubmitContext runs the full client sequence for a packed project
-// archive held in memory. Thin adapter over SubmitReaderContext.
-func (c *Client) SubmitContext(ctx context.Context, kind string, spec *build.Spec, archive []byte) (*JobResult, error) {
-	return c.SubmitReaderContext(ctx, kind, spec, bytes.NewReader(archive), int64(len(archive)))
-}
-
-// SubmitReaderContext runs the full client sequence for a project
-// archive streamed from r (size in bytes, or -1 when unknown) — the
-// CLI packs to a temp file and hands it here, so an archive larger
-// than memory uploads in flat space and can rewind on retry when r is
-// seekable. kind is KindRun or KindSubmit; spec is the parsed build
-// file (ignored by workers for KindSubmit). It blocks streaming logs
-// to Stdout until the End message arrives; canceling ctx abandons the
-// job (the worker still runs it, but nobody is watching the log
-// topic).
-func (c *Client) SubmitReaderContext(ctx context.Context, kind string, spec *build.Spec, r io.Reader, size int64) (*JobResult, error) {
+// SubmitContext runs the full client sequence for the project tree
+// described by m, whose chunk payloads come from src (cas.BuildDir or
+// cas.BuildVFS produce the pair). kind is KindRun or KindSubmit; spec
+// is the parsed build file (ignored by workers for KindSubmit). It
+// blocks streaming logs to Stdout until the End message arrives;
+// canceling ctx abandons the job (the worker still runs it, but nobody
+// is watching the log topic).
+func (c *Client) SubmitContext(ctx context.Context, kind string, spec *build.Spec, m *cas.Manifest, src cas.Source) (*JobResult, error) {
 	jobID := NewJobID()
 	root, sampled := c.startJobSpan(jobID, kind)
 	ctx = telemetry.ContextWithJobID(ctx, jobID)
 	ctx = telemetry.ContextWithSampling(ctx, sampled)
-	// Step 3: compress (done by the caller via archivex) and upload the
-	// project directory; one-month lifetime from last use. The upload
-	// span rides the request context so the objstore server opens its
-	// child span under it.
-	uploadKey := fmt.Sprintf("%s/%s/project.tar.bz2", c.Creds.UserName, jobID)
+	// Step 3: upload the project; one-month lifetime from last use. The
+	// upload span rides the request context so the objstore server opens
+	// its child spans under it.
 	up := root.Child("upload")
 	upCtx := telemetry.ContextWithSpan(ctx, up)
-	if err := c.Objects.PutReader(upCtx, BucketUploads, uploadKey, r, size, UploadTTL); err != nil {
+	uploadKey, stats, err := c.uploadProject(upCtx, jobID, m, src)
+	if err != nil {
 		up.End()
 		root.End()
 		c.Log.Error(upCtx, "project upload failed", telemetry.L("error", err.Error()))
 		return nil, fmt.Errorf("core: uploading project: %w", err)
 	}
-	up.SetAttr("bytes", fmt.Sprint(size))
+	up.SetAttr("bytes", fmt.Sprint(stats.SentBytes))
+	up.SetAttr("chunks_sent", fmt.Sprint(stats.ChunksSent))
+	up.SetAttr("chunks_total", fmt.Sprint(stats.ChunksTotal))
 	up.End()
-	return c.submitUploaded(ctx, root, jobID, kind, spec, BucketUploads, uploadKey)
+	res, err := c.submitUploaded(ctx, root, jobID, kind, spec, BucketUploads, uploadKey)
+	if res != nil {
+		res.Transfer = stats
+	}
+	return res, err
 }
 
-// ResubmitContext enqueues a job against an archive already on the file
+// ResubmitContext enqueues a job against an upload already on the file
 // server — the grading path: instructors rerun a team's recorded final
 // submission multiple times and keep the best time (§VI, §VII).
 func (c *Client) ResubmitContext(ctx context.Context, kind, uploadBucket, uploadKey string) (*JobResult, error) {

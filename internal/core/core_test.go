@@ -12,6 +12,7 @@ import (
 	"rai/internal/auth"
 	"rai/internal/broker"
 	"rai/internal/build"
+	"rai/internal/cas"
 	"rai/internal/clock"
 	"rai/internal/cnn"
 	"rai/internal/docstore"
@@ -94,23 +95,30 @@ func (e *env) client(t *testing.T, user string) *Client {
 	return &Client{Creds: creds, Queue: e.queue, Objects: e.objects, Clock: e.clock, Stdout: &bytes.Buffer{}}
 }
 
-// packProject renders and packs a project spec.
-func packProject(t *testing.T, spec project.Spec) []byte {
+// tree is a project the way a client holds it: the manifest of its
+// files and the source of their chunks.
+type tree struct {
+	m   *cas.Manifest
+	src cas.Source
+}
+
+// newProject renders a project spec and hashes it into a manifest.
+func newProject(t *testing.T, spec project.Spec) tree {
 	t.Helper()
 	fs := vfs.New()
 	if err := project.WriteTo(fs, "/p", spec); err != nil {
 		t.Fatal(err)
 	}
-	blob, err := archivex.PackVFS(fs, "/p")
+	m, src, err := cas.BuildVFS(fs, "/p")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return blob
+	return tree{m, src}
 }
 
 // submitAndHandle runs the client submit concurrently with one worker
 // handling.
-func submitAndHandle(t *testing.T, e *env, c *Client, kind string, spec *build.Spec, archive []byte) (*JobResult, error) {
+func submitAndHandle(t *testing.T, e *env, c *Client, kind string, spec *build.Spec, proj tree) (*JobResult, error) {
 	t.Helper()
 	type out struct {
 		res *JobResult
@@ -118,7 +126,7 @@ func submitAndHandle(t *testing.T, e *env, c *Client, kind string, spec *build.S
 	}
 	done := make(chan out, 1)
 	go func() {
-		res, err := c.SubmitContext(context.Background(), kind, spec, archive)
+		res, err := c.SubmitContext(context.Background(), kind, spec, proj.m, proj.src)
 		done <- out{res, err}
 	}()
 	if _, err := e.worker.HandleOne(context.Background(), 5*time.Second); err != nil {
@@ -138,9 +146,9 @@ func TestEndToEndRunJob(t *testing.T) {
 	c := e.client(t, "team-alpha")
 	var termOut bytes.Buffer
 	c.Stdout = &termOut
-	archive := packProject(t, project.Spec{Impl: cnn.ImplIm2col, Team: "team-alpha"})
+	proj := newProject(t, project.Spec{Impl: cnn.ImplIm2col, Team: "team-alpha"})
 
-	res, err := submitAndHandle(t, e, c, KindRun, build.Default(), archive)
+	res, err := submitAndHandle(t, e, c, KindRun, build.Default(), proj)
 	if err != nil {
 		t.Fatalf("submit: %v\nterminal:\n%s", err, termOut.String())
 	}
@@ -189,10 +197,10 @@ func TestEndToEndRunJob(t *testing.T) {
 func TestEndToEndFinalSubmission(t *testing.T) {
 	e := newEnv(t)
 	c := e.client(t, "team-beta")
-	archive := packProject(t, project.Spec{
+	proj := newProject(t, project.Spec{
 		Impl: cnn.ImplParallel, Team: "team-beta", WithUsage: true, WithReport: true,
 	})
-	res, err := submitAndHandle(t, e, c, KindSubmit, nil, archive)
+	res, err := submitAndHandle(t, e, c, KindSubmit, nil, proj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,8 +236,8 @@ func TestEndToEndFinalSubmission(t *testing.T) {
 func TestSubmissionOverwritesRanking(t *testing.T) {
 	e := newEnv(t)
 	c := e.client(t, "team-gamma")
-	slow := packProject(t, project.Spec{Impl: cnn.ImplTiled, Tuning: 1.4, WithUsage: true, WithReport: true})
-	fast := packProject(t, project.Spec{Impl: cnn.ImplParallel, Tuning: 0.9, WithUsage: true, WithReport: true})
+	slow := newProject(t, project.Spec{Impl: cnn.ImplTiled, Tuning: 1.4, WithUsage: true, WithReport: true})
+	fast := newProject(t, project.Spec{Impl: cnn.ImplParallel, Tuning: 0.9, WithUsage: true, WithReport: true})
 
 	if _, err := submitAndHandle(t, e, c, KindSubmit, nil, slow); err != nil {
 		t.Fatal(err)
@@ -251,8 +259,8 @@ func TestSubmissionOverwritesRanking(t *testing.T) {
 func TestFinalSubmissionRequiresReportAndUsage(t *testing.T) {
 	e := newEnv(t)
 	c := e.client(t, "team-delta")
-	archive := packProject(t, project.Spec{Impl: cnn.ImplIm2col}) // no USAGE/report.pdf
-	res, err := submitAndHandle(t, e, c, KindSubmit, nil, archive)
+	proj := newProject(t, project.Spec{Impl: cnn.ImplIm2col}) // no USAGE/report.pdf
+	res, err := submitAndHandle(t, e, c, KindSubmit, nil, proj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,8 +278,8 @@ func TestBadCredentialsRejected(t *testing.T) {
 		Objects: e.objects,
 		Clock:   e.clock,
 	}
-	archive := packProject(t, project.Spec{Impl: cnn.ImplTiled})
-	res, err := submitAndHandle(t, e, c, KindRun, nil, archive)
+	proj := newProject(t, project.Spec{Impl: cnn.ImplTiled})
+	res, err := submitAndHandle(t, e, c, KindRun, nil, proj)
 	if !errors.Is(err, ErrRejected) {
 		t.Fatalf("err = %v, want ErrRejected", err)
 	}
@@ -287,8 +295,8 @@ func TestTamperedTokenRejected(t *testing.T) {
 	// the wrong secret.
 	forged := auth.Credentials{UserName: "team-y", AccessKey: creds.AccessKey, SecretKey: "wrong-secret-key-wrong-key"}
 	c := &Client{Creds: forged, Queue: e.queue, Objects: e.objects, Clock: e.clock}
-	archive := packProject(t, project.Spec{Impl: cnn.ImplTiled})
-	if _, err := submitAndHandle(t, e, c, KindRun, nil, archive); !errors.Is(err, ErrRejected) {
+	proj := newProject(t, project.Spec{Impl: cnn.ImplTiled})
+	if _, err := submitAndHandle(t, e, c, KindRun, nil, proj); !errors.Is(err, ErrRejected) {
 		t.Fatalf("forged token: %v", err)
 	}
 }
@@ -296,18 +304,18 @@ func TestTamperedTokenRejected(t *testing.T) {
 func TestRateLimit30Seconds(t *testing.T) {
 	e := newEnv(t)
 	c := e.client(t, "team-spam")
-	archive := packProject(t, project.Spec{Impl: cnn.ImplIm2col})
-	if _, err := submitAndHandle(t, e, c, KindRun, build.Default(), archive); err != nil {
+	proj := newProject(t, project.Spec{Impl: cnn.ImplIm2col})
+	if _, err := submitAndHandle(t, e, c, KindRun, build.Default(), proj); err != nil {
 		t.Fatal(err)
 	}
 	// 10 simulated seconds later: rejected.
 	e.clock.Advance(10 * time.Second)
-	if _, err := submitAndHandle(t, e, c, KindRun, build.Default(), archive); !errors.Is(err, ErrRejected) {
+	if _, err := submitAndHandle(t, e, c, KindRun, build.Default(), proj); !errors.Is(err, ErrRejected) {
 		t.Fatalf("rapid resubmit: %v", err)
 	}
 	// 31 seconds after the first: accepted.
 	e.clock.Advance(21 * time.Second)
-	if _, err := submitAndHandle(t, e, c, KindRun, build.Default(), archive); err != nil {
+	if _, err := submitAndHandle(t, e, c, KindRun, build.Default(), proj); err != nil {
 		t.Fatalf("post-cooldown submit: %v", err)
 	}
 }
@@ -317,8 +325,8 @@ func TestCompileErrorReportedToStudent(t *testing.T) {
 	c := e.client(t, "team-broken")
 	var term bytes.Buffer
 	c.Stdout = &term
-	archive := packProject(t, project.Spec{Impl: cnn.ImplTiled, Bug: "compile"})
-	res, err := submitAndHandle(t, e, c, KindRun, build.Default(), archive)
+	proj := newProject(t, project.Spec{Impl: cnn.ImplTiled, Bug: "compile"})
+	res, err := submitAndHandle(t, e, c, KindRun, build.Default(), proj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,8 +356,8 @@ func TestStudentSpecUsedForRun(t *testing.T) {
 			`make`,
 		}},
 	}}
-	archive := packProject(t, project.Spec{Impl: cnn.ImplTiled})
-	res, err := submitAndHandle(t, e, c, KindRun, spec, archive)
+	proj := newProject(t, project.Spec{Impl: cnn.ImplTiled})
+	res, err := submitAndHandle(t, e, c, KindRun, spec, proj)
 	if err != nil || res.Status != StatusSucceeded {
 		t.Fatalf("custom spec run: %v %+v", err, res)
 	}
@@ -366,8 +374,8 @@ func TestNonWhitelistedImageFails(t *testing.T) {
 		Image:    "evil/miner:latest",
 		Commands: build.Commands{Build: []string{"echo hi"}},
 	}}
-	archive := packProject(t, project.Spec{Impl: cnn.ImplTiled})
-	res, err := submitAndHandle(t, e, c, KindRun, spec, archive)
+	proj := newProject(t, project.Spec{Impl: cnn.ImplTiled})
+	res, err := submitAndHandle(t, e, c, KindRun, spec, proj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,8 +421,8 @@ func TestWorkerRunLoopAndStop(t *testing.T) {
 		close(workerDone)
 	}()
 	c := e.client(t, "team-loop")
-	archive := packProject(t, project.Spec{Impl: cnn.ImplIm2col})
-	res, err := c.SubmitContext(context.Background(), KindRun, build.Default(), archive)
+	proj := newProject(t, project.Spec{Impl: cnn.ImplIm2col})
+	res, err := c.SubmitContext(context.Background(), KindRun, build.Default(), proj.m, proj.src)
 	if err != nil || res.Status != StatusSucceeded {
 		t.Fatalf("submit via run loop: %v %+v", err, res)
 	}
@@ -440,9 +448,9 @@ func TestMultiConcurrentWorker(t *testing.T) {
 	errs := make(chan error, jobs)
 	for i := 0; i < jobs; i++ {
 		c := e.client(t, "team-par-"+string(rune('a'+i)))
-		archive := packProject(t, project.Spec{Impl: cnn.ImplTiled})
+		proj := newProject(t, project.Spec{Impl: cnn.ImplTiled})
 		go func(c *Client) {
-			res, err := c.SubmitContext(context.Background(), KindRun, build.Default(), archive)
+			res, err := c.SubmitContext(context.Background(), KindRun, build.Default(), proj.m, proj.src)
 			if err == nil && res.Status != StatusSucceeded {
 				err = errors.New("status " + res.Status)
 			}
@@ -464,8 +472,8 @@ func TestMultiConcurrentWorker(t *testing.T) {
 func TestClientUploadTTLApplied(t *testing.T) {
 	e := newEnv(t)
 	c := e.client(t, "team-ttl")
-	archive := packProject(t, project.Spec{Impl: cnn.ImplTiled})
-	if _, err := submitAndHandle(t, e, c, KindRun, build.Default(), archive); err != nil {
+	proj := newProject(t, project.Spec{Impl: cnn.ImplTiled})
+	if _, err := submitAndHandle(t, e, c, KindRun, build.Default(), proj); err != nil {
 		t.Fatal(err)
 	}
 	store := e.objects.(LocalObjects).S

@@ -12,13 +12,14 @@ import (
 	"rai/internal/build"
 	"rai/internal/cnn"
 	"rai/internal/docstore"
-	"rai/internal/objstore"
 	"rai/internal/project"
 )
 
-// flakyObjects wraps an Objects port and fails selected operations.
+// flakyObjects wraps an Objects port and fails selected operations;
+// everything else (chunk negotiation and upload included) passes
+// through.
 type flakyObjects struct {
-	inner    Objects
+	Objects
 	mu       sync.Mutex
 	failGets int // fail this many Get calls, then recover
 	failPuts int
@@ -34,7 +35,7 @@ func (f *flakyObjects) Get(ctx context.Context, bucket, key string) ([]byte, err
 	if fail {
 		return nil, errors.New("injected: file server unavailable")
 	}
-	return f.inner.Get(ctx, bucket, key)
+	return f.Objects.Get(ctx, bucket, key)
 }
 
 func (f *flakyObjects) Put(ctx context.Context, bucket, key string, data []byte, ttl time.Duration) error {
@@ -47,11 +48,12 @@ func (f *flakyObjects) Put(ctx context.Context, bucket, key string, data []byte,
 	if fail {
 		return errors.New("injected: file server unavailable")
 	}
-	return f.inner.Put(ctx, bucket, key, data, ttl)
+	return f.Objects.Put(ctx, bucket, key, data, ttl)
 }
 
-// The streaming pair shares the failure counters with Get/Put, so the
-// worker's streamed download path exercises the same injected faults.
+// GetReader shares the failure counter with Get, so the worker's
+// manifest download exercises the same injected faults as its chunk
+// fetches.
 func (f *flakyObjects) GetReader(ctx context.Context, bucket, key string) (io.ReadCloser, int64, error) {
 	f.mu.Lock()
 	fail := f.failGets > 0
@@ -62,28 +64,7 @@ func (f *flakyObjects) GetReader(ctx context.Context, bucket, key string) (io.Re
 	if fail {
 		return nil, 0, errors.New("injected: file server unavailable")
 	}
-	return f.inner.GetReader(ctx, bucket, key)
-}
-
-func (f *flakyObjects) PutReader(ctx context.Context, bucket, key string, r io.Reader, size int64, ttl time.Duration) error {
-	f.mu.Lock()
-	fail := f.failPuts > 0
-	if fail {
-		f.failPuts--
-	}
-	f.mu.Unlock()
-	if fail {
-		return errors.New("injected: file server unavailable")
-	}
-	return f.inner.PutReader(ctx, bucket, key, r, size, ttl)
-}
-
-func (f *flakyObjects) List(ctx context.Context, bucket, prefix string) ([]objstore.ObjectInfo, error) {
-	return f.inner.List(ctx, bucket, prefix)
-}
-
-func (f *flakyObjects) Delete(ctx context.Context, bucket, key string) error {
-	return f.inner.Delete(ctx, bucket, key)
+	return f.Objects.GetReader(ctx, bucket, key)
 }
 
 // failingDB wraps a docstore.Store and errors every write.
@@ -113,13 +94,13 @@ func (f failingDB) Delete(coll string, filter docstore.M) (int, error) {
 
 func TestWorkerDownloadFailureFailsJobCleanly(t *testing.T) {
 	e := newEnv(t)
-	flaky := &flakyObjects{inner: e.objects, failGets: 100}
+	flaky := &flakyObjects{Objects: e.objects, failGets: 100}
 	e.worker.Objects = flaky
 	c := e.client(t, "team-flaky")
 	var term strings.Builder
 	c.Stdout = &term
-	archive := packProject(t, project.Spec{Impl: cnn.ImplTiled})
-	res, err := submitAndHandle(t, e, c, KindRun, build.Default(), archive)
+	proj := newProject(t, project.Spec{Impl: cnn.ImplTiled})
+	res, err := submitAndHandle(t, e, c, KindRun, build.Default(), proj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +108,7 @@ func TestWorkerDownloadFailureFailsJobCleanly(t *testing.T) {
 	if res.Status != StatusFailed {
 		t.Fatalf("status = %q", res.Status)
 	}
-	if !strings.Contains(term.String(), "cannot download project archive") {
+	if !strings.Contains(term.String(), "cannot download project manifest") {
 		t.Errorf("terminal:\n%s", term.String())
 	}
 }
@@ -136,13 +117,13 @@ func TestWorkerUploadFailureStillEndsJob(t *testing.T) {
 	e := newEnv(t)
 	// Client upload works (client uses the real port); only the worker's
 	// build upload fails.
-	flaky := &flakyObjects{inner: e.objects, failPuts: 100}
+	flaky := &flakyObjects{Objects: e.objects, failPuts: 100}
 	e.worker.Objects = flaky
 	c := e.client(t, "team-buildup")
 	var term strings.Builder
 	c.Stdout = &term
-	archive := packProject(t, project.Spec{Impl: cnn.ImplIm2col})
-	res, err := submitAndHandle(t, e, c, KindRun, build.Default(), archive)
+	proj := newProject(t, project.Spec{Impl: cnn.ImplIm2col})
+	res, err := submitAndHandle(t, e, c, KindRun, build.Default(), proj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +144,8 @@ func TestWorkerSurvivesDatabaseOutage(t *testing.T) {
 	e.worker.DB = failingDB{inner: e.db}
 	e.worker.Cfg.RateLimit = 0 // the limiter consults the (down) DB
 	c := e.client(t, "team-dbless")
-	archive := packProject(t, project.Spec{Impl: cnn.ImplIm2col})
-	res, err := submitAndHandle(t, e, c, KindRun, build.Default(), archive)
+	proj := newProject(t, project.Spec{Impl: cnn.ImplIm2col})
+	res, err := submitAndHandle(t, e, c, KindRun, build.Default(), proj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,8 +161,8 @@ func TestRateLimitFailsOpenWhenDBDown(t *testing.T) {
 	// RateLimit active, but its source of truth is down: jobs proceed
 	// (availability over strictness for a dev-loop limiter).
 	c := e.client(t, "team-ratelimit-db")
-	archive := packProject(t, project.Spec{Impl: cnn.ImplTiled})
-	res, err := submitAndHandle(t, e, c, KindRun, build.Default(), archive)
+	proj := newProject(t, project.Spec{Impl: cnn.ImplTiled})
+	res, err := submitAndHandle(t, e, c, KindRun, build.Default(), proj)
 	if err != nil || res.Status != StatusSucceeded {
 		t.Fatalf("res = %+v, %v", res, err)
 	}
@@ -190,9 +171,9 @@ func TestRateLimitFailsOpenWhenDBDown(t *testing.T) {
 func TestClientUploadFailure(t *testing.T) {
 	e := newEnv(t)
 	c := e.client(t, "team-up")
-	c.Objects = &flakyObjects{inner: e.objects, failPuts: 1}
-	archive := packProject(t, project.Spec{Impl: cnn.ImplTiled})
-	if _, err := c.SubmitContext(context.Background(), KindRun, build.Default(), archive); err == nil || !strings.Contains(err.Error(), "uploading project") {
+	c.Objects = &flakyObjects{Objects: e.objects, failPuts: 1}
+	proj := newProject(t, project.Spec{Impl: cnn.ImplTiled})
+	if _, err := c.SubmitContext(context.Background(), KindRun, build.Default(), proj.m, proj.src); err == nil || !strings.Contains(err.Error(), "uploading project") {
 		t.Fatalf("upload failure: %v", err)
 	}
 }
@@ -204,7 +185,7 @@ func TestClientUploadFailure(t *testing.T) {
 func TestCrashedWorkerJobIsRedelivered(t *testing.T) {
 	e := newEnv(t)
 	c := e.client(t, "team-resilient")
-	archive := packProject(t, project.Spec{Impl: cnn.ImplIm2col, Team: "team-resilient"})
+	proj := newProject(t, project.Spec{Impl: cnn.ImplIm2col, Team: "team-resilient"})
 
 	type out struct {
 		res *JobResult
@@ -212,7 +193,7 @@ func TestCrashedWorkerJobIsRedelivered(t *testing.T) {
 	}
 	done := make(chan out, 1)
 	go func() {
-		res, err := c.SubmitContext(context.Background(), KindRun, build.Default(), archive)
+		res, err := c.SubmitContext(context.Background(), KindRun, build.Default(), proj.m, proj.src)
 		done <- out{res, err}
 	}()
 
@@ -256,16 +237,16 @@ func TestGPUResourceRequestEnforced(t *testing.T) {
 		Resources: build.Resources{GPUs: 4},
 		Commands:  build.Commands{Build: []string{"echo hi"}},
 	}}
-	archive := packProject(t, project.Spec{Impl: cnn.ImplTiled})
+	proj := newProject(t, project.Spec{Impl: cnn.ImplTiled})
 	// Default worker offers 1 GPU: rejected.
-	_, err := submitAndHandle(t, e, c, KindRun, spec, archive)
+	_, err := submitAndHandle(t, e, c, KindRun, spec, proj)
 	if !errors.Is(err, ErrRejected) {
 		t.Fatalf("4-GPU spec on 1-GPU worker: %v", err)
 	}
 	// A 4-GPU worker accepts it.
 	e.worker.Cfg.GPUs = 4
 	e.clock.Advance(time.Minute)
-	res, err := submitAndHandle(t, e, c, KindRun, spec, archive)
+	res, err := submitAndHandle(t, e, c, KindRun, spec, proj)
 	if err != nil || res.Status != StatusSucceeded {
 		t.Fatalf("4-GPU spec on 4-GPU worker: %v %+v", err, res)
 	}
@@ -283,8 +264,8 @@ func TestMalformedQueueMessageIgnored(t *testing.T) {
 	}
 	// The worker is still healthy for real jobs.
 	c := e.client(t, "team-after-garbage")
-	archive := packProject(t, project.Spec{Impl: cnn.ImplTiled})
-	res, err := submitAndHandle(t, e, c, KindRun, build.Default(), archive)
+	proj := newProject(t, project.Spec{Impl: cnn.ImplTiled})
+	res, err := submitAndHandle(t, e, c, KindRun, build.Default(), proj)
 	if err != nil || res.Status != StatusSucceeded {
 		t.Fatalf("post-garbage job: %v %+v", res, err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"rai/internal/broker"
 	"rai/internal/brokerd"
+	"rai/internal/cas"
 	"rai/internal/netx"
 	"rai/internal/objstore"
 	"rai/internal/telemetry"
@@ -207,17 +208,22 @@ func (s remoteSub) Close() error       { return s.conn.Close() }
 
 // Objects is the file-server port, satisfied by the HTTP client
 // (objstore.Client) directly and by the engine through LocalObjects.
-// The streaming pair moves archives without materializing them: the
-// client uploads from a temp file, the worker unpacks straight off the
-// response body. size < 0 means unknown (chunked upload); GetReader's
-// int64 is the content length (-1 when the server does not say).
+// Projects go up as chunks plus a manifest (MissingChunks, PutChunks,
+// then Put of the manifest — cas.go). GetReader streams an object so
+// the caller can bound what it reads; its int64 is the content length
+// (-1 when the server does not say).
 type Objects interface {
 	Put(ctx context.Context, bucket, key string, data []byte, ttl time.Duration) error
 	Get(ctx context.Context, bucket, key string) ([]byte, error)
-	PutReader(ctx context.Context, bucket, key string, r io.Reader, size int64, ttl time.Duration) error
 	GetReader(ctx context.Context, bucket, key string) (io.ReadCloser, int64, error)
 	List(ctx context.Context, bucket, prefix string) ([]objstore.ObjectInfo, error)
 	Delete(ctx context.Context, bucket, key string) error
+	// MissingChunks returns the subset of the manifest's chunks absent
+	// from the store, refreshing the TTL of those present.
+	MissingChunks(ctx context.Context, m *cas.Manifest) ([]string, error)
+	// PutChunks uploads the named chunks from src and returns the
+	// payload bytes transferred.
+	PutChunks(ctx context.Context, hashes []string, src cas.Source) (int64, error)
 }
 
 // LocalObjects adapts the in-process engine to Objects. ctx only gates
@@ -240,12 +246,6 @@ func (o LocalObjects) Get(ctx context.Context, bucket, key string) ([]byte, erro
 	}
 	data, _, err := o.S.Get(bucket, key)
 	return data, err
-}
-
-// PutReader implements Objects, streaming into the engine.
-func (o LocalObjects) PutReader(ctx context.Context, bucket, key string, r io.Reader, size int64, ttl time.Duration) error {
-	_, err := o.S.PutReader(ctx, bucket, key, r, ttl)
-	return err
 }
 
 // GetReader implements Objects, streaming out of the engine.

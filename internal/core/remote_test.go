@@ -44,8 +44,8 @@ func TestRemoteQueueEndToEnd(t *testing.T) {
 	c.Queue = clientQueue
 	c.LogWait = 0 // real-time delivery; no virtual-clock timer
 
-	archive := packProject(t, project.Spec{Impl: cnn.ImplIm2col, Team: "team-tcp"})
-	res, err := c.SubmitContext(context.Background(), KindRun, build.Default(), archive)
+	proj := newProject(t, project.Spec{Impl: cnn.ImplIm2col, Team: "team-tcp"})
+	res, err := c.SubmitContext(context.Background(), KindRun, build.Default(), proj.m, proj.src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +101,8 @@ func TestSubmissionSurvivesBrokerRestart(t *testing.T) {
 
 	// One clean submission first, so the worker's task subscription and
 	// both publish connections exist before the restart kills them all.
-	archive := packProject(t, project.Spec{Impl: cnn.ImplIm2col, Team: "team-outage"})
-	res, err := c.SubmitContext(context.Background(), KindRun, build.Default(), archive)
+	proj := newProject(t, project.Spec{Impl: cnn.ImplIm2col, Team: "team-outage"})
+	res, err := c.SubmitContext(context.Background(), KindRun, build.Default(), proj.m, proj.src)
 	if err != nil {
 		t.Fatalf("submission before restart: %v", err)
 	}
@@ -128,7 +128,7 @@ func TestSubmissionSurvivesBrokerRestart(t *testing.T) {
 		restarted <- restart{srv2, err}
 	}()
 
-	res2, err := c.SubmitContext(context.Background(), KindRun, build.Default(), archive)
+	res2, err := c.SubmitContext(context.Background(), KindRun, build.Default(), proj.m, proj.src)
 	r := <-restarted
 	if r.err != nil {
 		t.Fatalf("broker restart: %v", r.err)
@@ -150,10 +150,10 @@ func TestSubmissionSurvivesBrokerRestart(t *testing.T) {
 func TestResubmitReusesUpload(t *testing.T) {
 	e := newEnv(t)
 	c := e.client(t, "team-rerun")
-	archive := packProject(t, project.Spec{
+	proj := newProject(t, project.Spec{
 		Impl: cnn.ImplParallel, Tuning: 1, Team: "team-rerun", WithUsage: true, WithReport: true,
 	})
-	first, err := submitAndHandle(t, e, c, KindSubmit, nil, archive)
+	first, err := submitAndHandle(t, e, c, KindSubmit, nil, proj)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,9 +7,10 @@ import (
 	"fmt"
 	"time"
 
+	"rai/internal/cas"
 	"rai/internal/clock"
 	"rai/internal/sandbox"
-	"rai/internal/vfs"
+	"rai/internal/telemetry"
 )
 
 // Interactive sessions implement the paper's stated future work
@@ -76,17 +77,17 @@ type CommandResult struct {
 	Output   string // interleaved stdout/stderr lines
 }
 
-// OpenSessionContext uploads the project and starts an interactive
-// session. The returned Session executes commands with Run and must be
-// closed.
-func (c *Client) OpenSessionContext(ctx context.Context, archive []byte) (*Session, error) {
+// OpenSessionContext uploads the project tree (m, src — as for
+// SubmitContext) and starts an interactive session. The returned
+// Session executes commands with Run and must be closed.
+func (c *Client) OpenSessionContext(ctx context.Context, m *cas.Manifest, src cas.Source) (*Session, error) {
 	clk := c.Clock
 	if clk == nil {
 		clk = clock.Real{}
 	}
 	jobID := NewJobID()
-	uploadKey := fmt.Sprintf("%s/%s/project.tar.bz2", c.Creds.UserName, jobID)
-	if err := c.Objects.Put(ctx, BucketUploads, uploadKey, archive, UploadTTL); err != nil {
+	uploadKey, _, err := c.uploadProject(ctx, jobID, m, src)
+	if err != nil {
 		return nil, fmt.Errorf("core: uploading project: %w", err)
 	}
 	req := &JobRequest{
@@ -213,19 +214,12 @@ func tokenFor(c *Client, req *JobRequest) string {
 
 // runSession drives an interactive session job: container up, then a
 // command loop bounded by the container lifetime and an idle timeout.
-func (w *Worker) runSession(ctx context.Context, req *JobRequest, logf func(kind, format string, args ...any)) execResult {
+func (w *Worker) runSession(ctx context.Context, req *JobRequest, logf func(kind, format string, args ...any), parent *telemetry.Span) execResult {
 	var res execResult
 
-	rc, _, err := w.Objects.GetReader(ctx, req.UploadBucket, req.UploadKey)
+	hostFS, _, err := w.fetchProject(ctx, req, parent)
 	if err != nil {
-		logf(LogSystem, "cannot download project archive: %v", err)
-		return res
-	}
-	hostFS := vfs.New()
-	err = unpackProject(rc, hostFS)
-	rc.Close()
-	if err != nil {
-		logf(LogSystem, "cannot unpack project archive: %v", err)
+		logf(LogSystem, "%v", err)
 		return res
 	}
 	stdout := newLineWriter(func(line string) { logf(LogStdout, "%s", line) })

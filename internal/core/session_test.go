@@ -7,8 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"rai/internal/archivex"
 	"rai/internal/cnn"
 	"rai/internal/project"
+	"rai/internal/vfs"
 )
 
 // openSession starts a session against a worker goroutine and returns
@@ -23,8 +25,8 @@ func openSession(t *testing.T, e *env, team string) (*Session, *Client) {
 
 	c := e.client(t, team)
 	c.LogWait = 20 * time.Second
-	archive := packProject(t, project.Spec{Impl: cnn.ImplIm2col, Team: team})
-	s, err := c.OpenSessionContext(context.Background(), archive)
+	proj := newProject(t, project.Spec{Impl: cnn.ImplIm2col, Team: team})
+	s, err := c.OpenSessionContext(context.Background(), proj.m, proj.src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,9 +82,24 @@ func TestInteractiveSessionStatePersists(t *testing.T) {
 	}
 }
 
+// TestSessionCloseUploadsBuild is the session end to end over a
+// manifest upload: /src holds exactly the uploaded tree, and closing
+// publishes /build.
 func TestSessionCloseUploadsBuild(t *testing.T) {
 	e := newEnv(t)
 	s, c := openSession(t, e, "team-close")
+	for path, want := range project.Files(project.Spec{Impl: cnn.ImplIm2col, Team: "team-close"}) {
+		cmd := "cat /src/" + path
+		res, err := s.Run(context.Background(), cmd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The worker echoes the command before its output.
+		want = "$ " + cmd + "\n" + want
+		if res.ExitCode != 0 || strings.TrimRight(res.Output, "\n") != strings.TrimRight(want, "\n") {
+			t.Errorf("/src/%s differs from the uploaded tree (exit %d, %d vs %d bytes)", path, res.ExitCode, len(res.Output), len(want))
+		}
+	}
 	if _, err := s.Run(context.Background(), "cmake /src"); err != nil {
 		t.Fatal(err)
 	}
@@ -95,10 +112,18 @@ func TestSessionCloseUploadsBuild(t *testing.T) {
 	if s.Result == nil || s.Result.Status != StatusSucceeded {
 		t.Fatalf("session result = %+v", s.Result)
 	}
-	// The session's /build (with the compiled target) is downloadable.
+	// The session's /build (with the compiled target) is downloadable,
+	// and is still a .tar.bz2 — only uploads are manifests.
 	blob, err := c.DownloadBuildContext(context.Background(), &JobResult{JobID: s.JobID, BuildBucket: s.Result.BuildBucket, BuildKey: s.Result.BuildKey})
 	if err != nil || len(blob) == 0 {
 		t.Fatalf("build download: %d bytes, %v", len(blob), err)
+	}
+	buildFS := vfs.New()
+	if err := archivex.UnpackVFS(blob, buildFS, "/b", archivex.Limits{}); err != nil {
+		t.Fatalf("/build artifact is not a .tar.bz2: %v", err)
+	}
+	if !strings.HasSuffix(s.Result.BuildKey, "build.tar.bz2") || !buildFS.Exists("/b/ece408") {
+		t.Errorf("build artifact %s lacks the compiled target", s.Result.BuildKey)
 	}
 	// Using a closed session errors cleanly.
 	if _, err := s.Run(context.Background(), "echo nope"); !errors.Is(err, ErrSessionClosed) {
@@ -137,8 +162,8 @@ func TestSessionRejectedWhenDisabled(t *testing.T) {
 	t.Cleanup(e.worker.Stop)
 	c := e.client(t, "team-nosess")
 	c.LogWait = 10 * time.Second
-	archive := packProject(t, project.Spec{Impl: cnn.ImplTiled, Team: "team-nosess"})
-	_, err := c.OpenSessionContext(context.Background(), archive)
+	proj := newProject(t, project.Spec{Impl: cnn.ImplTiled, Team: "team-nosess"})
+	_, err := c.OpenSessionContext(context.Background(), proj.m, proj.src)
 	if !errors.Is(err, ErrRejected) {
 		t.Fatalf("session on non-session worker: %v", err)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -340,7 +339,7 @@ func (w *Worker) process(ctx context.Context, m QueueMsg) {
 	var result execResult
 	if req.Kind == KindSession {
 		w.recordJob(ctx, &req, docstore.M{"status": "running", "worker": w.Cfg.ID})
-		result = w.runSession(ctx, &req, logf)
+		result = w.runSession(ctx, &req, logf, proc)
 	} else {
 		spec, err := w.resolveSpec(&req)
 		if err != nil {
@@ -515,66 +514,11 @@ type execResult struct {
 func (w *Worker) execute(ctx context.Context, req *JobRequest, spec *build.Spec, logf func(kind, format string, args ...any), parent *telemetry.Span) execResult {
 	var res execResult
 
-	// Worker step 4: download and unpack the project. The upload object
-	// is either a legacy tar.bz2 archive or a CAS manifest (DESIGN.md
-	// §16) — sniffed by magic, so old clients need no flag. Archives
-	// stream straight into the unpacker; manifests materialize the tree
-	// chunk by chunk from the store. The download span rides the request
-	// context so storage child spans nest under it, and covers the whole
-	// transfer.
-	dl := parent.Child("download")
-	dlCtx := telemetry.ContextWithSpan(ctx, dl)
-	rc, _, err := w.Objects.GetReader(dlCtx, req.UploadBucket, req.UploadKey)
+	// Worker step 4: download the project into /src.
+	hostFS, treeHash, err := w.fetchProject(ctx, req, parent)
 	if err != nil {
-		dl.End()
-		logf(LogSystem, "cannot download project archive: %v", err)
+		logf(LogSystem, "%v", err)
 		return res
-	}
-	hostFS := vfs.New()
-	counted := &countingReader{r: rc}
-	br := bufio.NewReader(counted)
-	magic, _ := br.Peek(len(cas.Magic))
-	treeHash := ""
-	if cas.IsManifest(magic) {
-		body, rerr := io.ReadAll(io.LimitReader(br, cas.MaxManifestBytes+1))
-		rc.Close()
-		var m *cas.Manifest
-		if rerr == nil {
-			m, rerr = cas.Decode(body)
-		}
-		if rerr != nil {
-			dl.End()
-			logf(LogSystem, "cannot decode project manifest: %v", rerr)
-			return res
-		}
-		fetch := func(hash string) ([]byte, error) {
-			return w.Objects.Get(dlCtx, cas.Bucket, cas.ChunkKey(hash))
-		}
-		fetches, bytesFetched, merr := cas.Materialize(m, fetch, hostFS, "/src")
-		w.tel.casFetches.Add(float64(fetches))
-		w.tel.casBytes.Add(float64(bytesFetched))
-		dl.SetAttr("bytes", fmt.Sprint(counted.n+bytesFetched))
-		dl.SetAttr("chunks", fmt.Sprint(fetches))
-		dl.End()
-		if merr != nil {
-			logf(LogSystem, "cannot materialize project tree: %v", merr)
-			return res
-		}
-		treeHash = m.TreeHash
-	} else {
-		err = unpackProject(br, hostFS)
-		rc.Close()
-		dl.SetAttr("bytes", fmt.Sprint(counted.n))
-		dl.End()
-		if err != nil {
-			logf(LogSystem, "cannot unpack project archive: %v", err)
-			return res
-		}
-		// Hash the unpacked tree so legacy archive uploads share the
-		// build cache with manifest submissions of the same content.
-		if m, _, herr := cas.BuildVFS(hostFS, "/src"); herr == nil {
-			treeHash = m.TreeHash
-		}
 	}
 	if req.Kind == KindSubmit {
 		if err := CheckSubmissionFiles(hostFS, "/src"); err != nil {
@@ -680,22 +624,60 @@ func (w *Worker) execute(ctx context.Context, req *JobRequest, spec *build.Spec,
 	return res
 }
 
-// unpackProject extracts a submitted archive streamed from r into
-// hostFS at /src.
-func unpackProject(r io.Reader, hostFS *vfs.FS) error {
-	return archivex.UnpackVFSFrom(r, hostFS, "/src", archivex.Limits{})
-}
+// tracedChunkFetches is the most chunk GETs one download traces
+// individually: the course project is a handful of chunks, and a span
+// per request is worth having while a trace stays readable.
+const tracedChunkFetches = 16
 
-// countingReader counts bytes consumed from a stream (span accounting).
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
+// fetchProject reads the job's upload object — a chunk manifest, read
+// under cas.MaxManifestBytes and validated by cas.Decode before any
+// chunk is touched — and materializes the tree it describes at /src of
+// a fresh filesystem, every chunk hash-verified as it lands. It returns
+// that filesystem and the tree hash (the build cache's identity). Any
+// other upload object, a .tar.bz2 included, is an error the caller
+// reports on the job's log. The "download" span under parent covers the
+// whole transfer; the manifest read nests under it, and so do the chunk
+// reads up to tracedChunkFetches of them — more are only counted on it
+// (attrs "chunks", "bytes").
+func (w *Worker) fetchProject(ctx context.Context, req *JobRequest, parent *telemetry.Span) (*vfs.FS, string, error) {
+	dl := parent.Child("download")
+	defer dl.End()
+	ctx = telemetry.ContextWithSpan(ctx, dl)
+	rc, _, err := w.Objects.GetReader(ctx, req.UploadBucket, req.UploadKey)
+	if err != nil {
+		return nil, "", fmt.Errorf("cannot download project manifest: %w", err)
+	}
+	body, err := io.ReadAll(io.LimitReader(rc, cas.MaxManifestBytes+1))
+	rc.Close()
+	if err != nil {
+		return nil, "", fmt.Errorf("cannot download project manifest: %w", err)
+	}
+	m, err := cas.Decode(body)
+	if err != nil {
+		return nil, "", fmt.Errorf("cannot decode project manifest %s/%s: %w", req.UploadBucket, req.UploadKey, err)
+	}
+	// A small tree is traced GET by GET. A large one is hundreds of chunk
+	// GETs: a span shipped, decoded and persisted for each costs the
+	// deployment more CPU than the job itself, and the job's latency then
+	// depends on how far behind the collector is. Those go out tagged
+	// with the job but under no span; the download span counts them.
+	chunkCtx := ctx
+	if len(m.ChunkSet()) > tracedChunkFetches {
+		chunkCtx = telemetry.ContextWithoutSpan(ctx)
+	}
+	fetch := func(hash string) ([]byte, error) {
+		return w.Objects.Get(chunkCtx, cas.Bucket, cas.ChunkKey(hash))
+	}
+	hostFS := vfs.New()
+	fetches, bytesFetched, err := cas.Materialize(m, fetch, hostFS, "/src")
+	w.tel.casFetches.Add(float64(fetches))
+	w.tel.casBytes.Add(float64(bytesFetched))
+	dl.SetAttr("bytes", fmt.Sprint(int64(len(body))+bytesFetched))
+	dl.SetAttr("chunks", fmt.Sprint(fetches))
+	if err != nil {
+		return nil, "", fmt.Errorf("cannot materialize project tree: %w", err)
+	}
+	return hostFS, m.TreeHash, nil
 }
 
 // packBuild archives the container's /build directory (nil on failure,

@@ -75,6 +75,9 @@ func validCollection(name string) bool {
 	return true
 }
 
+// coll returns the named collection, creating it on first use. It
+// writes the collections map, so callers hold the write lock; read
+// paths use readColl.
 func (db *DB) coll(name string) (*collection, error) {
 	if !validCollection(name) {
 		return nil, fmt.Errorf("%w: %q", ErrBadName, name)
@@ -85,6 +88,19 @@ func (db *DB) coll(name string) (*collection, error) {
 		db.collections[name] = c
 	}
 	return c, nil
+}
+
+// readColl returns the named collection for callers holding only the
+// read lock. It never creates: a missing collection reads as an empty
+// one that is not registered anywhere.
+func (db *DB) readColl(name string) (*collection, error) {
+	if !validCollection(name) {
+		return nil, fmt.Errorf("%w: %q", ErrBadName, name)
+	}
+	if c, ok := db.collections[name]; ok {
+		return c, nil
+	}
+	return &collection{}, nil
 }
 
 // normalize round-trips v through JSON so stored values use JSON typing.
@@ -154,7 +170,7 @@ type FindOpts struct {
 func (db *DB) Find(collName string, filter M, opts FindOpts) ([]M, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	c, err := db.coll(collName)
+	c, err := db.readColl(collName)
 	if err != nil {
 		return nil, err
 	}
@@ -204,7 +220,7 @@ func (db *DB) FindOne(collName string, filter M) (M, error) {
 func (db *DB) Count(collName string, filter M) (int, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	c, err := db.coll(collName)
+	c, err := db.readColl(collName)
 	if err != nil {
 		return 0, err
 	}

@@ -2,8 +2,10 @@ package docstore
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -383,5 +385,44 @@ func TestHTTPAuth(t *testing.T) {
 	c.Sign = func(r *http.Request) { r.Header.Set(HeaderAccessKey, "staff") }
 	if _, err := c.Insert("c", M{"v": 1}); err != nil {
 		t.Fatalf("authenticated insert: %v", err)
+	}
+}
+
+// TestConcurrentFirstFinds: read paths run under the read lock, so they
+// must not create the collection they miss — N goroutines issuing the
+// first Find/FindOne/Count against a fresh DB used to write the
+// collections map concurrently ("concurrent map read and map write"
+// killed raidb at boot). A missing collection reads as empty and stays
+// missing.
+func TestConcurrentFirstFinds(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		db := New()
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 16; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				coll := fmt.Sprintf("c%d", g%4)
+				if docs, err := db.Find(coll, M{"k": 1}, FindOpts{}); err != nil || len(docs) != 0 {
+					t.Errorf("Find on a fresh DB = %v, %v", docs, err)
+				}
+				if _, err := db.FindOne(coll, M{}); !errors.Is(err, ErrNotFound) {
+					t.Errorf("FindOne on a fresh DB: %v", err)
+				}
+				if n, err := db.Count(coll, M{}); err != nil || n != 0 {
+					t.Errorf("Count on a fresh DB = %d, %v", n, err)
+				}
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		if got := db.Collections(); len(got) != 0 {
+			t.Fatalf("reads created collections %v", got)
+		}
+	}
+	if _, err := New().Find("bad name!", M{}, FindOpts{}); !errors.Is(err, ErrBadName) {
+		t.Errorf("Find with an invalid collection name: %v", err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -136,37 +135,9 @@ func (h *handlerState) handleCASChunks(s *Store, w http.ResponseWriter, r *http.
 
 // ---- client side ----
 
-// ErrCASUnsupported reports that the server (or transport) cannot speak
-// the delta protocol; callers fall back to a full upload.
-var ErrCASUnsupported = errors.New("objstore: server does not support delta submission")
-
-// casSupported memoizes the capability probe: one /caps round trip per
-// client, then every submit reuses the verdict. A failed probe is not
-// cached, so a transient error does not pin the client to full uploads.
-func (c *Client) casSupported(ctx context.Context) (bool, error) {
-	c.casMu.Lock()
-	defer c.casMu.Unlock()
-	if c.casProbe != nil {
-		return *c.casProbe, nil
-	}
-	caps, err := c.Caps(ctx)
-	if err != nil {
-		return false, err
-	}
-	v := caps.CAS
-	c.casProbe = &v
-	return v, nil
-}
-
 // MissingChunks negotiates a manifest: the returned hashes are the
-// chunks the server does not yet hold. Implements core's delta port;
-// returns ErrCASUnsupported against servers without the capability.
+// chunks the server does not yet hold.
 func (c *Client) MissingChunks(ctx context.Context, m *cas.Manifest) ([]string, error) {
-	if ok, err := c.casSupported(ctx); err != nil {
-		return nil, err
-	} else if !ok {
-		return nil, ErrCASUnsupported
-	}
 	enc := m.Encode()
 	var resp casNegotiateResponse
 	err := c.roundTrip(ctx, "cas-negotiate", http.StatusOK, func(ctx context.Context) (*http.Request, error) {

@@ -1,7 +1,6 @@
 package objstore
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -47,9 +46,6 @@ func TestCASDeltaRoundTrip(t *testing.T) {
 	}
 	m, src := buildTestTree(t, files)
 
-	if ok, err := c.casSupported(ctx); err != nil || !ok {
-		t.Fatalf("casSupported = %v, %v", ok, err)
-	}
 	missing, err := c.MissingChunks(ctx, m)
 	if err != nil {
 		t.Fatal(err)
@@ -181,31 +177,5 @@ func TestCASAuthGated(t *testing.T) {
 		if resp.StatusCode != http.StatusForbidden {
 			t.Errorf("%s answered %d without credentials, want 403", path, resp.StatusCode)
 		}
-	}
-}
-
-// TestCASFallbackAgainstOldServer: a server whose /caps omits the cas
-// field (or has no /caps at all) makes MissingChunks report
-// ErrCASUnsupported instead of failing the submission.
-func TestCASFallbackAgainstOldServer(t *testing.T) {
-	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/caps" {
-			fmt.Fprint(w, `{"stream":true,"atomic_rename":true}`)
-			return
-		}
-		http.NotFound(w, r)
-	}))
-	defer old.Close()
-	c := NewClient(old.URL, WithClientPolicy(retryPolicy()))
-	m, _ := buildTestTree(t, map[string]string{"f": "x"})
-	if _, err := c.MissingChunks(ctx, m); !errors.Is(err, ErrCASUnsupported) {
-		t.Fatalf("pre-cas server: err = %v, want ErrCASUnsupported", err)
-	}
-
-	ancient := httptest.NewServer(http.HandlerFunc(http.NotFound)) // no /caps either
-	defer ancient.Close()
-	c2 := NewClient(ancient.URL, WithClientPolicy(retryPolicy()))
-	if _, err := c2.MissingChunks(ctx, m); !errors.Is(err, ErrCASUnsupported) {
-		t.Fatalf("no-caps server: err = %v, want ErrCASUnsupported", err)
 	}
 }

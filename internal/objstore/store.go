@@ -97,9 +97,6 @@ func NewWithBackend(be blobstore.Backend) *Store { return &Store{be: be} }
 // watch subscriptions.
 func (s *Store) Backend() blobstore.Backend { return s.be }
 
-// Capabilities reports what the underlying backend supports.
-func (s *Store) Capabilities() blobstore.Capability { return s.be.Capabilities() }
-
 // Close releases the backend (ends watch subscriptions).
 func (s *Store) Close() error { return s.be.Close() }
 

@@ -172,35 +172,3 @@ func TestClientGetReaderStreams(t *testing.T) {
 		t.Errorf("missing object err = %v, want ErrNoObject", err)
 	}
 }
-
-// TestClientCaps pins capability negotiation: a current server reports
-// its backend's capabilities, and a pre-capability server (no /caps
-// route) degrades to the zero value without error.
-func TestClientCaps(t *testing.T) {
-	s := New()
-	srv := httptest.NewServer(Handler(s, nil))
-	defer srv.Close()
-	c := NewClient(srv.URL)
-
-	caps, err := c.Caps(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !caps.Stream || !caps.Watch || !caps.Append {
-		t.Errorf("memory-backed server caps = %+v, want stream/watch/append", caps)
-	}
-	if caps.AtomicRename {
-		t.Errorf("memory backend must not claim atomic-rename: %+v", caps)
-	}
-
-	old := httptest.NewServer(http.NotFoundHandler())
-	defer old.Close()
-	oc := NewClient(old.URL)
-	caps, err = oc.Caps(ctx)
-	if err != nil {
-		t.Fatalf("caps against old server: %v", err)
-	}
-	if caps != (Caps{}) {
-		t.Errorf("old server caps = %+v, want zero", caps)
-	}
-}

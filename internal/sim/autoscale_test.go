@@ -83,12 +83,12 @@ func TestAutoscalerDrivesRealWorkers(t *testing.T) {
 		}
 		c.LogWait = 0 // real-time wait via broker delivery, no clock timer
 		go func(c *core.Client, team string) {
-			archive, err := PackProject(project.Spec{Impl: cnn.ImplTiled, Team: team})
+			m, src, err := ProjectManifest(project.Spec{Impl: cnn.ImplTiled, Team: team})
 			if err != nil {
 				results <- err
 				return
 			}
-			res, err := c.SubmitContext(context.Background(), core.KindRun, nil, archive)
+			res, err := c.SubmitContext(context.Background(), core.KindRun, nil, m, src)
 			if err == nil && res.Status != core.StatusSucceeded {
 				err = fmt.Errorf("status %s", res.Status)
 			}

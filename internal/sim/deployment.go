@@ -20,9 +20,9 @@ import (
 	"io"
 	"time"
 
-	"rai/internal/archivex"
 	"rai/internal/auth"
 	"rai/internal/broker"
+	"rai/internal/cas"
 	"rai/internal/clock"
 	"rai/internal/cnn"
 	"rai/internal/core"
@@ -191,14 +191,14 @@ func (d *Deployment) NewClient(team string, out io.Writer) (*core.Client, error)
 	}, nil
 }
 
-// PackProject renders a project spec and packs it as the .tar.bz2 a
-// client would upload.
-func PackProject(spec project.Spec) ([]byte, error) {
+// ProjectManifest renders a project spec and hashes it into the
+// manifest and chunk source a client hands to SubmitContext.
+func ProjectManifest(spec project.Spec) (*cas.Manifest, cas.Source, error) {
 	fs := vfs.New()
 	if err := project.WriteTo(fs, "/p", spec); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return archivex.PackVFS(fs, "/p")
+	return cas.BuildVFS(fs, "/p")
 }
 
 // RunSubmission executes one workload submission end to end: pack the
@@ -209,7 +209,7 @@ func (d *Deployment) RunSubmission(ctx context.Context, c *core.Client, sub work
 	if err := project.WriteTo(fs, "/p", sub.Spec); err != nil {
 		return nil, err
 	}
-	archive, err := archivex.PackVFS(fs, "/p")
+	m, src, err := cas.BuildVFS(fs, "/p")
 	if err != nil {
 		return nil, err
 	}
@@ -223,7 +223,7 @@ func (d *Deployment) RunSubmission(ctx context.Context, c *core.Client, sub work
 	}
 	done := make(chan out, 1)
 	go func() {
-		res, err := c.SubmitContext(ctx, sub.Kind, spec, archive)
+		res, err := c.SubmitContext(ctx, sub.Kind, spec, m, src)
 		done <- out{res, err}
 	}()
 	// The submission is already on the queue when HandleOne subscribes

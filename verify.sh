@@ -19,6 +19,10 @@ go run ./cmd/raivet -max-ignores 6 ./...
 # runs for everyone.
 go run ./cmd/raivet -tests -enable goroleak,lockcopy,wgadd ./...
 go test -race ./...
+# Five-second fuzz smokes of the two decoders that parse bytes a peer or
+# a student controls: the brokerd frame codec and the upload manifest.
+go test -run='^$' -fuzz='^FuzzBinaryDecode$' -fuzztime=5s ./internal/brokerd
+go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=5s ./internal/cas
 go test -run='^$' -bench=. -benchtime=1x .
 # One-iteration smoke of the analysis benchmark: catches the engine
 # regressing into re-type-checking per check (DESIGN.md §15).
