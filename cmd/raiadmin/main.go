@@ -84,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "top":
 		return top(args[1:], stdout, stderr)
 	case "collect":
-		return collect(args[1:], stdout, stderr)
+		return collect(args[1:], stdout, stderr, nil)
 	case "health":
 		return health(args[1:], stdout, stderr)
 	case "alerts":

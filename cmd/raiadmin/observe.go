@@ -29,7 +29,7 @@ import (
 // tail-based trace retention (-tail-linger), a TTL sweep over the
 // persisted collections (-retain), and an SLO engine that scrapes the
 // deployment and exports rai_slo_* gauges (-slo-scrape).
-func collect(args []string, stdout, stderr io.Writer) int {
+func collect(args []string, stdout, stderr io.Writer, quit <-chan struct{}) int {
 	fs := flag.NewFlagSet("raiadmin collect", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	brokerAddr := fs.String("broker", "127.0.0.1:7400", "broker address")
@@ -84,6 +84,13 @@ func collect(args []string, stdout, stderr io.Writer) int {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	go func() {
+		select {
+		case <-quit: // nil when running as the real command: only a signal stops it
+			stop()
+		case <-ctx.Done():
+		}
+	}()
 	if *retain > 0 {
 		go c.RunRetention(ctx, collector.RetentionConfig{Retain: *retain})
 		fmt.Fprintf(stdout, "retention sweep: dropping traces/events older than %v\n", *retain)

@@ -7,7 +7,6 @@
 //	deprecated  no calls to deprecated functions
 //	span        every started telemetry span is ended or handed off
 //	httpresp    every *http.Response body is closed and drained
-//	goloop      goroutines do not capture loop variables
 //	wgadd       WaitGroup.Add happens before the goroutine it counts
 //	lockcopy    no sync-primitive-bearing values passed by value
 //	stream      no io.ReadAll in the storage data plane

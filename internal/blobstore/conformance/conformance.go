@@ -492,7 +492,6 @@ func (s Suite) Run(t *testing.T) {
 		// subtest is the concurrency part of the contract.
 		done := make(chan error, 8)
 		for g := 0; g < 8; g++ {
-			g := g
 			go func() {
 				done <- func() error {
 					for i := 0; i < 50; i++ {
@@ -548,7 +547,6 @@ func (s Suite) Run(t *testing.T) {
 		vc.Advance(2 * time.Hour) // every old/ blob is now expired
 		done := make(chan error, 4)
 		for g := 0; g < 4; g++ {
-			g := g
 			go func() {
 				done <- func() error {
 					for i := 0; i < 25; i++ {

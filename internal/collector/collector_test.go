@@ -53,9 +53,12 @@ func TestCollectorRunPersistsBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Persist writes a batch's spans before its events, so the batch is
+	// in once its event is.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if doc, err := db.FindOne(core.CollTraces, docstore.M{"span_id": "s1"}); err == nil {
+		events, _ := db.Count(core.CollEvents, docstore.M{"job_id": "job-1"})
+		if doc, err := db.FindOne(core.CollTraces, docstore.M{"span_id": "s1"}); events > 0 && err == nil {
 			if doc["trace_id"] != "tr1" || doc["job_id"] != "job-1" || doc["service"] != "raiworker" {
 				t.Fatalf("span doc = %v", doc)
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -24,38 +25,51 @@ import (
 	"rai/internal/vfs"
 )
 
-// TestEndToEndConnectedTrace runs a real job through the full
-// observability pipeline — client and worker over the broker, storage
-// over HTTP with trace headers, every service exporting through a
-// bounded exporter, one collector persisting — and asserts the
-// acceptance criterion: `raiadmin trace <job_id>` sees one connected
-// span tree covering client, broker enqueue/dequeue, worker build/run,
-// and a child span inside each storage server, with zero drops.
-func TestEndToEndConnectedTrace(t *testing.T) {
-	b := broker.New()
-	defer b.Close()
-	queue := core.BrokerQueue{B: b}
+// tracedStack is the full observability pipeline in one process: client
+// and worker over the broker, storage over HTTP so the X-RAI trace
+// headers actually cross a wire and the servers contribute their own
+// child spans, every service exporting through its own bounded exporter
+// onto the same telemetry route, one collector persisting.
+type tracedStack struct {
+	db        *docstore.DB
+	exporters map[string]*telemetry.Exporter
+	client    *core.Client
+	worker    *core.Worker
+}
 
-	// Each service gets its own exporter, all shipping onto the same
-	// telemetry route; the test doubles as the happy-path drop check.
-	exporters := map[string]*telemetry.Exporter{}
-	newTracer := func(service string) *telemetry.Tracer {
+// newTracedStack boots the pipeline. With a nil sampler every trace is
+// kept. Otherwise the client decides at each trace root with it, and
+// every downstream service runs a keep-everything sampler of its own —
+// so only the verdict propagated on the job envelope and the
+// X-RAI-Sampled header can make them drop a span.
+func newTracedStack(t *testing.T, sampler *telemetry.Sampler) *tracedStack {
+	t.Helper()
+	b := broker.New()
+	t.Cleanup(func() { b.Close() })
+	queue := core.BrokerQueue{B: b}
+	s := &tracedStack{db: docstore.New(), exporters: map[string]*telemetry.Exporter{}}
+
+	downstream := func() *telemetry.Sampler {
+		if sampler == nil {
+			return nil
+		}
+		return telemetry.NewSampler(1)
+	}
+	newTracer := func(service string, smp *telemetry.Sampler) *telemetry.Tracer {
 		exp := telemetry.NewExporter(context.Background(), service, core.ShipTelemetry(queue))
-		exporters[service] = exp
-		return telemetry.NewTracer(1024, telemetry.WithSpanSink(exp.ExportSpan),
+		t.Cleanup(exp.Close)
+		s.exporters[service] = exp
+		return telemetry.NewTracer(1024, telemetry.WithSpanSink(smp.SpanSink(exp.ExportSpan)),
 			telemetry.WithTracerInstance(service))
 	}
 
-	// Storage over HTTP so the X-RAI trace headers actually cross a wire
-	// and the servers contribute their own child spans.
-	objStore := objstore.New()
-	objSrv := httptest.NewServer(objstore.Handler(objStore, nil,
-		objstore.WithHandlerTracer(newTracer("raifs"))))
-	defer objSrv.Close()
-	db := docstore.New()
-	dbSrv := httptest.NewServer(docstore.Handler(db, nil,
-		docstore.WithHandlerTracer(newTracer("raidb"))))
-	defer dbSrv.Close()
+	fsSampler, dbSampler := downstream(), downstream()
+	objSrv := httptest.NewServer(objstore.Handler(objstore.New(), nil,
+		objstore.WithHandlerTracer(newTracer("raifs", fsSampler)), objstore.WithHandlerSampler(fsSampler)))
+	t.Cleanup(objSrv.Close)
+	dbSrv := httptest.NewServer(docstore.Handler(s.db, nil,
+		docstore.WithHandlerTracer(newTracer("raidb", dbSampler)), docstore.WithHandlerSampler(dbSampler)))
+	t.Cleanup(dbSrv.Close)
 
 	authReg := auth.NewRegistry()
 	creds, err := authReg.Issue("team-trace")
@@ -77,8 +91,8 @@ func TestEndToEndConnectedTrace(t *testing.T) {
 	blob, _ = full.Encode()
 	dataFS.WriteFile("/data/testfull.hdf5", blob)
 
-	worker := &core.Worker{
-		Cfg:      core.WorkerConfig{ID: "w1", MaxConcurrent: 1},
+	s.worker = &core.Worker{
+		Cfg:      core.WorkerConfig{ID: "w1", MaxConcurrent: 1, RateLimit: time.Nanosecond},
 		Queue:    queue,
 		Objects:  objstore.NewClient(objSrv.URL),
 		DB:       docstore.NewClient(dbSrv.URL),
@@ -86,39 +100,54 @@ func TestEndToEndConnectedTrace(t *testing.T) {
 		Images:   registry.NewCourseRegistry(),
 		DataFS:   dataFS,
 		DataPath: "/data",
-		Tracer:   newTracer("raiworker"),
+		Sampler:  downstream(),
 	}
-	worker.Log = telemetry.NewLogger("raiworker",
-		telemetry.WithLogSink(exporters["raiworker"].ExportEvent))
+	s.worker.Tracer = newTracer("raiworker", s.worker.Sampler)
+	s.worker.Log = telemetry.NewLogger("raiworker",
+		telemetry.WithLogSink(s.exporters["raiworker"].ExportEvent))
 
-	client := &core.Client{
+	s.client = &core.Client{
 		Creds:   creds,
 		Queue:   queue,
 		Objects: objstore.NewClient(objSrv.URL),
 		Stdout:  &bytes.Buffer{},
 		LogWait: time.Minute,
-		Tracer:  newTracer("rai"),
+		Tracer:  newTracer("rai", sampler),
+		Sampler: sampler,
 	}
-	client.Log = telemetry.NewLogger("rai",
-		telemetry.WithLogSink(exporters["rai"].ExportEvent))
+	s.client.Log = telemetry.NewLogger("rai",
+		telemetry.WithLogSink(s.exporters["rai"].ExportEvent))
 
 	// The collector persists into the same metadata store the job record
 	// lands in, over the same HTTP server (so its writes are traced
-	// infrastructure too, though its own spans are not part of this job).
+	// infrastructure too, though its own spans are not part of any job).
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	coll := &collector.Collector{Queue: queue, DB: docstore.NewClient(dbSrv.URL)}
 	collDone := make(chan error, 1)
 	go func() { collDone <- coll.Run(ctx) }()
+	t.Cleanup(func() {
+		cancel()
+		select {
+		case <-collDone:
+		case <-time.After(5 * time.Second):
+			t.Error("collector did not stop")
+		}
+	})
+	return s
+}
 
-	// Run one job end to end.
+// runJob submits revision rev of the course project (each revision is a
+// distinct tree, so none is answered from the build cache) and has the
+// worker handle it.
+func (s *tracedStack) runJob(t *testing.T, rev int) *core.JobResult {
+	t.Helper()
 	projFS := vfs.New()
 	if err := project.WriteTo(projFS, "/p", project.Spec{Impl: cnn.ImplIm2col, Team: "team-trace"}); err != nil {
 		t.Fatal(err)
 	}
 	// Enough distinct chunks that the worker stops tracing them one by one.
 	for i := 0; i < 20; i++ {
-		projFS.WriteFile(fmt.Sprintf("/p/notes/%02d.txt", i), []byte(fmt.Sprintf("note %d\n", i)))
+		projFS.WriteFile(fmt.Sprintf("/p/notes/%02d.txt", i), []byte(fmt.Sprintf("note %d rev %d\n", i, rev)))
 	}
 	m, src, err := cas.BuildVFS(projFS, "/p")
 	if err != nil {
@@ -130,89 +159,130 @@ func TestEndToEndConnectedTrace(t *testing.T) {
 	}
 	done := make(chan out, 1)
 	go func() {
-		res, err := client.SubmitContext(context.Background(), core.KindRun, build.Default(), m, src)
+		res, err := s.client.SubmitContext(context.Background(), core.KindRun, build.Default(), m, src)
 		done <- out{res, err}
 	}()
-	if _, err := worker.HandleOne(context.Background(), 10*time.Second); err != nil {
+	if _, err := s.worker.HandleOne(context.Background(), 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	var res *core.JobResult
 	select {
 	case o := <-done:
 		if o.err != nil {
 			t.Fatalf("submit: %v", o.err)
 		}
-		res = o.res
+		if o.res.Status != core.StatusSucceeded {
+			t.Fatalf("job status = %q", o.res.Status)
+		}
+		return o.res
 	case <-time.After(30 * time.Second):
 		t.Fatal("client did not finish")
+		return nil
 	}
-	if res.Status != core.StatusSucceeded {
-		t.Fatalf("job status = %q", res.Status)
-	}
+}
 
-	// Push everything through: exporters flush their partial batches, the
-	// collector persists them (poll — it acks asynchronously).
-	for _, exp := range exporters {
-		exp.Flush()
-	}
-	required := []string{"job", "upload", "enqueue", "dequeue", "download", "build", "run"}
-	var spans []collector.Span
+// settle pushes everything through: exporters flush their partial
+// batches and the collector (which acks asynchronously) is polled until
+// it has persisted every span and event they shipped.
+func (s *tracedStack) settle(t *testing.T) {
+	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		spans, err = collector.TraceByJob(db, res.JobID)
-		if have := spanNames(spans); err == nil && containsAll(have, required) &&
-			hasServicePrefix(spans, "raifs", "objstore") && hasServicePrefix(spans, "raidb", "docstore") {
-			break
+		var spans, events uint64
+		for _, exp := range s.exporters {
+			exp.Flush()
+			ns, ne := exp.Shipped()
+			spans, events = spans+ns, events+ne
+		}
+		gotSpans, _ := s.db.Count(core.CollTraces, docstore.M{})
+		gotEvents, _ := s.db.Count(core.CollEvents, docstore.M{})
+		if uint64(gotSpans) == spans && uint64(gotEvents) == events {
+			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("trace incomplete after flush: err=%v spans=%v", err, spanNames(spans))
+			t.Fatalf("collector persisted %d of %d shipped spans, %d of %d events", gotSpans, spans, gotEvents, events)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
 
-	// One tree, fully connected, phases present.
+// connectedTrace loads a settled job's persisted trace and asserts the
+// acceptance criterion: `raiadmin trace <job_id>` sees one connected
+// span tree covering client, broker enqueue/dequeue, worker build/run,
+// and a child span inside each storage server, with every phase of the
+// decomposition present.
+func (s *tracedStack) connectedTrace(t *testing.T, jobID string) []collector.Span {
+	t.Helper()
+	spans, err := collector.TraceByJob(s.db, jobID)
+	if err != nil {
+		t.Fatalf("job %s: %v", jobID, err)
+	}
+	required := []string{"job", "upload", "enqueue", "dequeue", "download", "build", "run"}
+	if !containsAll(spanNames(spans), required) ||
+		!hasServicePrefix(spans, "raifs", "objstore") || !hasServicePrefix(spans, "raidb", "docstore") {
+		t.Fatalf("job %s: trace incomplete: spans=%v", jobID, spanNames(spans))
+	}
 	timeline := collector.FormatTimeline(spans)
 	if strings.Contains(timeline, "not fully connected") {
-		t.Errorf("trace not connected:\n%s", timeline)
+		t.Errorf("job %s: trace not connected:\n%s", jobID, timeline)
 	}
-	traceID := spans[0].TraceID
-	for _, s := range spans {
-		if s.TraceID != traceID {
-			t.Errorf("span %s has trace %s, want %s", s.Name, s.TraceID, traceID)
+	for _, sp := range spans {
+		if sp.TraceID != spans[0].TraceID {
+			t.Errorf("job %s: span %s has trace %s, want %s", jobID, sp.Name, sp.TraceID, spans[0].TraceID)
 		}
-	}
-	// A download of this many chunks is one span: the manifest GET nests
-	// under it, the chunk GETs open no span of their own and are counted
-	// on it instead.
-	var download, manifestGet bool
-	for _, s := range spans {
-		switch path := s.Attrs["path"]; {
-		case s.Name == "download":
-			download = true
-			if s.Attrs["chunks"] == "" || s.Attrs["chunks"] == "0" {
-				t.Errorf("download span counts no chunks: %v", s.Attrs)
-			}
-		case strings.HasPrefix(path, "/o/"+cas.Bucket+"/"):
-			t.Errorf("chunk fetch opened its own span: %s %s", s.Name, path)
-		case s.Name == "objstore get" && strings.HasPrefix(path, "/o/"+core.BucketUploads+"/"):
-			manifestGet = true
-		}
-	}
-	if !download || !manifestGet {
-		t.Errorf("download span %v, manifest GET span %v (timeline:\n%s)", download, manifestGet, timeline)
 	}
 	phases := map[string]bool{}
 	for _, p := range collector.Phases(spans) {
 		phases[p.Name] = p.Duration >= 0
 	}
-	for _, want := range []string{"upload", "enqueue", "download", "build", "run", "total"} {
+	for _, want := range []string{"upload", "enqueue", "download", "cache", "build", "run", "total"} {
 		if !phases[want] {
-			t.Errorf("phase %q missing from decomposition (timeline:\n%s)", want, timeline)
+			t.Errorf("job %s: phase %q missing from decomposition (timeline:\n%s)", jobID, want, timeline)
 		}
+	}
+	return spans
+}
+
+// noDrops asserts no exporter discarded a record for lack of buffer.
+func (s *tracedStack) noDrops(t *testing.T) {
+	t.Helper()
+	for service, exp := range s.exporters {
+		if ds, de := exp.Dropped(); ds != 0 || de != 0 {
+			t.Errorf("%s exporter dropped %d spans / %d events on the happy path", service, ds, de)
+		}
+	}
+}
+
+// TestEndToEndConnectedTrace runs a real job through the pipeline and
+// asserts one connected tree with zero drops.
+func TestEndToEndConnectedTrace(t *testing.T) {
+	s := newTracedStack(t, nil)
+	res := s.runJob(t, 0)
+	s.settle(t)
+	spans := s.connectedTrace(t, res.JobID)
+
+	// A download of this many chunks is one span: the manifest GET nests
+	// under it, the chunk GETs open no span of their own and are counted
+	// on it instead.
+	var download, manifestGet bool
+	for _, sp := range spans {
+		switch path := sp.Attrs["path"]; {
+		case sp.Name == "download":
+			download = true
+			if sp.Attrs["chunks"] == "" || sp.Attrs["chunks"] == "0" {
+				t.Errorf("download span counts no chunks: %v", sp.Attrs)
+			}
+		case strings.HasPrefix(path, "/o/"+cas.Bucket+"/"):
+			t.Errorf("chunk fetch opened its own span: %s %s", sp.Name, path)
+		case sp.Name == "objstore get" && strings.HasPrefix(path, "/o/"+core.BucketUploads+"/"):
+			manifestGet = true
+		}
+	}
+	if !download || !manifestGet {
+		t.Errorf("download span %v, manifest GET span %v (timeline:\n%s)", download, manifestGet, collector.FormatTimeline(spans))
 	}
 
 	// The job's merged event stream crossed services.
-	events, err := collector.EventsByJob(db, res.JobID, 0)
+	events, err := collector.EventsByJob(s.db, res.JobID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,20 +295,49 @@ func TestEndToEndConnectedTrace(t *testing.T) {
 			t.Errorf("event stream missing %q (have %v)", want, msgs)
 		}
 	}
+	s.noDrops(t)
+}
 
-	// Acceptance: the happy path drops nothing.
-	for service, exp := range exporters {
-		if ds, de := exp.Dropped(); ds != 0 || de != 0 {
-			t.Errorf("%s exporter dropped %d spans / %d events on the happy path", service, ds, de)
+// TestEndToEndSamplingHonest runs the same pipeline at 10% head
+// sampling: the kept fraction tracks the rate, every kept trace is
+// whole, and a dropped job leaves no span anywhere — a trace is either
+// complete or absent, never a connected-looking fragment.
+func TestEndToEndSamplingHonest(t *testing.T) {
+	const rate, jobs = 0.1, 40
+	sampler := telemetry.NewSampler(rate)
+	s := newTracedStack(t, sampler)
+	keptTraces := map[string]bool{}
+	var keptJobs []string
+	for i := 0; i < jobs; i++ {
+		if res := s.runJob(t, i); res.Sampled {
+			keptTraces[res.TraceID] = true
+			keptJobs = append(keptJobs, res.JobID)
 		}
-		exp.Close()
 	}
-	cancel()
-	select {
-	case <-collDone:
-	case <-time.After(5 * time.Second):
-		t.Fatal("collector did not stop")
+	s.settle(t)
+
+	// Within five standard deviations of the rate, floored at ±0.1 so a
+	// small run does not flap; and not vacuously — something was kept.
+	tol := math.Max(0.1, 5*math.Sqrt(rate*(1-rate)/jobs))
+	if frac := float64(len(keptJobs)) / jobs; len(keptJobs) == 0 || math.Abs(frac-rate) > tol {
+		t.Fatalf("kept %d/%d traces (%.3f), want %.3f ± %.3f and at least one", len(keptJobs), jobs, frac, rate, tol)
 	}
+	if sampled, dropped, _ := sampler.Counts(); sampled != uint64(len(keptJobs)) || sampled+dropped != jobs {
+		t.Errorf("sampler decided keep %d / drop %d, results report %d kept of %d", sampled, dropped, len(keptJobs), jobs)
+	}
+	for _, jobID := range keptJobs {
+		s.connectedTrace(t, jobID)
+	}
+	all, err := s.db.Find(core.CollTraces, docstore.M{}, docstore.FindOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range all {
+		if id, _ := d["trace_id"].(string); !keptTraces[id] {
+			t.Errorf("span %v %q of dropped trace %s was persisted", d["service"], d["name"], id)
+		}
+	}
+	s.noDrops(t)
 }
 
 func spanNames(spans []collector.Span) []string {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"strings"
@@ -181,50 +182,64 @@ func TestClientUploadFailure(t *testing.T) {
 // TestCrashedWorkerJobIsRedelivered is the §V resiliency story end to
 // end: a worker accepts a job and dies before acknowledging; the broker
 // requeues it and a healthy worker completes it — the client never
-// notices beyond the delay.
+// notices beyond the delay. That holds whether the doomed worker died
+// before or after recording the job as running: the redelivered job
+// must not be rate limited by its own record.
 func TestCrashedWorkerJobIsRedelivered(t *testing.T) {
-	e := newEnv(t)
-	c := e.client(t, "team-resilient")
-	proj := newProject(t, project.Spec{Impl: cnn.ImplIm2col, Team: "team-resilient"})
+	for name, recorded := range map[string]bool{"died on receipt": false, "died after recording the job": true} {
+		t.Run(name, func(t *testing.T) {
+			e := newEnv(t)
+			e.worker.Cfg.RateLimit = 30 * time.Second
+			c := e.client(t, "team-resilient")
+			proj := newProject(t, project.Spec{Impl: cnn.ImplIm2col, Team: "team-resilient"})
 
-	type out struct {
-		res *JobResult
-		err error
-	}
-	done := make(chan out, 1)
-	go func() {
-		res, err := c.SubmitContext(context.Background(), KindRun, build.Default(), proj.m, proj.src)
-		done <- out{res, err}
-	}()
+			type out struct {
+				res *JobResult
+				err error
+			}
+			done := make(chan out, 1)
+			go func() {
+				res, err := c.SubmitContext(context.Background(), KindRun, build.Default(), proj.m, proj.src)
+				done <- out{res, err}
+			}()
 
-	// The doomed worker: takes the message off rai/tasks and crashes
-	// (connection close) without acking.
-	doomed, err := e.queue.Subscribe(context.Background(), TasksTopic, TasksChannel, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-doomed.C():
-		// received, never acked
-	case <-time.After(5 * time.Second):
-		t.Fatal("doomed worker never got the job")
-	}
-	doomed.Close() // crash: broker requeues the in-flight job
+			// The doomed worker: takes the message off rai/tasks and crashes
+			// (connection close) without acking.
+			doomed, err := e.queue.Subscribe(context.Background(), TasksTopic, TasksChannel, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case m := <-doomed.C():
+				// received, never acked
+				if recorded {
+					var req JobRequest
+					if err := json.Unmarshal(m.Body, &req); err != nil {
+						t.Fatal(err)
+					}
+					e.worker.recordJob(context.Background(), &req, docstore.M{"status": "running", "worker": "doomed"})
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("doomed worker never got the job")
+			}
+			doomed.Close() // crash: broker requeues the in-flight job
 
-	// A healthy worker picks the redelivered job up.
-	if _, err := e.worker.HandleOne(context.Background(), 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case o := <-done:
-		if o.err != nil {
-			t.Fatal(o.err)
-		}
-		if o.res.Status != StatusSucceeded {
-			t.Fatalf("status = %q", o.res.Status)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("client never got the End message after worker crash")
+			// A healthy worker picks the redelivered job up.
+			if _, err := e.worker.HandleOne(context.Background(), 5*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case o := <-done:
+				if o.err != nil {
+					t.Fatal(o.err)
+				}
+				if o.res.Status != StatusSucceeded {
+					t.Fatalf("status = %q", o.res.Status)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("client never got the End message after worker crash")
+			}
+		})
 	}
 }
 

@@ -74,7 +74,6 @@ func (q BrokerQueue) Subscribe(ctx context.Context, topic, channel string, maxIn
 	go func() {
 		defer close(out)
 		for m := range sub.C() {
-			m := m
 			out <- QueueMsg{
 				Body:    m.Body,
 				Ack:     func() error { return sub.Ack(m) },
@@ -182,7 +181,6 @@ func (q *RemoteQueue) Subscribe(ctx context.Context, topic, channel string, maxI
 	go func() {
 		defer close(out)
 		for d := range conn.C() {
-			d := d
 			out <- QueueMsg{
 				Body:    d.Body,
 				Ack:     func() error { return conn.Ack(settleCtx, d) },

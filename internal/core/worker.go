@@ -199,7 +199,6 @@ func (w *Worker) RunContext(ctx context.Context) error {
 		}
 	}()
 	for m := range sub.C() {
-		m := m
 		w.wg.Add(1)
 		go func() {
 			defer w.wg.Done()
@@ -331,7 +330,7 @@ func (w *Worker) process(ctx context.Context, m QueueMsg) {
 	}
 	// Rate limit: one job per RateLimit per user (§V "Container
 	// Execution": "each student can only submit a job every 30 seconds").
-	if ok, wait := w.rateLimitOK(req.User); !ok {
+	if ok, wait := w.rateLimitOK(req.User, req.ID); !ok {
 		reject(fmt.Sprintf("rate limited: retry in %v", wait.Round(time.Second)))
 		return
 	}
@@ -440,14 +439,18 @@ func (w *Worker) resolveSpec(req *JobRequest) (*build.Spec, error) {
 	return spec, nil
 }
 
-// rateLimitOK consults the job records for the user's last accepted job.
-func (w *Worker) rateLimitOK(user string) (bool, time.Duration) {
+// rateLimitOK consults the job records for the user's last accepted
+// job other than jobID itself: a redelivered job whose first worker
+// died after recording it as running must not be limited by its own
+// record.
+func (w *Worker) rateLimitOK(user, jobID string) (bool, time.Duration) {
 	if w.Cfg.RateLimit <= 0 {
 		return true, 0
 	}
 	docs, err := w.DB.Find(CollJobs, docstore.M{
 		"user":   user,
 		"status": docstore.M{"$ne": StatusRejected},
+		"job_id": docstore.M{"$ne": jobID},
 	}, docstore.FindOpts{Sort: []string{"-created_at"}, Limit: 1})
 	if err != nil || len(docs) == 0 {
 		return true, 0

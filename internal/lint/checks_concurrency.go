@@ -2,82 +2,8 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
-
-// checkGoLoop flags goroutine literals that capture a loop variable of
-// an enclosing for/range statement. Go 1.22 made each iteration's
-// variable distinct, so this is no longer the classic aliasing bug —
-// but the project bans the capture anyway: passing the value as an
-// argument keeps goroutine inputs explicit and keeps the code correct
-// when back-ported or read against pre-1.22 semantics.
-func checkGoLoop(prog *Program, pkg *Package) []Diagnostic {
-	var diags []Diagnostic
-	walkFuncs(pkg, func(decl *ast.FuncDecl) {
-		// First pass: map every loop-iteration variable to its loop body.
-		loopVar := map[types.Object]*ast.BlockStmt{}
-		ast.Inspect(decl.Body, func(n ast.Node) bool {
-			switch v := n.(type) {
-			case *ast.RangeStmt:
-				if v.Tok == token.DEFINE {
-					for _, e := range []ast.Expr{v.Key, v.Value} {
-						if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-							if obj := pkg.Info.Defs[id]; obj != nil {
-								loopVar[obj] = v.Body
-							}
-						}
-					}
-				}
-			case *ast.ForStmt:
-				if init, ok := v.Init.(*ast.AssignStmt); ok && init.Tok == token.DEFINE {
-					for _, e := range init.Lhs {
-						if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-							if obj := pkg.Info.Defs[id]; obj != nil {
-								loopVar[obj] = v.Body
-							}
-						}
-					}
-				}
-			}
-			return true
-		})
-		if len(loopVar) == 0 {
-			return
-		}
-		// Second pass: goroutine literals referencing a loop variable of
-		// a loop they are inside of.
-		ast.Inspect(decl.Body, func(n ast.Node) bool {
-			g, ok := n.(*ast.GoStmt)
-			if !ok {
-				return true
-			}
-			lit, ok := g.Call.Fun.(*ast.FuncLit)
-			if !ok {
-				return true
-			}
-			ast.Inspect(lit.Body, func(m ast.Node) bool {
-				id, ok := m.(*ast.Ident)
-				if !ok {
-					return true
-				}
-				obj := pkg.Info.Uses[id]
-				body, isLoopVar := loopVar[obj]
-				if !isLoopVar || g.Pos() < body.Pos() || g.End() > body.End() {
-					return true
-				}
-				diags = append(diags, Diagnostic{
-					Check:   "goloop",
-					Pos:     prog.Fset.Position(id.Pos()),
-					Message: "goroutine captures loop variable " + id.Name + ": pass it as an argument to the function literal",
-				})
-				return true
-			})
-			return true
-		})
-	})
-	return diags
-}
 
 // checkWgAdd flags sync.WaitGroup.Add calls made inside the goroutine
 // they account for. Add must happen-before the corresponding Wait; an

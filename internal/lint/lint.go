@@ -60,7 +60,6 @@ func Checks() []*Check {
 		{Name: "deprecated", Doc: "no calls to deprecated functions from non-deprecated code", Run: checkDeprecated},
 		{Name: "span", Doc: "every started telemetry span is ended or handed off", Run: checkSpan},
 		{Name: "httpresp", Doc: "every *http.Response body is closed and drained before connection reuse", Run: checkHTTPResp},
-		{Name: "goloop", Doc: "goroutines do not capture loop variables; pass them as arguments", Run: checkGoLoop},
 		{Name: "wgadd", Doc: "sync.WaitGroup.Add happens before the goroutine it accounts for", Run: checkWgAdd},
 		{Name: "lockcopy", Doc: "types containing sync primitives are not passed, received, or returned by value", Run: checkLockCopy},
 		{Name: "stream", Doc: "no io.ReadAll in the storage data plane (objstore/docstore/blobstore); stream or bound with LimitReader", Run: checkStream},

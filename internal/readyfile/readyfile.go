@@ -8,14 +8,10 @@
 package readyfile
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
-
-	"rai/internal/clock"
 )
 
 // Info is the document a daemon publishes when it is ready to serve.
@@ -71,33 +67,4 @@ func Read(path string) (Info, error) {
 		return Info{}, fmt.Errorf("readyfile: parsing %s: %w", path, err)
 	}
 	return info, nil
-}
-
-// Await polls until the document at path exists and parses, the context
-// is canceled, or abort is closed (the harness closes it when the child
-// process exits early, turning an infinite wait into a crisp error).
-// interval <= 0 defaults to 25ms; clk nil uses the wall clock.
-func Await(ctx context.Context, clk clock.Clock, path string, interval time.Duration, abort <-chan struct{}) (Info, error) {
-	if clk == nil {
-		clk = clock.Real{}
-	}
-	if interval <= 0 {
-		interval = 25 * time.Millisecond
-	}
-	for {
-		info, err := Read(path)
-		if err == nil {
-			return info, nil
-		}
-		if !os.IsNotExist(err) {
-			return Info{}, err
-		}
-		select {
-		case <-ctx.Done():
-			return Info{}, fmt.Errorf("readyfile: waiting for %s: %w", path, ctx.Err())
-		case <-abort:
-			return Info{}, fmt.Errorf("readyfile: process exited before %s appeared", path)
-		case <-clk.After(interval):
-		}
-	}
 }

@@ -1,11 +1,9 @@
 package readyfile
 
 import (
-	"context"
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 func TestWriteReadRoundTrip(t *testing.T) {
@@ -40,42 +38,5 @@ func TestReadMissingAndCorrupt(t *testing.T) {
 	os.WriteFile(bad, []byte("{half a doc"), 0o644)
 	if _, err := Read(bad); err == nil || os.IsNotExist(err) {
 		t.Fatalf("corrupt file error = %v", err)
-	}
-}
-
-func TestAwaitSeesLateFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "late.ready")
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		Write(path, Info{Service: "raidb", PID: 1})
-	}()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	info, err := Await(ctx, nil, path, time.Millisecond, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Service != "raidb" {
-		t.Fatalf("info = %+v", info)
-	}
-}
-
-func TestAwaitAbortsOnProcessExit(t *testing.T) {
-	abort := make(chan struct{})
-	close(abort)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	_, err := Await(ctx, nil, filepath.Join(t.TempDir(), "never"), time.Millisecond, abort)
-	if err == nil {
-		t.Fatal("await survived a closed abort channel")
-	}
-}
-
-func TestAwaitHonorsContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := Await(ctx, nil, filepath.Join(t.TempDir(), "never"), time.Millisecond, nil)
-	if err == nil {
-		t.Fatal("await survived a canceled context")
 	}
 }

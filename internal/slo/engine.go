@@ -321,9 +321,7 @@ func (e *Engine) Export(reg *telemetry.Registry) {
 		windows[r.Short] = true
 	}
 	for _, o := range e.objs {
-		o := o
 		for w := range windows {
-			w := w
 			reg.GaugeFunc("rai_slo_burn_rate",
 				"error-budget burn rate over the trailing window (1 = exactly on budget)",
 				func() float64 {

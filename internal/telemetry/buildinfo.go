@@ -9,10 +9,9 @@ import (
 	"rai/internal/clock"
 )
 
-// Stamp identifies exactly what build of a daemon produced a metric or
-// a benchmark result. It is what `-version` prints and what
-// BENCH_*.json embeds, so two trajectories can be traced back to the
-// commits that produced them.
+// Stamp identifies exactly what build of a daemon produced a metric. It
+// is what `-version` prints and what rai_build_info exposes, so a
+// number can be traced back to the commit that produced it.
 type Stamp struct {
 	Service   string `json:"service"`
 	Version   string `json:"version"`

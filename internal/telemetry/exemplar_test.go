@@ -67,28 +67,6 @@ func TestHDRExemplarExpositionRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHDRExemplarMergeKeepsMax(t *testing.T) {
-	a := NewHDRHistogram()
-	a.ObserveExemplar(0.020, "tr-a")
-	b := NewHDRHistogram()
-	b.ObserveExemplar(0.030, "tr-b") // same power-of-two bucket as 0.020
-	b.ObserveExemplar(5, "tr-big")
-	sa, sb := a.Snapshot(), b.Snapshot()
-	if err := sa.Merge(sb); err != nil {
-		t.Fatal(err)
-	}
-	byTrace := map[string]bool{}
-	for _, ex := range sa.Exemplars {
-		byTrace[ex.TraceID] = true
-	}
-	if !byTrace["tr-b"] || !byTrace["tr-big"] {
-		t.Errorf("merge lost exemplars: %+v", sa.Exemplars)
-	}
-	if byTrace["tr-a"] {
-		t.Error("merge kept the smaller same-bucket exemplar")
-	}
-}
-
 func TestRegistryHDRFamilyExposition(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.HDR("rai_job_duration_seconds", "per-job wall time", L("worker", "w1"))

@@ -1,11 +1,9 @@
 package telemetry
 
 // HDR-style log-linear latency histogram. The fixed-bucket Histogram in
-// registry.go is right for steady-state daemon exposition, but the
-// macro-benchmark harness needs tail quantiles (p99, p999) over ranges
-// spanning microseconds to minutes with bounded relative error, plus
-// snapshots that merge associatively so per-student recordings can be
-// combined into one course-wide distribution. This is the classic
+// registry.go is right for steady-state daemon exposition, but job and
+// queue latencies need tail quantiles (p99, p999) over ranges spanning
+// microseconds to minutes with bounded relative error. This is the classic
 // HdrHistogram bucketing: values are indexed by a power-of-two exponent
 // (the "bucket") subdivided into linear sub-buckets, giving a constant
 // relative error of 1/hdrSubHalf (~3.1%) at every magnitude.
@@ -15,9 +13,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"sort"
 	"sync/atomic"
-	"time"
 )
 
 const (
@@ -126,9 +122,6 @@ func (h *HDRHistogram) Observe(seconds float64) {
 	}
 }
 
-// ObserveDuration records a duration sample.
-func (h *HDRHistogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
 // ObserveExemplar records a sample and, when traceID is non-empty,
 // stores it as the exemplar for the sample's exposition bucket
 // (latest wins; at most one exemplar per bucket, so the set is bounded
@@ -192,8 +185,7 @@ func (h *HDRHistogram) Snapshot() *HDRSnapshot {
 	return s
 }
 
-// HDRSnapshot is an immutable, mergeable view of an HDRHistogram. The
-// exported fields serialize to JSON for offline merging.
+// HDRSnapshot is an immutable view of an HDRHistogram.
 type HDRSnapshot struct {
 	Counts []uint64 `json:"counts"`
 	Count  uint64   `json:"count"`
@@ -218,40 +210,6 @@ func (s *HDRSnapshot) exemplarAt(edge int) *BucketExemplar {
 			return &s.Exemplars[i]
 		}
 	}
-	return nil
-}
-
-// Merge folds other into s. Merging is commutative and associative:
-// (a∪b)∪c and a∪(b∪c) yield identical snapshots. A nil or empty other
-// is a no-op.
-func (s *HDRSnapshot) Merge(other *HDRSnapshot) error {
-	if other == nil || other.Count == 0 {
-		return nil
-	}
-	if len(s.Counts) != len(other.Counts) {
-		return fmt.Errorf("telemetry: merging HDR snapshots with %d and %d slots", len(s.Counts), len(other.Counts))
-	}
-	for i, c := range other.Counts {
-		s.Counts[i] += c
-	}
-	if s.Count == 0 || other.Min < s.Min {
-		s.Min = other.Min
-	}
-	if other.Max > s.Max {
-		s.Max = other.Max
-	}
-	s.Count += other.Count
-	s.Sum += other.Sum
-	// Exemplar merge keeps the larger value per edge: max is commutative
-	// and associative, preserving the snapshot-merge algebra.
-	for _, ex := range other.Exemplars {
-		if mine := s.exemplarAt(ex.Edge); mine == nil {
-			s.Exemplars = append(s.Exemplars, ex)
-		} else if ex.Value > mine.Value {
-			*mine = ex
-		}
-	}
-	sort.Slice(s.Exemplars, func(i, j int) bool { return s.Exemplars[i].Edge < s.Exemplars[j].Edge })
 	return nil
 }
 

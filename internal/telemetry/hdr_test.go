@@ -101,89 +101,6 @@ func TestHDRConcurrentObserve(t *testing.T) {
 	}
 }
 
-// TestHDRMergeAssociativity checks that snapshot merging is associative
-// and commutative: (a∪b)∪c == a∪(b∪c) == (c∪a)∪b, field for field.
-func TestHDRMergeAssociativity(t *testing.T) {
-	mk := func(seed int64, n int, scale float64) *HDRSnapshot {
-		h := NewHDRHistogram()
-		rng := rand.New(rand.NewSource(seed))
-		for i := 0; i < n; i++ {
-			h.Observe(scale * rng.Float64())
-		}
-		return h.Snapshot()
-	}
-	a := func() *HDRSnapshot { return mk(1, 1000, 0.01) }
-	b := func() *HDRSnapshot { return mk(2, 500, 1.0) }
-	c := func() *HDRSnapshot { return mk(3, 2000, 10.0) }
-
-	left := a()
-	if err := left.Merge(b()); err != nil {
-		t.Fatal(err)
-	}
-	if err := left.Merge(c()); err != nil {
-		t.Fatal(err)
-	}
-	bc := b()
-	if err := bc.Merge(c()); err != nil {
-		t.Fatal(err)
-	}
-	right := a()
-	if err := right.Merge(bc); err != nil {
-		t.Fatal(err)
-	}
-	rotated := c()
-	if err := rotated.Merge(a()); err != nil {
-		t.Fatal(err)
-	}
-	if err := rotated.Merge(b()); err != nil {
-		t.Fatal(err)
-	}
-	for _, other := range []*HDRSnapshot{right, rotated} {
-		if other.Count != left.Count || math.Abs(other.Sum-left.Sum) > 1e-9 ||
-			other.Min != left.Min || other.Max != left.Max {
-			t.Fatalf("merge not associative: %+v vs %+v", left, other)
-		}
-		for i := range left.Counts {
-			if left.Counts[i] != other.Counts[i] {
-				t.Fatalf("slot %d differs after merge order change", i)
-			}
-		}
-	}
-	// Quantiles of the merged view match an oracle over the union.
-	var union []float64
-	for seed, spec := range map[int64]struct {
-		n     int
-		scale float64
-	}{1: {1000, 0.01}, 2: {500, 1.0}, 3: {2000, 10.0}} {
-		rng := rand.New(rand.NewSource(seed))
-		for i := 0; i < spec.n; i++ {
-			union = append(union, spec.scale*rng.Float64())
-		}
-	}
-	relErr := 1.0/float64(hdrSubHalf) + 1e-6
-	for _, q := range []float64{0.5, 0.99, 0.999} {
-		got, want := left.Quantile(q), sortedQuantile(union, q)
-		if math.Abs(got-want) > want*relErr+hdrTick {
-			t.Errorf("merged q=%v: got %v want %v", q, got, want)
-		}
-	}
-	// Merging an empty or nil snapshot is a no-op.
-	before := left.Count
-	if err := left.Merge(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := left.Merge(NewHDRHistogram().Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if left.Count != before {
-		t.Fatalf("empty merge changed count")
-	}
-	// Mismatched slot layouts are rejected, not silently mangled.
-	if err := left.Merge(&HDRSnapshot{Counts: make([]uint64, 3), Count: 1}); err == nil {
-		t.Fatal("merge of mismatched layouts succeeded")
-	}
-}
-
 // TestHDRPrometheusExposition checks the text rendering: cumulative le
 // buckets, a +Inf bucket equal to the total count, _sum/_count lines,
 // and that the document round-trips through the telemetry text parser.

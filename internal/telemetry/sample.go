@@ -229,7 +229,7 @@ func (s *Sampler) Keep(traceID string) bool {
 }
 
 // Counts reports the root decisions and filtered spans so far — the
-// honest-accounting view the bench harness asserts against.
+// honest-accounting view the collector e2e test asserts against.
 func (s *Sampler) Counts() (sampled, dropped, spansDropped uint64) {
 	if s == nil {
 		return 0, 0, 0
