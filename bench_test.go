@@ -124,7 +124,7 @@ func BenchmarkFigure2RuntimeHistogram(b *testing.B) {
 	course := fall2016()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sim.Figure2(course)
+		res, err := sim.Figure2(context.Background(), course)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -461,10 +461,10 @@ func BenchmarkObjstorePutGet(b *testing.B) {
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Put("uploads", "team/proj.tar.bz2", payload, 0); err != nil {
+		if err := s.Put(context.Background(), "uploads", "team/proj.tar.bz2", payload, 0); err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := s.Get("uploads", "team/proj.tar.bz2"); err != nil {
+		if _, err := s.Get(context.Background(), "uploads", "team/proj.tar.bz2"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -475,7 +475,7 @@ func BenchmarkObjstorePutGet(b *testing.B) {
 func BenchmarkDocstoreQuery(b *testing.B) {
 	db := docstore.New()
 	for i := 0; i < 1000; i++ {
-		db.Insert("jobs", docstore.M{
+		db.Insert(context.Background(), "jobs", docstore.M{
 			"user": fmt.Sprintf("team%02d", i%58), "status": "succeeded",
 			"elapsed_s": float64(i%300) / 10, "kind": "run",
 		})
@@ -484,7 +484,7 @@ func BenchmarkDocstoreQuery(b *testing.B) {
 	opts := docstore.FindOpts{Sort: []string{"-elapsed_s"}, Limit: 10}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Find("jobs", filter, opts); err != nil {
+		if _, err := db.Find(context.Background(), "jobs", filter, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -102,7 +102,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "run", "submit":
 		return submit(ctx, cmd, creds, *projectDir, *brokerAddr, *fsURL, *timeout, rpc, *traceSample, stdout, stderr)
 	case "ranking":
-		return showRanking(creds, *dbURL, stdout, stderr)
+		return showRanking(ctx, creds, *dbURL, stdout, stderr)
 	case "session":
 		return session(ctx, creds, *projectDir, *brokerAddr, *fsURL, *timeout, rpc, *traceSample, os.Stdin, stdout, stderr)
 	default:
@@ -303,15 +303,15 @@ func submit(ctx context.Context, cmd string, creds auth.Credentials, dir, broker
 }
 
 // showRanking prints the anonymized leaderboard (§VI).
-func showRanking(creds auth.Credentials, dbURL string, stdout, stderr io.Writer) int {
+func showRanking(ctx context.Context, creds auth.Credentials, dbURL string, stdout, stderr io.Writer) int {
 	lb := &ranking.Leaderboard{DB: docstore.NewClient(dbURL)}
-	entries, err := lb.View(creds.UserName)
+	entries, err := lb.View(ctx, creds.UserName)
 	if err != nil {
 		fmt.Fprintf(stderr, "rai: %v\n", err)
 		return 1
 	}
 	fmt.Fprint(stdout, ranking.Format(entries))
-	if rank, total, err := lb.RankOf(creds.UserName); err == nil {
+	if rank, total, err := lb.RankOf(ctx, creds.UserName); err == nil {
 		fmt.Fprintf(stdout, "\nyour team is ranked %d of %d\n", rank, total)
 	}
 	return 0

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -164,7 +165,7 @@ func TestHealthCustomConfig(t *testing.T) {
 // insertSpan persists one span document the way the collector does.
 func insertSpan(t *testing.T, db *docstore.Client, traceID, spanID, parentID, name, service string, start, end time.Time) {
 	t.Helper()
-	if _, err := db.Insert(core.CollTraces, docstore.M{
+	if _, err := db.Insert(context.Background(), core.CollTraces, docstore.M{
 		"trace_id": traceID, "span_id": spanID, "parent_id": parentID,
 		"name": name, "service": service,
 		"start": start.UTC().Format(time.RFC3339Nano), "end": end.UTC().Format(time.RFC3339Nano),
@@ -184,7 +185,7 @@ func TestTraceExemplarSlowest(t *testing.T) {
 		"rai_worker_job_seconds_sum 4.7\n" +
 		"rai_worker_job_seconds_count 2\n"
 	msrv := metricsServer(t, exposition)
-	dsrv := httptest.NewServer(docstore.HandlerStore(docstore.New(), nil))
+	dsrv := httptest.NewServer(docstore.Handler(docstore.New(), nil))
 	defer dsrv.Close()
 	db := docstore.NewClient(dsrv.URL)
 	t0 := time.Date(2017, 5, 1, 12, 0, 0, 0, time.UTC)
@@ -193,7 +194,7 @@ func TestTraceExemplarSlowest(t *testing.T) {
 	insertSpan(t, db, "tr-fast", "f1", "", "job.submit", "rai", t0, t0.Add(500*time.Millisecond))
 
 	var out, errb bytes.Buffer
-	code := traceCmd([]string{"-exemplar", "slowest", "-metrics", msrv.URL + "/metrics", "-db", dsrv.URL}, &out, &errb)
+	code := traceCmd(context.Background(), []string{"-exemplar", "slowest", "-metrics", msrv.URL + "/metrics", "-db", dsrv.URL}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("trace exited %d\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
 	}
@@ -213,14 +214,14 @@ func TestTraceExemplarMetricFilter(t *testing.T) {
 	exposition := "rai_worker_job_seconds_bucket{le=\"+Inf\"} 1 # {trace_id=\"tr-job\"} 9.9\n" +
 		"rai_queue_delay_seconds_bucket{le=\"+Inf\"} 1 # {trace_id=\"tr-queue\"} 0.2\n"
 	msrv := metricsServer(t, exposition)
-	dsrv := httptest.NewServer(docstore.HandlerStore(docstore.New(), nil))
+	dsrv := httptest.NewServer(docstore.Handler(docstore.New(), nil))
 	defer dsrv.Close()
 	db := docstore.NewClient(dsrv.URL)
 	t0 := time.Date(2017, 5, 1, 12, 0, 0, 0, time.UTC)
 	insertSpan(t, db, "tr-queue", "q1", "", "queue.wait", "raiworker", t0, t0.Add(200*time.Millisecond))
 
 	var out, errb bytes.Buffer
-	code := traceCmd([]string{"-exemplar", "slowest", "-metric", "rai_queue_delay_seconds",
+	code := traceCmd(context.Background(), []string{"-exemplar", "slowest", "-metric", "rai_queue_delay_seconds",
 		"-metrics", msrv.URL + "/metrics", "-db", dsrv.URL}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("trace exited %d: %s", code, errb.String())
@@ -235,11 +236,11 @@ func TestTraceExemplarMissingTrace(t *testing.T) {
 	// honestly, not render an empty timeline.
 	exposition := "rai_worker_job_seconds_bucket{le=\"+Inf\"} 1 # {trace_id=\"tr-gone\"} 2.2\n"
 	msrv := metricsServer(t, exposition)
-	dsrv := httptest.NewServer(docstore.HandlerStore(docstore.New(), nil))
+	dsrv := httptest.NewServer(docstore.Handler(docstore.New(), nil))
 	defer dsrv.Close()
 
 	var out, errb bytes.Buffer
-	code := traceCmd([]string{"-exemplar", "slowest", "-metrics", msrv.URL + "/metrics", "-db", dsrv.URL}, &out, &errb)
+	code := traceCmd(context.Background(), []string{"-exemplar", "slowest", "-metrics", msrv.URL + "/metrics", "-db", dsrv.URL}, &out, &errb)
 	if code != 1 {
 		t.Fatalf("trace exited %d, want 1\nstdout: %s", code, out.String())
 	}

@@ -65,6 +65,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "usage: raiadmin keygen|teamgen|ranking|download|rerun|grade|top|collect|health|alerts|trace|logs|version [flags]")
 		return 2
 	}
+	// Ctrl-C cancels whatever database or file-server call the command
+	// is waiting on instead of leaving it wedged on a dead daemon.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	switch args[0] {
 	case "version", "-version", "--version":
 		fmt.Fprintln(stdout, telemetry.NewStamp("raiadmin", version))
@@ -74,13 +78,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "teamgen":
 		return teamgen(args[1:], stdout, stderr)
 	case "ranking":
-		return showRanking(args[1:], stdout, stderr)
+		return showRanking(ctx, args[1:], stdout, stderr)
 	case "download":
-		return download(args[1:], stdout, stderr)
+		return download(ctx, args[1:], stdout, stderr)
 	case "rerun":
-		return rerun(args[1:], stdout, stderr)
+		return rerun(ctx, args[1:], stdout, stderr)
 	case "grade":
-		return grade(args[1:], stdout, stderr)
+		return grade(ctx, args[1:], stdout, stderr)
 	case "top":
 		return top(args[1:], stdout, stderr)
 	case "collect":
@@ -90,9 +94,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "alerts":
 		return alerts(args[1:], stdout, stderr)
 	case "trace":
-		return traceCmd(args[1:], stdout, stderr)
+		return traceCmd(ctx, args[1:], stdout, stderr)
 	case "logs":
-		return logsCmd(args[1:], stdout, stderr)
+		return logsCmd(ctx, args[1:], stdout, stderr)
 	default:
 		fmt.Fprintf(stderr, "raiadmin: unknown command %q\n", args[0])
 		return 2
@@ -231,7 +235,7 @@ func teamgen(args []string, stdout, stderr io.Writer) int {
 
 // showRanking prints the instructor leaderboard, optionally with the
 // Figure 2 histogram.
-func showRanking(args []string, stdout, stderr io.Writer) int {
+func showRanking(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("raiadmin ranking", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	dbURL := fs.String("db", "http://127.0.0.1:7402", "database URL")
@@ -241,14 +245,14 @@ func showRanking(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	lb := &ranking.Leaderboard{DB: docstore.NewClient(*dbURL)}
-	entries, err := lb.View("")
+	entries, err := lb.View(ctx, "")
 	if err != nil {
 		fmt.Fprintf(stderr, "raiadmin ranking: %v\n", err)
 		return 1
 	}
 	fmt.Fprint(stdout, ranking.Format(entries))
 	if *hist {
-		bins, err := lb.Histogram(*top, 0.1)
+		bins, err := lb.Histogram(ctx, *top, 0.1)
 		if err != nil {
 			fmt.Fprintf(stderr, "raiadmin ranking: %v\n", err)
 			return 1
@@ -260,7 +264,7 @@ func showRanking(args []string, stdout, stderr io.Writer) int {
 }
 
 // download fetches every final submission to a local directory (§VI).
-func download(args []string, stdout, stderr io.Writer) int {
+func download(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("raiadmin download", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	dbURL := fs.String("db", "http://127.0.0.1:7402", "database URL")
@@ -275,10 +279,6 @@ func download(args []string, stdout, stderr io.Writer) int {
 		Objects: objstore.NewClient(*fsURL),
 		Cleanup: *cleanup,
 	}
-	// Ctrl-C aborts the sweep between objects instead of leaving the
-	// process wedged on a dead file server.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	mem := vfs.New()
 	teams, err := dl.DownloadAll(ctx, mem, "/")
 	if err != nil {
@@ -314,7 +314,7 @@ func download(args []string, stdout, stderr io.Writer) int {
 // rerun resubmits a team's recorded final archive n times and prints the
 // minimum observed runtime (§VI "rerun the students' submissions
 // multiple times and display the minimum time").
-func rerun(args []string, stdout, stderr io.Writer) int {
+func rerun(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("raiadmin rerun", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	dbURL := fs.String("db", "http://127.0.0.1:7402", "database URL")
@@ -351,18 +351,18 @@ func rerun(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	db := docstore.NewClient(*dbURL)
-	row, err := db.FindOne(core.CollRankings, docstore.M{"team": *team})
+	row, err := db.FindOne(ctx, core.CollRankings, docstore.M{"team": *team})
 	if err != nil {
 		fmt.Fprintf(stderr, "raiadmin rerun: no final submission for %s: %v\n", *team, err)
 		return 1
 	}
 	jobID, _ := row["job_id"].(string)
-	job, err := db.FindOne(core.CollJobs, docstore.M{"job_id": jobID})
+	job, err := db.FindOne(ctx, core.CollJobs, docstore.M{"job_id": jobID})
 	if err != nil {
 		fmt.Fprintf(stderr, "raiadmin rerun: %v\n", err)
 		return 1
 	}
-	queue, err := core.NewRemoteQueue(context.Background(), *brokerAddr)
+	queue, err := core.NewRemoteQueue(ctx, *brokerAddr)
 	if err != nil {
 		fmt.Fprintf(stderr, "raiadmin rerun: %v\n", err)
 		return 1
@@ -379,9 +379,6 @@ func rerun(args []string, stdout, stderr io.Writer) int {
 	if bucket == "" {
 		bucket = core.BucketUploads
 	}
-	// Ctrl-C stops waiting on the current rerun's log stream.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	res, err := grading.RerunMin(*team, *n, func(string) (time.Duration, float64, error) {
 		r, err := client.ResubmitContext(ctx, core.KindSubmit, bucket, key)
 		if err != nil {
@@ -400,7 +397,7 @@ func rerun(args []string, stdout, stderr io.Writer) int {
 
 // grade combines automated rerun timings (from the ranking table) with
 // manual scores and prints per-team grade reports (§VII).
-func grade(args []string, stdout, stderr io.Writer) int {
+func grade(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("raiadmin grade", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	dbURL := fs.String("db", "http://127.0.0.1:7402", "database URL")
@@ -410,7 +407,7 @@ func grade(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	db := docstore.NewClient(*dbURL)
-	rows, err := db.Find(core.CollRankings, docstore.M{}, docstore.FindOpts{Sort: []string{"runtime_s"}})
+	rows, err := db.Find(ctx, core.CollRankings, docstore.M{}, docstore.FindOpts{Sort: []string{"runtime_s"}})
 	if err != nil {
 		fmt.Fprintf(stderr, "raiadmin grade: %v\n", err)
 		return 1

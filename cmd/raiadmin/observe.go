@@ -132,7 +132,7 @@ func collect(args []string, stdout, stderr io.Writer, quit <-chan struct{}) int 
 // traceCmd prints the assembled span tree for one job — or, with
 // -exemplar, for the trace a histogram exemplar points at: the bridge
 // from "the p99 looks bad" to the concrete request that caused it.
-func traceCmd(args []string, stdout, stderr io.Writer) int {
+func traceCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("raiadmin trace", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	dbURL := fs.String("db", "http://127.0.0.1:7402", "database URL")
@@ -164,7 +164,7 @@ func traceCmd(args []string, stdout, stderr io.Writer) int {
 		}
 		traceID := best.Exemplar.TraceID()
 		fmt.Fprintf(stdout, "slowest exemplar: %s = %.6gs (trace %s)\n\n", best.Name, best.Exemplar.Value, traceID)
-		spans, err := collector.TraceSpans(db, traceID)
+		spans, err := collector.TraceSpans(ctx, db, traceID)
 		if err != nil {
 			fmt.Fprintf(stderr, "raiadmin trace: %v\n", err)
 			return 1
@@ -181,7 +181,7 @@ func traceCmd(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	jobID := fs.Arg(0)
-	spans, err := collector.TraceByJob(db, jobID)
+	spans, err := collector.TraceByJob(ctx, db, jobID)
 	if err != nil {
 		fmt.Fprintf(stderr, "raiadmin trace: %v\n", err)
 		return 1
@@ -212,7 +212,7 @@ func slowestExemplar(snap *telemetry.Snapshot, prefix string) *telemetry.Sample 
 }
 
 // logsCmd prints (and with -follow, tails) a job's merged event stream.
-func logsCmd(args []string, stdout, stderr io.Writer) int {
+func logsCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("raiadmin logs", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	dbURL := fs.String("db", "http://127.0.0.1:7402", "database URL")
@@ -227,12 +227,10 @@ func logsCmd(args []string, stdout, stderr io.Writer) int {
 	}
 	jobID := fs.Arg(0)
 	db := docstore.NewClient(*dbURL)
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	var cursor float64
 	print := func() error {
-		events, err := collector.EventsByJob(db, jobID, cursor)
+		events, err := collector.EventsByJob(ctx, db, jobID, cursor)
 		if err != nil {
 			return err
 		}
@@ -253,41 +251,34 @@ func logsCmd(args []string, stdout, stderr io.Writer) int {
 	}
 	// Prefer the database's watch stream: each insert into the events
 	// collection wakes the cursor immediately instead of waiting out a
-	// poll interval. Any failure to negotiate or hold the stream (old
-	// server, restart mid-tail) degrades to interval polling.
-	if ch := openEventWatch(ctx, db); ch != nil {
-		for {
-			select {
-			case <-ctx.Done():
-				return 0
-			case _, ok := <-ch:
-				if !ok {
-					return followByPolling(ctx, stdout, stderr, print, *interval)
-				}
-				drainWatch(ch)
-				if err := print(); err != nil {
-					fmt.Fprintf(stderr, "raiadmin logs: %v\n", err)
-					return 1
-				}
+	// poll interval. When Watch fails or the stream ends (a server
+	// without /w/, a restart mid-tail) ch is nil, which never fires, and
+	// the cursor wakes on a fixed cadence instead.
+	ch, _ := db.Watch(ctx, core.CollEvents)
+	for {
+		var tick <-chan time.Time
+		if ch == nil {
+			tick = clock.Real{}.After(*interval)
+		}
+		select {
+		case <-ctx.Done():
+			return 0
+		case _, ok := <-ch:
+			if !ok {
+				ch = nil
+				continue
 			}
+			drainWatch(ch)
+		case <-tick:
+		}
+		if err := print(); err != nil {
+			if ctx.Err() != nil {
+				return 0 // interrupted mid-read, not a failure
+			}
+			fmt.Fprintf(stderr, "raiadmin logs: %v\n", err)
+			return 1
 		}
 	}
-	return followByPolling(ctx, stdout, stderr, print, *interval)
-}
-
-// openEventWatch negotiates capabilities and subscribes to the events
-// collection; nil means the server cannot stream and the caller should
-// poll.
-func openEventWatch(ctx context.Context, db *docstore.Client) <-chan docstore.WatchEvent {
-	caps, err := db.CapsContext(ctx)
-	if err != nil || !caps.Watch {
-		return nil
-	}
-	ch, err := db.WatchContext(ctx, core.CollEvents)
-	if err != nil {
-		return nil
-	}
-	return ch
 }
 
 // drainWatch empties queued notifications so one print covers a burst.
@@ -300,21 +291,6 @@ func drainWatch(ch <-chan docstore.WatchEvent) {
 			}
 		default:
 			return
-		}
-	}
-}
-
-// followByPolling is the pre-watch behavior: reprint on a fixed cadence.
-func followByPolling(ctx context.Context, stdout, stderr io.Writer, print func() error, interval time.Duration) int {
-	for {
-		select {
-		case <-ctx.Done():
-			return 0
-		case <-clock.Real{}.After(interval):
-		}
-		if err := print(); err != nil {
-			fmt.Fprintf(stderr, "raiadmin logs: %v\n", err)
-			return 1
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -23,7 +24,7 @@ import (
 func insertEvent(t *testing.T, db *docstore.Client, jobID, msg string, tsS float64) {
 	t.Helper()
 	ts := time.Unix(int64(tsS), 0).UTC().Format(time.RFC3339Nano)
-	if _, err := db.Insert(core.CollEvents, docstore.M{
+	if _, err := db.Insert(context.Background(), core.CollEvents, docstore.M{
 		"job_id": jobID, "msg": msg, "level": "info", "service": "test",
 		"ts": ts, "ts_s": tsS,
 	}); err != nil {
@@ -32,14 +33,14 @@ func insertEvent(t *testing.T, db *docstore.Client, jobID, msg string, tsS float
 }
 
 func TestLogsPrintsEvents(t *testing.T) {
-	srv := httptest.NewServer(docstore.HandlerStore(docstore.New(), nil))
+	srv := httptest.NewServer(docstore.Handler(docstore.New(), nil))
 	defer srv.Close()
 	db := docstore.NewClient(srv.URL)
 	insertEvent(t, db, "job-1", "container started", 100)
 	insertEvent(t, db, "job-2", "other job noise", 101)
 
 	var out, errb bytes.Buffer
-	if code := logsCmd([]string{"-db", srv.URL, "job-1"}, &out, &errb); code != 0 {
+	if code := logsCmd(context.Background(), []string{"-db", srv.URL, "job-1"}, &out, &errb); code != 0 {
 		t.Fatalf("logs exited %d: %s", code, errb.String())
 	}
 	if !strings.Contains(out.String(), "container started") {
@@ -50,72 +51,85 @@ func TestLogsPrintsEvents(t *testing.T) {
 	}
 }
 
-// TestLogsWatchNegotiation exercises the -follow fast path: the watch
-// stream opens against a capable server and delivers a notification per
-// events-collection insert.
-func TestLogsWatchNegotiation(t *testing.T) {
-	srv := httptest.NewServer(docstore.HandlerStore(docstore.New(), nil))
-	defer srv.Close()
-	db := docstore.NewClient(srv.URL)
+// lockedBuffer is a bytes.Buffer a followed command can write while the
+// test reads it.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
 
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// followUntilPrinted runs `logs -follow` against url and keeps inserting
+// events for the job until one of them shows up on stdout (the first
+// inserts can race the command's own startup), then interrupts it and
+// expects a clean exit.
+func followUntilPrinted(t *testing.T, url string, db *docstore.Client, interval string) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ch := openEventWatch(ctx, db)
-	if ch == nil {
-		t.Fatal("openEventWatch returned nil against a watch-capable server")
-	}
-	insertEvent(t, db, "job-w", "woke the follower", 200)
-	select {
-	case ev, ok := <-ch:
-		if !ok {
-			t.Fatal("watch channel closed before delivering")
-		}
-		if ev.Coll != core.CollEvents || ev.Op != "insert" {
-			t.Fatalf("event = %+v", ev)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no watch notification within 5s")
-	}
-	// Extra queued notifications collapse into one reprint.
-	insertEvent(t, db, "job-w", "a", 201)
-	insertEvent(t, db, "job-w", "b", 202)
-	deadline := time.After(5 * time.Second)
-	for got := 0; got < 2; {
+	var out, errb lockedBuffer
+	exit := make(chan int, 1)
+	go func() {
+		exit <- logsCmd(ctx, []string{"-db", url, "-follow", "-interval", interval, "job-f"}, &out, &errb)
+	}()
+	deadline := time.After(10 * time.Second)
+	for i := 0; !strings.Contains(out.String(), "late event"); i++ {
+		insertEvent(t, db, "job-f", fmt.Sprintf("late event %d", i), float64(300+i))
 		select {
-		case _, ok := <-ch:
-			if !ok {
-				t.Fatal("watch channel closed early")
-			}
-			got++
+		case code := <-exit:
+			t.Fatalf("logs -follow exited %d early: %s", code, errb.String())
 		case <-deadline:
-			t.Fatal("burst notifications never arrived")
+			t.Fatalf("no followed event printed\nstdout: %s\nstderr: %s", out.String(), errb.String())
+		case <-time.After(20 * time.Millisecond):
 		}
 	}
-	drainWatch(ch)
 	cancel()
 	select {
-	case <-func() chan struct{} {
-		done := make(chan struct{})
-		go func() {
-			for range ch {
-			}
-			close(done)
-		}()
-		return done
-	}():
+	case code := <-exit:
+		if code != 0 {
+			t.Errorf("logs -follow exited %d after interrupt: %s", code, errb.String())
+		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("watch channel did not close after cancel")
+		t.Fatal("logs -follow did not stop on interrupt")
 	}
 }
 
-// TestLogsWatchFallback: a server without watch support (or without the
-// endpoints at all) yields a nil channel, sending -follow down the
-// polling path.
-func TestLogsWatchFallback(t *testing.T) {
-	srv := httptest.NewServer(http.NotFoundHandler())
+// TestLogsWatchNegotiation exercises the -follow fast path: with the
+// poll interval far beyond the test's patience, only the watch stream
+// can have woken the cursor.
+func TestLogsWatchNegotiation(t *testing.T) {
+	srv := httptest.NewServer(docstore.Handler(docstore.New(), nil))
 	defer srv.Close()
-	if ch := openEventWatch(context.Background(), docstore.NewClient(srv.URL)); ch != nil {
-		t.Fatal("expected nil watch channel from a watchless server")
+	followUntilPrinted(t, srv.URL, docstore.NewClient(srv.URL), "1h")
+}
+
+// TestLogsWatchFallback: against a server whose /w/ is missing (404) or
+// unsupported (501) Watch errors, and -follow still prints by polling.
+func TestLogsWatchFallback(t *testing.T) {
+	for _, status := range []int{http.StatusNotFound, http.StatusNotImplemented} {
+		t.Run(http.StatusText(status), func(t *testing.T) {
+			db := docstore.Handler(docstore.New(), nil)
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if strings.HasPrefix(r.URL.Path, "/w/") {
+					http.Error(w, "no stream here", status)
+					return
+				}
+				db.ServeHTTP(w, r)
+			}))
+			defer srv.Close()
+			followUntilPrinted(t, srv.URL, docstore.NewClient(srv.URL), "10ms")
+		})
 	}
 }
 

@@ -102,21 +102,25 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, quit <-ch
 			telemetry.WithLogWriter(stderr), telemetry.WithLogSink(exp.ExportEvent))
 		logger.Info(context.Background(), "database started", telemetry.L("addr", *addr))
 	}
+	// Signals are live from here so Ctrl-C also aborts a long journal
+	// replay, not only the serving loop.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	// As in raifs: a configured root directory means a journal on disk,
 	// its absence memory only.
 	var handler http.Handler
 	if *storeRoot != "" {
 		journalPath := filepath.Join(*storeRoot, "rai.journal")
-		pdb, err := docstore.OpenPersistent(journalPath)
+		pdb, err := docstore.OpenPersistent(ctx, journalPath)
 		if err != nil {
 			fmt.Fprintf(stderr, "raidb: opening journal: %v\n", err)
 			return 1
 		}
 		defer pdb.Close()
-		handler = docstore.HandlerStore(pdb, nil, handlerOpts...)
+		handler = docstore.Handler(pdb, nil, handlerOpts...)
 		fmt.Fprintf(stdout, "raidb journaling to %s\n", journalPath)
 	} else {
-		handler = docstore.HandlerStore(docstore.New(), nil, handlerOpts...)
+		handler = docstore.Handler(docstore.New(), nil, handlerOpts...)
 	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -137,8 +141,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, quit <-ch
 		ready <- ln.Addr().String()
 	}
 	health.SetReady(true)
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case <-quit: // nil when running as a real daemon: blocks forever
 	case <-ctx.Done():

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"testing"
 	"time"
@@ -35,7 +36,7 @@ func TestJournalDurabilityAcrossRestart(t *testing.T) {
 	}
 	addr, stop := boot()
 	c := docstore.NewClient("http://" + addr)
-	if _, err := c.Insert("rankings", docstore.M{"team": "alpha", "runtime_s": 0.45}); err != nil {
+	if _, err := c.Insert(context.Background(), "rankings", docstore.M{"team": "alpha", "runtime_s": 0.45}); err != nil {
 		t.Fatal(err)
 	}
 	stop()
@@ -44,7 +45,7 @@ func TestJournalDurabilityAcrossRestart(t *testing.T) {
 	addr2, stop2 := boot()
 	defer stop2()
 	c2 := docstore.NewClient("http://" + addr2)
-	doc, err := c2.FindOne("rankings", docstore.M{"team": "alpha"})
+	doc, err := c2.FindOne(context.Background(), "rankings", docstore.M{"team": "alpha"})
 	if err != nil || doc["runtime_s"] != 0.45 {
 		t.Fatalf("after restart: %v, %v", doc, err)
 	}
@@ -72,18 +73,18 @@ func TestServesDocuments(t *testing.T) {
 	}()
 
 	c := docstore.NewClient("http://" + addr)
-	id, err := c.Insert("jobs", docstore.M{"user": "t1", "status": "running"})
+	id, err := c.Insert(context.Background(), "jobs", docstore.M{"user": "t1", "status": "running"})
 	if err != nil || id == "" {
 		t.Fatalf("insert: %q, %v", id, err)
 	}
-	n, err := c.Count("jobs", docstore.M{"status": "running"})
+	n, err := c.Count(context.Background(), "jobs", docstore.M{"status": "running"})
 	if err != nil || n != 1 {
 		t.Fatalf("count = %d, %v", n, err)
 	}
-	if _, err := c.Update("jobs", docstore.M{"user": "t1"}, docstore.M{"$set": docstore.M{"status": "succeeded"}}); err != nil {
+	if _, err := c.Update(context.Background(), "jobs", docstore.M{"user": "t1"}, docstore.M{"$set": docstore.M{"status": "succeeded"}}); err != nil {
 		t.Fatal(err)
 	}
-	doc, err := c.FindOne("jobs", docstore.M{"user": "t1"})
+	doc, err := c.FindOne(context.Background(), "jobs", docstore.M{"user": "t1"})
 	if err != nil || doc["status"] != "succeeded" {
 		t.Fatalf("doc = %v, %v", doc, err)
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"regexp"
@@ -38,10 +39,10 @@ func TestMetricsAddrExposesDBTelemetry(t *testing.T) {
 	}
 
 	c := docstore.NewClient("http://" + addr)
-	if _, err := c.Insert("jobs", docstore.M{"job_id": "j1"}); err != nil {
+	if _, err := c.Insert(context.Background(), "jobs", docstore.M{"job_id": "j1"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Find("jobs", docstore.M{"job_id": "j1"}, docstore.FindOpts{}); err != nil {
+	if _, err := c.Find(context.Background(), "jobs", docstore.M{"job_id": "j1"}, docstore.FindOpts{}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -177,15 +177,15 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, quit <-ch
 	// Periodic expired-object sweep, active however the daemon was
 	// started (it used to run only in the signal path, so test-driven
 	// daemons never swept).
-	stopSweep := make(chan struct{})
-	defer close(stopSweep)
+	sweepCtx, stopSweep := context.WithCancel(context.Background())
+	defer stopSweep()
 	go func() {
 		clk := clock.Real{}
 		for {
 			select {
 			case <-clk.After(time.Hour):
-				store.Sweep()
-			case <-stopSweep:
+				_, _ = store.Sweep(sweepCtx)
+			case <-sweepCtx.Done():
 				return
 			}
 		}

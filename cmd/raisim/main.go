@@ -119,7 +119,7 @@ func render(name string, getCourse func() *workload.Course) (string, error) {
 	case "listing3":
 		return listing3Email()
 	case "figure2":
-		res, err := sim.Figure2(getCourse())
+		res, err := sim.Figure2(context.Background(), getCourse())
 		if err != nil {
 			return "", err
 		}
@@ -227,8 +227,7 @@ func figure3Table() (string, error) {
 type ciUploader struct{ s *objstore.Store }
 
 func (u ciUploader) Put(bucket, key string, data []byte, ttl time.Duration) error {
-	_, err := u.s.Put(bucket, key, data, ttl)
-	return err
+	return u.s.Put(context.Background(), bucket, key, data, ttl)
 }
 
 // limitProbes demonstrates the §V container limits end to end.

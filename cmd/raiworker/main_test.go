@@ -91,7 +91,7 @@ func TestWorkerDaemonProcessesJobs(t *testing.T) {
 		t.Fatalf("status = %q", res.Status)
 	}
 	// The job record names this worker.
-	doc, err := db.FindOne(core.CollJobs, docstore.M{"job_id": res.JobID})
+	doc, err := db.FindOne(context.Background(), core.CollJobs, docstore.M{"job_id": res.JobID})
 	if err != nil || doc["worker"] != "daemon-worker" {
 		t.Fatalf("job doc = %v, %v", doc, err)
 	}

@@ -75,7 +75,8 @@ func TestMetricsAddrExposesWorkerTelemetry(t *testing.T) {
 	if m == nil {
 		t.Fatalf("no metrics address announced:\n%s", out.String())
 	}
-	// The worker registers its instruments when Run starts; poll briefly.
+	// The worker registers its instruments one by one when Run starts;
+	// poll briefly for the last of them.
 	deadline := time.Now().Add(5 * time.Second)
 	var body string
 	for time.Now().Before(deadline) {
@@ -86,7 +87,7 @@ func TestMetricsAddrExposesWorkerTelemetry(t *testing.T) {
 		raw, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		body = string(raw)
-		if strings.Contains(body, "rai_worker_jobs_in_flight") {
+		if strings.Contains(body, "rai_worker_jobs_in_flight") && strings.Contains(body, "rai_worker_jobs_total") {
 			break
 		}
 		time.Sleep(50 * time.Millisecond)

@@ -59,21 +59,21 @@ func main() {
 	lb := &ranking.Leaderboard{DB: deployment.DB}
 
 	fmt.Println("\n== what team warpspeed sees (rai ranking) ==")
-	entries, err := lb.View("warpspeed")
+	entries, err := lb.View(ctx, "warpspeed")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Print(ranking.Format(entries))
 
 	fmt.Println("\n== instructor view ==")
-	entries, err = lb.View("")
+	entries, err = lb.View(ctx, "")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Print(ranking.Format(entries))
 
 	fmt.Println("\n== Figure 2 style histogram (0.1s bins) ==")
-	bins, err := lb.Histogram(30, 0.1)
+	bins, err := lb.Histogram(ctx, 30, 0.1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("new runtime %.3fs\n", res.InternalTimer.Seconds())
-	rank, total, err := lb.RankOf("segfault")
+	rank, total, err := lb.RankOf(ctx, "segfault")
 	if err != nil {
 		log.Fatal(err)
 	}

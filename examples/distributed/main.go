@@ -115,7 +115,7 @@ func main() {
 	fmt.Printf("\njob %s: %s (accuracy %.4f)\n", res.JobID, res.Status, res.Accuracy)
 
 	// The job record landed in the remote database.
-	doc, err := docstore.NewClient(dbURL).FindOne(core.CollJobs, docstore.M{"job_id": res.JobID})
+	doc, err := docstore.NewClient(dbURL).FindOne(ctx, core.CollJobs, docstore.M{"job_id": res.JobID})
 	if err != nil {
 		log.Fatal(err)
 	}

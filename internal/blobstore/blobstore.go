@@ -17,12 +17,8 @@
 //     writes on error.
 //   - Table: a mount table routing bucket prefixes to backends, so one
 //     daemon can keep uploads on disk and scratch buckets in memory.
-//   - Capability negotiation: each backend advertises what it can do
-//     (streaming, atomic rename commits, watch, append) and callers
-//     degrade gracefully when a capability is absent.
-//   - Watch events: subscribers observe create/update/delete events in
-//     operation order, which drives cache invalidation and `raiadmin
-//     logs -follow` without polling.
+//   - Append: journal-style callers extend a blob without rewriting
+//     it; every backend implements it.
 package blobstore
 
 import (
@@ -37,55 +33,13 @@ import (
 
 // Errors reported by backends.
 var (
-	ErrNoBucket     = errors.New("blobstore: no such bucket")
-	ErrNotFound     = errors.New("blobstore: no such blob")
-	ErrBadName      = errors.New("blobstore: invalid bucket or key")
-	ErrQuota        = errors.New("blobstore: capacity exceeded")
-	ErrExists       = errors.New("blobstore: bucket already exists")
-	ErrNoCapability = errors.New("blobstore: backend lacks capability")
-	ErrClosed       = errors.New("blobstore: backend closed")
+	ErrNoBucket = errors.New("blobstore: no such bucket")
+	ErrNotFound = errors.New("blobstore: no such blob")
+	ErrBadName  = errors.New("blobstore: invalid bucket or key")
+	ErrQuota    = errors.New("blobstore: capacity exceeded")
+	ErrExists   = errors.New("blobstore: bucket already exists")
+	ErrClosed   = errors.New("blobstore: backend closed")
 )
-
-// Capability is a bitmask of optional backend behaviours. Callers check
-// capabilities before relying on an optional path and fall back when it
-// is absent (polling instead of watching, copy-rewrite instead of
-// atomic rename, whole-value writes instead of appends).
-type Capability uint32
-
-const (
-	// CapStream: Open/Create move bytes incrementally; the backend never
-	// materializes a whole blob to serve one.
-	CapStream Capability = 1 << iota
-	// CapAtomicRename: Create commits by atomically renaming a temp
-	// file, so a crashed writer never leaves a torn blob visible.
-	CapAtomicRename
-	// CapWatch: the backend delivers create/update/delete events to
-	// Watch subscribers in operation order.
-	CapWatch
-	// CapAppend: the backend supports Append for journal-style writers
-	// (see Appender).
-	CapAppend
-)
-
-// Has reports whether all bits in want are present.
-func (c Capability) Has(want Capability) bool { return c&want == want }
-
-// String renders the set for logs and /caps endpoints.
-func (c Capability) String() string {
-	var parts []string
-	for _, e := range []struct {
-		bit  Capability
-		name string
-	}{{CapStream, "stream"}, {CapAtomicRename, "atomic-rename"}, {CapWatch, "watch"}, {CapAppend, "append"}} {
-		if c.Has(e.bit) {
-			parts = append(parts, e.name)
-		}
-	}
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, ",")
-}
 
 // Info is blob metadata. Field names (not tags) are the on-disk meta
 // JSON schema, kept compatible with the sidecar files the old objstore
@@ -126,9 +80,6 @@ type Writer interface {
 // Backend is the storage-backend interface shared by the memory and
 // disk engines and the mount table.
 type Backend interface {
-	// Capabilities advertises the optional behaviours this backend
-	// supports.
-	Capabilities() Capability
 	// MakeBucket creates a bucket; an existing bucket is ErrExists.
 	// (Create also makes buckets implicitly, as RAI pre-creates only a
 	// handful of well-known ones.)
@@ -136,7 +87,7 @@ type Backend interface {
 	// Buckets lists bucket names, sorted.
 	Buckets(ctx context.Context) ([]string, error)
 	// Create opens a streaming writer for bucket/key. The blob becomes
-	// visible (and an event fires) when the writer is closed.
+	// visible when the writer is closed.
 	Create(ctx context.Context, bucket, key string, opts PutOptions) (Writer, error)
 	// Open returns a streaming reader and the blob's metadata,
 	// refreshing its last-use time (expiry is measured from last use).
@@ -150,25 +101,25 @@ type Backend interface {
 	List(ctx context.Context, bucket, prefix string) ([]Info, error)
 	// Remove deletes a blob.
 	Remove(ctx context.Context, bucket, key string) error
-	// Used reports total stored bytes.
-	Used(ctx context.Context) (int64, error)
+	// Used reports total stored bytes. It reads the in-memory
+	// accounting only, so it takes no context and cannot fail.
+	Used() int64
 	// Sweep collects expired blobs and reports how many were removed.
 	Sweep(ctx context.Context) (int, error)
-	// Watch subscribes to this backend's events, filtered to bucket
-	// ("" = all buckets). ErrNoCapability when CapWatch is absent. The
-	// subscription closes when ctx is canceled or Close is called.
-	Watch(ctx context.Context, bucket string) (*Subscription, error)
-	// Close releases the backend; watch subscriptions are closed.
+	// Append opens a writer that extends bucket/key without rewriting
+	// it (creating it when absent), for journal-style callers. Size and
+	// Modified update when the returned writer closes; ETag becomes ""
+	// (unknown) because the content was not re-hashed.
+	Append(ctx context.Context, bucket, key string) (io.WriteCloser, error)
+	// Close releases the backend; later calls report ErrClosed.
 	Close() error
 }
 
-// Appender is the optional append port (CapAppend): journal-style
-// callers extend a blob without rewriting it. Size and Modified update
-// when the returned writer closes; ETag becomes "" (unknown) because
-// the content was not re-hashed.
-type Appender interface {
-	Append(ctx context.Context, bucket, key string) (io.WriteCloser, error)
-}
+var (
+	_ Backend = (*Memory)(nil)
+	_ Backend = (*Disk)(nil)
+	_ Backend = (*Table)(nil)
+)
 
 // ValidBucket reports whether b is a legal bucket name: 1-63 runes of
 // [a-z0-9.-].
@@ -207,11 +158,10 @@ type config struct {
 	capacity int64
 	defTTL   time.Duration
 	clk      clock.Clock
-	watchBuf int
 }
 
 func newConfig(opts []Option) config {
-	cfg := config{clk: clock.Real{}, watchBuf: defaultWatchBuffer}
+	cfg := config{clk: clock.Real{}}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -227,8 +177,3 @@ func WithDefaultTTL(d time.Duration) Option { return func(c *config) { c.defTTL 
 
 // WithClock substitutes the time source (virtual in tests).
 func WithClock(clk clock.Clock) Option { return func(c *config) { c.clk = clk } }
-
-// WithWatchBuffer sets the per-subscription event buffer; a subscriber
-// that falls further behind drops events (counted on the
-// Subscription).
-func WithWatchBuffer(n int) Option { return func(c *config) { c.watchBuf = n } }

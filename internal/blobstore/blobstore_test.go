@@ -127,7 +127,7 @@ func TestDiskReloadCleansTempFiles(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "b", "%tmp-12345")); !errors.Is(err, os.ErrNotExist) {
 		t.Error("crashed writer's temp file survived reload")
 	}
-	if used, _ := d.Used(context.Background()); used != 0 {
+	if used := d.Used(); used != 0 {
 		t.Errorf("Used = %d, temp file counted", used)
 	}
 }
@@ -242,8 +242,7 @@ func TestMountRoutingLongestPrefixWins(t *testing.T) {
 	if err != nil || len(names) != 3 {
 		t.Errorf("union Buckets = %v, %v", names, err)
 	}
-	used, err := tab.Used(ctx)
-	if err != nil || used != int64(len("hot")+len("cold-a")+len("cold-deep-b")) {
+	if used := tab.Used(); used != int64(len("hot")+len("cold-a")+len("cold-deep-b")) {
 		t.Errorf("summed Used = %d, %v", used, err)
 	}
 }
@@ -274,83 +273,12 @@ func TestMountRoutingMixedBackends(t *testing.T) {
 	if _, err := mem.Stat(ctx, "durable-uploads", "team/a.tar.bz2"); !errors.Is(err, blobstore.ErrNoBucket) {
 		t.Error("default backend received routed write")
 	}
-	// Capability negotiation: the intersection loses disk-only
-	// atomic-rename, per-bucket lookup keeps it.
-	if tab.Capabilities().Has(blobstore.CapAtomicRename) {
-		t.Error("intersection kept a capability the memory default lacks")
-	}
-	if !tab.CapabilitiesFor("durable-uploads").Has(blobstore.CapAtomicRename) {
-		t.Error("per-bucket capabilities lost the disk mount's atomic rename")
-	}
 }
 
-// capMask hides capabilities to exercise degradation paths.
-type capMask struct {
-	blobstore.Backend
-	caps blobstore.Capability
-}
-
-func (c capMask) Capabilities() blobstore.Capability { return c.caps }
-
-func TestTableDegradesWithoutCapability(t *testing.T) {
+func TestBackendCloseThenErrClosed(t *testing.T) {
 	mem := blobstore.NewMemory()
-	tab := blobstore.NewTable(capMask{Backend: mem, caps: blobstore.CapStream})
-	ctx := context.Background()
-	if _, err := tab.Watch(ctx, "b"); !errors.Is(err, blobstore.ErrNoCapability) {
-		t.Errorf("Watch without CapWatch = %v", err)
-	}
-	if _, err := tab.Append(ctx, "b", "k"); !errors.Is(err, blobstore.ErrNoCapability) {
-		t.Errorf("Append without CapAppend = %v", err)
-	}
-}
-
-func TestWatchSlowSubscriberDropsNotBlocks(t *testing.T) {
-	mem := blobstore.NewMemory(blobstore.WithWatchBuffer(2))
-	ctx := context.Background()
-	sub, err := mem.Watch(ctx, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-	for i := 0; i < 5; i++ {
-		w, _ := mem.Create(ctx, "b", "k", blobstore.PutOptions{})
-		io.WriteString(w, "v")
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := sub.Dropped(); got != 3 {
-		t.Errorf("Dropped = %d, want 3", got)
-	}
-	// The two buffered events are still delivered, in order.
-	first := <-sub.C()
-	second := <-sub.C()
-	if first.Seq >= second.Seq {
-		t.Errorf("buffered events out of order: %d then %d", first.Seq, second.Seq)
-	}
-}
-
-func TestBackendCloseEndsSubscriptions(t *testing.T) {
-	mem := blobstore.NewMemory()
-	sub, err := mem.Watch(context.Background(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
 	mem.Close()
-	if _, ok := <-sub.C(); ok {
-		t.Error("subscription channel still open after backend Close")
-	}
 	if _, err := mem.Stat(context.Background(), "b", "k"); !errors.Is(err, blobstore.ErrClosed) {
 		t.Errorf("Stat after Close = %v, want ErrClosed", err)
-	}
-}
-
-func TestCapabilityString(t *testing.T) {
-	caps := blobstore.CapStream | blobstore.CapWatch
-	if got := caps.String(); got != "stream,watch" {
-		t.Errorf("String = %q", got)
-	}
-	if got := blobstore.Capability(0).String(); got != "none" {
-		t.Errorf("zero String = %q", got)
 	}
 }

@@ -172,11 +172,6 @@ func (d *Disk) writeMeta(info Info) error {
 	return nil
 }
 
-// Capabilities implements Backend.
-func (d *Disk) Capabilities() Capability {
-	return CapStream | CapAtomicRename | CapWatch | CapAppend
-}
-
 // MakeBucket implements Backend.
 func (d *Disk) MakeBucket(ctx context.Context, bucket string) error {
 	if err := ctx.Err(); err != nil {
@@ -286,12 +281,7 @@ func (d *Disk) Remove(ctx context.Context, bucket, key string) error {
 }
 
 // Used implements Backend.
-func (d *Disk) Used(ctx context.Context) (int64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return d.idx.totalUsed(), nil
-}
+func (d *Disk) Used() int64 { return d.idx.totalUsed() }
 
 // Sweep implements Backend.
 func (d *Disk) Sweep(ctx context.Context) (int, error) {
@@ -301,20 +291,7 @@ func (d *Disk) Sweep(ctx context.Context) (int, error) {
 	return d.idx.sweep(), nil
 }
 
-// Watch implements Backend.
-func (d *Disk) Watch(ctx context.Context, bucket string) (*Subscription, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if bucket != "" {
-		if err := checkBucket(bucket); err != nil {
-			return nil, err
-		}
-	}
-	return d.idx.hub.subscribe(ctx, bucket, d.idx.cfg.watchBuf), nil
-}
-
-// Append implements Appender: O_APPEND on the data file, size and
+// Append implements Backend: O_APPEND on the data file, size and
 // sidecar reconciled at Close. Appends are quota-exempt (journal tail
 // writes must not fail on a full cache) and leave ETag unknown.
 func (d *Disk) Append(ctx context.Context, bucket, key string) (io.WriteCloser, error) {

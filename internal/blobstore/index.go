@@ -18,19 +18,16 @@ type entry struct {
 
 // index is the metadata plane shared by the memory and disk backends:
 // bucket/key maps, byte accounting against an optional capacity,
-// last-use TTL bookkeeping, and the watch hub. The data plane differs
+// and last-use TTL bookkeeping. The data plane differs
 // per backend (heap buffers vs files); everything else lives here once,
 // which is what lets objstore and docstore delete their duplicated
 // persistence code.
 type index struct {
-	// mu also orders watch emission: hub.emit is called while it is
-	// held, so subscribers observe events in operation order.
 	mu      sync.Mutex
 	cfg     config
 	buckets map[string]map[string]*entry
 	used    int64
 	closed  bool
-	hub     hub
 	// drop releases an entry's durable data (disk unlinks files); called
 	// with mu held whenever an entry leaves the index via remove, sweep,
 	// or lazy expiry.
@@ -112,15 +109,14 @@ func (x *index) expiredLocked(e *entry) bool {
 	return e.info.TTL > 0 && x.now().After(e.info.LastUsed.Add(e.info.TTL))
 }
 
-// removeEntryLocked drops an entry from the index, releases its durable
-// data, and emits the delete event.
+// removeEntryLocked drops an entry from the index and releases its
+// durable data.
 func (x *index) removeEntryLocked(bucket, key string, e *entry) {
 	delete(x.buckets[bucket], key)
 	x.used -= e.info.Size
 	if x.drop != nil {
 		x.drop(bucket, key)
 	}
-	x.hub.emit(OpDelete, bucket, key, e.info.Size)
 }
 
 // open returns the entry (for the memory data plane) and a metadata
@@ -285,7 +281,7 @@ func (x *index) overQuota(prev, n int64) bool {
 }
 
 // commit makes a finished write visible: creates the bucket if needed,
-// enforces capacity, replaces any previous entry, and emits the event.
+// enforces capacity and replaces any previous entry.
 // data is the memory payload (nil for disk). Returns the committed
 // info.
 func (x *index) commit(info Info, data []byte) (Info, error) {
@@ -309,10 +305,8 @@ func (x *index) commitWith(info Info, data []byte, persist func() error) (Info, 
 		x.buckets[info.Bucket] = bk
 	}
 	var prev int64
-	op := OpCreate
 	if old, ok := bk[info.Key]; ok {
 		prev = old.info.Size
-		op = OpUpdate
 	}
 	if x.cfg.capacity > 0 && x.used-prev+info.Size > x.cfg.capacity {
 		return Info{}, fmt.Errorf("%w: %d bytes requested", ErrQuota, info.Size)
@@ -324,7 +318,6 @@ func (x *index) commitWith(info Info, data []byte, persist func() error) (Info, 
 	}
 	x.used += info.Size - prev
 	bk[info.Key] = &entry{info: info, data: data}
-	x.hub.emit(op, info.Bucket, info.Key, info.Size)
 	return info, nil
 }
 
@@ -346,10 +339,8 @@ func (x *index) appendCommit(bucket, key string, newSize int64, ttl time.Duratio
 		x.buckets[bucket] = bk
 	}
 	now := x.now()
-	op := OpUpdate
 	e, ok := bk[key]
 	if !ok {
-		op = OpCreate
 		e = &entry{info: Info{Bucket: bucket, Key: key, Modified: now, TTL: x.ttlOrDefault(ttl)}}
 		bk[key] = e
 	}
@@ -359,7 +350,6 @@ func (x *index) appendCommit(bucket, key string, newSize int64, ttl time.Duratio
 	e.info.Modified = now
 	e.info.LastUsed = now
 	e.data = nil
-	x.hub.emit(op, bucket, key, newSize)
 	return e.info
 }
 
@@ -378,10 +368,8 @@ func (x *index) appendData(bucket, key string, extra []byte) {
 		x.buckets[bucket] = bk
 	}
 	now := x.now()
-	op := OpUpdate
 	e, ok := bk[key]
 	if !ok {
-		op = OpCreate
 		e = &entry{info: Info{Bucket: bucket, Key: key, Modified: now, TTL: x.cfg.defTTL}}
 		bk[key] = e
 	}
@@ -393,12 +381,10 @@ func (x *index) appendData(bucket, key string, extra []byte) {
 	e.info.ETag = ""
 	e.info.Modified = now
 	e.info.LastUsed = now
-	x.hub.emit(op, bucket, key, e.info.Size)
 }
 
 func (x *index) close() {
 	x.mu.Lock()
 	x.closed = true
 	x.mu.Unlock()
-	x.hub.closeAll()
 }

@@ -25,9 +25,6 @@ func NewMemory(opts ...Option) *Memory {
 	return &Memory{idx: newIndex(newConfig(opts))}
 }
 
-// Capabilities implements Backend.
-func (m *Memory) Capabilities() Capability { return CapStream | CapWatch | CapAppend }
-
 // MakeBucket implements Backend.
 func (m *Memory) MakeBucket(ctx context.Context, bucket string) error {
 	if err := ctx.Err(); err != nil {
@@ -107,12 +104,7 @@ func (m *Memory) Remove(ctx context.Context, bucket, key string) error {
 }
 
 // Used implements Backend.
-func (m *Memory) Used(ctx context.Context) (int64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return m.idx.totalUsed(), nil
-}
+func (m *Memory) Used() int64 { return m.idx.totalUsed() }
 
 // Sweep implements Backend.
 func (m *Memory) Sweep(ctx context.Context) (int, error) {
@@ -122,20 +114,7 @@ func (m *Memory) Sweep(ctx context.Context) (int, error) {
 	return m.idx.sweep(), nil
 }
 
-// Watch implements Backend.
-func (m *Memory) Watch(ctx context.Context, bucket string) (*Subscription, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if bucket != "" {
-		if err := checkBucket(bucket); err != nil {
-			return nil, err
-		}
-	}
-	return m.idx.hub.subscribe(ctx, bucket, m.idx.cfg.watchBuf), nil
-}
-
-// Append implements Appender: the new bytes are concatenated into a
+// Append implements Backend: the new bytes are concatenated into a
 // fresh slice at close, preserving copy-on-write for open readers.
 func (m *Memory) Append(ctx context.Context, bucket, key string) (io.WriteCloser, error) {
 	if err := ctx.Err(); err != nil {

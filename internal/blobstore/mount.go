@@ -87,24 +87,6 @@ func (t *Table) backends() []Backend {
 	return out
 }
 
-// Capabilities implements Backend: the intersection over all mounted
-// backends, because a caller choosing a path by capability does not yet
-// know which bucket (hence backend) a request will hit. Per-bucket
-// capabilities are available from CapabilitiesFor.
-func (t *Table) Capabilities() Capability {
-	caps := ^Capability(0)
-	for _, be := range t.backends() {
-		caps &= be.Capabilities()
-	}
-	return caps
-}
-
-// CapabilitiesFor reports the capabilities of the backend serving
-// bucket, for callers that can negotiate per bucket.
-func (t *Table) CapabilitiesFor(bucket string) Capability {
-	return t.Resolve(bucket).Capabilities()
-}
-
 // MakeBucket implements Backend.
 func (t *Table) MakeBucket(ctx context.Context, bucket string) error {
 	return t.Resolve(bucket).MakeBucket(ctx, bucket)
@@ -161,16 +143,12 @@ func (t *Table) Remove(ctx context.Context, bucket, key string) error {
 }
 
 // Used implements Backend: the sum across backends.
-func (t *Table) Used(ctx context.Context) (int64, error) {
+func (t *Table) Used() int64 {
 	var total int64
 	for _, be := range t.backends() {
-		n, err := be.Used(ctx)
-		if err != nil {
-			return 0, err
-		}
-		total += n
+		total += be.Used()
 	}
-	return total, nil
+	return total
 }
 
 // Sweep implements Backend: sweeps every backend.
@@ -186,30 +164,9 @@ func (t *Table) Sweep(ctx context.Context) (int, error) {
 	return total, nil
 }
 
-// Watch implements Backend. A bucket-scoped watch goes to the backend
-// serving that bucket; a global watch ("") goes to the default backend
-// (cross-backend merged watches would need re-sequencing and no caller
-// needs them yet).
-func (t *Table) Watch(ctx context.Context, bucket string) (*Subscription, error) {
-	be := t.def
-	if bucket != "" {
-		be = t.Resolve(bucket)
-	}
-	if !be.Capabilities().Has(CapWatch) {
-		return nil, fmt.Errorf("%w: watch on %q", ErrNoCapability, bucket)
-	}
-	return be.Watch(ctx, bucket)
-}
-
-// Append implements Appender, delegating when the resolved backend
-// supports it.
+// Append implements Backend.
 func (t *Table) Append(ctx context.Context, bucket, key string) (io.WriteCloser, error) {
-	be := t.Resolve(bucket)
-	a, ok := be.(Appender)
-	if !ok || !be.Capabilities().Has(CapAppend) {
-		return nil, fmt.Errorf("%w: append on %q", ErrNoCapability, bucket)
-	}
-	return a.Append(ctx, bucket, key)
+	return t.Resolve(bucket).Append(ctx, bucket, key)
 }
 
 // Close implements Backend: closes every distinct backend, returning

@@ -196,7 +196,7 @@ func (c *Collector) persistSpan(ctx context.Context, service string, s telemetry
 	}
 	// Composite key: span IDs are only unique per tracer instance, so a
 	// bare span_id filter could splice unrelated traces together.
-	_, err := c.upsert(ctx, core.CollTraces,
+	_, err := c.DB.Upsert(ctx, core.CollTraces,
 		docstore.M{"trace_id": s.TraceID, "span_id": s.SpanID}, docstore.M{"$set": doc})
 	return err
 }
@@ -222,7 +222,8 @@ func (c *Collector) persistEvent(ctx context.Context, service string, e telemetr
 		}
 		doc["attrs"] = attrs
 	}
-	return c.insert(ctx, core.CollEvents, doc)
+	_, err := c.DB.Insert(ctx, core.CollEvents, doc)
+	return err
 }
 
 // unixSeconds renders t as float seconds for range filters and sorting
@@ -230,28 +231,4 @@ func (c *Collector) persistEvent(ctx context.Context, service string, e telemetr
 // lexicographically once trailing zeros are trimmed).
 func unixSeconds(t time.Time) float64 {
 	return float64(t.UnixNano()) / float64(time.Second)
-}
-
-// upsert/insert route through the store's context-aware variants when
-// it has them (the HTTP client), so a remote docstore sees deadlines.
-func (c *Collector) upsert(ctx context.Context, coll string, filter, update docstore.M) (string, error) {
-	type ctxUpserter interface {
-		UpsertContext(ctx context.Context, coll string, filter, update docstore.M) (string, error)
-	}
-	if u, ok := c.DB.(ctxUpserter); ok {
-		return u.UpsertContext(ctx, coll, filter, update)
-	}
-	return c.DB.Upsert(coll, filter, update)
-}
-
-func (c *Collector) insert(ctx context.Context, coll string, doc docstore.M) error {
-	type ctxInserter interface {
-		InsertContext(ctx context.Context, coll string, doc any) (string, error)
-	}
-	if i, ok := c.DB.(ctxInserter); ok {
-		_, err := i.InsertContext(ctx, coll, doc)
-		return err
-	}
-	_, err := c.DB.Insert(coll, doc)
-	return err
 }

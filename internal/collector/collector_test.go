@@ -57,8 +57,8 @@ func TestCollectorRunPersistsBatches(t *testing.T) {
 	// in once its event is.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		events, _ := db.Count(core.CollEvents, docstore.M{"job_id": "job-1"})
-		if doc, err := db.FindOne(core.CollTraces, docstore.M{"span_id": "s1"}); events > 0 && err == nil {
+		events, _ := db.Count(context.Background(), core.CollEvents, docstore.M{"job_id": "job-1"})
+		if doc, err := db.FindOne(context.Background(), core.CollTraces, docstore.M{"span_id": "s1"}); events > 0 && err == nil {
 			if doc["trace_id"] != "tr1" || doc["job_id"] != "job-1" || doc["service"] != "raiworker" {
 				t.Fatalf("span doc = %v", doc)
 			}
@@ -72,7 +72,7 @@ func TestCollectorRunPersistsBatches(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	evs, err := EventsByJob(db, "job-1", 0)
+	evs, err := EventsByJob(context.Background(), db, "job-1", 0)
 	if err != nil || len(evs) != 1 || evs[0].Msg != "job dequeued" {
 		t.Fatalf("events = %v (err %v)", evs, err)
 	}
@@ -113,7 +113,7 @@ func TestPersistIdempotentSpans(t *testing.T) {
 			t.Fatalf("persist round %d: %d spans, want 2", i, ns)
 		}
 	}
-	docs, err := db.Find(core.CollTraces, docstore.M{"trace_id": "tr1"}, docstore.FindOpts{})
+	docs, err := db.Find(context.Background(), core.CollTraces, docstore.M{"trace_id": "tr1"}, docstore.FindOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestTraceQueriesAndPhases(t *testing.T) {
 		span("tr1", "h", "b", "objstore put", 0, time.Second/2, map[string]string{"job_id": "j1"}),
 	}})
 
-	spans, err := TraceByJob(db, "j1")
+	spans, err := TraceByJob(context.Background(), db, "j1")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -193,8 +193,8 @@ func (s *tracedStack) settle(t *testing.T) {
 			ns, ne := exp.Shipped()
 			spans, events = spans+ns, events+ne
 		}
-		gotSpans, _ := s.db.Count(core.CollTraces, docstore.M{})
-		gotEvents, _ := s.db.Count(core.CollEvents, docstore.M{})
+		gotSpans, _ := s.db.Count(context.Background(), core.CollTraces, docstore.M{})
+		gotEvents, _ := s.db.Count(context.Background(), core.CollEvents, docstore.M{})
 		if uint64(gotSpans) == spans && uint64(gotEvents) == events {
 			return
 		}
@@ -212,7 +212,7 @@ func (s *tracedStack) settle(t *testing.T) {
 // decomposition present.
 func (s *tracedStack) connectedTrace(t *testing.T, jobID string) []collector.Span {
 	t.Helper()
-	spans, err := collector.TraceByJob(s.db, jobID)
+	spans, err := collector.TraceByJob(context.Background(), s.db, jobID)
 	if err != nil {
 		t.Fatalf("job %s: %v", jobID, err)
 	}
@@ -282,7 +282,7 @@ func TestEndToEndConnectedTrace(t *testing.T) {
 	}
 
 	// The job's merged event stream crossed services.
-	events, err := collector.EventsByJob(s.db, res.JobID, 0)
+	events, err := collector.EventsByJob(context.Background(), s.db, res.JobID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestEndToEndSamplingHonest(t *testing.T) {
 	for _, jobID := range keptJobs {
 		s.connectedTrace(t, jobID)
 	}
-	all, err := s.db.Find(core.CollTraces, docstore.M{}, docstore.FindOpts{})
+	all, err := s.db.Find(context.Background(), core.CollTraces, docstore.M{}, docstore.FindOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -20,8 +21,8 @@ type Span struct {
 // TraceIDForJob resolves a job to its trace by finding any persisted
 // span stamped with the job's ID (the client root and the worker
 // dequeue span both are).
-func TraceIDForJob(db docstore.Store, jobID string) (string, error) {
-	doc, err := db.FindOne(core.CollTraces, docstore.M{"job_id": jobID})
+func TraceIDForJob(ctx context.Context, db docstore.Store, jobID string) (string, error) {
+	doc, err := db.FindOne(ctx, core.CollTraces, docstore.M{"job_id": jobID})
 	if err != nil {
 		return "", fmt.Errorf("collector: no spans recorded for job %s: %w", jobID, err)
 	}
@@ -34,8 +35,8 @@ func TraceIDForJob(db docstore.Store, jobID string) (string, error) {
 
 // TraceSpans loads every persisted span of a trace, ordered by start
 // time (root first on ties).
-func TraceSpans(db docstore.Store, traceID string) ([]Span, error) {
-	docs, err := db.Find(core.CollTraces, docstore.M{"trace_id": traceID}, docstore.FindOpts{})
+func TraceSpans(ctx context.Context, db docstore.Store, traceID string) ([]Span, error) {
+	docs, err := db.Find(ctx, core.CollTraces, docstore.M{"trace_id": traceID}, docstore.FindOpts{})
 	if err != nil {
 		return nil, err
 	}
@@ -53,24 +54,24 @@ func TraceSpans(db docstore.Store, traceID string) ([]Span, error) {
 }
 
 // TraceByJob resolves jobID to its trace and loads the spans.
-func TraceByJob(db docstore.Store, jobID string) ([]Span, error) {
-	traceID, err := TraceIDForJob(db, jobID)
+func TraceByJob(ctx context.Context, db docstore.Store, jobID string) ([]Span, error) {
+	traceID, err := TraceIDForJob(ctx, db, jobID)
 	if err != nil {
 		return nil, err
 	}
-	return TraceSpans(db, traceID)
+	return TraceSpans(ctx, db, traceID)
 }
 
 // EventsByJob loads a job's merged event stream across services,
 // ordered by time. Events after sinceS (unix seconds, exclusive) only;
 // pass 0 for everything. The follow mode of raiadmin logs polls with an
 // advancing sinceS.
-func EventsByJob(db docstore.Store, jobID string, sinceS float64) ([]telemetry.Event, error) {
+func EventsByJob(ctx context.Context, db docstore.Store, jobID string, sinceS float64) ([]telemetry.Event, error) {
 	filter := docstore.M{"job_id": jobID}
 	if sinceS > 0 {
 		filter["ts_s"] = docstore.M{"$gt": sinceS}
 	}
-	docs, err := db.Find(core.CollEvents, filter, docstore.FindOpts{Sort: []string{"ts_s"}})
+	docs, err := db.Find(ctx, core.CollEvents, filter, docstore.FindOpts{Sort: []string{"ts_s"}})
 	if err != nil {
 		return nil, err
 	}

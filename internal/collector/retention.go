@@ -84,17 +84,7 @@ func (c *Collector) RunRetention(ctx context.Context, cfg RetentionConfig) {
 // (float unix seconds) and reports how many went away.
 func (c *Collector) SweepExpired(ctx context.Context, coll, field string, cutoff float64) (int, error) {
 	filter := docstore.M{field: docstore.M{"$lt": cutoff}}
-	type ctxDeleter interface {
-		DeleteContext(ctx context.Context, coll string, filter docstore.M) (int, error)
-	}
-	if d, ok := c.DB.(ctxDeleter); ok {
-		n, err := d.DeleteContext(ctx, coll, filter)
-		if err != nil {
-			return 0, fmt.Errorf("collector: sweeping %s: %w", coll, err)
-		}
-		return n, nil
-	}
-	n, err := c.DB.Delete(coll, filter)
+	n, err := c.DB.Delete(ctx, coll, filter)
 	if err != nil {
 		return 0, fmt.Errorf("collector: sweeping %s: %w", coll, err)
 	}

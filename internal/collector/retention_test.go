@@ -34,13 +34,13 @@ func TestSweepExpired(t *testing.T) {
 	if n, err := c.SweepExpired(ctx, core.CollEvents, "ts_s", cutoff); err != nil || n != 1 {
 		t.Fatalf("events sweep: n=%d err=%v, want 1 nil", n, err)
 	}
-	if _, err := db.FindOne(core.CollTraces, docstore.M{"trace_id": "tr-old"}); err == nil {
+	if _, err := db.FindOne(context.Background(), core.CollTraces, docstore.M{"trace_id": "tr-old"}); err == nil {
 		t.Error("expired span survived the sweep")
 	}
-	if _, err := db.FindOne(core.CollTraces, docstore.M{"trace_id": "tr-new"}); err != nil {
+	if _, err := db.FindOne(context.Background(), core.CollTraces, docstore.M{"trace_id": "tr-new"}); err != nil {
 		t.Errorf("fresh span deleted: %v", err)
 	}
-	if _, err := db.FindOne(core.CollEvents, docstore.M{"msg": "new"}); err != nil {
+	if _, err := db.FindOne(context.Background(), core.CollEvents, docstore.M{"msg": "new"}); err != nil {
 		t.Errorf("fresh event deleted: %v", err)
 	}
 }
@@ -71,7 +71,7 @@ func TestRunRetention(t *testing.T) {
 	// First tick: documents are younger than the horizon and survive.
 	clk.Advance(time.Minute)
 	waitSweeps(t, reg, 1)
-	if _, err := db.FindOne(core.CollTraces, docstore.M{"trace_id": "tr1"}); err != nil {
+	if _, err := db.FindOne(context.Background(), core.CollTraces, docstore.M{"trace_id": "tr1"}); err != nil {
 		t.Fatalf("fresh span swept: %v", err)
 	}
 
@@ -84,8 +84,8 @@ func TestRunRetention(t *testing.T) {
 	clk.Advance(time.Minute)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_, errT := db.FindOne(core.CollTraces, docstore.M{"trace_id": "tr1"})
-		_, errE := db.FindOne(core.CollEvents, docstore.M{"msg": "hello"})
+		_, errT := db.FindOne(context.Background(), core.CollTraces, docstore.M{"trace_id": "tr1"})
+		_, errE := db.FindOne(context.Background(), core.CollEvents, docstore.M{"msg": "hello"})
 		if errT != nil && errE != nil {
 			break // both reaped
 		}

@@ -182,7 +182,7 @@ func TestCollectorRunWithTail(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if doc, err := db.FindOne(core.CollTraces, docstore.M{"trace_id": "tr-err"}); err == nil {
+		if doc, err := db.FindOne(context.Background(), core.CollTraces, docstore.M{"trace_id": "tr-err"}); err == nil {
 			if doc["span_id"] != "s1" {
 				t.Fatalf("error span doc = %v", doc)
 			}
@@ -194,11 +194,11 @@ func TestCollectorRunWithTail(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// Events must have landed immediately, not waited on the tail.
-	if evs, err := EventsByJob(db, "j2", 0); err != nil || len(evs) != 1 {
+	if evs, err := EventsByJob(context.Background(), db, "j2", 0); err != nil || len(evs) != 1 {
 		t.Fatalf("events = %v (err %v), want 1", evs, err)
 	}
 	// The boring trace must be gone for good.
-	if _, err := db.FindOne(core.CollTraces, docstore.M{"trace_id": "tr-ok"}); err == nil {
+	if _, err := db.FindOne(context.Background(), core.CollTraces, docstore.M{"trace_id": "tr-ok"}); err == nil {
 		t.Fatal("boring trace persisted despite KeepRate 0")
 	}
 	if got := counterValue(t, reg, "rai_collector_tail_dropped_total"); got != 1 {
@@ -258,7 +258,7 @@ func TestCollectorShutdownFlushesTail(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("collector did not stop")
 	}
-	if _, err := db.FindOne(core.CollTraces, docstore.M{"trace_id": "tr1"}); err != nil {
+	if _, err := db.FindOne(context.Background(), core.CollTraces, docstore.M{"trace_id": "tr1"}); err != nil {
 		t.Fatalf("lingering trace lost on shutdown: %v", err)
 	}
 }

@@ -71,43 +71,3 @@ func (c *Client) uploadProject(ctx context.Context, jobID string, m *cas.Manifes
 		Add(float64(max(0, stats.TotalBytes-stats.SentBytes)))
 	return key, stats, nil
 }
-
-// MissingChunks implements Objects against the in-process engine,
-// mirroring the server handler: present chunks get their TTL refreshed.
-func (o LocalObjects) MissingChunks(ctx context.Context, m *cas.Manifest) ([]string, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	missing := []string{}
-	for _, h := range m.ChunkSet() {
-		key := cas.ChunkKey(h)
-		if _, err := o.S.Head(cas.Bucket, key); err == nil {
-			_ = o.S.Touch(cas.Bucket, key)
-			continue
-		}
-		missing = append(missing, h)
-	}
-	return missing, nil
-}
-
-// PutChunks implements Objects against the in-process engine.
-func (o LocalObjects) PutChunks(ctx context.Context, hashes []string, src cas.Source) (int64, error) {
-	var total int64
-	for _, h := range hashes {
-		if err := ctx.Err(); err != nil {
-			return total, err
-		}
-		data, err := src.Chunk(h)
-		if err != nil {
-			return total, err
-		}
-		if cas.HashHex(data) != h {
-			return total, fmt.Errorf("core: chunk %s payload hashes differently", h)
-		}
-		if _, err := o.S.Put(cas.Bucket, cas.ChunkKey(h), data, 0); err != nil {
-			return total, err
-		}
-		total += int64(len(data))
-	}
-	return total, nil
-}

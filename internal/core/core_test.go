@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,6 +21,7 @@ import (
 	"rai/internal/objstore"
 	"rai/internal/project"
 	"rai/internal/registry"
+	"rai/internal/telemetry"
 	"rai/internal/vfs"
 )
 
@@ -64,7 +67,7 @@ func newEnv(t *testing.T) *env {
 	e := &env{
 		broker:  b,
 		queue:   BrokerQueue{B: b},
-		objects: LocalObjects{S: store},
+		objects: store,
 		db:      db,
 		authReg: ar,
 		images:  registry.NewCourseRegistry(),
@@ -185,7 +188,7 @@ func TestEndToEndRunJob(t *testing.T) {
 		t.Error("log topic not garbage collected")
 	}
 	// The job record landed in the database.
-	doc, err := e.db.FindOne(CollJobs, docstore.M{"job_id": res.JobID})
+	doc, err := e.db.FindOne(context.Background(), CollJobs, docstore.M{"job_id": res.JobID})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +211,7 @@ func TestEndToEndFinalSubmission(t *testing.T) {
 		t.Fatalf("status = %q", res.Status)
 	}
 	// The enforced Listing 2 spec ran the full dataset: ranking recorded.
-	doc, err := e.db.FindOne(CollRankings, docstore.M{"team": "team-beta"})
+	doc, err := e.db.FindOne(context.Background(), CollRankings, docstore.M{"team": "team-beta"})
 	if err != nil {
 		t.Fatalf("ranking record: %v", err)
 	}
@@ -216,7 +219,7 @@ func TestEndToEndFinalSubmission(t *testing.T) {
 		t.Errorf("ranking = %v", doc)
 	}
 	// Instructor-only /usr/bin/time report stored in the job record.
-	jdoc, _ := e.db.FindOne(CollJobs, docstore.M{"job_id": res.JobID})
+	jdoc, _ := e.db.FindOne(context.Background(), CollJobs, docstore.M{"job_id": res.JobID})
 	if tr, _ := jdoc["time_report"].(string); !strings.Contains(tr, "real ") {
 		t.Errorf("time_report = %q", jdoc["time_report"])
 	}
@@ -242,13 +245,13 @@ func TestSubmissionOverwritesRanking(t *testing.T) {
 	if _, err := submitAndHandle(t, e, c, KindSubmit, nil, slow); err != nil {
 		t.Fatal(err)
 	}
-	doc1, _ := e.db.FindOne(CollRankings, docstore.M{"team": "team-gamma"})
+	doc1, _ := e.db.FindOne(context.Background(), CollRankings, docstore.M{"team": "team-gamma"})
 	e.clock.Advance(time.Minute) // clear the rate limit
 	if _, err := submitAndHandle(t, e, c, KindSubmit, nil, fast); err != nil {
 		t.Fatal(err)
 	}
-	doc2, _ := e.db.FindOne(CollRankings, docstore.M{"team": "team-gamma"})
-	if n, _ := e.db.Count(CollRankings, docstore.M{}); n != 1 {
+	doc2, _ := e.db.FindOne(context.Background(), CollRankings, docstore.M{"team": "team-gamma"})
+	if n, _ := e.db.Count(context.Background(), CollRankings, docstore.M{}); n != 1 {
 		t.Fatalf("ranking rows = %d, want 1 (overwrite semantics)", n)
 	}
 	if doc2["runtime_s"].(float64) >= doc1["runtime_s"].(float64) {
@@ -317,6 +320,53 @@ func TestRateLimit30Seconds(t *testing.T) {
 	e.clock.Advance(21 * time.Second)
 	if _, err := submitAndHandle(t, e, c, KindRun, build.Default(), proj); err != nil {
 		t.Fatalf("post-cooldown submit: %v", err)
+	}
+}
+
+// TestRateLimitLookupIsTraced: the rate-limit lookup is the job's first
+// database hop. It runs under the job's context, so the database's span
+// for it hangs off the worker's dequeue span and carries the job id.
+func TestRateLimitLookupIsTraced(t *testing.T) {
+	var mu sync.Mutex
+	var spans []telemetry.SpanData
+	record := telemetry.WithSpanSink(func(d telemetry.SpanData) {
+		mu.Lock()
+		defer mu.Unlock()
+		spans = append(spans, d)
+	})
+	e := newEnv(t)
+	srv := httptest.NewServer(docstore.Handler(e.db, nil,
+		docstore.WithHandlerTracer(telemetry.NewTracer(64, record, telemetry.WithTracerInstance("raidb")))))
+	defer srv.Close()
+	e.worker.DB = docstore.NewClient(srv.URL)
+	e.worker.Cfg.RateLimit = 30 * time.Second
+	e.worker.Tracer = telemetry.NewTracer(64, record, telemetry.WithTracerInstance("worker"))
+	c := e.client(t, "team-traced")
+	c.Tracer = telemetry.NewTracer(64)
+	proj := newProject(t, project.Spec{Impl: cnn.ImplIm2col})
+	res, err := submitAndHandle(t, e, c, KindRun, build.Default(), proj)
+	if err != nil || res.Status != StatusSucceeded {
+		t.Fatalf("res = %+v, %v", res, err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	var dequeue, find *telemetry.SpanData
+	for i := range spans {
+		switch spans[i].Name {
+		case "dequeue":
+			dequeue = &spans[i]
+		case "docstore find":
+			find = &spans[i]
+		}
+	}
+	if dequeue == nil || find == nil {
+		t.Fatalf("want a dequeue and a docstore find span, got %+v", spans)
+	}
+	if find.TraceID != dequeue.TraceID || find.ParentID != dequeue.SpanID {
+		t.Errorf("docstore find %+v is not a child of dequeue %+v", find, dequeue)
+	}
+	if find.Attrs["job_id"] != res.JobID {
+		t.Errorf("docstore find job_id = %q, want %q", find.Attrs["job_id"], res.JobID)
 	}
 }
 
@@ -476,8 +526,7 @@ func TestClientUploadTTLApplied(t *testing.T) {
 	if _, err := submitAndHandle(t, e, c, KindRun, build.Default(), proj); err != nil {
 		t.Fatal(err)
 	}
-	store := e.objects.(LocalObjects).S
-	infos, err := store.List(BucketUploads, "team-ttl/")
+	infos, err := e.objects.List(context.Background(), BucketUploads, "team-ttl/")
 	if err != nil || len(infos) != 1 {
 		t.Fatalf("uploads = %v, %v", infos, err)
 	}

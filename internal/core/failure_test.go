@@ -71,25 +71,25 @@ func (f *flakyObjects) GetReader(ctx context.Context, bucket, key string) (io.Re
 // failingDB wraps a docstore.Store and errors every write.
 type failingDB struct{ inner docstore.Store }
 
-func (f failingDB) Insert(coll string, doc any) (string, error) {
+func (f failingDB) Insert(_ context.Context, coll string, doc any) (string, error) {
 	return "", errors.New("injected: database down")
 }
-func (f failingDB) Find(coll string, filter docstore.M, opts docstore.FindOpts) ([]docstore.M, error) {
+func (f failingDB) Find(_ context.Context, coll string, filter docstore.M, opts docstore.FindOpts) ([]docstore.M, error) {
 	return nil, errors.New("injected: database down")
 }
-func (f failingDB) FindOne(coll string, filter docstore.M) (docstore.M, error) {
+func (f failingDB) FindOne(_ context.Context, coll string, filter docstore.M) (docstore.M, error) {
 	return nil, errors.New("injected: database down")
 }
-func (f failingDB) Count(coll string, filter docstore.M) (int, error) {
+func (f failingDB) Count(_ context.Context, coll string, filter docstore.M) (int, error) {
 	return 0, errors.New("injected: database down")
 }
-func (f failingDB) Update(coll string, filter, update docstore.M) (int, error) {
+func (f failingDB) Update(_ context.Context, coll string, filter, update docstore.M) (int, error) {
 	return 0, errors.New("injected: database down")
 }
-func (f failingDB) Upsert(coll string, filter, update docstore.M) (string, error) {
+func (f failingDB) Upsert(_ context.Context, coll string, filter, update docstore.M) (string, error) {
 	return "", errors.New("injected: database down")
 }
-func (f failingDB) Delete(coll string, filter docstore.M) (int, error) {
+func (f failingDB) Delete(_ context.Context, coll string, filter docstore.M) (int, error) {
 	return 0, errors.New("injected: database down")
 }
 

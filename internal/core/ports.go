@@ -204,8 +204,8 @@ func (s remoteSub) Close() error       { return s.conn.Close() }
 
 // ---- object store port ----
 
-// Objects is the file-server port, satisfied by the HTTP client
-// (objstore.Client) directly and by the engine through LocalObjects.
+// Objects is the file-server port, satisfied by both the HTTP client
+// (objstore.Client) and the in-process engine (objstore.Store).
 // Projects go up as chunks plus a manifest (MissingChunks, PutChunks,
 // then Put of the manifest — cas.go). GetReader streams an object so
 // the caller can bound what it reads; its int64 is the content length
@@ -224,54 +224,7 @@ type Objects interface {
 	PutChunks(ctx context.Context, hashes []string, src cas.Source) (int64, error)
 }
 
-// LocalObjects adapts the in-process engine to Objects. ctx only gates
-// entry — the engine is in-memory.
-type LocalObjects struct{ S *objstore.Store }
-
-// Put implements Objects.
-func (o LocalObjects) Put(ctx context.Context, bucket, key string, data []byte, ttl time.Duration) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	_, err := o.S.Put(bucket, key, data, ttl)
-	return err
-}
-
-// Get implements Objects.
-func (o LocalObjects) Get(ctx context.Context, bucket, key string) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	data, _, err := o.S.Get(bucket, key)
-	return data, err
-}
-
-// GetReader implements Objects, streaming out of the engine.
-func (o LocalObjects) GetReader(ctx context.Context, bucket, key string) (io.ReadCloser, int64, error) {
-	rc, info, err := o.S.GetReader(ctx, bucket, key)
-	if err != nil {
-		return nil, 0, err
-	}
-	return rc, info.Size, nil
-}
-
-// List implements Objects.
-func (o LocalObjects) List(ctx context.Context, bucket, prefix string) ([]objstore.ObjectInfo, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return o.S.List(bucket, prefix)
-}
-
-// Delete implements Objects.
-func (o LocalObjects) Delete(ctx context.Context, bucket, key string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return o.S.Delete(bucket, key)
-}
-
 var _ Objects = (*objstore.Client)(nil)
-var _ Objects = LocalObjects{}
+var _ Objects = (*objstore.Store)(nil)
 var _ Queue = BrokerQueue{}
 var _ Queue = (*RemoteQueue)(nil)

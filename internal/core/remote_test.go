@@ -158,7 +158,7 @@ func TestResubmitReusesUpload(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Locate the stored upload from the job record.
-	job, err := e.db.FindOne(CollJobs, map[string]any{"job_id": first.JobID})
+	job, err := e.db.FindOne(context.Background(), CollJobs, map[string]any{"job_id": first.JobID})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -190,7 +190,7 @@ func TestSessionRecordedInDatabase(t *testing.T) {
 	s, _ := openSession(t, e, "team-audit")
 	s.Run(context.Background(), "echo audited")
 	s.Close()
-	doc, err := e.db.FindOne(CollJobs, map[string]any{"job_id": s.JobID})
+	doc, err := e.db.FindOne(context.Background(), CollJobs, map[string]any{"job_id": s.JobID})
 	if err != nil {
 		t.Fatal(err)
 	}

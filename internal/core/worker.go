@@ -330,7 +330,7 @@ func (w *Worker) process(ctx context.Context, m QueueMsg) {
 	}
 	// Rate limit: one job per RateLimit per user (§V "Container
 	// Execution": "each student can only submit a job every 30 seconds").
-	if ok, wait := w.rateLimitOK(req.User, req.ID); !ok {
+	if ok, wait := w.rateLimitOK(ctx, req.User, req.ID); !ok {
 		reject(fmt.Sprintf("rate limited: retry in %v", wait.Round(time.Second)))
 		return
 	}
@@ -400,7 +400,7 @@ func (w *Worker) process(ctx context.Context, m QueueMsg) {
 	// Final submissions record timing onto the ranking database,
 	// overwriting existing records (§V "Student Final Submission").
 	if req.Kind == KindSubmit && result.ok {
-		w.upsert(ctx, CollRankings, docstore.M{"team": req.User}, docstore.M{"$set": docstore.M{
+		_, _ = w.DB.Upsert(ctx, CollRankings, docstore.M{"team": req.User}, docstore.M{"$set": docstore.M{
 			"runtime_s":  result.internalTimer.Seconds(),
 			"accuracy":   result.accuracy,
 			"job_id":     req.ID,
@@ -443,11 +443,11 @@ func (w *Worker) resolveSpec(req *JobRequest) (*build.Spec, error) {
 // job other than jobID itself: a redelivered job whose first worker
 // died after recording it as running must not be limited by its own
 // record.
-func (w *Worker) rateLimitOK(user, jobID string) (bool, time.Duration) {
+func (w *Worker) rateLimitOK(ctx context.Context, user, jobID string) (bool, time.Duration) {
 	if w.Cfg.RateLimit <= 0 {
 		return true, 0
 	}
-	docs, err := w.DB.Find(CollJobs, docstore.M{
+	docs, err := w.DB.Find(ctx, CollJobs, docstore.M{
 		"user":   user,
 		"status": docstore.M{"$ne": StatusRejected},
 		"job_id": docstore.M{"$ne": jobID},
@@ -479,22 +479,7 @@ func (w *Worker) recordJob(ctx context.Context, req *JobRequest, fields docstore
 	for k, v := range fields {
 		set[k] = v
 	}
-	w.upsert(ctx, CollJobs, docstore.M{"job_id": req.ID}, docstore.M{"$set": set})
-}
-
-// upsert routes through the store's context-aware variant when it has
-// one (the HTTP client), so the trace identity in ctx propagates to the
-// docstore as X-RAI-* headers and its write appears in the job's span
-// tree. Plain in-process stores fall back to the context-free call.
-func (w *Worker) upsert(ctx context.Context, coll string, filter, update docstore.M) {
-	type ctxUpserter interface {
-		UpsertContext(ctx context.Context, coll string, filter, update docstore.M) (string, error)
-	}
-	if u, ok := w.DB.(ctxUpserter); ok {
-		_, _ = u.UpsertContext(ctx, coll, filter, update)
-		return
-	}
-	_, _ = w.DB.Upsert(coll, filter, update)
+	_, _ = w.DB.Upsert(ctx, CollJobs, docstore.M{"job_id": req.ID}, docstore.M{"$set": set})
 }
 
 // execResult aggregates one job execution.

@@ -9,7 +9,7 @@ import (
 
 func TestEqualValuesDeep(t *testing.T) {
 	db := New()
-	db.Insert("c", M{
+	db.Insert(testCtx, "c", M{
 		"tags":   []any{"gpu", "cuda"},
 		"nested": M{"a": 1, "b": true},
 		"flag":   true,
@@ -35,7 +35,7 @@ func TestEqualValuesDeep(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			n, err := db.Count("c", tc.filter)
+			n, err := db.Count(testCtx, "c", tc.filter)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -48,23 +48,23 @@ func TestEqualValuesDeep(t *testing.T) {
 
 func TestOrOperatorVariants(t *testing.T) {
 	db := New()
-	db.Insert("c", M{"team": "a", "rt": 1.0})
-	db.Insert("c", M{"team": "b", "rt": 2.0})
-	db.Insert("c", M{"team": "c", "rt": 3.0})
+	db.Insert(testCtx, "c", M{"team": "a", "rt": 1.0})
+	db.Insert(testCtx, "c", M{"team": "b", "rt": 2.0})
+	db.Insert(testCtx, "c", M{"team": "c", "rt": 3.0})
 	// []M form (built in Go).
-	n, err := db.Count("c", M{"$or": []M{{"team": "a"}, {"rt": M{"$gt": 2.5}}}})
+	n, err := db.Count(testCtx, "c", M{"$or": []M{{"team": "a"}, {"rt": M{"$gt": 2.5}}}})
 	if err != nil || n != 2 {
 		t.Fatalf("[]M or = %d, %v", n, err)
 	}
 	// Bad forms.
-	if _, err := db.Count("c", M{"$or": "nope"}); !errors.Is(err, ErrBadFilter) {
+	if _, err := db.Count(testCtx, "c", M{"$or": "nope"}); !errors.Is(err, ErrBadFilter) {
 		t.Errorf("scalar $or: %v", err)
 	}
-	if _, err := db.Count("c", M{"$or": []any{"nope"}}); !errors.Is(err, ErrBadFilter) {
+	if _, err := db.Count(testCtx, "c", M{"$or": []any{"nope"}}); !errors.Is(err, ErrBadFilter) {
 		t.Errorf("non-filter element: %v", err)
 	}
 	// Nested error inside an alternative propagates.
-	if _, err := db.Count("c", M{"$or": []any{map[string]any{"x": map[string]any{"$bogus": 1}}}}); !errors.Is(err, ErrBadFilter) {
+	if _, err := db.Count(testCtx, "c", M{"$or": []any{map[string]any{"x": map[string]any{"$bogus": 1}}}}); !errors.Is(err, ErrBadFilter) {
 		t.Errorf("nested bad op: %v", err)
 	}
 }
@@ -76,22 +76,22 @@ func TestHTTPErrorStatuses(t *testing.T) {
 	c := NewClient(srv.URL)
 
 	// Duplicate id -> conflict surfaces as error.
-	if _, err := c.Insert("c", M{"_id": "x"}); err != nil {
+	if _, err := c.Insert(testCtx, "c", M{"_id": "x"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Insert("c", M{"_id": "x"}); err == nil || !strings.Contains(err.Error(), "duplicate") {
+	if _, err := c.Insert(testCtx, "c", M{"_id": "x"}); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("duplicate over HTTP: %v", err)
 	}
 	// Bad filter -> bad request error text.
-	if _, err := c.Find("c", M{"v": M{"$bogus": 1}}, FindOpts{}); err == nil {
+	if _, err := c.Find(testCtx, "c", M{"v": M{"$bogus": 1}}, FindOpts{}); err == nil {
 		t.Error("bad filter over HTTP accepted")
 	}
 	// Bad collection name.
-	if _, err := c.Insert("$sys", M{}); err == nil {
+	if _, err := c.Insert(testCtx, "$sys", M{}); err == nil {
 		t.Error("bad collection over HTTP accepted")
 	}
 	// Bad update.
-	if _, err := c.Update("c", M{"_id": "x"}, M{"$explode": M{}}); err == nil {
+	if _, err := c.Update(testCtx, "c", M{"_id": "x"}, M{"$explode": M{}}); err == nil {
 		t.Error("bad update over HTTP accepted")
 	}
 	// Unknown verb and missing collection path.
@@ -129,7 +129,7 @@ func TestIDsUnique(t *testing.T) {
 	db := New()
 	seen := map[string]bool{}
 	for i := 0; i < 200; i++ {
-		id, err := db.Insert("c", M{"i": i})
+		id, err := db.Insert(testCtx, "c", M{"i": i})
 		if err != nil {
 			t.Fatal(err)
 		}

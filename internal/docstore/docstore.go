@@ -14,6 +14,7 @@
 package docstore
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -130,9 +131,16 @@ func (db *DB) newID() string {
 	return hex.EncodeToString(b[:])
 }
 
+// Every Store verb checks ctx on entry and not again: the engine is
+// in-memory, and a mutation that has started always completes (so a
+// PersistentDB never applies one it then fails to journal).
+
 // Insert stores doc (any JSON-marshalable object) in the collection and
 // returns its _id.
-func (db *DB) Insert(collName string, doc any) (string, error) {
+func (db *DB) Insert(ctx context.Context, collName string, doc any) (string, error) {
+	if err := ctx.Err(); err != nil {
+		return "", err
+	}
 	d, err := normalize(doc)
 	if err != nil {
 		return "", err
@@ -143,6 +151,12 @@ func (db *DB) Insert(collName string, doc any) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	return db.insertLocked(c, collName, d)
+}
+
+// insertLocked stores the normalized document d, generating its _id
+// when absent. Callers hold db.mu.
+func (db *DB) insertLocked(c *collection, collName string, d M) (string, error) {
 	id, ok := d["_id"].(string)
 	if !ok || id == "" {
 		id = db.newID()
@@ -167,7 +181,10 @@ type FindOpts struct {
 
 // Find returns documents matching filter, in insertion order unless
 // sorted. Returned documents are deep copies.
-func (db *DB) Find(collName string, filter M, opts FindOpts) ([]M, error) {
+func (db *DB) Find(ctx context.Context, collName string, filter M, opts FindOpts) ([]M, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	c, err := db.readColl(collName)
@@ -205,8 +222,8 @@ func (db *DB) Find(collName string, filter M, opts FindOpts) ([]M, error) {
 }
 
 // FindOne returns the first match or ErrNotFound.
-func (db *DB) FindOne(collName string, filter M) (M, error) {
-	docs, err := db.Find(collName, filter, FindOpts{Limit: 1})
+func (db *DB) FindOne(ctx context.Context, collName string, filter M) (M, error) {
+	docs, err := db.Find(ctx, collName, filter, FindOpts{Limit: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +234,10 @@ func (db *DB) FindOne(collName string, filter M) (M, error) {
 }
 
 // Count returns the number of matching documents.
-func (db *DB) Count(collName string, filter M) (int, error) {
+func (db *DB) Count(ctx context.Context, collName string, filter M) (int, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	c, err := db.readColl(collName)
@@ -243,18 +263,28 @@ func (db *DB) Count(collName string, filter M) (int, error) {
 
 // Update applies a Mongo-style update ($set, $inc, $push) to all
 // documents matching filter and reports how many changed.
-func (db *DB) Update(collName string, filter M, update M) (int, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	c, err := db.coll(collName)
-	if err != nil {
+func (db *DB) Update(ctx context.Context, collName string, filter M, update M) (int, error) {
+	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	nupd, err := normalize(update)
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	n, _, _, err := db.updateLocked(collName, filter, update)
+	return n, err
+}
+
+// updateLocked is Update's body for callers holding db.mu. Besides the
+// count it returns the first match's id and the normalized update, which
+// is what Upsert needs to finish without a second scan.
+func (db *DB) updateLocked(collName string, filter, update M) (n int, first string, nupd M, err error) {
+	c, err := db.coll(collName)
 	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrBadUpdate, err)
+		return 0, "", nil, err
 	}
-	n := 0
+	nupd, err = normalize(update)
+	if err != nil {
+		return 0, "", nil, fmt.Errorf("%w: %v", ErrBadUpdate, err)
+	}
 	for _, id := range c.order {
 		doc, ok := c.docs[id]
 		if !ok {
@@ -262,38 +292,50 @@ func (db *DB) Update(collName string, filter M, update M) (int, error) {
 		}
 		match, err := matches(doc, filter)
 		if err != nil {
-			return n, err
+			return n, first, nupd, err
 		}
 		if !match {
 			continue
 		}
 		if err := applyUpdate(doc, nupd); err != nil {
-			return n, err
+			return n, first, nupd, err
+		}
+		if n == 0 {
+			first = id
 		}
 		n++
 		db.emit("update", collName, id)
 	}
-	return n, nil
+	return n, first, nupd, nil
 }
 
-// Upsert updates the first match, or inserts update's $set fields merged
-// with the filter's equality fields when nothing matches. It returns the
-// document id. This is the write the ranking database uses ("overwrites
-// existing timing records", paper §V).
-func (db *DB) Upsert(collName string, filter M, update M) (string, error) {
-	n, err := db.Update(collName, filter, update)
+// Upsert updates the matches, or inserts update's $set fields merged
+// with the filter's equality fields when nothing matches, and returns
+// the id of the first match or of the new document. Match-or-insert is
+// one critical section, so concurrent upserts of a never-seen key
+// produce one document. This is the write the ranking database uses
+// ("overwrites existing timing records", paper §V).
+func (db *DB) Upsert(ctx context.Context, collName string, filter M, update M) (string, error) {
+	return db.upsert(ctx, collName, filter, update, "")
+}
+
+// upsert is Upsert with a choice of id for the inserted document:
+// pinID, when set and not in use. Journal replay passes the id the
+// original run generated.
+func (db *DB) upsert(ctx context.Context, collName string, filter, update M, pinID string) (string, error) {
+	if err := ctx.Err(); err != nil {
+		return "", err
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	n, first, nupd, err := db.updateLocked(collName, filter, update)
 	if err != nil {
 		return "", err
 	}
 	if n > 0 {
-		doc, err := db.FindOne(collName, filter)
-		if err != nil {
-			return "", err
-		}
-		id, _ := doc["_id"].(string)
-		return id, nil
+		return first, nil
 	}
-	// Build the new document: filter equality fields + $set fields.
+	// Build the new document: filter equality fields + $set/$inc fields.
 	seed := M{}
 	for k, v := range filter {
 		if !strings.HasPrefix(k, "$") && !strings.Contains(k, ".") {
@@ -302,25 +344,28 @@ func (db *DB) Upsert(collName string, filter M, update M) (string, error) {
 			}
 		}
 	}
-	if set, ok := update["$set"].(map[string]any); ok {
-		for k, v := range set {
-			seed[k] = v
-		}
-	} else if set, ok := update["$set"].(M); ok {
-		for k, v := range set {
+	for _, op := range []string{"$set", "$inc"} {
+		fields, _ := nupd[op].(map[string]any)
+		for k, v := range fields {
 			seed[k] = v
 		}
 	}
-	if inc, ok := update["$inc"].(map[string]any); ok {
-		for k, v := range inc {
-			seed[k] = v
-		}
+	c := db.collections[collName]
+	if _, taken := c.docs[pinID]; pinID != "" && !taken {
+		seed["_id"] = pinID
 	}
-	return db.Insert(collName, seed)
+	d, err := normalize(seed)
+	if err != nil {
+		return "", err
+	}
+	return db.insertLocked(c, collName, d)
 }
 
 // Delete removes matching documents and reports how many.
-func (db *DB) Delete(collName string, filter M) (int, error) {
+func (db *DB) Delete(ctx context.Context, collName string, filter M) (int, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	c, err := db.coll(collName)

@@ -20,7 +20,7 @@ func seedSubmissions(t *testing.T, s Store) {
 		{"team": "alpha", "runtime": 0.51, "kind": "dev", "attempt": 2},
 	}
 	for _, r := range rows {
-		if _, err := s.Insert("submissions", r); err != nil {
+		if _, err := s.Insert(testCtx, "submissions", r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -28,14 +28,14 @@ func seedSubmissions(t *testing.T, s Store) {
 
 func TestInsertFindOne(t *testing.T) {
 	db := New()
-	id, err := db.Insert("runs", M{"team": "alpha", "runtime": 0.45})
+	id, err := db.Insert(testCtx, "runs", M{"team": "alpha", "runtime": 0.45})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if id == "" {
 		t.Fatal("empty id")
 	}
-	doc, err := db.FindOne("runs", M{"_id": id})
+	doc, err := db.FindOne(testCtx, "runs", M{"_id": id})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,10 +46,10 @@ func TestInsertFindOne(t *testing.T) {
 
 func TestInsertExplicitAndDuplicateID(t *testing.T) {
 	db := New()
-	if _, err := db.Insert("c", M{"_id": "fixed", "v": 1}); err != nil {
+	if _, err := db.Insert(testCtx, "c", M{"_id": "fixed", "v": 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Insert("c", M{"_id": "fixed", "v": 2}); !errors.Is(err, ErrDuplicateID) {
+	if _, err := db.Insert(testCtx, "c", M{"_id": "fixed", "v": 2}); !errors.Is(err, ErrDuplicateID) {
 		t.Errorf("duplicate insert: %v", err)
 	}
 }
@@ -60,10 +60,10 @@ func TestInsertStructNormalizes(t *testing.T) {
 		Runtime float64 `json:"runtime"`
 	}
 	db := New()
-	if _, err := db.Insert("c", rec{Team: "x", Runtime: 2}); err != nil {
+	if _, err := db.Insert(testCtx, "c", rec{Team: "x", Runtime: 2}); err != nil {
 		t.Fatal(err)
 	}
-	doc, err := db.FindOne("c", M{"team": "x"})
+	doc, err := db.FindOne(testCtx, "c", M{"team": "x"})
 	if err != nil || doc["runtime"] != 2.0 {
 		t.Fatalf("doc = %v, %v", doc, err)
 	}
@@ -95,7 +95,7 @@ func TestFilterOperators(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			n, err := db.Count("submissions", tc.filter)
+			n, err := db.Count(testCtx, "submissions", tc.filter)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,7 +115,7 @@ func TestBadFilter(t *testing.T) {
 		{"x": M{"$in": "notarray"}},
 		{"x": M{"$exists": "yes"}},
 	} {
-		if _, err := db.Find("submissions", f, FindOpts{}); !errors.Is(err, ErrBadFilter) {
+		if _, err := db.Find(testCtx, "submissions", f, FindOpts{}); !errors.Is(err, ErrBadFilter) {
 			t.Errorf("filter %v: err = %v", f, err)
 		}
 	}
@@ -124,22 +124,22 @@ func TestBadFilter(t *testing.T) {
 func TestSortSkipLimit(t *testing.T) {
 	db := New()
 	seedSubmissions(t, db)
-	docs, err := db.Find("submissions", M{}, FindOpts{Sort: []string{"runtime"}, Limit: 3})
+	docs, err := db.Find(testCtx, "submissions", M{}, FindOpts{Sort: []string{"runtime"}, Limit: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(docs) != 3 || docs[0]["runtime"] != 0.45 || docs[2]["runtime"] != 0.62 {
 		t.Fatalf("sorted = %v", docs)
 	}
-	docs, _ = db.Find("submissions", M{}, FindOpts{Sort: []string{"-runtime"}, Limit: 1})
+	docs, _ = db.Find(testCtx, "submissions", M{}, FindOpts{Sort: []string{"-runtime"}, Limit: 1})
 	if docs[0]["runtime"] != 120.0 {
 		t.Fatalf("desc sort head = %v", docs[0])
 	}
-	docs, _ = db.Find("submissions", M{}, FindOpts{Sort: []string{"runtime"}, Skip: 4})
+	docs, _ = db.Find(testCtx, "submissions", M{}, FindOpts{Sort: []string{"runtime"}, Skip: 4})
 	if len(docs) != 1 || docs[0]["runtime"] != 120.0 {
 		t.Fatalf("skip = %v", docs)
 	}
-	docs, _ = db.Find("submissions", M{}, FindOpts{Skip: 99})
+	docs, _ = db.Find(testCtx, "submissions", M{}, FindOpts{Skip: 99})
 	if len(docs) != 0 {
 		t.Fatalf("skip past end = %v", docs)
 	}
@@ -148,7 +148,7 @@ func TestSortSkipLimit(t *testing.T) {
 func TestMultiKeySort(t *testing.T) {
 	db := New()
 	seedSubmissions(t, db)
-	docs, err := db.Find("submissions", M{}, FindOpts{Sort: []string{"team", "-attempt"}})
+	docs, err := db.Find(testCtx, "submissions", M{}, FindOpts{Sort: []string{"team", "-attempt"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestMultiKeySort(t *testing.T) {
 func TestUpdateSetIncPush(t *testing.T) {
 	db := New()
 	seedSubmissions(t, db)
-	n, err := db.Update("submissions", M{"team": "alpha"}, M{
+	n, err := db.Update(testCtx, "submissions", M{"team": "alpha"}, M{
 		"$set":  M{"graded": true, "meta.grader": "staff1"},
 		"$inc":  M{"attempt": 1},
 		"$push": M{"history": "regraded"},
@@ -171,7 +171,7 @@ func TestUpdateSetIncPush(t *testing.T) {
 	if err != nil || n != 2 {
 		t.Fatalf("update n=%d err=%v", n, err)
 	}
-	doc, _ := db.FindOne("submissions", M{"team": "alpha", "kind": "final"})
+	doc, _ := db.FindOne(testCtx, "submissions", M{"team": "alpha", "kind": "final"})
 	if doc["graded"] != true || doc["attempt"] != 4.0 {
 		t.Fatalf("doc = %v", doc)
 	}
@@ -182,8 +182,8 @@ func TestUpdateSetIncPush(t *testing.T) {
 		t.Fatalf("push = %v", doc["history"])
 	}
 	// Second push appends.
-	db.Update("submissions", M{"team": "alpha", "kind": "final"}, M{"$push": M{"history": "again"}})
-	doc, _ = db.FindOne("submissions", M{"team": "alpha", "kind": "final"})
+	db.Update(testCtx, "submissions", M{"team": "alpha", "kind": "final"}, M{"$push": M{"history": "again"}})
+	doc, _ = db.FindOne(testCtx, "submissions", M{"team": "alpha", "kind": "final"})
 	if hist := doc["history"].([]any); len(hist) != 2 {
 		t.Fatalf("second push = %v", hist)
 	}
@@ -198,7 +198,7 @@ func TestBadUpdate(t *testing.T) {
 		{"$push": M{"team": "x"}},
 		{"$set": "notobject"},
 	} {
-		if _, err := db.Update("submissions", M{"team": "alpha"}, u); !errors.Is(err, ErrBadUpdate) {
+		if _, err := db.Update(testCtx, "submissions", M{"team": "alpha"}, u); !errors.Is(err, ErrBadUpdate) {
 			t.Errorf("update %v: err = %v", u, err)
 		}
 	}
@@ -207,40 +207,89 @@ func TestBadUpdate(t *testing.T) {
 func TestUpsert(t *testing.T) {
 	db := New()
 	// Insert path: the ranking record does not exist yet.
-	id, err := db.Upsert("rankings", M{"team": "alpha"}, M{"$set": M{"runtime": 0.5}})
+	id, err := db.Upsert(testCtx, "rankings", M{"team": "alpha"}, M{"$set": M{"runtime": 0.5}})
 	if err != nil || id == "" {
 		t.Fatalf("upsert insert: %q, %v", id, err)
 	}
-	doc, _ := db.FindOne("rankings", M{"team": "alpha"})
+	doc, _ := db.FindOne(testCtx, "rankings", M{"team": "alpha"})
 	if doc["runtime"] != 0.5 {
 		t.Fatalf("doc = %v", doc)
 	}
 	// Update path: overwrite the timing record (paper §V).
-	id2, err := db.Upsert("rankings", M{"team": "alpha"}, M{"$set": M{"runtime": 0.43}})
+	id2, err := db.Upsert(testCtx, "rankings", M{"team": "alpha"}, M{"$set": M{"runtime": 0.43}})
 	if err != nil || id2 != id {
 		t.Fatalf("upsert update: %q vs %q, %v", id2, id, err)
 	}
-	if n, _ := db.Count("rankings", M{}); n != 1 {
+	if n, _ := db.Count(testCtx, "rankings", M{}); n != 1 {
 		t.Fatalf("count = %d, want 1 (no duplicate rows)", n)
 	}
-	doc, _ = db.FindOne("rankings", M{"team": "alpha"})
+	doc, _ = db.FindOne(testCtx, "rankings", M{"team": "alpha"})
 	if doc["runtime"] != 0.43 {
 		t.Fatalf("overwritten doc = %v", doc)
 	}
 }
 
+// TestUpsertConcurrentNewKey: match-or-insert is one critical section,
+// so racing upserts of a never-seen key make one document and all
+// report its id — in memory, and through the journal and its replay.
+func TestUpsertConcurrentNewKey(t *testing.T) {
+	race := func(t *testing.T, s Store) {
+		t.Helper()
+		const workers = 16
+		ids := make([]string, workers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < workers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				id, err := s.Upsert(testCtx, "rankings", M{"team": "alpha"}, M{"$set": M{"runtime": float64(g)}})
+				if err != nil {
+					t.Errorf("upsert %d: %v", g, err)
+				}
+				ids[g] = id
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		if n, err := s.Count(testCtx, "rankings", M{}); err != nil || n != 1 {
+			t.Errorf("count = %d, %v; want 1", n, err)
+		}
+		for g, id := range ids {
+			if id == "" || id != ids[0] {
+				t.Errorf("upsert %d returned id %q, upsert 0 %q", g, id, ids[0])
+			}
+		}
+	}
+	t.Run("DB", func(t *testing.T) { race(t, New()) })
+	t.Run("PersistentDB", func(t *testing.T) {
+		db, path := openTemp(t)
+		race(t, db)
+		doc, err := db.FindOne(testCtx, "rankings", M{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		again := reopen(t, db, path)
+		docs, err := again.Find(testCtx, "rankings", M{}, FindOpts{})
+		if err != nil || len(docs) != 1 || docs[0]["_id"] != doc["_id"] {
+			t.Errorf("replayed journal = %v, %v; want the one document %v", docs, err, doc["_id"])
+		}
+	})
+}
+
 func TestDelete(t *testing.T) {
 	db := New()
 	seedSubmissions(t, db)
-	n, err := db.Delete("submissions", M{"kind": "dev"})
+	n, err := db.Delete(testCtx, "submissions", M{"kind": "dev"})
 	if err != nil || n != 2 {
 		t.Fatalf("delete n=%d err=%v", n, err)
 	}
-	if n, _ := db.Count("submissions", M{}); n != 3 {
+	if n, _ := db.Count(testCtx, "submissions", M{}); n != 3 {
 		t.Fatalf("remaining = %d", n)
 	}
 	// Deterministic scan order survives deletion.
-	docs, _ := db.Find("submissions", M{}, FindOpts{})
+	docs, _ := db.Find(testCtx, "submissions", M{}, FindOpts{})
 	if docs[0]["team"] != "alpha" || docs[2]["team"] != "delta" {
 		t.Fatalf("order after delete = %v", docs)
 	}
@@ -248,10 +297,10 @@ func TestDelete(t *testing.T) {
 
 func TestFindReturnsCopies(t *testing.T) {
 	db := New()
-	db.Insert("c", M{"_id": "x", "nested": M{"v": 1}})
-	doc, _ := db.FindOne("c", M{"_id": "x"})
+	db.Insert(testCtx, "c", M{"_id": "x", "nested": M{"v": 1}})
+	doc, _ := db.FindOne(testCtx, "c", M{"_id": "x"})
 	doc["nested"].(map[string]any)["v"] = 999.0
-	again, _ := db.FindOne("c", M{"_id": "x"})
+	again, _ := db.FindOne(testCtx, "c", M{"_id": "x"})
 	if again["nested"].(map[string]any)["v"] != 1.0 {
 		t.Error("Find returned aliased document")
 	}
@@ -259,8 +308,8 @@ func TestFindReturnsCopies(t *testing.T) {
 
 func TestCollectionsAndDrop(t *testing.T) {
 	db := New()
-	db.Insert("b", M{})
-	db.Insert("a", M{})
+	db.Insert(testCtx, "b", M{})
+	db.Insert(testCtx, "a", M{})
 	if got := db.Collections(); len(got) != 2 || got[0] != "a" {
 		t.Fatalf("Collections = %v", got)
 	}
@@ -273,7 +322,7 @@ func TestCollectionsAndDrop(t *testing.T) {
 func TestBadCollectionNames(t *testing.T) {
 	db := New()
 	for _, name := range []string{"", "$sys", "has space", "semi;"} {
-		if _, err := db.Insert(name, M{}); !errors.Is(err, ErrBadName) {
+		if _, err := db.Insert(testCtx, name, M{}); !errors.Is(err, ErrBadName) {
 			t.Errorf("Insert(%q) = %v", name, err)
 		}
 	}
@@ -281,18 +330,18 @@ func TestBadCollectionNames(t *testing.T) {
 
 func TestBadDocument(t *testing.T) {
 	db := New()
-	if _, err := db.Insert("c", []int{1, 2}); !errors.Is(err, ErrBadDocument) {
+	if _, err := db.Insert(testCtx, "c", []int{1, 2}); !errors.Is(err, ErrBadDocument) {
 		t.Errorf("array document: %v", err)
 	}
-	if _, err := db.Insert("c", make(chan int)); !errors.Is(err, ErrBadDocument) {
+	if _, err := db.Insert(testCtx, "c", make(chan int)); !errors.Is(err, ErrBadDocument) {
 		t.Errorf("unmarshalable: %v", err)
 	}
 }
 
 func TestDecode(t *testing.T) {
 	db := New()
-	db.Insert("c", M{"team": "x", "runtime": 1.5})
-	doc, _ := db.FindOne("c", M{"team": "x"})
+	db.Insert(testCtx, "c", M{"team": "x", "runtime": 1.5})
+	doc, _ := db.FindOne(testCtx, "c", M{"team": "x"})
 	var rec struct {
 		Team    string  `json:"team"`
 		Runtime float64 `json:"runtime"`
@@ -311,7 +360,7 @@ func TestQuickRangeFilter(t *testing.T) {
 			if r != r { // skip NaN: JSON cannot carry it
 				continue
 			}
-			if _, err := db.Insert("c", M{"v": r}); err != nil {
+			if _, err := db.Insert(testCtx, "c", M{"v": r}); err != nil {
 				return false
 			}
 		}
@@ -319,7 +368,7 @@ func TestQuickRangeFilter(t *testing.T) {
 		if bound != bound {
 			bound = 0
 		}
-		docs, err := db.Find("c", M{"v": M{"$lt": bound}}, FindOpts{})
+		docs, err := db.Find(testCtx, "c", M{"v": M{"$lt": bound}}, FindOpts{})
 		if err != nil {
 			return false
 		}
@@ -343,32 +392,32 @@ func TestHTTPClientMirrorsDB(t *testing.T) {
 	c := NewClient(srv.URL)
 	seedSubmissions(t, c)
 
-	n, err := c.Count("submissions", M{"kind": "final"})
+	n, err := c.Count(testCtx, "submissions", M{"kind": "final"})
 	if err != nil || n != 3 {
 		t.Fatalf("count = %d, %v", n, err)
 	}
-	docs, err := c.Find("submissions", M{"runtime": M{"$lt": 1.0}}, FindOpts{Sort: []string{"runtime"}})
+	docs, err := c.Find(testCtx, "submissions", M{"runtime": M{"$lt": 1.0}}, FindOpts{Sort: []string{"runtime"}})
 	if err != nil || len(docs) != 3 {
 		t.Fatalf("find = %v, %v", docs, err)
 	}
 	if docs[0]["team"] != "alpha" {
 		t.Fatalf("sorted head = %v", docs[0])
 	}
-	if _, err := c.Update("submissions", M{"team": "beta"}, M{"$set": M{"graded": true}}); err != nil {
+	if _, err := c.Update(testCtx, "submissions", M{"team": "beta"}, M{"$set": M{"graded": true}}); err != nil {
 		t.Fatal(err)
 	}
-	doc, err := c.FindOne("submissions", M{"team": "beta"})
+	doc, err := c.FindOne(testCtx, "submissions", M{"team": "beta"})
 	if err != nil || doc["graded"] != true {
 		t.Fatalf("after update: %v, %v", doc, err)
 	}
-	id, err := c.Upsert("rankings", M{"team": "beta"}, M{"$set": M{"runtime": 0.62}})
+	id, err := c.Upsert(testCtx, "rankings", M{"team": "beta"}, M{"$set": M{"runtime": 0.62}})
 	if err != nil || id == "" {
 		t.Fatalf("upsert: %q, %v", id, err)
 	}
-	if _, err := c.Delete("submissions", M{"team": "gamma"}); err != nil {
+	if _, err := c.Delete(testCtx, "submissions", M{"team": "gamma"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.FindOne("submissions", M{"team": "gamma"}); !errors.Is(err, ErrNotFound) {
+	if _, err := c.FindOne(testCtx, "submissions", M{"team": "gamma"}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("deleted doc: %v", err)
 	}
 }
@@ -379,11 +428,11 @@ func TestHTTPAuth(t *testing.T) {
 	srv := httptest.NewServer(Handler(db, auth))
 	defer srv.Close()
 	c := NewClient(srv.URL)
-	if _, err := c.Insert("c", M{"v": 1}); err == nil {
+	if _, err := c.Insert(testCtx, "c", M{"v": 1}); err == nil {
 		t.Fatal("unauthenticated insert succeeded")
 	}
 	c.Sign = func(r *http.Request) { r.Header.Set(HeaderAccessKey, "staff") }
-	if _, err := c.Insert("c", M{"v": 1}); err != nil {
+	if _, err := c.Insert(testCtx, "c", M{"v": 1}); err != nil {
 		t.Fatalf("authenticated insert: %v", err)
 	}
 }
@@ -405,13 +454,13 @@ func TestConcurrentFirstFinds(t *testing.T) {
 				defer wg.Done()
 				<-start
 				coll := fmt.Sprintf("c%d", g%4)
-				if docs, err := db.Find(coll, M{"k": 1}, FindOpts{}); err != nil || len(docs) != 0 {
+				if docs, err := db.Find(testCtx, coll, M{"k": 1}, FindOpts{}); err != nil || len(docs) != 0 {
 					t.Errorf("Find on a fresh DB = %v, %v", docs, err)
 				}
-				if _, err := db.FindOne(coll, M{}); !errors.Is(err, ErrNotFound) {
+				if _, err := db.FindOne(testCtx, coll, M{}); !errors.Is(err, ErrNotFound) {
 					t.Errorf("FindOne on a fresh DB: %v", err)
 				}
-				if n, err := db.Count(coll, M{}); err != nil || n != 0 {
+				if n, err := db.Count(testCtx, coll, M{}); err != nil || n != 0 {
 					t.Errorf("Count on a fresh DB = %d, %v", n, err)
 				}
 			}(g)
@@ -422,7 +471,7 @@ func TestConcurrentFirstFinds(t *testing.T) {
 			t.Fatalf("reads created collections %v", got)
 		}
 	}
-	if _, err := New().Find("bad name!", M{}, FindOpts{}); !errors.Is(err, ErrBadName) {
+	if _, err := New().Find(testCtx, "bad name!", M{}, FindOpts{}); !errors.Is(err, ErrBadName) {
 		t.Errorf("Find with an invalid collection name: %v", err)
 	}
 }

@@ -25,7 +25,6 @@ import (
 //	POST /c/{coll}/update  {"filter": {...}, "update":{}}  -> {"n": 2}
 //	POST /c/{coll}/upsert  {"filter": {...}, "update":{}}  -> {"id": "..."}
 //	POST /c/{coll}/delete  {"filter": {...}}               -> {"n": 1}
-//	GET  /caps                                             -> {"watch": true}
 //	GET  /w/{coll}         ndjson stream of WatchEvent ({coll} empty = all)
 //	GET  /healthz
 
@@ -50,13 +49,6 @@ type rpcResponse struct {
 	N     int    `json:"n,omitempty"`
 	Docs  []M    `json:"docs,omitempty"`
 	Error string `json:"error,omitempty"`
-}
-
-// Caps is the capability document served at GET /caps, so clients can
-// negotiate optional features (watch streams) and degrade to polling
-// against servers that lack them.
-type Caps struct {
-	Watch bool `json:"watch"`
 }
 
 // HandlerOption configures the HTTP layer.
@@ -121,14 +113,8 @@ func (h *handlerState) observe(verb string, start time.Time) {
 	h.latency[verb].Observe(h.clk.Now().Sub(start).Seconds())
 }
 
-// Handler serves an in-memory DB over HTTP.
-func Handler(db *DB, auth AuthFunc, opts ...HandlerOption) http.Handler {
-	return HandlerStore(db, auth, opts...)
-}
-
-// HandlerStore serves any Store implementation (in-memory or
-// journal-backed) over HTTP.
-func HandlerStore(db Store, auth AuthFunc, opts ...HandlerOption) http.Handler {
+// Handler serves a database (in-memory or journal-backed) over HTTP.
+func Handler(db Served, auth AuthFunc, opts ...HandlerOption) http.Handler {
 	h := &handlerState{clk: clock.Real{}}
 	for _, o := range opts {
 		o(h)
@@ -140,20 +126,9 @@ func HandlerStore(db Store, auth AuthFunc, opts ...HandlerOption) http.Handler {
 	if h.reg != nil {
 		mux.Handle("/metrics", h.reg.Handler())
 	}
-	// Capability negotiation: a follower probes /caps before choosing
-	// between a watch stream and polling. Unauthenticated, like /healthz
-	// — it reveals feature flags, not data.
-	watcher, canWatch := db.(Watcher)
-	mux.HandleFunc("/caps", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, Caps{Watch: canWatch})
-	})
 	mux.HandleFunc("/w/", func(w http.ResponseWriter, r *http.Request) {
 		if auth != nil && !auth(r.Header.Get(HeaderAccessKey), r.Header.Get(HeaderSignature), r) {
 			writeJSON(w, http.StatusForbidden, rpcResponse{Error: "forbidden"})
-			return
-		}
-		if !canWatch {
-			writeJSON(w, http.StatusNotImplemented, rpcResponse{Error: "watch unsupported"})
 			return
 		}
 		fl, ok := w.(http.Flusher)
@@ -162,7 +137,7 @@ func HandlerStore(db Store, auth AuthFunc, opts ...HandlerOption) http.Handler {
 			return
 		}
 		coll := strings.TrimPrefix(r.URL.Path, "/w/")
-		sub := watcher.Watch(r.Context(), coll)
+		sub := db.Watch(r.Context(), coll)
 		defer sub.Close()
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.WriteHeader(http.StatusOK)
@@ -219,22 +194,22 @@ func HandlerStore(db Store, auth AuthFunc, opts ...HandlerOption) http.Handler {
 		}
 		switch verb {
 		case "insert":
-			id, err := db.Insert(coll, req.Doc)
+			id, err := db.Insert(r.Context(), coll, req.Doc)
 			respond(w, rpcResponse{ID: id}, err)
 		case "find":
-			docs, err := db.Find(coll, req.Filter, req.Opts)
+			docs, err := db.Find(r.Context(), coll, req.Filter, req.Opts)
 			respond(w, rpcResponse{Docs: docs}, err)
 		case "count":
-			n, err := db.Count(coll, req.Filter)
+			n, err := db.Count(r.Context(), coll, req.Filter)
 			respond(w, rpcResponse{N: n}, err)
 		case "update":
-			n, err := db.Update(coll, req.Filter, req.Update)
+			n, err := db.Update(r.Context(), coll, req.Filter, req.Update)
 			respond(w, rpcResponse{N: n}, err)
 		case "upsert":
-			id, err := db.Upsert(coll, req.Filter, req.Update)
+			id, err := db.Upsert(r.Context(), coll, req.Filter, req.Update)
 			respond(w, rpcResponse{ID: id}, err)
 		case "delete":
-			n, err := db.Delete(coll, req.Filter)
+			n, err := db.Delete(r.Context(), coll, req.Filter)
 			respond(w, rpcResponse{N: n}, err)
 		default:
 			writeJSON(w, http.StatusNotFound, rpcResponse{Error: "unknown verb " + verb})
@@ -360,9 +335,9 @@ func (c *Client) call(ctx context.Context, coll, verb string, req rpcRequest, re
 	})
 }
 
-// InsertContext stores a document and returns its id. Inserts are not
+// Insert stores a document and returns its id. Inserts are not
 // retried (see Client).
-func (c *Client) InsertContext(ctx context.Context, coll string, doc any) (string, error) {
+func (c *Client) Insert(ctx context.Context, coll string, doc any) (string, error) {
 	d, err := normalize(doc)
 	if err != nil {
 		return "", err
@@ -371,15 +346,15 @@ func (c *Client) InsertContext(ctx context.Context, coll string, doc any) (strin
 	return resp.ID, err
 }
 
-// FindContext runs a filtered query.
-func (c *Client) FindContext(ctx context.Context, coll string, filter M, opts FindOpts) ([]M, error) {
+// Find runs a filtered query.
+func (c *Client) Find(ctx context.Context, coll string, filter M, opts FindOpts) ([]M, error) {
 	resp, err := c.call(ctx, coll, "find", rpcRequest{Filter: filter, Opts: opts}, true)
 	return resp.Docs, err
 }
 
-// FindOneContext returns the first match or ErrNotFound.
-func (c *Client) FindOneContext(ctx context.Context, coll string, filter M) (M, error) {
-	docs, err := c.FindContext(ctx, coll, filter, FindOpts{Limit: 1})
+// FindOne returns the first match or ErrNotFound.
+func (c *Client) FindOne(ctx context.Context, coll string, filter M) (M, error) {
+	docs, err := c.Find(ctx, coll, filter, FindOpts{Limit: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -389,72 +364,36 @@ func (c *Client) FindOneContext(ctx context.Context, coll string, filter M) (M, 
 	return docs[0], nil
 }
 
-// CountContext counts matches.
-func (c *Client) CountContext(ctx context.Context, coll string, filter M) (int, error) {
+// Count counts matches.
+func (c *Client) Count(ctx context.Context, coll string, filter M) (int, error) {
 	resp, err := c.call(ctx, coll, "count", rpcRequest{Filter: filter}, true)
 	return resp.N, err
 }
 
-// UpdateContext applies an update to all matches.
-func (c *Client) UpdateContext(ctx context.Context, coll string, filter, update M) (int, error) {
+// Update applies an update to all matches.
+func (c *Client) Update(ctx context.Context, coll string, filter, update M) (int, error) {
 	resp, err := c.call(ctx, coll, "update", rpcRequest{Filter: filter, Update: update}, true)
 	return resp.N, err
 }
 
-// UpsertContext updates or inserts and returns the document id.
-func (c *Client) UpsertContext(ctx context.Context, coll string, filter, update M) (string, error) {
+// Upsert updates or inserts and returns the document id.
+func (c *Client) Upsert(ctx context.Context, coll string, filter, update M) (string, error) {
 	resp, err := c.call(ctx, coll, "upsert", rpcRequest{Filter: filter, Update: update}, true)
 	return resp.ID, err
 }
 
-// DeleteContext removes matches.
-func (c *Client) DeleteContext(ctx context.Context, coll string, filter M) (int, error) {
+// Delete removes matches.
+func (c *Client) Delete(ctx context.Context, coll string, filter M) (int, error) {
 	resp, err := c.call(ctx, coll, "delete", rpcRequest{Filter: filter}, true)
 	return resp.N, err
 }
 
-// CapsContext fetches the server's capability document. A
-// pre-capability server (404 on /caps) reports no capabilities and no
-// error, so callers can fall back without special-casing old daemons.
-func (c *Client) CapsContext(ctx context.Context) (Caps, error) {
-	caps, err := netx.DoVal(ctx, c.Policy, func(ctx context.Context) (Caps, error) {
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/caps", nil)
-		if err != nil {
-			return Caps{}, netx.Permanent(err)
-		}
-		if c.Sign != nil {
-			c.Sign(hreq)
-		}
-		hresp, err := c.HTTP.Do(hreq)
-		if err != nil {
-			return Caps{}, err
-		}
-		defer func() {
-			_, _ = io.Copy(io.Discard, io.LimitReader(hresp.Body, 64<<10))
-			hresp.Body.Close()
-		}()
-		if hresp.StatusCode != http.StatusOK {
-			return Caps{}, &netx.StatusError{Op: "docstore caps", Code: hresp.StatusCode, Msg: hresp.Status}
-		}
-		var caps Caps
-		if err := json.NewDecoder(hresp.Body).Decode(&caps); err != nil {
-			return Caps{}, fmt.Errorf("docstore client: bad caps: %w", err)
-		}
-		return caps, nil
-	})
-	var se *netx.StatusError
-	if errors.As(err, &se) && se.Code == http.StatusNotFound {
-		return Caps{}, nil
-	}
-	return caps, err
-}
-
-// WatchContext subscribes to the server's mutation stream for coll
-// ("" = all collections). The returned channel closes when ctx ends or
-// the stream breaks; callers wanting resilience probe CapsContext and
-// fall back to polling. The stream is long-lived, so it runs outside
+// Watch subscribes to the server's mutation stream for coll ("" = all
+// collections). The returned channel closes when ctx ends or the stream
+// breaks; callers wanting resilience fall back to polling then, and
+// when Watch itself fails. The stream is long-lived, so it runs outside
 // the retry policy on the caller's context alone.
-func (c *Client) WatchContext(ctx context.Context, coll string) (<-chan WatchEvent, error) {
+func (c *Client) Watch(ctx context.Context, coll string) (<-chan WatchEvent, error) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/w/"+coll, nil)
 	if err != nil {
 		return nil, err
@@ -496,63 +435,27 @@ func (c *Client) WatchContext(ctx context.Context, coll string) (<-chan WatchEve
 	return ch, nil
 }
 
-// storeCtx parents the context-free Store adapters below. The Store
-// interface is deliberately context-free — it is satisfied by the
-// in-memory DB and the journal, and consumed by components that have no
-// request context of their own (ranking, grading, admin sweeps). Those
-// call paths enter here, the one sanctioned crossing from the
-// context-free world into the HTTP client.
-//
-//lint:ignore ctxbg the context-free Store port needs a root context; every ctx-aware caller uses the *Context methods
-var storeCtx = context.Background()
-
-// Insert stores a document and returns its id.
-func (c *Client) Insert(coll string, doc any) (string, error) {
-	return c.InsertContext(storeCtx, coll, doc)
-}
-
-// Find runs a filtered query.
-func (c *Client) Find(coll string, filter M, opts FindOpts) ([]M, error) {
-	return c.FindContext(storeCtx, coll, filter, opts)
-}
-
-// FindOne returns the first match or ErrNotFound.
-func (c *Client) FindOne(coll string, filter M) (M, error) {
-	return c.FindOneContext(storeCtx, coll, filter)
-}
-
-// Count counts matches.
-func (c *Client) Count(coll string, filter M) (int, error) {
-	return c.CountContext(storeCtx, coll, filter)
-}
-
-// Update applies an update to all matches.
-func (c *Client) Update(coll string, filter, update M) (int, error) {
-	return c.UpdateContext(storeCtx, coll, filter, update)
-}
-
-// Upsert updates or inserts and returns the document id.
-func (c *Client) Upsert(coll string, filter, update M) (string, error) {
-	return c.UpsertContext(storeCtx, coll, filter, update)
-}
-
-// Delete removes matches.
-func (c *Client) Delete(coll string, filter M) (int, error) {
-	return c.DeleteContext(storeCtx, coll, filter)
-}
-
-// Store abstracts DB and Client so components can run embedded or remote.
+// Store is the database port: DB, PersistentDB and Client all satisfy
+// it, so components run embedded or remote.
 type Store interface {
-	Insert(coll string, doc any) (string, error)
-	Find(coll string, filter M, opts FindOpts) ([]M, error)
-	FindOne(coll string, filter M) (M, error)
-	Count(coll string, filter M) (int, error)
-	Update(coll string, filter, update M) (int, error)
-	Upsert(coll string, filter, update M) (string, error)
-	Delete(coll string, filter M) (int, error)
+	Insert(ctx context.Context, coll string, doc any) (string, error)
+	Find(ctx context.Context, coll string, filter M, opts FindOpts) ([]M, error)
+	FindOne(ctx context.Context, coll string, filter M) (M, error)
+	Count(ctx context.Context, coll string, filter M) (int, error)
+	Update(ctx context.Context, coll string, filter, update M) (int, error)
+	Upsert(ctx context.Context, coll string, filter, update M) (string, error)
+	Delete(ctx context.Context, coll string, filter M) (int, error)
+}
+
+// Served is what Handler serves: a Store that streams its own
+// mutations (the engines; a Client is the other end of that stream).
+type Served interface {
+	Store
+	Watch(ctx context.Context, coll string) *WatchSub
 }
 
 var (
-	_ Store = (*DB)(nil)
-	_ Store = (*Client)(nil)
+	_ Served = (*DB)(nil)
+	_ Served = (*PersistentDB)(nil)
+	_ Store  = (*Client)(nil)
 )

@@ -2,6 +2,7 @@ package docstore
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -19,8 +20,8 @@ import (
 // JSON line; opening a journal replays it into a fresh DB.
 //
 // The journal is a blob in a blobstore.Backend (bucket/key), written
-// through the backend's append capability and rewritten via an atomic
-// Create at compaction. Running on the disk backend this inherits its
+// through the backend's Append and rewritten via an atomic Create at
+// compaction. Running on the disk backend this inherits its
 // crash story: a torn compaction never replaces the journal (temp file
 // + rename), and a crash mid-append is reconciled from the file size at
 // the next open. The format is deliberately simple and append-only:
@@ -49,7 +50,6 @@ type PersistentDB struct {
 	*DB
 	mu     sync.Mutex
 	be     blobstore.Backend
-	app    blobstore.Appender
 	bucket string
 	key    string
 	w      io.WriteCloser // open append writer; nil once closed
@@ -62,20 +62,21 @@ type PersistentDB struct {
 // under path's directory, replaying any existing journal. A flat
 // journal file left at path by a pre-blobstore version is migrated into
 // the backend layout on first open. The directory should be dedicated
-// to the journal.
-func OpenPersistent(path string) (*PersistentDB, error) {
+// to the journal. ctx bounds the open (migration and replay), not the
+// database's lifetime.
+func OpenPersistent(ctx context.Context, path string) (*PersistentDB, error) {
 	be, err := blobstore.NewDisk(filepath.Dir(path))
 	if err != nil {
 		return nil, err
 	}
 	key := filepath.Base(path)
 	if st, err := os.Stat(path); err == nil && st.Mode().IsRegular() {
-		if _, err := be.Adopt(storeCtx, JournalBucket, key, path); err != nil {
+		if _, err := be.Adopt(ctx, JournalBucket, key, path); err != nil {
 			be.Close()
 			return nil, fmt.Errorf("docstore: migrating flat journal: %w", err)
 		}
 	}
-	p, err := OpenPersistentBackend(be, JournalBucket, key)
+	p, err := OpenPersistentBackend(ctx, be, JournalBucket, key)
 	if err != nil {
 		be.Close()
 		return nil, err
@@ -86,21 +87,16 @@ func OpenPersistent(path string) (*PersistentDB, error) {
 
 // OpenPersistentBackend opens a journal-backed database over an
 // existing backend (or mount table), replaying the blob at bucket/key
-// if present. The backend must support appends; the caller keeps
-// ownership of it (Close leaves it open). The journal blob should live
-// on a backend without a default TTL — an expiring journal is data
-// loss.
-func OpenPersistentBackend(be blobstore.Backend, bucket, key string) (*PersistentDB, error) {
-	app, ok := be.(blobstore.Appender)
-	if !ok || !be.Capabilities().Has(blobstore.CapAppend) {
-		return nil, fmt.Errorf("docstore: journal backend: %w: append", blobstore.ErrNoCapability)
-	}
+// if present. The caller keeps ownership of the backend (Close leaves
+// it open). The journal blob should live on a backend without a default
+// TTL — an expiring journal is data loss.
+func OpenPersistentBackend(ctx context.Context, be blobstore.Backend, bucket, key string) (*PersistentDB, error) {
 	db := New()
 	var size int64
-	rc, info, err := be.Open(storeCtx, bucket, key)
+	rc, info, err := be.Open(ctx, bucket, key)
 	switch {
 	case err == nil:
-		rerr := replay(rc, db)
+		rerr := replay(ctx, rc, db)
 		rc.Close()
 		if rerr != nil {
 			return nil, rerr
@@ -111,18 +107,15 @@ func OpenPersistentBackend(be blobstore.Backend, bucket, key string) (*Persisten
 	default:
 		return nil, err
 	}
-	w, err := app.Append(storeCtx, bucket, key)
+	w, err := be.Append(ctx, bucket, key)
 	if err != nil {
 		return nil, err
 	}
 	return &PersistentDB{
-		DB: db, be: be, app: app, bucket: bucket, key: key,
+		DB: db, be: be, bucket: bucket, key: key,
 		w: w, bw: bufio.NewWriter(w), size: size,
 	}, nil
 }
-
-// Backend exposes the journal's backend (for capability negotiation).
-func (p *PersistentDB) Backend() blobstore.Backend { return p.be }
 
 // JournalSize reports the journal's current size in bytes.
 func (p *PersistentDB) JournalSize() int64 {
@@ -132,7 +125,7 @@ func (p *PersistentDB) JournalSize() int64 {
 }
 
 // replay applies every journal line to db.
-func replay(r io.Reader, db *DB) error {
+func replay(ctx context.Context, r io.Reader, db *DB) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
 	line := 0
@@ -146,68 +139,35 @@ func replay(r io.Reader, db *DB) error {
 		if err := json.Unmarshal(raw, &e); err != nil {
 			return fmt.Errorf("docstore: journal line %d: %w", line, err)
 		}
-		if err := apply(db, &e); err != nil {
+		if err := apply(ctx, db, &e); err != nil {
 			return fmt.Errorf("docstore: journal line %d (%s %s): %w", line, e.Op, e.Coll, err)
 		}
 	}
 	return sc.Err()
 }
 
-func apply(db *DB, e *journalEntry) error {
+func apply(ctx context.Context, db *DB, e *journalEntry) error {
+	var err error
 	switch e.Op {
 	case "insert":
 		doc := e.Doc
 		if e.ID != "" {
 			doc["_id"] = e.ID
 		}
-		_, err := db.Insert(e.Coll, doc)
-		return err
+		_, err = db.Insert(ctx, e.Coll, doc)
 	case "update":
-		_, err := db.Update(e.Coll, e.Filter, e.Update)
-		return err
+		_, err = db.Update(ctx, e.Coll, e.Filter, e.Update)
 	case "upsert":
-		// Replay exactly: if the id is recorded and absent, pin it.
-		if e.ID != "" {
-			if _, err := db.FindOne(e.Coll, M{"_id": e.ID}); err != nil {
-				// Will insert: reproduce the original id through the
-				// normal upsert path, then fix the id if it differs.
-				id, err := db.Upsert(e.Coll, e.Filter, e.Update)
-				if err != nil {
-					return err
-				}
-				if id != e.ID {
-					if _, err := db.Update(e.Coll, M{"_id": id}, M{"$set": M{"_replayed_from": id}}); err != nil {
-						return err
-					}
-					// Rewrite the id by delete+insert.
-					docs, err := db.Find(e.Coll, M{"_id": id}, FindOpts{})
-					if err != nil || len(docs) != 1 {
-						return fmt.Errorf("docstore: replay id fixup failed")
-					}
-					doc := docs[0]
-					doc["_id"] = e.ID
-					delete(doc, "_replayed_from")
-					if _, err := db.Delete(e.Coll, M{"_id": id}); err != nil {
-						return err
-					}
-					if _, err := db.Insert(e.Coll, doc); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-		}
-		_, err := db.Upsert(e.Coll, e.Filter, e.Update)
-		return err
+		// An upsert that inserted gets the id it generated the first time.
+		_, err = db.upsert(ctx, e.Coll, e.Filter, e.Update, e.ID)
 	case "delete":
-		_, err := db.Delete(e.Coll, e.Filter)
-		return err
+		_, err = db.Delete(ctx, e.Coll, e.Filter)
 	case "drop":
 		db.Drop(e.Coll)
-		return nil
 	default:
-		return fmt.Errorf("unknown journal op %q", e.Op)
+		err = fmt.Errorf("unknown journal op %q", e.Op)
 	}
+	return err
 }
 
 // log writes one entry and flushes it through to the backend (on disk,
@@ -233,8 +193,8 @@ func (p *PersistentDB) log(e *journalEntry) error {
 }
 
 // Insert journals and applies an insert.
-func (p *PersistentDB) Insert(coll string, doc any) (string, error) {
-	id, err := p.DB.Insert(coll, doc)
+func (p *PersistentDB) Insert(ctx context.Context, coll string, doc any) (string, error) {
+	id, err := p.DB.Insert(ctx, coll, doc)
 	if err != nil {
 		return "", err
 	}
@@ -246,8 +206,8 @@ func (p *PersistentDB) Insert(coll string, doc any) (string, error) {
 }
 
 // Update journals and applies an update.
-func (p *PersistentDB) Update(coll string, filter, update M) (int, error) {
-	n, err := p.DB.Update(coll, filter, update)
+func (p *PersistentDB) Update(ctx context.Context, coll string, filter, update M) (int, error) {
+	n, err := p.DB.Update(ctx, coll, filter, update)
 	if err != nil {
 		return n, err
 	}
@@ -260,8 +220,8 @@ func (p *PersistentDB) Update(coll string, filter, update M) (int, error) {
 }
 
 // Upsert journals and applies an upsert.
-func (p *PersistentDB) Upsert(coll string, filter, update M) (string, error) {
-	id, err := p.DB.Upsert(coll, filter, update)
+func (p *PersistentDB) Upsert(ctx context.Context, coll string, filter, update M) (string, error) {
+	id, err := p.DB.Upsert(ctx, coll, filter, update)
 	if err != nil {
 		return id, err
 	}
@@ -272,8 +232,8 @@ func (p *PersistentDB) Upsert(coll string, filter, update M) (string, error) {
 }
 
 // Delete journals and applies a delete.
-func (p *PersistentDB) Delete(coll string, filter M) (int, error) {
-	n, err := p.DB.Delete(coll, filter)
+func (p *PersistentDB) Delete(ctx context.Context, coll string, filter M) (int, error) {
+	n, err := p.DB.Delete(ctx, coll, filter)
 	if err != nil {
 		return n, err
 	}
@@ -319,11 +279,15 @@ func (p *PersistentDB) Close() error {
 // journals. The rewrite goes through the backend's Create, so on disk
 // it is an atomic replacement: a crash mid-compaction leaves the old
 // journal untouched.
-func (p *PersistentDB) Compact() error {
+func (p *PersistentDB) Compact(ctx context.Context) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.w == nil {
 		return fmt.Errorf("docstore: journal closed")
+	}
+	// Refuse a dead ctx while the journal is still appending, not after.
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 	// Stop appending before the rewrite: the Create commit replaces the
 	// blob underneath an open O_APPEND descriptor otherwise.
@@ -334,14 +298,14 @@ func (p *PersistentDB) Compact() error {
 		return err
 	}
 	p.w = nil
-	w, err := p.be.Create(storeCtx, p.bucket, p.key, blobstore.PutOptions{})
+	w, err := p.be.Create(ctx, p.bucket, p.key, blobstore.PutOptions{})
 	if err != nil {
 		return err
 	}
 	bw := bufio.NewWriter(w)
 	var n int64
 	for _, coll := range p.DB.Collections() {
-		docs, err := p.DB.Find(coll, M{}, FindOpts{})
+		docs, err := p.DB.Find(ctx, coll, M{}, FindOpts{})
 		if err != nil {
 			w.Abort()
 			return err
@@ -369,7 +333,7 @@ func (p *PersistentDB) Compact() error {
 		return err
 	}
 	// Resume appending onto the compacted blob.
-	app, err := p.app.Append(storeCtx, p.bucket, p.key)
+	app, err := p.be.Append(ctx, p.bucket, p.key)
 	if err != nil {
 		return err
 	}
@@ -378,5 +342,3 @@ func (p *PersistentDB) Compact() error {
 	p.size = n
 	return nil
 }
-
-var _ Store = (*PersistentDB)(nil)

@@ -13,13 +13,13 @@ func TestHandlerMetrics(t *testing.T) {
 	defer srv.Close()
 	c := NewClient(srv.URL)
 
-	if _, err := c.Insert("jobs", M{"_id": "j1", "status": "queued"}); err != nil {
+	if _, err := c.Insert(testCtx, "jobs", M{"_id": "j1", "status": "queued"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Update("jobs", M{"_id": "j1"}, M{"$set": M{"status": "succeeded"}}); err != nil {
+	if _, err := c.Update(testCtx, "jobs", M{"_id": "j1"}, M{"$set": M{"status": "succeeded"}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Find("jobs", M{}, FindOpts{}); err != nil {
+	if _, err := c.Find(testCtx, "jobs", M{}, FindOpts{}); err != nil {
 		t.Fatal(err)
 	}
 

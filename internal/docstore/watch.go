@@ -7,10 +7,9 @@ import (
 
 // Watch support: mutations emit events so followers (raiadmin logs
 // -follow, dashboards) can wake on change instead of polling. Delivery
-// mirrors internal/blobstore's watch hub: per-subscriber buffered
-// channels, non-blocking sends (a slow subscriber drops events and
-// counts them rather than stalling writers), events ordered by a
-// database-wide sequence number.
+// is per-subscriber buffered channels with non-blocking sends (a slow
+// subscriber drops events and counts them rather than stalling
+// writers), events ordered by a database-wide sequence number.
 
 // watchBuffer is the per-subscription channel depth.
 const watchBuffer = 256
@@ -98,15 +97,3 @@ func (db *DB) emit(op, coll, id string) {
 		}
 	}
 }
-
-// Watcher is the optional capability interface the HTTP layer
-// negotiates: DB and PersistentDB implement it; remote Clients expose
-// WatchContext instead.
-type Watcher interface {
-	Watch(ctx context.Context, coll string) *WatchSub
-}
-
-var (
-	_ Watcher = (*DB)(nil)
-	_ Watcher = (*PersistentDB)(nil)
-)

@@ -38,18 +38,18 @@ func TestWatchDeliversMutationsInOrder(t *testing.T) {
 	defer cancel()
 	sub := db.Watch(ctx, "jobs")
 
-	id, err := db.Insert("jobs", M{"status": "queued"})
+	id, err := db.Insert(testCtx, "jobs", M{"status": "queued"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Update("jobs", M{"_id": id}, M{"$set": M{"status": "running"}}); err != nil {
+	if _, err := db.Update(testCtx, "jobs", M{"_id": id}, M{"$set": M{"status": "running"}}); err != nil {
 		t.Fatal(err)
 	}
 	// Another collection: invisible to this subscription.
-	if _, err := db.Insert("rankings", M{"team": "alpha"}); err != nil {
+	if _, err := db.Insert(testCtx, "rankings", M{"team": "alpha"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Delete("jobs", M{"_id": id}); err != nil {
+	if _, err := db.Delete(testCtx, "jobs", M{"_id": id}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -81,8 +81,8 @@ func TestWatchAllCollectionsAndDrop(t *testing.T) {
 	sub := db.Watch(testCtx, "")
 	defer sub.Close()
 
-	db.Insert("a", M{"x": 1})
-	db.Insert("b", M{"x": 2})
+	db.Insert(testCtx, "a", M{"x": 1})
+	db.Insert(testCtx, "b", M{"x": 2})
 	db.Drop("a")
 	db.Drop("a") // dropping a missing collection emits nothing
 
@@ -101,29 +101,21 @@ func TestHTTPWatchStream(t *testing.T) {
 	defer srv.Close()
 	c := NewClient(srv.URL)
 
-	caps, err := c.CapsContext(testCtx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !caps.Watch {
-		t.Fatalf("caps = %+v, want watch", caps)
-	}
-
 	ctx, cancel := context.WithCancel(testCtx)
 	defer cancel()
-	ch, err := c.WatchContext(ctx, "jobs")
+	ch, err := c.Watch(ctx, "jobs")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// WatchContext returning does not guarantee the server has
+	// Watch returning does not guarantee the server has
 	// registered the subscription yet, so keep inserting probes until
 	// one is observed.
 	deadline := time.After(5 * time.Second)
 	var first WatchEvent
 waiting:
 	for {
-		if _, err := db.Insert("jobs", M{"probe": true}); err != nil {
+		if _, err := db.Insert(testCtx, "jobs", M{"probe": true}); err != nil {
 			t.Fatal(err)
 		}
 		select {
@@ -156,19 +148,13 @@ waiting:
 	}
 }
 
-func TestHTTPCapsFallbackOnOldServer(t *testing.T) {
+// TestHTTPWatchErrorsWithoutStream: a server with no /w/ makes Watch
+// return an error cleanly rather than hang, which is what sends a
+// follower to polling.
+func TestHTTPWatchErrorsWithoutStream(t *testing.T) {
 	old := httptest.NewServer(http.NotFoundHandler())
 	defer old.Close()
-	c := NewClient(old.URL)
-	caps, err := c.CapsContext(testCtx)
-	if err != nil {
-		t.Fatalf("caps against old server: %v", err)
-	}
-	if caps != (Caps{}) {
-		t.Errorf("caps = %+v, want zero", caps)
-	}
-	// And the watch endpoint errors cleanly rather than hanging.
-	_, err = c.WatchContext(testCtx, "jobs")
+	_, err := NewClient(old.URL).Watch(testCtx, "jobs")
 	var se *netx.StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusNotFound {
 		t.Errorf("watch error = %v, want 404 StatusError", err)
@@ -183,30 +169,27 @@ func TestJournalOnSharedBackend(t *testing.T) {
 	defer be.Close()
 	table := blobstore.NewTable(be)
 
-	p, err := OpenPersistentBackend(table, "journal", "rai.journal")
+	p, err := OpenPersistentBackend(testCtx, table, "journal", "rai.journal")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Insert("jobs", M{"_id": "j1", "status": "queued"}); err != nil {
+	if _, err := p.Insert(testCtx, "jobs", M{"_id": "j1", "status": "queued"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// The backend outlives the journal handle; reopening replays.
-	again, err := OpenPersistentBackend(table, "journal", "rai.journal")
+	again, err := OpenPersistentBackend(testCtx, table, "journal", "rai.journal")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer again.Close()
-	doc, err := again.FindOne("jobs", M{"_id": "j1"})
+	doc, err := again.FindOne(testCtx, "jobs", M{"_id": "j1"})
 	if err != nil || doc["status"] != "queued" {
 		t.Fatalf("replayed doc = %v, %v", doc, err)
 	}
 	if again.JournalSize() == 0 {
 		t.Error("journal size not recovered from backend")
-	}
-	if again.Backend() != table {
-		t.Error("Backend() identity lost")
 	}
 }

@@ -46,7 +46,7 @@ func deployWithFinals(t *testing.T) *sim.Deployment {
 func TestDownloadAllFinalSubmissions(t *testing.T) {
 	d := deployWithFinals(t)
 	dl := &Downloader{DB: d.DB, Objects: d.Objects}
-	subs, err := dl.ListFinalSubmissions()
+	subs, err := dl.ListFinalSubmissions(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -49,8 +50,54 @@ func casOp(r *http.Request) string {
 	return "cas-chunks"
 }
 
+// errChunkHash rejects a chunk whose payload does not hash to its name.
+var errChunkHash = errors.New("objstore: chunk payload hashes differently")
+
+// MissingChunks returns the manifest's chunks the store lacks,
+// refreshing last-use of every chunk it already holds so a chunk shared
+// across submissions outlives the TTL clock of its first upload.
+func (s *Store) MissingChunks(ctx context.Context, m *cas.Manifest) ([]string, error) {
+	missing := []string{}
+	for _, hash := range m.ChunkSet() {
+		switch err := s.be.Touch(ctx, cas.Bucket, cas.ChunkKey(hash)); {
+		case err == nil:
+		case errors.Is(err, ErrNoObject), errors.Is(err, ErrNoBucket):
+			missing = append(missing, hash)
+		default:
+			return nil, err
+		}
+	}
+	return missing, nil
+}
+
+// putChunk stores one chunk under its hash, verifying the payload
+// first: nothing becomes addressable under a name it does not hash to.
+func (s *Store) putChunk(ctx context.Context, hash string, data []byte) error {
+	if cas.HashHex(data) != hash {
+		return fmt.Errorf("%w: %s", errChunkHash, hash)
+	}
+	return s.Put(ctx, cas.Bucket, cas.ChunkKey(hash), data, 0)
+}
+
+// PutChunks stores the named chunks from src and returns the payload
+// bytes stored.
+func (s *Store) PutChunks(ctx context.Context, hashes []string, src cas.Source) (int64, error) {
+	var total int64
+	for _, hash := range hashes {
+		data, err := src.Chunk(hash)
+		if err != nil {
+			return total, err
+		}
+		if err := s.putChunk(ctx, hash, data); err != nil {
+			return total, err
+		}
+		total += int64(len(data))
+	}
+	return total, nil
+}
+
 // handleCASNegotiate answers a manifest with the chunk hashes the store
-// is missing, refreshing the TTL of every chunk it already holds.
+// is missing.
 func (h *handlerState) handleCASNegotiate(s *Store, w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, cas.MaxManifestBytes+1))
 	if err != nil {
@@ -66,32 +113,31 @@ func (h *handlerState) handleCASNegotiate(s *Store, w http.ResponseWriter, r *ht
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	sizes := make(map[string]int64)
+	missing, err := s.MissingChunks(r.Context(), m)
+	if err != nil {
+		writeStoreErr(w, err)
+		return
+	}
+	absent := make(map[string]bool, len(missing))
+	for _, hash := range missing {
+		absent[hash] = true
+	}
 	for _, f := range m.Files {
 		for _, c := range f.Chunks {
-			sizes[c.Hash] = c.Size
+			if !absent[c.Hash] {
+				absent[c.Hash] = true // count each distinct present chunk once
+				h.casHits.Inc()
+				h.casSavedBytes.Add(float64(c.Size))
+			}
 		}
 	}
-	resp := casNegotiateResponse{Missing: []string{}}
-	for _, hash := range m.ChunkSet() {
-		key := cas.ChunkKey(hash)
-		if _, err := s.Head(cas.Bucket, key); err == nil {
-			// Refresh last-use so a chunk shared across submissions
-			// outlives the TTL clock of its first upload.
-			_ = s.Touch(cas.Bucket, key)
-			h.casHits.Inc()
-			h.casSavedBytes.Add(float64(sizes[hash]))
-			continue
-		}
-		h.casMisses.Inc()
-		resp.Missing = append(resp.Missing, hash)
-	}
+	h.casMisses.Add(float64(len(missing)))
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(resp)
+	_ = json.NewEncoder(w).Encode(casNegotiateResponse{Missing: missing})
 }
 
-// handleCASChunks ingests a framed chunk stream, verifying each payload
-// against its declared hash before it becomes addressable.
+// handleCASChunks ingests a framed chunk stream; each payload is
+// verified against its declared hash before it becomes addressable.
 func (h *handlerState) handleCASChunks(s *Store, w http.ResponseWriter, r *http.Request) {
 	br := bufio.NewReader(http.MaxBytesReader(w, r.Body, h.maxBytes))
 	var resp casChunksResponse
@@ -115,11 +161,7 @@ func (h *handlerState) handleCASChunks(s *Store, w http.ResponseWriter, r *http.
 			http.Error(w, "short chunk payload: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		if cas.HashHex(buf) != hash {
-			http.Error(w, "chunk "+hash+" payload hashes differently", http.StatusBadRequest)
-			return
-		}
-		if _, err := s.Put(cas.Bucket, cas.ChunkKey(hash), buf, 0); err != nil {
+		if err := s.putChunk(r.Context(), hash, buf); err != nil {
 			writeStoreErr(w, err)
 			return
 		}

@@ -85,7 +85,7 @@ func Handler(s *Store, auth AuthFunc, opts ...HandlerOption) http.Handler {
 			// holds the archive in memory. Crossing the size limit aborts
 			// the partial write and answers 413.
 			body := http.MaxBytesReader(w, r.Body, h.maxBytes)
-			info, err := s.PutReader(r.Context(), bucket, key, &countingReader{r: body, c: h.streamIn}, ttl)
+			info, err := s.put(r.Context(), bucket, key, &countingReader{r: body, c: h.streamIn}, ttl)
 			if err != nil {
 				var tooBig *http.MaxBytesError
 				if errors.As(err, &tooBig) {
@@ -98,7 +98,7 @@ func Handler(s *Store, auth AuthFunc, opts ...HandlerOption) http.Handler {
 			w.Header().Set("ETag", info.ETag)
 			w.WriteHeader(http.StatusCreated)
 		case http.MethodGet:
-			rc, info, err := s.GetReader(r.Context(), bucket, key)
+			rc, info, err := s.be.Open(r.Context(), bucket, key)
 			if err != nil {
 				writeStoreErr(w, err)
 				return
@@ -112,7 +112,7 @@ func Handler(s *Store, auth AuthFunc, opts ...HandlerOption) http.Handler {
 			n, _ := io.Copy(w, rc)
 			h.streamOut.Add(float64(n))
 		case http.MethodHead:
-			info, err := s.Head(bucket, key)
+			info, err := s.Head(r.Context(), bucket, key)
 			if err != nil {
 				writeStoreErr(w, err)
 				return
@@ -121,7 +121,7 @@ func Handler(s *Store, auth AuthFunc, opts ...HandlerOption) http.Handler {
 			w.Header().Set("Content-Length", strconv.FormatInt(info.Size, 10))
 			w.WriteHeader(http.StatusOK)
 		case http.MethodDelete:
-			if err := s.Delete(bucket, key); err != nil {
+			if err := s.Delete(r.Context(), bucket, key); err != nil {
 				writeStoreErr(w, err)
 				return
 			}
@@ -144,7 +144,7 @@ func Handler(s *Store, auth AuthFunc, opts ...HandlerOption) http.Handler {
 			http.Error(w, "want /l/{bucket}", http.StatusBadRequest)
 			return
 		}
-		infos, err := s.List(bucket, r.URL.Query().Get("prefix"))
+		infos, err := s.List(r.Context(), bucket, r.URL.Query().Get("prefix"))
 		if err != nil {
 			writeStoreErr(w, err)
 			return
@@ -321,7 +321,7 @@ func writeStoreErr(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrNoBucket), errors.Is(err, ErrNoObject):
 		http.Error(w, err.Error(), http.StatusNotFound)
-	case errors.Is(err, ErrBadName):
+	case errors.Is(err, ErrBadName), errors.Is(err, errChunkHash):
 		http.Error(w, err.Error(), http.StatusBadRequest)
 	case errors.Is(err, ErrQuota):
 		http.Error(w, err.Error(), http.StatusInsufficientStorage)

@@ -16,28 +16,25 @@ var t0 = time.Date(2016, 11, 1, 0, 0, 0, 0, time.UTC)
 
 func TestPutGetRoundTrip(t *testing.T) {
 	s := New()
-	info, err := s.Put("uploads", "team1/project.tar.bz2", []byte("archive-bytes"), 0)
-	if err != nil {
+	if err := s.Put(ctx, "uploads", "team1/project.tar.bz2", []byte("archive-bytes"), 0); err != nil {
 		t.Fatal(err)
 	}
-	if info.Size != 13 || info.ETag == "" {
-		t.Fatalf("info = %+v", info)
+	info, err := s.Head(ctx, "uploads", "team1/project.tar.bz2")
+	if err != nil || info.Size != 13 || info.ETag == "" {
+		t.Fatalf("info = %+v, %v", info, err)
 	}
-	data, info2, err := s.Get("uploads", "team1/project.tar.bz2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != "archive-bytes" || info2.ETag != info.ETag {
-		t.Fatalf("get = %q, %+v", data, info2)
+	data, err := s.Get(ctx, "uploads", "team1/project.tar.bz2")
+	if err != nil || string(data) != "archive-bytes" {
+		t.Fatalf("get = %q, %v", data, err)
 	}
 }
 
 func TestGetIsCopy(t *testing.T) {
 	s := New()
-	s.Put("b", "k", []byte("abc"), 0)
-	d1, _, _ := s.Get("b", "k")
+	s.Put(ctx, "b", "k", []byte("abc"), 0)
+	d1, _ := s.Get(ctx, "b", "k")
 	d1[0] = 'X'
-	d2, _, _ := s.Get("b", "k")
+	d2, _ := s.Get(ctx, "b", "k")
 	if string(d2) != "abc" {
 		t.Error("Get aliased internal storage")
 	}
@@ -45,14 +42,14 @@ func TestGetIsCopy(t *testing.T) {
 
 func TestMissing(t *testing.T) {
 	s := New()
-	if _, _, err := s.Get("none", "k"); !errors.Is(err, ErrNoBucket) {
+	if _, err := s.Get(ctx, "none", "k"); !errors.Is(err, ErrNoBucket) {
 		t.Errorf("missing bucket: %v", err)
 	}
-	s.Put("b", "k", nil, 0)
-	if _, _, err := s.Get("b", "missing"); !errors.Is(err, ErrNoObject) {
+	s.Put(ctx, "b", "k", nil, 0)
+	if _, err := s.Get(ctx, "b", "missing"); !errors.Is(err, ErrNoObject) {
 		t.Errorf("missing key: %v", err)
 	}
-	if err := s.Delete("b", "missing"); !errors.Is(err, ErrNoObject) {
+	if err := s.Delete(ctx, "b", "missing"); !errors.Is(err, ErrNoObject) {
 		t.Errorf("delete missing: %v", err)
 	}
 }
@@ -64,11 +61,11 @@ func TestNameValidation(t *testing.T) {
 		{"b", ""}, {"b", "/abs"}, {"b", "a//b"}, {"b", "a/../b"}, {"b", ".."},
 	}
 	for _, bk := range bad {
-		if _, err := s.Put(bk[0], bk[1], nil, 0); !errors.Is(err, ErrBadName) {
+		if err := s.Put(ctx, bk[0], bk[1], nil, 0); !errors.Is(err, ErrBadName) {
 			t.Errorf("Put(%q,%q) = %v", bk[0], bk[1], err)
 		}
 	}
-	if _, err := s.Put("valid-bucket.1", "nested/path/file.tar.bz2", nil, 0); err != nil {
+	if err := s.Put(ctx, "valid-bucket.1", "nested/path/file.tar.bz2", nil, 0); err != nil {
 		t.Errorf("valid names rejected: %v", err)
 	}
 }
@@ -76,21 +73,21 @@ func TestNameValidation(t *testing.T) {
 func TestTTLExpiryFromLastUse(t *testing.T) {
 	vc := clock.NewVirtual(t0)
 	s := New(WithClock(vc), WithDefaultTTL(30*24*time.Hour)) // 1 month
-	s.Put("uploads", "proj", []byte("data"), 0)
+	s.Put(ctx, "uploads", "proj", []byte("data"), 0)
 
 	// 20 days later a worker downloads it: last-use refreshes.
 	vc.Advance(20 * 24 * time.Hour)
-	if _, _, err := s.Get("uploads", "proj"); err != nil {
+	if _, err := s.Get(ctx, "uploads", "proj"); err != nil {
 		t.Fatal(err)
 	}
 	// 20 more days: only 20 days since last use, still alive.
 	vc.Advance(20 * 24 * time.Hour)
-	if _, _, err := s.Get("uploads", "proj"); err != nil {
+	if _, err := s.Get(ctx, "uploads", "proj"); err != nil {
 		t.Fatalf("object expired %v after last use, want 30-day lifetime", 20*24*time.Hour)
 	}
 	// 31 days of silence: gone.
 	vc.Advance(31 * 24 * time.Hour)
-	if _, _, err := s.Get("uploads", "proj"); !errors.Is(err, ErrNoObject) {
+	if _, err := s.Get(ctx, "uploads", "proj"); !errors.Is(err, ErrNoObject) {
 		t.Fatalf("expired object still served: %v", err)
 	}
 }
@@ -98,37 +95,37 @@ func TestTTLExpiryFromLastUse(t *testing.T) {
 func TestSweep(t *testing.T) {
 	vc := clock.NewVirtual(t0)
 	s := New(WithClock(vc))
-	s.Put("b", "short", []byte("1234"), time.Hour)
-	s.Put("b", "long", []byte("5678"), 100*time.Hour)
-	s.Put("b", "forever", []byte("90"), 0)
+	s.Put(ctx, "b", "short", []byte("1234"), time.Hour)
+	s.Put(ctx, "b", "long", []byte("5678"), 100*time.Hour)
+	s.Put(ctx, "b", "forever", []byte("90"), 0)
 	vc.Advance(2 * time.Hour)
-	if n := s.Sweep(); n != 1 {
+	if n, _ := s.Sweep(ctx); n != 1 {
 		t.Fatalf("Sweep removed %d, want 1", n)
 	}
 	if got := s.Used(); got != 6 {
 		t.Errorf("Used = %d, want 6", got)
 	}
-	if _, _, err := s.Get("b", "forever"); err != nil {
+	if _, err := s.Get(ctx, "b", "forever"); err != nil {
 		t.Error("no-TTL object expired")
 	}
 }
 
 func TestCapacity(t *testing.T) {
 	s := New(WithCapacity(10))
-	if _, err := s.Put("b", "a", make([]byte, 8), 0); err != nil {
+	if err := s.Put(ctx, "b", "a", make([]byte, 8), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Put("b", "b", make([]byte, 3), 0); !errors.Is(err, ErrQuota) {
+	if err := s.Put(ctx, "b", "b", make([]byte, 3), 0); !errors.Is(err, ErrQuota) {
 		t.Fatalf("over capacity: %v", err)
 	}
 	// Overwrite frees the old size first.
-	if _, err := s.Put("b", "a", make([]byte, 10), 0); err != nil {
+	if err := s.Put(ctx, "b", "a", make([]byte, 10), 0); err != nil {
 		t.Fatalf("replace within capacity: %v", err)
 	}
 	if s.Used() != 10 {
 		t.Errorf("Used = %d", s.Used())
 	}
-	s.Delete("b", "a")
+	s.Delete(ctx, "b", "a")
 	if s.Used() != 0 {
 		t.Errorf("Used after delete = %d", s.Used())
 	}
@@ -137,9 +134,9 @@ func TestCapacity(t *testing.T) {
 func TestListPrefixSorted(t *testing.T) {
 	s := New()
 	for _, k := range []string{"teams/z/final", "teams/a/final", "teams/a/dev", "other/x"} {
-		s.Put("uploads", k, []byte("x"), 0)
+		s.Put(ctx, "uploads", k, []byte("x"), 0)
 	}
-	infos, err := s.List("uploads", "teams/")
+	infos, err := s.List(ctx, "uploads", "teams/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,13 +153,13 @@ func TestListPrefixSorted(t *testing.T) {
 
 func TestCreateBucket(t *testing.T) {
 	s := New()
-	if err := s.CreateBucket("uploads"); err != nil {
+	if err := s.CreateBucket(ctx, "uploads"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CreateBucket("uploads"); !errors.Is(err, ErrKeyExists) {
+	if err := s.CreateBucket(ctx, "uploads"); !errors.Is(err, ErrKeyExists) {
 		t.Errorf("duplicate bucket: %v", err)
 	}
-	if got := s.Buckets(); len(got) != 1 || got[0] != "uploads" {
+	if got, _ := s.Buckets(ctx); len(got) != 1 || got[0] != "uploads" {
 		t.Errorf("Buckets = %v", got)
 	}
 }
@@ -170,13 +167,13 @@ func TestCreateBucket(t *testing.T) {
 func TestTouch(t *testing.T) {
 	vc := clock.NewVirtual(t0)
 	s := New(WithClock(vc))
-	s.Put("b", "k", []byte("x"), time.Hour)
+	s.Put(ctx, "b", "k", []byte("x"), time.Hour)
 	vc.Advance(50 * time.Minute)
-	if err := s.Touch("b", "k"); err != nil {
+	if err := s.Touch(ctx, "b", "k"); err != nil {
 		t.Fatal(err)
 	}
 	vc.Advance(50 * time.Minute)
-	if _, err := s.Head("b", "k"); err != nil {
+	if _, err := s.Head(ctx, "b", "k"); err != nil {
 		t.Error("touched object expired early")
 	}
 }
@@ -226,7 +223,7 @@ func TestHTTPTTLHeader(t *testing.T) {
 	if err := c.Put(ctx, "b", "k", []byte("x"), 90*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	info, err := s.Head("b", "k")
+	info, err := s.Head(ctx, "b", "k")
 	if err != nil || info.TTL != 90*time.Second {
 		t.Fatalf("TTL = %v, %v", info.TTL, err)
 	}

@@ -34,7 +34,7 @@ func TestHTTPPutTooLargeAborts(t *testing.T) {
 	if res.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status = %d, want 413", res.StatusCode)
 	}
-	if _, err := s.Head("b", "big"); err == nil {
+	if _, err := s.Head(ctx, "b", "big"); err == nil {
 		t.Error("partial object visible after 413")
 	}
 	if used := s.Used(); used != 0 {
@@ -116,7 +116,7 @@ func TestClientPutReaderRewindsOnRetry(t *testing.T) {
 	if ft.Attempts() != 3 {
 		t.Errorf("attempts = %d, want 3", ft.Attempts())
 	}
-	got, _, err := s.Get("b", "k")
+	got, err := s.Get(ctx, "b", "k")
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("stored content = %q, %v", got, err)
 	}
@@ -153,7 +153,7 @@ func TestClientGetReaderStreams(t *testing.T) {
 	c := NewClient(srv.URL, WithClientPolicy(retryPolicy()))
 
 	payload := bytes.Repeat([]byte("z"), 4096)
-	if _, err := s.Put("b", "k", payload, 0); err != nil {
+	if err := s.Put(ctx, "b", "k", payload, 0); err != nil {
 		t.Fatal(err)
 	}
 	rc, size, err := c.GetReader(ctx, "b", "k")

@@ -5,6 +5,7 @@
 package ranking
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -48,8 +49,8 @@ type row struct {
 }
 
 // load reads all qualifying rows sorted by runtime.
-func (l *Leaderboard) load() ([]row, error) {
-	docs, err := l.DB.Find(Collection, docstore.M{}, docstore.FindOpts{Sort: []string{"runtime_s", "team"}})
+func (l *Leaderboard) load(ctx context.Context) ([]row, error) {
+	docs, err := l.DB.Find(ctx, Collection, docstore.M{}, docstore.FindOpts{Sort: []string{"runtime_s", "team"}})
 	if err != nil {
 		return nil, err
 	}
@@ -71,8 +72,8 @@ func (l *Leaderboard) load() ([]row, error) {
 // anonymized ("students could also see other teams' anonymized
 // runtimes", §VI). An empty viewerTeam renders the instructor view with
 // real names.
-func (l *Leaderboard) View(viewerTeam string) ([]Entry, error) {
-	rows, err := l.load()
+func (l *Leaderboard) View(ctx context.Context, viewerTeam string) ([]Entry, error) {
+	rows, err := l.load(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -98,8 +99,8 @@ func (l *Leaderboard) View(viewerTeam string) ([]Entry, error) {
 }
 
 // RankOf returns viewerTeam's rank (1-based) and total ranked teams.
-func (l *Leaderboard) RankOf(team string) (rank, total int, err error) {
-	rows, err := l.load()
+func (l *Leaderboard) RankOf(ctx context.Context, team string) (rank, total int, err error) {
+	rows, err := l.load(ctx)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -141,8 +142,8 @@ type HistogramBin struct {
 
 // Histogram bins the top-N team runtimes into width-second quanta
 // ("Each bin in the histogram is 0.1 second interval", Figure 2).
-func (l *Leaderboard) Histogram(topN int, width float64) ([]HistogramBin, error) {
-	rows, err := l.load()
+func (l *Leaderboard) Histogram(ctx context.Context, topN int, width float64) ([]HistogramBin, error) {
+	rows, err := l.load(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -186,8 +187,8 @@ func FormatHistogram(bins []HistogramBin) string {
 // grading step 2: "recomputing the ranking"). It returns the instructor
 // view after sorting; since ranking is derived at read time from
 // runtime_s, this is a verification read that also detects ties.
-func (l *Leaderboard) Recompute() ([]Entry, error) {
-	entries, err := l.View("")
+func (l *Leaderboard) Recompute(ctx context.Context) ([]Entry, error) {
+	entries, err := l.View(ctx, "")
 	if err != nil {
 		return nil, err
 	}

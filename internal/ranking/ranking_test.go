@@ -1,8 +1,11 @@
 package ranking
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -14,7 +17,7 @@ func seed(t *testing.T, rows []docstore.M) *Leaderboard {
 	t.Helper()
 	db := docstore.New()
 	for _, r := range rows {
-		if _, err := db.Insert(Collection, r); err != nil {
+		if _, err := db.Insert(context.Background(), Collection, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -32,7 +35,7 @@ func classOf4(t *testing.T) *Leaderboard {
 
 func TestInstructorViewSortedRealNames(t *testing.T) {
 	lb := classOf4(t)
-	entries, err := lb.View("")
+	entries, err := lb.View(context.Background(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +49,7 @@ func TestInstructorViewSortedRealNames(t *testing.T) {
 
 func TestStudentViewAnonymized(t *testing.T) {
 	lb := classOf4(t)
-	entries, err := lb.View("mamba")
+	entries, err := lb.View(context.Background(), "mamba")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +68,11 @@ func TestStudentViewAnonymized(t *testing.T) {
 
 func TestRankOf(t *testing.T) {
 	lb := classOf4(t)
-	rank, total, err := lb.RankOf("cobra")
+	rank, total, err := lb.RankOf(context.Background(), "cobra")
 	if err != nil || rank != 2 || total != 4 {
 		t.Fatalf("RankOf = %d/%d, %v", rank, total, err)
 	}
-	if _, _, err := lb.RankOf("ghost"); !errors.Is(err, ErrNoSubmission) {
+	if _, _, err := lb.RankOf(context.Background(), "ghost"); !errors.Is(err, ErrNoSubmission) {
 		t.Fatalf("missing team: %v", err)
 	}
 }
@@ -77,7 +80,7 @@ func TestRankOf(t *testing.T) {
 func TestMinAccuracyFilter(t *testing.T) {
 	lb := classOf4(t)
 	lb.MinAccuracy = 0.96
-	entries, err := lb.View("")
+	entries, err := lb.View(context.Background(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +107,7 @@ func TestHistogramPaperBins(t *testing.T) {
 		docstore.M{"team": "t-slow", "runtime_s": 120.0, "accuracy": 1.0},
 	)
 	lb := seed(t, rows)
-	bins, err := lb.Histogram(30, 0.1)
+	bins, err := lb.Histogram(context.Background(), 30, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +140,7 @@ func TestHistogramTopNOnly(t *testing.T) {
 		rows = append(rows, docstore.M{"team": fmt.Sprintf("team%02d", i), "runtime_s": 0.4 + float64(i)*0.1, "accuracy": 1.0})
 	}
 	lb := seed(t, rows)
-	bins, err := lb.Histogram(30, 0.1)
+	bins, err := lb.Histogram(context.Background(), 30, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +155,7 @@ func TestHistogramTopNOnly(t *testing.T) {
 
 func TestHistogramEmpty(t *testing.T) {
 	lb := seed(t, nil)
-	bins, err := lb.Histogram(30, 0.1)
+	bins, err := lb.Histogram(context.Background(), 30, 0.1)
 	if err != nil || bins != nil {
 		t.Fatalf("empty = %v, %v", bins, err)
 	}
@@ -177,17 +180,49 @@ func TestFormatRuntime(t *testing.T) {
 
 func TestRecomputeInvariant(t *testing.T) {
 	lb := classOf4(t)
-	if _, err := lb.Recompute(); err != nil {
+	if _, err := lb.Recompute(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// After a rerun updates a timing (overwrite semantics), recompute
 	// reflects the new order.
-	lb.DB.Update(Collection, docstore.M{"team": "viper"}, docstore.M{"$set": docstore.M{"runtime_s": 0.30}})
-	entries, err := lb.Recompute()
+	lb.DB.Update(context.Background(), Collection, docstore.M{"team": "viper"}, docstore.M{"$set": docstore.M{"runtime_s": 0.30}})
+	entries, err := lb.Recompute(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if entries[0].Team != "viper" {
 		t.Fatalf("recomputed head = %+v", entries[0])
+	}
+}
+
+// TestViewHonorsCancellation: Ctrl-C in `rai ranking` reaches the
+// database call — a View stuck on a server that never answers returns
+// context.Canceled as soon as its ctx is cancelled.
+func TestViewHonorsCancellation(t *testing.T) {
+	hung := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-hung:
+		}
+	}))
+	defer srv.Close()
+	defer close(hung)
+	lb := &Leaderboard{DB: docstore.NewClient(srv.URL)}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := lb.View(ctx, "")
+		done <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let the request reach the server
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("View = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("View outlived its cancelled ctx")
 	}
 }

@@ -105,7 +105,7 @@ func NewDeployment(cfg DeployConfig) (*Deployment, error) {
 	d.Broker.ExportQueueDepth(core.TasksTopic, core.TasksChannel)
 	d.Auth.SetClock(vc.Now)
 	d.Queue = core.BrokerQueue{B: d.Broker}
-	d.Objects = core.LocalObjects{S: d.Store}
+	d.Objects = d.Store
 
 	// Course data volume: model plus the small and full datasets.
 	d.Network = cnn.NewNetwork(cfg.Seed)

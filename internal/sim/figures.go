@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -70,7 +71,7 @@ type Figure2Result struct {
 
 // Figure2 replays every final submission (overwrite semantics: the last
 // one per team counts) and bins the top-30 runtimes into 0.1 s quanta.
-func Figure2(course *workload.Course) (*Figure2Result, error) {
+func Figure2(ctx context.Context, course *workload.Course) (*Figure2Result, error) {
 	replay, err := RunQueueSim(QueueSimConfig{
 		Course:           course,
 		Policy:           scaling.FixedPolicy{N: 30},
@@ -86,16 +87,16 @@ func Figure2(course *workload.Course) (*Figure2Result, error) {
 		if j.Kind != "submit" || j.Failed {
 			continue
 		}
-		_, _ = db.Upsert(ranking.Collection, docstore.M{"team": j.Team}, docstore.M{"$set": docstore.M{
+		_, _ = db.Upsert(ctx, ranking.Collection, docstore.M{"team": j.Team}, docstore.M{"$set": docstore.M{
 			"runtime_s": j.RuntimeS, "accuracy": 1.0,
 		}})
 	}
 	lb := &ranking.Leaderboard{DB: db}
-	bins, err := lb.Histogram(30, 0.1)
+	bins, err := lb.Histogram(ctx, 30, 0.1)
 	if err != nil {
 		return nil, err
 	}
-	entries, err := lb.View("")
+	entries, err := lb.View(ctx, "")
 	if err != nil {
 		return nil, err
 	}

@@ -89,7 +89,7 @@ func TestDeploymentRunsSmallCourse(t *testing.T) {
 		t.Error("no submission failed despite injected bugs")
 	}
 	// Every team that submitted a final lands on the leaderboard.
-	n, err := d.DB.Count(core.CollRankings, docstore.M{})
+	n, err := d.DB.Count(context.Background(), core.CollRankings, docstore.M{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestQueueSimFullCourse(t *testing.T) {
 }
 
 func TestFigure2Shape(t *testing.T) {
-	res, err := Figure2(fall2016)
+	res, err := Figure2(context.Background(), fall2016)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,11 +271,11 @@ func TestResourceUsagePhases(t *testing.T) {
 func TestFiguresDeterministic(t *testing.T) {
 	courseA := workload.Generate(workload.Fall2016())
 	courseB := workload.Generate(workload.Fall2016())
-	f2a, err := Figure2(courseA)
+	f2a, err := Figure2(context.Background(), courseA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2b, err := Figure2(courseB)
+	f2b, err := Figure2(context.Background(), courseB)
 	if err != nil {
 		t.Fatal(err)
 	}
