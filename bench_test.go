@@ -38,6 +38,8 @@ import (
 )
 
 // course is the fall 2016 term, generated once (deterministic).
+var bg = context.Background()
+
 var (
 	courseOnce sync.Once
 	courseVal  *workload.Course
@@ -339,16 +341,16 @@ func BenchmarkEphemeralTopicChurn(b *testing.B) {
 	defer q.Close()
 	for i := 0; i < b.N; i++ {
 		topic := core.LogTopic(fmt.Sprintf("job%d", i))
-		sub, err := q.Subscribe(topic, core.LogChannel, 16)
+		sub, err := q.Subscribe(bg, topic, core.LogChannel, 16)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for k := 0; k < 10; k++ {
-			q.Publish(topic, []byte("line of build output"))
+			q.Publish(bg, topic, []byte("line of build output"))
 		}
 		for k := 0; k < 10; k++ {
 			m := <-sub.C()
-			sub.Ack(m)
+			sub.Ack(bg, m)
 		}
 		sub.Close()
 		if q.HasTopic(topic) {
@@ -363,7 +365,7 @@ func BenchmarkEphemeralTopicChurn(b *testing.B) {
 func BenchmarkBrokerThroughput(b *testing.B) {
 	q := broker.New()
 	defer q.Close()
-	sub, err := q.Subscribe("rai", "tasks", 64)
+	sub, err := q.Subscribe(bg, "rai", "tasks", 64)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -371,11 +373,11 @@ func BenchmarkBrokerThroughput(b *testing.B) {
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := q.Publish("rai", payload); err != nil {
+		if _, err := q.Publish(bg, "rai", payload); err != nil {
 			b.Fatal(err)
 		}
 		m := <-sub.C()
-		sub.Ack(m)
+		sub.Ack(bg, m)
 	}
 }
 
@@ -383,9 +385,9 @@ func BenchmarkBrokerThroughput(b *testing.B) {
 func BenchmarkBrokerFanout(b *testing.B) {
 	q := broker.New()
 	defer q.Close()
-	var subs []*broker.Subscription
+	var subs []broker.Consumer
 	for i := 0; i < 8; i++ {
-		sub, err := q.Subscribe("events", fmt.Sprintf("ch%d", i), 64)
+		sub, err := q.Subscribe(bg, "events", fmt.Sprintf("ch%d", i), 64)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -393,10 +395,10 @@ func BenchmarkBrokerFanout(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.Publish("events", []byte("evt"))
+		q.Publish(bg, "events", []byte("evt"))
 		for _, sub := range subs {
 			m := <-sub.C()
-			sub.Ack(m)
+			sub.Ack(bg, m)
 		}
 	}
 }
@@ -415,18 +417,18 @@ func BenchmarkBrokerParallelMultiTopic(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		topic := fmt.Sprintf("bench.shard%d", nextTopic.Add(1))
-		sub, err := q.Subscribe(topic, "tasks", 64)
+		sub, err := q.Subscribe(bg, topic, "tasks", 64)
 		if err != nil {
 			b.Error(err)
 			return
 		}
 		for pb.Next() {
-			if _, err := q.Publish(topic, payload); err != nil {
+			if _, err := q.Publish(bg, topic, payload); err != nil {
 				b.Error(err)
 				return
 			}
 			m := <-sub.C()
-			sub.Ack(m)
+			sub.Ack(bg, m)
 		}
 	})
 }

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"rai/internal/auth"
+	"rai/internal/broker"
 	"rai/internal/brokerd"
 	"rai/internal/build"
 	"rai/internal/cas"
@@ -118,12 +119,6 @@ type rpcConfig struct {
 	policy netx.Policy
 }
 
-func (r rpcConfig) queue(ctx context.Context, addr string) (*core.RemoteQueue, error) {
-	return core.NewRemoteQueue(ctx, addr,
-		core.WithQueuePolicy(r.policy),
-		core.WithQueueDialTimeout(r.dial))
-}
-
 func (r rpcConfig) objects(baseURL string) *objstore.Client {
 	return objstore.NewClient(baseURL, objstore.WithClientPolicy(r.policy))
 }
@@ -135,7 +130,7 @@ func (r rpcConfig) objects(baseURL string) *objstore.Client {
 // The CLI is the trace root: when sampleRate < 1 the returned sampler
 // decides keep/drop here, and the verdict rides the job envelope so
 // every downstream service agrees without coordination.
-func observe(ctx context.Context, queue core.Queue, sampleRate float64) (*telemetry.Tracer, *telemetry.Sampler, *telemetry.Logger, func()) {
+func observe(ctx context.Context, queue broker.Queue, sampleRate float64) (*telemetry.Tracer, *telemetry.Sampler, *telemetry.Logger, func()) {
 	exp := telemetry.NewExporter(ctx, "rai", core.ShipTelemetry(queue))
 	var sampler *telemetry.Sampler
 	if sampleRate < 1 {
@@ -156,7 +151,7 @@ func session(ctx context.Context, creds auth.Credentials, dir, brokerAddr, fsURL
 		fmt.Fprintf(stderr, "rai: hashing project tree: %v\n", err)
 		return 1
 	}
-	queue, err := rpc.queue(ctx, brokerAddr)
+	queue, err := brokerd.NewQueue(ctx, brokerAddr, rpc.policy, rpc.dial)
 	if err != nil {
 		fmt.Fprintf(stderr, "rai: connecting to broker: %v\n", err)
 		return 1
@@ -173,7 +168,7 @@ func session(ctx context.Context, creds auth.Credentials, dir, brokerAddr, fsURL
 		Sampler: sampler,
 		Log:     logger,
 	}
-	sess, err := client.OpenSessionContext(ctx, m, src)
+	sess, err := client.OpenSession(ctx, m, src)
 	if err != nil {
 		fmt.Fprintf(stderr, "rai: opening session: %v\n", err)
 		return 1
@@ -245,7 +240,7 @@ func submit(ctx context.Context, cmd string, creds auth.Credentials, dir, broker
 		}
 	}
 
-	queue, err := rpc.queue(ctx, brokerAddr)
+	queue, err := brokerd.NewQueue(ctx, brokerAddr, rpc.policy, rpc.dial)
 	if err != nil {
 		fmt.Fprintf(stderr, "rai: connecting to broker: %v\n", err)
 		return 1
@@ -271,7 +266,7 @@ func submit(ctx context.Context, cmd string, creds auth.Credentials, dir, broker
 		fmt.Fprintf(stderr, "rai: hashing project tree: %v\n", err)
 		return 1
 	}
-	res, err := client.SubmitContext(ctx, kind, spec, m, src)
+	res, err := client.Submit(ctx, kind, spec, m, src)
 	if res != nil && res.Transfer != nil {
 		t := res.Transfer
 		if t.SentBytes < t.TotalBytes {

@@ -18,6 +18,7 @@ import (
 	"rai/internal/cnn"
 	"rai/internal/core"
 	"rai/internal/docstore"
+	"rai/internal/netx"
 	"rai/internal/objstore"
 	"rai/internal/project"
 	"rai/internal/registry"
@@ -29,7 +30,7 @@ import (
 func services(t *testing.T) (brokerAddr, fsURL, dbURL string, creds auth.Credentials) {
 	t.Helper()
 	b := broker.New()
-	brokerSrv, err := brokerd.NewServer(b, "127.0.0.1:0")
+	brokerSrv, err := brokerd.NewServer(context.Background(), b, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func services(t *testing.T) (brokerAddr, fsURL, dbURL string, creds auth.Credent
 	blob, _ = full.Encode()
 	dataFS.WriteFile("/data/testfull.hdf5", blob)
 
-	queue, err := core.NewRemoteQueue(context.Background(), brokerSrv.Addr())
+	queue, err := brokerd.NewQueue(context.Background(), brokerSrv.Addr(), netx.Policy{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func services(t *testing.T) (brokerAddr, fsURL, dbURL string, creds auth.Credent
 		DataFS:   dataFS,
 		DataPath: "/data",
 	}
-	go w.RunContext(context.Background())
+	go w.Run(context.Background())
 	t.Cleanup(w.Stop)
 
 	return brokerSrv.Addr(), "http://" + fsLn.Addr().String(), "http://" + dbLn.Addr().String(), creds

@@ -15,6 +15,7 @@ import (
 	"rai/internal/cnn"
 	"rai/internal/core"
 	"rai/internal/docstore"
+	"rai/internal/netx"
 	"rai/internal/objstore"
 	"rai/internal/project"
 	"rai/internal/registry"
@@ -25,7 +26,7 @@ import (
 func sessionServices(t *testing.T) (brokerAddr, fsURL string, creds auth.Credentials) {
 	t.Helper()
 	b := broker.New()
-	brokerSrv, err := brokerd.NewServer(b, "127.0.0.1:0")
+	brokerSrv, err := brokerd.NewServer(context.Background(), b, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func sessionServices(t *testing.T) (brokerAddr, fsURL string, creds auth.Credent
 	blob, _ := ds.Encode()
 	dataFS.WriteFile("/data/test10.hdf5", blob)
 
-	queue, err := core.NewRemoteQueue(context.Background(), brokerSrv.Addr())
+	queue, err := brokerd.NewQueue(context.Background(), brokerSrv.Addr(), netx.Policy{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func sessionServices(t *testing.T) (brokerAddr, fsURL string, creds auth.Credent
 		DataFS:   dataFS,
 		DataPath: "/data",
 	}
-	go w.RunContext(context.Background())
+	go w.Run(context.Background())
 	t.Cleanup(w.Stop)
 	return brokerSrv.Addr(), "http://" + fsLn.Addr().String(), creds
 }

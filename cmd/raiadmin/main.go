@@ -35,6 +35,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"rai/internal/brokerd"
 	"rai/internal/clock"
 	"sort"
 	"strconv"
@@ -46,6 +47,7 @@ import (
 	"rai/internal/core"
 	"rai/internal/docstore"
 	"rai/internal/grading"
+	"rai/internal/netx"
 	"rai/internal/objstore"
 	"rai/internal/ranking"
 	"rai/internal/stats"
@@ -362,7 +364,7 @@ func rerun(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "raiadmin rerun: %v\n", err)
 		return 1
 	}
-	queue, err := core.NewRemoteQueue(ctx, *brokerAddr)
+	queue, err := brokerd.NewQueue(ctx, *brokerAddr, netx.Policy{}, 0)
 	if err != nil {
 		fmt.Fprintf(stderr, "raiadmin rerun: %v\n", err)
 		return 1

@@ -18,6 +18,7 @@ import (
 	"rai/internal/cnn"
 	"rai/internal/core"
 	"rai/internal/docstore"
+	"rai/internal/netx"
 	"rai/internal/objstore"
 	"rai/internal/project"
 	"rai/internal/registry"
@@ -104,7 +105,7 @@ func TestUnknownCommand(t *testing.T) {
 func adminServices(t *testing.T) (brokerAddr, fsURL, dbURL, keysPath string) {
 	t.Helper()
 	b := broker.New()
-	brokerSrv, err := brokerd.NewServer(b, "127.0.0.1:0")
+	brokerSrv, err := brokerd.NewServer(context.Background(), b, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func adminServices(t *testing.T) (brokerAddr, fsURL, dbURL, keysPath string) {
 
 	fsURL = "http://" + fsLn.Addr().String()
 	dbURL = "http://" + dbLn.Addr().String()
-	queue, err := core.NewRemoteQueue(context.Background(), brokerSrv.Addr())
+	queue, err := brokerd.NewQueue(context.Background(), brokerSrv.Addr(), netx.Policy{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func adminServices(t *testing.T) (brokerAddr, fsURL, dbURL, keysPath string) {
 		DataFS:   dataFS,
 		DataPath: "/data",
 	}
-	go w.RunContext(context.Background())
+	go w.Run(context.Background())
 	t.Cleanup(w.Stop)
 
 	// Two final submissions through the real client path.
@@ -178,7 +179,7 @@ func adminServices(t *testing.T) (brokerAddr, fsURL, dbURL, keysPath string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		clientQueue, err := core.NewRemoteQueue(context.Background(), brokerSrv.Addr())
+		clientQueue, err := brokerd.NewQueue(context.Background(), brokerSrv.Addr(), netx.Policy{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +188,7 @@ func adminServices(t *testing.T) (brokerAddr, fsURL, dbURL, keysPath string) {
 			Objects: objstore.NewClient(fsURL),
 			LogWait: time.Minute,
 		}
-		res, err := client.SubmitContext(context.Background(), core.KindSubmit, nil, m, src)
+		res, err := client.Submit(context.Background(), core.KindSubmit, nil, m, src)
 		clientQueue.Close()
 		if err != nil || res.Status != core.StatusSucceeded {
 			t.Fatalf("seeding submission for %s: %v %+v", c.UserName, err, res)

@@ -12,6 +12,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"rai/internal/brokerd"
 	"rai/internal/clock"
 	"strings"
 	"syscall"
@@ -20,6 +21,7 @@ import (
 	"rai/internal/collector"
 	"rai/internal/core"
 	"rai/internal/docstore"
+	"rai/internal/netx"
 	"rai/internal/readyfile"
 	"rai/internal/telemetry"
 )
@@ -47,7 +49,7 @@ func collect(args []string, stdout, stderr io.Writer, quit <-chan struct{}) int 
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	queue, err := core.NewRemoteQueue(context.Background(), *brokerAddr)
+	queue, err := brokerd.NewQueue(context.Background(), *brokerAddr, netx.Policy{}, 0)
 	if err != nil {
 		fmt.Fprintf(stderr, "raiadmin collect: %v\n", err)
 		return 1

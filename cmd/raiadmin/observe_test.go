@@ -140,7 +140,7 @@ func TestLogsWatchFallback(t *testing.T) {
 func TestCollectExportsSLOGauges(t *testing.T) {
 	b := broker.New()
 	defer b.Close()
-	brokerSrv, err := brokerd.NewServer(b, "127.0.0.1:0")
+	brokerSrv, err := brokerd.NewServer(context.Background(), b, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

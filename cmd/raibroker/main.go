@@ -65,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, quit <-ch
 	if reg != nil {
 		b.ExportQueueDepth(core.TasksTopic, core.TasksChannel)
 	}
-	srv, err := brokerd.NewServer(b, *addr, sopts...)
+	srv, err := brokerd.NewServer(context.Background(), b, *addr, sopts...)
 	if err != nil {
 		fmt.Fprintf(stderr, "raibroker: %v\n", err)
 		return 1
@@ -92,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, quit <-ch
 		fmt.Fprintf(stdout, "raibroker metrics on http://%s/metrics\n", maddr)
 		// The broker ships its own telemetry into its own engine — the
 		// collector subscribes over TCP like any other consumer.
-		exp = telemetry.NewExporter(context.Background(), "raibroker", core.ShipTelemetry(core.BrokerQueue{B: b}),
+		exp = telemetry.NewExporter(context.Background(), "raibroker", core.ShipTelemetry(b),
 			telemetry.WithExportMetrics(reg))
 		defer exp.Close()
 		logger := telemetry.NewLogger("raibroker",

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"rai/internal/brokerd"
+	"rai/internal/netx"
 )
 
 func TestDaemonServesAndShutsDown(t *testing.T) {
@@ -23,19 +24,16 @@ func TestDaemonServesAndShutsDown(t *testing.T) {
 	}
 	// A real client can publish and subscribe through the daemon.
 	ctx := context.Background()
-	pub, err := brokerd.DialContext(ctx, addr)
+	pub, err := brokerd.NewQueue(ctx, addr, netx.Policy{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pub.Close()
-	sub, err := brokerd.DialContext(ctx, addr)
+	sub, err := pub.Subscribe(ctx, "rai", "tasks", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	if err := sub.Subscribe(ctx, "rai", "tasks", 1); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := pub.Publish(ctx, "rai", []byte("job")); err != nil {
 		t.Fatal(err)
 	}

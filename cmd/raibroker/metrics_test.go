@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"rai/internal/brokerd"
+	"rai/internal/netx"
 )
 
 var metricsLine = regexp.MustCompile(`metrics on (http://[^/\s]+/metrics)`)
@@ -59,7 +60,7 @@ func TestMetricsAddrExposesBrokerTelemetry(t *testing.T) {
 		t.Fatalf("daemon never ready: %s", errb.String())
 	}
 
-	c, err := brokerd.DialContext(context.Background(), addr)
+	c, err := brokerd.NewQueue(context.Background(), addr, netx.Policy{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

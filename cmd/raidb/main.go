@@ -21,8 +21,10 @@ import (
 	"syscall"
 	"time"
 
+	"rai/internal/brokerd"
 	"rai/internal/core"
 	"rai/internal/docstore"
+	"rai/internal/netx"
 	"rai/internal/readyfile"
 	"rai/internal/telemetry"
 )
@@ -78,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, quit <-ch
 	// With a broker configured, finished spans (including the child spans
 	// opened for traced requests) and log events ship to the collector.
 	if *brokerAddr != "" {
-		queue, err := core.NewRemoteQueue(context.Background(), *brokerAddr)
+		queue, err := brokerd.NewQueue(context.Background(), *brokerAddr, netx.Policy{}, 0)
 		if err != nil {
 			fmt.Fprintf(stderr, "raidb: broker: %v\n", err)
 			return 1

@@ -21,6 +21,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"rai/internal/brokerd"
 	"rai/internal/clock"
 	"syscall"
 	"time"
@@ -29,6 +30,7 @@ import (
 	"rai/internal/blobstore"
 	"rai/internal/cas"
 	"rai/internal/core"
+	"rai/internal/netx"
 	"rai/internal/objstore"
 	"rai/internal/readyfile"
 	"rai/internal/telemetry"
@@ -131,7 +133,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, quit <-ch
 	// With a broker configured, finished spans (including the child spans
 	// opened for traced requests) and log events ship to the collector.
 	if *brokerAddr != "" {
-		queue, err := core.NewRemoteQueue(context.Background(), *brokerAddr)
+		queue, err := brokerd.NewQueue(context.Background(), *brokerAddr, netx.Policy{}, 0)
 		if err != nil {
 			fmt.Fprintf(stderr, "raifs: broker: %v\n", err)
 			return 1

@@ -309,7 +309,7 @@ func submitRaw(d *sim.Deployment, c *core.Client, spec *build.Spec, proj project
 	ctx := context.Background()
 	done := make(chan out, 1)
 	go func() {
-		res, err := c.SubmitContext(ctx, core.KindRun, spec, m, src)
+		res, err := c.Submit(ctx, core.KindRun, spec, m, src)
 		done <- out{res, err}
 	}()
 	if _, err := d.Workers()[0].HandleOne(ctx, 10*time.Second); err != nil {

@@ -100,10 +100,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- struct{}, quit <-
 	fsPolicy.Metrics = netx.NewMetrics(telReg, "objstore")
 	dbPolicy := policy
 	dbPolicy.Metrics = netx.NewMetrics(telReg, "docstore")
-	queue, err := core.NewRemoteQueue(context.Background(), *brokerAddr,
-		core.WithQueuePolicy(queuePolicy),
-		core.WithQueueMetrics(queuePolicy.Metrics),
-		core.WithQueueDialTimeout(*dialTimeout))
+	queue, err := brokerd.NewQueue(context.Background(), *brokerAddr, queuePolicy, *dialTimeout)
 	if err != nil {
 		fmt.Fprintf(stderr, "raiworker: connecting to broker: %v\n", err)
 		return 1
@@ -178,13 +175,13 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- struct{}, quit <-
 	fmt.Fprintf(stdout, "raiworker %s accepting jobs (concurrency %d)\n", *id, *concurrency)
 	// Graceful shutdown: canceling runCtx closes the subscription (the
 	// broker requeues undelivered jobs for other workers) while jobs
-	// already executing drain to completion inside RunContext.
+	// already executing drain to completion inside Run.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	done := make(chan error, 1)
-	go func() { done <- w.RunContext(runCtx) }()
+	go func() { done <- w.Run(runCtx) }()
 	if *readyPath != "" {
 		info := readyfile.Info{Service: "raiworker", PID: os.Getpid(), MetricsAddr: metricsBound}
 		if err := readyfile.Write(*readyPath, info); err != nil {

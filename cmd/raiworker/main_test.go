@@ -18,6 +18,7 @@ import (
 	"rai/internal/cnn"
 	"rai/internal/core"
 	"rai/internal/docstore"
+	"rai/internal/netx"
 	"rai/internal/objstore"
 	"rai/internal/project"
 	"rai/internal/sim"
@@ -26,7 +27,7 @@ import (
 func TestWorkerDaemonProcessesJobs(t *testing.T) {
 	// Services on loopback.
 	b := broker.New()
-	brokerSrv, err := brokerd.NewServer(b, "127.0.0.1:0")
+	brokerSrv, err := brokerd.NewServer(context.Background(), b, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestWorkerDaemonProcessesJobs(t *testing.T) {
 	}
 
 	// A client submits through the daemon.
-	queue, err := core.NewRemoteQueue(context.Background(), brokerSrv.Addr())
+	queue, err := brokerd.NewQueue(context.Background(), brokerSrv.Addr(), netx.Policy{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestWorkerDaemonProcessesJobs(t *testing.T) {
 		Objects: objstore.NewClient("http://" + fsLn.Addr().String()),
 		LogWait: time.Minute,
 	}
-	res, err := client.SubmitContext(context.Background(), core.KindRun, nil, m, src)
+	res, err := client.Submit(context.Background(), core.KindRun, nil, m, src)
 	if err != nil {
 		t.Fatalf("submit through daemon: %v", err)
 	}

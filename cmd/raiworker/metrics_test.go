@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net"
@@ -24,7 +25,7 @@ var metricsLine = regexp.MustCompile(`metrics on (http://[^/\s]+/metrics)`)
 
 func TestMetricsAddrExposesWorkerTelemetry(t *testing.T) {
 	b := broker.New()
-	brokerSrv, err := brokerd.NewServer(b, "127.0.0.1:0")
+	brokerSrv, err := brokerd.NewServer(context.Background(), b, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -71,7 +72,8 @@ func liveAutoscaler(start time.Time) {
 	b := broker.New(broker.WithClock(vc), broker.WithTelemetry(reg))
 	defer b.Close()
 	b.ExportQueueDepth(core.TasksTopic, core.TasksChannel)
-	sub, err := b.Subscribe(core.TasksTopic, core.TasksChannel, 1)
+	ctx := context.Background()
+	sub, err := b.Subscribe(ctx, core.TasksTopic, core.TasksChannel, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -93,7 +95,7 @@ func liveAutoscaler(start time.Time) {
 	fmt.Println("minute  arrivals  queue  workers  desired  decision")
 	for minute, arrivals := range []int{2, 10, 40, 40, 20, 5, 0, 0, 0, 0} {
 		for i := 0; i < arrivals; i++ {
-			if _, err := b.Publish(core.TasksTopic, []byte("job")); err != nil {
+			if _, err := b.Publish(ctx, core.TasksTopic, []byte("job")); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -101,7 +103,7 @@ func liveAutoscaler(start time.Time) {
 		for drained := 0; drained < fleet; drained++ {
 			select {
 			case m := <-sub.C():
-				_ = sub.Ack(m)
+				_ = sub.Ack(ctx, m)
 				jobSecs.Observe(60)
 			default:
 				drained = fleet

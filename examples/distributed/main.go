@@ -22,6 +22,7 @@ import (
 	"rai/internal/cnn"
 	"rai/internal/core"
 	"rai/internal/docstore"
+	"rai/internal/netx"
 	"rai/internal/objstore"
 	"rai/internal/project"
 	"rai/internal/registry"
@@ -33,7 +34,7 @@ func main() {
 	ctx := context.Background()
 	// --- services, each on its own loopback listener ---
 	b := broker.New()
-	brokerSrv, err := brokerd.NewServer(b, "127.0.0.1:0")
+	brokerSrv, err := brokerd.NewServer(ctx, b, "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func main() {
 	}
 
 	// --- a worker connecting over the network ---
-	workerQueue, err := core.NewRemoteQueue(ctx, brokerSrv.Addr())
+	workerQueue, err := brokerd.NewQueue(ctx, brokerSrv.Addr(), netx.Policy{}, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -86,12 +87,12 @@ func main() {
 		DataFS:   dataFS,
 		DataPath: "/data",
 	}
-	go func() { _ = worker.RunContext(ctx) }()
+	go func() { _ = worker.Run(ctx) }()
 	defer worker.Stop()
 	fmt.Println("worker   : remote-worker subscribed to rai/tasks")
 
 	// --- the student client, also over the network ---
-	clientQueue, err := core.NewRemoteQueue(ctx, brokerSrv.Addr())
+	clientQueue, err := brokerd.NewQueue(ctx, brokerSrv.Addr(), netx.Policy{}, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("\n== streaming job output over TCP ==")
-	res, err := client.SubmitContext(ctx, core.KindRun, nil, m, src)
+	res, err := client.Submit(ctx, core.KindRun, nil, m, src)
 	if err != nil {
 		log.Fatal(err)
 	}

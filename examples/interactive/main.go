@@ -33,7 +33,7 @@ func main() {
 	worker := deployment.Workers()[0]
 	worker.Cfg.AllowSessions = true
 	worker.Cfg.SessionIdleTimeout = time.Hour
-	go func() { _ = worker.RunContext(ctx) }()
+	go func() { _ = worker.Run(ctx) }()
 	defer worker.Stop()
 
 	client, err := deployment.NewClient("debug-team", os.Stdout)
@@ -46,7 +46,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	session, err := client.OpenSessionContext(ctx, m, src)
+	session, err := client.OpenSession(ctx, m, src)
 	if err != nil {
 		log.Fatal(err)
 	}

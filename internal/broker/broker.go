@@ -24,6 +24,7 @@
 package broker
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -45,17 +46,16 @@ var (
 	ErrTopicMissing = errors.New("broker: no such topic")
 )
 
-// Message is a queued unit of work or log output.
+// Message is a queued unit of work or log output. The one a consumer
+// receives is a value bound to that delivery attempt: the queue keeps
+// its own record, so a later redelivery never changes it.
 type Message struct {
 	ID        uint64
+	Topic     string
 	Body      []byte
 	Timestamp time.Time
-	Attempts  int
-	topic     string
+	Attempts  int // deliveries so far, this one included
 }
-
-// Topic returns the topic the message was published to.
-func (m *Message) Topic() string { return m.topic }
 
 // Broker routes messages between topics, channels, and subscriptions.
 type Broker struct {
@@ -276,8 +276,13 @@ func (b *Broker) lockLiveTopic(name string) (*topic, error) {
 }
 
 // Publish enqueues body on the named topic, fanning it out to every
-// existing channel (or to the topic backlog when none exists yet).
-func (b *Broker) Publish(topicName string, body []byte) (uint64, error) {
+// existing channel (or to the topic backlog when none exists yet), and
+// returns the id the broker assigned. The engine is in memory, so ctx
+// only gates entry — there is no I/O to cancel.
+func (b *Broker) Publish(ctx context.Context, topicName string, body []byte) (uint64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
 	if !validName(topicName) {
 		return 0, fmt.Errorf("%w: topic %q", ErrBadName, topicName)
 	}
@@ -290,7 +295,7 @@ func (b *Broker) Publish(topicName string, body []byte) (uint64, error) {
 	// One copy of the caller's buffer; every channel's Message shares it
 	// (only Attempts tracking is per channel, so the struct is copied,
 	// never the body).
-	msg := &Message{ID: b.nextID.Add(1), Body: append([]byte(nil), body...), Timestamp: b.clk.Now(), topic: topicName}
+	msg := &Message{ID: b.nextID.Add(1), Body: append([]byte(nil), body...), Timestamp: b.clk.Now(), Topic: topicName}
 	if len(t.channels) == 0 {
 		t.backlog.pushBack(msg)
 		if t.backlogLimit > 0 && t.backlog.len() > t.backlogLimit {
@@ -318,8 +323,11 @@ func (b *Broker) Publish(topicName string, body []byte) (uint64, error) {
 // and sizes the delivery buffer exactly — the broker never holds more
 // than maxInFlight undrained deliveries per subscription, so no extra
 // slack is allocated for the thousands of ephemeral log subscriptions a
-// busy term creates.
-func (b *Broker) Subscribe(topicName, channelName string, maxInFlight int) (*Subscription, error) {
+// busy term creates. Like Publish, ctx only gates entry.
+func (b *Broker) Subscribe(ctx context.Context, topicName, channelName string, maxInFlight int) (Consumer, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if !validName(topicName) || !validName(channelName) {
 		return nil, fmt.Errorf("%w: %q/%q", ErrBadName, topicName, channelName)
 	}
@@ -372,7 +380,11 @@ func (b *Broker) dispatchLocked(t *topic, ch *channel) {
 			msg := ch.queue.popFront()
 			msg.Attempts++
 			sub.inFlight[msg.ID] = msg
-			sub.c <- msg
+			// The consumer gets a copy bound to this attempt: msg is the
+			// queue's record, and Attempts moves on under t.mu at the next
+			// redelivery while the holder reads without the lock.
+			attempt := *msg
+			sub.c <- &attempt
 			t.del.Inc()
 			if b.tel.latency != nil {
 				b.tel.latency.Observe(b.clk.Now().Sub(msg.Timestamp).Seconds())
@@ -390,9 +402,10 @@ func (b *Broker) dispatchLocked(t *topic, ch *channel) {
 // C is the delivery channel. It is closed when the subscription closes.
 func (s *Subscription) C() <-chan *Message { return s.c }
 
-// Ack marks a delivered message as done. It takes only the owning
-// topic's lock — acks on rai/tasks never contend with log traffic.
-func (s *Subscription) Ack(m *Message) error {
+// Ack marks a delivered message as done; only m.ID is read. It takes
+// only the owning topic's lock — acks on rai/tasks never contend with
+// log traffic. Settlement is in memory, so there is nothing to cancel.
+func (s *Subscription) Ack(_ context.Context, m *Message) error {
 	s.t.mu.Lock()
 	defer s.t.mu.Unlock()
 	if s.closed {
@@ -409,7 +422,7 @@ func (s *Subscription) Ack(m *Message) error {
 
 // Requeue returns a delivered message to the front of the channel queue
 // for redelivery (possibly to another subscriber).
-func (s *Subscription) Requeue(m *Message) error {
+func (s *Subscription) Requeue(_ context.Context, m *Message) error {
 	s.t.mu.Lock()
 	defer s.t.mu.Unlock()
 	if s.closed {
@@ -451,18 +464,17 @@ func (s *Subscription) Close() error {
 func (s *Subscription) closeLocked() {
 	s.closed = true
 	ch := s.ch
-	// Pull undelivered messages back out of the buffer.
-	requeue := make([]*Message, 0, len(s.c)+len(s.inFlight))
+	// Undrained deliveries are per-attempt copies; the records they were
+	// made from are still in inFlight.
 drain:
 	for {
 		select {
-		case m := <-s.c:
-			delete(s.inFlight, m.ID)
-			requeue = append(requeue, m)
+		case <-s.c:
 		default:
 			break drain
 		}
 	}
+	requeue := make([]*Message, 0, len(s.inFlight))
 	for _, m := range s.inFlight {
 		requeue = append(requeue, m)
 	}

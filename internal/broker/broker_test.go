@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -10,7 +11,9 @@ import (
 	"rai/internal/clock"
 )
 
-func recvTimeout(t *testing.T, sub *Subscription) *Message {
+var bg = context.Background()
+
+func recvTimeout(t *testing.T, sub Consumer) *Message {
 	t.Helper()
 	select {
 	case m, ok := <-sub.C():
@@ -27,22 +30,22 @@ func recvTimeout(t *testing.T, sub *Subscription) *Message {
 func TestPublishSubscribeBasic(t *testing.T) {
 	b := New()
 	defer b.Close()
-	sub, err := b.Subscribe("rai", "tasks", 1)
+	sub, err := b.Subscribe(bg, "rai", "tasks", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := b.Publish("rai", []byte("job-1"))
+	id, err := b.Publish(bg, "rai", []byte("job-1"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := recvTimeout(t, sub)
-	if string(m.Body) != "job-1" || m.ID != id || m.Topic() != "rai" {
+	if string(m.Body) != "job-1" || m.ID != id || m.Topic != "rai" {
 		t.Fatalf("got %+v", m)
 	}
 	if m.Attempts != 1 {
 		t.Errorf("Attempts = %d, want 1", m.Attempts)
 	}
-	if err := sub.Ack(m); err != nil {
+	if err := sub.Ack(bg, m); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -51,11 +54,11 @@ func TestBacklogDeliveredToFirstChannel(t *testing.T) {
 	b := New()
 	defer b.Close()
 	// Worker publishes logs before the client subscribes (paper §V race).
-	b.Publish("log_42#ch", []byte("early line"))
+	b.Publish(bg, "log_42#ch", []byte("early line"))
 	if d := b.Depth("log_42#ch", "ch"); d != 1 {
 		t.Fatalf("backlog depth = %d", d)
 	}
-	sub, _ := b.Subscribe("log_42#ch", "ch", 10)
+	sub, _ := b.Subscribe(bg, "log_42#ch", "ch", 10)
 	m := recvTimeout(t, sub)
 	if string(m.Body) != "early line" {
 		t.Fatalf("backlog message = %q", m.Body)
@@ -65,17 +68,17 @@ func TestBacklogDeliveredToFirstChannel(t *testing.T) {
 func TestChannelLoadBalancing(t *testing.T) {
 	b := New()
 	defer b.Close()
-	w1, _ := b.Subscribe("rai", "tasks", 100)
-	w2, _ := b.Subscribe("rai", "tasks", 100)
+	w1, _ := b.Subscribe(bg, "rai", "tasks", 100)
+	w2, _ := b.Subscribe(bg, "rai", "tasks", 100)
 	for i := 0; i < 10; i++ {
-		b.Publish("rai", []byte{byte(i)})
+		b.Publish(bg, "rai", []byte{byte(i)})
 	}
-	count := func(s *Subscription) int {
+	count := func(s Consumer) int {
 		n := 0
 		for {
 			select {
 			case m := <-s.C():
-				s.Ack(m)
+				s.Ack(bg, m)
 				n++
 			default:
 				return n
@@ -94,9 +97,9 @@ func TestChannelLoadBalancing(t *testing.T) {
 func TestFanOutAcrossChannels(t *testing.T) {
 	b := New()
 	defer b.Close()
-	c1, _ := b.Subscribe("events", "audit", 10)
-	c2, _ := b.Subscribe("events", "grading", 10)
-	b.Publish("events", []byte("submitted"))
+	c1, _ := b.Subscribe(bg, "events", "audit", 10)
+	c2, _ := b.Subscribe(bg, "events", "grading", 10)
+	b.Publish(bg, "events", []byte("submitted"))
 	m1 := recvTimeout(t, c1)
 	m2 := recvTimeout(t, c2)
 	if string(m1.Body) != "submitted" || string(m2.Body) != "submitted" {
@@ -107,9 +110,9 @@ func TestFanOutAcrossChannels(t *testing.T) {
 func TestMaxInFlightThrottles(t *testing.T) {
 	b := New()
 	defer b.Close()
-	sub, _ := b.Subscribe("rai", "tasks", 2)
+	sub, _ := b.Subscribe(bg, "rai", "tasks", 2)
 	for i := 0; i < 5; i++ {
-		b.Publish("rai", []byte{byte(i)})
+		b.Publish(bg, "rai", []byte{byte(i)})
 	}
 	m1 := recvTimeout(t, sub)
 	m2 := recvTimeout(t, sub)
@@ -121,7 +124,7 @@ func TestMaxInFlightThrottles(t *testing.T) {
 	if d := b.Depth("rai", "tasks"); d != 3 {
 		t.Errorf("Depth = %d, want 3", d)
 	}
-	sub.Ack(m1)
+	sub.Ack(bg, m1)
 	m3 := recvTimeout(t, sub)
 	if m3.ID == m2.ID {
 		t.Fatal("redelivered an in-flight message")
@@ -131,10 +134,10 @@ func TestMaxInFlightThrottles(t *testing.T) {
 func TestRequeueRedelivers(t *testing.T) {
 	b := New()
 	defer b.Close()
-	w1, _ := b.Subscribe("rai", "tasks", 1)
-	b.Publish("rai", []byte("job"))
+	w1, _ := b.Subscribe(bg, "rai", "tasks", 1)
+	b.Publish(bg, "rai", []byte("job"))
 	m := recvTimeout(t, w1)
-	if err := w1.Requeue(m); err != nil {
+	if err := w1.Requeue(bg, m); err != nil {
 		t.Fatal(err)
 	}
 	m2 := recvTimeout(t, w1)
@@ -146,32 +149,66 @@ func TestRequeueRedelivers(t *testing.T) {
 func TestCloseRequeuesInFlight(t *testing.T) {
 	b := New()
 	defer b.Close()
-	w1, _ := b.Subscribe("rai", "tasks", 10)
+	w1, _ := b.Subscribe(bg, "rai", "tasks", 10)
 	for i := 0; i < 3; i++ {
-		b.Publish("rai", []byte{byte(i)})
+		b.Publish(bg, "rai", []byte{byte(i)})
 	}
 	// Receive one, leave two in the buffer, then crash the worker.
 	first := recvTimeout(t, w1)
 	_ = first
 	w1.Close()
 	// A replacement worker gets all three, in order.
-	w2, _ := b.Subscribe("rai", "tasks", 10)
+	w2, _ := b.Subscribe(bg, "rai", "tasks", 10)
 	var got []byte
 	for i := 0; i < 3; i++ {
 		m := recvTimeout(t, w2)
 		got = append(got, m.Body[0])
-		w2.Ack(m)
+		w2.Ack(bg, m)
 	}
 	if got[0] != 0 || got[1] != 1 || got[2] != 2 {
 		t.Errorf("redelivery order = %v", got)
 	}
 }
 
+// TestDeliveryIsBoundToOneAttempt: what a consumer holds is a value of
+// that attempt. A closes un-acked, B gets the redelivery; A's message
+// still says attempt 1, and settling through A's closed subscription is
+// refused without touching B's delivery.
+func TestDeliveryIsBoundToOneAttempt(t *testing.T) {
+	b := New()
+	defer b.Close()
+	a, _ := b.Subscribe(bg, "rai", "tasks", 1)
+	bSub, _ := b.Subscribe(bg, "rai", "tasks", 1)
+	b.Publish(bg, "rai", []byte("job"))
+	ma := recvTimeout(t, a)
+	// A reads its message while the broker redelivers it (-race).
+	read := make(chan int)
+	go func() { read <- ma.Attempts }()
+	a.Close()
+	mb := recvTimeout(t, bSub)
+	<-read
+	if ma.Attempts != 1 || mb.Attempts != 2 || mb.ID != ma.ID {
+		t.Fatalf("A holds attempt %d (want 1), B attempt %d (want 2) of id %d/%d", ma.Attempts, mb.Attempts, ma.ID, mb.ID)
+	}
+	if err := a.Ack(bg, ma); !errors.Is(err, ErrSubClosed) {
+		t.Errorf("Ack through closed subscription = %v", err)
+	}
+	if err := a.Requeue(bg, ma); !errors.Is(err, ErrSubClosed) {
+		t.Errorf("Requeue through closed subscription = %v", err)
+	}
+	if cs := b.Stats()[0].Channels[0]; cs.InFlight != 1 || cs.Depth != 0 {
+		t.Errorf("after A's stale settlement: %+v, want B's delivery still in flight", cs)
+	}
+	if err := bSub.Ack(bg, mb); err != nil {
+		t.Errorf("B's ack: %v", err)
+	}
+}
+
 func TestEphemeralTopicGC(t *testing.T) {
 	b := New()
 	defer b.Close()
-	sub, _ := b.Subscribe("log_7#ch", "ch", 10)
-	b.Publish("log_7#ch", []byte("out"))
+	sub, _ := b.Subscribe(bg, "log_7#ch", "ch", 10)
+	b.Publish(bg, "log_7#ch", []byte("out"))
 	recvTimeout(t, sub)
 	if !b.HasTopic("log_7#ch") {
 		t.Fatal("topic missing while subscribed")
@@ -185,7 +222,7 @@ func TestEphemeralTopicGC(t *testing.T) {
 func TestNonEphemeralTopicSurvives(t *testing.T) {
 	b := New()
 	defer b.Close()
-	sub, _ := b.Subscribe("rai", "tasks", 1)
+	sub, _ := b.Subscribe(bg, "rai", "tasks", 1)
 	sub.Close()
 	if !b.HasTopic("rai") {
 		t.Error("durable topic was garbage collected")
@@ -195,16 +232,16 @@ func TestNonEphemeralTopicSurvives(t *testing.T) {
 func TestAckErrors(t *testing.T) {
 	b := New()
 	defer b.Close()
-	sub, _ := b.Subscribe("rai", "tasks", 1)
+	sub, _ := b.Subscribe(bg, "rai", "tasks", 1)
 	bogus := &Message{ID: 999}
-	if err := sub.Ack(bogus); !errors.Is(err, ErrUnknownMsg) {
+	if err := sub.Ack(bg, bogus); !errors.Is(err, ErrUnknownMsg) {
 		t.Errorf("Ack(unknown) = %v", err)
 	}
-	if err := sub.Requeue(bogus); !errors.Is(err, ErrUnknownMsg) {
+	if err := sub.Requeue(bg, bogus); !errors.Is(err, ErrUnknownMsg) {
 		t.Errorf("Requeue(unknown) = %v", err)
 	}
 	sub.Close()
-	if err := sub.Ack(bogus); !errors.Is(err, ErrSubClosed) {
+	if err := sub.Ack(bg, bogus); !errors.Is(err, ErrSubClosed) {
 		t.Errorf("Ack after close = %v", err)
 	}
 	if err := sub.Close(); err != nil {
@@ -216,10 +253,10 @@ func TestBadNames(t *testing.T) {
 	b := New()
 	defer b.Close()
 	for _, name := range []string{"", "has space", "semi;colon", "x/y", string(make([]byte, 200))} {
-		if _, err := b.Publish(name, nil); !errors.Is(err, ErrBadName) {
+		if _, err := b.Publish(bg, name, nil); !errors.Is(err, ErrBadName) {
 			t.Errorf("Publish(%q) = %v", name, err)
 		}
-		if _, err := b.Subscribe(name, "c", 1); !errors.Is(err, ErrBadName) {
+		if _, err := b.Subscribe(bg, name, "c", 1); !errors.Is(err, ErrBadName) {
 			t.Errorf("Subscribe(%q) = %v", name, err)
 		}
 	}
@@ -227,12 +264,12 @@ func TestBadNames(t *testing.T) {
 
 func TestClosedBrokerRejects(t *testing.T) {
 	b := New()
-	sub, _ := b.Subscribe("rai", "tasks", 1)
+	sub, _ := b.Subscribe(bg, "rai", "tasks", 1)
 	b.Close()
-	if _, err := b.Publish("rai", nil); !errors.Is(err, ErrClosed) {
+	if _, err := b.Publish(bg, "rai", nil); !errors.Is(err, ErrClosed) {
 		t.Errorf("Publish after close = %v", err)
 	}
-	if _, err := b.Subscribe("rai", "tasks", 1); !errors.Is(err, ErrClosed) {
+	if _, err := b.Subscribe(bg, "rai", "tasks", 1); !errors.Is(err, ErrClosed) {
 		t.Errorf("Subscribe after close = %v", err)
 	}
 	if _, ok := <-sub.C(); ok {
@@ -243,7 +280,7 @@ func TestClosedBrokerRejects(t *testing.T) {
 func TestDeleteTopic(t *testing.T) {
 	b := New()
 	defer b.Close()
-	sub, _ := b.Subscribe("rai", "tasks", 1)
+	sub, _ := b.Subscribe(bg, "rai", "tasks", 1)
 	if err := b.DeleteTopic("rai"); err != nil {
 		t.Fatal(err)
 	}
@@ -258,9 +295,9 @@ func TestDeleteTopic(t *testing.T) {
 func TestStatsSnapshot(t *testing.T) {
 	b := New()
 	defer b.Close()
-	sub, _ := b.Subscribe("rai", "tasks", 1)
-	b.Publish("rai", []byte("a"))
-	b.Publish("rai", []byte("b"))
+	sub, _ := b.Subscribe(bg, "rai", "tasks", 1)
+	b.Publish(bg, "rai", []byte("a"))
+	b.Publish(bg, "rai", []byte("b"))
 	recvTimeout(t, sub) // one in flight, one queued
 	stats := b.Stats()
 	if len(stats) != 1 || stats[0].Topic != "rai" {
@@ -275,9 +312,9 @@ func TestStatsSnapshot(t *testing.T) {
 func TestPublishBodyIsCopied(t *testing.T) {
 	b := New()
 	defer b.Close()
-	sub, _ := b.Subscribe("rai", "tasks", 1)
+	sub, _ := b.Subscribe(bg, "rai", "tasks", 1)
 	body := []byte("abc")
-	b.Publish("rai", body)
+	b.Publish(bg, "rai", body)
 	body[0] = 'X'
 	m := recvTimeout(t, sub)
 	if string(m.Body) != "abc" {
@@ -290,9 +327,9 @@ func TestMessageTimestampUsesClock(t *testing.T) {
 	vc := clock.NewVirtual(start)
 	b := New(WithClock(vc))
 	defer b.Close()
-	sub, _ := b.Subscribe("rai", "tasks", 1)
+	sub, _ := b.Subscribe(bg, "rai", "tasks", 1)
 	vc.Advance(42 * time.Minute)
-	b.Publish("rai", nil)
+	b.Publish(bg, "rai", nil)
 	m := recvTimeout(t, sub)
 	if !m.Timestamp.Equal(start.Add(42 * time.Minute)) {
 		t.Errorf("Timestamp = %v", m.Timestamp)
@@ -306,16 +343,16 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 	var wg sync.WaitGroup
 	received := make(chan string, producers*perProducer)
 	for w := 0; w < workers; w++ {
-		sub, err := b.Subscribe("rai", "tasks", 4)
+		sub, err := b.Subscribe(bg, "rai", "tasks", 4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wg.Add(1)
-		go func(sub *Subscription) {
+		go func(sub Consumer) {
 			defer wg.Done()
 			for m := range sub.C() {
 				received <- string(m.Body)
-				sub.Ack(m)
+				sub.Ack(bg, m)
 				if len(received) == producers*perProducer {
 					return
 				}
@@ -325,7 +362,7 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 	for p := 0; p < producers; p++ {
 		go func(p int) {
 			for i := 0; i < perProducer; i++ {
-				b.Publish("rai", []byte(fmt.Sprintf("%d-%d", p, i)))
+				b.Publish(bg, "rai", []byte(fmt.Sprintf("%d-%d", p, i)))
 			}
 		}(p)
 	}

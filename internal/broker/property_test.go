@@ -19,13 +19,13 @@ func TestQuickMessageConservation(t *testing.T) {
 	prop := func(ops []op) bool {
 		b := New()
 		defer b.Close()
-		sub, err := b.Subscribe("rai", "tasks", 4)
+		sub, err := b.Subscribe(bg, "rai", "tasks", 4)
 		if err != nil {
 			return false
 		}
 		published := map[string]int{}
 		acked := map[string]int{}
-		recv := func(s *Subscription) (*Message, bool) {
+		recv := func(s Consumer) (*Message, bool) {
 			select {
 			case m, ok := <-s.C():
 				return m, ok
@@ -37,7 +37,7 @@ func TestQuickMessageConservation(t *testing.T) {
 			switch o.Kind % 4 {
 			case 0: // publish
 				body := fmt.Sprintf("msg-%d-%d", i, o.Payload)
-				if _, err := b.Publish("rai", []byte(body)); err != nil {
+				if _, err := b.Publish(bg, "rai", []byte(body)); err != nil {
 					return false
 				}
 				published[body]++
@@ -49,7 +49,7 @@ func TestQuickMessageConservation(t *testing.T) {
 				if !ok {
 					return false
 				}
-				if err := sub.Ack(m); err != nil {
+				if err := sub.Ack(bg, m); err != nil {
 					return false
 				}
 				acked[string(m.Body)]++
@@ -61,13 +61,13 @@ func TestQuickMessageConservation(t *testing.T) {
 				if !ok {
 					return false
 				}
-				if err := sub.Requeue(m); err != nil {
+				if err := sub.Requeue(bg, m); err != nil {
 					return false
 				}
 			case 3: // subscriber churn (crash + replacement)
 				sub.Close()
 				var err error
-				sub, err = b.Subscribe("rai", "tasks", 4)
+				sub, err = b.Subscribe(bg, "rai", "tasks", 4)
 				if err != nil {
 					return false
 				}
@@ -82,7 +82,7 @@ func TestQuickMessageConservation(t *testing.T) {
 			if !ok {
 				return false
 			}
-			if err := sub.Ack(m); err != nil {
+			if err := sub.Ack(bg, m); err != nil {
 				return false
 			}
 			acked[string(m.Body)]++

@@ -14,7 +14,7 @@ func TestExportQueueDepthWithoutTelemetry(t *testing.T) {
 	b := New()
 	defer b.Close()
 	b.ExportQueueDepth("rai", "tasks") // must not panic
-	if _, err := b.Publish("rai", []byte("x")); err != nil {
+	if _, err := b.Publish(bg, "rai", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -26,9 +26,9 @@ func TestExportQueueDepthWithoutTelemetry(t *testing.T) {
 func TestRoundRobinCursorSurvivesRemoval(t *testing.T) {
 	b := New()
 	defer b.Close()
-	subs := make([]*Subscription, 4)
+	subs := make([]Consumer, 4)
 	for i := range subs {
-		s, err := b.Subscribe("rai", "tasks", 10)
+		s, err := b.Subscribe(bg, "rai", "tasks", 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,14 +36,14 @@ func TestRoundRobinCursorSurvivesRemoval(t *testing.T) {
 	}
 	// Two deliveries advance the rotation to subs[2]. Ack both so
 	// nothing is requeued when subs[0] leaves.
-	b.Publish("rai", []byte("a")) // -> subs[0]
-	b.Publish("rai", []byte("b")) // -> subs[1]
-	subs[0].Ack(recvTimeout(t, subs[0]))
-	subs[1].Ack(recvTimeout(t, subs[1]))
+	b.Publish(bg, "rai", []byte("a")) // -> subs[0]
+	b.Publish(bg, "rai", []byte("b")) // -> subs[1]
+	subs[0].Ack(bg, recvTimeout(t, subs[0]))
+	subs[1].Ack(bg, recvTimeout(t, subs[1]))
 
 	subs[0].Close() // removal below the cursor
 
-	b.Publish("rai", []byte("c"))
+	b.Publish(bg, "rai", []byte("c"))
 	got := -1
 	for i, s := range subs[1:] {
 		select {
@@ -66,13 +66,13 @@ func TestRoundRobinDistributionUnderChurn(t *testing.T) {
 	b := New()
 	defer b.Close()
 	counts := [2]int{}
-	churn, err := b.Subscribe("rai", "tasks", 100)
+	churn, err := b.Subscribe(bg, "rai", "tasks", 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stable [2]*Subscription
+	var stable [2]Consumer
 	for i := range stable {
-		if stable[i], err = b.Subscribe("rai", "tasks", 100); err != nil {
+		if stable[i], err = b.Subscribe(bg, "rai", "tasks", 100); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,7 +82,7 @@ func TestRoundRobinDistributionUnderChurn(t *testing.T) {
 				select {
 				case m := <-s.C():
 					counts[i]++
-					s.Ack(m)
+					s.Ack(bg, m)
 				default:
 					goto next
 				}
@@ -93,7 +93,7 @@ func TestRoundRobinDistributionUnderChurn(t *testing.T) {
 	for round := 0; round < 60; round++ {
 		// Three messages: one per live subscriber, rotation order.
 		for k := 0; k < 3; k++ {
-			if _, err := b.Publish("rai", []byte{byte(k)}); err != nil {
+			if _, err := b.Publish(bg, "rai", []byte{byte(k)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -102,7 +102,7 @@ func TestRoundRobinDistributionUnderChurn(t *testing.T) {
 		for {
 			select {
 			case m := <-churn.C():
-				churn.Ack(m)
+				churn.Ack(bg, m)
 			default:
 				goto replace
 			}
@@ -110,7 +110,7 @@ func TestRoundRobinDistributionUnderChurn(t *testing.T) {
 	replace:
 		drainStable()
 		churn.Close()
-		if churn, err = b.Subscribe("rai", "tasks", 100); err != nil {
+		if churn, err = b.Subscribe(bg, "rai", "tasks", 100); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -146,13 +146,13 @@ func TestConcurrentMultiTopicChurn(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for r := 0; r < rounds; r++ {
 				topic := fmt.Sprintf("log_%d#ch", w)
-				sub, err := b.Subscribe(topic, "ch", 4)
+				sub, err := b.Subscribe(bg, topic, "ch", 4)
 				if err != nil {
 					errs <- err
 					return
 				}
 				for i := 0; i < perRound; i++ {
-					if _, err := b.Publish(topic, []byte{byte(i)}); err != nil {
+					if _, err := b.Publish(bg, topic, []byte{byte(i)}); err != nil {
 						errs <- err
 						return
 					}
@@ -161,13 +161,13 @@ func TestConcurrentMultiTopicChurn(t *testing.T) {
 				for settled < perRound {
 					m := <-sub.C()
 					if rng.Intn(4) == 0 {
-						if err := sub.Requeue(m); err != nil {
+						if err := sub.Requeue(bg, m); err != nil {
 							errs <- err
 							return
 						}
 						continue
 					}
-					if err := sub.Ack(m); err != nil {
+					if err := sub.Ack(bg, m); err != nil {
 						errs <- err
 						return
 					}
@@ -184,17 +184,17 @@ func TestConcurrentMultiTopicChurn(t *testing.T) {
 	var consumed sync.WaitGroup
 	consumed.Add(total)
 	for w := 0; w < 2; w++ {
-		sub, err := b.Subscribe("rai", "tasks", 8)
+		sub, err := b.Subscribe(bg, "rai", "tasks", 8)
 		if err != nil {
 			t.Fatal(err)
 		}
-		go func(sub *Subscription) {
+		go func(sub Consumer) {
 			for m := range sub.C() {
 				if _, dup := delivered.LoadOrStore(string(m.Body), true); dup {
 					errs <- fmt.Errorf("duplicate delivery %q", m.Body)
 					return
 				}
-				sub.Ack(m)
+				sub.Ack(bg, m)
 				consumed.Done()
 			}
 		}(sub)
@@ -204,7 +204,7 @@ func TestConcurrentMultiTopicChurn(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				if _, err := b.Publish("rai", []byte(fmt.Sprintf("%d-%d", w, r))); err != nil {
+				if _, err := b.Publish(bg, "rai", []byte(fmt.Sprintf("%d-%d", w, r))); err != nil {
 					errs <- err
 					return
 				}

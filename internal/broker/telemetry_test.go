@@ -18,7 +18,7 @@ func TestBrokerTelemetry(t *testing.T) {
 
 	// A publish with no subscriber sits in the backlog: counted as
 	// published, visible in the depth gauge, not yet delivered.
-	if _, err := b.Publish("rai", []byte("job-1")); err != nil {
+	if _, err := b.Publish(bg, "rai", []byte("job-1")); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := reg.Value("rai_broker_publish_total", telemetry.L("topic", "rai")); v != 1 {
@@ -34,7 +34,7 @@ func TestBrokerTelemetry(t *testing.T) {
 	// Subscribing 5 virtual seconds later drains the backlog; the
 	// delivery-latency histogram sees the 5 s queue wait.
 	vc.Advance(5 * time.Second)
-	sub, err := b.Subscribe("rai", "tasks", 1)
+	sub, err := b.Subscribe(bg, "rai", "tasks", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +51,11 @@ func TestBrokerTelemetry(t *testing.T) {
 		t.Errorf("5s delivery latency not in histogram:\n%s", buf.String())
 	}
 
-	if err := sub.Requeue(m); err != nil {
+	if err := sub.Requeue(bg, m); err != nil {
 		t.Fatal(err)
 	}
 	m = <-sub.C()
-	if err := sub.Ack(m); err != nil {
+	if err := sub.Ack(bg, m); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := reg.Value("rai_broker_requeue_total"); v != 1 {
@@ -68,7 +68,7 @@ func TestBrokerTelemetry(t *testing.T) {
 	// Per-job log topics collapse into one "log" class so cardinality
 	// stays bounded no matter how many jobs run.
 	for _, topic := range []string{"log_j1#ch", "log_j2#ch"} {
-		if _, err := b.Publish(topic, []byte("line")); err != nil {
+		if _, err := b.Publish(bg, topic, []byte("line")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -83,15 +83,15 @@ func TestBrokerTelemetry(t *testing.T) {
 func TestBrokerWithoutTelemetry(t *testing.T) {
 	b := New()
 	defer b.Close()
-	if _, err := b.Publish("rai", []byte("x")); err != nil {
+	if _, err := b.Publish(bg, "rai", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	sub, err := b.Subscribe("rai", "tasks", 1)
+	sub, err := b.Subscribe(bg, "rai", "tasks", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := <-sub.C()
-	if err := sub.Ack(m); err != nil {
+	if err := sub.Ack(bg, m); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -17,7 +17,7 @@ var bg = context.Background()
 func newPair(t *testing.T) (*broker.Broker, *Server) {
 	t.Helper()
 	b := broker.New()
-	srv, err := NewServer(b, "127.0.0.1:0", WithLogf(t.Logf))
+	srv, err := NewServer(bg, b, "127.0.0.1:0", WithLogf(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,9 +28,9 @@ func newPair(t *testing.T) (*broker.Broker, *Server) {
 	return b, srv
 }
 
-func dialT(t *testing.T, srv *Server) *Client {
+func dialT(t *testing.T, srv *Server) *conn {
 	t.Helper()
-	c, err := DialContext(context.Background(), srv.Addr())
+	c, err := dial(bg, srv.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func dialT(t *testing.T, srv *Server) *Client {
 	return c
 }
 
-func recvT(t *testing.T, c *Client) *Delivery {
+func recvT(t *testing.T, c broker.Consumer) *broker.Message {
 	t.Helper()
 	select {
 	case d, ok := <-c.C():
@@ -162,7 +162,7 @@ func TestDoubleSubscribeRejected(t *testing.T) {
 func TestAckWithoutSubscribe(t *testing.T) {
 	_, srv := newPair(t)
 	c := dialT(t, srv)
-	if err := c.Ack(bg, &Delivery{MsgID: 1}); err == nil {
+	if err := c.Ack(bg, &broker.Message{ID: 1}); err == nil {
 		t.Error("ack without subscription succeeded")
 	}
 }
@@ -172,20 +172,6 @@ func TestBadTopicNameOverTCP(t *testing.T) {
 	c := dialT(t, srv)
 	if _, err := c.Publish(bg, "bad topic name!", nil); err == nil {
 		t.Error("invalid topic accepted")
-	}
-}
-
-func TestCloseSubscriptionThenResubscribe(t *testing.T) {
-	_, srv := newPair(t)
-	c := dialT(t, srv)
-	if err := c.Subscribe(bg, "rai", "tasks", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CloseSubscription(bg); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Subscribe(bg, "rai", "tasks", 1); err != nil {
-		t.Fatalf("resubscribe after close: %v", err)
 	}
 }
 
@@ -217,7 +203,7 @@ func TestConcurrentPublishers(t *testing.T) {
 	for p := 0; p < publishers; p++ {
 		c := dialT(t, srv)
 		wg.Add(1)
-		go func(p int, c *Client) {
+		go func(p int, c *conn) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				if _, err := c.Publish(bg, "rai", []byte(fmt.Sprintf("%d:%d", p, i))); err != nil {
@@ -237,28 +223,6 @@ func TestConcurrentPublishers(t *testing.T) {
 		sub.Ack(bg, d)
 	}
 	wg.Wait()
-}
-
-func TestStatsOverTCP(t *testing.T) {
-	_, srv := newPair(t)
-	pub := dialT(t, srv)
-	sub := dialT(t, srv)
-	sub.Subscribe(bg, "rai", "tasks", 1)
-	pub.Publish(bg, "rai", []byte("a"))
-	pub.Publish(bg, "rai", []byte("b"))
-	recvT(t, sub) // one in flight, one queued
-
-	stats, err := pub.Stats(bg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats) != 1 || stats[0].Topic != "rai" {
-		t.Fatalf("stats = %+v", stats)
-	}
-	cs := stats[0].Channels[0]
-	if cs.Channel != "tasks" || cs.Depth != 1 || cs.InFlight != 1 || cs.Subscribers != 1 {
-		t.Fatalf("channel stats = %+v", cs)
-	}
 }
 
 func TestPipelinedPublishesOnOneConnection(t *testing.T) {

@@ -8,33 +8,32 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"rai/internal/broker"
 )
 
-// Client is a TCP connection to a brokerd server. One client may publish
+// conn is one TCP connection to a brokerd server, the unit the
+// reconnecting client replaces when it dies. A connection may publish
 // freely and hold at most one subscription, mirroring the server side.
-// Client is safe for concurrent use.
-type Client struct {
-	conn net.Conn
-	fw   *frameWriter
-	br   *bufio.Reader
+// It is safe for concurrent use.
+type conn struct {
+	nc net.Conn
+	fw *frameWriter
+	br *bufio.Reader
 
 	mu      sync.Mutex
 	nextSeq uint64
 	pending map[uint64]chan *Frame
-	msgs    chan *Delivery
+	msgs    chan *broker.Message
 	closed  bool
 	readErr error
 	done    chan struct{}
 }
 
-// Delivery is a message received from a subscription.
-type Delivery struct {
-	MsgID    uint64
-	Topic    string
-	Body     []byte
-	Attempts int
-	Time     time.Time
-}
+// deliveryBuffer is the capacity of a delivery stream. Subscriptions
+// clamp their in-flight window to it, so a read loop never blocks on a
+// delivery with an ack reply queued behind it.
+const deliveryBuffer = 1024
 
 // ErrClientClosed is returned after Close.
 var ErrClientClosed = errors.New("brokerd: client closed")
@@ -47,52 +46,40 @@ type ServerError struct{ Msg string }
 // Error implements error.
 func (e *ServerError) Error() string { return e.Msg }
 
-// DefaultDialTimeout bounds DialContext when neither the context nor a
-// WithDialTimeout option imposes a tighter deadline.
+func isServerError(err error) bool {
+	var se *ServerError
+	return errors.As(err, &se)
+}
+
+// DefaultDialTimeout bounds each dial attempt when the caller passes no
+// timeout of its own.
 const DefaultDialTimeout = 10 * time.Second
 
-// DialOption customizes DialContext.
-type DialOption func(*dialConfig)
-
-type dialConfig struct {
-	timeout time.Duration
-}
-
-// WithDialTimeout caps how long the TCP dial may take. The context's own
-// deadline still applies; the effective bound is whichever is sooner.
-func WithDialTimeout(d time.Duration) DialOption {
-	return func(c *dialConfig) {
-		if d > 0 {
-			c.timeout = d
-		}
+// dial connects to a brokerd server. timeout caps the TCP dial (0 =
+// DefaultDialTimeout); ctx's own deadline still applies, whichever is
+// sooner.
+func dial(ctx context.Context, addr string, timeout time.Duration) (*conn, error) {
+	if timeout <= 0 {
+		timeout = DefaultDialTimeout
 	}
-}
-
-// DialContext connects to a brokerd server, honoring ctx for
-// cancellation and deadline.
-func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Client, error) {
-	cfg := dialConfig{timeout: DefaultDialTimeout}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	d := net.Dialer{Timeout: cfg.timeout}
-	conn, err := d.DialContext(ctx, "tcp", addr)
+	d := net.Dialer{Timeout: timeout}
+	nc, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{
-		conn:    conn,
-		fw:      newFrameWriter(conn),
-		br:      bufio.NewReaderSize(conn, 32<<10),
+	c := &conn{
+		nc:      nc,
+		fw:      newFrameWriter(nc),
+		br:      bufio.NewReaderSize(nc, 32<<10),
 		pending: map[uint64]chan *Frame{},
-		msgs:    make(chan *Delivery, 1024),
+		msgs:    make(chan *broker.Message, deliveryBuffer),
 		done:    make(chan struct{}),
 	}
 	go c.readLoop()
 	return c, nil
 }
 
-func (c *Client) readLoop() {
+func (c *conn) readLoop() {
 	defer close(c.done)
 	for {
 		f, err := DecodeFrame(c.br)
@@ -109,7 +96,7 @@ func (c *Client) readLoop() {
 		}
 		switch f.Op {
 		case OpMsg:
-			c.msgs <- &Delivery{MsgID: f.MsgID, Topic: f.Topic, Body: f.Body, Attempts: f.Attempts, Time: f.Time}
+			c.msgs <- &broker.Message{ID: f.MsgID, Topic: f.Topic, Body: f.Body, Attempts: f.Attempts, Timestamp: f.Time}
 		case OpOK, OpErr:
 			c.mu.Lock()
 			ch, ok := c.pending[f.Seq]
@@ -127,7 +114,7 @@ func (c *Client) readLoop() {
 // call sends a request frame and waits for its reply. A done ctx
 // abandons the wait (the reply, if it ever lands, is discarded by the
 // pending-map cleanup) — it does not tear down the connection.
-func (c *Client) call(ctx context.Context, f *Frame) (*Frame, error) {
+func (c *conn) call(ctx context.Context, f *Frame) (*Frame, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -171,7 +158,7 @@ func (c *Client) call(ctx context.Context, f *Frame) (*Frame, error) {
 }
 
 // Publish sends body to topic and returns the broker-assigned message ID.
-func (c *Client) Publish(ctx context.Context, topic string, body []byte) (uint64, error) {
+func (c *conn) Publish(ctx context.Context, topic string, body []byte) (uint64, error) {
 	reply, err := c.call(ctx, &Frame{Op: OpPub, Topic: topic, Body: body})
 	if err != nil {
 		return 0, err
@@ -182,51 +169,34 @@ func (c *Client) Publish(ctx context.Context, topic string, body []byte) (uint64
 // Subscribe attaches this connection to topic/channel. Deliveries arrive
 // on C(); the channel closes when the connection drops or Close is
 // called.
-func (c *Client) Subscribe(ctx context.Context, topic, channel string, maxInFlight int) error {
+func (c *conn) Subscribe(ctx context.Context, topic, channel string, maxInFlight int) error {
 	_, err := c.call(ctx, &Frame{Op: OpSub, Topic: topic, Channel: channel, MaxInFlight: maxInFlight})
 	return err
 }
 
 // C returns the delivery stream for the connection's subscription.
-func (c *Client) C() <-chan *Delivery { return c.msgs }
+func (c *conn) C() <-chan *broker.Message { return c.msgs }
 
 // Ack acknowledges a delivery.
-func (c *Client) Ack(ctx context.Context, d *Delivery) error {
-	_, err := c.call(ctx, &Frame{Op: OpAck, MsgID: d.MsgID})
+func (c *conn) Ack(ctx context.Context, m *broker.Message) error {
+	_, err := c.call(ctx, &Frame{Op: OpAck, MsgID: m.ID})
 	return err
 }
 
 // Requeue returns a delivery to the queue for redelivery.
-func (c *Client) Requeue(ctx context.Context, d *Delivery) error {
-	_, err := c.call(ctx, &Frame{Op: OpReq, MsgID: d.MsgID})
+func (c *conn) Requeue(ctx context.Context, m *broker.Message) error {
+	_, err := c.call(ctx, &Frame{Op: OpReq, MsgID: m.ID})
 	return err
 }
 
 // Ping checks server liveness.
-func (c *Client) Ping(ctx context.Context) error {
+func (c *conn) Ping(ctx context.Context) error {
 	_, err := c.call(ctx, &Frame{Op: OpPing})
 	return err
 }
 
-// Stats fetches the broker's queue snapshot — the depth signal the
-// elastic provisioner consumes.
-func (c *Client) Stats(ctx context.Context) ([]TopicStats, error) {
-	reply, err := c.call(ctx, &Frame{Op: OpStats})
-	if err != nil {
-		return nil, err
-	}
-	return reply.Stats, nil
-}
-
-// CloseSubscription detaches the subscription without dropping the
-// connection (unacknowledged messages are requeued server-side).
-func (c *Client) CloseSubscription(ctx context.Context) error {
-	_, err := c.call(ctx, &Frame{Op: OpClose})
-	return err
-}
-
 // Close tears down the connection.
-func (c *Client) Close() error {
+func (c *conn) Close() error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -234,7 +204,7 @@ func (c *Client) Close() error {
 	}
 	c.closed = true
 	c.mu.Unlock()
-	err := c.conn.Close()
+	err := c.nc.Close()
 	<-c.done
 	return err
 }

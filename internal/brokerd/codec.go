@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -45,7 +44,7 @@ func readPayload(r io.Reader) ([]byte, error) {
 
 // Frame layout (after the 4-byte big-endian length) — one op byte,
 // fixed-width ids and the body as raw bytes, so no reflection and no
-// base64; the rare STATS snapshot rides as an embedded JSON blob:
+// base64:
 //
 //	[0]     op code
 //	[1:9]   seq        (uint64 BE)
@@ -56,18 +55,18 @@ func readPayload(r io.Reader) ([]byte, error) {
 //	[33]    flags
 //	then three length-prefixed strings (uint32 BE + bytes):
 //	topic, channel, error
-//	then the stats blob (uint32 BE + JSON bytes, length 0 = none)
 //	then the body: every remaining byte, raw.
 const (
 	binHeaderLen = 34
 	flagHasTime  = 1 << 0 // distinguishes the zero time.Time from the epoch
 )
 
-// Op codes. Values are wire format — append only. 11 was HELLO (codec
-// negotiation, retired); do not reuse it.
+// Op codes. Values are wire format — append only. 9 was CLOSE, 10 was
+// STATS and 11 was HELLO (codec negotiation), all retired; do not reuse
+// them.
 var opToCode = map[string]byte{
 	OpPub: 1, OpSub: 2, OpAck: 3, OpReq: 4, OpPing: 5,
-	OpOK: 6, OpErr: 7, OpMsg: 8, OpClose: 9, OpStats: 10,
+	OpOK: 6, OpErr: 7, OpMsg: 8,
 }
 
 var codeToOp = func() map[byte]string {
@@ -84,14 +83,7 @@ func EncodeFrame(w io.Writer, f *Frame) error {
 	if !ok {
 		return fmt.Errorf("brokerd: unknown op %q", f.Op)
 	}
-	var statsJSON []byte
-	if len(f.Stats) > 0 {
-		var err error
-		if statsJSON, err = json.Marshal(f.Stats); err != nil {
-			return err
-		}
-	}
-	n := binHeaderLen + 4 + len(f.Topic) + 4 + len(f.Channel) + 4 + len(f.Error) + 4 + len(statsJSON) + len(f.Body)
+	n := binHeaderLen + 4 + len(f.Topic) + 4 + len(f.Channel) + 4 + len(f.Error) + len(f.Body)
 	if n > maxFrameSize {
 		return fmt.Errorf("brokerd: frame of %d bytes exceeds limit", n)
 	}
@@ -122,7 +114,6 @@ func EncodeFrame(w io.Writer, f *Frame) error {
 	writeBytes([]byte(f.Topic))
 	writeBytes([]byte(f.Channel))
 	writeBytes([]byte(f.Error))
-	writeBytes(statsJSON)
 	buf.Write(f.Body)
 	_, err := w.Write(buf.Bytes())
 	return err
@@ -177,16 +168,7 @@ func DecodeFrame(r io.Reader) (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	statsJSON, err := next()
-	if err != nil {
-		return nil, err
-	}
 	f.Topic, f.Channel, f.Error = string(topic), string(channel), string(errStr)
-	if len(statsJSON) > 0 {
-		if err := json.Unmarshal(statsJSON, &f.Stats); err != nil {
-			return nil, fmt.Errorf("brokerd: bad stats blob: %w", err)
-		}
-	}
 	if len(rest) > 0 {
 		f.Body = rest // aliases the per-frame payload allocation; no copy
 	}

@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-var fuzzOps = []string{OpPub, OpSub, OpAck, OpReq, OpPing, OpOK, OpErr, OpMsg, OpClose, OpStats}
+var fuzzOps = []string{OpPub, OpSub, OpAck, OpReq, OpPing, OpOK, OpErr, OpMsg}
 
 // FuzzFrameRoundTrip checks EncodeFrame→DecodeFrame is the identity for
 // any field values: the codec must take arbitrary bytes in strings and
@@ -18,7 +18,7 @@ var fuzzOps = []string{OpPub, OpSub, OpAck, OpReq, OpPing, OpOK, OpErr, OpMsg, O
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(uint8(0), uint64(1), uint64(42), 3, 8, int64(1700000000_000000001), true, "rai", "tasks", "", []byte("job payload"))
 	f.Add(uint8(7), uint64(9), uint64(0), 0, 0, int64(0), false, "", "", "boom", []byte{})
-	f.Add(uint8(9), uint64(1<<63), uint64(1<<62), -1, -5, int64(-1), true, "log_7#x", "worker#3", "", []byte{0, 0xff, 0x80})
+	f.Add(uint8(1), uint64(1<<63), uint64(1<<62), -1, -5, int64(-1), true, "log_7#x", "worker#3", "", []byte{0, 0xff, 0x80})
 	f.Fuzz(func(t *testing.T, opIdx uint8, seq, msgID uint64, attempts, maxInFlight int, nanos int64, hasTime bool, topic, channel, errStr string, body []byte) {
 		in := &Frame{
 			Op:          fuzzOps[int(opIdx)%len(fuzzOps)],
@@ -93,27 +93,6 @@ func FuzzBinaryDecode(f *testing.F) {
 	})
 }
 
-func TestStatsFrameBinaryRoundTrip(t *testing.T) {
-	in := &Frame{Op: OpOK, Seq: 3, Stats: []TopicStats{
-		{Topic: "rai", Backlog: 2, Channels: []ChannelStats{
-			{Channel: "tasks", Depth: 5, InFlight: 1, Subscribers: 3},
-		}},
-		{Topic: "log_1#x", Backlog: 0},
-	}}
-	var buf bytes.Buffer
-	if err := EncodeFrame(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := DecodeFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Stats) != 2 || out.Stats[0].Topic != "rai" || len(out.Stats[0].Channels) != 1 ||
-		out.Stats[0].Channels[0].Depth != 5 || out.Stats[1].Topic != "log_1#x" {
-		t.Fatalf("stats round trip = %+v", out.Stats)
-	}
-}
-
 func TestBinaryDecodeMalformed(t *testing.T) {
 	cases := map[string][]byte{
 		"empty payload":    {},
@@ -137,9 +116,9 @@ func TestBinaryDecodeMalformed(t *testing.T) {
 
 // TestLegacyPeersDisconnected: there is one encoding and no negotiation,
 // so a peer that opens with anything else — a length-prefixed JSON frame
-// from the retired encoding, a JSON HELLO, or a HELLO under its retired
-// op code 11 — is dropped without a reply, and the server keeps serving
-// everyone else.
+// from the retired encoding, a JSON HELLO, or a frame under one of the
+// retired op codes (9 CLOSE, 10 STATS, 11 HELLO) — is dropped without a
+// reply, and the server keeps serving everyone else.
 func TestLegacyPeersDisconnected(t *testing.T) {
 	_, srv := newPair(t)
 	framed := func(payload []byte) []byte {
@@ -148,6 +127,8 @@ func TestLegacyPeersDisconnected(t *testing.T) {
 	cases := map[string][]byte{
 		"legacy JSON PING":  framed([]byte(`{"op":"PING","seq":99,"time":"0001-01-01T00:00:00Z"}` + "\n")),
 		"legacy JSON HELLO": framed([]byte(`{"op":"HELLO","seq":1,"version":2,"time":"0001-01-01T00:00:00Z"}` + "\n")),
+		"op code 9 CLOSE":   framed(append([]byte{9}, make([]byte, binHeaderLen-1+12)...)),
+		"op code 10 STATS":  framed(append([]byte{10}, make([]byte, binHeaderLen-1+12)...)),
 		"op code 11 HELLO":  framed(append([]byte{11}, make([]byte, binHeaderLen-1+16)...)),
 	}
 	for name, first := range cases {
@@ -191,7 +172,7 @@ func TestCallAgainstMuteServer(t *testing.T) {
 		_, _ = io.Copy(io.Discard, conn) // read forever, reply never
 	}()
 
-	c, err := DialContext(bg, ln.Addr().String())
+	c, err := dial(bg, ln.Addr().String(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

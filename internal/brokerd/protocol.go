@@ -12,22 +12,27 @@
 // (DESIGN.md §11), spoken from the first byte in both directions. There
 // is no negotiation: a peer whose frame does not decode is disconnected
 // without a reply.
+//
+// The client side is Queue (queue.go), the TCP implementation of the
+// broker.Queue port: one reconnecting publish connection plus one per
+// subscription, because the protocol allows one subscription per
+// connection and a subscription ends by closing its connection. Queue
+// depth is not on the wire; the autoscaler reads the broker daemon's
+// rai_broker_queue_depth gauge from /metrics.
 package brokerd
 
 import "time"
 
 // Op codes used on the wire.
 const (
-	OpPub   = "PUB"   // client -> server: publish Body to Topic
-	OpSub   = "SUB"   // client -> server: subscribe Topic/Channel
-	OpAck   = "ACK"   // client -> server: acknowledge MsgID
-	OpReq   = "REQ"   // client -> server: requeue MsgID
-	OpPing  = "PING"  // client -> server: liveness check
-	OpOK    = "OK"    // server -> client: success reply to Seq
-	OpErr   = "ERR"   // server -> client: failure reply to Seq
-	OpMsg   = "MSG"   // server -> client: delivered message
-	OpClose = "CLOSE" // client -> server: close subscription
-	OpStats = "STATS" // client -> server: queue statistics snapshot
+	OpPub  = "PUB"  // client -> server: publish Body to Topic
+	OpSub  = "SUB"  // client -> server: subscribe Topic/Channel
+	OpAck  = "ACK"  // client -> server: acknowledge MsgID
+	OpReq  = "REQ"  // client -> server: requeue MsgID
+	OpPing = "PING" // client -> server: liveness check
+	OpOK   = "OK"   // server -> client: success reply to Seq
+	OpErr  = "ERR"  // server -> client: failure reply to Seq
+	OpMsg  = "MSG"  // server -> client: delivered message
 )
 
 // Frame is the single wire message shape for both directions.
@@ -44,24 +49,6 @@ type Frame struct {
 	Attempts int
 	Time     time.Time
 	Error    string
-	// Stats carries the broker snapshot in OpStats replies (the queue
-	// depth signal provisioning watches, paper §VII).
-	Stats []TopicStats
-}
-
-// TopicStats mirrors broker.TopicStats on the wire.
-type TopicStats struct {
-	Topic    string         `json:"topic"`
-	Backlog  int            `json:"backlog"`
-	Channels []ChannelStats `json:"channels,omitempty"`
-}
-
-// ChannelStats mirrors broker.ChannelStats on the wire.
-type ChannelStats struct {
-	Channel     string `json:"channel"`
-	Depth       int    `json:"depth"`
-	InFlight    int    `json:"in_flight"`
-	Subscribers int    `json:"subscribers"`
 }
 
 // maxFrameSize bounds a single frame (a project archive travels through

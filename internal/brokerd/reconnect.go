@@ -6,25 +6,26 @@ import (
 	"sync"
 	"time"
 
+	"rai/internal/broker"
 	"rai/internal/clock"
 	"rai/internal/netx"
 )
 
-// ReconnClient wraps the wire client with transparent redial: every
+// ReconnClient wraps the wire connection with transparent redial: every
 // operation runs under a netx retry policy, a dropped connection is
 // replaced on the next call, and an active subscription is replayed on
 // the fresh connection so the consumer's delivery stream survives a
 // broker restart. Because the broker requeues unacknowledged messages
 // when a subscriber connection dies, the stream is at-least-once: an
 // Ack for a message delivered on a connection that has since died is a
-// no-op (the broker already owns the message again).
+// no-op (the broker already owns the message again). A subscribed
+// ReconnClient is the TCP queue's broker.Consumer.
 //
 // ReconnClient is safe for concurrent use.
 type ReconnClient struct {
-	addr     string
-	policy   netx.Policy
-	metrics  *netx.Metrics
-	dialOpts []DialOption
+	addr        string
+	policy      netx.Policy
+	dialTimeout time.Duration
 
 	// ctx is the subscription lifetime, created on Subscribe from the
 	// caller's context (values kept, cancellation stripped — the pump
@@ -34,7 +35,7 @@ type ReconnClient struct {
 	cancel context.CancelFunc
 
 	mu     sync.Mutex
-	cur    *Client
+	cur    *conn
 	ever   bool // a connection has been established at least once
 	closed bool
 
@@ -44,48 +45,28 @@ type ReconnClient struct {
 	subChannel string
 	subMaxIF   int
 	subbed     bool
-	owners     map[uint64]*Client // msgID -> connection that delivered it
-	msgs       chan *Delivery
+	owners     map[uint64]*conn // msgID -> connection that delivered it
+	msgs       chan *broker.Message
 	pumpDone   chan struct{}
-	msgsOnce   sync.Once
-}
-
-// ReconnOption configures a ReconnClient.
-type ReconnOption func(*ReconnClient)
-
-// WithPolicy sets the retry policy applied to every operation. The
-// policy's Retryable is composed with brokerd's own classification
-// (ServerError replies never retry).
-func WithPolicy(p netx.Policy) ReconnOption {
-	return func(r *ReconnClient) { r.policy = p }
-}
-
-// WithMetrics counts retries, reconnects, and blown deadlines.
-func WithMetrics(m *netx.Metrics) ReconnOption {
-	return func(r *ReconnClient) { r.metrics = m }
-}
-
-// WithDialOptions forwards options to every (re)dial.
-func WithDialOptions(opts ...DialOption) ReconnOption {
-	return func(r *ReconnClient) { r.dialOpts = opts }
 }
 
 // NewReconnClient returns a reconnecting client for the broker at addr.
-// No connection is made until the first operation.
-func NewReconnClient(addr string, opts ...ReconnOption) *ReconnClient {
+// No connection is made until the first operation. policy applies to
+// every operation: its Retryable is composed with brokerd's own
+// classification (ServerError replies never retry) and its Metrics
+// count the retries, reconnects and blown deadlines. dialTimeout bounds
+// each (re)dial (0 = DefaultDialTimeout).
+func NewReconnClient(addr string, policy netx.Policy, dialTimeout time.Duration) *ReconnClient {
 	r := &ReconnClient{
-		addr:   addr,
-		owners: map[uint64]*Client{},
-		msgs:   make(chan *Delivery, 1024),
+		addr:        addr,
+		policy:      policy,
+		dialTimeout: dialTimeout,
+		owners:      map[uint64]*conn{},
+		msgs:        make(chan *broker.Message, deliveryBuffer),
 	}
-	for _, o := range opts {
-		o(r)
-	}
-	r.policy.Metrics = r.metrics
 	inner := r.policy.Retryable
 	r.policy.Retryable = func(err error) bool {
-		var se *ServerError
-		if errors.As(err, &se) {
+		if isServerError(err) {
 			return false
 		}
 		if inner != nil {
@@ -96,9 +77,9 @@ func NewReconnClient(addr string, opts ...ReconnOption) *ReconnClient {
 	return r
 }
 
-// conn returns the live connection, dialing one if necessary. Dialing
+// live returns the live connection, dialing one if necessary. Dialing
 // is a single attempt — callers run under netx.Do, which owns retries.
-func (r *ReconnClient) conn(ctx context.Context) (*Client, error) {
+func (r *ReconnClient) live(ctx context.Context) (*conn, error) {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -110,7 +91,7 @@ func (r *ReconnClient) conn(ctx context.Context) (*Client, error) {
 	}
 	r.mu.Unlock()
 
-	c, err := DialContext(ctx, r.addr, r.dialOpts...)
+	c, err := dial(ctx, r.addr, r.dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -125,7 +106,7 @@ func (r *ReconnClient) conn(ctx context.Context) (*Client, error) {
 		return r.cur, nil
 	}
 	if r.ever {
-		r.metrics.Reconnect()
+		r.policy.Metrics.Reconnect()
 	}
 	r.ever = true
 	r.cur = c
@@ -133,7 +114,7 @@ func (r *ReconnClient) conn(ctx context.Context) (*Client, error) {
 }
 
 // invalidate drops c as the current connection if it still is.
-func (r *ReconnClient) invalidate(c *Client) {
+func (r *ReconnClient) invalidate(c *conn) {
 	r.mu.Lock()
 	if r.cur == c {
 		r.cur = nil
@@ -151,20 +132,17 @@ func (r *ReconnClient) invalidate(c *Client) {
 
 // do runs op against a live connection under the retry policy,
 // invalidating the connection on failure so the next attempt redials.
-func (r *ReconnClient) do(ctx context.Context, op func(ctx context.Context, c *Client) error) error {
+func (r *ReconnClient) do(ctx context.Context, op func(ctx context.Context, c *conn) error) error {
 	return netx.Do(ctx, r.policy, func(ctx context.Context) error {
-		c, err := r.conn(ctx)
+		c, err := r.live(ctx)
 		if err != nil {
 			return err
 		}
-		if err := op(ctx, c); err != nil {
-			var se *ServerError
-			if !errors.As(err, &se) {
-				r.invalidate(c)
-			}
-			return err
+		err = op(ctx, c)
+		if err != nil && !isServerError(err) {
+			r.invalidate(c)
 		}
-		return nil
+		return err
 	})
 }
 
@@ -172,7 +150,7 @@ func (r *ReconnClient) do(ctx context.Context, op func(ctx context.Context, c *C
 // returns the broker-assigned message ID.
 func (r *ReconnClient) Publish(ctx context.Context, topic string, body []byte) (uint64, error) {
 	var id uint64
-	err := r.do(ctx, func(ctx context.Context, c *Client) error {
+	err := r.do(ctx, func(ctx context.Context, c *conn) error {
 		var err error
 		id, err = c.Publish(ctx, topic, body)
 		return err
@@ -182,25 +160,18 @@ func (r *ReconnClient) Publish(ctx context.Context, topic string, body []byte) (
 
 // Ping checks broker liveness (dialing if necessary).
 func (r *ReconnClient) Ping(ctx context.Context) error {
-	return r.do(ctx, func(ctx context.Context, c *Client) error { return c.Ping(ctx) })
-}
-
-// Stats fetches the broker's queue snapshot.
-func (r *ReconnClient) Stats(ctx context.Context) ([]TopicStats, error) {
-	var out []TopicStats
-	err := r.do(ctx, func(ctx context.Context, c *Client) error {
-		var err error
-		out, err = c.Stats(ctx)
-		return err
-	})
-	return out, err
+	return r.do(ctx, func(ctx context.Context, c *conn) error { return c.Ping(ctx) })
 }
 
 // Subscribe attaches to topic/channel and keeps the subscription alive
 // across broker restarts: when the delivering connection drops, the
 // client redials and resubscribes, and deliveries resume on C(). Only
-// one subscription per client, matching the wire protocol.
+// one subscription per client, matching the wire protocol. maxInFlight
+// is clamped to the delivery stream's capacity.
 func (r *ReconnClient) Subscribe(ctx context.Context, topic, channel string, maxInFlight int) error {
+	if maxInFlight > deliveryBuffer {
+		maxInFlight = deliveryBuffer
+	}
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -234,32 +205,23 @@ func (r *ReconnClient) Subscribe(ctx context.Context, topic, channel string, max
 
 // subscribeOnce gets a connection subscribed to the recorded topic,
 // under the retry policy.
-func (r *ReconnClient) subscribeOnce(ctx context.Context) (*Client, error) {
-	return netx.DoVal(ctx, r.policy, func(ctx context.Context) (*Client, error) {
-		c, err := r.conn(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.Subscribe(ctx, r.subTopic, r.subChannel, r.subMaxIF); err != nil {
-			var se *ServerError
-			if !errors.As(err, &se) {
-				r.invalidate(c)
-			}
-			return nil, err
-		}
-		return c, nil
+func (r *ReconnClient) subscribeOnce(ctx context.Context) (sub *conn, err error) {
+	err = r.do(ctx, func(ctx context.Context, c *conn) error {
+		sub = c
+		return c.Subscribe(ctx, r.subTopic, r.subChannel, r.subMaxIF)
 	})
+	return sub, err
 }
 
 // pump forwards deliveries from the current subscribed connection to
 // the client's stream, resubscribing on a fresh connection whenever the
 // current one dies. It exits only when the client is closed.
-func (r *ReconnClient) pump(c *Client) {
+func (r *ReconnClient) pump(c *conn) {
 	defer close(r.pumpDone)
 	for {
 		for d := range c.C() {
 			r.mu.Lock()
-			r.owners[d.MsgID] = c
+			r.owners[d.ID] = c
 			r.mu.Unlock()
 			select {
 			case r.msgs <- d:
@@ -302,40 +264,37 @@ func (r *ReconnClient) sleep() <-chan time.Time {
 }
 
 // C returns the delivery stream; it closes when the client is closed.
-func (r *ReconnClient) C() <-chan *Delivery { return r.msgs }
+func (r *ReconnClient) C() <-chan *broker.Message { return r.msgs }
 
 // Ack acknowledges a delivery. If the connection that delivered it has
 // since died, the broker has already requeued the message and Ack is a
 // successful no-op (the redelivery will carry it again).
-func (r *ReconnClient) Ack(ctx context.Context, d *Delivery) error {
-	return r.settle(ctx, d, (*Client).Ack)
+func (r *ReconnClient) Ack(ctx context.Context, m *broker.Message) error {
+	return r.settle(ctx, m, (*conn).Ack)
 }
 
 // Requeue returns a delivery to the queue. Like Ack, it is a no-op if
 // the delivering connection is gone — the broker already requeued it.
-func (r *ReconnClient) Requeue(ctx context.Context, d *Delivery) error {
-	return r.settle(ctx, d, (*Client).Requeue)
+func (r *ReconnClient) Requeue(ctx context.Context, m *broker.Message) error {
+	return r.settle(ctx, m, (*conn).Requeue)
 }
 
-func (r *ReconnClient) settle(ctx context.Context, d *Delivery, op func(*Client, context.Context, *Delivery) error) error {
+func (r *ReconnClient) settle(ctx context.Context, m *broker.Message, op func(*conn, context.Context, *broker.Message) error) error {
 	r.mu.Lock()
-	owner, ok := r.owners[d.MsgID]
+	owner, ok := r.owners[m.ID]
 	if ok {
-		delete(r.owners, d.MsgID)
+		delete(r.owners, m.ID)
 	}
 	r.mu.Unlock()
 	if !ok {
 		return nil // delivering connection died; broker requeued it
 	}
-	if err := op(owner, ctx, d); err != nil {
-		var se *ServerError
-		if !errors.As(err, &se) {
-			r.invalidate(owner)
-			return nil // transport died mid-settle; broker requeues
-		}
-		return err
+	err := op(owner, ctx, m)
+	if err != nil && !isServerError(err) {
+		r.invalidate(owner)
+		return nil // transport died mid-settle; broker requeues
 	}
-	return nil
+	return err
 }
 
 // Close tears down the connection and stops the resubscribe pump. The
@@ -363,6 +322,6 @@ func (r *ReconnClient) Close() error {
 	if pumpDone != nil {
 		<-pumpDone
 	}
-	r.msgsOnce.Do(func() { close(r.msgs) })
+	close(r.msgs) // once: only the first Close gets past r.closed
 	return err
 }

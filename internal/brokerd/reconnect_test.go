@@ -17,20 +17,6 @@ func fastReconnPolicy() netx.Policy {
 	}
 }
 
-func recvReconnT(t *testing.T, rc *ReconnClient) *Delivery {
-	t.Helper()
-	select {
-	case d, ok := <-rc.C():
-		if !ok {
-			t.Fatal("delivery stream closed")
-		}
-		return d
-	case <-time.After(5 * time.Second):
-		t.Fatal("timed out waiting for delivery")
-		return nil
-	}
-}
-
 // TestReconnectAcrossServerRestart is the broker half of the PR's
 // resilience story: kill the TCP server mid-subscription, restart it on
 // the same address over the same engine, and the wrapped client
@@ -39,16 +25,16 @@ func recvReconnT(t *testing.T, rc *ReconnClient) *Delivery {
 func TestReconnectAcrossServerRestart(t *testing.T) {
 	b := broker.New()
 	defer b.Close()
-	srv, err := NewServer(b, "127.0.0.1:0", WithLogf(t.Logf))
+	srv, err := NewServer(bg, b, "127.0.0.1:0", WithLogf(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := srv.Addr()
 
 	reg := telemetry.NewRegistry()
-	rc := NewReconnClient(addr,
-		WithPolicy(fastReconnPolicy()),
-		WithMetrics(netx.NewMetrics(reg, "broker")))
+	policy := fastReconnPolicy()
+	policy.Metrics = netx.NewMetrics(reg, "broker")
+	rc := NewReconnClient(addr, policy, 0)
 	defer rc.Close()
 
 	if err := rc.Subscribe(bg, "rai", "tasks", 4); err != nil {
@@ -57,7 +43,7 @@ func TestReconnectAcrossServerRestart(t *testing.T) {
 	if _, err := rc.Publish(bg, "rai", []byte("before restart")); err != nil {
 		t.Fatal(err)
 	}
-	d1 := recvReconnT(t, rc)
+	d1 := recvT(t, rc)
 	if string(d1.Body) != "before restart" {
 		t.Fatalf("first delivery = %q", d1.Body)
 	}
@@ -77,7 +63,7 @@ func TestReconnectAcrossServerRestart(t *testing.T) {
 		pubErr <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // let the publish hit the dead addr at least once
-	srv2, err := NewServer(b, addr, WithLogf(t.Logf))
+	srv2, err := NewServer(bg, b, addr, WithLogf(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +77,7 @@ func TestReconnectAcrossServerRestart(t *testing.T) {
 	// deliver both the requeued message and the outage-time publish.
 	got := map[string]int{}
 	for i := 0; i < 2; i++ {
-		d := recvReconnT(t, rc)
+		d := recvT(t, rc)
 		got[string(d.Body)] = d.Attempts
 		if err := rc.Ack(bg, d); err != nil {
 			t.Fatalf("ack %q: %v", d.Body, err)
@@ -116,13 +102,98 @@ func TestReconnectAcrossServerRestart(t *testing.T) {
 	}
 }
 
+// TestPolicyMetricsAreTheMetrics: the retry policy is the one source of
+// the counters — a client built from nothing but a policy whose Metrics
+// is set counts its retries and its reconnect.
+func TestPolicyMetricsAreTheMetrics(t *testing.T) {
+	b := broker.New()
+	defer b.Close()
+	srv, err := NewServer(bg, b, "127.0.0.1:0", WithLogf(t.Logf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := srv.Addr()
+	reg := telemetry.NewRegistry()
+	policy := fastReconnPolicy()
+	policy.Metrics = netx.NewMetrics(reg, "broker")
+	rc := NewReconnClient(addr, policy, 0)
+	defer rc.Close()
+	if err := rc.Ping(bg); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pinged := make(chan error, 1)
+	go func() { pinged <- rc.Ping(bg) }()
+	time.Sleep(20 * time.Millisecond) // let the ping hit the dead addr at least once
+	srv2, err := NewServer(bg, b, addr, WithLogf(t.Logf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	if err := <-pinged; err != nil {
+		t.Fatalf("ping across the restart: %v", err)
+	}
+	component := telemetry.L("component", "broker")
+	if v, _ := reg.Value(netx.MetricReconnects, component); v != 1 {
+		t.Errorf("reconnects counter = %v, want 1", v)
+	}
+	if v, _ := reg.Value(netx.MetricRetries, component); v < 1 {
+		t.Errorf("retries counter = %v, want >= 1", v)
+	}
+}
+
+// TestDeadConnectionAckIsNoOp is broker.TestDeliveryIsBoundToOneAttempt
+// over TCP: A's connection drops with a message un-acked and B receives
+// the redelivery; A's late ack goes nowhere and B still owns the
+// message. (A resubscribes on a fresh connection, but B is next in the
+// channel's rotation, so the redelivery is B's.)
+func TestDeadConnectionAckIsNoOp(t *testing.T) {
+	b, srv := newPair(t)
+	subscribe := func() *ReconnClient {
+		rc := NewReconnClient(srv.Addr(), fastReconnPolicy(), 0)
+		t.Cleanup(func() { rc.Close() })
+		if err := rc.Subscribe(bg, "rai", "tasks", 1); err != nil {
+			t.Fatal(err)
+		}
+		return rc
+	}
+	a, bSub := subscribe(), subscribe()
+	if _, err := a.Publish(bg, "rai", []byte("job")); err != nil {
+		t.Fatal(err)
+	}
+	ma := recvT(t, a)
+	a.mu.Lock()
+	dropped := a.cur
+	a.mu.Unlock()
+	dropped.nc.Close()
+
+	mb := recvT(t, bSub)
+	if ma.Attempts != 1 || mb.Attempts != 2 || mb.ID != ma.ID {
+		t.Fatalf("A holds attempt %d (want 1), B attempt %d (want 2) of id %d/%d", ma.Attempts, mb.Attempts, ma.ID, mb.ID)
+	}
+	if err := a.Ack(bg, ma); err != nil {
+		t.Errorf("ack for a dead connection: %v", err)
+	}
+	if cs := b.Stats()[0].Channels[0]; cs.InFlight != 1 || cs.Depth != 0 {
+		t.Errorf("after A's stale ack: %+v, want B's delivery still in flight", cs)
+	}
+	if err := bSub.Ack(bg, mb); err != nil {
+		t.Errorf("B's ack: %v", err)
+	}
+	if cs := b.Stats()[0].Channels[0]; cs.InFlight != 0 {
+		t.Errorf("after B's ack: %+v", cs)
+	}
+}
+
 // TestReconnClientServerErrorNotRetried pins the classification: an
 // application-level refusal from the broker must surface immediately,
 // not burn the retry budget.
 func TestReconnClientServerErrorNotRetried(t *testing.T) {
 	b := broker.New()
 	defer b.Close()
-	srv, err := NewServer(b, "127.0.0.1:0", WithLogf(t.Logf))
+	srv, err := NewServer(bg, b, "127.0.0.1:0", WithLogf(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +202,7 @@ func TestReconnClientServerErrorNotRetried(t *testing.T) {
 	retries := 0
 	p := fastReconnPolicy()
 	p.OnRetry = func(int, time.Duration, error) { retries++ }
-	rc := NewReconnClient(srv.Addr(), WithPolicy(p))
+	rc := NewReconnClient(srv.Addr(), p, 0)
 	defer rc.Close()
 
 	if _, err := rc.Publish(bg, "bad topic name!", nil); err == nil {
@@ -146,7 +217,7 @@ func TestReconnClientServerErrorNotRetried(t *testing.T) {
 // network: dialing a dead address only fails once an operation runs.
 func TestReconnClientLazyDial(t *testing.T) {
 	p := netx.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond}
-	rc := NewReconnClient("127.0.0.1:1", WithPolicy(p)) // port 1: nothing listens
+	rc := NewReconnClient("127.0.0.1:1", p, 0) // port 1: nothing listens
 	defer rc.Close()
 	if err := rc.Ping(bg); err == nil {
 		t.Fatal("ping of dead address succeeded")

@@ -2,6 +2,7 @@ package brokerd
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -14,6 +15,7 @@ import (
 
 // Server serves a broker engine over TCP.
 type Server struct {
+	ctx    context.Context
 	b      *broker.Broker
 	ln     net.Listener
 	logf   func(format string, args ...any)
@@ -39,20 +41,22 @@ func WithTelemetry(reg *telemetry.Registry) ServerOption {
 	return func(s *Server) {
 		s.connGauge = reg.Gauge("rai_brokerd_connections", "open client connections")
 		s.ops = map[string]*telemetry.Counter{}
-		for _, op := range []string{OpPing, OpPub, OpSub, OpAck, OpReq, OpStats, OpClose} {
+		for _, op := range []string{OpPing, OpPub, OpSub, OpAck, OpReq} {
 			s.ops[op] = reg.Counter("rai_brokerd_ops_total", "wire operations served", telemetry.L("op", op))
 		}
 	}
 }
 
 // NewServer starts serving b on addr (e.g. "127.0.0.1:0") and returns
-// once the listener is bound.
-func NewServer(b *broker.Broker, addr string, opts ...ServerOption) (*Server, error) {
+// once the listener is bound. ctx is the context of every engine call
+// made on behalf of a connection (a connection has none of its own); it
+// does not stop the server — Close does.
+func NewServer(ctx context.Context, b *broker.Broker, addr string, opts ...ServerOption) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{b: b, ln: ln, logf: log.Printf, conns: map[net.Conn]struct{}{}}
+	s := &Server{ctx: ctx, b: b, ln: ln, logf: log.Printf, conns: map[net.Conn]struct{}{}}
 	for _, o := range opts {
 		o(s)
 	}
@@ -127,8 +131,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 
 	var (
-		sub      *broker.Subscription
-		inFlight sync.Map // msgID -> *broker.Message
+		sub      broker.Consumer
 		pumpDone chan struct{}
 	)
 	defer func() {
@@ -150,14 +153,14 @@ func (s *Server) serveConn(conn net.Conn) {
 		case OpPing:
 			reply(f.Seq, nil, 0)
 		case OpPub:
-			id, err := s.b.Publish(f.Topic, f.Body)
+			id, err := s.b.Publish(s.ctx, f.Topic, f.Body)
 			reply(f.Seq, err, id)
 		case OpSub:
 			if sub != nil {
 				reply(f.Seq, errors.New("brokerd: connection already subscribed"), 0)
 				continue
 			}
-			newSub, err := s.b.Subscribe(f.Topic, f.Channel, f.MaxInFlight)
+			newSub, err := s.b.Subscribe(s.ctx, f.Topic, f.Channel, f.MaxInFlight)
 			if err != nil {
 				reply(f.Seq, err, 0)
 				continue
@@ -167,12 +170,11 @@ func (s *Server) serveConn(conn net.Conn) {
 			go func() {
 				defer close(pumpDone)
 				for m := range sub.C() {
-					inFlight.Store(m.ID, m)
 					// A burst of queued deliveries coalesces into one flush:
 					// while more messages are already waiting, keep appending
 					// to the write buffer.
 					if err := fw.writeHint(&Frame{
-						Op: OpMsg, MsgID: m.ID, Topic: m.Topic(),
+						Op: OpMsg, MsgID: m.ID, Topic: m.Topic,
 						Body: m.Body, Attempts: m.Attempts, Time: m.Timestamp,
 					}, len(sub.C()) > 0); err != nil {
 						return
@@ -185,38 +187,14 @@ func (s *Server) serveConn(conn net.Conn) {
 				reply(f.Seq, errors.New("brokerd: not subscribed"), 0)
 				continue
 			}
-			v, ok := inFlight.LoadAndDelete(f.MsgID)
-			if !ok {
-				reply(f.Seq, fmt.Errorf("brokerd: message %d not in flight", f.MsgID), 0)
-				continue
-			}
-			m := v.(*broker.Message)
+			// The engine settles by id and answers ErrUnknownMsg for one
+			// that is not in flight on this subscription.
+			m := &broker.Message{ID: f.MsgID}
 			if f.Op == OpAck {
-				reply(f.Seq, sub.Ack(m), 0)
+				reply(f.Seq, sub.Ack(s.ctx, m), 0)
 			} else {
-				reply(f.Seq, sub.Requeue(m), 0)
+				reply(f.Seq, sub.Requeue(s.ctx, m), 0)
 			}
-		case OpStats:
-			snap := s.b.Stats()
-			stats := make([]TopicStats, 0, len(snap))
-			for _, ts := range snap {
-				out := TopicStats{Topic: ts.Topic, Backlog: ts.Backlog}
-				for _, cs := range ts.Channels {
-					out.Channels = append(out.Channels, ChannelStats{
-						Channel: cs.Channel, Depth: cs.Depth,
-						InFlight: cs.InFlight, Subscribers: cs.Subscribers,
-					})
-				}
-				stats = append(stats, out)
-			}
-			_ = fw.write(&Frame{Op: OpOK, Seq: f.Seq, Stats: stats})
-		case OpClose:
-			if sub != nil {
-				sub.Close()
-				<-pumpDone
-				sub = nil
-			}
-			reply(f.Seq, nil, 0)
 		default:
 			reply(f.Seq, fmt.Errorf("brokerd: unknown op %q", f.Op), 0)
 		}

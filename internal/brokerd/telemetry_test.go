@@ -1,7 +1,6 @@
 package brokerd
 
 import (
-	"context"
 	"testing"
 
 	"rai/internal/broker"
@@ -12,13 +11,13 @@ func TestServerTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	b := broker.New(broker.WithTelemetry(reg))
 	defer b.Close()
-	srv, err := NewServer(b, "127.0.0.1:0", WithTelemetry(reg), WithLogf(t.Logf))
+	srv, err := NewServer(bg, b, "127.0.0.1:0", WithTelemetry(reg), WithLogf(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	c, err := DialContext(context.Background(), srv.Addr())
+	c, err := dial(bg, srv.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

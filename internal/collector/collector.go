@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"time"
 
+	"rai/internal/broker"
 	"rai/internal/clock"
 	"rai/internal/core"
 	"rai/internal/docstore"
@@ -19,7 +20,7 @@ import (
 
 // Collector drains telemetry batches from the queue into the store.
 type Collector struct {
-	Queue core.Queue
+	Queue broker.Queue
 	DB    docstore.Store
 	// Telemetry, when set, counts persisted records and decode failures.
 	Telemetry *telemetry.Registry
@@ -114,7 +115,7 @@ func (c *Collector) Run(ctx context.Context) error {
 				// A malformed batch will never decode; ack it away.
 				malformed.Inc()
 				c.Log.Warn(ctx, "malformed telemetry batch", telemetry.L("error", err.Error()))
-				_ = m.Ack()
+				_ = sub.Ack(ctx, m)
 				continue
 			}
 			if tail == nil {
@@ -122,7 +123,7 @@ func (c *Collector) Run(ctx context.Context) error {
 				spans.Add(float64(ns))
 				events.Add(float64(ne))
 				batches.Inc()
-				_ = m.Ack()
+				_ = sub.Ack(ctx, m)
 				continue
 			}
 			for _, s := range b.Spans {
@@ -131,7 +132,7 @@ func (c *Collector) Run(ctx context.Context) error {
 			ne := c.persistEvents(ctx, b)
 			events.Add(float64(ne))
 			batches.Inc()
-			_ = m.Ack()
+			_ = sub.Ack(ctx, m)
 		case <-flush:
 			persistKept(ctx, tail.evict(false))
 			flush = clk.After(flushEvery)

@@ -25,10 +25,9 @@ func span(traceID, spanID, parentID, name string, startOff, endOff time.Duration
 func TestCollectorRunPersistsBatches(t *testing.T) {
 	b := broker.New()
 	defer b.Close()
-	queue := core.BrokerQueue{B: b}
 	db := docstore.New()
 	reg := telemetry.NewRegistry()
-	c := &Collector{Queue: queue, DB: db, Telemetry: reg}
+	c := &Collector{Queue: b, DB: db, Telemetry: reg}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -46,10 +45,10 @@ func TestCollectorRunPersistsBatches(t *testing.T) {
 		}},
 	}
 	// Garbage first: the collector must count it and keep consuming.
-	if err := queue.Publish(ctx, core.TelemetryTopic, []byte("not json")); err != nil {
+	if _, err := b.Publish(ctx, core.TelemetryTopic, []byte("not json")); err != nil {
 		t.Fatal(err)
 	}
-	if err := queue.Publish(ctx, core.TelemetryTopic, batch.Encode()); err != nil {
+	if _, err := b.Publish(ctx, core.TelemetryTopic, batch.Encode()); err != nil {
 		t.Fatal(err)
 	}
 

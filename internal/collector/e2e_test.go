@@ -46,7 +46,6 @@ func newTracedStack(t *testing.T, sampler *telemetry.Sampler) *tracedStack {
 	t.Helper()
 	b := broker.New()
 	t.Cleanup(func() { b.Close() })
-	queue := core.BrokerQueue{B: b}
 	s := &tracedStack{db: docstore.New(), exporters: map[string]*telemetry.Exporter{}}
 
 	downstream := func() *telemetry.Sampler {
@@ -56,7 +55,7 @@ func newTracedStack(t *testing.T, sampler *telemetry.Sampler) *tracedStack {
 		return telemetry.NewSampler(1)
 	}
 	newTracer := func(service string, smp *telemetry.Sampler) *telemetry.Tracer {
-		exp := telemetry.NewExporter(context.Background(), service, core.ShipTelemetry(queue))
+		exp := telemetry.NewExporter(context.Background(), service, core.ShipTelemetry(b))
 		t.Cleanup(exp.Close)
 		s.exporters[service] = exp
 		return telemetry.NewTracer(1024, telemetry.WithSpanSink(smp.SpanSink(exp.ExportSpan)),
@@ -93,7 +92,7 @@ func newTracedStack(t *testing.T, sampler *telemetry.Sampler) *tracedStack {
 
 	s.worker = &core.Worker{
 		Cfg:      core.WorkerConfig{ID: "w1", MaxConcurrent: 1, RateLimit: time.Nanosecond},
-		Queue:    queue,
+		Queue:    b,
 		Objects:  objstore.NewClient(objSrv.URL),
 		DB:       docstore.NewClient(dbSrv.URL),
 		Auth:     authReg,
@@ -108,7 +107,7 @@ func newTracedStack(t *testing.T, sampler *telemetry.Sampler) *tracedStack {
 
 	s.client = &core.Client{
 		Creds:   creds,
-		Queue:   queue,
+		Queue:   b,
 		Objects: objstore.NewClient(objSrv.URL),
 		Stdout:  &bytes.Buffer{},
 		LogWait: time.Minute,
@@ -122,7 +121,7 @@ func newTracedStack(t *testing.T, sampler *telemetry.Sampler) *tracedStack {
 	// lands in, over the same HTTP server (so its writes are traced
 	// infrastructure too, though its own spans are not part of any job).
 	ctx, cancel := context.WithCancel(context.Background())
-	coll := &collector.Collector{Queue: queue, DB: docstore.NewClient(dbSrv.URL)}
+	coll := &collector.Collector{Queue: b, DB: docstore.NewClient(dbSrv.URL)}
 	collDone := make(chan error, 1)
 	go func() { collDone <- coll.Run(ctx) }()
 	t.Cleanup(func() {
@@ -159,7 +158,7 @@ func (s *tracedStack) runJob(t *testing.T, rev int) *core.JobResult {
 	}
 	done := make(chan out, 1)
 	go func() {
-		res, err := s.client.SubmitContext(context.Background(), core.KindRun, build.Default(), m, src)
+		res, err := s.client.Submit(context.Background(), core.KindRun, build.Default(), m, src)
 		done <- out{res, err}
 	}()
 	if _, err := s.worker.HandleOne(context.Background(), 10*time.Second); err != nil {

@@ -95,21 +95,7 @@ func spanFromDoc(d docstore.M) Span {
 	s.Service, _ = d["service"].(string)
 	s.Start = parseTime(d["start"])
 	s.End = parseTime(d["end"])
-	if attrs, ok := d["attrs"].(map[string]any); ok {
-		s.Attrs = map[string]string{}
-		for k, v := range attrs {
-			if sv, ok := v.(string); ok {
-				s.Attrs[k] = sv
-			}
-		}
-	} else if attrs, ok := d["attrs"].(docstore.M); ok {
-		s.Attrs = map[string]string{}
-		for k, v := range attrs {
-			if sv, ok := v.(string); ok {
-				s.Attrs[k] = sv
-			}
-		}
-	}
+	s.Attrs = stringAttrs(d)
 	return s
 }
 
@@ -122,22 +108,24 @@ func eventFromDoc(d docstore.M) telemetry.Event {
 	e.TraceID, _ = d["trace_id"].(string)
 	e.SpanID, _ = d["span_id"].(string)
 	e.JobID, _ = d["job_id"].(string)
-	if attrs, ok := d["attrs"].(map[string]any); ok {
-		e.Attrs = map[string]string{}
-		for k, v := range attrs {
-			if sv, ok := v.(string); ok {
-				e.Attrs[k] = sv
-			}
-		}
-	} else if attrs, ok := d["attrs"].(docstore.M); ok {
-		e.Attrs = map[string]string{}
-		for k, v := range attrs {
-			if sv, ok := v.(string); ok {
-				e.Attrs[k] = sv
-			}
+	e.Attrs = stringAttrs(d)
+	return e
+}
+
+// stringAttrs keeps the string-valued entries of a document's attrs
+// field (nil when the document has none).
+func stringAttrs(d docstore.M) map[string]string {
+	attrs, ok := d["attrs"].(map[string]any)
+	if !ok {
+		return nil
+	}
+	out := make(map[string]string, len(attrs))
+	for k, v := range attrs {
+		if sv, ok := v.(string); ok {
+			out[k] = sv
 		}
 	}
-	return e
+	return out
 }
 
 func parseTime(v any) time.Time {

@@ -154,11 +154,10 @@ func TestTailLingerRestartsOnNewSpans(t *testing.T) {
 func TestCollectorRunWithTail(t *testing.T) {
 	b := broker.New()
 	defer b.Close()
-	queue := core.BrokerQueue{B: b}
 	db := docstore.New()
 	reg := telemetry.NewRegistry()
 	c := &Collector{
-		Queue: queue, DB: db, Telemetry: reg,
+		Queue: b, DB: db, Telemetry: reg,
 		Tail: TailConfig{Linger: 20 * time.Millisecond, KeepRate: 0, MinSamples: 1 << 30},
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -176,7 +175,7 @@ func TestCollectorRunWithTail(t *testing.T) {
 			Time: t0, Level: "info", Msg: "job dequeued", TraceID: "tr-ok", JobID: "j2",
 		}},
 	}
-	if err := queue.Publish(ctx, core.TelemetryTopic, batch.Encode()); err != nil {
+	if _, err := b.Publish(ctx, core.TelemetryTopic, batch.Encode()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -220,11 +219,10 @@ func TestCollectorRunWithTail(t *testing.T) {
 func TestCollectorShutdownFlushesTail(t *testing.T) {
 	b := broker.New()
 	defer b.Close()
-	queue := core.BrokerQueue{B: b}
 	db := docstore.New()
 	reg := telemetry.NewRegistry()
 	c := &Collector{
-		Queue: queue, DB: db, Telemetry: reg,
+		Queue: b, DB: db, Telemetry: reg,
 		// Hour-long linger: nothing evicts except the shutdown flush.
 		Tail: TailConfig{Linger: time.Hour, KeepRate: 1},
 	}
@@ -235,7 +233,7 @@ func TestCollectorShutdownFlushesTail(t *testing.T) {
 	batch := &Batch{Service: "rai", Spans: []telemetry.SpanData{
 		span("tr1", "s1", "", "job", 0, time.Second, map[string]string{"job_id": "j1"}),
 	}}
-	if err := queue.Publish(ctx, core.TelemetryTopic, batch.Encode()); err != nil {
+	if _, err := b.Publish(ctx, core.TelemetryTopic, batch.Encode()); err != nil {
 		t.Fatal(err)
 	}
 	// Wait for the batch to be buffered (the pending gauge flips to 1).

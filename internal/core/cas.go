@@ -45,7 +45,7 @@ func (t *TransferStats) DedupRatio() float64 {
 // uploadProject moves the tree described by m to the file server under
 // a fresh upload key for jobID: chunks the store lacks first, then the
 // manifest, so a worker that can read the manifest can fetch every
-// chunk it names. Shared by SubmitContext and OpenSessionContext.
+// chunk it names. Shared by Submit and OpenSession.
 func (c *Client) uploadProject(ctx context.Context, jobID string, m *cas.Manifest, src cas.Source) (string, *TransferStats, error) {
 	missing, err := c.Objects.MissingChunks(ctx, m)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"rai/internal/auth"
+	"rai/internal/broker"
 	"rai/internal/build"
 	"rai/internal/cas"
 	"rai/internal/clock"
@@ -21,7 +22,7 @@ import (
 // End message.
 type Client struct {
 	Creds   auth.Credentials
-	Queue   Queue
+	Queue   broker.Queue
 	Objects Objects
 	// Stdout receives streamed job output (the student's terminal).
 	Stdout io.Writer
@@ -108,14 +109,14 @@ func CheckSubmissionFiles(fs *vfs.FS, dir string) error {
 	return nil
 }
 
-// SubmitContext runs the full client sequence for the project tree
+// Submit runs the full client sequence for the project tree
 // described by m, whose chunk payloads come from src (cas.BuildDir or
 // cas.BuildVFS produce the pair). kind is KindRun or KindSubmit; spec
 // is the parsed build file (ignored by workers for KindSubmit). It
 // blocks streaming logs to Stdout until the End message arrives;
 // canceling ctx abandons the job (the worker still runs it, but nobody
 // is watching the log topic).
-func (c *Client) SubmitContext(ctx context.Context, kind string, spec *build.Spec, m *cas.Manifest, src cas.Source) (*JobResult, error) {
+func (c *Client) Submit(ctx context.Context, kind string, spec *build.Spec, m *cas.Manifest, src cas.Source) (*JobResult, error) {
 	jobID := NewJobID()
 	root, sampled := c.startJobSpan(jobID, kind)
 	ctx = telemetry.ContextWithJobID(ctx, jobID)
@@ -213,7 +214,7 @@ func (c *Client) submitUploaded(ctx context.Context, root *telemetry.Span, jobID
 	defer sub.Close()
 
 	// Step 4: push the job request onto the queue.
-	if err := c.Queue.Publish(ctx, TasksTopic, encodeJSON(req)); err != nil {
+	if _, err := c.Queue.Publish(ctx, TasksTopic, encodeJSON(req)); err != nil {
 		enq.End()
 		return nil, fmt.Errorf("core: publishing job: %w", err)
 	}
@@ -237,12 +238,11 @@ func (c *Client) submitUploaded(ctx context.Context, root *telemetry.Span, jobID
 			if !ok {
 				return res, fmt.Errorf("core: log stream closed before End message")
 			}
+			_ = sub.Ack(ctx, m)
 			var lm LogMessage
 			if err := json.Unmarshal(m.Body, &lm); err != nil {
-				_ = m.Ack()
 				continue // tolerate malformed log lines
 			}
-			_ = m.Ack()
 			switch lm.Kind {
 			case LogStdout, LogStderr, LogSystem:
 				res.LogLines++

@@ -28,7 +28,7 @@ import (
 // env is a full in-process RAI deployment (Figure 1 without the wires).
 type env struct {
 	broker  *broker.Broker
-	queue   Queue
+	queue   broker.Queue
 	objects Objects
 	db      *docstore.DB
 	authReg *auth.Registry
@@ -66,7 +66,7 @@ func newEnv(t *testing.T) *env {
 
 	e := &env{
 		broker:  b,
-		queue:   BrokerQueue{B: b},
+		queue:   b,
 		objects: store,
 		db:      db,
 		authReg: ar,
@@ -129,7 +129,7 @@ func submitAndHandle(t *testing.T, e *env, c *Client, kind string, spec *build.S
 	}
 	done := make(chan out, 1)
 	go func() {
-		res, err := c.SubmitContext(context.Background(), kind, spec, proj.m, proj.src)
+		res, err := c.Submit(context.Background(), kind, spec, proj.m, proj.src)
 		done <- out{res, err}
 	}()
 	if _, err := e.worker.HandleOne(context.Background(), 5*time.Second); err != nil {
@@ -467,12 +467,12 @@ func TestWorkerRunLoopAndStop(t *testing.T) {
 	e := newEnv(t)
 	workerDone := make(chan struct{})
 	go func() {
-		e.worker.RunContext(context.Background())
+		e.worker.Run(context.Background())
 		close(workerDone)
 	}()
 	c := e.client(t, "team-loop")
 	proj := newProject(t, project.Spec{Impl: cnn.ImplIm2col})
-	res, err := c.SubmitContext(context.Background(), KindRun, build.Default(), proj.m, proj.src)
+	res, err := c.Submit(context.Background(), KindRun, build.Default(), proj.m, proj.src)
 	if err != nil || res.Status != StatusSucceeded {
 		t.Fatalf("submit via run loop: %v %+v", err, res)
 	}
@@ -491,7 +491,7 @@ func TestMultiConcurrentWorker(t *testing.T) {
 	e := newEnv(t)
 	e.worker.Cfg.MaxConcurrent = 4
 	e.worker.Cfg.RateLimit = 0
-	go e.worker.RunContext(context.Background())
+	go e.worker.Run(context.Background())
 	defer e.worker.Stop()
 
 	const jobs = 4
@@ -500,7 +500,7 @@ func TestMultiConcurrentWorker(t *testing.T) {
 		c := e.client(t, "team-par-"+string(rune('a'+i)))
 		proj := newProject(t, project.Spec{Impl: cnn.ImplTiled})
 		go func(c *Client) {
-			res, err := c.SubmitContext(context.Background(), KindRun, build.Default(), proj.m, proj.src)
+			res, err := c.Submit(context.Background(), KindRun, build.Default(), proj.m, proj.src)
 			if err == nil && res.Status != StatusSucceeded {
 				err = errors.New("status " + res.Status)
 			}

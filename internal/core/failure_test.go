@@ -174,7 +174,7 @@ func TestClientUploadFailure(t *testing.T) {
 	c := e.client(t, "team-up")
 	c.Objects = &flakyObjects{Objects: e.objects, failPuts: 1}
 	proj := newProject(t, project.Spec{Impl: cnn.ImplTiled})
-	if _, err := c.SubmitContext(context.Background(), KindRun, build.Default(), proj.m, proj.src); err == nil || !strings.Contains(err.Error(), "uploading project") {
+	if _, err := c.Submit(context.Background(), KindRun, build.Default(), proj.m, proj.src); err == nil || !strings.Contains(err.Error(), "uploading project") {
 		t.Fatalf("upload failure: %v", err)
 	}
 }
@@ -199,7 +199,7 @@ func TestCrashedWorkerJobIsRedelivered(t *testing.T) {
 			}
 			done := make(chan out, 1)
 			go func() {
-				res, err := c.SubmitContext(context.Background(), KindRun, build.Default(), proj.m, proj.src)
+				res, err := c.Submit(context.Background(), KindRun, build.Default(), proj.m, proj.src)
 				done <- out{res, err}
 			}()
 
@@ -270,7 +270,7 @@ func TestGPUResourceRequestEnforced(t *testing.T) {
 func TestMalformedQueueMessageIgnored(t *testing.T) {
 	e := newEnv(t)
 	// Garbage on the tasks topic must not wedge the worker.
-	if err := e.queue.Publish(context.Background(), TasksTopic, []byte("{not json")); err != nil {
+	if _, err := e.queue.Publish(context.Background(), TasksTopic, []byte("{not json")); err != nil {
 		t.Fatal(err)
 	}
 	handled, err := e.worker.HandleOne(context.Background(), 2*time.Second)

@@ -15,27 +15,27 @@ import (
 )
 
 // TestRemoteQueueEndToEnd runs the whole client/worker protocol through
-// the TCP broker adapter instead of the in-process one.
+// the TCP queue (brokerd.Queue) instead of the in-process engine.
 func TestRemoteQueueEndToEnd(t *testing.T) {
 	e := newEnv(t)
 	b := broker.New()
-	srv, err := brokerd.NewServer(b, "127.0.0.1:0")
+	srv, err := brokerd.NewServer(context.Background(), b, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close(); b.Close() })
 
-	workerQueue, err := NewRemoteQueue(context.Background(), srv.Addr())
+	workerQueue, err := brokerd.NewQueue(context.Background(), srv.Addr(), netx.Policy{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { workerQueue.Close() })
 	e.worker.Queue = workerQueue
 	e.worker.Cfg.RateLimit = 0
-	go e.worker.RunContext(context.Background())
+	go e.worker.Run(context.Background())
 	t.Cleanup(e.worker.Stop)
 
-	clientQueue, err := NewRemoteQueue(context.Background(), srv.Addr())
+	clientQueue, err := brokerd.NewQueue(context.Background(), srv.Addr(), netx.Policy{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestRemoteQueueEndToEnd(t *testing.T) {
 	c.LogWait = 0 // real-time delivery; no virtual-clock timer
 
 	proj := newProject(t, project.Spec{Impl: cnn.ImplIm2col, Team: "team-tcp"})
-	res, err := c.SubmitContext(context.Background(), KindRun, build.Default(), proj.m, proj.src)
+	res, err := c.Submit(context.Background(), KindRun, build.Default(), proj.m, proj.src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,26 +71,26 @@ func TestSubmissionSurvivesBrokerRestart(t *testing.T) {
 	e := newEnv(t)
 	b := broker.New()
 	t.Cleanup(func() { b.Close() })
-	srv, err := brokerd.NewServer(b, "127.0.0.1:0")
+	srv, err := brokerd.NewServer(context.Background(), b, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := srv.Addr()
 
 	reg := telemetry.NewRegistry()
-	p := netx.Policy{MaxAttempts: 100, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond}
-	m := netx.NewMetrics(reg, "broker")
-	workerQueue, err := NewRemoteQueue(context.Background(), addr, WithQueuePolicy(p), WithQueueMetrics(m))
+	p := netx.Policy{MaxAttempts: 100, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond,
+		Metrics: netx.NewMetrics(reg, "broker")}
+	workerQueue, err := brokerd.NewQueue(context.Background(), addr, p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { workerQueue.Close() })
 	e.worker.Queue = workerQueue
 	e.worker.Cfg.RateLimit = 0
-	go e.worker.RunContext(context.Background())
+	go e.worker.Run(context.Background())
 	t.Cleanup(e.worker.Stop)
 
-	clientQueue, err := NewRemoteQueue(context.Background(), addr, WithQueuePolicy(p), WithQueueMetrics(m))
+	clientQueue, err := brokerd.NewQueue(context.Background(), addr, p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestSubmissionSurvivesBrokerRestart(t *testing.T) {
 	// One clean submission first, so the worker's task subscription and
 	// both publish connections exist before the restart kills them all.
 	proj := newProject(t, project.Spec{Impl: cnn.ImplIm2col, Team: "team-outage"})
-	res, err := c.SubmitContext(context.Background(), KindRun, build.Default(), proj.m, proj.src)
+	res, err := c.Submit(context.Background(), KindRun, build.Default(), proj.m, proj.src)
 	if err != nil {
 		t.Fatalf("submission before restart: %v", err)
 	}
@@ -124,11 +124,11 @@ func TestSubmissionSurvivesBrokerRestart(t *testing.T) {
 	restarted := make(chan restart, 1)
 	go func() {
 		time.Sleep(25 * time.Millisecond)
-		srv2, err := brokerd.NewServer(b, addr)
+		srv2, err := brokerd.NewServer(context.Background(), b, addr)
 		restarted <- restart{srv2, err}
 	}()
 
-	res2, err := c.SubmitContext(context.Background(), KindRun, build.Default(), proj.m, proj.src)
+	res2, err := c.Submit(context.Background(), KindRun, build.Default(), proj.m, proj.src)
 	r := <-restarted
 	if r.err != nil {
 		t.Fatalf("broker restart: %v", r.err)

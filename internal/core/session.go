@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"time"
 
+	"rai/internal/broker"
 	"rai/internal/cas"
 	"rai/internal/clock"
 	"rai/internal/sandbox"
@@ -59,7 +60,7 @@ var ErrSessionsDisabled = errors.New("core: worker does not accept interactive s
 type Session struct {
 	JobID  string
 	client *Client
-	sub    Subscription
+	sub    broker.Consumer
 	clk    clock.Clock
 	// base is the opening context minus its cancellation: Close must
 	// still deliver the close marker (so the worker uploads /build)
@@ -77,10 +78,10 @@ type CommandResult struct {
 	Output   string // interleaved stdout/stderr lines
 }
 
-// OpenSessionContext uploads the project tree (m, src — as for
-// SubmitContext) and starts an interactive session. The returned
+// OpenSession uploads the project tree (m, src — as for
+// Submit) and starts an interactive session. The returned
 // Session executes commands with Run and must be closed.
-func (c *Client) OpenSessionContext(ctx context.Context, m *cas.Manifest, src cas.Source) (*Session, error) {
+func (c *Client) OpenSession(ctx context.Context, m *cas.Manifest, src cas.Source) (*Session, error) {
 	clk := c.Clock
 	if clk == nil {
 		clk = clock.Real{}
@@ -100,7 +101,7 @@ func (c *Client) OpenSessionContext(ctx context.Context, m *cas.Manifest, src ca
 	if err != nil {
 		return nil, err
 	}
-	if err := c.Queue.Publish(ctx, TasksTopic, encodeJSON(req)); err != nil {
+	if _, err := c.Queue.Publish(ctx, TasksTopic, encodeJSON(req)); err != nil {
 		sub.Close()
 		return nil, err
 	}
@@ -122,7 +123,7 @@ func (s *Session) Run(ctx context.Context, cmd string) (*CommandResult, error) {
 	if s.closed {
 		return nil, ErrSessionClosed
 	}
-	if err := s.client.Queue.Publish(ctx, CmdTopic(s.JobID), encodeJSON(&sessionCommand{JobID: s.JobID, Cmd: cmd})); err != nil {
+	if _, err := s.client.Queue.Publish(ctx, CmdTopic(s.JobID), encodeJSON(&sessionCommand{JobID: s.JobID, Cmd: cmd})); err != nil {
 		return nil, err
 	}
 	return s.waitCmdDone(cmd)
@@ -142,12 +143,11 @@ func (s *Session) waitCmdDone(cmd string) (*CommandResult, error) {
 				s.closed = true
 				return nil, fmt.Errorf("core: session %s: log stream closed", s.JobID)
 			}
+			_ = s.sub.Ack(s.base, m)
 			var lm LogMessage
 			if err := json.Unmarshal(m.Body, &lm); err != nil {
-				_ = m.Ack()
 				continue
 			}
-			_ = m.Ack()
 			switch lm.Kind {
 			case LogStdout, LogStderr, LogSystem:
 				res.Output += lm.Line + "\n"
@@ -181,13 +181,14 @@ func (s *Session) Close() error {
 	if s.closed {
 		return nil
 	}
-	_ = s.client.Queue.Publish(s.base, CmdTopic(s.JobID), encodeJSON(&sessionCommand{JobID: s.JobID, Close: true}))
+	_, _ = s.client.Queue.Publish(s.base, CmdTopic(s.JobID), encodeJSON(&sessionCommand{JobID: s.JobID, Close: true}))
 	// Drain until End so Result is populated.
 	for {
 		m, ok := <-s.sub.C()
 		if !ok {
 			break
 		}
+		_ = s.sub.Ack(s.base, m)
 		var lm LogMessage
 		if err := json.Unmarshal(m.Body, &lm); err == nil && lm.Kind == LogEnd {
 			s.Result = &JobResult{
@@ -195,10 +196,8 @@ func (s *Session) Close() error {
 				Elapsed:     time.Duration(lm.Elapsed * float64(time.Second)),
 				BuildBucket: lm.BuildBucket, BuildKey: lm.BuildKey,
 			}
-			_ = m.Ack()
 			break
 		}
-		_ = m.Ack()
 	}
 	s.closed = true
 	return s.sub.Close()
@@ -265,12 +264,11 @@ loop:
 			if !open {
 				break loop
 			}
+			_ = cmdSub.Ack(ctx, m)
 			var sc sessionCommand
 			if err := json.Unmarshal(m.Body, &sc); err != nil {
-				_ = m.Ack()
 				continue
 			}
-			_ = m.Ack()
 			if sc.Close || sc.Cmd == "exit" {
 				logf(LogSystem, "session closed by client")
 				break loop
@@ -307,7 +305,7 @@ loop:
 // signalCmdDone publishes the per-command completion marker; the exit
 // code travels in the numeric Elapsed field.
 func (w *Worker) signalCmdDone(ctx context.Context, jobID string, exitCode int) {
-	_ = w.Queue.Publish(ctx, LogTopic(jobID), encodeJSON(&LogMessage{
+	_, _ = w.Queue.Publish(ctx, LogTopic(jobID), encodeJSON(&LogMessage{
 		JobID: jobID, Kind: LogCmdDone, Elapsed: float64(exitCode),
 	}))
 }

@@ -20,13 +20,13 @@ func openSession(t *testing.T, e *env, team string) (*Session, *Client) {
 	e.worker.Cfg.AllowSessions = true
 	e.worker.Cfg.RateLimit = 0
 	e.worker.Cfg.SessionIdleTimeout = time.Hour
-	go e.worker.RunContext(context.Background())
+	go e.worker.Run(context.Background())
 	t.Cleanup(e.worker.Stop)
 
 	c := e.client(t, team)
 	c.LogWait = 20 * time.Second
 	proj := newProject(t, project.Spec{Impl: cnn.ImplIm2col, Team: team})
-	s, err := c.OpenSessionContext(context.Background(), proj.m, proj.src)
+	s, err := c.OpenSession(context.Background(), proj.m, proj.src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,12 +158,12 @@ func TestSessionLimitsStillEnforced(t *testing.T) {
 func TestSessionRejectedWhenDisabled(t *testing.T) {
 	e := newEnv(t)
 	// Worker without AllowSessions.
-	go e.worker.RunContext(context.Background())
+	go e.worker.Run(context.Background())
 	t.Cleanup(e.worker.Stop)
 	c := e.client(t, "team-nosess")
 	c.LogWait = 10 * time.Second
 	proj := newProject(t, project.Spec{Impl: cnn.ImplTiled, Team: "team-nosess"})
-	_, err := c.OpenSessionContext(context.Background(), proj.m, proj.src)
+	_, err := c.OpenSession(context.Background(), proj.m, proj.src)
 	if !errors.Is(err, ErrRejected) {
 		t.Fatalf("session on non-session worker: %v", err)
 	}

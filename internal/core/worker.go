@@ -12,6 +12,7 @@ import (
 
 	"rai/internal/archivex"
 	"rai/internal/auth"
+	"rai/internal/broker"
 	"rai/internal/build"
 	"rai/internal/cas"
 	"rai/internal/clock"
@@ -82,7 +83,7 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 // (paper §V "Worker Operations").
 type Worker struct {
 	Cfg      WorkerConfig
-	Queue    Queue
+	Queue    broker.Queue
 	Objects  Objects
 	DB       docstore.Store
 	Auth     *auth.Registry
@@ -107,7 +108,7 @@ type Worker struct {
 
 	runtime *sandbox.Runtime
 	mu      sync.Mutex
-	sub     Subscription
+	sub     broker.Consumer
 	wg      sync.WaitGroup
 	handled int
 	tel     workerTelemetry
@@ -172,7 +173,7 @@ func (w *Worker) initRuntime() {
 	}
 }
 
-// RunContext subscribes to rai/tasks and processes jobs until ctx is
+// Run subscribes to rai/tasks and processes jobs until ctx is
 // done or Stop is called, then drains: the subscription closes (so the
 // broker requeues anything undelivered for other workers) but jobs
 // already executing run to completion — killing a student's job halfway
@@ -180,7 +181,7 @@ func (w *Worker) initRuntime() {
 // handled in its own goroutine, bounded by MaxConcurrent through the
 // queue's in-flight window (§V: "we place constraints on the number of
 // jobs that can be executed concurrently").
-func (w *Worker) RunContext(ctx context.Context) error {
+func (w *Worker) Run(ctx context.Context) error {
 	w.initRuntime()
 	sub, err := w.Queue.Subscribe(ctx, TasksTopic, TasksChannel, w.Cfg.MaxConcurrent)
 	if err != nil {
@@ -189,22 +190,16 @@ func (w *Worker) RunContext(ctx context.Context) error {
 	w.mu.Lock()
 	w.sub = sub
 	w.mu.Unlock()
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			sub.Close()
-		case <-stop:
-		}
-	}()
+	// ctx ending closes the subscription, which ends the loop below.
+	stop := context.AfterFunc(ctx, func() { sub.Close() })
+	defer stop()
 	for m := range sub.C() {
 		w.wg.Add(1)
 		go func() {
 			defer w.wg.Done()
 			// In-flight jobs survive shutdown: detach from ctx's cancel
 			// while keeping its values.
-			w.process(context.WithoutCancel(ctx), m)
+			w.process(context.WithoutCancel(ctx), sub, m)
 		}()
 	}
 	w.wg.Wait()
@@ -237,9 +232,9 @@ func (w *Worker) HandleOne(ctx context.Context, wait time.Duration) (bool, error
 		if !ok {
 			return false, nil
 		}
-		// Like RunContext: once accepted, the job runs to completion even
+		// Like Run: once accepted, the job runs to completion even
 		// if the waiting caller's ctx winds down.
-		w.process(context.WithoutCancel(ctx), m)
+		w.process(context.WithoutCancel(ctx), sub, m)
 		return true, nil
 	case <-w.Clock.After(wait):
 		return false, nil
@@ -255,9 +250,11 @@ func (w *Worker) Handled() int {
 	return w.handled
 }
 
-// process executes one queue message end to end. ctx carries request
-// values but no cancellation — an accepted job runs to completion.
-func (w *Worker) process(ctx context.Context, m QueueMsg) {
+// process executes one queue message end to end and settles it through
+// the subscription that delivered it. ctx carries request values but no
+// cancellation — an accepted job runs to completion and its ack still
+// reaches the broker while the worker drains.
+func (w *Worker) process(ctx context.Context, sub broker.Consumer, m *broker.Message) {
 	defer func() {
 		w.mu.Lock()
 		w.handled++
@@ -266,7 +263,7 @@ func (w *Worker) process(ctx context.Context, m QueueMsg) {
 	var req JobRequest
 	if err := json.Unmarshal(m.Body, &req); err != nil {
 		// Malformed message: nothing to reply to; drop it.
-		_ = m.Ack()
+		_ = sub.Ack(ctx, m)
 		return
 	}
 	// Figure 4's queue delay: submission to worker pickup.
@@ -293,14 +290,14 @@ func (w *Worker) process(ctx context.Context, m QueueMsg) {
 		telemetry.L("worker", w.Cfg.ID), telemetry.L("kind", req.Kind), telemetry.L("user", req.User))
 	logTopic := LogTopic(req.ID)
 	logf := func(kind, format string, args ...any) {
-		_ = w.Queue.Publish(ctx, logTopic, encodeJSON(&LogMessage{
+		_, _ = w.Queue.Publish(ctx, logTopic, encodeJSON(&LogMessage{
 			JobID: req.ID, Kind: kind, Line: fmt.Sprintf(format, args...),
 		}))
 	}
 	end := func(lm *LogMessage) {
 		lm.JobID = req.ID
 		lm.Kind = LogEnd
-		_ = w.Queue.Publish(ctx, logTopic, encodeJSON(lm))
+		_, _ = w.Queue.Publish(ctx, logTopic, encodeJSON(lm))
 	}
 	reject := func(reason string) {
 		logf(LogSystem, "job rejected: %s", reason)
@@ -312,7 +309,7 @@ func (w *Worker) process(ctx context.Context, m QueueMsg) {
 		proc.SetAttr("status", StatusRejected)
 		proc.SetAttr("error", reason)
 		w.Log.Warn(ctx, "job rejected", telemetry.L("reason", reason))
-		_ = m.Ack()
+		_ = sub.Ack(ctx, m)
 	}
 
 	// Worker step 2: check credentials and parse the embedded build file.
@@ -419,7 +416,7 @@ func (w *Worker) process(ctx context.Context, m QueueMsg) {
 		BuildKey:      result.buildKey,
 		Cached:        result.cached,
 	})
-	_ = m.Ack()
+	_ = sub.Ack(ctx, m)
 }
 
 // resolveSpec picks the effective build file: the enforced Listing 2

@@ -1,6 +1,7 @@
 package scaling
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -30,7 +31,7 @@ func TestMetricsSourceFromBrokerTelemetry(t *testing.T) {
 
 	// Ten submissions arrive in one minute; two jobs finish at 60s each.
 	for i := 0; i < 10; i++ {
-		if _, err := b.Publish("rai", []byte("job")); err != nil {
+		if _, err := b.Publish(context.Background(), "rai", []byte("job")); err != nil {
 			t.Fatal(err)
 		}
 	}

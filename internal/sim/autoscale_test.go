@@ -45,7 +45,7 @@ func TestAutoscalerDrivesRealWorkers(t *testing.T) {
 				Clock:    d.Clock,
 			}
 			extra = append(extra, w)
-			go w.RunContext(context.Background())
+			go w.Run(context.Background())
 		}
 		return nil
 	}
@@ -88,7 +88,7 @@ func TestAutoscalerDrivesRealWorkers(t *testing.T) {
 				results <- err
 				return
 			}
-			res, err := c.SubmitContext(context.Background(), core.KindRun, nil, m, src)
+			res, err := c.Submit(context.Background(), core.KindRun, nil, m, src)
 			if err == nil && res.Status != core.StatusSucceeded {
 				err = fmt.Errorf("status %s", res.Status)
 			}

@@ -45,7 +45,7 @@ type Deployment struct {
 	Images  *registry.Registry
 	DataFS  *vfs.FS
 	Network *cnn.Network
-	Queue   core.Queue
+	Queue   broker.Queue
 	Objects core.Objects
 	// Telemetry aggregates metrics from every component; Tracer holds
 	// the per-job span trees. Both run on the deployment's virtual
@@ -104,7 +104,7 @@ func NewDeployment(cfg DeployConfig) (*Deployment, error) {
 	}
 	d.Broker.ExportQueueDepth(core.TasksTopic, core.TasksChannel)
 	d.Auth.SetClock(vc.Now)
-	d.Queue = core.BrokerQueue{B: d.Broker}
+	d.Queue = d.Broker
 	d.Objects = d.Store
 
 	// Course data volume: model plus the small and full datasets.
@@ -192,7 +192,7 @@ func (d *Deployment) NewClient(team string, out io.Writer) (*core.Client, error)
 }
 
 // ProjectManifest renders a project spec and hashes it into the
-// manifest and chunk source a client hands to SubmitContext.
+// manifest and chunk source a client hands to Submit.
 func ProjectManifest(spec project.Spec) (*cas.Manifest, cas.Source, error) {
 	fs := vfs.New()
 	if err := project.WriteTo(fs, "/p", spec); err != nil {
@@ -223,7 +223,7 @@ func (d *Deployment) RunSubmission(ctx context.Context, c *core.Client, sub work
 	}
 	done := make(chan out, 1)
 	go func() {
-		res, err := c.SubmitContext(ctx, sub.Kind, spec, m, src)
+		res, err := c.Submit(ctx, sub.Kind, spec, m, src)
 		done <- out{res, err}
 	}()
 	// The submission is already on the queue when HandleOne subscribes
