@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,6 +23,7 @@ import (
 	"rai/internal/brokerd"
 	"rai/internal/build"
 	"rai/internal/bzip2w"
+	"rai/internal/cas"
 	"rai/internal/cnn"
 	"rai/internal/core"
 	"rai/internal/docstore"
@@ -468,6 +471,60 @@ func BenchmarkObjstorePutGet(b *testing.B) {
 		}
 		if _, err := s.Get(context.Background(), "uploads", "team/proj.tar.bz2"); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFetchProject measures worker step 4 ("download the project
+// into /src") on the macro-benchmark's large tree — 8 × 256 KiB of
+// seeded-random bytes, ~235 chunks — against a raifs on loopback: the
+// manifest GET, its decode, and the materialization of every chunk, as
+// Worker.fetchProject does them. Client and server share the process,
+// so B/op and allocs/op are the sum of both ends.
+func BenchmarkFetchProject(b *testing.B) {
+	srv := httptest.NewServer(objstore.Handler(objstore.New(), nil))
+	defer srv.Close()
+	c := objstore.NewClient(srv.URL)
+	tree := vfs.New()
+	rng := rand.New(rand.NewSource(408))
+	for i := 0; i < 8; i++ {
+		blob := make([]byte, 256<<10)
+		rng.Read(blob)
+		if err := tree.WriteFile(fmt.Sprintf("/p/blob%d.bin", i), blob); err != nil {
+			b.Fatal(err)
+		}
+	}
+	m, src, err := cas.BuildVFS(tree, "/p")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := c.PutChunks(bg, m.ChunkSet(), src); err != nil {
+		b.Fatal(err)
+	}
+	const key = "bench/j1/project.manifest"
+	if err := c.Put(bg, core.BucketUploads, key, m.Encode(), 0); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(m.TotalBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rc, _, err := c.GetReader(bg, core.BucketUploads, key)
+		if err != nil {
+			b.Fatal(err)
+		}
+		body, err := io.ReadAll(io.LimitReader(rc, cas.MaxManifestBytes+1))
+		rc.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		got, err := cas.Decode(body)
+		if err != nil {
+			b.Fatal(err)
+		}
+		chunks, _, err := cas.Materialize(bg, got, c, vfs.New(), "/src")
+		if err != nil || chunks != len(m.ChunkSet()) {
+			b.Fatalf("materialized %d of %d chunks: %v", chunks, len(m.ChunkSet()), err)
 		}
 	}
 }

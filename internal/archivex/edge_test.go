@@ -10,12 +10,30 @@ package archivex
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
 	"rai/internal/cas"
 	"rai/internal/vfs"
 )
+
+// sourceFetcher serves cas.Materialize's bulk read from the tree the
+// manifest was built from.
+type sourceFetcher struct{ src cas.Source }
+
+func (f sourceFetcher) GetChunks(_ context.Context, hashes []string, each func(string, []byte) error) error {
+	for _, h := range hashes {
+		data, err := f.src.Chunk(h)
+		if err != nil {
+			return err
+		}
+		if err := each(h, data); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // edgeTree renders a project with the shapes that historically break
 // archivers: empty directories (alone and nested), zero-byte files,
@@ -151,7 +169,7 @@ func TestEdgeTreeHashStableAcrossTransports(t *testing.T) {
 
 	// Manifest materialization, fetching chunks from the source tree.
 	mat := vfs.New()
-	if _, _, err := cas.Materialize(m, src.Chunk, mat, "/dst"); err != nil {
+	if _, _, err := cas.Materialize(context.Background(), m, sourceFetcher{src}, mat, "/dst"); err != nil {
 		t.Fatal(err)
 	}
 	mm, _, err := cas.BuildVFS(mat, "/dst")
@@ -182,7 +200,7 @@ func TestMaterializedTreeMatchesUnpackedArchive(t *testing.T) {
 		t.Fatal(err)
 	}
 	mat := vfs.New()
-	if _, _, err := cas.Materialize(m, src.Chunk, mat, "/src"); err != nil {
+	if _, _, err := cas.Materialize(context.Background(), m, sourceFetcher{src}, mat, "/src"); err != nil {
 		t.Fatal(err)
 	}
 	assertSameTree(t, tarred, mat, "/src", "/src")

@@ -39,6 +39,7 @@ var (
 	ErrQuota    = errors.New("blobstore: capacity exceeded")
 	ErrExists   = errors.New("blobstore: bucket already exists")
 	ErrClosed   = errors.New("blobstore: backend closed")
+	ErrETag     = errors.New("blobstore: content does not hash to the expected ETag")
 )
 
 // Info is blob metadata. Field names (not tags) are the on-disk meta
@@ -60,6 +61,15 @@ type PutOptions struct {
 	// TTL is the blob lifetime from last use; zero adopts the backend
 	// default.
 	TTL time.Duration
+	// Size, when positive, is the length the caller expects to write. It
+	// is a hint, never a limit: the memory backend sizes its buffer from
+	// it, so a blob written to exactly this length is allocated once.
+	Size int64
+	// ETag, when set, is the hex SHA-256 the content must have: Close
+	// commits nothing and reports ErrETag for a stream that hashed
+	// differently. Content-addressed callers get their check from the
+	// digest every writer computes anyway.
+	ETag string
 }
 
 // Writer is a streaming blob writer. Nothing is visible to readers

@@ -173,6 +173,45 @@ func (s Suite) Run(t *testing.T) {
 		}
 	})
 
+	t.Run("ExpectedETagGatesCommit", func(t *testing.T) {
+		be, _ := s.New(t)
+		defer be.Close()
+		v1 := []byte("first version")
+		etag := put(t, be, "b", "k", v1, 0).ETag
+		// A stream that hashes differently commits nothing: the original
+		// stays, and no partial write is left behind.
+		w, err := be.Create(ctx, "b", "k", blobstore.PutOptions{ETag: etag})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = w.Write([]byte("forged content"))
+		if err := w.Close(); !errors.Is(err, blobstore.ErrETag) {
+			t.Fatalf("Close of a mismatched stream = %v, want ErrETag", err)
+		}
+		if got := get(t, be, "b", "k"); !bytes.Equal(got, v1) {
+			t.Errorf("mismatched write clobbered the original: %q", got)
+		}
+		if s.CheckClean != nil {
+			s.CheckClean(t, be)
+		}
+		// The matching stream commits, whatever the size hint said.
+		for _, hint := range []int64{0, int64(len(v1)), 1, 1 << 40, -1} {
+			key := fmt.Sprintf("hint%d", hint)
+			w, err := be.Create(ctx, "b", key, blobstore.PutOptions{ETag: etag, Size: hint})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _ = w.Write(v1[:5])
+			_, _ = w.Write(v1[5:])
+			if err := w.Close(); err != nil {
+				t.Fatalf("Close with size hint %d: %v", hint, err)
+			}
+			if got := get(t, be, "b", key); !bytes.Equal(got, v1) || w.Info().ETag != etag {
+				t.Errorf("size hint %d: stored %q, etag %s", hint, got, w.Info().ETag)
+			}
+		}
+	})
+
 	t.Run("OverwriteIsCopyOnWrite", func(t *testing.T) {
 		be, _ := s.New(t)
 		defer be.Close()

@@ -213,7 +213,7 @@ func (d *Disk) Create(ctx context.Context, bucket, key string, opts PutOptions) 
 		d: d, bucket: bucket, key: key,
 		ttl:  d.idx.ttlOrDefault(opts.TTL),
 		prev: d.idx.prevSize(bucket, key),
-		f:    tmp, hash: sha256.New(),
+		f:    tmp, hash: sha256.New(), etag: opts.ETag,
 	}, nil
 }
 
@@ -358,6 +358,7 @@ type diskWriter struct {
 	prev    int64
 	f       *os.File
 	hash    hash.Hash
+	etag    string // PutOptions.ETag: the digest to insist on, if any
 	written int64
 	info    Info
 	done    bool
@@ -385,10 +386,15 @@ func (w *diskWriter) Close() error {
 		_ = os.Remove(w.f.Name())
 		return err
 	}
+	etag := hex.EncodeToString(w.hash.Sum(nil))
+	if w.etag != "" && etag != w.etag {
+		_ = os.Remove(w.f.Name())
+		return fmt.Errorf("%w: %q/%q hashes to %s", ErrETag, w.bucket, w.key, etag)
+	}
 	now := w.d.idx.now()
 	info := Info{
 		Bucket: w.bucket, Key: w.key, Size: w.written,
-		ETag:     hex.EncodeToString(w.hash.Sum(nil)),
+		ETag:     etag,
 		Modified: now, LastUsed: now, TTL: w.ttl,
 	}
 	committed, err := w.d.idx.commitWith(info, nil, func() error {

@@ -53,7 +53,9 @@ func (m *Memory) Create(ctx context.Context, bucket, key string, opts PutOptions
 		idx: m.idx, bucket: bucket, key: key,
 		ttl:  m.idx.ttlOrDefault(opts.TTL),
 		prev: m.idx.prevSize(bucket, key),
+		buf:  make([]byte, 0, max(0, min(opts.Size, maxPresize))),
 		hash: sha256.New(),
+		etag: opts.ETag,
 	}, nil
 }
 
@@ -132,6 +134,10 @@ func (m *Memory) Close() error {
 	return nil
 }
 
+// maxPresize caps what a PutOptions.Size hint may allocate before any
+// byte has arrived: the hint can be a peer's claim.
+const maxPresize = 1 << 20
+
 // memWriter accumulates the payload and commits it as an immutable
 // slice. Quota is checked incrementally so an oversized stream fails
 // fast instead of ballooning the heap, then authoritatively at commit.
@@ -141,8 +147,9 @@ type memWriter struct {
 	key    string
 	ttl    time.Duration
 	prev   int64
-	buf    bytes.Buffer
+	buf    []byte
 	hash   hash.Hash
+	etag   string // PutOptions.ETag: the digest to insist on, if any
 	info   Info
 	done   bool
 }
@@ -151,11 +158,12 @@ func (w *memWriter) Write(p []byte) (int, error) {
 	if w.done {
 		return 0, ErrClosed
 	}
-	if w.idx.overQuota(w.prev, int64(w.buf.Len()+len(p))) {
-		return 0, fmt.Errorf("%w: %d bytes streamed", ErrQuota, w.buf.Len()+len(p))
+	if w.idx.overQuota(w.prev, int64(len(w.buf)+len(p))) {
+		return 0, fmt.Errorf("%w: %d bytes streamed", ErrQuota, len(w.buf)+len(p))
 	}
 	w.hash.Write(p)
-	return w.buf.Write(p)
+	w.buf = append(w.buf, p...)
+	return len(p), nil
 }
 
 func (w *memWriter) Close() error {
@@ -163,11 +171,21 @@ func (w *memWriter) Close() error {
 		return nil
 	}
 	w.done = true
-	data := append([]byte(nil), w.buf.Bytes()...)
+	data := w.buf
+	w.buf = nil
+	etag := hex.EncodeToString(w.hash.Sum(nil))
+	if w.etag != "" && etag != w.etag {
+		return fmt.Errorf("%w: %q/%q hashes to %s", ErrETag, w.bucket, w.key, etag)
+	}
+	// A buffer the size hint got exactly right is committed as it stands;
+	// one that grew by appends is trimmed to its content.
+	if len(data) < cap(data) {
+		data = append([]byte(nil), data...)
+	}
 	now := w.idx.now()
 	info := Info{
 		Bucket: w.bucket, Key: w.key, Size: int64(len(data)),
-		ETag:     hex.EncodeToString(w.hash.Sum(nil)),
+		ETag:     etag,
 		Modified: now, LastUsed: now, TTL: w.ttl,
 	}
 	committed, err := w.idx.commit(info, data)
@@ -180,7 +198,7 @@ func (w *memWriter) Close() error {
 
 func (w *memWriter) Abort() error {
 	w.done = true
-	w.buf.Reset()
+	w.buf = nil
 	return nil
 }
 

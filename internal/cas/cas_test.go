@@ -2,6 +2,7 @@ package cas
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,6 +14,29 @@ import (
 
 	"rai/internal/vfs"
 )
+
+var ctx = context.Background()
+
+// fetchFunc serves a bulk read from a per-chunk lookup (a Source's Chunk
+// method, or a stub), reusing one buffer across calls the way a network
+// Fetcher does, so a materializer that keeps a slice past its call is
+// caught by the content checks.
+type fetchFunc func(hash string) ([]byte, error)
+
+func (f fetchFunc) GetChunks(_ context.Context, hashes []string, each func(string, []byte) error) error {
+	buf := make([]byte, 0, MaxChunk)
+	for _, h := range hashes {
+		data, err := f(h)
+		if err != nil {
+			return err
+		}
+		buf = append(buf[:0], data...)
+		if err := each(h, buf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // deterministic pseudo-random payload; the seed fixes the bytes across
 // runs so chunk boundaries (and this test) are stable.
@@ -145,7 +169,7 @@ func TestManifestRoundTrip(t *testing.T) {
 
 	// Materialize through the Source and compare every path exactly.
 	dst := vfs.New()
-	fetches, bytesFetched, err := Materialize(dec, src.Chunk, dst, "/src")
+	fetches, bytesFetched, err := Materialize(ctx, dec, fetchFunc(src.Chunk), dst, "/src")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,6 +250,34 @@ func TestBuildVFSMatchesBuildDir(t *testing.T) {
 	}
 }
 
+// traversalHash passes a length check and is no hash: the server's mux
+// cleans the URL ChunkKey builds from it into /o/rai-uploads/alice/j1/k.
+var traversalHash = strings.Repeat("/.", 17) + "//../../rai-uploads/alice/j1/k"
+
+func TestValidHash(t *testing.T) {
+	if len(traversalHash) != 64 {
+		t.Fatalf("fixture is %d characters, want the 64 a length check lets through", len(traversalHash))
+	}
+	for h, want := range map[string]bool{
+		HashHex([]byte("x")):                true,
+		strings.Repeat("0", 64):             true,
+		strings.Repeat("f", 63):             false,
+		strings.Repeat("f", 65):             false,
+		strings.Repeat("F", 64):             false,
+		strings.Repeat("g", 64):             false,
+		strings.Repeat("a", 63) + "\n":      false,
+		strings.Repeat("é", 32):             false,
+		traversalHash:                       false,
+		"":                                  false,
+		strings.Repeat("a", 62) + "/" + "a": false,
+		strings.Repeat("a", 32) + " " + strings.Repeat("a", 31): false,
+	} {
+		if got := ValidHash(h); got != want {
+			t.Errorf("ValidHash(%q) = %v, want %v", h, got, want)
+		}
+	}
+}
+
 // hostileManifests are the shapes a student-written manifest can take to
 // escape /src or make the worker allocate, fetch or write without
 // bound. Each is otherwise well-formed — consistent sums, sealed tree
@@ -271,6 +323,13 @@ func hostileManifests() (valid []byte, hostile map[string][]byte) {
 		"size mismatch":  mutate(func(m *Manifest) { m.Files[0].Size = 99; m.TreeHash = computeTreeHash(m) }),
 		"bad tree hash":  mutate(func(m *Manifest) { m.TreeHash = strings.Repeat("0", 64) }),
 		"bad chunk ref":  mutate(func(m *Manifest) { m.Files[0].Chunks[0].Hash = "short"; m.TreeHash = computeTreeHash(m) }),
+		// 64 characters that ChunkKey would turn into a path out of the
+		// chunk bucket and into another student's upload.
+		"traversal chunk hash": mutate(func(m *Manifest) { m.Files[0].Chunks[0].Hash = traversalHash; m.Seal() }),
+		"uppercase chunk hash": mutate(func(m *Manifest) {
+			m.Files[0].Chunks[0].Hash = strings.ToUpper(m.Files[0].Chunks[0].Hash)
+			m.Seal()
+		}),
 		"chunk over the chunker's max": mutate(func(m *Manifest) {
 			m.Files[0].Chunks[0].Size = MaxChunk + 1
 			m.Files[0].Size, m.TotalBytes = MaxChunk+1, MaxChunk+1
@@ -288,7 +347,7 @@ func hostileManifests() (valid []byte, hostile map[string][]byte) {
 func TestDecodeRejectsHostileManifests(t *testing.T) {
 	valid, hostile := hostileManifests()
 	fetched := 0
-	fetch := func(string) ([]byte, error) { fetched++; return nil, errors.New("fetch must not run") }
+	fetch := fetchFunc(func(string) ([]byte, error) { fetched++; return nil, errors.New("fetch must not run") })
 	for name, enc := range hostile {
 		if _, err := Decode(enc); err == nil {
 			t.Errorf("%s: hostile manifest accepted", name)
@@ -298,7 +357,7 @@ func TestDecodeRejectsHostileManifests(t *testing.T) {
 			continue // not a manifest at all, or hostile only to the cache key
 		}
 		dst := vfs.New()
-		if _, _, err := Materialize(&m, fetch, dst, "/src"); err == nil {
+		if _, _, err := Materialize(ctx, &m, fetch, dst, "/src"); err == nil {
 			t.Errorf("%s: hostile manifest materialized", name)
 		}
 		if dst.Exists("/src") {
@@ -321,9 +380,98 @@ func TestMaterializeChecksRepeatRefSize(t *testing.T) {
 	h := HashHex(data)
 	m := &Manifest{Files: []FileEntry{{Path: "f", Size: 4097, Chunks: []ChunkRef{{Hash: h, Size: 4096}, {Hash: h, Size: 1}}}}, TotalBytes: 4097}
 	m.Seal()
-	_, _, err := Materialize(m, func(string) ([]byte, error) { return data, nil }, vfs.New(), "/src")
+	_, _, err := Materialize(ctx, m, fetchFunc(func(string) ([]byte, error) { return data, nil }), vfs.New(), "/src")
 	if err == nil || !strings.Contains(err.Error(), "ref says 1") {
 		t.Fatalf("err = %v, want repeat-ref size mismatch", err)
+	}
+}
+
+// streamTree is a manifest built by hand so the refs repeat the way the
+// stream tests need: chunk a is used by both files and twice in the
+// second, b and c once each, and an empty file sits between them.
+func streamTree() (m *Manifest, payload map[string][]byte, want map[string]string) {
+	a, b, c := bytes.Repeat([]byte("a"), 3000), bytes.Repeat([]byte("b"), 5000), bytes.Repeat([]byte("c"), 70)
+	ref := func(data []byte) ChunkRef { return ChunkRef{Hash: HashHex(data), Size: int64(len(data))} }
+	m = &Manifest{
+		Dirs: []string{"d"},
+		Files: []FileEntry{
+			{Path: "d/one", Size: 8000, Chunks: []ChunkRef{ref(a), ref(b)}},
+			{Path: "empty"},
+			{Path: "two", Size: 6070, Chunks: []ChunkRef{ref(a), ref(c), ref(a)}},
+		},
+		TotalBytes: 14070,
+	}
+	m.Seal()
+	payload = map[string][]byte{HashHex(a): a, HashHex(b): b, HashHex(c): c}
+	want = map[string]string{"d/one": string(a) + string(b), "empty": "", "two": string(a) + string(c) + string(a)}
+	return m, payload, want
+}
+
+// frameScript is a Fetcher that plays a fixed sequence of frames, then
+// fails with err (nil: ends as if complete).
+type frameScript struct {
+	frames [][2]string // hash, payload
+	err    error
+}
+
+func (s frameScript) GetChunks(_ context.Context, _ []string, each func(string, []byte) error) error {
+	buf := make([]byte, 0, MaxChunk)
+	for _, f := range s.frames {
+		buf = append(buf[:0], f[1]...)
+		if err := each(f[0], buf); err != nil {
+			return err
+		}
+	}
+	return s.err
+}
+
+// TestMaterializeStream drives Materialize with the streams a bulk read
+// can produce. A transfer that restarts from the first chunk after being
+// cut lands every chunk once and the tree comes out byte-identical;
+// anything else that is not the asked-for sequence is an error naming
+// the chunk, and a failed stream never reports success.
+func TestMaterializeStream(t *testing.T) {
+	m, payload, want := streamTree()
+	order := m.ChunkSet()
+	frame := func(i int) [2]string { return [2]string{order[i], string(payload[order[i]])} }
+
+	t.Run("restarted stream lands each chunk once", func(t *testing.T) {
+		dst := vfs.New()
+		replay := frameScript{frames: [][2]string{frame(0), frame(1), frame(0), frame(1), frame(2)}}
+		fetches, n, err := Materialize(ctx, m, replay, dst, "/src")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fetches != 3 || n != 8070 {
+			t.Errorf("fetched %d chunks, %d bytes; want 3 chunks, 8070 bytes", fetches, n)
+		}
+		for p, content := range want {
+			if got, err := dst.ReadFile("/src/" + p); err != nil || string(got) != content {
+				t.Errorf("%s: %d bytes, %v; want %d", p, len(got), err, len(content))
+			}
+		}
+		if fi, err := dst.Stat("/src/d"); err != nil || !fi.Dir {
+			t.Errorf("directory not made: %v", err)
+		}
+	})
+
+	other := bytes.Repeat([]byte("z"), 3000)
+	for name, tc := range map[string]struct {
+		script frameScript
+		want   string
+	}{
+		"chunk ahead of its turn":  {frameScript{frames: [][2]string{frame(1)}}, order[1] + " arrived out of order"},
+		"chunk nobody asked for":   {frameScript{frames: [][2]string{{HashHex(other), string(other)}}}, "arrived out of order"},
+		"payload of another chunk": {frameScript{frames: [][2]string{{order[0], string(other)}}}, order[0] + ": fetched 3000 bytes that hash differently"},
+		"stream ends early":        {frameScript{frames: [][2]string{frame(0)}}, "ended after 1 of 3 chunks"},
+		"transfer fails":           {frameScript{frames: [][2]string{frame(0), frame(1)}, err: errors.New("store went away")}, "store went away"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, _, err := Materialize(ctx, m, tc.script, vfs.New(), "/src")
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("err = %v, want one containing %q", err, tc.want)
+			}
+		})
 	}
 }
 
@@ -364,8 +512,8 @@ func FuzzDecode(f *testing.F) {
 		if err != nil || again.TreeHash != m.TreeHash {
 			t.Fatalf("re-encoded manifest: %v", err)
 		}
-		fetch := func(string) ([]byte, error) { return nil, errors.New("no store") }
-		if _, _, err := Materialize(m, fetch, vfs.New(), "/src"); err == nil && len(m.ChunkSet()) > 0 {
+		fetch := fetchFunc(func(string) ([]byte, error) { return nil, errors.New("no store") })
+		if _, _, err := Materialize(ctx, m, fetch, vfs.New(), "/src"); err == nil && len(m.ChunkSet()) > 0 {
 			t.Fatal("materialized chunks no store served")
 		}
 	})

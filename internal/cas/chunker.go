@@ -39,6 +39,22 @@ func HashHex(data []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// ValidHash reports whether s has the form of a chunk address: 64
+// lowercase hex digits. Hashes arrive in student manifests and peer
+// frames and become object keys (ChunkKey), so every parser checks this
+// before a hash gets near a path.
+func ValidHash(s string) bool {
+	if len(s) != 2*sha256.Size {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
 // ChunkKey maps a chunk hash to its object key inside Bucket. A two-hex
 // fan-out directory keeps per-prefix listings small on disk backends.
 func ChunkKey(hashHex string) string {

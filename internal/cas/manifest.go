@@ -2,6 +2,7 @@ package cas
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -161,7 +162,7 @@ func (m *Manifest) validate() error {
 		}
 		var sum int64
 		for _, c := range f.Chunks {
-			if len(c.Hash) != 64 || c.Size <= 0 || c.Size > MaxChunk {
+			if !ValidHash(c.Hash) || c.Size <= 0 || c.Size > MaxChunk {
 				return fmt.Errorf("cas: malformed chunk ref %q (%d bytes) in %s", c.Hash, c.Size, f.Path)
 			}
 			sum += c.Size
@@ -398,68 +399,141 @@ func filterSkipped(dirs []string) []string {
 
 // ---- materializing ----
 
-// Fetch retrieves one chunk's payload by hash.
-type Fetch func(hash string) ([]byte, error)
+// Fetcher reads chunks in bulk (core.Objects, narrowed to what
+// Materialize calls). GetChunks hands each the payload of every named
+// chunk, in the order asked; data is only valid during the call. An
+// error from each ends the transfer and is returned. A transfer that
+// fails part-way may start over from the first hash, so each must
+// tolerate seeing a chunk again.
+type Fetcher interface {
+	GetChunks(ctx context.Context, hashes []string, each func(hash string, data []byte) error) error
+}
 
-// materializeCacheBudget bounds the in-memory chunk cache used to
-// dedupe fetches while materializing one tree.
-const materializeCacheBudget = 32 << 20
-
-// Materialize reconstructs the manifest's tree under root in dst,
-// fetching each distinct chunk once (within a bounded cache) and
-// verifying every chunk against its ref's size and hash before it
-// lands. The manifest is validated before the first fetch, so the bytes
-// written never exceed the tree limits however often a chunk repeats.
-// It returns the number of chunk fetches and the bytes fetched.
-func Materialize(m *Manifest, fetch Fetch, dst *vfs.FS, root string) (fetches int, bytesFetched int64, err error) {
+// Materialize reconstructs the manifest's tree under root in dst from
+// one bulk read of its distinct chunks, verifying every chunk against
+// its ref's size and hash before it lands. The manifest is validated
+// before the read starts, so the bytes written never exceed the tree
+// limits however often a chunk repeats. It returns the number of chunks
+// fetched and their bytes.
+//
+// Chunks are asked for in first-use order, so each arrives exactly when
+// the file being assembled needs it and is copied straight into that
+// file's buffer; only a chunk with further refs to come is held, and
+// only until the last of them is written. Memory is one file plus those.
+func Materialize(ctx context.Context, m *Manifest, src Fetcher, dst *vfs.FS, root string) (fetches int, bytesFetched int64, err error) {
 	if err := m.validate(); err != nil {
 		return 0, 0, err
 	}
 	if err := dst.MkdirAll(root); err != nil {
-		return fetches, bytesFetched, err
+		return 0, 0, err
 	}
 	for _, d := range m.Dirs {
 		if err := dst.MkdirAll(path.Join(root, d)); err != nil {
-			return fetches, bytesFetched, err
+			return 0, 0, err
 		}
 	}
-	cache := make(map[string][]byte)
-	var cached int64
-	load := func(ref ChunkRef) ([]byte, error) {
-		if data, ok := cache[ref.Hash]; ok {
-			// A repeat ref must agree on the size validate counted.
-			if int64(len(data)) != ref.Size {
-				return nil, fmt.Errorf("cas: chunk %s is %d bytes, ref says %d", ref.Hash, len(data), ref.Size)
-			}
-			return data, nil
-		}
-		data, err := fetch(ref.Hash)
-		if err != nil {
-			return nil, fmt.Errorf("cas: fetching chunk %s: %w", ref.Hash, err)
-		}
-		fetches++
-		bytesFetched += int64(len(data))
-		if int64(len(data)) != ref.Size || HashHex(data) != ref.Hash {
-			return nil, fmt.Errorf("cas: chunk %s: fetched %d bytes that hash differently", ref.Hash, len(data))
-		}
-		if cached+int64(len(data)) <= materializeCacheBudget {
-			cache[ref.Hash] = data
-			cached += int64(len(data))
-		}
-		return data, nil
+	order := m.ChunkSet()
+	mz := &materializer{m: m, dst: dst, root: root, chunks: make(map[string]*chunkState, len(order))}
+	for i, hash := range order {
+		mz.chunks[hash] = &chunkState{seq: i}
 	}
 	for _, f := range m.Files {
-		buf := bytes.NewBuffer(make([]byte, 0, f.Size))
-		for _, ref := range f.Chunks {
-			data, err := load(ref)
-			if err != nil {
-				return fetches, bytesFetched, fmt.Errorf("%s: %w", f.Path, err)
-			}
-			buf.Write(data)
-		}
-		if err := dst.WriteFile(path.Join(root, f.Path), buf.Bytes()); err != nil {
-			return fetches, bytesFetched, err
+		for _, c := range f.Chunks {
+			mz.chunks[c.Hash].uses++
 		}
 	}
-	return fetches, bytesFetched, nil
+	// Files ahead of the first chunk (empty ones, or a tree with no
+	// chunks at all) wait for no frame.
+	if err := mz.fill(); err != nil {
+		return 0, 0, err
+	}
+	if len(order) > 0 {
+		if err := src.GetChunks(ctx, order, mz.land); err != nil {
+			return mz.landed, mz.bytes, err
+		}
+	}
+	if mz.landed != len(order) {
+		return mz.landed, mz.bytes, fmt.Errorf("cas: chunk stream ended after %d of %d chunks", mz.landed, len(order))
+	}
+	return mz.landed, mz.bytes, nil
+}
+
+// chunkState tracks one distinct chunk through a Materialize.
+type chunkState struct {
+	seq  int    // position in the stream
+	uses int    // refs not yet written
+	data []byte // payload, from landing until the last ref is written
+}
+
+// materializer is the state of one Materialize: a cursor over the
+// manifest's refs in order and the file being assembled at it.
+type materializer struct {
+	m      *Manifest
+	dst    *vfs.FS
+	root   string
+	chunks map[string]*chunkState
+
+	landed    int   // chunks of the stream consumed
+	bytes     int64 // their payload bytes
+	file, ref int   // cursor: the next ref to write
+	buf       []byte
+}
+
+// land takes the next chunk of the stream. One that already landed — a
+// restarted transfer replaying its head — is skipped; any other than
+// the one the cursor waits for is an error.
+func (mz *materializer) land(hash string, data []byte) error {
+	st := mz.chunks[hash]
+	if st == nil || st.seq > mz.landed {
+		return fmt.Errorf("cas: chunk %s arrived out of order", hash)
+	}
+	if st.seq < mz.landed {
+		return nil
+	}
+	if HashHex(data) != hash {
+		return fmt.Errorf("cas: chunk %s: fetched %d bytes that hash differently", hash, len(data))
+	}
+	mz.landed++
+	mz.bytes += int64(len(data))
+	// data is the caller's for this call only: the ref under the cursor
+	// copies it out now, later refs need a copy that stays.
+	st.data = data
+	if st.uses > 1 {
+		st.data = bytes.Clone(data)
+	}
+	return mz.fill()
+}
+
+// fill advances the cursor over every ref whose chunk has landed,
+// writing each file out as its last ref is copied in, and stops at the
+// first ref still waiting for its chunk.
+func (mz *materializer) fill() error {
+	for mz.file < len(mz.m.Files) {
+		f := &mz.m.Files[mz.file]
+		if mz.ref == len(f.Chunks) {
+			if err := mz.dst.WriteFile(path.Join(mz.root, f.Path), mz.buf); err != nil {
+				return err
+			}
+			mz.file, mz.ref, mz.buf = mz.file+1, 0, nil
+			continue
+		}
+		ref := f.Chunks[mz.ref]
+		st := mz.chunks[ref.Hash]
+		if st.seq >= mz.landed {
+			return nil
+		}
+		// Every ref must agree with the bytes on the size validate counted.
+		if int64(len(st.data)) != ref.Size {
+			return fmt.Errorf("%s: cas: chunk %s is %d bytes, ref says %d", f.Path, ref.Hash, len(st.data), ref.Size)
+		}
+		if mz.buf == nil {
+			mz.buf = make([]byte, 0, f.Size)
+		}
+		mz.buf = append(mz.buf, st.data...)
+		mz.ref++
+		if st.uses--; st.uses == 0 {
+			st.data = nil
+		}
+	}
+	return nil
 }

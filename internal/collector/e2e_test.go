@@ -144,7 +144,7 @@ func (s *tracedStack) runJob(t *testing.T, rev int) *core.JobResult {
 	if err := project.WriteTo(projFS, "/p", project.Spec{Impl: cnn.ImplIm2col, Team: "team-trace"}); err != nil {
 		t.Fatal(err)
 	}
-	// Enough distinct chunks that the worker stops tracing them one by one.
+	// A couple of dozen distinct chunks: the fetch is one stream however many.
 	for i := 0; i < 20; i++ {
 		projFS.WriteFile(fmt.Sprintf("/p/notes/%02d.txt", i), []byte(fmt.Sprintf("note %d rev %d\n", i, rev)))
 	}
@@ -259,25 +259,35 @@ func TestEndToEndConnectedTrace(t *testing.T) {
 	s.settle(t)
 	spans := s.connectedTrace(t, res.JobID)
 
-	// A download of this many chunks is one span: the manifest GET nests
-	// under it, the chunk GETs open no span of their own and are counted
-	// on it instead.
-	var download, manifestGet bool
+	// A download is two requests whatever the tree: the manifest GET and
+	// one chunk stream nest under its span, which counts the chunks; no
+	// chunk is read by a request of its own.
+	var download collector.Span
 	for _, sp := range spans {
-		switch path := sp.Attrs["path"]; {
-		case sp.Name == "download":
-			download = true
-			if sp.Attrs["chunks"] == "" || sp.Attrs["chunks"] == "0" {
-				t.Errorf("download span counts no chunks: %v", sp.Attrs)
+		if sp.Name == "download" {
+			download = sp
+			if sp.Attrs["chunks"] == "" || sp.Attrs["chunks"] == "0" || sp.Attrs["bytes"] == "" {
+				t.Errorf("download span counts no chunks or bytes: %v", sp.Attrs)
 			}
-		case strings.HasPrefix(path, "/o/"+cas.Bucket+"/"):
-			t.Errorf("chunk fetch opened its own span: %s %s", sp.Name, path)
-		case sp.Name == "objstore get" && strings.HasPrefix(path, "/o/"+core.BucketUploads+"/"):
-			manifestGet = true
 		}
 	}
-	if !download || !manifestGet {
-		t.Errorf("download span %v, manifest GET span %v (timeline:\n%s)", download, manifestGet, collector.FormatTimeline(spans))
+	var manifestGets, fetches int
+	for _, sp := range spans {
+		switch path := sp.Attrs["path"]; {
+		case strings.HasPrefix(path, "/o/"+cas.Bucket+"/"):
+			t.Errorf("chunk read by its own request: %s %s", sp.Name, path)
+		case sp.Name == "objstore get" && strings.HasPrefix(path, "/o/"+core.BucketUploads+"/"):
+			manifestGets++
+		case sp.Name == "objstore cas-fetch":
+			fetches++
+			if sp.ParentID != download.SpanID {
+				t.Errorf("chunk stream span is not a child of download: %+v", sp)
+			}
+		}
+	}
+	if download.SpanID == "" || manifestGets != 1 || fetches != 1 {
+		t.Errorf("download span %q, %d manifest GET spans, %d cas-fetch spans; want one of each (timeline:\n%s)",
+			download.SpanID, manifestGets, fetches, collector.FormatTimeline(spans))
 	}
 
 	// The job's merged event stream crossed services.

@@ -13,7 +13,7 @@ import (
 // those (Objects.PutChunks), and stores the manifest itself as the
 // job's upload object. The worker reads that object back under
 // cas.MaxManifestBytes, validates it with cas.Decode and materializes
-// /src chunk by chunk (Worker.fetchProject). There is no second format
+// /src from one Objects.GetChunks stream (Worker.fetchProject). There is no second format
 // and nothing to negotiate: an upload object that is not a manifest
 // fails the job. `.tar.bz2` remains the format of the /build artifact
 // only.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"sync"
@@ -11,8 +12,10 @@ import (
 	"time"
 
 	"rai/internal/build"
+	"rai/internal/cas"
 	"rai/internal/cnn"
 	"rai/internal/docstore"
+	"rai/internal/objstore"
 	"rai/internal/project"
 )
 
@@ -24,6 +27,25 @@ type flakyObjects struct {
 	mu       sync.Mutex
 	failGets int // fail this many Get calls, then recover
 	failPuts int
+	// cutChunks, when set, ends every chunk stream with this error once
+	// half of its chunks have been handed over.
+	cutChunks error
+	// chunkReads counts GetChunks calls.
+	chunkReads int
+}
+
+func (f *flakyObjects) GetChunks(ctx context.Context, hashes []string, each func(string, []byte) error) error {
+	f.mu.Lock()
+	f.chunkReads++
+	cut := f.cutChunks
+	f.mu.Unlock()
+	if cut == nil {
+		return f.Objects.GetChunks(ctx, hashes, each)
+	}
+	if err := f.Objects.GetChunks(ctx, hashes[:len(hashes)/2], each); err != nil {
+		return err
+	}
+	return cut
 }
 
 func (f *flakyObjects) Get(ctx context.Context, bucket, key string) ([]byte, error) {
@@ -53,8 +75,8 @@ func (f *flakyObjects) Put(ctx context.Context, bucket, key string, data []byte,
 }
 
 // GetReader shares the failure counter with Get, so the worker's
-// manifest download exercises the same injected faults as its chunk
-// fetches.
+// manifest download exercises the same injected faults as its other
+// reads.
 func (f *flakyObjects) GetReader(ctx context.Context, bucket, key string) (io.ReadCloser, int64, error) {
 	f.mu.Lock()
 	fail := f.failGets > 0
@@ -111,6 +133,98 @@ func TestWorkerDownloadFailureFailsJobCleanly(t *testing.T) {
 	}
 	if !strings.Contains(term.String(), "cannot download project manifest") {
 		t.Errorf("terminal:\n%s", term.String())
+	}
+}
+
+// TestChunkLostMidFetchFailsJobCleanly: the chunk stream dies for good
+// part-way through the tree — a chunk swept under the fetch, after half
+// of /src has already been assembled. The job fails with one system
+// line saying so, and nothing is built from the half tree.
+func TestChunkLostMidFetchFailsJobCleanly(t *testing.T) {
+	e := newEnv(t)
+	lost := fmt.Errorf("%w: %q/%q", objstore.ErrNoObject, cas.Bucket, "sha256/ab/abcd")
+	flaky := &flakyObjects{Objects: e.objects, cutChunks: lost}
+	e.worker.Objects = flaky
+	c := e.client(t, "team-swept")
+	var term strings.Builder
+	c.Stdout = &term
+	_, proj := projectTree(t, project.Spec{Impl: cnn.ImplTiled})
+	res, err := submitAndHandle(t, e, c, KindRun, build.Default(), proj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != StatusFailed {
+		t.Fatalf("status = %q, want failed", res.Status)
+	}
+	if n := strings.Count(term.String(), "cannot materialize project tree"); n != 1 || !strings.Contains(term.String(), "sha256/ab/abcd") {
+		t.Errorf("want one system line naming the lost chunk, got %d:\n%s", n, term.String())
+	}
+	if strings.Contains(term.String(), "Building project") {
+		t.Errorf("a build ran on a partial /src:\n%s", term.String())
+	}
+	if flaky.chunkReads != 1 {
+		t.Errorf("%d chunk streams opened, want 1", flaky.chunkReads)
+	}
+}
+
+// TestHostileChunkHashFailsJobBeforeChunkIO: a student-written manifest
+// whose chunk "hash" is 64 characters of path — sealed, sizes adding up,
+// aimed through ChunkKey at another student's upload — is refused when
+// it is decoded: the job fails with the decode error and the worker has
+// asked the store for no chunk.
+func TestHostileChunkHashFailsJobBeforeChunkIO(t *testing.T) {
+	e := newEnv(t)
+	flaky := &flakyObjects{Objects: e.objects}
+	e.worker.Objects = flaky
+	c := e.client(t, "team-mallory")
+	var term strings.Builder
+	c.Stdout = &term
+
+	const secret = "alice's unreleased kernel"
+	if err := e.objects.Put(context.Background(), BucketUploads, "alice/j1/k", []byte(secret), UploadTTL); err != nil {
+		t.Fatal(err)
+	}
+	hostile := strings.Repeat("/.", 17) + "//../../" + BucketUploads + "/alice/j1/k"
+	if len(hostile) != 64 {
+		t.Fatalf("fixture is %d characters, want the 64 a length check lets through", len(hostile))
+	}
+	m := &cas.Manifest{
+		Files:      []cas.FileEntry{{Path: "stolen.txt", Size: int64(len(secret)), Chunks: []cas.ChunkRef{{Hash: hostile, Size: int64(len(secret))}}}},
+		TotalBytes: int64(len(secret)),
+	}
+	m.Seal()
+	key := "team-mallory/j2/project.manifest"
+	if err := e.objects.Put(context.Background(), BucketUploads, key, m.Encode(), UploadTTL); err != nil {
+		t.Fatal(err)
+	}
+
+	type out struct {
+		res *JobResult
+		err error
+	}
+	done := make(chan out, 1)
+	go func() {
+		res, err := c.ResubmitContext(context.Background(), KindRun, BucketUploads, key)
+		done <- out{res, err}
+	}()
+	if _, err := e.worker.HandleOne(context.Background(), 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	o := <-done
+	if o.err != nil {
+		t.Fatal(o.err)
+	}
+	if o.res.Status != StatusFailed {
+		t.Errorf("status = %q, want failed", o.res.Status)
+	}
+	if n := strings.Count(term.String(), "cannot decode project manifest"); n != 1 {
+		t.Errorf("decode failure reported %d times on the log:\n%s", n, term.String())
+	}
+	if flaky.chunkReads != 0 {
+		t.Errorf("%d chunk reads went out for a refused manifest", flaky.chunkReads)
+	}
+	if strings.Contains(term.String(), secret) {
+		t.Errorf("the victim's object leaked onto the job log:\n%s", term.String())
 	}
 }
 

@@ -25,9 +25,10 @@ func ShipTelemetry(q broker.Queue) telemetry.ShipFunc {
 // Objects is the file-server port, satisfied by both the HTTP client
 // (objstore.Client) and the in-process engine (objstore.Store).
 // Projects go up as chunks plus a manifest (MissingChunks, PutChunks,
-// then Put of the manifest — cas.go). GetReader streams an object so
-// the caller can bound what it reads; its int64 is the content length
-// (-1 when the server does not say).
+// then Put of the manifest — cas.go) and come down as the manifest plus
+// one GetChunks. GetReader streams an object so the caller can bound
+// what it reads; its int64 is the content length (-1 when the server
+// does not say).
 type Objects interface {
 	Put(ctx context.Context, bucket, key string, data []byte, ttl time.Duration) error
 	Get(ctx context.Context, bucket, key string) ([]byte, error)
@@ -40,6 +41,13 @@ type Objects interface {
 	// PutChunks uploads the named chunks from src and returns the
 	// payload bytes transferred.
 	PutChunks(ctx context.Context, hashes []string, src cas.Source) (int64, error)
+	// GetChunks reads the named chunks in one transfer, handing each the
+	// payload of every one in the order asked (data is only valid during
+	// the call). A chunk the store lacks fails the call before the first
+	// payload. A transfer cut part-way may start over from the first hash,
+	// so each must tolerate seeing a chunk again. It is the only way to
+	// read chunks in bulk (cas.Fetcher, which cas.Materialize consumes).
+	GetChunks(ctx context.Context, hashes []string, each func(hash string, data []byte) error) error
 }
 
 var _ Objects = (*objstore.Client)(nil)

@@ -609,11 +609,6 @@ func (w *Worker) execute(ctx context.Context, req *JobRequest, spec *build.Spec,
 	return res
 }
 
-// tracedChunkFetches is the most chunk GETs one download traces
-// individually: the course project is a handful of chunks, and a span
-// per request is worth having while a trace stays readable.
-const tracedChunkFetches = 16
-
 // fetchProject reads the job's upload object — a chunk manifest, read
 // under cas.MaxManifestBytes and validated by cas.Decode before any
 // chunk is touched — and materializes the tree it describes at /src of
@@ -621,9 +616,9 @@ const tracedChunkFetches = 16
 // that filesystem and the tree hash (the build cache's identity). Any
 // other upload object, a .tar.bz2 included, is an error the caller
 // reports on the job's log. The "download" span under parent covers the
-// whole transfer; the manifest read nests under it, and so do the chunk
-// reads up to tracedChunkFetches of them — more are only counted on it
-// (attrs "chunks", "bytes").
+// whole transfer and counts it (attrs "chunks", "bytes"); under it nest
+// the two requests a fetch is on any tree size, the manifest read and
+// the one chunk stream.
 func (w *Worker) fetchProject(ctx context.Context, req *JobRequest, parent *telemetry.Span) (*vfs.FS, string, error) {
 	dl := parent.Child("download")
 	defer dl.End()
@@ -641,20 +636,8 @@ func (w *Worker) fetchProject(ctx context.Context, req *JobRequest, parent *tele
 	if err != nil {
 		return nil, "", fmt.Errorf("cannot decode project manifest %s/%s: %w", req.UploadBucket, req.UploadKey, err)
 	}
-	// A small tree is traced GET by GET. A large one is hundreds of chunk
-	// GETs: a span shipped, decoded and persisted for each costs the
-	// deployment more CPU than the job itself, and the job's latency then
-	// depends on how far behind the collector is. Those go out tagged
-	// with the job but under no span; the download span counts them.
-	chunkCtx := ctx
-	if len(m.ChunkSet()) > tracedChunkFetches {
-		chunkCtx = telemetry.ContextWithoutSpan(ctx)
-	}
-	fetch := func(hash string) ([]byte, error) {
-		return w.Objects.Get(chunkCtx, cas.Bucket, cas.ChunkKey(hash))
-	}
 	hostFS := vfs.New()
-	fetches, bytesFetched, err := cas.Materialize(m, fetch, hostFS, "/src")
+	fetches, bytesFetched, err := cas.Materialize(ctx, m, w.Objects, hostFS, "/src")
 	w.tel.casFetches.Add(float64(fetches))
 	w.tel.casBytes.Add(float64(bytesFetched))
 	dl.SetAttr("bytes", fmt.Sprint(int64(len(body))+bytesFetched))

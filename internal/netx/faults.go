@@ -2,6 +2,7 @@ package netx
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sync/atomic"
@@ -19,6 +20,10 @@ import (
 type FlakyTransport struct {
 	// Fail is how many leading requests to drop.
 	Fail int32
+	// CutAfter, when positive, lets the leading Fail requests through to
+	// Base and breaks each one's response body after this many bytes
+	// instead — a transfer cut mid-stream rather than refused.
+	CutAfter int64
 	// Base handles requests once the fault budget is spent.
 	Base http.RoundTripper
 
@@ -28,14 +33,36 @@ type FlakyTransport struct {
 // RoundTrip implements http.RoundTripper.
 func (t *FlakyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	n := t.attempts.Add(1)
-	if n <= t.Fail {
+	if n <= t.Fail && t.CutAfter <= 0 {
 		return nil, fmt.Errorf("netx: injected fault on request %d of %d", n, t.Fail)
 	}
 	base := t.Base
 	if base == nil {
 		base = http.DefaultTransport
 	}
-	return base.RoundTrip(req)
+	resp, err := base.RoundTrip(req)
+	if err == nil && n <= t.Fail {
+		resp.Body = &cutBody{ReadCloser: resp.Body, left: t.CutAfter}
+	}
+	return resp, err
+}
+
+// cutBody is a response body whose connection dies after left bytes.
+type cutBody struct {
+	io.ReadCloser
+	left int64
+}
+
+func (b *cutBody) Read(p []byte) (int, error) {
+	if b.left <= 0 {
+		return 0, fmt.Errorf("netx: injected fault: connection cut mid-body")
+	}
+	if int64(len(p)) > b.left {
+		p = p[:b.left]
+	}
+	n, err := b.ReadCloser.Read(p)
+	b.left -= int64(n)
+	return n, err
 }
 
 // Attempts reports how many requests have been attempted (including the

@@ -233,6 +233,40 @@ func TestFlakyTransportRetriesThrough(t *testing.T) {
 	}
 }
 
+// TestFlakyTransportCutsMidBody: with CutAfter the faulted requests are
+// served, but their bodies break part-way; the retry reads a whole one.
+func TestFlakyTransportCutsMidBody(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, "a body of some length")
+	}))
+	defer srv.Close()
+	ft := &FlakyTransport{Fail: 1, CutAfter: 6}
+	client := &http.Client{Transport: ft}
+	var partial []string
+	body, err := DoVal(context.Background(), fastPolicy(), func(ctx context.Context) (string, error) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL, nil)
+		if err != nil {
+			return "", err
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			return "", err
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			partial = append(partial, string(b))
+		}
+		return string(b), err
+	})
+	if err != nil || body != "a body of some length" {
+		t.Fatalf("body = %q, err = %v", body, err)
+	}
+	if len(partial) != 1 || partial[0] != "a body" || ft.Attempts() != 2 {
+		t.Errorf("cut attempts read %q over %d attempts, want [\"a body\"] over 2", partial, ft.Attempts())
+	}
+}
+
 func TestFlakyListenerDropsThenServes(t *testing.T) {
 	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

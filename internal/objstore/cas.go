@@ -12,24 +12,29 @@ import (
 	"strconv"
 	"strings"
 
+	"rai/internal/blobstore"
 	"rai/internal/cas"
 	"rai/internal/netx"
 	"rai/internal/telemetry"
 )
 
-// Delta resubmission endpoints (DESIGN.md §16). The negotiation is one
-// round trip:
+// Chunk endpoints (DESIGN.md §16). Upload is a negotiation plus one
+// stream, download is one stream, and both streams carry the same frame:
 //
 //	POST /cas/negotiate   body = encoded manifest
 //	                      → {"missing":[hash...]}   (chunks the server lacks)
 //	POST /cas/chunks      body = frames: "<hash> <size>\n" + raw bytes
 //	                      → {"stored":n,"bytes":b}
+//	POST /cas/fetch       body = hashes, one per line
+//	                      → frames, one per hash, in the order asked;
+//	                        404 before the first frame if any is absent
 //
-// Present chunks get their TTL refreshed during negotiation, so a chunk
-// shared by active submissions never expires under them; the sweep that
-// ages out rai-uploads ages rai-cas the same way. Both endpoints are
-// auth-gated exactly like /o/ — manifests reveal tree shape, and chunk
-// existence is an oracle, so neither is anonymous.
+// Present chunks get their TTL refreshed during negotiation and when
+// they are fetched, so a chunk shared by active submissions never
+// expires under them; the sweep that ages out rai-uploads ages rai-cas
+// the same way. All three are auth-gated exactly like /o/ — manifests
+// reveal tree shape, and chunk existence is an oracle, so none is
+// anonymous.
 
 // casNegotiateResponse is the body of a successful negotiation.
 type casNegotiateResponse struct {
@@ -44,14 +49,29 @@ type casChunksResponse struct {
 
 // casOp labels /cas/ requests for the shared request metrics.
 func casOp(r *http.Request) string {
-	if strings.HasSuffix(r.URL.Path, "/negotiate") {
+	switch {
+	case strings.HasSuffix(r.URL.Path, "/negotiate"):
 		return "cas-negotiate"
+	case strings.HasSuffix(r.URL.Path, "/fetch"):
+		return "cas-fetch"
 	}
 	return "cas-chunks"
 }
 
-// errChunkHash rejects a chunk whose payload does not hash to its name.
-var errChunkHash = errors.New("objstore: chunk payload hashes differently")
+// appendFrameHeader appends the line that precedes a chunk's payload in
+// both directions.
+func appendFrameHeader(dst []byte, hash string, size int64) []byte {
+	dst = append(append(dst, hash...), ' ')
+	return append(strconv.AppendInt(dst, size, 10), '\n')
+}
+
+// parseFrameHeader reads a frame's header line back, refusing a hash
+// that is not a chunk address and a size no chunk can have.
+func parseFrameHeader(line string) (hash string, size int64, ok bool) {
+	hash, sizeStr, ok := strings.Cut(strings.TrimSuffix(line, "\n"), " ")
+	size, err := strconv.ParseInt(sizeStr, 10, 64)
+	return hash, size, ok && cas.ValidHash(hash) && err == nil && size > 0 && size <= cas.MaxChunk
+}
 
 // MissingChunks returns the manifest's chunks the store lacks,
 // refreshing last-use of every chunk it already holds so a chunk shared
@@ -70,13 +90,26 @@ func (s *Store) MissingChunks(ctx context.Context, m *cas.Manifest) ([]string, e
 	return missing, nil
 }
 
-// putChunk stores one chunk under its hash, verifying the payload
-// first: nothing becomes addressable under a name it does not hash to.
-func (s *Store) putChunk(ctx context.Context, hash string, data []byte) error {
-	if cas.HashHex(data) != hash {
-		return fmt.Errorf("%w: %s", errChunkHash, hash)
+// putChunk streams one chunk of size bytes from r into the store under
+// its hash. The backend is told both: the size, so the stored payload is
+// allocated once, and the hash as the ETag the stream must produce, so
+// nothing becomes addressable under a name it does not hash to — by the
+// one digest pass every write makes. scratch is the copy buffer, shared
+// by the chunks of a stream.
+func (s *Store) putChunk(ctx context.Context, hash string, r io.Reader, size int64, scratch []byte) error {
+	w, err := s.be.Create(ctx, cas.Bucket, cas.ChunkKey(hash), blobstore.PutOptions{Size: size, ETag: hash})
+	if err != nil {
+		return err
 	}
-	return s.Put(ctx, cas.Bucket, cas.ChunkKey(hash), data, 0)
+	n, err := io.CopyBuffer(w, r, scratch)
+	if err == nil && n < size {
+		err = fmt.Errorf("chunk %s: %d of %d bytes: %w", hash, n, size, io.ErrUnexpectedEOF)
+	}
+	if err != nil {
+		w.Abort()
+		return err
+	}
+	return w.Close()
 }
 
 // PutChunks stores the named chunks from src and returns the payload
@@ -88,12 +121,59 @@ func (s *Store) PutChunks(ctx context.Context, hashes []string, src cas.Source) 
 		if err != nil {
 			return total, err
 		}
-		if err := s.putChunk(ctx, hash, data); err != nil {
+		if err := s.putChunk(ctx, hash, bytes.NewReader(data), int64(len(data)), nil); err != nil {
 			return total, err
 		}
 		total += int64(len(data))
 	}
 	return total, nil
+}
+
+// statChunks returns the size of each named chunk. A malformed hash or
+// an absent chunk is an error here, before a bulk read has produced
+// anything.
+func (s *Store) statChunks(ctx context.Context, hashes []string) ([]int64, error) {
+	sizes := make([]int64, len(hashes))
+	for i, hash := range hashes {
+		if !cas.ValidHash(hash) {
+			return nil, fmt.Errorf("%w: chunk hash %q", ErrBadName, hash)
+		}
+		info, err := s.be.Stat(ctx, cas.Bucket, cas.ChunkKey(hash))
+		if err != nil {
+			return nil, err
+		}
+		sizes[i] = info.Size
+	}
+	return sizes, nil
+}
+
+// GetChunks hands each the payload of every named chunk, in the order
+// asked, refreshing its last-use; data is only valid during the call. A
+// chunk the store lacks fails the read before the first call to each.
+func (s *Store) GetChunks(ctx context.Context, hashes []string, each func(hash string, data []byte) error) error {
+	if _, err := s.statChunks(ctx, hashes); err != nil {
+		return err
+	}
+	buf := make([]byte, cas.MaxChunk)
+	for _, hash := range hashes {
+		rc, info, err := s.be.Open(ctx, cas.Bucket, cas.ChunkKey(hash))
+		if err != nil {
+			return err
+		}
+		if info.Size > cas.MaxChunk {
+			rc.Close()
+			return fmt.Errorf("objstore: chunk %s is %d bytes, over the %d a chunk can be", hash, info.Size, cas.MaxChunk)
+		}
+		_, err = io.ReadFull(rc, buf[:info.Size])
+		rc.Close()
+		if err != nil {
+			return fmt.Errorf("objstore: reading chunk %s: %w", hash, err)
+		}
+		if err := each(hash, buf[:info.Size]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // handleCASNegotiate answers a manifest with the chunk hashes the store
@@ -140,6 +220,7 @@ func (h *handlerState) handleCASNegotiate(s *Store, w http.ResponseWriter, r *ht
 // verified against its declared hash before it becomes addressable.
 func (h *handlerState) handleCASChunks(s *Store, w http.ResponseWriter, r *http.Request) {
 	br := bufio.NewReader(http.MaxBytesReader(w, r.Body, h.maxBytes))
+	scratch := make([]byte, 32<<10)
 	var resp casChunksResponse
 	for {
 		line, err := br.ReadString('\n')
@@ -150,18 +231,17 @@ func (h *handlerState) handleCASChunks(s *Store, w http.ResponseWriter, r *http.
 			http.Error(w, "reading chunk frame: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		hash, sizeStr, ok := strings.Cut(strings.TrimSuffix(line, "\n"), " ")
-		size, perr := strconv.ParseInt(sizeStr, 10, 64)
-		if !ok || len(hash) != 64 || perr != nil || size <= 0 || size > cas.MaxChunk {
+		hash, size, ok := parseFrameHeader(line)
+		if !ok {
 			http.Error(w, fmt.Sprintf("bad chunk frame %q", strings.TrimSpace(line)), http.StatusBadRequest)
 			return
 		}
-		buf := make([]byte, size)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			http.Error(w, "short chunk payload: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		if err := s.putChunk(r.Context(), hash, buf); err != nil {
+		if err := s.putChunk(r.Context(), hash, io.LimitReader(br, size), size, scratch); err != nil {
+			var tooBig *http.MaxBytesError
+			if errors.Is(err, io.ErrUnexpectedEOF) || errors.As(err, &tooBig) {
+				http.Error(w, "short chunk payload: "+err.Error(), http.StatusBadRequest)
+				return
+			}
 			writeStoreErr(w, err)
 			return
 		}
@@ -173,6 +253,55 @@ func (h *handlerState) handleCASChunks(s *Store, w http.ResponseWriter, r *http.
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(resp)
+}
+
+// handleCASFetch streams the named chunks back as frames. Sizes are
+// read first, which makes an absent chunk a clean 404 and gives the
+// reply a Content-Length; each payload then goes from the backend's
+// reader into one buffered writer, so serving a tree allocates the
+// buffer and not the tree.
+func (h *handlerState) handleCASFetch(s *Store, w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, cas.MaxManifestBytes+1))
+	if err != nil {
+		http.Error(w, "reading chunk list: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	if len(body) > cas.MaxManifestBytes {
+		http.Error(w, "chunk list too large", http.StatusRequestEntityTooLarge)
+		return
+	}
+	hashes := strings.Split(strings.TrimSuffix(string(body), "\n"), "\n")
+	sizes, err := s.statChunks(r.Context(), hashes)
+	if err != nil {
+		writeStoreErr(w, err)
+		return
+	}
+	var hdr []byte
+	var total int64
+	for i, hash := range hashes {
+		hdr = appendFrameHeader(hdr[:0], hash, sizes[i])
+		total += int64(len(hdr)) + sizes[i]
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.FormatInt(total, 10))
+	bw := bufio.NewWriterSize(w, 64<<10)
+	for i, hash := range hashes {
+		// A chunk swept since the size pass, like a dead client, is found
+		// with the headers gone: returning leaves the body short of its
+		// Content-Length, which the client sees as a broken transfer.
+		rc, _, err := s.be.Open(r.Context(), cas.Bucket, cas.ChunkKey(hash))
+		if err != nil {
+			return
+		}
+		_, _ = bw.Write(appendFrameHeader(hdr[:0], hash, sizes[i]))
+		n, err := io.Copy(bw, rc)
+		rc.Close()
+		h.streamOut.Add(float64(n))
+		if err != nil || n != sizes[i] {
+			return
+		}
+	}
+	_ = bw.Flush()
 }
 
 // ---- client side ----
@@ -220,6 +349,69 @@ func (c *Client) PutChunks(ctx context.Context, hashes []string, src cas.Source)
 	return resp.Bytes, nil
 }
 
+// GetChunks fetches the named chunks in one request and hands each its
+// payload in the order asked; data is only valid during the call. Every
+// frame is checked against the hash that was due before its payload is
+// read. A broken connection is retried under the policy and the retry
+// starts over from the first hash, so each must tolerate seeing a chunk
+// again; a frame that is not the one due, and an error from each, end
+// the call at once.
+func (c *Client) GetChunks(ctx context.Context, hashes []string, each func(hash string, data []byte) error) error {
+	if len(hashes) == 0 {
+		return nil
+	}
+	list := strings.Join(hashes, "\n")
+	return c.roundTrip(ctx, "cas-fetch", http.StatusOK, func(ctx context.Context) (*http.Request, error) {
+		return http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/cas/fetch", strings.NewReader(list))
+	}, func(r *http.Response) error {
+		return readChunkFrames(r.Body, hashes, each)
+	})
+}
+
+// readChunkFrames reads the reply to a fetch of hashes: one frame per
+// hash, in order, each at most cas.MaxChunk. What the server got wrong —
+// a frame other than the one due, a body that ends short of what its
+// frames promise — is permanent and names the chunk; a read error is the
+// connection's and goes back bare, for the retry policy to judge.
+func readChunkFrames(body io.Reader, hashes []string, each func(hash string, data []byte) error) error {
+	br := bufio.NewReaderSize(body, cas.MaxChunk)
+	buf := make([]byte, cas.MaxChunk)
+	for i, want := range hashes {
+		// ReadSlice, not ReadString: a header line is bounded by the buffer
+		// whatever the server sends.
+		line, err := br.ReadSlice('\n')
+		if err == io.EOF {
+			return netx.Permanent(fmt.Errorf("objstore: chunk stream ended after %d of %d chunks, before %s", i, len(hashes), want))
+		}
+		if err != nil && err != bufio.ErrBufferFull {
+			return err
+		}
+		hash, size, ok := parseFrameHeader(string(line))
+		if !ok {
+			return netx.Permanent(fmt.Errorf("objstore: bad chunk frame %.80q where %s was due", line, want))
+		}
+		if hash != want {
+			return netx.Permanent(fmt.Errorf("objstore: chunk %s arrived where %s was due", hash, want))
+		}
+		// io.ReadFull would fold a body that ended into the same
+		// ErrUnexpectedEOF a cut connection reports; they differ here.
+		for n := 0; n < int(size); {
+			m, err := br.Read(buf[n:size])
+			n += m
+			if err == io.EOF && n < int(size) {
+				return netx.Permanent(fmt.Errorf("objstore: chunk %s: stream ended %d bytes into a %d-byte payload", hash, n, size))
+			}
+			if err != nil && n < int(size) {
+				return err
+			}
+		}
+		if err := each(hash, buf[:size]); err != nil {
+			return netx.Permanent(err)
+		}
+	}
+	return nil
+}
+
 // chunkStream frames chunks lazily: each Read pulls at most one chunk
 // from the source, so memory stays O(MaxChunk) however large the tree.
 type chunkStream struct {
@@ -242,7 +434,7 @@ func (cs *chunkStream) Read(p []byte) (int, error) {
 			// stream and fail identically, so mark it permanent.
 			return 0, netx.Permanent(err)
 		}
-		fmt.Fprintf(&cs.buf, "%s %d\n", hash, len(data))
+		cs.buf.Write(appendFrameHeader(cs.buf.AvailableBuffer(), hash, int64(len(data))))
 		cs.buf.Write(data)
 	}
 	return cs.buf.Read(p)

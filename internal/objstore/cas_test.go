@@ -168,7 +168,7 @@ func TestCASAuthGated(t *testing.T) {
 	deny := func(accessKey, signature string, r *http.Request) bool { return false }
 	srv := httptest.NewServer(Handler(s, deny))
 	defer srv.Close()
-	for _, path := range []string{"/cas/negotiate", "/cas/chunks"} {
+	for _, path := range []string{"/cas/negotiate", "/cas/chunks", "/cas/fetch"} {
 		resp, err := http.Post(srv.URL+path, "application/octet-stream", strings.NewReader("x"))
 		if err != nil {
 			t.Fatal(err)

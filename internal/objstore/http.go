@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"rai/internal/blobstore"
 	"rai/internal/clock"
 	"rai/internal/netx"
 	"rai/internal/telemetry"
@@ -41,6 +42,7 @@ const MaxObjectBytes = 2 << 30
 //	GET    /l/{bucket}?prefix= list (JSON)
 //	POST   /cas/negotiate      chunks the store lacks for a manifest (cas.go)
 //	POST   /cas/chunks         framed, hash-verified chunk upload (cas.go)
+//	POST   /cas/fetch          the named chunks as one framed stream (cas.go)
 //	GET    /healthz            liveness
 //	GET    /metrics            Prometheus exposition (with WithTelemetry)
 func Handler(s *Store, auth AuthFunc, opts ...HandlerOption) http.Handler {
@@ -85,7 +87,7 @@ func Handler(s *Store, auth AuthFunc, opts ...HandlerOption) http.Handler {
 			// holds the archive in memory. Crossing the size limit aborts
 			// the partial write and answers 413.
 			body := http.MaxBytesReader(w, r.Body, h.maxBytes)
-			info, err := s.put(r.Context(), bucket, key, &countingReader{r: body, c: h.streamIn}, ttl)
+			info, err := s.put(r.Context(), bucket, key, &countingReader{r: body, c: h.streamIn}, blobstore.PutOptions{TTL: ttl})
 			if err != nil {
 				var tooBig *http.MaxBytesError
 				if errors.As(err, &tooBig) {
@@ -166,8 +168,10 @@ func Handler(s *Store, auth AuthFunc, opts ...HandlerOption) http.Handler {
 			h.handleCASNegotiate(s, w, r)
 		case "chunks":
 			h.handleCASChunks(s, w, r)
+		case "fetch":
+			h.handleCASFetch(s, w, r)
 		default:
-			http.Error(w, "want /cas/negotiate or /cas/chunks", http.StatusNotFound)
+			http.Error(w, "want /cas/negotiate, /cas/chunks or /cas/fetch", http.StatusNotFound)
 		}
 	}))
 	return mux
@@ -184,7 +188,7 @@ func WithTelemetry(reg *telemetry.Registry) HandlerOption {
 		h.reg = reg
 		h.requests = map[string]*telemetry.Counter{}
 		h.latency = map[string]*telemetry.Histogram{}
-		for _, op := range []string{"put", "get", "head", "delete", "list", "cas-negotiate", "cas-chunks", "other"} {
+		for _, op := range []string{"put", "get", "head", "delete", "list", "cas-negotiate", "cas-chunks", "cas-fetch", "other"} {
 			h.requests[op] = reg.Counter("rai_objstore_requests_total", "requests served", telemetry.L("op", op))
 			h.latency[op] = reg.Histogram("rai_objstore_request_seconds", "request latency", telemetry.DefBuckets, telemetry.L("op", op))
 		}
@@ -321,7 +325,7 @@ func writeStoreErr(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrNoBucket), errors.Is(err, ErrNoObject):
 		http.Error(w, err.Error(), http.StatusNotFound)
-	case errors.Is(err, ErrBadName), errors.Is(err, errChunkHash):
+	case errors.Is(err, ErrBadName), errors.Is(err, blobstore.ErrETag):
 		http.Error(w, err.Error(), http.StatusBadRequest)
 	case errors.Is(err, ErrQuota):
 		http.Error(w, err.Error(), http.StatusInsufficientStorage)

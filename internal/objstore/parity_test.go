@@ -25,6 +25,7 @@ type objects interface {
 	Delete(ctx context.Context, bucket, key string) error
 	MissingChunks(ctx context.Context, m *cas.Manifest) ([]string, error)
 	PutChunks(ctx context.Context, hashes []string, src cas.Source) (int64, error)
+	GetChunks(ctx context.Context, hashes []string, each func(hash string, data []byte) error) error
 }
 
 // forgedSource answers every chunk request with the wrong bytes.
@@ -34,9 +35,10 @@ func (forgedSource) Chunk(string) ([]byte, error) { return []byte("forged payloa
 
 // TestStoreClientParity runs one scenario against the in-process engine
 // and against the HTTP client: the two ends of the file-server port
-// behave alike, including the two things the negotiate and chunk paths
-// promise — present chunks have their last-use refreshed, and a payload
-// is hash-verified before it becomes addressable.
+// behave alike, including what the negotiate and chunk paths promise —
+// present chunks have their last-use refreshed, a payload is
+// hash-verified before it becomes addressable, and a bulk read hands
+// back exactly the chunks asked for, in order, or fails before the first.
 func TestStoreClientParity(t *testing.T) {
 	const ttl = 4 * time.Hour
 	impls := []struct {
@@ -101,6 +103,32 @@ func TestStoreClientParity(t *testing.T) {
 			if sent, err := o.PutChunks(ctx, missing, src); err != nil || sent != m.TotalBytes {
 				t.Fatalf("PutChunks = %d of %d bytes, %v", sent, m.TotalBytes, err)
 			}
+			// The bulk read returns what went up: every chunk asked for, in
+			// the order asked, the tree reassembling byte for byte.
+			var order []string
+			chunkData := map[string]string{}
+			err = o.GetChunks(ctx, m.ChunkSet(), func(hash string, data []byte) error {
+				order = append(order, hash)
+				chunkData[hash] = string(data) // data is the callee's again after this call
+				return nil
+			})
+			if err != nil || !slices.Equal(order, m.ChunkSet()) {
+				t.Fatalf("GetChunks handed over %d of %d chunks in order, %v", len(order), len(m.ChunkSet()), err)
+			}
+			for _, f := range m.Files {
+				var joined strings.Builder
+				for _, ref := range f.Chunks {
+					joined.WriteString(chunkData[ref.Hash])
+				}
+				if joined.String() != files[f.Path] {
+					t.Errorf("%s: chunks reassemble to %d bytes, want %d", f.Path, joined.Len(), len(files[f.Path]))
+				}
+			}
+			refused := errors.New("consumer refused")
+			if err := o.GetChunks(ctx, m.ChunkSet(), func(string, []byte) error { return refused }); !errors.Is(err, refused) {
+				t.Errorf("GetChunks with a refusing consumer = %v", err)
+			}
+
 			files["build.yml"] = "commands:\n  build: make -j4\n"
 			m2, _ := buildTestTree(t, files)
 			var added []string
@@ -111,6 +139,12 @@ func TestStoreClientParity(t *testing.T) {
 			}
 			if delta, err := o.MissingChunks(ctx, m2); err != nil || len(added) == 0 || !slices.Equal(delta, added) {
 				t.Fatalf("edit negotiation missing %v, %v; want %v", delta, err, added)
+			}
+			// One absent chunk fails the whole read, before any is handed over.
+			handed := 0
+			err = o.GetChunks(ctx, m2.ChunkSet(), func(string, []byte) error { handed++; return nil })
+			if !errors.Is(err, ErrNoObject) || !strings.Contains(err.Error(), added[0]) || handed != 0 {
+				t.Errorf("GetChunks with %s absent = %v after %d chunks; want ErrNoObject naming it after none", added[0], err, handed)
 			}
 
 			// Last-use refresh: chunks negotiated at 3/4 TTL survive a sweep
@@ -147,6 +181,9 @@ func TestStoreClientParity(t *testing.T) {
 			}
 			if _, err := o.MissingChunks(dead, m); !errors.Is(err, context.Canceled) {
 				t.Errorf("MissingChunks on a cancelled ctx = %v", err)
+			}
+			if err := o.GetChunks(dead, m.ChunkSet(), func(string, []byte) error { return nil }); !errors.Is(err, context.Canceled) {
+				t.Errorf("GetChunks on a cancelled ctx = %v", err)
 			}
 		})
 	}

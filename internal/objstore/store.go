@@ -105,8 +105,8 @@ func (s *Store) CreateBucket(ctx context.Context, bucket string) error {
 // put streams r into bucket/key and returns the committed metadata;
 // nothing becomes visible unless the whole stream commits, and a failed
 // copy cleans up its partial write.
-func (s *Store) put(ctx context.Context, bucket, key string, r io.Reader, ttl time.Duration) (ObjectInfo, error) {
-	w, err := s.be.Create(ctx, bucket, key, blobstore.PutOptions{TTL: ttl})
+func (s *Store) put(ctx context.Context, bucket, key string, r io.Reader, opts blobstore.PutOptions) (ObjectInfo, error) {
+	w, err := s.be.Create(ctx, bucket, key, opts)
 	if err != nil {
 		return ObjectInfo{}, err
 	}
@@ -124,7 +124,7 @@ func (s *Store) put(ctx context.Context, bucket, key string, r io.Reader, ttl ti
 // RAI deployment pre-creates only a handful of well-known buckets). A
 // zero ttl adopts the store default.
 func (s *Store) Put(ctx context.Context, bucket, key string, data []byte, ttl time.Duration) error {
-	_, err := s.put(ctx, bucket, key, bytes.NewReader(data), ttl)
+	_, err := s.put(ctx, bucket, key, bytes.NewReader(data), blobstore.PutOptions{TTL: ttl, Size: int64(len(data))})
 	return err
 }
 

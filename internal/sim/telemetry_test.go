@@ -152,6 +152,19 @@ func TestStoreMetricsFromRealJob(t *testing.T) {
 		t.Errorf("objstore get latency samples = %v,%v, want >= 1", v, ok)
 	}
 
+	// The worker read the tree's chunks in one request, and both ends
+	// counted them: the worker what it materialized, the server what it
+	// streamed out (the manifest rides the same counter).
+	if v, ok := obj.Value("rai_objstore_requests_total", telemetry.L("op", "cas-fetch")); !ok || v != 1 {
+		t.Errorf("objstore cas-fetch requests = %v,%v, want 1", v, ok)
+	}
+	chunks, _ := obj.Value("rai_cas_materialize_chunks_total")
+	fetched, _ := obj.Value("rai_cas_materialize_bytes_total")
+	streamed, _ := obj.Value("rai_objstore_stream_bytes_total", telemetry.L("direction", "out"))
+	if chunks < 1 || fetched <= 0 || streamed < fetched {
+		t.Errorf("materialized %v chunks, %v bytes; server streamed %v bytes out", chunks, fetched, streamed)
+	}
+
 	db := scrape(dbSrv.URL)
 	if v, ok := db.Value("rai_docstore_requests_total", telemetry.L("verb", "upsert")); !ok || v < 1 {
 		t.Errorf("docstore upserts = %v,%v, want >= 1 (job record)", v, ok)

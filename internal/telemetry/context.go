@@ -50,14 +50,6 @@ func ContextWithSpanContext(ctx context.Context, sc SpanContext) context.Context
 	return context.WithValue(ctx, spanCtxKey{}, sc)
 }
 
-// ContextWithoutSpan returns ctx carrying no trace identity — the job
-// ID and sampling verdict stay — so calls made under it open no child
-// spans downstream. For fan-outs whose parent span already accounts for
-// them in aggregate.
-func ContextWithoutSpan(ctx context.Context) context.Context {
-	return context.WithValue(ctx, spanCtxKey{}, SpanContext{})
-}
-
 // SpanContextFrom extracts the current trace identity (zero value when
 // ctx carries none).
 func SpanContextFrom(ctx context.Context) SpanContext {

@@ -181,20 +181,3 @@ func TestSamplingHeaderPropagation(t *testing.T) {
 		t.Error("SamplingFrom lost the decision")
 	}
 }
-
-func TestContextWithoutSpanKeepsJobDropsTrace(t *testing.T) {
-	ctx := ContextWithJobID(t.Context(), "job-1")
-	ctx = ContextWithSpanContext(ctx, SpanContext{TraceID: "tr", SpanID: "sp"})
-	ctx = ContextWithoutSpan(ctx)
-	if SpanContextFrom(ctx).Valid() {
-		t.Error("span context survived")
-	}
-	h := http.Header{}
-	InjectHTTP(ctx, h)
-	if h.Get(HeaderTraceID) != "" || h.Get(HeaderParentSpan) != "" {
-		t.Errorf("trace headers sent: %v", h)
-	}
-	if h.Get(HeaderJobID) != "job-1" {
-		t.Errorf("X-RAI-Job-ID = %q, want job-1", h.Get(HeaderJobID))
-	}
-}
