@@ -283,11 +283,7 @@ func submit(ctx context.Context, cmd string, creds auth.Credentials, dir, broker
 		fmt.Fprintf(stderr, "rai: %v\n", err)
 		return 1
 	}
-	cached := ""
-	if res.CachedBuild {
-		cached = " [build cached]"
-	}
-	fmt.Fprintf(stdout, "job %s %s (elapsed %.1fs)%s\n", res.JobID, res.Status, res.Elapsed.Seconds(), cached)
+	fmt.Fprintf(stdout, "job %s %s (elapsed %.1fs)\n", res.JobID, res.Status, res.Elapsed.Seconds())
 	if res.BuildKey != "" {
 		fmt.Fprintf(stdout, "build output: %s/%s\n", res.BuildBucket, res.BuildKey)
 	}

@@ -15,7 +15,7 @@ func metricsEndpoint(t *testing.T) *httptest.Server {
 	reg := telemetry.NewRegistry()
 	reg.Counter("rai_broker_publish_total", "messages published", telemetry.L("topic", "rai")).Add(41)
 	reg.Gauge("rai_worker_jobs_in_flight", "jobs executing").Set(3)
-	reg.Histogram("rai_queue_delay_seconds", "queue delay", telemetry.QueueDelayBuckets).Observe(2.5)
+	reg.Histogram("rai_queue_delay_seconds", "queue delay").Observe(2.5)
 	srv := httptest.NewServer(reg.Handler())
 	t.Cleanup(srv.Close)
 	return srv

@@ -4,7 +4,6 @@
 //	clock       no direct time.Now/Sleep/... outside internal/clock
 //	ctxbg       no context.Background()/TODO() in library code
 //	ctxfirst    exported functions take ctx as the first parameter
-//	deprecated  no calls to deprecated functions
 //	span        every started telemetry span is ended or handed off
 //	httpresp    every *http.Response body is closed and drained
 //	wgadd       WaitGroup.Add happens before the goroutine it counts

@@ -91,7 +91,7 @@ func liveAutoscaler(start time.Time) {
 	}
 
 	jobSecs := reg.Histogram("rai_worker_job_seconds",
-		"wall time per completed job", telemetry.QueueDelayBuckets)
+		"wall time per completed job")
 	fmt.Println("minute  arrivals  queue  workers  desired  decision")
 	for minute, arrivals := range []int{2, 10, 40, 40, 20, 5, 0, 0, 0, 0} {
 		for i := 0; i < arrivals; i++ {

@@ -138,11 +138,11 @@ func TestPackUnpackEdgeTree(t *testing.T) {
 	assertSameTree(t, f, out, "/proj", "/dst")
 }
 
-// TestEdgeTreeHashStableAcrossTransports is the identity guarantee the
-// warm build cache leans on: the cas tree hash of the original tree,
-// of the tar round trip, and of the manifest materialization must all
-// agree, or identical submissions would miss the cache depending on
-// how they traveled.
+// TestEdgeTreeHashStableAcrossTransports: the cas tree hash is an
+// identity of the content, not of the transport — the original tree,
+// its tar round trip and its manifest materialization must all hash
+// alike, or cas.Decode's tree-hash check would depend on how a tree
+// traveled.
 func TestEdgeTreeHashStableAcrossTransports(t *testing.T) {
 	f := edgeTree(t)
 	m, src, err := cas.BuildVFS(f, "/proj")

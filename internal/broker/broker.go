@@ -80,7 +80,7 @@ type brokerTelemetry struct {
 	reg     *telemetry.Registry
 	ack     *telemetry.Counter
 	requeue *telemetry.Counter
-	latency *telemetry.Histogram
+	latency *telemetry.HDRHistogram
 }
 
 // Option configures a Broker.
@@ -100,7 +100,7 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 		b.tel.ack = reg.Counter("rai_broker_ack_total", "messages acknowledged")
 		b.tel.requeue = reg.Counter("rai_broker_requeue_total", "messages handed back for redelivery")
 		b.tel.latency = reg.Histogram("rai_broker_delivery_latency_seconds",
-			"time from publish to delivery to a subscriber", telemetry.QueueDelayBuckets)
+			"time from publish to delivery to a subscriber")
 		reg.GaugeFunc("rai_broker_topics", "live topics (ephemeral log topics included)", func() float64 {
 			b.mu.RLock()
 			defer b.mu.RUnlock()

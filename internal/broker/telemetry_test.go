@@ -47,8 +47,13 @@ func TestBrokerTelemetry(t *testing.T) {
 	}
 	var buf strings.Builder
 	reg.WritePrometheus(&buf)
-	if !strings.Contains(buf.String(), `rai_broker_delivery_latency_seconds_bucket{le="5"} 1`) {
-		t.Errorf("5s delivery latency not in histogram:\n%s", buf.String())
+	for _, want := range []string{
+		`rai_broker_delivery_latency_seconds_bucket{le="4.194304"} 0`,
+		`rai_broker_delivery_latency_seconds_bucket{le="8.388608"} 1`,
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("5s delivery latency not between the edges around it (%s):\n%s", want, buf.String())
+		}
 	}
 
 	if err := sub.Requeue(bg, m); err != nil {

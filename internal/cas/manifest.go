@@ -52,7 +52,7 @@ type FileEntry struct {
 // upload object of every submission.
 type Manifest struct {
 	// TreeHash is the canonical content hash of the whole tree (dirs,
-	// paths, and chunk hashes); it keys the worker's build cache.
+	// paths, and chunk hashes); Decode recomputes and checks it.
 	TreeHash string `json:"tree_hash"`
 	// TotalBytes is the sum of file sizes — what a full upload would
 	// have transferred before compression.

@@ -136,8 +136,8 @@ func newTracedStack(t *testing.T, sampler *telemetry.Sampler) *tracedStack {
 }
 
 // runJob submits revision rev of the course project (each revision is a
-// distinct tree, so none is answered from the build cache) and has the
-// worker handle it.
+// distinct tree, so every upload moves chunks) and has the worker handle
+// it.
 func (s *tracedStack) runJob(t *testing.T, rev int) *core.JobResult {
 	t.Helper()
 	projFS := vfs.New()
@@ -233,7 +233,7 @@ func (s *tracedStack) connectedTrace(t *testing.T, jobID string) []collector.Spa
 	for _, p := range collector.Phases(spans) {
 		phases[p.Name] = p.Duration >= 0
 	}
-	for _, want := range []string{"upload", "enqueue", "download", "cache", "build", "run", "total"} {
+	for _, want := range []string{"upload", "enqueue", "download", "build", "run", "total"} {
 		if !phases[want] {
 			t.Errorf("job %s: phase %q missing from decomposition (timeline:\n%s)", jobID, want, timeline)
 		}
@@ -288,6 +288,28 @@ func TestEndToEndConnectedTrace(t *testing.T) {
 	if download.SpanID == "" || manifestGets != 1 || fetches != 1 {
 		t.Errorf("download span %q, %d manifest GET spans, %d cas-fetch spans; want one of each (timeline:\n%s)",
 			download.SpanID, manifestGets, fetches, collector.FormatTimeline(spans))
+	}
+
+	// The worker talks to the file server exactly three times per job:
+	// the two download requests above and the PUT of /build.
+	byID := map[string]collector.Span{}
+	for _, sp := range spans {
+		byID[sp.SpanID] = sp
+	}
+	var fromWorker []string
+	for _, sp := range spans { // ordered by start
+		if sp.Service != "raifs" {
+			continue
+		}
+		for up := sp; up.SpanID != ""; up = byID[up.ParentID] {
+			if up.Name == "dequeue" {
+				fromWorker = append(fromWorker, sp.Name)
+				break
+			}
+		}
+	}
+	if want := "objstore get, objstore cas-fetch, objstore put"; strings.Join(fromWorker, ", ") != want {
+		t.Errorf("worker requests to raifs = [%s], want [%s]", strings.Join(fromWorker, ", "), want)
 	}
 
 	// The job's merged event stream crossed services.

@@ -142,8 +142,7 @@ type Phase struct {
 
 // Phases decomposes a job's span tree into the paper's per-phase
 // durations: upload, enqueue, queue delay (enqueue end to worker
-// pickup), download, cache (build-cache lookup), build, run, and
-// total. Phases absent from the
+// pickup), download, build, run, and total. Phases absent from the
 // trace are omitted; repeated spans (several build commands) sum.
 func Phases(spans []Span) []Phase {
 	var (
@@ -164,7 +163,7 @@ func Phases(spans []Span) []Phase {
 		case "dequeue":
 			dequeueStart = s.Start
 			haveDequeue = true
-		case "upload", "download", "cache", "build", "run":
+		case "upload", "download", "build", "run":
 			byName[s.Name] += s.Duration()
 		}
 	}
@@ -180,7 +179,6 @@ func Phases(spans []Span) []Phase {
 		out = append(out, Phase{"queue delay", dequeueStart.Sub(enqueueEnd)})
 	}
 	add("download")
-	add("cache")
 	add("build")
 	add("run")
 	if haveT {

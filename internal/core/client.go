@@ -67,9 +67,6 @@ type JobResult struct {
 	// report true). Dropped traces never reach the collector, so
 	// tooling should not wait for their spans.
 	Sampled bool
-	// CachedBuild reports that the worker satisfied the job from its
-	// warm build cache instead of running the build commands.
-	CachedBuild bool
 	// Transfer describes the upload; nil when the job reran an upload
 	// already on the file server (ResubmitContext).
 	Transfer *TransferStats
@@ -251,7 +248,7 @@ func (c *Client) submitUploaded(ctx context.Context, root *telemetry.Span, jobID
 				}
 			case LogEnd:
 				c.Telemetry.Histogram("rai_client_job_seconds",
-					"submit-to-End wall time seen by the client", telemetry.QueueDelayBuckets).
+					"submit-to-End wall time seen by the client").
 					Observe(clk.Now().Sub(submitted).Seconds())
 				res.Status = lm.Status
 				res.Elapsed = time.Duration(lm.Elapsed * float64(time.Second))
@@ -259,7 +256,6 @@ func (c *Client) submitUploaded(ctx context.Context, root *telemetry.Span, jobID
 				res.Accuracy = lm.Accuracy
 				res.BuildBucket = lm.BuildBucket
 				res.BuildKey = lm.BuildKey
-				res.CachedBuild = lm.Cached
 				c.Log.Info(ctx, "job finished", telemetry.L("status", lm.Status))
 				if lm.Status == StatusRejected {
 					return res, fmt.Errorf("%w: %s", ErrRejected, lm.Line)

@@ -56,10 +56,6 @@ const (
 const (
 	BucketUploads = "rai-uploads" // client project archives
 	BucketBuilds  = "rai-builds"  // worker /build output archives
-	// BucketBuildCache holds the worker's warm build cache: result
-	// metadata and /build archives keyed by hash(spec)+tree hash, aged
-	// out by the same sweep that expires uploads (DESIGN.md §16).
-	BucketBuildCache = "rai-buildcache"
 )
 
 // Database collections.
@@ -135,10 +131,6 @@ type LogMessage struct {
 	Accuracy      float64 `json:"accuracy,omitempty"`
 	BuildBucket   string  `json:"build_bucket,omitempty"`
 	BuildKey      string  `json:"build_key,omitempty"`
-	// Cached reports that the build phase was satisfied from the warm
-	// build cache (identical spec + tree seen before) — the job skipped
-	// the container entirely.
-	Cached bool `json:"cached,omitempty"`
 }
 
 // Job terminal statuses.

@@ -216,7 +216,7 @@ func tokenFor(c *Client, req *JobRequest) string {
 func (w *Worker) runSession(ctx context.Context, req *JobRequest, logf func(kind, format string, args ...any), parent *telemetry.Span) execResult {
 	var res execResult
 
-	hostFS, _, err := w.fetchProject(ctx, req, parent)
+	hostFS, err := w.fetchProject(ctx, req, parent)
 	if err != nil {
 		logf(LogSystem, "%v", err)
 		return res

@@ -117,20 +117,15 @@ type Worker struct {
 // workerTelemetry caches the per-job instruments resolved once in
 // initRuntime; all fields no-op when Telemetry is nil.
 type workerTelemetry struct {
-	queueDelay *telemetry.Histogram
+	queueDelay *telemetry.HDRHistogram
 	inFlight   *telemetry.Gauge
-	jobSecs    *telemetry.Histogram
-	// jobHDR is the exemplar-linked job duration distribution: each
-	// populated latency bucket names a sampled trace to pull up, which
-	// is how `raiadmin trace -exemplar slowest` finds its target.
-	jobHDR *telemetry.HDRHistogram
-	jobs   map[string]*telemetry.Counter   // by terminal status
-	phases map[string]*telemetry.Histogram // by execution phase
-	// Warm build cache and manifest-materialization accounting
-	// (DESIGN.md §16); nil-safe no-ops without a registry.
-	bcHits     *telemetry.Counter
-	bcMisses   *telemetry.Counter
-	bcSavedSec *telemetry.Counter
+	// jobSecs carries one trace exemplar per populated latency bucket,
+	// which is how `raiadmin trace -exemplar slowest` finds its target.
+	jobSecs *telemetry.HDRHistogram
+	jobs    map[string]*telemetry.Counter      // by terminal status
+	phases  map[string]*telemetry.HDRHistogram // by execution phase
+	// Manifest-materialization accounting (DESIGN.md §16); nil-safe
+	// no-ops without a registry.
 	casFetches *telemetry.Counter
 	casBytes   *telemetry.Counter
 }
@@ -149,25 +144,19 @@ func (w *Worker) initRuntime() {
 	if w.Telemetry != nil && w.tel.jobs == nil {
 		reg := w.Telemetry
 		w.tel.queueDelay = reg.Histogram("rai_queue_delay_seconds",
-			"time from submission to worker pickup (the paper's Figure 4 queue delay)",
-			telemetry.QueueDelayBuckets)
+			"time from submission to worker pickup (the paper's Figure 4 queue delay)")
 		w.tel.inFlight = reg.Gauge("rai_worker_jobs_in_flight", "jobs executing right now")
 		w.tel.jobSecs = reg.Histogram("rai_worker_job_seconds",
-			"modeled container wall time per job", telemetry.QueueDelayBuckets)
-		w.tel.jobHDR = reg.HDR("rai_worker_job_duration_seconds",
-			"per-job wall time with trace exemplars per latency bucket")
+			"modeled container wall time per job, with trace exemplars per latency bucket")
 		w.tel.jobs = map[string]*telemetry.Counter{}
 		for _, st := range []string{StatusSucceeded, StatusFailed, StatusRejected} {
 			w.tel.jobs[st] = reg.Counter("rai_worker_jobs_total", "jobs finished", telemetry.L("status", st))
 		}
-		w.tel.phases = map[string]*telemetry.Histogram{}
-		for _, ph := range []string{"pull", "build", "run", "cache"} {
+		w.tel.phases = map[string]*telemetry.HDRHistogram{}
+		for _, ph := range []string{"pull", "build", "run"} {
 			w.tel.phases[ph] = reg.Histogram("rai_worker_phase_seconds",
-				"modeled time per execution phase", telemetry.QueueDelayBuckets, telemetry.L("phase", ph))
+				"modeled time per execution phase", telemetry.L("phase", ph))
 		}
-		w.tel.bcHits = reg.Counter("rai_buildcache_hits_total", "jobs answered from the warm build cache")
-		w.tel.bcMisses = reg.Counter("rai_buildcache_misses_total", "cacheable jobs that had to execute")
-		w.tel.bcSavedSec = reg.Counter("rai_buildcache_saved_seconds_total", "container wall time avoided by cache hits")
 		w.tel.casFetches = reg.Counter("rai_cas_materialize_chunks_total", "chunks fetched while materializing manifests")
 		w.tel.casBytes = reg.Counter("rai_cas_materialize_bytes_total", "chunk bytes fetched while materializing manifests")
 	}
@@ -367,7 +356,6 @@ func (w *Worker) process(ctx context.Context, sub broker.Consumer, m *broker.Mes
 		status = StatusFailed
 	}
 	w.tel.jobs[status].Inc()
-	w.tel.jobSecs.Observe(result.elapsed.Seconds())
 	// Stamp the terminal status onto the worker's span so the collector
 	// can keep failed traces at 100% regardless of sampling.
 	proc.SetAttr("status", status)
@@ -380,7 +368,7 @@ func (w *Worker) process(ctx context.Context, sub broker.Consumer, m *broker.Mes
 	if req.TraceID != "" && w.Sampler.Keep(req.TraceID) {
 		exemplarTrace = req.TraceID
 	}
-	w.tel.jobHDR.ObserveExemplar(result.elapsed.Seconds(), exemplarTrace)
+	w.tel.jobSecs.ObserveExemplar(result.elapsed.Seconds(), exemplarTrace)
 	update := docstore.M{
 		"status":           status,
 		"elapsed_s":        result.elapsed.Seconds(),
@@ -390,7 +378,6 @@ func (w *Worker) process(ctx context.Context, sub broker.Consumer, m *broker.Mes
 		"build_bucket":     result.buildBucket,
 		"build_key":        result.buildKey,
 		"log_bytes":        result.logBytes,
-		"cached":           result.cached,
 	}
 	w.recordJob(ctx, &req, update)
 
@@ -414,7 +401,6 @@ func (w *Worker) process(ctx context.Context, sub broker.Consumer, m *broker.Mes
 		Accuracy:      result.accuracy,
 		BuildBucket:   result.buildBucket,
 		BuildKey:      result.buildKey,
-		Cached:        result.cached,
 	})
 	_ = sub.Ack(ctx, m)
 }
@@ -490,8 +476,6 @@ type execResult struct {
 	buildBucket   string
 	buildKey      string
 	logBytes      int64
-	// cached marks the job as answered from the warm build cache.
-	cached bool
 }
 
 // execute downloads the project, runs the build spec in a container, and
@@ -500,7 +484,7 @@ func (w *Worker) execute(ctx context.Context, req *JobRequest, spec *build.Spec,
 	var res execResult
 
 	// Worker step 4: download the project into /src.
-	hostFS, treeHash, err := w.fetchProject(ctx, req, parent)
+	hostFS, err := w.fetchProject(ctx, req, parent)
 	if err != nil {
 		logf(LogSystem, "%v", err)
 		return res
@@ -510,36 +494,6 @@ func (w *Worker) execute(ctx context.Context, req *JobRequest, spec *build.Spec,
 			logf(LogSystem, "%v", err)
 			return res
 		}
-	}
-
-	// Warm build cache: a kind-"run" job whose resolved spec and source
-	// tree match a previously successful execution replays that result —
-	// no container, no build, no run. Final submissions always execute.
-	cacheKey := ""
-	if req.Kind == KindRun {
-		cacheKey = buildCacheKey(spec, treeHash)
-	}
-	if cacheKey != "" {
-		span := parent.Child("cache")
-		lookupStart := w.Clock.Now()
-		cr, archive, hit := w.lookupBuildCache(telemetry.ContextWithSpan(ctx, span), cacheKey)
-		span.SetAttr("hit", fmt.Sprint(hit))
-		span.End()
-		w.tel.phases["cache"].Observe(w.Clock.Now().Sub(lookupStart).Seconds())
-		if hit {
-			w.tel.bcHits.Inc()
-			w.tel.bcSavedSec.Add(cr.ElapsedS)
-			logf(LogSystem, "build cache hit (%s…): identical spec and tree already built; replaying result (saved %.1fs)",
-				cacheKey[:12], cr.ElapsedS)
-			res.ok = true
-			res.cached = true
-			res.internalTimer = time.Duration(cr.InternalTimer * float64(time.Second))
-			res.accuracy = cr.Accuracy
-			res.timeReport = cr.TimeReport
-			res.buildArchive = archive
-			return res
-		}
-		w.tel.bcMisses.Inc()
 	}
 
 	// Worker step 3: start the sandboxed container with the CUDA volume
@@ -605,36 +559,34 @@ func (w *Worker) execute(ctx context.Context, req *JobRequest, spec *build.Spec,
 
 	// Worker step 6: archive the container's /build directory.
 	res.buildArchive = packBuild(ctr.FS(), logf)
-	w.storeBuildCache(ctx, cacheKey, &res)
 	return res
 }
 
 // fetchProject reads the job's upload object — a chunk manifest, read
 // under cas.MaxManifestBytes and validated by cas.Decode before any
 // chunk is touched — and materializes the tree it describes at /src of
-// a fresh filesystem, every chunk hash-verified as it lands. It returns
-// that filesystem and the tree hash (the build cache's identity). Any
+// a fresh filesystem, every chunk hash-verified as it lands. Any
 // other upload object, a .tar.bz2 included, is an error the caller
 // reports on the job's log. The "download" span under parent covers the
 // whole transfer and counts it (attrs "chunks", "bytes"); under it nest
 // the two requests a fetch is on any tree size, the manifest read and
 // the one chunk stream.
-func (w *Worker) fetchProject(ctx context.Context, req *JobRequest, parent *telemetry.Span) (*vfs.FS, string, error) {
+func (w *Worker) fetchProject(ctx context.Context, req *JobRequest, parent *telemetry.Span) (*vfs.FS, error) {
 	dl := parent.Child("download")
 	defer dl.End()
 	ctx = telemetry.ContextWithSpan(ctx, dl)
 	rc, _, err := w.Objects.GetReader(ctx, req.UploadBucket, req.UploadKey)
 	if err != nil {
-		return nil, "", fmt.Errorf("cannot download project manifest: %w", err)
+		return nil, fmt.Errorf("cannot download project manifest: %w", err)
 	}
 	body, err := io.ReadAll(io.LimitReader(rc, cas.MaxManifestBytes+1))
 	rc.Close()
 	if err != nil {
-		return nil, "", fmt.Errorf("cannot download project manifest: %w", err)
+		return nil, fmt.Errorf("cannot download project manifest: %w", err)
 	}
 	m, err := cas.Decode(body)
 	if err != nil {
-		return nil, "", fmt.Errorf("cannot decode project manifest %s/%s: %w", req.UploadBucket, req.UploadKey, err)
+		return nil, fmt.Errorf("cannot decode project manifest %s/%s: %w", req.UploadBucket, req.UploadKey, err)
 	}
 	hostFS := vfs.New()
 	fetches, bytesFetched, err := cas.Materialize(ctx, m, w.Objects, hostFS, "/src")
@@ -643,9 +595,9 @@ func (w *Worker) fetchProject(ctx context.Context, req *JobRequest, parent *tele
 	dl.SetAttr("bytes", fmt.Sprint(int64(len(body))+bytesFetched))
 	dl.SetAttr("chunks", fmt.Sprint(fetches))
 	if err != nil {
-		return nil, "", fmt.Errorf("cannot materialize project tree: %w", err)
+		return nil, fmt.Errorf("cannot materialize project tree: %w", err)
 	}
-	return hostFS, m.TreeHash, nil
+	return hostFS, nil
 }
 
 // packBuild archives the container's /build directory (nil on failure,

@@ -61,18 +61,13 @@ func WithTelemetry(reg *telemetry.Registry) HandlerOption {
 	return func(h *handlerState) {
 		h.reg = reg
 		h.requests = map[string]*telemetry.Counter{}
-		h.latency = map[string]*telemetry.Histogram{}
+		h.latency = map[string]*telemetry.HDRHistogram{}
 		for _, verb := range []string{"insert", "find", "count", "update", "upsert", "delete", "other"} {
 			h.requests[verb] = reg.Counter("rai_docstore_requests_total", "requests served", telemetry.L("verb", verb))
-			h.latency[verb] = reg.Histogram("rai_docstore_request_seconds", "request latency", telemetry.DefBuckets, telemetry.L("verb", verb))
+			h.latency[verb] = reg.Histogram("rai_docstore_request_seconds", "request latency", telemetry.L("verb", verb))
 		}
 		h.inFlight = reg.Gauge("rai_docstore_requests_in_flight", "requests currently being served")
 	}
-}
-
-// WithHandlerClock substitutes the latency time source (virtual in tests).
-func WithHandlerClock(c clock.Clock) HandlerOption {
-	return func(h *handlerState) { h.clk = c }
 }
 
 // WithHandlerTracer opens a child span ("docstore upsert", "docstore
@@ -93,11 +88,10 @@ func WithHandlerSampler(s *telemetry.Sampler) HandlerOption {
 
 type handlerState struct {
 	reg      *telemetry.Registry
-	clk      clock.Clock
 	tracer   *telemetry.Tracer
 	sampler  *telemetry.Sampler
 	requests map[string]*telemetry.Counter
-	latency  map[string]*telemetry.Histogram
+	latency  map[string]*telemetry.HDRHistogram
 	inFlight *telemetry.Gauge
 }
 
@@ -110,12 +104,12 @@ func (h *handlerState) observe(verb string, start time.Time) {
 		verb = "other"
 	}
 	h.requests[verb].Inc()
-	h.latency[verb].Observe(h.clk.Now().Sub(start).Seconds())
+	h.latency[verb].Observe(clock.Real{}.Now().Sub(start).Seconds())
 }
 
 // Handler serves a database (in-memory or journal-backed) over HTTP.
 func Handler(db Served, auth AuthFunc, opts ...HandlerOption) http.Handler {
-	h := &handlerState{clk: clock.Real{}}
+	h := &handlerState{}
 	for _, o := range opts {
 		o(h)
 	}
@@ -151,7 +145,7 @@ func Handler(db Served, auth AuthFunc, opts ...HandlerOption) http.Handler {
 		}
 	})
 	mux.HandleFunc("/c/", func(w http.ResponseWriter, r *http.Request) {
-		start := h.clk.Now()
+		start := clock.Real{}.Now()
 		h.inFlight.Add(1)
 		defer h.inFlight.Add(-1)
 		verb := "other"

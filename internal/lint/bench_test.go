@@ -43,7 +43,7 @@ func BenchmarkRaivetFullTree(b *testing.B) {
 	checks := Checks()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fresh := &Program{Fset: prog.Fset, Packages: prog.Packages, Deprecated: prog.Deprecated}
+		fresh := &Program{Fset: prog.Fset, Packages: prog.Packages}
 		if diags := Run(fresh, checks); len(diags) > 0 {
 			b.Fatalf("tree not clean during benchmark: %d finding(s)", len(diags))
 		}

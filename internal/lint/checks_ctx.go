@@ -121,45 +121,6 @@ func funcKind(d *ast.FuncDecl) string {
 	return "function"
 }
 
-// checkDeprecated flags calls to functions carrying a "Deprecated:" doc
-// marker from code that is not itself deprecated. The marker set is
-// built program-wide at load time, so a deprecated wrapper in core is
-// caught when called from brokerd and vice versa.
-func checkDeprecated(prog *Program, pkg *Package) []Diagnostic {
-	var diags []Diagnostic
-	walkFuncs(pkg, func(decl *ast.FuncDecl) {
-		if obj := pkg.Info.Defs[decl.Name]; obj != nil && prog.Deprecated[obj] {
-			return // deprecated code may call deprecated code
-		}
-		ast.Inspect(decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			var callee *ast.Ident
-			switch fun := call.Fun.(type) {
-			case *ast.Ident:
-				callee = fun
-			case *ast.SelectorExpr:
-				callee = fun.Sel
-			default:
-				return true
-			}
-			obj := pkg.Info.Uses[callee]
-			if obj == nil || !prog.Deprecated[obj] {
-				return true
-			}
-			diags = append(diags, Diagnostic{
-				Check:   "deprecated",
-				Pos:     prog.Fset.Position(call.Pos()),
-				Message: "call to deprecated " + obj.Name() + ": use its context-first replacement",
-			})
-			return true
-		})
-	})
-	return diags
-}
-
 // stdlibFunc reports the function name when fun is a selector into the
 // named standard-library package (e.g. context.Background).
 func stdlibFunc(pkg *Package, fun ast.Expr, stdPkg string) (string, bool) {

@@ -57,7 +57,6 @@ func Checks() []*Check {
 		{Name: "clock", Doc: "no direct time.Now/Sleep/After/... outside internal/clock; inject clock.Clock", Run: checkClock},
 		{Name: "ctxbg", Doc: "no context.Background()/context.TODO() in library (non-main) code", Run: checkCtxBackground},
 		{Name: "ctxfirst", Doc: "exported functions take context.Context as the first parameter", Run: checkCtxFirst},
-		{Name: "deprecated", Doc: "no calls to deprecated functions from non-deprecated code", Run: checkDeprecated},
 		{Name: "span", Doc: "every started telemetry span is ended or handed off", Run: checkSpan},
 		{Name: "httpresp", Doc: "every *http.Response body is closed and drained before connection reuse", Run: checkHTTPResp},
 		{Name: "wgadd", Doc: "sync.WaitGroup.Add happens before the goroutine it accounts for", Run: checkWgAdd},

@@ -83,24 +83,6 @@ func TestDiagnosticString(t *testing.T) {
 	}
 }
 
-func TestHasDeprecatedMarker(t *testing.T) {
-	cases := []struct {
-		doc  string
-		want bool
-	}{
-		{"Frob frobnicates.\n\nDeprecated: use Blah.\n", true},
-		{"Deprecated: immediately.\n", true},
-		{"Mentions the word Deprecated: mid-line is fine when indented?\n", false},
-		{"This doc merely talks about the Deprecated: marker.\n", false},
-		{"Nothing to see.\n", false},
-	}
-	for _, c := range cases {
-		if got := hasDeprecatedMarker(c.doc); got != c.want {
-			t.Errorf("hasDeprecatedMarker(%q) = %v, want %v", c.doc, got, c.want)
-		}
-	}
-}
-
 func TestSuppressionSet(t *testing.T) {
 	s := suppressionSet{}
 	s.add("f.go", 10, "clock")
@@ -154,5 +136,23 @@ func TestModuleRoot(t *testing.T) {
 	}
 	if _, _, err := ModuleRoot(t.TempDir()); err == nil {
 		t.Fatal("ModuleRoot outside any module: want error")
+	}
+}
+
+// TestLoadTreeSkipsNestedModule: a directory below the root with its
+// own go.mod is skipped whole, like testdata and vendor. The fixture's
+// nested module imports by its own module path, so loading it under the
+// outer path would not even type-check.
+func TestLoadTreeSkipsNestedModule(t *testing.T) {
+	prog, err := NewLoader().LoadTree(filepath.Join("testdata", "nestedmod"), "nestedmod")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, p := range prog.Packages {
+		got = append(got, p.Path)
+	}
+	if len(got) != 1 || got[0] != "nestedmod/outer" {
+		t.Fatalf("packages = %v, want [nestedmod/outer]", got)
 	}
 }

@@ -19,8 +19,8 @@ import (
 // semantics, and the "source" importer for out-of-module dependencies
 // (which, for this repository, means the standard library only).
 // In-module packages are resolved against each other so cross-package
-// facts — such as which functions are deprecated — hold object identity
-// across the whole program.
+// facts (call edges, lock identities) hold object identity across the
+// whole program.
 
 // Package is one loaded, type-checked package.
 type Package struct {
@@ -43,9 +43,6 @@ func (p *Package) IsMain() bool { return p.Types != nil && p.Types.Name() == "ma
 type Program struct {
 	Fset     *token.FileSet
 	Packages []*Package
-	// Deprecated records every function or method whose doc comment
-	// carries a "Deprecated:" marker, across all loaded packages.
-	Deprecated map[types.Object]bool
 
 	// ipa caches the interprocedural analysis (call graph, summaries,
 	// lock graph); built lazily by IPA() and shared by every check.
@@ -91,8 +88,10 @@ func NewLoader() *Loader {
 	}
 }
 
-// LoadTree walks root, parses every non-test package outside testdata
-// and hidden directories, and type-checks the lot. modPath is the module
+// LoadTree walks root, parses every non-test package outside testdata,
+// hidden directories and nested modules (a directory below root with
+// its own go.mod is another program, with its own import paths), and
+// type-checks the lot. modPath is the module
 // path that maps root to import paths (root/foo/bar -> modPath/foo/bar).
 func (l *Loader) LoadTree(root, modPath string) (*Program, error) {
 	root, err := filepath.Abs(root)
@@ -109,6 +108,11 @@ func (l *Loader) LoadTree(root, modPath string) (*Program, error) {
 			name := d.Name()
 			if name == "testdata" || (strings.HasPrefix(name, ".") && p != root) || name == "vendor" {
 				return filepath.SkipDir
+			}
+			if p != root {
+				if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
+					return filepath.SkipDir
+				}
 			}
 			return nil
 		}
@@ -204,11 +208,9 @@ func (l *Loader) check() (*Program, error) {
 			return nil, err
 		}
 	}
-	prog := &Program{Fset: l.fset, Deprecated: map[types.Object]bool{}}
+	prog := &Program{Fset: l.fset}
 	for _, ip := range l.order {
-		p := l.checked[ip]
-		prog.Packages = append(prog.Packages, p)
-		collectDeprecated(p, prog.Deprecated)
+		prog.Packages = append(prog.Packages, l.checked[ip])
 	}
 	return prog, nil
 }
@@ -242,34 +244,6 @@ func (l *Loader) importPath(path string) (*types.Package, error) {
 type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
-// collectDeprecated records the objects of functions and methods whose
-// doc comment carries a deprecation marker: per godoc convention, a
-// paragraph line beginning "Deprecated:". (Requiring line-start keeps a
-// doc comment that merely mentions the marker from being treated as
-// deprecated itself.)
-func collectDeprecated(p *Package, out map[types.Object]bool) {
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Doc == nil || !hasDeprecatedMarker(fd.Doc.Text()) {
-				continue
-			}
-			if obj := p.Info.Defs[fd.Name]; obj != nil {
-				out[obj] = true
-			}
-		}
-	}
-}
-
-func hasDeprecatedMarker(doc string) bool {
-	for _, line := range strings.Split(doc, "\n") {
-		if strings.HasPrefix(strings.TrimSpace(line), "Deprecated:") {
-			return true
-		}
-	}
-	return false
-}
 
 // ModuleRoot walks upward from dir to the enclosing go.mod and returns
 // the directory and the module path declared there.

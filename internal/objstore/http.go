@@ -46,7 +46,7 @@ const MaxObjectBytes = 2 << 30
 //	GET    /healthz            liveness
 //	GET    /metrics            Prometheus exposition (with WithTelemetry)
 func Handler(s *Store, auth AuthFunc, opts ...HandlerOption) http.Handler {
-	h := &handlerState{clk: clock.Real{}, maxBytes: MaxObjectBytes}
+	h := &handlerState{maxBytes: MaxObjectBytes}
 	for _, o := range opts {
 		o(h)
 	}
@@ -187,10 +187,10 @@ func WithTelemetry(reg *telemetry.Registry) HandlerOption {
 	return func(h *handlerState) {
 		h.reg = reg
 		h.requests = map[string]*telemetry.Counter{}
-		h.latency = map[string]*telemetry.Histogram{}
+		h.latency = map[string]*telemetry.HDRHistogram{}
 		for _, op := range []string{"put", "get", "head", "delete", "list", "cas-negotiate", "cas-chunks", "cas-fetch", "other"} {
 			h.requests[op] = reg.Counter("rai_objstore_requests_total", "requests served", telemetry.L("op", op))
-			h.latency[op] = reg.Histogram("rai_objstore_request_seconds", "request latency", telemetry.DefBuckets, telemetry.L("op", op))
+			h.latency[op] = reg.Histogram("rai_objstore_request_seconds", "request latency", telemetry.L("op", op))
 		}
 		h.bytesIn = reg.Counter("rai_objstore_bytes_total", "payload bytes transferred", telemetry.L("direction", "in"))
 		h.bytesOut = reg.Counter("rai_objstore_bytes_total", "payload bytes transferred", telemetry.L("direction", "out"))
@@ -205,11 +205,6 @@ func WithTelemetry(reg *telemetry.Registry) HandlerOption {
 // MaxObjectBytes).
 func WithMaxObjectBytes(n int64) HandlerOption {
 	return func(h *handlerState) { h.maxBytes = n }
-}
-
-// WithHandlerClock substitutes the latency time source (virtual in tests).
-func WithHandlerClock(c clock.Clock) HandlerOption {
-	return func(h *handlerState) { h.clk = c }
 }
 
 // WithHandlerTracer opens a child span ("objstore put", "objstore get",
@@ -229,11 +224,10 @@ func WithHandlerSampler(s *telemetry.Sampler) HandlerOption {
 
 type handlerState struct {
 	reg       *telemetry.Registry
-	clk       clock.Clock
 	tracer    *telemetry.Tracer
 	sampler   *telemetry.Sampler
 	requests  map[string]*telemetry.Counter
-	latency   map[string]*telemetry.Histogram
+	latency   map[string]*telemetry.HDRHistogram
 	bytesIn   *telemetry.Counter
 	bytesOut  *telemetry.Counter
 	streamIn  *telemetry.Counter
@@ -282,7 +276,7 @@ func (h *handlerState) instrument(opOf func(*http.Request) string, next http.Han
 				span.SetAttr("job_id", jobID)
 			}
 		}
-		start := h.clk.Now()
+		start := clock.Real{}.Now()
 		h.inFlight.Add(1)
 		h.requests[op].Inc()
 		if r.ContentLength > 0 {
@@ -291,7 +285,7 @@ func (h *handlerState) instrument(opOf func(*http.Request) string, next http.Han
 		cw := &countingWriter{ResponseWriter: w}
 		next(cw, r)
 		h.bytesOut.Add(float64(cw.n))
-		h.latency[op].Observe(h.clk.Now().Sub(start).Seconds())
+		h.latency[op].Observe(clock.Real{}.Now().Sub(start).Seconds())
 		h.inFlight.Add(-1)
 		span.End()
 	}

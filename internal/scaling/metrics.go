@@ -49,7 +49,7 @@ func MetricsSource(reg *telemetry.Registry, topic, channel string, clk clock.Clo
 
 		pub, _ := reg.Value("rai_broker_publish_total", telemetry.L("topic", topic))
 		count, sum := reg.Histogram("rai_worker_job_seconds",
-			"wall time per completed job", telemetry.QueueDelayBuckets).Totals()
+			"wall time per completed job").Totals()
 
 		mu.Lock()
 		defer mu.Unlock()

@@ -35,7 +35,7 @@ func TestMetricsSourceFromBrokerTelemetry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	jobSecs := reg.Histogram("rai_worker_job_seconds", "wall time per completed job", telemetry.QueueDelayBuckets)
+	jobSecs := reg.Histogram("rai_worker_job_seconds", "wall time per completed job")
 	jobSecs.Observe(60)
 	jobSecs.Observe(60)
 	vc.Advance(time.Minute)

@@ -139,50 +139,55 @@ func labelsMatch(have, want map[string]string) bool {
 	return true
 }
 
-// bucketSum sums the cumulative histogram bucket at the smallest edge
-// >= threshold — the count of requests at or under the threshold. When
-// the threshold exceeds every finite edge the +Inf bucket is used
+// bucketSum sums, over every matching series, the cumulative bucket at
+// the smallest edge >= threshold — the count of requests at or under
+// the threshold. The edge is resolved per series because a histogram
+// exposes edges only up to its highest populated one: a series whose
+// samples all sit under the threshold may have no finite edge there,
+// and its +Inf bucket is then exactly its good count. A threshold
+// beyond the layout's last edge resolves to +Inf on every series
 // (everything counts as good; the objective is toothless and the
 // operator declared a threshold off the histogram's scale).
 func bucketSum(snaps []*telemetry.Snapshot, sel *Selector, threshold float64) float64 {
 	name := sel.Name + "_bucket"
-	// Pass 1: the smallest edge >= threshold present anywhere (bucket
-	// layouts are per-family constants, so all sources agree).
-	edge := inf
 	const slack = 1e-9 // float-format tolerance: 0.1 printed and re-parsed stays 0.1, but guard anyway
-	for _, snap := range snaps {
-		if snap == nil {
-			continue
-		}
-		for _, s := range snap.Samples {
-			if s.Name != name || !labelsMatch(s.Labels, sel.Labels) {
-				continue
-			}
-			le, ok := parseLE(s.Labels["le"])
-			if !ok {
-				continue
-			}
-			if le >= threshold*(1-slack) && le < edge {
-				edge = le
-			}
-		}
-	}
-	// Pass 2: sum that bucket across sources.
+	type bucket struct{ le, count float64 }
 	var sum float64
 	for _, snap := range snaps {
 		if snap == nil {
 			continue
 		}
+		series := map[string]bucket{} // by label set without le
 		for _, s := range snap.Samples {
 			if s.Name != name || !labelsMatch(s.Labels, sel.Labels) {
 				continue
 			}
-			if le, ok := parseLE(s.Labels["le"]); ok && le == edge {
-				sum += s.Value
+			le, ok := parseLE(s.Labels["le"])
+			if !ok || le < threshold*(1-slack) {
+				continue
 			}
+			key := seriesKey(s.Labels)
+			if b, seen := series[key]; !seen || le < b.le {
+				series[key] = bucket{le, s.Value}
+			}
+		}
+		for _, b := range series {
+			sum += b.count
 		}
 	}
 	return sum
+}
+
+// seriesKey identifies a bucket sample's series: its labels minus le
+// (fmt prints a map in key order, so equal label sets render alike).
+func seriesKey(labels map[string]string) string {
+	rest := make(map[string]string, len(labels))
+	for k, v := range labels {
+		if k != "le" {
+			rest[k] = v
+		}
+	}
+	return fmt.Sprint(rest)
 }
 
 // errRate computes the bad/total ratio over the trailing window,

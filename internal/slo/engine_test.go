@@ -93,6 +93,71 @@ func TestCountsLatency(t *testing.T) {
 	}
 }
 
+// TestDefaultObjectivesOverRealExposition feeds the stock objectives
+// scrapes of real registries rather than hand-written bucket lines. The
+// one histogram layout exposes power-of-two multiples of 64 µs, so the
+// 60 s worker-latency threshold takes effect at 67.108864 s: a 40 s job
+// is good, a 70 s job is bad. It also pins the per-series resolution:
+// a source (or an op series) whose samples are all fast exposes no edge
+// near the threshold, and still counts as good.
+func TestDefaultObjectivesOverRealExposition(t *testing.T) {
+	scrape := func(reg *telemetry.Registry) *telemetry.Snapshot {
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := telemetry.ParseText(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	objective := func(name string) *Objective {
+		for _, o := range DefaultObjectives() {
+			if o.Name == name {
+				return &o
+			}
+		}
+		t.Fatalf("no default objective %q", name)
+		return nil
+	}
+
+	busy := telemetry.NewRegistry()
+	jobs := busy.Histogram("rai_worker_job_seconds", "")
+	jobs.Observe(40)
+	jobs.Observe(70)
+	idle := telemetry.NewRegistry()
+	idle.Histogram("rai_worker_job_seconds", "").Observe(0.05)
+	snaps := []*telemetry.Snapshot{scrape(busy), scrape(idle)}
+
+	lat := objective("worker-latency")
+	if bad, total := counts(lat, snaps); bad != 1 || total != 3 {
+		t.Errorf("worker-latency: bad=%v total=%v, want 1/3 (70 s bad; 40 s and 0.05 s good)", bad, total)
+	}
+	// The effective edge, by name: a change of the histogram's layout
+	// (hdrSubBits, hdrTick) moves it and must fail here.
+	const wantEdge = 67.108864
+	edge := inf
+	for _, smp := range snaps[0].Samples {
+		le, ok := parseLE(smp.Labels["le"])
+		if smp.Name == "rai_worker_job_seconds_bucket" && ok && le >= lat.ThresholdSeconds && le < edge {
+			edge = le
+		}
+	}
+	if edge != wantEdge {
+		t.Errorf("effective worker-latency threshold = %v s, want %v s", edge, wantEdge)
+	}
+
+	fs := telemetry.NewRegistry()
+	fs.Histogram("rai_objstore_request_seconds", "", telemetry.L("op", "get")).Observe(0.01)
+	put := fs.Histogram("rai_objstore_request_seconds", "", telemetry.L("op", "put"))
+	put.Observe(0.5)
+	put.Observe(2)
+	if bad, total := counts(objective("objstore-latency"), []*telemetry.Snapshot{scrape(fs)}); bad != 1 || total != 3 {
+		t.Errorf("objstore-latency: bad=%v total=%v, want 1/3 (only the 2 s put is over 1.048576 s)", bad, total)
+	}
+}
+
 // TestMultiWindowBurn drives a full incident on a virtual clock: clean
 // traffic, a hard outage that fires the rule on both windows, then a
 // recovery where the short window clears the alert long before the

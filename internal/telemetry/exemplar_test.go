@@ -36,7 +36,7 @@ func TestHDRExemplarExpositionRoundTrip(t *testing.T) {
 	h.ObserveExemplar(0.040, "tr-abc")
 	h.Observe(0.002)
 	var b strings.Builder
-	if err := h.Snapshot().WritePrometheus(&b, "rai_test_seconds", L("phase", "run")); err != nil {
+	if err := h.Snapshot().write(&b, "rai_test_seconds", `phase="run"`); err != nil {
 		t.Fatal(err)
 	}
 	text := b.String()
@@ -69,19 +69,19 @@ func TestHDRExemplarExpositionRoundTrip(t *testing.T) {
 
 func TestRegistryHDRFamilyExposition(t *testing.T) {
 	reg := NewRegistry()
-	h := reg.HDR("rai_job_duration_seconds", "per-job wall time", L("worker", "w1"))
+	h := reg.Histogram("rai_job_duration_seconds", "per-job wall time", L("worker", "w1"))
 	h.ObserveExemplar(0.1, "tr-1")
-	reg.HDR("rai_job_duration_seconds", "per-job wall time", L("worker", "w2")).Observe(0.2)
+	reg.Histogram("rai_job_duration_seconds", "per-job wall time", L("worker", "w2")).Observe(0.2)
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	text := b.String()
 	if !strings.Contains(text, "# TYPE rai_job_duration_seconds histogram") {
-		t.Fatalf("HDR family missing TYPE line:\n%s", text)
+		t.Fatalf("histogram family missing TYPE line:\n%s", text)
 	}
 	if !strings.Contains(text, `trace_id="tr-1"`) {
-		t.Fatalf("HDR family exposition missing exemplar:\n%s", text)
+		t.Fatalf("histogram family exposition missing exemplar:\n%s", text)
 	}
 	snap, err := ParseText(strings.NewReader(text))
 	if err != nil {
@@ -94,8 +94,8 @@ func TestRegistryHDRFamilyExposition(t *testing.T) {
 		t.Errorf("w2 count = %v (%v), want 1", v, ok)
 	}
 	// Same instrument back from a second registration.
-	if reg.HDR("rai_job_duration_seconds", "", L("worker", "w1")) != h {
-		t.Error("HDR re-registration returned a different instrument")
+	if reg.Histogram("rai_job_duration_seconds", "", L("worker", "w1")) != h {
+		t.Error("re-registration returned a different instrument")
 	}
 }
 
@@ -105,17 +105,17 @@ func TestRegistryHDRNameClash(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("HDR registration over a counter name must panic")
+				t.Error("histogram registration over a counter name must panic")
 			}
 		}()
-		reg.HDR("rai_thing_total", "")
+		reg.Histogram("rai_thing_total", "")
 	}()
 	reg2 := NewRegistry()
-	reg2.HDR("rai_lat_seconds", "")
+	reg2.Histogram("rai_lat_seconds", "")
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("counter registration over an HDR name must panic")
+				t.Error("counter registration over a histogram name must panic")
 			}
 		}()
 		reg2.Counter("rai_lat_seconds", "")

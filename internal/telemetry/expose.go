@@ -20,29 +20,15 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		return nil
 	}
 	r.mu.Lock()
-	names := make([]string, 0, len(r.families)+len(r.hdrs))
-	for name := range r.families {
-		names = append(names, name)
-	}
-	for name := range r.hdrs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fams := make([]*family, len(names))
-	hfams := make([]*hdrFamily, len(names))
-	for i, name := range names {
-		fams[i] = r.families[name]
-		hfams[i] = r.hdrs[name]
+	fams := make([]*family, 0, len(r.families))
+	for _, f := range r.families {
+		fams = append(fams, f)
 	}
 	r.mu.Unlock()
+	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 
 	bw := bufio.NewWriter(w)
-	for i := range names {
-		if hf := hfams[i]; hf != nil {
-			writeHDRFamily(bw, hf)
-			continue
-		}
-		f := fams[i]
+	for _, f := range fams {
 		if f.help != "" {
 			fmt.Fprintf(bw, "# HELP %s %s\n", f.name, strings.ReplaceAll(f.help, "\n", " "))
 		}
@@ -61,46 +47,16 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return bw.Flush()
 }
 
-func writeHDRFamily(w io.Writer, hf *hdrFamily) {
-	if hf.help != "" {
-		fmt.Fprintf(w, "# HELP %s %s\n", hf.name, strings.ReplaceAll(hf.help, "\n", " "))
-	}
-	fmt.Fprintf(w, "# TYPE %s histogram\n", hf.name)
-	hf.mu.Lock()
-	keys := make([]string, 0, len(hf.series))
-	for k := range hf.series {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	sers := make([]*hdrSeries, len(keys))
-	for i, k := range keys {
-		sers[i] = hf.series[k]
-	}
-	hf.mu.Unlock()
-	for _, s := range sers {
-		_ = s.h.Snapshot().WritePrometheus(w, hf.name, s.labels...)
-	}
-}
-
 func writeSeries(w io.Writer, f *family, s *series) {
-	switch f.kind {
-	case kindHistogram:
-		var cum uint64
-		for i, le := range f.buckets {
-			cum += s.counts[i].Load()
-			fmt.Fprintf(w, "%s_bucket{%s} %d\n", f.name, withLE(s.labels, formatFloat(le)), cum)
-		}
-		cum += s.counts[len(f.buckets)].Load()
-		fmt.Fprintf(w, "%s_bucket{%s} %d\n", f.name, withLE(s.labels, "+Inf"), cum)
-		fmt.Fprintf(w, "%s_sum%s %s\n", f.name, braced(s.labels), formatFloat(math.Float64frombits(s.sumBits.Load())))
-		fmt.Fprintf(w, "%s_count%s %d\n", f.name, braced(s.labels), s.count.Load())
-	default:
-		v := math.Float64frombits(s.bits.Load())
-		if s.fn != nil {
-			v = s.fn()
-		}
-		fmt.Fprintf(w, "%s%s %s\n", f.name, braced(s.labels), formatFloat(v))
+	if f.kind == kindHistogram {
+		_ = s.hist.Snapshot().write(w, f.name, s.labels)
+		return
 	}
+	v := math.Float64frombits(s.bits.Load())
+	if s.fn != nil {
+		v = s.fn()
+	}
+	fmt.Fprintf(w, "%s%s %s\n", f.name, braced(s.labels), formatFloat(v))
 }
 
 func braced(labels string) string {

@@ -1,9 +1,9 @@
 package telemetry
 
-// HDR-style log-linear latency histogram. The fixed-bucket Histogram in
-// registry.go is right for steady-state daemon exposition, but job and
-// queue latencies need tail quantiles (p99, p999) over ranges spanning
-// microseconds to minutes with bounded relative error. This is the classic
+// HDR-style log-linear latency histogram, the one histogram type every
+// latency in the deployment lands in: request, job and queue latencies
+// need tail quantiles (p99, p999) over ranges spanning microseconds to
+// minutes with bounded relative error. This is the classic
 // HdrHistogram bucketing: values are indexed by a power-of-two exponent
 // (the "bucket") subdivided into linear sub-buckets, giving a constant
 // relative error of 1/hdrSubHalf (~3.1%) at every magnitude.
@@ -28,7 +28,7 @@ const (
 	hdrBuckets = 40
 	hdrSlots   = (hdrBuckets + 1) * hdrSubHalf
 	// hdrTick is the recording unit: one microsecond, expressed in
-	// seconds (Observe takes seconds to match Histogram.Observe).
+	// seconds (the unit Observe takes).
 	hdrTick = 1e-6
 )
 
@@ -55,7 +55,7 @@ type Exemplar struct {
 }
 
 // hdrEdgeIndex maps a tick count onto its power-of-two exposition edge
-// (the `le` bucket WritePrometheus emits), clamping overflow into the
+// (the `le` bucket the exposition emits), clamping overflow into the
 // last finite edge.
 func hdrEdgeIndex(ticks uint64) int {
 	b := bits.Len64(ticks|(hdrSubCount-1)) - hdrSubBits
@@ -144,12 +144,12 @@ func (h *HDRHistogram) ObserveExemplar(seconds float64, traceID string) {
 	h.exemplars[hdrEdgeIndex(ticks)].Store(&Exemplar{Value: seconds, TraceID: traceID})
 }
 
-// Count reports the number of recorded samples.
-func (h *HDRHistogram) Count() uint64 {
+// Totals reports the sample count and the sum in seconds.
+func (h *HDRHistogram) Totals() (count uint64, sum float64) {
 	if h == nil {
-		return 0
+		return 0, 0
 	}
-	return h.count.Load()
+	return h.count.Load(), math.Float64frombits(h.sumBits.Load())
 }
 
 // Snapshot captures a point-in-time copy. Concurrent Observes during
@@ -253,15 +253,14 @@ func (s *HDRSnapshot) Mean() float64 {
 	return s.Sum / float64(s.Count)
 }
 
-// WritePrometheus renders the snapshot as one Prometheus histogram
-// family: cumulative `le` buckets at every power-of-two edge that is
-// populated (plus one empty leading edge and the mandatory +Inf), then
-// _sum and _count. labels apply to every series. Buckets holding an
-// exemplar carry it as an OpenMetrics-style suffix:
+// write renders the snapshot as one series of a Prometheus histogram
+// family: cumulative `le` buckets at every power-of-two edge from the
+// first up to the highest populated one, the mandatory +Inf, then _sum
+// and _count. rendered is the series' label set (renderLabels).
+// Buckets holding an exemplar carry it as an OpenMetrics-style suffix:
 //
 //	name_bucket{le="0.065536"} 12 # {trace_id="abc"} 0.041
-func (s *HDRSnapshot) WritePrometheus(w io.Writer, name string, labels ...Label) error {
-	rendered := renderLabels(labels)
+func (s *HDRSnapshot) write(w io.Writer, name, rendered string) error {
 	// Fold slots into power-of-two edges: edge b covers ticks
 	// < hdrSubCount<<b, i.e. slots below (b+2)*hdrSubHalf.
 	var cum uint64

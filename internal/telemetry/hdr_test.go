@@ -110,7 +110,7 @@ func TestHDRPrometheusExposition(t *testing.T) {
 		h.Observe(v)
 	}
 	var b strings.Builder
-	if err := h.Snapshot().WritePrometheus(&b, "rai_bench_latency_seconds", L("phase", "total")); err != nil {
+	if err := h.Snapshot().write(&b, "rai_bench_latency_seconds", `phase="total"`); err != nil {
 		t.Fatal(err)
 	}
 	text := b.String()

@@ -2,8 +2,6 @@ package telemetry
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -37,22 +35,6 @@ func (l Level) String() string {
 	default:
 		return "error"
 	}
-}
-
-// ParseLevel reads a level name (as accepted by the daemons' -log-level
-// flags).
-func ParseLevel(s string) (Level, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "debug":
-		return LevelDebug, nil
-	case "info", "":
-		return LevelInfo, nil
-	case "warn", "warning":
-		return LevelWarn, nil
-	case "error":
-		return LevelError, nil
-	}
-	return LevelInfo, fmt.Errorf("telemetry: unknown log level %q", s)
 }
 
 // Event is one structured log record. Trace identity and job ID are
@@ -116,14 +98,11 @@ func quoteIfNeeded(s string) string {
 }
 
 // Logger emits leveled, structured events. Each event goes to the
-// writer (key=value or JSON lines, for the daemon's own log stream) and
+// writer (key=value lines, for the daemon's own log stream) and
 // to the sink (the exporter, for the centralized pipeline). Either may
 // be absent. A nil *Logger is valid and records nothing.
 type Logger struct {
 	service string
-	min     Level
-	clk     clock.Clock
-	json    bool
 	sink    func(Event)
 
 	mu sync.Mutex
@@ -136,15 +115,6 @@ type LoggerOption func(*Logger)
 // WithLogWriter directs encoded lines to w (e.g. the daemon's stderr).
 func WithLogWriter(w io.Writer) LoggerOption { return func(l *Logger) { l.w = w } }
 
-// WithLogJSON switches the writer encoding from key=value to JSON lines.
-func WithLogJSON() LoggerOption { return func(l *Logger) { l.json = true } }
-
-// WithLogLevel drops events below min.
-func WithLogLevel(min Level) LoggerOption { return func(l *Logger) { l.min = min } }
-
-// WithLogClock substitutes the time source (virtual in simulations).
-func WithLogClock(c clock.Clock) LoggerOption { return func(l *Logger) { l.clk = c } }
-
 // WithLogSink hands every surviving event to fn — the hook the batch
 // exporter plugs into. fn must not block; the exporter's enqueue is
 // non-blocking by construction.
@@ -153,7 +123,7 @@ func WithLogSink(fn func(Event)) LoggerOption { return func(l *Logger) { l.sink 
 // NewLogger returns a logger stamping events with the given service
 // name ("raiworker", "raifs", ...).
 func NewLogger(service string, opts ...LoggerOption) *Logger {
-	l := &Logger{service: service, min: LevelInfo, clk: clock.Real{}}
+	l := &Logger{service: service}
 	for _, o := range opts {
 		o(l)
 	}
@@ -161,13 +131,14 @@ func NewLogger(service string, opts ...LoggerOption) *Logger {
 }
 
 // Log emits one event at the given level, stamping trace/span/job IDs
-// from ctx. attrs are Label pairs (reusing the metric Label type).
+// from ctx; events below LevelInfo are dropped. attrs are Label pairs
+// (reusing the metric Label type).
 func (l *Logger) Log(ctx context.Context, level Level, msg string, attrs ...Label) {
-	if l == nil || level < l.min {
+	if l == nil || level < LevelInfo {
 		return
 	}
 	e := Event{
-		Time:    l.clk.Now(),
+		Time:    clock.Real{}.Now(),
 		Level:   level.String(),
 		Service: l.service,
 		Msg:     msg,
@@ -183,24 +154,13 @@ func (l *Logger) Log(ctx context.Context, level Level, msg string, attrs ...Labe
 		}
 	}
 	if l.w != nil {
-		var line []byte
-		if l.json {
-			line, _ = json.Marshal(e)
-		} else {
-			line = []byte(e.Text())
-		}
 		l.mu.Lock()
-		l.w.Write(append(line, '\n'))
+		l.w.Write([]byte(e.Text() + "\n"))
 		l.mu.Unlock()
 	}
 	if l.sink != nil {
 		l.sink(e)
 	}
-}
-
-// Debug emits a debug-level event.
-func (l *Logger) Debug(ctx context.Context, msg string, attrs ...Label) {
-	l.Log(ctx, LevelDebug, msg, attrs...)
 }
 
 // Info emits an info-level event.

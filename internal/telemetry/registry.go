@@ -31,13 +31,6 @@ type Label struct {
 // L is shorthand for constructing a Label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
-// DefBuckets are general-purpose latency bucket bounds in seconds.
-var DefBuckets = []float64{.005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
-
-// QueueDelayBuckets match the paper's Figure 4 scale: queue delays run
-// from sub-second off-peak to hours during the benchmarking-week burst.
-var QueueDelayBuckets = []float64{0.1, 0.5, 1, 2, 5, 10, 30, 60, 120, 300, 600, 1800, 3600}
-
 type kind int
 
 const (
@@ -63,31 +56,12 @@ func (k kind) String() string {
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
-	hdrs     map[string]*hdrFamily
-}
-
-// hdrFamily groups HDR histogram series under one exposition name.
-// HDR families render as TYPE histogram with power-of-two `le` edges
-// (and exemplars), so scrapers see them exactly like fixed-bucket
-// histograms.
-type hdrFamily struct {
-	name string
-	help string
-
-	mu     sync.Mutex
-	series map[string]*hdrSeries
-}
-
-type hdrSeries struct {
-	labels []Label
-	h      *HDRHistogram
 }
 
 type family struct {
-	name    string
-	help    string
-	kind    kind
-	buckets []float64 // histograms only
+	name string
+	help string
+	kind kind
 
 	mu     sync.Mutex
 	series map[string]*series // keyed by rendered label set
@@ -101,55 +75,21 @@ type series struct {
 	// gaugeFunc, if set, wins over bits at read time.
 	fn func() float64
 
-	// histogram state.
-	counts  []atomic.Uint64 // one per bucket + one for +Inf
-	sumBits atomic.Uint64
-	count   atomic.Uint64
+	// hist is the series' state in a histogram family, nil otherwise.
+	hist *HDRHistogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{families: map[string]*family{}, hdrs: map[string]*hdrFamily{}}
+	return &Registry{families: map[string]*family{}}
 }
 
-// HDR registers (or fetches) an HDR histogram series: the high-range
-// log-linear histogram for tail latencies, with exemplar support.
-// Nil-registry safe (returns a nil histogram, which records nothing).
-func (r *Registry) HDR(name, help string, labels ...Label) *HDRHistogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	if _, clash := r.families[name]; clash {
-		r.mu.Unlock()
-		panic(fmt.Sprintf("telemetry: %s already registered as a non-HDR family", name))
-	}
-	f, ok := r.hdrs[name]
-	if !ok {
-		f = &hdrFamily{name: name, help: help, series: map[string]*hdrSeries{}}
-		r.hdrs[name] = f
-	}
-	r.mu.Unlock()
-	key := renderLabels(labels)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	s, ok := f.series[key]
-	if !ok {
-		s = &hdrSeries{labels: append([]Label(nil), labels...), h: NewHDRHistogram()}
-		f.series[key] = s
-	}
-	return s.h
-}
-
-func (r *Registry) family(name, help string, k kind, buckets []float64) *family {
+func (r *Registry) family(name, help string, k kind) *family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.families[name]
 	if !ok {
-		if _, clash := r.hdrs[name]; clash {
-			panic(fmt.Sprintf("telemetry: %s already registered as an HDR family", name))
-		}
-		f = &family{name: name, help: help, kind: k, buckets: buckets, series: map[string]*series{}}
+		f = &family{name: name, help: help, kind: k, series: map[string]*series{}}
 		r.families[name] = f
 		return f
 	}
@@ -194,7 +134,7 @@ func (f *family) get(labels []Label) *series {
 	if !ok {
 		s = &series{labels: key}
 		if f.kind == kindHistogram {
-			s.counts = make([]atomic.Uint64, len(f.buckets)+1)
+			s.hist = NewHDRHistogram()
 		}
 		f.series[key] = s
 	}
@@ -219,7 +159,7 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	return &Counter{s: r.family(name, help, kindCounter, nil).get(labels)}
+	return &Counter{s: r.family(name, help, kindCounter).get(labels)}
 }
 
 // Inc adds one.
@@ -249,7 +189,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	return &Gauge{s: r.family(name, help, kindGauge, nil).get(labels)}
+	return &Gauge{s: r.family(name, help, kindGauge).get(labels)}
 }
 
 // Set stores an absolute value.
@@ -286,53 +226,20 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	if r == nil {
 		return nil
 	}
-	s := r.family(name, help, kindGauge, nil).get(labels)
+	s := r.family(name, help, kindGauge).get(labels)
 	s.fn = fn
 	return &Gauge{s: s}
 }
 
-// Histogram is a distribution with cumulative buckets.
-type Histogram struct {
-	s       *series
-	buckets []float64
-}
-
-// Histogram registers (or fetches) a histogram series with the given
-// upper bucket bounds (ascending; +Inf is implicit). Nil-registry safe.
-// Bounds are fixed by the first registration of the family.
-func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Label) *Histogram {
+// Histogram registers (or fetches) a histogram series. Every series in
+// a family shares HDRHistogram's fixed log-linear layout, so there are
+// no bucket bounds to choose. Nil-registry safe (returns a nil
+// histogram, which records nothing).
+func (r *Registry) Histogram(name, help string, labels ...Label) *HDRHistogram {
 	if r == nil {
 		return nil
 	}
-	if len(buckets) == 0 {
-		buckets = DefBuckets
-	}
-	for i := 1; i < len(buckets); i++ {
-		if buckets[i] <= buckets[i-1] {
-			panic(fmt.Sprintf("telemetry: %s buckets not ascending at %v", name, buckets[i]))
-		}
-	}
-	f := r.family(name, help, kindHistogram, buckets)
-	return &Histogram{s: f.get(labels), buckets: f.buckets}
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	if h == nil || h.s == nil {
-		return
-	}
-	i := sort.SearchFloat64s(h.buckets, v) // first bound >= v (le is inclusive)
-	h.s.counts[i].Add(1)
-	addFloat(&h.s.sumBits, v)
-	h.s.count.Add(1)
-}
-
-// Totals reports the sample count and sum.
-func (h *Histogram) Totals() (count uint64, sum float64) {
-	if h == nil || h.s == nil {
-		return 0, 0
-	}
-	return h.s.count.Load(), math.Float64frombits(h.s.sumBits.Load())
+	return r.family(name, help, kindHistogram).get(labels).hist
 }
 
 // Value returns the current value of a counter or gauge series, or the
@@ -357,7 +264,8 @@ func (r *Registry) Value(name string, labels ...Label) (v float64, ok bool) {
 	}
 	switch f.kind {
 	case kindHistogram:
-		return float64(s.count.Load()), true
+		n, _ := s.hist.Totals()
+		return float64(n), true
 	default:
 		if s.fn != nil {
 			return s.fn(), true

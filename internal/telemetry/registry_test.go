@@ -55,40 +55,37 @@ func TestGaugeFunc(t *testing.T) {
 	}
 }
 
+// TestHistogramBucketEdges pins the one bucket layout: power-of-two
+// multiples of 64 µs, a value landing under the first edge strictly
+// above it (an edge is exclusive at the recording tick, 1 µs).
 func TestHistogramBucketEdges(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("lat", "latency", []float64{1, 2, 5})
-	// le is inclusive: exactly 1 falls in the first bucket; just above
-	// goes to the next; above the top bound lands in +Inf only.
-	for _, v := range []float64{0, 1, 1.0001, 2, 5, 5.0001, math.Inf(1)} {
+	h := r.Histogram("lat", "latency")
+	for _, v := range []float64{0, 0.000063, 0.000064, 0.5, 1.048575, 1.048576, 1.5} {
 		h.Observe(v)
 	}
 	var buf strings.Builder
 	r.WritePrometheus(&buf)
 	out := buf.String()
 	for _, want := range []string{
-		`lat_bucket{le="1"} 2`,
-		`lat_bucket{le="2"} 4`,
-		`lat_bucket{le="5"} 5`,
+		`lat_bucket{le="6.4e-05"} 2`,
+		`lat_bucket{le="0.000128"} 3`,
+		`lat_bucket{le="0.524288"} 4`,
+		`lat_bucket{le="1.048576"} 5`,
+		`lat_bucket{le="2.097152"} 7`,
 		`lat_bucket{le="+Inf"} 7`,
 		`lat_count 7`,
 	} {
-		if !strings.Contains(out, want) {
+		if !strings.Contains(out, want+"\n") {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}
 	}
-	if n, sum := h.Totals(); n != 7 || !math.IsInf(sum, 1) {
+	if strings.Contains(out, `le="4.194304"`) {
+		t.Errorf("edge above the highest populated one exposed:\n%s", out)
+	}
+	if n, sum := h.Totals(); n != 7 || math.Abs(sum-4.097278) > 1e-9 {
 		t.Errorf("Totals = %d,%v", n, sum)
 	}
-}
-
-func TestHistogramRejectsUnsortedBuckets(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic for unsorted buckets")
-		}
-	}()
-	NewRegistry().Histogram("bad", "", []float64{2, 1})
 }
 
 func TestExpositionGolden(t *testing.T) {
@@ -96,10 +93,10 @@ func TestExpositionGolden(t *testing.T) {
 	r.Counter("rai_requests_total", "requests served", L("op", "get")).Add(3)
 	r.Counter("rai_requests_total", "requests served", L("op", "put")).Inc()
 	r.Gauge("rai_depth", "queue depth", L("topic", "rai"), L("channel", "tasks")).Set(2)
-	h := r.Histogram("rai_seconds", "latency", []float64{0.5, 1})
-	h.Observe(0.25)
-	h.Observe(0.75)
-	h.Observe(3)
+	h := r.Histogram("rai_seconds", "latency")
+	h.Observe(0.00006103515625) // 2^-14 s
+	h.Observe(0.000244140625)   // 2^-12 s
+	h.Observe(0.000244140625)
 	var buf strings.Builder
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -113,10 +110,11 @@ rai_requests_total{op="get"} 3
 rai_requests_total{op="put"} 1
 # HELP rai_seconds latency
 # TYPE rai_seconds histogram
-rai_seconds_bucket{le="0.5"} 1
-rai_seconds_bucket{le="1"} 2
+rai_seconds_bucket{le="6.4e-05"} 1
+rai_seconds_bucket{le="0.000128"} 1
+rai_seconds_bucket{le="0.000256"} 3
 rai_seconds_bucket{le="+Inf"} 3
-rai_seconds_sum 4
+rai_seconds_sum 0.00054931640625
 rai_seconds_count 3
 `
 	if got := buf.String(); got != want {
@@ -128,7 +126,7 @@ func TestParseTextRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total", "", L("op", "x"), L("tier", `quoted"v`)).Add(12)
 	r.Gauge("b", "plain gauge").Set(-2.5)
-	r.Histogram("h", "", []float64{1}).Observe(0.5)
+	r.Histogram("h", "").Observe(0.5)
 	var buf strings.Builder
 	r.WritePrometheus(&buf)
 	snap, err := ParseText(strings.NewReader(buf.String()))
@@ -154,7 +152,7 @@ func TestNilSafety(t *testing.T) {
 	r.Counter("x", "").Inc()
 	r.Gauge("y", "").Set(1)
 	r.GaugeFunc("z", "", func() float64 { return 1 })
-	r.Histogram("w", "", nil).Observe(1)
+	r.Histogram("w", "").Observe(1)
 	if _, ok := r.Value("x"); ok {
 		t.Error("nil registry returned a value")
 	}
@@ -163,7 +161,7 @@ func TestNilSafety(t *testing.T) {
 	}
 	var c *Counter
 	var g *Gauge
-	var h *Histogram
+	var h *HDRHistogram
 	c.Inc()
 	c.Add(1)
 	g.Set(1)
@@ -183,7 +181,7 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			c := r.Counter("c_total", "", L("w", string(rune('a'+i%2))))
 			g := r.Gauge("g", "")
-			h := r.Histogram("h", "", DefBuckets)
+			h := r.Histogram("h", "")
 			for j := 0; j < 1000; j++ {
 				c.Inc()
 				g.Add(1)
