@@ -479,7 +479,7 @@ func BenchmarkObjstorePutGet(b *testing.B) {
 // into /src") on the macro-benchmark's large tree — 8 × 256 KiB of
 // seeded-random bytes, ~235 chunks — against a raifs on loopback: the
 // manifest GET, its decode, and the materialization of every chunk, as
-// Worker.fetchProject does them. Client and server share the process,
+// the worker's download stage does them. Client and server share the process,
 // so B/op and allocs/op are the sum of both ends.
 func BenchmarkFetchProject(b *testing.B) {
 	srv := httptest.NewServer(objstore.Handler(objstore.New(), nil))

@@ -382,7 +382,7 @@ func rerun(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		bucket = core.BucketUploads
 	}
 	res, err := grading.RerunMin(*team, *n, func(string) (time.Duration, float64, error) {
-		r, err := client.ResubmitContext(ctx, core.KindSubmit, bucket, key)
+		r, err := client.Resubmit(ctx, core.KindSubmit, bucket, key)
 		if err != nil {
 			return 0, 0, err
 		}

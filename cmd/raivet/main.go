@@ -23,8 +23,8 @@
 //
 // dir defaults to ".". raivet locates the enclosing go.mod, loads and
 // type-checks every non-test package under dir (every package including
-// tests with -tests), and prints one line per finding (-json and -sarif
-// switch formats). -max-ignores N budgets the live //lint:ignore
+// tests with -tests), and prints one line per finding (-json switches
+// to a JSON array). -max-ignores N budgets the live //lint:ignore
 // directives: exceeding N fails the run even when no check fires.
 // Exit status: 0 when clean, 1 when findings were reported (or the
 // suppression budget is exceeded), 2 on usage or load errors.
@@ -51,7 +51,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		jsonOut    = fs.Bool("json", false, "emit findings as a JSON array instead of text lines")
-		sarifOut   = fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 document")
 		enable     = fs.String("enable", "", "comma-separated checks to run (default: all)")
 		disable    = fs.String("disable", "", "comma-separated checks to skip")
 		list       = fs.Bool("list", false, "list available checks and exit")
@@ -122,11 +121,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	switch {
-	case *sarifOut:
-		if err := lint.WriteSARIF(stdout, diags); err != nil {
-			fmt.Fprintln(stderr, "raivet:", err)
-			return 2
-		}
 	case *jsonOut:
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
@@ -144,7 +138,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	status := 0
 	if len(diags) > 0 {
-		if !*jsonOut && !*sarifOut {
+		if !*jsonOut {
 			fmt.Fprintf(stderr, "raivet: %d finding(s)\n", len(diags))
 		}
 		status = 1

@@ -103,33 +103,6 @@ func TestCleanPackage(t *testing.T) {
 	}
 }
 
-// TestSARIFOutput drives -sarif against the planted fixture and
-// decodes the document with the lint package's own SARIF structs.
-func TestSARIFOutput(t *testing.T) {
-	fixture := filepath.Join("..", "..", "internal", "lint", "testdata", "src", "clockbad")
-	var out, errOut bytes.Buffer
-	code := run([]string{"-sarif", "-enable", "clock", fixture}, &out, &errOut)
-	if code != 1 {
-		t.Fatalf("exit %d, want 1; stderr: %s", code, errOut.String())
-	}
-	var log lint.SarifLog
-	if err := json.Unmarshal(out.Bytes(), &log); err != nil {
-		t.Fatalf("output is not SARIF: %v\n%s", err, out.String())
-	}
-	if len(log.Runs) != 1 || len(log.Runs[0].Results) != 3 {
-		t.Fatalf("SARIF runs/results shape wrong:\n%s", out.String())
-	}
-	for _, r := range log.Runs[0].Results {
-		if r.RuleID != "clock" {
-			t.Errorf("unexpected rule %q", r.RuleID)
-		}
-		uri := r.Locations[0].PhysicalLocation.ArtifactLocation.URI
-		if uri != "internal/lint/testdata/src/clockbad/clockbad.go" {
-			t.Errorf("unexpected artifact URI %q", uri)
-		}
-	}
-}
-
 // TestMaxIgnoresBudget: a clean package with a budget of 0 passes, and
 // the budget trips the exit status even when no check fires.
 func TestMaxIgnoresBudget(t *testing.T) {

@@ -59,7 +59,7 @@ func main() {
 	fmt.Printf("build archive:         %s/%s\n", res.BuildBucket, res.BuildKey)
 
 	// The /build directory (with the nvprof timeline) is downloadable.
-	blob, err := client.DownloadBuildContext(ctx, res)
+	blob, err := client.DownloadBuild(ctx, res)
 	if err != nil {
 		log.Fatal(err)
 	}

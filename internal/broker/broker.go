@@ -39,11 +39,10 @@ import (
 
 // Errors returned by broker operations.
 var (
-	ErrClosed       = errors.New("broker: closed")
-	ErrSubClosed    = errors.New("broker: subscription closed")
-	ErrUnknownMsg   = errors.New("broker: message not in flight")
-	ErrBadName      = errors.New("broker: invalid topic or channel name")
-	ErrTopicMissing = errors.New("broker: no such topic")
+	ErrClosed     = errors.New("broker: closed")
+	ErrSubClosed  = errors.New("broker: subscription closed")
+	ErrUnknownMsg = errors.New("broker: message not in flight")
+	ErrBadName    = errors.New("broker: invalid topic or channel name")
 )
 
 // Message is a queued unit of work or log output. The one a consumer
@@ -162,7 +161,7 @@ func New(opts ...Option) *Broker {
 
 // topic is one shard: its mutex guards every channel, queue, and
 // subscription attached to it. dead marks a topic that has been removed
-// from the registry (GC, DeleteTopic, Close); a caller that looked it
+// from the registry (GC or Close); a caller that looked it
 // up before removal must retry against the registry.
 type topic struct {
 	name      string
@@ -522,27 +521,6 @@ func (b *Broker) collectTopic(t *topic) {
 		t.dead = true
 		delete(b.topics, t.name)
 	}
-}
-
-// DeleteTopic removes a topic and all its channels, discarding messages.
-func (b *Broker) DeleteTopic(topicName string) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	t, ok := b.topics[topicName]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrTopicMissing, topicName)
-	}
-	t.mu.Lock()
-	t.dead = true
-	for _, ch := range t.channels {
-		for _, sub := range ch.subs {
-			sub.closed = true
-			close(sub.c)
-		}
-	}
-	t.mu.Unlock()
-	delete(b.topics, topicName)
-	return nil
 }
 
 // Close shuts the broker down; all subscriptions are closed.

@@ -277,21 +277,6 @@ func TestClosedBrokerRejects(t *testing.T) {
 	}
 }
 
-func TestDeleteTopic(t *testing.T) {
-	b := New()
-	defer b.Close()
-	sub, _ := b.Subscribe(bg, "rai", "tasks", 1)
-	if err := b.DeleteTopic("rai"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := <-sub.C(); ok {
-		t.Error("subscriber channel still open after DeleteTopic")
-	}
-	if err := b.DeleteTopic("rai"); !errors.Is(err, ErrTopicMissing) {
-		t.Errorf("second delete = %v", err)
-	}
-}
-
 func TestStatsSnapshot(t *testing.T) {
 	b := New()
 	defer b.Close()

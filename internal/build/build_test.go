@@ -1,6 +1,7 @@
 package build
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -65,4 +66,43 @@ func TestParseResources(t *testing.T) {
 	if s.RAI.Resources.GPUs != 4 {
 		t.Errorf("GPUs = %d, want 4", s.RAI.Resources.GPUs)
 	}
+}
+
+// FuzzParse feeds Parse what a student controls: the rai-build.yml the
+// worker's admit stage decodes. Whatever the bytes, Parse must not
+// panic, and a spec it accepts must survive Encode → Parse unchanged.
+func FuzzParse(f *testing.F) {
+	small := "rai:\n  version: 0.1\n  image: webgpu/rai:root\n  commands:\n    build:\n" +
+		"      - echo \"Building project\"\n      - cmake /src\n      - make\n" +
+		"      - ./ece408 /data/test10.hdf5 /data/model.hdf5\n"
+	seeds := []string{small, "rai:\n  version: 0.2\n  resources:\n    gpus: 2\n  commands:\n    build: [make, 'a: b']\n"}
+	for _, s := range []*Spec{Default(), Submission()} {
+		blob, err := s.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, string(blob))
+	}
+	for _, s := range seeds {
+		for _, n := range []int{len(s), len(s) / 2, len(s) / 3, 7, 1} {
+			f.Add([]byte(s[:min(n, len(s))]))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := Parse(data)
+		if err != nil {
+			return
+		}
+		blob, err := spec.Encode()
+		if err != nil {
+			t.Fatalf("accepted spec %+v does not encode: %v", spec, err)
+		}
+		back, err := Parse(blob)
+		if err != nil {
+			t.Fatalf("re-parsing the encoding of %+v: %v\n%s", spec, err, blob)
+		}
+		if !reflect.DeepEqual(spec, back) {
+			t.Fatalf("round trip changed the spec:\n%+v\n%+v\nencoded:\n%s", spec, back, blob)
+		}
+	})
 }

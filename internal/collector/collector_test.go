@@ -157,11 +157,18 @@ func TestTraceQueriesAndPhases(t *testing.T) {
 	want := map[string]time.Duration{
 		"upload": time.Second, "enqueue": time.Second, "queue delay": 2 * time.Second,
 		"download": time.Second, "build": 5 * time.Second, "run": 8 * time.Second,
-		"total": 20 * time.Second,
+		"unattributed": time.Second, "total": 20 * time.Second,
 	}
 	got := map[string]time.Duration{}
+	var order []string
 	for _, p := range phases {
 		got[p.Name] = p.Duration
+		order = append(order, p.Name)
+	}
+	// The worker's rows are dequeue's children in start order, then what
+	// they leave of dequeue's 15 s.
+	if want := "upload enqueue queue delay download build run unattributed total"; strings.Join(order, " ") != want {
+		t.Errorf("phase order = %q, want %q", strings.Join(order, " "), want)
 	}
 	for name, d := range want {
 		if got[name] != d {

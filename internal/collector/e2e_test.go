@@ -233,7 +233,7 @@ func (s *tracedStack) connectedTrace(t *testing.T, jobID string) []collector.Spa
 	for _, p := range collector.Phases(spans) {
 		phases[p.Name] = p.Duration >= 0
 	}
-	for _, want := range []string{"upload", "enqueue", "download", "build", "run", "total"} {
+	for _, want := range []string{"upload", "enqueue", "admit", "download", "start", "build", "run", "store-build", "finish", "unattributed", "total"} {
 		if !phases[want] {
 			t.Errorf("job %s: phase %q missing from decomposition (timeline:\n%s)", jobID, want, timeline)
 		}
@@ -258,6 +258,51 @@ func TestEndToEndConnectedTrace(t *testing.T) {
 	res := s.runJob(t, 0)
 	s.settle(t)
 	spans := s.connectedTrace(t, res.JobID)
+
+	// The worker's job is its stages: dequeue's direct children are
+	// exactly admit, download, start, one build/run per command of the
+	// spec, store-build and finish.
+	var dequeue collector.Span
+	for _, sp := range spans {
+		if sp.Name == "dequeue" {
+			dequeue = sp
+		}
+	}
+	var stages []string
+	for _, sp := range spans { // ordered by start
+		if sp.ParentID == dequeue.SpanID {
+			stages = append(stages, sp.Name)
+		}
+	}
+	want := []string{"admit", "download", "start"}
+	for range build.Default().RAI.Commands.Build {
+		want = append(want, "build")
+	}
+	want = append(want, "store-build", "finish")
+	if len(stages) != len(want) {
+		t.Fatalf("dequeue's children = %v, want %v with build renamed run where it infers", stages, want)
+	}
+	for i, name := range stages {
+		if name != want[i] && !(want[i] == "build" && name == "run") {
+			t.Errorf("dequeue's child %d = %q, want %q (children %v)", i, name, want[i], stages)
+		}
+	}
+	// The books close: the named phases cover the job's wall time, with
+	// unattributed (dequeue minus its stages) and the untimed gaps between
+	// client phases the only remainder.
+	var named, total time.Duration
+	for _, p := range collector.Phases(spans) {
+		switch p.Name {
+		case "total":
+			total = p.Duration
+		case "unattributed":
+		default:
+			named += p.Duration
+		}
+	}
+	if coverage := float64(named) / float64(total); coverage < 0.95 {
+		t.Errorf("phases cover %.3f of the job's %v, want at least 0.95:\n%s", coverage, total, collector.FormatTimeline(spans))
+	}
 
 	// A download is two requests whatever the tree: the manifest GET and
 	// one chunk stream nest under its span, which counts the chunks; no

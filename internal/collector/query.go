@@ -3,6 +3,7 @@ package collector
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -140,48 +141,62 @@ type Phase struct {
 	Duration time.Duration
 }
 
-// Phases decomposes a job's span tree into the paper's per-phase
-// durations: upload, enqueue, queue delay (enqueue end to worker
-// pickup), download, build, run, and total. Phases absent from the
-// trace are omitted; repeated spans (several build commands) sum.
+// Phases decomposes a job's span tree into per-phase durations. The
+// client's upload and enqueue come first, then the queue delay (enqueue
+// end to the first worker pickup). Each direct child of a worker's
+// dequeue span — the worker's stages — is then a phase of its own name,
+// in first-start order, repeated spans (several build commands) summed.
+// unattributed is dequeue minus its children, so the worker's rows add
+// up to its service time by construction; total is the client's job
+// span. Phases absent from the trace are omitted.
 func Phases(spans []Span) []Phase {
-	var (
-		total                           time.Duration
-		byName                          = map[string]time.Duration{}
-		enqueueEnd, dequeueStart        time.Time
-		haveEnqueue, haveDequeue, haveT bool
-	)
+	spans = slices.Clone(spans)
+	sort.SliceStable(spans, func(i, j int) bool { return spans[i].Start.Before(spans[j].Start) })
+	dequeues := map[string]bool{}
 	for _, s := range spans {
-		switch s.Name {
-		case "job":
-			total = s.Duration()
-			haveT = true
-		case "enqueue":
-			byName["enqueue"] += s.Duration()
+		if s.Name == "dequeue" {
+			dequeues[s.SpanID] = true
+		}
+	}
+	var (
+		out                 []Phase
+		at                  = map[string]int{}
+		total, unattributed time.Duration
+		haveTotal, picked   bool
+		enqueueEnd          time.Time
+	)
+	add := func(name string, d time.Duration) {
+		if i, ok := at[name]; ok {
+			out[i].Duration += d
+			return
+		}
+		at[name] = len(out)
+		out = append(out, Phase{name, d})
+	}
+	for _, s := range spans {
+		switch {
+		case s.Name == "job":
+			total, haveTotal = s.Duration(), true
+		case s.Name == "upload":
+			add(s.Name, s.Duration())
+		case s.Name == "enqueue":
+			add(s.Name, s.Duration())
 			enqueueEnd = s.End
-			haveEnqueue = true
-		case "dequeue":
-			dequeueStart = s.Start
-			haveDequeue = true
-		case "upload", "download", "build", "run":
-			byName[s.Name] += s.Duration()
+		case dequeues[s.SpanID]:
+			if !picked && !enqueueEnd.IsZero() && s.Start.After(enqueueEnd) {
+				add("queue delay", s.Start.Sub(enqueueEnd))
+			}
+			picked = true
+			unattributed += s.Duration()
+		case dequeues[s.ParentID]:
+			add(s.Name, s.Duration())
+			unattributed -= s.Duration()
 		}
 	}
-	var out []Phase
-	add := func(name string) {
-		if d, ok := byName[name]; ok {
-			out = append(out, Phase{name, d})
-		}
+	if picked {
+		add("unattributed", unattributed)
 	}
-	add("upload")
-	add("enqueue")
-	if haveEnqueue && haveDequeue && dequeueStart.After(enqueueEnd) {
-		out = append(out, Phase{"queue delay", dequeueStart.Sub(enqueueEnd)})
-	}
-	add("download")
-	add("build")
-	add("run")
-	if haveT {
+	if haveTotal {
 		out = append(out, Phase{"total", total})
 	}
 	return out

@@ -68,7 +68,7 @@ type JobResult struct {
 	// tooling should not wait for their spans.
 	Sampled bool
 	// Transfer describes the upload; nil when the job reran an upload
-	// already on the file server (ResubmitContext).
+	// already on the file server (Resubmit).
 	Transfer *TransferStats
 }
 
@@ -141,10 +141,10 @@ func (c *Client) Submit(ctx context.Context, kind string, spec *build.Spec, m *c
 	return res, err
 }
 
-// ResubmitContext enqueues a job against an upload already on the file
+// Resubmit enqueues a job against an upload already on the file
 // server — the grading path: instructors rerun a team's recorded final
 // submission multiple times and keep the best time (§VI, §VII).
-func (c *Client) ResubmitContext(ctx context.Context, kind, uploadBucket, uploadKey string) (*JobResult, error) {
+func (c *Client) Resubmit(ctx context.Context, kind, uploadBucket, uploadKey string) (*JobResult, error) {
 	jobID := NewJobID()
 	root, sampled := c.startJobSpan(jobID, kind)
 	return c.submitUploaded(telemetry.ContextWithSampling(ctx, sampled), root, jobID, kind, nil, uploadBucket, uploadKey)
@@ -250,17 +250,8 @@ func (c *Client) submitUploaded(ctx context.Context, root *telemetry.Span, jobID
 				c.Telemetry.Histogram("rai_client_job_seconds",
 					"submit-to-End wall time seen by the client").
 					Observe(clk.Now().Sub(submitted).Seconds())
-				res.Status = lm.Status
-				res.Elapsed = time.Duration(lm.Elapsed * float64(time.Second))
-				res.InternalTimer = time.Duration(lm.InternalTimer * float64(time.Second))
-				res.Accuracy = lm.Accuracy
-				res.BuildBucket = lm.BuildBucket
-				res.BuildKey = lm.BuildKey
 				c.Log.Info(ctx, "job finished", telemetry.L("status", lm.Status))
-				if lm.Status == StatusRejected {
-					return res, fmt.Errorf("%w: %s", ErrRejected, lm.Line)
-				}
-				return res, nil
+				return res, res.settle(&lm)
 			}
 		case <-timeout:
 			return res, fmt.Errorf("core: timed out waiting for job %s output", jobID)
@@ -270,14 +261,28 @@ func (c *Client) submitUploaded(ctx context.Context, root *telemetry.Span, jobID
 	}
 }
 
+// settle copies an End message's outcome into res; a rejection comes
+// back as ErrRejected carrying the worker's reason.
+func (res *JobResult) settle(end *LogMessage) error {
+	res.Status = end.Status
+	res.Elapsed = time.Duration(end.Elapsed * float64(time.Second))
+	res.InternalTimer = time.Duration(end.InternalTimer * float64(time.Second))
+	res.Accuracy = end.Accuracy
+	res.BuildBucket, res.BuildKey = end.BuildBucket, end.BuildKey
+	if end.Status == StatusRejected {
+		return fmt.Errorf("%w: %s", ErrRejected, end.Line)
+	}
+	return nil
+}
+
 // authToken signs a job request with the client's credentials.
 func authToken(c *Client, req *JobRequest) string {
 	return auth.Token(c.Creds, req.CanonicalPayload())
 }
 
-// DownloadBuildContext fetches the /build archive produced by the
+// DownloadBuild fetches the /build archive produced by the
 // worker.
-func (c *Client) DownloadBuildContext(ctx context.Context, res *JobResult) ([]byte, error) {
+func (c *Client) DownloadBuild(ctx context.Context, res *JobResult) ([]byte, error) {
 	if res.BuildBucket == "" || res.BuildKey == "" {
 		return nil, fmt.Errorf("core: job %s has no build artifact", res.JobID)
 	}

@@ -172,7 +172,7 @@ func TestEndToEndRunJob(t *testing.T) {
 		}
 	}
 	// The /build archive is retrievable and contains the nvprof timeline.
-	buildBlob, err := c.DownloadBuildContext(context.Background(), res)
+	buildBlob, err := c.DownloadBuild(context.Background(), res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestEndToEndFinalSubmission(t *testing.T) {
 	}
 	// The build archive contains the copied submission code (Listing 2
 	// line 7).
-	blob, err := c.DownloadBuildContext(context.Background(), res)
+	blob, err := c.DownloadBuild(context.Background(), res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,8 @@ func TestRateLimit30Seconds(t *testing.T) {
 
 // TestRateLimitLookupIsTraced: the rate-limit lookup is the job's first
 // database hop. It runs under the job's context, so the database's span
-// for it hangs off the worker's dequeue span and carries the job id.
+// for it hangs off the worker's admit stage — a child of dequeue — and
+// carries the job id.
 func TestRateLimitLookupIsTraced(t *testing.T) {
 	var mu sync.Mutex
 	var spans []telemetry.SpanData
@@ -350,20 +351,22 @@ func TestRateLimitLookupIsTraced(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	var dequeue, find *telemetry.SpanData
+	var dequeue, admit, find *telemetry.SpanData
 	for i := range spans {
 		switch spans[i].Name {
 		case "dequeue":
 			dequeue = &spans[i]
+		case "admit":
+			admit = &spans[i]
 		case "docstore find":
 			find = &spans[i]
 		}
 	}
-	if dequeue == nil || find == nil {
-		t.Fatalf("want a dequeue and a docstore find span, got %+v", spans)
+	if dequeue == nil || admit == nil || find == nil {
+		t.Fatalf("want dequeue, admit and docstore find spans, got %+v", spans)
 	}
-	if find.TraceID != dequeue.TraceID || find.ParentID != dequeue.SpanID {
-		t.Errorf("docstore find %+v is not a child of dequeue %+v", find, dequeue)
+	if find.TraceID != dequeue.TraceID || find.ParentID != admit.SpanID || admit.ParentID != dequeue.SpanID {
+		t.Errorf("docstore find %+v is not a child of admit %+v under dequeue %+v", find, admit, dequeue)
 	}
 	if find.Attrs["job_id"] != res.JobID {
 		t.Errorf("docstore find job_id = %q, want %q", find.Attrs["job_id"], res.JobID)
@@ -537,7 +540,7 @@ func TestClientUploadTTLApplied(t *testing.T) {
 
 func TestLineWriter(t *testing.T) {
 	var lines []string
-	lw := newLineWriter(func(s string) { lines = append(lines, s) })
+	lw := &lineWriter{emit: func(s string) { lines = append(lines, s) }}
 	lw.Write([]byte("first li"))
 	lw.Write([]byte("ne\nsecond line\npartial"))
 	lw.Flush()

@@ -204,7 +204,7 @@ func TestHostileChunkHashFailsJobBeforeChunkIO(t *testing.T) {
 	}
 	done := make(chan out, 1)
 	go func() {
-		res, err := c.ResubmitContext(context.Background(), KindRun, BucketUploads, key)
+		res, err := c.Resubmit(context.Background(), KindRun, BucketUploads, key)
 		done <- out{res, err}
 	}()
 	if _, err := e.worker.HandleOne(context.Background(), 5*time.Second); err != nil {

@@ -176,7 +176,7 @@ func TestResubmitReusesUpload(t *testing.T) {
 	}
 	done := make(chan out, 1)
 	go func() {
-		res, err := c.ResubmitContext(context.Background(), KindSubmit, bucket, key)
+		res, err := c.Resubmit(context.Background(), KindSubmit, bucket, key)
 		done <- out{res, err}
 	}()
 	if _, err := e.worker.HandleOne(context.Background(), 5*time.Second); err != nil {
@@ -202,7 +202,7 @@ func TestResubmitReusesUpload(t *testing.T) {
 func TestResubmitBadKind(t *testing.T) {
 	e := newEnv(t)
 	c := e.client(t, "team-badkind")
-	if _, err := c.ResubmitContext(context.Background(), "frobnicate", BucketUploads, "x"); err == nil {
+	if _, err := c.Resubmit(context.Background(), "frobnicate", BucketUploads, "x"); err == nil {
 		t.Fatal("bad kind accepted")
 	}
 }
@@ -210,7 +210,7 @@ func TestResubmitBadKind(t *testing.T) {
 func TestDownloadBuildWithoutArtifact(t *testing.T) {
 	e := newEnv(t)
 	c := e.client(t, "team-noartifact")
-	if _, err := c.DownloadBuildContext(context.Background(), &JobResult{JobID: "x"}); err == nil {
+	if _, err := c.DownloadBuild(context.Background(), &JobResult{JobID: "x"}); err == nil {
 		t.Fatal("download without artifact accepted")
 	}
 }

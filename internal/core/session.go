@@ -10,8 +10,6 @@ import (
 	"rai/internal/broker"
 	"rai/internal/cas"
 	"rai/internal/clock"
-	"rai/internal/sandbox"
-	"rai/internal/telemetry"
 )
 
 // Interactive sessions implement the paper's stated future work
@@ -96,7 +94,7 @@ func (c *Client) OpenSession(ctx context.Context, m *cas.Manifest, src cas.Sourc
 		Kind: KindSession, UploadBucket: BucketUploads, UploadKey: uploadKey,
 		SubmittedAt: clk.Now(),
 	}
-	req.Token = tokenFor(c, req)
+	req.Token = authToken(c, req)
 	sub, err := c.Queue.Subscribe(ctx, LogTopic(jobID), LogChannel, 1024)
 	if err != nil {
 		return nil, err
@@ -108,12 +106,10 @@ func (c *Client) OpenSession(ctx context.Context, m *cas.Manifest, src cas.Sourc
 	s := &Session{JobID: jobID, client: c, sub: sub, clk: clk, base: context.WithoutCancel(ctx)}
 	// Wait for the worker's ready marker (an empty cmd_done) or an early
 	// End (rejection).
-	res, err := s.waitCmdDone("")
-	if err != nil {
+	if _, err := s.waitCmdDone(""); err != nil {
 		s.Close()
 		return nil, err
 	}
-	_ = res
 	return s, nil
 }
 
@@ -159,14 +155,9 @@ func (s *Session) waitCmdDone(cmd string) (*CommandResult, error) {
 				return res, nil
 			case LogEnd:
 				s.closed = true
-				s.Result = &JobResult{
-					JobID: s.JobID, Status: lm.Status,
-					Elapsed:     time.Duration(lm.Elapsed * float64(time.Second)),
-					Accuracy:    lm.Accuracy,
-					BuildBucket: lm.BuildBucket, BuildKey: lm.BuildKey,
-				}
-				if lm.Status == StatusRejected {
-					return nil, fmt.Errorf("%w: %s", ErrRejected, lm.Line)
+				s.Result = &JobResult{JobID: s.JobID}
+				if err := s.Result.settle(&lm); err != nil {
+					return nil, err
 				}
 				return nil, fmt.Errorf("%w (status %s)", ErrSessionClosed, lm.Status)
 			}
@@ -176,136 +167,65 @@ func (s *Session) waitCmdDone(cmd string) (*CommandResult, error) {
 	}
 }
 
-// Close ends the session: the worker uploads /build and sends End.
+// Close ends the session: the worker uploads /build and sends End,
+// which populates Result.
 func (s *Session) Close() error {
 	if s.closed {
 		return nil
 	}
 	_, _ = s.client.Queue.Publish(s.base, CmdTopic(s.JobID), encodeJSON(&sessionCommand{JobID: s.JobID, Close: true}))
-	// Drain until End so Result is populated.
-	for {
-		m, ok := <-s.sub.C()
-		if !ok {
-			break
-		}
-		_ = s.sub.Ack(s.base, m)
-		var lm LogMessage
-		if err := json.Unmarshal(m.Body, &lm); err == nil && lm.Kind == LogEnd {
-			s.Result = &JobResult{
-				JobID: s.JobID, Status: lm.Status,
-				Elapsed:     time.Duration(lm.Elapsed * float64(time.Second)),
-				BuildBucket: lm.BuildBucket, BuildKey: lm.BuildKey,
-			}
-			break
+	for !s.closed {
+		if _, err := s.waitCmdDone(""); err != nil && !s.closed {
+			break // timed out: there is no End to wait for
 		}
 	}
 	s.closed = true
 	return s.sub.Close()
 }
 
-// tokenFor computes the request token (split out so session and batch
-// paths share it).
-func tokenFor(c *Client, req *JobRequest) string {
-	return authToken(c, req)
-}
-
 // ---- worker side ----
 
-// runSession drives an interactive session job: container up, then a
-// command loop bounded by the container lifetime and an idle timeout.
-func (w *Worker) runSession(ctx context.Context, req *JobRequest, logf func(kind, format string, args ...any), parent *telemetry.Span) execResult {
-	var res execResult
-
-	hostFS, err := w.fetchProject(ctx, req, parent)
+// session is an interactive job's one command stage: the loop that runs
+// the client's commands in the started container, bounded by the
+// container lifetime and an idle timeout. Each command is echoed and
+// answered with a cmd_done marker carrying its exit code; the first,
+// empty marker tells the client the session is ready.
+func (w *Worker) session(ctx context.Context, j *job) error {
+	cmds, err := w.Queue.Subscribe(ctx, CmdTopic(j.req.ID), CmdChannel, 64)
 	if err != nil {
-		logf(LogSystem, "%v", err)
-		return res
+		return fmt.Errorf("cannot open command channel: %w", err)
 	}
-	stdout := newLineWriter(func(line string) { logf(LogStdout, "%s", line) })
-	stderr := newLineWriter(func(line string) { logf(LogStderr, "%s", line) })
-	ctr, err := w.runtime.Start(sandbox.Config{
-		Image: w.Cfg.DefaultImage,
-		Mounts: []sandbox.Mount{
-			{Source: hostFS, SourcePath: "/src", Target: "/src", ReadOnly: true},
-			{Source: w.DataFS, SourcePath: w.DataPath, Target: "/data", ReadOnly: true},
-		},
-		MemoryBytes: w.Cfg.MemoryBytes,
-		Lifetime:    w.Cfg.Lifetime,
-		Stdout:      stdout,
-		Stderr:      stderr,
-		Cost:        w.Cfg.Cost,
-	})
-	if err != nil {
-		logf(LogSystem, "cannot start container: %v", err)
-		return res
-	}
-	defer ctr.Destroy()
-	res.elapsed += ctr.PullLatency
-
-	cmdSub, err := w.Queue.Subscribe(ctx, CmdTopic(req.ID), CmdChannel, 64)
-	if err != nil {
-		logf(LogSystem, "cannot open command channel: %v", err)
-		return res
-	}
-	defer cmdSub.Close()
-
-	logf(LogSystem, "interactive session ready (image %s, lifetime %v)", w.Cfg.DefaultImage, w.Cfg.Lifetime)
-	w.signalCmdDone(ctx, req.ID, 0) // ready marker
-
+	defer cmds.Close()
+	w.logf(ctx, j, LogSystem, "interactive session ready (image %s, lifetime %v)", w.Cfg.DefaultImage, w.Cfg.Lifetime)
+	w.publish(ctx, j, &LogMessage{Kind: LogCmdDone})
 	idle := w.Cfg.SessionIdleTimeout
 	if idle <= 0 {
 		idle = 10 * time.Minute
 	}
-	ok := true
-loop:
 	for {
 		select {
-		case m, open := <-cmdSub.C():
+		case m, open := <-cmds.C():
 			if !open {
-				break loop
+				return nil
 			}
-			_ = cmdSub.Ack(ctx, m)
+			_ = cmds.Ack(ctx, m)
 			var sc sessionCommand
 			if err := json.Unmarshal(m.Body, &sc); err != nil {
 				continue
 			}
 			if sc.Close || sc.Cmd == "exit" {
-				logf(LogSystem, "session closed by client")
-				break loop
+				w.logf(ctx, j, LogSystem, "session closed by client")
+				return nil
 			}
-			logf(LogSystem, "$ %s", sc.Cmd)
-			r, err := ctr.Exec(sc.Cmd)
-			res.elapsed += r.Wall
-			if r.RanInference {
-				res.internalTimer = r.InternalTimer
-				res.accuracy = r.Accuracy
+			r, err := w.exec(ctx, j, sc.Cmd)
+			// The exit code travels in the numeric Elapsed field.
+			w.publish(ctx, j, &LogMessage{Kind: LogCmdDone, Elapsed: float64(r.ExitCode)})
+			if killed(err) {
+				return err // the session dies with its container
 			}
-			if err != nil && (errors.Is(err, sandbox.ErrLifetimeExceeded) || errors.Is(err, sandbox.ErrMemoryExceeded)) {
-				logf(LogSystem, "container killed: %v", err)
-				w.signalCmdDone(ctx, req.ID, r.ExitCode)
-				ok = false
-				break loop
-			}
-			stdout.Flush()
-			stderr.Flush()
-			w.signalCmdDone(ctx, req.ID, r.ExitCode)
 		case <-w.Clock.After(idle):
-			logf(LogSystem, "session idle for %v; closing", idle)
-			break loop
+			w.logf(ctx, j, LogSystem, "session idle for %v; closing", idle)
+			return nil
 		}
 	}
-	stdout.Flush()
-	stderr.Flush()
-	res.ok = ok
-	res.logBytes = stdout.Bytes() + stderr.Bytes()
-	res.buildArchive = packBuild(ctr.FS(), logf)
-	return res
-}
-
-// signalCmdDone publishes the per-command completion marker; the exit
-// code travels in the numeric Elapsed field.
-func (w *Worker) signalCmdDone(ctx context.Context, jobID string, exitCode int) {
-	_, _ = w.Queue.Publish(ctx, LogTopic(jobID), encodeJSON(&LogMessage{
-		JobID: jobID, Kind: LogCmdDone, Elapsed: float64(exitCode),
-	}))
 }

@@ -114,7 +114,7 @@ func TestSessionCloseUploadsBuild(t *testing.T) {
 	}
 	// The session's /build (with the compiled target) is downloadable,
 	// and is still a .tar.bz2 — only uploads are manifests.
-	blob, err := c.DownloadBuildContext(context.Background(), &JobResult{JobID: s.JobID, BuildBucket: s.Result.BuildBucket, BuildKey: s.Result.BuildKey})
+	blob, err := c.DownloadBuild(context.Background(), &JobResult{JobID: s.JobID, BuildBucket: s.Result.BuildBucket, BuildKey: s.Result.BuildKey})
 	if err != nil || len(blob) == 0 {
 		t.Fatalf("build download: %d bytes, %v", len(blob), err)
 	}
@@ -131,6 +131,25 @@ func TestSessionCloseUploadsBuild(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
+	}
+}
+
+// TestSessionCloseCarriesInferenceResult: a session that ran the graded
+// inference reports its accuracy and internal timer on Close, as a batch
+// job's End does.
+func TestSessionCloseCarriesInferenceResult(t *testing.T) {
+	e := newEnv(t)
+	s, _ := openSession(t, e, "team-infer")
+	for _, cmd := range []string{"cmake /src", "make", "./ece408 /data/test10.hdf5 /data/model.hdf5"} {
+		if _, err := s.Run(context.Background(), cmd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Result == nil || s.Result.Status != StatusSucceeded || s.Result.Accuracy == 0 || s.Result.InternalTimer == 0 {
+		t.Fatalf("session result = %+v, want the inference's accuracy and internal timer", s.Result)
 	}
 }
 

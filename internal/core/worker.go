@@ -8,6 +8,7 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rai/internal/archivex"
@@ -110,7 +111,7 @@ type Worker struct {
 	mu      sync.Mutex
 	sub     broker.Consumer
 	wg      sync.WaitGroup
-	handled int
+	handled atomic.Int64
 	tel     workerTelemetry
 }
 
@@ -234,175 +235,207 @@ func (w *Worker) HandleOne(ctx context.Context, wait time.Duration) (bool, error
 
 // Handled reports how many jobs this worker has completed.
 func (w *Worker) Handled() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.handled
+	return int(w.handled.Load())
 }
 
-// process executes one queue message end to end and settles it through
-// the subscription that delivered it. ctx carries request values but no
-// cancellation — an accepted job runs to completion and its ack still
-// reaches the broker while the worker drains.
+// job is one accepted queue message on its way through the stages: the
+// request, what the stages have established so far (spec, /src, the
+// container and its output pipes) and the outcome finish records.
+type job struct {
+	req     JobRequest
+	attempt int             // the broker's delivery count, this one included
+	span    *telemetry.Span // "dequeue"; every stage's span is its child
+	stage   *telemetry.Span // the running stage's span
+	spec    *build.Spec     // nil for an interactive session
+	src     *vfs.FS
+	ctr     *sandbox.Container
+	stdout  *lineWriter
+	stderr  *lineWriter
+	failed  bool
+
+	elapsed, internalTimer time.Duration
+	accuracy               float64
+	timeReport             string
+	buildBucket, buildKey  string
+}
+
+// stage is one named step of a job (paper §V "Worker Operations"). An
+// error from run either rejects the job (a rejection: nothing more runs)
+// or fails it: the error is the job's log line, and from then on only
+// the stages marked always run.
+type stage struct {
+	name   string
+	run    func(ctx context.Context, j *job) error
+	always bool
+}
+
+// rejection is a stage's refusal to run the job at all; its text is the
+// reason the student reads.
+type rejection string
+
+func (r rejection) Error() string { return string(r) }
+
+// errSettled stops a redelivered job whose terminal state is already on
+// record: its first worker ran it to the end and died before the ack.
+var errSettled = errors.New("core: job already settled")
+
+// process is the runner's entry: it opens the job a queue message
+// carries, admits it, runs the stages admission implies, and settles the
+// message through the subscription that delivered it. ctx carries
+// request values but no cancellation — an accepted job runs to
+// completion and its ack still reaches the broker while the worker
+// drains.
 func (w *Worker) process(ctx context.Context, sub broker.Consumer, m *broker.Message) {
-	defer func() {
-		w.mu.Lock()
-		w.handled++
-		w.mu.Unlock()
-	}()
-	var req JobRequest
-	if err := json.Unmarshal(m.Body, &req); err != nil {
-		// Malformed message: nothing to reply to; drop it.
-		_ = sub.Ack(ctx, m)
-		return
+	defer w.handled.Add(1)
+	// A malformed message has nobody to reply to: it is only acked.
+	if ctx, j := w.dequeue(ctx, m); j != nil {
+		defer j.span.End()
+		w.tel.inFlight.Add(1)
+		defer w.tel.inFlight.Add(-1)
+		if w.run(ctx, j, stage{name: "admit", run: w.admit}) {
+			w.run(ctx, j, w.stages(j)...)
+		}
+	}
+	_ = sub.Ack(ctx, m)
+}
+
+// dequeue decodes a message into a job and continues the client's trace
+// under a "dequeue" span whose IDs rode inside the request. The returned
+// context carries that span, the job ID and the client's head-sampling
+// verdict, so storage RPCs (and their server-side spans) and log events
+// land in the same tree. nil means the message is not a job request.
+func (w *Worker) dequeue(ctx context.Context, m *broker.Message) (context.Context, *job) {
+	j := &job{attempt: m.Attempts}
+	if err := json.Unmarshal(m.Body, &j.req); err != nil {
+		return ctx, nil
 	}
 	// Figure 4's queue delay: submission to worker pickup.
-	w.tel.queueDelay.Observe(w.Clock.Now().Sub(req.SubmittedAt).Seconds())
-	w.tel.inFlight.Add(1)
-	defer w.tel.inFlight.Add(-1)
-	// Continue the client's trace: every span below hangs off the job
-	// root whose IDs rode inside the request, and the context carries the
-	// dequeue span so storage RPCs (and their server-side child spans)
-	// and log events land inside the same tree.
-	// Honor the client's head-sampling verdict before any span of ours
-	// finishes: the noted decision steers this tracer's span sink, and
-	// the context carries it onto storage hops (X-RAI-Sampled).
-	sampled := telemetry.ParseDecision(req.Sampled)
-	w.Sampler.Note(req.TraceID, sampled)
-	proc := w.Tracer.StartSpan(req.TraceID, req.ParentSpan, "dequeue")
-	proc.SetAttr("worker", w.Cfg.ID)
-	proc.SetAttr("job_id", req.ID)
-	defer proc.End()
-	ctx = telemetry.ContextWithJobID(ctx, req.ID)
-	ctx = telemetry.ContextWithSpan(ctx, proc)
+	w.tel.queueDelay.Observe(w.Clock.Now().Sub(j.req.SubmittedAt).Seconds())
+	// The noted verdict steers this tracer's span sink before any span of
+	// ours finishes, and rides storage hops as X-RAI-Sampled.
+	sampled := telemetry.ParseDecision(j.req.Sampled)
+	w.Sampler.Note(j.req.TraceID, sampled)
+	j.span = w.Tracer.StartSpan(j.req.TraceID, j.req.ParentSpan, "dequeue")
+	j.span.SetAttr("worker", w.Cfg.ID)
+	j.span.SetAttr("job_id", j.req.ID)
+	ctx = telemetry.ContextWithJobID(ctx, j.req.ID)
+	ctx = telemetry.ContextWithSpan(ctx, j.span)
 	ctx = telemetry.ContextWithSampling(ctx, sampled)
 	w.Log.Info(ctx, "job dequeued",
-		telemetry.L("worker", w.Cfg.ID), telemetry.L("kind", req.Kind), telemetry.L("user", req.User))
-	logTopic := LogTopic(req.ID)
-	logf := func(kind, format string, args ...any) {
-		_, _ = w.Queue.Publish(ctx, logTopic, encodeJSON(&LogMessage{
-			JobID: req.ID, Kind: kind, Line: fmt.Sprintf(format, args...),
-		}))
-	}
-	end := func(lm *LogMessage) {
-		lm.JobID = req.ID
-		lm.Kind = LogEnd
-		_, _ = w.Queue.Publish(ctx, logTopic, encodeJSON(lm))
-	}
-	reject := func(reason string) {
-		logf(LogSystem, "job rejected: %s", reason)
-		end(&LogMessage{Status: StatusRejected, Line: reason})
-		w.recordJob(ctx, &req, docstore.M{"status": StatusRejected, "error": reason})
-		w.tel.jobs[StatusRejected].Inc()
-		// The status attr is the collector's tail-retention signal: a
-		// rejected trace is an error trace and is always kept.
-		proc.SetAttr("status", StatusRejected)
-		proc.SetAttr("error", reason)
-		w.Log.Warn(ctx, "job rejected", telemetry.L("reason", reason))
-		_ = sub.Ack(ctx, m)
-	}
+		telemetry.L("worker", w.Cfg.ID), telemetry.L("kind", j.req.Kind), telemetry.L("user", j.req.User))
+	return ctx, j
+}
 
-	// Worker step 2: check credentials and parse the embedded build file.
+// run is the runner: each stage runs inside a child span of dequeue
+// named after it, and is skipped once the job has failed unless it is
+// marked always. A rejection becomes the rejected record, the End
+// message, the span's status/error and the counter, and stops the job;
+// run then reports false.
+func (w *Worker) run(ctx context.Context, j *job, stages ...stage) bool {
+	for _, st := range stages {
+		if j.failed && !st.always {
+			continue
+		}
+		j.stage = j.span.Child(st.name)
+		sctx := telemetry.ContextWithSpan(ctx, j.stage)
+		err := st.run(sctx, j)
+		var reason rejection
+		stop := errors.Is(err, errSettled)
+		switch {
+		case errors.As(err, &reason):
+			stop = true
+			w.logf(sctx, j, LogSystem, "job rejected: %s", reason)
+			w.publish(sctx, j, &LogMessage{Kind: LogEnd, Status: StatusRejected, Line: string(reason)})
+			w.recordJob(sctx, &j.req, docstore.M{"status": StatusRejected, "error": string(reason)})
+			w.tel.jobs[StatusRejected].Inc()
+			// The status attr is the collector's tail-retention signal: a
+			// rejected trace is an error trace and is always kept.
+			j.span.SetAttr("status", StatusRejected)
+			j.span.SetAttr("error", string(reason))
+			w.Log.Warn(sctx, "job rejected", telemetry.L("reason", string(reason)))
+		case err != nil && !stop:
+			w.logf(sctx, j, LogSystem, "%v", err)
+			j.failed = true
+		}
+		j.stage.End()
+		if stop {
+			return false
+		}
+	}
+	return true
+}
+
+// stages is the plan of an admitted job: download, start, one stage per
+// build command — "build", renamed "run" when the command performed
+// inference — or, for an interactive session, one "session" stage
+// holding the command loop; then store-build and finish, which run
+// after a failure too.
+func (w *Worker) stages(j *job) []stage {
+	plan := []stage{{name: "download", run: w.download}, {name: "start", run: w.start}}
+	if j.spec == nil {
+		plan = append(plan, stage{name: "session", run: w.session})
+	} else {
+		for _, cmd := range j.spec.RAI.Commands.Build {
+			plan = append(plan, stage{name: "build", run: func(ctx context.Context, j *job) error {
+				j.stage.SetAttr("cmd", cmd)
+				r, err := w.exec(ctx, j, cmd)
+				if r.RanInference {
+					j.stage.SetName("run")
+				}
+				if err != nil && !killed(err) {
+					return fmt.Errorf("command failed (exit %d)", r.ExitCode)
+				}
+				return err
+			}})
+		}
+	}
+	return append(plan,
+		stage{name: "store-build", run: w.storeBuild, always: true},
+		stage{name: "finish", run: w.finish, always: true})
+}
+
+// admit is worker step 2: the token must verify, the kind must be one
+// this worker runs, the user must be past the rate limit, and a build
+// file must parse and fit the worker's GPUs. The job is then recorded as
+// running (auditing, §IV).
+func (w *Worker) admit(ctx context.Context, j *job) error {
+	req := &j.req
 	if err := w.Auth.VerifyToken(req.AccessKey, req.Token, req.CanonicalPayload()); err != nil {
-		reject("authentication failed: " + err.Error())
-		return
+		return rejection("authentication failed: " + err.Error())
 	}
-	if req.Kind != KindRun && req.Kind != KindSubmit && req.Kind != KindSession {
-		reject("unknown job kind " + req.Kind)
-		return
+	// Only a redelivery can find its own terminal record; the first
+	// delivery costs no lookup.
+	if j.attempt > 1 {
+		if doc, err := w.DB.FindOne(ctx, CollJobs, docstore.M{"job_id": req.ID}); err == nil {
+			switch doc["status"] {
+			case StatusSucceeded, StatusFailed, StatusRejected:
+				return errSettled
+			}
+		}
 	}
-	if req.Kind == KindSession && !w.Cfg.AllowSessions {
-		reject(ErrSessionsDisabled.Error())
-		return
+	switch {
+	case req.Kind != KindRun && req.Kind != KindSubmit && req.Kind != KindSession:
+		return rejection("unknown job kind " + req.Kind)
+	case req.Kind == KindSession && !w.Cfg.AllowSessions:
+		return rejection(ErrSessionsDisabled.Error())
 	}
 	// Rate limit: one job per RateLimit per user (§V "Container
 	// Execution": "each student can only submit a job every 30 seconds").
 	if ok, wait := w.rateLimitOK(ctx, req.User, req.ID); !ok {
-		reject(fmt.Sprintf("rate limited: retry in %v", wait.Round(time.Second)))
-		return
+		return rejection(fmt.Sprintf("rate limited: retry in %v", wait.Round(time.Second)))
 	}
-
-	var result execResult
-	if req.Kind == KindSession {
-		w.recordJob(ctx, &req, docstore.M{"status": "running", "worker": w.Cfg.ID})
-		result = w.runSession(ctx, &req, logf, proc)
-	} else {
-		spec, err := w.resolveSpec(&req)
+	if req.Kind != KindSession {
+		spec, err := w.resolveSpec(req)
 		if err != nil {
-			reject(err.Error())
-			return
+			return rejection(err.Error())
 		}
 		if spec.RAI.Resources.GPUs > w.Cfg.GPUs {
-			reject(fmt.Sprintf("spec requests %d GPUs; this worker offers %d", spec.RAI.Resources.GPUs, w.Cfg.GPUs))
-			return
+			return rejection(fmt.Sprintf("spec requests %d GPUs; this worker offers %d", spec.RAI.Resources.GPUs, w.Cfg.GPUs))
 		}
-		// Record the accepted job before running (auditing, §IV).
-		w.recordJob(ctx, &req, docstore.M{"status": "running", "worker": w.Cfg.ID})
-		result = w.execute(ctx, &req, spec, logf, proc)
+		j.spec = spec
 	}
-
-	// Worker step 6: upload /build and advertise its location.
-	if result.buildArchive != nil {
-		buildKey := fmt.Sprintf("%s/%s/build.tar.bz2", req.User, req.ID)
-		if err := w.Objects.Put(ctx, BucketBuilds, buildKey, result.buildArchive, UploadTTL); err != nil {
-			logf(LogSystem, "failed to upload build directory: %v", err)
-		} else {
-			result.buildBucket, result.buildKey = BucketBuilds, buildKey
-			logf(LogSystem, "build directory uploaded to %s/%s", BucketBuilds, buildKey)
-		}
-	}
-
-	status := StatusSucceeded
-	if !result.ok {
-		status = StatusFailed
-	}
-	w.tel.jobs[status].Inc()
-	// Stamp the terminal status onto the worker's span so the collector
-	// can keep failed traces at 100% regardless of sampling.
-	proc.SetAttr("status", status)
-	if status == StatusFailed {
-		proc.SetAttr("error", "job failed")
-	}
-	// Exemplars only point at traces that will be retained; an exemplar
-	// naming a head-dropped trace would be a dead link.
-	exemplarTrace := ""
-	if req.TraceID != "" && w.Sampler.Keep(req.TraceID) {
-		exemplarTrace = req.TraceID
-	}
-	w.tel.jobSecs.ObserveExemplar(result.elapsed.Seconds(), exemplarTrace)
-	update := docstore.M{
-		"status":           status,
-		"elapsed_s":        result.elapsed.Seconds(),
-		"internal_timer_s": result.internalTimer.Seconds(),
-		"accuracy":         result.accuracy,
-		"time_report":      result.timeReport,
-		"build_bucket":     result.buildBucket,
-		"build_key":        result.buildKey,
-		"log_bytes":        result.logBytes,
-	}
-	w.recordJob(ctx, &req, update)
-
-	// Final submissions record timing onto the ranking database,
-	// overwriting existing records (§V "Student Final Submission").
-	if req.Kind == KindSubmit && result.ok {
-		_, _ = w.DB.Upsert(ctx, CollRankings, docstore.M{"team": req.User}, docstore.M{"$set": docstore.M{
-			"runtime_s":  result.internalTimer.Seconds(),
-			"accuracy":   result.accuracy,
-			"job_id":     req.ID,
-			"updated_at": w.Clock.Now().UTC().Format(time.RFC3339Nano),
-		}})
-	}
-	w.Log.Info(ctx, "job finished",
-		telemetry.L("status", status), telemetry.L("elapsed_s", fmt.Sprintf("%.3f", result.elapsed.Seconds())))
-
-	end(&LogMessage{
-		Status:        status,
-		Elapsed:       result.elapsed.Seconds(),
-		InternalTimer: result.internalTimer.Seconds(),
-		Accuracy:      result.accuracy,
-		BuildBucket:   result.buildBucket,
-		BuildKey:      result.buildKey,
-	})
-	_ = sub.Ack(ctx, m)
+	w.recordJob(ctx, req, docstore.M{"status": "running", "worker": w.Cfg.ID})
+	return nil
 }
 
 // resolveSpec picks the effective build file: the enforced Listing 2
@@ -465,150 +498,193 @@ func (w *Worker) recordJob(ctx context.Context, req *JobRequest, fields docstore
 	_, _ = w.DB.Upsert(ctx, CollJobs, docstore.M{"job_id": req.ID}, docstore.M{"$set": set})
 }
 
-// execResult aggregates one job execution.
-type execResult struct {
-	ok            bool
-	elapsed       time.Duration
-	internalTimer time.Duration
-	accuracy      float64
-	timeReport    string
-	buildArchive  []byte
-	buildBucket   string
-	buildKey      string
-	logBytes      int64
-}
-
-// execute downloads the project, runs the build spec in a container, and
-// packs /build (worker steps 3–6).
-func (w *Worker) execute(ctx context.Context, req *JobRequest, spec *build.Spec, logf func(kind, format string, args ...any), parent *telemetry.Span) execResult {
-	var res execResult
-
-	// Worker step 4: download the project into /src.
-	hostFS, err := w.fetchProject(ctx, req, parent)
+// download is worker step 4. It reads the job's upload object — a chunk
+// manifest, read under cas.MaxManifestBytes and validated by cas.Decode
+// before any chunk is touched — and materializes the tree it describes
+// at /src of a fresh filesystem, every chunk hash-verified as it lands.
+// Any other upload object, a .tar.bz2 included, fails the job. Under the
+// stage's span nest the two requests a fetch is on any tree size, the
+// manifest read and the one chunk stream; the span counts the transfer
+// (attrs "chunks", "bytes"). A final submission must also carry its
+// USAGE file and report.
+func (w *Worker) download(ctx context.Context, j *job) error {
+	rc, _, err := w.Objects.GetReader(ctx, j.req.UploadBucket, j.req.UploadKey)
 	if err != nil {
-		logf(LogSystem, "%v", err)
-		return res
-	}
-	if req.Kind == KindSubmit {
-		if err := CheckSubmissionFiles(hostFS, "/src"); err != nil {
-			logf(LogSystem, "%v", err)
-			return res
-		}
-	}
-
-	// Worker step 3: start the sandboxed container with the CUDA volume
-	// and pipes feeding the log topic.
-	stdout := newLineWriter(func(line string) { logf(LogStdout, "%s", line) })
-	stderr := newLineWriter(func(line string) { logf(LogStderr, "%s", line) })
-	ctr, err := w.runtime.Start(sandbox.Config{
-		Image: spec.RAI.Image,
-		Mounts: []sandbox.Mount{
-			{Source: hostFS, SourcePath: "/src", Target: "/src", ReadOnly: true},
-			{Source: w.DataFS, SourcePath: w.DataPath, Target: "/data", ReadOnly: true},
-		},
-		MemoryBytes: w.Cfg.MemoryBytes,
-		Lifetime:    w.Cfg.Lifetime,
-		Stdout:      stdout,
-		Stderr:      stderr,
-		Cost:        w.Cfg.Cost,
-	})
-	if err != nil {
-		logf(LogSystem, "cannot start container: %v", err)
-		return res
-	}
-	defer ctr.Destroy()
-	res.elapsed += ctr.PullLatency
-	w.tel.phases["pull"].Observe(ctr.PullLatency.Seconds())
-
-	// Worker step 5: run the build commands. Each command gets a span
-	// under the dequeue span: "build" normally, renamed "run" when the
-	// command performed inference (the graded phase).
-	ok := true
-	for _, cmd := range spec.RAI.Commands.Build {
-		logf(LogSystem, "$ %s", cmd)
-		span := parent.Child("build")
-		span.SetAttr("cmd", cmd)
-		r, err := ctr.Exec(cmd)
-		res.elapsed += r.Wall
-		phase := "build"
-		if r.RanInference {
-			phase = "run"
-			span.SetName("run")
-			res.internalTimer = r.InternalTimer
-			res.accuracy = r.Accuracy
-		}
-		w.tel.phases[phase].Observe(r.Wall.Seconds())
-		span.End()
-		if r.TimeReport != "" {
-			res.timeReport = r.TimeReport
-		}
-		if err != nil {
-			if errors.Is(err, sandbox.ErrLifetimeExceeded) || errors.Is(err, sandbox.ErrMemoryExceeded) {
-				logf(LogSystem, "container killed: %v", err)
-			} else {
-				logf(LogSystem, "command failed (exit %d)", r.ExitCode)
-			}
-			ok = false
-			break
-		}
-	}
-	stdout.Flush()
-	stderr.Flush()
-	res.ok = ok
-	res.logBytes = stdout.Bytes() + stderr.Bytes()
-
-	// Worker step 6: archive the container's /build directory.
-	res.buildArchive = packBuild(ctr.FS(), logf)
-	return res
-}
-
-// fetchProject reads the job's upload object — a chunk manifest, read
-// under cas.MaxManifestBytes and validated by cas.Decode before any
-// chunk is touched — and materializes the tree it describes at /src of
-// a fresh filesystem, every chunk hash-verified as it lands. Any
-// other upload object, a .tar.bz2 included, is an error the caller
-// reports on the job's log. The "download" span under parent covers the
-// whole transfer and counts it (attrs "chunks", "bytes"); under it nest
-// the two requests a fetch is on any tree size, the manifest read and
-// the one chunk stream.
-func (w *Worker) fetchProject(ctx context.Context, req *JobRequest, parent *telemetry.Span) (*vfs.FS, error) {
-	dl := parent.Child("download")
-	defer dl.End()
-	ctx = telemetry.ContextWithSpan(ctx, dl)
-	rc, _, err := w.Objects.GetReader(ctx, req.UploadBucket, req.UploadKey)
-	if err != nil {
-		return nil, fmt.Errorf("cannot download project manifest: %w", err)
+		return fmt.Errorf("cannot download project manifest: %w", err)
 	}
 	body, err := io.ReadAll(io.LimitReader(rc, cas.MaxManifestBytes+1))
 	rc.Close()
 	if err != nil {
-		return nil, fmt.Errorf("cannot download project manifest: %w", err)
+		return fmt.Errorf("cannot download project manifest: %w", err)
 	}
 	m, err := cas.Decode(body)
 	if err != nil {
-		return nil, fmt.Errorf("cannot decode project manifest %s/%s: %w", req.UploadBucket, req.UploadKey, err)
+		return fmt.Errorf("cannot decode project manifest %s/%s: %w", j.req.UploadBucket, j.req.UploadKey, err)
 	}
-	hostFS := vfs.New()
-	fetches, bytesFetched, err := cas.Materialize(ctx, m, w.Objects, hostFS, "/src")
+	j.src = vfs.New()
+	fetches, bytesFetched, err := cas.Materialize(ctx, m, w.Objects, j.src, "/src")
 	w.tel.casFetches.Add(float64(fetches))
 	w.tel.casBytes.Add(float64(bytesFetched))
-	dl.SetAttr("bytes", fmt.Sprint(int64(len(body))+bytesFetched))
-	dl.SetAttr("chunks", fmt.Sprint(fetches))
+	j.stage.SetAttr("bytes", fmt.Sprint(int64(len(body))+bytesFetched))
+	j.stage.SetAttr("chunks", fmt.Sprint(fetches))
 	if err != nil {
-		return nil, fmt.Errorf("cannot materialize project tree: %w", err)
+		return fmt.Errorf("cannot materialize project tree: %w", err)
 	}
-	return hostFS, nil
+	if j.req.Kind == KindSubmit {
+		return CheckSubmissionFiles(j.src, "/src")
+	}
+	return nil
 }
 
-// packBuild archives the container's /build directory (nil on failure,
-// which the caller reports but tolerates).
-func packBuild(fs *vfs.FS, logf func(kind, format string, args ...any)) []byte {
-	blob, err := archivex.PackVFS(fs, "/build")
+// start is worker step 3: the sandboxed container (pulled through the
+// worker's image cache) with /src and the course data mounted read-only
+// and its output piped, line by line, onto the job's log topic.
+func (w *Worker) start(ctx context.Context, j *job) error {
+	image := w.Cfg.DefaultImage
+	if j.spec != nil {
+		image = j.spec.RAI.Image
+	}
+	j.stdout = &lineWriter{emit: func(line string) { w.logf(ctx, j, LogStdout, "%s", line) }}
+	j.stderr = &lineWriter{emit: func(line string) { w.logf(ctx, j, LogStderr, "%s", line) }}
+	ctr, err := w.runtime.Start(sandbox.Config{
+		Image: image,
+		Mounts: []sandbox.Mount{
+			{Source: j.src, SourcePath: "/src", Target: "/src", ReadOnly: true},
+			{Source: w.DataFS, SourcePath: w.DataPath, Target: "/data", ReadOnly: true},
+		},
+		MemoryBytes: w.Cfg.MemoryBytes,
+		Lifetime:    w.Cfg.Lifetime,
+		Stdout:      j.stdout,
+		Stderr:      j.stderr,
+		Cost:        w.Cfg.Cost,
+	})
 	if err != nil {
-		logf(LogSystem, "cannot pack build directory: %v", err)
+		return fmt.Errorf("cannot start container: %w", err)
+	}
+	j.ctr = ctr
+	j.elapsed += ctr.PullLatency
+	w.tel.phases["pull"].Observe(ctr.PullLatency.Seconds())
+	return nil
+}
+
+// exec runs one command in the job's container (worker step 5), streams
+// its output and adds its modeled wall time — and, for the graded
+// inference, accuracy and internal timer — to the job's. The phase
+// metric observes that modeled time, not the stage's wall time.
+func (w *Worker) exec(ctx context.Context, j *job, cmd string) (shell.Result, error) {
+	w.logf(ctx, j, LogSystem, "$ %s", cmd)
+	r, err := j.ctr.Exec(cmd)
+	j.stdout.Flush()
+	j.stderr.Flush()
+	j.elapsed += r.Wall
+	phase := "build"
+	if r.RanInference {
+		phase = "run"
+		j.internalTimer, j.accuracy = r.InternalTimer, r.Accuracy
+	}
+	w.tel.phases[phase].Observe(r.Wall.Seconds())
+	if r.TimeReport != "" {
+		j.timeReport = r.TimeReport
+	}
+	if killed(err) {
+		err = fmt.Errorf("container killed: %w", err)
+	}
+	return r, err
+}
+
+// killed reports whether a command's error is the container's death.
+func killed(err error) bool {
+	return errors.Is(err, sandbox.ErrLifetimeExceeded) || errors.Is(err, sandbox.ErrMemoryExceeded)
+}
+
+// storeBuild is worker step 6: /build is archived, the container torn
+// down, and the archive stored where the End message will point. Neither
+// failure fails the job; each is reported on its log.
+func (w *Worker) storeBuild(ctx context.Context, j *job) error {
+	if j.ctr == nil {
 		return nil
 	}
-	return blob
+	blob, err := archivex.PackVFS(j.ctr.FS(), "/build")
+	j.ctr.Destroy()
+	if err != nil {
+		w.logf(ctx, j, LogSystem, "cannot pack build directory: %v", err)
+		return nil
+	}
+	key := fmt.Sprintf("%s/%s/build.tar.bz2", j.req.User, j.req.ID)
+	if err := w.Objects.Put(ctx, BucketBuilds, key, blob, UploadTTL); err != nil {
+		w.logf(ctx, j, LogSystem, "failed to upload build directory: %v", err)
+		return nil
+	}
+	j.buildBucket, j.buildKey = BucketBuilds, key
+	w.logf(ctx, j, LogSystem, "build directory uploaded to %s/%s", BucketBuilds, key)
+	return nil
+}
+
+// finish records the job's terminal state, ranks a successful final
+// submission ("overwriting existing records", §V "Student Final
+// Submission") and publishes End.
+func (w *Worker) finish(ctx context.Context, j *job) error {
+	status := StatusSucceeded
+	if j.failed {
+		status = StatusFailed
+		j.span.SetAttr("error", "job failed")
+	}
+	w.tel.jobs[status].Inc()
+	// The terminal status lets the collector keep failed traces at 100%
+	// regardless of sampling.
+	j.span.SetAttr("status", status)
+	// Exemplars only point at traces that will be retained; an exemplar
+	// naming a head-dropped trace would be a dead link.
+	exemplarTrace := ""
+	if j.req.TraceID != "" && w.Sampler.Keep(j.req.TraceID) {
+		exemplarTrace = j.req.TraceID
+	}
+	w.tel.jobSecs.ObserveExemplar(j.elapsed.Seconds(), exemplarTrace)
+	var logBytes int64
+	if j.stdout != nil {
+		logBytes = j.stdout.Bytes() + j.stderr.Bytes()
+	}
+	w.recordJob(ctx, &j.req, docstore.M{
+		"status":           status,
+		"elapsed_s":        j.elapsed.Seconds(),
+		"internal_timer_s": j.internalTimer.Seconds(),
+		"accuracy":         j.accuracy,
+		"time_report":      j.timeReport,
+		"build_bucket":     j.buildBucket,
+		"build_key":        j.buildKey,
+		"log_bytes":        logBytes,
+	})
+	if j.req.Kind == KindSubmit && !j.failed {
+		_, _ = w.DB.Upsert(ctx, CollRankings, docstore.M{"team": j.req.User}, docstore.M{"$set": docstore.M{
+			"runtime_s":  j.internalTimer.Seconds(),
+			"accuracy":   j.accuracy,
+			"job_id":     j.req.ID,
+			"updated_at": w.Clock.Now().UTC().Format(time.RFC3339Nano),
+		}})
+	}
+	w.Log.Info(ctx, "job finished",
+		telemetry.L("status", status), telemetry.L("elapsed_s", fmt.Sprintf("%.3f", j.elapsed.Seconds())))
+	w.publish(ctx, j, &LogMessage{
+		Kind:          LogEnd,
+		Status:        status,
+		Elapsed:       j.elapsed.Seconds(),
+		InternalTimer: j.internalTimer.Seconds(),
+		Accuracy:      j.accuracy,
+		BuildBucket:   j.buildBucket,
+		BuildKey:      j.buildKey,
+	})
+	return nil
+}
+
+// publish sends one message on the job's log topic.
+func (w *Worker) publish(ctx context.Context, j *job, lm *LogMessage) {
+	lm.JobID = j.req.ID
+	_, _ = w.Queue.Publish(ctx, LogTopic(j.req.ID), encodeJSON(lm))
+}
+
+// logf publishes one line of the given kind on the job's log topic.
+func (w *Worker) logf(ctx context.Context, j *job, kind, format string, args ...any) {
+	w.publish(ctx, j, &LogMessage{Kind: kind, Line: fmt.Sprintf(format, args...)})
 }
 
 // lineWriter splits a stream into lines and hands each to a callback
@@ -618,10 +694,6 @@ type lineWriter struct {
 	buf   strings.Builder
 	emit  func(string)
 	total int64
-}
-
-func newLineWriter(emit func(string)) *lineWriter {
-	return &lineWriter{emit: emit}
 }
 
 // Write implements io.Writer.

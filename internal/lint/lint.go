@@ -240,3 +240,30 @@ func identRoot(e ast.Expr) *ast.Ident {
 		}
 	}
 }
+
+// CountIgnores counts the live (well-formed) //lint:ignore directives
+// across the program — the suppression debt a build budgets with
+// raivet -max-ignores.
+func CountIgnores(prog *Program) int {
+	n := 0
+	known := map[string]bool{"*": true}
+	for _, name := range CheckNames() {
+		known[name] = true
+	}
+	for _, pkg := range prog.Packages {
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					rest, ok := strings.CutPrefix(c.Text, "//lint:ignore")
+					if !ok {
+						continue
+					}
+					if fields := strings.Fields(rest); len(fields) >= 2 && known[fields[0]] {
+						n++
+					}
+				}
+			}
+		}
+	}
+	return n
+}

@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"go/ast"
+	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
@@ -154,5 +156,31 @@ func TestLoadTreeSkipsNestedModule(t *testing.T) {
 	}
 	if len(got) != 1 || got[0] != "nestedmod/outer" {
 		t.Fatalf("packages = %v, want [nestedmod/outer]", got)
+	}
+}
+
+func TestCountIgnores(t *testing.T) {
+	src := `package p
+
+//lint:ignore clock the scheduler needs the real wall clock
+var a int
+
+//lint:ignore nope unknown check does not count
+var b int
+
+//lint:ignore span
+var c int // no reason given: malformed, does not count
+
+//lint:ignore * fixture exercises every check
+var d int
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := &Program{Fset: fset, Packages: []*Package{{Path: "p", Files: []*ast.File{f}}}}
+	if got := CountIgnores(prog); got != 2 {
+		t.Errorf("CountIgnores = %d, want 2 (one known check, one wildcard)", got)
 	}
 }

@@ -599,7 +599,18 @@ func unescapeDouble(s string, num int) (string, error) {
 		case '/':
 			b.WriteByte('/')
 		default:
-			return "", fmt.Errorf("yamlite: line %d: unsupported escape \\%c", num, s[i])
+			// The other escapes strconv.Quote writes, with its meaning
+			// (\xXX is one byte), so whatever Marshal quotes reads back.
+			r, multibyte, tail, err := strconv.UnquoteChar(s[i-1:], '"')
+			if err != nil {
+				return "", fmt.Errorf("yamlite: line %d: unsupported escape \\%c", num, s[i])
+			}
+			if multibyte {
+				b.WriteRune(r)
+			} else {
+				b.WriteByte(byte(r))
+			}
+			i = len(s) - len(tail) - 1
 		}
 	}
 	return b.String(), nil

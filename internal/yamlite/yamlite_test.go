@@ -339,6 +339,34 @@ func TestMarshalQuoting(t *testing.T) {
 	}
 }
 
+// TestMarshalQuotingEscapes: Marshal quotes with strconv.Quote, so a
+// value that is not printable UTF-8 — like the stray byte FuzzParse
+// found in a plain image name of a rai-build.yml — is written with \x,
+// \u or \a-style escapes, and Parse must read each back unchanged.
+func TestMarshalQuotingEscapes(t *testing.T) {
+	var plain map[string]any
+	if err := Unmarshal([]byte("image: %\x89\n"), &plain); err != nil {
+		t.Fatal(err)
+	}
+	m := map[string]any{
+		"byte":    plain["image"],
+		"control": "a\x01\a\b\f\vb",
+		"format":  "soft\u00adhyphen",
+		"astral":  "tag \U000e0001",
+	}
+	out, err := Marshal(m)
+	if err != nil {
+		t.Fatalf("Marshal: %v", err)
+	}
+	var back map[string]any
+	if err := Unmarshal(out, &back); err != nil {
+		t.Fatalf("Unmarshal(%q): %v", out, err)
+	}
+	if !reflect.DeepEqual(back, m) {
+		t.Errorf("round trip mismatch:\n%q\n%q\nencoded:\n%s", m, back, out)
+	}
+}
+
 func TestMarshalDeterministicMapOrder(t *testing.T) {
 	m := map[string]int{"z": 1, "a": 2, "m": 3}
 	a, err := Marshal(m)
