@@ -25,6 +25,7 @@ import (
 	"rai/internal/bzip2w"
 	"rai/internal/cas"
 	"rai/internal/cnn"
+	"rai/internal/collector"
 	"rai/internal/core"
 	"rai/internal/docstore"
 	"rai/internal/grading"
@@ -35,6 +36,7 @@ import (
 	"rai/internal/sandbox"
 	"rai/internal/scaling"
 	"rai/internal/sim"
+	"rai/internal/telemetry"
 	"rai/internal/vfs"
 	"rai/internal/workload"
 	"rai/internal/yamlite"
@@ -529,24 +531,98 @@ func BenchmarkFetchProject(b *testing.B) {
 	}
 }
 
-// BenchmarkDocstoreQuery measures a filtered, sorted ranking query over
-// a class-sized collection.
+// BenchmarkDocstoreQuery measures two queries the system runs: a
+// filtered, sorted ranking query over a class-sized collection, and the
+// worker's rate-limit lookup (the user's newest accepted job other than
+// this one) over 5,000 job records.
 func BenchmarkDocstoreQuery(b *testing.B) {
+	b.Run("ranking", func(b *testing.B) {
+		db := docstore.New()
+		for i := 0; i < 1000; i++ {
+			db.Insert(bg, "jobs", docstore.M{
+				"user": fmt.Sprintf("team%02d", i%58), "status": "succeeded",
+				"elapsed_s": float64(i%300) / 10, "kind": "run",
+			})
+		}
+		filter := docstore.M{"user": "team07", "elapsed_s": docstore.M{"$lt": 20.0}}
+		opts := docstore.FindOpts{Sort: []string{"-elapsed_s"}, Limit: 10}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := db.Find(bg, "jobs", filter, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("rate-limit", func(b *testing.B) {
+		db := docstore.New()
+		t0 := time.Date(2016, 11, 28, 9, 0, 0, 0, time.UTC)
+		for i := 0; i < 5000; i++ {
+			db.Insert(bg, core.CollJobs, docstore.M{
+				"job_id": fmt.Sprintf("job-%05d", i), "user": fmt.Sprintf("team%02d", i%58),
+				"status": core.StatusSucceeded, "kind": "run",
+				"created_at": t0.Add(time.Duration(i) * time.Second).Format(time.RFC3339Nano),
+			})
+		}
+		// The filter and options of Worker.rateLimitOK.
+		filter := docstore.M{
+			"user":   "team07",
+			"status": docstore.M{"$ne": core.StatusRejected},
+			"job_id": docstore.M{"$ne": "job-99999"},
+		}
+		opts := docstore.FindOpts{Sort: []string{"-created_at"}, Limit: 1}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if docs, err := db.Find(bg, core.CollJobs, filter, opts); err != nil || len(docs) != 1 {
+				b.Fatal(docs, err)
+			}
+		}
+	})
+}
+
+// BenchmarkCollectorPersist measures the collector persisting one
+// 64-record batch — 48 spans of a fresh trace and 16 events — over HTTP
+// into a raidb whose traces collection already holds 5,000 spans, the
+// way every batch an exporter ships is written. Client and server share
+// the process, so B/op and allocs/op are the sum of both ends.
+func BenchmarkCollectorPersist(b *testing.B) {
 	db := docstore.New()
-	for i := 0; i < 1000; i++ {
-		db.Insert(context.Background(), "jobs", docstore.M{
-			"user": fmt.Sprintf("team%02d", i%58), "status": "succeeded",
-			"elapsed_s": float64(i%300) / 10, "kind": "run",
-		})
+	srv := httptest.NewServer(docstore.Handler(db, nil))
+	defer srv.Close()
+	t0 := time.Date(2016, 11, 28, 9, 0, 0, 0, time.UTC)
+	batch := func(trace int) *collector.Batch {
+		bt := &collector.Batch{Service: "raiworker"}
+		id := fmt.Sprintf("rai-%08d", trace)
+		job := map[string]string{"job_id": "job-" + id}
+		for i := 0; i < 48; i++ {
+			start := t0.Add(time.Duration(trace)*time.Second + time.Duration(i)*time.Millisecond)
+			bt.Spans = append(bt.Spans, telemetry.SpanData{
+				TraceID: id, SpanID: fmt.Sprintf("s%02d", i), ParentID: "s00", Name: "objstore get",
+				Start: start, End: start.Add(time.Millisecond), Attrs: job,
+			})
+		}
+		for i := 0; i < 16; i++ {
+			bt.Events = append(bt.Events, telemetry.Event{
+				Time:  t0.Add(time.Duration(trace)*time.Second + time.Duration(i)*time.Millisecond),
+				Level: "info", Msg: "job dequeued", TraceID: id, SpanID: "s00", JobID: "job-" + id,
+			})
+		}
+		return bt
 	}
-	filter := docstore.M{"user": "team07", "elapsed_s": docstore.M{"$lt": 20.0}}
-	opts := docstore.FindOpts{Sort: []string{"-elapsed_s"}, Limit: 10}
+	seed := &collector.Collector{DB: db}
+	for trace := 0; trace < 5000/48+1; trace++ {
+		seed.Persist(bg, batch(trace))
+	}
+	c := &collector.Collector{DB: docstore.NewClient(srv.URL)}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Find(context.Background(), "jobs", filter, opts); err != nil {
-			b.Fatal(err)
+		if ns, ne := c.Persist(bg, batch(1<<20+i)); ns != 48 || ne != 16 {
+			b.Fatalf("persisted %d spans, %d events", ns, ne)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*64), "ns/record")
 }
 
 // BenchmarkYamliteParse parses the Listing 1 build file.

@@ -8,7 +8,12 @@ package collector
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"sort"
+	"strconv"
 	"time"
 
 	"rai/internal/broker"
@@ -47,9 +52,9 @@ func (c *Collector) clock() clock.Clock {
 // Run subscribes on core.TelemetryTopic/TelemetryChannel and persists
 // batches until ctx is done. The shared channel means running several
 // collector replicas divides the stream, not duplicates it; batches are
-// acked only after persistence (or tail buffering), and span writes are
-// idempotent upserts keyed by span_id, so at-least-once redelivery
-// cannot duplicate spans.
+// acked only after persistence (or tail buffering), and every write is
+// an idempotent upsert keyed by what the record is (see Persist), so
+// at-least-once redelivery cannot duplicate spans or events.
 //
 // With Tail.Linger > 0 spans detour through the tail buffer and persist
 // only when their trace survives the retention decision; events always
@@ -84,17 +89,16 @@ func (c *Collector) Run(ctx context.Context) error {
 		tail = newTailBuffer(c.Tail, clk, c.Telemetry)
 		flush = clk.After(flushEvery)
 	}
-	// persistKept writes tail survivors. Shutdown uses a detached context
-	// so the final flush is not cut off by the very cancellation that
-	// triggered it.
+	// persistKept writes tail survivors, one request per eviction.
+	// Shutdown uses a detached context so the final flush is not cut off
+	// by the very cancellation that triggered it.
 	persistKept := func(ctx context.Context, recs []spanRec) {
-		for _, r := range recs {
-			if err := c.persistSpan(ctx, r.service, r.data); err != nil {
-				c.Log.Warn(ctx, "persisting span failed",
-					telemetry.L("span_id", r.data.SpanID), telemetry.L("error", err.Error()))
-				continue
-			}
-			spans.Add(1)
+		ops := make([]docstore.Upsert, len(recs))
+		for i, r := range recs {
+			ops[i] = spanOp(r.service, r.data)
+		}
+		if c.write(ctx, ops) {
+			spans.Add(float64(len(ops)))
 		}
 	}
 	drain := func() {
@@ -129,7 +133,7 @@ func (c *Collector) Run(ctx context.Context) error {
 			for _, s := range b.Spans {
 				tail.add(b.Service, s)
 			}
-			ne := c.persistEvents(ctx, b)
+			_, ne := c.Persist(ctx, &Batch{Service: b.Service, Events: b.Events})
 			events.Add(float64(ne))
 			batches.Inc()
 			_ = sub.Ack(ctx, m)
@@ -143,39 +147,47 @@ func (c *Collector) Run(ctx context.Context) error {
 	}
 }
 
-// Persist writes one batch into the traces and events collections and
-// reports how many spans and events landed. Span documents are upserted
-// by span_id (idempotent under redelivery); events are inserted.
+// Persist writes one batch into the traces and events collections as
+// one UpsertMany and reports how many spans and events landed (all or
+// none). Every op is an upsert keyed by what the record is — a span by
+// (trace_id, span_id), an event by a hash of its content — so persisting
+// a redelivered batch rewrites the same documents instead of adding
+// new ones.
 func (c *Collector) Persist(ctx context.Context, b *Batch) (spans, events int) {
+	ops := make([]docstore.Upsert, 0, len(b.Spans)+len(b.Events))
 	for _, s := range b.Spans {
-		if err := c.persistSpan(ctx, b.Service, s); err != nil {
-			c.Log.Warn(ctx, "persisting span failed",
-				telemetry.L("span_id", s.SpanID), telemetry.L("error", err.Error()))
-			continue
-		}
-		spans++
+		ops = append(ops, spanOp(b.Service, s))
 	}
-	return spans, c.persistEvents(ctx, b)
+	for _, e := range b.Events {
+		ops = append(ops, eventOp(b.Service, e))
+	}
+	if !c.write(ctx, ops) {
+		return 0, 0
+	}
+	return len(b.Spans), len(b.Events)
 }
 
-// persistEvents writes only the batch's events (the tail-buffered path,
-// where spans wait on the retention decision but events land at once).
-func (c *Collector) persistEvents(ctx context.Context, b *Batch) (events int) {
-	for _, e := range b.Events {
-		if err := c.persistEvent(ctx, b.Service, e); err != nil {
-			c.Log.Warn(ctx, "persisting event failed", telemetry.L("error", err.Error()))
-			continue
-		}
-		events++
+// write persists ops in one request and reports whether they landed.
+func (c *Collector) write(ctx context.Context, ops []docstore.Upsert) bool {
+	if len(ops) == 0 {
+		return true
 	}
-	return events
+	if _, err := c.DB.UpsertMany(ctx, ops); err != nil {
+		c.Log.Warn(ctx, "persisting telemetry failed",
+			telemetry.L("records", strconv.Itoa(len(ops))), telemetry.L("error", err.Error()))
+		return false
+	}
+	return true
 }
 
 // Batch aliases the telemetry wire type so callers need not import both
 // packages.
 type Batch = telemetry.Batch
 
-func (c *Collector) persistSpan(ctx context.Context, service string, s telemetry.SpanData) error {
+// spanOp is the upsert that persists one span. The key is composite:
+// span IDs are only unique per tracer instance, so a bare span_id
+// filter could splice unrelated traces together.
+func spanOp(service string, s telemetry.SpanData) docstore.Upsert {
 	doc := docstore.M{
 		"trace_id":   s.TraceID,
 		"span_id":    s.SpanID,
@@ -189,25 +201,24 @@ func (c *Collector) persistSpan(ctx context.Context, service string, s telemetry
 		"job_id":     s.Attrs["job_id"],
 	}
 	if len(s.Attrs) > 0 {
-		attrs := docstore.M{}
-		for k, v := range s.Attrs {
-			attrs[k] = v
-		}
-		doc["attrs"] = attrs
+		doc["attrs"] = attrsDoc(s.Attrs)
 	}
-	// Composite key: span IDs are only unique per tracer instance, so a
-	// bare span_id filter could splice unrelated traces together.
-	_, err := c.DB.Upsert(ctx, core.CollTraces,
-		docstore.M{"trace_id": s.TraceID, "span_id": s.SpanID}, docstore.M{"$set": doc})
-	return err
+	return docstore.Upsert{
+		Coll:   core.CollTraces,
+		Filter: docstore.M{"trace_id": s.TraceID, "span_id": s.SpanID},
+		Update: docstore.M{"$set": doc},
+	}
 }
 
-func (c *Collector) persistEvent(ctx context.Context, service string, e telemetry.Event) error {
+// eventOp is the upsert that persists one event, under the _id eventID
+// derives from its content.
+func eventOp(service string, e telemetry.Event) docstore.Upsert {
 	if e.Service == "" {
 		e.Service = service
 	}
+	ts := e.Time.UTC().Format(time.RFC3339Nano)
 	doc := docstore.M{
-		"ts":       e.Time.UTC().Format(time.RFC3339Nano),
+		"ts":       ts,
 		"ts_s":     unixSeconds(e.Time),
 		"level":    e.Level,
 		"service":  e.Service,
@@ -217,14 +228,48 @@ func (c *Collector) persistEvent(ctx context.Context, service string, e telemetr
 		"job_id":   e.JobID,
 	}
 	if len(e.Attrs) > 0 {
-		attrs := docstore.M{}
-		for k, v := range e.Attrs {
-			attrs[k] = v
-		}
-		doc["attrs"] = attrs
+		doc["attrs"] = attrsDoc(e.Attrs)
 	}
-	_, err := c.DB.Insert(ctx, core.CollEvents, doc)
-	return err
+	return docstore.Upsert{
+		Coll:   core.CollEvents,
+		Filter: docstore.M{"_id": eventID(e, ts)},
+		Update: docstore.M{"$set": doc},
+	}
+}
+
+// eventID names an event by a hash of everything it says: service,
+// timestamp, job, trace and span ids, level, message and its attrs in
+// key order. Each field is length-prefixed, so no two different events
+// hash the same bytes; two identical records are one event delivered
+// twice.
+func eventID(e telemetry.Event, ts string) string {
+	var b []byte
+	put := func(s string) {
+		b = binary.AppendUvarint(b, uint64(len(s)))
+		b = append(b, s...)
+	}
+	for _, f := range []string{e.Service, ts, e.JobID, e.TraceID, e.SpanID, e.Level, e.Msg} {
+		put(f)
+	}
+	keys := make([]string, 0, len(e.Attrs))
+	for k := range e.Attrs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		put(k)
+		put(e.Attrs[k])
+	}
+	sum := sha256.Sum256(b)
+	return "ev-" + hex.EncodeToString(sum[:16])
+}
+
+func attrsDoc(attrs map[string]string) docstore.M {
+	out := make(docstore.M, len(attrs))
+	for k, v := range attrs {
+		out[k] = v
+	}
+	return out
 }
 
 // unixSeconds renders t as float seconds for range filters and sorting

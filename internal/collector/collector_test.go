@@ -121,6 +121,33 @@ func TestPersistIdempotentSpans(t *testing.T) {
 	}
 }
 
+// TestPersistIdempotentEvents: the same redelivery must not duplicate
+// events either. Each event is upserted under an id derived from its
+// content, so a second Persist of the batch rewrites the same
+// documents — while two events that differ in any field stay two.
+func TestPersistIdempotentEvents(t *testing.T) {
+	db := docstore.New()
+	c := &Collector{DB: db}
+	ev := telemetry.Event{Time: t0, Level: "info", Msg: "job dequeued", TraceID: "tr1", SpanID: "s1", JobID: "j1",
+		Attrs: map[string]string{"worker": "w1", "attempt": "1"}}
+	other := ev
+	other.Attrs = map[string]string{"worker": "w1", "attempt": "2"}
+	batch := &Batch{Service: "raiworker", Events: []telemetry.Event{ev, other}}
+	ctx := context.Background()
+	for i := 0; i < 2; i++ {
+		if _, ne := c.Persist(ctx, batch); ne != 2 {
+			t.Fatalf("persist round %d: %d events, want 2", i, ne)
+		}
+	}
+	if n, err := db.Count(ctx, core.CollEvents, docstore.M{}); err != nil || n != 2 {
+		t.Fatalf("events after a redelivered batch = %d, %v; want 2", n, err)
+	}
+	evs, err := EventsByJob(ctx, db, "j1", 0)
+	if err != nil || len(evs) != 2 || evs[0].Service != "raiworker" || evs[0].Attrs["worker"] != "w1" {
+		t.Fatalf("events = %+v, %v", evs, err)
+	}
+}
+
 func TestTraceQueriesAndPhases(t *testing.T) {
 	db := docstore.New()
 	c := &Collector{DB: db}

@@ -111,6 +111,9 @@ func (f failingDB) Update(_ context.Context, coll string, filter, update docstor
 func (f failingDB) Upsert(_ context.Context, coll string, filter, update docstore.M) (string, error) {
 	return "", errors.New("injected: database down")
 }
+func (f failingDB) UpsertMany(_ context.Context, ops []docstore.Upsert) ([]string, error) {
+	return nil, errors.New("injected: database down")
+}
 func (f failingDB) Delete(_ context.Context, coll string, filter docstore.M) (int, error) {
 	return 0, errors.New("injected: database down")
 }

@@ -6,7 +6,10 @@
 // Every document carries a string "_id" (auto-generated when absent).
 // Queries use a Mongo-flavoured filter language (equality plus $gt, $gte,
 // $lt, $lte, $ne, $in, $exists on dotted paths), with sort/limit/skip and
-// field updates via $set, $inc, and $push.
+// field updates via $set, $inc, and $push. String-equality tests on
+// top-level fields are answered from hash indexes the engine builds on
+// first use (index.go), and UpsertMany applies a batch of upserts as one
+// operation.
 //
 // Values are normalized through JSON encoding on insertion, so the
 // embedded engine and the HTTP service observe identical typing (numbers
@@ -20,9 +23,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"unicode/utf8"
 )
 
 // M is a convenience alias for building documents and filters.
@@ -36,7 +42,6 @@ var (
 	ErrBadUpdate   = errors.New("docstore: bad update")
 	ErrBadName     = errors.New("docstore: invalid collection name")
 	ErrBadDocument = errors.New("docstore: document must be a JSON object")
-	ErrTxnConflict = errors.New("docstore: concurrent modification")
 )
 
 // DB is an in-memory multi-collection document database.
@@ -52,9 +57,14 @@ type DB struct {
 	watchSubs map[*WatchSub]struct{}
 }
 
+// collection is one named set of documents: the _id map, the
+// insertion order every scan follows, and the string-equality indexes
+// its filters have asked for (index.go).
 type collection struct {
-	docs  map[string]M // _id -> document
-	order []string     // insertion order of _ids (deterministic scans)
+	docs    map[string]*entry // _id -> entry
+	order   []*entry          // live entries in insertion order
+	seq     uint64            // the next entry's insertion number
+	indexes map[string]index  // top-level field -> its index
 }
 
 // New creates an empty database.
@@ -78,34 +88,55 @@ func validCollection(name string) bool {
 
 // coll returns the named collection, creating it on first use. It
 // writes the collections map, so callers hold the write lock; read
-// paths use readColl.
+// paths use read.
 func (db *DB) coll(name string) (*collection, error) {
 	if !validCollection(name) {
 		return nil, fmt.Errorf("%w: %q", ErrBadName, name)
 	}
 	c, ok := db.collections[name]
 	if !ok {
-		c = &collection{docs: map[string]M{}}
+		c = &collection{docs: map[string]*entry{}}
 		db.collections[name] = c
 	}
 	return c, nil
 }
 
-// readColl returns the named collection for callers holding only the
-// read lock. It never creates: a missing collection reads as an empty
-// one that is not registered anywhere.
-func (db *DB) readColl(name string) (*collection, error) {
+// read runs fn under the read lock on the named collection, with every
+// index filter can use built first. It never creates the collection: a
+// missing one reads as empty. Building an index needs the write lock,
+// so the first query to want one trades locks once.
+func (db *DB) read(name string, filter M, fn func(*collection)) error {
 	if !validCollection(name) {
-		return nil, fmt.Errorf("%w: %q", ErrBadName, name)
+		return fmt.Errorf("%w: %q", ErrBadName, name)
 	}
-	if c, ok := db.collections[name]; ok {
-		return c, nil
+	db.mu.RLock()
+	c := db.collections[name]
+	if c != nil && c.lacksIndex(filter) {
+		db.mu.RUnlock()
+		db.mu.Lock()
+		if c = db.collections[name]; c != nil {
+			c.buildIndexes(filter)
+		}
+		db.mu.Unlock()
+		db.mu.RLock()
+		c = db.collections[name]
 	}
-	return &collection{}, nil
+	defer db.mu.RUnlock()
+	if c == nil {
+		c = &collection{}
+	}
+	fn(c)
+	return nil
 }
 
-// normalize round-trips v through JSON so stored values use JSON typing.
+// normalize returns v as a private document with JSON typing (numbers
+// are float64). A map that already holds only what json.Unmarshal
+// produces — everything decoded off the wire does — is deep-copied;
+// anything else round-trips through JSON.
 func normalize(v any) (M, error) {
+	if m, ok := v.(map[string]any); ok && m != nil && jsonTyped(m) {
+		return deepCopy(m), nil
+	}
 	raw, err := json.Marshal(v)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadDocument, err)
@@ -118,6 +149,41 @@ func normalize(v any) (M, error) {
 		return nil, ErrBadDocument
 	}
 	return doc, nil
+}
+
+// jsonTyped reports whether a JSON round trip would return v unchanged:
+// nil, bools, finite float64s, valid UTF-8 strings, and non-nil maps and
+// slices of those.
+func jsonTyped(v any) bool {
+	switch t := v.(type) {
+	case nil, bool:
+		return true
+	case float64:
+		return !math.IsInf(t, 0) && !math.IsNaN(t)
+	case string:
+		return utf8.ValidString(t)
+	case map[string]any:
+		if t == nil {
+			return false
+		}
+		for k, e := range t {
+			if !utf8.ValidString(k) || !jsonTyped(e) {
+				return false
+			}
+		}
+		return true
+	case []any:
+		if t == nil {
+			return false
+		}
+		for _, e := range t {
+			if !jsonTyped(e) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
 }
 
 // newID returns a fresh random document id (12 random bytes, hex).
@@ -133,7 +199,9 @@ func (db *DB) newID() string {
 
 // Every Store verb checks ctx on entry and not again: the engine is
 // in-memory, and a mutation that has started always completes (so a
-// PersistentDB never applies one it then fails to journal).
+// PersistentDB never applies one it then fails to journal). Filters and
+// updates are checked before any document is read, so a malformed one
+// fails the same way whatever the collection holds.
 
 // Insert stores doc (any JSON-marshalable object) in the collection and
 // returns its _id.
@@ -165,8 +233,11 @@ func (db *DB) insertLocked(c *collection, collName string, d M) (string, error) 
 	if _, exists := c.docs[id]; exists {
 		return "", fmt.Errorf("%w: %q", ErrDuplicateID, id)
 	}
-	c.docs[id] = d
-	c.order = append(c.order, id)
+	e := &entry{id: id, seq: c.seq, doc: d}
+	c.seq++
+	c.docs[id] = e
+	c.order = append(c.order, e)
+	c.added(e)
 	db.emit("insert", collName, id)
 	return id, nil
 }
@@ -174,51 +245,73 @@ func (db *DB) insertLocked(c *collection, collName string, d M) (string, error) 
 // FindOpts shapes a query's result set.
 type FindOpts struct {
 	// Sort lists dotted field paths; a leading '-' sorts descending.
+	// Missing fields sort first, then by type (null, numbers, strings,
+	// objects, arrays, booleans); numbers and strings by value. Ties
+	// keep insertion order.
 	Sort  []string
 	Skip  int
 	Limit int // 0 = unlimited
 }
 
 // Find returns documents matching filter, in insertion order unless
-// sorted. Returned documents are deep copies.
+// sorted. Only the documents returned are copied out, and a sort with a
+// limit keeps just the leading Skip+Limit matches as it goes (keepTop)
+// rather than sorting them all.
 func (db *DB) Find(ctx context.Context, collName string, filter M, opts FindOpts) ([]M, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	c, err := db.readColl(collName)
-	if err != nil {
+	if err := checkFilter(filter); err != nil {
 		return nil, err
 	}
+	keys := sortKeys(opts.Sort)
+	skip := max(opts.Skip, 0)
+	keep := 0 // leading results the page needs; 0 = all
+	if opts.Limit > 0 && skip+opts.Limit > 0 {
+		keep = skip + opts.Limit
+	}
 	var out []M
-	for _, id := range c.order {
-		doc, ok := c.docs[id]
-		if !ok {
-			continue
+	err := db.read(collName, filter, func(c *collection) {
+		var hits []M
+		cands := c.candidates(filter)
+		switch {
+		case len(keys) == 0:
+			for _, e := range cands {
+				if matches(e.doc, filter) {
+					hits = append(hits, e.doc)
+					if len(hits) == keep {
+						break
+					}
+				}
+			}
+		case keep > 0:
+			// Newest first: a query for the latest few documents, the usual
+			// reason to sort with a limit, settles its page early and then
+			// reads only the sort key of everything older.
+			for i := len(cands) - 1; i >= 0; i-- {
+				hits = keepTop(hits, cands[i].doc, filter, keys, keep)
+			}
+		default:
+			for _, e := range cands {
+				if matches(e.doc, filter) {
+					hits = append(hits, e.doc)
+				}
+			}
+			slices.SortStableFunc(hits, func(a, b M) int { return compareDocs(a, b, keys) })
 		}
-		match, err := matches(doc, filter)
-		if err != nil {
-			return nil, err
+		if skip >= len(hits) {
+			return
 		}
-		if match {
-			out = append(out, deepCopy(doc))
+		hits = hits[skip:]
+		if opts.Limit > 0 && len(hits) > opts.Limit {
+			hits = hits[:opts.Limit]
 		}
-	}
-	if len(opts.Sort) > 0 {
-		sortDocs(out, opts.Sort)
-	}
-	if opts.Skip > 0 {
-		if opts.Skip >= len(out) {
-			out = nil
-		} else {
-			out = out[opts.Skip:]
+		out = make([]M, len(hits))
+		for i, d := range hits {
+			out[i] = deepCopy(d)
 		}
-	}
-	if opts.Limit > 0 && len(out) > opts.Limit {
-		out = out[:opts.Limit]
-	}
-	return out, nil
+	})
+	return out, err
 }
 
 // FindOne returns the first match or ErrNotFound.
@@ -238,27 +331,48 @@ func (db *DB) Count(ctx context.Context, collName string, filter M) (int, error)
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	c, err := db.readColl(collName)
-	if err != nil {
+	if err := checkFilter(filter); err != nil {
 		return 0, err
 	}
 	n := 0
-	for _, id := range c.order {
-		doc, ok := c.docs[id]
-		if !ok {
-			continue
+	err := db.read(collName, filter, func(c *collection) {
+		for _, e := range c.candidates(filter) {
+			if matches(e.doc, filter) {
+				n++
+			}
 		}
-		match, err := matches(doc, filter)
-		if err != nil {
-			return 0, err
-		}
-		if match {
-			n++
+	})
+	return n, err
+}
+
+// matching returns c's entries that match filter, building the indexes
+// it can use first. Callers hold db.mu for writing; the result is a
+// fresh slice, so they may move entries between buckets as they go.
+func (c *collection) matching(filter M) []*entry {
+	c.buildIndexes(filter)
+	var hits []*entry
+	for _, e := range c.candidates(filter) {
+		if matches(e.doc, filter) {
+			hits = append(hits, e)
 		}
 	}
-	return n, nil
+	return hits
+}
+
+// prepare checks a filter and an update and returns the update
+// normalized, as every writer needs before taking the lock.
+func prepare(filter, update M) (M, error) {
+	if err := checkFilter(filter); err != nil {
+		return nil, err
+	}
+	nupd, err := normalize(update)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadUpdate, err)
+	}
+	if err := checkUpdate(nupd); err != nil {
+		return nil, err
+	}
+	return nupd, nil
 }
 
 // Update applies a Mongo-style update ($set, $inc, $push) to all
@@ -267,46 +381,35 @@ func (db *DB) Update(ctx context.Context, collName string, filter M, update M) (
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
+	nupd, err := prepare(filter, update)
+	if err != nil {
+		return 0, err
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	n, _, _, err := db.updateLocked(collName, filter, update)
+	c, err := db.coll(collName)
+	if err != nil {
+		return 0, err
+	}
+	n, _, err := db.updateLocked(c, collName, filter, nupd)
 	return n, err
 }
 
 // updateLocked is Update's body for callers holding db.mu. Besides the
-// count it returns the first match's id and the normalized update, which
-// is what Upsert needs to finish without a second scan.
-func (db *DB) updateLocked(collName string, filter, update M) (n int, first string, nupd M, err error) {
-	c, err := db.coll(collName)
-	if err != nil {
-		return 0, "", nil, err
-	}
-	nupd, err = normalize(update)
-	if err != nil {
-		return 0, "", nil, fmt.Errorf("%w: %v", ErrBadUpdate, err)
-	}
-	for _, id := range c.order {
-		doc, ok := c.docs[id]
-		if !ok {
-			continue
-		}
-		match, err := matches(doc, filter)
-		if err != nil {
-			return n, first, nupd, err
-		}
-		if !match {
-			continue
-		}
-		if err := applyUpdate(doc, nupd); err != nil {
-			return n, first, nupd, err
+// count it returns the first match's id, which is what Upsert needs to
+// finish without a second scan.
+func (db *DB) updateLocked(c *collection, collName string, filter, nupd M) (n int, first string, err error) {
+	for _, e := range c.matching(filter) {
+		if err := c.update(e, nupd); err != nil {
+			return n, first, err
 		}
 		if n == 0 {
-			first = id
+			first = e.id
 		}
 		n++
-		db.emit("update", collName, id)
+		db.emit("update", collName, e.id)
 	}
-	return n, first, nupd, nil
+	return n, first, nil
 }
 
 // Upsert updates the matches, or inserts update's $set fields merged
@@ -326,23 +429,34 @@ func (db *DB) upsert(ctx context.Context, collName string, filter, update M, pin
 	if err := ctx.Err(); err != nil {
 		return "", err
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	n, first, nupd, err := db.updateLocked(collName, filter, update)
+	nupd, seed, err := prepareUpsert(filter, update)
 	if err != nil {
 		return "", err
 	}
-	if n > 0 {
-		return first, nil
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.upsertLocked(collName, filter, nupd, seed, pinID)
+}
+
+// prepareUpsert is prepare for an upsert, plus the document it inserts
+// when nothing matches: the filter's top-level equality fields, then
+// the update's $set and $inc fields. The document takes nupd's values
+// without copying them; an upsert either inserts it or copies nupd's
+// values into the documents it updates, never both.
+func prepareUpsert(filter, update M) (nupd, seed M, err error) {
+	if nupd, err = prepare(filter, update); err != nil {
+		return nil, nil, err
 	}
-	// Build the new document: filter equality fields + $set/$inc fields.
-	seed := M{}
+	lits := M{}
 	for k, v := range filter {
 		if !strings.HasPrefix(k, "$") && !strings.Contains(k, ".") {
 			if _, isOp := v.(map[string]any); !isOp {
-				seed[k] = v
+				lits[k] = v
 			}
 		}
+	}
+	if seed, err = normalize(lits); err != nil {
+		return nil, nil, err
 	}
 	for _, op := range []string{"$set", "$inc"} {
 		fields, _ := nupd[op].(map[string]any)
@@ -350,20 +464,75 @@ func (db *DB) upsert(ctx context.Context, collName string, filter, update M, pin
 			seed[k] = v
 		}
 	}
-	c := db.collections[collName]
-	if _, taken := c.docs[pinID]; pinID != "" && !taken {
-		seed["_id"] = pinID
-	}
-	d, err := normalize(seed)
+	return nupd, seed, nil
+}
+
+// upsertLocked is upsert's body for callers holding db.mu.
+func (db *DB) upsertLocked(collName string, filter, nupd, seed M, pinID string) (string, error) {
+	c, err := db.coll(collName)
 	if err != nil {
 		return "", err
 	}
-	return db.insertLocked(c, collName, d)
+	n, first, err := db.updateLocked(c, collName, filter, nupd)
+	if err != nil {
+		return "", err
+	}
+	if n > 0 {
+		return first, nil
+	}
+	if _, taken := c.docs[pinID]; pinID != "" && !taken {
+		seed["_id"] = pinID
+	}
+	return db.insertLocked(c, collName, seed)
+}
+
+// Upsert is one operation of UpsertMany: what Upsert(ctx, Coll, Filter,
+// Update) does on its own.
+type Upsert struct {
+	Coll   string `json:"coll"`
+	Filter M      `json:"filter,omitempty"`
+	Update M      `json:"update,omitempty"`
+}
+
+// UpsertMany applies ops in order as one critical section and returns
+// the document id of each. Every op's collection name, filter and update
+// is checked before any op is applied, so a malformed op rejects the
+// whole batch with nothing written. An op that fails on what a document
+// holds ($inc of a string, a filter-pinned _id already taken) stops the
+// batch there; the ids returned are those of the ops applied before it.
+func (db *DB) UpsertMany(ctx context.Context, ops []Upsert) ([]string, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	nupds, seeds := make([]M, len(ops)), make([]M, len(ops))
+	for i, op := range ops {
+		if !validCollection(op.Coll) {
+			return nil, fmt.Errorf("bulk op %d: %w: %q", i, ErrBadName, op.Coll)
+		}
+		var err error
+		if nupds[i], seeds[i], err = prepareUpsert(op.Filter, op.Update); err != nil {
+			return nil, fmt.Errorf("bulk op %d: %w", i, err)
+		}
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	ids := make([]string, 0, len(ops))
+	for i, op := range ops {
+		id, err := db.upsertLocked(op.Coll, op.Filter, nupds[i], seeds[i], "")
+		if err != nil {
+			return ids, fmt.Errorf("bulk op %d: %w", i, err)
+		}
+		ids = append(ids, id)
+	}
+	return ids, nil
 }
 
 // Delete removes matching documents and reports how many.
 func (db *DB) Delete(ctx context.Context, collName string, filter M) (int, error) {
 	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	if err := checkFilter(filter); err != nil {
 		return 0, err
 	}
 	db.mu.Lock()
@@ -372,27 +541,17 @@ func (db *DB) Delete(ctx context.Context, collName string, filter M) (int, error
 	if err != nil {
 		return 0, err
 	}
-	n := 0
-	kept := c.order[:0]
-	for _, id := range c.order {
-		doc, ok := c.docs[id]
-		if !ok {
-			continue
-		}
-		match, merr := matches(doc, filter)
-		if merr != nil {
-			return n, merr
-		}
-		if match {
-			delete(c.docs, id)
-			n++
-			db.emit("delete", collName, id)
-		} else {
-			kept = append(kept, id)
-		}
+	hits := c.matching(filter)
+	if len(hits) == 0 {
+		return 0, nil
 	}
-	c.order = kept
-	return n, nil
+	for _, e := range hits {
+		delete(c.docs, e.id)
+		c.removed(e)
+		db.emit("delete", collName, e.id)
+	}
+	c.order = slices.DeleteFunc(c.order, func(e *entry) bool { return c.docs[e.id] != e })
+	return len(hits), nil
 }
 
 // Collections lists collection names, sorted.

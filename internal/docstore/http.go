@@ -25,6 +25,8 @@ import (
 //	POST /c/{coll}/update  {"filter": {...}, "update":{}}  -> {"n": 2}
 //	POST /c/{coll}/upsert  {"filter": {...}, "update":{}}  -> {"id": "..."}
 //	POST /c/{coll}/delete  {"filter": {...}}               -> {"n": 1}
+//	POST /bulk             {"ops": [{"coll": "...", "filter": {...},
+//	                        "update": {...}}, ...]}         -> {"ids": [...]}
 //	GET  /w/{coll}         ndjson stream of WatchEvent ({coll} empty = all)
 //	GET  /healthz
 
@@ -42,13 +44,15 @@ type rpcRequest struct {
 	Filter M        `json:"filter,omitempty"`
 	Update M        `json:"update,omitempty"`
 	Opts   FindOpts `json:"opts,omitempty"`
+	Ops    []Upsert `json:"ops,omitempty"`
 }
 
 type rpcResponse struct {
-	ID    string `json:"id,omitempty"`
-	N     int    `json:"n,omitempty"`
-	Docs  []M    `json:"docs,omitempty"`
-	Error string `json:"error,omitempty"`
+	ID    string   `json:"id,omitempty"`
+	IDs   []string `json:"ids,omitempty"`
+	N     int      `json:"n,omitempty"`
+	Docs  []M      `json:"docs,omitempty"`
+	Error string   `json:"error,omitempty"`
 }
 
 // HandlerOption configures the HTTP layer.
@@ -62,7 +66,7 @@ func WithTelemetry(reg *telemetry.Registry) HandlerOption {
 		h.reg = reg
 		h.requests = map[string]*telemetry.Counter{}
 		h.latency = map[string]*telemetry.HDRHistogram{}
-		for _, verb := range []string{"insert", "find", "count", "update", "upsert", "delete", "other"} {
+		for _, verb := range []string{"insert", "find", "count", "update", "upsert", "delete", "bulk", "other"} {
 			h.requests[verb] = reg.Counter("rai_docstore_requests_total", "requests served", telemetry.L("verb", verb))
 			h.latency[verb] = reg.Histogram("rai_docstore_request_seconds", "request latency", telemetry.L("verb", verb))
 		}
@@ -144,7 +148,7 @@ func Handler(db Served, auth AuthFunc, opts ...HandlerOption) http.Handler {
 			fl.Flush()
 		}
 	})
-	mux.HandleFunc("/c/", func(w http.ResponseWriter, r *http.Request) {
+	rpc := func(w http.ResponseWriter, r *http.Request) {
 		start := clock.Real{}.Now()
 		h.inFlight.Add(1)
 		defer h.inFlight.Add(-1)
@@ -168,11 +172,10 @@ func Handler(db Served, auth AuthFunc, opts ...HandlerOption) http.Handler {
 			writeJSON(w, http.StatusMethodNotAllowed, rpcResponse{Error: "POST only"})
 			return
 		}
-		rest := strings.TrimPrefix(r.URL.Path, "/c/")
-		coll, v, ok := strings.Cut(rest, "/")
+		coll, v, ok := route(r.URL.Path)
 		verb = v
-		if !ok || coll == "" {
-			writeJSON(w, http.StatusBadRequest, rpcResponse{Error: "want /c/{collection}/{verb}"})
+		if !ok {
+			writeJSON(w, http.StatusBadRequest, rpcResponse{Error: "want /c/{collection}/{verb} or /bulk"})
 			return
 		}
 		// Decode straight off the wire (bounded) instead of buffering the
@@ -205,13 +208,31 @@ func Handler(db Served, auth AuthFunc, opts ...HandlerOption) http.Handler {
 		case "delete":
 			n, err := db.Delete(r.Context(), coll, req.Filter)
 			respond(w, rpcResponse{N: n}, err)
+		case "bulk":
+			ids, err := db.UpsertMany(r.Context(), req.Ops)
+			respond(w, rpcResponse{IDs: ids}, err)
 		default:
 			writeJSON(w, http.StatusNotFound, rpcResponse{Error: "unknown verb " + verb})
 		}
-	})
+	}
+	mux.HandleFunc("/c/", rpc)
+	mux.HandleFunc("/bulk", rpc)
 	return mux
 }
 
+// route splits an RPC path into its collection and verb: /bulk, whose
+// ops name their own collections, or /c/{coll}/{verb} for any other
+// verb.
+func route(path string) (coll, verb string, ok bool) {
+	if path == "/bulk" {
+		return "", "bulk", true
+	}
+	coll, verb, ok = strings.Cut(strings.TrimPrefix(path, "/c/"), "/")
+	return coll, verb, ok && coll != "" && verb != "bulk"
+}
+
+// respond writes resp, with err's text and status when err is set (a
+// bulk request that stopped part way still reports the ids applied).
 func respond(w http.ResponseWriter, resp rpcResponse, err error) {
 	if err == nil {
 		writeJSON(w, http.StatusOK, resp)
@@ -227,7 +248,8 @@ func respond(w http.ResponseWriter, resp rpcResponse, err error) {
 	case errors.Is(err, ErrDuplicateID):
 		status = http.StatusConflict
 	}
-	writeJSON(w, status, rpcResponse{Error: err.Error()})
+	resp.Error = err.Error()
+	writeJSON(w, status, resp)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -245,8 +267,8 @@ const DefaultRequestTimeout = 30 * time.Second
 // API. Calls run under Policy: transient failures retry with jittered
 // backoff — except Insert, which is not idempotent and gets a single
 // attempt (a retried insert whose first try actually landed would
-// duplicate the document). Update/Upsert/Delete are filter-addressed
-// and safe to repeat.
+// duplicate the document). Update/Upsert/UpsertMany/Delete are
+// filter-addressed and safe to repeat.
 type Client struct {
 	BaseURL string
 	HTTP    *http.Client
@@ -282,10 +304,14 @@ func NewClient(baseURL string, opts ...ClientOption) *Client {
 }
 
 // call runs one RPC under the retry policy (single attempt when retry
-// is false). Each attempt rebuilds the request from the marshaled
-// payload; error-response bodies are fully drained so the pooled
-// connection is reused.
+// is false) at /c/{coll}/{verb}, or at /bulk. Each attempt rebuilds the
+// request from the marshaled payload; error-response bodies are fully
+// drained so the pooled connection is reused.
 func (c *Client) call(ctx context.Context, coll, verb string, req rpcRequest, retry bool) (rpcResponse, error) {
+	path := "/c/" + coll + "/" + verb
+	if verb == "bulk" {
+		path = "/bulk"
+	}
 	payload, err := json.Marshal(req)
 	if err != nil {
 		return rpcResponse{}, err
@@ -295,7 +321,7 @@ func (c *Client) call(ctx context.Context, coll, verb string, req rpcRequest, re
 		p.MaxAttempts = 1
 	}
 	return netx.DoVal(ctx, p, func(ctx context.Context) (rpcResponse, error) {
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/c/"+coll+"/"+verb, bytes.NewReader(payload))
+		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(payload))
 		if err != nil {
 			return rpcResponse{}, netx.Permanent(err)
 		}
@@ -376,6 +402,13 @@ func (c *Client) Upsert(ctx context.Context, coll string, filter, update M) (str
 	return resp.ID, err
 }
 
+// UpsertMany sends ops as one bulk request. Upserts are filter-addressed,
+// so the request retries under Policy like Upsert.
+func (c *Client) UpsertMany(ctx context.Context, ops []Upsert) ([]string, error) {
+	resp, err := c.call(ctx, "", "bulk", rpcRequest{Ops: ops}, true)
+	return resp.IDs, err
+}
+
 // Delete removes matches.
 func (c *Client) Delete(ctx context.Context, coll string, filter M) (int, error) {
 	resp, err := c.call(ctx, coll, "delete", rpcRequest{Filter: filter}, true)
@@ -438,6 +471,9 @@ type Store interface {
 	Count(ctx context.Context, coll string, filter M) (int, error)
 	Update(ctx context.Context, coll string, filter, update M) (int, error)
 	Upsert(ctx context.Context, coll string, filter, update M) (string, error)
+	// UpsertMany applies ops in order, each as Upsert would, in one
+	// round trip and one critical section (see DB.UpsertMany).
+	UpsertMany(ctx context.Context, ops []Upsert) ([]string, error)
 	Delete(ctx context.Context, coll string, filter M) (int, error)
 }
 

@@ -170,25 +170,29 @@ func apply(ctx context.Context, db *DB, e *journalEntry) error {
 	return err
 }
 
-// log writes one entry and flushes it through to the backend (on disk,
-// straight to the O_APPEND file).
-func (p *PersistentDB) log(e *journalEntry) error {
-	raw, err := json.Marshal(e)
-	if err != nil {
-		return err
+// log writes entries and flushes them through to the backend together
+// (on disk, straight to the O_APPEND file).
+func (p *PersistentDB) log(entries ...*journalEntry) error {
+	var buf []byte
+	for _, e := range entries {
+		raw, err := json.Marshal(e)
+		if err != nil {
+			return err
+		}
+		buf = append(append(buf, raw...), '\n')
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.w == nil {
 		return fmt.Errorf("docstore: journal closed")
 	}
-	if _, err := p.bw.Write(append(raw, '\n')); err != nil {
+	if _, err := p.bw.Write(buf); err != nil {
 		return err
 	}
 	if err := p.bw.Flush(); err != nil {
 		return err
 	}
-	p.size += int64(len(raw)) + 1
+	p.size += int64(len(buf))
 	return nil
 }
 
@@ -229,6 +233,23 @@ func (p *PersistentDB) Upsert(ctx context.Context, coll string, filter, update M
 		return id, err
 	}
 	return id, nil
+}
+
+// UpsertMany applies ops and journals the ones applied — one line
+// each, with the id each got, in one flush.
+func (p *PersistentDB) UpsertMany(ctx context.Context, ops []Upsert) ([]string, error) {
+	ids, err := p.DB.UpsertMany(ctx, ops)
+	if len(ids) == 0 {
+		return ids, err
+	}
+	entries := make([]*journalEntry, len(ids))
+	for i, id := range ids {
+		entries[i] = &journalEntry{Op: "upsert", Coll: ops[i].Coll, Filter: ops[i].Filter, Update: ops[i].Update, ID: id}
+	}
+	if lerr := p.log(entries...); err == nil {
+		err = lerr
+	}
+	return ids, err
 }
 
 // Delete journals and applies a delete.

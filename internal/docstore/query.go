@@ -2,93 +2,135 @@ package docstore
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"sort"
 	"strings"
 )
 
-// matches evaluates a Mongo-style filter against a document. Filter keys
-// are dotted paths; values are either literal equality tests or operator
-// objects ({"$gt": 3}). An empty filter matches everything.
-func matches(doc M, filter M) (bool, error) {
+// checkFilter rejects a malformed filter: an unknown operator, or an
+// operator argument of the wrong shape. Every verb runs it before
+// reading a document, so a bad filter fails the same way whatever the
+// collection holds, and matches, which only ever sees checked filters,
+// cannot fail.
+func checkFilter(filter M) error {
 	for path, cond := range filter {
 		if strings.HasPrefix(path, "$") {
-			switch path {
-			case "$or":
-				ok, err := matchOr(doc, cond)
-				if err != nil {
-					return false, err
-				}
-				if !ok {
-					return false, nil
-				}
-				continue
-			default:
-				return false, fmt.Errorf("%w: unsupported top-level operator %q", ErrBadFilter, path)
+			if path != "$or" {
+				return fmt.Errorf("%w: unsupported top-level operator %q", ErrBadFilter, path)
+			}
+			if err := checkOr(cond); err != nil {
+				return err
+			}
+			continue
+		}
+		ops, isOps := cond.(map[string]any)
+		if !isOps || !hasOperator(ops) {
+			continue
+		}
+		for op, arg := range ops {
+			if err := checkOp(op, arg); err != nil {
+				return fmt.Errorf("%w (field %q)", err, path)
 			}
 		}
-		val, present := lookup(doc, path)
-		ok, err := matchCond(val, present, cond)
-		if err != nil {
-			return false, fmt.Errorf("%w (field %q)", err, path)
-		}
-		if !ok {
-			return false, nil
-		}
 	}
-	return true, nil
+	return nil
 }
 
-func matchOr(doc M, cond any) (bool, error) {
-	alts, ok := cond.([]any)
-	if !ok {
-		if malts, ok2 := cond.([]M); ok2 {
-			for _, alt := range malts {
-				m, err := matches(doc, alt)
-				if err != nil {
-					return false, err
-				}
-				if m {
-					return true, nil
-				}
+func checkOr(cond any) error {
+	switch alts := cond.(type) {
+	case []M:
+		for _, alt := range alts {
+			if err := checkFilter(alt); err != nil {
+				return err
 			}
-			return false, nil
 		}
-		return false, fmt.Errorf("%w: $or wants an array of filters", ErrBadFilter)
+		return nil
+	case []any:
+		for _, alt := range alts {
+			sub, ok := alt.(map[string]any)
+			if !ok {
+				return fmt.Errorf("%w: $or element is not a filter", ErrBadFilter)
+			}
+			if err := checkFilter(sub); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	for _, alt := range alts {
-		sub, ok := alt.(map[string]any)
-		if !ok {
-			return false, fmt.Errorf("%w: $or element is not a filter", ErrBadFilter)
+	return fmt.Errorf("%w: $or wants an array of filters", ErrBadFilter)
+}
+
+func checkOp(op string, arg any) error {
+	switch op {
+	case "$exists":
+		if _, ok := arg.(bool); !ok {
+			return fmt.Errorf("%w: $exists wants a bool", ErrBadFilter)
 		}
-		m, err := matches(doc, sub)
-		if err != nil {
-			return false, err
+	case "$in":
+		if _, ok := arg.([]any); !ok {
+			return fmt.Errorf("%w: $in wants an array", ErrBadFilter)
 		}
-		if m {
-			return true, nil
+	case "$eq", "$ne", "$gt", "$gte", "$lt", "$lte", "$prefix":
+	default:
+		return fmt.Errorf("%w: unsupported operator %q", ErrBadFilter, op)
+	}
+	return nil
+}
+
+// matches evaluates a checked Mongo-style filter against a document.
+// Filter keys are dotted paths; values are either literal equality
+// tests or operator objects ({"$gt": 3}). An empty filter matches
+// everything.
+func matches(doc M, filter M) bool {
+	for path, cond := range filter {
+		if path == "$or" {
+			if !matchOr(doc, cond) {
+				return false
+			}
+			continue
+		}
+		val, present := lookup(doc, path)
+		if !matchCond(val, present, cond) {
+			return false
 		}
 	}
-	return false, nil
+	return true
+}
+
+func matchOr(doc M, cond any) bool {
+	switch alts := cond.(type) {
+	case []M:
+		for _, alt := range alts {
+			if matches(doc, alt) {
+				return true
+			}
+		}
+	case []any:
+		for _, alt := range alts {
+			if sub, ok := alt.(map[string]any); ok && matches(doc, sub) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // matchCond checks one field condition: operator map or literal equality.
-func matchCond(val any, present bool, cond any) (bool, error) {
+func matchCond(val any, present bool, cond any) bool {
 	ops, isOps := cond.(map[string]any)
 	if isOps && hasOperator(ops) {
 		for op, arg := range ops {
-			ok, err := applyOp(op, val, present, arg)
-			if err != nil {
-				return false, err
-			}
-			if !ok {
-				return false, nil
+			if !applyOp(op, val, present, arg) {
+				return false
 			}
 		}
-		return true, nil
+		return true
 	}
 	if !present {
-		return cond == nil, nil
+		return cond == nil
 	}
-	return equalValues(val, cond), nil
+	return equalValues(val, cond)
 }
 
 func hasOperator(m map[string]any) bool {
@@ -100,75 +142,59 @@ func hasOperator(m map[string]any) bool {
 	return false
 }
 
-func applyOp(op string, val any, present bool, arg any) (bool, error) {
+func applyOp(op string, val any, present bool, arg any) bool {
 	switch op {
 	case "$exists":
-		want, ok := arg.(bool)
-		if !ok {
-			return false, fmt.Errorf("%w: $exists wants a bool", ErrBadFilter)
-		}
-		return present == want, nil
+		want, _ := arg.(bool)
+		return present == want
 	case "$eq":
-		return present && equalValues(val, arg), nil
+		return present && equalValues(val, arg)
 	case "$ne":
-		return !present || !equalValues(val, arg), nil
+		return !present || !equalValues(val, arg)
 	case "$gt", "$gte", "$lt", "$lte":
 		if !present {
-			return false, nil
+			return false
 		}
 		c, ok := compareValues(val, arg)
 		if !ok {
-			return false, nil // incomparable types never match range ops
+			return false // incomparable types never match range ops
 		}
 		switch op {
 		case "$gt":
-			return c > 0, nil
+			return c > 0
 		case "$gte":
-			return c >= 0, nil
+			return c >= 0
 		case "$lt":
-			return c < 0, nil
+			return c < 0
 		default:
-			return c <= 0, nil
+			return c <= 0
 		}
 	case "$in":
-		list, ok := arg.([]any)
-		if !ok {
-			return false, fmt.Errorf("%w: $in wants an array", ErrBadFilter)
-		}
-		if !present {
-			return false, nil
-		}
-		for _, item := range list {
-			if equalValues(val, item) {
-				return true, nil
-			}
-		}
-		return false, nil
+		list, _ := arg.([]any)
+		return present && slices.ContainsFunc(list, func(item any) bool { return equalValues(val, item) })
 	case "$prefix":
 		// RAI extension: string prefix match, used for key scans.
 		s, ok1 := val.(string)
 		p, ok2 := arg.(string)
-		return ok1 && ok2 && strings.HasPrefix(s, p), nil
-	default:
-		return false, fmt.Errorf("%w: unsupported operator %q", ErrBadFilter, op)
+		return ok1 && ok2 && strings.HasPrefix(s, p)
 	}
+	return false
 }
 
 // lookup resolves a dotted path inside a document.
 func lookup(doc M, path string) (any, bool) {
-	parts := strings.Split(path, ".")
-	var cur any = map[string]any(doc)
-	for _, p := range parts {
-		m, ok := cur.(map[string]any)
-		if !ok {
+	cur := doc
+	for {
+		head, rest, dotted := strings.Cut(path, ".")
+		v, ok := cur[head]
+		if !ok || !dotted {
+			return v, ok
+		}
+		if cur, ok = v.(map[string]any); !ok {
 			return nil, false
 		}
-		cur, ok = m[p]
-		if !ok {
-			return nil, false
-		}
+		path = rest
 	}
-	return cur, true
 }
 
 // equalValues compares two JSON-typed values.
@@ -247,85 +273,165 @@ func toFloat(v any) (float64, bool) {
 	}
 }
 
-// sortDocs sorts documents by the given dotted fields ('-' prefix =
-// descending). Missing fields sort before present ones; incomparable
-// pairs keep insertion order (stable sort).
-func sortDocs(docs []M, fields []string) {
-	type key struct {
-		name string
-		desc bool
-	}
-	keys := make([]key, len(fields))
+// sortKey is one FindOpts.Sort entry.
+type sortKey struct {
+	path string
+	desc bool
+}
+
+func sortKeys(fields []string) []sortKey {
+	keys := make([]sortKey, len(fields))
 	for i, f := range fields {
-		if strings.HasPrefix(f, "-") {
-			keys[i] = key{name: f[1:], desc: true}
+		if p, ok := strings.CutPrefix(f, "-"); ok {
+			keys[i] = sortKey{path: p, desc: true}
 		} else {
-			keys[i] = key{name: f}
+			keys[i] = sortKey{path: f}
 		}
 	}
-	stable := func(i, j int) bool {
-		for _, k := range keys {
-			vi, pi := lookup(docs[i], k.name)
-			vj, pj := lookup(docs[j], k.name)
-			if !pi && !pj {
-				continue
-			}
-			if !pi {
-				return !k.desc
-			}
-			if !pj {
-				return k.desc
-			}
-			c, ok := compareValues(vi, vj)
-			if !ok || c == 0 {
-				continue
-			}
-			if k.desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	}
-	sortStable(docs, stable)
+	return keys
 }
 
-func sortStable(docs []M, less func(i, j int) bool) {
-	// insertion sort: stable and fine for result-set sizes here; avoids
-	// pulling sort.SliceStable's reflect-based swapper into the hot path.
-	for i := 1; i < len(docs); i++ {
-		for j := i; j > 0 && less(j, j-1); j-- {
-			docs[j], docs[j-1] = docs[j-1], docs[j]
+// compareDocs orders two documents by keys (see FindOpts.Sort). It is a
+// total preorder, so a stable sort and keepTop agree on it.
+func compareDocs(a, b M, keys []sortKey) int {
+	for _, k := range keys {
+		va, pa := lookup(a, k.path)
+		vb, pb := lookup(b, k.path)
+		c := 0
+		switch {
+		case !pa || !pb:
+			c = boolRank(pa) - boolRank(pb)
+		case typeRank(va) != typeRank(vb):
+			c = typeRank(va) - typeRank(vb)
+		default:
+			c, _ = compareValues(va, vb)
+		}
+		if k.desc {
+			c = -c
+		}
+		if c != 0 {
+			return c
 		}
 	}
+	return 0
 }
 
-// applyUpdate mutates doc according to the normalized update spec.
-func applyUpdate(doc M, update M) error {
+func boolRank(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// typeRank orders the JSON types of stored values for sorting as
+// MongoDB does: null, numbers, strings, objects, arrays, booleans.
+func typeRank(v any) int {
+	switch v.(type) {
+	case nil:
+		return 0
+	case float64:
+		return 1
+	case string:
+		return 2
+	case map[string]any:
+		return 3
+	case []any:
+		return 4
+	case bool:
+		return 5
+	}
+	return 6
+}
+
+// keepTop places doc into hits — the first k results, in sort order,
+// among candidates inserted after doc — if it matches filter and sorts
+// among them, before every result it ties with (ties keep insertion
+// order). The sort key is checked first, so a candidate that could not
+// make the page is never matched.
+func keepTop(hits []M, doc, filter M, keys []sortKey, k int) []M {
+	i := sort.Search(len(hits), func(j int) bool { return compareDocs(doc, hits[j], keys) <= 0 })
+	if i == k || !matches(doc, filter) {
+		return hits
+	}
+	if len(hits) == k {
+		hits = hits[:k-1]
+	}
+	return slices.Insert(hits, i, doc)
+}
+
+// checkUpdate rejects a malformed normalized update — an unknown
+// operator, a non-object operand, a non-numeric $inc, a write to _id,
+// which never changes (c.docs indexes by it), or two writes to the same
+// path or to a path and its parent, whose outcome would depend on map
+// order — before any document is touched.
+func checkUpdate(update M) error {
+	var paths []string
 	for op, arg := range update {
 		fields, ok := arg.(map[string]any)
 		if !ok {
 			return fmt.Errorf("%w: %s wants an object", ErrBadUpdate, op)
 		}
 		switch op {
+		case "$set", "$push":
+		case "$inc":
+			for path, v := range fields {
+				if _, ok := toFloat(v); !ok {
+					return fmt.Errorf("%w: $inc %s wants a number", ErrBadUpdate, path)
+				}
+			}
+		default:
+			return fmt.Errorf("%w: unsupported operator %q", ErrBadUpdate, op)
+		}
+		for path := range fields {
+			if head, _, _ := strings.Cut(path, "."); head == "_id" {
+				return fmt.Errorf("%w: %s of _id: a document's _id never changes", ErrBadUpdate, op)
+			}
+			for _, other := range paths {
+				if overlaps(path, other) {
+					return fmt.Errorf("%w: %s and %s conflict", ErrBadUpdate, path, other)
+				}
+			}
+			paths = append(paths, path)
+		}
+	}
+	return nil
+}
+
+// overlaps reports whether two dotted paths are equal or one lies
+// inside the other.
+func overlaps(p, q string) bool {
+	if len(p) > len(q) {
+		p, q = q, p
+	}
+	return strings.HasPrefix(q, p) && (len(q) == len(p) || q[len(p)] == '.')
+}
+
+// applyUpdate mutates doc according to the checked, normalized update.
+// It fails only on what the document holds: $inc of a non-number or
+// past the float range, $push onto a non-array. Values are copied in,
+// so documents never share a nested object with each other or with
+// the update.
+func applyUpdate(doc M, update M) error {
+	for op, arg := range update {
+		fields, _ := arg.(map[string]any)
+		switch op {
 		case "$set":
 			for path, v := range fields {
-				setPath(doc, path, v)
+				setPath(doc, path, copyValue(v))
 			}
 		case "$inc":
 			for path, v := range fields {
-				delta, ok := toFloat(v)
-				if !ok {
-					return fmt.Errorf("%w: $inc %s wants a number", ErrBadUpdate, path)
-				}
-				cur, present := lookup(doc, path)
+				delta, _ := toFloat(v)
 				base := 0.0
-				if present {
-					if f, ok := toFloat(cur); ok {
-						base = f
-					} else {
+				if cur, present := lookup(doc, path); present {
+					f, ok := toFloat(cur)
+					if !ok {
 						return fmt.Errorf("%w: $inc on non-number %s", ErrBadUpdate, path)
 					}
+					base = f
+				}
+				if math.IsInf(base+delta, 0) {
+					return fmt.Errorf("%w: $inc overflows %s", ErrBadUpdate, path)
 				}
 				setPath(doc, path, base+delta)
 			}
@@ -333,17 +439,15 @@ func applyUpdate(doc M, update M) error {
 			for path, v := range fields {
 				cur, present := lookup(doc, path)
 				if !present {
-					setPath(doc, path, []any{v})
+					setPath(doc, path, []any{copyValue(v)})
 					continue
 				}
 				arr, ok := cur.([]any)
 				if !ok {
 					return fmt.Errorf("%w: $push on non-array %s", ErrBadUpdate, path)
 				}
-				setPath(doc, path, append(arr, v))
+				setPath(doc, path, append(arr, copyValue(v)))
 			}
-		default:
-			return fmt.Errorf("%w: unsupported operator %q", ErrBadUpdate, op)
 		}
 	}
 	return nil
@@ -351,15 +455,18 @@ func applyUpdate(doc M, update M) error {
 
 // setPath writes v at a dotted path, creating intermediate objects.
 func setPath(doc M, path string, v any) {
-	parts := strings.Split(path, ".")
-	cur := map[string]any(doc)
-	for _, p := range parts[:len(parts)-1] {
-		next, ok := cur[p].(map[string]any)
+	cur := doc
+	for {
+		head, rest, dotted := strings.Cut(path, ".")
+		if !dotted {
+			cur[head] = v
+			return
+		}
+		next, ok := cur[head].(map[string]any)
 		if !ok {
 			next = map[string]any{}
-			cur[p] = next
+			cur[head] = next
 		}
-		cur = next
+		cur, path = next, rest
 	}
-	cur[parts[len(parts)-1]] = v
 }

@@ -210,3 +210,34 @@ func TestBatchEncodeDecodeRoundTrip(t *testing.T) {
 		t.Error("DecodeBatch accepted garbage")
 	}
 }
+
+// FuzzDecodeBatch: any client can publish on the telemetry route, so
+// the collector decodes bytes it does not control. Whatever DecodeBatch
+// accepts must re-encode without panicking (Encode panics on a batch it
+// cannot marshal), and decoding is a fixed point: the re-encoded batch
+// decodes to one that encodes to the same bytes.
+func FuzzDecodeBatch(f *testing.F) {
+	t0 := time.Date(2016, 11, 28, 9, 0, 0, 0, time.UTC)
+	f.Add((&Batch{Service: "raiworker",
+		Spans: []SpanData{{TraceID: "t1", SpanID: "s1", Name: "job", Start: t0, End: t0.Add(time.Second),
+			Attrs: map[string]string{"job_id": "j1", "a.b": "$set"}}},
+		Events: []Event{{Time: t0, Level: "info", Msg: "job dequeued", TraceID: "t1", SpanID: "s1", JobID: "j1"}},
+	}).Encode())
+	f.Add([]byte(`{"service":"x","spans":[{"start":"9999-12-31T23:59:59-23:59","end":"0000-01-01T00:00:00Z"}]}`))
+	f.Add([]byte(`{"spans":null,"events":[{"ts":"2016-11-28T09:00:00.123456789+05:30","attrs":{"":""}}]}`))
+	f.Add([]byte(`not json`))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		b, err := DecodeBatch(raw)
+		if err != nil {
+			return
+		}
+		enc := b.Encode()
+		again, err := DecodeBatch(enc)
+		if err != nil {
+			t.Fatalf("re-encoded batch does not decode: %v\n%s", err, enc)
+		}
+		if enc2 := again.Encode(); string(enc2) != string(enc) {
+			t.Fatalf("decode is not a fixed point:\n%s\n%s", enc, enc2)
+		}
+	})
+}

@@ -19,12 +19,15 @@ go run ./cmd/raivet -max-ignores 4 ./...
 # runs for everyone.
 go run ./cmd/raivet -tests -enable goroleak,lockcopy,wgadd ./...
 go test -race ./...
-# Five-second fuzz smokes of the three decoders that parse bytes a peer
-# or a student controls: the brokerd frame codec, the upload manifest
-# and the rai-build.yml the worker's admit stage parses.
+# Five-second fuzz smokes of the five decoders that parse bytes a peer
+# or a student controls: the brokerd frame codec, the upload manifest,
+# the rai-build.yml the worker's admit stage parses, the telemetry
+# batches any client may publish, and raidb's RPC bodies.
 go test -run='^$' -fuzz='^FuzzBinaryDecode$' -fuzztime=5s ./internal/brokerd
 go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=5s ./internal/cas
 go test -run='^$' -fuzz='^FuzzParse$' -fuzztime=5s ./internal/build
+go test -run='^$' -fuzz='^FuzzDecodeBatch$' -fuzztime=5s ./internal/telemetry
+go test -run='^$' -fuzz='^FuzzHandler$' -fuzztime=5s ./internal/docstore
 go test -run='^$' -bench=. -benchtime=1x .
 # One-iteration smoke of the analysis benchmark: catches the engine
 # regressing into re-type-checking per check (DESIGN.md §15).
