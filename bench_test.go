@@ -480,37 +480,53 @@ func BenchmarkObjstorePutGet(b *testing.B) {
 // BenchmarkFetchProject measures worker step 4 ("download the project
 // into /src") on the macro-benchmark's large tree — 8 × 256 KiB of
 // seeded-random bytes, ~235 chunks — against a raifs on loopback: the
-// manifest GET, its decode, and the materialization of every chunk, as
-// the worker's download stage does them. Client and server share the process,
-// so B/op and allocs/op are the sum of both ends.
+// manifest GET, its decode, and the materialization, as the worker's
+// download stage does them. cold starts each fetch from an empty chunk
+// cache; warm from one holding the student's previous tree, of which one
+// file of the eight has since been rewritten; identical from one holding
+// the very tree. Client and server share the process, so B/op and
+// allocs/op are the sum of both ends.
 func BenchmarkFetchProject(b *testing.B) {
-	srv := httptest.NewServer(objstore.Handler(objstore.New(), nil))
+	store := objstore.New()
+	srv := httptest.NewServer(objstore.Handler(store, nil))
 	defer srv.Close()
 	c := objstore.NewClient(srv.URL)
 	tree := vfs.New()
 	rng := rand.New(rand.NewSource(408))
-	for i := 0; i < 8; i++ {
+	rewrite := func(i int) {
 		blob := make([]byte, 256<<10)
 		rng.Read(blob)
 		if err := tree.WriteFile(fmt.Sprintf("/p/blob%d.bin", i), blob); err != nil {
 			b.Fatal(err)
 		}
 	}
-	m, src, err := cas.BuildVFS(tree, "/p")
-	if err != nil {
-		b.Fatal(err)
+	upload := func(key string) *cas.Manifest {
+		m, src, err := cas.BuildVFS(tree, "/p")
+		if err != nil {
+			b.Fatal(err)
+		}
+		missing, err := c.MissingChunks(bg, m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := c.PutChunks(bg, missing, src); err != nil {
+			b.Fatal(err)
+		}
+		if err := c.Put(bg, core.BucketUploads, key, m.Encode(), 0); err != nil {
+			b.Fatal(err)
+		}
+		return m
 	}
-	if _, err := c.PutChunks(bg, m.ChunkSet(), src); err != nil {
-		b.Fatal(err)
+	for i := 0; i < 8; i++ {
+		rewrite(i)
 	}
-	const key = "bench/j1/project.manifest"
-	if err := c.Put(bg, core.BucketUploads, key, m.Encode(), 0); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(m.TotalBytes)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	const prevKey, nextKey = "bench/j1/project.manifest", "bench/j2/project.manifest"
+	prev := upload(prevKey)
+	rewrite(3)
+	next := upload(nextKey)
+	prevChunks, nextChunks := len(prev.ChunkSet()), len(next.ChunkSet())
+
+	fetch := func(b *testing.B, key string, cache *cas.Cache) cas.Stats {
 		rc, _, err := c.GetReader(bg, core.BucketUploads, key)
 		if err != nil {
 			b.Fatal(err)
@@ -520,15 +536,52 @@ func BenchmarkFetchProject(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		got, err := cas.Decode(body)
+		m, err := cas.Decode(body)
 		if err != nil {
 			b.Fatal(err)
 		}
-		chunks, _, err := cas.Materialize(bg, got, c, vfs.New(), "/src")
-		if err != nil || chunks != len(m.ChunkSet()) {
-			b.Fatalf("materialized %d of %d chunks: %v", chunks, len(m.ChunkSet()), err)
+		st, err := cas.Materialize(bg, m, c, cache, vfs.New(), "/src")
+		if err != nil {
+			b.Fatal(err)
 		}
+		return st
 	}
+	b.Run("cold", func(b *testing.B) {
+		b.SetBytes(prev.TotalBytes)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if st := fetch(b, prevKey, cas.NewCache(cas.CacheBytes)); st.Fetched != prevChunks {
+				b.Fatalf("fetched %d of %d chunks", st.Fetched, prevChunks)
+			}
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		b.SetBytes(next.TotalBytes)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			cache := cas.NewCache(cas.CacheBytes)
+			if _, err := cas.Materialize(bg, prev, store, cache, vfs.New(), "/src"); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if st := fetch(b, nextKey, cache); st.Fetched == 0 || st.Fetched*4 > nextChunks {
+				b.Fatalf("fetched %d of %d chunks for a one-file edit", st.Fetched, nextChunks)
+			}
+		}
+	})
+	b.Run("identical", func(b *testing.B) {
+		cache := cas.NewCache(cas.CacheBytes)
+		fetch(b, prevKey, cache)
+		b.SetBytes(prev.TotalBytes)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if st := fetch(b, prevKey, cache); st.Fetched != 0 {
+				b.Fatalf("fetched %d chunks of a cached tree", st.Fetched)
+			}
+		}
+	})
 }
 
 // BenchmarkDocstoreQuery measures two queries the system runs: a

@@ -169,7 +169,7 @@ func TestEdgeTreeHashStableAcrossTransports(t *testing.T) {
 
 	// Manifest materialization, fetching chunks from the source tree.
 	mat := vfs.New()
-	if _, _, err := cas.Materialize(context.Background(), m, sourceFetcher{src}, mat, "/dst"); err != nil {
+	if _, err := cas.Materialize(context.Background(), m, sourceFetcher{src}, nil, mat, "/dst"); err != nil {
 		t.Fatal(err)
 	}
 	mm, _, err := cas.BuildVFS(mat, "/dst")
@@ -200,7 +200,7 @@ func TestMaterializedTreeMatchesUnpackedArchive(t *testing.T) {
 		t.Fatal(err)
 	}
 	mat := vfs.New()
-	if _, _, err := cas.Materialize(context.Background(), m, sourceFetcher{src}, mat, "/src"); err != nil {
+	if _, err := cas.Materialize(context.Background(), m, sourceFetcher{src}, nil, mat, "/src"); err != nil {
 		t.Fatal(err)
 	}
 	assertSameTree(t, tarred, mat, "/src", "/src")

@@ -169,19 +169,17 @@ func TestManifestRoundTrip(t *testing.T) {
 
 	// Materialize through the Source and compare every path exactly.
 	dst := vfs.New()
-	fetches, bytesFetched, err := Materialize(ctx, dec, fetchFunc(src.Chunk), dst, "/src")
+	st, err := Materialize(ctx, dec, fetchFunc(src.Chunk), nil, dst, "/src")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fetches == 0 && len(files) > 0 {
+	if st.Fetched == 0 && len(files) > 0 {
 		t.Error("materialize fetched nothing")
 	}
-	if bytesFetched != m.TotalBytes {
-		// Every chunk is distinct in this fixture except dedup; fetched
-		// bytes can be below TotalBytes but never above.
-		if bytesFetched > m.TotalBytes {
-			t.Errorf("fetched %d bytes > tree total %d", bytesFetched, m.TotalBytes)
-		}
+	// Every chunk is distinct in this fixture except dedup; fetched
+	// bytes can be below TotalBytes but never above.
+	if st.Bytes > m.TotalBytes {
+		t.Errorf("fetched %d bytes > tree total %d", st.Bytes, m.TotalBytes)
 	}
 	for p, want := range files {
 		got, err := dst.ReadFile("/src/" + p)
@@ -357,7 +355,7 @@ func TestDecodeRejectsHostileManifests(t *testing.T) {
 			continue // not a manifest at all, or hostile only to the cache key
 		}
 		dst := vfs.New()
-		if _, _, err := Materialize(ctx, &m, fetch, dst, "/src"); err == nil {
+		if _, err := Materialize(ctx, &m, fetch, nil, dst, "/src"); err == nil {
 			t.Errorf("%s: hostile manifest materialized", name)
 		}
 		if dst.Exists("/src") {
@@ -380,7 +378,7 @@ func TestMaterializeChecksRepeatRefSize(t *testing.T) {
 	h := HashHex(data)
 	m := &Manifest{Files: []FileEntry{{Path: "f", Size: 4097, Chunks: []ChunkRef{{Hash: h, Size: 4096}, {Hash: h, Size: 1}}}}, TotalBytes: 4097}
 	m.Seal()
-	_, _, err := Materialize(ctx, m, fetchFunc(func(string) ([]byte, error) { return data, nil }), vfs.New(), "/src")
+	_, err := Materialize(ctx, m, fetchFunc(func(string) ([]byte, error) { return data, nil }), nil, vfs.New(), "/src")
 	if err == nil || !strings.Contains(err.Error(), "ref says 1") {
 		t.Fatalf("err = %v, want repeat-ref size mismatch", err)
 	}
@@ -438,12 +436,12 @@ func TestMaterializeStream(t *testing.T) {
 	t.Run("restarted stream lands each chunk once", func(t *testing.T) {
 		dst := vfs.New()
 		replay := frameScript{frames: [][2]string{frame(0), frame(1), frame(0), frame(1), frame(2)}}
-		fetches, n, err := Materialize(ctx, m, replay, dst, "/src")
+		st, err := Materialize(ctx, m, replay, nil, dst, "/src")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fetches != 3 || n != 8070 {
-			t.Errorf("fetched %d chunks, %d bytes; want 3 chunks, 8070 bytes", fetches, n)
+		if st.Fetched != 3 || st.Bytes != 8070 {
+			t.Errorf("fetched %d chunks, %d bytes; want 3 chunks, 8070 bytes", st.Fetched, st.Bytes)
 		}
 		for p, content := range want {
 			if got, err := dst.ReadFile("/src/" + p); err != nil || string(got) != content {
@@ -467,7 +465,7 @@ func TestMaterializeStream(t *testing.T) {
 		"transfer fails":           {frameScript{frames: [][2]string{frame(0), frame(1)}, err: errors.New("store went away")}, "store went away"},
 	} {
 		t.Run(name, func(t *testing.T) {
-			_, _, err := Materialize(ctx, m, tc.script, vfs.New(), "/src")
+			_, err := Materialize(ctx, m, tc.script, nil, vfs.New(), "/src")
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("err = %v, want one containing %q", err, tc.want)
 			}
@@ -513,7 +511,7 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("re-encoded manifest: %v", err)
 		}
 		fetch := fetchFunc(func(string) ([]byte, error) { return nil, errors.New("no store") })
-		if _, _, err := Materialize(ctx, m, fetch, vfs.New(), "/src"); err == nil && len(m.ChunkSet()) > 0 {
+		if _, err := Materialize(ctx, m, fetch, nil, vfs.New(), "/src"); err == nil && len(m.ChunkSet()) > 0 {
 			t.Fatal("materialized chunks no store served")
 		}
 	})

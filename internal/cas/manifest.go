@@ -409,131 +409,89 @@ type Fetcher interface {
 	GetChunks(ctx context.Context, hashes []string, each func(hash string, data []byte) error) error
 }
 
-// Materialize reconstructs the manifest's tree under root in dst from
-// one bulk read of its distinct chunks, verifying every chunk against
-// its ref's size and hash before it lands. The manifest is validated
-// before the read starts, so the bytes written never exceed the tree
-// limits however often a chunk repeats. It returns the number of chunks
-// fetched and their bytes.
-//
-// Chunks are asked for in first-use order, so each arrives exactly when
-// the file being assembled needs it and is copied straight into that
-// file's buffer; only a chunk with further refs to come is held, and
-// only until the last of them is written. Memory is one file plus those.
-func Materialize(ctx context.Context, m *Manifest, src Fetcher, dst *vfs.FS, root string) (fetches int, bytesFetched int64, err error) {
+// Stats counts where one Materialize found the tree's distinct chunks.
+type Stats struct {
+	Cached  int   // served by the cache: no request, no copy, no re-hash
+	Fetched int   // read from the Fetcher and verified as they landed
+	Bytes   int64 // the fetched chunks' payload bytes
+}
+
+// Materialize reconstructs the manifest's tree under root in dst. The
+// manifest is validated first, so nothing is read or written for one
+// that breaks the tree limits. Chunks the cache holds are taken from it
+// as they are: bytes addressed by their SHA-256 cannot go stale, so a hit
+// is neither copied nor hashed again. The misses, and only those, are
+// read in one bulk call in first-use order; a transfer that restarts
+// replays chunks that already landed, which are skipped, and any other
+// chunk than the one due is an error. Each fetched chunk is hashed once
+// as it lands and kept as one owned copy, which is offered to the cache.
+// A tree the cache holds whole costs no request at all. Every file is
+// then installed as its list of chunk segments (vfs.WriteFileParts), so
+// a chunk referred to twice is shared, not cloned, and each ref's size
+// is checked against its chunk's, so the bytes written never exceed the
+// sums validate checked. A nil cache holds nothing.
+func Materialize(ctx context.Context, m *Manifest, src Fetcher, cache *Cache, dst *vfs.FS, root string) (Stats, error) {
+	var st Stats
 	if err := m.validate(); err != nil {
-		return 0, 0, err
+		return st, err
 	}
 	if err := dst.MkdirAll(root); err != nil {
-		return 0, 0, err
+		return st, err
 	}
 	for _, d := range m.Dirs {
 		if err := dst.MkdirAll(path.Join(root, d)); err != nil {
-			return 0, 0, err
+			return st, err
 		}
 	}
 	order := m.ChunkSet()
-	mz := &materializer{m: m, dst: dst, root: root, chunks: make(map[string]*chunkState, len(order))}
-	for i, hash := range order {
-		mz.chunks[hash] = &chunkState{seq: i}
+	chunks := make(map[string][]byte, len(order))
+	var misses []string
+	for _, hash := range order {
+		if data, ok := cache.get(hash); ok {
+			chunks[hash] = data
+			st.Cached++
+		} else {
+			misses = append(misses, hash)
+		}
+	}
+	if len(misses) > 0 {
+		err := src.GetChunks(ctx, misses, func(hash string, data []byte) error {
+			if _, landed := chunks[hash]; landed {
+				return nil
+			}
+			if st.Fetched == len(misses) || hash != misses[st.Fetched] {
+				return fmt.Errorf("cas: chunk %s arrived out of order", hash)
+			}
+			if HashHex(data) != hash {
+				return fmt.Errorf("cas: chunk %s: fetched %d bytes that hash differently", hash, len(data))
+			}
+			// data is the Fetcher's for this call only.
+			own := bytes.Clone(data)
+			chunks[hash] = own
+			cache.put(hash, own)
+			st.Fetched++
+			st.Bytes += int64(len(own))
+			return nil
+		})
+		if err != nil {
+			return st, err
+		}
+		if st.Fetched != len(misses) {
+			return st, fmt.Errorf("cas: chunk stream ended after %d of %d chunks", st.Fetched, len(misses))
+		}
 	}
 	for _, f := range m.Files {
-		for _, c := range f.Chunks {
-			mz.chunks[c.Hash].uses++
-		}
-	}
-	// Files ahead of the first chunk (empty ones, or a tree with no
-	// chunks at all) wait for no frame.
-	if err := mz.fill(); err != nil {
-		return 0, 0, err
-	}
-	if len(order) > 0 {
-		if err := src.GetChunks(ctx, order, mz.land); err != nil {
-			return mz.landed, mz.bytes, err
-		}
-	}
-	if mz.landed != len(order) {
-		return mz.landed, mz.bytes, fmt.Errorf("cas: chunk stream ended after %d of %d chunks", mz.landed, len(order))
-	}
-	return mz.landed, mz.bytes, nil
-}
-
-// chunkState tracks one distinct chunk through a Materialize.
-type chunkState struct {
-	seq  int    // position in the stream
-	uses int    // refs not yet written
-	data []byte // payload, from landing until the last ref is written
-}
-
-// materializer is the state of one Materialize: a cursor over the
-// manifest's refs in order and the file being assembled at it.
-type materializer struct {
-	m      *Manifest
-	dst    *vfs.FS
-	root   string
-	chunks map[string]*chunkState
-
-	landed    int   // chunks of the stream consumed
-	bytes     int64 // their payload bytes
-	file, ref int   // cursor: the next ref to write
-	buf       []byte
-}
-
-// land takes the next chunk of the stream. One that already landed — a
-// restarted transfer replaying its head — is skipped; any other than
-// the one the cursor waits for is an error.
-func (mz *materializer) land(hash string, data []byte) error {
-	st := mz.chunks[hash]
-	if st == nil || st.seq > mz.landed {
-		return fmt.Errorf("cas: chunk %s arrived out of order", hash)
-	}
-	if st.seq < mz.landed {
-		return nil
-	}
-	if HashHex(data) != hash {
-		return fmt.Errorf("cas: chunk %s: fetched %d bytes that hash differently", hash, len(data))
-	}
-	mz.landed++
-	mz.bytes += int64(len(data))
-	// data is the caller's for this call only: the ref under the cursor
-	// copies it out now, later refs need a copy that stays.
-	st.data = data
-	if st.uses > 1 {
-		st.data = bytes.Clone(data)
-	}
-	return mz.fill()
-}
-
-// fill advances the cursor over every ref whose chunk has landed,
-// writing each file out as its last ref is copied in, and stops at the
-// first ref still waiting for its chunk.
-func (mz *materializer) fill() error {
-	for mz.file < len(mz.m.Files) {
-		f := &mz.m.Files[mz.file]
-		if mz.ref == len(f.Chunks) {
-			if err := mz.dst.WriteFile(path.Join(mz.root, f.Path), mz.buf); err != nil {
-				return err
+		parts := make([][]byte, len(f.Chunks))
+		for i, ref := range f.Chunks {
+			parts[i] = chunks[ref.Hash]
+			// Every ref must agree with the bytes on the size validate counted.
+			if int64(len(parts[i])) != ref.Size {
+				return st, fmt.Errorf("%s: cas: chunk %s is %d bytes, ref says %d", f.Path, ref.Hash, len(parts[i]), ref.Size)
 			}
-			mz.file, mz.ref, mz.buf = mz.file+1, 0, nil
-			continue
 		}
-		ref := f.Chunks[mz.ref]
-		st := mz.chunks[ref.Hash]
-		if st.seq >= mz.landed {
-			return nil
-		}
-		// Every ref must agree with the bytes on the size validate counted.
-		if int64(len(st.data)) != ref.Size {
-			return fmt.Errorf("%s: cas: chunk %s is %d bytes, ref says %d", f.Path, ref.Hash, len(st.data), ref.Size)
-		}
-		if mz.buf == nil {
-			mz.buf = make([]byte, 0, f.Size)
-		}
-		mz.buf = append(mz.buf, st.data...)
-		mz.ref++
-		if st.uses--; st.uses == 0 {
-			st.data = nil
+		if err := dst.WriteFileParts(path.Join(root, f.Path), parts); err != nil {
+			return st, err
 		}
 	}
-	return nil
+	return st, nil
 }

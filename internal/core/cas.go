@@ -13,10 +13,12 @@ import (
 // those (Objects.PutChunks), and stores the manifest itself as the
 // job's upload object. The worker reads that object back under
 // cas.MaxManifestBytes, validates it with cas.Decode and materializes
-// /src from one Objects.GetChunks stream (the download stage). There is no second format
-// and nothing to negotiate: an upload object that is not a manifest
-// fails the job. `.tar.bz2` remains the format of the /build artifact
-// only.
+// /src (the download stage): chunks it verified for an earlier job come
+// from its cas.Cache, and only the rest from one Objects.GetChunks
+// stream, so a resubmission costs the worker what changed, as it costs
+// the client. There is no second format and nothing to negotiate: an
+// upload object that is not a manifest fails the job. `.tar.bz2`
+// remains the format of the /build artifact only.
 
 // TransferStats describes what one upload actually moved — the numbers
 // behind the CLI's transfer summary line.

@@ -6,8 +6,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -232,4 +235,131 @@ func TestNonManifestUploadFailsJob(t *testing.T) {
 			t.Errorf("%s: the build ran anyway:\n%s", name, term.String())
 		}
 	}
+}
+
+// recordingObjects passes every call through to the file server and
+// notes the worker's traffic: each call by name, and the hashes of each
+// GetChunks.
+type recordingObjects struct {
+	Objects
+	mu      sync.Mutex
+	calls   []string
+	fetches [][]string
+}
+
+func (r *recordingObjects) note(op string, hashes []string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.calls = append(r.calls, op)
+	if hashes != nil {
+		r.fetches = append(r.fetches, slices.Clone(hashes))
+	}
+}
+
+// take returns what was noted since the last take.
+func (r *recordingObjects) take() (calls []string, fetches [][]string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	calls, fetches, r.calls, r.fetches = r.calls, r.fetches, nil, nil
+	return calls, fetches
+}
+
+func (r *recordingObjects) Put(ctx context.Context, bucket, key string, data []byte, ttl time.Duration) error {
+	r.note("Put", nil)
+	return r.Objects.Put(ctx, bucket, key, data, ttl)
+}
+
+func (r *recordingObjects) Get(ctx context.Context, bucket, key string) ([]byte, error) {
+	r.note("Get", nil)
+	return r.Objects.Get(ctx, bucket, key)
+}
+
+func (r *recordingObjects) GetReader(ctx context.Context, bucket, key string) (io.ReadCloser, int64, error) {
+	r.note("GetReader", nil)
+	return r.Objects.GetReader(ctx, bucket, key)
+}
+
+func (r *recordingObjects) List(ctx context.Context, bucket, prefix string) ([]objstore.ObjectInfo, error) {
+	r.note("List", nil)
+	return r.Objects.List(ctx, bucket, prefix)
+}
+
+func (r *recordingObjects) Delete(ctx context.Context, bucket, key string) error {
+	r.note("Delete", nil)
+	return r.Objects.Delete(ctx, bucket, key)
+}
+
+func (r *recordingObjects) MissingChunks(ctx context.Context, m *cas.Manifest) ([]string, error) {
+	r.note("MissingChunks", nil)
+	return r.Objects.MissingChunks(ctx, m)
+}
+
+func (r *recordingObjects) PutChunks(ctx context.Context, hashes []string, src cas.Source) (int64, error) {
+	r.note("PutChunks", nil)
+	return r.Objects.PutChunks(ctx, hashes, src)
+}
+
+func (r *recordingObjects) GetChunks(ctx context.Context, hashes []string, each func(string, []byte) error) error {
+	r.note("GetChunks", hashes)
+	return r.Objects.GetChunks(ctx, hashes, each)
+}
+
+// TestWorkerFetchesOnlyWhatChanged drives the real download stage over
+// three jobs from one student: the first tree comes down whole in one
+// chunk stream; after a one-file edit the stream names only that file's
+// new chunks; an identical resubmission fetches no chunk at all — the
+// worker's file-server traffic is the manifest read and the /build
+// upload. Every job still runs and reports its own result.
+func TestWorkerFetchesOnlyWhatChanged(t *testing.T) {
+	e := newEnv(t)
+	rec := &recordingObjects{Objects: e.objects}
+	e.worker.Objects = rec
+	c := e.client(t, "team-cached")
+	submit := func(p tree) {
+		t.Helper()
+		res, err := submitAndHandle(t, e, c, KindRun, build.Default(), p)
+		if err != nil || res.Status != StatusSucceeded || res.Accuracy != 1.0 {
+			t.Fatalf("job: %+v, %v", res, err)
+		}
+		e.clock.Advance(time.Minute) // past the rate limit
+	}
+	fetchedOnly := func(step string, wantCalls []string, wantFetch []string) {
+		t.Helper()
+		calls, fetches := rec.take()
+		if !slices.Equal(calls, wantCalls) {
+			t.Errorf("%s: worker called %v, want %v", step, calls, wantCalls)
+		}
+		if wantFetch != nil && (len(fetches) != 1 || !slices.Equal(fetches[0], wantFetch)) {
+			t.Errorf("%s: chunk streams %v, want one naming %v", step, fetches, wantFetch)
+		}
+	}
+
+	_, p1 := projectTree(t, project.Spec{Impl: cnn.ImplIm2col, Team: "team-cached"})
+	submit(p1)
+	fetchedOnly("first job", []string{"GetReader", "GetChunks", "Put"}, p1.m.ChunkSet())
+
+	// Tuning is stamped into the kernel source only: one file changes.
+	_, p2 := projectTree(t, project.Spec{Impl: cnn.ImplIm2col, Team: "team-cached", Tuning: 2})
+	had := map[string]bool{}
+	for _, h := range p1.m.ChunkSet() {
+		had[h] = true
+	}
+	var changed []string
+	var changedFiles []string
+	for _, f := range p2.m.Files {
+		for _, ref := range f.Chunks {
+			if !had[ref.Hash] && !slices.Contains(changed, ref.Hash) {
+				changed = append(changed, ref.Hash)
+				changedFiles = append(changedFiles, f.Path)
+			}
+		}
+	}
+	if len(changed) == 0 || len(slices.Compact(changedFiles)) != 1 {
+		t.Fatalf("fixture: the edit changed chunks %v of files %v, want some of one file", changed, changedFiles)
+	}
+	submit(p2)
+	fetchedOnly("one-file edit", []string{"GetReader", "GetChunks", "Put"}, changed)
+
+	submit(p2)
+	fetchedOnly("identical resubmission", []string{"GetReader", "Put"}, nil)
 }

@@ -108,6 +108,7 @@ type Worker struct {
 	Log *telemetry.Logger
 
 	runtime *sandbox.Runtime
+	chunks  *cas.Cache // verified chunks of the trees this worker fetched, shared by its slots
 	mu      sync.Mutex
 	sub     broker.Consumer
 	wg      sync.WaitGroup
@@ -131,12 +132,15 @@ type workerTelemetry struct {
 	casBytes   *telemetry.Counter
 }
 
-// initRuntime lazily builds the container runtime.
+// initRuntime lazily builds the container runtime and the chunk cache.
 func (w *Worker) initRuntime() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.runtime == nil {
 		w.runtime = sandbox.NewRuntime(w.Images)
+	}
+	if w.chunks == nil {
+		w.chunks = cas.NewCache(cas.CacheBytes)
 	}
 	if w.Clock == nil {
 		w.Clock = clock.Real{}
@@ -501,12 +505,13 @@ func (w *Worker) recordJob(ctx context.Context, req *JobRequest, fields docstore
 // download is worker step 4. It reads the job's upload object — a chunk
 // manifest, read under cas.MaxManifestBytes and validated by cas.Decode
 // before any chunk is touched — and materializes the tree it describes
-// at /src of a fresh filesystem, every chunk hash-verified as it lands.
-// Any other upload object, a .tar.bz2 included, fails the job. Under the
-// stage's span nest the two requests a fetch is on any tree size, the
-// manifest read and the one chunk stream; the span counts the transfer
-// (attrs "chunks", "bytes"). A final submission must also carry its
-// USAGE file and report.
+// at /src of a fresh filesystem: chunks this worker already verified come
+// from its cache, the rest from one chunk stream, each hash-verified as
+// it lands. Any other upload object, a .tar.bz2 included, fails the job.
+// Under the stage's span nest the manifest read and, unless the cache
+// held every chunk, the one chunk stream; the span counts what was
+// fetched (attrs "chunks", "bytes") and what the cache served ("cached").
+// A final submission must also carry its USAGE file and report.
 func (w *Worker) download(ctx context.Context, j *job) error {
 	rc, _, err := w.Objects.GetReader(ctx, j.req.UploadBucket, j.req.UploadKey)
 	if err != nil {
@@ -522,11 +527,12 @@ func (w *Worker) download(ctx context.Context, j *job) error {
 		return fmt.Errorf("cannot decode project manifest %s/%s: %w", j.req.UploadBucket, j.req.UploadKey, err)
 	}
 	j.src = vfs.New()
-	fetches, bytesFetched, err := cas.Materialize(ctx, m, w.Objects, j.src, "/src")
-	w.tel.casFetches.Add(float64(fetches))
-	w.tel.casBytes.Add(float64(bytesFetched))
-	j.stage.SetAttr("bytes", fmt.Sprint(int64(len(body))+bytesFetched))
-	j.stage.SetAttr("chunks", fmt.Sprint(fetches))
+	st, err := cas.Materialize(ctx, m, w.Objects, w.chunks, j.src, "/src")
+	w.tel.casFetches.Add(float64(st.Fetched))
+	w.tel.casBytes.Add(float64(st.Bytes))
+	j.stage.SetAttr("bytes", fmt.Sprint(int64(len(body))+st.Bytes))
+	j.stage.SetAttr("chunks", fmt.Sprint(st.Fetched))
+	j.stage.SetAttr("cached", fmt.Sprint(st.Cached))
 	if err != nil {
 		return fmt.Errorf("cannot materialize project tree: %w", err)
 	}

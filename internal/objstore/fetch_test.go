@@ -56,15 +56,15 @@ func TestFetchSurvivesCutStream(t *testing.T) {
 	c := NewClient(srv.URL, WithClientPolicy(retryPolicy()), WithClientTransport(ft))
 
 	dst := vfs.New()
-	fetches, n, err := cas.Materialize(ctx, m, c, dst, "/src")
+	st, err := cas.Materialize(ctx, m, c, nil, dst, "/src")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ft.Attempts() != 3 {
 		t.Errorf("attempts = %d, want 3 (two cut, one whole)", ft.Attempts())
 	}
-	if fetches != len(m.ChunkSet()) || n != m.TotalBytes {
-		t.Errorf("landed %d chunks, %d bytes; the tree has %d chunks, %d bytes", fetches, n, len(m.ChunkSet()), m.TotalBytes)
+	if st.Fetched != len(m.ChunkSet()) || st.Bytes != m.TotalBytes {
+		t.Errorf("landed %d chunks, %d bytes; the tree has %d chunks, %d bytes", st.Fetched, st.Bytes, len(m.ChunkSet()), m.TotalBytes)
 	}
 	assertTree(t, dst, "/src", files)
 	// One op on the books per request, and the payload bytes of all
@@ -81,11 +81,7 @@ func TestFetchSurvivesCutStream(t *testing.T) {
 // the asked-for order ends the call at once — no retry can fix a server
 // that answers wrongly — with an error naming the chunk that was due.
 func TestFetchRejectsBadFrames(t *testing.T) {
-	a, b := strings.Repeat("a", 3000), strings.Repeat("b", 4000)
-	ha, hb := cas.HashHex([]byte(a)), cas.HashHex([]byte(b))
-	frame := func(hash string, size int, payload string) string {
-		return fmt.Sprintf("%s %d\n%s", hash, size, payload)
-	}
+	a, b, ha, hb, frame := frameFixture()
 	for name, tc := range map[string]struct {
 		reply string
 		due   string // the chunk the error must name
@@ -177,15 +173,15 @@ func TestFetchChunkSweptMidStream(t *testing.T) {
 	defer srv.Close()
 	ft := &netx.FlakyTransport{}
 	c := NewClient(srv.URL, WithClientPolicy(retryPolicy()), WithClientTransport(ft))
-	fetches, _, err := cas.Materialize(ctx, m, c, vfs.New(), "/src")
+	st, err := cas.Materialize(ctx, m, c, nil, vfs.New(), "/src")
 	if !errors.Is(err, ErrNoObject) || !strings.Contains(err.Error(), victim) {
 		t.Fatalf("err = %v; want ErrNoObject naming %s", err, victim)
 	}
 	if ft.Attempts() != 2 {
 		t.Errorf("attempts = %d, want 2 (one broken mid-stream, one refused whole)", ft.Attempts())
 	}
-	if fetches >= len(chunks) {
-		t.Errorf("%d of %d chunks landed from a stream missing one", fetches, len(chunks))
+	if st.Fetched >= len(chunks) {
+		t.Errorf("%d of %d chunks landed from a stream missing one", st.Fetched, len(chunks))
 	}
 }
 

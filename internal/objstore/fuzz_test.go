@@ -1,0 +1,124 @@
+package objstore
+
+import (
+	"bytes"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"path"
+	"strings"
+	"testing"
+
+	"rai/internal/cas"
+)
+
+// frameFixture is two chunks and the frames of a reply carrying them.
+func frameFixture() (a, b, ha, hb string, frame func(hash string, size int, payload string) string) {
+	a, b = strings.Repeat("a", 3000), strings.Repeat("b", 4000)
+	ha, hb = cas.HashHex([]byte(a)), cas.HashHex([]byte(b))
+	frame = func(hash string, size int, payload string) string {
+		return fmt.Sprintf("%s %d\n%s", hash, size, payload)
+	}
+	return a, b, ha, hb, frame
+}
+
+// FuzzReadChunkFrames feeds arbitrary reply bodies to the client's frame
+// parser against a fixed list of two hashes. Whatever the server sends,
+// the parser must not panic, each must only ever be handed the hash that
+// was due with at most a chunk's worth of bytes, and a reply accepted
+// whole must have handed over every hash.
+func FuzzReadChunkFrames(f *testing.F) {
+	a, b, ha, hb, frame := frameFixture()
+	for _, reply := range []string{
+		frame(ha, 3000, a) + frame(hb, 4000, b),
+		frame(hb, 4000, b) + frame(ha, 3000, a),
+		frame(ha, 3000, a) + frame(ha, 3000, a),
+		frame(ha, cas.MaxChunk+1, a),
+		frame(ha, 3000, a) + frame(hb, 4000, b[:1000]),
+		frame(ha, 3000, a),
+		frame(ha, -1, "") + frame(hb, 0, ""),
+		"<html>proxy error</html>\n",
+		strings.Repeat("f", cas.MaxChunk+10),
+		"",
+	} {
+		f.Add([]byte(reply))
+	}
+	hashes := []string{ha, hb}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		n := 0
+		err := readChunkFrames(bytes.NewReader(body), hashes, func(hash string, data []byte) error {
+			if n >= len(hashes) || hash != hashes[n] {
+				t.Fatalf("handed %s as chunk %d of %v", hash, n, hashes)
+			}
+			if len(data) > cas.MaxChunk {
+				t.Fatalf("handed %d bytes under %s", len(data), hash)
+			}
+			n++
+			return nil
+		})
+		if err == nil && n != len(hashes) {
+			t.Fatalf("reply accepted after %d of %d chunks", n, len(hashes))
+		}
+	})
+}
+
+// casRoutes are the chunk routes FuzzCASHandler posts to, picked by the
+// input's first byte.
+var casRoutes = []string{"/cas/negotiate", "/cas/chunks", "/cas/fetch"}
+
+// FuzzCASHandler posts arbitrary bodies to every chunk route of a store
+// holding two chunks. Whatever the body, the handler must not panic,
+// must answer a bad request with a 4xx rather than a 5xx, and must leave
+// nothing addressable under a hash its bytes do not hash to.
+func FuzzCASHandler(f *testing.F) {
+	a, b, ha, hb, frame := frameFixture()
+	m := &cas.Manifest{
+		Files:      []cas.FileEntry{{Path: "a", Size: 3000, Chunks: []cas.ChunkRef{{Hash: ha, Size: 3000}}}},
+		TotalBytes: 3000,
+	}
+	m.Seal()
+	f.Add(byte(0), m.Encode())
+	f.Add(byte(0), []byte(cas.Magic+`{"tree_hash":"beef"}`))
+	f.Add(byte(1), []byte(frame(ha, 3000, a)+frame(hb, 4000, b)))
+	f.Add(byte(1), []byte(frame(ha, 16, "forged payload!!")))
+	f.Add(byte(1), []byte(frame(cas.HashHex([]byte("c")), 1, "c")+frame(hb, 4000, b[:10])))
+	f.Add(byte(2), []byte(ha+"\n"+hb))
+	f.Add(byte(2), []byte(ha+"\n\n"+strings.Repeat("0", 64)))
+	f.Add(byte(2), []byte(strings.Repeat("/.", 17)+"//../../rai-uploads/alice/j1/k"))
+	f.Fuzz(func(t *testing.T, route byte, body []byte) {
+		s := New()
+		if _, err := s.PutChunks(ctx, []string{ha, hb}, chunkMap{ha: []byte(a), hb: []byte(b)}); err != nil {
+			t.Fatal(err)
+		}
+		p := casRoutes[int(route)%len(casRoutes)]
+		rec := httptest.NewRecorder()
+		Handler(s, nil).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, p, bytes.NewReader(body)))
+		if rec.Code >= 500 {
+			t.Fatalf("POST %s %q = %d: %s", p, body, rec.Code, rec.Body)
+		}
+		infos, err := s.List(ctx, cas.Bucket, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, info := range infos {
+			data, err := s.Get(ctx, cas.Bucket, info.Key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := cas.HashHex(data); got != path.Base(info.Key) {
+				t.Fatalf("POST %s left %d bytes hashing to %s addressable as %s", p, len(data), got, info.Key)
+			}
+		}
+	})
+}
+
+// chunkMap is a cas.Source over payloads held in memory.
+type chunkMap map[string][]byte
+
+func (c chunkMap) Chunk(hash string) ([]byte, error) {
+	data, ok := c[hash]
+	if !ok {
+		return nil, fmt.Errorf("no chunk %s", hash)
+	}
+	return data, nil
+}

@@ -4,17 +4,29 @@
 // the student's /src), and a byte quota that stands in for the container
 // disk limit.
 //
+// A regular file is a list of immutable byte segments. No byte of a
+// segment is written once it is installed, so segments can be shared:
+// WriteFileParts installs the caller's segments without copying them
+// (the worker's /src is built this way from verified chunks that its
+// chunk cache holds too), and any number of files, in any number of
+// filesystems, may hold the same one. Writers pay instead of readers:
+// WriteFile copies its buffer into a fresh segment and AppendFile adds
+// one, and neither ever writes into a segment already there. ReadFile
+// still returns a fresh copy, so no caller can reach a shared byte.
+//
 // Paths are absolute and slash-separated. The root ("/") always exists.
 // An FS is safe for concurrent use. It also adapts to io/fs.FS for
 // interoperability with standard-library tooling.
 package vfs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"io/fs"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -45,9 +57,14 @@ type FS struct {
 }
 
 type node struct {
-	name     string
-	dir      bool
-	data     []byte
+	name string
+	dir  bool
+	// parts is a regular file's contents, in order, and size their total
+	// length. Neither a segment's bytes nor an element of parts is
+	// written once in place: a write replaces the list, an append extends
+	// it past every reader's length.
+	parts    [][]byte
+	size     int64
 	children map[string]*node
 	modTime  time.Time
 	// mount, when non-nil, redirects resolution into another FS.
@@ -257,8 +274,16 @@ func (f *FS) MkdirAll(p string) error {
 	return nil
 }
 
-// WriteFile creates or replaces a file with data.
+// WriteFile creates or replaces a file with a copy of data.
 func (f *FS) WriteFile(p string, data []byte) error {
+	return f.WriteFileParts(p, [][]byte{bytes.Clone(data)})
+}
+
+// WriteFileParts creates or replaces a file whose contents are parts,
+// concatenated, without copying them. The contract: the segments are
+// immutable from here on — nobody, the caller included, writes their
+// bytes again — which is what lets one segment back many files.
+func (f *FS) WriteFileParts(p string, parts [][]byte) error {
 	f.mu.Lock()
 	res, err := f.resolve(p, true)
 	if err != nil {
@@ -270,34 +295,39 @@ func (f *FS) WriteFile(p string, data []byte) error {
 		if res.readOnly {
 			return fmt.Errorf("%s: %w", p, ErrReadOnly)
 		}
-		return res.fs.WriteFile(res.path, data)
+		return res.fs.WriteFileParts(res.path, parts)
 	}
-	var prev int64
+	var prev, size int64
 	if res.node != nil {
 		if res.node.dir {
 			f.mu.Unlock()
 			return fmt.Errorf("%s: %w", p, ErrIsDir)
 		}
-		prev = int64(len(res.node.data))
+		prev = res.node.size
 	}
-	if f.quota > 0 && f.used-prev+int64(len(data)) > f.quota {
+	for _, part := range parts {
+		size += int64(len(part))
+	}
+	if f.quota > 0 && f.used-prev+size > f.quota {
 		f.mu.Unlock()
 		return fmt.Errorf("%s: %w", p, ErrQuota)
 	}
-	f.used += int64(len(data)) - prev
-	cp := make([]byte, len(data))
-	copy(cp, data)
+	f.used += size - prev
+	// Clipped, so an append allocates its own list instead of writing
+	// into spare capacity the caller may still hold.
+	parts = slices.Clip(parts)
 	if res.node != nil {
-		res.node.data = cp
+		res.node.parts, res.node.size = parts, size
 		res.node.modTime = f.now()
 	} else {
-		res.parent.children[res.leaf] = &node{name: res.leaf, data: cp, modTime: f.now()}
+		res.parent.children[res.leaf] = &node{name: res.leaf, parts: parts, size: size, modTime: f.now()}
 	}
 	f.mu.Unlock()
 	return nil
 }
 
-// AppendFile appends data to a file, creating it if absent.
+// AppendFile appends a copy of data to a file, creating it if absent.
+// The copy is a segment of its own; no existing segment is written.
 func (f *FS) AppendFile(p string, data []byte) error {
 	f.mu.Lock()
 	res, err := f.resolve(p, true)
@@ -321,42 +351,54 @@ func (f *FS) AppendFile(p string, data []byte) error {
 		return fmt.Errorf("%s: %w", p, ErrQuota)
 	}
 	f.used += int64(len(data))
-	if res.node != nil {
-		res.node.data = append(res.node.data, data...)
-		res.node.modTime = f.now()
-	} else {
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		res.parent.children[res.leaf] = &node{name: res.leaf, data: cp, modTime: f.now()}
+	n := res.node
+	if n == nil {
+		n = &node{name: res.leaf}
+		res.parent.children[res.leaf] = n
 	}
+	if len(data) > 0 {
+		n.parts = append(n.parts, bytes.Clone(data))
+		n.size += int64(len(data))
+	}
+	n.modTime = f.now()
 	f.mu.Unlock()
 	return nil
 }
 
 // ReadFile returns a copy of the file's contents.
 func (f *FS) ReadFile(p string) ([]byte, error) {
+	parts, size, err := f.segments(p)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, 0, size)
+	for _, part := range parts {
+		out = append(out, part...)
+	}
+	return out, nil
+}
+
+// segments returns a regular file's segment list and total size. The
+// list is the file's own: the caller reads it and writes nothing.
+func (f *FS) segments(p string) ([][]byte, int64, error) {
 	f.mu.RLock()
 	res, err := f.resolve(p, false)
 	if err != nil {
 		f.mu.RUnlock()
-		return nil, err
+		return nil, 0, err
 	}
 	if res.fs != nil {
 		f.mu.RUnlock()
-		return res.fs.ReadFile(res.path)
+		return res.fs.segments(res.path)
 	}
+	defer f.mu.RUnlock()
 	if res.node == nil {
-		f.mu.RUnlock()
-		return nil, fmt.Errorf("%s: %w", p, ErrNotExist)
+		return nil, 0, fmt.Errorf("%s: %w", p, ErrNotExist)
 	}
 	if res.node.dir {
-		f.mu.RUnlock()
-		return nil, fmt.Errorf("%s: %w", p, ErrIsDir)
+		return nil, 0, fmt.Errorf("%s: %w", p, ErrIsDir)
 	}
-	out := make([]byte, len(res.node.data))
-	copy(out, res.node.data)
-	f.mu.RUnlock()
-	return out, nil
+	return res.node.parts, res.node.size, nil
 }
 
 // FileInfo describes a file or directory.
@@ -386,7 +428,7 @@ func (f *FS) Stat(p string) (FileInfo, error) {
 		f.mu.RUnlock()
 		return FileInfo{}, fmt.Errorf("%s: %w", p, ErrNotExist)
 	}
-	fi := FileInfo{Name: res.node.name, Size: int64(len(res.node.data)), Dir: res.node.dir, ModTime: res.node.modTime}
+	fi := FileInfo{Name: res.node.name, Size: res.node.size, Dir: res.node.dir, ModTime: res.node.modTime}
 	f.mu.RUnlock()
 	return fi, nil
 }
@@ -419,7 +461,7 @@ func (f *FS) ReadDir(p string) ([]FileInfo, error) {
 	}
 	out := make([]FileInfo, 0, len(res.node.children))
 	for _, c := range res.node.children {
-		out = append(out, FileInfo{Name: c.name, Size: int64(len(c.data)), Dir: c.dir, ModTime: c.modTime})
+		out = append(out, FileInfo{Name: c.name, Size: c.size, Dir: c.dir, ModTime: c.modTime})
 	}
 	f.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
@@ -492,7 +534,7 @@ func subtreeSize(n *node) int64 {
 		return 0
 	}
 	if !n.dir {
-		return int64(len(n.data))
+		return n.size
 	}
 	var s int64
 	for _, c := range n.children {
@@ -611,11 +653,11 @@ func (i ioFS) Open(name string) (fs.File, error) {
 		}
 		return &ioDir{info: fi, entries: entries}, nil
 	}
-	data, err := i.f.ReadFile(p)
+	parts, _, err := i.f.segments(p)
 	if err != nil {
 		return nil, &fs.PathError{Op: "open", Path: name, Err: err}
 	}
-	return &ioFile{info: fi, data: data}, nil
+	return &ioFile{info: fi, parts: parts}, nil
 }
 
 func (i ioFS) ReadDir(name string) ([]fs.DirEntry, error) {
@@ -634,20 +676,28 @@ func (i ioFS) ReadDir(name string) ([]fs.DirEntry, error) {
 	return out, nil
 }
 
+// ioFile reads the segments the file had when it was opened, in place:
+// they are immutable, so opening copies nothing.
 type ioFile struct {
-	info FileInfo
-	data []byte
-	off  int
+	info     FileInfo
+	parts    [][]byte
+	seg, off int // read position: byte off of parts[seg]
 }
 
 func (f *ioFile) Stat() (fs.FileInfo, error) { return stdInfo{f.info}, nil }
 func (f *ioFile) Close() error               { return nil }
 func (f *ioFile) Read(p []byte) (int, error) {
-	if f.off >= len(f.data) {
+	n := 0
+	for n < len(p) && f.seg < len(f.parts) {
+		c := copy(p[n:], f.parts[f.seg][f.off:])
+		n += c
+		if f.off += c; f.off == len(f.parts[f.seg]) {
+			f.seg, f.off = f.seg+1, 0
+		}
+	}
+	if n == 0 && len(p) > 0 {
 		return 0, io.EOF
 	}
-	n := copy(p, f.data[f.off:])
-	f.off += n
 	return n, nil
 }
 

@@ -50,6 +50,54 @@ func TestWriteFileIsCopy(t *testing.T) {
 	}
 }
 
+// TestWriteFilePartsSharesSegments: a file installed from segments reads
+// back as their concatenation — through ReadFile, Stat, ReadDir, the
+// quota and io/fs — without a copy of them being made; appending to it
+// adds a segment of its own and writes neither the installed bytes nor
+// the spare capacity of the caller's segment list.
+func TestWriteFilePartsSharesSegments(t *testing.T) {
+	f := NewWithQuota(16)
+	seg := make([]byte, 3, 8)
+	copy(seg, "abc")
+	parts := make([][]byte, 2, 4)
+	parts[0], parts[1] = seg, []byte("defg")
+	if err := f.WriteFileParts("/d/f", parts); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.WriteFileParts("/d/g", [][]byte{seg, seg}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := f.ReadFile("/d/f"); err != nil || string(got) != "abcdefg" {
+		t.Fatalf("ReadFile = %q, %v", got, err)
+	}
+	if fi, err := f.Stat("/d/g"); err != nil || fi.Size != 6 || f.Used() != 13 {
+		t.Fatalf("Stat = %+v, %v; Used = %d", fi, err, f.Used())
+	}
+	if err := f.WriteFileParts("/d/h", [][]byte{[]byte("1234")}); !errors.Is(err, ErrQuota) {
+		t.Fatalf("over-quota parts: %v", err)
+	}
+	if got, err := fs.ReadFile(f.IOFS("/d"), "f"); err != nil || string(got) != "abcdefg" {
+		t.Fatalf("io/fs read across segments = %q, %v", got, err)
+	}
+	seg[0] = 'X' // breaks the contract on purpose: the file shares seg
+	if got, _ := f.ReadFile("/d/g"); string(got) != "XbcXbc" {
+		t.Fatalf("segments were copied: %q", got)
+	}
+	for _, p := range []string{"/d/f", "/d/g"} {
+		if err := f.AppendFile(p, []byte("h")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f2, _ := f.ReadFile("/d/f")
+	g2, _ := f.ReadFile("/d/g")
+	if string(f2) != "Xbcdefgh" || string(g2) != "XbcXbch" {
+		t.Fatalf("after append = %q, %q", f2, g2)
+	}
+	if spare := seg[3:8]; string(spare) != "\x00\x00\x00\x00\x00" || parts[:3][2] != nil {
+		t.Fatalf("append wrote past the caller's slices: segment tail %q, list %q", spare, parts[:3])
+	}
+}
+
 func TestPathValidation(t *testing.T) {
 	f := New()
 	for _, p := range []string{"", "relative", "also/relative"} {

@@ -19,15 +19,18 @@ go run ./cmd/raivet -max-ignores 4 ./...
 # runs for everyone.
 go run ./cmd/raivet -tests -enable goroleak,lockcopy,wgadd ./...
 go test -race ./...
-# Five-second fuzz smokes of the five decoders that parse bytes a peer
+# Five-second fuzz smokes of the seven decoders that parse bytes a peer
 # or a student controls: the brokerd frame codec, the upload manifest,
 # the rai-build.yml the worker's admit stage parses, the telemetry
-# batches any client may publish, and raidb's RPC bodies.
+# batches any client may publish, raidb's RPC bodies, and both ends of
+# raifs's /cas/ routes (the handlers and the client's frame reader).
 go test -run='^$' -fuzz='^FuzzBinaryDecode$' -fuzztime=5s ./internal/brokerd
 go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=5s ./internal/cas
 go test -run='^$' -fuzz='^FuzzParse$' -fuzztime=5s ./internal/build
 go test -run='^$' -fuzz='^FuzzDecodeBatch$' -fuzztime=5s ./internal/telemetry
 go test -run='^$' -fuzz='^FuzzHandler$' -fuzztime=5s ./internal/docstore
+go test -run='^$' -fuzz='^FuzzReadChunkFrames$' -fuzztime=5s ./internal/objstore
+go test -run='^$' -fuzz='^FuzzCASHandler$' -fuzztime=5s ./internal/objstore
 go test -run='^$' -bench=. -benchtime=1x .
 # One-iteration smoke of the analysis benchmark: catches the engine
 # regressing into re-type-checking per check (DESIGN.md §15).
