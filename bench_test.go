@@ -13,6 +13,8 @@ import (
 	"math"
 	"math/rand"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -582,6 +584,95 @@ func BenchmarkFetchProject(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkBuildDir measures client step 3's scan of the same large tree,
+// 8 × 256 KiB of seeded-random bytes, on disk and through the project's
+// stat index. cold has no index file, so every file is read and the index
+// written; one-of-eight follows a rewrite of one file; identical scans an
+// unchanged tree. Before each timed scan the filesystem clock is let move
+// past the last write, so no file is racy and only the rewritten one is
+// read.
+func BenchmarkBuildDir(b *testing.B) {
+	b.Setenv("XDG_CACHE_HOME", b.TempDir())
+	root, scratch := b.TempDir(), b.TempDir()
+	rng := rand.New(rand.NewSource(408))
+	blob := make([]byte, 256<<10)
+	rewrite := func(i int) {
+		rng.Read(blob)
+		if err := os.WriteFile(filepath.Join(root, fmt.Sprintf("blob%d.bin", i)), blob, 0o644); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// settle waits for a file created now to carry a later mtime than one
+	// created first: then every earlier write is older than the next
+	// scan's stamp.
+	settle := func() {
+		stamp := func() time.Time {
+			p := filepath.Join(scratch, "tick")
+			if err := os.WriteFile(p, nil, 0o600); err != nil {
+				b.Fatal(err)
+			}
+			fi, err := os.Stat(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := os.Remove(p); err != nil {
+				b.Fatal(err)
+			}
+			return fi.ModTime()
+		}
+		for first := stamp(); !stamp().After(first); {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		rewrite(i)
+	}
+	idx := cas.ProjectIndex(root)
+	scan := func(b *testing.B) {
+		m, _, err := cas.BuildDir(root, idx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if m.TotalBytes != 8*int64(len(blob)) {
+			b.Fatalf("scanned %d bytes", m.TotalBytes)
+		}
+	}
+	// Two scans, each after the clock moved on, leave every file trusted.
+	for i := 0; i < 2; i++ {
+		settle()
+		scan(b)
+	}
+	indexFile, err := filepath.Glob(filepath.Join(os.Getenv("XDG_CACHE_HOME"), "rai", "index", "*"))
+	if err != nil || len(indexFile) != 1 {
+		b.Fatalf("index files %v, %v", indexFile, err)
+	}
+	cases := []struct {
+		name   string
+		before func(i int)
+	}{
+		{"cold", func(int) {
+			if err := os.Remove(indexFile[0]); err != nil {
+				b.Fatal(err)
+			}
+		}},
+		{"one-of-eight", func(i int) { rewrite(i % 8) }},
+		{"identical", func(int) {}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(8 * int64(len(blob)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c.before(i)
+				settle()
+				b.StartTimer()
+				scan(b)
+			}
+		})
+	}
 }
 
 // BenchmarkDocstoreQuery measures two queries the system runs: a

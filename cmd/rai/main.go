@@ -146,7 +146,7 @@ func observe(ctx context.Context, queue broker.Queue, sampleRate float64) (*tele
 // the §VIII future-work feature ("interactive sessions to enable more
 // debugging and profiling tools").
 func session(ctx context.Context, creds auth.Credentials, dir, brokerAddr, fsURL string, timeout time.Duration, rpc rpcConfig, sampleRate float64, stdin io.Reader, stdout, stderr io.Writer) int {
-	m, src, err := cas.BuildDir(dir)
+	m, src, err := cas.BuildDir(dir, cas.ProjectIndex(dir))
 	if err != nil {
 		fmt.Fprintf(stderr, "rai: hashing project tree: %v\n", err)
 		return 1
@@ -261,7 +261,7 @@ func submit(ctx context.Context, cmd string, creds auth.Credentials, dir, broker
 
 	// Step 3: move the project (DESIGN.md §16): hash the tree into a
 	// chunk manifest, send only chunks the server lacks, then enqueue.
-	m, src, err := cas.BuildDir(dir)
+	m, src, err := cas.BuildDir(dir, cas.ProjectIndex(dir))
 	if err != nil {
 		fmt.Fprintf(stderr, "rai: hashing project tree: %v\n", err)
 		return 1

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"rai/internal/auth"
 	"rai/internal/broker"
 	"rai/internal/brokerd"
+	"rai/internal/cas"
 	"rai/internal/cnn"
 	"rai/internal/core"
 	"rai/internal/docstore"
@@ -86,9 +88,12 @@ func services(t *testing.T) (brokerAddr, fsURL, dbURL string, creds auth.Credent
 	return brokerSrv.Addr(), "http://" + fsLn.Addr().String(), "http://" + dbLn.Addr().String(), creds
 }
 
-// writeProject materializes a student project on disk.
+// writeProject materializes a student project on disk, and points the
+// user's cache directory, where rai keeps the project's stat index, at
+// one of the test's own.
 func writeProject(t *testing.T, spec project.Spec) string {
 	t.Helper()
+	t.Setenv("XDG_CACHE_HOME", t.TempDir())
 	dir := t.TempDir()
 	for rel, content := range project.Files(spec) {
 		p := filepath.Join(dir, filepath.FromSlash(rel))
@@ -141,6 +146,89 @@ func TestRaiRunEndToEnd(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
 		}
 	}
+}
+
+// TestRaiStatIndex: rai keeps one stat index per project in the user's
+// cache directory, and neither a corrupt index nor a cache directory it
+// cannot write changes what the worker gets: the uploaded manifest is
+// always the tree on disk.
+func TestRaiStatIndex(t *testing.T) {
+	brokerAddr, fsURL, dbURL, creds := services(t)
+	dir := writeProject(t, project.Spec{Impl: cnn.ImplIm2col, Tuning: 1, Team: "cli-team"})
+	cacheDir, err := os.UserCacheDir()
+	if err != nil {
+		t.Fatal(err)
+	}
+	profile := writeProfile(t, creds)
+	objects := objstore.NewClient(fsURL)
+	jobRE := regexp.MustCompile(`job (\S+) succeeded`)
+
+	// submit runs rai with notes.txt holding note, and checks that the
+	// manifest the worker was sent is the tree's.
+	submit := func(note string) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte(note), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out, errb bytes.Buffer
+		if code := run([]string{"-p", dir, "-profile", profile, "-broker", brokerAddr, "-fs", fsURL, "-db", dbURL, "-timeout", "60s", "run"}, &out, &errb); code != 0 {
+			t.Fatalf("rai run exited %d\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
+		}
+		job := jobRE.FindStringSubmatch(out.String())
+		if job == nil {
+			t.Fatalf("no job id in:\n%s", out.String())
+		}
+		blob, err := objects.Get(context.Background(), core.BucketUploads, creds.UserName+"/"+job[1]+"/project.manifest")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent, err := cas.Decode(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		onDisk, _, err := cas.BuildDir(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sent.TreeHash != onDisk.TreeHash {
+			t.Fatalf("worker was sent tree %s, the project is %s", sent.TreeHash, onDisk.TreeHash)
+		}
+	}
+	indexFiles := func() []string {
+		t.Helper()
+		files, err := filepath.Glob(filepath.Join(cacheDir, "rai", "index", "*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return files
+	}
+
+	submit("first run\n")
+	files := indexFiles()
+	if len(files) != 1 {
+		t.Fatalf("after one run the index directory holds %v, want one file", files)
+	}
+
+	const garbage = "not an index"
+	if err := os.WriteFile(files[0], []byte(garbage), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	submit("second run\n")
+	if again := indexFiles(); len(again) != 1 || again[0] != files[0] {
+		t.Fatalf("after the second run the index directory holds %v", again)
+	}
+	if data, err := os.ReadFile(files[0]); err != nil || string(data) == garbage {
+		t.Fatalf("corrupt index not rewritten: %q, %v", data, err)
+	}
+
+	// A cache directory under a regular file cannot be created, even by
+	// root, for whom permission bits are no obstacle.
+	blocker := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(blocker, nil, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv("XDG_CACHE_HOME", filepath.Join(blocker, "cache"))
+	submit("third run\n")
 }
 
 func TestRaiSubmitAndRanking(t *testing.T) {

@@ -112,7 +112,7 @@ func TestEditLocality(t *testing.T) {
 	}
 }
 
-func writeTree(t *testing.T, root string, files map[string]string, dirs ...string) {
+func writeTree(t testing.TB, root string, files map[string]string, dirs ...string) {
 	t.Helper()
 	for _, d := range dirs {
 		if err := os.MkdirAll(filepath.Join(root, filepath.FromSlash(d)), 0o755); err != nil {
@@ -150,7 +150,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	files, dirs := edgeTree()
 	writeTree(t, root, files, dirs...)
 
-	m, src, err := BuildDir(root)
+	m, src, err := BuildDir(root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestBuildVFSMatchesBuildDir(t *testing.T) {
 		}
 	}
 
-	md, _, err := BuildDir(root)
+	md, _, err := BuildDir(root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,7 +528,7 @@ func TestChunkKeyFanout(t *testing.T) {
 func TestSourceDetectsConcurrentEdit(t *testing.T) {
 	root := t.TempDir()
 	writeTree(t, root, map[string]string{"f.txt": "original content\n"})
-	m, src, err := BuildDir(root)
+	m, src, err := BuildDir(root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,8 +66,8 @@ func ChunkKey(hashHex string) string {
 
 // gear is the 256-entry random table driving the rolling hash. It is
 // generated at init from a fixed splitmix64 seed so chunk boundaries —
-// and therefore chunk hashes, tree hashes, and build-cache keys — are
-// identical across every client, worker, and release.
+// and therefore chunk hashes and tree hashes — are identical across
+// every client, worker, and release.
 var gear [256]uint64
 
 func init() {

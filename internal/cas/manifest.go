@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path"
@@ -85,13 +84,20 @@ func (m *Manifest) ChunkSet() []string {
 // hash identically no matter where the manifest was built.
 func computeTreeHash(m *Manifest) string {
 	h := sha256.New()
+	// One line buffer for every record: a hash.Hash takes no strings, so
+	// writing each as one would allocate per chunk.
+	var line []byte
 	for _, d := range m.Dirs {
-		_, _ = io.WriteString(h, "D "+d+"\n")
+		line = append(append(append(line[:0], "D "...), d...), '\n')
+		h.Write(line)
 	}
 	for _, f := range m.Files {
-		_, _ = io.WriteString(h, "F "+f.Path+" "+strconv.FormatInt(f.Size, 10)+"\n")
+		line = append(append(line[:0], "F "...), f.Path...)
+		line = append(strconv.AppendInt(append(line, ' '), f.Size, 10), '\n')
+		h.Write(line)
 		for _, c := range f.Chunks {
-			_, _ = io.WriteString(h, c.Hash+"\n")
+			line = append(append(line[:0], c.Hash...), '\n')
+			h.Write(line)
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
@@ -262,19 +268,47 @@ func (s *vfsSource) Chunk(hash string) ([]byte, error) {
 	return buf, nil
 }
 
-// chunkFile splits one file's content and records chunk refs + locations.
-func chunkFile(rel string, data []byte, locs map[string]chunkLoc) FileEntry {
+// chunkFile splits one file's content into its manifest entry.
+func chunkFile(rel string, data []byte) FileEntry {
 	fe := FileEntry{Path: rel, Size: int64(len(data))}
-	var off int64
 	for _, c := range Split(data) {
-		h := HashHex(c)
-		fe.Chunks = append(fe.Chunks, ChunkRef{Hash: h, Size: int64(len(c))})
-		if _, ok := locs[h]; !ok {
-			locs[h] = chunkLoc{path: rel, off: off, size: int64(len(c))}
-		}
-		off += int64(len(c))
+		fe.Chunks = append(fe.Chunks, ChunkRef{Hash: HashHex(c), Size: int64(len(c))})
 	}
 	return fe
+}
+
+// addLocs records where each chunk of fe first appears, for the Source
+// to reread it from there.
+func addLocs(fe FileEntry, locs map[string]chunkLoc) {
+	var off int64
+	for _, c := range fe.Chunks {
+		if _, ok := locs[c.Hash]; !ok {
+			locs[c.Hash] = chunkLoc{path: fe.Path, off: off, size: c.Size}
+		}
+		off += c.Size
+	}
+}
+
+// openFile opens each file BuildDir reads; tests count the opens.
+var openFile = os.Open
+
+// readFile is os.ReadFile that also returns the stat data of the
+// descriptor it read through.
+func readFile(name string) ([]byte, fs.FileInfo, error) {
+	f, err := openFile(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, nil, err
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, fi.Size()+bytes.MinRead))
+	if _, err := buf.ReadFrom(f); err != nil {
+		return nil, nil, err
+	}
+	return buf.Bytes(), fi, nil
 }
 
 // skipDir mirrors archivex.PackDirTo's VCS-metadata exclusions so the
@@ -288,9 +322,17 @@ func skipDir(name string) bool {
 // directories are skipped and only regular files are included, so the
 // tree hash agrees with what the worker computes after unpacking the
 // equivalent archive.
-func BuildDir(root string) (*Manifest, Source, error) {
+//
+// idx is the directory's stat index (DirIndex): a file whose stat data is
+// a trusted entry's key is not read, and its refs come from the index;
+// every other file is read and chunked. The manifest is the same either
+// way, and the Source still rereads and rehashes every chunk it serves.
+// After a successful scan the index is rewritten. A nil idx holds
+// nothing.
+func BuildDir(root string, idx *DirIndex) (*Manifest, Source, error) {
 	m := &Manifest{}
 	src := &dirSource{root: root, locs: make(map[string]chunkLoc)}
+	scan := idx.begin()
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -313,15 +355,21 @@ func BuildDir(root string) (*Manifest, Source, error) {
 		if !d.Type().IsRegular() {
 			return nil
 		}
-		data, rerr := os.ReadFile(p)
-		if rerr != nil {
-			return rerr
+		fe, ok := scan.reuse(rel, d)
+		if !ok {
+			data, fi, rerr := readFile(p)
+			if rerr != nil {
+				return rerr
+			}
+			fe = chunkFile(rel, data)
+			scan.record(fe, fi)
 		}
-		fe := chunkFile(rel, data, src.locs)
+		addLocs(fe, src.locs)
 		m.Files = append(m.Files, fe)
 		m.TotalBytes += fe.Size
 		return nil
 	})
+	scan.finish(err == nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("cas: scanning %s: %w", root, err)
 	}
@@ -353,7 +401,8 @@ func BuildVFS(fsys *vfs.FS, root string) (*Manifest, Source, error) {
 		if rerr != nil {
 			return rerr
 		}
-		fe := chunkFile(rel, data, src.locs)
+		fe := chunkFile(rel, data)
+		addLocs(fe, src.locs)
 		m.Files = append(m.Files, fe)
 		m.TotalBytes += fe.Size
 		return nil

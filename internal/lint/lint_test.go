@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -156,6 +157,26 @@ func TestLoadTreeSkipsNestedModule(t *testing.T) {
 	}
 	if len(got) != 1 || got[0] != "nestedmod/outer" {
 		t.Fatalf("packages = %v, want [nestedmod/outer]", got)
+	}
+}
+
+// TestLoadSkipsOtherPlatforms: a package's files for another platform,
+// by file name or by //go:build line, are left out as go vet leaves them
+// out, so per-OS definitions of one name type-check.
+func TestLoadSkipsOtherPlatforms(t *testing.T) {
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"p.go":                      "package p\n\nvar _ = f()\n",
+		"f_" + runtime.GOOS + ".go": "package p\n\nfunc f() int { return 1 }\n",
+		"f_plan9.go":                "package p\n\nfunc f() int { return 2 }\n",
+		"f_tagged.go":               "//go:build plan9\n\npackage p\n\nfunc f() int { return 3 }\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := NewLoader().LoadDirs([]string{dir}, []string{"p"}); err != nil {
+		t.Fatal(err)
 	}
 }
 

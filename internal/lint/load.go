@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -174,6 +175,16 @@ func (l *Loader) parseDir(dir, importPath string) error {
 		}
 		isTest := strings.HasSuffix(name, "_test.go")
 		if isTest && !l.tests {
+			continue
+		}
+		// Files for another platform (stat_darwin.go, //go:build
+		// windows) are not part of the package being checked, as for go
+		// vet.
+		match, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return fmt.Errorf("lint: %w", err)
+		}
+		if !match {
 			continue
 		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)

@@ -24,7 +24,7 @@ func buildTestTree(t *testing.T, files map[string]string) (*cas.Manifest, cas.So
 			t.Fatal(err)
 		}
 	}
-	m, src, err := cas.BuildDir(root)
+	m, src, err := cas.BuildDir(root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,10 @@ set -eux
 
 go vet ./...
 go build ./...
+# The release targets include darwin and windows, and the client's stat
+# index reads per-OS stat data: keep both cross builds compiling.
+GOOS=darwin go build -o /dev/null ./cmd/rai
+GOOS=windows go build -o /dev/null ./cmd/rai
 # The full static-analysis pass, with the suppression budget pinned to
 # the current debt: adding a //lint:ignore now means paying one down or
 # raising the number here in review.
@@ -19,13 +23,15 @@ go run ./cmd/raivet -max-ignores 4 ./...
 # runs for everyone.
 go run ./cmd/raivet -tests -enable goroleak,lockcopy,wgadd ./...
 go test -race ./...
-# Five-second fuzz smokes of the seven decoders that parse bytes a peer
-# or a student controls: the brokerd frame codec, the upload manifest,
-# the rai-build.yml the worker's admit stage parses, the telemetry
-# batches any client may publish, raidb's RPC bodies, and both ends of
-# raifs's /cas/ routes (the handlers and the client's frame reader).
+# Five-second fuzz smokes of the eight decoders that parse bytes a peer,
+# a student or a damaged disk controls: the brokerd frame codec, the
+# upload manifest, the client's stat index, the rai-build.yml the
+# worker's admit stage parses, the telemetry batches any client may
+# publish, raidb's RPC bodies, and both ends of raifs's /cas/ routes
+# (the handlers and the client's frame reader).
 go test -run='^$' -fuzz='^FuzzBinaryDecode$' -fuzztime=5s ./internal/brokerd
 go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=5s ./internal/cas
+go test -run='^$' -fuzz='^FuzzDirIndex$' -fuzztime=5s ./internal/cas
 go test -run='^$' -fuzz='^FuzzParse$' -fuzztime=5s ./internal/build
 go test -run='^$' -fuzz='^FuzzDecodeBatch$' -fuzztime=5s ./internal/telemetry
 go test -run='^$' -fuzz='^FuzzHandler$' -fuzztime=5s ./internal/docstore
