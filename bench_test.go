@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"rai/internal/archivex"
+	"rai/internal/blobstore"
 	"rai/internal/broker"
 	"rai/internal/brokerd"
 	"rai/internal/build"
@@ -729,9 +730,27 @@ func BenchmarkDocstoreQuery(b *testing.B) {
 // 64-record batch — 48 spans of a fresh trace and 16 events — over HTTP
 // into a raidb whose traces collection already holds 5,000 spans, the
 // way every batch an exporter ships is written. Client and server share
-// the process, so B/op and allocs/op are the sum of both ends.
+// the process, so B/op and allocs/op are the sum of both ends. memory is
+// raidb without -store-root; journaled adds the journal on a disk store
+// in a temp directory, as raidb -store-root runs.
 func BenchmarkCollectorPersist(b *testing.B) {
-	db := docstore.New()
+	b.Run("memory", func(b *testing.B) { benchCollectorPersist(b, docstore.New()) })
+	b.Run("journaled", func(b *testing.B) {
+		be, err := blobstore.NewDisk(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer be.Close()
+		db, err := docstore.Open(bg, be, "journal", "rai.journal")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer db.Close()
+		benchCollectorPersist(b, db)
+	})
+}
+
+func benchCollectorPersist(b *testing.B, db *docstore.DB) {
 	srv := httptest.NewServer(docstore.Handler(db, nil))
 	defer srv.Close()
 	t0 := time.Date(2016, 11, 28, 9, 0, 0, 0, time.UTC)

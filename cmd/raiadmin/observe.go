@@ -219,7 +219,9 @@ func logsCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	dbURL := fs.String("db", "http://127.0.0.1:7402", "database URL")
 	follow := fs.Bool("follow", false, "poll for new events until interrupted")
-	interval := fs.Duration("interval", 2*time.Second, "poll interval with -follow")
+	// Events reach the database one exporter flush after they happen, so
+	// polling at that cadence keeps a follower at most one flush behind.
+	interval := fs.Duration("interval", telemetry.DefaultExportInterval, "poll interval with -follow")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -251,27 +253,11 @@ func logsCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if !*follow {
 		return 0
 	}
-	// Prefer the database's watch stream: each insert into the events
-	// collection wakes the cursor immediately instead of waiting out a
-	// poll interval. When Watch fails or the stream ends (a server
-	// without /w/, a restart mid-tail) ch is nil, which never fires, and
-	// the cursor wakes on a fixed cadence instead.
-	ch, _ := db.Watch(ctx, core.CollEvents)
 	for {
-		var tick <-chan time.Time
-		if ch == nil {
-			tick = clock.Real{}.After(*interval)
-		}
 		select {
 		case <-ctx.Done():
 			return 0
-		case _, ok := <-ch:
-			if !ok {
-				ch = nil
-				continue
-			}
-			drainWatch(ch)
-		case <-tick:
+		case <-clock.Real{}.After(*interval):
 		}
 		if err := print(); err != nil {
 			if ctx.Err() != nil {
@@ -279,20 +265,6 @@ func logsCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			}
 			fmt.Fprintf(stderr, "raiadmin logs: %v\n", err)
 			return 1
-		}
-	}
-}
-
-// drainWatch empties queued notifications so one print covers a burst.
-func drainWatch(ch <-chan docstore.WatchEvent) {
-	for {
-		select {
-		case _, ok := <-ch:
-			if !ok {
-				return
-			}
-		default:
-			return
 		}
 	}
 }

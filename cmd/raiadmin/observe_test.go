@@ -70,12 +70,14 @@ func (l *lockedBuffer) String() string {
 	return l.b.String()
 }
 
-// followUntilPrinted runs `logs -follow` against url and keeps inserting
-// events for the job until one of them shows up on stdout (the first
-// inserts can race the command's own startup), then interrupts it and
-// expects a clean exit.
-func followUntilPrinted(t *testing.T, url string, db *docstore.Client, interval string) {
-	t.Helper()
+// TestLogsFollowPolls runs `logs -follow` and keeps inserting events for
+// the job until one of them shows up on stdout, which only a poll after
+// the command's first print can find; then it interrupts the command
+// and expects a clean exit.
+func TestLogsFollowPolls(t *testing.T) {
+	srv := httptest.NewServer(docstore.Handler(docstore.New(), nil))
+	defer srv.Close()
+	url, db, interval := srv.URL, docstore.NewClient(srv.URL), "10ms"
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var out, errb lockedBuffer
@@ -102,34 +104,6 @@ func followUntilPrinted(t *testing.T, url string, db *docstore.Client, interval 
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("logs -follow did not stop on interrupt")
-	}
-}
-
-// TestLogsWatchNegotiation exercises the -follow fast path: with the
-// poll interval far beyond the test's patience, only the watch stream
-// can have woken the cursor.
-func TestLogsWatchNegotiation(t *testing.T) {
-	srv := httptest.NewServer(docstore.Handler(docstore.New(), nil))
-	defer srv.Close()
-	followUntilPrinted(t, srv.URL, docstore.NewClient(srv.URL), "1h")
-}
-
-// TestLogsWatchFallback: against a server whose /w/ is missing (404) or
-// unsupported (501) Watch errors, and -follow still prints by polling.
-func TestLogsWatchFallback(t *testing.T) {
-	for _, status := range []int{http.StatusNotFound, http.StatusNotImplemented} {
-		t.Run(http.StatusText(status), func(t *testing.T) {
-			db := docstore.Handler(docstore.New(), nil)
-			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if strings.HasPrefix(r.URL.Path, "/w/") {
-					http.Error(w, "no stream here", status)
-					return
-				}
-				db.ServeHTTP(w, r)
-			}))
-			defer srv.Close()
-			followUntilPrinted(t, srv.URL, docstore.NewClient(srv.URL), "10ms")
-		})
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"syscall"
 	"time"
 
+	"rai/internal/blobstore"
 	"rai/internal/brokerd"
 	"rai/internal/core"
 	"rai/internal/docstore"
@@ -32,6 +33,13 @@ import (
 // version is stamped by the CI pipeline; kept in lockstep with cmd/rai.
 const version = "0.2.0-dev"
 
+// The journal is the blob journal/rai.journal of the disk store at
+// -store-root: the file <root>/journal/rai.journal, plus its .meta.
+const (
+	journalBucket = "journal"
+	journalKey    = "rai.journal"
+)
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, nil, nil))
 }
@@ -40,7 +48,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, quit <-ch
 	fs := flag.NewFlagSet("raidb", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:7402", "listen address (\":0\" picks a free port, reported on stdout and the ready file)")
-	storeRoot := fs.String("store-root", "", "directory for durability; the journal lives at <root>/rai.journal (empty = in-memory only)")
+	storeRoot := fs.String("store-root", "", "directory for durability; the journal lives at <root>/journal/rai.journal (empty = in-memory only)")
 	metricsAddr := fs.String("metrics-addr", "", "serve GET /metrics on this address (empty = disabled)")
 	pprofOn := fs.Bool("pprof", false, "mount /debug/pprof on the metrics address")
 	brokerAddr := fs.String("broker", "", "broker address for shipping spans/events to the collector (empty = off)")
@@ -110,26 +118,27 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, quit <-ch
 	defer stop()
 	// As in raifs: a configured root directory means a journal on disk,
 	// its absence memory only.
-	var handler http.Handler
+	db := docstore.New()
 	if *storeRoot != "" {
-		journalPath := filepath.Join(*storeRoot, "rai.journal")
-		pdb, err := docstore.OpenPersistent(ctx, journalPath)
+		be, err := blobstore.NewDisk(*storeRoot)
 		if err != nil {
+			fmt.Fprintf(stderr, "raidb: opening store: %v\n", err)
+			return 1
+		}
+		defer be.Close()
+		if db, err = docstore.Open(ctx, be, journalBucket, journalKey); err != nil {
 			fmt.Fprintf(stderr, "raidb: opening journal: %v\n", err)
 			return 1
 		}
-		defer pdb.Close()
-		handler = docstore.Handler(pdb, nil, handlerOpts...)
-		fmt.Fprintf(stdout, "raidb journaling to %s\n", journalPath)
-	} else {
-		handler = docstore.Handler(docstore.New(), nil, handlerOpts...)
+		defer db.Close()
+		fmt.Fprintf(stdout, "raidb journaling to %s\n", filepath.Join(*storeRoot, journalBucket, journalKey))
 	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(stderr, "raidb: %v\n", err)
 		return 1
 	}
-	srv := &http.Server{Handler: handler}
+	srv := &http.Server{Handler: docstore.Handler(db, nil, handlerOpts...)}
 	go func() { _ = srv.Serve(ln) }()
 	fmt.Fprintf(stdout, "raidb listening on %s\n", ln.Addr())
 	if *readyPath != "" {

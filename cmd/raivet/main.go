@@ -2,7 +2,6 @@
 // over the module. See internal/lint for the engine; the checks:
 //
 //	clock       no direct time.Now/Sleep/... outside internal/clock
-//	ctxbg       no context.Background()/TODO() in library code
 //	ctxfirst    exported functions take ctx as the first parameter
 //	span        every started telemetry span is ended or handed off
 //	httpresp    every *http.Response body is closed and drained
@@ -12,7 +11,8 @@
 //	lockorder   no cycles in the whole-module lock-ordering graph
 //	goroleak    spawned goroutines cannot block forever uncancellably
 //	errflow     error results are not dropped or overwritten unchecked
-//	ctxflow     callers with ctx in scope do not pass Background roots
+//	ctxflow     no Background()/TODO() in library code, and callers with
+//	            ctx in scope do not pass Background roots
 //
 // The last four are interprocedural: they run on a whole-module call
 // graph with per-function summaries (see internal/lint/summary.go).

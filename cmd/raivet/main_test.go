@@ -111,12 +111,12 @@ func TestMaxIgnoresBudget(t *testing.T) {
 	if code := run([]string{"-max-ignores", "0", dir}, &out, &errOut); code != 0 {
 		t.Fatalf("clean package, budget 0: exit %d\n%s%s", code, out.String(), errOut.String())
 	}
-	// The telemetry package carries a live ignore; a budget of 0 from
-	// its directory must fail even though the checks themselves pass.
-	telemetryDir := filepath.Join("..", "..", "internal", "telemetry")
+	// The objstore package carries live ignores; a budget of 0 from its
+	// directory must fail and say why.
+	objstoreDir := filepath.Join("..", "..", "internal", "objstore")
 	out.Reset()
 	errOut.Reset()
-	code := run([]string{"-max-ignores", "0", telemetryDir}, &out, &errOut)
+	code := run([]string{"-max-ignores", "0", objstoreDir}, &out, &errOut)
 	if code != 1 {
 		t.Fatalf("budget 0 over a package with ignores: exit %d, want 1\n%s", code, errOut.String())
 	}

@@ -16,9 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"path"
-	"path/filepath"
 	"strings"
 
 	"rai/internal/bzip2w"
@@ -194,150 +192,4 @@ func safeRel(name string) (string, error) {
 		return "", fmt.Errorf("%w: %q", ErrTraversal, name)
 	}
 	return cleaned, nil
-}
-
-// PackDir produces a .tar.bz2 of a host directory. Thin adapter over
-// PackDirTo.
-func PackDir(dir string) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := PackDirTo(&buf, dir); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// PackDirTo streams a .tar.bz2 of a host directory to w (used by the
-// client to upload the student's project, typically through a temp
-// file so the upload can rewind on retry). File bytes flow disk → tar
-// → bzip2 → w without the tree ever being resident in memory. Hidden
-// VCS directories (.git, .hg, .svn) are skipped, matching the RAI
-// client's behaviour of not shipping history.
-func PackDirTo(w io.Writer, dir string) error {
-	bz, err := bzip2w.NewWriterLevel(w, 6)
-	if err != nil {
-		return err
-	}
-	tw := tar.NewWriter(bz)
-	err = filepath.WalkDir(dir, func(p string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(dir, p)
-		if err != nil {
-			return err
-		}
-		rel = filepath.ToSlash(rel)
-		if rel == "." {
-			return nil
-		}
-		base := path.Base(rel)
-		if d.IsDir() && (base == ".git" || base == ".hg" || base == ".svn") {
-			return filepath.SkipDir
-		}
-		fi, err := d.Info()
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			return tw.WriteHeader(&tar.Header{
-				Name:     rel + "/",
-				Typeflag: tar.TypeDir,
-				Mode:     0o755,
-				ModTime:  fi.ModTime(),
-			})
-		}
-		if !d.Type().IsRegular() {
-			return nil // sockets, symlinks, devices are not shipped
-		}
-		if err := tw.WriteHeader(&tar.Header{
-			Name:    rel,
-			Mode:    0o644,
-			Size:    fi.Size(),
-			ModTime: fi.ModTime(),
-		}); err != nil {
-			return err
-		}
-		f, err := os.Open(p)
-		if err != nil {
-			return err
-		}
-		_, err = io.Copy(tw, f)
-		_ = f.Close()
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	if err := tw.Close(); err != nil {
-		return err
-	}
-	return bz.Close()
-}
-
-// UnpackDir extracts a .tar.bz2 into a host directory, enforcing
-// limits. Thin adapter over UnpackDirFrom.
-func UnpackDir(data []byte, dest string, lim Limits) error {
-	return UnpackDirFrom(bytes.NewReader(data), dest, lim)
-}
-
-// UnpackDirFrom extracts a .tar.bz2 streamed from r into a host
-// directory, enforcing limits. Entries stream straight to their files;
-// peak memory is the decompressor's window, independent of archive
-// size.
-func UnpackDirFrom(r io.Reader, dest string, lim Limits) error {
-	lim = lim.withDefaults()
-	tr := tar.NewReader(bzip2.NewReader(r))
-	var total int64
-	files := 0
-	for {
-		hdr, err := tr.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("archivex: reading tar: %w", err)
-		}
-		rel, err := safeRel(hdr.Name)
-		if err != nil {
-			return err
-		}
-		files++
-		if files > lim.MaxFiles {
-			return fmt.Errorf("%w: more than %d entries", ErrTooLarge, lim.MaxFiles)
-		}
-		hostPath := filepath.Join(dest, filepath.FromSlash(rel))
-		switch hdr.Typeflag {
-		case tar.TypeDir:
-			if err := os.MkdirAll(hostPath, 0o755); err != nil {
-				return err
-			}
-		case tar.TypeReg:
-			if hdr.Size > lim.MaxPerFile {
-				return fmt.Errorf("%w: entry %s is %d bytes", ErrTooLarge, rel, hdr.Size)
-			}
-			if err := os.MkdirAll(filepath.Dir(hostPath), 0o755); err != nil {
-				return err
-			}
-			f, err := os.OpenFile(hostPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-			if err != nil {
-				return err
-			}
-			n, err := io.Copy(f, io.LimitReader(tr, lim.MaxPerFile+1))
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return err
-			}
-			if n > lim.MaxPerFile {
-				return fmt.Errorf("%w: entry %s larger than declared", ErrTooLarge, rel)
-			}
-			total += n
-			if total > lim.MaxBytes {
-				return fmt.Errorf("%w: total exceeds %d bytes", ErrTooLarge, lim.MaxBytes)
-			}
-		default:
-			return fmt.Errorf("%w: %s (type %c)", ErrBadEntry, rel, hdr.Typeflag)
-		}
-	}
 }

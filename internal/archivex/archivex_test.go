@@ -4,8 +4,6 @@ import (
 	"archive/tar"
 	"bytes"
 	"errors"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -110,34 +108,6 @@ func TestUnpackRejectsSymlinks(t *testing.T) {
 	err := UnpackVFS(raw.Bytes(), vfs.New(), "/d", Limits{})
 	if !errors.Is(err, ErrBadEntry) {
 		t.Errorf("symlink entry: %v", err)
-	}
-}
-
-func TestPackDirUnpackDir(t *testing.T) {
-	src := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(src, "sub", ".git"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	os.WriteFile(filepath.Join(src, "main.cu"), []byte("code"), 0o644)
-	os.WriteFile(filepath.Join(src, "sub", "a.txt"), []byte("aaa"), 0o644)
-	os.WriteFile(filepath.Join(src, "sub", ".git", "HEAD"), []byte("ref"), 0o644)
-
-	data, err := PackDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := t.TempDir()
-	if err := UnpackDir(data, dst, Limits{}); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := os.ReadFile(filepath.Join(dst, "main.cu")); err != nil || string(got) != "code" {
-		t.Errorf("main.cu: %q, %v", got, err)
-	}
-	if got, err := os.ReadFile(filepath.Join(dst, "sub", "a.txt")); err != nil || string(got) != "aaa" {
-		t.Errorf("sub/a.txt: %q, %v", got, err)
-	}
-	if _, err := os.Stat(filepath.Join(dst, "sub", ".git")); !os.IsNotExist(err) {
-		t.Error(".git directory was shipped")
 	}
 }
 

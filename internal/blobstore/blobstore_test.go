@@ -25,7 +25,7 @@ func memoryFactory(t *testing.T, opts ...blobstore.Option) (blobstore.Backend, *
 }
 
 func TestMemoryConformance(t *testing.T) {
-	conformance.Suite{New: memoryFactory}.Run(t)
+	conformance.Suite{New: memoryFactory}.Run(context.Background(), t)
 }
 
 func TestDiskConformance(t *testing.T) {
@@ -55,7 +55,7 @@ func TestDiskConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 		},
-	}.Run(t)
+	}.Run(context.Background(), t)
 }
 
 func TestTableConformance(t *testing.T) {
@@ -72,7 +72,7 @@ func TestTableConformance(t *testing.T) {
 			}
 			return tab, vc
 		},
-	}.Run(t)
+	}.Run(context.Background(), t)
 }
 
 func TestDiskReloadIndexesWithoutData(t *testing.T) {
@@ -142,46 +142,6 @@ func TestDiskRejectsMissingOrCorruptMeta(t *testing.T) {
 	os.WriteFile(filepath.Join(dir, "b", "obj.meta"), []byte("{not json"), 0o600)
 	if _, err := blobstore.NewDisk(dir); err == nil {
 		t.Fatal("corrupt metadata accepted")
-	}
-}
-
-func TestDiskAdoptMigratesFlatFile(t *testing.T) {
-	dir := t.TempDir()
-	legacy := filepath.Join(dir, "rai.journal")
-	os.WriteFile(legacy, []byte("line1\nline2\n"), 0o600)
-	d, err := blobstore.NewDisk(filepath.Join(dir, "store"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	info, err := d.Adopt(context.Background(), "journal", "rai.journal", legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Size != 12 {
-		t.Errorf("adopted size = %d", info.Size)
-	}
-	if _, err := os.Stat(legacy); !errors.Is(err, os.ErrNotExist) {
-		t.Error("legacy file still present after adoption")
-	}
-	rc, _, err := d.Open(context.Background(), "journal", "rai.journal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-	data, _ := io.ReadAll(rc)
-	if string(data) != "line1\nline2\n" {
-		t.Errorf("adopted content = %q", data)
-	}
-	// The adopted blob survives a reload like any native one.
-	d.Close()
-	d2, err := blobstore.NewDisk(filepath.Join(dir, "store"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	if _, err := d2.Stat(context.Background(), "journal", "rai.journal"); err != nil {
-		t.Errorf("adopted blob lost on reload: %v", err)
 	}
 }
 

@@ -33,19 +33,13 @@ type Suite struct {
 // start is the virtual timeline origin for every subtest.
 var start = time.Date(2016, 11, 1, 0, 0, 0, 0, time.UTC)
 
-// The suite drives backends synchronously from tests; there is no
-// caller context to inherit.
-//
-//lint:ignore ctxbg conformance subtests have no caller context; cancellation is exercised explicitly via WithCancel
-var testCtx = context.Background()
-
 // NewVirtual returns a clock positioned at the suite's timeline origin;
 // factories use it so every backend ticks from the same instant.
 func NewVirtual() *clock.Virtual { return clock.NewVirtual(start) }
 
-func put(t *testing.T, be blobstore.Backend, bucket, key string, data []byte, ttl time.Duration) blobstore.Info {
+func put(ctx context.Context, t *testing.T, be blobstore.Backend, bucket, key string, data []byte, ttl time.Duration) blobstore.Info {
 	t.Helper()
-	w, err := be.Create(testCtx, bucket, key, blobstore.PutOptions{TTL: ttl})
+	w, err := be.Create(ctx, bucket, key, blobstore.PutOptions{TTL: ttl})
 	if err != nil {
 		t.Fatalf("Create(%s/%s): %v", bucket, key, err)
 	}
@@ -58,9 +52,9 @@ func put(t *testing.T, be blobstore.Backend, bucket, key string, data []byte, tt
 	return w.Info()
 }
 
-func get(t *testing.T, be blobstore.Backend, bucket, key string) []byte {
+func get(ctx context.Context, t *testing.T, be blobstore.Backend, bucket, key string) []byte {
 	t.Helper()
-	rc, _, err := be.Open(testCtx, bucket, key)
+	rc, _, err := be.Open(ctx, bucket, key)
 	if err != nil {
 		t.Fatalf("Open(%s/%s): %v", bucket, key, err)
 	}
@@ -72,10 +66,9 @@ func get(t *testing.T, be blobstore.Backend, bucket, key string) []byte {
 	return data
 }
 
-// Run executes every contract subtest against fresh backends.
-func (s Suite) Run(t *testing.T) {
-	ctx := testCtx
-
+// Run executes every contract subtest against fresh backends, under
+// the calling test's ctx.
+func (s Suite) Run(ctx context.Context, t *testing.T) {
 	t.Run("StreamingRoundTrip", func(t *testing.T) {
 		be, _ := s.New(t)
 		defer be.Close()
@@ -103,7 +96,7 @@ func (s Suite) Run(t *testing.T) {
 		if info.ETag == "" {
 			t.Error("Info().ETag empty after commit")
 		}
-		got := get(t, be, "b", "team1/j1/project.tar.bz2")
+		got := get(ctx, t, be, "b", "team1/j1/project.tar.bz2")
 		if !bytes.Equal(got, want.Bytes()) {
 			t.Errorf("round-trip mismatch: got %d bytes, want %d", len(got), want.Len())
 		}
@@ -135,7 +128,7 @@ func (s Suite) Run(t *testing.T) {
 	t.Run("AbortCleansUpPartialWrite", func(t *testing.T) {
 		be, _ := s.New(t)
 		defer be.Close()
-		put(t, be, "b", "keep", []byte("keep"), 0)
+		put(ctx, t, be, "b", "keep", []byte("keep"), 0)
 		w, err := be.Create(ctx, "b", "torn", blobstore.PutOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -158,14 +151,14 @@ func (s Suite) Run(t *testing.T) {
 	t.Run("AbortAfterOverwriteKeepsOriginal", func(t *testing.T) {
 		be, _ := s.New(t)
 		defer be.Close()
-		put(t, be, "b", "k", []byte("v1"), 0)
+		put(ctx, t, be, "b", "k", []byte("v1"), 0)
 		w, err := be.Create(ctx, "b", "k", blobstore.PutOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		_, _ = w.Write([]byte("v2-partial"))
 		w.Abort()
-		if got := get(t, be, "b", "k"); string(got) != "v1" {
+		if got := get(ctx, t, be, "b", "k"); string(got) != "v1" {
 			t.Errorf("original clobbered by aborted overwrite: %q", got)
 		}
 		if s.CheckClean != nil {
@@ -177,7 +170,7 @@ func (s Suite) Run(t *testing.T) {
 		be, _ := s.New(t)
 		defer be.Close()
 		v1 := []byte("first version")
-		etag := put(t, be, "b", "k", v1, 0).ETag
+		etag := put(ctx, t, be, "b", "k", v1, 0).ETag
 		// A stream that hashes differently commits nothing: the original
 		// stays, and no partial write is left behind.
 		w, err := be.Create(ctx, "b", "k", blobstore.PutOptions{ETag: etag})
@@ -188,7 +181,7 @@ func (s Suite) Run(t *testing.T) {
 		if err := w.Close(); !errors.Is(err, blobstore.ErrETag) {
 			t.Fatalf("Close of a mismatched stream = %v, want ErrETag", err)
 		}
-		if got := get(t, be, "b", "k"); !bytes.Equal(got, v1) {
+		if got := get(ctx, t, be, "b", "k"); !bytes.Equal(got, v1) {
 			t.Errorf("mismatched write clobbered the original: %q", got)
 		}
 		if s.CheckClean != nil {
@@ -206,7 +199,7 @@ func (s Suite) Run(t *testing.T) {
 			if err := w.Close(); err != nil {
 				t.Fatalf("Close with size hint %d: %v", hint, err)
 			}
-			if got := get(t, be, "b", key); !bytes.Equal(got, v1) || w.Info().ETag != etag {
+			if got := get(ctx, t, be, "b", key); !bytes.Equal(got, v1) || w.Info().ETag != etag {
 				t.Errorf("size hint %d: stored %q, etag %s", hint, got, w.Info().ETag)
 			}
 		}
@@ -215,20 +208,20 @@ func (s Suite) Run(t *testing.T) {
 	t.Run("OverwriteIsCopyOnWrite", func(t *testing.T) {
 		be, _ := s.New(t)
 		defer be.Close()
-		put(t, be, "b", "k", []byte("first version"), 0)
+		put(ctx, t, be, "b", "k", []byte("first version"), 0)
 		rc, _, err := be.Open(ctx, "b", "k")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer rc.Close()
-		put(t, be, "b", "k", []byte("second version, longer"), 0)
+		put(ctx, t, be, "b", "k", []byte("second version, longer"), 0)
 		// The reader opened before the overwrite still sees the content
 		// it opened (immutable buffers in memory, held fd on disk).
 		old, err := io.ReadAll(rc)
 		if err != nil || string(old) != "first version" {
 			t.Errorf("pre-overwrite reader = %q, %v; want %q", old, err, "first version")
 		}
-		if got := get(t, be, "b", "k"); string(got) != "second version, longer" {
+		if got := get(ctx, t, be, "b", "k"); string(got) != "second version, longer" {
 			t.Errorf("post-overwrite read = %q", got)
 		}
 	})
@@ -237,7 +230,7 @@ func (s Suite) Run(t *testing.T) {
 		be, _ := s.New(t)
 		defer be.Close()
 		payload := bytes.Repeat([]byte("stream"), 500)
-		put(t, be, "b", "k", payload, 0)
+		put(ctx, t, be, "b", "k", payload, 0)
 		rc, _, err := be.Open(ctx, "b", "k")
 		if err != nil {
 			t.Fatal(err)
@@ -255,9 +248,9 @@ func (s Suite) Run(t *testing.T) {
 	t.Run("TTLExpiryFromLastUse", func(t *testing.T) {
 		be, vc := s.New(t)
 		defer be.Close()
-		put(t, be, "b", "k", []byte("v"), time.Hour)
+		put(ctx, t, be, "b", "k", []byte("v"), time.Hour)
 		vc.Advance(30 * time.Minute)
-		get(t, be, "b", "k") // refreshes last-use
+		get(ctx, t, be, "b", "k") // refreshes last-use
 		vc.Advance(45 * time.Minute)
 		if _, err := be.Stat(ctx, "b", "k"); err != nil {
 			t.Errorf("blob expired despite refresh: %v", err)
@@ -274,7 +267,7 @@ func (s Suite) Run(t *testing.T) {
 	t.Run("TouchRefreshes", func(t *testing.T) {
 		be, vc := s.New(t)
 		defer be.Close()
-		put(t, be, "b", "k", []byte("v"), time.Hour)
+		put(ctx, t, be, "b", "k", []byte("v"), time.Hour)
 		vc.Advance(50 * time.Minute)
 		if err := be.Touch(ctx, "b", "k"); err != nil {
 			t.Fatal(err)
@@ -288,7 +281,7 @@ func (s Suite) Run(t *testing.T) {
 	t.Run("DefaultTTLApplied", func(t *testing.T) {
 		be, vc := s.New(t, blobstore.WithDefaultTTL(time.Hour))
 		defer be.Close()
-		info := put(t, be, "b", "k", []byte("v"), 0)
+		info := put(ctx, t, be, "b", "k", []byte("v"), 0)
 		if info.TTL != time.Hour {
 			t.Errorf("TTL = %v, want default 1h", info.TTL)
 		}
@@ -301,9 +294,9 @@ func (s Suite) Run(t *testing.T) {
 	t.Run("SweepCollectsExpired", func(t *testing.T) {
 		be, vc := s.New(t)
 		defer be.Close()
-		put(t, be, "b", "short", []byte("1"), time.Hour)
-		put(t, be, "b", "long", []byte("22"), 100*time.Hour)
-		put(t, be, "b", "forever", []byte("333"), 0)
+		put(ctx, t, be, "b", "short", []byte("1"), time.Hour)
+		put(ctx, t, be, "b", "long", []byte("22"), 100*time.Hour)
+		put(ctx, t, be, "b", "forever", []byte("333"), 0)
 		vc.Advance(2 * time.Hour)
 		if n, _ := be.Sweep(ctx); n != 1 {
 			t.Errorf("Sweep = %d, want 1", n)
@@ -317,7 +310,7 @@ func (s Suite) Run(t *testing.T) {
 		be, _ := s.New(t)
 		defer be.Close()
 		for _, k := range []string{"t2/b", "t1/z", "t1/a", "other"} {
-			put(t, be, "b", k, []byte(k), 0)
+			put(ctx, t, be, "b", k, []byte(k), 0)
 		}
 		infos, err := be.List(ctx, "b", "t1/")
 		if err != nil || len(infos) != 2 {
@@ -331,7 +324,7 @@ func (s Suite) Run(t *testing.T) {
 	t.Run("CapacityEnforced", func(t *testing.T) {
 		be, _ := s.New(t, blobstore.WithCapacity(100))
 		defer be.Close()
-		put(t, be, "b", "a", bytes.Repeat([]byte("x"), 60), 0)
+		put(ctx, t, be, "b", "a", bytes.Repeat([]byte("x"), 60), 0)
 		// A stream that would cross the cap fails mid-write or at commit
 		// with ErrQuota, and leaves nothing visible.
 		w, err := be.Create(ctx, "b", "big", blobstore.PutOptions{})
@@ -354,7 +347,7 @@ func (s Suite) Run(t *testing.T) {
 			t.Errorf("failed write visible: %v", err)
 		}
 		// Replacing an existing blob frees its old size first.
-		put(t, be, "b", "a", bytes.Repeat([]byte("z"), 90), 0)
+		put(ctx, t, be, "b", "a", bytes.Repeat([]byte("z"), 90), 0)
 		if s.CheckClean != nil {
 			s.CheckClean(t, be)
 		}
@@ -374,7 +367,7 @@ func (s Suite) Run(t *testing.T) {
 		if _, _, err := be.Open(ctx, "nope", "k"); !errors.Is(err, blobstore.ErrNoBucket) {
 			t.Errorf("missing bucket = %v, want ErrNoBucket", err)
 		}
-		put(t, be, "b", "k", []byte("v"), 0)
+		put(ctx, t, be, "b", "k", []byte("v"), 0)
 		if _, _, err := be.Open(ctx, "b", "missing"); !errors.Is(err, blobstore.ErrNotFound) {
 			t.Errorf("missing key = %v, want ErrNotFound", err)
 		}
@@ -393,7 +386,7 @@ func (s Suite) Run(t *testing.T) {
 	t.Run("ContextCancellation", func(t *testing.T) {
 		be, _ := s.New(t)
 		defer be.Close()
-		canceled, cancel := context.WithCancel(testCtx)
+		canceled, cancel := context.WithCancel(ctx)
 		cancel()
 		if _, err := be.Create(canceled, "b", "k", blobstore.PutOptions{}); !errors.Is(err, context.Canceled) {
 			t.Errorf("Create with canceled ctx = %v", err)
@@ -406,7 +399,7 @@ func (s Suite) Run(t *testing.T) {
 	t.Run("AppendExtends", func(t *testing.T) {
 		be, _ := s.New(t)
 		defer be.Close()
-		put(t, be, "b", "journal", []byte("line1\n"), 0)
+		put(ctx, t, be, "b", "journal", []byte("line1\n"), 0)
 		w, err := be.Append(ctx, "b", "journal")
 		if err != nil {
 			t.Fatal(err)
@@ -415,7 +408,7 @@ func (s Suite) Run(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if got := get(t, be, "b", "journal"); string(got) != "line1\nline2\n" {
+		if got := get(ctx, t, be, "b", "journal"); string(got) != "line1\nline2\n" {
 			t.Errorf("after append: %q", got)
 		}
 		st, _ := be.Stat(ctx, "b", "journal")
@@ -429,7 +422,7 @@ func (s Suite) Run(t *testing.T) {
 		}
 		fmt.Fprint(w2, "first\n")
 		w2.Close()
-		if got := get(t, be, "b", "fresh"); string(got) != "first\n" {
+		if got := get(ctx, t, be, "b", "fresh"); string(got) != "first\n" {
 			t.Errorf("append-created blob: %q", got)
 		}
 	})
@@ -491,7 +484,7 @@ func (s Suite) Run(t *testing.T) {
 		be, vc := s.New(t)
 		defer be.Close()
 		for i := 0; i < 20; i++ {
-			put(t, be, "b", fmt.Sprintf("old/%02d", i), []byte("stale!"), time.Hour)
+			put(ctx, t, be, "b", fmt.Sprintf("old/%02d", i), []byte("stale!"), time.Hour)
 		}
 		vc.Advance(2 * time.Hour) // every old/ blob is now expired
 		done := make(chan error, 4)
@@ -500,7 +493,7 @@ func (s Suite) Run(t *testing.T) {
 				done <- func() error {
 					for i := 0; i < 25; i++ {
 						key := fmt.Sprintf("new/%d-%02d", g, i)
-						w, err := be.Create(testCtx, "b", key, blobstore.PutOptions{TTL: time.Hour})
+						w, err := be.Create(ctx, "b", key, blobstore.PutOptions{TTL: time.Hour})
 						if err != nil {
 							return err
 						}
@@ -518,7 +511,7 @@ func (s Suite) Run(t *testing.T) {
 		}
 		swept := 0
 		for i := 0; i < 10; i++ {
-			n, err := be.Sweep(testCtx)
+			n, err := be.Sweep(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -529,7 +522,7 @@ func (s Suite) Run(t *testing.T) {
 				t.Error(err)
 			}
 		}
-		if n, err := be.Sweep(testCtx); err != nil {
+		if n, err := be.Sweep(ctx); err != nil {
 			t.Fatal(err)
 		} else {
 			swept += n
@@ -537,7 +530,7 @@ func (s Suite) Run(t *testing.T) {
 		if swept != 20 {
 			t.Errorf("sweeps collected %d blobs, want exactly the 20 expired", swept)
 		}
-		infos, err := be.List(testCtx, "b", "")
+		infos, err := be.List(ctx, "b", "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -562,13 +555,13 @@ func (s Suite) Run(t *testing.T) {
 		// metadata (e.g. the pre-overwrite size) or lose the overwrite.
 		be, _ := s.New(t)
 		defer be.Close()
-		put(t, be, "b", "k", bytes.Repeat([]byte("a"), 10), time.Hour)
+		put(ctx, t, be, "b", "k", bytes.Repeat([]byte("a"), 10), time.Hour)
 		done := make(chan error, 2)
 		go func() {
 			done <- func() error {
 				for i := 0; i < 100; i++ {
 					size := 10 + i%7
-					w, err := be.Create(testCtx, "b", "k", blobstore.PutOptions{TTL: time.Hour})
+					w, err := be.Create(ctx, "b", "k", blobstore.PutOptions{TTL: time.Hour})
 					if err != nil {
 						return err
 					}
@@ -586,7 +579,7 @@ func (s Suite) Run(t *testing.T) {
 		go func() {
 			done <- func() error {
 				for i := 0; i < 100; i++ {
-					if err := be.Touch(testCtx, "b", "k"); err != nil {
+					if err := be.Touch(ctx, "b", "k"); err != nil {
 						return err
 					}
 				}
@@ -598,7 +591,7 @@ func (s Suite) Run(t *testing.T) {
 				t.Error(err)
 			}
 		}
-		st, err := be.Stat(testCtx, "b", "k")
+		st, err := be.Stat(ctx, "b", "k")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -312,36 +312,6 @@ func (d *Disk) Append(ctx context.Context, bucket, key string) (io.WriteCloser, 
 	return &diskAppender{d: d, bucket: bucket, key: key, f: f}, nil
 }
 
-// Adopt ingests an existing file (outside the root) as bucket/key via
-// rename — the migration path for pre-blobstore flat files such as the
-// old docstore journal. The source must live on the same filesystem.
-func (d *Disk) Adopt(ctx context.Context, bucket, key, srcPath string) (Info, error) {
-	if err := ctx.Err(); err != nil {
-		return Info{}, err
-	}
-	if err := checkNames(bucket, key); err != nil {
-		return Info{}, err
-	}
-	st, err := os.Stat(srcPath)
-	if err != nil {
-		return Info{}, err
-	}
-	if err := os.MkdirAll(filepath.Join(d.root, bucket), 0o755); err != nil {
-		return Info{}, err
-	}
-	now := d.idx.now()
-	info := Info{
-		Bucket: bucket, Key: key, Size: st.Size(),
-		Modified: now, LastUsed: now, TTL: d.idx.ttlOrDefault(0),
-	}
-	return d.idx.commitWith(info, nil, func() error {
-		if err := os.Rename(srcPath, d.dataPath(bucket, key)); err != nil {
-			return err
-		}
-		return d.writeMeta(info)
-	})
-}
-
 // Close implements Backend.
 func (d *Disk) Close() error {
 	d.idx.close()

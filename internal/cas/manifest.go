@@ -311,17 +311,16 @@ func readFile(name string) ([]byte, fs.FileInfo, error) {
 	return buf.Bytes(), fi, nil
 }
 
-// skipDir mirrors archivex.PackDirTo's VCS-metadata exclusions so the
-// manifest describes exactly the tree a packed archive would carry.
+// skipDir reports whether a directory is version-control metadata
+// (.git, .hg, .svn): a submission ships the project, not its history.
 func skipDir(name string) bool {
 	return name == ".git" || name == ".hg" || name == ".svn"
 }
 
 // BuildDir scans a host directory into a manifest plus a Source for its
-// chunks. File selection matches archivex.PackDir: VCS metadata
-// directories are skipped and only regular files are included, so the
-// tree hash agrees with what the worker computes after unpacking the
-// equivalent archive.
+// chunks. VCS metadata directories (skipDir) are skipped and only
+// regular files are included; sockets, symlinks and devices are not
+// shipped.
 //
 // idx is the directory's stat index (DirIndex): a file whose stat data is
 // a trusted entry's key is not read, and its refs come from the index;

@@ -9,7 +9,8 @@
 // field updates via $set, $inc, and $push. String-equality tests on
 // top-level fields are answered from hash indexes the engine builds on
 // first use (index.go), and UpsertMany applies a batch of upserts as one
-// operation.
+// operation. A DB from New lives in memory; one from Open also journals
+// every change to a blob backend (journal.go).
 //
 // Values are normalized through JSON encoding on insertion, so the
 // embedded engine and the HTTP service observe identical typing (numbers
@@ -44,17 +45,13 @@ var (
 	ErrBadDocument = errors.New("docstore: document must be a JSON object")
 )
 
-// DB is an in-memory multi-collection document database.
+// DB is a multi-collection document database, held in memory and
+// journaled when opened over a backend.
 type DB struct {
 	mu          sync.RWMutex
 	collections map[string]*collection
 	idSeq       uint64
-
-	// Watch plumbing (watch.go). watchMu nests inside mu: mutations emit
-	// while holding mu, so events arrive in operation order.
-	watchMu   sync.Mutex
-	watchSeq  uint64
-	watchSubs map[*WatchSub]struct{}
+	j           *journal // nil: memory only
 }
 
 // collection is one named set of documents: the _id map, the
@@ -67,7 +64,7 @@ type collection struct {
 	indexes map[string]index  // top-level field -> its index
 }
 
-// New creates an empty database.
+// New creates an empty database that lives in memory only.
 func New() *DB {
 	return &DB{collections: map[string]*collection{}}
 }
@@ -198,14 +195,30 @@ func (db *DB) newID() string {
 }
 
 // Every Store verb checks ctx on entry and not again: the engine is
-// in-memory, and a mutation that has started always completes (so a
-// PersistentDB never applies one it then fails to journal). Filters and
-// updates are checked before any document is read, so a malformed one
-// fails the same way whatever the collection holds.
+// in-memory, and a mutation that has started always completes, journal
+// line included. Filters and updates are checked before any document is
+// read, so a malformed one fails the same way whatever the collection
+// holds.
+
+// mutate runs fn as one mutation: under db.mu, refused once the journal
+// has failed or the database has closed, and with the journal lines fn
+// noted written before the lock is released.
+func (db *DB) mutate(fn func() error) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if err := db.j.refused(); err != nil {
+		return err
+	}
+	err := fn()
+	if jerr := db.j.commit(); jerr != nil {
+		return jerr
+	}
+	return err
+}
 
 // Insert stores doc (any JSON-marshalable object) in the collection and
 // returns its _id.
-func (db *DB) Insert(ctx context.Context, collName string, doc any) (string, error) {
+func (db *DB) Insert(ctx context.Context, collName string, doc any) (id string, err error) {
 	if err := ctx.Err(); err != nil {
 		return "", err
 	}
@@ -213,13 +226,15 @@ func (db *DB) Insert(ctx context.Context, collName string, doc any) (string, err
 	if err != nil {
 		return "", err
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	c, err := db.coll(collName)
-	if err != nil {
-		return "", err
-	}
-	return db.insertLocked(c, collName, d)
+	err = db.mutate(func() error {
+		c, err := db.coll(collName)
+		if err != nil {
+			return err
+		}
+		id, err = db.insertLocked(c, collName, d)
+		return err
+	})
+	return id, err
 }
 
 // insertLocked stores the normalized document d, generating its _id
@@ -233,12 +248,8 @@ func (db *DB) insertLocked(c *collection, collName string, d M) (string, error) 
 	if _, exists := c.docs[id]; exists {
 		return "", fmt.Errorf("%w: %q", ErrDuplicateID, id)
 	}
-	e := &entry{id: id, seq: c.seq, doc: d}
-	c.seq++
-	c.docs[id] = e
-	c.order = append(c.order, e)
-	c.added(e)
-	db.emit("insert", collName, id)
+	c.add(id, d)
+	db.j.note(collName, id, d)
 	return id, nil
 }
 
@@ -376,8 +387,9 @@ func prepare(filter, update M) (M, error) {
 }
 
 // Update applies a Mongo-style update ($set, $inc, $push) to all
-// documents matching filter and reports how many changed.
-func (db *DB) Update(ctx context.Context, collName string, filter M, update M) (int, error) {
+// documents matching filter and reports how many changed. An update
+// that cannot apply to one of them changes none.
+func (db *DB) Update(ctx context.Context, collName string, filter M, update M) (n int, err error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
@@ -385,31 +397,36 @@ func (db *DB) Update(ctx context.Context, collName string, filter M, update M) (
 	if err != nil {
 		return 0, err
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	c, err := db.coll(collName)
-	if err != nil {
-		return 0, err
-	}
-	n, _, err := db.updateLocked(c, collName, filter, nupd)
+	err = db.mutate(func() error {
+		c, err := db.coll(collName)
+		if err != nil {
+			return err
+		}
+		n, _, err = db.updateLocked(c, collName, filter, nupd)
+		return err
+	})
 	return n, err
 }
 
-// updateLocked is Update's body for callers holding db.mu. Besides the
-// count it returns the first match's id, which is what Upsert needs to
-// finish without a second scan.
+// updateLocked is Update's body for callers holding db.mu: every match
+// is checked before any is changed. Besides the count it returns the
+// first match's id, which is what Upsert needs to finish without a
+// second scan.
 func (db *DB) updateLocked(c *collection, collName string, filter, nupd M) (n int, first string, err error) {
-	for _, e := range c.matching(filter) {
-		if err := c.update(e, nupd); err != nil {
-			return n, first, err
+	hits := c.matching(filter)
+	for _, e := range hits {
+		if err := updateFits(e.doc, nupd); err != nil {
+			return 0, "", err
 		}
-		if n == 0 {
-			first = e.id
-		}
-		n++
-		db.emit("update", collName, e.id)
 	}
-	return n, first, nil
+	for _, e := range hits {
+		c.update(e, nupd)
+		db.j.note(collName, e.id, e.doc)
+	}
+	if len(hits) > 0 {
+		first = hits[0].id
+	}
+	return len(hits), first, nil
 }
 
 // Upsert updates the matches, or inserts update's $set fields merged
@@ -418,14 +435,7 @@ func (db *DB) updateLocked(c *collection, collName string, filter, nupd M) (n in
 // one critical section, so concurrent upserts of a never-seen key
 // produce one document. This is the write the ranking database uses
 // ("overwrites existing timing records", paper §V).
-func (db *DB) Upsert(ctx context.Context, collName string, filter M, update M) (string, error) {
-	return db.upsert(ctx, collName, filter, update, "")
-}
-
-// upsert is Upsert with a choice of id for the inserted document:
-// pinID, when set and not in use. Journal replay passes the id the
-// original run generated.
-func (db *DB) upsert(ctx context.Context, collName string, filter, update M, pinID string) (string, error) {
+func (db *DB) Upsert(ctx context.Context, collName string, filter M, update M) (id string, err error) {
 	if err := ctx.Err(); err != nil {
 		return "", err
 	}
@@ -433,9 +443,11 @@ func (db *DB) upsert(ctx context.Context, collName string, filter, update M, pin
 	if err != nil {
 		return "", err
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.upsertLocked(collName, filter, nupd, seed, pinID)
+	err = db.mutate(func() error {
+		id, err = db.upsertLocked(collName, filter, nupd, seed)
+		return err
+	})
+	return id, err
 }
 
 // prepareUpsert is prepare for an upsert, plus the document it inserts
@@ -467,8 +479,8 @@ func prepareUpsert(filter, update M) (nupd, seed M, err error) {
 	return nupd, seed, nil
 }
 
-// upsertLocked is upsert's body for callers holding db.mu.
-func (db *DB) upsertLocked(collName string, filter, nupd, seed M, pinID string) (string, error) {
+// upsertLocked is Upsert's body for callers holding db.mu.
+func (db *DB) upsertLocked(collName string, filter, nupd, seed M) (string, error) {
 	c, err := db.coll(collName)
 	if err != nil {
 		return "", err
@@ -479,9 +491,6 @@ func (db *DB) upsertLocked(collName string, filter, nupd, seed M, pinID string) 
 	}
 	if n > 0 {
 		return first, nil
-	}
-	if _, taken := c.docs[pinID]; pinID != "" && !taken {
-		seed["_id"] = pinID
 	}
 	return db.insertLocked(c, collName, seed)
 }
@@ -500,7 +509,8 @@ type Upsert struct {
 // whole batch with nothing written. An op that fails on what a document
 // holds ($inc of a string, a filter-pinned _id already taken) stops the
 // batch there; the ids returned are those of the ops applied before it.
-func (db *DB) UpsertMany(ctx context.Context, ops []Upsert) ([]string, error) {
+// The journal lines of the ops applied go to the backend in one write.
+func (db *DB) UpsertMany(ctx context.Context, ops []Upsert) (ids []string, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -514,44 +524,48 @@ func (db *DB) UpsertMany(ctx context.Context, ops []Upsert) ([]string, error) {
 			return nil, fmt.Errorf("bulk op %d: %w", i, err)
 		}
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	ids := make([]string, 0, len(ops))
-	for i, op := range ops {
-		id, err := db.upsertLocked(op.Coll, op.Filter, nupds[i], seeds[i], "")
-		if err != nil {
-			return ids, fmt.Errorf("bulk op %d: %w", i, err)
+	err = db.mutate(func() error {
+		ids = make([]string, 0, len(ops))
+		for i, op := range ops {
+			id, err := db.upsertLocked(op.Coll, op.Filter, nupds[i], seeds[i])
+			if err != nil {
+				return fmt.Errorf("bulk op %d: %w", i, err)
+			}
+			ids = append(ids, id)
 		}
-		ids = append(ids, id)
-	}
-	return ids, nil
+		return nil
+	})
+	return ids, err
 }
 
-// Delete removes matching documents and reports how many.
-func (db *DB) Delete(ctx context.Context, collName string, filter M) (int, error) {
+// Delete removes matching documents and reports how many. Each leaves
+// its own journal line.
+func (db *DB) Delete(ctx context.Context, collName string, filter M) (n int, err error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
 	if err := checkFilter(filter); err != nil {
 		return 0, err
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	c, err := db.coll(collName)
-	if err != nil {
-		return 0, err
-	}
-	hits := c.matching(filter)
-	if len(hits) == 0 {
-		return 0, nil
-	}
-	for _, e := range hits {
-		delete(c.docs, e.id)
-		c.removed(e)
-		db.emit("delete", collName, e.id)
-	}
-	c.order = slices.DeleteFunc(c.order, func(e *entry) bool { return c.docs[e.id] != e })
-	return len(hits), nil
+	err = db.mutate(func() error {
+		c, err := db.coll(collName)
+		if err != nil {
+			return err
+		}
+		hits := c.matching(filter)
+		if len(hits) == 0 {
+			return nil
+		}
+		for _, e := range hits {
+			delete(c.docs, e.id)
+			c.removed(e)
+			db.j.note(collName, e.id, nil)
+		}
+		c.order = slices.DeleteFunc(c.order, func(e *entry) bool { return c.docs[e.id] != e })
+		n = len(hits)
+		return nil
+	})
+	return n, err
 }
 
 // Collections lists collection names, sorted.
@@ -564,16 +578,6 @@ func (db *DB) Collections() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Drop removes an entire collection.
-func (db *DB) Drop(collName string) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, ok := db.collections[collName]; ok {
-		delete(db.collections, collName)
-		db.emit("drop", collName, "")
-	}
 }
 
 // Decode re-marshals a stored document into a typed struct.

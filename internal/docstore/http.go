@@ -27,7 +27,6 @@ import (
 //	POST /c/{coll}/delete  {"filter": {...}}               -> {"n": 1}
 //	POST /bulk             {"ops": [{"coll": "...", "filter": {...},
 //	                        "update": {...}}, ...]}         -> {"ids": [...]}
-//	GET  /w/{coll}         ndjson stream of WatchEvent ({coll} empty = all)
 //	GET  /healthz
 
 // AuthFunc validates credentials attached to a request; nil admits all.
@@ -111,8 +110,8 @@ func (h *handlerState) observe(verb string, start time.Time) {
 	h.latency[verb].Observe(clock.Real{}.Now().Sub(start).Seconds())
 }
 
-// Handler serves a database (in-memory or journal-backed) over HTTP.
-func Handler(db Served, auth AuthFunc, opts ...HandlerOption) http.Handler {
+// Handler serves a database over HTTP.
+func Handler(db Store, auth AuthFunc, opts ...HandlerOption) http.Handler {
 	h := &handlerState{}
 	for _, o := range opts {
 		o(h)
@@ -124,30 +123,6 @@ func Handler(db Served, auth AuthFunc, opts ...HandlerOption) http.Handler {
 	if h.reg != nil {
 		mux.Handle("/metrics", h.reg.Handler())
 	}
-	mux.HandleFunc("/w/", func(w http.ResponseWriter, r *http.Request) {
-		if auth != nil && !auth(r.Header.Get(HeaderAccessKey), r.Header.Get(HeaderSignature), r) {
-			writeJSON(w, http.StatusForbidden, rpcResponse{Error: "forbidden"})
-			return
-		}
-		fl, ok := w.(http.Flusher)
-		if !ok {
-			writeJSON(w, http.StatusInternalServerError, rpcResponse{Error: "streaming unsupported"})
-			return
-		}
-		coll := strings.TrimPrefix(r.URL.Path, "/w/")
-		sub := db.Watch(r.Context(), coll)
-		defer sub.Close()
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		fl.Flush()
-		enc := json.NewEncoder(w)
-		for ev := range sub.Events() {
-			if err := enc.Encode(ev); err != nil {
-				return
-			}
-			fl.Flush()
-		}
-	})
 	rpc := func(w http.ResponseWriter, r *http.Request) {
 		start := clock.Real{}.Now()
 		h.inFlight.Add(1)
@@ -286,11 +261,6 @@ func WithClientPolicy(p netx.Policy) ClientOption {
 	return func(c *Client) { c.Policy = p }
 }
 
-// WithClientTransport substitutes the HTTP transport.
-func WithClientTransport(rt http.RoundTripper) ClientOption {
-	return func(c *Client) { c.HTTP.Transport = rt }
-}
-
 // NewClient returns a client for the service at baseURL.
 func NewClient(baseURL string, opts ...ClientOption) *Client {
 	c := &Client{BaseURL: strings.TrimSuffix(baseURL, "/"), HTTP: &http.Client{}}
@@ -415,55 +385,8 @@ func (c *Client) Delete(ctx context.Context, coll string, filter M) (int, error)
 	return resp.N, err
 }
 
-// Watch subscribes to the server's mutation stream for coll ("" = all
-// collections). The returned channel closes when ctx ends or the stream
-// breaks; callers wanting resilience fall back to polling then, and
-// when Watch itself fails. The stream is long-lived, so it runs outside
-// the retry policy on the caller's context alone.
-func (c *Client) Watch(ctx context.Context, coll string) (<-chan WatchEvent, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/w/"+coll, nil)
-	if err != nil {
-		return nil, err
-	}
-	if c.Sign != nil {
-		c.Sign(hreq)
-	}
-	hresp, err := c.HTTP.Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	if hresp.StatusCode != http.StatusOK {
-		var resp rpcResponse
-		_ = json.NewDecoder(io.LimitReader(hresp.Body, 64<<10)).Decode(&resp)
-		hresp.Body.Close()
-		msg := resp.Error
-		if msg == "" {
-			msg = hresp.Status
-		}
-		return nil, &netx.StatusError{Op: "docstore watch", Code: hresp.StatusCode, Msg: msg}
-	}
-	ch := make(chan WatchEvent, 16)
-	go func() {
-		defer hresp.Body.Close()
-		defer close(ch)
-		dec := json.NewDecoder(hresp.Body)
-		for {
-			var ev WatchEvent
-			if err := dec.Decode(&ev); err != nil {
-				return
-			}
-			select {
-			case ch <- ev:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	return ch, nil
-}
-
-// Store is the database port: DB, PersistentDB and Client all satisfy
-// it, so components run embedded or remote.
+// Store is the database port: DB and Client both satisfy it, so
+// components run embedded or remote.
 type Store interface {
 	Insert(ctx context.Context, coll string, doc any) (string, error)
 	Find(ctx context.Context, coll string, filter M, opts FindOpts) ([]M, error)
@@ -477,15 +400,7 @@ type Store interface {
 	Delete(ctx context.Context, coll string, filter M) (int, error)
 }
 
-// Served is what Handler serves: a Store that streams its own
-// mutations (the engines; a Client is the other end of that stream).
-type Served interface {
-	Store
-	Watch(ctx context.Context, coll string) *WatchSub
-}
-
 var (
-	_ Served = (*DB)(nil)
-	_ Served = (*PersistentDB)(nil)
-	_ Store  = (*Client)(nil)
+	_ Store = (*DB)(nil)
+	_ Store = (*Client)(nil)
 )

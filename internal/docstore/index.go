@@ -128,11 +128,15 @@ func (c *collection) candidates(filter M) []*entry {
 	return c.order
 }
 
-// added indexes a new entry; it is the newest, so it lands at the end
-// of its buckets.
-func (c *collection) added(e *entry) {
+// add stores the document d under id as the newest entry: last in the
+// scan order and at the end of its index buckets.
+func (c *collection) add(id string, d M) {
+	e := &entry{id: id, seq: c.seq, doc: d}
+	c.seq++
+	c.docs[id] = e
+	c.order = append(c.order, e)
 	for field, idx := range c.indexes {
-		if v, ok := e.doc[field].(string); ok {
+		if v, ok := d[field].(string); ok {
 			idx[v] = append(idx[v], e)
 		}
 	}
@@ -147,11 +151,10 @@ func (c *collection) removed(e *entry) {
 	}
 }
 
-// update applies the checked, normalized update to e's document and
-// moves e between the buckets of every index whose value it changed —
-// also when applyUpdate fails part way, since it may have written some
-// fields by then.
-func (c *collection) update(e *entry, nupd M) error {
+// update applies the checked, normalized update, which fits e's
+// document (updateFits), and moves e between the buckets of every index
+// whose value it changed.
+func (c *collection) update(e *entry, nupd M) {
 	type was struct {
 		field, v string
 		ok       bool
@@ -162,7 +165,7 @@ func (c *collection) update(e *entry, nupd M) error {
 		v, ok := e.doc[field].(string)
 		before = append(before, was{field, v, ok})
 	}
-	err := applyUpdate(e.doc, nupd)
+	applyUpdate(e.doc, nupd)
 	for _, w := range before {
 		v, ok := e.doc[w.field].(string)
 		if ok == w.ok && v == w.v {
@@ -176,5 +179,4 @@ func (c *collection) update(e *entry, nupd M) error {
 			idx.put(v, e)
 		}
 	}
-	return err
 }

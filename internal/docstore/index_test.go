@@ -50,20 +50,25 @@ func (r *refDB) has(id string) bool {
 	return slices.ContainsFunc(r.docs, func(d M) bool { return d["_id"] == id })
 }
 
+// update changes every match or, when the update does not fit one of
+// them, none.
 func (r *refDB) update(filter, nupd M) (n int, first string, err error) {
+	var hits []M
 	for _, d := range r.docs {
-		if !matches(d, filter) {
-			continue
+		if matches(d, filter) {
+			if err := updateFits(d, nupd); err != nil {
+				return 0, "", err
+			}
+			hits = append(hits, d)
 		}
-		if err := applyUpdate(d, nupd); err != nil {
-			return n, first, err
-		}
-		if n == 0 {
-			first = d["_id"].(string)
-		}
-		n++
 	}
-	return n, first, nil
+	for _, d := range hits {
+		applyUpdate(d, nupd)
+	}
+	if len(hits) > 0 {
+		first = hits[0]["_id"].(string)
+	}
+	return len(hits), first, nil
 }
 
 // upsert mirrors DB.Upsert; newID is the id the engine reported, which
@@ -202,8 +207,7 @@ func (g gen) filter(depth int) M {
 	return f
 }
 
-// update draws well-formed updates that fail on a document, if at all,
-// before writing anything to it: $set of non-overlapping paths, or a
+// update draws well-formed updates: $set of non-overlapping paths, or a
 // single $inc or $push, which may meet a field of the wrong type.
 func (g gen) update() M {
 	fields := []string{"a", "b", "n", "a.k", "o.k"}
@@ -489,7 +493,7 @@ func TestMalformedRejectedBeforeReading(t *testing.T) {
 // per applied op, including a batch that stopped part way — replays to
 // the same documents, in the same order, under the same ids.
 func TestUpsertManyJournalReplays(t *testing.T) {
-	db, path := openTemp(t)
+	db, dir := openTemp(t)
 	span := func(id, name string) Upsert {
 		return Upsert{Coll: "traces", Filter: M{"trace_id": "t1", "span_id": id}, Update: M{"$set": M{"name": name}}}
 	}
@@ -525,7 +529,7 @@ func TestUpsertManyJournalReplays(t *testing.T) {
 	if len(before[0]) != 4 || before[1][0]["seen"] != 1.0 {
 		t.Fatalf("state before replay = %v", before)
 	}
-	again := reopen(t, db, path)
+	again := reopen(t, db, dir)
 	if after := state(again); !reflect.DeepEqual(after, before) {
 		t.Fatalf("replayed state %v, want %v", after, before)
 	}

@@ -406,12 +406,41 @@ func overlaps(p, q string) bool {
 	return strings.HasPrefix(q, p) && (len(q) == len(p) || q[len(p)] == '.')
 }
 
-// applyUpdate mutates doc according to the checked, normalized update.
-// It fails only on what the document holds: $inc of a non-number or
-// past the float range, $push onto a non-array. Values are copied in,
-// so documents never share a nested object with each other or with
-// the update.
-func applyUpdate(doc M, update M) error {
+// updateFits reports why the checked, normalized update cannot apply to
+// doc: $inc of a non-number or past the float range, $push onto a
+// non-array. No two of an update's paths overlap (checkUpdate), so each
+// path reads the same here as when applyUpdate reaches it, and an update
+// that fits applies whole.
+func updateFits(doc M, update M) error {
+	inc, _ := update["$inc"].(map[string]any)
+	for path, v := range inc {
+		cur, present := lookup(doc, path)
+		if !present {
+			continue
+		}
+		base, ok := toFloat(cur)
+		if !ok {
+			return fmt.Errorf("%w: $inc on non-number %s", ErrBadUpdate, path)
+		}
+		if delta, _ := toFloat(v); math.IsInf(base+delta, 0) {
+			return fmt.Errorf("%w: $inc overflows %s", ErrBadUpdate, path)
+		}
+	}
+	push, _ := update["$push"].(map[string]any)
+	for path := range push {
+		if cur, present := lookup(doc, path); present {
+			if _, ok := cur.([]any); !ok {
+				return fmt.Errorf("%w: $push on non-array %s", ErrBadUpdate, path)
+			}
+		}
+	}
+	return nil
+}
+
+// applyUpdate mutates doc according to the checked, normalized update,
+// which fits it (updateFits). Values are copied in, so documents never
+// share a nested object with each other or with the update.
+func applyUpdate(doc M, update M) {
 	for op, arg := range update {
 		fields, _ := arg.(map[string]any)
 		switch op {
@@ -422,35 +451,18 @@ func applyUpdate(doc M, update M) error {
 		case "$inc":
 			for path, v := range fields {
 				delta, _ := toFloat(v)
-				base := 0.0
-				if cur, present := lookup(doc, path); present {
-					f, ok := toFloat(cur)
-					if !ok {
-						return fmt.Errorf("%w: $inc on non-number %s", ErrBadUpdate, path)
-					}
-					base = f
-				}
-				if math.IsInf(base+delta, 0) {
-					return fmt.Errorf("%w: $inc overflows %s", ErrBadUpdate, path)
-				}
-				setPath(doc, path, base+delta)
+				base, _ := lookup(doc, path)
+				f, _ := toFloat(base)
+				setPath(doc, path, f+delta)
 			}
 		case "$push":
 			for path, v := range fields {
-				cur, present := lookup(doc, path)
-				if !present {
-					setPath(doc, path, []any{copyValue(v)})
-					continue
-				}
-				arr, ok := cur.([]any)
-				if !ok {
-					return fmt.Errorf("%w: $push on non-array %s", ErrBadUpdate, path)
-				}
-				setPath(doc, path, append(arr, copyValue(v)))
+				arr, _ := lookup(doc, path)
+				list, _ := arr.([]any)
+				setPath(doc, path, append(list, copyValue(v)))
 			}
 		}
 	}
-	return nil
 }
 
 // setPath writes v at a dotted path, creating intermediate objects.

@@ -5,38 +5,6 @@ import (
 	"go/types"
 )
 
-// checkCtxBackground enforces context discipline in library code: no
-// context.Background() or context.TODO(). Library functions accept the
-// caller's ctx (deriving with WithoutCancel when they must outlive it);
-// only package main — where a process root genuinely exists — and tests
-// mint fresh contexts.
-func checkCtxBackground(prog *Program, pkg *Package) []Diagnostic {
-	if pkg.IsMain() {
-		return nil
-	}
-	var diags []Diagnostic
-	for _, f := range pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			name, ok := stdlibFunc(pkg, call.Fun, "context")
-			if !ok || (name != "Background" && name != "TODO") {
-				return true
-			}
-			diags = append(diags, Diagnostic{
-				Check: "ctxbg",
-				Pos:   prog.Fset.Position(call.Pos()),
-				Message: "context." + name +
-					"() in library code: accept the caller's ctx (derive with context.WithoutCancel to outlive it)",
-			})
-			return true
-		})
-	}
-	return diags
-}
-
 // checkCtxFirst enforces the context-first signature convention: when an
 // exported function, method, or interface method takes a
 // context.Context at all, it takes it as the first parameter.

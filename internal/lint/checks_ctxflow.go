@@ -6,26 +6,29 @@ import (
 	"go/types"
 )
 
-// checkCtxFlow is the interprocedural completion of ctxfirst/ctxbg: a
-// function that already has a context.Context in scope (its own
-// parameter, or a captured one in a nested literal) must forward it —
-// passing a fresh Background/TODO-rooted context to a ctx-accepting
-// callee severs cancellation exactly where the caller promised to
-// propagate it. Unlike ctxbg this fires in package main too: a daemon
-// with a signal-derived root context that hands context.Background()
-// to a helper has disconnected that helper from shutdown.
+// checkCtxFlow keeps contexts flowing from the process root to every
+// callee. Two rules share one walk of each function body:
 //
-// Two shapes are flagged at the call site:
+//   - In library (non-main) code, every context.Background() or
+//     context.TODO() is a finding: library functions accept the
+//     caller's ctx (deriving with WithoutCancel when they must outlive
+//     it); only package main, where a process root genuinely exists,
+//     and tests mint roots.
+//   - A function that already has a context.Context in scope (its own
+//     parameter, or a captured one in a nested literal) must forward
+//     it: passing a fresh Background/TODO-rooted context to a
+//     ctx-accepting callee severs cancellation exactly where the caller
+//     promised to propagate it. This fires in package main too: a
+//     daemon with a signal-derived root context that hands
+//     context.Background() to a helper has disconnected that helper
+//     from shutdown.
 //
-//   - an argument of type context.Context whose expression mints
-//     Background/TODO inline (possibly wrapped: WithTimeout(
-//     context.Background(), d));
-//   - an argument naming a local variable that was *defined* from a
-//     Background-rooted expression (a one-hop derivation chain).
-//
-// Reassigning an existing ctx variable (the "if ctx == nil { ctx =
-// context.Background() }" fallback) is not tracked: that idiom is the
-// sanctioned nil-context default and is audited by ctxbg instead.
+// The second rule flags an argument of type context.Context whose
+// expression mints Background/TODO inline (possibly wrapped:
+// WithTimeout(context.Background(), d)), or that names a local variable
+// *defined* from a Background-rooted expression (a one-hop derivation
+// chain). In library code an inline mint is already the first rule's
+// finding, so only the laundered shape adds one.
 func checkCtxFlow(prog *Program, pkg *Package) []Diagnostic {
 	var diags []Diagnostic
 	for _, f := range pkg.Files {
@@ -45,6 +48,7 @@ func checkCtxFlow(prog *Program, pkg *Package) []Diagnostic {
 
 func ctxFlowInFunc(prog *Program, pkg *Package, fd *ast.FuncDecl) []Diagnostic {
 	var diags []Diagnostic
+	library := !pkg.IsMain()
 	// tainted tracks Background-rooted local definitions; shared across
 	// the literal nest (a captured tainted ctx stays tainted).
 	tainted := map[types.Object]bool{}
@@ -81,6 +85,14 @@ func ctxFlowInFunc(prog *Program, pkg *Package, fd *ast.FuncDecl) []Diagnostic {
 					}
 				}
 			case *ast.CallExpr:
+				if name, ok := stdlibFunc(pkg, v.Fun, "context"); ok && library && (name == "Background" || name == "TODO") {
+					diags = append(diags, Diagnostic{
+						Check: "ctxflow",
+						Pos:   prog.Fset.Position(v.Pos()),
+						Message: "context." + name +
+							"() in library code: accept the caller's ctx (derive with context.WithoutCancel to outlive it)",
+					})
+				}
 				if !inScope {
 					return true
 				}
@@ -88,7 +100,7 @@ func ctxFlowInFunc(prog *Program, pkg *Package, fd *ast.FuncDecl) []Diagnostic {
 					if t := pkg.Info.Types[arg].Type; t == nil || !isContextType(t) {
 						continue
 					}
-					if backgroundRooted(pkg, arg, tainted) {
+					if backgroundRooted(pkg, arg, tainted) && !(library && backgroundRooted(pkg, arg, nil)) {
 						diags = append(diags, Diagnostic{
 							Check: "ctxflow",
 							Pos:   prog.Fset.Position(arg.Pos()),

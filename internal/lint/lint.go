@@ -55,7 +55,6 @@ type Check struct {
 func Checks() []*Check {
 	return []*Check{
 		{Name: "clock", Doc: "no direct time.Now/Sleep/After/... outside internal/clock; inject clock.Clock", Run: checkClock},
-		{Name: "ctxbg", Doc: "no context.Background()/context.TODO() in library (non-main) code", Run: checkCtxBackground},
 		{Name: "ctxfirst", Doc: "exported functions take context.Context as the first parameter", Run: checkCtxFirst},
 		{Name: "span", Doc: "every started telemetry span is ended or handed off", Run: checkSpan},
 		{Name: "httpresp", Doc: "every *http.Response body is closed and drained before connection reuse", Run: checkHTTPResp},
@@ -65,7 +64,7 @@ func Checks() []*Check {
 		{Name: "lockorder", Doc: "no cycles in the whole-module lock-ordering graph (composed from function summaries)", Run: checkLockOrder},
 		{Name: "goroleak", Doc: "spawned goroutines cannot block forever on a channel or sync wait without a cancellation path", Run: checkGoroLeak},
 		{Name: "errflow", Doc: "error results are not discarded or overwritten before any check", Run: checkErrFlow},
-		{Name: "ctxflow", Doc: "a caller with ctx in scope does not pass a context.Background-rooted context", Run: checkCtxFlow},
+		{Name: "ctxflow", Doc: "no context.Background()/TODO() in library (non-main) code, and a caller with ctx in scope does not pass a Background-rooted context", Run: checkCtxFlow},
 	}
 }
 

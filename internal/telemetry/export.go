@@ -175,12 +175,8 @@ func WithExportMetrics(reg *Registry) ExporterOption {
 // emitting process in every batch. ctx carries the caller's values
 // (trace annotations, auth) into every ship call; its cancellation is
 // deliberately not inherited — Close/Flush on the shutdown path must
-// still publish the final batches. nil ctx is allowed.
+// still publish the final batches.
 func NewExporter(ctx context.Context, service string, ship ShipFunc, opts ...ExporterOption) *Exporter {
-	if ctx == nil {
-		//lint:ignore ctxbg nil-ctx convenience fallback; there is no caller context to inherit
-		ctx = context.Background()
-	}
 	e := &Exporter{
 		service:  service,
 		ship:     ship,
