@@ -508,7 +508,7 @@ func BenchmarkFetchProject(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		missing, err := c.MissingChunks(bg, m)
+		missing, err := c.MissingChunks(bg, m.Encode())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"rai/internal/netx"
 )
 
 // encPool recycles encode staging buffers so steady-state publishing
@@ -77,15 +79,18 @@ var codeToOp = func() map[byte]string {
 	return m
 }()
 
-// EncodeFrame writes f as one length-prefixed frame.
+// EncodeFrame writes f as one length-prefixed frame. A frame it
+// refuses — an unknown op, or over the size limit — is refused before
+// anything is written, and the refusal is netx.Permanent: sending it
+// again, on this connection or another, cannot succeed.
 func EncodeFrame(w io.Writer, f *Frame) error {
 	code, ok := opToCode[f.Op]
 	if !ok {
-		return fmt.Errorf("brokerd: unknown op %q", f.Op)
+		return netx.Permanent(fmt.Errorf("brokerd: unknown op %q", f.Op))
 	}
 	n := binHeaderLen + 4 + len(f.Topic) + 4 + len(f.Channel) + 4 + len(f.Error) + len(f.Body)
 	if n > maxFrameSize {
-		return fmt.Errorf("brokerd: frame of %d bytes exceeds limit", n)
+		return netx.Permanent(fmt.Errorf("brokerd: frame of %d bytes exceeds limit", n))
 	}
 	buf := encPool.Get().(*bytes.Buffer)
 	defer putEncBuf(buf)
@@ -181,8 +186,9 @@ func DecodeFrame(r io.Reader) (*Frame, error) {
 // last writer out issue one flush (one syscall) for the whole burst.
 // Writers that expect an immediate follow-up frame (a delivery pump
 // with more messages already queued) can also defer the flush
-// explicitly. A sticky error poisons the writer, mirroring a dead
-// connection.
+// explicitly. A write error is sticky and poisons the writer, mirroring
+// a dead connection; a frame EncodeFrame refused wrote nothing, so its
+// refusal is the caller's alone.
 type frameWriter struct {
 	waiters atomic.Int32
 
@@ -211,10 +217,15 @@ func (fw *frameWriter) writeHint(f *Frame, more bool) error {
 		return fw.err
 	}
 	err := EncodeFrame(fw.bw, f)
-	if err == nil && !more && fw.waiters.Load() == 0 {
-		err = fw.bw.Flush()
+	refused := netx.IsPermanent(err)
+	if (err == nil || refused) && !more && fw.waiters.Load() == 0 {
+		// A refused frame wrote nothing, but the writers that left their
+		// flush to this one are still owed it.
+		if ferr := fw.bw.Flush(); ferr != nil {
+			err, refused = ferr, false
+		}
 	}
-	if err != nil {
+	if err != nil && !refused {
 		fw.err = err
 	}
 	return err

@@ -66,7 +66,7 @@ func NewReconnClient(addr string, policy netx.Policy, dialTimeout time.Duration)
 	}
 	inner := r.policy.Retryable
 	r.policy.Retryable = func(err error) bool {
-		if isServerError(err) {
+		if isServerError(err) || netx.IsPermanent(err) {
 			return false
 		}
 		if inner != nil {
@@ -131,7 +131,10 @@ func (r *ReconnClient) invalidate(c *conn) {
 }
 
 // do runs op against a live connection under the retry policy,
-// invalidating the connection on failure so the next attempt redials.
+// invalidating the connection on a transport failure so the next attempt
+// redials. A server's error reply and a frame refused before it was
+// written (netx.Permanent) leave the connection, and every call sharing
+// it, alone.
 func (r *ReconnClient) do(ctx context.Context, op func(ctx context.Context, c *conn) error) error {
 	return netx.Do(ctx, r.policy, func(ctx context.Context) error {
 		c, err := r.live(ctx)
@@ -139,7 +142,7 @@ func (r *ReconnClient) do(ctx context.Context, op func(ctx context.Context, c *c
 			return err
 		}
 		err = op(ctx, c)
-		if err != nil && !isServerError(err) {
+		if err != nil && !isServerError(err) && !netx.IsPermanent(err) {
 			r.invalidate(c)
 		}
 		return err
@@ -290,7 +293,7 @@ func (r *ReconnClient) settle(ctx context.Context, m *broker.Message, op func(*c
 		return nil // delivering connection died; broker requeued it
 	}
 	err := op(owner, ctx, m)
-	if err != nil && !isServerError(err) {
+	if err != nil && !isServerError(err) && !netx.IsPermanent(err) {
 		r.invalidate(owner)
 		return nil // transport died mid-settle; broker requeues
 	}

@@ -1,6 +1,8 @@
 package brokerd
 
 import (
+	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -221,5 +223,72 @@ func TestReconnClientLazyDial(t *testing.T) {
 	defer rc.Close()
 	if err := rc.Ping(bg); err == nil {
 		t.Fatal("ping of dead address succeeded")
+	}
+}
+
+// TestOversizedPublishLeavesConnectionAlone: a publish over the frame
+// limit is refused once, before anything is written — no retry, no
+// redial — and calls sharing the connection, before, during and after
+// it, see no error.
+func TestOversizedPublishLeavesConnectionAlone(t *testing.T) {
+	b := broker.New()
+	defer b.Close()
+	srv, err := NewServer(bg, b, "127.0.0.1:0", WithLogf(t.Logf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	reg := telemetry.NewRegistry()
+	p := fastReconnPolicy()
+	p.Metrics = netx.NewMetrics(reg, "broker")
+	var retries atomic.Int32
+	p.OnRetry = func(int, time.Duration, error) { retries.Add(1) }
+	rc := NewReconnClient(srv.Addr(), p, 0)
+	defer rc.Close()
+	if err := rc.Ping(bg); err != nil {
+		t.Fatal(err)
+	}
+	rc.mu.Lock()
+	first := rc.cur
+	rc.mu.Unlock()
+
+	// A publish whose frame is never flushed waits forever; bound it.
+	ctx, cancel := context.WithTimeout(bg, 10*time.Second)
+	defer cancel()
+	stop := make(chan struct{})
+	errs := make(chan error, 1)
+	go func() {
+		defer close(errs)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := rc.Publish(ctx, "small", []byte("x")); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	_, err = rc.Publish(bg, "big", make([]byte, maxFrameSize+1))
+	close(stop)
+	if err == nil || !netx.IsPermanent(err) {
+		t.Fatalf("oversized publish: err = %v, want a permanent refusal", err)
+	}
+	if err := <-errs; err != nil {
+		t.Fatalf("a publish sharing the connection failed: %v", err)
+	}
+	if n := retries.Load(); n != 0 {
+		t.Errorf("%d retries", n)
+	}
+	rc.mu.Lock()
+	same := rc.cur == first
+	rc.mu.Unlock()
+	if v, _ := reg.Value(netx.MetricReconnects, telemetry.L("component", "broker")); !same || v != 0 {
+		t.Errorf("connection replaced (%v), %v reconnects", !same, v)
+	}
+	if _, err := rc.Publish(ctx, "small", []byte("after")); err != nil {
+		t.Fatalf("publish after the refusal: %v", err)
 	}
 }

@@ -556,3 +556,42 @@ func ExampleChunkKey() {
 	fmt.Println(ChunkKey("ab" + strings.Repeat("0", 62)))
 	// Output: sha256/ab/ab00000000000000000000000000000000000000000000000000000000000000
 }
+
+// TestSourceReadsEachWindowOnce: an upload asks for the tree's chunks in
+// manifest order, and the Source opens each file once per read window
+// rather than once per chunk — and still hands out exactly the bytes
+// each chunk hashes to.
+func TestSourceReadsEachWindowOnce(t *testing.T) {
+	root := t.TempDir()
+	big := randBytes(7, 5*readWindow/2)
+	writeTree(t, root, map[string]string{
+		"big.bin": string(big), "a.txt": "small file a\n", "b.txt": string(randBytes(8, 3*AvgChunk)),
+	})
+	m, src, err := BuildDir(root, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opens := map[string]int{}
+	openFile = func(name string) (*os.File, error) {
+		opens[filepath.Base(name)]++
+		return os.Open(name)
+	}
+	t.Cleanup(func() { openFile = os.Open })
+	for _, h := range m.ChunkSet() {
+		data, err := src.Chunk(h)
+		if err != nil || HashHex(data) != h {
+			t.Fatalf("chunk %s: %v", h, err)
+		}
+	}
+	// Windows start at chunk boundaries, so each covers at least
+	// readWindow-MaxChunk bytes of the file.
+	want := map[string]int{"a.txt": 1, "b.txt": 1, "big.bin": (len(big) + readWindow - MaxChunk - 1) / (readWindow - MaxChunk)}
+	for name, n := range want {
+		if opens[name] < 1 || opens[name] > n {
+			t.Errorf("%s opened %d times, want 1..%d", name, opens[name], n)
+		}
+	}
+	if len(m.ChunkSet()) < 40 {
+		t.Fatalf("fixture: only %d chunks", len(m.ChunkSet()))
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path"
@@ -14,6 +15,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"rai/internal/vfs"
 )
@@ -207,7 +209,8 @@ func checkRel(p string) error {
 
 // Source yields chunk payloads by hash for upload. Build functions
 // return one alongside the manifest; it re-reads the underlying tree on
-// demand so no chunk data is pinned in memory.
+// demand so no chunk data is pinned in memory. A payload is valid until
+// the next call to Chunk.
 type Source interface {
 	Chunk(hash string) ([]byte, error)
 }
@@ -218,9 +221,22 @@ type chunkLoc struct {
 	size int64
 }
 
+// readWindow is how much of a file dirSource reads at once: an upload
+// asks for a file's chunks in order, so one read serves a run of them.
+const readWindow = 1 << 20
+
+// dirSource serves chunks from the host tree, re-read and re-hashed on
+// every call. It keeps the last read — up to readWindow bytes of one
+// file, in one buffer it reuses — and serves a chunk from it when the
+// chunk lies inside; no file stays open between calls.
 type dirSource struct {
 	root string
 	locs map[string]chunkLoc
+
+	mu      sync.Mutex
+	win     []byte // bytes [winOff, winOff+len(win)) of winPath
+	winPath string
+	winOff  int64
 }
 
 func (s *dirSource) Chunk(hash string) ([]byte, error) {
@@ -228,19 +244,40 @@ func (s *dirSource) Chunk(hash string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("cas: unknown chunk %s", hash)
 	}
-	f, err := os.Open(filepath.Join(s.root, filepath.FromSlash(loc.path)))
-	if err != nil {
-		return nil, err
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if loc.path != s.winPath || loc.off < s.winOff || loc.off+loc.size > s.winOff+int64(len(s.win)) {
+		if err := s.fill(loc); err != nil {
+			return nil, fmt.Errorf("cas: rereading chunk %s from %s: %w", hash, loc.path, err)
+		}
 	}
-	defer f.Close()
-	buf := make([]byte, loc.size)
-	if _, err := f.ReadAt(buf, loc.off); err != nil {
-		return nil, fmt.Errorf("cas: rereading chunk %s from %s: %w", hash, loc.path, err)
-	}
+	buf := s.win[loc.off-s.winOff:][:loc.size]
 	if HashHex(buf) != hash {
 		return nil, fmt.Errorf("cas: %s changed while uploading (chunk %s)", loc.path, hash)
 	}
 	return buf, nil
+}
+
+// fill reads the window of loc's file that starts at loc.
+func (s *dirSource) fill(loc chunkLoc) error {
+	s.winPath, s.win = "", s.win[:0]
+	f, err := openFile(filepath.Join(s.root, filepath.FromSlash(loc.path)))
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if s.win == nil {
+		s.win = make([]byte, 0, readWindow) // over MaxChunk: a window holds any chunk
+	}
+	n, err := f.ReadAt(s.win[:cap(s.win)], loc.off)
+	if int64(n) < loc.size {
+		if err == nil || err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return err
+	}
+	s.win, s.winPath, s.winOff = s.win[:n], loc.path, loc.off
+	return nil
 }
 
 type vfsSource struct {
@@ -289,7 +326,8 @@ func addLocs(fe FileEntry, locs map[string]chunkLoc) {
 	}
 }
 
-// openFile opens each file BuildDir reads; tests count the opens.
+// openFile opens each file BuildDir and its Source read; tests count the
+// opens.
 var openFile = os.Open
 
 // readFile is os.ReadFile that also returns the stat data of the

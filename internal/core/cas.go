@@ -49,7 +49,9 @@ func (t *TransferStats) DedupRatio() float64 {
 // manifest, so a worker that can read the manifest can fetch every
 // chunk it names. Shared by Submit and OpenSession.
 func (c *Client) uploadProject(ctx context.Context, jobID string, m *cas.Manifest, src cas.Source) (string, *TransferStats, error) {
-	missing, err := c.Objects.MissingChunks(ctx, m)
+	// One encoding: the negotiation carries the bytes the PUT stores.
+	enc := m.Encode()
+	missing, err := c.Objects.MissingChunks(ctx, enc)
 	if err != nil {
 		return "", nil, fmt.Errorf("negotiating chunks: %w", err)
 	}
@@ -57,7 +59,6 @@ func (c *Client) uploadProject(ctx context.Context, jobID string, m *cas.Manifes
 	if err != nil {
 		return "", nil, fmt.Errorf("uploading chunks: %w", err)
 	}
-	enc := m.Encode()
 	key := fmt.Sprintf("%s/%s/project.manifest", c.Creds.UserName, jobID)
 	if err := c.Objects.Put(ctx, BucketUploads, key, enc, UploadTTL); err != nil {
 		return "", nil, fmt.Errorf("uploading manifest: %w", err)

@@ -289,7 +289,7 @@ func (r *recordingObjects) Delete(ctx context.Context, bucket, key string) error
 	return r.Objects.Delete(ctx, bucket, key)
 }
 
-func (r *recordingObjects) MissingChunks(ctx context.Context, m *cas.Manifest) ([]string, error) {
+func (r *recordingObjects) MissingChunks(ctx context.Context, m []byte) ([]string, error) {
 	r.note("MissingChunks", nil)
 	return r.Objects.MissingChunks(ctx, m)
 }

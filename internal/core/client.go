@@ -229,6 +229,7 @@ func (c *Client) submitUploaded(ctx context.Context, root *telemetry.Span, jobID
 	if c.LogWait > 0 {
 		timeout = clk.After(c.LogWait)
 	}
+	var text []byte
 	for {
 		select {
 		case m, ok := <-sub.C():
@@ -238,13 +239,15 @@ func (c *Client) submitUploaded(ctx context.Context, root *telemetry.Span, jobID
 			_ = sub.Ack(ctx, m)
 			var lm LogMessage
 			if err := json.Unmarshal(m.Body, &lm); err != nil {
-				continue // tolerate malformed log lines
+				continue // tolerate malformed log messages
 			}
 			switch lm.Kind {
-			case LogStdout, LogStderr, LogSystem:
-				res.LogLines++
+			case LogOutput:
+				var n int
+				text, n = lm.appendText(text[:0])
+				res.LogLines += n
 				if c.Stdout != nil {
-					fmt.Fprintln(c.Stdout, lm.Line)
+					_, _ = c.Stdout.Write(text)
 				}
 			case LogEnd:
 				c.Telemetry.Histogram("rai_client_job_seconds",
@@ -270,7 +273,7 @@ func (res *JobResult) settle(end *LogMessage) error {
 	res.Accuracy = end.Accuracy
 	res.BuildBucket, res.BuildKey = end.BuildBucket, end.BuildKey
 	if end.Status == StatusRejected {
-		return fmt.Errorf("%w: %s", ErrRejected, end.Line)
+		return fmt.Errorf("%w: %s", ErrRejected, end.Reason)
 	}
 	return nil
 }

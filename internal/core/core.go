@@ -111,26 +111,59 @@ func (j *JobRequest) CanonicalPayload() []byte {
 	return []byte(j.ID + "|" + j.User + "|" + j.Kind + "|" + j.UploadBucket + "|" + j.UploadKey + "|" + string(j.BuildSpec))
 }
 
-// Log message kinds streamed on the job's log topic.
+// Log message kinds on the job's log topic: a batch of output lines, a
+// session command's completion (LogCmdDone) and the End message.
+const (
+	LogOutput = "output"
+	LogEnd    = "end"
+)
+
+// Line kinds within an output batch.
 const (
 	LogStdout = "stdout"
 	LogStderr = "stderr"
 	LogSystem = "system"
-	LogEnd    = "end"
 )
 
-// LogMessage is one line of job output or the final End message.
+// LogLine is one line of job output, without its newline, or one piece
+// of a line longer than a batch holds.
+type LogLine struct {
+	Kind string `json:"kind"`
+	Text string `json:"text"`
+	// Cont marks a piece the line goes on from: the next LogLine, in
+	// this batch or the next one, carries its continuation.
+	Cont bool `json:"cont,omitempty"`
+}
+
+// LogMessage is one message on the job's log topic: a batch of output
+// lines in the order they were written, a cmd_done marker, or End.
 type LogMessage struct {
-	JobID string `json:"job_id"`
-	Kind  string `json:"kind"`
-	Line  string `json:"line,omitempty"`
-	// End-message fields:
+	JobID string    `json:"job_id"`
+	Kind  string    `json:"kind"`
+	Lines []LogLine `json:"lines,omitempty"`
+	// End-message fields (Elapsed also carries a cmd_done's exit code):
 	Status        string  `json:"status,omitempty"` // succeeded | failed | rejected
+	Reason        string  `json:"reason,omitempty"` // why a job was rejected
 	Elapsed       float64 `json:"elapsed_s,omitempty"`
 	InternalTimer float64 `json:"internal_timer_s,omitempty"`
 	Accuracy      float64 `json:"accuracy,omitempty"`
 	BuildBucket   string  `json:"build_bucket,omitempty"`
 	BuildKey      string  `json:"build_key,omitempty"`
+}
+
+// appendText renders a batch the way the student's terminal shows it —
+// each line's text, with a newline after every line that ends here —
+// and reports how many lines end.
+func (lm *LogMessage) appendText(dst []byte) ([]byte, int) {
+	n := 0
+	for _, ln := range lm.Lines {
+		dst = append(dst, ln.Text...)
+		if !ln.Cont {
+			dst = append(dst, '\n')
+			n++
+		}
+	}
+	return dst, n
 }
 
 // Job terminal statuses.

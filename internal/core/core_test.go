@@ -538,20 +538,6 @@ func TestClientUploadTTLApplied(t *testing.T) {
 	}
 }
 
-func TestLineWriter(t *testing.T) {
-	var lines []string
-	lw := &lineWriter{emit: func(s string) { lines = append(lines, s) }}
-	lw.Write([]byte("first li"))
-	lw.Write([]byte("ne\nsecond line\npartial"))
-	lw.Flush()
-	if len(lines) != 3 || lines[0] != "first line" || lines[2] != "partial" {
-		t.Fatalf("lines = %q", lines)
-	}
-	if lw.Bytes() != int64(len("first line\nsecond line\npartial")) {
-		t.Errorf("Bytes = %d", lw.Bytes())
-	}
-}
-
 func TestLogTopicNaming(t *testing.T) {
 	if LogTopic("abc123") != "log_abc123#ch" {
 		t.Errorf("LogTopic = %q", LogTopic("abc123"))

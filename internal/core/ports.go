@@ -35,9 +35,9 @@ type Objects interface {
 	GetReader(ctx context.Context, bucket, key string) (io.ReadCloser, int64, error)
 	List(ctx context.Context, bucket, prefix string) ([]objstore.ObjectInfo, error)
 	Delete(ctx context.Context, bucket, key string) error
-	// MissingChunks returns the subset of the manifest's chunks absent
-	// from the store, refreshing the TTL of those present.
-	MissingChunks(ctx context.Context, m *cas.Manifest) ([]string, error)
+	// MissingChunks returns the subset of the encoded manifest's chunks
+	// absent from the store, refreshing the TTL of those present.
+	MissingChunks(ctx context.Context, manifest []byte) ([]string, error)
 	// PutChunks uploads the named chunks from src and returns the
 	// payload bytes transferred.
 	PutChunks(ctx context.Context, hashes []string, src cas.Source) (int64, error)

@@ -145,10 +145,11 @@ func (s *Session) waitCmdDone(cmd string) (*CommandResult, error) {
 				continue
 			}
 			switch lm.Kind {
-			case LogStdout, LogStderr, LogSystem:
-				res.Output += lm.Line + "\n"
+			case LogOutput:
+				text, _ := lm.appendText(nil)
+				res.Output += string(text)
 				if s.client.Stdout != nil {
-					fmt.Fprintln(s.client.Stdout, lm.Line)
+					_, _ = s.client.Stdout.Write(text)
 				}
 			case LogCmdDone:
 				res.ExitCode = int(lm.Elapsed) // exit code rides the numeric field
@@ -196,8 +197,8 @@ func (w *Worker) session(ctx context.Context, j *job) error {
 		return fmt.Errorf("cannot open command channel: %w", err)
 	}
 	defer cmds.Close()
-	w.logf(ctx, j, LogSystem, "interactive session ready (image %s, lifetime %v)", w.Cfg.DefaultImage, w.Cfg.Lifetime)
-	w.publish(ctx, j, &LogMessage{Kind: LogCmdDone})
+	j.log.systemf("interactive session ready (image %s, lifetime %v)", w.Cfg.DefaultImage, w.Cfg.Lifetime)
+	j.log.send(&LogMessage{Kind: LogCmdDone})
 	idle := w.Cfg.SessionIdleTimeout
 	if idle <= 0 {
 		idle = 10 * time.Minute
@@ -214,17 +215,17 @@ func (w *Worker) session(ctx context.Context, j *job) error {
 				continue
 			}
 			if sc.Close || sc.Cmd == "exit" {
-				w.logf(ctx, j, LogSystem, "session closed by client")
+				j.log.systemf("session closed by client")
 				return nil
 			}
 			r, err := w.exec(ctx, j, sc.Cmd)
 			// The exit code travels in the numeric Elapsed field.
-			w.publish(ctx, j, &LogMessage{Kind: LogCmdDone, Elapsed: float64(r.ExitCode)})
+			j.log.send(&LogMessage{Kind: LogCmdDone, Elapsed: float64(r.ExitCode)})
 			if killed(err) {
 				return err // the session dies with its container
 			}
 		case <-w.Clock.After(idle):
-			w.logf(ctx, j, LogSystem, "session idle for %v; closing", idle)
+			j.log.systemf("session idle for %v; closing", idle)
 			return nil
 		}
 	}

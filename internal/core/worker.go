@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -253,8 +252,9 @@ type job struct {
 	spec    *build.Spec     // nil for an interactive session
 	src     *vfs.FS
 	ctr     *sandbox.Container
-	stdout  *lineWriter
-	stderr  *lineWriter
+	log     *jobLog // the job's side of its log topic
+	stdout  *logPipe
+	stderr  *logPipe
 	failed  bool
 
 	elapsed, internalTimer time.Duration
@@ -294,6 +294,7 @@ func (w *Worker) process(ctx context.Context, sub broker.Consumer, m *broker.Mes
 	// A malformed message has nobody to reply to: it is only acked.
 	if ctx, j := w.dequeue(ctx, m); j != nil {
 		defer j.span.End()
+		defer j.log.close()
 		w.tel.inFlight.Add(1)
 		defer w.tel.inFlight.Add(-1)
 		if w.run(ctx, j, stage{name: "admit", run: w.admit}) {
@@ -325,6 +326,7 @@ func (w *Worker) dequeue(ctx context.Context, m *broker.Message) (context.Contex
 	ctx = telemetry.ContextWithJobID(ctx, j.req.ID)
 	ctx = telemetry.ContextWithSpan(ctx, j.span)
 	ctx = telemetry.ContextWithSampling(ctx, sampled)
+	j.log = newJobLog(ctx, w.Queue, w.Clock, j.req.ID)
 	w.Log.Info(ctx, "job dequeued",
 		telemetry.L("worker", w.Cfg.ID), telemetry.L("kind", j.req.Kind), telemetry.L("user", j.req.User))
 	return ctx, j
@@ -348,8 +350,8 @@ func (w *Worker) run(ctx context.Context, j *job, stages ...stage) bool {
 		switch {
 		case errors.As(err, &reason):
 			stop = true
-			w.logf(sctx, j, LogSystem, "job rejected: %s", reason)
-			w.publish(sctx, j, &LogMessage{Kind: LogEnd, Status: StatusRejected, Line: string(reason)})
+			j.log.systemf("job rejected: %s", reason)
+			j.log.send(&LogMessage{Kind: LogEnd, Status: StatusRejected, Reason: string(reason)})
 			w.recordJob(sctx, &j.req, docstore.M{"status": StatusRejected, "error": string(reason)})
 			w.tel.jobs[StatusRejected].Inc()
 			// The status attr is the collector's tail-retention signal: a
@@ -358,7 +360,7 @@ func (w *Worker) run(ctx context.Context, j *job, stages ...stage) bool {
 			j.span.SetAttr("error", string(reason))
 			w.Log.Warn(sctx, "job rejected", telemetry.L("reason", string(reason)))
 		case err != nil && !stop:
-			w.logf(sctx, j, LogSystem, "%v", err)
+			j.log.systemf("%v", err)
 			j.failed = true
 		}
 		j.stage.End()
@@ -544,14 +546,14 @@ func (w *Worker) download(ctx context.Context, j *job) error {
 
 // start is worker step 3: the sandboxed container (pulled through the
 // worker's image cache) with /src and the course data mounted read-only
-// and its output piped, line by line, onto the job's log topic.
+// and its output piped onto the job's log.
 func (w *Worker) start(ctx context.Context, j *job) error {
 	image := w.Cfg.DefaultImage
 	if j.spec != nil {
 		image = j.spec.RAI.Image
 	}
-	j.stdout = &lineWriter{emit: func(line string) { w.logf(ctx, j, LogStdout, "%s", line) }}
-	j.stderr = &lineWriter{emit: func(line string) { w.logf(ctx, j, LogStderr, "%s", line) }}
+	j.stdout = &logPipe{log: j.log, kind: LogStdout}
+	j.stderr = &logPipe{log: j.log, kind: LogStderr}
 	ctr, err := w.runtime.Start(sandbox.Config{
 		Image: image,
 		Mounts: []sandbox.Mount{
@@ -578,7 +580,7 @@ func (w *Worker) start(ctx context.Context, j *job) error {
 // inference, accuracy and internal timer — to the job's. The phase
 // metric observes that modeled time, not the stage's wall time.
 func (w *Worker) exec(ctx context.Context, j *job, cmd string) (shell.Result, error) {
-	w.logf(ctx, j, LogSystem, "$ %s", cmd)
+	j.log.systemf("$ %s", cmd)
 	r, err := j.ctr.Exec(cmd)
 	j.stdout.Flush()
 	j.stderr.Flush()
@@ -613,16 +615,16 @@ func (w *Worker) storeBuild(ctx context.Context, j *job) error {
 	blob, err := archivex.PackVFS(j.ctr.FS(), "/build")
 	j.ctr.Destroy()
 	if err != nil {
-		w.logf(ctx, j, LogSystem, "cannot pack build directory: %v", err)
+		j.log.systemf("cannot pack build directory: %v", err)
 		return nil
 	}
 	key := fmt.Sprintf("%s/%s/build.tar.bz2", j.req.User, j.req.ID)
 	if err := w.Objects.Put(ctx, BucketBuilds, key, blob, UploadTTL); err != nil {
-		w.logf(ctx, j, LogSystem, "failed to upload build directory: %v", err)
+		j.log.systemf("failed to upload build directory: %v", err)
 		return nil
 	}
 	j.buildBucket, j.buildKey = BucketBuilds, key
-	w.logf(ctx, j, LogSystem, "build directory uploaded to %s/%s", BucketBuilds, key)
+	j.log.systemf("build directory uploaded to %s/%s", BucketBuilds, key)
 	return nil
 }
 
@@ -670,7 +672,7 @@ func (w *Worker) finish(ctx context.Context, j *job) error {
 	}
 	w.Log.Info(ctx, "job finished",
 		telemetry.L("status", status), telemetry.L("elapsed_s", fmt.Sprintf("%.3f", j.elapsed.Seconds())))
-	w.publish(ctx, j, &LogMessage{
+	j.log.send(&LogMessage{
 		Kind:          LogEnd,
 		Status:        status,
 		Elapsed:       j.elapsed.Seconds(),
@@ -680,57 +682,4 @@ func (w *Worker) finish(ctx context.Context, j *job) error {
 		BuildKey:      j.buildKey,
 	})
 	return nil
-}
-
-// publish sends one message on the job's log topic.
-func (w *Worker) publish(ctx context.Context, j *job, lm *LogMessage) {
-	lm.JobID = j.req.ID
-	_, _ = w.Queue.Publish(ctx, LogTopic(j.req.ID), encodeJSON(lm))
-}
-
-// logf publishes one line of the given kind on the job's log topic.
-func (w *Worker) logf(ctx context.Context, j *job, kind, format string, args ...any) {
-	w.publish(ctx, j, &LogMessage{Kind: kind, Line: fmt.Sprintf(format, args...)})
-}
-
-// lineWriter splits a stream into lines and hands each to a callback
-// (the pipe from the container to the log topic, §V worker step 3).
-type lineWriter struct {
-	mu    sync.Mutex
-	buf   strings.Builder
-	emit  func(string)
-	total int64
-}
-
-// Write implements io.Writer.
-func (l *lineWriter) Write(p []byte) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.total += int64(len(p))
-	for _, b := range p {
-		if b == '\n' {
-			l.emit(l.buf.String())
-			l.buf.Reset()
-			continue
-		}
-		l.buf.WriteByte(b)
-	}
-	return len(p), nil
-}
-
-// Flush emits any unterminated final line.
-func (l *lineWriter) Flush() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.buf.Len() > 0 {
-		l.emit(l.buf.String())
-		l.buf.Reset()
-	}
-}
-
-// Bytes reports total bytes written.
-func (l *lineWriter) Bytes() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.total
 }

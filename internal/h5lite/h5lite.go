@@ -307,11 +307,18 @@ func Decode(data []byte) (*File, error) {
 			if dim == 0 || dim > 1<<40 {
 				return nil, fmt.Errorf("%w: bad dimension %d", ErrCorrupt, dim)
 			}
-			shape[j] = int(dim)
-			elems *= int(dim)
-			if elems > 1<<34 {
+			// Checked before multiplying, so the product cannot wrap.
+			if dim > 1<<34/uint64(elems) {
 				return nil, fmt.Errorf("%w: dataset too large", ErrCorrupt)
 			}
+			shape[j] = int(dim)
+			elems *= int(dim)
+		}
+		// The shape is the file's claim; the bytes left are the fact. A
+		// payload larger than what remains is refused before it is
+		// allocated, so a few bytes cannot demand gigabytes.
+		if uint64(elems)*uint64(dtype.Size()) > uint64(r.Len()) {
+			return nil, fmt.Errorf("%w: truncated payload for %q", ErrCorrupt, nameBytes)
 		}
 		payload := make([]byte, elems*dtype.Size())
 		if _, err := io.ReadFull(r, payload); err != nil {

@@ -65,6 +65,10 @@ func appendFrameHeader(dst []byte, hash string, size int64) []byte {
 	return append(strconv.AppendInt(dst, size, 10), '\n')
 }
 
+// maxFrameHeader is the longest valid frame header: a 64-digit hash, a
+// space, the digits of a size up to cas.MaxChunk, and the newline.
+var maxFrameHeader = len(appendFrameHeader(nil, strings.Repeat("0", 64), cas.MaxChunk))
+
 // parseFrameHeader reads a frame's header line back, refusing a hash
 // that is not a chunk address and a size no chunk can have.
 func parseFrameHeader(line string) (hash string, size int64, ok bool) {
@@ -73,10 +77,20 @@ func parseFrameHeader(line string) (hash string, size int64, ok bool) {
 	return hash, size, ok && cas.ValidHash(hash) && err == nil && size > 0 && size <= cas.MaxChunk
 }
 
-// MissingChunks returns the manifest's chunks the store lacks,
+// MissingChunks returns the chunks the store lacks of the encoded
+// manifest, which it validates as the negotiation route does.
+func (s *Store) MissingChunks(ctx context.Context, manifest []byte) ([]string, error) {
+	m, err := cas.Decode(manifest)
+	if err != nil {
+		return nil, err
+	}
+	return s.missingChunks(ctx, m)
+}
+
+// missingChunks returns the manifest's chunks the store lacks,
 // refreshing last-use of every chunk it already holds so a chunk shared
 // across submissions outlives the TTL clock of its first upload.
-func (s *Store) MissingChunks(ctx context.Context, m *cas.Manifest) ([]string, error) {
+func (s *Store) missingChunks(ctx context.Context, m *cas.Manifest) ([]string, error) {
 	missing := []string{}
 	for _, hash := range m.ChunkSet() {
 		switch err := s.be.Touch(ctx, cas.Bucket, cas.ChunkKey(hash)); {
@@ -193,7 +207,7 @@ func (h *handlerState) handleCASNegotiate(s *Store, w http.ResponseWriter, r *ht
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	missing, err := s.MissingChunks(r.Context(), m)
+	missing, err := s.missingChunks(r.Context(), m)
 	if err != nil {
 		writeStoreErr(w, err)
 		return
@@ -219,21 +233,28 @@ func (h *handlerState) handleCASNegotiate(s *Store, w http.ResponseWriter, r *ht
 // handleCASChunks ingests a framed chunk stream; each payload is
 // verified against its declared hash before it becomes addressable.
 func (h *handlerState) handleCASChunks(s *Store, w http.ResponseWriter, r *http.Request) {
-	br := bufio.NewReader(http.MaxBytesReader(w, r.Body, h.maxBytes))
+	br := bufio.NewReaderSize(http.MaxBytesReader(w, r.Body, h.maxBytes), 4<<10)
 	scratch := make([]byte, 32<<10)
 	var resp casChunksResponse
 	for {
-		line, err := br.ReadString('\n')
-		if err == io.EOF && line == "" {
+		// ReadSlice, not ReadString: a header is read from the reader's
+		// fixed buffer, and a line longer than any valid header is refused
+		// whatever the body holds.
+		line, err := br.ReadSlice('\n')
+		if err == io.EOF && len(line) == 0 {
 			break
+		}
+		if len(line) > maxFrameHeader {
+			http.Error(w, fmt.Sprintf("chunk frame header over %d bytes", maxFrameHeader), http.StatusBadRequest)
+			return
 		}
 		if err != nil {
 			http.Error(w, "reading chunk frame: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		hash, size, ok := parseFrameHeader(line)
+		hash, size, ok := parseFrameHeader(string(line))
 		if !ok {
-			http.Error(w, fmt.Sprintf("bad chunk frame %q", strings.TrimSpace(line)), http.StatusBadRequest)
+			http.Error(w, fmt.Sprintf("bad chunk frame %q", bytes.TrimSpace(line)), http.StatusBadRequest)
 			return
 		}
 		if err := s.putChunk(r.Context(), hash, io.LimitReader(br, size), size, scratch); err != nil {
@@ -306,10 +327,9 @@ func (h *handlerState) handleCASFetch(s *Store, w http.ResponseWriter, r *http.R
 
 // ---- client side ----
 
-// MissingChunks negotiates a manifest: the returned hashes are the
-// chunks the server does not yet hold.
-func (c *Client) MissingChunks(ctx context.Context, m *cas.Manifest) ([]string, error) {
-	enc := m.Encode()
+// MissingChunks negotiates an encoded manifest: the returned hashes are
+// the chunks the server does not yet hold.
+func (c *Client) MissingChunks(ctx context.Context, enc []byte) ([]string, error) {
 	var resp casNegotiateResponse
 	err := c.roundTrip(ctx, "cas-negotiate", http.StatusOK, func(ctx context.Context) (*http.Request, error) {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/cas/negotiate", bytes.NewReader(enc))

@@ -2,10 +2,12 @@ package objstore
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -46,7 +48,7 @@ func TestCASDeltaRoundTrip(t *testing.T) {
 	}
 	m, src := buildTestTree(t, files)
 
-	missing, err := c.MissingChunks(ctx, m)
+	missing, err := c.MissingChunks(ctx, m.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +64,7 @@ func TestCASDeltaRoundTrip(t *testing.T) {
 	}
 
 	// Unchanged tree: nothing to transfer.
-	again, err := c.MissingChunks(ctx, m)
+	again, err := c.MissingChunks(ctx, m.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +104,7 @@ func TestCASEditTransfersDelta(t *testing.T) {
 
 	big := strings.Repeat("a line of device code that does not change\n", 8000)
 	m1, src1 := buildTestTree(t, map[string]string{"stable.cu": big, "edited.cu": "v1 of the kernel\n"})
-	missing, err := c.MissingChunks(ctx, m1)
+	missing, err := c.MissingChunks(ctx, m1.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +113,7 @@ func TestCASEditTransfersDelta(t *testing.T) {
 	}
 
 	m2, _ := buildTestTree(t, map[string]string{"stable.cu": big, "edited.cu": "v2 of the kernel\n"})
-	delta, err := c.MissingChunks(ctx, m2)
+	delta, err := c.MissingChunks(ctx, m2.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,5 +179,35 @@ func TestCASAuthGated(t *testing.T) {
 		if resp.StatusCode != http.StatusForbidden {
 			t.Errorf("%s answered %d without credentials, want 403", path, resp.StatusCode)
 		}
+	}
+}
+
+// byteRun reads as an endless run of one byte, so a test can post a
+// large body without holding it.
+type byteRun byte
+
+func (b byteRun) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
+}
+
+// TestCASChunksBoundsHeaderRead: a 64 MiB chunk stream with no newline
+// is refused as a bad frame after reading at most a header's worth,
+// without the handler allocating anything near the body.
+func TestCASChunksBoundsHeaderRead(t *testing.T) {
+	h := Handler(New(), nil)
+	body := io.LimitReader(byteRun('a'), 64<<20)
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/cas/chunks", body))
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("answered %d, want 400: %s", rec.Code, rec.Body)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("refusing the body allocated %d bytes", grew)
 	}
 }

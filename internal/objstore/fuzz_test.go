@@ -82,6 +82,7 @@ func FuzzCASHandler(f *testing.F) {
 	f.Add(byte(1), []byte(frame(ha, 3000, a)+frame(hb, 4000, b)))
 	f.Add(byte(1), []byte(frame(ha, 16, "forged payload!!")))
 	f.Add(byte(1), []byte(frame(cas.HashHex([]byte("c")), 1, "c")+frame(hb, 4000, b[:10])))
+	f.Add(byte(1), bytes.Repeat([]byte("a"), 2*cas.MaxChunk)) // no header ends
 	f.Add(byte(2), []byte(ha+"\n"+hb))
 	f.Add(byte(2), []byte(ha+"\n\n"+strings.Repeat("0", 64)))
 	f.Add(byte(2), []byte(strings.Repeat("/.", 17)+"//../../rai-uploads/alice/j1/k"))

@@ -23,7 +23,7 @@ type objects interface {
 	GetReader(ctx context.Context, bucket, key string) (io.ReadCloser, int64, error)
 	List(ctx context.Context, bucket, prefix string) ([]ObjectInfo, error)
 	Delete(ctx context.Context, bucket, key string) error
-	MissingChunks(ctx context.Context, m *cas.Manifest) ([]string, error)
+	MissingChunks(ctx context.Context, manifest []byte) ([]string, error)
 	PutChunks(ctx context.Context, hashes []string, src cas.Source) (int64, error)
 	GetChunks(ctx context.Context, hashes []string, each func(hash string, data []byte) error) error
 }
@@ -96,7 +96,7 @@ func TestStoreClientParity(t *testing.T) {
 				"build.yml": "commands:\n  build: make\n",
 			}
 			m, src := buildTestTree(t, files)
-			missing, err := o.MissingChunks(ctx, m)
+			missing, err := o.MissingChunks(ctx, m.Encode())
 			if err != nil || !slices.Equal(missing, m.ChunkSet()) {
 				t.Fatalf("fresh store missing %d of %d chunks, %v", len(missing), len(m.ChunkSet()), err)
 			}
@@ -137,7 +137,7 @@ func TestStoreClientParity(t *testing.T) {
 					added = append(added, h)
 				}
 			}
-			if delta, err := o.MissingChunks(ctx, m2); err != nil || len(added) == 0 || !slices.Equal(delta, added) {
+			if delta, err := o.MissingChunks(ctx, m2.Encode()); err != nil || len(added) == 0 || !slices.Equal(delta, added) {
 				t.Fatalf("edit negotiation missing %v, %v; want %v", delta, err, added)
 			}
 			// One absent chunk fails the whole read, before any is handed over.
@@ -150,14 +150,14 @@ func TestStoreClientParity(t *testing.T) {
 			// Last-use refresh: chunks negotiated at 3/4 TTL survive a sweep
 			// at 5/4 TTL; the object nobody touched does not.
 			vc.Advance(ttl * 3 / 4)
-			if again, err := o.MissingChunks(ctx, m); err != nil || len(again) != 0 {
+			if again, err := o.MissingChunks(ctx, m.Encode()); err != nil || len(again) != 0 {
 				t.Fatalf("renegotiation missing %d chunks, %v", len(again), err)
 			}
 			vc.Advance(ttl / 2)
 			if n, err := engine.Sweep(ctx); err != nil || n != 1 {
 				t.Errorf("Sweep removed %d, %v; want only uploads/team/a", n, err)
 			}
-			if again, err := o.MissingChunks(ctx, m); err != nil || len(again) != 0 {
+			if again, err := o.MissingChunks(ctx, m.Encode()); err != nil || len(again) != 0 {
 				t.Errorf("refreshed chunks expired: %d missing, %v", len(again), err)
 			}
 
@@ -169,7 +169,7 @@ func TestStoreClientParity(t *testing.T) {
 			if _, err := o.Get(ctx, cas.Bucket, cas.ChunkKey(added[0])); !errors.Is(err, ErrNoObject) {
 				t.Errorf("forged chunk addressable: %v", err)
 			}
-			if delta, err := o.MissingChunks(ctx, m2); err != nil || !slices.Equal(delta, added) {
+			if delta, err := o.MissingChunks(ctx, m2.Encode()); err != nil || !slices.Equal(delta, added) {
 				t.Errorf("after forged upload missing %v, %v; want %v", delta, err, added)
 			}
 
@@ -179,7 +179,7 @@ func TestStoreClientParity(t *testing.T) {
 			if err := o.Put(dead, "uploads", "team/c", []byte("c"), 0); !errors.Is(err, context.Canceled) {
 				t.Errorf("Put on a cancelled ctx = %v", err)
 			}
-			if _, err := o.MissingChunks(dead, m); !errors.Is(err, context.Canceled) {
+			if _, err := o.MissingChunks(dead, m.Encode()); !errors.Is(err, context.Canceled) {
 				t.Errorf("MissingChunks on a cancelled ctx = %v", err)
 			}
 			if err := o.GetChunks(dead, m.ChunkSet(), func(string, []byte) error { return nil }); !errors.Is(err, context.Canceled) {

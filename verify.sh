@@ -23,16 +23,18 @@ go run ./cmd/raivet -max-ignores 2 ./...
 # runs for everyone.
 go run ./cmd/raivet -tests -enable goroleak,lockcopy,wgadd ./...
 go test -race ./...
-# Five-second fuzz smokes of the nine decoders that parse bytes a peer,
+# Five-second fuzz smokes of the ten decoders that parse bytes a peer,
 # a student or a damaged disk controls: the brokerd frame codec, the
 # upload manifest, the client's stat index, the rai-build.yml the
-# worker's admit stage parses, the telemetry batches any client may
-# publish, raidb's RPC bodies and its journal, and both ends of raifs's
-# /cas/ routes (the handlers and the client's frame reader).
+# worker's admit stage parses, the h5lite data files a student's
+# command line names, the telemetry batches any client may publish,
+# raidb's RPC bodies and its journal, and both ends of raifs's /cas/
+# routes (the handlers and the client's frame reader).
 go test -run='^$' -fuzz='^FuzzBinaryDecode$' -fuzztime=5s ./internal/brokerd
 go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=5s ./internal/cas
 go test -run='^$' -fuzz='^FuzzDirIndex$' -fuzztime=5s ./internal/cas
 go test -run='^$' -fuzz='^FuzzParse$' -fuzztime=5s ./internal/build
+go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=5s ./internal/h5lite
 go test -run='^$' -fuzz='^FuzzDecodeBatch$' -fuzztime=5s ./internal/telemetry
 go test -run='^$' -fuzz='^FuzzHandler$' -fuzztime=5s ./internal/docstore
 go test -run='^$' -fuzz='^FuzzJournal$' -fuzztime=5s ./internal/docstore
