@@ -781,8 +781,8 @@ func benchCollectorPersist(b *testing.B, db *docstore.DB) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if ns, ne := c.Persist(bg, batch(1<<20+i)); ns != 48 || ne != 16 {
-			b.Fatalf("persisted %d spans, %d events", ns, ne)
+		if err := c.Persist(bg, batch(1<<20+i)); err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*64), "ns/record")

@@ -66,7 +66,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dialTimeout := fs.Duration("dial-timeout", brokerd.DefaultDialTimeout, "broker dial timeout per attempt")
 	rpcAttempts := fs.Int("rpc-attempts", netx.DefaultMaxAttempts, "attempts per RPC before giving up")
 	rpcTimeout := fs.Duration("rpc-timeout", 0, "per-attempt RPC deadline (0 = each service's default)")
-	traceSample := fs.Float64("trace-sample", 1, "head-sampling rate for this submission's trace (decided at the root, propagated everywhere)")
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "usage: rai [flags] run|submit|session|ranking|version")
 		fs.PrintDefaults()
@@ -101,11 +100,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	switch cmd {
 	case "run", "submit":
-		return submit(ctx, cmd, creds, *projectDir, *brokerAddr, *fsURL, *timeout, rpc, *traceSample, stdout, stderr)
+		return submit(ctx, cmd, creds, *projectDir, *brokerAddr, *fsURL, *timeout, rpc, stdout, stderr)
 	case "ranking":
 		return showRanking(ctx, creds, *dbURL, stdout, stderr)
 	case "session":
-		return session(ctx, creds, *projectDir, *brokerAddr, *fsURL, *timeout, rpc, *traceSample, os.Stdin, stdout, stderr)
+		return session(ctx, creds, *projectDir, *brokerAddr, *fsURL, *timeout, rpc, os.Stdin, stdout, stderr)
 	default:
 		fmt.Fprintf(stderr, "rai: unknown command %q\n", cmd)
 		return 2
@@ -127,25 +126,19 @@ func (r rpcConfig) objects(baseURL string) *objstore.Client {
 // collector can assemble the job timeline (`raiadmin trace <job_id>`).
 // Records ship in the background and nothing is printed locally; the
 // returned func flushes whatever is pending before the process exits.
-// The CLI is the trace root: when sampleRate < 1 the returned sampler
-// decides keep/drop here, and the verdict rides the job envelope so
-// every downstream service agrees without coordination.
-func observe(ctx context.Context, queue broker.Queue, sampleRate float64) (*telemetry.Tracer, *telemetry.Sampler, *telemetry.Logger, func()) {
+// Every span ships; whether the trace is kept is the collector's call.
+func observe(ctx context.Context, queue broker.Queue) (*telemetry.Tracer, *telemetry.Logger, func()) {
 	exp := telemetry.NewExporter(ctx, "rai", core.ShipTelemetry(queue))
-	var sampler *telemetry.Sampler
-	if sampleRate < 1 {
-		sampler = telemetry.NewSampler(sampleRate)
-	}
-	tracer := telemetry.NewTracer(256, telemetry.WithSpanSink(sampler.SpanSink(exp.ExportSpan)),
+	tracer := telemetry.NewTracer(256, telemetry.WithSpanSink(exp.ExportSpan),
 		telemetry.WithTracerInstance(telemetry.NewInstanceID("rai")))
 	logger := telemetry.NewLogger("rai", telemetry.WithLogSink(exp.ExportEvent))
-	return tracer, sampler, logger, func() { exp.Close() }
+	return tracer, logger, func() { exp.Close() }
 }
 
 // session opens an interactive container and relays stdin commands —
 // the §VIII future-work feature ("interactive sessions to enable more
 // debugging and profiling tools").
-func session(ctx context.Context, creds auth.Credentials, dir, brokerAddr, fsURL string, timeout time.Duration, rpc rpcConfig, sampleRate float64, stdin io.Reader, stdout, stderr io.Writer) int {
+func session(ctx context.Context, creds auth.Credentials, dir, brokerAddr, fsURL string, timeout time.Duration, rpc rpcConfig, stdin io.Reader, stdout, stderr io.Writer) int {
 	m, src, err := cas.BuildDir(dir, cas.ProjectIndex(dir))
 	if err != nil {
 		fmt.Fprintf(stderr, "rai: hashing project tree: %v\n", err)
@@ -157,7 +150,7 @@ func session(ctx context.Context, creds auth.Credentials, dir, brokerAddr, fsURL
 		return 1
 	}
 	defer queue.Close()
-	tracer, sampler, logger, flushTel := observe(ctx, queue, sampleRate)
+	tracer, logger, flushTel := observe(ctx, queue)
 	defer flushTel()
 	client := &core.Client{
 		Creds: creds, Queue: queue,
@@ -165,7 +158,6 @@ func session(ctx context.Context, creds auth.Credentials, dir, brokerAddr, fsURL
 		Stdout:  stdout,
 		LogWait: timeout,
 		Tracer:  tracer,
-		Sampler: sampler,
 		Log:     logger,
 	}
 	sess, err := client.OpenSession(ctx, m, src)
@@ -208,7 +200,7 @@ func session(ctx context.Context, creds auth.Credentials, dir, brokerAddr, fsURL
 }
 
 // submit runs the §V client sequence against a live deployment.
-func submit(ctx context.Context, cmd string, creds auth.Credentials, dir, brokerAddr, fsURL string, timeout time.Duration, rpc rpcConfig, sampleRate float64, stdout, stderr io.Writer) int {
+func submit(ctx context.Context, cmd string, creds auth.Credentials, dir, brokerAddr, fsURL string, timeout time.Duration, rpc rpcConfig, stdout, stderr io.Writer) int {
 	// Client step 1: the project directory must exist; rai-build.yml is
 	// optional (the Listing 1 default applies).
 	info, err := os.Stat(dir)
@@ -246,7 +238,7 @@ func submit(ctx context.Context, cmd string, creds auth.Credentials, dir, broker
 		return 1
 	}
 	defer queue.Close()
-	tracer, sampler, logger, flushTel := observe(ctx, queue, sampleRate)
+	tracer, logger, flushTel := observe(ctx, queue)
 	defer flushTel()
 	client := &core.Client{
 		Creds:   creds,
@@ -255,7 +247,6 @@ func submit(ctx context.Context, cmd string, creds auth.Credentials, dir, broker
 		Stdout:  stdout,
 		LogWait: timeout,
 		Tracer:  tracer,
-		Sampler: sampler,
 		Log:     logger,
 	}
 

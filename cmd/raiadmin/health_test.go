@@ -232,7 +232,7 @@ func TestTraceExemplarMetricFilter(t *testing.T) {
 }
 
 func TestTraceExemplarMissingTrace(t *testing.T) {
-	// An exemplar whose trace was sampled out of the docstore must fail
+	// An exemplar whose trace never reached the docstore must fail
 	// honestly, not render an empty timeline.
 	exposition := "rai_worker_job_seconds_bucket{le=\"+Inf\"} 1 # {trace_id=\"tr-gone\"} 2.2\n"
 	msrv := metricsServer(t, exposition)

@@ -172,7 +172,7 @@ func traceCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 			return 1
 		}
 		if len(spans) == 0 {
-			fmt.Fprintf(stderr, "raiadmin trace: trace %s has no persisted spans (sampled out, not yet collected, or expired by -retain)\n", traceID)
+			fmt.Fprintf(stderr, "raiadmin trace: trace %s has no persisted spans (dropped by tail retention, not yet collected, or expired by -retain)\n", traceID)
 			return 1
 		}
 		fmt.Fprint(stdout, collector.FormatTimeline(spans))

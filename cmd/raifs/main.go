@@ -7,7 +7,7 @@
 //
 //	raifs [-addr host:port] [-capacity bytes] [-ttl duration] [-keys keys.json] [-store-root objects/]
 //	      [-cas-root chunks/]
-//	      [-metrics-addr host:port] [-pprof] [-broker host:port] [-trace-sample 1]
+//	      [-metrics-addr host:port] [-pprof] [-broker host:port]
 //	      [-ready-file path] [-version]
 package main
 
@@ -55,7 +55,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, quit <-ch
 	metricsAddr := fs.String("metrics-addr", "", "serve GET /metrics on this address (empty = disabled)")
 	pprofOn := fs.Bool("pprof", false, "mount /debug/pprof on the metrics address")
 	brokerAddr := fs.String("broker", "", "broker address for shipping spans/events to the collector (empty = off)")
-	traceSample := fs.Float64("trace-sample", 1, "head-sampling rate for traces this server starts spans for; propagated X-RAI-Sampled verdicts always win")
 	drain := fs.Duration("drain", 10*time.Second, "in-flight request drain budget at shutdown")
 	readyPath := fs.String("ready-file", "", "write a JSON readiness document (pid, bound addresses) here once serving")
 	showVersion := fs.Bool("version", false, "print build information and exit")
@@ -142,15 +141,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, quit <-ch
 		exp := telemetry.NewExporter(context.Background(), "raifs", core.ShipTelemetry(queue),
 			telemetry.WithExportMetrics(reg))
 		defer exp.Close()
-		// The sampler honors propagated X-RAI-Sampled verdicts (noted by
-		// the handler) and hashes orphan traces at the local rate; spans
-		// of dropped traces are filtered before the export queue.
-		var sampler *telemetry.Sampler
-		if *traceSample < 1 {
-			sampler = telemetry.NewSampler(*traceSample, telemetry.WithSamplerMetrics(reg))
-			handlerOpts = append(handlerOpts, objstore.WithHandlerSampler(sampler))
-		}
-		tracer := telemetry.NewTracer(4096, telemetry.WithSpanSink(sampler.SpanSink(exp.ExportSpan)),
+		tracer := telemetry.NewTracer(4096, telemetry.WithSpanSink(exp.ExportSpan),
 			telemetry.WithTracerInstance(telemetry.NewInstanceID("raifs")))
 		handlerOpts = append(handlerOpts, objstore.WithHandlerTracer(tracer))
 		logger := telemetry.NewLogger("raifs",

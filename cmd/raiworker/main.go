@@ -9,7 +9,7 @@
 //	raiworker -broker host:port -fs url -db url -keys keys.json
 //	          [-id worker-1] [-concurrency 1] [-mem bytes]
 //	          [-lifetime 1h] [-rate-limit 30s] [-seed 408] [-full-images 100]
-//	          [-metrics-addr host:port] [-pprof] [-telemetry=false] [-trace-sample 1]
+//	          [-metrics-addr host:port] [-pprof] [-telemetry=false]
 //	          [-dial-timeout 10s] [-rpc-attempts 4] [-rpc-timeout 0]
 //	          [-ready-file path] [-version]
 package main
@@ -65,7 +65,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- struct{}, quit <-
 	metricsAddr := fs.String("metrics-addr", "", "serve GET /metrics on this address (empty = disabled)")
 	pprofOn := fs.Bool("pprof", false, "mount /debug/pprof on the metrics address")
 	telemetryOn := fs.Bool("telemetry", true, "ship spans and log events to the collector over the broker")
-	traceSample := fs.Float64("trace-sample", 1, "head-sampling fallback rate for traces arriving without a verdict; the job envelope's verdict always wins")
 	dialTimeout := fs.Duration("dial-timeout", brokerd.DefaultDialTimeout, "broker dial timeout per attempt")
 	rpcAttempts := fs.Int("rpc-attempts", netx.DefaultMaxAttempts, "attempts per RPC before giving up")
 	rpcTimeout := fs.Duration("rpc-timeout", 0, "per-attempt RPC deadline (0 = each service's default)")
@@ -140,13 +139,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- struct{}, quit <-
 		exp := telemetry.NewExporter(context.Background(), "raiworker", core.ShipTelemetry(queue),
 			telemetry.WithExportMetrics(telReg))
 		defer exp.Close()
-		// The worker notes each job envelope's X-RAI-Sampled verdict on
-		// this sampler (core.Worker.process), so its spans follow the
-		// client's decision; -trace-sample only decides orphan traces.
-		if *traceSample < 1 {
-			w.Sampler = telemetry.NewSampler(*traceSample, telemetry.WithSamplerMetrics(telReg))
-		}
-		tracerOpts = append(tracerOpts, telemetry.WithSpanSink(w.Sampler.SpanSink(exp.ExportSpan)))
+		tracerOpts = append(tracerOpts, telemetry.WithSpanSink(exp.ExportSpan))
 		w.Log = telemetry.NewLogger("raiworker",
 			telemetry.WithLogWriter(stderr), telemetry.WithLogSink(exp.ExportEvent))
 	} else {

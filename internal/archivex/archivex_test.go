@@ -11,7 +11,7 @@ import (
 	"rai/internal/vfs"
 )
 
-func sampleProject(t *testing.T) *vfs.FS {
+func sampleProject(t testing.TB) *vfs.FS {
 	t.Helper()
 	f := vfs.New()
 	must := func(err error) {
@@ -124,7 +124,7 @@ func TestCompressionActuallyShrinks(t *testing.T) {
 }
 
 // makeTarBz2 builds an archive with the given name->content entries.
-func makeTarBz2(t *testing.T, files map[string]string) []byte {
+func makeTarBz2(t testing.TB, files map[string]string) []byte {
 	t.Helper()
 	var raw bytes.Buffer
 	bz, err := bzip2w.NewWriterLevel(&raw, 1)

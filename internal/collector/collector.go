@@ -20,6 +20,7 @@ import (
 	"rai/internal/clock"
 	"rai/internal/core"
 	"rai/internal/docstore"
+	"rai/internal/netx"
 	"rai/internal/telemetry"
 )
 
@@ -54,14 +55,19 @@ func (c *Collector) clock() clock.Clock {
 // collector replicas divides the stream, not duplicates it; batches are
 // acked only after persistence (or tail buffering), and every write is
 // an idempotent upsert keyed by what the record is (see Persist), so
-// at-least-once redelivery cannot duplicate spans or events.
+// at-least-once redelivery cannot duplicate spans or events. A write
+// that failed retryably (netx.DefaultRetryable, after the store
+// client's own retries) requeues its batch; one that failed for good is
+// logged and acked. Only a batch that landed counts in
+// rai_collector_batches_total.
 //
 // With Tail.Linger > 0 spans detour through the tail buffer and persist
 // only when their trace survives the retention decision; events always
 // persist immediately (they are bounded by the retention sweep instead).
 // A batch is acked once buffered — a crash loses at most one linger
 // window of undecided traces, which is the price of deciding with the
-// whole trace in hand.
+// whole trace in hand. Survivors whose write failed retryably are
+// written again at the next flush.
 func (c *Collector) Run(ctx context.Context) error {
 	prefetch := c.Prefetch
 	if prefetch <= 0 {
@@ -89,16 +95,22 @@ func (c *Collector) Run(ctx context.Context) error {
 		tail = newTailBuffer(c.Tail, clk, c.Telemetry)
 		flush = clk.After(flushEvery)
 	}
-	// persistKept writes tail survivors, one request per eviction.
-	// Shutdown uses a detached context so the final flush is not cut off
-	// by the very cancellation that triggered it.
+	// persistKept writes tail survivors, with those of earlier flushes
+	// whose write failed retryably, one request per eviction. Shutdown
+	// uses a detached context so the final flush is not cut off by the
+	// very cancellation that triggered it.
+	var unsaved []spanRec
 	persistKept := func(ctx context.Context, recs []spanRec) {
+		recs, unsaved = append(unsaved, recs...), nil
 		ops := make([]docstore.Upsert, len(recs))
 		for i, r := range recs {
 			ops[i] = spanOp(r.service, r.data)
 		}
-		if c.write(ctx, ops) {
+		switch err := c.write(ctx, ops); {
+		case err == nil:
 			spans.Add(float64(len(ops)))
+		case netx.DefaultRetryable(err):
+			unsaved = recs
 		}
 	}
 	drain := func() {
@@ -122,20 +134,27 @@ func (c *Collector) Run(ctx context.Context) error {
 				_ = sub.Ack(ctx, m)
 				continue
 			}
-			if tail == nil {
-				ns, ne := c.Persist(ctx, b)
-				spans.Add(float64(ns))
-				events.Add(float64(ne))
-				batches.Inc()
-				_ = sub.Ack(ctx, m)
+			// With a tail stage only the events persist now; the spans
+			// join the buffer once the batch is sure not to come back.
+			now := b
+			if tail != nil {
+				now = &Batch{Service: b.Service, Events: b.Events}
+			}
+			err = c.Persist(ctx, now)
+			if err != nil && (netx.DefaultRetryable(err) || ctx.Err() != nil) {
+				_ = sub.Requeue(ctx, m)
 				continue
 			}
-			for _, s := range b.Spans {
-				tail.add(b.Service, s)
+			if err == nil {
+				spans.Add(float64(len(now.Spans)))
+				events.Add(float64(len(now.Events)))
+				batches.Inc()
 			}
-			_, ne := c.Persist(ctx, &Batch{Service: b.Service, Events: b.Events})
-			events.Add(float64(ne))
-			batches.Inc()
+			if tail != nil {
+				for _, s := range b.Spans {
+					tail.add(b.Service, s)
+				}
+			}
 			_ = sub.Ack(ctx, m)
 		case <-flush:
 			persistKept(ctx, tail.evict(false))
@@ -148,12 +167,12 @@ func (c *Collector) Run(ctx context.Context) error {
 }
 
 // Persist writes one batch into the traces and events collections as
-// one UpsertMany and reports how many spans and events landed (all or
-// none). Every op is an upsert keyed by what the record is — a span by
+// one UpsertMany: all of it lands, or none and the error says why.
+// Every op is an upsert keyed by what the record is — a span by
 // (trace_id, span_id), an event by a hash of its content — so persisting
 // a redelivered batch rewrites the same documents instead of adding
 // new ones.
-func (c *Collector) Persist(ctx context.Context, b *Batch) (spans, events int) {
+func (c *Collector) Persist(ctx context.Context, b *Batch) error {
 	ops := make([]docstore.Upsert, 0, len(b.Spans)+len(b.Events))
 	for _, s := range b.Spans {
 		ops = append(ops, spanOp(b.Service, s))
@@ -161,23 +180,20 @@ func (c *Collector) Persist(ctx context.Context, b *Batch) (spans, events int) {
 	for _, e := range b.Events {
 		ops = append(ops, eventOp(b.Service, e))
 	}
-	if !c.write(ctx, ops) {
-		return 0, 0
-	}
-	return len(b.Spans), len(b.Events)
+	return c.write(ctx, ops)
 }
 
-// write persists ops in one request and reports whether they landed.
-func (c *Collector) write(ctx context.Context, ops []docstore.Upsert) bool {
+// write persists ops in one request; a failure is logged and returned.
+func (c *Collector) write(ctx context.Context, ops []docstore.Upsert) error {
 	if len(ops) == 0 {
-		return true
+		return nil
 	}
-	if _, err := c.DB.UpsertMany(ctx, ops); err != nil {
+	_, err := c.DB.UpsertMany(ctx, ops)
+	if err != nil {
 		c.Log.Warn(ctx, "persisting telemetry failed",
 			telemetry.L("records", strconv.Itoa(len(ops))), telemetry.L("error", err.Error()))
-		return false
 	}
-	return true
+	return err
 }
 
 // Batch aliases the telemetry wire type so callers need not import both

@@ -2,13 +2,17 @@ package collector
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"rai/internal/broker"
 	"rai/internal/core"
 	"rai/internal/docstore"
+	"rai/internal/netx"
 	"rai/internal/telemetry"
 )
 
@@ -108,8 +112,8 @@ func TestPersistIdempotentSpans(t *testing.T) {
 	}
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
-		if ns, _ := c.Persist(ctx, batch); ns != 2 {
-			t.Fatalf("persist round %d: %d spans, want 2", i, ns)
+		if err := c.Persist(ctx, batch); err != nil {
+			t.Fatalf("persist round %d: %v", i, err)
 		}
 	}
 	docs, err := db.Find(context.Background(), core.CollTraces, docstore.M{"trace_id": "tr1"}, docstore.FindOpts{})
@@ -135,8 +139,8 @@ func TestPersistIdempotentEvents(t *testing.T) {
 	batch := &Batch{Service: "raiworker", Events: []telemetry.Event{ev, other}}
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
-		if _, ne := c.Persist(ctx, batch); ne != 2 {
-			t.Fatalf("persist round %d: %d events, want 2", i, ne)
+		if err := c.Persist(ctx, batch); err != nil {
+			t.Fatalf("persist round %d: %v", i, err)
 		}
 	}
 	if n, err := db.Count(ctx, core.CollEvents, docstore.M{}); err != nil || n != 2 {
@@ -184,7 +188,7 @@ func TestTraceQueriesAndPhases(t *testing.T) {
 	want := map[string]time.Duration{
 		"upload": time.Second, "enqueue": time.Second, "queue delay": 2 * time.Second,
 		"download": time.Second, "build": 5 * time.Second, "run": 8 * time.Second,
-		"unattributed": time.Second, "total": 20 * time.Second,
+		"unattributed": time.Second, "reply": 2 * time.Second, "total": 20 * time.Second,
 	}
 	got := map[string]time.Duration{}
 	var order []string
@@ -193,8 +197,9 @@ func TestTraceQueriesAndPhases(t *testing.T) {
 		order = append(order, p.Name)
 	}
 	// The worker's rows are dequeue's children in start order, then what
-	// they leave of dequeue's 15 s.
-	if want := "upload enqueue queue delay download build run unattributed total"; strings.Join(order, " ") != want {
+	// they leave of dequeue's 15 s, then the End's trip back from the last
+	// stage to the client.
+	if want := "upload enqueue queue delay download build run unattributed reply total"; strings.Join(order, " ") != want {
 		t.Errorf("phase order = %q, want %q", strings.Join(order, " "), want)
 	}
 	for name, d := range want {
@@ -223,5 +228,119 @@ func TestTraceQueriesAndPhases(t *testing.T) {
 	}
 	if !strings.Contains(FormatTimeline(orphaned), "not fully connected") {
 		t.Error("timeline with missing span did not warn")
+	}
+}
+
+// TelemetryBacklog counts telemetry batches on b that no collector has
+// acked yet. Exported for the end-to-end tests of package collector_test.
+func TelemetryBacklog(b *broker.Broker) int {
+	n := 0
+	for _, ts := range b.Stats() {
+		if ts.Topic != core.TelemetryTopic {
+			continue
+		}
+		n += ts.Backlog
+		for _, cs := range ts.Channels {
+			n += cs.Depth + cs.InFlight
+		}
+	}
+	return n
+}
+
+// failingStore fails its first fail UpsertMany calls with err, then
+// writes through, counting per record how often a write of it landed.
+type failingStore struct {
+	docstore.Store
+	err error
+
+	mu     sync.Mutex
+	fail   int
+	calls  int
+	landed map[string]int // by the op's filter
+}
+
+func (f *failingStore) UpsertMany(ctx context.Context, ops []docstore.Upsert) ([]string, error) {
+	f.mu.Lock()
+	f.calls++
+	if f.fail > 0 {
+		f.fail--
+		f.mu.Unlock()
+		return nil, f.err
+	}
+	for _, op := range ops {
+		f.landed[fmt.Sprint(op.Filter)]++
+	}
+	f.mu.Unlock()
+	return f.Store.UpsertMany(ctx, ops)
+}
+
+// runUntilAcked runs a collector over store until the one batch it is
+// sent has been acked, and returns its registry.
+func runUntilAcked(t *testing.T, store docstore.Store, batch *Batch) *telemetry.Registry {
+	t.Helper()
+	b := broker.New()
+	defer b.Close()
+	reg := telemetry.NewRegistry()
+	c := &Collector{Queue: b, DB: store, Telemetry: reg}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- c.Run(ctx) }()
+	defer func() { cancel(); <-done }()
+	if _, err := b.Publish(ctx, core.TelemetryTopic, batch.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); TelemetryBacklog(b) > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("batch never acked")
+		}
+	}
+	return reg
+}
+
+func twoSpanBatch() *Batch {
+	return &Batch{
+		Service: "raiworker",
+		Spans: []telemetry.SpanData{
+			span("tr1", "s1", "", "job", 0, time.Second, map[string]string{"job_id": "j1"}),
+			span("tr1", "s2", "s1", "run", 0, time.Second/2, nil),
+		},
+		Events: []telemetry.Event{{Time: t0, Level: "info", Msg: "job dequeued", TraceID: "tr1", JobID: "j1"}},
+	}
+}
+
+// TestCollectorRequeuesTransientWriteFailure: a batch whose write failed
+// retryably goes back on the route instead of being acked away, and is
+// persisted, once, when the store recovers.
+func TestCollectorRequeuesTransientWriteFailure(t *testing.T) {
+	store := &failingStore{Store: docstore.New(), err: errors.New("raidb unreachable"), fail: 2, landed: map[string]int{}}
+	reg := runUntilAcked(t, store, twoSpanBatch())
+	if store.calls != 3 || len(store.landed) != 3 {
+		t.Fatalf("%d writes, %d records landed; want 3 writes landing all 3 records", store.calls, len(store.landed))
+	}
+	for rec, n := range store.landed {
+		if n != 1 {
+			t.Errorf("record %s persisted %d times, want once", rec, n)
+		}
+	}
+	if v, _ := reg.Value("rai_collector_batches_total"); v != 1 {
+		t.Errorf("batches counter = %v, want 1", v)
+	}
+	if v, _ := reg.Value("rai_collector_spans_total"); v != 2 {
+		t.Errorf("spans counter = %v, want 2", v)
+	}
+}
+
+// TestCollectorAcksPermanentWriteFailure: a write the store refused for
+// good is acked once, never redelivered, and not counted as persisted.
+func TestCollectorAcksPermanentWriteFailure(t *testing.T) {
+	store := &failingStore{Store: docstore.New(), err: netx.Permanent(errors.New("bad request")), fail: 1 << 30, landed: map[string]int{}}
+	reg := runUntilAcked(t, store, twoSpanBatch())
+	if store.calls != 1 {
+		t.Errorf("%d writes of a permanently failing batch, want 1", store.calls)
+	}
+	for _, name := range []string{"rai_collector_batches_total", "rai_collector_spans_total", "rai_collector_events_total"} {
+		if v, _ := reg.Value(name); v != 0 {
+			t.Errorf("%s = %v, want 0", name, v)
+		}
 	}
 }

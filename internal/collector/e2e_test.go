@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"rai/internal/broker"
 	"rai/internal/build"
 	"rai/internal/cas"
+	"rai/internal/clock"
 	"rai/internal/cnn"
 	"rai/internal/collector"
 	"rai/internal/core"
@@ -28,47 +30,47 @@ import (
 // tracedStack is the full observability pipeline in one process: client
 // and worker over the broker, storage over HTTP so the X-RAI trace
 // headers actually cross a wire and the servers contribute their own
-// child spans, every service exporting through its own bounded exporter
-// onto the same telemetry route, one collector persisting.
+// child spans, every service exporting every span through its own
+// bounded exporter onto the same telemetry route, one collector
+// persisting.
 type tracedStack struct {
+	broker    *broker.Broker
 	db        *docstore.DB
+	dbURL     string
 	exporters map[string]*telemetry.Exporter
 	client    *core.Client
 	worker    *core.Worker
+
+	mu      sync.Mutex
+	shipped map[string]int // spans handed to an exporter, by trace ID
 }
 
-// newTracedStack boots the pipeline. With a nil sampler every trace is
-// kept. Otherwise the client decides at each trace root with it, and
-// every downstream service runs a keep-everything sampler of its own —
-// so only the verdict propagated on the job envelope and the
-// X-RAI-Sampled header can make them drop a span.
-func newTracedStack(t *testing.T, sampler *telemetry.Sampler) *tracedStack {
+// newTracedStack boots the pipeline with the wiring the binaries use;
+// collect starts its collector.
+func newTracedStack(t *testing.T) *tracedStack {
 	t.Helper()
 	b := broker.New()
 	t.Cleanup(func() { b.Close() })
-	s := &tracedStack{db: docstore.New(), exporters: map[string]*telemetry.Exporter{}}
+	s := &tracedStack{broker: b, db: docstore.New(), exporters: map[string]*telemetry.Exporter{}, shipped: map[string]int{}}
 
-	downstream := func() *telemetry.Sampler {
-		if sampler == nil {
-			return nil
-		}
-		return telemetry.NewSampler(1)
-	}
-	newTracer := func(service string, smp *telemetry.Sampler) *telemetry.Tracer {
+	newTracer := func(service string) *telemetry.Tracer {
 		exp := telemetry.NewExporter(context.Background(), service, core.ShipTelemetry(b))
 		t.Cleanup(exp.Close)
 		s.exporters[service] = exp
-		return telemetry.NewTracer(1024, telemetry.WithSpanSink(smp.SpanSink(exp.ExportSpan)),
-			telemetry.WithTracerInstance(service))
+		sink := func(d telemetry.SpanData) {
+			s.mu.Lock()
+			s.shipped[d.TraceID]++
+			s.mu.Unlock()
+			exp.ExportSpan(d)
+		}
+		return telemetry.NewTracer(1024, telemetry.WithSpanSink(sink), telemetry.WithTracerInstance(service))
 	}
 
-	fsSampler, dbSampler := downstream(), downstream()
-	objSrv := httptest.NewServer(objstore.Handler(objstore.New(), nil,
-		objstore.WithHandlerTracer(newTracer("raifs", fsSampler)), objstore.WithHandlerSampler(fsSampler)))
+	objSrv := httptest.NewServer(objstore.Handler(objstore.New(), nil, objstore.WithHandlerTracer(newTracer("raifs"))))
 	t.Cleanup(objSrv.Close)
-	dbSrv := httptest.NewServer(docstore.Handler(s.db, nil,
-		docstore.WithHandlerTracer(newTracer("raidb", dbSampler)), docstore.WithHandlerSampler(dbSampler)))
+	dbSrv := httptest.NewServer(docstore.Handler(s.db, nil, docstore.WithHandlerTracer(newTracer("raidb"))))
 	t.Cleanup(dbSrv.Close)
+	s.dbURL = dbSrv.URL
 
 	authReg := auth.NewRegistry()
 	creds, err := authReg.Issue("team-trace")
@@ -99,9 +101,8 @@ func newTracedStack(t *testing.T, sampler *telemetry.Sampler) *tracedStack {
 		Images:   registry.NewCourseRegistry(),
 		DataFS:   dataFS,
 		DataPath: "/data",
-		Sampler:  downstream(),
+		Tracer:   newTracer("raiworker"),
 	}
-	s.worker.Tracer = newTracer("raiworker", s.worker.Sampler)
 	s.worker.Log = telemetry.NewLogger("raiworker",
 		telemetry.WithLogSink(s.exporters["raiworker"].ExportEvent))
 
@@ -111,34 +112,48 @@ func newTracedStack(t *testing.T, sampler *telemetry.Sampler) *tracedStack {
 		Objects: objstore.NewClient(objSrv.URL),
 		Stdout:  &bytes.Buffer{},
 		LogWait: time.Minute,
-		Tracer:  newTracer("rai", sampler),
-		Sampler: sampler,
+		Tracer:  newTracer("rai"),
 	}
 	s.client.Log = telemetry.NewLogger("rai",
 		telemetry.WithLogSink(s.exporters["rai"].ExportEvent))
+	return s
+}
 
-	// The collector persists into the same metadata store the job record
-	// lands in, over the same HTTP server (so its writes are traced
-	// infrastructure too, though its own spans are not part of any job).
+// collect runs c over the stack's telemetry route until the test ends.
+// It persists into the same metadata store the job record lands in,
+// over the same HTTP server (so its writes are traced infrastructure
+// too, though its own spans are not part of any job).
+func (s *tracedStack) collect(t *testing.T, c *collector.Collector) {
+	t.Helper()
+	c.Queue, c.DB = s.broker, docstore.NewClient(s.dbURL)
 	ctx, cancel := context.WithCancel(context.Background())
-	coll := &collector.Collector{Queue: b, DB: docstore.NewClient(dbSrv.URL)}
-	collDone := make(chan error, 1)
-	go func() { collDone <- coll.Run(ctx) }()
+	done := make(chan error, 1)
+	go func() { done <- c.Run(ctx) }()
 	t.Cleanup(func() {
 		cancel()
 		select {
-		case <-collDone:
+		case <-done:
 		case <-time.After(5 * time.Second):
 			t.Error("collector did not stop")
 		}
 	})
-	return s
 }
 
 // runJob submits revision rev of the course project (each revision is a
-// distinct tree, so every upload moves chunks) and has the worker handle
-// it.
+// distinct tree, so every upload moves chunks) and has the worker run
+// it to success.
 func (s *tracedStack) runJob(t *testing.T, rev int) *core.JobResult {
+	t.Helper()
+	res := s.submit(t, rev, core.KindRun)
+	if res.Status != core.StatusSucceeded {
+		t.Fatalf("job status = %q", res.Status)
+	}
+	return res
+}
+
+// submit sends revision rev as a job of the given kind, has the worker
+// handle it, and returns what the client learned.
+func (s *tracedStack) submit(t *testing.T, rev int, kind string) *core.JobResult {
 	t.Helper()
 	projFS := vfs.New()
 	if err := project.WriteTo(projFS, "/p", project.Spec{Impl: cnn.ImplIm2col, Team: "team-trace"}); err != nil {
@@ -158,7 +173,7 @@ func (s *tracedStack) runJob(t *testing.T, rev int) *core.JobResult {
 	}
 	done := make(chan out, 1)
 	go func() {
-		res, err := s.client.Submit(context.Background(), core.KindRun, build.Default(), m, src)
+		res, err := s.client.Submit(context.Background(), kind, build.Default(), m, src)
 		done <- out{res, err}
 	}()
 	if _, err := s.worker.HandleOne(context.Background(), 10*time.Second); err != nil {
@@ -168,9 +183,6 @@ func (s *tracedStack) runJob(t *testing.T, rev int) *core.JobResult {
 	case o := <-done:
 		if o.err != nil {
 			t.Fatalf("submit: %v", o.err)
-		}
-		if o.res.Status != core.StatusSucceeded {
-			t.Fatalf("job status = %q", o.res.Status)
 		}
 		return o.res
 	case <-time.After(30 * time.Second):
@@ -233,7 +245,7 @@ func (s *tracedStack) connectedTrace(t *testing.T, jobID string) []collector.Spa
 	for _, p := range collector.Phases(spans) {
 		phases[p.Name] = p.Duration >= 0
 	}
-	for _, want := range []string{"upload", "enqueue", "admit", "download", "start", "build", "run", "store-build", "finish", "unattributed", "total"} {
+	for _, want := range []string{"upload", "enqueue", "admit", "download", "start", "build", "run", "store-build", "finish", "unattributed", "reply", "total"} {
 		if !phases[want] {
 			t.Errorf("job %s: phase %q missing from decomposition (timeline:\n%s)", jobID, want, timeline)
 		}
@@ -254,7 +266,8 @@ func (s *tracedStack) noDrops(t *testing.T) {
 // TestEndToEndConnectedTrace runs a real job through the pipeline and
 // asserts one connected tree with zero drops.
 func TestEndToEndConnectedTrace(t *testing.T) {
-	s := newTracedStack(t, nil)
+	s := newTracedStack(t)
+	s.collect(t, &collector.Collector{})
 	res := s.runJob(t, 0)
 	s.settle(t)
 	spans := s.connectedTrace(t, res.JobID)
@@ -287,9 +300,9 @@ func TestEndToEndConnectedTrace(t *testing.T) {
 			t.Errorf("dequeue's child %d = %q, want %q (children %v)", i, name, want[i], stages)
 		}
 	}
-	// The books close: the named phases cover the job's wall time, with
-	// unattributed (dequeue minus its stages) and the untimed gaps between
-	// client phases the only remainder.
+	// The books close: the named phases cover the job's wall time. What
+	// is left is the worker's own time between its stages (part of
+	// unattributed) and the moment before upload starts.
 	var named, total time.Duration
 	for _, p := range collector.Phases(spans) {
 		switch p.Name {
@@ -374,44 +387,110 @@ func TestEndToEndConnectedTrace(t *testing.T) {
 	s.noDrops(t)
 }
 
-// TestEndToEndSamplingHonest runs the same pipeline at 10% head
-// sampling: the kept fraction tracks the rate, every kept trace is
-// whole, and a dropped job leaves no span anywhere — a trace is either
-// complete or absent, never a connected-looking fragment.
+// TestEndToEndSamplingHonest runs the same pipeline with every process
+// shipping every span and the collector's tail retention keeping 10 %
+// of boring traces: the kept fraction tracks the rate, every trace is
+// decided once and is complete or absent, never a connected-looking
+// fragment, and a failed job is always kept.
 func TestEndToEndSamplingHonest(t *testing.T) {
 	const rate, jobs = 0.1, 40
-	sampler := telemetry.NewSampler(rate)
-	s := newTracedStack(t, sampler)
-	keptTraces := map[string]bool{}
-	var keptJobs []string
+	s := newTracedStack(t)
+	// On a virtual clock no trace is decided until every one has arrived.
+	clk := clock.NewVirtual(time.Now())
+	reg := telemetry.NewRegistry()
+	tail := collector.TailConfig{Linger: time.Minute, KeepRate: rate}
+	s.collect(t, &collector.Collector{Telemetry: reg, Clock: clk, Tail: tail})
+	var runs []*core.JobResult
 	for i := 0; i < jobs; i++ {
-		if res := s.runJob(t, i); res.Sampled {
-			keptTraces[res.TraceID] = true
-			keptJobs = append(keptJobs, res.JobID)
-		}
+		runs = append(runs, s.runJob(t, i))
 	}
-	s.settle(t)
+	// A final submission without USAGE and report.pdf fails at the worker.
+	failed := s.submit(t, jobs, core.KindSubmit)
+	if failed.Status != core.StatusFailed {
+		t.Fatalf("forced failure ended %q", failed.Status)
+	}
 
+	// Every batch sits in the tail buffer before the linger expires.
+	deadline := time.Now().Add(10 * time.Second)
+	for _, exp := range s.exporters {
+		exp.Flush()
+	}
+	for collector.TelemetryBacklog(s.broker) > 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("collector never drained the telemetry route")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	clk.Advance(tail.Linger)
+	counter := func(name string, labels ...telemetry.Label) int {
+		v, _ := reg.Value(name, labels...)
+		return int(v)
+	}
+	kept := func(reason string) int {
+		return counter("rai_collector_tail_kept_total", telemetry.L("reason", reason))
+	}
+	var shipped uint64
+	for _, exp := range s.exporters {
+		ns, _ := exp.Shipped()
+		shipped += ns
+	}
+	for {
+		persisted, _ := s.db.Count(context.Background(), core.CollTraces, docstore.M{})
+		if uint64(persisted+counter("rai_collector_tail_spans_dropped_total")) == shipped {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("persisted %d and dropped %d of %d shipped spans", persisted, counter("rai_collector_tail_spans_dropped_total"), shipped)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// Each trace was decided once, whole: no fragment was decided alone.
+	decided := kept("error") + kept("slow") + kept("sampled") + counter("rai_collector_tail_dropped_total")
+	if decided != jobs+1 || kept("error") != 1 {
+		t.Fatalf("tail decided %d traces (%d kept as errors), want %d (1)", decided, kept("error"), jobs+1)
+	}
 	// Within five standard deviations of the rate, floored at ±0.1 so a
 	// small run does not flap; and not vacuously — something was kept.
 	tol := math.Max(0.1, 5*math.Sqrt(rate*(1-rate)/jobs))
-	if frac := float64(len(keptJobs)) / jobs; len(keptJobs) == 0 || math.Abs(frac-rate) > tol {
-		t.Fatalf("kept %d/%d traces (%.3f), want %.3f ± %.3f and at least one", len(keptJobs), jobs, frac, rate, tol)
+	boring := jobs - kept("slow")
+	if frac := float64(kept("sampled")) / float64(boring); kept("sampled") == 0 || math.Abs(frac-rate) > tol {
+		t.Fatalf("kept %d/%d boring traces (%.3f), want %.3f ± %.3f and at least one", kept("sampled"), boring, frac, rate, tol)
 	}
-	if sampled, dropped, _ := sampler.Counts(); sampled != uint64(len(keptJobs)) || sampled+dropped != jobs {
-		t.Errorf("sampler decided keep %d / drop %d, results report %d kept of %d", sampled, dropped, len(keptJobs), jobs)
-	}
-	for _, jobID := range keptJobs {
-		s.connectedTrace(t, jobID)
-	}
+	t.Logf("kept %d of %d boring traces", kept("sampled"), boring)
+
+	// Complete or absent: a trace's persisted spans are all it shipped,
+	// or none of them.
 	all, err := s.db.Find(context.Background(), core.CollTraces, docstore.M{}, docstore.FindOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	persisted := map[string]int{}
 	for _, d := range all {
-		if id, _ := d["trace_id"].(string); !keptTraces[id] {
-			t.Errorf("span %v %q of dropped trace %s was persisted", d["service"], d["name"], id)
+		id, _ := d["trace_id"].(string)
+		persisted[id]++
+	}
+	s.mu.Lock()
+	for id, n := range persisted {
+		if n != s.shipped[id] {
+			t.Errorf("trace %s: %d of its %d spans persisted", id, n, s.shipped[id])
 		}
+	}
+	s.mu.Unlock()
+	if len(persisted) != decided-counter("rai_collector_tail_dropped_total") {
+		t.Errorf("%d traces persisted, tail kept %d", len(persisted), decided-counter("rai_collector_tail_dropped_total"))
+	}
+	for _, res := range runs {
+		if persisted[res.TraceID] > 0 {
+			s.connectedTrace(t, res.JobID)
+		}
+	}
+	spans, err := collector.TraceByJob(context.Background(), s.db, failed.JobID)
+	if err != nil || len(spans) == 0 {
+		t.Fatalf("failed job %s: trace not kept (err %v)", failed.JobID, err)
+	}
+	if timeline := collector.FormatTimeline(spans); strings.Contains(timeline, "not fully connected") {
+		t.Errorf("failed job's trace not connected:\n%s", timeline)
 	}
 	s.noDrops(t)
 }

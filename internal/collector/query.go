@@ -147,8 +147,10 @@ type Phase struct {
 // dequeue span — the worker's stages — is then a phase of its own name,
 // in first-start order, repeated spans (several build commands) summed.
 // unattributed is dequeue minus its children, so the worker's rows add
-// up to its service time by construction; total is the client's job
-// span. Phases absent from the trace are omitted.
+// up to its service time by construction. reply is the client's tail:
+// from the end of the worker's last stage, which publishes End, to the
+// end of the client's job span. total is the job span. Phases absent
+// from the trace are omitted.
 func Phases(spans []Span) []Phase {
 	spans = slices.Clone(spans)
 	sort.SliceStable(spans, func(i, j int) bool { return spans[i].Start.Before(spans[j].Start) })
@@ -163,7 +165,8 @@ func Phases(spans []Span) []Phase {
 		at                  = map[string]int{}
 		total, unattributed time.Duration
 		haveTotal, picked   bool
-		enqueueEnd          time.Time
+		enqueueEnd, jobEnd  time.Time
+		stagesEnd           time.Time
 	)
 	add := func(name string, d time.Duration) {
 		if i, ok := at[name]; ok {
@@ -176,7 +179,7 @@ func Phases(spans []Span) []Phase {
 	for _, s := range spans {
 		switch {
 		case s.Name == "job":
-			total, haveTotal = s.Duration(), true
+			total, haveTotal, jobEnd = s.Duration(), true, s.End
 		case s.Name == "upload":
 			add(s.Name, s.Duration())
 		case s.Name == "enqueue":
@@ -191,10 +194,17 @@ func Phases(spans []Span) []Phase {
 		case dequeues[s.ParentID]:
 			add(s.Name, s.Duration())
 			unattributed -= s.Duration()
+			if s.End.After(stagesEnd) {
+				stagesEnd = s.End
+			}
 		}
 	}
 	if picked {
 		add("unattributed", unattributed)
+	}
+	if haveTotal && !stagesEnd.IsZero() {
+		// The client can see End before the last stage's span closes.
+		add("reply", max(0, jobEnd.Sub(stagesEnd)))
 	}
 	if haveTotal {
 		out = append(out, Phase{"total", total})

@@ -1,17 +1,17 @@
 package collector
 
-// Tail-based retention: the second half of adaptive trace sampling.
-// Head sampling (telemetry.Sampler) cuts export volume at the source
-// but is blind — it decides before knowing whether a trace will turn
-// out interesting. The tail buffer holds each arriving trace for a
-// short linger window after its last span, then decides with the whole
-// trace in hand: error traces and slow traces (a latency-biased
-// reservoir keyed off the observed root-duration distribution) are
-// always kept, the boring bulk is downsampled by a deterministic hash.
-// Every decision is counted, so operators can verify the persisted set
-// is exactly what the policy promised — never silently truncated.
+// Tail-based retention: the one place that decides whether a trace is
+// kept. Every process ships every span; the tail buffer holds each
+// arriving trace for a short linger window after its last span, then
+// decides with the whole trace in hand: error traces and slow traces (a
+// latency-biased reservoir keyed off the observed root-duration
+// distribution) are always kept, the boring bulk is downsampled by a
+// deterministic hash. Every decision is counted, so operators can
+// verify the persisted set is exactly what the policy promised — never
+// silently truncated.
 
 import (
+	"hash/fnv"
 	"sync"
 	"time"
 
@@ -72,9 +72,8 @@ type pendingTrace struct {
 
 // tailBuffer implements the linger-and-decide stage.
 type tailBuffer struct {
-	cfg  TailConfig
-	clk  clock.Clock
-	keep *telemetry.Sampler // deterministic boring-trace reservoir
+	cfg TailConfig
+	clk clock.Clock
 
 	mu     sync.Mutex
 	traces map[string]*pendingTrace
@@ -100,7 +99,6 @@ func newTailBuffer(cfg TailConfig, clk clock.Clock, reg *telemetry.Registry) *ta
 	t := &tailBuffer{
 		cfg:    cfg,
 		clk:    clk,
-		keep:   telemetry.NewSampler(cfg.KeepRate),
 		traces: map[string]*pendingTrace{},
 		hist:   telemetry.NewHDRHistogram(),
 		kept:   map[string]*telemetry.Counter{},
@@ -175,11 +173,7 @@ func (t *tailBuffer) evict(flushAll bool) []spanRec {
 		case trustSlow && pt.rootDur >= 0 && pt.rootDur >= threshold:
 			t.kept[tailReasonSlow].Inc()
 			out = append(out, pt.spans...)
-		// The "tail|" salt decorrelates this hash from the head
-		// sampler's: without it, head-surviving traces would all land
-		// on the same side of the tail threshold and KeepRate would
-		// silently become 0 or 1.
-		case t.keep.Keep("tail|" + ids[i]):
+		case keepHash(ids[i], t.cfg.KeepRate):
 			t.kept[tailReasonSampled].Inc()
 			out = append(out, pt.spans...)
 		default:
@@ -188,4 +182,24 @@ func (t *tailBuffer) evict(flushAll bool) []spanRec {
 		}
 	}
 	return out
+}
+
+// keepHash is the deterministic verdict on a boring trace: kept when
+// its ID hashes into the bottom rate of the 64-bit range, so every
+// collector replica, and every fragment of a trace that outlived its
+// linger window, reaches the same one. FNV-1a alone avalanches poorly
+// into the high bits for short, similar IDs (which trace IDs are), so
+// the sum runs through the splitmix64 finalizer before the compare.
+// The hash is unsalted: no other decision in the pipeline hashes trace
+// IDs, so there is nothing to decorrelate it from.
+func keepHash(traceID string, rate float64) bool {
+	if rate >= 1 {
+		return true
+	}
+	h := fnv.New64a()
+	h.Write([]byte(traceID))
+	x := h.Sum64()
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return float64(x^x>>31) < rate*(1<<64)
 }

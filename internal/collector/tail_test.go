@@ -2,7 +2,9 @@ package collector
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -120,8 +122,8 @@ func TestTailDownsamplesBoring(t *testing.T) {
 	if int(sampled) != len(kept) {
 		t.Fatalf("kept counter %v disagrees with %d returned spans", sampled, len(kept))
 	}
-	// 5-sigma band around the binomial mean, same tolerance the sampler
-	// tests use.
+	// A 10-sigma band around the binomial mean: only a badly biased hash
+	// leaves it.
 	if sampled < 100 || sampled > 300 {
 		t.Errorf("kept %v of %d at rate 0.5 — hash badly biased", sampled, n)
 	}
@@ -258,5 +260,82 @@ func TestCollectorShutdownFlushesTail(t *testing.T) {
 	}
 	if _, err := db.FindOne(context.Background(), core.CollTraces, docstore.M{"trace_id": "tr1"}); err != nil {
 		t.Fatalf("lingering trace lost on shutdown: %v", err)
+	}
+}
+
+// TestCollectorRetriesFailedTailWrites: tail survivors whose write
+// failed retryably are written again at the next flush, once.
+func TestCollectorRetriesFailedTailWrites(t *testing.T) {
+	b := broker.New()
+	defer b.Close()
+	store := &failingStore{Store: docstore.New(), err: errors.New("raidb unreachable"), fail: 1, landed: map[string]int{}}
+	clk := clock.NewVirtual(t0)
+	reg := telemetry.NewRegistry()
+	c := &Collector{Queue: b, DB: store, Telemetry: reg, Clock: clk, Tail: TailConfig{Linger: time.Second, KeepRate: 1}}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- c.Run(ctx) }()
+	defer func() { cancel(); <-done }()
+
+	batch := &Batch{Service: "rai", Spans: []telemetry.SpanData{
+		span("tr1", "s1", "", "job", 0, time.Second, map[string]string{"job_id": "j1"}),
+	}}
+	if _, err := b.Publish(ctx, core.TelemetryTopic, batch.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("never %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	writes := func() int {
+		store.mu.Lock()
+		defer store.mu.Unlock()
+		return store.calls
+	}
+	waitFor("buffered", func() bool { v, _ := reg.Value("rai_collector_tail_pending"); return v == 1 })
+	clk.Advance(time.Second)
+	// The retry waits for the next flush, so the timer must be re-armed
+	// before the clock moves again.
+	waitFor("tried the write", func() bool { return writes() == 1 && clk.PendingTimers() == 1 })
+	clk.Advance(time.Second)
+	waitFor("retried the write", func() bool { v, _ := reg.Value("rai_collector_spans_total"); return v == 1 })
+	if n := writes(); n != 2 {
+		t.Errorf("%d writes, want the failed one and its retry", n)
+	}
+	if _, err := store.FindOne(context.Background(), core.CollTraces, docstore.M{"span_id": "s1"}); err != nil {
+		t.Fatalf("retried survivor not persisted: %v", err)
+	}
+}
+
+func TestKeepHashRateBounds(t *testing.T) {
+	for _, id := range []string{"a", "b", "rai-000000000001", "rai-000000000002"} {
+		if !keepHash(id, 1) {
+			t.Errorf("rate 1 dropped %q", id)
+		}
+		if keepHash(id, 0) {
+			t.Errorf("rate 0 kept %q", id)
+		}
+	}
+}
+
+// TestKeepHashDeterministicAndUnbiased: sequential trace IDs, which
+// differ only in their trailing digits, still land at the rate.
+func TestKeepHashDeterministicAndUnbiased(t *testing.T) {
+	const rate, n = 0.3, 10000
+	kept := 0
+	for i := 0; i < n; i++ {
+		if keepHash(fmt.Sprintf("rai-%012d", i), rate) {
+			kept++
+		}
+	}
+	// 5σ binomial bound around the rate.
+	if frac, sigma := float64(kept)/n, 5*math.Sqrt(rate*(1-rate)/n); math.Abs(frac-rate) > sigma {
+		t.Errorf("kept fraction %.4f deviates from rate %.1f beyond 5σ (%.4f)", frac, rate, sigma)
 	}
 }

@@ -36,12 +36,6 @@ type Client struct {
 	// and "enqueue"). Both are optional and nil-safe.
 	Telemetry *telemetry.Registry
 	Tracer    *telemetry.Tracer
-	// Sampler, when set, makes the head-sampling decision at each job's
-	// trace root; the verdict rides the request context (X-RAI-Sampled
-	// on storage hops) and the job envelope so every downstream process
-	// agrees. The same sampler should wrap the Tracer's span sink so the
-	// client's own spans honor the verdict. Nil keeps every trace.
-	Sampler *telemetry.Sampler
 	// Log, when set, emits structured lifecycle events stamped with the
 	// job's trace identity. Optional and nil-safe.
 	Log *telemetry.Logger
@@ -62,11 +56,6 @@ type JobResult struct {
 	// TraceID identifies the job's telemetry trace ("" when the client
 	// has no Tracer).
 	TraceID string
-	// Sampled reports the head-sampling verdict for the trace: false
-	// only when a sampler decided to drop it (unsampled clients always
-	// report true). Dropped traces never reach the collector, so
-	// tooling should not wait for their spans.
-	Sampled bool
 	// Transfer describes the upload; nil when the job reran an upload
 	// already on the file server (Resubmit).
 	Transfer *TransferStats
@@ -115,9 +104,8 @@ func CheckSubmissionFiles(fs *vfs.FS, dir string) error {
 // is watching the log topic).
 func (c *Client) Submit(ctx context.Context, kind string, spec *build.Spec, m *cas.Manifest, src cas.Source) (*JobResult, error) {
 	jobID := NewJobID()
-	root, sampled := c.startJobSpan(jobID, kind)
+	root := c.startJobSpan(jobID, kind)
 	ctx = telemetry.ContextWithJobID(ctx, jobID)
-	ctx = telemetry.ContextWithSampling(ctx, sampled)
 	// Step 3: upload the project; one-month lifetime from last use. The
 	// upload span rides the request context so the objstore server opens
 	// its child spans under it.
@@ -146,23 +134,16 @@ func (c *Client) Submit(ctx context.Context, kind string, spec *build.Spec, m *c
 // submission multiple times and keep the best time (§VI, §VII).
 func (c *Client) Resubmit(ctx context.Context, kind, uploadBucket, uploadKey string) (*JobResult, error) {
 	jobID := NewJobID()
-	root, sampled := c.startJobSpan(jobID, kind)
-	return c.submitUploaded(telemetry.ContextWithSampling(ctx, sampled), root, jobID, kind, nil, uploadBucket, uploadKey)
+	return c.submitUploaded(ctx, c.startJobSpan(jobID, kind), jobID, kind, nil, uploadBucket, uploadKey)
 }
 
-// startJobSpan opens the trace root covering the whole submission and
-// makes the head-sampling decision for it — once, here, so every child
-// span and downstream process inherits one verdict.
-func (c *Client) startJobSpan(jobID, kind string) (*telemetry.Span, telemetry.Decision) {
+// startJobSpan opens the trace root covering the whole submission.
+func (c *Client) startJobSpan(jobID, kind string) *telemetry.Span {
 	root := c.Tracer.StartRoot("job")
 	root.SetAttr("job_id", jobID)
 	root.SetAttr("kind", kind)
 	root.SetAttr("user", c.Creds.UserName)
-	sampled := telemetry.DecisionUnknown
-	if c.Sampler != nil && root.TraceID() != "" {
-		sampled = c.Sampler.Decide(root.TraceID())
-	}
-	return root, sampled
+	return root
 }
 
 func (c *Client) submitUploaded(ctx context.Context, root *telemetry.Span, jobID, kind string, spec *build.Spec, uploadBucket, uploadKey string) (*JobResult, error) {
@@ -176,10 +157,14 @@ func (c *Client) submitUploaded(ctx context.Context, root *telemetry.Span, jobID
 		clk = clock.Real{}
 	}
 
+	// The enqueue span covers building and signing the request too, so
+	// the client's phases leave no gap between upload and the queue.
+	enq := root.Child("enqueue")
 	specBytes := []byte{}
 	if spec != nil {
 		enc, err := spec.Encode()
 		if err != nil {
+			enq.End()
 			return nil, err
 		}
 		specBytes = enc
@@ -195,12 +180,10 @@ func (c *Client) submitUploaded(ctx context.Context, root *telemetry.Span, jobID
 		SubmittedAt:  clk.Now(),
 		TraceID:      root.TraceID(),
 		ParentSpan:   root.SpanID(),
-		Sampled:      telemetry.SamplingFrom(ctx).String(),
 	}
 	req.Token = authToken(c, req)
 
 	submitted := clk.Now()
-	enq := root.Child("enqueue")
 	// Step 5: subscribe to the log topic BEFORE publishing so no output
 	// is lost (the broker also buffers a backlog as a second defense).
 	sub, err := c.Queue.Subscribe(ctx, LogTopic(jobID), LogChannel, 1024)
@@ -223,7 +206,6 @@ func (c *Client) submitUploaded(ctx context.Context, root *telemetry.Span, jobID
 	res := &JobResult{
 		JobID:   jobID,
 		TraceID: root.TraceID(),
-		Sampled: telemetry.SamplingFrom(ctx) != telemetry.DecisionDrop,
 	}
 	var timeout <-chan time.Time
 	if c.LogWait > 0 {

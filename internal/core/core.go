@@ -99,11 +99,6 @@ type JobRequest struct {
 	// the authenticated request, and relays may rewrite them.
 	TraceID    string `json:"trace_id,omitempty"`
 	ParentSpan string `json:"parent_span,omitempty"`
-	// Sampled carries the head-sampling verdict made at the trace root
-	// ("1" keep, "0" drop, "" no verdict) so the worker's sampler agrees
-	// with the client's even when their configured rates differ. Like
-	// TraceID/ParentSpan, excluded from CanonicalPayload.
-	Sampled string `json:"sampled,omitempty"`
 }
 
 // CanonicalPayload is the byte string the request token signs.

@@ -96,12 +96,6 @@ type Worker struct {
 	// job's trace. Both are optional and nil-safe.
 	Telemetry *telemetry.Registry
 	Tracer    *telemetry.Tracer
-	// Sampler, when set, honors the head-sampling verdict riding each
-	// job envelope: the decision is noted so this worker's spans for
-	// the trace follow the client's call, and exemplars only link to
-	// traces that will actually be retained. The same sampler should
-	// wrap the Tracer's span sink. Nil keeps every trace.
-	Sampler *telemetry.Sampler
 	// Log, when set, emits structured lifecycle events stamped with each
 	// job's trace identity. Optional and nil-safe.
 	Log *telemetry.Logger
@@ -306,9 +300,8 @@ func (w *Worker) process(ctx context.Context, sub broker.Consumer, m *broker.Mes
 
 // dequeue decodes a message into a job and continues the client's trace
 // under a "dequeue" span whose IDs rode inside the request. The returned
-// context carries that span, the job ID and the client's head-sampling
-// verdict, so storage RPCs (and their server-side spans) and log events
-// land in the same tree. nil means the message is not a job request.
+// context carries that span and the job ID, so storage RPCs (and their
+// server-side spans) and log events land in the same tree. nil means the message is not a job request.
 func (w *Worker) dequeue(ctx context.Context, m *broker.Message) (context.Context, *job) {
 	j := &job{attempt: m.Attempts}
 	if err := json.Unmarshal(m.Body, &j.req); err != nil {
@@ -316,16 +309,11 @@ func (w *Worker) dequeue(ctx context.Context, m *broker.Message) (context.Contex
 	}
 	// Figure 4's queue delay: submission to worker pickup.
 	w.tel.queueDelay.Observe(w.Clock.Now().Sub(j.req.SubmittedAt).Seconds())
-	// The noted verdict steers this tracer's span sink before any span of
-	// ours finishes, and rides storage hops as X-RAI-Sampled.
-	sampled := telemetry.ParseDecision(j.req.Sampled)
-	w.Sampler.Note(j.req.TraceID, sampled)
 	j.span = w.Tracer.StartSpan(j.req.TraceID, j.req.ParentSpan, "dequeue")
 	j.span.SetAttr("worker", w.Cfg.ID)
 	j.span.SetAttr("job_id", j.req.ID)
 	ctx = telemetry.ContextWithJobID(ctx, j.req.ID)
 	ctx = telemetry.ContextWithSpan(ctx, j.span)
-	ctx = telemetry.ContextWithSampling(ctx, sampled)
 	j.log = newJobLog(ctx, w.Queue, w.Clock, j.req.ID)
 	w.Log.Info(ctx, "job dequeued",
 		telemetry.L("worker", w.Cfg.ID), telemetry.L("kind", j.req.Kind), telemetry.L("user", j.req.User))
@@ -638,16 +626,10 @@ func (w *Worker) finish(ctx context.Context, j *job) error {
 		j.span.SetAttr("error", "job failed")
 	}
 	w.tel.jobs[status].Inc()
-	// The terminal status lets the collector keep failed traces at 100%
-	// regardless of sampling.
+	// The terminal status lets the collector's tail retention keep
+	// failed traces at 100%.
 	j.span.SetAttr("status", status)
-	// Exemplars only point at traces that will be retained; an exemplar
-	// naming a head-dropped trace would be a dead link.
-	exemplarTrace := ""
-	if j.req.TraceID != "" && w.Sampler.Keep(j.req.TraceID) {
-		exemplarTrace = j.req.TraceID
-	}
-	w.tel.jobSecs.ObserveExemplar(j.elapsed.Seconds(), exemplarTrace)
+	w.tel.jobSecs.ObserveExemplar(j.elapsed.Seconds(), j.req.TraceID)
 	var logBytes int64
 	if j.stdout != nil {
 		logBytes = j.stdout.Bytes() + j.stderr.Bytes()

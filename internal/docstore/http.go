@@ -81,18 +81,9 @@ func WithHandlerTracer(t *telemetry.Tracer) HandlerOption {
 	return func(h *handlerState) { h.tracer = t }
 }
 
-// WithHandlerSampler notes the head-sampling verdict arriving on the
-// X-RAI-Sampled header, so the server's child spans follow the
-// client's decision. Wrap the tracer's span sink with the same
-// sampler's SpanSink for the filter to take effect.
-func WithHandlerSampler(s *telemetry.Sampler) HandlerOption {
-	return func(h *handlerState) { h.sampler = s }
-}
-
 type handlerState struct {
 	reg      *telemetry.Registry
 	tracer   *telemetry.Tracer
-	sampler  *telemetry.Sampler
 	requests map[string]*telemetry.Counter
 	latency  map[string]*telemetry.HDRHistogram
 	inFlight *telemetry.Gauge
@@ -130,7 +121,6 @@ func Handler(db Store, auth AuthFunc, opts ...HandlerOption) http.Handler {
 		verb := "other"
 		defer func() { h.observe(verb, start) }()
 		if sc, jobID := telemetry.ExtractHTTP(r.Header); sc.Valid() && h.tracer != nil {
-			h.sampler.Note(sc.TraceID, sc.Sampled)
 			span := h.tracer.StartSpan(sc.TraceID, sc.SpanID, "docstore")
 			span.SetAttr("path", r.URL.Path)
 			if jobID != "" {

@@ -214,18 +214,9 @@ func WithHandlerTracer(t *telemetry.Tracer) HandlerOption {
 	return func(h *handlerState) { h.tracer = t }
 }
 
-// WithHandlerSampler notes the head-sampling verdict arriving on the
-// X-RAI-Sampled header, so the server's child spans follow the
-// client's decision. Wrap the tracer's span sink with the same
-// sampler's SpanSink for the filter to take effect.
-func WithHandlerSampler(s *telemetry.Sampler) HandlerOption {
-	return func(h *handlerState) { h.sampler = s }
-}
-
 type handlerState struct {
 	reg       *telemetry.Registry
 	tracer    *telemetry.Tracer
-	sampler   *telemetry.Sampler
 	requests  map[string]*telemetry.Counter
 	latency   map[string]*telemetry.HDRHistogram
 	bytesIn   *telemetry.Counter
@@ -269,7 +260,6 @@ func (h *handlerState) instrument(opOf func(*http.Request) string, next http.Han
 		}
 		var span *telemetry.Span
 		if sc, jobID := telemetry.ExtractHTTP(r.Header); sc.Valid() {
-			h.sampler.Note(sc.TraceID, sc.Sampled)
 			span = h.tracer.StartSpan(sc.TraceID, sc.SpanID, "objstore "+rawOp)
 			span.SetAttr("path", r.URL.Path)
 			if jobID != "" {

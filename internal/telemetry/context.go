@@ -13,15 +13,12 @@ import (
 // the objstore/docstore hops.
 
 // SpanContext is the portable identity of a span: enough to continue
-// its trace in another process. The zero value means "no trace".
+// its trace in another process. The zero value means "no trace". It
+// carries no keep/drop verdict: every span ships, and the collector's
+// tail retention decides per trace.
 type SpanContext struct {
 	TraceID string
 	SpanID  string
-	// Sampled carries the head-sampling verdict made at the trace root,
-	// so downstream processes export (or suppress) their spans for this
-	// trace consistently with the originator. DecisionUnknown when the
-	// originator did not sample.
-	Sampled Decision
 }
 
 // Valid reports whether the context names a trace.
@@ -29,7 +26,6 @@ func (sc SpanContext) Valid() bool { return sc.TraceID != "" }
 
 type spanCtxKey struct{}
 type jobCtxKey struct{}
-type sampleCtxKey struct{}
 
 // ContextWithSpan returns ctx carrying s's identity. A nil or unstarted
 // span leaves ctx unchanged, so callers can thread optional telemetry
@@ -60,27 +56,6 @@ func SpanContextFrom(ctx context.Context) SpanContext {
 	return sc
 }
 
-// ContextWithSampling returns ctx carrying the trace's sampling
-// verdict; InjectHTTP forwards it so storage servers suppress their
-// child spans for dropped traces. Unknown decisions leave ctx
-// unchanged.
-func ContextWithSampling(ctx context.Context, d Decision) context.Context {
-	if d == DecisionUnknown {
-		return ctx
-	}
-	return context.WithValue(ctx, sampleCtxKey{}, d)
-}
-
-// SamplingFrom extracts the sampling verdict (DecisionUnknown when ctx
-// carries none).
-func SamplingFrom(ctx context.Context) Decision {
-	if ctx == nil {
-		return DecisionUnknown
-	}
-	d, _ := ctx.Value(sampleCtxKey{}).(Decision)
-	return d
-}
-
 // ContextWithJobID returns ctx tagged with the submission being worked
 // on; the logger stamps it onto every event so a job's output can be
 // reassembled across services.
@@ -107,9 +82,6 @@ const (
 	HeaderTraceID    = "X-RAI-Trace-ID"
 	HeaderParentSpan = "X-RAI-Parent-Span"
 	HeaderJobID      = "X-RAI-Job-ID"
-	// HeaderSampled carries the head-sampling verdict ("1" keep, "0"
-	// drop) so servers agree with the trace originator.
-	HeaderSampled = "X-RAI-Sampled"
 )
 
 // InjectHTTP copies ctx's trace identity and job ID into h. No-op when
@@ -122,9 +94,6 @@ func InjectHTTP(ctx context.Context, h http.Header) {
 	if id := JobIDFrom(ctx); id != "" {
 		h.Set(HeaderJobID, id)
 	}
-	if d := SamplingFrom(ctx); d != DecisionUnknown {
-		h.Set(HeaderSampled, d.String())
-	}
 }
 
 // ExtractHTTP reads the propagation headers back out of an incoming
@@ -133,6 +102,5 @@ func ExtractHTTP(h http.Header) (SpanContext, string) {
 	return SpanContext{
 		TraceID: h.Get(HeaderTraceID),
 		SpanID:  h.Get(HeaderParentSpan),
-		Sampled: ParseDecision(h.Get(HeaderSampled)),
 	}, h.Get(HeaderJobID)
 }

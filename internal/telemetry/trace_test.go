@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -159,5 +160,25 @@ func TestMetricsHandler(t *testing.T) {
 	post.Body.Close()
 	if post.StatusCode != 405 {
 		t.Errorf("POST status = %d, want 405", post.StatusCode)
+	}
+}
+
+// TestTraceHeaderPropagation: the three X-RAI headers carry a span's
+// identity and job across an HTTP hop and back, and nothing else rides
+// with them.
+func TestTraceHeaderPropagation(t *testing.T) {
+	ctx := ContextWithJobID(ContextWithSpanContext(t.Context(), SpanContext{TraceID: "tr", SpanID: "sp"}), "job-1")
+	h := http.Header{}
+	InjectHTTP(ctx, h)
+	if len(h) != 3 || h.Get("X-RAI-Trace-ID") != "tr" || h.Get("X-RAI-Parent-Span") != "sp" || h.Get("X-RAI-Job-ID") != "job-1" {
+		t.Fatalf("injected headers = %v", h)
+	}
+	if sc, jobID := ExtractHTTP(h); sc != (SpanContext{TraceID: "tr", SpanID: "sp"}) || jobID != "job-1" {
+		t.Errorf("extracted %+v, job %q", sc, jobID)
+	}
+	h = http.Header{}
+	InjectHTTP(t.Context(), h)
+	if len(h) != 0 {
+		t.Errorf("untraced context injected %v", h)
 	}
 }

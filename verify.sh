@@ -23,13 +23,14 @@ go run ./cmd/raivet -max-ignores 2 ./...
 # runs for everyone.
 go run ./cmd/raivet -tests -enable goroleak,lockcopy,wgadd ./...
 go test -race ./...
-# Five-second fuzz smokes of the ten decoders that parse bytes a peer,
-# a student or a damaged disk controls: the brokerd frame codec, the
-# upload manifest, the client's stat index, the rai-build.yml the
+# Five-second fuzz smokes of the eleven decoders that parse bytes a
+# peer, a student or a damaged disk controls: the brokerd frame codec,
+# the upload manifest, the client's stat index, the rai-build.yml the
 # worker's admit stage parses, the h5lite data files a student's
 # command line names, the telemetry batches any client may publish,
-# raidb's RPC bodies and its journal, and both ends of raifs's /cas/
-# routes (the handlers and the client's frame reader).
+# raidb's RPC bodies and its journal, both ends of raifs's /cas/ routes
+# (the handlers and the client's frame reader), and the .tar.bz2
+# archives the grading downloader unpacks.
 go test -run='^$' -fuzz='^FuzzBinaryDecode$' -fuzztime=5s ./internal/brokerd
 go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=5s ./internal/cas
 go test -run='^$' -fuzz='^FuzzDirIndex$' -fuzztime=5s ./internal/cas
@@ -40,6 +41,7 @@ go test -run='^$' -fuzz='^FuzzHandler$' -fuzztime=5s ./internal/docstore
 go test -run='^$' -fuzz='^FuzzJournal$' -fuzztime=5s ./internal/docstore
 go test -run='^$' -fuzz='^FuzzReadChunkFrames$' -fuzztime=5s ./internal/objstore
 go test -run='^$' -fuzz='^FuzzCASHandler$' -fuzztime=5s ./internal/objstore
+go test -run='^$' -fuzz='^FuzzUnpackVFS$' -fuzztime=5s ./internal/archivex
 go test -run='^$' -bench=. -benchtime=1x .
 # One-iteration smoke of the analysis benchmark: catches the engine
 # regressing into re-type-checking per check (DESIGN.md §15).
