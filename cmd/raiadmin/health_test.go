@@ -2,17 +2,13 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
-	"time"
 
-	"rai/internal/core"
-	"rai/internal/docstore"
 	"rai/internal/slo"
 )
 
@@ -159,92 +155,5 @@ func TestHealthCustomConfig(t *testing.T) {
 	}
 	if strings.Contains(out.String(), "worker-availability") {
 		t.Errorf("built-in objectives leaked past a custom config:\n%s", out.String())
-	}
-}
-
-// insertSpan persists one span document the way the collector does.
-func insertSpan(t *testing.T, db *docstore.Client, traceID, spanID, parentID, name, service string, start, end time.Time) {
-	t.Helper()
-	if _, err := db.Insert(context.Background(), core.CollTraces, docstore.M{
-		"trace_id": traceID, "span_id": spanID, "parent_id": parentID,
-		"name": name, "service": service,
-		"start": start.UTC().Format(time.RFC3339Nano), "end": end.UTC().Format(time.RFC3339Nano),
-		"start_s": float64(start.Unix()),
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTraceExemplarSlowest(t *testing.T) {
-	// The metrics scrape links buckets to traces; -exemplar slowest must
-	// pick the largest value (tr-slow at 4.2s, not tr-fast at 0.5s) and
-	// render that trace from the docstore.
-	exposition := "# TYPE rai_worker_job_seconds histogram\n" +
-		"rai_worker_job_seconds_bucket{le=\"1\"} 1 # {trace_id=\"tr-fast\"} 0.5\n" +
-		"rai_worker_job_seconds_bucket{le=\"+Inf\"} 2 # {trace_id=\"tr-slow\"} 4.2\n" +
-		"rai_worker_job_seconds_sum 4.7\n" +
-		"rai_worker_job_seconds_count 2\n"
-	msrv := metricsServer(t, exposition)
-	dsrv := httptest.NewServer(docstore.Handler(docstore.New(), nil))
-	defer dsrv.Close()
-	db := docstore.NewClient(dsrv.URL)
-	t0 := time.Date(2017, 5, 1, 12, 0, 0, 0, time.UTC)
-	insertSpan(t, db, "tr-slow", "s1", "", "job.submit", "rai", t0, t0.Add(4200*time.Millisecond))
-	insertSpan(t, db, "tr-slow", "s2", "s1", "job.execute", "raiworker", t0.Add(time.Second), t0.Add(4*time.Second))
-	insertSpan(t, db, "tr-fast", "f1", "", "job.submit", "rai", t0, t0.Add(500*time.Millisecond))
-
-	var out, errb bytes.Buffer
-	code := traceCmd(context.Background(), []string{"-exemplar", "slowest", "-metrics", msrv.URL + "/metrics", "-db", dsrv.URL}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("trace exited %d\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
-	}
-	for _, want := range []string{"tr-slow", "4.2", "job.execute"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("output missing %q:\n%s", want, out.String())
-		}
-	}
-	if strings.Contains(out.String(), "tr-fast") {
-		t.Errorf("picked the wrong exemplar:\n%s", out.String())
-	}
-}
-
-func TestTraceExemplarMetricFilter(t *testing.T) {
-	// -metric restricts the search: the queue histogram's exemplar wins
-	// even though the job histogram holds a larger value.
-	exposition := "rai_worker_job_seconds_bucket{le=\"+Inf\"} 1 # {trace_id=\"tr-job\"} 9.9\n" +
-		"rai_queue_delay_seconds_bucket{le=\"+Inf\"} 1 # {trace_id=\"tr-queue\"} 0.2\n"
-	msrv := metricsServer(t, exposition)
-	dsrv := httptest.NewServer(docstore.Handler(docstore.New(), nil))
-	defer dsrv.Close()
-	db := docstore.NewClient(dsrv.URL)
-	t0 := time.Date(2017, 5, 1, 12, 0, 0, 0, time.UTC)
-	insertSpan(t, db, "tr-queue", "q1", "", "queue.wait", "raiworker", t0, t0.Add(200*time.Millisecond))
-
-	var out, errb bytes.Buffer
-	code := traceCmd(context.Background(), []string{"-exemplar", "slowest", "-metric", "rai_queue_delay_seconds",
-		"-metrics", msrv.URL + "/metrics", "-db", dsrv.URL}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("trace exited %d: %s", code, errb.String())
-	}
-	if !strings.Contains(out.String(), "tr-queue") {
-		t.Errorf("filter did not select the queue exemplar:\n%s", out.String())
-	}
-}
-
-func TestTraceExemplarMissingTrace(t *testing.T) {
-	// An exemplar whose trace never reached the docstore must fail
-	// honestly, not render an empty timeline.
-	exposition := "rai_worker_job_seconds_bucket{le=\"+Inf\"} 1 # {trace_id=\"tr-gone\"} 2.2\n"
-	msrv := metricsServer(t, exposition)
-	dsrv := httptest.NewServer(docstore.Handler(docstore.New(), nil))
-	defer dsrv.Close()
-
-	var out, errb bytes.Buffer
-	code := traceCmd(context.Background(), []string{"-exemplar", "slowest", "-metrics", msrv.URL + "/metrics", "-db", dsrv.URL}, &out, &errb)
-	if code != 1 {
-		t.Fatalf("trace exited %d, want 1\nstdout: %s", code, out.String())
-	}
-	if !strings.Contains(errb.String(), "no persisted spans") {
-		t.Errorf("stderr does not explain the missing trace: %s", errb.String())
 	}
 }

@@ -19,7 +19,7 @@
 //	raiadmin health  [-slo config.json] [-json] URL [URL...]
 //	raiadmin alerts  [-slo config.json] [-json] URL [URL...]
 //	raiadmin trace   [-db url] JOB_ID
-//	raiadmin trace   -exemplar slowest -metrics url [-metric prefix] [-db url]
+//	raiadmin trace   [-db url] -slowest
 //	raiadmin logs    [-db url] [-follow] JOB_ID
 //	raiadmin version
 package main

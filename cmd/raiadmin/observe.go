@@ -7,6 +7,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -132,85 +133,47 @@ func collect(args []string, stdout, stderr io.Writer, quit <-chan struct{}) int 
 }
 
 // traceCmd prints the assembled span tree for one job — or, with
-// -exemplar, for the trace a histogram exemplar points at: the bridge
+// -slowest, for the kept trace whose root lasted longest: the bridge
 // from "the p99 looks bad" to the concrete request that caused it.
 func traceCmd(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("raiadmin trace", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	dbURL := fs.String("db", "http://127.0.0.1:7402", "database URL")
-	exemplar := fs.String("exemplar", "", `pick the trace from a scraped exemplar instead of a job id ("slowest" = largest exemplar value)`)
-	metricsURL := fs.String("metrics", "", "metrics URL to scrape for -exemplar")
-	metricName := fs.String("metric", "", "restrict -exemplar to metric names with this prefix")
+	slowest := fs.Bool("slowest", false, "render the kept trace with the longest root span instead of a job's")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	db := docstore.NewClient(*dbURL)
-	if *exemplar != "" {
-		if *exemplar != "slowest" {
-			fmt.Fprintf(stderr, "raiadmin trace: unknown -exemplar %q (only \"slowest\" is supported)\n", *exemplar)
-			return 2
+	var traceID string
+	var err error
+	switch {
+	case *slowest && fs.NArg() == 0:
+		traceID, err = collector.SlowestTrace(ctx, db)
+		if errors.Is(err, docstore.ErrNotFound) {
+			err = fmt.Errorf("no root spans persisted in %s", *dbURL)
 		}
-		if *metricsURL == "" || fs.NArg() != 0 {
-			fmt.Fprintln(stderr, "usage: raiadmin trace -exemplar slowest -metrics url [-metric prefix] [-db url]")
-			return 2
-		}
-		snap, err := scrapeMetrics(*metricsURL)
-		if err != nil {
-			fmt.Fprintf(stderr, "raiadmin trace: %s: %v\n", *metricsURL, err)
-			return 1
-		}
-		best := slowestExemplar(snap, *metricName)
-		if best == nil {
-			fmt.Fprintf(stderr, "raiadmin trace: no exemplars with trace links on %s (is the daemon recording with ObserveExemplar?)\n", *metricsURL)
-			return 1
-		}
-		traceID := best.Exemplar.TraceID()
-		fmt.Fprintf(stdout, "slowest exemplar: %s = %.6gs (trace %s)\n\n", best.Name, best.Exemplar.Value, traceID)
-		spans, err := collector.TraceSpans(ctx, db, traceID)
-		if err != nil {
-			fmt.Fprintf(stderr, "raiadmin trace: %v\n", err)
-			return 1
-		}
-		if len(spans) == 0 {
-			fmt.Fprintf(stderr, "raiadmin trace: trace %s has no persisted spans (dropped by tail retention, not yet collected, or expired by -retain)\n", traceID)
-			return 1
-		}
-		fmt.Fprint(stdout, collector.FormatTimeline(spans))
-		return 0
-	}
-	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: raiadmin trace [-db url] <job_id>")
+	case !*slowest && fs.NArg() == 1:
+		traceID, err = collector.TraceIDForJob(ctx, db, fs.Arg(0))
+	default:
+		fmt.Fprintln(stderr, "usage: raiadmin trace [-db url] <job_id> | -slowest")
 		return 2
 	}
-	jobID := fs.Arg(0)
-	spans, err := collector.TraceByJob(ctx, db, jobID)
 	if err != nil {
 		fmt.Fprintf(stderr, "raiadmin trace: %v\n", err)
 		return 1
 	}
-	fmt.Fprintf(stdout, "job %s trace %s (%d spans)\n\n", jobID, spans[0].TraceID, len(spans))
+	spans, err := collector.TraceSpans(ctx, db, traceID)
+	if err != nil {
+		fmt.Fprintf(stderr, "raiadmin trace: %v\n", err)
+		return 1
+	}
+	if len(spans) == 0 {
+		fmt.Fprintf(stderr, "raiadmin trace: trace %s has no persisted spans (expired by -retain or not yet collected)\n", traceID)
+		return 1
+	}
+	fmt.Fprintf(stdout, "trace %s (%d spans)\n\n", traceID, len(spans))
 	fmt.Fprint(stdout, collector.FormatTimeline(spans))
 	return 0
-}
-
-// slowestExemplar scans a scrape for the bucket exemplar with the
-// largest value whose metric name matches the prefix and that carries a
-// trace link. Nil when the scrape holds none.
-func slowestExemplar(snap *telemetry.Snapshot, prefix string) *telemetry.Sample {
-	var best *telemetry.Sample
-	for i := range snap.Samples {
-		s := &snap.Samples[i]
-		if prefix != "" && !strings.HasPrefix(s.Name, prefix) {
-			continue
-		}
-		if s.Exemplar == nil || s.Exemplar.TraceID() == "" {
-			continue
-		}
-		if best == nil || s.Exemplar.Value > best.Exemplar.Value {
-			best = s
-		}
-	}
-	return best
 }
 
 // logsCmd prints (and with -follow, tails) a job's merged event stream.

@@ -178,3 +178,107 @@ func TestCollectExportsSLOGauges(t *testing.T) {
 		t.Fatal("collect did not stop")
 	}
 }
+
+// insertSpan persists one span document the way the collector does.
+func insertSpan(t *testing.T, db *docstore.Client, traceID, spanID, parentID, name, service string, start, end time.Time) {
+	t.Helper()
+	if _, err := db.Insert(context.Background(), core.CollTraces, docstore.M{
+		"trace_id": traceID, "span_id": spanID, "parent_id": parentID,
+		"name": name, "service": service,
+		"start": start.UTC().Format(time.RFC3339Nano), "end": end.UTC().Format(time.RFC3339Nano),
+		"start_s": float64(start.Unix()), "duration_s": end.Sub(start).Seconds(),
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestTraceSlowest(t *testing.T) {
+	// -slowest renders the trace whose root lasted longest (tr-slow at
+	// 4.2 s), not the one with the longest child or the latest insert.
+	dsrv := httptest.NewServer(docstore.Handler(docstore.New(), nil))
+	defer dsrv.Close()
+	db := docstore.NewClient(dsrv.URL)
+	t0 := time.Date(2017, 5, 1, 12, 0, 0, 0, time.UTC)
+	insertSpan(t, db, "tr-mid", "m1", "", "job", "rai", t0, t0.Add(2*time.Second))
+	insertSpan(t, db, "tr-slow", "s1", "", "job", "rai", t0, t0.Add(4200*time.Millisecond))
+	insertSpan(t, db, "tr-slow", "s2", "s1", "dequeue", "raiworker", t0.Add(time.Second), t0.Add(4*time.Second))
+	insertSpan(t, db, "tr-fast", "f1", "", "job", "rai", t0, t0.Add(500*time.Millisecond))
+	insertSpan(t, db, "tr-fast", "f2", "f1", "dequeue", "raiworker", t0, t0.Add(9*time.Second))
+
+	var out, errb bytes.Buffer
+	code := traceCmd(context.Background(), []string{"-slowest", "-db", dsrv.URL}, &out, &errb)
+	if code != 0 {
+		t.Fatalf("trace exited %d\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
+	}
+	for _, want := range []string{"trace tr-slow (2 spans)", "4.2s", "dequeue"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output missing %q:\n%s", want, out.String())
+		}
+	}
+
+	empty := httptest.NewServer(docstore.Handler(docstore.New(), nil))
+	defer empty.Close()
+	out.Reset()
+	errb.Reset()
+	if code := traceCmd(context.Background(), []string{"-slowest", "-db", empty.URL}, &out, &errb); code != 1 {
+		t.Fatalf("empty store: exit %d, want 1\nstdout: %s", code, out.String())
+	}
+	if !strings.Contains(errb.String(), "no root spans") {
+		t.Errorf("stderr does not explain the empty store: %s", errb.String())
+	}
+}
+
+func TestTraceUsage(t *testing.T) {
+	for _, args := range [][]string{nil, {"-slowest", "j1"}, {"j1", "j2"}} {
+		var out, errb bytes.Buffer
+		if code := traceCmd(context.Background(), args, &out, &errb); code != 2 {
+			t.Errorf("trace %q: exit %d, want 2", args, code)
+		}
+	}
+}
+
+// vanishingStore holds one root span whose trace a -retain sweep
+// deletes between the lookup and the span load: FindOne and a Find for
+// roots see the root, a Find by trace sees nothing.
+type vanishingStore struct{ docstore.Store }
+
+var vanishingRoot = docstore.M{"trace_id": "tr-gone", "span_id": "g1", "parent_id": "", "job_id": "j1", "duration_s": 2.2}
+
+func (vanishingStore) FindOne(context.Context, string, docstore.M) (docstore.M, error) {
+	return vanishingRoot, nil
+}
+
+func (vanishingStore) Find(_ context.Context, _ string, filter docstore.M, _ docstore.FindOpts) ([]docstore.M, error) {
+	if _, byTrace := filter["trace_id"]; byTrace {
+		return nil, nil
+	}
+	return []docstore.M{vanishingRoot}, nil
+}
+
+func TestTraceSlowestMissingTrace(t *testing.T) {
+	// The slowest root's spans are gone by the time they are loaded:
+	// fail honestly, not render an empty timeline.
+	dsrv := httptest.NewServer(docstore.Handler(vanishingStore{docstore.New()}, nil))
+	defer dsrv.Close()
+	var out, errb bytes.Buffer
+	if code := traceCmd(context.Background(), []string{"-slowest", "-db", dsrv.URL}, &out, &errb); code != 1 {
+		t.Fatalf("trace exited %d, want 1\nstdout: %s", code, out.String())
+	}
+	if !strings.Contains(errb.String(), "no persisted spans") {
+		t.Errorf("stderr does not explain the missing trace: %s", errb.String())
+	}
+}
+
+func TestTraceJobSpansGone(t *testing.T) {
+	// The job's span is found but its trace is swept before the load:
+	// exit 1 with the reason, where indexing the first span panicked.
+	dsrv := httptest.NewServer(docstore.Handler(vanishingStore{docstore.New()}, nil))
+	defer dsrv.Close()
+	var out, errb bytes.Buffer
+	if code := traceCmd(context.Background(), []string{"-db", dsrv.URL, "j1"}, &out, &errb); code != 1 {
+		t.Fatalf("trace exited %d, want 1\nstdout: %s", code, out.String())
+	}
+	if !strings.Contains(errb.String(), "no persisted spans") {
+		t.Errorf("stderr does not explain the missing trace: %s", errb.String())
+	}
+}

@@ -1,21 +1,6 @@
 // Command raivet runs RAI's project-specific static-analysis checks
-// over the module. See internal/lint for the engine; the checks:
-//
-//	clock       no direct time.Now/Sleep/... outside internal/clock
-//	ctxfirst    exported functions take ctx as the first parameter
-//	span        every started telemetry span is ended or handed off
-//	httpresp    every *http.Response body is closed and drained
-//	wgadd       WaitGroup.Add happens before the goroutine it counts
-//	lockcopy    no sync-primitive-bearing values passed by value
-//	stream      no io.ReadAll in the storage data plane
-//	lockorder   no cycles in the whole-module lock-ordering graph
-//	goroleak    spawned goroutines cannot block forever uncancellably
-//	errflow     error results are not dropped or overwritten unchecked
-//	ctxflow     no Background()/TODO() in library code, and callers with
-//	            ctx in scope do not pass Background roots
-//
-// The last four are interprocedural: they run on a whole-module call
-// graph with per-function summaries (see internal/lint/summary.go).
+// over the module. See internal/lint for the engine; `raivet -list`
+// prints the checks, and DESIGN.md §10 gives each one's invariant.
 //
 // Usage:
 //
@@ -23,15 +8,14 @@
 //
 // dir defaults to ".". raivet locates the enclosing go.mod, loads and
 // type-checks every non-test package under dir (every package including
-// tests with -tests), and prints one line per finding (-json switches
-// to a JSON array). -max-ignores N budgets the live //lint:ignore
-// directives: exceeding N fails the run even when no check fires.
+// tests with -tests), and prints one line per finding. -max-ignores N
+// budgets the live //lint:ignore directives: exceeding N fails the run
+// even when no check fires.
 // Exit status: 0 when clean, 1 when findings were reported (or the
 // suppression budget is exceeded), 2 on usage or load errors.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -50,9 +34,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("raivet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		jsonOut    = fs.Bool("json", false, "emit findings as a JSON array instead of text lines")
 		enable     = fs.String("enable", "", "comma-separated checks to run (default: all)")
-		disable    = fs.String("disable", "", "comma-separated checks to skip")
 		list       = fs.Bool("list", false, "list available checks and exit")
 		tests      = fs.Bool("tests", false, "also load _test.go files")
 		maxIgnores = fs.Int("max-ignores", -1, "fail when live //lint:ignore directives exceed N (-1: no budget)")
@@ -86,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		dir = "."
 	}
 
-	checks, err := lint.Select(splitList(*enable), splitList(*disable))
+	checks, err := lint.Select(splitList(*enable))
 	if err != nil {
 		fmt.Fprintln(stderr, "raivet:", err)
 		return 2
@@ -120,27 +102,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	switch {
-	case *jsonOut:
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if diags == nil {
-			diags = []lint.Diagnostic{}
-		}
-		if err := enc.Encode(diags); err != nil {
-			fmt.Fprintln(stderr, "raivet:", err)
-			return 2
-		}
-	default:
-		for _, d := range diags {
-			fmt.Fprintln(stdout, d.String())
-		}
+	for _, d := range diags {
+		fmt.Fprintln(stdout, d.String())
 	}
 	status := 0
 	if len(diags) > 0 {
-		if !*jsonOut {
-			fmt.Fprintf(stderr, "raivet: %d finding(s)\n", len(diags))
-		}
+		fmt.Fprintf(stderr, "raivet: %d finding(s)\n", len(diags))
 		status = 1
 	}
 	if *maxIgnores >= 0 {

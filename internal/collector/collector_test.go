@@ -173,7 +173,11 @@ func TestTraceQueriesAndPhases(t *testing.T) {
 		span("tr1", "h", "b", "objstore put", 0, time.Second/2, map[string]string{"job_id": "j1"}),
 	}})
 
-	spans, err := TraceByJob(context.Background(), db, "j1")
+	traceID, err := TraceIDForJob(ctx, db, "j1")
+	if err != nil || traceID != "tr1" {
+		t.Fatalf("TraceIDForJob = %q, %v", traceID, err)
+	}
+	spans, err := TraceSpans(ctx, db, traceID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,6 +249,26 @@ func TelemetryBacklog(b *broker.Broker) int {
 		}
 	}
 	return n
+}
+
+// downStore fails every lookup the way an unreachable raidb does.
+type downStore struct{ docstore.Store }
+
+var errDown = errors.New("dial tcp 127.0.0.1:7402: connect: connection refused")
+
+func (downStore) FindOne(context.Context, string, docstore.M) (docstore.M, error) {
+	return nil, errDown
+}
+
+func TestTraceIDForJobReportsStoreErrors(t *testing.T) {
+	_, err := TraceIDForJob(context.Background(), downStore{}, "j1")
+	if !errors.Is(err, errDown) || strings.Contains(err.Error(), "no spans recorded") {
+		t.Fatalf("err = %v, want the transport error and no claim of missing spans", err)
+	}
+	_, err = TraceIDForJob(context.Background(), docstore.New(), "j1")
+	if !errors.Is(err, docstore.ErrNotFound) || !strings.Contains(err.Error(), "no spans recorded for job j1") {
+		t.Fatalf("absent job: err = %v", err)
+	}
 }
 
 // failingStore fails its first fail UpsertMany calls with err, then

@@ -216,6 +216,15 @@ func (s *tracedStack) settle(t *testing.T) {
 	}
 }
 
+// traceByJob loads a job's spans the way raiadmin trace does.
+func traceByJob(db docstore.Store, jobID string) ([]collector.Span, error) {
+	traceID, err := collector.TraceIDForJob(context.Background(), db, jobID)
+	if err != nil {
+		return nil, err
+	}
+	return collector.TraceSpans(context.Background(), db, traceID)
+}
+
 // connectedTrace loads a settled job's persisted trace and asserts the
 // acceptance criterion: `raiadmin trace <job_id>` sees one connected
 // span tree covering client, broker enqueue/dequeue, worker build/run,
@@ -223,7 +232,7 @@ func (s *tracedStack) settle(t *testing.T) {
 // decomposition present.
 func (s *tracedStack) connectedTrace(t *testing.T, jobID string) []collector.Span {
 	t.Helper()
-	spans, err := collector.TraceByJob(context.Background(), s.db, jobID)
+	spans, err := traceByJob(s.db, jobID)
 	if err != nil {
 		t.Fatalf("job %s: %v", jobID, err)
 	}
@@ -485,7 +494,7 @@ func TestEndToEndSamplingHonest(t *testing.T) {
 			s.connectedTrace(t, res.JobID)
 		}
 	}
-	spans, err := collector.TraceByJob(context.Background(), s.db, failed.JobID)
+	spans, err := traceByJob(s.db, failed.JobID)
 	if err != nil || len(spans) == 0 {
 		t.Fatalf("failed job %s: trace not kept (err %v)", failed.JobID, err)
 	}

@@ -2,6 +2,7 @@ package collector
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -24,12 +25,41 @@ type Span struct {
 // dequeue span both are).
 func TraceIDForJob(ctx context.Context, db docstore.Store, jobID string) (string, error) {
 	doc, err := db.FindOne(ctx, core.CollTraces, docstore.M{"job_id": jobID})
-	if err != nil {
+	if errors.Is(err, docstore.ErrNotFound) {
 		return "", fmt.Errorf("collector: no spans recorded for job %s: %w", jobID, err)
 	}
+	if err != nil {
+		return "", fmt.Errorf("collector: looking up job %s: %w", jobID, err)
+	}
+	return traceIDOf(doc, "job "+jobID)
+}
+
+// SlowestTrace returns the ID of the kept trace whose root span lasted
+// longest. The root is the client's job span, so its duration is the
+// end-to-end latency the student saw — the quantity tail retention
+// ranks as slow. docstore.ErrNotFound when no root span is stored.
+//
+// The filter is $eq rather than a bare string so that this rare
+// operator query scans: a bare string equality makes raidb build a
+// parent_id index and keep it for every later span write, and its ""
+// bucket, one entry per trace, makes each retention-sweep delete cost
+// the length of that bucket.
+func SlowestTrace(ctx context.Context, db docstore.Store) (string, error) {
+	docs, err := db.Find(ctx, core.CollTraces, docstore.M{"parent_id": docstore.M{"$eq": ""}},
+		docstore.FindOpts{Sort: []string{"-duration_s"}, Limit: 1})
+	if err != nil {
+		return "", err
+	}
+	if len(docs) == 0 {
+		return "", docstore.ErrNotFound
+	}
+	return traceIDOf(docs[0], "the slowest root span")
+}
+
+func traceIDOf(doc docstore.M, what string) (string, error) {
 	id, _ := doc["trace_id"].(string)
 	if id == "" {
-		return "", fmt.Errorf("collector: span document for job %s lacks trace_id", jobID)
+		return "", fmt.Errorf("collector: span document for %s lacks trace_id", what)
 	}
 	return id, nil
 }
@@ -52,15 +82,6 @@ func TraceSpans(ctx context.Context, db docstore.Store, traceID string) ([]Span,
 		return spans[i].ParentID == "" && spans[j].ParentID != ""
 	})
 	return spans, nil
-}
-
-// TraceByJob resolves jobID to its trace and loads the spans.
-func TraceByJob(ctx context.Context, db docstore.Store, jobID string) ([]Span, error) {
-	traceID, err := TraceIDForJob(ctx, db, jobID)
-	if err != nil {
-		return nil, err
-	}
-	return TraceSpans(ctx, db, traceID)
 }
 
 // EventsByJob loads a job's merged event stream across services,

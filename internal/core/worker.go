@@ -114,11 +114,9 @@ type Worker struct {
 type workerTelemetry struct {
 	queueDelay *telemetry.HDRHistogram
 	inFlight   *telemetry.Gauge
-	// jobSecs carries one trace exemplar per populated latency bucket,
-	// which is how `raiadmin trace -exemplar slowest` finds its target.
-	jobSecs *telemetry.HDRHistogram
-	jobs    map[string]*telemetry.Counter      // by terminal status
-	phases  map[string]*telemetry.HDRHistogram // by execution phase
+	jobSecs    *telemetry.HDRHistogram
+	jobs       map[string]*telemetry.Counter      // by terminal status
+	phases     map[string]*telemetry.HDRHistogram // by execution phase
 	// Manifest-materialization accounting (DESIGN.md §16); nil-safe
 	// no-ops without a registry.
 	casFetches *telemetry.Counter
@@ -145,7 +143,7 @@ func (w *Worker) initRuntime() {
 			"time from submission to worker pickup (the paper's Figure 4 queue delay)")
 		w.tel.inFlight = reg.Gauge("rai_worker_jobs_in_flight", "jobs executing right now")
 		w.tel.jobSecs = reg.Histogram("rai_worker_job_seconds",
-			"modeled container wall time per job, with trace exemplars per latency bucket")
+			"modeled container wall time per job")
 		w.tel.jobs = map[string]*telemetry.Counter{}
 		for _, st := range []string{StatusSucceeded, StatusFailed, StatusRejected} {
 			w.tel.jobs[st] = reg.Counter("rai_worker_jobs_total", "jobs finished", telemetry.L("status", st))
@@ -629,7 +627,7 @@ func (w *Worker) finish(ctx context.Context, j *job) error {
 	// The terminal status lets the collector's tail retention keep
 	// failed traces at 100%.
 	j.span.SetAttr("status", status)
-	w.tel.jobSecs.ObserveExemplar(j.elapsed.Seconds(), j.req.TraceID)
+	w.tel.jobSecs.Observe(j.elapsed.Seconds())
 	var logBytes int64
 	if j.stdout != nil {
 		logBytes = j.stdout.Bytes() + j.stderr.Bytes()

@@ -64,82 +64,3 @@ func isWaitGroup(t types.Type) bool {
 	obj := named.Obj()
 	return obj.Name() == "WaitGroup" && obj.Pkg() != nil && obj.Pkg().Path() == "sync"
 }
-
-// syncLockTypes are the sync primitives that must never be copied once
-// used. (go vet's copylocks catches many copies; this check also covers
-// the signature-level ones — value receivers, parameters, and returns —
-// uniformly, so the invariant is enforced even where vet is not run.)
-var syncLockTypes = map[string]bool{
-	"Mutex":     true,
-	"RWMutex":   true,
-	"WaitGroup": true,
-	"Once":      true,
-	"Cond":      true,
-	"Map":       true,
-	"Pool":      true,
-}
-
-// checkLockCopy flags functions whose receiver, parameters, or results
-// carry — by value — a type that transitively contains a sync primitive.
-func checkLockCopy(prog *Program, pkg *Package) []Diagnostic {
-	var diags []Diagnostic
-	walkFuncs(pkg, func(decl *ast.FuncDecl) {
-		flag := func(field *ast.Field, role string) {
-			t := pkg.Info.Types[field.Type].Type
-			if t == nil {
-				return
-			}
-			if name, found := containsLock(t, map[types.Type]bool{}); found {
-				diags = append(diags, Diagnostic{
-					Check:   "lockcopy",
-					Pos:     prog.Fset.Position(field.Type.Pos()),
-					Message: role + " copies " + name + " by value: use a pointer",
-				})
-			}
-		}
-		if decl.Recv != nil {
-			for _, f := range decl.Recv.List {
-				flag(f, "receiver of "+decl.Name.Name)
-			}
-		}
-		if decl.Type.Params != nil {
-			for _, f := range decl.Type.Params.List {
-				flag(f, "parameter of "+decl.Name.Name)
-			}
-		}
-		if decl.Type.Results != nil {
-			for _, f := range decl.Type.Results.List {
-				flag(f, "result of "+decl.Name.Name)
-			}
-		}
-	})
-	return diags
-}
-
-// containsLock reports whether t (by value) transitively contains a
-// sync primitive, returning the primitive's name. Pointers, slices,
-// maps, channels, and interfaces stop the recursion: copying those does
-// not copy the pointed-to lock.
-func containsLock(t types.Type, seen map[types.Type]bool) (string, bool) {
-	if seen[t] {
-		return "", false
-	}
-	seen[t] = true
-	switch v := t.(type) {
-	case *types.Named:
-		obj := v.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" && syncLockTypes[obj.Name()] {
-			return "sync." + obj.Name(), true
-		}
-		return containsLock(v.Underlying(), seen)
-	case *types.Struct:
-		for i := 0; i < v.NumFields(); i++ {
-			if name, found := containsLock(v.Field(i).Type(), seen); found {
-				return name, true
-			}
-		}
-	case *types.Array:
-		return containsLock(v.Elem(), seen)
-	}
-	return "", false
-}

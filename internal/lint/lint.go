@@ -27,12 +27,12 @@ import (
 
 // Diagnostic is one finding.
 type Diagnostic struct {
-	Check   string         `json:"check"`
-	Pos     token.Position `json:"-"`
-	File    string         `json:"file"`
-	Line    int            `json:"line"`
-	Col     int            `json:"col"`
-	Message string         `json:"message"`
+	Check   string
+	Pos     token.Position
+	File    string
+	Line    int
+	Col     int
+	Message string
 }
 
 // String renders the conventional file:line:col: [check] message form.
@@ -42,7 +42,7 @@ func (d Diagnostic) String() string {
 
 // Check is one named invariant.
 type Check struct {
-	// Name is the identifier used by -enable/-disable flags and
+	// Name is the identifier used by the -enable flag and
 	// //lint:ignore directives.
 	Name string
 	// Doc is a one-line description shown by raivet -list.
@@ -59,7 +59,6 @@ func Checks() []*Check {
 		{Name: "span", Doc: "every started telemetry span is ended or handed off", Run: checkSpan},
 		{Name: "httpresp", Doc: "every *http.Response body is closed and drained before connection reuse", Run: checkHTTPResp},
 		{Name: "wgadd", Doc: "sync.WaitGroup.Add happens before the goroutine it accounts for", Run: checkWgAdd},
-		{Name: "lockcopy", Doc: "types containing sync primitives are not passed, received, or returned by value", Run: checkLockCopy},
 		{Name: "stream", Doc: "no io.ReadAll in the storage data plane (objstore/docstore/blobstore); stream or bound with LimitReader", Run: checkStream},
 		{Name: "lockorder", Doc: "no cycles in the whole-module lock-ordering graph (composed from function summaries)", Run: checkLockOrder},
 		{Name: "goroleak", Doc: "spawned goroutines cannot block forever on a channel or sync wait without a cancellation path", Run: checkGoroLeak},
@@ -77,35 +76,22 @@ func CheckNames() []string {
 	return names
 }
 
-// Select resolves -enable/-disable style selections. enable empty means
-// all checks; disable wins over enable. Unknown names are an error.
-func Select(enable, disable []string) ([]*Check, error) {
+// Select resolves an -enable selection: empty means all checks.
+// Unknown names are an error.
+func Select(enable []string) ([]*Check, error) {
+	if len(enable) == 0 {
+		return Checks(), nil
+	}
 	known := map[string]*Check{}
 	for _, c := range Checks() {
 		known[c.Name] = c
 	}
-	for _, n := range append(append([]string{}, enable...), disable...) {
+	var out []*Check
+	for _, n := range enable {
 		if known[n] == nil {
 			return nil, fmt.Errorf("lint: unknown check %q (have %s)", n, strings.Join(CheckNames(), ", "))
 		}
-	}
-	off := map[string]bool{}
-	for _, n := range disable {
-		off[n] = true
-	}
-	var out []*Check
-	if len(enable) == 0 {
-		for _, c := range Checks() {
-			if !off[c.Name] {
-				out = append(out, c)
-			}
-		}
-		return out, nil
-	}
-	for _, n := range enable {
-		if !off[n] {
-			out = append(out, known[n])
-		}
+		out = append(out, known[n])
 	}
 	return out, nil
 }

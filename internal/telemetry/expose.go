@@ -128,23 +128,6 @@ type Sample struct {
 	Name   string
 	Labels map[string]string
 	Value  float64
-	// Exemplar carries the OpenMetrics-style exemplar suffix of a
-	// histogram bucket line, when present.
-	Exemplar *SampleExemplar
-}
-
-// SampleExemplar is a parsed `# {labels} value` exemplar suffix.
-type SampleExemplar struct {
-	Labels map[string]string
-	Value  float64
-}
-
-// TraceID is the exemplar's trace link ("" when absent).
-func (e *SampleExemplar) TraceID() string {
-	if e == nil {
-		return ""
-	}
-	return e.Labels["trace_id"]
 }
 
 // Snapshot is a parsed exposition document, as scraped by raiadmin top.
@@ -209,17 +192,6 @@ func ParseText(r io.Reader) (*Snapshot, error) {
 func parseSample(line string) (Sample, error) {
 	smp := Sample{Labels: map[string]string{}}
 	rest := line
-	// Split off an OpenMetrics exemplar suffix (` # {...} value`) before
-	// label parsing, so the exemplar's braces don't confuse the
-	// LastIndex scan below.
-	if i := strings.Index(rest, " # "); i >= 0 {
-		ex, err := parseExemplar(strings.TrimSpace(rest[i+3:]))
-		if err != nil {
-			return smp, fmt.Errorf("telemetry: %v in %q", err, line)
-		}
-		smp.Exemplar = ex
-		rest = strings.TrimSpace(rest[:i])
-	}
 	if i := strings.IndexAny(rest, "{ "); i < 0 {
 		return smp, fmt.Errorf("telemetry: malformed sample %q", line)
 	} else if rest[i] == '{' {
@@ -246,30 +218,6 @@ func parseSample(line string) (Sample, error) {
 	}
 	smp.Value = v
 	return smp, nil
-}
-
-func parseExemplar(s string) (*SampleExemplar, error) {
-	if len(s) == 0 || s[0] != '{' {
-		return nil, fmt.Errorf("malformed exemplar %q", s)
-	}
-	end := strings.IndexByte(s, '}')
-	if end < 0 {
-		return nil, fmt.Errorf("unterminated exemplar labels in %q", s)
-	}
-	ex := &SampleExemplar{Labels: map[string]string{}}
-	if err := parseLabels(s[1:end], ex.Labels); err != nil {
-		return nil, err
-	}
-	fields := strings.Fields(s[end+1:])
-	if len(fields) == 0 {
-		return nil, fmt.Errorf("exemplar %q has no value", s)
-	}
-	v, err := parseValue(fields[0])
-	if err != nil {
-		return nil, fmt.Errorf("bad exemplar value: %v", err)
-	}
-	ex.Value = v
-	return ex, nil
 }
 
 func parseValue(s string) (float64, error) {

@@ -41,28 +41,6 @@ type HDRHistogram struct {
 	sumBits atomic.Uint64 // float64 bits of the sum in seconds
 	minBits atomic.Uint64 // float64 bits of the smallest observed value
 	maxBits atomic.Uint64 // float64 bits of the largest observed value
-	// exemplars holds one (value, trace ID) pair per power-of-two
-	// exposition edge, latest observation wins — the bounded
-	// metrics→trace link: a scrape of the histogram names a concrete
-	// trace to pull up for every populated latency band.
-	exemplars [hdrBuckets]atomic.Pointer[Exemplar]
-}
-
-// Exemplar links one observed value to the trace that produced it.
-type Exemplar struct {
-	Value   float64 `json:"value"`
-	TraceID string  `json:"trace_id"`
-}
-
-// hdrEdgeIndex maps a tick count onto its power-of-two exposition edge
-// (the `le` bucket the exposition emits), clamping overflow into the
-// last finite edge.
-func hdrEdgeIndex(ticks uint64) int {
-	b := bits.Len64(ticks|(hdrSubCount-1)) - hdrSubBits
-	if b >= hdrBuckets {
-		return hdrBuckets - 1
-	}
-	return b
 }
 
 // NewHDRHistogram returns an empty histogram.
@@ -122,28 +100,6 @@ func (h *HDRHistogram) Observe(seconds float64) {
 	}
 }
 
-// ObserveExemplar records a sample and, when traceID is non-empty,
-// stores it as the exemplar for the sample's exposition bucket
-// (latest wins; at most one exemplar per bucket, so the set is bounded
-// by the bucket count). Callers should only pass trace IDs of sampled
-// traces — an exemplar pointing at a dropped trace is a dead link.
-func (h *HDRHistogram) ObserveExemplar(seconds float64, traceID string) {
-	if h == nil {
-		return
-	}
-	h.Observe(seconds)
-	if traceID == "" {
-		return
-	}
-	var ticks uint64
-	if seconds > 0 {
-		ticks = uint64(seconds / hdrTick)
-	} else {
-		seconds = 0
-	}
-	h.exemplars[hdrEdgeIndex(ticks)].Store(&Exemplar{Value: seconds, TraceID: traceID})
-}
-
 // Totals reports the sample count and the sum in seconds.
 func (h *HDRHistogram) Totals() (count uint64, sum float64) {
 	if h == nil {
@@ -177,11 +133,6 @@ func (h *HDRHistogram) Snapshot() *HDRSnapshot {
 		s.Min = min
 	}
 	s.Max = math.Float64frombits(h.maxBits.Load())
-	for edge := range h.exemplars {
-		if ex := h.exemplars[edge].Load(); ex != nil {
-			s.Exemplars = append(s.Exemplars, BucketExemplar{Edge: edge, Value: ex.Value, TraceID: ex.TraceID})
-		}
-	}
 	return s
 }
 
@@ -192,25 +143,6 @@ type HDRSnapshot struct {
 	Sum    float64  `json:"sum"`
 	Min    float64  `json:"min"`
 	Max    float64  `json:"max"`
-	// Exemplars are the per-edge trace links, sorted by Edge.
-	Exemplars []BucketExemplar `json:"exemplars,omitempty"`
-}
-
-// BucketExemplar is one exposition bucket's trace link.
-type BucketExemplar struct {
-	Edge    int     `json:"edge"` // power-of-two exposition edge index
-	Value   float64 `json:"value"`
-	TraceID string  `json:"trace_id"`
-}
-
-// exemplarAt returns the snapshot's exemplar for an edge, nil if none.
-func (s *HDRSnapshot) exemplarAt(edge int) *BucketExemplar {
-	for i := range s.Exemplars {
-		if s.Exemplars[i].Edge == edge {
-			return &s.Exemplars[i]
-		}
-	}
-	return nil
 }
 
 // Quantile estimates the q-quantile (q in [0,1]) in seconds: the upper
@@ -257,9 +189,6 @@ func (s *HDRSnapshot) Mean() float64 {
 // family: cumulative `le` buckets at every power-of-two edge from the
 // first up to the highest populated one, the mandatory +Inf, then _sum
 // and _count. rendered is the series' label set (renderLabels).
-// Buckets holding an exemplar carry it as an OpenMetrics-style suffix:
-//
-//	name_bucket{le="0.065536"} 12 # {trace_id="abc"} 0.041
 func (s *HDRSnapshot) write(w io.Writer, name, rendered string) error {
 	// Fold slots into power-of-two edges: edge b covers ticks
 	// < hdrSubCount<<b, i.e. slots below (b+2)*hdrSubHalf.
@@ -275,22 +204,14 @@ func (s *HDRSnapshot) write(w io.Writer, name, rendered string) error {
 			cum += s.Counts[slot]
 		}
 		le := float64(uint64(hdrSubCount)<<uint(b)) * hdrTick
-		if _, err := fmt.Fprintf(w, "%s_bucket{%s} %d%s\n", name, withLE(rendered, formatFloat(le)), cum, exemplarSuffix(s.exemplarAt(b))); err != nil {
+		if _, err := fmt.Fprintf(w, "%s_bucket{%s} %d\n", name, withLE(rendered, formatFloat(le)), cum); err != nil {
 			return err
 		}
 	}
 	for ; slot < len(s.Counts); slot++ {
 		cum += s.Counts[slot]
 	}
-	// Exemplars above the last rendered edge (clamped overflow) ride the
-	// +Inf bucket; keep the largest.
-	var inf *BucketExemplar
-	for i := range s.Exemplars {
-		if ex := &s.Exemplars[i]; ex.Edge > maxEdge && (inf == nil || ex.Value > inf.Value) {
-			inf = ex
-		}
-	}
-	if _, err := fmt.Fprintf(w, "%s_bucket{%s} %d%s\n", name, withLE(rendered, "+Inf"), cum, exemplarSuffix(inf)); err != nil {
+	if _, err := fmt.Fprintf(w, "%s_bucket{%s} %d\n", name, withLE(rendered, "+Inf"), cum); err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, braced(rendered), formatFloat(s.Sum)); err != nil {
@@ -298,15 +219,6 @@ func (s *HDRSnapshot) write(w io.Writer, name, rendered string) error {
 	}
 	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, braced(rendered), s.Count)
 	return err
-}
-
-// exemplarSuffix renders the OpenMetrics exemplar tail for a bucket
-// line ("" when the bucket has none).
-func exemplarSuffix(ex *BucketExemplar) string {
-	if ex == nil || ex.TraceID == "" {
-		return ""
-	}
-	return fmt.Sprintf(` # {trace_id="%s"} %s`, escapeLabel(ex.TraceID), formatFloat(ex.Value))
 }
 
 // hdrMaxPopulatedEdge returns the highest power-of-two edge index that

@@ -150,3 +150,58 @@ func TestHDRPrometheusExposition(t *testing.T) {
 		t.Fatalf("_sum = %v,%v\n%s", v, ok, text)
 	}
 }
+
+func TestRegistryHDRFamilyExposition(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("rai_job_duration_seconds", "per-job wall time", L("worker", "w1"))
+	h.Observe(0.1)
+	reg.Histogram("rai_job_duration_seconds", "per-job wall time", L("worker", "w2")).Observe(0.2)
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	text := b.String()
+	if !strings.Contains(text, "# TYPE rai_job_duration_seconds histogram") {
+		t.Fatalf("histogram family missing TYPE line:\n%s", text)
+	}
+	if strings.Contains(text, " # ") {
+		t.Fatalf("exposition line carries a suffix after the value:\n%s", text)
+	}
+	snap, err := ParseText(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := snap.Value("rai_job_duration_seconds_count", L("worker", "w1")); !ok || v != 1 {
+		t.Errorf("w1 count = %v (%v), want 1", v, ok)
+	}
+	if v, ok := snap.Value("rai_job_duration_seconds_count", L("worker", "w2")); !ok || v != 1 {
+		t.Errorf("w2 count = %v (%v), want 1", v, ok)
+	}
+	// Same instrument back from a second registration.
+	if reg.Histogram("rai_job_duration_seconds", "", L("worker", "w1")) != h {
+		t.Error("re-registration returned a different instrument")
+	}
+}
+
+func TestRegistryHDRNameClash(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("rai_thing_total", "")
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("histogram registration over a counter name must panic")
+			}
+		}()
+		reg.Histogram("rai_thing_total", "")
+	}()
+	reg2 := NewRegistry()
+	reg2.Histogram("rai_lat_seconds", "")
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("counter registration over a histogram name must panic")
+			}
+		}()
+		reg2.Counter("rai_lat_seconds", "")
+	}()
+}

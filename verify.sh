@@ -20,8 +20,9 @@ GOOS=windows go build -o /dev/null ./cmd/rai
 go run ./cmd/raivet -max-ignores 2 ./...
 # Concurrency checks over _test.go too — tests spawn the same
 # goroutines production does, and a leaky test helper poisons -race
-# runs for everyone.
-go run ./cmd/raivet -tests -enable goroleak,lockcopy,wgadd ./...
+# runs for everyone. (Copied locks in tests are go vet's: the first
+# line vets _test.go files as well.)
+go run ./cmd/raivet -tests -enable goroleak,wgadd ./...
 go test -race ./...
 # Five-second fuzz smokes of the eleven decoders that parse bytes a
 # peer, a student or a damaged disk controls: the brokerd frame codec,
