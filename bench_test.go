@@ -105,10 +105,7 @@ func BenchmarkFigure1EndToEndJob(b *testing.B) {
 
 // BenchmarkListing1Parse parses the default rai-build.yml.
 func BenchmarkListing1Parse(b *testing.B) {
-	blob, err := build.Default().Encode()
-	if err != nil {
-		b.Fatal(err)
-	}
+	blob := build.Default().Encode()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := build.Parse(blob); err != nil {
@@ -790,10 +787,7 @@ func benchCollectorPersist(b *testing.B, db *docstore.DB) {
 
 // BenchmarkYamliteParse parses the Listing 1 build file.
 func BenchmarkYamliteParse(b *testing.B) {
-	blob, err := build.Default().Encode()
-	if err != nil {
-		b.Fatal(err)
-	}
+	blob := build.Default().Encode()
 	b.SetBytes(int64(len(blob)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

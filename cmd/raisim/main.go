@@ -105,17 +105,9 @@ func render(name string, getCourse func() *workload.Course) (string, error) {
 	case "figure1":
 		return figure1Trace()
 	case "listing1":
-		blob, err := build.Default().Encode()
-		if err != nil {
-			return "", err
-		}
-		return "Listing 1 — default rai-build.yml (used when the student has none)\n\n" + string(blob), nil
+		return "Listing 1 — default rai-build.yml (used when the student has none)\n\n" + string(build.Default().Encode()), nil
 	case "listing2":
-		blob, err := build.Submission().Encode()
-		if err != nil {
-			return "", err
-		}
-		return "Listing 2 — enforced final-submission build file\n\n" + string(blob), nil
+		return "Listing 2 — enforced final-submission build file\n\n" + string(build.Submission().Encode()), nil
 	case "listing3":
 		return listing3Email()
 	case "figure2":

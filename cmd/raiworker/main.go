@@ -8,7 +8,8 @@
 //
 //	raiworker -broker host:port -fs url -db url -keys keys.json
 //	          [-id worker-1] [-concurrency 1] [-mem bytes]
-//	          [-lifetime 1h] [-rate-limit 30s] [-seed 408] [-full-images 100]
+//	          [-lifetime 1h] [-rate-limit 30s] [-allow-sessions]
+//	          [-session-idle 10m] [-seed 408] [-full-images 100]
 //	          [-metrics-addr host:port] [-pprof] [-telemetry=false]
 //	          [-dial-timeout 10s] [-rpc-attempts 4] [-rpc-timeout 0]
 //	          [-ready-file path] [-version]

@@ -143,17 +143,11 @@ func TestPlantedResultObjectIsIgnored(t *testing.T) {
 	c.Stdout = &termOut
 
 	// The spec as the worker resolves it: parsed from the request bytes.
-	enc, err := build.Default().Encode()
+	resolved, err := build.Parse(build.Default().Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	resolved, err := build.Parse(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if enc, err = resolved.Encode(); err != nil {
-		t.Fatal(err)
-	}
+	enc := resolved.Encode()
 	_, proj := projectTree(t, project.Spec{Impl: cnn.ImplIm2col, Team: "team-forger"})
 	h := sha256.New()
 	h.Write(enc)

@@ -162,12 +162,7 @@ func (c *Client) submitUploaded(ctx context.Context, root *telemetry.Span, jobID
 	enq := root.Child("enqueue")
 	specBytes := []byte{}
 	if spec != nil {
-		enc, err := spec.Encode()
-		if err != nil {
-			enq.End()
-			return nil, err
-		}
-		specBytes = enc
+		specBytes = spec.Encode()
 	}
 	req := &JobRequest{
 		ID:           jobID,

@@ -32,8 +32,8 @@ type WorkerConfig struct {
 	// MaxConcurrent is the number of jobs accepted at once: multiple
 	// early in the course, one during the benchmarking weeks (§V, §VII).
 	MaxConcurrent int
-	// MemoryBytes, Lifetime and DisableNetwork are the container limits
-	// (defaults: 8 GiB, 1 h, network off).
+	// MemoryBytes and Lifetime are the container limits (defaults:
+	// 8 GiB, 1 h); a job's container never has a network.
 	MemoryBytes int64
 	Lifetime    time.Duration
 	// RateLimit is the per-user minimum spacing between jobs (30 s).

@@ -4,9 +4,10 @@
 //
 // Documents are schemaless JSON objects stored in named collections.
 // Every document carries a string "_id" (auto-generated when absent).
-// Queries use a Mongo-flavoured filter language (equality plus $gt, $gte,
-// $lt, $lte, $ne, $in, $exists on dotted paths), with sort/limit/skip and
-// field updates via $set, $inc, and $push. String-equality tests on
+// The query language is the operators RAI sends: a filter tests dotted
+// paths for literal equality or with $eq, $ne, $gt, $gte, $lt and $lte;
+// an update is $set; a find sorts and limits. Any other operator is
+// ErrBadFilter or ErrBadUpdate. String-equality tests on
 // top-level fields are answered from hash indexes the engine builds on
 // first use (index.go), and UpsertMany applies a batch of upserts as one
 // operation. A DB from New lives in memory; one from Open also journals
@@ -260,13 +261,12 @@ type FindOpts struct {
 	// objects, arrays, booleans); numbers and strings by value. Ties
 	// keep insertion order.
 	Sort  []string
-	Skip  int
 	Limit int // 0 = unlimited
 }
 
 // Find returns documents matching filter, in insertion order unless
 // sorted. Only the documents returned are copied out, and a sort with a
-// limit keeps just the leading Skip+Limit matches as it goes (keepTop)
+// limit keeps just the leading Limit matches as it goes (keepTop)
 // rather than sorting them all.
 func (db *DB) Find(ctx context.Context, collName string, filter M, opts FindOpts) ([]M, error) {
 	if err := ctx.Err(); err != nil {
@@ -276,11 +276,7 @@ func (db *DB) Find(ctx context.Context, collName string, filter M, opts FindOpts
 		return nil, err
 	}
 	keys := sortKeys(opts.Sort)
-	skip := max(opts.Skip, 0)
-	keep := 0 // leading results the page needs; 0 = all
-	if opts.Limit > 0 && skip+opts.Limit > 0 {
-		keep = skip + opts.Limit
-	}
+	keep := max(opts.Limit, 0) // leading results the page needs; 0 = all
 	var out []M
 	err := db.read(collName, filter, func(c *collection) {
 		var hits []M
@@ -310,12 +306,8 @@ func (db *DB) Find(ctx context.Context, collName string, filter M, opts FindOpts
 			}
 			slices.SortStableFunc(hits, func(a, b M) int { return compareDocs(a, b, keys) })
 		}
-		if skip >= len(hits) {
+		if len(hits) == 0 {
 			return
-		}
-		hits = hits[skip:]
-		if opts.Limit > 0 && len(hits) > opts.Limit {
-			hits = hits[:opts.Limit]
 		}
 		out = make([]M, len(hits))
 		for i, d := range hits {
@@ -386,9 +378,8 @@ func prepare(filter, update M) (M, error) {
 	return nupd, nil
 }
 
-// Update applies a Mongo-style update ($set, $inc, $push) to all
-// documents matching filter and reports how many changed. An update
-// that cannot apply to one of them changes none.
+// Update applies a $set update to all documents matching filter and
+// reports how many changed.
 func (db *DB) Update(ctx context.Context, collName string, filter M, update M) (n int, err error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -402,23 +393,17 @@ func (db *DB) Update(ctx context.Context, collName string, filter M, update M) (
 		if err != nil {
 			return err
 		}
-		n, _, err = db.updateLocked(c, collName, filter, nupd)
-		return err
+		n, _ = db.updateLocked(c, collName, filter, nupd)
+		return nil
 	})
 	return n, err
 }
 
-// updateLocked is Update's body for callers holding db.mu: every match
-// is checked before any is changed. Besides the count it returns the
-// first match's id, which is what Upsert needs to finish without a
-// second scan.
-func (db *DB) updateLocked(c *collection, collName string, filter, nupd M) (n int, first string, err error) {
+// updateLocked is Update's body for callers holding db.mu. Besides the
+// count it returns the first match's id, which is what Upsert needs to
+// finish without a second scan.
+func (db *DB) updateLocked(c *collection, collName string, filter, nupd M) (n int, first string) {
 	hits := c.matching(filter)
-	for _, e := range hits {
-		if err := updateFits(e.doc, nupd); err != nil {
-			return 0, "", err
-		}
-	}
 	for _, e := range hits {
 		c.update(e, nupd)
 		db.j.note(collName, e.id, e.doc)
@@ -426,7 +411,7 @@ func (db *DB) updateLocked(c *collection, collName string, filter, nupd M) (n in
 	if len(hits) > 0 {
 		first = hits[0].id
 	}
-	return len(hits), first, nil
+	return len(hits), first
 }
 
 // Upsert updates the matches, or inserts update's $set fields merged
@@ -452,7 +437,7 @@ func (db *DB) Upsert(ctx context.Context, collName string, filter M, update M) (
 
 // prepareUpsert is prepare for an upsert, plus the document it inserts
 // when nothing matches: the filter's top-level equality fields, then
-// the update's $set and $inc fields. The document takes nupd's values
+// the update's $set fields. The document takes nupd's values
 // without copying them; an upsert either inserts it or copies nupd's
 // values into the documents it updates, never both.
 func prepareUpsert(filter, update M) (nupd, seed M, err error) {
@@ -470,11 +455,9 @@ func prepareUpsert(filter, update M) (nupd, seed M, err error) {
 	if seed, err = normalize(lits); err != nil {
 		return nil, nil, err
 	}
-	for _, op := range []string{"$set", "$inc"} {
-		fields, _ := nupd[op].(map[string]any)
-		for k, v := range fields {
-			seed[k] = v
-		}
+	fields, _ := nupd["$set"].(map[string]any)
+	for k, v := range fields {
+		seed[k] = v
 	}
 	return nupd, seed, nil
 }
@@ -485,11 +468,7 @@ func (db *DB) upsertLocked(collName string, filter, nupd, seed M) (string, error
 	if err != nil {
 		return "", err
 	}
-	n, first, err := db.updateLocked(c, collName, filter, nupd)
-	if err != nil {
-		return "", err
-	}
-	if n > 0 {
+	if n, first := db.updateLocked(c, collName, filter, nupd); n > 0 {
 		return first, nil
 	}
 	return db.insertLocked(c, collName, seed)
@@ -506,9 +485,9 @@ type Upsert struct {
 // UpsertMany applies ops in order as one critical section and returns
 // the document id of each. Every op's collection name, filter and update
 // is checked before any op is applied, so a malformed op rejects the
-// whole batch with nothing written. An op that fails on what a document
-// holds ($inc of a string, a filter-pinned _id already taken) stops the
-// batch there; the ids returned are those of the ops applied before it.
+// whole batch with nothing written. An op that fails on what the
+// collection holds (a filter-pinned _id already taken) stops the batch
+// there; the ids returned are those of the ops applied before it.
 // The journal lines of the ops applied go to the backend in one write.
 func (db *DB) UpsertMany(ctx context.Context, ops []Upsert) (ids []string, err error) {
 	if err := ctx.Err(); err != nil {

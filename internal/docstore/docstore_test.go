@@ -1,10 +1,13 @@
 package docstore
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -69,6 +72,8 @@ func TestInsertStructNormalizes(t *testing.T) {
 	}
 }
 
+// TestFilterOperators: the filter language is literal equality and the
+// six comparisons; every other operator is rejected (want -1).
 func TestFilterOperators(t *testing.T) {
 	db := New()
 	seedSubmissions(t, db)
@@ -86,16 +91,22 @@ func TestFilterOperators(t *testing.T) {
 		{"lt", M{"runtime": M{"$lt": 0.5}}, 1},
 		{"lte", M{"attempt": M{"$lte": 2}}, 3},
 		{"range", M{"runtime": M{"$gte": 0.4, "$lt": 1.0}}, 3},
-		{"in", M{"team": M{"$in": []any{"beta", "gamma"}}}, 2},
-		{"exists true", M{"attempt": M{"$exists": true}}, 5},
-		{"exists false", M{"grade": M{"$exists": false}}, 5},
-		{"prefix", M{"team": M{"$prefix": "a"}}, 2},
-		{"or", M{"$or": []any{map[string]any{"team": "beta"}, map[string]any{"team": "delta"}}}, 2},
+		{"in", M{"team": M{"$in": []any{"beta", "gamma"}}}, -1},
+		{"exists true", M{"attempt": M{"$exists": true}}, -1},
+		{"exists false", M{"grade": M{"$exists": false}}, -1},
+		{"prefix", M{"team": M{"$prefix": "a"}}, -1},
+		{"or", M{"$or": []any{map[string]any{"team": "beta"}, map[string]any{"team": "delta"}}}, -1},
 		{"combined", M{"kind": "final", "runtime": M{"$lt": 1.0}}, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			n, err := db.Count(testCtx, "submissions", tc.filter)
+			if tc.want < 0 {
+				if !errors.Is(err, ErrBadFilter) {
+					t.Fatalf("count = %d, %v; want ErrBadFilter", n, err)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,6 +132,8 @@ func TestBadFilter(t *testing.T) {
 	}
 }
 
+// TestSortSkipLimit: a find sorts and limits; there is no skip, which
+// TestRemovedFormsRejected shows refused over HTTP.
 func TestSortSkipLimit(t *testing.T) {
 	db := New()
 	seedSubmissions(t, db)
@@ -135,13 +148,9 @@ func TestSortSkipLimit(t *testing.T) {
 	if docs[0]["runtime"] != 120.0 {
 		t.Fatalf("desc sort head = %v", docs[0])
 	}
-	docs, _ = db.Find(testCtx, "submissions", M{}, FindOpts{Sort: []string{"runtime"}, Skip: 4})
-	if len(docs) != 1 || docs[0]["runtime"] != 120.0 {
-		t.Fatalf("skip = %v", docs)
-	}
-	docs, _ = db.Find(testCtx, "submissions", M{}, FindOpts{Skip: 99})
-	if len(docs) != 0 {
-		t.Fatalf("skip past end = %v", docs)
+	docs, _ = db.Find(testCtx, "submissions", M{}, FindOpts{Limit: 99})
+	if len(docs) != 5 {
+		t.Fatalf("limit past the end = %v", docs)
 	}
 }
 
@@ -160,13 +169,14 @@ func TestMultiKeySort(t *testing.T) {
 	}
 }
 
+// TestUpdateSetIncPush: $set writes top-level and dotted paths; $inc
+// and $push are not in the update language, and an update naming one
+// changes nothing.
 func TestUpdateSetIncPush(t *testing.T) {
 	db := New()
 	seedSubmissions(t, db)
 	n, err := db.Update(testCtx, "submissions", M{"team": "alpha"}, M{
-		"$set":  M{"graded": true, "meta.grader": "staff1"},
-		"$inc":  M{"attempt": 1},
-		"$push": M{"history": "regraded"},
+		"$set": M{"graded": true, "meta.grader": "staff1", "attempt": 4},
 	})
 	if err != nil || n != 2 {
 		t.Fatalf("update n=%d err=%v", n, err)
@@ -178,14 +188,16 @@ func TestUpdateSetIncPush(t *testing.T) {
 	if meta, ok := doc["meta"].(map[string]any); !ok || meta["grader"] != "staff1" {
 		t.Fatalf("nested set = %v", doc["meta"])
 	}
-	if hist, ok := doc["history"].([]any); !ok || len(hist) != 1 || hist[0] != "regraded" {
-		t.Fatalf("push = %v", doc["history"])
+	for _, u := range []M{
+		{"$set": M{"graded": false}, "$inc": M{"attempt": 1}},
+		{"$set": M{"graded": false}, "$push": M{"history": "again"}},
+	} {
+		if _, err := db.Update(testCtx, "submissions", M{"team": "alpha"}, u); !errors.Is(err, ErrBadUpdate) {
+			t.Errorf("update %v: err = %v, want ErrBadUpdate", u, err)
+		}
 	}
-	// Second push appends.
-	db.Update(testCtx, "submissions", M{"team": "alpha", "kind": "final"}, M{"$push": M{"history": "again"}})
-	doc, _ = db.FindOne(testCtx, "submissions", M{"team": "alpha", "kind": "final"})
-	if hist := doc["history"].([]any); len(hist) != 2 {
-		t.Fatalf("second push = %v", hist)
+	if again, _ := db.FindOne(testCtx, "submissions", M{"team": "alpha", "kind": "final"}); !reflect.DeepEqual(again, doc) {
+		t.Fatalf("a rejected update changed %v to %v", doc, again)
 	}
 }
 
@@ -201,6 +213,78 @@ func TestBadUpdate(t *testing.T) {
 		if _, err := db.Update(testCtx, "submissions", M{"team": "alpha"}, u); !errors.Is(err, ErrBadUpdate) {
 			t.Errorf("update %v: err = %v", u, err)
 		}
+	}
+}
+
+// TestRemovedFormsRejected: the operators raidb's language dropped, and
+// a find's skip, are refused over *DB and over HTTP (400), never
+// silently ignored, and change nothing.
+func TestRemovedFormsRejected(t *testing.T) {
+	db := New()
+	seedSubmissions(t, db)
+	srv := httptest.NewServer(Handler(db, nil))
+	defer srv.Close()
+	filters := map[string]M{
+		"or":     {"$or": []any{map[string]any{"team": "beta"}}},
+		"in":     {"team": M{"$in": []any{"beta"}}},
+		"exists": {"team": M{"$exists": true}},
+		"prefix": {"team": M{"$prefix": "a"}},
+	}
+	updates := map[string]M{
+		"inc":  {"$inc": M{"attempt": 1}},
+		"push": {"$push": M{"history": "x"}},
+	}
+	before, _ := db.Find(testCtx, "submissions", M{}, FindOpts{})
+	post := func(verb string, body any) int {
+		t.Helper()
+		raw, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := srv.Client().Post(srv.URL+"/c/submissions/"+verb, "application/json", strings.NewReader(string(raw)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for name, f := range filters {
+		t.Run(name, func(t *testing.T) {
+			if _, err := db.Find(testCtx, "submissions", f, FindOpts{}); !errors.Is(err, ErrBadFilter) {
+				t.Errorf("find: %v, want ErrBadFilter", err)
+			}
+			if _, err := db.Upsert(testCtx, "submissions", f, M{"$set": M{"x": 1}}); !errors.Is(err, ErrBadFilter) {
+				t.Errorf("upsert: %v, want ErrBadFilter", err)
+			}
+			for _, verb := range []string{"find", "count", "delete"} {
+				if code := post(verb, M{"filter": f}); code != http.StatusBadRequest {
+					t.Errorf("POST %s = %d, want 400", verb, code)
+				}
+			}
+		})
+	}
+	for name, u := range updates {
+		t.Run(name, func(t *testing.T) {
+			if _, err := db.Update(testCtx, "submissions", M{"team": "alpha"}, u); !errors.Is(err, ErrBadUpdate) {
+				t.Errorf("update: %v, want ErrBadUpdate", err)
+			}
+			if _, err := db.Upsert(testCtx, "submissions", M{"team": "omega"}, u); !errors.Is(err, ErrBadUpdate) {
+				t.Errorf("upsert: %v, want ErrBadUpdate", err)
+			}
+			for _, verb := range []string{"update", "upsert"} {
+				if code := post(verb, M{"filter": M{"team": "alpha"}, "update": u}); code != http.StatusBadRequest {
+					t.Errorf("POST %s = %d, want 400", verb, code)
+				}
+			}
+		})
+	}
+	t.Run("skip", func(t *testing.T) {
+		if code := post("find", M{"filter": M{}, "opts": M{"sort": []string{"runtime"}, "skip": 4}}); code != http.StatusBadRequest {
+			t.Errorf("POST find with skip = %d, want 400", code)
+		}
+	})
+	if after, _ := db.Find(testCtx, "submissions", M{}, FindOpts{}); !reflect.DeepEqual(after, before) {
+		t.Errorf("rejected requests changed the collection:\n%v\n%v", before, after)
 	}
 }
 

@@ -144,9 +144,12 @@ func Handler(db Store, auth AuthFunc, opts ...HandlerOption) http.Handler {
 			return
 		}
 		// Decode straight off the wire (bounded) instead of buffering the
-		// whole body first; an empty body is a valid empty request.
+		// whole body first; an empty body is a valid empty request. A
+		// field the request does not have ("skip", say) is refused, not
+		// ignored.
 		var req rpcRequest
 		dec := json.NewDecoder(io.LimitReader(r.Body, 64<<20))
+		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
 			writeJSON(w, http.StatusBadRequest, rpcResponse{Error: "bad JSON: " + err.Error()})
 			return

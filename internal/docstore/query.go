@@ -2,118 +2,47 @@ package docstore
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"strings"
 )
 
-// checkFilter rejects a malformed filter: an unknown operator, or an
-// operator argument of the wrong shape. Every verb runs it before
+// checkFilter rejects a malformed filter: a top-level operator, or an
+// operator other than the six comparisons. Every verb runs it before
 // reading a document, so a bad filter fails the same way whatever the
 // collection holds, and matches, which only ever sees checked filters,
 // cannot fail.
 func checkFilter(filter M) error {
 	for path, cond := range filter {
 		if strings.HasPrefix(path, "$") {
-			if path != "$or" {
-				return fmt.Errorf("%w: unsupported top-level operator %q", ErrBadFilter, path)
-			}
-			if err := checkOr(cond); err != nil {
-				return err
-			}
-			continue
+			return fmt.Errorf("%w: unsupported top-level operator %q", ErrBadFilter, path)
 		}
 		ops, isOps := cond.(map[string]any)
 		if !isOps || !hasOperator(ops) {
 			continue
 		}
-		for op, arg := range ops {
-			if err := checkOp(op, arg); err != nil {
-				return fmt.Errorf("%w (field %q)", err, path)
+		for op := range ops {
+			switch op {
+			case "$eq", "$ne", "$gt", "$gte", "$lt", "$lte":
+			default:
+				return fmt.Errorf("%w: unsupported operator %q (field %q)", ErrBadFilter, op, path)
 			}
 		}
 	}
 	return nil
 }
 
-func checkOr(cond any) error {
-	switch alts := cond.(type) {
-	case []M:
-		for _, alt := range alts {
-			if err := checkFilter(alt); err != nil {
-				return err
-			}
-		}
-		return nil
-	case []any:
-		for _, alt := range alts {
-			sub, ok := alt.(map[string]any)
-			if !ok {
-				return fmt.Errorf("%w: $or element is not a filter", ErrBadFilter)
-			}
-			if err := checkFilter(sub); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return fmt.Errorf("%w: $or wants an array of filters", ErrBadFilter)
-}
-
-func checkOp(op string, arg any) error {
-	switch op {
-	case "$exists":
-		if _, ok := arg.(bool); !ok {
-			return fmt.Errorf("%w: $exists wants a bool", ErrBadFilter)
-		}
-	case "$in":
-		if _, ok := arg.([]any); !ok {
-			return fmt.Errorf("%w: $in wants an array", ErrBadFilter)
-		}
-	case "$eq", "$ne", "$gt", "$gte", "$lt", "$lte", "$prefix":
-	default:
-		return fmt.Errorf("%w: unsupported operator %q", ErrBadFilter, op)
-	}
-	return nil
-}
-
-// matches evaluates a checked Mongo-style filter against a document.
-// Filter keys are dotted paths; values are either literal equality
-// tests or operator objects ({"$gt": 3}). An empty filter matches
-// everything.
+// matches evaluates a checked filter against a document. Filter keys
+// are dotted paths; values are either literal equality tests or
+// operator objects ({"$gt": 3}). An empty filter matches everything.
 func matches(doc M, filter M) bool {
 	for path, cond := range filter {
-		if path == "$or" {
-			if !matchOr(doc, cond) {
-				return false
-			}
-			continue
-		}
 		val, present := lookup(doc, path)
 		if !matchCond(val, present, cond) {
 			return false
 		}
 	}
 	return true
-}
-
-func matchOr(doc M, cond any) bool {
-	switch alts := cond.(type) {
-	case []M:
-		for _, alt := range alts {
-			if matches(doc, alt) {
-				return true
-			}
-		}
-	case []any:
-		for _, alt := range alts {
-			if sub, ok := alt.(map[string]any); ok && matches(doc, sub) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // matchCond checks one field condition: operator map or literal equality.
@@ -144,41 +73,28 @@ func hasOperator(m map[string]any) bool {
 
 func applyOp(op string, val any, present bool, arg any) bool {
 	switch op {
-	case "$exists":
-		want, _ := arg.(bool)
-		return present == want
 	case "$eq":
 		return present && equalValues(val, arg)
 	case "$ne":
 		return !present || !equalValues(val, arg)
-	case "$gt", "$gte", "$lt", "$lte":
-		if !present {
-			return false
-		}
-		c, ok := compareValues(val, arg)
-		if !ok {
-			return false // incomparable types never match range ops
-		}
-		switch op {
-		case "$gt":
-			return c > 0
-		case "$gte":
-			return c >= 0
-		case "$lt":
-			return c < 0
-		default:
-			return c <= 0
-		}
-	case "$in":
-		list, _ := arg.([]any)
-		return present && slices.ContainsFunc(list, func(item any) bool { return equalValues(val, item) })
-	case "$prefix":
-		// RAI extension: string prefix match, used for key scans.
-		s, ok1 := val.(string)
-		p, ok2 := arg.(string)
-		return ok1 && ok2 && strings.HasPrefix(s, p)
 	}
-	return false
+	if !present {
+		return false
+	}
+	c, ok := compareValues(val, arg)
+	if !ok {
+		return false // incomparable types never match range ops
+	}
+	switch op {
+	case "$gt":
+		return c > 0
+	case "$gte":
+		return c >= 0
+	case "$lt":
+		return c < 0
+	default:
+		return c <= 0
+	}
 }
 
 // lookup resolves a dotted path inside a document.
@@ -359,28 +275,20 @@ func keepTop(hits []M, doc, filter M, keys []sortKey, k int) []M {
 	return slices.Insert(hits, i, doc)
 }
 
-// checkUpdate rejects a malformed normalized update — an unknown
-// operator, a non-object operand, a non-numeric $inc, a write to _id,
-// which never changes (c.docs indexes by it), or two writes to the same
-// path or to a path and its parent, whose outcome would depend on map
-// order — before any document is touched.
+// checkUpdate rejects a malformed normalized update — an operator other
+// than $set, a non-object operand, a write to _id, which never changes
+// (c.docs indexes by it), or two writes to the same path or to a path
+// and its parent, whose outcome would depend on map order — before any
+// document is touched. A checked update applies to any document.
 func checkUpdate(update M) error {
 	var paths []string
 	for op, arg := range update {
+		if op != "$set" {
+			return fmt.Errorf("%w: unsupported operator %q", ErrBadUpdate, op)
+		}
 		fields, ok := arg.(map[string]any)
 		if !ok {
 			return fmt.Errorf("%w: %s wants an object", ErrBadUpdate, op)
-		}
-		switch op {
-		case "$set", "$push":
-		case "$inc":
-			for path, v := range fields {
-				if _, ok := toFloat(v); !ok {
-					return fmt.Errorf("%w: $inc %s wants a number", ErrBadUpdate, path)
-				}
-			}
-		default:
-			return fmt.Errorf("%w: unsupported operator %q", ErrBadUpdate, op)
 		}
 		for path := range fields {
 			if head, _, _ := strings.Cut(path, "."); head == "_id" {
@@ -406,62 +314,13 @@ func overlaps(p, q string) bool {
 	return strings.HasPrefix(q, p) && (len(q) == len(p) || q[len(p)] == '.')
 }
 
-// updateFits reports why the checked, normalized update cannot apply to
-// doc: $inc of a non-number or past the float range, $push onto a
-// non-array. No two of an update's paths overlap (checkUpdate), so each
-// path reads the same here as when applyUpdate reaches it, and an update
-// that fits applies whole.
-func updateFits(doc M, update M) error {
-	inc, _ := update["$inc"].(map[string]any)
-	for path, v := range inc {
-		cur, present := lookup(doc, path)
-		if !present {
-			continue
-		}
-		base, ok := toFloat(cur)
-		if !ok {
-			return fmt.Errorf("%w: $inc on non-number %s", ErrBadUpdate, path)
-		}
-		if delta, _ := toFloat(v); math.IsInf(base+delta, 0) {
-			return fmt.Errorf("%w: $inc overflows %s", ErrBadUpdate, path)
-		}
-	}
-	push, _ := update["$push"].(map[string]any)
-	for path := range push {
-		if cur, present := lookup(doc, path); present {
-			if _, ok := cur.([]any); !ok {
-				return fmt.Errorf("%w: $push on non-array %s", ErrBadUpdate, path)
-			}
-		}
-	}
-	return nil
-}
-
-// applyUpdate mutates doc according to the checked, normalized update,
-// which fits it (updateFits). Values are copied in, so documents never
-// share a nested object with each other or with the update.
+// applyUpdate mutates doc according to the checked, normalized update.
+// Values are copied in, so documents never share a nested object with
+// each other or with the update.
 func applyUpdate(doc M, update M) {
-	for op, arg := range update {
-		fields, _ := arg.(map[string]any)
-		switch op {
-		case "$set":
-			for path, v := range fields {
-				setPath(doc, path, copyValue(v))
-			}
-		case "$inc":
-			for path, v := range fields {
-				delta, _ := toFloat(v)
-				base, _ := lookup(doc, path)
-				f, _ := toFloat(base)
-				setPath(doc, path, f+delta)
-			}
-		case "$push":
-			for path, v := range fields {
-				arr, _ := lookup(doc, path)
-				list, _ := arr.([]any)
-				setPath(doc, path, append(list, copyValue(v)))
-			}
-		}
+	fields, _ := update["$set"].(map[string]any)
+	for path, v := range fields {
+		setPath(doc, path, copyValue(v))
 	}
 }
 

@@ -28,8 +28,8 @@ type Selector struct {
 // ThresholdSeconds, where a request is good when it lands in a bucket
 // at or under the threshold).
 type Objective struct {
-	Name        string  `json:"name"`
-	Description string  `json:"description,omitempty"`
+	Name        string `json:"name"`
+	Description string `json:"description,omitempty"`
 	// Target is the fraction of good requests promised, e.g. 0.99.
 	Target float64 `json:"target"`
 

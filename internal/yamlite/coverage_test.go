@@ -2,7 +2,6 @@ package yamlite
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -15,23 +14,15 @@ func TestKindString(t *testing.T) {
 	}
 }
 
+// TestMapKeys: a mapping's keys, and their values, stay in document
+// order.
 func TestMapKeys(t *testing.T) {
 	n, err := Parse([]byte("b: 1\na: 2\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := n.MapKeys()
-	if !reflect.DeepEqual(keys, []string{"b", "a"}) {
-		t.Fatalf("MapKeys = %v (must preserve document order)", keys)
-	}
-	// Mutating the returned slice must not affect the node.
-	keys[0] = "zz"
-	if n.MapKeys()[0] != "b" {
-		t.Error("MapKeys aliased internal storage")
-	}
-	var scalar Node
-	if scalar.MapKeys() != nil {
-		t.Error("MapKeys on scalar != nil")
+	if !reflect.DeepEqual(n.Keys, []string{"b", "a"}) || text(n.Values[0]) != "1" || text(n.Values[1]) != "2" {
+		t.Fatalf("Keys = %v, Values = %+v (must preserve document order)", n.Keys, n.Values)
 	}
 }
 
@@ -40,9 +31,8 @@ func TestTopLevelSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	items, err := n.StringList()
-	if err != nil || len(items) != 3 || items[2] != "three" {
-		t.Fatalf("top-level seq = %v, %v", items, err)
+	if n.Kind != KindSeq || len(n.Items) != 3 || text(n.Items[2]) != "three" {
+		t.Fatalf("top-level seq = %+v", n)
 	}
 }
 
@@ -51,8 +41,8 @@ func TestTopLevelScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := n.Scalar(); !ok || v != "just a scalar document" {
-		t.Fatalf("scalar doc = %q, %v", v, ok)
+	if n.Kind != KindScalar || n.Value != "just a scalar document" {
+		t.Fatalf("scalar doc = %+v", n)
 	}
 }
 
@@ -69,120 +59,11 @@ func TestSequenceWithNestedBlocks(t *testing.T) {
 	if n.Kind != KindSeq || len(n.Items) != 3 {
 		t.Fatalf("seq = %+v", n)
 	}
-	if v, _ := n.Items[0].Get("key").Scalar(); v != "nested" {
+	if v := text(get(n.Items[0], "key")); v != "nested" {
 		t.Errorf("nested item = %v", n.Items[0])
 	}
-	if v, _ := n.Items[2].Scalar(); v != "" {
+	if v := text(n.Items[2]); v != "" {
 		t.Errorf("empty dash item = %q", v)
-	}
-}
-
-func TestUnmarshalArrayAndErrors(t *testing.T) {
-	type withArray struct {
-		A [2]int `yaml:"a"`
-	}
-	var v withArray
-	if err := Unmarshal([]byte("a:\n  - 1\n  - 2\n"), &v); err != nil {
-		t.Fatal(err)
-	}
-	if v.A != [2]int{1, 2} {
-		t.Fatalf("array = %v", v.A)
-	}
-	if err := Unmarshal([]byte("a:\n  - 1\n"), &v); err == nil {
-		t.Error("array length mismatch accepted")
-	}
-	// Sequence into a scalar field.
-	type bad struct {
-		A int `yaml:"a"`
-	}
-	var b bad
-	if err := Unmarshal([]byte("a:\n  - 1\n"), &b); err == nil {
-		t.Error("seq into int accepted")
-	}
-	// Map into a slice field.
-	type bad2 struct {
-		A []int `yaml:"a"`
-	}
-	var b2 bad2
-	if err := Unmarshal([]byte("a:\n  b: 1\n"), &b2); err == nil {
-		t.Error("map into slice accepted")
-	}
-	// Non-string map keys.
-	var m map[int]string
-	if err := Unmarshal([]byte("1: x\n"), &m); err == nil {
-		t.Error("int-keyed map accepted")
-	}
-}
-
-func TestUnmarshalScalarEdgeCases(t *testing.T) {
-	type tgt struct {
-		B bool    `yaml:"b"`
-		I int8    `yaml:"i"`
-		F float32 `yaml:"f"`
-		U uint    `yaml:"u"`
-	}
-	var v tgt
-	// Nulls zero every kind.
-	if err := Unmarshal([]byte("b: ~\ni: ~\nf: ~\nu: ~\n"), &v); err != nil {
-		t.Fatal(err)
-	}
-	if v.B || v.I != 0 || v.F != 0 || v.U != 0 {
-		t.Fatalf("nulls = %+v", v)
-	}
-	for _, bad := range []string{"b: maybe\n", "i: 999\n", "i: xy\n", "f: abc\n", "u: -1\n"} {
-		var w tgt
-		if err := Unmarshal([]byte(bad), &w); err == nil {
-			t.Errorf("Unmarshal(%q) succeeded", bad)
-		}
-	}
-}
-
-func TestMarshalKinds(t *testing.T) {
-	type inner struct {
-		Name string `yaml:"name"`
-	}
-	type outer struct {
-		B     bool           `yaml:"b"`
-		U     uint8          `yaml:"u"`
-		F     float64        `yaml:"f"`
-		Items []inner        `yaml:"items"`
-		Empty []string       `yaml:"empty"`
-		M     map[string]int `yaml:"m"`
-		Ptr   *inner         `yaml:"ptr"`
-		Nil   *inner         `yaml:"nil"`
-		Skip  string         `yaml:"skip,omitempty"`
-	}
-	v := outer{
-		B: true, U: 7, F: 2.5,
-		Items: []inner{{Name: "x"}, {Name: "y"}},
-		M:     map[string]int{"k": 1},
-		Ptr:   &inner{Name: "p"},
-	}
-	blob, err := Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back outer
-	if err := Unmarshal(blob, &back); err != nil {
-		t.Fatalf("re-parse of:\n%s\n%v", blob, err)
-	}
-	if !back.B || back.U != 7 || back.F != 2.5 || len(back.Items) != 2 || back.Items[1].Name != "y" {
-		t.Fatalf("round trip = %+v", back)
-	}
-	if back.M["k"] != 1 || back.Ptr == nil || back.Ptr.Name != "p" || back.Nil != nil {
-		t.Fatalf("round trip = %+v", back)
-	}
-	if strings.Contains(string(blob), "skip") {
-		t.Errorf("omitempty field emitted:\n%s", blob)
-	}
-}
-
-func TestMarshalUnsupported(t *testing.T) {
-	if _, err := Marshal(map[string]any{"ch": make(chan int)}); err == nil {
-		t.Error("channel marshaled")
-	}
-	if _, err := Marshal(map[int]int{1: 2}); err == nil {
-		t.Error("int-keyed map marshaled")
 	}
 }
 
@@ -191,7 +72,7 @@ func TestSplitKeyQuotedColon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := n.Get("key: with colon").Scalar(); v != "value" {
+	if v := text(get(n, "key: with colon")); v != "value" {
 		t.Fatalf("quoted key = %+v", n)
 	}
 }
@@ -201,7 +82,7 @@ func TestUnescapeDoubleVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _ := n.Get("a").Scalar()
+	v := text(get(n, "a"))
 	if v != "r\rnul\x00slash/qq\"" {
 		t.Fatalf("escapes = %q", v)
 	}
@@ -215,7 +96,7 @@ func TestBlockScalarKeepChomp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := n.Get("a").Scalar(); v != "x\n" {
+	if v := text(get(n, "a")); v != "x\n" {
 		t.Errorf("keep chomp = %q", v)
 	}
 	// Empty block scalar.
@@ -223,23 +104,7 @@ func TestBlockScalarKeepChomp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := n.Get("a").Scalar(); v != "" {
+	if v := text(get(n, "a")); v != "" {
 		t.Errorf("empty literal = %q", v)
-	}
-}
-
-func TestDecodeNilAndPointerTargets(t *testing.T) {
-	var n *Node
-	var x int
-	if err := Decode(n, &x); err != nil {
-		t.Fatalf("nil node decode: %v", err)
-	}
-	var notPtr int
-	if err := Decode(&Node{Kind: KindScalar, Value: "1"}, notPtr); err == nil {
-		t.Error("non-pointer target accepted")
-	}
-	var nilPtr *int
-	if err := Decode(&Node{Kind: KindScalar, Value: "1"}, nilPtr); err == nil {
-		t.Error("nil pointer target accepted")
 	}
 }

@@ -2,7 +2,9 @@
 // specifications use: block mappings, block sequences, plain and quoted
 // scalars, comments, literal (|) and folded (>) blocks, and multi-line
 // plain-scalar continuation (the paper's Listing 1 splits one command
-// across two lines).
+// across two lines). Parse returns a Node tree, which internal/build
+// walks by the rai-build.yml schema; Quote writes a scalar Parse reads
+// back unchanged.
 //
 // The package deliberately omits anchors, aliases, tags, flow collections
 // spanning documents, and multi-document streams: rai-build.yml files do
@@ -43,8 +45,9 @@ func (k Kind) String() string {
 type Node struct {
 	Kind Kind
 	// Value holds the scalar text for KindScalar nodes. It is the
-	// post-unquoting value; Quoted records whether quoting was used,
-	// which suppresses null/bool/number interpretation.
+	// post-unquoting value; Quoted records whether quoting was used, so
+	// a caller can tell a plain null or number from a string. Parse
+	// types no scalar itself.
 	Value  string
 	Quoted bool
 	// Keys and Values are parallel for KindMap (preserving order);
@@ -54,100 +57,6 @@ type Node struct {
 	Items  []*Node
 	// Line is the 1-based source line the node started on.
 	Line int
-}
-
-// Get returns the value node for key in a mapping node, or nil.
-func (n *Node) Get(key string) *Node {
-	if n == nil || n.Kind != KindMap {
-		return nil
-	}
-	for i, k := range n.Keys {
-		if k == key {
-			return n.Values[i]
-		}
-	}
-	return nil
-}
-
-// MapKeys returns the mapping keys in document order (nil if not a map).
-func (n *Node) MapKeys() []string {
-	if n == nil || n.Kind != KindMap {
-		return nil
-	}
-	return append([]string(nil), n.Keys...)
-}
-
-// Scalar returns the scalar text and true if n is a scalar node.
-func (n *Node) Scalar() (string, bool) {
-	if n == nil || n.Kind != KindScalar {
-		return "", false
-	}
-	return n.Value, true
-}
-
-// StringList interprets n as a sequence of scalars and returns the values.
-func (n *Node) StringList() ([]string, error) {
-	if n == nil {
-		return nil, nil
-	}
-	if n.Kind != KindSeq {
-		return nil, fmt.Errorf("yamlite: line %d: expected sequence, got %s", n.Line, n.Kind)
-	}
-	out := make([]string, 0, len(n.Items))
-	for _, it := range n.Items {
-		s, ok := it.Scalar()
-		if !ok {
-			return nil, fmt.Errorf("yamlite: line %d: expected scalar sequence item, got %s", it.Line, it.Kind)
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
-// Interface converts a node tree to generic Go values: map[string]any,
-// []any, and typed scalars (nil, bool, int64, float64, string).
-func (n *Node) Interface() any {
-	if n == nil {
-		return nil
-	}
-	switch n.Kind {
-	case KindMap:
-		m := make(map[string]any, len(n.Keys))
-		for i, k := range n.Keys {
-			m[k] = n.Values[i].Interface()
-		}
-		return m
-	case KindSeq:
-		s := make([]any, len(n.Items))
-		for i, it := range n.Items {
-			s[i] = it.Interface()
-		}
-		return s
-	default:
-		return scalarValue(n.Value, n.Quoted)
-	}
-}
-
-// scalarValue applies YAML 1.1-core scalar typing to a plain scalar.
-func scalarValue(s string, quoted bool) any {
-	if quoted {
-		return s
-	}
-	switch s {
-	case "", "~", "null", "Null", "NULL":
-		return nil
-	case "true", "True", "TRUE":
-		return true
-	case "false", "False", "FALSE":
-		return false
-	}
-	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return i
-	}
-	if f, err := strconv.ParseFloat(s, 64); err == nil {
-		return f
-	}
-	return s
 }
 
 // line is a logical source line.
@@ -332,6 +241,7 @@ func (p *parser) parseInlineMapEntry(col int, key, val string, num int) (*Node, 
 	}
 	m.Keys = append(m.Keys, k.Value)
 	m.Values = append(m.Values, v)
+	seen := map[string]bool{k.Value: true}
 	for {
 		l, ok := p.peek()
 		if !ok || l.indent != col {
@@ -350,9 +260,10 @@ func (p *parser) parseInlineMapEntry(col int, key, val string, num int) (*Node, 
 		if err != nil {
 			return nil, err
 		}
-		if m.Get(kn.Value) != nil {
+		if seen[kn.Value] {
 			return nil, fmt.Errorf("yamlite: line %d: duplicate key %q", l.num, kn.Value)
 		}
+		seen[kn.Value] = true
 		m.Keys = append(m.Keys, kn.Value)
 		m.Values = append(m.Values, vn)
 	}
@@ -361,6 +272,7 @@ func (p *parser) parseInlineMapEntry(col int, key, val string, num int) (*Node, 
 // parseMap parses mapping entries at the given indent.
 func (p *parser) parseMap(indent int) (*Node, error) {
 	n := &Node{Kind: KindMap, Line: p.lines[p.pos].num}
+	seen := map[string]bool{}
 	for {
 		l, ok := p.peek()
 		if !ok || l.indent != indent {
@@ -378,9 +290,10 @@ func (p *parser) parseMap(indent int) (*Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		if n.Get(kn.Value) != nil {
+		if seen[kn.Value] {
 			return nil, fmt.Errorf("yamlite: line %d: duplicate key %q", l.num, kn.Value)
 		}
+		seen[kn.Value] = true
 		vn, err := p.parseValue(val, indent, l.num)
 		if err != nil {
 			return nil, err
@@ -600,7 +513,7 @@ func unescapeDouble(s string, num int) (string, error) {
 			b.WriteByte('/')
 		default:
 			// The other escapes strconv.Quote writes, with its meaning
-			// (\xXX is one byte), so whatever Marshal quotes reads back.
+			// (\xXX is one byte), so whatever Quote writes reads back.
 			r, multibyte, tail, err := strconv.UnquoteChar(s[i-1:], '"')
 			if err != nil {
 				return "", fmt.Errorf("yamlite: line %d: unsupported escape \\%c", num, s[i])
@@ -614,4 +527,45 @@ func unescapeDouble(s string, num int) (string, error) {
 		}
 	}
 	return b.String(), nil
+}
+
+// Quote returns s as a scalar token Parse reads back as s: plain when a
+// plain scalar would keep its meaning, else strconv.Quote's
+// double-quoted form, whose every escape unescapeDouble knows.
+func Quote(s string) string {
+	if s == "" {
+		return `""`
+	}
+	plainSafe := true
+	switch s {
+	case "null", "Null", "NULL", "~", "true", "True", "TRUE", "false", "False", "FALSE":
+		plainSafe = false
+	}
+	if _, err := strconv.ParseFloat(s, 64); err == nil {
+		plainSafe = false
+	}
+	if plainSafe {
+		for i := 0; i < len(s); i++ {
+			c := s[i]
+			switch {
+			case c == ':' && (i+1 == len(s) || s[i+1] == ' '):
+				plainSafe = false
+			case c == '#' && i > 0 && s[i-1] == ' ':
+				plainSafe = false
+			case c == '\n' || c == '\t':
+				plainSafe = false
+			case i == 0 && (c == '-' || c == '?') && len(s) > 1 && s[1] == ' ':
+				plainSafe = false
+			case i == 0 && strings.ContainsRune("#&*!{}[]\"'|>%@`", rune(c)):
+				plainSafe = false
+			}
+			if !plainSafe {
+				break
+			}
+		}
+	}
+	if plainSafe && strings.TrimSpace(s) == s {
+		return s
+	}
+	return strconv.Quote(s)
 }

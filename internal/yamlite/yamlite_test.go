@@ -21,24 +21,52 @@ const listing1 = `rai:
           ./ece408 data/test10.hdf5 /data/model.hdf5
 `
 
+// get returns the value of key in the mapping n, or nil.
+func get(n *Node, key string) *Node {
+	if n == nil || n.Kind != KindMap {
+		return nil
+	}
+	for i, k := range n.Keys {
+		if k == key {
+			return n.Values[i]
+		}
+	}
+	return nil
+}
+
+// text returns n's scalar text, or "<kind>" when n is not a scalar.
+func text(n *Node) string {
+	if n == nil {
+		return "<nil>"
+	}
+	if n.Kind != KindScalar {
+		return "<" + n.Kind.String() + ">"
+	}
+	return n.Value
+}
+
 func TestParseListing1(t *testing.T) {
 	n, err := Parse([]byte(listing1))
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	rai := n.Get("rai")
+	rai := get(n, "rai")
 	if rai == nil {
 		t.Fatal("missing top-level rai key")
 	}
-	if v, _ := rai.Get("version").Scalar(); v != "0.1" {
+	if v := text(get(rai, "version")); v != "0.1" {
 		t.Errorf("version = %q, want 0.1", v)
 	}
-	if img, _ := rai.Get("image").Scalar(); img != "webgpu/rai:root" {
+	if img := text(get(rai, "image")); img != "webgpu/rai:root" {
 		t.Errorf("image = %q (colon inside value must not split a key)", img)
 	}
-	cmds, err := rai.Get("commands").Get("build").StringList()
-	if err != nil {
-		t.Fatalf("build commands: %v", err)
+	build := get(get(rai, "commands"), "build")
+	if build == nil || build.Kind != KindSeq {
+		t.Fatalf("build commands = %+v", build)
+	}
+	var cmds []string
+	for _, it := range build.Items {
+		cmds = append(cmds, text(it))
 	}
 	want := []string{
 		`echo "Building project"`,
@@ -52,29 +80,26 @@ func TestParseListing1(t *testing.T) {
 	}
 }
 
+// TestParseScalarTyping: Parse types no scalar. It keeps each one's
+// text as written and records whether it was quoted, which is what a
+// caller's schema needs to tell a plain null or number from a string.
 func TestParseScalarTyping(t *testing.T) {
-	n, err := Parse([]byte("a: 3\nb: 2.5\nc: true\nd: ~\ne: hello\nf: \"7\"\n"))
+	n, err := Parse([]byte("a: 3\nb: 2.5\nc: true\nd: ~\ne: hello\nf: \"7\"\ng:\nh: ''\n"))
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	m := n.Interface().(map[string]any)
-	if m["a"] != int64(3) {
-		t.Errorf("a = %#v, want int64(3)", m["a"])
+	want := map[string]Node{
+		"a": {Value: "3"}, "b": {Value: "2.5"}, "c": {Value: "true"}, "d": {Value: "~"},
+		"e": {Value: "hello"}, "f": {Value: "7", Quoted: true}, "g": {}, "h": {Quoted: true},
 	}
-	if m["b"] != 2.5 {
-		t.Errorf("b = %#v, want 2.5", m["b"])
+	for i, k := range n.Keys {
+		v := n.Values[i]
+		if w := want[k]; v.Kind != KindScalar || v.Value != w.Value || v.Quoted != w.Quoted {
+			t.Errorf("%s = %s %q quoted=%v, want scalar %q quoted=%v", k, v.Kind, v.Value, v.Quoted, w.Value, w.Quoted)
+		}
 	}
-	if m["c"] != true {
-		t.Errorf("c = %#v, want true", m["c"])
-	}
-	if m["d"] != nil {
-		t.Errorf("d = %#v, want nil", m["d"])
-	}
-	if m["e"] != "hello" {
-		t.Errorf("e = %#v, want hello", m["e"])
-	}
-	if m["f"] != "7" {
-		t.Errorf("quoted f = %#v, want string 7", m["f"])
+	if len(n.Keys) != len(want) {
+		t.Errorf("keys = %v", n.Keys)
 	}
 }
 
@@ -88,13 +113,13 @@ msg: "quoted # not a comment"
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if v, _ := n.Get("key").Scalar(); v != "value" {
+	if v := text(get(n, "key")); v != "value" {
 		t.Errorf("key = %q", v)
 	}
-	if v, _ := n.Get("url").Scalar(); v != "http://example.com/#fragment" {
+	if v := text(get(n, "url")); v != "http://example.com/#fragment" {
 		t.Errorf("url = %q (mid-token # must not start a comment)", v)
 	}
-	if v, _ := n.Get("msg").Scalar(); v != "quoted # not a comment" {
+	if v := text(get(n, "msg")); v != "quoted # not a comment" {
 		t.Errorf("msg = %q", v)
 	}
 }
@@ -105,13 +130,13 @@ func TestParseQuotedScalars(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if v, _ := n.Get("a").Scalar(); v != "line\nbreak" {
+	if v := text(get(n, "a")); v != "line\nbreak" {
 		t.Errorf("a = %q", v)
 	}
-	if v, _ := n.Get("b").Scalar(); v != "it's" {
+	if v := text(get(n, "b")); v != "it's" {
 		t.Errorf("b = %q", v)
 	}
-	if v, _ := n.Get("c").Scalar(); v != "tab\there" {
+	if v := text(get(n, "c")); v != "tab\there" {
 		t.Errorf("c = %q", v)
 	}
 }
@@ -127,14 +152,14 @@ func TestParseSeqOfMaps(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	jobs := n.Get("jobs")
+	jobs := get(n, "jobs")
 	if jobs.Kind != KindSeq || len(jobs.Items) != 2 {
 		t.Fatalf("jobs = %+v", jobs)
 	}
-	if v, _ := jobs.Items[1].Get("name").Scalar(); v != "second" {
+	if v := text(get(jobs.Items[1], "name")); v != "second" {
 		t.Errorf("second name = %q", v)
 	}
-	if v, _ := jobs.Items[0].Get("gpu").Scalar(); v != "1" {
+	if v := text(get(jobs.Items[0], "gpu")); v != "1" {
 		t.Errorf("first gpu = %q", v)
 	}
 }
@@ -145,7 +170,7 @@ func TestParseLiteralBlock(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if v, _ := n.Get("script").Scalar(); v != "line one\nline two\n" {
+	if v := text(get(n, "script")); v != "line one\nline two\n" {
 		t.Errorf("literal block = %q", v)
 	}
 }
@@ -156,7 +181,7 @@ func TestParseFoldedBlock(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if v, _ := n.Get("script").Scalar(); v != "word one word two\n" {
+	if v := text(get(n, "script")); v != "word one word two\n" {
 		t.Errorf("folded block = %q", v)
 	}
 }
@@ -167,7 +192,7 @@ func TestParseLiteralBlockChomp(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if v, _ := n.Get("a").Scalar(); v != "x" {
+	if v := text(get(n, "a")); v != "x" {
 		t.Errorf("chomped literal = %q", v)
 	}
 }
@@ -180,6 +205,7 @@ func TestParseErrors(t *testing.T) {
 	}{
 		{"tab indent", "a:\n\tb: 1\n", "tab"},
 		{"duplicate key", "a: 1\na: 2\n", "duplicate"},
+		{"duplicate key in a seq item", "- a: 1\n  b: 2\n  a: 3\n", "duplicate"},
 		{"anchor", "a: &x 1\n", "anchor"},
 		{"alias", "a: *x\n", "anchor"},
 		{"tag", "a: !!str hi\n", "tags"},
@@ -214,221 +240,50 @@ func TestParseEmpty(t *testing.T) {
 	}
 }
 
-type buildFile struct {
-	RAI struct {
-		Version  string              `yaml:"version"`
-		Image    string              `yaml:"image"`
-		Commands map[string][]string `yaml:"commands"`
-	} `yaml:"rai"`
-}
-
-func TestUnmarshalStruct(t *testing.T) {
-	var bf buildFile
-	if err := Unmarshal([]byte(listing1), &bf); err != nil {
-		t.Fatalf("Unmarshal: %v", err)
-	}
-	if bf.RAI.Version != "0.1" {
-		t.Errorf("version = %q", bf.RAI.Version)
-	}
-	if bf.RAI.Image != "webgpu/rai:root" {
-		t.Errorf("image = %q", bf.RAI.Image)
-	}
-	if len(bf.RAI.Commands["build"]) != 5 {
-		t.Errorf("build commands = %d, want 5", len(bf.RAI.Commands["build"]))
-	}
-}
-
-func TestUnmarshalUnknownKeyRejected(t *testing.T) {
-	var bf buildFile
-	err := Unmarshal([]byte("rai:\n  version: 0.1\n  bogus: 1\n"), &bf)
-	if err == nil || !strings.Contains(err.Error(), "unknown key") {
-		t.Fatalf("want unknown-key error, got %v", err)
-	}
-}
-
-func TestUnmarshalScalarKinds(t *testing.T) {
-	type tgt struct {
-		S  string  `yaml:"s"`
-		I  int     `yaml:"i"`
-		U  uint16  `yaml:"u"`
-		F  float64 `yaml:"f"`
-		B  bool    `yaml:"b"`
-		P  *int    `yaml:"p"`
-		A  any     `yaml:"a"`
-		L  []int   `yaml:"l"`
-		Sk int     `yaml:"-"`
-	}
-	src := "s: hi\ni: -4\nu: 65000\nf: 1.5\nb: true\np: 9\na: [0]\nl:\n  - 1\n  - 2\n"
-	// flow seq for 'a' is rejected; use nested instead
-	src = "s: hi\ni: -4\nu: 65000\nf: 1.5\nb: true\np: 9\na: free\nl:\n  - 1\n  - 2\n"
-	var v tgt
-	if err := Unmarshal([]byte(src), &v); err != nil {
-		t.Fatalf("Unmarshal: %v", err)
-	}
-	if v.S != "hi" || v.I != -4 || v.U != 65000 || v.F != 1.5 || !v.B {
-		t.Errorf("scalars = %+v", v)
-	}
-	if v.P == nil || *v.P != 9 {
-		t.Errorf("pointer = %v", v.P)
-	}
-	if v.A != "free" {
-		t.Errorf("any = %#v", v.A)
-	}
-	if !reflect.DeepEqual(v.L, []int{1, 2}) {
-		t.Errorf("list = %v", v.L)
-	}
-}
-
-func TestUnmarshalOverflow(t *testing.T) {
-	type tgt struct {
-		U uint8 `yaml:"u"`
-	}
-	var v tgt
-	if err := Unmarshal([]byte("u: 300\n"), &v); err == nil {
-		t.Fatal("want overflow error for uint8 = 300")
-	}
-}
-
-func TestUnmarshalTargetMustBePointer(t *testing.T) {
-	var v buildFile
-	if err := Unmarshal([]byte("a: 1"), v); err == nil {
-		t.Fatal("non-pointer target must error")
-	}
-}
-
-func TestMarshalRoundTrip(t *testing.T) {
-	var bf buildFile
-	if err := Unmarshal([]byte(listing1), &bf); err != nil {
-		t.Fatalf("Unmarshal: %v", err)
-	}
-	out, err := Marshal(&bf)
-	if err != nil {
-		t.Fatalf("Marshal: %v", err)
-	}
-	var bf2 buildFile
-	if err := Unmarshal(out, &bf2); err != nil {
-		t.Fatalf("re-Unmarshal of %q: %v", out, err)
-	}
-	if !reflect.DeepEqual(bf, bf2) {
-		t.Errorf("round trip mismatch:\n%+v\n%+v\nencoded:\n%s", bf, bf2, out)
-	}
-}
-
-func TestMarshalQuoting(t *testing.T) {
-	m := map[string]any{
-		"plain":  "hello world",
-		"colon":  "a: b",
-		"hash":   "a # b",
-		"bool":   "true",
-		"number": "0.1",
-		"empty":  "",
-		"multi":  "a\nb",
-	}
-	out, err := Marshal(m)
-	if err != nil {
-		t.Fatalf("Marshal: %v", err)
-	}
-	var back map[string]any
-	if err := Unmarshal(out, &back); err != nil {
-		t.Fatalf("Unmarshal(%q): %v", out, err)
-	}
-	for k, want := range m {
-		if back[k] != want {
-			t.Errorf("key %s: got %#v, want %#v\nencoded:\n%s", k, back[k], want, out)
-		}
-	}
-}
-
-// TestMarshalQuotingEscapes: Marshal quotes with strconv.Quote, so a
-// value that is not printable UTF-8 — like the stray byte FuzzParse
-// found in a plain image name of a rai-build.yml — is written with \x,
-// \u or \a-style escapes, and Parse must read each back unchanged.
-func TestMarshalQuotingEscapes(t *testing.T) {
-	var plain map[string]any
-	if err := Unmarshal([]byte("image: %\x89\n"), &plain); err != nil {
-		t.Fatal(err)
-	}
-	m := map[string]any{
-		"byte":    plain["image"],
-		"control": "a\x01\a\b\f\vb",
-		"format":  "soft\u00adhyphen",
-		"astral":  "tag \U000e0001",
-	}
-	out, err := Marshal(m)
-	if err != nil {
-		t.Fatalf("Marshal: %v", err)
-	}
-	var back map[string]any
-	if err := Unmarshal(out, &back); err != nil {
-		t.Fatalf("Unmarshal(%q): %v", out, err)
-	}
-	if !reflect.DeepEqual(back, m) {
-		t.Errorf("round trip mismatch:\n%q\n%q\nencoded:\n%s", m, back, out)
-	}
-}
-
-func TestMarshalDeterministicMapOrder(t *testing.T) {
-	m := map[string]int{"z": 1, "a": 2, "m": 3}
-	a, err := Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		b, err := Marshal(m)
+// TestQuote: whatever string Quote writes as a value, plain or quoted,
+// Parse reads back unchanged.
+func TestQuote(t *testing.T) {
+	for _, v := range []string{
+		"hello world", "a: b", "a # b", "#z", "true", "0.1", "", "~", "null",
+		"a\nb", "- y", " lead", "trail ", "webgpu/rai:root", "'q'", "[x]", "|x", "-",
+	} {
+		n, err := Parse([]byte("k: " + Quote(v) + "\n"))
 		if err != nil {
-			t.Fatal(err)
+			t.Errorf("%q as %q: %v", v, Quote(v), err)
+			continue
 		}
-		if string(a) != string(b) {
-			t.Fatalf("non-deterministic marshal:\n%s\n%s", a, b)
+		if got := text(get(n, "k")); got != v {
+			t.Errorf("%q written as %q reads back as %q", v, Quote(v), got)
+		}
+		n, err = Parse([]byte("- " + Quote(v) + "\n"))
+		if err != nil || n.Kind != KindSeq || text(n.Items[0]) != v {
+			t.Errorf("%q as a seq item %q: %+v, %v", v, Quote(v), n, err)
 		}
 	}
-	if !strings.HasPrefix(string(a), "a: 2\n") {
-		t.Errorf("keys not sorted: %s", a)
+	for _, v := range []string{"hello world", "webgpu/rai:root", "-"} {
+		if Quote(v) != v {
+			t.Errorf("Quote(%q) = %q, want it plain", v, Quote(v))
+		}
 	}
 }
 
-func TestNodeAccessorsOnWrongKinds(t *testing.T) {
-	n, err := Parse([]byte("a: 1\n"))
+// TestQuoteEscapes: Quote quotes with strconv.Quote, so a value that is
+// not printable UTF-8 — like the stray byte FuzzParse found in a plain
+// image name of a rai-build.yml — is written with \x, \u or \a-style
+// escapes, and Parse must read each back unchanged.
+func TestQuoteEscapes(t *testing.T) {
+	plain, err := Parse([]byte("image: %\x89\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Get("missing") != nil {
-		t.Error("Get(missing) != nil")
-	}
-	if _, ok := n.Scalar(); ok {
-		t.Error("map reported as scalar")
-	}
-	if _, err := n.StringList(); err == nil {
-		t.Error("StringList on map must error")
-	}
-	var nilNode *Node
-	if nilNode.Get("x") != nil {
-		t.Error("nil.Get != nil")
-	}
-	if l, err := nilNode.StringList(); err != nil || l != nil {
-		t.Error("nil.StringList should be empty, nil error")
-	}
-}
-
-func TestInterfaceNested(t *testing.T) {
-	src := `top:
-  list:
-    - 1
-    - two
-  inner:
-    x: false
-`
-	n, err := Parse([]byte(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := n.Interface().(map[string]any)
-	top := v["top"].(map[string]any)
-	list := top["list"].([]any)
-	if list[0] != int64(1) || list[1] != "two" {
-		t.Errorf("list = %#v", list)
-	}
-	if top["inner"].(map[string]any)["x"] != false {
-		t.Errorf("inner.x = %#v", top["inner"])
+	for _, v := range []string{text(get(plain, "image")), "a\x01\a\b\f\vb", "soft\u00adhyphen", "tag \U000e0001"} {
+		n, err := Parse([]byte("k: " + Quote(v) + "\n"))
+		if err != nil {
+			t.Errorf("%q as %q: %v", v, Quote(v), err)
+			continue
+		}
+		if got := text(get(n, "k")); got != v {
+			t.Errorf("%q written as %q reads back as %q", v, Quote(v), got)
+		}
 	}
 }

@@ -10,6 +10,14 @@ set -eux
 
 go vet ./...
 go build ./...
+# Every tracked Go file is gofmt-clean, apart from the lint fixtures
+# (internal/lint/testdata plants defects on purpose) and the benchmark
+# harness, which changes only with the benchmark.
+unformatted=$(gofmt -l $(git ls-files '*.go' ':!internal/lint/testdata' ':!benchmark'))
+if [ -n "$unformatted" ]; then
+	echo "verify: not gofmt-clean: $unformatted" >&2
+	exit 1
+fi
 # The release targets include darwin and windows, and the client's stat
 # index reads per-OS stat data: keep both cross builds compiling.
 GOOS=darwin go build -o /dev/null ./cmd/rai
