@@ -78,6 +78,30 @@ func TestEncodeQuoting(t *testing.T) {
 	}
 }
 
+// listing1 is Listing 1 as a student writes it: the version unquoted and
+// the nvprof command folded over two lines.
+const listing1 = "rai:\n  version: 0.1\n  image: webgpu/rai:root\n  commands:\n    build:\n      - echo \"Building project\"\n      - cmake /src\n      - make\n      - ./ece408 /data/test10.hdf5 /data/model.hdf5\n      - nvprof --export-profile timeline.nvprof\n          ./ece408 /data/test10.hdf5 /data/model.hdf5\n"
+
+// TestListing1RoundTrip: Listing 1 parsed, encoded and parsed again is
+// the same Spec, and encoding that Spec gives the same bytes again.
+func TestListing1RoundTrip(t *testing.T) {
+	s, err := Parse([]byte(listing1))
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	blob := s.Encode()
+	back, err := Parse(blob)
+	if err != nil {
+		t.Fatalf("re-parsing %q: %v", blob, err)
+	}
+	if !reflect.DeepEqual(back, s) {
+		t.Errorf("round trip mismatch:\n%#v\n%#v\nencoded:\n%s", s.RAI, back.RAI, blob)
+	}
+	if again := back.Encode(); string(again) != string(blob) {
+		t.Errorf("second encoding differs:\n%s\nfirst:\n%s", again, blob)
+	}
+}
+
 // TestParseTable pins what Parse accepts, and the Spec it returns,
 // across the forms a student can write: null and quoted scalars, the
 // version as a number or a string, gpus forms, keys the schema lacks at
@@ -90,7 +114,7 @@ func TestParseTable(t *testing.T) {
 		want      *Section
 		err       string
 	}{
-		{"listing 1", "rai:\n  version: 0.1\n  image: webgpu/rai:root\n  commands:\n    build:\n      - echo \"Building project\"\n      - cmake /src\n      - make\n      - ./ece408 /data/test10.hdf5 /data/model.hdf5\n      - nvprof --export-profile timeline.nvprof\n          ./ece408 /data/test10.hdf5 /data/model.hdf5\n", &Section{Version: "0.1", Image: "webgpu/rai:root", Commands: Commands{Build: []string{"echo \"Building project\"", "cmake /src", "make", "./ece408 /data/test10.hdf5 /data/model.hdf5", "nvprof --export-profile timeline.nvprof ./ece408 /data/test10.hdf5 /data/model.hdf5"}}}, ""},
+		{"listing 1", listing1, &Section{Version: "0.1", Image: "webgpu/rai:root", Commands: Commands{Build: []string{"echo \"Building project\"", "cmake /src", "make", "./ece408 /data/test10.hdf5 /data/model.hdf5", "nvprof --export-profile timeline.nvprof ./ece408 /data/test10.hdf5 /data/model.hdf5"}}}, ""},
 		{"plain version", "rai:\n  version: 0.1\n  commands:\n    build:\n      - make\n", &Section{Version: "0.1", Commands: Commands{Build: []string{"make"}}}, ""},
 		{"quoted version", "rai:\n  version: \"0.1\"\n  commands:\n    build:\n      - make\n", &Section{Version: "0.1", Commands: Commands{Build: []string{"make"}}}, ""},
 		{"single-quoted version", "rai:\n  version: '0.2'\n  commands:\n    build:\n      - make\n", &Section{Version: "0.2", Commands: Commands{Build: []string{"make"}}}, ""},
