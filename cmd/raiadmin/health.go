@@ -13,14 +13,15 @@ package main
 // lives in `raiadmin collect -slo-scrape`.
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"rai/internal/slo"
-	"rai/internal/telemetry"
 )
 
 // newSLOEngine builds an engine from a -slo config path (empty = the
@@ -47,29 +48,25 @@ func newSLOEngine(path string) (*slo.Engine, error) {
 // evalOnce scrapes every URL, folds the successful snapshots into one
 // observation, and evaluates. Endpoints that fail are reported on
 // stderr; an all-endpoints-down round is an error, never a false green.
-func evalOnce(name, sloPath string, urls []string, stderr io.Writer) ([]slo.ObjectiveStatus, error) {
+func evalOnce(ctx context.Context, name, sloPath string, urls []string, stderr io.Writer) ([]slo.ObjectiveStatus, error) {
 	engine, err := newSLOEngine(sloPath)
 	if err != nil {
 		return nil, err
 	}
-	var snaps []*telemetry.Snapshot
-	for _, u := range urls {
-		snap, err := scrapeMetrics(u)
-		if err != nil {
-			fmt.Fprintf(stderr, "raiadmin %s: %s: %v\n", name, u, err)
-			continue
+	n, err := engine.Scrape(ctx, urls)
+	if err != nil {
+		for _, line := range strings.Split(err.Error(), "\n") {
+			fmt.Fprintf(stderr, "raiadmin %s: %s\n", name, line)
 		}
-		snaps = append(snaps, snap)
 	}
-	if len(snaps) == 0 {
+	if n == 0 {
 		return nil, fmt.Errorf("no metrics endpoint could be scraped")
 	}
-	engine.Observe(snaps...)
 	return engine.Evaluate(), nil
 }
 
 // health evaluates the deployment's SLOs from one scrape round.
-func health(args []string, stdout, stderr io.Writer) int {
+func health(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("raiadmin health", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	sloPath := fs.String("slo", "", "SLO config JSON (empty = the built-in objectives)")
@@ -81,7 +78,7 @@ func health(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "usage: raiadmin health [-slo config.json] [-json] URL [URL...]")
 		return 2
 	}
-	statuses, err := evalOnce("health", *sloPath, fs.Args(), stderr)
+	statuses, err := evalOnce(ctx, "health", *sloPath, fs.Args(), stderr)
 	if err != nil {
 		fmt.Fprintf(stderr, "raiadmin health: %v\n", err)
 		return 1
@@ -104,7 +101,7 @@ func health(args []string, stdout, stderr io.Writer) int {
 
 // alerts prints only the firing burn-rate rules — empty output and exit
 // 0 is the healthy steady state a cron job wants.
-func alerts(args []string, stdout, stderr io.Writer) int {
+func alerts(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("raiadmin alerts", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	sloPath := fs.String("slo", "", "SLO config JSON (empty = the built-in objectives)")
@@ -116,7 +113,7 @@ func alerts(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "usage: raiadmin alerts [-slo config.json] [-json] URL [URL...]")
 		return 2
 	}
-	statuses, err := evalOnce("alerts", *sloPath, fs.Args(), stderr)
+	statuses, err := evalOnce(ctx, "alerts", *sloPath, fs.Args(), stderr)
 	if err != nil {
 		fmt.Fprintf(stderr, "raiadmin alerts: %v\n", err)
 		return 1

@@ -2,14 +2,17 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"rai/internal/slo"
+	"rai/internal/telemetry"
 )
 
 // metricsServer serves a fixed Prometheus exposition body.
@@ -30,7 +33,7 @@ const breachedMetrics = "rai_worker_jobs_total{status=\"succeeded\"} 50\n" +
 func TestHealthGreen(t *testing.T) {
 	srv := metricsServer(t, healthyMetrics)
 	var out, errb bytes.Buffer
-	if code := health([]string{srv.URL + "/metrics"}, &out, &errb); code != 0 {
+	if code := health(context.Background(), []string{srv.URL + "/metrics"}, &out, &errb); code != 0 {
 		t.Fatalf("health exited %d\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
 	}
 	if !strings.Contains(out.String(), "worker-availability") || !strings.Contains(out.String(), "ok") {
@@ -47,7 +50,7 @@ func TestHealthRedOnBurn(t *testing.T) {
 	// must go red with a nonzero exit.
 	srv := metricsServer(t, breachedMetrics)
 	var out, errb bytes.Buffer
-	if code := health([]string{srv.URL + "/metrics"}, &out, &errb); code != 1 {
+	if code := health(context.Background(), []string{srv.URL + "/metrics"}, &out, &errb); code != 1 {
 		t.Fatalf("health exited %d, want 1\nstdout: %s", code, out.String())
 	}
 	if !strings.Contains(out.String(), "BREACH") {
@@ -58,7 +61,7 @@ func TestHealthRedOnBurn(t *testing.T) {
 func TestHealthJSON(t *testing.T) {
 	srv := metricsServer(t, breachedMetrics)
 	var out, errb bytes.Buffer
-	if code := health([]string{"-json", srv.URL + "/metrics"}, &out, &errb); code != 1 {
+	if code := health(context.Background(), []string{"-json", srv.URL + "/metrics"}, &out, &errb); code != 1 {
 		t.Fatalf("health exited %d, want 1: %s", code, errb.String())
 	}
 	var statuses []slo.ObjectiveStatus
@@ -86,8 +89,35 @@ func TestHealthAllEndpointsDown(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close()
 	var out, errb bytes.Buffer
-	if code := health([]string{dead.URL + "/metrics"}, &out, &errb); code != 1 {
+	if code := health(context.Background(), []string{dead.URL + "/metrics"}, &out, &errb); code != 1 {
 		t.Fatalf("health exited %d, want 1 when nothing is scrapeable", code)
+	}
+	if !strings.Contains(errb.String(), "no metrics endpoint") {
+		t.Errorf("stderr does not explain the failure: %s", errb.String())
+	}
+}
+
+// TestHealthGivesUpOnSilentEndpoint: an endpoint that accepts the
+// connection and never answers costs one scrape deadline, after which
+// health exits 1 instead of wedging the cron job that runs it.
+func TestHealthGivesUpOnSilentEndpoint(t *testing.T) {
+	t.Parallel()
+	release := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	t.Cleanup(srv.Close)
+	t.Cleanup(func() { close(release) })
+	start := time.Now()
+	var out, errb bytes.Buffer
+	if code := health(context.Background(), []string{srv.URL + "/metrics"}, &out, &errb); code != 1 {
+		t.Fatalf("health exited %d, want 1 when the only endpoint never answers", code)
+	}
+	if took := time.Since(start); took > telemetry.ScrapeTimeout+5*time.Second {
+		t.Errorf("health took %v against a silent endpoint, want about %v", took, telemetry.ScrapeTimeout)
 	}
 	if !strings.Contains(errb.String(), "no metrics endpoint") {
 		t.Errorf("stderr does not explain the failure: %s", errb.String())
@@ -96,7 +126,7 @@ func TestHealthAllEndpointsDown(t *testing.T) {
 
 func TestHealthUsage(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := health(nil, &out, &errb); code != 2 {
+	if code := health(context.Background(), nil, &out, &errb); code != 2 {
 		t.Fatalf("health with no URLs exited %d, want 2", code)
 	}
 }
@@ -104,7 +134,7 @@ func TestHealthUsage(t *testing.T) {
 func TestAlertsQuietWhenClean(t *testing.T) {
 	srv := metricsServer(t, healthyMetrics)
 	var out, errb bytes.Buffer
-	if code := alerts([]string{srv.URL + "/metrics"}, &out, &errb); code != 0 {
+	if code := alerts(context.Background(), []string{srv.URL + "/metrics"}, &out, &errb); code != 0 {
 		t.Fatalf("alerts exited %d: %s", code, errb.String())
 	}
 	if out.Len() != 0 {
@@ -115,7 +145,7 @@ func TestAlertsQuietWhenClean(t *testing.T) {
 func TestAlertsListsFiringRules(t *testing.T) {
 	srv := metricsServer(t, breachedMetrics)
 	var out, errb bytes.Buffer
-	if code := alerts([]string{srv.URL + "/metrics"}, &out, &errb); code != 1 {
+	if code := alerts(context.Background(), []string{srv.URL + "/metrics"}, &out, &errb); code != 1 {
 		t.Fatalf("alerts exited %d, want 1\nstdout: %s", code, out.String())
 	}
 	for _, want := range []string{"worker-availability", "page", "ticket"} {
@@ -128,7 +158,7 @@ func TestAlertsListsFiringRules(t *testing.T) {
 func TestAlertsJSONEmptyArrayWhenClean(t *testing.T) {
 	srv := metricsServer(t, healthyMetrics)
 	var out, errb bytes.Buffer
-	if code := alerts([]string{"-json", srv.URL + "/metrics"}, &out, &errb); code != 0 {
+	if code := alerts(context.Background(), []string{"-json", srv.URL + "/metrics"}, &out, &errb); code != 0 {
 		t.Fatalf("alerts exited %d: %s", code, errb.String())
 	}
 	if got := strings.TrimSpace(out.String()); got != "[]" {
@@ -149,7 +179,7 @@ func TestHealthCustomConfig(t *testing.T) {
 	}
 	srv := metricsServer(t, breachedMetrics)
 	var out, errb bytes.Buffer
-	if code := health([]string{"-slo", path, srv.URL + "/metrics"}, &out, &errb); code != 0 {
+	if code := health(context.Background(), []string{"-slo", path, srv.URL + "/metrics"}, &out, &errb); code != 0 {
 		t.Fatalf("health exited %d under the lenient config\nstdout: %s\nstderr: %s",
 			code, out.String(), errb.String())
 	}

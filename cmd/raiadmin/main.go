@@ -31,7 +31,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -88,13 +87,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "grade":
 		return grade(ctx, args[1:], stdout, stderr)
 	case "top":
-		return top(args[1:], stdout, stderr)
+		return top(ctx, args[1:], stdout, stderr)
 	case "collect":
 		return collect(args[1:], stdout, stderr, nil)
 	case "health":
-		return health(args[1:], stdout, stderr)
+		return health(ctx, args[1:], stdout, stderr)
 	case "alerts":
-		return alerts(args[1:], stdout, stderr)
+		return alerts(ctx, args[1:], stdout, stderr)
 	case "trace":
 		return traceCmd(ctx, args[1:], stdout, stderr)
 	case "logs":
@@ -451,7 +450,7 @@ func grade(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 // table, endpoint by endpoint. Histogram buckets are folded away unless
 // -buckets is set; _sum/_count stay visible so rates and means can be
 // read off directly.
-func top(args []string, stdout, stderr io.Writer) int {
+func top(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("raiadmin top", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	filter := fs.String("filter", "", "only show metric names with this prefix")
@@ -480,7 +479,7 @@ func top(args []string, stdout, stderr io.Writer) int {
 	var report []topEndpoint
 	tbl := &stats.Table{Header: []string{"endpoint", "metric", "labels", "value"}}
 	for _, u := range urls {
-		snap, err := scrapeMetrics(u)
+		snap, err := telemetry.Scrape(ctx, u)
 		if err != nil {
 			fmt.Fprintf(stderr, "raiadmin top: %s: %v\n", u, err)
 			return 1
@@ -520,19 +519,6 @@ func top(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprint(stdout, tbl.String())
 	return 0
-}
-
-// scrapeMetrics fetches and parses one Prometheus text endpoint.
-func scrapeMetrics(url string) (*telemetry.Snapshot, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %s", resp.Status)
-	}
-	return telemetry.ParseText(resp.Body)
 }
 
 // formatLabels renders a label set in sorted key order.

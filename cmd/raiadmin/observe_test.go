@@ -149,7 +149,7 @@ func TestCollectExportsSLOGauges(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		snap, err := scrapeMetrics("http://" + info.MetricsAddr + "/metrics")
+		snap, err := telemetry.Scrape(context.Background(), "http://"+info.MetricsAddr+"/metrics")
 		if err != nil {
 			return false
 		}

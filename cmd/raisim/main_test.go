@@ -18,7 +18,7 @@ func runSim(t *testing.T, args ...string) string {
 func TestRaisimArtifacts(t *testing.T) {
 	cases := map[string][]string{
 		"table1":   {"Table I", "RAI", "Testing Uniformity"},
-		"figure1":  {"Figure 1", "rai/tasks", "Correctness: 1.0000", "database"},
+		"figure1":  {"Figure 1", "rai/tasks", "Correctness: 1.0000", "database", "$ cmake /src", "$ make", "$ ./ece408 /data/test10.hdf5 /data/model.hdf5"},
 		"listing1": {"Listing 1", "cmake /src", "nvprof", "webgpu/rai:root"},
 		"listing2": {"Listing 2", "submission_code", "/usr/bin/time", "testfull.hdf5"},
 		"listing3": {"Listing 3", "RAI_ACCESS_KEY", ".rai.profile", "Hello FirstName LastName"},

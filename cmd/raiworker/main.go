@@ -37,7 +37,6 @@ import (
 	"rai/internal/readyfile"
 	"rai/internal/registry"
 	"rai/internal/telemetry"
-	"rai/internal/vfs"
 )
 
 // version is stamped by the CI pipeline; kept in lockstep with cmd/rai.
@@ -107,7 +106,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- struct{}, quit <-
 	}
 	defer queue.Close()
 
-	dataFS, err := buildDataVolume(*seed, *fullImages)
+	dataFS, err := cnn.DataVolume(*seed, *fullImages)
 	if err != nil {
 		fmt.Fprintf(stderr, "raiworker: building data volume: %v\n", err)
 		return 1
@@ -209,43 +208,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- struct{}, quit <-
 	}
 	fmt.Fprintf(stdout, "raiworker %s handled %d jobs\n", *id, w.Handled())
 	return 0
-}
-
-// buildDataVolume materializes the course /data volume: the pre-trained
-// model and the small/full test datasets the build specs reference.
-func buildDataVolume(seed uint64, fullImages int) (*vfs.FS, error) {
-	dataFS := vfs.New()
-	nw := cnn.NewNetwork(seed)
-	model, err := nw.SaveModel()
-	if err != nil {
-		return nil, err
-	}
-	if err := dataFS.WriteFile("/data/model.hdf5", model); err != nil {
-		return nil, err
-	}
-	small, err := cnn.SynthesizeDataset(nw, seed+1, 10)
-	if err != nil {
-		return nil, err
-	}
-	blob, err := small.Encode()
-	if err != nil {
-		return nil, err
-	}
-	if err := dataFS.WriteFile("/data/test10.hdf5", blob); err != nil {
-		return nil, err
-	}
-	full, err := cnn.SynthesizeDataset(nw, seed+2, fullImages)
-	if err != nil {
-		return nil, err
-	}
-	blob, err = full.Encode()
-	if err != nil {
-		return nil, err
-	}
-	if err := dataFS.WriteFile("/data/testfull.hdf5", blob); err != nil {
-		return nil, err
-	}
-	return dataFS, nil
 }
 
 func loadKeys(path string) (*auth.Registry, error) {

@@ -15,10 +15,10 @@
 //   - internal/workload — the 176-student behaviour model (Figures 2 and 4)
 //
 // Executables live under cmd/ (rai, raibroker, raifs, raidb, raiworker,
-// raiadmin, raisim); runnable walkthroughs under examples/. The
-// reproduction harness is cmd/raisim; benchmark equivalents of every
-// table and figure are in bench_test.go at the repository root. See
-// README.md, DESIGN.md, and EXPERIMENTS.md.
+// raiadmin, raisim, raivet). The reproduction harness is cmd/raisim;
+// `raisim figure1` runs one job end to end. Benchmark equivalents of
+// every table and figure are in bench_test.go at the repository root.
+// See README.md, DESIGN.md, and EXPERIMENTS.md.
 package rai
 
 // Version identifies this reproduction release.

@@ -546,7 +546,7 @@ func (b *Broker) Close() error {
 	return nil
 }
 
-// TopicStats is a snapshot of one topic for monitoring and autoscaling.
+// TopicStats is a snapshot of one topic for monitoring.
 type TopicStats struct {
 	Topic    string
 	Backlog  int // messages waiting for a first channel

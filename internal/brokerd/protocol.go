@@ -17,8 +17,8 @@
 // broker.Queue port: one reconnecting publish connection plus one per
 // subscription, because the protocol allows one subscription per
 // connection and a subscription ends by closing its connection. Queue
-// depth is not on the wire; the autoscaler reads the broker daemon's
-// rai_broker_queue_depth gauge from /metrics.
+// depth is not on the wire; it is the broker daemon's
+// rai_broker_queue_depth gauge on /metrics.
 package brokerd
 
 import "time"

@@ -158,7 +158,8 @@ func TestParseTable(t *testing.T) {
 		{"list as a command", "rai:\n  version: 0.1\n  commands:\n    build:\n      -\n        - make\n", nil, "build: line 6: rai.commands.build entry wants a string, got seq"},
 		{"null commands kept verbatim", "rai:\n  version: 0.1\n  commands:\n    build:\n      - make\n      - ~\n      -\n      - null\n", &Section{Version: "0.1", Commands: Commands{Build: []string{"make", "~", "", "null"}}}, ""},
 		{"quoted commands", "rai:\n  version: 0.1\n  commands:\n    build:\n      - \"a: b\"\n      - 'it''s # here'\n      - \"tab\\there\"\n", &Section{Version: "0.1", Commands: Commands{Build: []string{"a: b", "it's # here", "tab\there"}}}, ""},
-		{"block scalar as a command item", "rai:\n  version: 0.1\n  commands:\n    build:\n      - |\n        make\n", &Section{Version: "0.1", Commands: Commands{Build: []string{"| make"}}}, ""},
+		{"block scalar as a command item", "rai:\n  version: 0.1\n  commands:\n    build:\n      - |\n        make\n", &Section{Version: "0.1", Commands: Commands{Build: []string{"make\n"}}}, ""},
+		{"folded scalar as a command item", "rai:\n  version: 0.1\n  commands:\n    build:\n      - >\n        make\n        all\n      - make install\n", &Section{Version: "0.1", Commands: Commands{Build: []string{"make all\n", "make install"}}}, ""},
 		{"quoted keys", "\"rai\":\n  'version': 0.1\n  \"commands\":\n    build:\n      - make\n", &Section{Version: "0.1", Commands: Commands{Build: []string{"make"}}}, ""},
 		{"rai tilde", "rai: ~\n", nil, "build: unsupported rai-build.yml version \"\""},
 		{"rai quoted", "rai: \"x\"\n", nil, "build: line 1: rai wants a mapping, got scalar"},

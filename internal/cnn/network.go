@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rai/internal/h5lite"
+	"rai/internal/vfs"
 )
 
 // Network is the fixed course network: a LeNet-style model over 28x28
@@ -289,4 +290,41 @@ func DecodeDataset(data []byte) (*Dataset, error) {
 		return nil, fmt.Errorf("cnn: %d labels for %d images", len(labels), imgs.N)
 	}
 	return &Dataset{Images: imgs, Labels: labels}, nil
+}
+
+// DataVolume builds the course /data volume the build specs read: the
+// network seeded by seed as /data/model.hdf5, and the datasets of 10 and
+// fullImages images synthesized from seeds seed+1 and seed+2 as
+// /data/test10.hdf5 and /data/testfull.hdf5.
+func DataVolume(seed uint64, fullImages int) (*vfs.FS, error) {
+	nw := NewNetwork(seed)
+	model, err := nw.SaveModel()
+	if err != nil {
+		return nil, err
+	}
+	fs := vfs.New()
+	if err := fs.WriteFile("/data/model.hdf5", model); err != nil {
+		return nil, err
+	}
+	for _, d := range []struct {
+		path string
+		seed uint64
+		n    int
+	}{
+		{"/data/test10.hdf5", seed + 1, 10},
+		{"/data/testfull.hdf5", seed + 2, fullImages},
+	} {
+		ds, err := SynthesizeDataset(nw, d.seed, d.n)
+		if err != nil {
+			return nil, err
+		}
+		blob, err := ds.Encode()
+		if err != nil {
+			return nil, err
+		}
+		if err := fs.WriteFile(d.path, blob); err != nil {
+			return nil, err
+		}
+	}
+	return fs, nil
 }

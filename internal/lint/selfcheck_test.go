@@ -29,3 +29,29 @@ func TestRepositoryIsClean(t *testing.T) {
 		t.Fatalf("raivet found %d issue(s) in the repository; fix them or add a justified //lint:ignore", len(diags))
 	}
 }
+
+// TestEveryCommandHasTests: each package main in the module ships a
+// _test.go beside it, so a command that only `go build` exercises
+// cannot join the tree.
+func TestEveryCommandHasTests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads and type-checks the whole module")
+	}
+	prog, root, err := loadSelf()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range prog.Packages {
+		if !pkg.IsMain() {
+			continue
+		}
+		tests, err := filepath.Glob(filepath.Join(pkg.Dir, "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tests) == 0 {
+			rel, _ := filepath.Rel(root, pkg.Dir)
+			t.Errorf("package main in %s has no _test.go", rel)
+		}
+	}
+}

@@ -44,7 +44,6 @@ type Deployment struct {
 	Auth    *auth.Registry
 	Images  *registry.Registry
 	DataFS  *vfs.FS
-	Network *cnn.Network
 	Queue   broker.Queue
 	Objects core.Objects
 	// Telemetry aggregates metrics from every component; Tracer holds
@@ -107,34 +106,11 @@ func NewDeployment(cfg DeployConfig) (*Deployment, error) {
 	d.Queue = d.Broker
 	d.Objects = d.Store
 
-	// Course data volume: model plus the small and full datasets.
-	d.Network = cnn.NewNetwork(cfg.Seed)
-	d.DataFS = vfs.New()
-	model, err := d.Network.SaveModel()
+	dataFS, err := cnn.DataVolume(cfg.Seed, cfg.FullImages)
 	if err != nil {
 		return nil, err
 	}
-	if err := d.DataFS.WriteFile("/data/model.hdf5", model); err != nil {
-		return nil, err
-	}
-	small, err := cnn.SynthesizeDataset(d.Network, cfg.Seed+1, 10)
-	if err != nil {
-		return nil, err
-	}
-	blob, err := small.Encode()
-	if err != nil {
-		return nil, err
-	}
-	_ = d.DataFS.WriteFile("/data/test10.hdf5", blob)
-	full, err := cnn.SynthesizeDataset(d.Network, cfg.Seed+2, cfg.FullImages)
-	if err != nil {
-		return nil, err
-	}
-	blob, err = full.Encode()
-	if err != nil {
-		return nil, err
-	}
-	_ = d.DataFS.WriteFile("/data/testfull.hdf5", blob)
+	d.DataFS = dataFS
 
 	for i := 0; i < cfg.Workers; i++ {
 		w := &core.Worker{

@@ -314,9 +314,12 @@ func TestScrape(t *testing.T) {
 
 	clk := clock.NewVirtual(t0)
 	e := NewEngine([]Objective{availObjective(0.99)}, WithClock(clk))
-	err := e.Scrape(context.Background(), []string{srv.URL, dead.URL})
+	n, err := e.Scrape(context.Background(), []string{srv.URL, dead.URL})
 	if err == nil || !strings.Contains(err.Error(), dead.URL) {
 		t.Fatalf("dead endpoint not reported: %v", err)
+	}
+	if n != 1 {
+		t.Fatalf("observed %d endpoints, want 1", n)
 	}
 	st := e.Evaluate()
 	if st[0].Total != 10 || st[0].Bad != 1 {

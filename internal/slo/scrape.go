@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"time"
 
 	"rai/internal/telemetry"
@@ -13,14 +12,14 @@ import (
 // Scrape fetches every metrics URL, parses the expositions, and folds
 // one Observe round into the engine. Endpoints that fail are skipped —
 // a worker mid-restart must not blind the whole evaluation — and the
-// joined error reports them. An all-endpoints-down round observes
-// nothing (the history keeps its last reading) rather than recording a
-// false zero.
-func (e *Engine) Scrape(ctx context.Context, urls []string) error {
+// joined error reports them. It returns how many endpoints were
+// observed: an all-endpoints-down round observes nothing (the history
+// keeps its last reading) rather than recording a false zero.
+func (e *Engine) Scrape(ctx context.Context, urls []string) (int, error) {
 	var snaps []*telemetry.Snapshot
 	var errs []error
 	for _, u := range urls {
-		snap, err := fetch(ctx, u)
+		snap, err := telemetry.Scrape(ctx, u)
 		if err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", u, err))
 			continue
@@ -30,7 +29,7 @@ func (e *Engine) Scrape(ctx context.Context, urls []string) error {
 	if len(snaps) > 0 {
 		e.Observe(snaps...)
 	}
-	return errors.Join(errs...)
+	return len(snaps), errors.Join(errs...)
 }
 
 // Run scrapes the URLs every interval until ctx is done, reporting
@@ -45,25 +44,9 @@ func (e *Engine) Run(ctx context.Context, urls []string, interval time.Duration,
 		case <-ctx.Done():
 			return
 		case <-e.clk.After(interval):
-			if err := e.Scrape(ctx, urls); err != nil && onErr != nil {
+			if _, err := e.Scrape(ctx, urls); err != nil && onErr != nil {
 				onErr(err)
 			}
 		}
 	}
-}
-
-func fetch(ctx context.Context, url string) (*telemetry.Snapshot, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %s", resp.Status)
-	}
-	return telemetry.ParseText(resp.Body)
 }

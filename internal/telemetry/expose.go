@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -10,6 +11,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // WritePrometheus renders every registered family in Prometheus text
@@ -156,6 +158,30 @@ func (s *Snapshot) Value(name string, labels ...Label) (float64, bool) {
 		}
 	}
 	return 0, false
+}
+
+// ScrapeTimeout bounds one Scrape, so an endpoint that accepts the
+// connection and never answers costs this long, not forever.
+const ScrapeTimeout = 5 * time.Second
+
+// Scrape fetches one metrics endpoint and parses its exposition, giving
+// up after ScrapeTimeout or when ctx ends.
+func Scrape(ctx context.Context, url string) (*Snapshot, error) {
+	ctx, cancel := context.WithTimeout(ctx, ScrapeTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("status %s", resp.Status)
+	}
+	return ParseText(resp.Body)
 }
 
 // ParseText parses a Prometheus text-format document. It understands

@@ -219,11 +219,11 @@ func (p *parser) parseSeq(indent int) (*Node, error) {
 			n.Items = append(n.Items, item)
 			continue
 		}
-		sc, err := p.finishPlainScalar(rest, indent, l.num)
+		item, err := p.parseValue(rest, indent, l.num)
 		if err != nil {
 			return nil, err
 		}
-		n.Items = append(n.Items, sc)
+		n.Items = append(n.Items, item)
 	}
 }
 
