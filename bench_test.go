@@ -12,6 +12,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -670,6 +671,51 @@ func BenchmarkBuildDir(b *testing.B) {
 				scan(b)
 			}
 		})
+	}
+}
+
+// BenchmarkUploadProject measures client step 3 on the macro-benchmark's
+// fresh_large tree, 8 × 256 KiB of seeded-random bytes on disk, every
+// byte new to the file server: the scan (BuildDir, no index), the
+// negotiation and the one chunk stream, against a raifs on loopback that
+// starts each upload empty. Client and server share the process, so B/op
+// and allocs/op are the sum of both ends, the chunks raifs keeps
+// included.
+func BenchmarkUploadProject(b *testing.B) {
+	root := b.TempDir()
+	rng := rand.New(rand.NewSource(408))
+	blob := make([]byte, 256<<10)
+	for i := 0; i < 8; i++ {
+		rng.Read(blob)
+		if err := os.WriteFile(filepath.Join(root, fmt.Sprintf("blob%d.bin", i)), blob, 0o644); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var handler atomic.Value // the http.Handler of the current upload's store
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		handler.Load().(http.Handler).ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	c := objstore.NewClient(srv.URL)
+	b.SetBytes(8 * int64(len(blob)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		handler.Store(objstore.Handler(objstore.New(), nil))
+		b.StartTimer()
+		m, src, err := cas.BuildDir(root, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		missing, err := c.MissingChunks(bg, m.Encode())
+		if err != nil {
+			b.Fatal(err)
+		}
+		sent, err := c.PutChunks(bg, missing, src)
+		if err != nil || sent != m.TotalBytes {
+			b.Fatalf("sent %d of %d bytes: %v", sent, m.TotalBytes, err)
+		}
 	}
 }
 

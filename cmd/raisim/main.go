@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -81,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if i > 0 {
 			fmt.Fprintln(stdout)
 		}
-		text, err := render(name, getCourse)
+		text, err := render(name, *seed, getCourse)
 		if err != nil {
 			fmt.Fprintf(stderr, "raisim %s: %v\n", name, err)
 			return 1
@@ -98,18 +99,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func render(name string, getCourse func() *workload.Course) (string, error) {
+// render produces one artifact. What it prints depends on seed alone,
+// job IDs and issued keys included, so a run repeats byte for byte.
+func render(name string, seed uint64, getCourse func() *workload.Course) (string, error) {
 	switch name {
 	case "table1":
 		return "Table I — existing programming and submission systems\n" + sim.FormatTable1(), nil
 	case "figure1":
-		return figure1Trace()
+		return figure1Trace(seed)
 	case "listing1":
 		return "Listing 1 — default rai-build.yml (used when the student has none)\n\n" + string(build.Default().Encode()), nil
 	case "listing2":
 		return "Listing 2 — enforced final-submission build file\n\n" + string(build.Submission().Encode()), nil
 	case "listing3":
-		return listing3Email()
+		return listing3Email(seed)
 	case "figure2":
 		res, err := sim.Figure2(context.Background(), getCourse())
 		if err != nil {
@@ -147,7 +150,7 @@ func render(name string, getCourse func() *workload.Course) (string, error) {
 		}
 		return "Deadline-burst queueing: fixed cluster vs elastic RAI (final two weeks)\n" + text, nil
 	case "limits":
-		return limitProbes()
+		return limitProbes(seed)
 	default:
 		return "", fmt.Errorf("unknown artifact %q", name)
 	}
@@ -155,10 +158,10 @@ func render(name string, getCourse func() *workload.Course) (string, error) {
 
 // figure1Trace runs one job through the full in-process deployment and
 // narrates the component interactions of the paper's Figure 1.
-func figure1Trace() (string, error) {
+func figure1Trace(seed uint64) (string, error) {
 	var b strings.Builder
 	b.WriteString("Figure 1 — system architecture trace (one job end to end)\n\n")
-	d, err := sim.NewDeployment(sim.DeployConfig{})
+	d, err := sim.NewDeployment(sim.DeployConfig{Seed: seed})
 	if err != nil {
 		return "", err
 	}
@@ -189,8 +192,9 @@ func figure1Trace() (string, error) {
 }
 
 // listing3Email renders the authorization email for a sample student.
-func listing3Email() (string, error) {
+func listing3Email(seed uint64) (string, error) {
 	reg := auth.NewRegistry()
+	reg.SetRand(rand.New(rand.NewSource(int64(seed))))
 	outbox := &auth.Outbox{}
 	mailer := &auth.KeyMailer{Registry: reg, Outbox: outbox}
 	if _, err := mailer.Run([]auth.Student{{FirstName: "FirstName", LastName: "LastName", UserID: "myusername"}}); err != nil {
@@ -223,10 +227,10 @@ func (u ciUploader) Put(bucket, key string, data []byte, ttl time.Duration) erro
 }
 
 // limitProbes demonstrates the §V container limits end to end.
-func limitProbes() (string, error) {
+func limitProbes(seed uint64) (string, error) {
 	var b strings.Builder
 	b.WriteString("§V container limits — enforcement probes\n\n")
-	d, err := sim.NewDeployment(sim.DeployConfig{})
+	d, err := sim.NewDeployment(sim.DeployConfig{Seed: seed})
 	if err != nil {
 		return "", err
 	}

@@ -76,3 +76,22 @@ func TestRaisimBadArgs(t *testing.T) {
 		t.Error("unknown artifact accepted")
 	}
 }
+
+// TestRaisimReproducible: two runs of every artifact from one seed print
+// the same bytes — the figure 1 job's ID, its log topic and build key,
+// and the keys Listing 3 mails are drawn from the seed too.
+func TestRaisimReproducible(t *testing.T) {
+	first, second := runSim(t, "-seed", "408", "all"), runSim(t, "-seed", "408", "all")
+	if first != second {
+		a, b := strings.Split(first, "\n"), strings.Split(second, "\n")
+		for i := range min(len(a), len(b)) {
+			if a[i] != b[i] {
+				t.Fatalf("two runs of raisim -seed 408 all differ at line %d:\n%s\n%s", i+1, a[i], b[i])
+			}
+		}
+		t.Fatalf("two runs of raisim -seed 408 all differ in length: %d and %d lines", len(a), len(b))
+	}
+	if !strings.Contains(first, "RAI_ACCESS_KEY") || !strings.Contains(first, "recorded with status succeeded") {
+		t.Fatalf("all is missing listing3 or figure1:\n%s", first)
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -46,10 +47,13 @@ const keyAlphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456
 const keyLen = 26
 
 // GenerateKey returns a fresh random key.
-func GenerateKey() string {
+func GenerateKey() string { return keyFrom(rand.Reader) }
+
+// keyFrom draws a key from src.
+func keyFrom(src io.Reader) string {
 	var b [keyLen]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic("auth: crypto/rand unavailable: " + err.Error())
+	if _, err := io.ReadFull(src, b[:]); err != nil {
+		panic("auth: reading a key: " + err.Error())
 	}
 	for i := range b {
 		b[i] = keyAlphabet[int(b[i])%len(keyAlphabet)]
@@ -71,6 +75,7 @@ type Registry struct {
 	// MaxSkew bounds |now - request date| during verification.
 	MaxSkew time.Duration
 	now     func() time.Time
+	keys    io.Reader // what Issue draws keys from
 }
 
 // NewRegistry returns an empty registry with a 15-minute skew allowance.
@@ -80,6 +85,7 @@ func NewRegistry() *Registry {
 		byUser:  map[string]Credentials{},
 		MaxSkew: 15 * time.Minute,
 		now:     clock.Real{}.Now,
+		keys:    rand.Reader,
 	}
 }
 
@@ -88,6 +94,14 @@ func (r *Registry) SetClock(now func() time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.now = now
+}
+
+// SetRand makes Issue draw keys from src instead of crypto/rand: a
+// simulation passes a seeded source, so the keys it prints repeat.
+func (r *Registry) SetRand(src io.Reader) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.keys = src
 }
 
 // Register adds credentials; registering the same user twice is an error.
@@ -104,7 +118,9 @@ func (r *Registry) Register(c Credentials) error {
 
 // Issue mints and registers credentials for userName.
 func (r *Registry) Issue(userName string) (Credentials, error) {
-	c := NewCredentials(userName)
+	r.mu.Lock()
+	c := Credentials{UserName: userName, AccessKey: keyFrom(r.keys), SecretKey: keyFrom(r.keys)}
+	r.mu.Unlock()
 	if err := r.Register(c); err != nil {
 		return Credentials{}, err
 	}

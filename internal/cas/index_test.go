@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -426,33 +425,23 @@ func TestDamagedIndexIsEmpty(t *testing.T) {
 	}
 }
 
-// TestStaleIndexFailsUpload: if an entry ever named chunks the file no
-// longer holds, the Source, which rereads and rehashes each chunk it
-// uploads, refuses to serve them.
-func TestStaleIndexFailsUpload(t *testing.T) {
-	root := t.TempDir()
-	writeTree(t, root, map[string]string{"f": string(randBytes(1, 3*AvgChunk))})
-	opens := logOpens(t, root)
-	idx, _, entries := builtIndex(t, opens, root)
-	other := chunkFile("f", randBytes(2, 3*AvgChunk))
-	e := entries["f"]
-	e.refs = other.Chunks
-	entries["f"] = e
+// StaleIndex builds an index of the project at root and then rewrites
+// it so that its trusted entry for rel names the chunks of other: bytes
+// of the file's size that the file does not hold. TestStaleIndexFailsUpload
+// (upload_test.go) uploads through it.
+func StaleIndex(t *testing.T, root, rel string, other []byte) *DirIndex {
+	t.Helper()
+	idx, _, entries := builtIndex(t, logOpens(t, root), root)
+	e, ok := entries[rel]
+	if !ok || e.key.size != int64(len(other)) {
+		t.Fatalf("fixture: no index entry for %s of %d bytes", rel, len(other))
+	}
+	e.refs = chunkFile(rel, other).Chunks
+	entries[rel] = e
 	if err := os.WriteFile(idx.path, encodeIndex(time.Now().Add(time.Hour).UnixNano(), entries), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	m, src, err := BuildDir(root, idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Files[0].Chunks[0] != other.Chunks[0] {
-		t.Fatal("fixture: the stale entry was not used")
-	}
-	for _, c := range other.Chunks {
-		if _, err := src.Chunk(c.Hash); err == nil || !strings.Contains(err.Error(), "changed while uploading") {
-			t.Fatalf("chunk %s of a stale entry: err = %v", c.Hash, err)
-		}
-	}
+	return idx
 }
 
 // TestConcurrentBuildsOfOneProject: two scans of one project at once,

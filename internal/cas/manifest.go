@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"io/fs"
@@ -208,10 +209,16 @@ func checkRel(p string) error {
 // ---- building ----
 
 // Source yields chunk payloads by hash for upload. Build functions
-// return one alongside the manifest; it re-reads the underlying tree on
+// return one alongside the manifest; it reads the underlying tree on
 // demand so no chunk data is pinned in memory. A payload is valid until
-// the next call to Chunk.
+// the next call to Chunk. A Source does not hash what it serves: the
+// store refuses a payload that does not hash to its name (DESIGN.md
+// §16), so a file that changed after it was scanned fails the upload
+// there, by the one hash the write path makes.
 type Source interface {
+	// Size is the payload size of a chunk of the tree, as its manifest
+	// refs record it; false for a hash the tree does not hold.
+	Size(hash string) (int64, bool)
 	Chunk(hash string) ([]byte, error)
 }
 
@@ -221,17 +228,39 @@ type chunkLoc struct {
 	size int64
 }
 
-// readWindow is how much of a file dirSource reads at once: an upload
-// asks for a file's chunks in order, so one read serves a run of them.
+// chunkLocs records where each chunk of a tree first appears, for its
+// Source to read it from there.
+type chunkLocs map[string]chunkLoc
+
+func (l chunkLocs) Size(hash string) (int64, bool) {
+	loc, ok := l[hash]
+	return loc.size, ok
+}
+
+// add records where each chunk of fe first appears.
+func (l chunkLocs) add(fe FileEntry) {
+	var off int64
+	for _, c := range fe.Chunks {
+		if _, ok := l[c.Hash]; !ok {
+			l[c.Hash] = chunkLoc{path: fe.Path, off: off, size: c.Size}
+		}
+		off += c.Size
+	}
+}
+
+// readWindow is how much of a file dirSource reads at once when it needs
+// a window larger than the scan's buffer: an upload asks for a file's
+// chunks in order, so one read serves a run of them.
 const readWindow = 1 << 20
 
-// dirSource serves chunks from the host tree, re-read and re-hashed on
-// every call. It keeps the last read — up to readWindow bytes of one
-// file, in one buffer it reuses — and serves a chunk from it when the
-// chunk lies inside; no file stays open between calls.
+// dirSource serves chunks from the host tree, read back on every call.
+// It keeps the last read — a window of one file, in one buffer it
+// reuses, which starts as the buffer BuildDir read the tree through —
+// and serves a chunk from it when the chunk lies inside; no file stays
+// open between calls.
 type dirSource struct {
 	root string
-	locs map[string]chunkLoc
+	chunkLocs
 
 	mu      sync.Mutex
 	win     []byte // bytes [winOff, winOff+len(win)) of winPath
@@ -240,7 +269,7 @@ type dirSource struct {
 }
 
 func (s *dirSource) Chunk(hash string) ([]byte, error) {
-	loc, ok := s.locs[hash]
+	loc, ok := s.chunkLocs[hash]
 	if !ok {
 		return nil, fmt.Errorf("cas: unknown chunk %s", hash)
 	}
@@ -248,14 +277,13 @@ func (s *dirSource) Chunk(hash string) ([]byte, error) {
 	defer s.mu.Unlock()
 	if loc.path != s.winPath || loc.off < s.winOff || loc.off+loc.size > s.winOff+int64(len(s.win)) {
 		if err := s.fill(loc); err != nil {
+			if errors.Is(err, io.ErrUnexpectedEOF) {
+				return nil, fmt.Errorf("cas: %s changed while uploading (chunk %s): the file is shorter", loc.path, hash)
+			}
 			return nil, fmt.Errorf("cas: rereading chunk %s from %s: %w", hash, loc.path, err)
 		}
 	}
-	buf := s.win[loc.off-s.winOff:][:loc.size]
-	if HashHex(buf) != hash {
-		return nil, fmt.Errorf("cas: %s changed while uploading (chunk %s)", loc.path, hash)
-	}
-	return buf, nil
+	return s.win[loc.off-s.winOff:][:loc.size], nil
 }
 
 // fill reads the window of loc's file that starts at loc.
@@ -266,7 +294,7 @@ func (s *dirSource) fill(loc chunkLoc) error {
 		return err
 	}
 	defer f.Close()
-	if s.win == nil {
+	if int64(cap(s.win)) < loc.size {
 		s.win = make([]byte, 0, readWindow) // over MaxChunk: a window holds any chunk
 	}
 	n, err := f.ReadAt(s.win[:cap(s.win)], loc.off)
@@ -283,11 +311,11 @@ func (s *dirSource) fill(loc chunkLoc) error {
 type vfsSource struct {
 	fs   *vfs.FS
 	root string
-	locs map[string]chunkLoc
+	chunkLocs
 }
 
 func (s *vfsSource) Chunk(hash string) ([]byte, error) {
-	loc, ok := s.locs[hash]
+	loc, ok := s.chunkLocs[hash]
 	if !ok {
 		return nil, fmt.Errorf("cas: unknown chunk %s", hash)
 	}
@@ -296,13 +324,9 @@ func (s *vfsSource) Chunk(hash string) ([]byte, error) {
 		return nil, err
 	}
 	if loc.off+loc.size > int64(len(data)) {
-		return nil, fmt.Errorf("cas: chunk %s out of range in %s", hash, loc.path)
+		return nil, fmt.Errorf("cas: %s changed while uploading (chunk %s): the file is shorter", loc.path, hash)
 	}
-	buf := data[loc.off : loc.off+loc.size]
-	if HashHex(buf) != hash {
-		return nil, fmt.Errorf("cas: %s changed while uploading (chunk %s)", loc.path, hash)
-	}
-	return buf, nil
+	return data[loc.off : loc.off+loc.size], nil
 }
 
 // chunkFile splits one file's content into its manifest entry.
@@ -314,25 +338,16 @@ func chunkFile(rel string, data []byte) FileEntry {
 	return fe
 }
 
-// addLocs records where each chunk of fe first appears, for the Source
-// to reread it from there.
-func addLocs(fe FileEntry, locs map[string]chunkLoc) {
-	var off int64
-	for _, c := range fe.Chunks {
-		if _, ok := locs[c.Hash]; !ok {
-			locs[c.Hash] = chunkLoc{path: fe.Path, off: off, size: c.Size}
-		}
-		off += c.Size
-	}
-}
-
 // openFile opens each file BuildDir and its Source read; tests count the
 // opens.
 var openFile = os.Open
 
-// readFile is os.ReadFile that also returns the stat data of the
-// descriptor it read through.
-func readFile(name string) ([]byte, fs.FileInfo, error) {
+// readFile reads a whole file into buf, which it grows when the file is
+// larger, and returns the bytes read and the stat data of the descriptor
+// it read through. The bytes share buf's array: a scan reads every file
+// through one buffer, so a tree costs one file's worth of fresh pages,
+// not its size.
+func readFile(name string, buf []byte) ([]byte, fs.FileInfo, error) {
 	f, err := openFile(name)
 	if err != nil {
 		return nil, nil, err
@@ -342,11 +357,14 @@ func readFile(name string) ([]byte, fs.FileInfo, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	buf := bytes.NewBuffer(make([]byte, 0, fi.Size()+bytes.MinRead))
-	if _, err := buf.ReadFrom(f); err != nil {
+	if need := fi.Size() + bytes.MinRead; int64(cap(buf)) < need {
+		buf = make([]byte, 0, need)
+	}
+	b := bytes.NewBuffer(buf[:0])
+	if _, err := b.ReadFrom(f); err != nil {
 		return nil, nil, err
 	}
-	return buf.Bytes(), fi, nil
+	return b.Bytes(), fi, nil
 }
 
 // skipDir reports whether a directory is version-control metadata
@@ -363,12 +381,14 @@ func skipDir(name string) bool {
 // idx is the directory's stat index (DirIndex): a file whose stat data is
 // a trusted entry's key is not read, and its refs come from the index;
 // every other file is read and chunked. The manifest is the same either
-// way, and the Source still rereads and rehashes every chunk it serves.
-// After a successful scan the index is rewritten. A nil idx holds
-// nothing.
+// way. Every file is read through one buffer, which the Source then
+// reads its windows into; the Source hashes nothing, and the store
+// refuses a chunk whose bytes changed since the scan. After a successful
+// scan the index is rewritten. A nil idx holds nothing.
 func BuildDir(root string, idx *DirIndex) (*Manifest, Source, error) {
 	m := &Manifest{}
-	src := &dirSource{root: root, locs: make(map[string]chunkLoc)}
+	src := &dirSource{root: root, chunkLocs: make(chunkLocs)}
+	var buf []byte
 	scan := idx.begin()
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -394,14 +414,15 @@ func BuildDir(root string, idx *DirIndex) (*Manifest, Source, error) {
 		}
 		fe, ok := scan.reuse(rel, d)
 		if !ok {
-			data, fi, rerr := readFile(p)
+			data, fi, rerr := readFile(p, buf)
 			if rerr != nil {
 				return rerr
 			}
+			buf = data[:0]
 			fe = chunkFile(rel, data)
 			scan.record(fe, fi)
 		}
-		addLocs(fe, src.locs)
+		src.add(fe)
 		m.Files = append(m.Files, fe)
 		m.TotalBytes += fe.Size
 		return nil
@@ -411,6 +432,7 @@ func BuildDir(root string, idx *DirIndex) (*Manifest, Source, error) {
 		return nil, nil, fmt.Errorf("cas: scanning %s: %w", root, err)
 	}
 	m.Seal()
+	src.win = buf
 	return m, src, nil
 }
 
@@ -419,7 +441,7 @@ func BuildDir(root string, idx *DirIndex) (*Manifest, Source, error) {
 // examples, tests).
 func BuildVFS(fsys *vfs.FS, root string) (*Manifest, Source, error) {
 	m := &Manifest{}
-	src := &vfsSource{fs: fsys, root: root, locs: make(map[string]chunkLoc)}
+	src := &vfsSource{fs: fsys, root: root, chunkLocs: make(chunkLocs)}
 	cleanRoot := path.Clean(root)
 	err := fsys.Walk(cleanRoot, func(p string, fi vfs.FileInfo) error {
 		rel := strings.TrimPrefix(p, cleanRoot)
@@ -439,7 +461,7 @@ func BuildVFS(fsys *vfs.FS, root string) (*Manifest, Source, error) {
 			return rerr
 		}
 		fe := chunkFile(rel, data)
-		addLocs(fe, src.locs)
+		src.add(fe)
 		m.Files = append(m.Files, fe)
 		m.TotalBytes += fe.Size
 		return nil
@@ -487,10 +509,11 @@ func filterSkipped(dirs []string) []string {
 
 // Fetcher reads chunks in bulk (core.Objects, narrowed to what
 // Materialize calls). GetChunks hands each the payload of every named
-// chunk, in the order asked; data is only valid during the call. An
-// error from each ends the transfer and is returned. A transfer that
-// fails part-way may start over from the first hash, so each must
-// tolerate seeing a chunk again.
+// chunk, in the order asked, as a slice of its own: each owns data and
+// may keep it, and the Fetcher never writes it again. An error from each
+// ends the transfer and is returned. A transfer that fails part-way may
+// start over from the first hash, so each must tolerate seeing a chunk
+// again.
 type Fetcher interface {
 	GetChunks(ctx context.Context, hashes []string, each func(hash string, data []byte) error) error
 }
@@ -510,7 +533,8 @@ type Stats struct {
 // read in one bulk call in first-use order; a transfer that restarts
 // replays chunks that already landed, which are skipped, and any other
 // chunk than the one due is an error. Each fetched chunk is hashed once
-// as it lands and kept as one owned copy, which is offered to the cache.
+// as it lands and kept as the Fetcher handed it over, without a copy,
+// and offered to the cache.
 // A tree the cache holds whole costs no request at all. Every file is
 // then installed as its list of chunk segments (vfs.WriteFileParts), so
 // a chunk referred to twice is shared, not cloned, and each ref's size
@@ -551,12 +575,10 @@ func Materialize(ctx context.Context, m *Manifest, src Fetcher, cache *Cache, ds
 			if HashHex(data) != hash {
 				return fmt.Errorf("cas: chunk %s: fetched %d bytes that hash differently", hash, len(data))
 			}
-			// data is the Fetcher's for this call only.
-			own := bytes.Clone(data)
-			chunks[hash] = own
-			cache.put(hash, own)
+			chunks[hash] = data
+			cache.put(hash, data)
 			st.Fetched++
-			st.Bytes += int64(len(own))
+			st.Bytes += int64(len(data))
 			return nil
 		})
 		if err != nil {

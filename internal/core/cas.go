@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"rai/internal/cas"
+	"rai/internal/objstore"
 )
 
 // The upload path (DESIGN.md §16). A project reaches the file server
@@ -57,6 +59,12 @@ func (c *Client) uploadProject(ctx context.Context, jobID string, m *cas.Manifes
 	}
 	sent, err := c.Objects.PutChunks(ctx, missing, src)
 	if err != nil {
+		// The store refuses a chunk whose bytes do not hash to its name:
+		// the file they were read from changed after it was hashed.
+		var refused *objstore.RefusedChunkError
+		if errors.As(err, &refused) {
+			err = fmt.Errorf("%s changed while uploading: %w", fileOf(m, refused.Hash), err)
+		}
 		return "", nil, fmt.Errorf("uploading chunks: %w", err)
 	}
 	key := fmt.Sprintf("%s/%s/project.manifest", c.Creds.UserName, jobID)
@@ -73,4 +81,16 @@ func (c *Client) uploadProject(ctx context.Context, jobID string, m *cas.Manifes
 	c.Telemetry.Counter("rai_client_delta_saved_bytes_total", "upload bytes avoided by chunk reuse").
 		Add(float64(max(0, stats.TotalBytes-stats.SentBytes)))
 	return key, stats, nil
+}
+
+// fileOf returns the path of the first file in m holding the chunk.
+func fileOf(m *cas.Manifest, hash string) string {
+	for _, f := range m.Files {
+		for _, c := range f.Chunks {
+			if c.Hash == hash {
+				return f.Path
+			}
+		}
+	}
+	return "the project"
 }

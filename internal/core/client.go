@@ -39,6 +39,18 @@ type Client struct {
 	// Log, when set, emits structured lifecycle events stamped with the
 	// job's trace identity. Optional and nil-safe.
 	Log *telemetry.Logger
+	// IDs, when set, is what job IDs are drawn from instead of
+	// crypto/rand: a simulation passes a seeded source, so the IDs it
+	// prints repeat. It must be safe for concurrent use.
+	IDs io.Reader
+}
+
+// newJobID mints the ID of the client's next job.
+func (c *Client) newJobID() string {
+	if c.IDs == nil {
+		return NewJobID()
+	}
+	return jobIDFrom(c.IDs)
 }
 
 // JobResult is what the client learns from the End message.
@@ -103,7 +115,7 @@ func CheckSubmissionFiles(fs *vfs.FS, dir string) error {
 // canceling ctx abandons the job (the worker still runs it, but nobody
 // is watching the log topic).
 func (c *Client) Submit(ctx context.Context, kind string, spec *build.Spec, m *cas.Manifest, src cas.Source) (*JobResult, error) {
-	jobID := NewJobID()
+	jobID := c.newJobID()
 	root := c.startJobSpan(jobID, kind)
 	ctx = telemetry.ContextWithJobID(ctx, jobID)
 	// Step 3: upload the project; one-month lifetime from last use. The
@@ -133,7 +145,7 @@ func (c *Client) Submit(ctx context.Context, kind string, spec *build.Spec, m *c
 // server — the grading path: instructors rerun a team's recorded final
 // submission multiple times and keep the best time (§VI, §VII).
 func (c *Client) Resubmit(ctx context.Context, kind, uploadBucket, uploadKey string) (*JobResult, error) {
-	jobID := NewJobID()
+	jobID := c.newJobID()
 	return c.submitUploaded(ctx, c.startJobSpan(jobID, kind), jobID, kind, nil, uploadBucket, uploadKey)
 }
 

@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"time"
 )
 
@@ -177,10 +178,13 @@ var (
 )
 
 // NewJobID mints a unique job identifier.
-func NewJobID() string {
+func NewJobID() string { return jobIDFrom(rand.Reader) }
+
+// jobIDFrom draws a job identifier from src.
+func jobIDFrom(src io.Reader) string {
 	var b [12]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic("core: crypto/rand unavailable: " + err.Error())
+	if _, err := io.ReadFull(src, b[:]); err != nil {
+		panic("core: reading a job ID: " + err.Error())
 	}
 	return hex.EncodeToString(b[:])
 }

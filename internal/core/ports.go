@@ -39,11 +39,13 @@ type Objects interface {
 	// absent from the store, refreshing the TTL of those present.
 	MissingChunks(ctx context.Context, manifest []byte) ([]string, error)
 	// PutChunks uploads the named chunks from src and returns the
-	// payload bytes transferred.
+	// payload bytes transferred. The store hashes each payload as it
+	// lands and refuses one that does not hash to its name with an
+	// *objstore.RefusedChunkError.
 	PutChunks(ctx context.Context, hashes []string, src cas.Source) (int64, error)
 	// GetChunks reads the named chunks in one transfer, handing each the
-	// payload of every one in the order asked (data is only valid during
-	// the call). A chunk the store lacks fails the call before the first
+	// payload of every one in the order asked, as a slice each owns and
+	// may keep. A chunk the store lacks fails the call before the first
 	// payload. A transfer cut part-way may start over from the first hash,
 	// so each must tolerate seeing a chunk again. It is the only way to
 	// read chunks in bulk (cas.Fetcher, which cas.Materialize consumes).

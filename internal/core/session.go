@@ -84,7 +84,7 @@ func (c *Client) OpenSession(ctx context.Context, m *cas.Manifest, src cas.Sourc
 	if clk == nil {
 		clk = clock.Real{}
 	}
-	jobID := NewJobID()
+	jobID := c.newJobID()
 	uploadKey, _, err := c.uploadProject(ctx, jobID, m, src)
 	if err != nil {
 		return nil, fmt.Errorf("core: uploading project: %w", err)

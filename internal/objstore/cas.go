@@ -23,8 +23,11 @@ import (
 //
 //	POST /cas/negotiate   body = encoded manifest
 //	                      → {"missing":[hash...]}   (chunks the server lacks)
-//	POST /cas/chunks      body = frames: "<hash> <size>\n" + raw bytes
+//	POST /cas/chunks      body = frames: "<hash> <size>\n" + raw bytes,
+//	                        under a Content-Length that sums them
 //	                      → {"stored":n,"bytes":b}
+//	                      → 400 naming the chunk in X-RAI-Refused-Chunk
+//	                        when a payload does not hash to its name
 //	POST /cas/fetch       body = hashes, one per line
 //	                      → frames, one per hash, in the order asked;
 //	                        404 before the first frame if any is absent
@@ -40,6 +43,24 @@ import (
 type casNegotiateResponse struct {
 	Missing []string `json:"missing"`
 }
+
+// headerRefusedChunk names, on a 400 from /cas/chunks, the chunk whose
+// payload did not hash to its name.
+const headerRefusedChunk = "X-RAI-Refused-Chunk"
+
+// RefusedChunkError is an upload the store refused because a chunk's
+// payload does not hash to the chunk's name: the bytes the client read
+// are not the bytes it hashed, so the file changed in between.
+type RefusedChunkError struct {
+	Hash string
+	Err  error
+}
+
+func (e *RefusedChunkError) Error() string {
+	return fmt.Sprintf("objstore: chunk %s refused: %v", e.Hash, e.Err)
+}
+
+func (e *RefusedChunkError) Unwrap() error { return e.Err }
 
 // casChunksResponse acknowledges a chunk upload stream.
 type casChunksResponse struct {
@@ -127,7 +148,8 @@ func (s *Store) putChunk(ctx context.Context, hash string, r io.Reader, size int
 }
 
 // PutChunks stores the named chunks from src and returns the payload
-// bytes stored.
+// bytes stored. A payload that does not hash to its name is refused with
+// a *RefusedChunkError, and nothing is stored under that name.
 func (s *Store) PutChunks(ctx context.Context, hashes []string, src cas.Source) (int64, error) {
 	var total int64
 	for _, hash := range hashes {
@@ -136,6 +158,9 @@ func (s *Store) PutChunks(ctx context.Context, hashes []string, src cas.Source) 
 			return total, err
 		}
 		if err := s.putChunk(ctx, hash, bytes.NewReader(data), int64(len(data)), nil); err != nil {
+			if errors.Is(err, blobstore.ErrETag) {
+				err = &RefusedChunkError{Hash: hash, Err: err}
+			}
 			return total, err
 		}
 		total += int64(len(data))
@@ -162,13 +187,13 @@ func (s *Store) statChunks(ctx context.Context, hashes []string) ([]int64, error
 }
 
 // GetChunks hands each the payload of every named chunk, in the order
-// asked, refreshing its last-use; data is only valid during the call. A
-// chunk the store lacks fails the read before the first call to each.
+// asked, refreshing its last-use; each payload is a slice of its own,
+// which each may keep. A chunk the store lacks fails the read before the
+// first call to each.
 func (s *Store) GetChunks(ctx context.Context, hashes []string, each func(hash string, data []byte) error) error {
 	if _, err := s.statChunks(ctx, hashes); err != nil {
 		return err
 	}
-	buf := make([]byte, cas.MaxChunk)
 	for _, hash := range hashes {
 		rc, info, err := s.be.Open(ctx, cas.Bucket, cas.ChunkKey(hash))
 		if err != nil {
@@ -178,12 +203,13 @@ func (s *Store) GetChunks(ctx context.Context, hashes []string, each func(hash s
 			rc.Close()
 			return fmt.Errorf("objstore: chunk %s is %d bytes, over the %d a chunk can be", hash, info.Size, cas.MaxChunk)
 		}
-		_, err = io.ReadFull(rc, buf[:info.Size])
+		data := make([]byte, info.Size)
+		_, err = io.ReadFull(rc, data)
 		rc.Close()
 		if err != nil {
 			return fmt.Errorf("objstore: reading chunk %s: %w", hash, err)
 		}
-		if err := each(hash, buf[:info.Size]); err != nil {
+		if err := each(hash, data); err != nil {
 			return err
 		}
 	}
@@ -231,7 +257,11 @@ func (h *handlerState) handleCASNegotiate(s *Store, w http.ResponseWriter, r *ht
 }
 
 // handleCASChunks ingests a framed chunk stream; each payload is
-// verified against its declared hash before it becomes addressable.
+// verified against its declared hash before it becomes addressable — the
+// one hash the write path makes. A payload that hashes otherwise is
+// refused with a 400 naming it, answered only after the rest of the
+// stream is read: the client is still writing it, and a reply sent
+// before would reach it as a reset connection instead.
 func (h *handlerState) handleCASChunks(s *Store, w http.ResponseWriter, r *http.Request) {
 	br := bufio.NewReaderSize(http.MaxBytesReader(w, r.Body, h.maxBytes), 4<<10)
 	scratch := make([]byte, 32<<10)
@@ -261,6 +291,12 @@ func (h *handlerState) handleCASChunks(s *Store, w http.ResponseWriter, r *http.
 			var tooBig *http.MaxBytesError
 			if errors.Is(err, io.ErrUnexpectedEOF) || errors.As(err, &tooBig) {
 				http.Error(w, "short chunk payload: "+err.Error(), http.StatusBadRequest)
+				return
+			}
+			if errors.Is(err, blobstore.ErrETag) {
+				_, _ = io.Copy(io.Discard, br) // bounded by the MaxBytesReader
+				w.Header().Set(headerRefusedChunk, hash)
+				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
 			writeStoreErr(w, err)
@@ -350,15 +386,31 @@ func (c *Client) MissingChunks(ctx context.Context, enc []byte) ([]string, error
 
 // PutChunks streams the named chunks (fetched from src as the stream
 // advances, so nothing is pinned in memory) and returns the payload
-// bytes that went over the wire. Each retry attempt rebuilds the stream
-// from src, so the full retry policy applies.
+// bytes that went over the wire. The request declares its length, summed
+// from the chunk sizes src records. Each retry attempt rebuilds the
+// stream from src, so the full retry policy applies. A chunk the server
+// refuses because its payload does not hash to its name fails the call
+// with a *RefusedChunkError.
 func (c *Client) PutChunks(ctx context.Context, hashes []string, src cas.Source) (int64, error) {
 	if len(hashes) == 0 {
 		return 0, nil
 	}
+	var length int64
+	for _, hash := range hashes {
+		size, ok := src.Size(hash)
+		if !ok {
+			return 0, fmt.Errorf("objstore: chunk %s is not in the tree being uploaded", hash)
+		}
+		length += int64(len(appendFrameHeader(nil, hash, size))) + size
+	}
 	var resp casChunksResponse
 	err := c.roundTrip(ctx, "cas-chunks", http.StatusOK, func(ctx context.Context) (*http.Request, error) {
-		return http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/cas/chunks", io.NopCloser(&chunkStream{src: src, hashes: hashes}))
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/cas/chunks", io.NopCloser(&chunkStream{src: src, hashes: hashes}))
+		if err != nil {
+			return nil, err
+		}
+		req.ContentLength = length
+		return req, nil
 	}, func(r *http.Response) error {
 		resp = casChunksResponse{}
 		return json.NewDecoder(r.Body).Decode(&resp)
@@ -370,7 +422,8 @@ func (c *Client) PutChunks(ctx context.Context, hashes []string, src cas.Source)
 }
 
 // GetChunks fetches the named chunks in one request and hands each its
-// payload in the order asked; data is only valid during the call. Every
+// payload in the order asked, as a slice of its own that each may keep.
+// Every
 // frame is checked against the hash that was due before its payload is
 // read. A broken connection is retried under the policy and the retry
 // starts over from the first hash, so each must tolerate seeing a chunk
@@ -389,13 +442,13 @@ func (c *Client) GetChunks(ctx context.Context, hashes []string, each func(hash 
 }
 
 // readChunkFrames reads the reply to a fetch of hashes: one frame per
-// hash, in order, each at most cas.MaxChunk. What the server got wrong —
+// hash, in order, each at most cas.MaxChunk, each payload read into a
+// slice of its exact size that is handed over. What the server got wrong —
 // a frame other than the one due, a body that ends short of what its
 // frames promise — is permanent and names the chunk; a read error is the
 // connection's and goes back bare, for the retry policy to judge.
 func readChunkFrames(body io.Reader, hashes []string, each func(hash string, data []byte) error) error {
 	br := bufio.NewReaderSize(body, cas.MaxChunk)
-	buf := make([]byte, cas.MaxChunk)
 	for i, want := range hashes {
 		// ReadSlice, not ReadString: a header line is bounded by the buffer
 		// whatever the server sends.
@@ -415,8 +468,9 @@ func readChunkFrames(body io.Reader, hashes []string, each func(hash string, dat
 		}
 		// io.ReadFull would fold a body that ended into the same
 		// ErrUnexpectedEOF a cut connection reports; they differ here.
+		data := make([]byte, size)
 		for n := 0; n < int(size); {
-			m, err := br.Read(buf[n:size])
+			m, err := br.Read(data[n:])
 			n += m
 			if err == io.EOF && n < int(size) {
 				return netx.Permanent(fmt.Errorf("objstore: chunk %s: stream ended %d bytes into a %d-byte payload", hash, n, size))
@@ -425,39 +479,51 @@ func readChunkFrames(body io.Reader, hashes []string, each func(hash string, dat
 				return err
 			}
 		}
-		if err := each(hash, buf[:size]); err != nil {
+		if err := each(hash, data); err != nil {
 			return netx.Permanent(err)
 		}
 	}
 	return nil
 }
 
-// chunkStream frames chunks lazily: each Read pulls at most one chunk
-// from the source, so memory stays O(MaxChunk) however large the tree.
+// chunkStream frames chunks lazily: it pulls a chunk from the source
+// only once the one before has been read, so memory stays O(MaxChunk)
+// however large the tree, and each Read fills p across frame
+// boundaries, so the transport writes in large pieces.
 type chunkStream struct {
 	src    cas.Source
-	hashes []string
-	i      int
-	buf    bytes.Buffer
+	hashes []string // the chunks not yet pulled
+	hdr    []byte   // the unread rest of the current frame's header
+	data   []byte   // the unread rest of the current frame's payload
+	hdrBuf [96]byte // over maxFrameHeader
 }
 
 func (cs *chunkStream) Read(p []byte) (int, error) {
-	for cs.buf.Len() == 0 {
-		if cs.i >= len(cs.hashes) {
-			return 0, io.EOF
+	n := 0
+	for n < len(p) {
+		if len(cs.hdr) == 0 && len(cs.data) == 0 {
+			if len(cs.hashes) == 0 {
+				return n, io.EOF
+			}
+			hash := cs.hashes[0]
+			cs.hashes = cs.hashes[1:]
+			data, err := cs.src.Chunk(hash)
+			if err != nil {
+				// The tree changed under the upload; a retry would rebuild the
+				// stream and fail identically, so mark it permanent.
+				return n, netx.Permanent(err)
+			}
+			cs.hdr = appendFrameHeader(cs.hdrBuf[:0], hash, int64(len(data)))
+			cs.data = data
 		}
-		hash := cs.hashes[cs.i]
-		cs.i++
-		data, err := cs.src.Chunk(hash)
-		if err != nil {
-			// The tree changed under the upload; a retry would rebuild the
-			// stream and fail identically, so mark it permanent.
-			return 0, netx.Permanent(err)
-		}
-		cs.buf.Write(appendFrameHeader(cs.buf.AvailableBuffer(), hash, int64(len(data))))
-		cs.buf.Write(data)
+		m := copy(p[n:], cs.hdr)
+		cs.hdr = cs.hdr[m:]
+		n += m
+		m = copy(p[n:], cs.data)
+		cs.data = cs.data[m:]
+		n += m
 	}
-	return cs.buf.Read(p)
+	return n, nil
 }
 
 // registerCASMetrics wires the rai_cas_* counters; absent telemetry they

@@ -123,6 +123,35 @@ func TestFetchRejectsBadFrames(t *testing.T) {
 	}
 }
 
+// TestGetChunksHandsOverOwnedSlices: each payload GetChunks hands over
+// is the caller's to keep — the worker's chunk cache and /src hold them
+// without a copy. Every slice kept past its call, and past the call
+// itself, still hashes to its name once the whole tree has been read, so
+// no two chunks share a buffer the reader reuses.
+func TestGetChunksHandsOverOwnedSlices(t *testing.T) {
+	s := New()
+	m, _ := seededTree(t, s, 512<<10)
+	srv := httptest.NewServer(Handler(s, nil))
+	defer srv.Close()
+	for name, o := range map[string]objects{"Store": s, "Client": NewClient(srv.URL, WithClientPolicy(retryPolicy()))} {
+		t.Run(name, func(t *testing.T) {
+			kept := map[string][]byte{}
+			err := o.GetChunks(ctx, m.ChunkSet(), func(hash string, data []byte) error {
+				kept[hash] = data
+				return nil
+			})
+			if err != nil || len(kept) != len(m.ChunkSet()) || len(kept) < 40 {
+				t.Fatalf("kept %d of %d chunks: %v", len(kept), len(m.ChunkSet()), err)
+			}
+			for hash, data := range kept {
+				if cas.HashHex(data) != hash {
+					t.Errorf("chunk %s kept past the call now holds %d bytes that hash differently", hash, len(data))
+				}
+			}
+		})
+	}
+}
+
 // TestFetchEachErrorEndsTheCall: the consumer refusing a chunk is not
 // the connection's fault either.
 func TestFetchEachErrorEndsTheCall(t *testing.T) {

@@ -3,11 +3,13 @@ package objstore
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"rai/internal/cas"
 )
@@ -67,9 +69,14 @@ func FuzzReadChunkFrames(f *testing.F) {
 var casRoutes = []string{"/cas/negotiate", "/cas/chunks", "/cas/fetch"}
 
 // FuzzCASHandler posts arbitrary bodies to every chunk route of a store
-// holding two chunks. Whatever the body, the handler must not panic,
-// must answer a bad request with a 4xx rather than a 5xx, and must leave
-// nothing addressable under a hash its bytes do not hash to.
+// holding two chunks, each under a declared Content-Length that may
+// disagree with it (negative: the body's own length). The body the
+// handler reads is what net/http's server makes of such a request: cut
+// at the declared length when that is short, ending in
+// io.ErrUnexpectedEOF when it is long. Whatever the body, the handler
+// must not panic, must answer a bad request with a 4xx rather than a
+// 5xx, and must leave nothing addressable under a hash its bytes do not
+// hash to.
 func FuzzCASHandler(f *testing.F) {
 	a, b, ha, hb, frame := frameFixture()
 	m := &cas.Manifest{
@@ -77,25 +84,41 @@ func FuzzCASHandler(f *testing.F) {
 		TotalBytes: 3000,
 	}
 	m.Seal()
-	f.Add(byte(0), m.Encode())
-	f.Add(byte(0), []byte(cas.Magic+`{"tree_hash":"beef"}`))
-	f.Add(byte(1), []byte(frame(ha, 3000, a)+frame(hb, 4000, b)))
-	f.Add(byte(1), []byte(frame(ha, 16, "forged payload!!")))
-	f.Add(byte(1), []byte(frame(cas.HashHex([]byte("c")), 1, "c")+frame(hb, 4000, b[:10])))
-	f.Add(byte(1), bytes.Repeat([]byte("a"), 2*cas.MaxChunk)) // no header ends
-	f.Add(byte(2), []byte(ha+"\n"+hb))
-	f.Add(byte(2), []byte(ha+"\n\n"+strings.Repeat("0", 64)))
-	f.Add(byte(2), []byte(strings.Repeat("/.", 17)+"//../../rai-uploads/alice/j1/k"))
-	f.Fuzz(func(t *testing.T, route byte, body []byte) {
+	f.Add(byte(0), m.Encode(), int64(-1))
+	f.Add(byte(0), []byte(cas.Magic+`{"tree_hash":"beef"}`), int64(-1))
+	f.Add(byte(1), []byte(frame(ha, 3000, a)+frame(hb, 4000, b)), int64(-1))
+	f.Add(byte(1), []byte(frame(ha, 16, "forged payload!!")), int64(-1))
+	f.Add(byte(1), []byte(frame(cas.HashHex([]byte("c")), 1, "c")+frame(hb, 4000, b[:10])), int64(-1))
+	f.Add(byte(1), bytes.Repeat([]byte("a"), 2*cas.MaxChunk), int64(-1)) // no header ends
+	f.Add(byte(2), []byte(ha+"\n"+hb), int64(-1))
+	f.Add(byte(2), []byte(ha+"\n\n"+strings.Repeat("0", 64)), int64(-1))
+	f.Add(byte(2), []byte(strings.Repeat("/.", 17)+"//../../rai-uploads/alice/j1/k"), int64(-1))
+	// Content-Length against the frames: short inside the second
+	// payload, short at the frame boundary, long by a byte and by a frame.
+	two := frame(ha, 3000, a) + frame(hb, 4000, b)
+	f.Add(byte(1), []byte(two), int64(len(two)-100))
+	f.Add(byte(1), []byte(two), int64(len(frame(ha, 3000, a))))
+	f.Add(byte(1), []byte(two), int64(len(two)+1))
+	f.Add(byte(1), []byte(two), int64(len(two)+len(frame(hb, 4000, b))))
+	f.Fuzz(func(t *testing.T, route byte, body []byte, declared int64) {
 		s := New()
 		if _, err := s.PutChunks(ctx, []string{ha, hb}, chunkMap{ha: []byte(a), hb: []byte(b)}); err != nil {
 			t.Fatal(err)
 		}
 		p := casRoutes[int(route)%len(casRoutes)]
+		req := httptest.NewRequest(http.MethodPost, p, bytes.NewReader(body))
+		switch n := int64(len(body)); {
+		case declared >= 0 && declared < n:
+			req.Body = io.NopCloser(io.LimitReader(bytes.NewReader(body), declared))
+			req.ContentLength = declared
+		case declared > n:
+			req.Body = io.NopCloser(io.MultiReader(bytes.NewReader(body), iotest.ErrReader(io.ErrUnexpectedEOF)))
+			req.ContentLength = declared
+		}
 		rec := httptest.NewRecorder()
-		Handler(s, nil).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, p, bytes.NewReader(body)))
+		Handler(s, nil).ServeHTTP(rec, req)
 		if rec.Code >= 500 {
-			t.Fatalf("POST %s %q = %d: %s", p, body, rec.Code, rec.Body)
+			t.Fatalf("POST %s %q (Content-Length %d) = %d: %s", p, body, req.ContentLength, rec.Code, rec.Body)
 		}
 		infos, err := s.List(ctx, cas.Bucket, "")
 		if err != nil {
@@ -115,6 +138,11 @@ func FuzzCASHandler(f *testing.F) {
 
 // chunkMap is a cas.Source over payloads held in memory.
 type chunkMap map[string][]byte
+
+func (c chunkMap) Size(hash string) (int64, bool) {
+	data, ok := c[hash]
+	return int64(len(data)), ok
+}
 
 func (c chunkMap) Chunk(hash string) ([]byte, error) {
 	data, ok := c[hash]

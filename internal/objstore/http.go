@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"rai/internal/blobstore"
+	"rai/internal/cas"
 	"rai/internal/clock"
 	"rai/internal/netx"
 	"rai/internal/telemetry"
@@ -535,13 +536,17 @@ func drainClose(body io.ReadCloser) {
 
 // httpError converts an error response into a netx.StatusError (so the
 // retry policy can classify it) and drains the body for connection
-// reuse. 404s additionally match ErrNoObject via errors.Is.
+// reuse. 404s additionally match ErrNoObject via errors.Is; a 400 that
+// names a refused chunk is a permanent *RefusedChunkError.
 func httpError(op string, resp *http.Response) error {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 	drainClose(resp.Body)
 	se := &netx.StatusError{Op: "objstore " + op, Code: resp.StatusCode, Msg: strings.TrimSpace(string(body))}
-	if resp.StatusCode == http.StatusNotFound {
+	switch hash := resp.Header.Get(headerRefusedChunk); {
+	case resp.StatusCode == http.StatusNotFound:
 		return fmt.Errorf("%w: %w", ErrNoObject, se)
+	case resp.StatusCode == http.StatusBadRequest && cas.ValidHash(hash):
+		return netx.Permanent(&RefusedChunkError{Hash: hash, Err: se})
 	}
 	return se
 }

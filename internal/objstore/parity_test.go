@@ -31,6 +31,7 @@ type objects interface {
 // forgedSource answers every chunk request with the wrong bytes.
 type forgedSource struct{}
 
+func (forgedSource) Size(string) (int64, bool)    { return int64(len("forged payload")), true }
 func (forgedSource) Chunk(string) ([]byte, error) { return []byte("forged payload"), nil }
 
 // TestStoreClientParity runs one scenario against the in-process engine

@@ -18,6 +18,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
+	"sync"
 	"time"
 
 	"rai/internal/auth"
@@ -54,6 +56,7 @@ type Deployment struct {
 	Tracer    *telemetry.Tracer
 
 	workers []*core.Worker
+	ids     io.Reader // job IDs and keys, drawn from the seed
 }
 
 // DeployConfig shapes a deployment.
@@ -68,7 +71,8 @@ type DeployConfig struct {
 	FullImages int
 	// RateLimit overrides the 30 s default (0 keeps it).
 	RateLimit time.Duration
-	// Seed derives the model weights and datasets.
+	// Seed derives the model weights and datasets, and the job IDs and
+	// keys the deployment issues, so a run prints the same every time.
 	Seed uint64
 }
 
@@ -100,9 +104,11 @@ func NewDeployment(cfg DeployConfig) (*Deployment, error) {
 		Images:    registry.NewCourseRegistry(),
 		Telemetry: reg,
 		Tracer:    telemetry.NewTracer(4096, telemetry.WithTracerClock(vc)),
+		ids:       &seededReader{r: rand.New(rand.NewSource(int64(cfg.Seed)))},
 	}
 	d.Broker.ExportQueueDepth(core.TasksTopic, core.TasksChannel)
 	d.Auth.SetClock(vc.Now)
+	d.Auth.SetRand(d.ids)
 	d.Queue = d.Broker
 	d.Objects = d.Store
 
@@ -164,7 +170,20 @@ func (d *Deployment) NewClient(team string, out io.Writer) (*core.Client, error)
 		Creds: creds, Queue: d.Queue, Objects: d.Objects,
 		Clock: d.Clock, Stdout: out,
 		Telemetry: d.Telemetry, Tracer: d.Tracer,
+		IDs: d.ids,
 	}, nil
+}
+
+// seededReader is a seeded byte stream that concurrent clients share.
+type seededReader struct {
+	mu sync.Mutex
+	r  *rand.Rand
+}
+
+func (s *seededReader) Read(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.r.Read(p)
 }
 
 // ProjectManifest renders a project spec and hashes it into the
