@@ -45,7 +45,7 @@ import (
 // placeholders (paper §VII: commit and date are embedded so bug reports
 // pinpoint the responsible commit).
 var buildInfo = release.BuildInfo{
-	Version: "0.2.0-dev", Commit: "worktree", Branch: "devel",
+	Version: telemetry.Version, Commit: "worktree", Branch: "devel",
 	BuildDate: time.Date(2017, 5, 1, 0, 0, 0, 0, time.UTC),
 	OS:        "linux", Arch: "amd64",
 }
@@ -80,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cmd := fs.Arg(0)
 	if cmd == "version" {
 		fmt.Fprintln(stdout, buildInfo)
-		fmt.Fprintln(stdout, telemetry.NewStamp("rai", buildInfo.Version))
+		fmt.Fprintln(stdout, telemetry.NewStamp("rai"))
 		return 0
 	}
 
@@ -129,7 +129,7 @@ func (r rpcConfig) objects(baseURL string) *objstore.Client {
 // Every span ships; whether the trace is kept is the collector's call.
 func observe(ctx context.Context, queue broker.Queue) (*telemetry.Tracer, *telemetry.Logger, func()) {
 	exp := telemetry.NewExporter(ctx, "rai", core.ShipTelemetry(queue))
-	tracer := telemetry.NewTracer(256, telemetry.WithSpanSink(exp.ExportSpan),
+	tracer := telemetry.NewTracer(telemetry.WithSpanSink(exp.ExportSpan),
 		telemetry.WithTracerInstance(telemetry.NewInstanceID("rai")))
 	logger := telemetry.NewLogger("rai", telemetry.WithLogSink(exp.ExportEvent))
 	return tracer, logger, func() { exp.Close() }

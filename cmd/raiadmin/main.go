@@ -44,6 +44,7 @@ import (
 
 	"rai/internal/auth"
 	"rai/internal/core"
+	"rai/internal/daemon"
 	"rai/internal/docstore"
 	"rai/internal/grading"
 	"rai/internal/netx"
@@ -53,9 +54,6 @@ import (
 	"rai/internal/telemetry"
 	"rai/internal/vfs"
 )
-
-// version is stamped by the CI pipeline; kept in lockstep with cmd/rai.
-const version = "0.2.0-dev"
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -72,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer stop()
 	switch args[0] {
 	case "version", "-version", "--version":
-		fmt.Fprintln(stdout, telemetry.NewStamp("raiadmin", version))
+		fmt.Fprintln(stdout, telemetry.NewStamp("raiadmin"))
 		return 0
 	case "keygen":
 		return keygen(args[1:], stdout, stderr)
@@ -89,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "top":
 		return top(ctx, args[1:], stdout, stderr)
 	case "collect":
-		return collect(args[1:], stdout, stderr, nil)
+		return collect(args[1:], stdout, stderr, daemon.Hooks{})
 	case "health":
 		return health(ctx, args[1:], stdout, stderr)
 	case "alerts":
@@ -138,17 +136,7 @@ func keygen(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "raiadmin keygen: %v\n", err)
 		return 1
 	}
-	var creds []auth.Credentials
-	for _, c := range issued {
-		creds = append(creds, c)
-	}
-	sort.Slice(creds, func(i, j int) bool { return creds[i].UserName < creds[j].UserName })
-	blob, err := json.MarshalIndent(creds, "", "  ")
-	if err != nil {
-		fmt.Fprintf(stderr, "raiadmin keygen: %v\n", err)
-		return 1
-	}
-	if err := os.WriteFile(*outPath, blob, 0o600); err != nil {
+	if err := reg.WriteKeys(*outPath); err != nil {
 		fmt.Fprintf(stderr, "raiadmin keygen: %v\n", err)
 		return 1
 	}
@@ -216,21 +204,11 @@ func teamgen(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "raiadmin teamgen: %v\n", err)
 		return 1
 	}
-	var creds []auth.Credentials
-	for _, c := range issued {
-		creds = append(creds, c)
-	}
-	sort.Slice(creds, func(i, j int) bool { return creds[i].UserName < creds[j].UserName })
-	blob, err := json.MarshalIndent(creds, "", "  ")
-	if err != nil {
+	if err := reg.WriteKeys(*outPath); err != nil {
 		fmt.Fprintf(stderr, "raiadmin teamgen: %v\n", err)
 		return 1
 	}
-	if err := os.WriteFile(*outPath, blob, 0o600); err != nil {
-		fmt.Fprintf(stderr, "raiadmin teamgen: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "issued %d team credentials -> %s\n", len(creds), *outPath)
+	fmt.Fprintf(stdout, "issued %d team credentials -> %s\n", len(issued), *outPath)
 	return 0
 }
 
@@ -331,23 +309,13 @@ func rerun(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "raiadmin rerun: -team is required")
 		return 2
 	}
-	keysData, err := os.ReadFile(*keysPath)
+	keys, err := auth.ReadKeys(*keysPath)
 	if err != nil {
 		fmt.Fprintf(stderr, "raiadmin rerun: %v\n", err)
 		return 1
 	}
-	var creds []auth.Credentials
-	if err := json.Unmarshal(keysData, &creds); err != nil {
-		fmt.Fprintf(stderr, "raiadmin rerun: %v\n", err)
-		return 1
-	}
-	var teamCreds auth.Credentials
-	for _, c := range creds {
-		if c.UserName == *team {
-			teamCreds = c
-		}
-	}
-	if teamCreds.UserName == "" {
+	teamCreds, ok := keys.LookupUser(*team)
+	if !ok {
 		fmt.Fprintf(stderr, "raiadmin rerun: team %q not in %s\n", *team, *keysPath)
 		return 1
 	}

@@ -11,19 +11,15 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
-	"os/signal"
-	"rai/internal/brokerd"
-	"rai/internal/clock"
 	"strings"
-	"syscall"
 	"time"
 
+	"rai/internal/clock"
 	"rai/internal/collector"
 	"rai/internal/core"
+	"rai/internal/daemon"
 	"rai/internal/docstore"
 	"rai/internal/netx"
-	"rai/internal/readyfile"
 	"rai/internal/telemetry"
 )
 
@@ -32,7 +28,7 @@ import (
 // tail-based trace retention (-tail-linger), a TTL sweep over the
 // persisted collections (-retain), and an SLO engine that scrapes the
 // deployment and exports rai_slo_* gauges (-slo-scrape).
-func collect(args []string, stdout, stderr io.Writer, quit <-chan struct{}) int {
+func collect(args []string, stdout, stderr io.Writer, hooks daemon.Hooks) int {
 	fs := flag.NewFlagSet("raiadmin collect", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	brokerAddr := fs.String("broker", "127.0.0.1:7400", "broker address")
@@ -50,34 +46,23 @@ func collect(args []string, stdout, stderr io.Writer, quit <-chan struct{}) int 
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	queue, err := brokerd.NewQueue(context.Background(), *brokerAddr, netx.Policy{}, 0)
+	d, err := daemon.Start(context.Background(), daemon.Config{Service: "raiadmin-collect", MetricsAddr: *metricsAddr,
+		ReadyFile: *readyPath, Stdout: stdout, Stderr: stderr, Hooks: hooks})
 	if err != nil {
 		fmt.Fprintf(stderr, "raiadmin collect: %v\n", err)
 		return 1
 	}
-	defer queue.Close()
-
-	reg := telemetry.NewRegistry()
-	telemetry.RegisterBuildInfo(reg, "raiadmin-collect", version, nil)
-	telemetry.RegisterProcessMetrics(reg)
-	health := telemetry.NewHealth()
-	var metricsBound string
-	if *metricsAddr != "" {
-		addr, closeMetrics, err := reg.ServeMetrics(*metricsAddr, health.Mount)
-		if err != nil {
-			fmt.Fprintf(stderr, "raiadmin collect: metrics listener: %v\n", err)
-			return 1
-		}
-		defer closeMetrics()
-		metricsBound = addr
-		fmt.Fprintf(stdout, "metrics on http://%s/metrics\n", addr)
+	defer d.Close()
+	queue, err := d.Dial(*brokerAddr, netx.Policy{}, 0)
+	if err != nil {
+		fmt.Fprintf(stderr, "raiadmin collect: %v\n", err)
+		return 1
 	}
-
 	c := &collector.Collector{
 		Queue:     queue,
 		DB:        docstore.NewClient(*dbURL),
-		Telemetry: reg,
-		Log:       telemetry.NewLogger("raiadmin-collect", telemetry.WithLogWriter(stderr)),
+		Telemetry: d.Registry,
+		Log:       d.Log,
 		Prefetch:  *prefetch,
 		Tail: collector.TailConfig{
 			Linger:       *tailLinger,
@@ -85,15 +70,7 @@ func collect(args []string, stdout, stderr io.Writer, quit <-chan struct{}) int 
 			SlowQuantile: *tailSlow,
 		},
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	go func() {
-		select {
-		case <-quit: // nil when running as the real command: only a signal stops it
-			stop()
-		case <-ctx.Done():
-		}
-	}()
+	ctx := d.Context()
 	if *retain > 0 {
 		go c.RunRetention(ctx, collector.RetentionConfig{Retain: *retain})
 		fmt.Fprintf(stdout, "retention sweep: dropping traces/events older than %v\n", *retain)
@@ -104,7 +81,7 @@ func collect(args []string, stdout, stderr io.Writer, quit <-chan struct{}) int 
 			fmt.Fprintf(stderr, "raiadmin collect: %v\n", err)
 			return 1
 		}
-		engine.Export(reg)
+		engine.Export(d.Registry)
 		urls := strings.Split(*sloScrape, ",")
 		go engine.Run(ctx, urls, *sloInterval, func(err error) {
 			fmt.Fprintf(stderr, "raiadmin collect: slo scrape: %v\n", err)
@@ -113,19 +90,15 @@ func collect(args []string, stdout, stderr io.Writer, quit <-chan struct{}) int 
 	}
 	fmt.Fprintf(stdout, "collecting %s/%s from %s into %s\n",
 		core.TelemetryTopic, core.TelemetryChannel, *brokerAddr, *dbURL)
-	// The ready file is written before Run's subscribe completes; the
+	// Readiness is published before Run's subscribe completes; the
 	// broker buffers the telemetry topic's backlog, so records published
 	// in that window are delivered, not lost.
-	if *readyPath != "" {
-		info := readyfile.Info{Service: "raiadmin-collect", PID: os.Getpid(), MetricsAddr: metricsBound}
-		if err := readyfile.Write(*readyPath, info); err != nil {
-			fmt.Fprintf(stderr, "raiadmin collect: %v\n", err)
-			return 1
-		}
+	if err := d.Ready(""); err != nil {
+		fmt.Fprintf(stderr, "raiadmin collect: %v\n", err)
+		return 1
 	}
-	health.SetReady(true)
-	defer health.SetReady(false)
-	if err := c.Run(ctx); err != nil {
+	// A stop that lands while Run still subscribes is a clean stop too.
+	if err := c.Run(ctx); err != nil && ctx.Err() == nil {
 		fmt.Fprintf(stderr, "raiadmin collect: %v\n", err)
 		return 1
 	}

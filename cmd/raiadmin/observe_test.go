@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -16,8 +17,9 @@ import (
 	"rai/internal/broker"
 	"rai/internal/brokerd"
 	"rai/internal/core"
+	"rai/internal/daemon"
+	"rai/internal/daemon/daemontest"
 	"rai/internal/docstore"
-	"rai/internal/readyfile"
 	"rai/internal/telemetry"
 )
 
@@ -107,6 +109,31 @@ func TestLogsFollowPolls(t *testing.T) {
 	}
 }
 
+// TestCollectLifecycle runs collect through the daemons' shared
+// lifecycle check; its -version stamp is raiadmin's.
+func TestCollectLifecycle(t *testing.T) {
+	b := broker.New()
+	defer b.Close()
+	brokerSrv, err := brokerd.NewServer(context.Background(), b, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer brokerSrv.Close()
+	dbSrv := httptest.NewServer(docstore.Handler(docstore.New(), nil))
+	defer dbSrv.Close()
+	daemontest.Check(t, daemontest.Case{
+		Service: "raiadmin-collect",
+		Stamp:   "raiadmin",
+		Run: func(args []string, stdout, stderr io.Writer, hooks daemon.Hooks) int {
+			if len(args) == 1 && args[0] == "-version" {
+				return run(args, stdout, stderr)
+			}
+			return collect(args, stdout, stderr, hooks)
+		},
+		Args: []string{"-broker", brokerSrv.Addr(), "-db", dbSrv.URL},
+	})
+}
+
 // TestCollectExportsSLOGauges pins the -slo-scrape wiring: collect,
 // started against a live broker and database, scrapes the deployment's
 // metrics endpoint, judges it with the SLO engine and serves the verdict
@@ -139,13 +166,13 @@ func TestCollectExportsSLOGauges(t *testing.T) {
 			"-broker", brokerSrv.Addr(), "-db", dbSrv.URL,
 			"-metrics-addr", "127.0.0.1:0", "-ready-file", readyPath,
 			"-slo-scrape", deployment.URL + "/metrics", "-slo-interval", "10ms",
-		}, &out, &errb, quit)
+		}, &out, &errb, daemon.Hooks{Quit: quit})
 	}()
 
 	// The breached deployment must show up as an unhealthy objective on
 	// the collector's own endpoint once a scrape has gone through.
 	unhealthy := func() bool {
-		info, err := readyfile.Read(readyPath)
+		info, err := daemon.ReadInfo(readyPath)
 		if err != nil {
 			return false
 		}

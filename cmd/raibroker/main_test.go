@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"rai/internal/brokerd"
+	"rai/internal/daemon"
 	"rai/internal/netx"
 )
 
@@ -15,7 +16,9 @@ func TestDaemonServesAndShutsDown(t *testing.T) {
 	quit := make(chan struct{})
 	var out, errb bytes.Buffer
 	done := make(chan int, 1)
-	go func() { done <- run([]string{"-addr", "127.0.0.1:0"}, &out, &errb, ready, quit) }()
+	go func() {
+		done <- run([]string{"-addr", "127.0.0.1:0"}, &out, &errb, daemon.Hooks{Ready: ready, Quit: quit})
+	}()
 	var addr string
 	select {
 	case addr = <-ready:
@@ -59,10 +62,10 @@ func TestDaemonServesAndShutsDown(t *testing.T) {
 
 func TestBadFlags(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := run([]string{"-bogus"}, &out, &errb, nil, nil); code != 2 {
+	if code := run([]string{"-bogus"}, &out, &errb, daemon.Hooks{}); code != 2 {
 		t.Fatalf("bad flag exit = %d", code)
 	}
-	if code := run([]string{"-addr", "256.0.0.1:99999"}, &out, &errb, nil, nil); code != 1 {
+	if code := run([]string{"-addr", "256.0.0.1:99999"}, &out, &errb, daemon.Hooks{}); code != 1 {
 		t.Fatalf("bad addr exit = %d", code)
 	}
 }

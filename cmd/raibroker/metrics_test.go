@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"rai/internal/brokerd"
+	"rai/internal/daemon"
 	"rai/internal/netx"
 )
 
@@ -43,7 +44,7 @@ func TestMetricsAddrExposesBrokerTelemetry(t *testing.T) {
 	var out, errb bytes.Buffer
 	done := make(chan int, 1)
 	go func() {
-		done <- run([]string{"-addr", "127.0.0.1:0", "-metrics-addr", "127.0.0.1:0"}, &out, &errb, ready, quit)
+		done <- run([]string{"-addr", "127.0.0.1:0", "-metrics-addr", "127.0.0.1:0"}, &out, &errb, daemon.Hooks{Ready: ready, Quit: quit})
 	}()
 	defer func() {
 		close(quit)

@@ -16,22 +16,15 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"syscall"
 	"time"
 
 	"rai/internal/blobstore"
-	"rai/internal/brokerd"
-	"rai/internal/core"
+	"rai/internal/daemon"
 	"rai/internal/docstore"
 	"rai/internal/netx"
-	"rai/internal/readyfile"
 	"rai/internal/telemetry"
 )
-
-// version is stamped by the CI pipeline; kept in lockstep with cmd/rai.
-const version = "0.2.0-dev"
 
 // The journal is the blob journal/rai.journal of the disk store at
 // -store-root: the file <root>/journal/rai.journal, plus its .meta.
@@ -41,10 +34,10 @@ const (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, nil, nil))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, daemon.Hooks{}))
 }
 
-func run(args []string, stdout, stderr io.Writer, ready chan<- string, quit <-chan struct{}) int {
+func run(args []string, stdout, stderr io.Writer, hooks daemon.Hooks) int {
 	fs := flag.NewFlagSet("raidb", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:7402", "listen address (\":0\" picks a free port, reported on stdout and the ready file)")
@@ -59,54 +52,29 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, quit <-ch
 		return 2
 	}
 	if *showVersion {
-		fmt.Fprintln(stdout, telemetry.NewStamp("raidb", version))
+		fmt.Fprintln(stdout, telemetry.NewStamp("raidb"))
 		return 0
 	}
-	var handlerOpts []docstore.HandlerOption
-	var reg *telemetry.Registry
-	var metricsBound string
-	health := telemetry.NewHealth()
-	if *metricsAddr != "" {
-		reg = telemetry.NewRegistry()
-		telemetry.RegisterBuildInfo(reg, "raidb", version, nil)
-		telemetry.RegisterProcessMetrics(reg)
-		handlerOpts = append(handlerOpts, docstore.WithTelemetry(reg))
-		mounts := []func(*http.ServeMux){health.Mount}
-		if *pprofOn {
-			mounts = append(mounts, telemetry.MountPprof)
-		}
-		maddr, closeMetrics, err := reg.ServeMetrics(*metricsAddr, mounts...)
-		if err != nil {
-			fmt.Fprintf(stderr, "raidb: metrics listener: %v\n", err)
-			return 1
-		}
-		defer closeMetrics()
-		metricsBound = maddr
-		fmt.Fprintf(stdout, "raidb metrics on http://%s/metrics\n", maddr)
+	// Signals are live from here, so Ctrl-C also aborts a long journal
+	// replay, not only the serving loop.
+	d, err := daemon.Start(context.Background(), daemon.Config{Service: "raidb", MetricsAddr: *metricsAddr,
+		Pprof: *pprofOn, ReadyFile: *readyPath, Stdout: stdout, Stderr: stderr, Hooks: hooks})
+	if err != nil {
+		fmt.Fprintf(stderr, "raidb: %v\n", err)
+		return 1
 	}
+	defer d.Close()
 	// With a broker configured, finished spans (including the child spans
 	// opened for traced requests) and log events ship to the collector.
 	if *brokerAddr != "" {
-		queue, err := brokerd.NewQueue(context.Background(), *brokerAddr, netx.Policy{}, 0)
+		queue, err := d.Dial(*brokerAddr, netx.Policy{}, 0)
 		if err != nil {
 			fmt.Fprintf(stderr, "raidb: broker: %v\n", err)
 			return 1
 		}
-		defer queue.Close()
-		exp := telemetry.NewExporter(context.Background(), "raidb", core.ShipTelemetry(queue),
-			telemetry.WithExportMetrics(reg))
-		defer exp.Close()
-		tracer := telemetry.NewTracer(4096, telemetry.WithSpanSink(exp.ExportSpan),
-			telemetry.WithTracerInstance(telemetry.NewInstanceID("raidb")))
-		handlerOpts = append(handlerOpts, docstore.WithHandlerTracer(tracer))
-		logger := telemetry.NewLogger("raidb",
-			telemetry.WithLogWriter(stderr), telemetry.WithLogSink(exp.ExportEvent))
-		logger.Info(context.Background(), "database started", telemetry.L("addr", *addr))
+		d.Ship(queue)
+		d.Log.Info(d.Context(), "database started", telemetry.L("addr", *addr))
 	}
-	// Signals are live from here so Ctrl-C also aborts a long journal
-	// replay, not only the serving loop.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	// As in raifs: a configured root directory means a journal on disk,
 	// its absence memory only.
 	db := docstore.New()
@@ -117,12 +85,16 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, quit <-ch
 			return 1
 		}
 		defer be.Close()
-		if db, err = docstore.Open(ctx, be, journalBucket, journalKey); err != nil {
+		if db, err = docstore.Open(d.Context(), be, journalBucket, journalKey); err != nil {
 			fmt.Fprintf(stderr, "raidb: opening journal: %v\n", err)
 			return 1
 		}
 		defer db.Close()
 		fmt.Fprintf(stdout, "raidb journaling to %s\n", filepath.Join(*storeRoot, journalBucket, journalKey))
+	}
+	handlerOpts := []docstore.HandlerOption{docstore.WithHandlerTracer(d.Tracer)}
+	if d.Registry != nil {
+		handlerOpts = append(handlerOpts, docstore.WithTelemetry(d.Registry))
 	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -132,26 +104,16 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, quit <-ch
 	srv := &http.Server{Handler: docstore.Handler(db, nil, handlerOpts...)}
 	go func() { _ = srv.Serve(ln) }()
 	fmt.Fprintf(stdout, "raidb listening on %s\n", ln.Addr())
-	if *readyPath != "" {
-		info := readyfile.Info{Service: "raidb", PID: os.Getpid(), Addr: ln.Addr().String(), MetricsAddr: metricsBound}
-		if err := readyfile.Write(*readyPath, info); err != nil {
-			fmt.Fprintf(stderr, "raidb: %v\n", err)
-			return 1
-		}
+	if err := d.Ready(ln.Addr().String()); err != nil {
+		fmt.Fprintf(stderr, "raidb: %v\n", err)
+		_ = srv.Close()
+		return 1
 	}
-	if ready != nil {
-		ready <- ln.Addr().String()
-	}
-	health.SetReady(true)
-	select {
-	case <-quit: // nil when running as a real daemon: blocks forever
-	case <-ctx.Done():
-		fmt.Fprintln(stdout, "raidb shutting down")
-	}
+	<-d.Context().Done()
+	fmt.Fprintln(stdout, "raidb shutting down")
 	// Graceful drain: in-flight queries finish (and reach the journal)
-	// before the listener goes away. Readiness flips first so load
-	// balancers stop routing before the listener dies.
-	health.SetReady(false)
+	// before the listener goes away. Readiness has already dropped, so
+	// load balancers stop routing before the listener dies.
 	dctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := srv.Shutdown(dctx); err != nil {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"rai/internal/daemon"
 	"rai/internal/docstore"
 )
 
@@ -22,7 +23,7 @@ func bootStore(t *testing.T, root string) (addr string, stop func()) {
 	var out, errb bytes.Buffer
 	done := make(chan int, 1)
 	go func() {
-		done <- run([]string{"-addr", "127.0.0.1:0", "-store-root", root}, &out, &errb, ready, quit)
+		done <- run([]string{"-addr", "127.0.0.1:0", "-store-root", root}, &out, &errb, daemon.Hooks{Ready: ready, Quit: quit})
 	}()
 	select {
 	case addr = <-ready:
@@ -107,7 +108,9 @@ func TestServesDocuments(t *testing.T) {
 	quit := make(chan struct{})
 	var out, errb bytes.Buffer
 	done := make(chan int, 1)
-	go func() { done <- run([]string{"-addr", "127.0.0.1:0"}, &out, &errb, ready, quit) }()
+	go func() {
+		done <- run([]string{"-addr", "127.0.0.1:0"}, &out, &errb, daemon.Hooks{Ready: ready, Quit: quit})
+	}()
 	var addr string
 	select {
 	case addr = <-ready:

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"rai/internal/daemon"
 	"rai/internal/docstore"
 )
 
@@ -21,7 +22,7 @@ func TestMetricsAddrExposesDBTelemetry(t *testing.T) {
 	var out, errb bytes.Buffer
 	done := make(chan int, 1)
 	go func() {
-		done <- run([]string{"-addr", "127.0.0.1:0", "-metrics-addr", "127.0.0.1:0"}, &out, &errb, ready, quit)
+		done <- run([]string{"-addr", "127.0.0.1:0", "-metrics-addr", "127.0.0.1:0"}, &out, &errb, daemon.Hooks{Ready: ready, Quit: quit})
 	}()
 	defer func() {
 		close(quit)
@@ -65,5 +66,14 @@ func TestMetricsAddrExposesDBTelemetry(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("metrics missing %q:\n%s", want, body)
 		}
+	}
+	// /metrics lives on the metrics listener only, never on the data port.
+	resp2, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp2.Body.Close()
+	if resp2.StatusCode != http.StatusNotFound {
+		t.Errorf("data port /metrics = %d, want 404", resp2.StatusCode)
 	}
 }

@@ -13,37 +13,29 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
-	"rai/internal/brokerd"
-	"rai/internal/clock"
-	"syscall"
 	"time"
 
 	"rai/internal/auth"
 	"rai/internal/blobstore"
 	"rai/internal/cas"
-	"rai/internal/core"
+	"rai/internal/clock"
+	"rai/internal/daemon"
 	"rai/internal/netx"
 	"rai/internal/objstore"
-	"rai/internal/readyfile"
 	"rai/internal/telemetry"
 )
 
-// version is stamped by the CI pipeline; kept in lockstep with cmd/rai.
-const version = "0.2.0-dev"
-
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, nil, nil))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, daemon.Hooks{}))
 }
 
-func run(args []string, stdout, stderr io.Writer, ready chan<- string, quit <-chan struct{}) int {
+func run(args []string, stdout, stderr io.Writer, hooks daemon.Hooks) int {
 	fs := flag.NewFlagSet("raifs", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:7401", "listen address (\":0\" picks a free port, reported on stdout and the ready file)")
@@ -62,8 +54,26 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, quit <-ch
 		return 2
 	}
 	if *showVersion {
-		fmt.Fprintln(stdout, telemetry.NewStamp("raifs", version))
+		fmt.Fprintln(stdout, telemetry.NewStamp("raifs"))
 		return 0
+	}
+	d, err := daemon.Start(context.Background(), daemon.Config{Service: "raifs", MetricsAddr: *metricsAddr,
+		Pprof: *pprofOn, ReadyFile: *readyPath, Stdout: stdout, Stderr: stderr, Hooks: hooks})
+	if err != nil {
+		fmt.Fprintf(stderr, "raifs: %v\n", err)
+		return 1
+	}
+	defer d.Close()
+	// With a broker configured, finished spans (including the child spans
+	// opened for traced requests) and log events ship to the collector.
+	if *brokerAddr != "" {
+		queue, err := d.Dial(*brokerAddr, netx.Policy{}, 0)
+		if err != nil {
+			fmt.Fprintf(stderr, "raifs: broker: %v\n", err)
+			return 1
+		}
+		d.Ship(queue)
+		d.Log.Info(d.Context(), "file server started", telemetry.L("addr", *addr))
 	}
 	// A configured root directory means the disk backend, its absence
 	// memory.
@@ -100,53 +110,16 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, quit <-ch
 	store := objstore.NewWithBackend(be)
 	var authFn objstore.AuthFunc
 	if *keysPath != "" {
-		reg, err := loadKeys(*keysPath)
+		reg, err := auth.ReadKeys(*keysPath)
 		if err != nil {
 			fmt.Fprintf(stderr, "raifs: %v\n", err)
 			return 1
 		}
 		authFn = objstore.AuthFunc(reg.HTTPAuth())
 	}
-	var handlerOpts []objstore.HandlerOption
-	var reg *telemetry.Registry
-	var metricsBound string
-	health := telemetry.NewHealth()
-	if *metricsAddr != "" {
-		reg = telemetry.NewRegistry()
-		telemetry.RegisterBuildInfo(reg, "raifs", version, nil)
-		telemetry.RegisterProcessMetrics(reg)
-		handlerOpts = append(handlerOpts, objstore.WithTelemetry(reg))
-		mounts := []func(*http.ServeMux){health.Mount}
-		if *pprofOn {
-			mounts = append(mounts, telemetry.MountPprof)
-		}
-		maddr, closeMetrics, err := reg.ServeMetrics(*metricsAddr, mounts...)
-		if err != nil {
-			fmt.Fprintf(stderr, "raifs: metrics listener: %v\n", err)
-			return 1
-		}
-		defer closeMetrics()
-		metricsBound = maddr
-		fmt.Fprintf(stdout, "raifs metrics on http://%s/metrics\n", maddr)
-	}
-	// With a broker configured, finished spans (including the child spans
-	// opened for traced requests) and log events ship to the collector.
-	if *brokerAddr != "" {
-		queue, err := brokerd.NewQueue(context.Background(), *brokerAddr, netx.Policy{}, 0)
-		if err != nil {
-			fmt.Fprintf(stderr, "raifs: broker: %v\n", err)
-			return 1
-		}
-		defer queue.Close()
-		exp := telemetry.NewExporter(context.Background(), "raifs", core.ShipTelemetry(queue),
-			telemetry.WithExportMetrics(reg))
-		defer exp.Close()
-		tracer := telemetry.NewTracer(4096, telemetry.WithSpanSink(exp.ExportSpan),
-			telemetry.WithTracerInstance(telemetry.NewInstanceID("raifs")))
-		handlerOpts = append(handlerOpts, objstore.WithHandlerTracer(tracer))
-		logger := telemetry.NewLogger("raifs",
-			telemetry.WithLogWriter(stderr), telemetry.WithLogSink(exp.ExportEvent))
-		logger.Info(context.Background(), "file server started", telemetry.L("addr", *addr))
+	handlerOpts := []objstore.HandlerOption{objstore.WithHandlerTracer(d.Tracer)}
+	if d.Registry != nil {
+		handlerOpts = append(handlerOpts, objstore.WithTelemetry(d.Registry))
 	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -156,67 +129,35 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, quit <-ch
 	srv := &http.Server{Handler: objstore.Handler(store, authFn, handlerOpts...)}
 	go func() { _ = srv.Serve(ln) }()
 	fmt.Fprintf(stdout, "raifs listening on %s\n", ln.Addr())
-	if *readyPath != "" {
-		info := readyfile.Info{Service: "raifs", PID: os.Getpid(), Addr: ln.Addr().String(), MetricsAddr: metricsBound}
-		if err := readyfile.Write(*readyPath, info); err != nil {
-			fmt.Fprintf(stderr, "raifs: %v\n", err)
-			return 1
-		}
+	if err := d.Ready(ln.Addr().String()); err != nil {
+		fmt.Fprintf(stderr, "raifs: %v\n", err)
+		_ = srv.Close()
+		return 1
 	}
-	if ready != nil {
-		ready <- ln.Addr().String()
-	}
-	health.SetReady(true)
 	// Periodic expired-object sweep, active however the daemon was
 	// started (it used to run only in the signal path, so test-driven
 	// daemons never swept).
-	sweepCtx, stopSweep := context.WithCancel(context.Background())
-	defer stopSweep()
 	go func() {
 		clk := clock.Real{}
 		for {
 			select {
 			case <-clk.After(time.Hour):
-				_, _ = store.Sweep(sweepCtx)
-			case <-sweepCtx.Done():
+				_, _ = store.Sweep(d.Context())
+			case <-d.Context().Done():
 				return
 			}
 		}
 	}()
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case <-quit: // nil when running as a real daemon: blocks forever
-	case <-ctx.Done():
-		fmt.Fprintln(stdout, "raifs shutting down")
-	}
+	<-d.Context().Done()
+	fmt.Fprintln(stdout, "raifs shutting down")
 	// Graceful drain: stop accepting, finish in-flight uploads and
 	// downloads within the budget, then cut whatever is left. Readiness
-	// flips first so load balancers stop routing before the listener dies.
-	health.SetReady(false)
+	// has already dropped, so load balancers stop routing before the
+	// listener dies.
 	dctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := srv.Shutdown(dctx); err != nil {
 		_ = srv.Close()
 	}
 	return 0
-}
-
-// loadKeys reads a keygen-produced credentials file into a registry.
-func loadKeys(path string) (*auth.Registry, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var creds []auth.Credentials
-	if err := json.Unmarshal(data, &creds); err != nil {
-		return nil, fmt.Errorf("parsing %s: %w", path, err)
-	}
-	reg := auth.NewRegistry()
-	for _, c := range creds {
-		if err := reg.Register(c); err != nil {
-			return nil, err
-		}
-	}
-	return reg, nil
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"rai/internal/auth"
+	"rai/internal/daemon"
 	"rai/internal/objstore"
 )
 
@@ -20,7 +21,9 @@ func startDaemon(t *testing.T, args ...string) string {
 	quit := make(chan struct{})
 	var out, errb bytes.Buffer
 	done := make(chan int, 1)
-	go func() { done <- run(append([]string{"-addr", "127.0.0.1:0"}, args...), &out, &errb, ready, quit) }()
+	go func() {
+		done <- run(append([]string{"-addr", "127.0.0.1:0"}, args...), &out, &errb, daemon.Hooks{Ready: ready, Quit: quit})
+	}()
 	var addr string
 	select {
 	case addr = <-ready:
@@ -94,7 +97,7 @@ func TestDiskDurabilityAcrossRestart(t *testing.T) {
 
 func TestBadKeysFile(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := run([]string{"-addr", "127.0.0.1:0", "-keys", "/nope.json"}, &out, &errb, nil, nil); code != 1 {
+	if code := run([]string{"-addr", "127.0.0.1:0", "-keys", "/nope.json"}, &out, &errb, daemon.Hooks{}); code != 1 {
 		t.Fatalf("exit = %d", code)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"rai/internal/daemon"
 	"rai/internal/objstore"
 )
 
@@ -20,7 +21,7 @@ func TestMetricsAddrExposesStoreTelemetry(t *testing.T) {
 	var out, errb bytes.Buffer
 	done := make(chan int, 1)
 	go func() {
-		done <- run([]string{"-addr", "127.0.0.1:0", "-metrics-addr", "127.0.0.1:0"}, &out, &errb, ready, quit)
+		done <- run([]string{"-addr", "127.0.0.1:0", "-metrics-addr", "127.0.0.1:0"}, &out, &errb, daemon.Hooks{Ready: ready, Quit: quit})
 	}()
 	defer func() {
 		close(quit)
@@ -66,42 +67,13 @@ func TestMetricsAddrExposesStoreTelemetry(t *testing.T) {
 		}
 	}
 
-	// The dedicated endpoint also serves /metrics on the store itself.
+	// /metrics lives on the metrics listener only, never on the data port.
 	resp2, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Errorf("store /metrics = %d, want 200 when telemetry is on", resp2.StatusCode)
-	}
-}
-
-func TestMetricsDisabledByDefault(t *testing.T) {
-	ready := make(chan string, 1)
-	quit := make(chan struct{})
-	var out, errb bytes.Buffer
-	done := make(chan int, 1)
-	go func() { done <- run([]string{"-addr", "127.0.0.1:0"}, &out, &errb, ready, quit) }()
-	defer func() {
-		close(quit)
-		<-done
-	}()
-	var addr string
-	select {
-	case addr = <-ready:
-	case <-time.After(5 * time.Second):
-		t.Fatalf("daemon never ready: %s", errb.String())
-	}
-	resp, err := http.Get("http://" + addr + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		t.Error("GET /metrics succeeded without -metrics-addr; want disabled")
-	}
-	if strings.Contains(out.String(), "metrics on") {
-		t.Errorf("daemon announced metrics without the flag:\n%s", out.String())
+	if resp2.StatusCode != http.StatusNotFound {
+		t.Errorf("data port /metrics = %d, want 404", resp2.StatusCode)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"rai/internal/brokerd"
 	"rai/internal/cnn"
 	"rai/internal/core"
+	"rai/internal/daemon"
 	"rai/internal/docstore"
 	"rai/internal/netx"
 	"rai/internal/objstore"
@@ -48,7 +49,7 @@ func TestWorkerDaemonProcessesJobs(t *testing.T) {
 	blob, _ := json.Marshal([]auth.Credentials{creds})
 	os.WriteFile(keysPath, blob, 0o600)
 
-	ready := make(chan struct{})
+	ready := make(chan string, 1)
 	quit := make(chan struct{})
 	var out, errb bytes.Buffer
 	done := make(chan int, 1)
@@ -61,7 +62,7 @@ func TestWorkerDaemonProcessesJobs(t *testing.T) {
 			"-id", "daemon-worker",
 			"-rate-limit", "1ns",
 			"-full-images", "12",
-		}, &out, &errb, ready, quit)
+		}, &out, &errb, daemon.Hooks{Ready: ready, Quit: quit})
 	}()
 	select {
 	case <-ready:
@@ -113,10 +114,10 @@ func TestWorkerDaemonProcessesJobs(t *testing.T) {
 
 func TestWorkerRequiresKeys(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := run(nil, &out, &errb, nil, nil); code != 2 {
+	if code := run(nil, &out, &errb, daemon.Hooks{}); code != 2 {
 		t.Fatalf("exit = %d", code)
 	}
-	if code := run([]string{"-keys", "/nope.json"}, &out, &errb, nil, nil); code != 1 {
+	if code := run([]string{"-keys", "/nope.json"}, &out, &errb, daemon.Hooks{}); code != 1 {
 		t.Fatalf("missing keys file exit = %d", code)
 	}
 }

@@ -3,11 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"io"
-	"net"
 	"net/http"
-	"os"
+	"net/http/httptest"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -17,46 +15,51 @@ import (
 	"rai/internal/auth"
 	"rai/internal/broker"
 	"rai/internal/brokerd"
+	"rai/internal/daemon"
+	"rai/internal/daemon/daemontest"
 	"rai/internal/docstore"
 	"rai/internal/objstore"
 )
 
 var metricsLine = regexp.MustCompile(`metrics on (http://[^/\s]+/metrics)`)
 
-func TestMetricsAddrExposesWorkerTelemetry(t *testing.T) {
+// services starts a broker, a file server and a database on loopback
+// and a keys file, and returns the flags that point a worker at them.
+func services(t *testing.T) []string {
+	t.Helper()
 	b := broker.New()
 	brokerSrv, err := brokerd.NewServer(context.Background(), b, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { brokerSrv.Close(); b.Close() }()
-	fsLn, _ := net.Listen("tcp", "127.0.0.1:0")
-	fsSrv := &http.Server{Handler: objstore.Handler(objstore.New(), nil)}
-	go fsSrv.Serve(fsLn)
-	defer fsSrv.Close()
-	dbLn, _ := net.Listen("tcp", "127.0.0.1:0")
-	dbSrv := &http.Server{Handler: docstore.Handler(docstore.New(), nil)}
-	go dbSrv.Serve(dbLn)
-	defer dbSrv.Close()
-
-	creds := auth.NewCredentials("metrics-team")
+	t.Cleanup(func() { brokerSrv.Close(); b.Close() })
+	fsSrv := httptest.NewServer(objstore.Handler(objstore.New(), nil))
+	t.Cleanup(fsSrv.Close)
+	dbSrv := httptest.NewServer(docstore.Handler(docstore.New(), nil))
+	t.Cleanup(dbSrv.Close)
 	keysPath := filepath.Join(t.TempDir(), "keys.json")
-	blob, _ := json.Marshal([]auth.Credentials{creds})
-	os.WriteFile(keysPath, blob, 0o600)
+	reg := auth.NewRegistry()
+	if _, err := reg.Issue("metrics-team"); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.WriteKeys(keysPath); err != nil {
+		t.Fatal(err)
+	}
+	return []string{"-broker", brokerSrv.Addr(), "-fs", fsSrv.URL, "-db", dbSrv.URL, "-keys", keysPath, "-full-images", "12"}
+}
 
-	ready := make(chan struct{})
+func TestLifecycle(t *testing.T) {
+	daemontest.Check(t, daemontest.Case{Service: "raiworker", Run: run, Args: services(t)})
+}
+
+func TestMetricsAddrExposesWorkerTelemetry(t *testing.T) {
+	args := append(services(t), "-metrics-addr", "127.0.0.1:0")
+	ready := make(chan string, 1)
 	quit := make(chan struct{})
 	var out, errb bytes.Buffer
 	done := make(chan int, 1)
 	go func() {
-		done <- run([]string{
-			"-broker", brokerSrv.Addr(),
-			"-fs", "http://" + fsLn.Addr().String(),
-			"-db", "http://" + dbLn.Addr().String(),
-			"-keys", keysPath,
-			"-full-images", "12",
-			"-metrics-addr", "127.0.0.1:0",
-		}, &out, &errb, ready, quit)
+		done <- run(args, &out, &errb, daemon.Hooks{Ready: ready, Quit: quit})
 	}()
 	defer func() {
 		close(quit)

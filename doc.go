@@ -20,6 +20,3 @@
 // every table and figure are in bench_test.go at the repository root.
 // See README.md, DESIGN.md, and EXPERIMENTS.md.
 package rai
-
-// Version identifies this reproduction release.
-const Version = "0.2.0"

@@ -63,7 +63,7 @@ func newTracedStack(t *testing.T) *tracedStack {
 			s.mu.Unlock()
 			exp.ExportSpan(d)
 		}
-		return telemetry.NewTracer(1024, telemetry.WithSpanSink(sink), telemetry.WithTracerInstance(service))
+		return telemetry.NewTracer(telemetry.WithSpanSink(sink), telemetry.WithTracerInstance(service))
 	}
 
 	objSrv := httptest.NewServer(objstore.Handler(objstore.New(), nil, objstore.WithHandlerTracer(newTracer("raifs"))))

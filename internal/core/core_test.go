@@ -337,13 +337,13 @@ func TestRateLimitLookupIsTraced(t *testing.T) {
 	})
 	e := newEnv(t)
 	srv := httptest.NewServer(docstore.Handler(e.db, nil,
-		docstore.WithHandlerTracer(telemetry.NewTracer(64, record, telemetry.WithTracerInstance("raidb")))))
+		docstore.WithHandlerTracer(telemetry.NewTracer(record, telemetry.WithTracerInstance("raidb")))))
 	defer srv.Close()
 	e.worker.DB = docstore.NewClient(srv.URL)
 	e.worker.Cfg.RateLimit = 30 * time.Second
-	e.worker.Tracer = telemetry.NewTracer(64, record, telemetry.WithTracerInstance("worker"))
+	e.worker.Tracer = telemetry.NewTracer(record, telemetry.WithTracerInstance("worker"))
 	c := e.client(t, "team-traced")
-	c.Tracer = telemetry.NewTracer(64)
+	c.Tracer = telemetry.NewTracer()
 	proj := newProject(t, project.Spec{Impl: cnn.ImplIm2col})
 	res, err := submitAndHandle(t, e, c, KindRun, build.Default(), proj)
 	if err != nil || res.Status != StatusSucceeded {

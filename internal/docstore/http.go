@@ -58,8 +58,8 @@ type rpcResponse struct {
 type HandlerOption func(*handlerState)
 
 // WithTelemetry instruments the handler on reg — request counters and
-// latency histograms labeled by verb plus an in-flight gauge — and
-// mounts GET /metrics.
+// latency histograms labeled by verb plus an in-flight gauge. The
+// daemon serves reg on its own metrics listener, not on this handler.
 func WithTelemetry(reg *telemetry.Registry) HandlerOption {
 	return func(h *handlerState) {
 		h.reg = reg
@@ -111,9 +111,6 @@ func Handler(db Store, auth AuthFunc, opts ...HandlerOption) http.Handler {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	if h.reg != nil {
-		mux.Handle("/metrics", h.reg.Handler())
-	}
 	rpc := func(w http.ResponseWriter, r *http.Request) {
 		start := clock.Real{}.Now()
 		h.inFlight.Add(1)

@@ -1,6 +1,7 @@
 package docstore
 
 import (
+	"bytes"
 	"net/http/httptest"
 	"testing"
 
@@ -23,12 +24,13 @@ func TestHandlerMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := srv.Client().Get(srv.URL + "/metrics")
-	if err != nil {
+	// The registry is served by the daemon's metrics listener, not by
+	// the handler: read it directly.
+	var exposition bytes.Buffer
+	if err := reg.WritePrometheus(&exposition); err != nil {
 		t.Fatal(err)
 	}
-	defer res.Body.Close()
-	snap, err := telemetry.ParseText(res.Body)
+	snap, err := telemetry.ParseText(&exposition)
 	if err != nil {
 		t.Fatal(err)
 	}

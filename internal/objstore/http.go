@@ -45,7 +45,6 @@ const MaxObjectBytes = 2 << 30
 //	POST   /cas/chunks         framed, hash-verified chunk upload (cas.go)
 //	POST   /cas/fetch          the named chunks as one framed stream (cas.go)
 //	GET    /healthz            liveness
-//	GET    /metrics            Prometheus exposition (with WithTelemetry)
 func Handler(s *Store, auth AuthFunc, opts ...HandlerOption) http.Handler {
 	h := &handlerState{maxBytes: MaxObjectBytes}
 	for _, o := range opts {
@@ -59,9 +58,6 @@ func Handler(s *Store, auth AuthFunc, opts ...HandlerOption) http.Handler {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	if h.reg != nil {
-		mux.Handle("/metrics", h.reg.Handler())
-	}
 	mux.HandleFunc("/o/", h.instrument(objOp, func(w http.ResponseWriter, r *http.Request) {
 		if auth != nil && !auth(r.Header.Get(HeaderAccessKey), r.Header.Get(HeaderSignature), r) {
 			http.Error(w, "forbidden", http.StatusForbidden)
@@ -183,7 +179,8 @@ type HandlerOption func(*handlerState)
 
 // WithTelemetry instruments the handler on reg — request counters and
 // latency histograms labeled by op, transfer byte counters, an
-// in-flight gauge, and a resident-bytes gauge — and mounts GET /metrics.
+// in-flight gauge, and a resident-bytes gauge. The daemon serves reg
+// on its own metrics listener, not on this handler.
 func WithTelemetry(reg *telemetry.Registry) HandlerOption {
 	return func(h *handlerState) {
 		h.reg = reg

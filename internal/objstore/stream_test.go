@@ -84,12 +84,13 @@ func TestHTTPStreamCounters(t *testing.T) {
 		t.Errorf("content length = %d, want %d", size, len(payload))
 	}
 
-	res, err := srv.Client().Get(srv.URL + "/metrics")
-	if err != nil {
+	// The registry is served by the daemon's metrics listener, not by
+	// the handler: read it directly.
+	var exposition bytes.Buffer
+	if err := reg.WritePrometheus(&exposition); err != nil {
 		t.Fatal(err)
 	}
-	defer res.Body.Close()
-	snap, err := telemetry.ParseText(res.Body)
+	snap, err := telemetry.ParseText(&exposition)
 	if err != nil {
 		t.Fatal(err)
 	}

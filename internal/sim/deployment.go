@@ -48,12 +48,12 @@ type Deployment struct {
 	DataFS  *vfs.FS
 	Queue   broker.Queue
 	Objects core.Objects
-	// Telemetry aggregates metrics from every component; Tracer holds
-	// the per-job span trees. Both run on the deployment's virtual
-	// clock, so simulated queue delays land in the histograms exactly
-	// as the paper's Figure 4 measured them.
+	// Telemetry aggregates metrics from every component on the
+	// deployment's virtual clock, so simulated queue delays land in the
+	// histograms exactly as the paper's Figure 4 measured them. Nothing
+	// traces by default; a test that reads spans gives the client and
+	// workers a tracer with a sink.
 	Telemetry *telemetry.Registry
-	Tracer    *telemetry.Tracer
 
 	workers []*core.Worker
 	ids     io.Reader // job IDs and keys, drawn from the seed
@@ -103,7 +103,6 @@ func NewDeployment(cfg DeployConfig) (*Deployment, error) {
 		Auth:      auth.NewRegistry(),
 		Images:    registry.NewCourseRegistry(),
 		Telemetry: reg,
-		Tracer:    telemetry.NewTracer(4096, telemetry.WithTracerClock(vc)),
 		ids:       &seededReader{r: rand.New(rand.NewSource(int64(cfg.Seed)))},
 	}
 	d.Broker.ExportQueueDepth(core.TasksTopic, core.TasksChannel)
@@ -134,7 +133,6 @@ func NewDeployment(cfg DeployConfig) (*Deployment, error) {
 			DataPath:  "/data",
 			Clock:     vc,
 			Telemetry: reg,
-			Tracer:    d.Tracer,
 		}
 		d.workers = append(d.workers, w)
 	}
@@ -169,8 +167,8 @@ func (d *Deployment) NewClient(team string, out io.Writer) (*core.Client, error)
 	return &core.Client{
 		Creds: creds, Queue: d.Queue, Objects: d.Objects,
 		Clock: d.Clock, Stdout: out,
-		Telemetry: d.Telemetry, Tracer: d.Tracer,
-		IDs: d.ids,
+		Telemetry: d.Telemetry,
+		IDs:       d.ids,
 	}, nil
 }
 

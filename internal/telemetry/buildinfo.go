@@ -9,6 +9,10 @@ import (
 	"rai/internal/clock"
 )
 
+// Version is the release of every binary in this module: what each
+// one's -version stamp prints and its rai_build_info exposes.
+const Version = "0.2.0-dev"
+
 // Stamp identifies exactly what build of a daemon produced a metric. It
 // is what `-version` prints and what rai_build_info exposes, so a
 // number can be traced back to the commit that produced it.
@@ -19,13 +23,14 @@ type Stamp struct {
 	VCSRef    string `json:"vcs_ref"`
 }
 
-// NewStamp builds a Stamp for the running binary. The VCS ref comes
+// NewStamp builds a Stamp for the running binary at Version. The VCS
+// ref comes
 // from the vcs.revision/vcs.modified build settings that the go tool
 // embeds when building inside a repository; outside one it is "unknown".
-func NewStamp(service, version string) Stamp {
+func NewStamp(service string) Stamp {
 	s := Stamp{
 		Service:   service,
-		Version:   version,
+		Version:   Version,
 		GoVersion: runtime.Version(),
 		VCSRef:    "unknown",
 	}
@@ -66,16 +71,8 @@ func (s Stamp) String() string {
 // The build-info value is always 1 — the information is in the labels,
 // following the Prometheus *_info convention — and the start time lets
 // raiadmin top derive uptime from a plain scrape.
-//
-// clk supplies the start timestamp; nil uses the wall clock.
-func RegisterBuildInfo(r *Registry, service, version string, clk clock.Clock) {
-	if r == nil {
-		return
-	}
-	if clk == nil {
-		clk = clock.Real{}
-	}
-	stamp := NewStamp(service, version)
+func RegisterBuildInfo(r *Registry, service string) {
+	stamp := NewStamp(service)
 	r.Gauge("rai_build_info",
 		"build identity of the process; value is always 1",
 		L("service", stamp.Service),
@@ -83,7 +80,7 @@ func RegisterBuildInfo(r *Registry, service, version string, clk clock.Clock) {
 		L("goversion", stamp.GoVersion),
 		L("vcsref", stamp.VCSRef),
 	).Set(1)
-	start := float64(clk.Now().UnixNano()) / float64(time.Second)
+	start := float64(clock.Real{}.Now().UnixNano()) / float64(time.Second)
 	r.Gauge("rai_process_start_time_seconds",
 		"unix time the process registered its metrics, in seconds").Set(start)
 }

@@ -104,8 +104,8 @@ func (r *Registry) Handler() http.Handler {
 
 // ServeMetrics binds addr and serves the registry at GET /metrics in
 // the background — the implementation behind the daemons' -metrics-addr
-// flag. Extra mounts (e.g. MountPprof behind the -pprof flag) are
-// applied to the same debug mux. It returns the bound address (useful
+// flag. Extra mounts (health probes, pprof behind -pprof) are applied
+// to the same debug mux. It returns the bound address (useful
 // with ":0" in tests) and a close func. Daemons with telemetry disabled
 // simply never call it.
 func (r *Registry) ServeMetrics(addr string, mounts ...func(*http.ServeMux)) (string, func() error, error) {

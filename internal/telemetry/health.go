@@ -40,24 +40,13 @@ func (h *Health) Ready() bool {
 
 // Mount registers GET /healthz (200 while the process runs — liveness
 // is the ability to answer at all) and GET /readyz (200 "ready" or
-// 503 "draining") on mux. Pass it into Registry.ServeMetrics alongside
-// MountPprof.
+// 503 "draining") on mux; any other method is answered 405.
 func (h *Health) Mount(mux *http.ServeMux) {
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet && req.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET, HEAD")
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		_, _ = w.Write([]byte("ok\n"))
 	})
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet && req.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET, HEAD")
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
+	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		if !h.Ready() {
 			w.WriteHeader(http.StatusServiceUnavailable)

@@ -18,9 +18,6 @@ import (
 // All four are GaugeFuncs, so each scrape reads the live value; nothing
 // ticks in the background and there is no goroutine to shut down.
 func RegisterProcessMetrics(r *Registry) {
-	if r == nil {
-		return
-	}
 	r.GaugeFunc("rai_process_goroutines",
 		"number of live goroutines",
 		func() float64 { return float64(runtime.NumGoroutine()) })

@@ -3,8 +3,6 @@ package telemetry
 import (
 	"crypto/rand"
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,18 +13,14 @@ import (
 // Tracer records lightweight spans. Trace and span IDs are plain
 // strings so they can ride inside job messages; a worker on another
 // machine continues a trace with StartSpan using the IDs the client
-// put in the JobRequest. Finished spans land in a fixed-capacity ring,
-// oldest evicted first. A nil *Tracer is valid and records nothing.
+// put in the JobRequest. A finished span goes to the sink and nowhere
+// else: the tracer keeps none. A nil *Tracer is valid and records
+// nothing.
 type Tracer struct {
 	clk      clock.Clock
 	ids      atomic.Uint64
 	instance string
 	sink     func(SpanData)
-
-	mu       sync.Mutex
-	finished []SpanData // ring
-	next     int
-	full     bool
 }
 
 // TracerOption configures a Tracer.
@@ -61,21 +55,18 @@ func NewInstanceID(service string) string {
 	return fmt.Sprintf("%s-%x", service, b)
 }
 
-// WithSpanSink hands every finished span to fn in addition to the local
-// ring — the hook the batch exporter plugs into so spans reach the
-// collector. fn must not block; Exporter.ExportSpan is non-blocking by
-// construction.
+// WithSpanSink hands every finished span to fn — the hook the batch
+// exporter plugs into so spans reach the collector, and the one tests
+// record through. fn must not block; Exporter.ExportSpan is
+// non-blocking by construction.
 func WithSpanSink(fn func(SpanData)) TracerOption {
 	return func(t *Tracer) { t.sink = fn }
 }
 
-// NewTracer returns a tracer retaining up to capacity finished spans
-// (minimum 1; a typical deployment keeps a few thousand).
-func NewTracer(capacity int, opts ...TracerOption) *Tracer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	t := &Tracer{clk: clock.Real{}, finished: make([]SpanData, 0, capacity)}
+// NewTracer returns a tracer on the wall clock unless opts say
+// otherwise.
+func NewTracer(opts ...TracerOption) *Tracer {
+	t := &Tracer{clk: clock.Real{}}
 	for _, o := range opts {
 		o(t)
 	}
@@ -186,8 +177,8 @@ func (s *Span) SpanID() string {
 	return s.data.SpanID
 }
 
-// End stamps the span and commits it to the tracer's ring. Ending a
-// span twice records it twice; don't.
+// End stamps the span and hands it to the tracer's sink. Ending a span
+// twice records it twice; don't.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -207,41 +198,9 @@ func (s *Span) End() {
 }
 
 func (t *Tracer) commit(d SpanData) {
-	t.mu.Lock()
-	if len(t.finished) < cap(t.finished) {
-		t.finished = append(t.finished, d)
-	} else {
-		t.finished[t.next] = d
-		t.next = (t.next + 1) % len(t.finished)
-		t.full = true
-	}
-	t.mu.Unlock()
 	if t.sink != nil {
 		t.sink(d)
 	}
-}
-
-// Trace returns the finished spans of one trace, ordered by start time
-// (root first on ties with its children).
-func (t *Tracer) Trace(traceID string) []SpanData {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	var out []SpanData
-	for _, d := range t.finished {
-		if d.TraceID == traceID {
-			out = append(out, d)
-		}
-	}
-	t.mu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool {
-		if !out[i].Start.Equal(out[j].Start) {
-			return out[i].Start.Before(out[j].Start)
-		}
-		return out[i].ParentID == "" && out[j].ParentID != ""
-	})
-	return out
 }
 
 // Connected reports whether every non-root span's parent is present in
@@ -266,34 +225,4 @@ func Connected(spans []SpanData) bool {
 		}
 	}
 	return roots == 1
-}
-
-// FormatTree renders spans as an indented tree with durations, for
-// logs and the admin tooling.
-func FormatTree(spans []SpanData) string {
-	children := map[string][]SpanData{}
-	byID := map[string]SpanData{}
-	for _, d := range spans {
-		byID[d.SpanID] = d
-	}
-	var roots []SpanData
-	for _, d := range spans {
-		if d.ParentID == "" || byID[d.ParentID].SpanID == "" {
-			roots = append(roots, d)
-			continue
-		}
-		children[d.ParentID] = append(children[d.ParentID], d)
-	}
-	var b strings.Builder
-	var walk func(d SpanData, depth int)
-	walk = func(d SpanData, depth int) {
-		fmt.Fprintf(&b, "%s%s (%s)\n", strings.Repeat("  ", depth), d.Name, d.Duration())
-		for _, c := range children[d.SpanID] {
-			walk(c, depth+1)
-		}
-	}
-	for _, r := range roots {
-		walk(r, 0)
-	}
-	return b.String()
 }
