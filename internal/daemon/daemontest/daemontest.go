@@ -31,9 +31,15 @@ type Case struct {
 
 const wait = 20 * time.Second // per step; the worker builds its data volume first
 
-// Check runs c through -version, then serves it with -metrics-addr
-// :0 and a ready file, and stops it through the Quit hook.
+// Check runs c through Version, then Serve.
 func Check(t *testing.T, c Case) {
+	t.Helper()
+	Version(t, c)
+	Serve(t, c)
+}
+
+// Version checks that -version prints c's stamp and exits 0.
+func Version(t *testing.T, c Case) {
 	t.Helper()
 	stamp := c.Stamp
 	if stamp == "" {
@@ -46,7 +52,13 @@ func Check(t *testing.T, c Case) {
 	if want := telemetry.NewStamp(stamp).String() + "\n"; vout.String() != want {
 		t.Errorf("-version printed %q, want %q", vout.String(), want)
 	}
+}
 
+// Serve serves c with -metrics-addr :0 and a ready file, checks the
+// ready file, rai_build_info and /readyz, and stops it through the
+// Quit hook.
+func Serve(t *testing.T, c Case) {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), c.Service+".ready")
 	ready := make(chan string, 1)
 	quit := make(chan struct{})
