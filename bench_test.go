@@ -359,7 +359,7 @@ func BenchmarkEphemeralTopicChurn(b *testing.B) {
 			sub.Ack(bg, m)
 		}
 		sub.Close()
-		if q.HasTopic(topic) {
+		if len(q.Stats()) != 0 {
 			b.Fatal("topic leaked")
 		}
 	}
@@ -794,7 +794,7 @@ func BenchmarkCollectorPersist(b *testing.B) {
 }
 
 func benchCollectorPersist(b *testing.B, db *docstore.DB) {
-	srv := httptest.NewServer(docstore.Handler(db, nil))
+	srv := httptest.NewServer(docstore.Handler(db))
 	defer srv.Close()
 	t0 := time.Date(2016, 11, 28, 9, 0, 0, 0, time.UTC)
 	batch := func(trace int) *collector.Batch {

@@ -46,7 +46,7 @@ func services(t *testing.T) (brokerAddr, fsURL, dbURL string, creds auth.Credent
 
 	db := docstore.New()
 	dbLn, _ := net.Listen("tcp", "127.0.0.1:0")
-	dbSrv := &http.Server{Handler: docstore.Handler(db, nil)}
+	dbSrv := &http.Server{Handler: docstore.Handler(db)}
 	go dbSrv.Serve(dbLn)
 	t.Cleanup(func() { dbSrv.Close() })
 

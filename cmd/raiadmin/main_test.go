@@ -119,7 +119,7 @@ func adminServices(t *testing.T) (brokerAddr, fsURL, dbURL, keysPath string) {
 
 	db := docstore.New()
 	dbLn, _ := net.Listen("tcp", "127.0.0.1:0")
-	dbSrv := &http.Server{Handler: docstore.Handler(db, nil)}
+	dbSrv := &http.Server{Handler: docstore.Handler(db)}
 	go dbSrv.Serve(dbLn)
 	t.Cleanup(func() { dbSrv.Close() })
 

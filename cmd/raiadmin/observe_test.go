@@ -35,7 +35,7 @@ func insertEvent(t *testing.T, db *docstore.Client, jobID, msg string, tsS float
 }
 
 func TestLogsPrintsEvents(t *testing.T) {
-	srv := httptest.NewServer(docstore.Handler(docstore.New(), nil))
+	srv := httptest.NewServer(docstore.Handler(docstore.New()))
 	defer srv.Close()
 	db := docstore.NewClient(srv.URL)
 	insertEvent(t, db, "job-1", "container started", 100)
@@ -77,7 +77,7 @@ func (l *lockedBuffer) String() string {
 // the command's first print can find; then it interrupts the command
 // and expects a clean exit.
 func TestLogsFollowPolls(t *testing.T) {
-	srv := httptest.NewServer(docstore.Handler(docstore.New(), nil))
+	srv := httptest.NewServer(docstore.Handler(docstore.New()))
 	defer srv.Close()
 	url, db, interval := srv.URL, docstore.NewClient(srv.URL), "10ms"
 	ctx, cancel := context.WithCancel(context.Background())
@@ -119,7 +119,7 @@ func TestCollectLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer brokerSrv.Close()
-	dbSrv := httptest.NewServer(docstore.Handler(docstore.New(), nil))
+	dbSrv := httptest.NewServer(docstore.Handler(docstore.New()))
 	defer dbSrv.Close()
 	daemontest.Check(t, daemontest.Case{
 		Service: "raiadmin-collect",
@@ -146,7 +146,7 @@ func TestCollectExportsSLOGauges(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer brokerSrv.Close()
-	dbSrv := httptest.NewServer(docstore.Handler(docstore.New(), nil))
+	dbSrv := httptest.NewServer(docstore.Handler(docstore.New()))
 	defer dbSrv.Close()
 	// A deployment failing half its jobs, and still at it: the engine
 	// judges growth between scrapes, so the counters must move.
@@ -222,7 +222,7 @@ func insertSpan(t *testing.T, db *docstore.Client, traceID, spanID, parentID, na
 func TestTraceSlowest(t *testing.T) {
 	// -slowest renders the trace whose root lasted longest (tr-slow at
 	// 4.2 s), not the one with the longest child or the latest insert.
-	dsrv := httptest.NewServer(docstore.Handler(docstore.New(), nil))
+	dsrv := httptest.NewServer(docstore.Handler(docstore.New()))
 	defer dsrv.Close()
 	db := docstore.NewClient(dsrv.URL)
 	t0 := time.Date(2017, 5, 1, 12, 0, 0, 0, time.UTC)
@@ -243,7 +243,7 @@ func TestTraceSlowest(t *testing.T) {
 		}
 	}
 
-	empty := httptest.NewServer(docstore.Handler(docstore.New(), nil))
+	empty := httptest.NewServer(docstore.Handler(docstore.New()))
 	defer empty.Close()
 	out.Reset()
 	errb.Reset()
@@ -285,7 +285,7 @@ func (vanishingStore) Find(_ context.Context, _ string, filter docstore.M, _ doc
 func TestTraceSlowestMissingTrace(t *testing.T) {
 	// The slowest root's spans are gone by the time they are loaded:
 	// fail honestly, not render an empty timeline.
-	dsrv := httptest.NewServer(docstore.Handler(vanishingStore{docstore.New()}, nil))
+	dsrv := httptest.NewServer(docstore.Handler(vanishingStore{docstore.New()}))
 	defer dsrv.Close()
 	var out, errb bytes.Buffer
 	if code := traceCmd(context.Background(), []string{"-slowest", "-db", dsrv.URL}, &out, &errb); code != 1 {
@@ -299,7 +299,7 @@ func TestTraceSlowestMissingTrace(t *testing.T) {
 func TestTraceJobSpansGone(t *testing.T) {
 	// The job's span is found but its trace is swept before the load:
 	// exit 1 with the reason, where indexing the first span panicked.
-	dsrv := httptest.NewServer(docstore.Handler(vanishingStore{docstore.New()}, nil))
+	dsrv := httptest.NewServer(docstore.Handler(vanishingStore{docstore.New()}))
 	defer dsrv.Close()
 	var out, errb bytes.Buffer
 	if code := traceCmd(context.Background(), []string{"-db", dsrv.URL, "j1"}, &out, &errb); code != 1 {

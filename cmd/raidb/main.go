@@ -101,7 +101,7 @@ func run(args []string, stdout, stderr io.Writer, hooks daemon.Hooks) int {
 		fmt.Fprintf(stderr, "raidb: %v\n", err)
 		return 1
 	}
-	srv := &http.Server{Handler: docstore.Handler(db, nil, handlerOpts...)}
+	srv := &http.Server{Handler: docstore.Handler(db, handlerOpts...)}
 	go func() { _ = srv.Serve(ln) }()
 	fmt.Fprintf(stdout, "raidb listening on %s\n", ln.Addr())
 	if err := d.Ready(ln.Addr().String()); err != nil {

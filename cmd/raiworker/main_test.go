@@ -40,7 +40,7 @@ func TestWorkerDaemonProcessesJobs(t *testing.T) {
 	defer fsSrv.Close()
 	db := docstore.New()
 	dbLn, _ := net.Listen("tcp", "127.0.0.1:0")
-	dbSrv := &http.Server{Handler: docstore.Handler(db, nil)}
+	dbSrv := &http.Server{Handler: docstore.Handler(db)}
 	go dbSrv.Serve(dbLn)
 	defer dbSrv.Close()
 

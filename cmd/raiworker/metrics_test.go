@@ -35,7 +35,7 @@ func services(t *testing.T) []string {
 	t.Cleanup(func() { brokerSrv.Close(); b.Close() })
 	fsSrv := httptest.NewServer(objstore.Handler(objstore.New(), nil))
 	t.Cleanup(fsSrv.Close)
-	dbSrv := httptest.NewServer(docstore.Handler(docstore.New(), nil))
+	dbSrv := httptest.NewServer(docstore.Handler(docstore.New()))
 	t.Cleanup(dbSrv.Close)
 	keysPath := filepath.Join(t.TempDir(), "keys.json")
 	reg := auth.NewRegistry()

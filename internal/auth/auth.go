@@ -127,16 +127,6 @@ func (r *Registry) Issue(userName string) (Credentials, error) {
 	return c, nil
 }
 
-// Revoke removes a user's credentials.
-func (r *Registry) Revoke(userName string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.byUser[userName]; ok {
-		delete(r.byAK, c.AccessKey)
-		delete(r.byUser, userName)
-	}
-}
-
 // LookupUser finds credentials by user name.
 func (r *Registry) LookupUser(userName string) (Credentials, bool) {
 	r.mu.RLock()

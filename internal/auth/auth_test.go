@@ -27,7 +27,7 @@ func TestGenerateKeyShape(t *testing.T) {
 	}
 }
 
-func TestRegistryIssueLookupRevoke(t *testing.T) {
+func TestRegistryIssueLookup(t *testing.T) {
 	r := NewRegistry()
 	c, err := r.Issue("team7")
 	if err != nil {
@@ -39,13 +39,6 @@ func TestRegistryIssueLookupRevoke(t *testing.T) {
 	}
 	if _, err := r.Issue("team7"); !errors.Is(err, ErrDuplicateUser) {
 		t.Errorf("duplicate issue: %v", err)
-	}
-	r.Revoke("team7")
-	if _, ok := r.Lookup(c.AccessKey); ok {
-		t.Error("revoked key still valid")
-	}
-	if _, err := r.Issue("team7"); err != nil {
-		t.Errorf("re-issue after revoke: %v", err)
 	}
 }
 
@@ -220,6 +213,29 @@ func TestKeyMailerRendersListing3(t *testing.T) {
 	// The mailed credentials authenticate.
 	if _, ok := reg.Lookup(c.AccessKey); !ok {
 		t.Error("mailed key not registered")
+	}
+}
+
+// TestEmailTokenBlockIsAProfile: the token block a student copies out
+// of the Listing 3 email is a .rai.profile that parses back to the
+// credentials the mailer issued.
+func TestEmailTokenBlockIsAProfile(t *testing.T) {
+	out := &Outbox{}
+	km := &KeyMailer{Registry: NewRegistry(), Outbox: out}
+	issued, err := km.Run([]Student{{FirstName: "Ada", LastName: "Lovelace", UserID: "alove"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, block, ok := strings.Cut(out.Messages()[0].Body, "The following are your tokens:\n\n")
+	if !ok {
+		t.Fatalf("email has no token block:\n%s", out.Messages()[0].Body)
+	}
+	got, err := ParseProfile([]byte(block))
+	if err != nil {
+		t.Fatalf("token block does not parse: %v\n%s", err, block)
+	}
+	if got != issued["alove"] {
+		t.Errorf("token block parses to %+v, issued %+v", got, issued["alove"])
 	}
 }
 

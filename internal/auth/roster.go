@@ -49,8 +49,9 @@ func ParseRoster(data []byte) ([]Student, error) {
 	return out, nil
 }
 
-// EmailTemplate is the default authorization email (paper Listing 3,
-// abbreviated exactly as published).
+// EmailTemplate is the authorization email (paper Listing 3,
+// abbreviated exactly as published). Its token block is the student's
+// .rai.profile, rendered by FormatProfile.
 const EmailTemplate = `Hello {{.FirstName}} {{.LastName}},
 
 For the Applied Parallel Programming project,
@@ -61,10 +62,12 @@ in your $HOME/.rai.profile (Linux/OSX) or
 
 The following are your tokens:
 
-RAI_USER_NAME='{{.UserName}}'
-RAI_ACCESS_KEY='{{.AccessKey}}'
-RAI_SECRET_KEY='{{.SecretKey}}'
-`
+{{.Profile}}`
+
+// emailSubject is the authorization email's subject line.
+const emailSubject = "RAI authorization keys for the course project"
+
+var emailTemplate = template.Must(template.New("email").Parse(EmailTemplate))
 
 // Email is a rendered message waiting in the outbox.
 type Email struct {
@@ -100,37 +103,21 @@ func (o *Outbox) Messages() []Email {
 type KeyMailer struct {
 	Registry *Registry
 	Outbox   *Outbox
-	// Template overrides EmailTemplate when non-empty.
-	Template string
 	// Domain forms the To address as userid@Domain.
 	Domain string
-	// Subject line for the emails.
-	Subject string
 }
 
 // emailData is the template context.
 type emailData struct {
-	FirstName, LastName, UserName, AccessKey, SecretKey string
+	FirstName, LastName, Profile string
 }
 
 // Run issues credentials for every roster student and queues their
 // email. It returns the issued credentials keyed by userid.
 func (k *KeyMailer) Run(roster []Student) (map[string]Credentials, error) {
-	tmplText := k.Template
-	if tmplText == "" {
-		tmplText = EmailTemplate
-	}
-	tmpl, err := template.New("email").Parse(tmplText)
-	if err != nil {
-		return nil, fmt.Errorf("auth: email template: %w", err)
-	}
 	domain := k.Domain
 	if domain == "" {
 		domain = "illinois.edu"
-	}
-	subject := k.Subject
-	if subject == "" {
-		subject = "RAI authorization keys for the course project"
 	}
 	issued := make(map[string]Credentials, len(roster))
 	for _, s := range roster {
@@ -140,13 +127,12 @@ func (k *KeyMailer) Run(roster []Student) (map[string]Credentials, error) {
 		}
 		issued[s.UserID] = c
 		var body strings.Builder
-		if err := tmpl.Execute(&body, emailData{
-			FirstName: s.FirstName, LastName: s.LastName,
-			UserName: c.UserName, AccessKey: c.AccessKey, SecretKey: c.SecretKey,
+		if err := emailTemplate.Execute(&body, emailData{
+			FirstName: s.FirstName, LastName: s.LastName, Profile: FormatProfile(c),
 		}); err != nil {
 			return issued, fmt.Errorf("auth: rendering email for %s: %w", s.UserID, err)
 		}
-		k.Outbox.Send(Email{To: s.UserID + "@" + domain, Subject: subject, Body: body.String()})
+		k.Outbox.Send(Email{To: s.UserID + "@" + domain, Subject: emailSubject, Body: body.String()})
 	}
 	return issued, nil
 }

@@ -37,7 +37,7 @@ var (
 	ErrNotFound = errors.New("blobstore: no such blob")
 	ErrBadName  = errors.New("blobstore: invalid bucket or key")
 	ErrQuota    = errors.New("blobstore: capacity exceeded")
-	ErrExists   = errors.New("blobstore: bucket already exists")
+	ErrExists   = errors.New("blobstore: already exists")
 	ErrClosed   = errors.New("blobstore: backend closed")
 	ErrETag     = errors.New("blobstore: content does not hash to the expected ETag")
 )
@@ -90,14 +90,8 @@ type Writer interface {
 // Backend is the storage-backend interface shared by the memory and
 // disk engines and the mount table.
 type Backend interface {
-	// MakeBucket creates a bucket; an existing bucket is ErrExists.
-	// (Create also makes buckets implicitly, as RAI pre-creates only a
-	// handful of well-known ones.)
-	MakeBucket(ctx context.Context, bucket string) error
-	// Buckets lists bucket names, sorted.
-	Buckets(ctx context.Context) ([]string, error)
-	// Create opens a streaming writer for bucket/key. The blob becomes
-	// visible when the writer is closed.
+	// Create opens a streaming writer for bucket/key, making the bucket
+	// if it is new. The blob becomes visible when the writer is closed.
 	Create(ctx context.Context, bucket, key string, opts PutOptions) (Writer, error)
 	// Open returns a streaming reader and the blob's metadata,
 	// refreshing its last-use time (expiry is measured from last use).

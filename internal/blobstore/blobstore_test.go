@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -29,20 +30,23 @@ func TestMemoryConformance(t *testing.T) {
 }
 
 func TestDiskConformance(t *testing.T) {
+	var roots sync.Map // backend -> its data directory
 	conformance.Suite{
 		New: func(t *testing.T, opts ...blobstore.Option) (blobstore.Backend, *clock.Virtual) {
 			t.Helper()
 			vc := conformance.NewVirtual()
-			d, err := blobstore.NewDisk(t.TempDir(), append(opts, blobstore.WithClock(vc))...)
+			root := t.TempDir()
+			d, err := blobstore.NewDisk(root, append(opts, blobstore.WithClock(vc))...)
 			if err != nil {
 				t.Fatal(err)
 			}
+			roots.Store(d, root)
 			return d, vc
 		},
 		CheckClean: func(t *testing.T, be blobstore.Backend) {
 			t.Helper()
-			root := be.(*blobstore.Disk).Root()
-			err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+			root, _ := roots.Load(be)
+			err := filepath.WalkDir(root.(string), func(path string, d os.DirEntry, err error) error {
 				if err != nil {
 					return err
 				}
@@ -188,7 +192,7 @@ func TestMountRoutingLongestPrefixWins(t *testing.T) {
 		t.Error("longest-prefix mount did not win over shorter one")
 	}
 
-	// Reads route the same way, and the union view sees everything.
+	// Reads route the same way, and the summed view sees everything.
 	rc, _, err := tab.Open(ctx, "cold-deep-b", "k")
 	if err != nil {
 		t.Fatal(err)
@@ -198,18 +202,15 @@ func TestMountRoutingLongestPrefixWins(t *testing.T) {
 	if string(data) != "cold-deep-b" {
 		t.Errorf("routed read = %q", data)
 	}
-	names, err := tab.Buckets(ctx)
-	if err != nil || len(names) != 3 {
-		t.Errorf("union Buckets = %v, %v", names, err)
-	}
 	if used := tab.Used(); used != int64(len("hot")+len("cold-a")+len("cold-deep-b")) {
-		t.Errorf("summed Used = %d, %v", used, err)
+		t.Errorf("summed Used = %d", used)
 	}
 }
 
 func TestMountRoutingMixedBackends(t *testing.T) {
 	mem := blobstore.NewMemory()
-	disk, err := blobstore.NewDisk(t.TempDir())
+	root := t.TempDir()
+	disk, err := blobstore.NewDisk(root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestMountRoutingMixedBackends(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The bytes are on disk, not in the memory backend.
-	if _, err := os.Stat(filepath.Join(disk.Root(), "durable-uploads")); err != nil {
+	if _, err := os.Stat(filepath.Join(root, "durable-uploads")); err != nil {
 		t.Errorf("disk mount did not persist: %v", err)
 	}
 	if _, err := mem.Stat(ctx, "durable-uploads", "team/a.tar.bz2"); !errors.Is(err, blobstore.ErrNoBucket) {

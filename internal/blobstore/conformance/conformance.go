@@ -371,16 +371,6 @@ func (s Suite) Run(ctx context.Context, t *testing.T) {
 		if _, _, err := be.Open(ctx, "b", "missing"); !errors.Is(err, blobstore.ErrNotFound) {
 			t.Errorf("missing key = %v, want ErrNotFound", err)
 		}
-		if err := be.MakeBucket(ctx, "b2"); err != nil {
-			t.Fatal(err)
-		}
-		if err := be.MakeBucket(ctx, "b2"); !errors.Is(err, blobstore.ErrExists) {
-			t.Errorf("duplicate MakeBucket = %v, want ErrExists", err)
-		}
-		names, err := be.Buckets(ctx)
-		if err != nil || len(names) != 2 || names[0] != "b" || names[1] != "b2" {
-			t.Errorf("Buckets = %v, %v", names, err)
-		}
 	})
 
 	t.Run("ContextCancellation", func(t *testing.T) {

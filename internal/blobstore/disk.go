@@ -54,9 +54,6 @@ func NewDisk(root string, opts ...Option) (*Disk, error) {
 	return d, nil
 }
 
-// Root returns the backend's data directory.
-func (d *Disk) Root() string { return d.root }
-
 // escapeKey flattens an object key into a single path segment.
 func escapeKey(key string) string {
 	key = strings.ReplaceAll(key, "%", "%25")
@@ -170,25 +167,6 @@ func (d *Disk) writeMeta(info Info) error {
 		return err
 	}
 	return nil
-}
-
-// MakeBucket implements Backend.
-func (d *Disk) MakeBucket(ctx context.Context, bucket string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if err := d.idx.makeBucket(bucket); err != nil {
-		return err
-	}
-	return os.MkdirAll(filepath.Join(d.root, bucket), 0o755)
-}
-
-// Buckets implements Backend.
-func (d *Disk) Buckets(ctx context.Context) ([]string, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return d.idx.bucketNames(), nil
 }
 
 // Create implements Backend: bytes stream to a "%tmp-" file in the

@@ -61,33 +61,6 @@ func checkNames(bucket, key string) error {
 	return nil
 }
 
-func (x *index) makeBucket(bucket string) error {
-	if err := checkBucket(bucket); err != nil {
-		return err
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if x.closed {
-		return ErrClosed
-	}
-	if _, ok := x.buckets[bucket]; ok {
-		return fmt.Errorf("%w: %q", ErrExists, bucket)
-	}
-	x.buckets[bucket] = map[string]*entry{}
-	return nil
-}
-
-func (x *index) bucketNames() []string {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	out := make([]string, 0, len(x.buckets))
-	for b := range x.buckets {
-		out = append(out, b)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // lookupLocked finds a live entry, lazily collecting it if expired.
 func (x *index) lookupLocked(bucket, key string) (*entry, error) {
 	bk, ok := x.buckets[bucket]

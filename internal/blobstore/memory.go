@@ -25,22 +25,6 @@ func NewMemory(opts ...Option) *Memory {
 	return &Memory{idx: newIndex(newConfig(opts))}
 }
 
-// MakeBucket implements Backend.
-func (m *Memory) MakeBucket(ctx context.Context, bucket string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return m.idx.makeBucket(bucket)
-}
-
-// Buckets implements Backend.
-func (m *Memory) Buckets(ctx context.Context) ([]string, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return m.idx.bucketNames(), nil
-}
-
 // Create implements Backend.
 func (m *Memory) Create(ctx context.Context, bucket, key string, opts PutOptions) (Writer, error) {
 	if err := ctx.Err(); err != nil {

@@ -87,31 +87,6 @@ func (t *Table) backends() []Backend {
 	return out
 }
 
-// MakeBucket implements Backend.
-func (t *Table) MakeBucket(ctx context.Context, bucket string) error {
-	return t.Resolve(bucket).MakeBucket(ctx, bucket)
-}
-
-// Buckets implements Backend: the sorted union across backends.
-func (t *Table) Buckets(ctx context.Context) ([]string, error) {
-	seen := map[string]bool{}
-	var out []string
-	for _, be := range t.backends() {
-		names, err := be.Buckets(ctx)
-		if err != nil {
-			return nil, err
-		}
-		for _, n := range names {
-			if !seen[n] {
-				seen[n] = true
-				out = append(out, n)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
 // Create implements Backend.
 func (t *Table) Create(ctx context.Context, bucket, key string, opts PutOptions) (Writer, error) {
 	return t.Resolve(bucket).Create(ctx, bucket, key, opts)

@@ -614,12 +614,3 @@ func (b *Broker) Depth(topicName, channelName string) int {
 	}
 	return ch.queue.len()
 }
-
-// HasTopic reports whether the topic currently exists (used by tests to
-// observe ephemeral garbage collection).
-func (b *Broker) HasTopic(name string) bool {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	_, ok := b.topics[name]
-	return ok
-}

@@ -210,11 +210,11 @@ func TestEphemeralTopicGC(t *testing.T) {
 	sub, _ := b.Subscribe(bg, "log_7#ch", "ch", 10)
 	b.Publish(bg, "log_7#ch", []byte("out"))
 	recvTimeout(t, sub)
-	if !b.HasTopic("log_7#ch") {
+	if !hasTopic(b, "log_7#ch") {
 		t.Fatal("topic missing while subscribed")
 	}
 	sub.Close()
-	if b.HasTopic("log_7#ch") {
+	if hasTopic(b, "log_7#ch") {
 		t.Error("ephemeral topic not garbage collected after last consumer left")
 	}
 }
@@ -224,7 +224,7 @@ func TestNonEphemeralTopicSurvives(t *testing.T) {
 	defer b.Close()
 	sub, _ := b.Subscribe(bg, "rai", "tasks", 1)
 	sub.Close()
-	if !b.HasTopic("rai") {
+	if !hasTopic(b, "rai") {
 		t.Error("durable topic was garbage collected")
 	}
 }
@@ -365,4 +365,13 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 	}
 	b.Close()
 	wg.Wait()
+}
+
+// hasTopic reports whether the topic currently exists, to observe
+// ephemeral garbage collection.
+func hasTopic(b *Broker, name string) bool {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	_, ok := b.topics[name]
+	return ok
 }

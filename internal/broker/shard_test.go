@@ -220,7 +220,7 @@ func TestConcurrentMultiTopicChurn(t *testing.T) {
 	}
 	// Every ephemeral topic must have been garbage collected.
 	for w := 0; w < workers; w++ {
-		if b.HasTopic(fmt.Sprintf("log_%d#ch", w)) {
+		if hasTopic(b, fmt.Sprintf("log_%d#ch", w)) {
 			t.Fatalf("ephemeral topic log_%d#ch leaked", w)
 		}
 	}

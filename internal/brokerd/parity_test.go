@@ -112,16 +112,16 @@ func TestQueueParity(t *testing.T) {
 			if err := sub.Ack(bg, recvT(t, sub)); err != nil {
 				t.Fatal(err)
 			}
-			if !b.HasTopic("log_x#ch") {
+			if !hasTopic(b, "log_x#ch") {
 				t.Fatal("topic missing while subscribed")
 			}
 			sub.Close()
 			// Over TCP the server notices the closed connection on its own time.
 			deadline := time.Now().Add(2 * time.Second)
-			for b.HasTopic("log_x#ch") && time.Now().Before(deadline) {
+			for hasTopic(b, "log_x#ch") && time.Now().Before(deadline) {
 				time.Sleep(5 * time.Millisecond)
 			}
-			if b.HasTopic("log_x#ch") {
+			if hasTopic(b, "log_x#ch") {
 				t.Error("ephemeral topic not collected after its last consumer closed")
 			}
 		},
@@ -134,7 +134,7 @@ func TestQueueParity(t *testing.T) {
 			if _, err := q.Subscribe(ctx, "rai", "tasks", 1); !errors.Is(err, context.Canceled) {
 				t.Errorf("Subscribe = %v", err)
 			}
-			if b.HasTopic("rai") {
+			if hasTopic(b, "rai") {
 				t.Error("a refused call reached the engine")
 			}
 		},
@@ -147,4 +147,14 @@ func TestQueueParity(t *testing.T) {
 			})
 		}
 	}
+}
+
+// hasTopic reports whether the engine holds the topic.
+func hasTopic(b *broker.Broker, name string) bool {
+	for _, ts := range b.Stats() {
+		if ts.Topic == name {
+			return true
+		}
+	}
+	return false
 }

@@ -27,14 +27,6 @@ type blockCRC uint32
 
 func newBlockCRC() blockCRC { return 0xffffffff }
 
-func (c blockCRC) update(p []byte) blockCRC {
-	v := uint32(c)
-	for _, b := range p {
-		v = v<<8 ^ crcTable[byte(v>>24)^b]
-	}
-	return blockCRC(v)
-}
-
 func (c blockCRC) updateByte(b byte) blockCRC {
 	v := uint32(c)
 	return blockCRC(v<<8 ^ crcTable[byte(v>>24)^b])

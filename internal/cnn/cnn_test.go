@@ -1,6 +1,8 @@
 package cnn
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -120,7 +122,7 @@ func TestImplementationsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		diff, err := MaxAbsDiff(ref, got)
+		diff, err := maxAbsDiff(ref, got)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +148,7 @@ func TestQuickConvEquivalence(t *testing.T) {
 		ref := Conv2D(ImplNaiveSerial, in, w, bias)
 		for _, im := range Impls[1:] {
 			got := Conv2D(im, in, w, bias)
-			d, err := MaxAbsDiff(ref, got)
+			d, err := maxAbsDiff(ref, got)
 			if err != nil || d > 1e-4 {
 				return false
 			}
@@ -215,7 +217,7 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, _ := MaxAbsDiff(want, got)
+	d, _ := maxAbsDiff(want, got)
 	if d != 0 {
 		t.Errorf("loaded model diverges by %v", d)
 	}
@@ -241,7 +243,7 @@ func TestDatasetEncodeDecodeRoundTrip(t *testing.T) {
 	if back.Images.N != 10 || len(back.Labels) != 10 {
 		t.Fatalf("decoded = %v images, %v labels", back.Images.N, len(back.Labels))
 	}
-	d, _ := MaxAbsDiff(ds.Images, back.Images)
+	d, _ := maxAbsDiff(ds.Images, back.Images)
 	if d != 0 {
 		t.Errorf("images diverge by %v", d)
 	}
@@ -256,12 +258,12 @@ func TestDatasetDeterministic(t *testing.T) {
 	nw := NewNetwork(408)
 	a, _ := SynthesizeDataset(nw, 7, 6)
 	b, _ := SynthesizeDataset(nw, 7, 6)
-	d, _ := MaxAbsDiff(a.Images, b.Images)
+	d, _ := maxAbsDiff(a.Images, b.Images)
 	if d != 0 {
 		t.Error("same seed produced different datasets")
 	}
 	c, _ := SynthesizeDataset(nw, 8, 6)
-	d2, _ := MaxAbsDiff(a.Images, c.Images)
+	d2, _ := maxAbsDiff(a.Images, c.Images)
 	if d2 == 0 {
 		t.Error("different seeds produced identical datasets")
 	}
@@ -278,4 +280,20 @@ func TestImplString(t *testing.T) {
 			t.Errorf("%d.String() = %q", im, im.String())
 		}
 	}
+}
+
+// maxAbsDiff returns the largest absolute element difference between two
+// same-shaped tensors.
+func maxAbsDiff(a, b *Tensor) (float64, error) {
+	if a.N != b.N || a.C != b.C || a.H != b.H || a.W != b.W {
+		return 0, fmt.Errorf("cnn: shape mismatch %v vs %v", a.Shape(), b.Shape())
+	}
+	var m float64
+	for i := range a.Data {
+		d := math.Abs(float64(a.Data[i]) - float64(b.Data[i]))
+		if d > m {
+			m = d
+		}
+	}
+	return m, nil
 }

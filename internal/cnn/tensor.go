@@ -13,10 +13,7 @@
 // runs on every path, so relative speedups are measured, not asserted.
 package cnn
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Tensor is a dense float32 array in NCHW layout (batch, channel,
 // height, width). Lower-rank tensors use leading dimensions of size 1.
@@ -53,28 +50,6 @@ func (t *Tensor) Len() int { return t.N * t.C * t.H * t.W }
 
 // Shape returns the shape as a slice.
 func (t *Tensor) Shape() []int { return []int{t.N, t.C, t.H, t.W} }
-
-// SameShape reports whether two tensors have identical shapes.
-func (t *Tensor) SameShape(o *Tensor) bool {
-	return t.N == o.N && t.C == o.C && t.H == o.H && t.W == o.W
-}
-
-// MaxAbsDiff returns the largest absolute element difference between two
-// same-shaped tensors (used by the equivalence tests across
-// implementations).
-func MaxAbsDiff(a, b *Tensor) (float64, error) {
-	if !a.SameShape(b) {
-		return 0, fmt.Errorf("cnn: shape mismatch %v vs %v", a.Shape(), b.Shape())
-	}
-	var m float64
-	for i := range a.Data {
-		d := math.Abs(float64(a.Data[i]) - float64(b.Data[i]))
-		if d > m {
-			m = d
-		}
-	}
-	return m, nil
-}
 
 // prng is a small deterministic generator (xorshift64*) used for weights
 // and synthetic data so models and datasets are reproducible from a seed

@@ -38,11 +38,14 @@ type tracedStack struct {
 	db        *docstore.DB
 	dbURL     string
 	exporters map[string]*telemetry.Exporter
+	expReg    *telemetry.Registry // every exporter's drop and ship counters
+	expClock  *clock.Virtual      // the exporters' flush timers; only shipAll advances it
 	client    *core.Client
 	worker    *core.Worker
 
 	mu      sync.Mutex
 	shipped map[string]int // spans handed to an exporter, by trace ID
+	events  int            // events handed to an exporter
 }
 
 // newTracedStack boots the pipeline with the wiring the binaries use;
@@ -51,10 +54,11 @@ func newTracedStack(t *testing.T) *tracedStack {
 	t.Helper()
 	b := broker.New()
 	t.Cleanup(func() { b.Close() })
-	s := &tracedStack{broker: b, db: docstore.New(), exporters: map[string]*telemetry.Exporter{}, shipped: map[string]int{}}
+	s := &tracedStack{broker: b, db: docstore.New(), exporters: map[string]*telemetry.Exporter{}, expReg: telemetry.NewRegistry(), expClock: clock.NewVirtual(time.Now()), shipped: map[string]int{}}
 
 	newTracer := func(service string) *telemetry.Tracer {
-		exp := telemetry.NewExporter(context.Background(), service, core.ShipTelemetry(b))
+		exp := telemetry.NewExporter(context.Background(), service, core.ShipTelemetry(b),
+			telemetry.WithExportMetrics(s.expReg), telemetry.WithExportClock(s.expClock))
 		t.Cleanup(exp.Close)
 		s.exporters[service] = exp
 		sink := func(d telemetry.SpanData) {
@@ -68,7 +72,7 @@ func newTracedStack(t *testing.T) *tracedStack {
 
 	objSrv := httptest.NewServer(objstore.Handler(objstore.New(), nil, objstore.WithHandlerTracer(newTracer("raifs"))))
 	t.Cleanup(objSrv.Close)
-	dbSrv := httptest.NewServer(docstore.Handler(s.db, nil, docstore.WithHandlerTracer(newTracer("raidb"))))
+	dbSrv := httptest.NewServer(docstore.Handler(s.db, docstore.WithHandlerTracer(newTracer("raidb"))))
 	t.Cleanup(dbSrv.Close)
 	s.dbURL = dbSrv.URL
 
@@ -104,7 +108,7 @@ func newTracedStack(t *testing.T) *tracedStack {
 		Tracer:   newTracer("raiworker"),
 	}
 	s.worker.Log = telemetry.NewLogger("raiworker",
-		telemetry.WithLogSink(s.exporters["raiworker"].ExportEvent))
+		telemetry.WithLogSink(s.eventSink("raiworker")))
 
 	s.client = &core.Client{
 		Creds:   creds,
@@ -115,8 +119,51 @@ func newTracedStack(t *testing.T) *tracedStack {
 		Tracer:  newTracer("rai"),
 	}
 	s.client.Log = telemetry.NewLogger("rai",
-		telemetry.WithLogSink(s.exporters["rai"].ExportEvent))
+		telemetry.WithLogSink(s.eventSink("rai")))
 	return s
+}
+
+// eventSink hands a logger's events to service's exporter, counting
+// them.
+func (s *tracedStack) eventSink(service string) func(telemetry.Event) {
+	exp := s.exporters[service]
+	return func(ev telemetry.Event) {
+		s.mu.Lock()
+		s.events++
+		s.mu.Unlock()
+		exp.ExportEvent(ev)
+	}
+}
+
+// shipAll waits until the exporters have shipped (or dropped) every
+// span and event handed to them, and returns how many they shipped.
+// It fires the exporters' flush timers to send partial batches; nothing
+// else does, so no flush runs while a job is being timed.
+func (s *tracedStack) shipAll(t *testing.T) (spans, events int) {
+	t.Helper()
+	count := func(name, kind string) int {
+		v, _ := s.expReg.Value(name, telemetry.L("kind", kind))
+		return int(v)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		s.mu.Lock()
+		handedSpans, handedEvents := 0, s.events
+		for _, n := range s.shipped {
+			handedSpans += n
+		}
+		s.mu.Unlock()
+		spans, events = count("rai_telemetry_shipped_total", "span"), count("rai_telemetry_shipped_total", "event")
+		if spans+count("rai_telemetry_dropped_total", "span") == handedSpans &&
+			events+count("rai_telemetry_dropped_total", "event") == handedEvents {
+			return spans, events
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("exporters shipped %d of %d spans, %d of %d events", spans, handedSpans, events, handedEvents)
+		}
+		s.expClock.Advance(telemetry.DefaultExportInterval)
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // collect runs c over the stack's telemetry route until the test ends.
@@ -191,22 +238,17 @@ func (s *tracedStack) submit(t *testing.T, rev int, kind string) *core.JobResult
 	}
 }
 
-// settle pushes everything through: exporters flush their partial
+// settle pushes everything through: exporters ship their partial
 // batches and the collector (which acks asynchronously) is polled until
 // it has persisted every span and event they shipped.
 func (s *tracedStack) settle(t *testing.T) {
 	t.Helper()
+	spans, events := s.shipAll(t)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		var spans, events uint64
-		for _, exp := range s.exporters {
-			exp.Flush()
-			ns, ne := exp.Shipped()
-			spans, events = spans+ns, events+ne
-		}
 		gotSpans, _ := s.db.Count(context.Background(), core.CollTraces, docstore.M{})
 		gotEvents, _ := s.db.Count(context.Background(), core.CollEvents, docstore.M{})
-		if uint64(gotSpans) == spans && uint64(gotEvents) == events {
+		if gotSpans == spans && gotEvents == events {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -265,10 +307,10 @@ func (s *tracedStack) connectedTrace(t *testing.T, jobID string) []collector.Spa
 // noDrops asserts no exporter discarded a record for lack of buffer.
 func (s *tracedStack) noDrops(t *testing.T) {
 	t.Helper()
-	for service, exp := range s.exporters {
-		if ds, de := exp.Dropped(); ds != 0 || de != 0 {
-			t.Errorf("%s exporter dropped %d spans / %d events on the happy path", service, ds, de)
-		}
+	ds, _ := s.expReg.Value("rai_telemetry_dropped_total", telemetry.L("kind", "span"))
+	de, _ := s.expReg.Value("rai_telemetry_dropped_total", telemetry.L("kind", "event"))
+	if ds != 0 || de != 0 {
+		t.Errorf("exporters dropped %v spans / %v events on the happy path", ds, de)
 	}
 }
 
@@ -420,10 +462,8 @@ func TestEndToEndSamplingHonest(t *testing.T) {
 	}
 
 	// Every batch sits in the tail buffer before the linger expires.
+	shipped, _ := s.shipAll(t)
 	deadline := time.Now().Add(10 * time.Second)
-	for _, exp := range s.exporters {
-		exp.Flush()
-	}
 	for collector.TelemetryBacklog(s.broker) > 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("collector never drained the telemetry route")
@@ -438,14 +478,9 @@ func TestEndToEndSamplingHonest(t *testing.T) {
 	kept := func(reason string) int {
 		return counter("rai_collector_tail_kept_total", telemetry.L("reason", reason))
 	}
-	var shipped uint64
-	for _, exp := range s.exporters {
-		ns, _ := exp.Shipped()
-		shipped += ns
-	}
 	for {
 		persisted, _ := s.db.Count(context.Background(), core.CollTraces, docstore.M{})
-		if uint64(persisted+counter("rai_collector_tail_spans_dropped_total")) == shipped {
+		if persisted+counter("rai_collector_tail_spans_dropped_total") == shipped {
 			break
 		}
 		if time.Now().After(deadline) {

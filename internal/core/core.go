@@ -173,7 +173,6 @@ const (
 var (
 	ErrRejected     = errors.New("core: job rejected")
 	ErrRateLimited  = errors.New("core: submission rate limit (one job per 30s)")
-	ErrBadToken     = errors.New("core: invalid job token")
 	ErrMissingFiles = errors.New("core: final submission requires USAGE and report.pdf")
 )
 

@@ -67,7 +67,7 @@ func TestOrOperatorVariants(t *testing.T) {
 
 func TestHTTPErrorStatuses(t *testing.T) {
 	db := New()
-	srv := httptest.NewServer(Handler(db, nil))
+	srv := httptest.NewServer(Handler(db))
 	defer srv.Close()
 	c := NewClient(srv.URL)
 

@@ -222,7 +222,7 @@ func TestBadUpdate(t *testing.T) {
 func TestRemovedFormsRejected(t *testing.T) {
 	db := New()
 	seedSubmissions(t, db)
-	srv := httptest.NewServer(Handler(db, nil))
+	srv := httptest.NewServer(Handler(db))
 	defer srv.Close()
 	filters := map[string]M{
 		"or":     {"$or": []any{map[string]any{"team": "beta"}}},
@@ -467,7 +467,7 @@ func TestQuickRangeFilter(t *testing.T) {
 
 func TestHTTPClientMirrorsDB(t *testing.T) {
 	db := New()
-	srv := httptest.NewServer(Handler(db, nil))
+	srv := httptest.NewServer(Handler(db))
 	defer srv.Close()
 	c := NewClient(srv.URL)
 	seedSubmissions(t, c)
@@ -499,21 +499,6 @@ func TestHTTPClientMirrorsDB(t *testing.T) {
 	}
 	if _, err := c.FindOne(testCtx, "submissions", M{"team": "gamma"}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("deleted doc: %v", err)
-	}
-}
-
-func TestHTTPAuth(t *testing.T) {
-	db := New()
-	auth := func(ak, sig string, r *http.Request) bool { return ak == "staff" }
-	srv := httptest.NewServer(Handler(db, auth))
-	defer srv.Close()
-	c := NewClient(srv.URL)
-	if _, err := c.Insert(testCtx, "c", M{"v": 1}); err == nil {
-		t.Fatal("unauthenticated insert succeeded")
-	}
-	c.Sign = func(r *http.Request) { r.Header.Set(HeaderAccessKey, "staff") }
-	if _, err := c.Insert(testCtx, "c", M{"v": 1}); err != nil {
-		t.Fatalf("authenticated insert: %v", err)
 	}
 }
 

@@ -48,7 +48,7 @@ func FuzzHandler(f *testing.F) {
 		path := fuzzRoutes[int(route)%len(fuzzRoutes)]
 		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(string(body)))
 		rec := httptest.NewRecorder()
-		Handler(db, nil).ServeHTTP(rec, req)
+		Handler(db).ServeHTTP(rec, req)
 		if rec.Code >= 500 {
 			t.Fatalf("POST %s %q = %d: %s", path, body, rec.Code, rec.Body)
 		}

@@ -29,15 +29,6 @@ import (
 //	                        "update": {...}}, ...]}         -> {"ids": [...]}
 //	GET  /healthz
 
-// AuthFunc validates credentials attached to a request; nil admits all.
-type AuthFunc func(accessKey, signature string, r *http.Request) bool
-
-// Auth header names shared with internal/auth.
-const (
-	HeaderAccessKey = "X-RAI-Access-Key"
-	HeaderSignature = "X-RAI-Signature"
-)
-
 type rpcRequest struct {
 	Doc    M        `json:"doc,omitempty"`
 	Filter M        `json:"filter,omitempty"`
@@ -102,7 +93,7 @@ func (h *handlerState) observe(verb string, start time.Time) {
 }
 
 // Handler serves a database over HTTP.
-func Handler(db Store, auth AuthFunc, opts ...HandlerOption) http.Handler {
+func Handler(db Store, opts ...HandlerOption) http.Handler {
 	h := &handlerState{}
 	for _, o := range opts {
 		o(h)
@@ -125,10 +116,6 @@ func Handler(db Store, auth AuthFunc, opts ...HandlerOption) http.Handler {
 			}
 			// Name resolves to the verb once parsed below.
 			defer func() { span.SetName("docstore " + verb); span.End() }()
-		}
-		if auth != nil && !auth(r.Header.Get(HeaderAccessKey), r.Header.Get(HeaderSignature), r) {
-			writeJSON(w, http.StatusForbidden, rpcResponse{Error: "forbidden"})
-			return
 		}
 		if r.Method != http.MethodPost {
 			writeJSON(w, http.StatusMethodNotAllowed, rpcResponse{Error: "POST only"})
@@ -237,7 +224,6 @@ const DefaultRequestTimeout = 30 * time.Second
 type Client struct {
 	BaseURL string
 	HTTP    *http.Client
-	Sign    func(r *http.Request)
 	// Policy governs retries and deadlines; NewClient seeds PerAttempt
 	// with DefaultRequestTimeout when unset.
 	Policy netx.Policy
@@ -286,9 +272,6 @@ func (c *Client) call(ctx context.Context, coll, verb string, req rpcRequest, re
 			return rpcResponse{}, netx.Permanent(err)
 		}
 		hreq.Header.Set("Content-Type", "application/json")
-		if c.Sign != nil {
-			c.Sign(hreq)
-		}
 		// Propagate the caller's trace so the server's child span joins
 		// the same tree.
 		telemetry.InjectHTTP(ctx, hreq.Header)

@@ -513,7 +513,7 @@ func TestUpsertManyJournalReplays(t *testing.T) {
 func TestHTTPBulk(t *testing.T) {
 	db := New()
 	reg := telemetry.NewRegistry()
-	srv := httptest.NewServer(Handler(db, nil, WithTelemetry(reg)))
+	srv := httptest.NewServer(Handler(db, WithTelemetry(reg)))
 	defer srv.Close()
 	c := NewClient(srv.URL)
 	ops := []Upsert{

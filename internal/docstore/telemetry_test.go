@@ -10,7 +10,7 @@ import (
 
 func TestHandlerMetrics(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	srv := httptest.NewServer(Handler(New(), nil, WithTelemetry(reg)))
+	srv := httptest.NewServer(Handler(New(), WithTelemetry(reg)))
 	defer srv.Close()
 	c := NewClient(srv.URL)
 

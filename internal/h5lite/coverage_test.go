@@ -1,26 +1,12 @@
 package h5lite
 
 import (
-	"bytes"
 	"hash/crc32"
 	"strings"
 	"testing"
 )
 
 func crc32Checksum(b []byte) uint32 { return crc32.ChecksumIEEE(b) }
-
-func TestWriteTo(t *testing.T) {
-	f := NewFile()
-	f.AddFloat32("x", []int{2}, []float32{1, 2})
-	var buf bytes.Buffer
-	n, err := f.WriteTo(&buf)
-	if err != nil || n != int64(buf.Len()) {
-		t.Fatalf("WriteTo = %d, %v", n, err)
-	}
-	if _, err := Decode(buf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestDTypeStringsAndSizes(t *testing.T) {
 	cases := map[DType][2]any{
@@ -53,7 +39,7 @@ func TestBadDatasetNames(t *testing.T) {
 
 func TestDecodeBadDtypeAndDims(t *testing.T) {
 	f := NewFile()
-	f.AddUint8("x", []int{4}, []byte{1, 2, 3, 4})
+	f.AddInt32("x", []int{4}, []int32{1, 2, 3, 4})
 	enc := f.Encode()
 	// Locate the dtype byte: magic(7) + count(4) + namelen(2) + "x"(1).
 	idx := 7 + 4 + 2 + 1

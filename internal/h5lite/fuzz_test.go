@@ -61,7 +61,7 @@ func FuzzDecode(f *testing.F) {
 	if err := file.AddFloat32("x", []int{2, 2}, []float32{1, 2, 3, 4}); err != nil {
 		f.Fatal(err)
 	}
-	if err := file.AddUint8("labels", []int{3}, []uint8{7, 8, 9}); err != nil {
+	if err := file.AddInt32("labels", []int{3}, []int32{7, 8, 9}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(file.Encode())

@@ -122,14 +122,6 @@ func (d *Dataset) Int32s() ([]int32, error) {
 	return out, nil
 }
 
-// Uint8s decodes the payload as []uint8.
-func (d *Dataset) Uint8s() ([]uint8, error) {
-	if d.Dtype != Uint8 {
-		return nil, fmt.Errorf("h5lite: dataset %q is %s, not uint8", d.Name, d.Dtype)
-	}
-	return append([]byte(nil), d.Raw...), nil
-}
-
 // File is a collection of named datasets.
 type File struct {
 	datasets map[string]*Dataset
@@ -160,14 +152,6 @@ func (f *File) AddInt32(name string, shape []int, data []int32) error {
 		binary.LittleEndian.PutUint32(raw[i*4:], uint32(v))
 	}
 	return f.add(&Dataset{Name: name, Dtype: Int32, Shape: append([]int(nil), shape...), Raw: raw})
-}
-
-// AddUint8 stores byte data.
-func (f *File) AddUint8(name string, shape []int, data []uint8) error {
-	if err := checkShape(shape, len(data)); err != nil {
-		return fmt.Errorf("%w (dataset %q)", err, name)
-	}
-	return f.add(&Dataset{Name: name, Dtype: Uint8, Shape: append([]int(nil), shape...), Raw: append([]byte(nil), data...)})
 }
 
 func checkShape(shape []int, n int) error {
@@ -241,13 +225,6 @@ func (f *File) Encode() []byte {
 	}
 	writeU32(crc32.ChecksumIEEE(buf.Bytes()))
 	return buf.Bytes()
-}
-
-// WriteTo implements io.WriterTo.
-func (f *File) WriteTo(w io.Writer) (int64, error) {
-	data := f.Encode()
-	n, err := w.Write(data)
-	return int64(n), err
 }
 
 // Decode parses a serialized file.

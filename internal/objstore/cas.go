@@ -263,7 +263,7 @@ func (h *handlerState) handleCASNegotiate(s *Store, w http.ResponseWriter, r *ht
 // stream is read: the client is still writing it, and a reply sent
 // before would reach it as a reset connection instead.
 func (h *handlerState) handleCASChunks(s *Store, w http.ResponseWriter, r *http.Request) {
-	br := bufio.NewReaderSize(http.MaxBytesReader(w, r.Body, h.maxBytes), 4<<10)
+	br := bufio.NewReaderSize(http.MaxBytesReader(w, r.Body, MaxObjectBytes), 4<<10)
 	scratch := make([]byte, 32<<10)
 	var resp casChunksResponse
 	for {

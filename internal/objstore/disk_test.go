@@ -8,12 +8,13 @@ import (
 	"testing"
 	"time"
 
+	"rai/internal/blobstore"
 	"rai/internal/clock"
 )
 
 func TestDiskPersistenceAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
+	s, err := openDisk(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +27,7 @@ func TestDiskPersistenceAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Restart.
-	s2, err := Open(dir)
+	s2, err := openDisk(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestDiskPersistenceAcrossRestart(t *testing.T) {
 
 func TestDiskDeleteRemovesFiles(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
+	s, err := openDisk(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestDiskDeleteRemovesFiles(t *testing.T) {
 	if err := s.Delete(ctx, "b", "nested/key.bin"); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(dir)
+	s2, err := openDisk(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestDiskDeleteRemovesFiles(t *testing.T) {
 func TestDiskSweepRemovesExpiredFiles(t *testing.T) {
 	dir := t.TempDir()
 	vc := clock.NewVirtual(time.Date(2016, 11, 1, 0, 0, 0, 0, time.UTC))
-	s, err := Open(dir, WithClock(vc))
+	s, err := openDisk(dir, blobstore.WithClock(vc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestDiskSweepRemovesExpiredFiles(t *testing.T) {
 	if n, _ := s.Sweep(ctx); n != 1 {
 		t.Fatalf("swept %d", n)
 	}
-	s2, err := Open(dir, WithClock(vc))
+	s2, err := openDisk(dir, blobstore.WithClock(vc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestDiskSweepRemovesExpiredFiles(t *testing.T) {
 
 func TestDiskKeyEscaping(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
+	s, err := openDisk(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestDiskKeyEscaping(t *testing.T) {
 	if err := s.Put(ctx, "b", key, []byte("v"), 0); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(dir)
+	s2, err := openDisk(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,18 +132,18 @@ func TestOpenRejectsCorruptMetadata(t *testing.T) {
 	os.MkdirAll(filepath.Join(dir, "b"), 0o755)
 	os.WriteFile(filepath.Join(dir, "b", "obj"), []byte("data"), 0o600)
 	// Missing .meta file.
-	if _, err := Open(dir); err == nil {
+	if _, err := openDisk(dir); err == nil {
 		t.Fatal("object without metadata accepted")
 	}
 	os.WriteFile(filepath.Join(dir, "b", "obj.meta"), []byte("{not json"), 0o600)
-	if _, err := Open(dir); err == nil {
+	if _, err := openDisk(dir); err == nil {
 		t.Fatal("corrupt metadata accepted")
 	}
 }
 
 func TestOpenFreshDirectory(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "does-not-exist-yet")
-	s, err := Open(dir)
+	s, err := openDisk(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,4 +162,14 @@ func TestNewStaysInMemory(t *testing.T) {
 	if err := s.Delete(ctx, "b", "k"); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// openDisk is raifs's -store-root store: a disk backend under dir,
+// loading whatever a previous run left there.
+func openDisk(dir string, opts ...blobstore.Option) (*Store, error) {
+	be, err := blobstore.NewDisk(dir, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return NewWithBackend(be), nil
 }

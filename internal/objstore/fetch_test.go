@@ -69,10 +69,10 @@ func TestFetchSurvivesCutStream(t *testing.T) {
 	assertTree(t, dst, "/src", files)
 	// One op on the books per request, and the payload bytes of all
 	// three attempts on the stream counter.
-	if got := reg.Counter("rai_objstore_requests_total", "", telemetry.L("op", "cas-fetch")).Value(); got != 3 {
+	if got, _ := reg.Value("rai_objstore_requests_total", telemetry.L("op", "cas-fetch")); got != 3 {
 		t.Errorf("cas-fetch requests counted = %v, want 3", got)
 	}
-	if out := reg.Counter("rai_objstore_stream_bytes_total", "", telemetry.L("direction", "out")).Value(); out < float64(m.TotalBytes) {
+	if out, _ := reg.Value("rai_objstore_stream_bytes_total", telemetry.L("direction", "out")); out < float64(m.TotalBytes) {
 		t.Errorf("stream bytes out = %v, want at least the tree's %d", out, m.TotalBytes)
 	}
 }

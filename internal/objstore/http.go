@@ -46,7 +46,7 @@ const MaxObjectBytes = 2 << 30
 //	POST   /cas/fetch          the named chunks as one framed stream (cas.go)
 //	GET    /healthz            liveness
 func Handler(s *Store, auth AuthFunc, opts ...HandlerOption) http.Handler {
-	h := &handlerState{maxBytes: MaxObjectBytes}
+	h := &handlerState{}
 	for _, o := range opts {
 		o(h)
 	}
@@ -83,12 +83,12 @@ func Handler(s *Store, auth AuthFunc, opts ...HandlerOption) http.Handler {
 			// The body streams straight into the backend — the server never
 			// holds the archive in memory. Crossing the size limit aborts
 			// the partial write and answers 413.
-			body := http.MaxBytesReader(w, r.Body, h.maxBytes)
+			body := http.MaxBytesReader(w, r.Body, MaxObjectBytes)
 			info, err := s.put(r.Context(), bucket, key, &countingReader{r: body, c: h.streamIn}, blobstore.PutOptions{TTL: ttl})
 			if err != nil {
 				var tooBig *http.MaxBytesError
 				if errors.As(err, &tooBig) {
-					http.Error(w, fmt.Sprintf("object exceeds the %d byte limit", h.maxBytes), http.StatusRequestEntityTooLarge)
+					http.Error(w, fmt.Sprintf("object exceeds the %d byte limit", MaxObjectBytes), http.StatusRequestEntityTooLarge)
 					return
 				}
 				writeStoreErr(w, err)
@@ -199,12 +199,6 @@ func WithTelemetry(reg *telemetry.Registry) HandlerOption {
 	}
 }
 
-// WithMaxObjectBytes overrides the per-object upload limit (default
-// MaxObjectBytes).
-func WithMaxObjectBytes(n int64) HandlerOption {
-	return func(h *handlerState) { h.maxBytes = n }
-}
-
 // WithHandlerTracer opens a child span ("objstore put", "objstore get",
 // ...) for every request arriving with X-RAI-Trace-ID propagation
 // headers, so uploads and downloads appear inside the job's span tree.
@@ -222,7 +216,6 @@ type handlerState struct {
 	streamIn  *telemetry.Counter
 	streamOut *telemetry.Counter
 	inFlight  *telemetry.Gauge
-	maxBytes  int64
 
 	// rai_cas_* counters (cas.go); nil-safe no-ops without telemetry.
 	casHits        *telemetry.Counter

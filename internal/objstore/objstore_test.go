@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"rai/internal/blobstore"
+	"rai/internal/cas"
 	"rai/internal/clock"
 )
 
@@ -111,7 +113,7 @@ func TestSweep(t *testing.T) {
 }
 
 func TestCapacity(t *testing.T) {
-	s := New(WithCapacity(10))
+	s := NewWithBackend(blobstore.NewMemory(blobstore.WithCapacity(10)))
 	if err := s.Put(ctx, "b", "a", make([]byte, 8), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -128,6 +130,27 @@ func TestCapacity(t *testing.T) {
 	s.Delete(ctx, "b", "a")
 	if s.Used() != 0 {
 		t.Errorf("Used after delete = %d", s.Used())
+	}
+}
+
+// TestTouch: a negotiation that names a chunk the store holds refreshes
+// its last use, so a chunk shared across submissions outlives the TTL
+// clock of its first upload.
+func TestTouch(t *testing.T) {
+	vc := clock.NewVirtual(t0)
+	s := New(WithClock(vc))
+	data := []byte("chunk")
+	hash := cas.HashHex(data)
+	s.Put(ctx, cas.Bucket, cas.ChunkKey(hash), data, time.Hour)
+	m := &cas.Manifest{Files: []cas.FileEntry{{Path: "a", Size: int64(len(data)), Chunks: []cas.ChunkRef{{Hash: hash, Size: int64(len(data))}}}}, TotalBytes: int64(len(data))}
+	m.Seal()
+	vc.Advance(50 * time.Minute)
+	if missing, err := s.MissingChunks(ctx, m.Encode()); err != nil || len(missing) != 0 {
+		t.Fatalf("negotiation = %v, %v; want the chunk present", missing, err)
+	}
+	vc.Advance(50 * time.Minute)
+	if _, err := s.Head(ctx, cas.Bucket, cas.ChunkKey(hash)); err != nil {
+		t.Errorf("negotiated chunk expired early: %v", err)
 	}
 }
 
@@ -148,33 +171,6 @@ func TestListPrefixSorted(t *testing.T) {
 		if infos[i].Key != w {
 			t.Fatalf("list order = %+v", infos)
 		}
-	}
-}
-
-func TestCreateBucket(t *testing.T) {
-	s := New()
-	if err := s.CreateBucket(ctx, "uploads"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CreateBucket(ctx, "uploads"); !errors.Is(err, ErrKeyExists) {
-		t.Errorf("duplicate bucket: %v", err)
-	}
-	if got, _ := s.Buckets(ctx); len(got) != 1 || got[0] != "uploads" {
-		t.Errorf("Buckets = %v", got)
-	}
-}
-
-func TestTouch(t *testing.T) {
-	vc := clock.NewVirtual(t0)
-	s := New(WithClock(vc))
-	s.Put(ctx, "b", "k", []byte("x"), time.Hour)
-	vc.Advance(50 * time.Minute)
-	if err := s.Touch(ctx, "b", "k"); err != nil {
-		t.Fatal(err)
-	}
-	vc.Advance(50 * time.Minute)
-	if _, err := s.Head(ctx, "b", "k"); err != nil {
-		t.Error("touched object expired early")
 	}
 }
 

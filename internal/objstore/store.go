@@ -28,11 +28,10 @@ import (
 // Errors reported by the store. These alias the blobstore sentinels, so
 // errors.Is works across both packages' names for the same condition.
 var (
-	ErrNoBucket  = blobstore.ErrNoBucket
-	ErrNoObject  = blobstore.ErrNotFound
-	ErrBadName   = blobstore.ErrBadName
-	ErrQuota     = blobstore.ErrQuota
-	ErrKeyExists = blobstore.ErrExists
+	ErrNoBucket = blobstore.ErrNoBucket
+	ErrNoObject = blobstore.ErrNotFound
+	ErrBadName  = blobstore.ErrBadName
+	ErrQuota    = blobstore.ErrQuota
 )
 
 // ObjectInfo is object metadata (the blobstore Info, re-exported under
@@ -54,11 +53,6 @@ func WithClock(c clock.Clock) Option {
 	return func(o *[]blobstore.Option) { *o = append(*o, blobstore.WithClock(c)) }
 }
 
-// WithCapacity bounds total stored bytes.
-func WithCapacity(n int64) Option {
-	return func(o *[]blobstore.Option) { *o = append(*o, blobstore.WithCapacity(n)) }
-}
-
 // WithDefaultTTL sets the lifetime applied when Put is called with ttl=0.
 // The paper's deployment used one month.
 func WithDefaultTTL(d time.Duration) Option {
@@ -73,34 +67,15 @@ func backendOptions(opts []Option) []blobstore.Option {
 	return bopts
 }
 
-// New creates an empty in-memory store. For a disk-backed store use
-// Open; for mount tables or custom engines use NewWithBackend.
+// New creates an empty in-memory store. For a disk-backed store, mount
+// tables or custom engines use NewWithBackend.
 func New(opts ...Option) *Store {
 	return &Store{be: blobstore.NewMemory(backendOptions(opts)...)}
-}
-
-// Open creates a store that persists objects under dir, loading whatever
-// a previous run left there (only metadata is loaded; object bytes stay
-// on disk and stream on demand).
-func Open(dir string, opts ...Option) (*Store, error) {
-	be, err := blobstore.NewDisk(dir, backendOptions(opts)...)
-	if err != nil {
-		return nil, err
-	}
-	return &Store{be: be}, nil
 }
 
 // NewWithBackend wraps an existing backend (e.g. a blobstore.Table
 // routing bucket prefixes to different engines).
 func NewWithBackend(be blobstore.Backend) *Store { return &Store{be: be} }
-
-// Close releases the backend.
-func (s *Store) Close() error { return s.be.Close() }
-
-// CreateBucket makes a bucket; creating an existing bucket is an error.
-func (s *Store) CreateBucket(ctx context.Context, bucket string) error {
-	return s.be.MakeBucket(ctx, bucket)
-}
 
 // put streams r into bucket/key and returns the committed metadata;
 // nothing becomes visible unless the whole stream commits, and a failed
@@ -170,11 +145,6 @@ func (s *Store) List(ctx context.Context, bucket, prefix string) ([]ObjectInfo, 
 	return s.be.List(ctx, bucket, prefix)
 }
 
-// Buckets lists bucket names, sorted.
-func (s *Store) Buckets(ctx context.Context) ([]string, error) {
-	return s.be.Buckets(ctx)
-}
-
 // Used reports total stored bytes (expired-but-uncollected objects
 // included until a sweep or access removes them).
 func (s *Store) Used() int64 { return s.be.Used() }
@@ -183,10 +153,4 @@ func (s *Store) Used() int64 { return s.be.Used() }
 // Deployments run this periodically; simulations call it explicitly.
 func (s *Store) Sweep(ctx context.Context) (int, error) {
 	return s.be.Sweep(ctx)
-}
-
-// Touch refreshes an object's last-use time without reading it (used
-// when a URL is shared but the content is not yet fetched).
-func (s *Store) Touch(ctx context.Context, bucket, key string) error {
-	return s.be.Touch(ctx, bucket, key)
 }

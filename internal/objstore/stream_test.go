@@ -2,6 +2,7 @@ package objstore
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"math/rand"
@@ -11,51 +12,68 @@ import (
 	"strings"
 	"testing"
 
+	"rai/internal/blobstore"
 	"rai/internal/cas"
 	"rai/internal/netx"
 	"rai/internal/telemetry"
 )
 
-// TestHTTPPutTooLargeAborts pins the 413 path: a body over the limit is
-// rejected mid-stream, nothing partial becomes visible, and the store's
-// byte accounting stays clean.
+// TestHTTPPutTooLargeAborts pins the 413 path at the production limit:
+// a body one byte over MaxObjectBytes is rejected mid-stream and its
+// partial write aborted, so nothing becomes visible, while a body of
+// exactly MaxObjectBytes commits. Neither body is ever held: the
+// request streams bytes it never fills into a writer that only counts.
 func TestHTTPPutTooLargeAborts(t *testing.T) {
-	s := New()
-	srv := httptest.NewServer(Handler(s, nil, WithMaxObjectBytes(64)))
-	defer srv.Close()
+	be := &tallyBackend{Backend: blobstore.NewMemory()}
+	h := Handler(NewWithBackend(be), nil)
+	put := func(key string, size int64) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/o/b/"+key, io.LimitReader(unfilledReader{}, size)))
+		return rec.Code
+	}
+	if code := put("big", MaxObjectBytes+1); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %d, want 413", code)
+	}
+	if be.aborted != 1 || be.committed != 0 {
+		t.Errorf("over the limit: %d aborted, %d committed; want 1, 0", be.aborted, be.committed)
+	}
+	if code := put("fits", MaxObjectBytes); code != http.StatusCreated {
+		t.Fatalf("status = %d, want 201", code)
+	}
+	if be.committed != 1 || be.committedBytes != MaxObjectBytes {
+		t.Errorf("at the limit: %d committed of %d bytes; want 1 of %d", be.committed, be.committedBytes, int64(MaxObjectBytes))
+	}
+}
 
-	req, err := http.NewRequest(http.MethodPut, srv.URL+"/o/b/big", strings.NewReader(strings.Repeat("x", 200)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := srv.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Body.Close()
-	if res.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status = %d, want 413", res.StatusCode)
-	}
-	if _, err := s.Head(ctx, "b", "big"); err == nil {
-		t.Error("partial object visible after 413")
-	}
-	if used := s.Used(); used != 0 {
-		t.Errorf("used = %d after aborted upload, want 0", used)
-	}
+// unfilledReader reports every read as full without writing a byte.
+type unfilledReader struct{}
 
-	// At the limit exactly is still accepted.
-	req, err = http.NewRequest(http.MethodPut, srv.URL+"/o/b/fits", strings.NewReader(strings.Repeat("y", 64)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err = srv.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Body.Close()
-	if res.StatusCode != http.StatusCreated {
-		t.Fatalf("status = %d, want 201", res.StatusCode)
-	}
+func (unfilledReader) Read(b []byte) (int, error) { return len(b), nil }
+
+// tallyBackend's writers count bytes and store none; it tallies how
+// each write ended.
+type tallyBackend struct {
+	blobstore.Backend
+	aborted, committed int
+	committedBytes     int64
+}
+
+func (b *tallyBackend) Create(context.Context, string, string, blobstore.PutOptions) (blobstore.Writer, error) {
+	return &tallyWriter{be: b}, nil
+}
+
+type tallyWriter struct {
+	be *tallyBackend
+	n  int64
+}
+
+func (w *tallyWriter) Write(p []byte) (int, error) { w.n += int64(len(p)); return len(p), nil }
+func (w *tallyWriter) Abort() error                { w.be.aborted++; return nil }
+func (w *tallyWriter) Info() blobstore.Info        { return blobstore.Info{Size: w.n} }
+func (w *tallyWriter) Close() error {
+	w.be.committed++
+	w.be.committedBytes += w.n
+	return nil
 }
 
 // TestHTTPStreamCounters pins that the streaming counters account the
@@ -197,11 +215,10 @@ func (p *patternReader) Read(b []byte) (int, error) {
 // pass; real streaming costs a few copy buffers on both.
 func TestHTTPStreamingMemoryFlat(t *testing.T) {
 	const n = 8 << 20
-	s, err := Open(t.TempDir())
+	s, err := openDisk(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	srv := httptest.NewServer(Handler(s, nil))
 	defer srv.Close()
 	c := NewClient(srv.URL)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"rai/internal/telemetry"
@@ -37,6 +38,7 @@ func TestHandlerMetrics(t *testing.T) {
 	if err := reg.WritePrometheus(&exposition); err != nil {
 		t.Fatal(err)
 	}
+	text := exposition.String()
 	snap, err := telemetry.ParseText(&exposition)
 	if err != nil {
 		t.Fatal(err)
@@ -62,9 +64,13 @@ func TestHandlerMetrics(t *testing.T) {
 		t.Errorf("bytes out = %v,%v, want >= %d", v, ok, len(payload))
 	}
 	// The scrape declares all three instrument types.
-	if snap.Type("rai_objstore_requests_total") != "counter" ||
-		snap.Type("rai_objstore_used_bytes") != "gauge" ||
-		snap.Type("rai_objstore_request_seconds") != "histogram" {
-		t.Error("scrape missing counter/gauge/histogram TYPE declarations")
+	for _, decl := range []string{
+		"# TYPE rai_objstore_requests_total counter\n",
+		"# TYPE rai_objstore_used_bytes gauge\n",
+		"# TYPE rai_objstore_request_seconds histogram\n",
+	} {
+		if !strings.Contains(text, decl) {
+			t.Errorf("scrape lacks %q", decl)
+		}
 	}
 }

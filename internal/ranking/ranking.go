@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 
@@ -181,26 +180,4 @@ func FormatHistogram(bins []HistogramBin) string {
 		fmt.Fprintf(&b, "[%5.1f,%5.1f)  %-5d %s\n", bin.Lo, bin.Hi, bin.Count, strings.Repeat("#", bin.Count))
 	}
 	return b.String()
-}
-
-// Recompute rebuilds rank order after reruns change timings (paper §VII
-// grading step 2: "recomputing the ranking"). It returns the instructor
-// view after sorting; since ranking is derived at read time from
-// runtime_s, this is a verification read that also detects ties.
-func (l *Leaderboard) Recompute(ctx context.Context) ([]Entry, error) {
-	entries, err := l.View(ctx, "")
-	if err != nil {
-		return nil, err
-	}
-	// Stable tie ordering is by team name (load sorts runtime_s, team).
-	sorted := sort.SliceIsSorted(entries, func(i, j int) bool {
-		if entries[i].Runtime != entries[j].Runtime {
-			return entries[i].Runtime < entries[j].Runtime
-		}
-		return entries[i].Team < entries[j].Team
-	})
-	if !sorted {
-		return nil, fmt.Errorf("ranking: leaderboard order violated its invariant")
-	}
-	return entries, nil
 }

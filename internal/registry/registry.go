@@ -8,7 +8,6 @@ package registry
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -148,18 +147,6 @@ func (r *Registry) Resolve(ref string) (Image, error) {
 	return img, nil
 }
 
-// Images lists registered refs, sorted.
-func (r *Registry) Images() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.images))
-	for ref := range r.images {
-		out = append(out, ref)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Cache is a worker-local image cache: the first use of an image "pulls"
 // it (modelled as size/bandwidth latency), later uses are instant
 // (paper §V worker step 3).
@@ -193,15 +180,4 @@ func (c *Cache) Pull(ref string) (Image, time.Duration, error) {
 		lat = time.Duration(float64(img.SizeBytes) / float64(c.Bandwidth) * float64(time.Second))
 	}
 	return img, lat, nil
-}
-
-// Contains reports whether ref is already cached locally.
-func (c *Cache) Contains(ref string) bool {
-	repo, tag, err := ParseRef(ref)
-	if err != nil {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.present[repo+":"+tag]
 }

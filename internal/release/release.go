@@ -8,7 +8,6 @@ package release
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -102,7 +101,6 @@ type CI struct {
 	Now func() time.Time
 
 	latest map[string][]Artifact // branch -> artifacts of latest build
-	builds int
 }
 
 // NewCI returns a CI publishing into bucket at baseURL.
@@ -149,16 +147,7 @@ func (ci *CI) Push(branch, commit, version string) ([]Artifact, error) {
 		artifacts = append(artifacts, a)
 	}
 	ci.latest[branch] = artifacts
-	ci.builds++
 	return artifacts, nil
-}
-
-// Builds reports how many CI builds have run.
-func (ci *CI) Builds() int { return ci.builds }
-
-// Latest returns the latest artifacts for branch.
-func (ci *CI) Latest(branch string) []Artifact {
-	return append([]Artifact(nil), ci.latest[branch]...)
 }
 
 // Row is one line of the Figure 3 download table.
@@ -208,24 +197,4 @@ func FormatTable(rows []Row) string {
 		fmt.Fprintf(&b, "%-18s %-8s %-36s %s\n", osName, r.Arch, r.StableURL, r.DevelURL)
 	}
 	return b.String()
-}
-
-// MergeDevelToStable models §VII's flow: "The devel branch was merged
-// into master as the changes were deemed to be stable."
-func (ci *CI) MergeDevelToStable(version string) ([]Artifact, error) {
-	devel := ci.latest[BranchDevel]
-	if len(devel) == 0 {
-		return nil, fmt.Errorf("release: nothing on devel to merge")
-	}
-	return ci.Push(BranchStable, devel[0].Info.Commit, version)
-}
-
-// SortArtifacts orders artifacts deterministically (OS, then arch).
-func SortArtifacts(as []Artifact) {
-	sort.Slice(as, func(i, j int) bool {
-		if as[i].Target.OS != as[j].Target.OS {
-			return as[i].Target.OS < as[j].Target.OS
-		}
-		return as[i].Target.Arch < as[j].Target.Arch
-	})
 }

@@ -109,44 +109,12 @@ func TestPushValidation(t *testing.T) {
 	}
 }
 
-func TestMergeDevelToStable(t *testing.T) {
-	ci := NewCI("b", "https://dl", nil)
-	ci.Now = fixedNow
-	if _, err := ci.MergeDevelToStable("0.2.0"); err == nil {
-		t.Error("merge with empty devel accepted")
-	}
-	ci.Push(BranchDevel, "feat123", "0.3.0-dev")
-	arts, err := ci.MergeDevelToStable("0.3.0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if arts[0].Info.Commit != "feat123" || arts[0].Branch != BranchStable {
-		t.Errorf("merged artifact = %+v", arts[0].Info)
-	}
-	if ci.Builds() != 2 {
-		t.Errorf("builds = %d", ci.Builds())
-	}
-}
-
 func TestBuildInfoString(t *testing.T) {
 	info := BuildInfo{Version: "0.2.1", Commit: "abc", Branch: "master", BuildDate: fixedNow(), OS: "linux", Arch: "amd64"}
 	s := info.String()
 	for _, want := range []string{"rai 0.2.1", "abc", "linux/amd64", "master"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("BuildInfo.String() missing %q: %s", want, s)
-		}
-	}
-}
-
-func TestSortArtifacts(t *testing.T) {
-	ci := NewCI("b", "https://dl", nil)
-	ci.Now = fixedNow
-	arts, _ := ci.Push(BranchStable, "c1", "v")
-	SortArtifacts(arts)
-	for i := 1; i < len(arts); i++ {
-		a, b := arts[i-1], arts[i]
-		if a.Target.OS > b.Target.OS || (a.Target.OS == b.Target.OS && a.Target.Arch > b.Target.Arch) {
-			t.Fatalf("not sorted at %d: %v > %v", i, a.Target, b.Target)
 		}
 	}
 }

@@ -69,10 +69,7 @@ type Config struct {
 
 // Runtime starts containers, pulling images through a worker-local cache.
 type Runtime struct {
-	mu      sync.Mutex
-	cache   *registry.Cache
-	started int
-	active  int
+	cache *registry.Cache
 }
 
 // NewRuntime returns a runtime pulling from reg.
@@ -80,25 +77,15 @@ func NewRuntime(reg *registry.Registry) *Runtime {
 	return &Runtime{cache: registry.NewCache(reg)}
 }
 
-// Stats reports lifetime counters (started, currently active).
-func (rt *Runtime) Stats() (started, active int) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.started, rt.active
-}
-
 // Container is one sandboxed execution environment.
 type Container struct {
-	rt       *Runtime
-	fs       *vfs.FS
-	sh       *shell.Shell
-	cfg      Config
-	image    registry.Image
-	mu       sync.Mutex
-	used     time.Duration // accumulated wall time
-	dead     bool
-	released bool
-	reason   error
+	fs     *vfs.FS
+	sh     *shell.Shell
+	cfg    Config
+	mu     sync.Mutex
+	used   time.Duration // accumulated wall time
+	dead   bool
+	reason error
 	// PullLatency is the modeled time spent fetching the image before
 	// the container could start (zero when cached, paper §V step 3).
 	PullLatency time.Duration
@@ -107,7 +94,7 @@ type Container struct {
 // Start creates a container: resolves and pulls the image, assembles the
 // filesystem from the mounts, and prepares the shell.
 func (rt *Runtime) Start(cfg Config) (*Container, error) {
-	img, pullLat, err := rt.cache.Pull(cfg.Image)
+	_, pullLat, err := rt.cache.Pull(cfg.Image)
 	if err != nil {
 		return nil, err
 	}
@@ -139,12 +126,8 @@ func (rt *Runtime) Start(cfg Config) (*Container, error) {
 		}
 	}
 	sh := shell.New(fs, cfg.WorkDir, cfg.Stdout, cfg.Stderr, cfg.Cost)
-	c := &Container{rt: rt, fs: fs, sh: sh, cfg: cfg, image: img, PullLatency: pullLat}
+	c := &Container{fs: fs, sh: sh, cfg: cfg, PullLatency: pullLat}
 	c.registerNetworkStubs()
-	rt.mu.Lock()
-	rt.started++
-	rt.active++
-	rt.mu.Unlock()
 	return c, nil
 }
 
@@ -166,19 +149,9 @@ func (c *Container) registerNetworkStubs() {
 	}
 }
 
-// Image returns the resolved base image.
-func (c *Container) Image() registry.Image { return c.image }
-
 // FS exposes the container filesystem (the worker reads /build from it
 // to upload results).
 func (c *Container) FS() *vfs.FS { return c.fs }
-
-// Used reports accumulated wall time.
-func (c *Container) Used() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.used
-}
 
 // Exec runs one build command. The container dies when a command pushes
 // accumulated wall time past the lifetime or exceeds the memory limit;
@@ -229,19 +202,5 @@ func (c *Container) Destroy() {
 	if c.reason == nil {
 		c.reason = ErrDestroyed
 	}
-	release := !c.released
-	c.released = true
 	c.mu.Unlock()
-	if release {
-		c.rt.mu.Lock()
-		c.rt.active--
-		c.rt.mu.Unlock()
-	}
-}
-
-// Alive reports whether the container can still execute commands.
-func (c *Container) Alive() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return !c.dead
 }

@@ -75,7 +75,7 @@ func TestFullBuildInContainer(t *testing.T) {
 	if !c.FS().Exists("/build/ece408") {
 		t.Error("binary missing from /build")
 	}
-	if c.Used() <= 0 {
+	if c.used <= 0 {
 		t.Error("no wall time accumulated")
 	}
 }
@@ -128,8 +128,8 @@ func TestLifetimeLimitKillsContainer(t *testing.T) {
 	if res.ExitCode != 137 {
 		t.Errorf("exit code = %d", res.ExitCode)
 	}
-	if c.Used() != 10*time.Second {
-		t.Errorf("Used = %v, want clamped to 10s", c.Used())
+	if c.used != 10*time.Second {
+		t.Errorf("Used = %v, want clamped to 10s", c.used)
 	}
 	if !strings.Contains(errb.String(), "lifetime") {
 		t.Errorf("stderr = %q", errb.String())
@@ -137,9 +137,6 @@ func TestLifetimeLimitKillsContainer(t *testing.T) {
 	// Dead container rejects further commands.
 	if _, err := c.Exec("echo still there"); !errors.Is(err, ErrLifetimeExceeded) {
 		t.Errorf("exec after death: %v", err)
-	}
-	if c.Alive() {
-		t.Error("container still alive")
 	}
 }
 
@@ -153,8 +150,8 @@ func TestHangingJobIsReaped(t *testing.T) {
 	if !errors.Is(err, ErrLifetimeExceeded) {
 		t.Fatalf("hanging kernel: %v", err)
 	}
-	if c.Used() > time.Hour {
-		t.Errorf("Used = %v, want clamped to the 1h lifetime", c.Used())
+	if c.used > time.Hour {
+		t.Errorf("Used = %v, want clamped to the 1h lifetime", c.used)
 	}
 }
 
@@ -216,32 +213,6 @@ func TestPullLatencyOnlyFirstContainer(t *testing.T) {
 	defer c2.Destroy()
 	if c2.PullLatency != 0 {
 		t.Errorf("second container pull latency = %v, want 0 (cached)", c2.PullLatency)
-	}
-}
-
-func TestRuntimeStats(t *testing.T) {
-	src, data := hostFS(t, project.Spec{Impl: cnn.ImplTiled})
-	rt := NewRuntime(registry.NewCourseRegistry())
-	cfg := Config{
-		Image: "webgpu/rai:root",
-		Mounts: []Mount{
-			{Source: src, SourcePath: "/job/src", Target: "/src", ReadOnly: true},
-			{Source: data, SourcePath: "/data", Target: "/data", ReadOnly: true},
-		},
-	}
-	c1, _ := rt.Start(cfg)
-	c2, _ := rt.Start(cfg)
-	if s, a := rt.Stats(); s != 2 || a != 2 {
-		t.Fatalf("Stats = %d,%d", s, a)
-	}
-	c1.Destroy()
-	c1.Destroy() // idempotent
-	if s, a := rt.Stats(); s != 2 || a != 1 {
-		t.Fatalf("after destroy: %d,%d", s, a)
-	}
-	c2.Destroy()
-	if _, a := rt.Stats(); a != 0 {
-		t.Fatalf("active = %d", a)
 	}
 }
 

@@ -199,21 +199,6 @@ func (f *Fleet) CostUSD(end time.Time) float64 {
 	return total
 }
 
-// InstanceHours totals active hours through end.
-func (f *Fleet) InstanceHours(end time.Time) float64 {
-	var total float64
-	for _, in := range f.instances {
-		stop := end
-		if !in.Terminated.IsZero() && in.Terminated.Before(end) {
-			stop = in.Terminated
-		}
-		if stop.After(in.LaunchedAt) {
-			total += stop.Sub(in.LaunchedAt).Hours()
-		}
-	}
-	return total
-}
-
 // PolicyInput is the telemetry a provisioning policy sees at a decision
 // point (the broker's queue depth is the key signal, §IV).
 type PolicyInput struct {

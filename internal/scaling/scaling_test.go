@@ -122,15 +122,6 @@ func TestCostBillsWholeHours(t *testing.T) {
 	}
 }
 
-func TestInstanceHours(t *testing.T) {
-	f := NewFleet(1)
-	f.Launch(2, G2, t0)
-	got := f.InstanceHours(t0.Add(90 * time.Minute))
-	if got != 3.0 {
-		t.Errorf("instance hours = %v, want 3.0", got)
-	}
-}
-
 func TestG2CheaperThanP2(t *testing.T) {
 	// §VII: "These instances are cheaper than instances with more
 	// powerful GPU resources."

@@ -16,7 +16,6 @@ package shell
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 
@@ -90,16 +89,6 @@ func New(fs *vfs.FS, cwd string, stdout, stderr io.Writer, cost CostModel) *Shel
 
 // Register installs (or overrides) a program by name.
 func (sh *Shell) Register(name string, p Program) { sh.programs[name] = p }
-
-// Programs lists registered program names, sorted.
-func (sh *Shell) Programs() []string {
-	out := make([]string, 0, len(sh.programs))
-	for n := range sh.programs {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // Run tokenizes and executes one command line.
 func (sh *Shell) Run(cmdline string) (Result, error) {

@@ -122,7 +122,7 @@ func TestStoreMetricsFromRealJob(t *testing.T) {
 
 	objSrv := httptest.NewServer(objstore.Handler(d.Store, nil, objstore.WithTelemetry(d.Telemetry)))
 	defer objSrv.Close()
-	dbSrv := httptest.NewServer(docstore.Handler(docstore.New(), nil, docstore.WithTelemetry(d.Telemetry)))
+	dbSrv := httptest.NewServer(docstore.Handler(docstore.New(), docstore.WithTelemetry(d.Telemetry)))
 	defer dbSrv.Close()
 
 	// Reroute the deployment through the HTTP services.

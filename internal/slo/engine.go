@@ -58,12 +58,6 @@ func NewEngine(objs []Objective, opts ...Option) *Engine {
 	return e
 }
 
-// Objectives returns the declared objectives (callers must not mutate).
-func (e *Engine) Objectives() []Objective { return e.objs }
-
-// Rules returns the active burn-rate rules.
-func (e *Engine) Rules() []Rule { return e.rules }
-
 // Observe folds one scrape round into the history: each objective's
 // (bad, total) is summed across all snapshots (a worker fleet scrapes
 // as several endpoints) and recorded at the engine clock's now.

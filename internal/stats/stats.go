@@ -123,9 +123,6 @@ func (d *Durations) Add(v time.Duration) {
 	d.dirty = true
 }
 
-// N reports the sample count.
-func (d *Durations) N() int { return len(d.data) }
-
 func (d *Durations) ensure() {
 	if d.dirty || d.sorted == nil {
 		d.sorted = append(d.sorted[:0], d.data...)
@@ -153,23 +150,8 @@ func (d *Durations) Quantile(q float64) time.Duration {
 	return d.sorted[idx]
 }
 
-// Mean returns the arithmetic mean.
-func (d *Durations) Mean() time.Duration {
-	if len(d.data) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, v := range d.data {
-		sum += v
-	}
-	return sum / time.Duration(len(d.data))
-}
-
 // Max returns the maximum sample.
 func (d *Durations) Max() time.Duration { return d.Quantile(1) }
-
-// Min returns the minimum sample.
-func (d *Durations) Min() time.Duration { return d.Quantile(0) }
 
 // Table renders aligned text tables deterministically.
 type Table struct {

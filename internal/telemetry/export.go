@@ -87,20 +87,14 @@ type Exporter struct {
 	interval time.Duration
 	timeout  time.Duration
 
-	ch      chan exportRec
-	flushCh chan chan struct{}
-	stop    chan struct{}
-	done    chan struct{}
-	once    sync.Once
-	closed  atomic.Bool
+	ch     chan exportRec
+	stop   chan struct{}
+	done   chan struct{}
+	once   sync.Once
+	closed atomic.Bool
 
-	droppedSpans  atomic.Uint64
-	droppedEvents atomic.Uint64
-	shippedSpans  atomic.Uint64
-	shippedEvents atomic.Uint64
-	shipFailures  atomic.Uint64
-
-	// optional registry instruments (mirrors of the atomics above).
+	// optional registry instruments; without WithExportMetrics the
+	// exporter counts nothing.
 	mDropped  map[string]*Counter
 	mShipped  map[string]*Counter
 	mBatches  *Counter
@@ -150,7 +144,7 @@ func WithExportShipTimeout(d time.Duration) ExporterOption {
 	}
 }
 
-// WithExportMetrics mirrors the exporter's internal counters onto reg:
+// WithExportMetrics counts the exporter's work on reg:
 // rai_telemetry_dropped_total / rai_telemetry_shipped_total (labeled by
 // kind), rai_telemetry_batches_total, rai_telemetry_ship_failures_total.
 func WithExportMetrics(reg *Registry) ExporterOption {
@@ -174,8 +168,8 @@ func WithExportMetrics(reg *Registry) ExporterOption {
 // NewExporter starts the background flush loop. service names the
 // emitting process in every batch. ctx carries the caller's values
 // (trace annotations, auth) into every ship call; its cancellation is
-// deliberately not inherited — Close/Flush on the shutdown path must
-// still publish the final batches.
+// deliberately not inherited — Close on the shutdown path must still
+// publish the final batches.
 func NewExporter(ctx context.Context, service string, ship ShipFunc, opts ...ExporterOption) *Exporter {
 	e := &Exporter{
 		service:  service,
@@ -185,7 +179,6 @@ func NewExporter(ctx context.Context, service string, ship ShipFunc, opts ...Exp
 		batch:    DefaultExportBatch,
 		interval: DefaultExportInterval,
 		timeout:  DefaultShipTimeout,
-		flushCh:  make(chan chan struct{}),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -235,45 +228,10 @@ func (e *Exporter) ExportEvent(ev Event) {
 
 func (e *Exporter) drop(r *exportRec) {
 	if r.span != nil {
-		e.droppedSpans.Add(1)
 		e.mDropped["span"].Inc() // nil-map lookup yields nil Counter: no-op
 		return
 	}
-	e.droppedEvents.Add(1)
 	e.mDropped["event"].Inc()
-}
-
-// Dropped reports how many spans and events were discarded because the
-// buffer was full — the backpressure signal operators alert on.
-func (e *Exporter) Dropped() (spans, events uint64) {
-	if e == nil {
-		return 0, 0
-	}
-	return e.droppedSpans.Load(), e.droppedEvents.Load()
-}
-
-// Shipped reports how many spans and events made it into published
-// batches.
-func (e *Exporter) Shipped() (spans, events uint64) {
-	if e == nil {
-		return 0, 0
-	}
-	return e.shippedSpans.Load(), e.shippedEvents.Load()
-}
-
-// Flush synchronously drains the buffer and publishes any pending
-// batch. It is how shutdown paths and tests guarantee nothing is
-// sitting in the window.
-func (e *Exporter) Flush() {
-	if e == nil {
-		return
-	}
-	ack := make(chan struct{})
-	select {
-	case e.flushCh <- ack:
-		<-ack
-	case <-e.done:
-	}
 }
 
 // Close flushes and stops the background loop. Records exported after
@@ -325,10 +283,6 @@ func (e *Exporter) run() {
 		case <-flushTimer:
 			e.publish(&pending)
 			flushTimer = e.clk.After(e.interval)
-		case ack := <-e.flushCh:
-			drain()
-			e.publish(&pending)
-			close(ack)
 		case <-e.stop:
 			drain()
 			e.publish(&pending)
@@ -351,12 +305,9 @@ func (e *Exporter) publish(b *Batch) {
 	ctx, cancel := context.WithTimeout(e.base, e.timeout)
 	defer cancel()
 	if err := e.ship(ctx, out); err != nil {
-		e.shipFailures.Add(1)
 		e.mFailures.Inc()
 		return
 	}
-	e.shippedSpans.Add(uint64(ns))
-	e.shippedEvents.Add(uint64(ne))
 	e.mShipped["span"].Add(float64(ns))
 	e.mShipped["event"].Add(float64(ne))
 	e.mBatches.Inc()

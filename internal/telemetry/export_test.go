@@ -33,16 +33,24 @@ func (s *batchSink) counts() (batches, spans, events int) {
 	return len(s.batches), spans, events
 }
 
+// exportCounts reads one of the exporter's counters (dropped or
+// shipped) off reg, by kind.
+func exportCounts(reg *Registry, name string) (spans, events float64) {
+	spans, _ = reg.Value(name, L("kind", "span"))
+	events, _ = reg.Value(name, L("kind", "event"))
+	return spans, events
+}
+
 func TestExporterBatchesAndShips(t *testing.T) {
 	var sink batchSink
-	e := NewExporter(context.Background(), "svc", sink.ship)
-	defer e.Close()
+	reg := NewRegistry()
+	e := NewExporter(context.Background(), "svc", sink.ship, WithExportMetrics(reg))
 
 	for i := 0; i < 3; i++ {
 		e.ExportSpan(SpanData{TraceID: "t1", SpanID: "s1", Name: "work"})
 	}
 	e.ExportEvent(Event{Level: "info", Msg: "hello"})
-	e.Flush()
+	e.Close()
 
 	batches, spans, events := sink.counts()
 	if batches == 0 || spans != 3 || events != 1 {
@@ -54,11 +62,11 @@ func TestExporterBatchesAndShips(t *testing.T) {
 	if svc != "svc" {
 		t.Errorf("batch service = %q, want svc", svc)
 	}
-	if ds, de := e.Dropped(); ds != 0 || de != 0 {
-		t.Errorf("dropped = %d/%d, want 0/0", ds, de)
+	if ds, de := exportCounts(reg, "rai_telemetry_dropped_total"); ds != 0 || de != 0 {
+		t.Errorf("dropped = %v/%v, want 0/0", ds, de)
 	}
-	if ss, se := e.Shipped(); ss != 3 || se != 1 {
-		t.Errorf("shipped = %d/%d, want 3/1", ss, se)
+	if ss, se := exportCounts(reg, "rai_telemetry_shipped_total"); ss != 3 || se != 1 {
+		t.Errorf("shipped = %v/%v, want 3/1", ss, se)
 	}
 }
 
@@ -77,7 +85,9 @@ func TestExporterBackpressureNeverBlocks(t *testing.T) {
 		<-gate // wedged until the test releases it
 		return nil
 	}
+	reg := NewRegistry()
 	e := NewExporter(context.Background(), "svc", ship,
+		WithExportMetrics(reg),
 		WithExportQueue(4),
 		WithExportBatch(1),                 // first record triggers the wedged publish
 		WithExportInterval(time.Hour),      // timer never fires during the test
@@ -100,21 +110,21 @@ func TestExporterBackpressureNeverBlocks(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Export blocked while the ship function was wedged")
 	}
-	ds, de := e.Dropped()
+	ds, de := exportCounts(reg, "rai_telemetry_dropped_total")
 	if ds+de == 0 {
-		t.Fatalf("no drops recorded after flooding a wedged exporter (spans=%d events=%d)", ds, de)
+		t.Fatalf("no drops recorded after flooding a wedged exporter (spans=%v events=%v)", ds, de)
 	}
 	if ds+de > flood*2 {
-		t.Fatalf("dropped %d records, more than the %d exported", ds+de, flood*2)
+		t.Fatalf("dropped %v records, more than the %d exported", ds+de, flood*2)
 	}
 	close(gate)
 	e.Close()
 
 	// After Close, records are dropped (and counted), not delivered.
-	before, _ := e.Dropped()
+	before, _ := exportCounts(reg, "rai_telemetry_dropped_total")
 	e.ExportSpan(SpanData{Name: "late"})
-	if after, _ := e.Dropped(); after != before+1 {
-		t.Errorf("post-Close export: dropped went %d -> %d, want +1", before, after)
+	if after, _ := exportCounts(reg, "rai_telemetry_dropped_total"); after != before+1 {
+		t.Errorf("post-Close export: dropped went %v -> %v, want +1", before, after)
 	}
 }
 
@@ -156,10 +166,9 @@ func TestExporterShipFailureCounted(t *testing.T) {
 	e := NewExporter(context.Background(), "svc", func(context.Context, *Batch) error { return errors.New("broker down") },
 		WithExportMetrics(reg))
 	e.ExportSpan(SpanData{Name: "doomed"})
-	e.Flush()
 	e.Close()
-	if ss, se := e.Shipped(); ss != 0 || se != 0 {
-		t.Errorf("shipped = %d/%d despite ship failure", ss, se)
+	if ss, se := exportCounts(reg, "rai_telemetry_shipped_total"); ss != 0 || se != 0 {
+		t.Errorf("shipped = %v/%v despite ship failure", ss, se)
 	}
 	if got, ok := reg.Value("rai_telemetry_ship_failures_total"); !ok || got < 1 {
 		t.Errorf("rai_telemetry_ship_failures_total = %v (ok=%v), want >= 1", got, ok)
@@ -170,11 +179,7 @@ func TestNilExporter(t *testing.T) {
 	var e *Exporter
 	e.ExportSpan(SpanData{Name: "x"}) // must not panic
 	e.ExportEvent(Event{Msg: "x"})
-	e.Flush()
 	e.Close()
-	if ds, de := e.Dropped(); ds != 0 || de != 0 {
-		t.Errorf("nil exporter dropped = %d/%d", ds, de)
-	}
 }
 
 func TestBatchEncodeDecodeRoundTrip(t *testing.T) {

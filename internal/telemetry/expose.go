@@ -135,12 +135,7 @@ type Sample struct {
 // Snapshot is a parsed exposition document, as scraped by raiadmin top.
 type Snapshot struct {
 	Samples []Sample
-	types   map[string]string
 }
-
-// Type reports the declared TYPE of a family ("counter", "gauge",
-// "histogram"), or "" if the scrape carried no declaration.
-func (s *Snapshot) Type(name string) string { return s.types[name] }
 
 // Value finds a sample by name and exact label set.
 func (s *Snapshot) Value(name string, labels ...Label) (float64, bool) {
@@ -188,19 +183,12 @@ func Scrape(ctx context.Context, url string) (*Snapshot, error) {
 // the subset WritePrometheus emits (plus arbitrary label order), which
 // is all the admin tooling needs.
 func ParseText(r io.Reader) (*Snapshot, error) {
-	snap := &Snapshot{types: map[string]string{}}
+	snap := &Snapshot{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			fields := strings.Fields(line)
-			if len(fields) >= 4 && fields[1] == "TYPE" {
-				snap.types[fields[2]] = fields[3]
-			}
+		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
 		smp, err := parseSample(line)

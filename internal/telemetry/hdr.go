@@ -177,14 +177,6 @@ func (s *HDRSnapshot) Quantile(q float64) float64 {
 	return s.Max
 }
 
-// Mean reports the arithmetic mean in seconds.
-func (s *HDRSnapshot) Mean() float64 {
-	if s == nil || s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
-}
-
 // write renders the snapshot as one series of a Prometheus histogram
 // family: cumulative `le` buckets at every power-of-two edge from the
 // first up to the highest populated one, the mandatory +Inf, then _sum

@@ -58,7 +58,7 @@ func TestHDRQuantileAccuracy(t *testing.T) {
 		wantMean += v
 	}
 	wantMean /= float64(len(samples))
-	if m := snap.Mean(); math.Abs(m-wantMean) > 1e-9*wantMean {
+	if m := snap.Sum / float64(snap.Count); math.Abs(m-wantMean) > 1e-9*wantMean {
 		t.Errorf("mean = %v, want %v", m, wantMean)
 	}
 	if snap.Max != sortedQuantile(samples, 1) {

@@ -173,14 +173,6 @@ func (c *Counter) Add(delta float64) {
 	addFloat(&c.s.bits, delta)
 }
 
-// Value reads the current count.
-func (c *Counter) Value() float64 {
-	if c == nil || c.s == nil {
-		return 0
-	}
-	return math.Float64frombits(c.s.bits.Load())
-}
-
 // Gauge is a metric that can go up and down.
 type Gauge struct{ s *series }
 
@@ -206,17 +198,6 @@ func (g *Gauge) Add(delta float64) {
 		return
 	}
 	addFloat(&g.s.bits, delta)
-}
-
-// Value reads the gauge, consulting the callback for GaugeFunc series.
-func (g *Gauge) Value() float64 {
-	if g == nil || g.s == nil {
-		return 0
-	}
-	if g.s.fn != nil {
-		return g.s.fn()
-	}
-	return math.Float64frombits(g.s.bits.Load())
 }
 
 // GaugeFunc registers a gauge whose value is computed by fn at read

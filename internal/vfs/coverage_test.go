@@ -48,28 +48,6 @@ func TestWalkSingleFileRoot(t *testing.T) {
 	}
 }
 
-func TestAppendThroughMount(t *testing.T) {
-	host, ctr := New(), New()
-	host.MkdirAll("/out")
-	ctr.Mount("/build", host, "/out", false)
-	if err := ctr.AppendFile("/build/log.txt", []byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	if err := ctr.AppendFile("/build/log.txt", []byte("b")); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := host.ReadFile("/out/log.txt")
-	if string(got) != "ab" {
-		t.Fatalf("appended = %q", got)
-	}
-	// Read-only mount rejects appends.
-	ro := New()
-	ro.Mount("/data", host, "/out", true)
-	if err := ro.AppendFile("/data/log.txt", []byte("x")); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("ro append: %v", err)
-	}
-}
-
 func TestMkdirAllThroughMount(t *testing.T) {
 	host, ctr := New(), New()
 	host.MkdirAll("/out")
@@ -106,20 +84,6 @@ func TestStatAndReadDirThroughMount(t *testing.T) {
 	}
 }
 
-func TestUnmountErrors(t *testing.T) {
-	f := New()
-	f.MkdirAll("/plain")
-	if err := f.Unmount("/plain"); err == nil {
-		t.Error("unmount of a plain dir accepted")
-	}
-	if err := f.Unmount("relative"); err == nil {
-		t.Error("relative unmount accepted")
-	}
-	if err := f.Unmount("/missing/deep"); err == nil {
-		t.Error("unmount under missing parent accepted")
-	}
-}
-
 func TestRemoveRootRejected(t *testing.T) {
 	f := New()
 	if err := f.Remove("/"); err == nil {
@@ -147,8 +111,8 @@ func TestTreeSizeAcrossMount(t *testing.T) {
 	host.WriteFile("/data/big.bin", make([]byte, 1000))
 	ctr.Mount("/data", host, "/data", true)
 	ctr.WriteFile("/local.txt", make([]byte, 24))
-	size, err := ctr.TreeSize("/")
+	size, err := treeSize(ctr, "/")
 	if err != nil || size != 1024 {
-		t.Fatalf("TreeSize = %d, %v", size, err)
+		t.Fatalf("treeSize = %d, %v", size, err)
 	}
 }

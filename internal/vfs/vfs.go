@@ -10,8 +10,8 @@
 // (the worker's /src is built this way from verified chunks that its
 // chunk cache holds too), and any number of files, in any number of
 // filesystems, may hold the same one. Writers pay instead of readers:
-// WriteFile copies its buffer into a fresh segment and AppendFile adds
-// one, and neither ever writes into a segment already there. ReadFile
+// WriteFile copies its buffer into a fresh segment and never writes
+// into a segment already there. ReadFile
 // still returns a fresh copy, so no caller can reach a shared byte.
 //
 // Paths are absolute and slash-separated. The root ("/") always exists.
@@ -38,7 +38,6 @@ import (
 // Errors reported by FS operations.
 var (
 	ErrNotExist   = fs.ErrNotExist
-	ErrExist      = fs.ErrExist
 	ErrNotDir     = errors.New("not a directory")
 	ErrIsDir      = errors.New("is a directory")
 	ErrReadOnly   = errors.New("read-only file system")
@@ -53,7 +52,6 @@ type FS struct {
 	root  *node
 	quota int64 // 0 = unlimited
 	used  int64
-	now   func() time.Time
 }
 
 type node struct {
@@ -61,8 +59,7 @@ type node struct {
 	dir  bool
 	// parts is a regular file's contents, in order, and size their total
 	// length. Neither a segment's bytes nor an element of parts is
-	// written once in place: a write replaces the list, an append extends
-	// it past every reader's length.
+	// written once in place: a write replaces the list.
 	parts    [][]byte
 	size     int64
 	children map[string]*node
@@ -81,7 +78,6 @@ type mount struct {
 func New() *FS {
 	return &FS{
 		root: &node{name: "/", dir: true, children: map[string]*node{}},
-		now:  clock.Real{}.Now,
 	}
 }
 
@@ -92,25 +88,6 @@ func NewWithQuota(quota int64) *FS {
 	f.quota = quota
 	return f
 }
-
-// SetClock overrides the time source used for mod times (tests,
-// deterministic simulation).
-func (f *FS) SetClock(now func() time.Time) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.now = now
-}
-
-// Used reports the bytes of file data currently stored (local files only;
-// mounted filesystems account their own usage).
-func (f *FS) Used() int64 {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.used
-}
-
-// Quota returns the configured quota (0 = unlimited).
-func (f *FS) Quota() int64 { return f.quota }
 
 // clean canonicalizes p and validates that it is absolute.
 func clean(p string) (string, error) {
@@ -151,7 +128,7 @@ func (f *FS) resolve(p string, mkParents bool) (resolveResult, error) {
 				if !mkParents {
 					return resolveResult{}, fmt.Errorf("%s: %w", p, ErrNotExist)
 				}
-				child = &node{name: part, dir: true, children: map[string]*node{}, modTime: f.now()}
+				child = &node{name: part, dir: true, children: map[string]*node{}, modTime: clock.Real{}.Now()}
 				cur.children[part] = child
 			} else {
 				return resolveResult{parent: cur, leaf: part}, nil
@@ -217,33 +194,9 @@ func (f *FS) Mount(dstPath string, src *FS, srcPath string, readOnly bool) error
 	parent.children[leaf] = &node{
 		name:    leaf,
 		dir:     true,
-		modTime: f.now(),
+		modTime: clock.Real{}.Now(),
 		mount:   &mount{fs: src, at: srcPath, readOnly: readOnly},
 	}
-	return nil
-}
-
-// Unmount removes a mount point.
-func (f *FS) Unmount(p string) error {
-	p, err := clean(p)
-	if err != nil {
-		return err
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	dir, leaf := path.Split(p)
-	res, err := f.resolve(path.Clean(dir), false)
-	if err != nil {
-		return err
-	}
-	if res.fs != nil || res.node == nil || !res.node.dir {
-		return fmt.Errorf("%s: %w", p, ErrNotExist)
-	}
-	n, ok := res.node.children[leaf]
-	if !ok || n.mount == nil {
-		return fmt.Errorf("%s: not a mount point", p)
-	}
-	delete(res.node.children, leaf)
 	return nil
 }
 
@@ -269,7 +222,7 @@ func (f *FS) MkdirAll(p string) error {
 		}
 		return nil
 	}
-	res.parent.children[res.leaf] = &node{name: res.leaf, dir: true, children: map[string]*node{}, modTime: f.now()}
+	res.parent.children[res.leaf] = &node{name: res.leaf, dir: true, children: map[string]*node{}, modTime: clock.Real{}.Now()}
 	f.mu.Unlock()
 	return nil
 }
@@ -318,49 +271,10 @@ func (f *FS) WriteFileParts(p string, parts [][]byte) error {
 	parts = slices.Clip(parts)
 	if res.node != nil {
 		res.node.parts, res.node.size = parts, size
-		res.node.modTime = f.now()
+		res.node.modTime = clock.Real{}.Now()
 	} else {
-		res.parent.children[res.leaf] = &node{name: res.leaf, parts: parts, size: size, modTime: f.now()}
+		res.parent.children[res.leaf] = &node{name: res.leaf, parts: parts, size: size, modTime: clock.Real{}.Now()}
 	}
-	f.mu.Unlock()
-	return nil
-}
-
-// AppendFile appends a copy of data to a file, creating it if absent.
-// The copy is a segment of its own; no existing segment is written.
-func (f *FS) AppendFile(p string, data []byte) error {
-	f.mu.Lock()
-	res, err := f.resolve(p, true)
-	if err != nil {
-		f.mu.Unlock()
-		return err
-	}
-	if res.fs != nil {
-		f.mu.Unlock()
-		if res.readOnly {
-			return fmt.Errorf("%s: %w", p, ErrReadOnly)
-		}
-		return res.fs.AppendFile(res.path, data)
-	}
-	if res.node != nil && res.node.dir {
-		f.mu.Unlock()
-		return fmt.Errorf("%s: %w", p, ErrIsDir)
-	}
-	if f.quota > 0 && f.used+int64(len(data)) > f.quota {
-		f.mu.Unlock()
-		return fmt.Errorf("%s: %w", p, ErrQuota)
-	}
-	f.used += int64(len(data))
-	n := res.node
-	if n == nil {
-		n = &node{name: res.leaf}
-		res.parent.children[res.leaf] = n
-	}
-	if len(data) > 0 {
-		n.parts = append(n.parts, bytes.Clone(data))
-		n.size += int64(len(data))
-	}
-	n.modTime = f.now()
 	f.mu.Unlock()
 	return nil
 }
@@ -603,18 +517,6 @@ func CopyTree(dst *FS, dstPath string, src *FS, srcPath string) error {
 		}
 	}
 	return nil
-}
-
-// TreeSize totals the file bytes under root, crossing mounts.
-func (f *FS) TreeSize(root string) (int64, error) {
-	var total int64
-	err := f.Walk(root, func(p string, fi FileInfo) error {
-		if !fi.Dir {
-			total += fi.Size
-		}
-		return nil
-	})
-	return total, err
 }
 
 // ---- io/fs adapter ----

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/fstest"
 	"testing/quick"
-	"time"
 )
 
 func TestWriteReadFile(t *testing.T) {
@@ -52,9 +51,7 @@ func TestWriteFileIsCopy(t *testing.T) {
 
 // TestWriteFilePartsSharesSegments: a file installed from segments reads
 // back as their concatenation — through ReadFile, Stat, ReadDir, the
-// quota and io/fs — without a copy of them being made; appending to it
-// adds a segment of its own and writes neither the installed bytes nor
-// the spare capacity of the caller's segment list.
+// quota and io/fs — without a copy of them being made.
 func TestWriteFilePartsSharesSegments(t *testing.T) {
 	f := NewWithQuota(16)
 	seg := make([]byte, 3, 8)
@@ -70,8 +67,8 @@ func TestWriteFilePartsSharesSegments(t *testing.T) {
 	if got, err := f.ReadFile("/d/f"); err != nil || string(got) != "abcdefg" {
 		t.Fatalf("ReadFile = %q, %v", got, err)
 	}
-	if fi, err := f.Stat("/d/g"); err != nil || fi.Size != 6 || f.Used() != 13 {
-		t.Fatalf("Stat = %+v, %v; Used = %d", fi, err, f.Used())
+	if fi, err := f.Stat("/d/g"); err != nil || fi.Size != 6 || f.used != 13 {
+		t.Fatalf("Stat = %+v, %v; Used = %d", fi, err, f.used)
 	}
 	if err := f.WriteFileParts("/d/h", [][]byte{[]byte("1234")}); !errors.Is(err, ErrQuota) {
 		t.Fatalf("over-quota parts: %v", err)
@@ -82,19 +79,6 @@ func TestWriteFilePartsSharesSegments(t *testing.T) {
 	seg[0] = 'X' // breaks the contract on purpose: the file shares seg
 	if got, _ := f.ReadFile("/d/g"); string(got) != "XbcXbc" {
 		t.Fatalf("segments were copied: %q", got)
-	}
-	for _, p := range []string{"/d/f", "/d/g"} {
-		if err := f.AppendFile(p, []byte("h")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f2, _ := f.ReadFile("/d/f")
-	g2, _ := f.ReadFile("/d/g")
-	if string(f2) != "Xbcdefgh" || string(g2) != "XbcXbch" {
-		t.Fatalf("after append = %q, %q", f2, g2)
-	}
-	if spare := seg[3:8]; string(spare) != "\x00\x00\x00\x00\x00" || parts[:3][2] != nil {
-		t.Fatalf("append wrote past the caller's slices: segment tail %q, list %q", spare, parts[:3])
 	}
 }
 
@@ -147,7 +131,7 @@ func TestRemoveAll(t *testing.T) {
 	if f.Exists("/d") {
 		t.Error("subtree still present")
 	}
-	if got := f.Used(); got != 0 {
+	if got := f.used; got != 0 {
 		t.Errorf("Used = %d after removing everything", got)
 	}
 	// RemoveAll of a missing path is a no-op.
@@ -168,21 +152,8 @@ func TestQuota(t *testing.T) {
 	if err := f.WriteFile("/a", []byte("1234567890")); err != nil {
 		t.Fatalf("replace within quota: %v", err)
 	}
-	if got := f.Used(); got != 10 {
+	if got := f.used; got != 10 {
 		t.Errorf("Used = %d, want 10", got)
-	}
-	if err := f.AppendFile("/a", []byte("x")); !errors.Is(err, ErrQuota) {
-		t.Errorf("append past quota: %v", err)
-	}
-}
-
-func TestAppendFile(t *testing.T) {
-	f := New()
-	f.AppendFile("/log", []byte("a"))
-	f.AppendFile("/log", []byte("bc"))
-	got, _ := f.ReadFile("/log")
-	if string(got) != "abc" {
-		t.Errorf("appended = %q", got)
 	}
 }
 
@@ -257,27 +228,6 @@ func TestMountErrors(t *testing.T) {
 	}
 }
 
-func TestUnmount(t *testing.T) {
-	host, ctr := New(), New()
-	host.WriteFile("/data/x", []byte("1"))
-	ctr.Mount("/data", host, "/data", true)
-	if !ctr.Exists("/data/x") {
-		t.Fatal("mount not visible")
-	}
-	if err := ctr.Unmount("/data"); err != nil {
-		t.Fatal(err)
-	}
-	if ctr.Exists("/data/x") {
-		t.Error("mount still visible after unmount")
-	}
-	if err := ctr.Unmount("/data"); err == nil {
-		t.Error("double unmount succeeded")
-	}
-	if !host.Exists("/data/x") {
-		t.Error("unmount deleted host data")
-	}
-}
-
 func TestRemoveMountPointDetaches(t *testing.T) {
 	host, ctr := New(), New()
 	host.WriteFile("/data/x", []byte("1"))
@@ -318,31 +268,20 @@ func TestTreeSizeAndCopyTree(t *testing.T) {
 	f := New()
 	f.WriteFile("/p/a", make([]byte, 100))
 	f.WriteFile("/p/q/b", make([]byte, 23))
-	size, err := f.TreeSize("/p")
+	size, err := treeSize(f, "/p")
 	if err != nil || size != 123 {
-		t.Fatalf("TreeSize = %d, %v", size, err)
+		t.Fatalf("treeSize = %d, %v", size, err)
 	}
 	dst := New()
 	if err := CopyTree(dst, "/copy", f, "/p"); err != nil {
 		t.Fatal(err)
 	}
-	size, _ = dst.TreeSize("/copy")
+	size, _ = treeSize(dst, "/copy")
 	if size != 123 {
-		t.Errorf("copied TreeSize = %d", size)
+		t.Errorf("copied treeSize = %d", size)
 	}
 	if got, _ := dst.ReadFile("/copy/q/b"); len(got) != 23 {
 		t.Error("nested file not copied")
-	}
-}
-
-func TestSetClock(t *testing.T) {
-	f := New()
-	fixed := time.Date(2016, 12, 1, 0, 0, 0, 0, time.UTC)
-	f.SetClock(func() time.Time { return fixed })
-	f.WriteFile("/a", nil)
-	fi, _ := f.Stat("/a")
-	if !fi.ModTime.Equal(fixed) {
-		t.Errorf("ModTime = %v", fi.ModTime)
 	}
 }
 
@@ -383,14 +322,8 @@ func TestQuickUsedAccounting(t *testing.T) {
 				fsys.WriteFile(p, make([]byte, o.Size))
 			}
 		}
-		var want int64
-		fsys.Walk("/", func(p string, fi FileInfo) error {
-			if !fi.Dir {
-				want += fi.Size
-			}
-			return nil
-		})
-		return fsys.Used() == want
+		want, _ := treeSize(fsys, "/")
+		return fsys.used == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -415,4 +348,16 @@ func TestConcurrentAccess(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		<-done
 	}
+}
+
+// treeSize totals the file bytes under root, crossing mounts.
+func treeSize(f *FS, root string) (int64, error) {
+	var total int64
+	err := f.Walk(root, func(p string, fi FileInfo) error {
+		if !fi.Dir {
+			total += fi.Size
+		}
+		return nil
+	})
+	return total, err
 }

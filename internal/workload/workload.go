@@ -285,13 +285,3 @@ func (c *Course) LastTwoWeeks() []Submission {
 	}
 	return out
 }
-
-// TeamByName looks a team up.
-func (c *Course) TeamByName(name string) (Team, bool) {
-	for _, t := range c.Teams {
-		if t.Name == name {
-			return t, true
-		}
-	}
-	return Team{}, false
-}

@@ -216,16 +216,6 @@ func TestBugInjectionRates(t *testing.T) {
 	}
 }
 
-func TestTeamByName(t *testing.T) {
-	c := genFall2016(t)
-	if _, ok := c.TeamByName("team01"); !ok {
-		t.Error("team01 missing")
-	}
-	if _, ok := c.TeamByName("nope"); ok {
-		t.Error("ghost team found")
-	}
-}
-
 func TestSmallCourseGenerates(t *testing.T) {
 	cfg := Config{
 		Seed: 7, Teams: 4, Students: 12,
