@@ -6,7 +6,6 @@
 // Usage:
 //
 //	raifs [-addr host:port] [-capacity bytes] [-ttl duration] [-keys keys.json] [-store-root objects/]
-//	      [-cas-root chunks/]
 //	      [-metrics-addr host:port] [-pprof] [-broker host:port]
 //	      [-ready-file path] [-version]
 package main
@@ -23,7 +22,6 @@ import (
 
 	"rai/internal/auth"
 	"rai/internal/blobstore"
-	"rai/internal/cas"
 	"rai/internal/clock"
 	"rai/internal/daemon"
 	"rai/internal/netx"
@@ -43,7 +41,6 @@ func run(args []string, stdout, stderr io.Writer, hooks daemon.Hooks) int {
 	ttl := fs.Duration("ttl", 30*24*time.Hour, "default object lifetime from last use")
 	keysPath := fs.String("keys", "", "credentials file for request authentication (empty = open)")
 	storeRoot := fs.String("store-root", "", "directory for durable object storage (empty = in-memory)")
-	casRoot := fs.String("cas-root", "", "separate disk root for the content-addressed chunk bucket ("+cas.Bucket+"); empty = same backend as everything else")
 	metricsAddr := fs.String("metrics-addr", "", "serve GET /metrics on this address (empty = disabled)")
 	pprofOn := fs.Bool("pprof", false, "mount /debug/pprof on the metrics address")
 	brokerAddr := fs.String("broker", "", "broker address for shipping spans/events to the collector (empty = off)")
@@ -88,24 +85,6 @@ func run(args []string, stdout, stderr io.Writer, hooks daemon.Hooks) int {
 		fmt.Fprintf(stdout, "raifs persisting to %s\n", *storeRoot)
 	} else {
 		be = blobstore.NewMemory(blobstore.WithCapacity(*capacity), blobstore.WithDefaultTTL(*ttl))
-	}
-	if *casRoot != "" {
-		// Chunks live on their own spindle: dedup storage is hot (every
-		// delta submission negotiates against it) and long-lived, so
-		// deployments can give it separate durable space without moving
-		// the rest of the buckets.
-		casBE, err := blobstore.NewDisk(*casRoot, blobstore.WithDefaultTTL(*ttl))
-		if err != nil {
-			fmt.Fprintf(stderr, "raifs: -cas-root: %v\n", err)
-			return 1
-		}
-		table := blobstore.NewTable(be)
-		if err := table.Mount(cas.Bucket, casBE); err != nil {
-			fmt.Fprintf(stderr, "raifs: -cas-root: %v\n", err)
-			return 1
-		}
-		be = table
-		fmt.Fprintf(stdout, "raifs chunk store (%s) persisting to %s\n", cas.Bucket, *casRoot)
 	}
 	store := objstore.NewWithBackend(be)
 	var authFn objstore.AuthFunc

@@ -9,14 +9,12 @@
 //
 //   - Backend: the storage-backend interface. Open returns an
 //     io.ReadCloser, Create returns a committing Writer, plus Stat,
-//     List, Remove, Touch, per-blob TTLs measured from last use, and
-//     Sweep for expiry collection.
+//     Touch, per-blob TTLs measured from last use, and Sweep for expiry
+//     collection.
 //   - Memory and Disk backends. Memory hands out copy-on-write readers
 //     over immutable buffers (no defensive copying); Disk streams to a
 //     temp file and commits with an atomic rename, cleaning up partial
 //     writes on error.
-//   - Table: a mount table routing bucket prefixes to backends, so one
-//     daemon can keep uploads on disk and scratch buckets in memory.
 //   - Append: journal-style callers extend a blob without rewriting
 //     it; every backend implements it.
 package blobstore
@@ -37,7 +35,6 @@ var (
 	ErrNotFound = errors.New("blobstore: no such blob")
 	ErrBadName  = errors.New("blobstore: invalid bucket or key")
 	ErrQuota    = errors.New("blobstore: capacity exceeded")
-	ErrExists   = errors.New("blobstore: already exists")
 	ErrClosed   = errors.New("blobstore: backend closed")
 	ErrETag     = errors.New("blobstore: content does not hash to the expected ETag")
 )
@@ -88,7 +85,7 @@ type Writer interface {
 }
 
 // Backend is the storage-backend interface shared by the memory and
-// disk engines and the mount table.
+// disk engines.
 type Backend interface {
 	// Create opens a streaming writer for bucket/key, making the bucket
 	// if it is new. The blob becomes visible when the writer is closed.
@@ -100,11 +97,6 @@ type Backend interface {
 	Stat(ctx context.Context, bucket, key string) (Info, error)
 	// Touch refreshes last-use without reading content.
 	Touch(ctx context.Context, bucket, key string) error
-	// List returns metadata for keys under prefix, sorted by key.
-	// Expired blobs are excluded (and lazily collected).
-	List(ctx context.Context, bucket, prefix string) ([]Info, error)
-	// Remove deletes a blob.
-	Remove(ctx context.Context, bucket, key string) error
 	// Used reports total stored bytes. It reads the in-memory
 	// accounting only, so it takes no context and cannot fail.
 	Used() int64
@@ -122,7 +114,6 @@ type Backend interface {
 var (
 	_ Backend = (*Memory)(nil)
 	_ Backend = (*Disk)(nil)
-	_ Backend = (*Table)(nil)
 )
 
 // ValidBucket reports whether b is a legal bucket name: 1-63 runes of

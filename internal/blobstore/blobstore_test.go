@@ -16,8 +16,8 @@ import (
 	"rai/internal/clock"
 )
 
-// The conformance suite is the real test body; each backend (and the
-// mount table wrapping one) must pass it identically.
+// The conformance suite is the real test body; each backend must pass
+// it identically.
 
 func memoryFactory(t *testing.T, opts ...blobstore.Option) (blobstore.Backend, *clock.Virtual) {
 	t.Helper()
@@ -58,23 +58,6 @@ func TestDiskConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-		},
-	}.Run(context.Background(), t)
-}
-
-func TestTableConformance(t *testing.T) {
-	// A table with a mount still has to behave like a plain backend for
-	// buckets the suite touches (all routed to the default here).
-	conformance.Suite{
-		New: func(t *testing.T, opts ...blobstore.Option) (blobstore.Backend, *clock.Virtual) {
-			t.Helper()
-			vc := conformance.NewVirtual()
-			withClock := append(opts, blobstore.WithClock(vc))
-			tab := blobstore.NewTable(blobstore.NewMemory(withClock...))
-			if err := tab.Mount("mounted-", blobstore.NewMemory(withClock...)); err != nil {
-				t.Fatal(err)
-			}
-			return tab, vc
 		},
 	}.Run(context.Background(), t)
 }
@@ -146,93 +129,6 @@ func TestDiskRejectsMissingOrCorruptMeta(t *testing.T) {
 	os.WriteFile(filepath.Join(dir, "b", "obj.meta"), []byte("{not json"), 0o600)
 	if _, err := blobstore.NewDisk(dir); err == nil {
 		t.Fatal("corrupt metadata accepted")
-	}
-}
-
-func TestMountRoutingLongestPrefixWins(t *testing.T) {
-	def := blobstore.NewMemory()
-	cold := blobstore.NewMemory()
-	colder := blobstore.NewMemory()
-	tab := blobstore.NewTable(def)
-	if err := tab.Mount("cold-", cold); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.Mount("cold-deep-", colder); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.Mount("cold-", cold); !errors.Is(err, blobstore.ErrExists) {
-		t.Errorf("duplicate mount = %v, want ErrExists", err)
-	}
-
-	ctx := context.Background()
-	writeTo := func(bucket string) {
-		w, err := tab.Create(ctx, bucket, "k", blobstore.PutOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.WriteString(w, bucket)
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writeTo("hot")
-	writeTo("cold-a")
-	writeTo("cold-deep-b")
-
-	// Each blob landed on exactly the backend its prefix routes to.
-	for _, tc := range []struct {
-		be     blobstore.Backend
-		bucket string
-	}{{def, "hot"}, {cold, "cold-a"}, {colder, "cold-deep-b"}} {
-		if _, err := tc.be.Stat(ctx, tc.bucket, "k"); err != nil {
-			t.Errorf("bucket %q missing from its routed backend: %v", tc.bucket, err)
-		}
-	}
-	if _, err := cold.Stat(ctx, "cold-deep-b", "k"); !errors.Is(err, blobstore.ErrNoBucket) {
-		t.Error("longest-prefix mount did not win over shorter one")
-	}
-
-	// Reads route the same way, and the summed view sees everything.
-	rc, _, err := tab.Open(ctx, "cold-deep-b", "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, _ := io.ReadAll(rc)
-	rc.Close()
-	if string(data) != "cold-deep-b" {
-		t.Errorf("routed read = %q", data)
-	}
-	if used := tab.Used(); used != int64(len("hot")+len("cold-a")+len("cold-deep-b")) {
-		t.Errorf("summed Used = %d", used)
-	}
-}
-
-func TestMountRoutingMixedBackends(t *testing.T) {
-	mem := blobstore.NewMemory()
-	root := t.TempDir()
-	disk, err := blobstore.NewDisk(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := blobstore.NewTable(mem)
-	if err := tab.Mount("durable-", disk); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	w, err := tab.Create(ctx, "durable-uploads", "team/a.tar.bz2", blobstore.PutOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.WriteString(w, "archive")
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The bytes are on disk, not in the memory backend.
-	if _, err := os.Stat(filepath.Join(root, "durable-uploads")); err != nil {
-		t.Errorf("disk mount did not persist: %v", err)
-	}
-	if _, err := mem.Stat(ctx, "durable-uploads", "team/a.tar.bz2"); !errors.Is(err, blobstore.ErrNoBucket) {
-		t.Error("default backend received routed write")
 	}
 }
 

@@ -227,21 +227,25 @@ func (s Suite) Run(ctx context.Context, t *testing.T) {
 	})
 
 	t.Run("RemoveDuringReadKeepsStream", func(t *testing.T) {
-		be, _ := s.New(t)
+		be, vc := s.New(t)
 		defer be.Close()
 		payload := bytes.Repeat([]byte("stream"), 500)
-		put(ctx, t, be, "b", "k", payload, 0)
+		put(ctx, t, be, "b", "k", payload, time.Hour)
 		rc, _, err := be.Open(ctx, "b", "k")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer rc.Close()
-		if err := be.Remove(ctx, "b", "k"); err != nil {
-			t.Fatal(err)
+		vc.Advance(2 * time.Hour)
+		if n, err := be.Sweep(ctx); n != 1 || err != nil {
+			t.Fatalf("Sweep = %d, %v; want the blob being read", n, err)
+		}
+		if _, err := be.Stat(ctx, "b", "k"); !errors.Is(err, blobstore.ErrNotFound) {
+			t.Errorf("swept blob still visible: %v", err)
 		}
 		got, err := io.ReadAll(rc)
 		if err != nil || !bytes.Equal(got, payload) {
-			t.Errorf("in-flight read after remove: %d bytes, %v", len(got), err)
+			t.Errorf("in-flight read after sweep: %d bytes, %v", len(got), err)
 		}
 	})
 
@@ -303,21 +307,6 @@ func (s Suite) Run(ctx context.Context, t *testing.T) {
 		}
 		if used := be.Used(); used != 5 {
 			t.Errorf("Used = %d after sweep, want 5", used)
-		}
-	})
-
-	t.Run("ListPrefixSorted", func(t *testing.T) {
-		be, _ := s.New(t)
-		defer be.Close()
-		for _, k := range []string{"t2/b", "t1/z", "t1/a", "other"} {
-			put(ctx, t, be, "b", k, []byte(k), 0)
-		}
-		infos, err := be.List(ctx, "b", "t1/")
-		if err != nil || len(infos) != 2 {
-			t.Fatalf("List = %d infos, %v", len(infos), err)
-		}
-		if infos[0].Key != "t1/a" || infos[1].Key != "t1/z" {
-			t.Errorf("List order = %s, %s", infos[0].Key, infos[1].Key)
 		}
 	})
 
@@ -452,7 +441,7 @@ func (s Suite) Run(ctx context.Context, t *testing.T) {
 						if len(got) == 0 {
 							return fmt.Errorf("empty read for %s", key)
 						}
-						if _, err := be.List(ctx, "b", fmt.Sprintf("t%d/", g)); err != nil {
+						if _, err := be.Stat(ctx, "b", key); err != nil {
 							return err
 						}
 					}
@@ -520,22 +509,23 @@ func (s Suite) Run(ctx context.Context, t *testing.T) {
 		if swept != 20 {
 			t.Errorf("sweeps collected %d blobs, want exactly the 20 expired", swept)
 		}
-		infos, err := be.List(ctx, "b", "")
-		if err != nil {
-			t.Fatal(err)
+		for i := 0; i < 20; i++ {
+			if _, err := be.Stat(ctx, "b", fmt.Sprintf("old/%02d", i)); !errors.Is(err, blobstore.ErrNotFound) {
+				t.Errorf("expired blob old/%02d survived sweep: %v", i, err)
+			}
 		}
 		var total int64
-		for _, info := range infos {
-			if strings.HasPrefix(info.Key, "old/") {
-				t.Errorf("expired blob %s survived sweep", info.Key)
+		for g := 0; g < 4; g++ {
+			for i := 0; i < 25; i++ {
+				info, err := be.Stat(ctx, "b", fmt.Sprintf("new/%d-%02d", g, i))
+				if err != nil {
+					t.Errorf("written blob new/%d-%02d: %v", g, i, err)
+				}
+				total += info.Size
 			}
-			total += info.Size
 		}
-		if len(infos) != 100 {
-			t.Errorf("surviving blobs = %d, want 100", len(infos))
-		}
-		if used := be.Used(); used != total {
-			t.Errorf("Used = %d, sum of listed sizes = %d", used, total)
+		if used := be.Used(); used != total || total != 100*64 {
+			t.Errorf("Used = %d, sum of surviving sizes = %d, want %d", used, total, 100*64)
 		}
 	})
 

@@ -242,22 +242,6 @@ func (d *Disk) Touch(ctx context.Context, bucket, key string) error {
 	return nil
 }
 
-// List implements Backend.
-func (d *Disk) List(ctx context.Context, bucket, prefix string) ([]Info, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return d.idx.list(bucket, prefix)
-}
-
-// Remove implements Backend.
-func (d *Disk) Remove(ctx context.Context, bucket, key string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return d.idx.remove(bucket, key)
-}
-
 // Used implements Backend.
 func (d *Disk) Used() int64 { return d.idx.totalUsed() }
 

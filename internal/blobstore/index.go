@@ -2,8 +2,6 @@ package blobstore
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -29,8 +27,8 @@ type index struct {
 	used    int64
 	closed  bool
 	// drop releases an entry's durable data (disk unlinks files); called
-	// with mu held whenever an entry leaves the index via remove, sweep,
-	// or lazy expiry.
+	// with mu held whenever an entry leaves the index via sweep or lazy
+	// expiry.
 	drop func(bucket, key string)
 }
 
@@ -45,13 +43,6 @@ func (x *index) ttlOrDefault(d time.Duration) time.Duration {
 		return x.cfg.defTTL
 	}
 	return d
-}
-
-func checkBucket(bucket string) error {
-	if !ValidBucket(bucket) {
-		return fmt.Errorf("%w: bucket %q", ErrBadName, bucket)
-	}
-	return nil
 }
 
 func checkNames(bucket, key string) error {
@@ -152,55 +143,6 @@ func (x *index) touchInfo(bucket, key string) (Info, error) {
 	}
 	e.info.LastUsed = x.now()
 	return e.info, nil
-}
-
-func (x *index) list(bucket, prefix string) ([]Info, error) {
-	if err := checkBucket(bucket); err != nil {
-		return nil, err
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if x.closed {
-		return nil, ErrClosed
-	}
-	bk, ok := x.buckets[bucket]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoBucket, bucket)
-	}
-	var out []Info
-	for key, e := range bk {
-		if !strings.HasPrefix(key, prefix) {
-			continue
-		}
-		if x.expiredLocked(e) {
-			x.removeEntryLocked(bucket, key, e)
-			continue
-		}
-		out = append(out, e.info)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out, nil
-}
-
-func (x *index) remove(bucket, key string) error {
-	if err := checkNames(bucket, key); err != nil {
-		return err
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if x.closed {
-		return ErrClosed
-	}
-	bk, ok := x.buckets[bucket]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoBucket, bucket)
-	}
-	e, ok := bk[key]
-	if !ok {
-		return fmt.Errorf("%w: %q/%q", ErrNotFound, bucket, key)
-	}
-	x.removeEntryLocked(bucket, key, e)
-	return nil
 }
 
 func (x *index) totalUsed() int64 {

@@ -73,22 +73,6 @@ func (m *Memory) Touch(ctx context.Context, bucket, key string) error {
 	return m.idx.touch(bucket, key)
 }
 
-// List implements Backend.
-func (m *Memory) List(ctx context.Context, bucket, prefix string) ([]Info, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return m.idx.list(bucket, prefix)
-}
-
-// Remove implements Backend.
-func (m *Memory) Remove(ctx context.Context, bucket, key string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return m.idx.remove(bucket, key)
-}
-
 // Used implements Backend.
 func (m *Memory) Used() int64 { return m.idx.totalUsed() }
 

@@ -28,9 +28,8 @@ const (
 	MaxChunk = 64 << 10 // force a cut at this many bytes
 )
 
-// Bucket is the dedicated bucket chunks are stored under. Deployments
-// that want chunk storage on its own engine mount this prefix in a
-// blobstore.Table (raifs -cas-root).
+// Bucket is the dedicated bucket chunks are stored under, on the same
+// backend as every other bucket.
 const Bucket = "rai-cas"
 
 // HashHex returns the lowercase hex SHA-256 of data — the chunk address.

@@ -21,8 +21,6 @@ type Clock interface {
 	// After returns a channel that delivers the clock's time once d has
 	// elapsed on this clock.
 	After(d time.Duration) <-chan time.Time
-	// Sleep blocks until d has elapsed on this clock.
-	Sleep(d time.Duration)
 }
 
 // Real is the wall clock. Its zero value is usable.
@@ -34,11 +32,8 @@ func (Real) Now() time.Time { return time.Now() }
 // After implements Clock.
 func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
-// Sleep implements Clock.
-func (Real) Sleep(d time.Duration) { time.Sleep(d) }
-
 // Virtual is a manually advanced clock. Time moves only when Advance or
-// AdvanceTo is called; timers created by After/Sleep fire when the clock
+// AdvanceTo is called; timers created by After fire when the clock
 // passes their deadline. Virtual is safe for concurrent use.
 type Virtual struct {
 	mu     sync.Mutex
@@ -73,11 +68,6 @@ func (v *Virtual) After(d time.Duration) <-chan time.Time {
 	heap.Push(&v.timers, &timer{at: v.now.Add(d), seq: v.seq, ch: ch})
 	return ch
 }
-
-// Sleep implements Clock. It blocks until another goroutine advances the
-// clock past the deadline. Sleeping on a virtual clock from the same
-// goroutine that advances it deadlocks, as it would with real timers.
-func (v *Virtual) Sleep(d time.Duration) { <-v.After(d) }
 
 // Advance moves the clock forward by d, firing due timers in order.
 func (v *Virtual) Advance(d time.Duration) {

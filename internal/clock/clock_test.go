@@ -119,14 +119,14 @@ func TestVirtualPendingTimers(t *testing.T) {
 	}
 }
 
-func TestVirtualSleepUnblocks(t *testing.T) {
+func TestVirtualAfterWakesBlockedGoroutine(t *testing.T) {
 	v := NewVirtual(epoch)
 	done := make(chan struct{})
 	go func() {
-		v.Sleep(5 * time.Second)
+		<-v.After(5 * time.Second)
 		close(done)
 	}()
-	// Let the sleeper register its timer.
+	// Let the waiter register its timer.
 	for v.PendingTimers() == 0 {
 		time.Sleep(time.Millisecond)
 	}
@@ -134,7 +134,7 @@ func TestVirtualSleepUnblocks(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
-		t.Fatal("Sleep did not unblock after Advance")
+		t.Fatal("After did not fire after Advance")
 	}
 }
 

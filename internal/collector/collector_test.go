@@ -60,8 +60,8 @@ func TestCollectorRunPersistsBatches(t *testing.T) {
 	// in once its event is.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		events, _ := db.Count(context.Background(), core.CollEvents, docstore.M{"job_id": "job-1"})
-		if doc, err := db.FindOne(context.Background(), core.CollTraces, docstore.M{"span_id": "s1"}); events > 0 && err == nil {
+		events, _ := db.Find(context.Background(), core.CollEvents, docstore.M{"job_id": "job-1"}, docstore.FindOpts{})
+		if doc, err := db.FindOne(context.Background(), core.CollTraces, docstore.M{"span_id": "s1"}); len(events) > 0 && err == nil {
 			if doc["trace_id"] != "tr1" || doc["job_id"] != "job-1" || doc["service"] != "raiworker" {
 				t.Fatalf("span doc = %v", doc)
 			}
@@ -143,8 +143,8 @@ func TestPersistIdempotentEvents(t *testing.T) {
 			t.Fatalf("persist round %d: %v", i, err)
 		}
 	}
-	if n, err := db.Count(ctx, core.CollEvents, docstore.M{}); err != nil || n != 2 {
-		t.Fatalf("events after a redelivered batch = %d, %v; want 2", n, err)
+	if docs, err := db.Find(ctx, core.CollEvents, docstore.M{}, docstore.FindOpts{}); err != nil || len(docs) != 2 {
+		t.Fatalf("events after a redelivered batch = %d, %v; want 2", len(docs), err)
 	}
 	evs, err := EventsByJob(ctx, db, "j1", 0)
 	if err != nil || len(evs) != 2 || evs[0].Service != "raiworker" || evs[0].Attrs["worker"] != "w1" {

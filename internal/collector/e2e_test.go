@@ -246,8 +246,9 @@ func (s *tracedStack) settle(t *testing.T) {
 	spans, events := s.shipAll(t)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		gotSpans, _ := s.db.Count(context.Background(), core.CollTraces, docstore.M{})
-		gotEvents, _ := s.db.Count(context.Background(), core.CollEvents, docstore.M{})
+		spanDocs, _ := s.db.Find(context.Background(), core.CollTraces, docstore.M{}, docstore.FindOpts{})
+		eventDocs, _ := s.db.Find(context.Background(), core.CollEvents, docstore.M{}, docstore.FindOpts{})
+		gotSpans, gotEvents := len(spanDocs), len(eventDocs)
 		if gotSpans == spans && gotEvents == events {
 			return
 		}
@@ -479,7 +480,8 @@ func TestEndToEndSamplingHonest(t *testing.T) {
 		return counter("rai_collector_tail_kept_total", telemetry.L("reason", reason))
 	}
 	for {
-		persisted, _ := s.db.Count(context.Background(), core.CollTraces, docstore.M{})
+		docs, _ := s.db.Find(context.Background(), core.CollTraces, docstore.M{}, docstore.FindOpts{})
+		persisted := len(docs)
 		if persisted+counter("rai_collector_tail_spans_dropped_total") == shipped {
 			break
 		}

@@ -273,16 +273,6 @@ func (r *recordingObjects) GetReader(ctx context.Context, bucket, key string) (i
 	return r.Objects.GetReader(ctx, bucket, key)
 }
 
-func (r *recordingObjects) List(ctx context.Context, bucket, prefix string) ([]objstore.ObjectInfo, error) {
-	r.note("List", nil)
-	return r.Objects.List(ctx, bucket, prefix)
-}
-
-func (r *recordingObjects) Delete(ctx context.Context, bucket, key string) error {
-	r.note("Delete", nil)
-	return r.Objects.Delete(ctx, bucket, key)
-}
-
 func (r *recordingObjects) MissingChunks(ctx context.Context, m []byte) ([]string, error) {
 	r.note("MissingChunks", nil)
 	return r.Objects.MissingChunks(ctx, m)

@@ -253,8 +253,8 @@ func TestSubmissionOverwritesRanking(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc2, _ := e.db.FindOne(context.Background(), CollRankings, docstore.M{"team": "team-gamma"})
-	if n, _ := e.db.Count(context.Background(), CollRankings, docstore.M{}); n != 1 {
-		t.Fatalf("ranking rows = %d, want 1 (overwrite semantics)", n)
+	if rows, _ := e.db.Find(context.Background(), CollRankings, docstore.M{}, docstore.FindOpts{}); len(rows) != 1 {
+		t.Fatalf("ranking rows = %d, want 1 (overwrite semantics)", len(rows))
 	}
 	if doc2["runtime_s"].(float64) >= doc1["runtime_s"].(float64) {
 		t.Errorf("second submission (%v) not faster than first (%v)", doc2["runtime_s"], doc1["runtime_s"])
@@ -528,15 +528,22 @@ func TestClientUploadTTLApplied(t *testing.T) {
 	e := newEnv(t)
 	c := e.client(t, "team-ttl")
 	proj := newProject(t, project.Spec{Impl: cnn.ImplTiled})
-	if _, err := submitAndHandle(t, e, c, KindRun, build.Default(), proj); err != nil {
+	res, err := submitAndHandle(t, e, c, KindRun, build.Default(), proj)
+	if err != nil {
 		t.Fatal(err)
 	}
-	infos, err := e.objects.List(context.Background(), BucketUploads, "team-ttl/")
-	if err != nil || len(infos) != 1 {
-		t.Fatalf("uploads = %v, %v", infos, err)
+	job, err := e.db.FindOne(context.Background(), CollJobs, docstore.M{"job_id": res.JobID})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if infos[0].TTL != UploadTTL {
-		t.Errorf("upload TTL = %v, want %v", infos[0].TTL, UploadTTL)
+	bucket, _ := job["upload_bucket"].(string)
+	key, _ := job["upload_key"].(string)
+	info, err := e.objects.(*objstore.Store).Head(context.Background(), bucket, key)
+	if err != nil || bucket != BucketUploads {
+		t.Fatalf("upload %s/%s: %+v, %v", bucket, key, info, err)
+	}
+	if info.TTL != UploadTTL {
+		t.Errorf("upload TTL = %v, want %v", info.TTL, UploadTTL)
 	}
 }
 

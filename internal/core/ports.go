@@ -33,8 +33,6 @@ type Objects interface {
 	Put(ctx context.Context, bucket, key string, data []byte, ttl time.Duration) error
 	Get(ctx context.Context, bucket, key string) ([]byte, error)
 	GetReader(ctx context.Context, bucket, key string) (io.ReadCloser, int64, error)
-	List(ctx context.Context, bucket, prefix string) ([]objstore.ObjectInfo, error)
-	Delete(ctx context.Context, bucket, key string) error
 	// MissingChunks returns the subset of the encoded manifest's chunks
 	// absent from the store, refreshing the TTL of those present.
 	MissingChunks(ctx context.Context, manifest []byte) ([]string, error)

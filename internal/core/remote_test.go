@@ -52,14 +52,6 @@ func TestRemoteQueueEndToEnd(t *testing.T) {
 	if res.Status != StatusSucceeded || res.Accuracy != 1.0 {
 		t.Fatalf("res = %+v", res)
 	}
-	// List/Delete paths of the objects port.
-	infos, err := c.Objects.List(context.Background(), BucketUploads, "team-tcp/")
-	if err != nil || len(infos) != 1 {
-		t.Fatalf("list = %v, %v", infos, err)
-	}
-	if err := c.Objects.Delete(context.Background(), BucketUploads, infos[0].Key); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestSubmissionSurvivesBrokerRestart is the PR's end-to-end acceptance
@@ -167,7 +159,8 @@ func TestResubmitReusesUpload(t *testing.T) {
 	if bucket == "" || key == "" {
 		t.Fatalf("job doc lacks upload location: %v", job)
 	}
-	uploadsBefore, _ := e.objects.List(context.Background(), BucketUploads, "team-rerun/")
+	rec := &recordingObjects{Objects: c.Objects}
+	c.Objects = rec
 
 	e.clock.Advance(time.Minute)
 	type out struct {
@@ -192,10 +185,9 @@ func TestResubmitReusesUpload(t *testing.T) {
 	if o.res.InternalTimer != first.InternalTimer {
 		t.Errorf("rerun timer %v != original %v (same archive, same model)", o.res.InternalTimer, first.InternalTimer)
 	}
-	// No new upload was created.
-	uploadsAfter, _ := e.objects.List(context.Background(), BucketUploads, "team-rerun/")
-	if len(uploadsAfter) != len(uploadsBefore) {
-		t.Errorf("uploads grew from %d to %d on resubmit", len(uploadsBefore), len(uploadsAfter))
+	// No new upload was made.
+	if calls, _ := rec.take(); len(calls) != 0 {
+		t.Errorf("resubmit called the file server with %v; want no upload", calls)
 	}
 }
 

@@ -2,6 +2,8 @@ package docstore
 
 import (
 	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -35,12 +37,12 @@ func TestEqualValuesDeep(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			n, err := db.Count(testCtx, "c", tc.filter)
+			docs, err := db.Find(testCtx, "c", tc.filter, FindOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n != tc.want {
-				t.Errorf("count = %d, want %d", n, tc.want)
+			if len(docs) != tc.want {
+				t.Errorf("matches = %d, want %d", len(docs), tc.want)
 			}
 		})
 	}
@@ -59,8 +61,8 @@ func TestOrOperatorVariants(t *testing.T) {
 		{"$or": []any{"nope"}},
 		{"$or": []any{map[string]any{"x": map[string]any{"$bogus": 1}}}},
 	} {
-		if n, err := db.Count(testCtx, "c", f); !errors.Is(err, ErrBadFilter) {
-			t.Errorf("count %v = %d, %v; want ErrBadFilter", f, n, err)
+		if docs, err := db.Find(testCtx, "c", f, FindOpts{}); !errors.Is(err, ErrBadFilter) {
+			t.Errorf("find %v = %v, %v; want ErrBadFilter", f, docs, err)
 		}
 	}
 }
@@ -90,15 +92,23 @@ func TestHTTPErrorStatuses(t *testing.T) {
 	if _, err := c.Update(testCtx, "c", M{"_id": "x"}, M{"$explode": M{}}); err == nil {
 		t.Error("bad update over HTTP accepted")
 	}
-	// Unknown verb and missing collection path.
-	for _, p := range []string{"/c/c/frobnicate", "/c/"} {
-		resp, err := srv.Client().Post(srv.URL+p, "application/json", strings.NewReader("{}"))
+	// Unknown verbs (count is not served) and a missing collection path.
+	for _, tc := range []struct {
+		path, want string
+		status     int
+	}{
+		{"/c/c/frobnicate", "unknown verb frobnicate", http.StatusNotFound},
+		{"/c/x/count", "unknown verb count", http.StatusNotFound},
+		{"/c/", "want /c/{collection}/{verb}", http.StatusBadRequest},
+	} {
+		resp, err := srv.Client().Post(srv.URL+tc.path, "application/json", strings.NewReader("{}"))
 		if err != nil {
 			t.Fatal(err)
 		}
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode < 400 {
-			t.Errorf("POST %s = %d", p, resp.StatusCode)
+		if resp.StatusCode != tc.status || !strings.Contains(string(body), tc.want) {
+			t.Errorf("POST %s = %d %s, want %d %q", tc.path, resp.StatusCode, body, tc.status, tc.want)
 		}
 	}
 	// GET is rejected.

@@ -329,25 +329,6 @@ func (db *DB) FindOne(ctx context.Context, collName string, filter M) (M, error)
 	return docs[0], nil
 }
 
-// Count returns the number of matching documents.
-func (db *DB) Count(ctx context.Context, collName string, filter M) (int, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	if err := checkFilter(filter); err != nil {
-		return 0, err
-	}
-	n := 0
-	err := db.read(collName, filter, func(c *collection) {
-		for _, e := range c.candidates(filter) {
-			if matches(e.doc, filter) {
-				n++
-			}
-		}
-	})
-	return n, err
-}
-
 // matching returns c's entries that match filter, building the indexes
 // it can use first. Callers hold db.mu for writing; the result is a
 // fresh slice, so they may move entries between buckets as they go.

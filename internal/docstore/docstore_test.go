@@ -100,18 +100,18 @@ func TestFilterOperators(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			n, err := db.Count(testCtx, "submissions", tc.filter)
+			docs, err := db.Find(testCtx, "submissions", tc.filter, FindOpts{})
 			if tc.want < 0 {
 				if !errors.Is(err, ErrBadFilter) {
-					t.Fatalf("count = %d, %v; want ErrBadFilter", n, err)
+					t.Fatalf("find = %v, %v; want ErrBadFilter", docs, err)
 				}
 				return
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n != tc.want {
-				t.Errorf("count = %d, want %d", n, tc.want)
+			if len(docs) != tc.want {
+				t.Errorf("matches = %d, want %d", len(docs), tc.want)
 			}
 		})
 	}
@@ -256,7 +256,7 @@ func TestRemovedFormsRejected(t *testing.T) {
 			if _, err := db.Upsert(testCtx, "submissions", f, M{"$set": M{"x": 1}}); !errors.Is(err, ErrBadFilter) {
 				t.Errorf("upsert: %v, want ErrBadFilter", err)
 			}
-			for _, verb := range []string{"find", "count", "delete"} {
+			for _, verb := range []string{"find", "delete"} {
 				if code := post(verb, M{"filter": f}); code != http.StatusBadRequest {
 					t.Errorf("POST %s = %d, want 400", verb, code)
 				}
@@ -304,8 +304,8 @@ func TestUpsert(t *testing.T) {
 	if err != nil || id2 != id {
 		t.Fatalf("upsert update: %q vs %q, %v", id2, id, err)
 	}
-	if n, _ := db.Count(testCtx, "rankings", M{}); n != 1 {
-		t.Fatalf("count = %d, want 1 (no duplicate rows)", n)
+	if docs, _ := db.Find(testCtx, "rankings", M{}, FindOpts{}); len(docs) != 1 {
+		t.Fatalf("rows = %d, want 1 (no duplicate rows)", len(docs))
 	}
 	doc, _ = db.FindOne(testCtx, "rankings", M{"team": "alpha"})
 	if doc["runtime"] != 0.43 {
@@ -337,8 +337,8 @@ func TestUpsertConcurrentNewKey(t *testing.T) {
 		}
 		close(start)
 		wg.Wait()
-		if n, err := s.Count(testCtx, "rankings", M{}); err != nil || n != 1 {
-			t.Errorf("count = %d, %v; want 1", n, err)
+		if docs, err := s.Find(testCtx, "rankings", M{}, FindOpts{}); err != nil || len(docs) != 1 {
+			t.Errorf("rows = %d, %v; want 1", len(docs), err)
 		}
 		for g, id := range ids {
 			if id == "" || id != ids[0] {
@@ -369,8 +369,8 @@ func TestDelete(t *testing.T) {
 	if err != nil || n != 2 {
 		t.Fatalf("delete n=%d err=%v", n, err)
 	}
-	if n, _ := db.Count(testCtx, "submissions", M{}); n != 3 {
-		t.Fatalf("remaining = %d", n)
+	if docs, _ := db.Find(testCtx, "submissions", M{}, FindOpts{}); len(docs) != 3 {
+		t.Fatalf("remaining = %d", len(docs))
 	}
 	// Deterministic scan order survives deletion.
 	docs, _ := db.Find(testCtx, "submissions", M{}, FindOpts{})
@@ -472,11 +472,11 @@ func TestHTTPClientMirrorsDB(t *testing.T) {
 	c := NewClient(srv.URL)
 	seedSubmissions(t, c)
 
-	n, err := c.Count(testCtx, "submissions", M{"kind": "final"})
-	if err != nil || n != 3 {
-		t.Fatalf("count = %d, %v", n, err)
+	docs, err := c.Find(testCtx, "submissions", M{"kind": "final"}, FindOpts{})
+	if err != nil || len(docs) != 3 {
+		t.Fatalf("find final = %v, %v", docs, err)
 	}
-	docs, err := c.Find(testCtx, "submissions", M{"runtime": M{"$lt": 1.0}}, FindOpts{Sort: []string{"runtime"}})
+	docs, err = c.Find(testCtx, "submissions", M{"runtime": M{"$lt": 1.0}}, FindOpts{Sort: []string{"runtime"}})
 	if err != nil || len(docs) != 3 {
 		t.Fatalf("find = %v, %v", docs, err)
 	}
@@ -525,8 +525,8 @@ func TestConcurrentFirstFinds(t *testing.T) {
 				if _, err := db.FindOne(testCtx, coll, M{}); !errors.Is(err, ErrNotFound) {
 					t.Errorf("FindOne on a fresh DB: %v", err)
 				}
-				if n, err := db.Count(testCtx, coll, M{}); err != nil || n != 0 {
-					t.Errorf("Count on a fresh DB = %d, %v", n, err)
+				if docs, err := db.Find(testCtx, coll, M{}, FindOpts{}); err != nil || len(docs) != 0 {
+					t.Errorf("unfiltered Find on a fresh DB = %v, %v", docs, err)
 				}
 			}(g)
 		}

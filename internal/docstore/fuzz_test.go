@@ -10,7 +10,7 @@ import (
 // fuzzRoutes are the RPC routes FuzzHandler posts to, picked by the
 // input's first byte.
 var fuzzRoutes = []string{
-	"/c/c/insert", "/c/c/find", "/c/c/count", "/c/c/update",
+	"/c/c/insert", "/c/c/find", "/c/c/update",
 	"/c/c/upsert", "/c/c/delete", "/bulk",
 }
 

@@ -21,13 +21,14 @@ import (
 //
 //	POST /c/{coll}/insert  {"doc": {...}}                  -> {"id": "..."}
 //	POST /c/{coll}/find    {"filter": {...}, "opts": {..}} -> {"docs": [...]}
-//	POST /c/{coll}/count   {"filter": {...}}               -> {"n": 3}
 //	POST /c/{coll}/update  {"filter": {...}, "update":{}}  -> {"n": 2}
 //	POST /c/{coll}/upsert  {"filter": {...}, "update":{}}  -> {"id": "..."}
 //	POST /c/{coll}/delete  {"filter": {...}}               -> {"n": 1}
 //	POST /bulk             {"ops": [{"coll": "...", "filter": {...},
 //	                        "update": {...}}, ...]}         -> {"ids": [...]}
 //	GET  /healthz
+//
+// Any other verb answers 404 "unknown verb".
 
 type rpcRequest struct {
 	Doc    M        `json:"doc,omitempty"`
@@ -56,7 +57,7 @@ func WithTelemetry(reg *telemetry.Registry) HandlerOption {
 		h.reg = reg
 		h.requests = map[string]*telemetry.Counter{}
 		h.latency = map[string]*telemetry.HDRHistogram{}
-		for _, verb := range []string{"insert", "find", "count", "update", "upsert", "delete", "bulk", "other"} {
+		for _, verb := range []string{"insert", "find", "update", "upsert", "delete", "bulk", "other"} {
 			h.requests[verb] = reg.Counter("rai_docstore_requests_total", "requests served", telemetry.L("verb", verb))
 			h.latency[verb] = reg.Histogram("rai_docstore_request_seconds", "request latency", telemetry.L("verb", verb))
 		}
@@ -148,9 +149,6 @@ func Handler(db Store, opts ...HandlerOption) http.Handler {
 		case "find":
 			docs, err := db.Find(r.Context(), coll, req.Filter, req.Opts)
 			respond(w, rpcResponse{Docs: docs}, err)
-		case "count":
-			n, err := db.Count(r.Context(), coll, req.Filter)
-			respond(w, rpcResponse{N: n}, err)
 		case "update":
 			n, err := db.Update(r.Context(), coll, req.Filter, req.Update)
 			respond(w, rpcResponse{N: n}, err)
@@ -327,12 +325,6 @@ func (c *Client) FindOne(ctx context.Context, coll string, filter M) (M, error) 
 	return docs[0], nil
 }
 
-// Count counts matches.
-func (c *Client) Count(ctx context.Context, coll string, filter M) (int, error) {
-	resp, err := c.call(ctx, coll, "count", rpcRequest{Filter: filter}, true)
-	return resp.N, err
-}
-
 // Update applies an update to all matches.
 func (c *Client) Update(ctx context.Context, coll string, filter, update M) (int, error) {
 	resp, err := c.call(ctx, coll, "update", rpcRequest{Filter: filter, Update: update}, true)
@@ -364,7 +356,6 @@ type Store interface {
 	Insert(ctx context.Context, coll string, doc any) (string, error)
 	Find(ctx context.Context, coll string, filter M, opts FindOpts) ([]M, error)
 	FindOne(ctx context.Context, coll string, filter M) (M, error)
-	Count(ctx context.Context, coll string, filter M) (int, error)
 	Update(ctx context.Context, coll string, filter, update M) (int, error)
 	Upsert(ctx context.Context, coll string, filter, update M) (string, error)
 	// UpsertMany applies ops in order, each as Upsert would, in one

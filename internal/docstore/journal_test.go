@@ -123,8 +123,8 @@ func TestPersistUpsertOverwriteSurvives(t *testing.T) {
 	db.Upsert(testCtx, "rankings", M{"team": "alpha"}, M{"$set": M{"runtime_s": 1.5}})
 	db.Upsert(testCtx, "rankings", M{"team": "alpha"}, M{"$set": M{"runtime_s": 0.45}})
 	again := reopen(t, db, dir)
-	if n, _ := again.Count(testCtx, "rankings", M{}); n != 1 {
-		t.Fatalf("rankings rows = %d, want 1", n)
+	if docs, _ := again.Find(testCtx, "rankings", M{}, FindOpts{}); len(docs) != 1 {
+		t.Fatalf("rankings rows = %d, want 1", len(docs))
 	}
 	doc, _ := again.FindOne(testCtx, "rankings", M{"team": "alpha"})
 	if doc["runtime_s"] != 0.45 {
@@ -259,8 +259,8 @@ func TestOpenDropsTornTail(t *testing.T) {
 	f.WriteString(`{"coll":"jobs","id":"j3","doc":{"_id":"j`)
 	f.Close()
 	again := openDisk(t, dir)
-	if n, _ := again.Count(testCtx, "jobs", M{}); n != 3 {
-		t.Fatalf("after a torn append: %d jobs, want the 3 complete ones", n)
+	if docs, _ := again.Find(testCtx, "jobs", M{}, FindOpts{}); len(docs) != 3 {
+		t.Fatalf("after a torn append: %d jobs, want the 3 complete ones", len(docs))
 	}
 	if lines := journalLines(t, dir); len(lines) != 4 || strings.Contains(strings.Join(lines, "\n"), `"j3"`) {
 		t.Fatalf("rewritten journal = %q", lines)
@@ -345,14 +345,12 @@ func TestJournalWriteFailureRefusesWrites(t *testing.T) {
 }
 
 // TestJournalOnSharedBackend runs the journal over a caller-owned
-// memory backend and a mount table, the configuration raidb uses when
-// one process hosts both stores.
+// memory backend that outlives the journal handle.
 func TestJournalOnSharedBackend(t *testing.T) {
 	be := blobstore.NewMemory()
 	defer be.Close()
-	table := blobstore.NewTable(be)
 
-	p, err := Open(testCtx, table, "journal", "rai.journal")
+	p, err := Open(testCtx, be, "journal", "rai.journal")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +361,7 @@ func TestJournalOnSharedBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The backend outlives the journal handle; reopening replays.
-	again, err := Open(testCtx, table, "journal", "rai.journal")
+	again, err := Open(testCtx, be, "journal", "rai.journal")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +370,7 @@ func TestJournalOnSharedBackend(t *testing.T) {
 	if err != nil || doc["status"] != "queued" {
 		t.Fatalf("replayed doc = %v, %v", doc, err)
 	}
-	if st, err := table.Stat(testCtx, "journal", "rai.journal"); err != nil || st.Size == 0 {
+	if st, err := be.Stat(testCtx, "journal", "rai.journal"); err != nil || st.Size == 0 {
 		t.Errorf("journal blob = %+v, %v", st, err)
 	}
 }

@@ -121,10 +121,12 @@ func TestDaemonLifecycleWiredOnce(t *testing.T) {
 // TestEveryDeclarationIsUsed: library API that only tests call is code
 // no deployment runs. An exported func, method, type, var or const of a
 // non-main package needs a use in some non-test file, and any
-// package-level func or method needs one too. A method also counts as
-// used when it implements an interface its receiver type satisfies
-// and something can reach it through (see implementing). The remaining
-// exceptions are unusedAllowed, one reason each.
+// package-level func or method needs one too. So does each method of an
+// interface the module declares, where a call from code that serves
+// HTTP does not count: it only forwards what a client sent. A method
+// also counts as used when it implements an interface its receiver type
+// satisfies and something can reach it through (see implementing). The
+// remaining exceptions are unusedAllowed, one reason each.
 func TestEveryDeclarationIsUsed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
@@ -185,6 +187,8 @@ var unusedAllowed = map[string]string{
 	"rai/internal/core.ErrRateLimited":       "item 2 makes the worker's rate-limit check return it",
 	"rai/internal/sim.Deployment.RunCourse":  "item 7's course driver",
 	"rai/internal/auth.SignHTTP":             "raifs -keys's only client, in cmd/raifs's TestAuthRequiredWithKeys",
+	"rai/internal/docstore.Store.Insert":     "item 2's admission write inserts a user's slot on 0 matches",
+	"rai/internal/docstore.Store.Update":     "item 2's admission write is one conditional update",
 }
 
 // allowedUnused returns the unusedAllowed key that covers d, or "".
@@ -208,11 +212,13 @@ type unusedDecl struct {
 func unusedDecls(prog *Program) []unusedDecl {
 	type span struct{ from, to token.Pos }
 	own := map[types.Object][]span{}
+	var serving []span
 	type cand struct {
 		obj       types.Object
 		pkg, name string
 	}
 	var cands []cand
+	declared, kept := map[types.Object]bool{}, map[types.Object]bool{}
 	for _, pkg := range prog.Packages {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
@@ -221,6 +227,9 @@ func unusedDecls(prog *Program) []unusedDecl {
 					fn, _ := pkg.Info.Defs[d.Name].(*types.Func)
 					if fn == nil || d.Name.Name == "_" || d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main") {
 						continue
+					}
+					if servesHTTP(fn) {
+						serving = append(serving, span{d.Pos(), d.End()})
 					}
 					own[fn] = append(own[fn], span{d.Pos(), d.End()})
 					name := pkg.Path + "." + fn.Name()
@@ -235,6 +244,19 @@ func unusedDecls(prog *Program) []unusedDecl {
 						switch s := spec.(type) {
 						case *ast.TypeSpec:
 							ids = []*ast.Ident{s.Name}
+							tn, _ := pkg.Info.Defs[s.Name].(*types.TypeName)
+							if tn == nil || tn.IsAlias() {
+								break
+							}
+							if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+								for i := 0; i < it.NumExplicitMethods(); i++ {
+									m := it.ExplicitMethod(i)
+									name := pkg.Path + "." + tn.Name() + "." + m.Name()
+									declared[m] = true
+									kept[m] = allowedUnused(unusedDecl{pkg: pkg.Path, name: name}) != ""
+									cands = append(cands, cand{m, pkg.Path, name})
+								}
+							}
 						case *ast.ValueSpec:
 							ids = s.Names
 						}
@@ -251,7 +273,9 @@ func unusedDecls(prog *Program) []unusedDecl {
 			}
 		}
 	}
+	// used counts every use; called leaves out those in code serving HTTP.
 	used := map[types.Object]bool{}
+	called := map[types.Object]bool{}
 	for _, pkg := range prog.Packages {
 	uses:
 		for id, obj := range pkg.Info.Uses {
@@ -262,18 +286,47 @@ func unusedDecls(prog *Program) []unusedDecl {
 				}
 			}
 			used[obj] = true
+			for _, s := range serving {
+				if s.from <= id.Pos() && id.Pos() < s.to {
+					continue uses
+				}
+			}
+			called[obj] = true
 		}
 	}
-	for obj := range implementing(prog) {
-		used[obj] = true
-	}
+	reached := implementing(prog, declared, kept, called)
 	var out []unusedDecl
 	for _, c := range cands {
-		if !used[c.obj] {
+		ok := used[c.obj] || reached[c.obj]
+		if declared[c.obj] {
+			ok = reached[c.obj]
+		}
+		if !ok {
 			out = append(out, unusedDecl{c.pkg, c.name, c.obj.Pos()})
 		}
 	}
 	return out
+}
+
+// servesHTTP reports whether fn is code that serves HTTP requests: it
+// returns an http.Handler or takes an http.ResponseWriter.
+func servesHTTP(fn *types.Func) bool {
+	is := func(t types.Type, name string) bool {
+		n, ok := t.(*types.Named)
+		return ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == "net/http" && n.Obj().Name() == name
+	}
+	sig := fn.Type().(*types.Signature)
+	for i := 0; i < sig.Params().Len(); i++ {
+		if is(sig.Params().At(i).Type(), "ResponseWriter") {
+			return true
+		}
+	}
+	for i := 0; i < sig.Results().Len(); i++ {
+		if is(sig.Results().At(i).Type(), "Handler") {
+			return true
+		}
+	}
+	return false
 }
 
 func originOf(obj types.Object) types.Object {
@@ -303,14 +356,22 @@ func receiverNamed(fn *types.Func) *types.Named {
 
 // implementing returns the methods that some named type of the module
 // (or a pointer to it) contributes to an interface it satisfies,
-// promoted methods included. The interfaces are those the module's
+// promoted methods included, and the used methods of the interfaces the
+// module declares (declared). The interfaces are those the module's
 // code writes (declared, or named in a signature, assertion or
 // conversion), those in the signatures and fields it uses from the
 // standard library (a value handed to sort.Sort is a sort.Interface),
 // and those the standard library reaches by reflection or assertion on
 // any value: error's Unwrap, Is and As, fmt.Stringer, the encoding/json
 // and encoding marshalers, and io/fs's optional FS and file methods.
-func implementing(prog *Program) map[types.Object]bool {
+//
+// A declared method is used when called names it, or names a method of
+// the same name that one of its implementations provides (a concrete
+// one, or one it contributes to another interface). An implementation is
+// credited through a declared method only once that method is used, or
+// when it is kept (listed in unusedAllowed): it cannot go while the
+// interface names it.
+func implementing(prog *Program, declared, kept, called map[types.Object]bool) map[types.Object]bool {
 	byMethod := map[string][]*types.Interface{}
 	seen := map[*types.Interface]bool{}
 	add := func(t types.Type) {
@@ -397,7 +458,11 @@ func implementing(prog *Program) map[types.Object]bool {
 			}
 		}
 	}
-	out := map[types.Object]bool{}
+	type impl struct {
+		mset *types.MethodSet
+		it   *types.Interface
+	}
+	var impls []impl
 	for _, pkg := range prog.Packages {
 		for _, obj := range pkg.Info.Defs {
 			tn, ok := obj.(*types.TypeName)
@@ -413,20 +478,41 @@ func implementing(prog *Program) map[types.Object]bool {
 			done := map[*types.Interface]bool{}
 			for i := 0; i < mset.Len(); i++ {
 				for _, it := range byMethod[mset.At(i).Obj().Name()] {
-					if done[it] {
-						continue
+					if !done[it] && types.Implements(ptr, it) {
+						impls = append(impls, impl{mset, it})
 					}
 					done[it] = true
-					if !types.Implements(ptr, it) {
-						continue
-					}
-					for j := 0; j < it.NumMethods(); j++ {
-						m := it.Method(j)
-						if sel := mset.Lookup(m.Pkg(), m.Name()); sel != nil {
-							out[originOf(sel.Obj())] = true
-						}
-					}
 				}
+			}
+		}
+	}
+	out := map[types.Object]bool{}
+	for m := range declared {
+		if called[m] {
+			out[m] = true
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, im := range impls {
+			for j := 0; j < im.it.NumMethods(); j++ {
+				m := originOf(im.it.Method(j))
+				sel := im.mset.Lookup(m.Pkg(), m.Name()).Obj()
+				switch obj := originOf(sel); {
+				case (!declared[m] || out[m]) && !out[obj]:
+					out[obj] = true
+					changed = true
+				case declared[m] && !out[m] && (called[obj] || out[obj]):
+					out[m] = true
+					changed = true
+				}
+			}
+		}
+	}
+	for _, im := range impls {
+		for j := 0; j < im.it.NumMethods(); j++ {
+			if m := originOf(im.it.Method(j)); kept[m] {
+				out[originOf(im.mset.Lookup(m.Pkg(), m.Name()).Obj())] = true
 			}
 		}
 	}

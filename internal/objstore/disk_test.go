@@ -50,15 +50,19 @@ func TestDiskPersistenceAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestDiskDeleteRemovesFiles: an object the sweep deletes leaves
+// neither its data nor its metadata file behind.
 func TestDiskDeleteRemovesFiles(t *testing.T) {
 	dir := t.TempDir()
-	s, err := openDisk(dir)
+	vc := clock.NewVirtual(t0)
+	s, err := openDisk(dir, blobstore.WithClock(vc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Put(ctx, "b", "nested/key.bin", []byte("x"), 0)
-	if err := s.Delete(ctx, "b", "nested/key.bin"); err != nil {
-		t.Fatal(err)
+	s.Put(ctx, "b", "nested/key.bin", []byte("x"), time.Hour)
+	vc.Advance(2 * time.Hour)
+	if n, err := s.Sweep(ctx); n != 1 || err != nil {
+		t.Fatalf("Sweep = %d, %v", n, err)
 	}
 	s2, err := openDisk(dir)
 	if err != nil {
@@ -114,9 +118,8 @@ func TestDiskKeyEscaping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	infos, err := s2.List(ctx, "b", "")
-	if err != nil || len(infos) != 1 || infos[0].Key != key {
-		t.Fatalf("list after restart = %+v, %v", infos, err)
+	if got, err := s2.Get(ctx, "b", key); err != nil || string(got) != "v" {
+		t.Fatalf("get after restart = %q, %v", got, err)
 	}
 	// The on-disk name contains no path separators beyond the bucket.
 	entries, _ := os.ReadDir(filepath.Join(dir, "b"))
@@ -159,8 +162,8 @@ func TestNewStaysInMemory(t *testing.T) {
 	s := New()
 	s.Put(ctx, "b", "k", []byte("x"), 0)
 	// Nothing written anywhere; just exercise the nil-diskDir paths.
-	if err := s.Delete(ctx, "b", "k"); err != nil {
-		t.Fatal(err)
+	if got, err := s.Get(ctx, "b", "k"); err != nil || string(got) != "x" {
+		t.Fatalf("get = %q, %v", got, err)
 	}
 }
 

@@ -170,18 +170,29 @@ func TestFetchEachErrorEndsTheCall(t *testing.T) {
 }
 
 // sweepOnOpen is a backend under which one chunk expires at the worst
-// moment: it is there when sizes are read and gone when it is opened.
+// moment: it is there when sizes are read and gone when it is opened,
+// and from then on it answers as a swept blob does.
 type sweepOnOpen struct {
 	blobstore.Backend
-	victim string
-	armed  atomic.Bool
+	victim      string
+	armed, gone atomic.Bool
 }
 
 func (b *sweepOnOpen) Open(ctx context.Context, bucket, key string) (io.ReadCloser, blobstore.Info, error) {
 	if key == b.victim && b.armed.CompareAndSwap(true, false) {
-		_ = b.Backend.Remove(ctx, bucket, key)
+		b.gone.Store(true)
+	}
+	if key == b.victim && b.gone.Load() {
+		return nil, blobstore.Info{}, fmt.Errorf("%w: %q/%q", blobstore.ErrNotFound, bucket, key)
 	}
 	return b.Backend.Open(ctx, bucket, key)
+}
+
+func (b *sweepOnOpen) Stat(ctx context.Context, bucket, key string) (blobstore.Info, error) {
+	if key == b.victim && b.gone.Load() {
+		return blobstore.Info{}, fmt.Errorf("%w: %q/%q", blobstore.ErrNotFound, bucket, key)
+	}
+	return b.Backend.Stat(ctx, bucket, key)
 }
 
 // TestFetchChunkSweptMidStream: a chunk swept between the presence pass

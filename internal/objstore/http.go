@@ -3,7 +3,6 @@ package objstore
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -39,12 +38,12 @@ const MaxObjectBytes = 2 << 30
 //	PUT    /o/{bucket}/{key}   store (X-RAI-TTL-Seconds optional; body streamed)
 //	GET    /o/{bucket}/{key}   fetch (streamed)
 //	HEAD   /o/{bucket}/{key}   metadata
-//	DELETE /o/{bucket}/{key}   remove
-//	GET    /l/{bucket}?prefix= list (JSON)
 //	POST   /cas/negotiate      chunks the store lacks for a manifest (cas.go)
 //	POST   /cas/chunks         framed, hash-verified chunk upload (cas.go)
 //	POST   /cas/fetch          the named chunks as one framed stream (cas.go)
 //	GET    /healthz            liveness
+//
+// Any other method on /o/ answers 405, any other path 404.
 func Handler(s *Store, auth AuthFunc, opts ...HandlerOption) http.Handler {
 	h := &handlerState{}
 	for _, o := range opts {
@@ -119,37 +118,9 @@ func Handler(s *Store, auth AuthFunc, opts ...HandlerOption) http.Handler {
 			w.Header().Set("ETag", info.ETag)
 			w.Header().Set("Content-Length", strconv.FormatInt(info.Size, 10))
 			w.WriteHeader(http.StatusOK)
-		case http.MethodDelete:
-			if err := s.Delete(r.Context(), bucket, key); err != nil {
-				writeStoreErr(w, err)
-				return
-			}
-			w.WriteHeader(http.StatusNoContent)
 		default:
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		}
-	}))
-	mux.HandleFunc("/l/", h.instrument(func(*http.Request) string { return "list" }, func(w http.ResponseWriter, r *http.Request) {
-		if auth != nil && !auth(r.Header.Get(HeaderAccessKey), r.Header.Get(HeaderSignature), r) {
-			http.Error(w, "forbidden", http.StatusForbidden)
-			return
-		}
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		bucket := strings.TrimPrefix(r.URL.Path, "/l/")
-		if bucket == "" || strings.Contains(bucket, "/") {
-			http.Error(w, "want /l/{bucket}", http.StatusBadRequest)
-			return
-		}
-		infos, err := s.List(r.Context(), bucket, r.URL.Query().Get("prefix"))
-		if err != nil {
-			writeStoreErr(w, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(infos)
 	}))
 	mux.HandleFunc("/cas/", h.instrument(casOp, func(w http.ResponseWriter, r *http.Request) {
 		if auth != nil && !auth(r.Header.Get(HeaderAccessKey), r.Header.Get(HeaderSignature), r) {
@@ -186,7 +157,7 @@ func WithTelemetry(reg *telemetry.Registry) HandlerOption {
 		h.reg = reg
 		h.requests = map[string]*telemetry.Counter{}
 		h.latency = map[string]*telemetry.HDRHistogram{}
-		for _, op := range []string{"put", "get", "head", "delete", "list", "cas-negotiate", "cas-chunks", "cas-fetch", "other"} {
+		for _, op := range []string{"put", "get", "head", "cas-negotiate", "cas-chunks", "cas-fetch", "other"} {
 			h.requests[op] = reg.Counter("rai_objstore_requests_total", "requests served", telemetry.L("op", op))
 			h.latency[op] = reg.Histogram("rai_objstore_request_seconds", "request latency", telemetry.L("op", op))
 		}
@@ -233,8 +204,6 @@ func objOp(r *http.Request) string {
 		return "get"
 	case http.MethodHead:
 		return "head"
-	case http.MethodDelete:
-		return "delete"
 	}
 	return "other"
 }
@@ -485,32 +454,6 @@ func (c *Client) GetReader(ctx context.Context, bucket, key string) (io.ReadClos
 		return nil, 0, err
 	}
 	return resp.Body, resp.ContentLength, nil
-}
-
-// Delete removes bucket/key.
-func (c *Client) Delete(ctx context.Context, bucket, key string) error {
-	return c.roundTrip(ctx, "delete", http.StatusNoContent, func(ctx context.Context) (*http.Request, error) {
-		return http.NewRequestWithContext(ctx, http.MethodDelete, c.objURL(bucket, key), nil)
-	}, nil)
-}
-
-// List returns object metadata under prefix.
-func (c *Client) List(ctx context.Context, bucket, prefix string) ([]ObjectInfo, error) {
-	u := c.BaseURL + "/l/" + bucket
-	if prefix != "" {
-		u += "?prefix=" + prefix
-	}
-	var infos []ObjectInfo
-	err := c.roundTrip(ctx, "list", http.StatusOK, func(ctx context.Context) (*http.Request, error) {
-		return http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	}, func(resp *http.Response) error {
-		infos = nil // a retried attempt must not append to a partial decode
-		return json.NewDecoder(resp.Body).Decode(&infos)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return infos, nil
 }
 
 func (c *Client) objURL(bucket, key string) string {

@@ -51,8 +51,8 @@ func TestMissing(t *testing.T) {
 	if _, err := s.Get(ctx, "b", "missing"); !errors.Is(err, ErrNoObject) {
 		t.Errorf("missing key: %v", err)
 	}
-	if err := s.Delete(ctx, "b", "missing"); !errors.Is(err, ErrNoObject) {
-		t.Errorf("delete missing: %v", err)
+	if _, err := s.Head(ctx, "b", "missing"); !errors.Is(err, ErrNoObject) {
+		t.Errorf("head missing: %v", err)
 	}
 }
 
@@ -113,7 +113,8 @@ func TestSweep(t *testing.T) {
 }
 
 func TestCapacity(t *testing.T) {
-	s := NewWithBackend(blobstore.NewMemory(blobstore.WithCapacity(10)))
+	vc := clock.NewVirtual(t0)
+	s := NewWithBackend(blobstore.NewMemory(blobstore.WithCapacity(10), blobstore.WithClock(vc)))
 	if err := s.Put(ctx, "b", "a", make([]byte, 8), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -121,15 +122,18 @@ func TestCapacity(t *testing.T) {
 		t.Fatalf("over capacity: %v", err)
 	}
 	// Overwrite frees the old size first.
-	if err := s.Put(ctx, "b", "a", make([]byte, 10), 0); err != nil {
+	if err := s.Put(ctx, "b", "a", make([]byte, 10), time.Hour); err != nil {
 		t.Fatalf("replace within capacity: %v", err)
 	}
 	if s.Used() != 10 {
 		t.Errorf("Used = %d", s.Used())
 	}
-	s.Delete(ctx, "b", "a")
+	vc.Advance(2 * time.Hour)
+	if n, err := s.Sweep(ctx); n != 1 || err != nil {
+		t.Fatalf("Sweep = %d, %v", n, err)
+	}
 	if s.Used() != 0 {
-		t.Errorf("Used after delete = %d", s.Used())
+		t.Errorf("Used after sweep = %d", s.Used())
 	}
 }
 
@@ -151,26 +155,6 @@ func TestTouch(t *testing.T) {
 	vc.Advance(50 * time.Minute)
 	if _, err := s.Head(ctx, cas.Bucket, cas.ChunkKey(hash)); err != nil {
 		t.Errorf("negotiated chunk expired early: %v", err)
-	}
-}
-
-func TestListPrefixSorted(t *testing.T) {
-	s := New()
-	for _, k := range []string{"teams/z/final", "teams/a/final", "teams/a/dev", "other/x"} {
-		s.Put(ctx, "uploads", k, []byte("x"), 0)
-	}
-	infos, err := s.List(ctx, "uploads", "teams/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"teams/a/dev", "teams/a/final", "teams/z/final"}
-	if len(infos) != len(want) {
-		t.Fatalf("list = %+v", infos)
-	}
-	for i, w := range want {
-		if infos[i].Key != w {
-			t.Fatalf("list order = %+v", infos)
-		}
 	}
 }
 
@@ -199,15 +183,8 @@ func TestHTTPRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Error("HTTP round trip mismatch")
 	}
-	infos, err := c.List(ctx, "uploads", "team1/")
-	if err != nil || len(infos) != 1 || infos[0].Key != "team1/proj.tar.bz2" {
-		t.Fatalf("List = %+v, %v", infos, err)
-	}
-	if err := c.Delete(ctx, "uploads", "team1/proj.tar.bz2"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Get(ctx, "uploads", "team1/proj.tar.bz2"); !errors.Is(err, ErrNoObject) {
-		t.Errorf("get after delete: %v", err)
+	if _, err := c.Get(ctx, "uploads", "team2/proj.tar.bz2"); !errors.Is(err, ErrNoObject) {
+		t.Errorf("get of an absent object: %v", err)
 	}
 }
 
@@ -235,33 +212,41 @@ func TestHTTPAuthRejects(t *testing.T) {
 	if err := c.Put(ctx, "b", "k", []byte("x"), 0); err != nil {
 		t.Fatalf("authenticated put: %v", err)
 	}
-	if _, err := c.List(ctx, "b", ""); err != nil {
-		t.Fatalf("authenticated list: %v", err)
+	if _, err := c.Get(ctx, "b", "k"); err != nil {
+		t.Fatalf("authenticated get: %v", err)
 	}
 }
 
+// TestHTTPBadRequests: malformed paths are refused, and a method or
+// route the server does not serve (DELETE, the /l/ listing) is answered
+// as any unknown one, even for an object that exists.
 func TestHTTPBadRequests(t *testing.T) {
 	_, c := newHTTP(t, nil)
-	srvURL := c.BaseURL
-	for _, u := range []string{srvURL + "/o/onlybucket", srvURL + "/l/a/b"} {
-		resp, err := http.Get(u)
+	if err := c.Put(ctx, "b", "k", []byte("x"), 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		method, path string
+		want         int
+	}{
+		{http.MethodGet, "/o/onlybucket", http.StatusBadRequest},
+		{http.MethodPatch, "/o/b/k", http.StatusMethodNotAllowed},
+		{http.MethodDelete, "/o/b/k", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/nope/b", http.StatusNotFound},
+		{http.MethodGet, "/l/b", http.StatusNotFound},
+	} {
+		req, _ := http.NewRequest(tc.method, c.BaseURL+tc.path, nil)
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest && resp.StatusCode != http.StatusNotFound {
-			t.Errorf("GET %s = %d", u, resp.StatusCode)
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s %s = %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
 		}
 	}
-	// Unknown method.
-	req, _ := http.NewRequest(http.MethodPatch, srvURL+"/o/b/k", nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("PATCH = %d", resp.StatusCode)
+	if got, err := c.Get(ctx, "b", "k"); err != nil || string(got) != "x" {
+		t.Errorf("object after the refused requests = %q, %v", got, err)
 	}
 }
 

@@ -34,10 +34,6 @@ var (
 	ErrQuota    = blobstore.ErrQuota
 )
 
-// ObjectInfo is object metadata (the blobstore Info, re-exported under
-// the name this package always used).
-type ObjectInfo = blobstore.Info
-
 // Store is the object-store engine: the in-process facade over a
 // blobstore.Backend. It carries the same context-first method set as
 // Client, so either satisfies core.Objects.
@@ -73,24 +69,24 @@ func New(opts ...Option) *Store {
 	return &Store{be: blobstore.NewMemory(backendOptions(opts)...)}
 }
 
-// NewWithBackend wraps an existing backend (e.g. a blobstore.Table
-// routing bucket prefixes to different engines).
+// NewWithBackend wraps an existing backend (raifs -store-root's
+// blobstore.Disk).
 func NewWithBackend(be blobstore.Backend) *Store { return &Store{be: be} }
 
 // put streams r into bucket/key and returns the committed metadata;
 // nothing becomes visible unless the whole stream commits, and a failed
 // copy cleans up its partial write.
-func (s *Store) put(ctx context.Context, bucket, key string, r io.Reader, opts blobstore.PutOptions) (ObjectInfo, error) {
+func (s *Store) put(ctx context.Context, bucket, key string, r io.Reader, opts blobstore.PutOptions) (blobstore.Info, error) {
 	w, err := s.be.Create(ctx, bucket, key, opts)
 	if err != nil {
-		return ObjectInfo{}, err
+		return blobstore.Info{}, err
 	}
 	if _, err := io.Copy(w, r); err != nil {
 		w.Abort()
-		return ObjectInfo{}, err
+		return blobstore.Info{}, err
 	}
 	if err := w.Close(); err != nil {
-		return ObjectInfo{}, err
+		return blobstore.Info{}, err
 	}
 	return w.Info(), nil
 }
@@ -130,19 +126,8 @@ func (s *Store) GetReader(ctx context.Context, bucket, key string) (io.ReadClose
 }
 
 // Head returns metadata without touching last-use.
-func (s *Store) Head(ctx context.Context, bucket, key string) (ObjectInfo, error) {
+func (s *Store) Head(ctx context.Context, bucket, key string) (blobstore.Info, error) {
 	return s.be.Stat(ctx, bucket, key)
-}
-
-// Delete removes an object.
-func (s *Store) Delete(ctx context.Context, bucket, key string) error {
-	return s.be.Remove(ctx, bucket, key)
-}
-
-// List returns metadata for keys in bucket with the given prefix, sorted
-// by key. Expired objects are excluded (and lazily collected).
-func (s *Store) List(ctx context.Context, bucket, prefix string) ([]ObjectInfo, error) {
-	return s.be.List(ctx, bucket, prefix)
 }
 
 // Used reports total stored bytes (expired-but-uncollected objects

@@ -162,22 +162,22 @@ func NewCache(reg *Registry) *Cache {
 	return &Cache{reg: reg, present: map[string]bool{}, Bandwidth: 100 << 20}
 }
 
-// Pull ensures ref is locally available, returning the image and the
-// modelled pull latency (zero when cached).
-func (c *Cache) Pull(ref string) (Image, time.Duration, error) {
+// Pull ensures ref is locally available, returning the modelled pull
+// latency (zero when cached).
+func (c *Cache) Pull(ref string) (time.Duration, error) {
 	img, err := c.reg.Resolve(ref)
 	if err != nil {
-		return Image{}, 0, err
+		return 0, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.present[img.Ref] {
-		return img, 0, nil
+		return 0, nil
 	}
 	c.present[img.Ref] = true
 	lat := time.Duration(0)
 	if c.Bandwidth > 0 {
 		lat = time.Duration(float64(img.SizeBytes) / float64(c.Bandwidth) * float64(time.Second))
 	}
-	return img, lat, nil
+	return lat, nil
 }

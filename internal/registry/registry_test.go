@@ -78,7 +78,11 @@ func TestCourseRegistryDefaults(t *testing.T) {
 func TestCachePullLatencyOnce(t *testing.T) {
 	r := NewCourseRegistry()
 	c := NewCache(r)
-	img, lat, err := c.Pull("webgpu/rai:root")
+	lat, err := c.Pull("webgpu/rai:root")
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := r.Resolve("webgpu/rai:root")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +93,7 @@ func TestCachePullLatencyOnce(t *testing.T) {
 	if lat != wantLat {
 		t.Errorf("pull latency = %v, want %v", lat, wantLat)
 	}
-	_, lat2, err := c.Pull("webgpu/rai:root")
+	lat2, err := c.Pull("webgpu/rai:root")
 	if err != nil || lat2 != 0 {
 		t.Errorf("second pull = %v, %v; want cached (0 latency)", lat2, err)
 	}
@@ -99,7 +103,7 @@ func TestCachePullRejectsNonWhitelisted(t *testing.T) {
 	r := New()
 	r.Add(Image{Ref: "evil/miner:latest"})
 	c := NewCache(r)
-	if _, _, err := c.Pull("evil/miner:latest"); !errors.Is(err, ErrNotWhitelisted) {
+	if _, err := c.Pull("evil/miner:latest"); !errors.Is(err, ErrNotWhitelisted) {
 		t.Errorf("Pull(non-whitelisted) = %v", err)
 	}
 }

@@ -43,9 +43,10 @@ func TestPushBuildsAllTargetsAndUploads(t *testing.T) {
 	if len(arts) != 10 {
 		t.Fatalf("artifacts = %d", len(arts))
 	}
-	infos, err := store.List(context.Background(), "rai-client", "master/")
-	if err != nil || len(infos) != 10 {
-		t.Fatalf("uploaded = %d, %v", len(infos), err)
+	for _, a := range arts {
+		if _, err := store.Head(context.Background(), "rai-client", a.Key); err != nil || !strings.HasPrefix(a.Key, "master/") {
+			t.Fatalf("artifact %s not uploaded under master/: %v", a.Key, err)
+		}
 	}
 	// The Windows artifact carries .exe.
 	found := false

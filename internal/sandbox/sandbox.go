@@ -94,7 +94,7 @@ type Container struct {
 // Start creates a container: resolves and pulls the image, assembles the
 // filesystem from the mounts, and prepares the shell.
 func (rt *Runtime) Start(cfg Config) (*Container, error) {
-	_, pullLat, err := rt.cache.Pull(cfg.Image)
+	pullLat, err := rt.cache.Pull(cfg.Image)
 	if err != nil {
 		return nil, err
 	}

@@ -89,11 +89,11 @@ func TestDeploymentRunsSmallCourse(t *testing.T) {
 		t.Error("no submission failed despite injected bugs")
 	}
 	// Every team that submitted a final lands on the leaderboard.
-	n, err := d.DB.Count(context.Background(), core.CollRankings, docstore.M{})
+	rows, err := d.DB.Find(context.Background(), core.CollRankings, docstore.M{}, docstore.FindOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n == 0 {
+	if len(rows) == 0 {
 		t.Error("no ranking rows after the course")
 	}
 	// Uploads accumulated on the file server.
