@@ -502,7 +502,7 @@ func BenchmarkFetchProject(b *testing.B) {
 		}
 	}
 	upload := func(key string) *cas.Manifest {
-		m, src, err := cas.BuildVFS(tree, "/p")
+		m, src, err := cas.Build(tree.IOFS("/p"), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -585,13 +585,13 @@ func BenchmarkFetchProject(b *testing.B) {
 	})
 }
 
-// BenchmarkBuildDir measures client step 3's scan of the same large tree,
-// 8 × 256 KiB of seeded-random bytes, on disk and through the project's
-// stat index. cold has no index file, so every file is read and the index
-// written; one-of-eight follows a rewrite of one file; identical scans an
-// unchanged tree. Before each timed scan the filesystem clock is let move
-// past the last write, so no file is racy and only the rewritten one is
-// read.
+// BenchmarkBuildDir measures client step 3's scan (cas.Build over
+// os.DirFS) of the same large tree, 8 × 256 KiB of seeded-random bytes,
+// on disk and through the project's stat index. cold has no index file,
+// so every file is read and the index written; one-of-eight follows a
+// rewrite of one file; identical scans an unchanged tree. Before each
+// timed scan the filesystem clock is let move past the last write, so no
+// file is racy and only the rewritten one is read.
 func BenchmarkBuildDir(b *testing.B) {
 	b.Setenv("XDG_CACHE_HOME", b.TempDir())
 	root, scratch := b.TempDir(), b.TempDir()
@@ -630,7 +630,7 @@ func BenchmarkBuildDir(b *testing.B) {
 	}
 	idx := cas.ProjectIndex(root)
 	scan := func(b *testing.B) {
-		m, _, err := cas.BuildDir(root, idx)
+		m, _, err := cas.Build(os.DirFS(root), idx)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -676,7 +676,7 @@ func BenchmarkBuildDir(b *testing.B) {
 
 // BenchmarkUploadProject measures client step 3 on the macro-benchmark's
 // fresh_large tree, 8 × 256 KiB of seeded-random bytes on disk, every
-// byte new to the file server: the scan (BuildDir, no index), the
+// byte new to the file server: the scan (cas.Build, no index), the
 // negotiation and the one chunk stream, against a raifs on loopback that
 // starts each upload empty. Client and server share the process, so B/op
 // and allocs/op are the sum of both ends, the chunks raifs keeps
@@ -704,7 +704,7 @@ func BenchmarkUploadProject(b *testing.B) {
 		b.StopTimer()
 		handler.Store(objstore.Handler(objstore.New(), nil))
 		b.StartTimer()
-		m, src, err := cas.BuildDir(root, nil)
+		m, src, err := cas.Build(os.DirFS(root), nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -17,6 +17,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -63,9 +64,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fsURL := fs.String("fs", "http://127.0.0.1:7401", "file server URL")
 	dbURL := fs.String("db", "http://127.0.0.1:7402", "database URL")
 	timeout := fs.Duration("timeout", 30*time.Minute, "job wait timeout")
-	dialTimeout := fs.Duration("dial-timeout", brokerd.DefaultDialTimeout, "broker dial timeout per attempt")
-	rpcAttempts := fs.Int("rpc-attempts", netx.DefaultMaxAttempts, "attempts per RPC before giving up")
-	rpcTimeout := fs.Duration("rpc-timeout", 0, "per-attempt RPC deadline (0 = each service's default)")
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "usage: rai [flags] run|submit|session|ranking|version")
 		fs.PrintDefaults()
@@ -96,30 +94,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// handler) force-kills.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	rpc := rpcConfig{dial: *dialTimeout, policy: netx.Policy{MaxAttempts: *rpcAttempts, PerAttempt: *rpcTimeout}}
 
 	switch cmd {
 	case "run", "submit":
-		return submit(ctx, cmd, creds, *projectDir, *brokerAddr, *fsURL, *timeout, rpc, stdout, stderr)
+		return submit(ctx, cmd, creds, *projectDir, *brokerAddr, *fsURL, *timeout, stdout, stderr)
 	case "ranking":
 		return showRanking(ctx, creds, *dbURL, stdout, stderr)
 	case "session":
-		return session(ctx, creds, *projectDir, *brokerAddr, *fsURL, *timeout, rpc, os.Stdin, stdout, stderr)
+		return session(ctx, creds, *projectDir, *brokerAddr, *fsURL, *timeout, os.Stdin, stdout, stderr)
 	default:
 		fmt.Fprintf(stderr, "rai: unknown command %q\n", cmd)
 		return 2
 	}
-}
-
-// rpcConfig carries the resilience knobs shared by every service client
-// the CLI builds.
-type rpcConfig struct {
-	dial   time.Duration
-	policy netx.Policy
-}
-
-func (r rpcConfig) objects(baseURL string) *objstore.Client {
-	return objstore.NewClient(baseURL, objstore.WithClientPolicy(r.policy))
 }
 
 // observe wires the CLI's spans and log events onto the broker so the
@@ -138,13 +124,13 @@ func observe(ctx context.Context, queue broker.Queue) (*telemetry.Tracer, *telem
 // session opens an interactive container and relays stdin commands —
 // the §VIII future-work feature ("interactive sessions to enable more
 // debugging and profiling tools").
-func session(ctx context.Context, creds auth.Credentials, dir, brokerAddr, fsURL string, timeout time.Duration, rpc rpcConfig, stdin io.Reader, stdout, stderr io.Writer) int {
-	m, src, err := cas.BuildDir(dir, cas.ProjectIndex(dir))
+func session(ctx context.Context, creds auth.Credentials, dir, brokerAddr, fsURL string, timeout time.Duration, stdin io.Reader, stdout, stderr io.Writer) int {
+	m, src, err := cas.Build(os.DirFS(dir), cas.ProjectIndex(dir))
 	if err != nil {
-		fmt.Fprintf(stderr, "rai: hashing project tree: %v\n", err)
+		fmt.Fprintf(stderr, "rai: hashing project tree %s: %v\n", dir, err)
 		return 1
 	}
-	queue, err := brokerd.NewQueue(ctx, brokerAddr, rpc.policy, rpc.dial)
+	queue, err := brokerd.NewQueue(ctx, brokerAddr, netx.Policy{}, 0)
 	if err != nil {
 		fmt.Fprintf(stderr, "rai: connecting to broker: %v\n", err)
 		return 1
@@ -154,7 +140,7 @@ func session(ctx context.Context, creds auth.Credentials, dir, brokerAddr, fsURL
 	defer flushTel()
 	client := &core.Client{
 		Creds: creds, Queue: queue,
-		Objects: rpc.objects(fsURL),
+		Objects: objstore.NewClient(fsURL),
 		Stdout:  stdout,
 		LogWait: timeout,
 		Tracer:  tracer,
@@ -200,39 +186,33 @@ func session(ctx context.Context, creds auth.Credentials, dir, brokerAddr, fsURL
 }
 
 // submit runs the §V client sequence against a live deployment.
-func submit(ctx context.Context, cmd string, creds auth.Credentials, dir, brokerAddr, fsURL string, timeout time.Duration, rpc rpcConfig, stdout, stderr io.Writer) int {
-	// Client step 1: the project directory must exist; rai-build.yml is
-	// optional (the Listing 1 default applies).
-	info, err := os.Stat(dir)
-	if err != nil || !info.IsDir() {
+func submit(ctx context.Context, cmd string, creds auth.Credentials, dir, brokerAddr, fsURL string, timeout time.Duration, stdout, stderr io.Writer) int {
+	// Client steps 1–2: the project directory must exist; rai-build.yml
+	// is optional (the Listing 1 default applies); a final submission
+	// must hold USAGE and report.pdf.
+	tree := os.DirFS(dir)
+	spec, found, err := core.PrepareProject(tree)
+	if errors.Is(err, core.ErrNoProject) {
 		fmt.Fprintf(stderr, "rai: project directory %s does not exist\n", dir)
 		return 1
 	}
-	var spec *build.Spec
-	specPath := filepath.Join(dir, build.FileName)
-	if data, err := os.ReadFile(specPath); err == nil {
-		spec, err = build.Parse(data)
-		if err != nil {
-			fmt.Fprintf(stderr, "rai: %s: %v\n", build.FileName, err)
-			return 1
-		}
-	} else {
-		spec = build.Default()
+	if err != nil {
+		fmt.Fprintf(stderr, "rai: %v\n", err)
+		return 1
+	}
+	if !found {
 		fmt.Fprintf(stdout, "no %s found; using the course default\n", build.FileName)
 	}
 	kind := core.KindRun
 	if cmd == "submit" {
 		kind = core.KindSubmit
-		// Final submissions require USAGE and report.pdf (§V).
-		for _, f := range []string{"USAGE", "report.pdf"} {
-			if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
-				fmt.Fprintf(stderr, "rai: final submission requires %s\n", f)
-				return 1
-			}
+		if err := core.CheckSubmissionFiles(tree); err != nil {
+			fmt.Fprintf(stderr, "rai: %v\n", err)
+			return 1
 		}
 	}
 
-	queue, err := brokerd.NewQueue(ctx, brokerAddr, rpc.policy, rpc.dial)
+	queue, err := brokerd.NewQueue(ctx, brokerAddr, netx.Policy{}, 0)
 	if err != nil {
 		fmt.Fprintf(stderr, "rai: connecting to broker: %v\n", err)
 		return 1
@@ -243,7 +223,7 @@ func submit(ctx context.Context, cmd string, creds auth.Credentials, dir, broker
 	client := &core.Client{
 		Creds:   creds,
 		Queue:   queue,
-		Objects: rpc.objects(fsURL),
+		Objects: objstore.NewClient(fsURL),
 		Stdout:  stdout,
 		LogWait: timeout,
 		Tracer:  tracer,
@@ -252,9 +232,9 @@ func submit(ctx context.Context, cmd string, creds auth.Credentials, dir, broker
 
 	// Step 3: move the project (DESIGN.md §16): hash the tree into a
 	// chunk manifest, send only chunks the server lacks, then enqueue.
-	m, src, err := cas.BuildDir(dir, cas.ProjectIndex(dir))
+	m, src, err := cas.Build(tree, cas.ProjectIndex(dir))
 	if err != nil {
-		fmt.Fprintf(stderr, "rai: hashing project tree: %v\n", err)
+		fmt.Fprintf(stderr, "rai: hashing project tree %s: %v\n", dir, err)
 		return 1
 	}
 	res, err := client.Submit(ctx, kind, spec, m, src)

@@ -186,7 +186,7 @@ func TestRaiStatIndex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		onDisk, _, err := cas.BuildDir(dir, nil)
+		onDisk, _, err := cas.Build(os.DirFS(dir), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,6 +263,50 @@ func TestRaiSubmitRequiresReport(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "USAGE") && !strings.Contains(errb.String(), "report.pdf") {
 		t.Errorf("stderr = %q", errb.String())
+	}
+}
+
+// TestRaiStepsOneAndTwo pins the lines client steps 1–2 print, before
+// any service is dialled: a missing project directory, a tree with no
+// rai-build.yml, and a final submission without USAGE or report.pdf.
+func TestRaiStepsOneAndTwo(t *testing.T) {
+	profile := writeProfile(t, auth.NewCredentials("cli-team"))
+	dir := writeProject(t, project.Spec{Impl: cnn.ImplParallel, Team: "cli-team"})
+	if err := os.Remove(filepath.Join(dir, "rai-build.yml")); err != nil {
+		t.Fatal(err)
+	}
+	missing := filepath.Join(t.TempDir(), "nowhere")
+	withUsage := writeProject(t, project.Spec{Impl: cnn.ImplParallel, Team: "cli-team", WithUsage: true})
+	for _, c := range []struct {
+		dir, cmd, stdout, stderr string
+	}{
+		{missing, "run", "", "rai: project directory " + missing + " does not exist\n"},
+		{dir, "submit", "no rai-build.yml found; using the course default\n", "rai: final submission requires USAGE\n"},
+		{withUsage, "submit", "", "rai: final submission requires report.pdf\n"},
+	} {
+		var out, errb bytes.Buffer
+		// Port 1 refuses: a step that let the command through would fail
+		// on the broker, with other output.
+		code := run([]string{"-p", c.dir, "-profile", profile, "-broker", "127.0.0.1:1", c.cmd}, &out, &errb)
+		if code != 1 || out.String() != c.stdout || errb.String() != c.stderr {
+			t.Errorf("rai -p %s %s: exit %d\nstdout %q, want %q\nstderr %q, want %q", c.dir, c.cmd, code, out.String(), c.stdout, errb.String(), c.stderr)
+		}
+	}
+}
+
+// TestRaiSymlinkedProject: a project directory named through a symlink
+// ships the tree the link points to, not an empty one.
+func TestRaiSymlinkedProject(t *testing.T) {
+	brokerAddr, fsURL, dbURL, creds := services(t)
+	dir := writeProject(t, project.Spec{Impl: cnn.ImplIm2col, Tuning: 1, Team: "cli-team"})
+	link := filepath.Join(t.TempDir(), "project")
+	if err := os.Symlink(dir, link); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	code := run([]string{"-p", link, "-profile", writeProfile(t, creds), "-broker", brokerAddr, "-fs", fsURL, "-db", dbURL, "-timeout", "60s", "run"}, &out, &errb)
+	if code != 0 || !strings.Contains(out.String(), "Correctness: 1.0000") {
+		t.Fatalf("rai -p <symlink> run exited %d\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
 	}
 }
 

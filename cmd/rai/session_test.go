@@ -79,7 +79,7 @@ func TestRaiSessionCLI(t *testing.T) {
 
 	stdin := strings.NewReader("cmake /src\nmake\n./ece408 /data/test10.hdf5 /data/model.hdf5\nexit\n")
 	var out, errb bytes.Buffer
-	code := session(context.Background(), creds, dir, brokerAddr, fsURL, time.Minute, rpcConfig{}, stdin, &out, &errb)
+	code := session(context.Background(), creds, dir, brokerAddr, fsURL, time.Minute, stdin, &out, &errb)
 	if code != 0 {
 		t.Fatalf("session exited %d\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
 	}
@@ -100,7 +100,7 @@ func TestRaiSessionCLICommandFailureShowsExit(t *testing.T) {
 	dir := writeProject(t, project.Spec{Impl: cnn.ImplIm2col, Team: "session-team"})
 	stdin := strings.NewReader("cat /missing/file\nexit\n")
 	var out, errb bytes.Buffer
-	if code := session(context.Background(), creds, dir, brokerAddr, fsURL, time.Minute, rpcConfig{}, stdin, &out, &errb); code != 0 {
+	if code := session(context.Background(), creds, dir, brokerAddr, fsURL, time.Minute, stdin, &out, &errb); code != 0 {
 		t.Fatalf("session exited %d: %s", code, errb.String())
 	}
 	if !strings.Contains(out.String(), "(exit 1)") {

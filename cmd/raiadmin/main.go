@@ -31,6 +31,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	iofs "io/fs"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -265,15 +266,16 @@ func download(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		return 1
 	}
 	// Materialize to disk.
-	err = mem.Walk("/", func(p string, fi vfs.FileInfo) error {
-		if p == "/" {
-			return nil
+	tree := mem.IOFS("/")
+	err = iofs.WalkDir(tree, ".", func(rel string, d iofs.DirEntry, err error) error {
+		if err != nil || rel == "." {
+			return err
 		}
-		hostPath := filepath.Join(*outDir, filepath.FromSlash(strings.TrimPrefix(p, "/")))
-		if fi.Dir {
+		hostPath := filepath.Join(*outDir, filepath.FromSlash(rel))
+		if d.IsDir() {
 			return os.MkdirAll(hostPath, 0o755)
 		}
-		data, err := mem.ReadFile(p)
+		data, err := iofs.ReadFile(tree, rel)
 		if err != nil {
 			return err
 		}

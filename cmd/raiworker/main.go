@@ -11,7 +11,6 @@
 //	          [-lifetime 1h] [-rate-limit 30s] [-allow-sessions]
 //	          [-session-idle 10m] [-seed 408] [-full-images 100]
 //	          [-metrics-addr host:port] [-pprof]
-//	          [-dial-timeout 10s] [-rpc-attempts 4] [-rpc-timeout 0]
 //	          [-ready-file path] [-version]
 package main
 
@@ -24,7 +23,6 @@ import (
 	"time"
 
 	"rai/internal/auth"
-	"rai/internal/brokerd"
 	"rai/internal/cnn"
 	"rai/internal/core"
 	"rai/internal/daemon"
@@ -57,9 +55,6 @@ func run(args []string, stdout, stderr io.Writer, hooks daemon.Hooks) int {
 	fullImages := fs.Int("full-images", 100, "images stored in testfull.hdf5")
 	metricsAddr := fs.String("metrics-addr", "", "serve GET /metrics on this address (empty = disabled)")
 	pprofOn := fs.Bool("pprof", false, "mount /debug/pprof on the metrics address")
-	dialTimeout := fs.Duration("dial-timeout", brokerd.DefaultDialTimeout, "broker dial timeout per attempt")
-	rpcAttempts := fs.Int("rpc-attempts", netx.DefaultMaxAttempts, "attempts per RPC before giving up")
-	rpcTimeout := fs.Duration("rpc-timeout", 0, "per-attempt RPC deadline (0 = each service's default)")
 	readyPath := fs.String("ready-file", "", "write a JSON readiness document (pid, metrics address) here once accepting jobs")
 	showVersion := fs.Bool("version", false, "print build information and exit")
 	if err := fs.Parse(args); err != nil {
@@ -87,14 +82,10 @@ func run(args []string, stdout, stderr io.Writer, hooks daemon.Hooks) int {
 		return 1
 	}
 	defer d.Close()
-	policy := netx.Policy{MaxAttempts: *rpcAttempts, PerAttempt: *rpcTimeout}
-	queuePolicy := policy
-	queuePolicy.Metrics = netx.NewMetrics(d.Registry, "broker")
-	fsPolicy := policy
-	fsPolicy.Metrics = netx.NewMetrics(d.Registry, "objstore")
-	dbPolicy := policy
-	dbPolicy.Metrics = netx.NewMetrics(d.Registry, "docstore")
-	queue, err := d.Dial(*brokerAddr, queuePolicy, *dialTimeout)
+	queuePolicy := netx.Policy{Metrics: netx.NewMetrics(d.Registry, "broker")}
+	fsPolicy := netx.Policy{Metrics: netx.NewMetrics(d.Registry, "objstore")}
+	dbPolicy := netx.Policy{Metrics: netx.NewMetrics(d.Registry, "docstore")}
+	queue, err := d.Dial(*brokerAddr, queuePolicy, 0)
 	if err != nil {
 		fmt.Fprintf(stderr, "raiworker: connecting to broker: %v\n", err)
 		return 1

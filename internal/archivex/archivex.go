@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"path"
 	"strings"
 
@@ -60,7 +61,7 @@ var (
 )
 
 // PackVFS produces a .tar.bz2 of the subtree at root inside f. Entry
-// names are relative to root and sorted (vfs walk order), so output is
+// names are relative to root and sorted (fs.WalkDir order), so output is
 // deterministic for a given tree. Thin adapter over PackVFSTo.
 func PackVFS(f *vfs.FS, root string) ([]byte, error) {
 	var buf bytes.Buffer
@@ -77,22 +78,24 @@ func PackVFSTo(w io.Writer, f *vfs.FS, root string) error {
 		return err
 	}
 	tw := tar.NewWriter(bz)
-	rootClean := path.Clean(root)
-	err = f.Walk(rootClean, func(p string, fi vfs.FileInfo) error {
-		rel := strings.TrimPrefix(p, rootClean)
-		rel = strings.TrimPrefix(rel, "/")
-		if rel == "" {
-			return nil // the root itself
+	tree := f.IOFS(root)
+	err = fs.WalkDir(tree, ".", func(rel string, d fs.DirEntry, err error) error {
+		if err != nil || rel == "." {
+			return err // "." is the root itself
 		}
-		if fi.Dir {
+		fi, err := d.Info()
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
 			return tw.WriteHeader(&tar.Header{
 				Name:     rel + "/",
 				Typeflag: tar.TypeDir,
 				Mode:     0o755,
-				ModTime:  fi.ModTime,
+				ModTime:  fi.ModTime(),
 			})
 		}
-		data, err := f.ReadFile(p)
+		data, err := fs.ReadFile(tree, rel)
 		if err != nil {
 			return err
 		}
@@ -100,7 +103,7 @@ func PackVFSTo(w io.Writer, f *vfs.FS, root string) error {
 			Name:    rel,
 			Mode:    0o644,
 			Size:    int64(len(data)),
-			ModTime: fi.ModTime,
+			ModTime: fi.ModTime(),
 		}); err != nil {
 			return err
 		}

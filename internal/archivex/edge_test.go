@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io/fs"
 	"testing"
 
 	"rai/internal/cas"
@@ -19,7 +20,8 @@ import (
 )
 
 // sourceFetcher serves cas.Materialize's bulk read from the tree the
-// manifest was built from.
+// manifest was built from, handing each payload over as a copy of its
+// own: a Source's payload is valid only until its next Chunk call.
 type sourceFetcher struct{ src cas.Source }
 
 func (f sourceFetcher) GetChunks(_ context.Context, hashes []string, each func(string, []byte) error) error {
@@ -28,7 +30,7 @@ func (f sourceFetcher) GetChunks(_ context.Context, hashes []string, each func(s
 		if err != nil {
 			return err
 		}
-		if err := each(h, data); err != nil {
+		if err := each(h, bytes.Clone(data)); err != nil {
 			return err
 		}
 	}
@@ -70,16 +72,16 @@ func walkTree(t *testing.T, f *vfs.FS, root string) (files map[string][]byte, di
 	t.Helper()
 	files = make(map[string][]byte)
 	dirs = make(map[string]bool)
-	err := f.Walk(root, func(p string, fi vfs.FileInfo) error {
-		rel := p[len(root):]
-		if rel == "" {
-			return nil
+	tree := f.IOFS(root)
+	err := fs.WalkDir(tree, ".", func(rel string, d fs.DirEntry, err error) error {
+		if err != nil || rel == "." {
+			return err
 		}
-		if fi.Dir {
+		if d.IsDir() {
 			dirs[rel] = true
 			return nil
 		}
-		data, err := f.ReadFile(p)
+		data, err := fs.ReadFile(tree, rel)
 		if err != nil {
 			return err
 		}
@@ -145,7 +147,7 @@ func TestPackUnpackEdgeTree(t *testing.T) {
 // traveled.
 func TestEdgeTreeHashStableAcrossTransports(t *testing.T) {
 	f := edgeTree(t)
-	m, src, err := cas.BuildVFS(f, "/proj")
+	m, src, err := cas.Build(f.IOFS("/proj"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +161,7 @@ func TestEdgeTreeHashStableAcrossTransports(t *testing.T) {
 	if err := UnpackVFS(data, tarred, "/dst", Limits{}); err != nil {
 		t.Fatal(err)
 	}
-	mt, _, err := cas.BuildVFS(tarred, "/dst")
+	mt, _, err := cas.Build(tarred.IOFS("/dst"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +174,7 @@ func TestEdgeTreeHashStableAcrossTransports(t *testing.T) {
 	if _, err := cas.Materialize(context.Background(), m, sourceFetcher{src}, nil, mat, "/dst"); err != nil {
 		t.Fatal(err)
 	}
-	mm, _, err := cas.BuildVFS(mat, "/dst")
+	mm, _, err := cas.Build(mat.IOFS("/dst"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +189,7 @@ func TestEdgeTreeHashStableAcrossTransports(t *testing.T) {
 // must hand the sandbox the same /src, byte for byte.
 func TestMaterializedTreeMatchesUnpackedArchive(t *testing.T) {
 	f := edgeTree(t)
-	m, src, err := cas.BuildVFS(f, "/proj")
+	m, src, err := cas.Build(f.IOFS("/proj"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

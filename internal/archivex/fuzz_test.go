@@ -1,6 +1,7 @@
 package archivex
 
 import (
+	"io/fs"
 	"strings"
 	"testing"
 
@@ -26,15 +27,22 @@ func FuzzUnpackVFS(f *testing.F) {
 		out := vfs.New()
 		_ = UnpackVFS(data, out, "/dest", lim)
 		files, total := 0, int64(0)
-		err := out.Walk("/", func(p string, fi vfs.FileInfo) error {
-			if p != "/" && p != "/dest" && !strings.HasPrefix(p, "/dest/") {
-				t.Errorf("created %s outside /dest", p)
+		err := fs.WalkDir(out.IOFS("/"), ".", func(p string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
 			}
-			if !fi.Dir {
+			if p != "." && p != "dest" && !strings.HasPrefix(p, "dest/") {
+				t.Errorf("created /%s outside /dest", p)
+			}
+			if !d.IsDir() {
+				fi, err := d.Info()
+				if err != nil {
+					return err
+				}
 				files++
-				total += fi.Size
-				if fi.Size > lim.MaxPerFile {
-					t.Errorf("%s holds %d bytes, limit %d", p, fi.Size, lim.MaxPerFile)
+				total += fi.Size()
+				if fi.Size() > lim.MaxPerFile {
+					t.Errorf("/%s holds %d bytes, limit %d", p, fi.Size(), lim.MaxPerFile)
 				}
 			}
 			return nil

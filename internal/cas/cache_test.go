@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io/fs"
 	"math/rand"
+	"path"
 	"reflect"
 	"slices"
 	"strings"
@@ -115,8 +117,12 @@ func randomTrees(rng *rand.Rand, pool *chunkPool, n int) []*Manifest {
 // under root, "/" marking a directory, mapped to its bytes.
 func snapshot(fsys *vfs.FS, root string) (map[string]string, error) {
 	out := map[string]string{}
-	err := fsys.Walk(root, func(p string, fi vfs.FileInfo) error {
-		if fi.Dir {
+	err := fs.WalkDir(fsys.IOFS(root), ".", func(rel string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		p := path.Join(root, rel)
+		if d.IsDir() {
 			out[p+"/"] = ""
 			return nil
 		}

@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -147,7 +149,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	files, dirs := edgeTree()
 	writeTree(t, root, files, dirs...)
 
-	m, src, err := BuildDir(root, nil)
+	m, src, err := Build(os.DirFS(root), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,51 +198,74 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBuildVFSMatchesBuildDir(t *testing.T) {
+// TestBuildSameOnDiskAndInMemory: one tree, on disk through os.DirFS and
+// in a vfs through IOFS, builds the same manifest and serves the same
+// chunk bytes, and neither build opens or lists anything under .git.
+func TestBuildSameOnDiskAndInMemory(t *testing.T) {
 	files, dirs := edgeTree()
+	vcs := map[string]string{".git/config": "[core]\n", ".git/objects/ab/cdef": "blob"}
+	vcsDirs := []string{".git/refs/heads"}
 	root := t.TempDir()
 	writeTree(t, root, files, dirs...)
-	// Same tree inside .git must be ignored by both builders.
-	writeTree(t, root, map[string]string{".git/config": "[core]\n"})
-
-	fsys := vfs.New()
-	for _, d := range dirs {
-		if err := fsys.MkdirAll("/src/" + d); err != nil {
+	writeTree(t, root, vcs, vcsDirs...)
+	mem := vfs.New()
+	for _, d := range append(dirs, vcsDirs...) {
+		if err := mem.MkdirAll("/src/" + d); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := fsys.MkdirAll("/src/.git"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fsys.WriteFile("/src/.git/config", []byte("[core]\n")); err != nil {
-		t.Fatal(err)
-	}
-	for p, content := range files {
-		dir := "/src/" + p
-		if i := strings.LastIndex(dir, "/"); i > 0 {
-			if err := fsys.MkdirAll(dir[:i]); err != nil {
+	for _, tree := range []map[string]string{files, vcs} {
+		for p, content := range tree {
+			if err := mem.MkdirAll(path.Dir("/src/" + p)); err != nil {
+				t.Fatal(err)
+			}
+			if err := mem.WriteFile("/src/"+p, []byte(content)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := fsys.WriteFile("/src/"+p, []byte(content)); err != nil {
-			t.Fatal(err)
-		}
 	}
 
-	md, _, err := BuildDir(root, nil)
-	if err != nil {
-		t.Fatal(err)
+	var manifests [][]byte
+	var chunks []map[string][]byte
+	for _, opens := range []*openLog{logOpens(os.DirFS(root)), logOpens(mem.IOFS("/src"))} {
+		m, src, err := Build(opens, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := map[string][]byte{}
+		for _, h := range m.ChunkSet() {
+			data, err := src.Chunk(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			served[h] = bytes.Clone(data)
+		}
+		for name := range opens.opens {
+			if strings.HasPrefix(name, ".git") {
+				t.Errorf("%T: opened %s", opens.fsys, name)
+			}
+		}
+		for name := range opens.listed {
+			if strings.HasPrefix(name, ".git") {
+				t.Errorf("%T: listed %s", opens.fsys, name)
+			}
+		}
+		manifests = append(manifests, m.Encode())
+		chunks = append(chunks, served)
 	}
-	mv, _, err := BuildVFS(fsys, "/src")
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(manifests[0], manifests[1]) {
+		t.Fatalf("disk and memory builds disagree:\n disk %s\n  vfs %s", manifests[0], manifests[1])
 	}
-	if md.TreeHash != mv.TreeHash {
-		t.Fatalf("host dir and vfs builds disagree:\n dir %s\n vfs %s", md.TreeHash, mv.TreeHash)
+	if !reflect.DeepEqual(chunks[0], chunks[1]) {
+		t.Error("disk and memory builds serve different chunk bytes")
 	}
-	for _, f := range mv.Files {
-		if strings.HasPrefix(f.Path, ".git/") {
-			t.Errorf("VCS metadata %s leaked into manifest", f.Path)
+	m, err := Decode(manifests[0])
+	if err != nil || len(m.Files) != len(files) {
+		t.Fatalf("manifest holds %d files (%v), want %d", len(m.Files), err, len(files))
+	}
+	for _, d := range m.Dirs {
+		if strings.HasPrefix(d, ".git") {
+			t.Errorf("manifest lists %s", d)
 		}
 	}
 }
@@ -545,16 +570,12 @@ func TestSourceReadsEachWindowOnce(t *testing.T) {
 	writeTree(t, root, map[string]string{
 		"big.bin": string(big), "a.txt": "small file a\n", "b.txt": string(randBytes(8, 3*AvgChunk)),
 	})
-	m, src, err := BuildDir(root, nil)
+	opens := logOpens(os.DirFS(root))
+	m, src, err := Build(opens, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opens := map[string]int{}
-	openFile = func(name string) (*os.File, error) {
-		opens[filepath.Base(name)]++
-		return os.Open(name)
-	}
-	t.Cleanup(func() { openFile = os.Open })
+	opens.take()
 	for _, h := range m.ChunkSet() {
 		data, err := src.Chunk(h)
 		if err != nil || HashHex(data) != h {
@@ -565,8 +586,8 @@ func TestSourceReadsEachWindowOnce(t *testing.T) {
 	// readWindow-MaxChunk bytes of the file.
 	want := map[string]int{"a.txt": 1, "b.txt": 1, "big.bin": (len(big) + readWindow - MaxChunk - 1) / (readWindow - MaxChunk)}
 	for name, n := range want {
-		if opens[name] < 1 || opens[name] > n {
-			t.Errorf("%s opened %d times, want 1..%d", name, opens[name], n)
+		if got := opens.opens[name]; got < 1 || got > n {
+			t.Errorf("%s opened %d times, want 1..%d", name, got, n)
 		}
 	}
 	if len(m.ChunkSet()) < 40 {

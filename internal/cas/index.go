@@ -11,7 +11,7 @@ import (
 	"time"
 )
 
-// DirIndex is what BuildDir remembers of one project directory between
+// DirIndex is what Build remembers of one project directory between
 // runs, in the manner of git's index: for every regular file it last
 // scanned, the file's stat key and its chunk refs. A file whose stat key
 // still equals a trusted entry's is not opened, read, chunked or hashed
@@ -73,7 +73,7 @@ const (
 	indexVersion = 1
 )
 
-// indexScan is one BuildDir's use of its DirIndex: the trusted entries
+// indexScan is one Build's use of its DirIndex: the trusted entries
 // the last scan left, and this scan's record, written to the temp file
 // whose mtime is its stamp. A nil *indexScan reads every file and
 // records nothing.

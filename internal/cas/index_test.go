@@ -14,35 +14,44 @@ import (
 	"time"
 )
 
-// openLog records the files BuildDir opens, relative to root, through
-// the openFile hook, until the test ends. onOpen, when set, runs before
-// each open.
+// openLog is an fs.FS that passes every call on to fsys and records
+// the files opened through it, by name, until taken, and the
+// directories listed. onOpen, when set, runs before each open. It
+// serves Stat and ReadDir itself, so a walk opens no directory and
+// every open it records is a file's.
 type openLog struct {
-	rels   map[string]bool
+	fsys   fs.FS
+	opens  map[string]int
+	listed map[string]bool
 	onOpen func(rel string)
 }
 
-func logOpens(t *testing.T, root string) *openLog {
-	l := &openLog{rels: map[string]bool{}}
-	openFile = func(name string) (*os.File, error) {
-		rel, err := filepath.Rel(root, name)
-		if err != nil {
-			return nil, err
-		}
-		rel = filepath.ToSlash(rel)
-		l.rels[rel] = true
-		if l.onOpen != nil {
-			l.onOpen(rel)
-		}
-		return os.Open(name)
-	}
-	t.Cleanup(func() { openFile = os.Open })
-	return l
+func logOpens(fsys fs.FS) *openLog {
+	return &openLog{fsys: fsys, opens: map[string]int{}, listed: map[string]bool{}}
 }
 
+func (l *openLog) Open(name string) (fs.File, error) {
+	l.opens[name]++
+	if l.onOpen != nil {
+		l.onOpen(name)
+	}
+	return l.fsys.Open(name)
+}
+
+func (l *openLog) Stat(name string) (fs.FileInfo, error) { return fs.Stat(l.fsys, name) }
+
+func (l *openLog) ReadDir(name string) ([]fs.DirEntry, error) {
+	l.listed[name] = true
+	return fs.ReadDir(l.fsys, name)
+}
+
+// take returns the files opened since the last take.
 func (l *openLog) take() map[string]bool {
-	rels := l.rels
-	l.rels = map[string]bool{}
+	rels := map[string]bool{}
+	for rel := range l.opens {
+		rels[rel] = true
+	}
+	l.opens = map[string]int{}
 	return rels
 }
 
@@ -69,19 +78,19 @@ func settle(t *testing.T, dir string) {
 	}
 }
 
-// buildBoth builds root through idx and with no index, fails the test
-// unless the two manifests encode to the same bytes and every chunk the
-// indexed build's Source serves hashes to its name, and returns the
+// buildBoth builds the tree through idx and with no index, fails the
+// test unless the two manifests encode to the same bytes and every chunk
+// the indexed build's Source serves hashes to its name, and returns the
 // files the indexed build opened.
-func buildBoth(t *testing.T, opens *openLog, root string, idx *DirIndex) (*Manifest, map[string]bool) {
+func buildBoth(t *testing.T, opens *openLog, idx *DirIndex) (*Manifest, map[string]bool) {
 	t.Helper()
 	opens.take()
-	m, src, err := BuildDir(root, idx)
+	m, src, err := Build(opens, idx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opened := opens.take()
-	want, _, err := BuildDir(root, nil)
+	want, _, err := Build(opens, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +106,7 @@ func buildBoth(t *testing.T, opens *openLog, root string, idx *DirIndex) (*Manif
 	return m, opened
 }
 
-// scanTree lists root's regular files and directories the way BuildDir
+// scanTree lists root's regular files and directories the way Build
 // selects them, sorted.
 func scanTree(t *testing.T, root string) (files, dirs []string) {
 	t.Helper()
@@ -153,7 +162,7 @@ func TestIndexNeverChangesTheAnswer(t *testing.T) {
 	files, dirs := edgeTree()
 	writeTree(t, root, files, dirs...)
 	idx := &DirIndex{path: filepath.Join(cacheDir, "index")}
-	opens := logOpens(t, root)
+	opens := logOpens(os.DirFS(root))
 	rng := rand.New(rand.NewSource(29))
 	full := func(rel string) string { return filepath.Join(root, filepath.FromSlash(rel)) }
 	content := func(n int) []byte {
@@ -279,7 +288,7 @@ func TestIndexNeverChangesTheAnswer(t *testing.T) {
 	}
 
 	settle(t, cacheDir)
-	if _, opened := buildBoth(t, opens, root, idx); len(opened) != len(files) {
+	if _, opened := buildBoth(t, opens, idx); len(opened) != len(files) {
 		t.Fatalf("first build read %d files, want all %d", len(opened), len(files))
 	}
 	reused := 0
@@ -291,7 +300,7 @@ func TestIndexNeverChangesTheAnswer(t *testing.T) {
 		}
 		edited := e.do(step, files, dirs)
 		settle(t, cacheDir)
-		m, opened := buildBoth(t, opens, root, idx)
+		m, opened := buildBoth(t, opens, idx)
 		for rel := range opened {
 			if !edited[rel] {
 				t.Errorf("step %d (%s): read %s, which the edit did not touch (edited %v)", step, e.name, rel, sortedKeys(edited))
@@ -312,7 +321,7 @@ func TestIndexRehashesRacyFiles(t *testing.T) {
 	root, cacheDir := t.TempDir(), t.TempDir()
 	writeTree(t, root, map[string]string{"a": "first version of a\n", "b": "b never changes\n"})
 	idx := &DirIndex{path: filepath.Join(cacheDir, "index")}
-	opens := logOpens(t, root)
+	opens := logOpens(os.DirFS(root))
 	settle(t, cacheDir)
 
 	rewritten := false
@@ -324,16 +333,16 @@ func TestIndexRehashesRacyFiles(t *testing.T) {
 			}
 		}
 	}
-	if _, opened := buildBoth(t, opens, root, idx); len(opened) != 2 || !rewritten {
+	if _, opened := buildBoth(t, opens, idx); len(opened) != 2 || !rewritten {
 		t.Fatalf("first build read %v", sortedKeys(opened))
 	}
 	opens.onOpen = nil
 	settle(t, cacheDir)
-	if _, opened := buildBoth(t, opens, root, idx); len(opened) != 1 || !opened["a"] {
+	if _, opened := buildBoth(t, opens, idx); len(opened) != 1 || !opened["a"] {
 		t.Fatalf("after a write during the scan, the next build read %v, want [a]", sortedKeys(opened))
 	}
 	settle(t, cacheDir)
-	if _, opened := buildBoth(t, opens, root, idx); len(opened) != 0 {
+	if _, opened := buildBoth(t, opens, idx); len(opened) != 0 {
 		t.Fatalf("unchanged tree, settled clock: read %v", sortedKeys(opened))
 	}
 }
@@ -354,15 +363,15 @@ func encodeIndex(stamp int64, entries map[string]indexEntry) []byte {
 	return sealIndex(body)
 }
 
-// builtIndex builds root twice through a fresh index, the clock settled
+// builtIndex builds the tree twice through a fresh index, the clock settled
 // before each, and returns the index, its file's bytes and its entries.
-func builtIndex(t *testing.T, opens *openLog, root string) (*DirIndex, []byte, map[string]indexEntry) {
+func builtIndex(t *testing.T, opens *openLog) (*DirIndex, []byte, map[string]indexEntry) {
 	t.Helper()
 	cacheDir := t.TempDir()
 	idx := &DirIndex{path: filepath.Join(cacheDir, "index")}
 	for i := 0; i < 2; i++ {
 		settle(t, cacheDir)
-		buildBoth(t, opens, root, idx)
+		buildBoth(t, opens, idx)
 	}
 	data, err := os.ReadFile(idx.path)
 	if err != nil {
@@ -370,7 +379,7 @@ func builtIndex(t *testing.T, opens *openLog, root string) (*DirIndex, []byte, m
 	}
 	entries := decodeIndex(data)
 	if entries == nil {
-		t.Fatal("the index BuildDir wrote does not decode")
+		t.Fatal("the index Build wrote does not decode")
 	}
 	return idx, data, entries
 }
@@ -382,9 +391,9 @@ func TestDamagedIndexIsEmpty(t *testing.T) {
 	root := t.TempDir()
 	files, dirs := edgeTree()
 	writeTree(t, root, files, dirs...)
-	opens := logOpens(t, root)
-	idx, data, entries := builtIndex(t, opens, root)
-	if _, opened := buildBoth(t, opens, root, idx); len(opened) != 0 {
+	opens := logOpens(os.DirFS(root))
+	idx, data, entries := builtIndex(t, opens)
+	if _, opened := buildBoth(t, opens, idx); len(opened) != 0 {
 		t.Fatalf("unchanged tree read %v through a sound index", sortedKeys(opened))
 	}
 
@@ -419,7 +428,7 @@ func TestDamagedIndexIsEmpty(t *testing.T) {
 		if err := os.WriteFile(idx.path, bad, 0o600); err != nil {
 			t.Fatal(err)
 		}
-		if _, opened := buildBoth(t, opens, root, idx); len(opened) != len(files) {
+		if _, opened := buildBoth(t, opens, idx); len(opened) != len(files) {
 			t.Errorf("%s: read %d files, want all %d", name, len(opened), len(files))
 		}
 	}
@@ -431,7 +440,7 @@ func TestDamagedIndexIsEmpty(t *testing.T) {
 // (upload_test.go) uploads through it.
 func StaleIndex(t *testing.T, root, rel string, other []byte) *DirIndex {
 	t.Helper()
-	idx, _, entries := builtIndex(t, logOpens(t, root), root)
+	idx, _, entries := builtIndex(t, logOpens(os.DirFS(root)))
 	e, ok := entries[rel]
 	if !ok || e.key.size != int64(len(other)) {
 		t.Fatalf("fixture: no index entry for %s of %d bytes", rel, len(other))
@@ -452,7 +461,7 @@ func TestConcurrentBuildsOfOneProject(t *testing.T) {
 	root, cacheDir := t.TempDir(), t.TempDir()
 	files, dirs := edgeTree()
 	writeTree(t, root, files, dirs...)
-	want, _, err := BuildDir(root, nil)
+	want, _, err := Build(os.DirFS(root), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +473,7 @@ func TestConcurrentBuildsOfOneProject(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				m, _, err := BuildDir(root, &DirIndex{path: path})
+				m, _, err := Build(os.DirFS(root), &DirIndex{path: path})
 				if err != nil || !bytes.Equal(m.Encode(), want.Encode()) {
 					t.Errorf("concurrent build: %v", err)
 				}
@@ -481,10 +490,10 @@ func TestConcurrentBuildsOfOneProject(t *testing.T) {
 	}
 }
 
-// FuzzDirIndex: whatever bytes sit in the index file, BuildDir neither
+// FuzzDirIndex: whatever bytes sit in the index file, Build neither
 // panics nor fails, and builds the manifest a scan with no index builds.
 // Bytes the fuzzer makes up cannot carry a valid checksum, so to
-// BuildDir they are an empty index. Each input is also tried sealed with
+// Build they are an empty index. Each input is also tried sealed with
 // a valid checksum, which takes it into the decoder's body: a checksummed
 // index is believed by design, so there only the absence of a panic or
 // an error is checked.
@@ -492,7 +501,7 @@ func FuzzDirIndex(f *testing.F) {
 	root, cacheDir := f.TempDir(), f.TempDir()
 	files, dirs := edgeTree()
 	writeTree(f, root, files, dirs...)
-	want, _, err := BuildDir(root, nil)
+	want, _, err := Build(os.DirFS(root), nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -501,7 +510,7 @@ func FuzzDirIndex(f *testing.F) {
 		if err := os.WriteFile(path, index, 0o600); err != nil {
 			t.Fatal(err)
 		}
-		m, _, err := BuildDir(root, &DirIndex{path: path})
+		m, _, err := Build(os.DirFS(root), &DirIndex{path: path})
 		if err != nil {
 			t.Fatal(err)
 		}

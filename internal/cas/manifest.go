@@ -10,9 +10,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"os"
 	"path"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -208,13 +206,13 @@ func checkRel(p string) error {
 
 // ---- building ----
 
-// Source yields chunk payloads by hash for upload. Build functions
-// return one alongside the manifest; it reads the underlying tree on
-// demand so no chunk data is pinned in memory. A payload is valid until
-// the next call to Chunk. A Source does not hash what it serves: the
-// store refuses a payload that does not hash to its name (DESIGN.md
-// §16), so a file that changed after it was scanned fails the upload
-// there, by the one hash the write path makes.
+// Source yields chunk payloads by hash for upload. Build returns one
+// alongside the manifest; it reads the underlying tree on demand so no
+// chunk data is pinned in memory. A payload is valid until the next
+// call to Chunk. A Source does not hash what it serves: the store
+// refuses a payload that does not hash to its name (DESIGN.md §16), so
+// a file that changed after it was scanned fails the upload there, by
+// the one hash the write path makes.
 type Source interface {
 	// Size is the payload size of a chunk of the tree, as its manifest
 	// refs record it; false for a hash the tree does not hold.
@@ -248,18 +246,18 @@ func (l chunkLocs) add(fe FileEntry) {
 	}
 }
 
-// readWindow is how much of a file dirSource reads at once when it needs
+// readWindow is how much of a file a Source reads at once when it needs
 // a window larger than the scan's buffer: an upload asks for a file's
 // chunks in order, so one read serves a run of them.
 const readWindow = 1 << 20
 
-// dirSource serves chunks from the host tree, read back on every call.
-// It keeps the last read — a window of one file, in one buffer it
-// reuses, which starts as the buffer BuildDir read the tree through —
-// and serves a chunk from it when the chunk lies inside; no file stays
-// open between calls.
-type dirSource struct {
-	root string
+// treeSource serves chunks from the tree Build scanned, read back on
+// every call through the file's io.ReaderAt. It keeps the last read — a
+// window of one file, in one buffer it reuses, which starts as the
+// buffer Build read the tree through — and serves a chunk from it when
+// the chunk lies inside; no file stays open between calls.
+type treeSource struct {
+	fsys fs.FS
 	chunkLocs
 
 	mu      sync.Mutex
@@ -268,7 +266,7 @@ type dirSource struct {
 	winOff  int64
 }
 
-func (s *dirSource) Chunk(hash string) ([]byte, error) {
+func (s *treeSource) Chunk(hash string) ([]byte, error) {
 	loc, ok := s.chunkLocs[hash]
 	if !ok {
 		return nil, fmt.Errorf("cas: unknown chunk %s", hash)
@@ -287,17 +285,21 @@ func (s *dirSource) Chunk(hash string) ([]byte, error) {
 }
 
 // fill reads the window of loc's file that starts at loc.
-func (s *dirSource) fill(loc chunkLoc) error {
+func (s *treeSource) fill(loc chunkLoc) error {
 	s.winPath, s.win = "", s.win[:0]
-	f, err := openFile(filepath.Join(s.root, filepath.FromSlash(loc.path)))
+	f, err := s.fsys.Open(loc.path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
+	ra, ok := f.(io.ReaderAt)
+	if !ok {
+		return errors.New("the file has no ReadAt")
+	}
 	if int64(cap(s.win)) < loc.size {
 		s.win = make([]byte, 0, readWindow) // over MaxChunk: a window holds any chunk
 	}
-	n, err := f.ReadAt(s.win[:cap(s.win)], loc.off)
+	n, err := ra.ReadAt(s.win[:cap(s.win)], loc.off)
 	if int64(n) < loc.size {
 		if err == nil || err == io.EOF {
 			err = io.ErrUnexpectedEOF
@@ -306,27 +308,6 @@ func (s *dirSource) fill(loc chunkLoc) error {
 	}
 	s.win, s.winPath, s.winOff = s.win[:n], loc.path, loc.off
 	return nil
-}
-
-type vfsSource struct {
-	fs   *vfs.FS
-	root string
-	chunkLocs
-}
-
-func (s *vfsSource) Chunk(hash string) ([]byte, error) {
-	loc, ok := s.chunkLocs[hash]
-	if !ok {
-		return nil, fmt.Errorf("cas: unknown chunk %s", hash)
-	}
-	data, err := s.fs.ReadFile(path.Join(s.root, loc.path))
-	if err != nil {
-		return nil, err
-	}
-	if loc.off+loc.size > int64(len(data)) {
-		return nil, fmt.Errorf("cas: %s changed while uploading (chunk %s): the file is shorter", loc.path, hash)
-	}
-	return data[loc.off : loc.off+loc.size], nil
 }
 
 // chunkFile splits one file's content into its manifest entry.
@@ -338,17 +319,13 @@ func chunkFile(rel string, data []byte) FileEntry {
 	return fe
 }
 
-// openFile opens each file BuildDir and its Source read; tests count the
-// opens.
-var openFile = os.Open
-
-// readFile reads a whole file into buf, which it grows when the file is
-// larger, and returns the bytes read and the stat data of the descriptor
-// it read through. The bytes share buf's array: a scan reads every file
-// through one buffer, so a tree costs one file's worth of fresh pages,
-// not its size.
-func readFile(name string, buf []byte) ([]byte, fs.FileInfo, error) {
-	f, err := openFile(name)
+// readFile reads a whole file of fsys into buf, which it grows when the
+// file is larger, and returns the bytes read and the stat data of the
+// file it read through. The bytes share buf's array: a scan reads every
+// file through one buffer, so a tree costs one file's worth of fresh
+// pages, not its size.
+func readFile(fsys fs.FS, name string, buf []byte) ([]byte, fs.FileInfo, error) {
+	f, err := fsys.Open(name)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -373,38 +350,32 @@ func skipDir(name string) bool {
 	return name == ".git" || name == ".hg" || name == ".svn"
 }
 
-// BuildDir scans a host directory into a manifest plus a Source for its
-// chunks. VCS metadata directories (skipDir) are skipped and only
+// Build scans the project tree fsys into a manifest plus a Source for
+// its chunks: os.DirFS serves a host directory, vfs.FS.IOFS a tree in
+// memory. VCS metadata directories (skipDir) are not entered and only
 // regular files are included; sockets, symlinks and devices are not
-// shipped.
+// shipped. The Source reads chunks back through the files' io.ReaderAt.
 //
-// idx is the directory's stat index (DirIndex): a file whose stat data is
-// a trusted entry's key is not read, and its refs come from the index;
+// idx is the tree's stat index (DirIndex): a file whose stat data is a
+// trusted entry's key is not read, and its refs come from the index;
 // every other file is read and chunked. The manifest is the same either
-// way. Every file is read through one buffer, which the Source then
-// reads its windows into; the Source hashes nothing, and the store
+// way. Only a host file's stat data can be a key, so a tree in memory is
+// read whole. Every file is read through one buffer, which the Source
+// then reads its windows into; the Source hashes nothing, and the store
 // refuses a chunk whose bytes changed since the scan. After a successful
 // scan the index is rewritten. A nil idx holds nothing.
-func BuildDir(root string, idx *DirIndex) (*Manifest, Source, error) {
+func Build(fsys fs.FS, idx *DirIndex) (*Manifest, Source, error) {
 	m := &Manifest{}
-	src := &dirSource{root: root, chunkLocs: make(chunkLocs)}
+	src := &treeSource{fsys: fsys, chunkLocs: make(chunkLocs)}
 	var buf []byte
 	scan := idx.begin()
-	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
+	err := fs.WalkDir(fsys, ".", func(rel string, d fs.DirEntry, err error) error {
+		if err != nil || rel == "." {
 			return err
-		}
-		rel, rerr := filepath.Rel(root, p)
-		if rerr != nil {
-			return rerr
-		}
-		rel = filepath.ToSlash(rel)
-		if rel == "." {
-			return nil
 		}
 		if d.IsDir() {
 			if skipDir(d.Name()) {
-				return filepath.SkipDir
+				return fs.SkipDir
 			}
 			m.Dirs = append(m.Dirs, rel)
 			return nil
@@ -414,7 +385,7 @@ func BuildDir(root string, idx *DirIndex) (*Manifest, Source, error) {
 		}
 		fe, ok := scan.reuse(rel, d)
 		if !ok {
-			data, fi, rerr := readFile(p, buf)
+			data, fi, rerr := readFile(fsys, rel, buf)
 			if rerr != nil {
 				return rerr
 			}
@@ -429,80 +400,11 @@ func BuildDir(root string, idx *DirIndex) (*Manifest, Source, error) {
 	})
 	scan.finish(err == nil)
 	if err != nil {
-		return nil, nil, fmt.Errorf("cas: scanning %s: %w", root, err)
+		return nil, nil, fmt.Errorf("cas: scanning project tree: %w", err)
 	}
 	m.Seal()
 	src.win = buf
 	return m, src, nil
-}
-
-// BuildVFS scans a virtual-filesystem subtree into a manifest plus a
-// chunk Source — BuildDir for trees that live in memory (simulations,
-// examples, tests).
-func BuildVFS(fsys *vfs.FS, root string) (*Manifest, Source, error) {
-	m := &Manifest{}
-	src := &vfsSource{fs: fsys, root: root, chunkLocs: make(chunkLocs)}
-	cleanRoot := path.Clean(root)
-	err := fsys.Walk(cleanRoot, func(p string, fi vfs.FileInfo) error {
-		rel := strings.TrimPrefix(p, cleanRoot)
-		rel = strings.TrimPrefix(rel, "/")
-		if rel == "" {
-			return nil
-		}
-		if fi.Dir {
-			if skipDir(fi.Name) {
-				return nil // vfs.Walk has no SkipDir; children are filtered below
-			}
-			m.Dirs = append(m.Dirs, rel)
-			return nil
-		}
-		data, rerr := fsys.ReadFile(p)
-		if rerr != nil {
-			return rerr
-		}
-		fe := chunkFile(rel, data)
-		src.add(fe)
-		m.Files = append(m.Files, fe)
-		m.TotalBytes += fe.Size
-		return nil
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("cas: scanning vfs %s: %w", root, err)
-	}
-	// Filter out anything under a skipped VCS directory (Walk cannot
-	// prune subtrees).
-	m.Dirs = filterSkipped(m.Dirs)
-	files := m.Files[:0]
-	m.TotalBytes = 0
-	for _, f := range m.Files {
-		if underSkipped(f.Path) {
-			continue
-		}
-		files = append(files, f)
-		m.TotalBytes += f.Size
-	}
-	m.Files = files
-	m.Seal()
-	return m, src, nil
-}
-
-func underSkipped(rel string) bool {
-	for _, seg := range strings.Split(rel, "/") {
-		if skipDir(seg) {
-			return true
-		}
-	}
-	return false
-}
-
-func filterSkipped(dirs []string) []string {
-	out := dirs[:0]
-	for _, d := range dirs {
-		if !underSkipped(d) {
-			out = append(out, d)
-		}
-	}
-	return out
 }
 
 // ---- materializing ----

@@ -44,14 +44,14 @@ func TestStaleIndexFailsUpload(t *testing.T) {
 		scan func(t *testing.T, root string) (*cas.Manifest, cas.Source)
 	}{
 		{"stale index entry", func(t *testing.T, root string) (*cas.Manifest, cas.Source) {
-			m, src, err := cas.BuildDir(root, cas.StaleIndex(t, root, "a.bin", other))
+			m, src, err := cas.Build(os.DirFS(root), cas.StaleIndex(t, root, "a.bin", other))
 			if err != nil {
 				t.Fatal(err)
 			}
 			return m, src
 		}},
 		{"file rewritten after the scan", func(t *testing.T, root string) (*cas.Manifest, cas.Source) {
-			m, src, err := cas.BuildDir(root, nil)
+			m, src, err := cas.Build(os.DirFS(root), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

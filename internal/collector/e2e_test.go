@@ -210,7 +210,7 @@ func (s *tracedStack) submit(t *testing.T, rev int, kind string) *core.JobResult
 	for i := 0; i < 20; i++ {
 		projFS.WriteFile(fmt.Sprintf("/p/notes/%02d.txt", i), []byte(fmt.Sprintf("note %d rev %d\n", i, rev)))
 	}
-	m, src, err := cas.BuildVFS(projFS, "/p")
+	m, src, err := cas.Build(projFS.IOFS("/p"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func projectTree(t *testing.T, spec project.Spec) (*vfs.FS, tree) {
 	if err := fs.WriteFile("/p/src/weights.h", w.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	m, src, err := cas.BuildVFS(fs, "/p")
+	m, src, err := cas.Build(fs.IOFS("/p"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestDeltaSubmitEndToEnd(t *testing.T) {
 	if err := fs3.WriteFile("/p/src/tuning.h", []byte("#define TILE_WIDTH 32\n")); err != nil {
 		t.Fatal(err)
 	}
-	m3, src3, err := cas.BuildVFS(fs3, "/p")
+	m3, src3, err := cas.Build(fs3.IOFS("/p"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
 	"time"
 
 	"rai/internal/auth"
@@ -13,7 +14,6 @@ import (
 	"rai/internal/cas"
 	"rai/internal/clock"
 	"rai/internal/telemetry"
-	"rai/internal/vfs"
 )
 
 // Client implements the student-side workflow (paper §V "Client
@@ -73,44 +73,46 @@ type JobResult struct {
 	Transfer *TransferStats
 }
 
-// PrepareProject inspects the project directory in fs, returning the
-// build spec: the student's rai-build.yml when present, otherwise the
-// Listing 1 default (client step 1).
-func PrepareProject(fs *vfs.FS, dir string) (*build.Spec, error) {
-	specPath := dir + "/" + build.FileName
-	if !fs.Exists(dir) {
-		return nil, fmt.Errorf("core: project directory %s does not exist", dir)
+// PrepareProject is client step 1 over the project tree fsys: it
+// returns the build spec, which is the tree's rai-build.yml when it has
+// one (found) and otherwise the Listing 1 default. At most
+// build.MaxSpecBytes+1 bytes of the file are read, so an oversized one
+// is refused without being read whole.
+func PrepareProject(fsys fs.FS) (spec *build.Spec, found bool, err error) {
+	if fi, err := fs.Stat(fsys, "."); err != nil || !fi.IsDir() {
+		return nil, false, ErrNoProject
 	}
-	if fs.Exists(specPath) {
-		data, err := fs.ReadFile(specPath)
-		if err != nil {
-			return nil, err
-		}
-		spec, err := build.Parse(data)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s: %w", build.FileName, err)
-		}
-		return spec, nil
+	f, err := fsys.Open(build.FileName)
+	if err != nil {
+		return build.Default(), false, nil
 	}
-	return build.Default(), nil
+	defer f.Close()
+	data, err := io.ReadAll(io.LimitReader(f, build.MaxSpecBytes+1))
+	if err == nil {
+		spec, err = build.Parse(data)
+	}
+	if err != nil {
+		return nil, true, fmt.Errorf("%s: %w", build.FileName, err)
+	}
+	return spec, true, nil
 }
 
-// CheckSubmissionFiles enforces the final-submission requirements: the
-// USAGE file and report.pdf must be present (paper §V "Student Final
-// Submission" step 2).
-func CheckSubmissionFiles(fs *vfs.FS, dir string) error {
+// CheckSubmissionFiles is client step 2 of a final submission, which
+// the worker's admit repeats: the tree fsys must hold the USAGE file
+// and report.pdf (paper §V "Student Final Submission").
+func CheckSubmissionFiles(fsys fs.FS) error {
 	for _, f := range []string{"USAGE", "report.pdf"} {
-		if !fs.Exists(dir + "/" + f) {
-			return fmt.Errorf("%w: missing %s", ErrMissingFiles, f)
+		if _, err := fs.Stat(fsys, f); err != nil {
+			return fmt.Errorf("final submission requires %s", f)
 		}
 	}
 	return nil
 }
 
-// Submit runs the full client sequence for the project tree
-// described by m, whose chunk payloads come from src (cas.BuildDir or
-// cas.BuildVFS produce the pair). kind is KindRun or KindSubmit; spec
-// is the parsed build file (ignored by workers for KindSubmit). It
+// Submit runs the full client sequence for the project tree described
+// by m, whose chunk payloads come from src (cas.Build produces the
+// pair). kind is KindRun or KindSubmit; spec is the parsed build file
+// (ignored by workers for KindSubmit). It
 // blocks streaming logs to Stdout until the End message arrives;
 // canceling ctx abandons the job (the worker still runs it, but nobody
 // is watching the log topic).

@@ -171,9 +171,9 @@ const (
 
 // Errors shared across client and worker.
 var (
-	ErrRejected     = errors.New("core: job rejected")
-	ErrRateLimited  = errors.New("core: submission rate limit (one job per 30s)")
-	ErrMissingFiles = errors.New("core: final submission requires USAGE and report.pdf")
+	ErrRejected    = errors.New("core: job rejected")
+	ErrRateLimited = errors.New("core: submission rate limit (one job per 30s)")
+	ErrNoProject   = errors.New("core: project directory does not exist")
 )
 
 // NewJobID mints a unique job identifier.

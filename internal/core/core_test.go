@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io/fs"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -112,7 +113,7 @@ func newProject(t *testing.T, spec project.Spec) tree {
 	if err := project.WriteTo(fs, "/p", spec); err != nil {
 		t.Fatal(err)
 	}
-	m, src, err := cas.BuildVFS(fs, "/p")
+	m, src, err := cas.Build(fs.IOFS("/p"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,29 +443,75 @@ func TestNonWhitelistedImageFails(t *testing.T) {
 func TestPrepareProject(t *testing.T) {
 	fs := vfs.New()
 	project.WriteTo(fs, "/p", project.Spec{Impl: cnn.ImplTiled})
-	spec, err := PrepareProject(fs, "/p")
-	if err != nil {
-		t.Fatal(err)
+	spec, found, err := PrepareProject(fs.IOFS("/p"))
+	if err != nil || !found {
+		t.Fatal(found, err)
 	}
 	if spec.RAI.Image != "webgpu/rai:root" {
 		t.Errorf("student spec image = %q", spec.RAI.Image)
 	}
 	// Without rai-build.yml the Listing 1 default applies.
 	fs.Remove("/p/rai-build.yml")
-	spec, err = PrepareProject(fs, "/p")
-	if err != nil {
-		t.Fatal(err)
+	spec, found, err = PrepareProject(fs.IOFS("/p"))
+	if err != nil || found {
+		t.Fatal(found, err)
 	}
 	if len(spec.RAI.Commands.Build) != len(build.Default().RAI.Commands.Build) {
 		t.Error("default spec not used")
 	}
-	if _, err := PrepareProject(fs, "/missing"); err == nil {
-		t.Error("missing project dir accepted")
+	if _, _, err := PrepareProject(fs.IOFS("/missing")); !errors.Is(err, ErrNoProject) {
+		t.Errorf("missing project dir: %v", err)
+	}
+	if _, _, err := PrepareProject(fs.IOFS("/p/main.cu")); !errors.Is(err, ErrNoProject) {
+		t.Errorf("a file as the project dir: %v", err)
 	}
 	// A malformed rai-build.yml is a loud error, not a silent default.
 	fs.WriteFile("/p/rai-build.yml", []byte("rai:\n  version: 99\n"))
-	if _, err := PrepareProject(fs, "/p"); err == nil {
+	if _, _, err := PrepareProject(fs.IOFS("/p")); err == nil {
 		t.Error("malformed spec accepted")
+	}
+}
+
+// byteCounter is an fs.FS that counts the bytes read from its files.
+type byteCounter struct {
+	fs.FS
+	read int64
+}
+
+func (c *byteCounter) Open(name string) (fs.File, error) {
+	f, err := c.FS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return countedFile{f, c}, nil
+}
+
+type countedFile struct {
+	fs.File
+	c *byteCounter
+}
+
+func (f countedFile) Read(p []byte) (int, error) {
+	n, err := f.File.Read(p)
+	f.c.read += int64(n)
+	return n, err
+}
+
+// TestPrepareProjectReadsSpecUnderLimit: a rai-build.yml over
+// build.MaxSpecBytes is refused after at most MaxSpecBytes+1 of its
+// bytes are read, not read whole first.
+func TestPrepareProjectReadsSpecUnderLimit(t *testing.T) {
+	mem := vfs.New()
+	huge := "rai:\n  version: 0.1\n#" + strings.Repeat("x", 4*build.MaxSpecBytes) + "\n"
+	if err := mem.WriteFile("/p/rai-build.yml", []byte(huge)); err != nil {
+		t.Fatal(err)
+	}
+	tree := &byteCounter{FS: mem.IOFS("/p")}
+	if _, _, err := PrepareProject(tree); err == nil {
+		t.Fatal("oversized rai-build.yml accepted")
+	}
+	if tree.read > build.MaxSpecBytes+1 {
+		t.Errorf("read %d bytes of a %d-byte rai-build.yml, want at most %d", tree.read, len(huge), build.MaxSpecBytes+1)
 	}
 }
 

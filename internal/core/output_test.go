@@ -27,7 +27,7 @@ func projectWith(t *testing.T, team string, extra map[string][]byte) tree {
 	for name, data := range extra {
 		fs.WriteFile("/p/"+name, data)
 	}
-	m, src, err := cas.BuildVFS(fs, "/p")
+	m, src, err := cas.Build(fs.IOFS("/p"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

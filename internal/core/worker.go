@@ -525,7 +525,7 @@ func (w *Worker) download(ctx context.Context, j *job) error {
 		return fmt.Errorf("cannot materialize project tree: %w", err)
 	}
 	if j.req.Kind == KindSubmit {
-		return CheckSubmissionFiles(j.src, "/src")
+		return CheckSubmissionFiles(j.src.IOFS("/src"))
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package grading
 import (
 	"context"
 	"fmt"
+	"io/fs"
 	"path"
 	"sort"
 	"strings"
@@ -89,21 +90,21 @@ func (d *Downloader) DownloadAll(ctx context.Context, dst *vfs.FS, dstRoot strin
 
 // cleanupTree removes grading-irrelevant files: build intermediates and
 // course datasets.
-func cleanupTree(fs *vfs.FS, root string) error {
+func cleanupTree(tree *vfs.FS, root string) error {
 	var doomed []string
-	err := fs.Walk(root, func(p string, fi vfs.FileInfo) error {
-		if fi.Dir {
-			return nil
+	err := fs.WalkDir(tree.IOFS(root), ".", func(rel string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
 		}
-		base := path.Base(p)
+		base := path.Base(rel)
 		switch {
 		case base == "Makefile",
 			strings.HasSuffix(base, ".nvprof"),
 			strings.HasSuffix(base, ".hdf5"),
 			strings.HasSuffix(base, ".o"):
-			doomed = append(doomed, p)
+			doomed = append(doomed, path.Join(root, rel))
 		case base == "ece408": // the compiled binary
-			doomed = append(doomed, p)
+			doomed = append(doomed, path.Join(root, rel))
 		}
 		return nil
 	})
@@ -111,7 +112,7 @@ func cleanupTree(fs *vfs.FS, root string) error {
 		return err
 	}
 	for _, p := range doomed {
-		if err := fs.RemoveAll(p); err != nil {
+		if err := tree.RemoveAll(p); err != nil {
 			return err
 		}
 	}

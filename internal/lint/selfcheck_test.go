@@ -181,7 +181,6 @@ var unusedAllowed = map[string]string{
 	"rai/internal/auth.NewCredentials":             "mints unregistered credentials for the daemons' and core's tests",
 	// Names that open roadmap items own; each leaves with its item.
 	"rai/internal/core.Client.DownloadBuild": "item 4 decides how a build's output comes back",
-	"rai/internal/vfs.FS.IOFS":               "item 4's single builder may read a tree through io/fs",
 	"rai/internal/bzip2w.NewWriter":          "item 4 decides what packs a job's /build",
 	"rai/internal/bzip2w.Compress":           "item 4 decides what packs a job's /build",
 	"rai/internal/core.ErrRateLimited":       "item 2 makes the worker's rate-limit check return it",

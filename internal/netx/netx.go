@@ -1,6 +1,6 @@
 // Package netx is the stdlib-only resilience layer every RAI service
 // boundary goes through: bounded retries with exponential backoff and
-// full jitter, per-attempt and overall deadlines, and a retryable-error
+// full jitter, per-attempt deadlines, and a retryable-error
 // taxonomy. The paper's deployment leaned on NSQ, S3, and MongoDB client
 // libraries that reconnect and retry internally; our substitutes
 // (brokerd, objstore, docstore) get the same durability from this one
@@ -32,8 +32,8 @@ const (
 )
 
 // Policy shapes how Do runs an operation. The zero value is usable and
-// means "4 attempts, 50ms..5s full-jitter backoff, no per-attempt or
-// overall deadline beyond the caller's context".
+// means "4 attempts, 50ms..5s full-jitter backoff, no per-attempt
+// deadline beyond the caller's context".
 type Policy struct {
 	// MaxAttempts bounds total tries (first attempt included); <=0 means
 	// DefaultMaxAttempts.
@@ -50,13 +50,10 @@ type Policy struct {
 	// budget. A per-attempt deadline blowing is retryable; the caller's
 	// context expiring is not.
 	PerAttempt time.Duration
-	// Overall, when positive, bounds the whole Do call (all attempts and
-	// sleeps) in addition to any deadline already on the caller's ctx.
-	Overall time.Duration
 	// Retryable classifies errors; nil means DefaultRetryable.
 	Retryable func(error) bool
 	// Clock times the backoff sleeps (virtual in simulations); nil means
-	// the wall clock. Per-attempt/overall deadlines always use real time
+	// the wall clock. Per-attempt deadlines always use real time
 	// because context deadlines do.
 	Clock clock.Clock
 	// Rand yields the jitter fraction in [0,1); nil means math/rand.
@@ -111,11 +108,6 @@ func (p Policy) Delay(attempt int) time.Duration {
 // the per-attempt deadline (when configured) and must honor it.
 func Do(ctx context.Context, p Policy, op func(context.Context) error) error {
 	p = p.withDefaults()
-	if p.Overall > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.Overall)
-		defer cancel()
-	}
 	var lastErr error
 	for attempt := 1; ; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -131,7 +123,7 @@ func Do(ctx context.Context, p Policy, op func(context.Context) error) error {
 			return nil
 		}
 		lastErr = err
-		// The caller's deadline (or the overall budget) expiring ends the
+		// The caller's deadline expiring ends the
 		// call even if the error itself looks retryable.
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return p.ctxFailure(ctxErr, err)

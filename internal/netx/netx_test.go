@@ -119,14 +119,18 @@ func TestDoCancellationAbortsPromptly(t *testing.T) {
 	}
 }
 
-func TestDoOverallDeadline(t *testing.T) {
+// TestDoCallerDeadline: the deadline on the caller's ctx is the only
+// bound on a whole call; when it passes, Do returns it with the last
+// attempt's error and counts the blown deadline.
+func TestDoCallerDeadline(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	p := fastPolicy()
-	p.MaxAttempts = 1000
-	p.Overall = 20 * time.Millisecond
+	p.MaxAttempts = 1 << 30 // only the deadline ends the call
 	p.Metrics = NewMetrics(reg, "test")
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
 	last := errors.New("still down")
-	err := Do(context.Background(), p, func(context.Context) error { return last })
+	err := Do(ctx, p, func(context.Context) error { return last })
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}

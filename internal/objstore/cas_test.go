@@ -26,7 +26,7 @@ func buildTestTree(t *testing.T, files map[string]string) (*cas.Manifest, cas.So
 			t.Fatal(err)
 		}
 	}
-	m, src, err := cas.BuildDir(root, nil)
+	m, src, err := cas.Build(os.DirFS(root), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

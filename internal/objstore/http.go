@@ -425,14 +425,11 @@ func (c *Client) Get(ctx context.Context, bucket, key string) ([]byte, error) {
 // Retries cover connecting and the response header; once the stream is
 // handed over, a mid-body failure surfaces as a read error.
 func (c *Client) GetReader(ctx context.Context, bucket, key string) (io.ReadCloser, int64, error) {
-	policy := c.Policy
 	// The body outlives the retry loop, so the request deliberately binds
 	// to the caller's ctx, not the per-attempt one (which Do cancels as
-	// the attempt returns), and no overall budget applies — only the
-	// caller's ctx bounds the stream.
-	policy.Overall = 0
+	// the attempt returns): only the caller's ctx bounds the stream.
 	//lint:ignore httpresp the body IS the return value; the caller must Close it
-	resp, err := netx.DoVal(ctx, policy, func(context.Context) (*http.Response, error) {
+	resp, err := netx.DoVal(ctx, c.Policy, func(context.Context) (*http.Response, error) {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.objURL(bucket, key), nil)
 		if err != nil {
 			return nil, netx.Permanent(err)

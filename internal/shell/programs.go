@@ -3,6 +3,7 @@ package shell
 import (
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"path"
 	"strconv"
 	"strings"
@@ -250,12 +251,17 @@ func progMake(sh *Shell, argv []string, res *Result) error {
 	var srcBytes int64
 	sources := 0
 	var compileErr string
-	walkErr := sh.FS.Walk(srcDir, func(p string, fi vfs.FileInfo) error {
-		if fi.Dir || !isSourceFile(p) {
-			return nil
+	walkErr := fs.WalkDir(sh.FS.IOFS(srcDir), ".", func(rel string, d fs.DirEntry, err error) error {
+		p := path.Join(srcDir, rel)
+		if err != nil || d.IsDir() || !isSourceFile(p) {
+			return err
+		}
+		fi, err := d.Info()
+		if err != nil {
+			return err
 		}
 		sources++
-		srcBytes += fi.Size
+		srcBytes += fi.Size()
 		data, err := sh.FS.ReadFile(p)
 		if err != nil {
 			return err

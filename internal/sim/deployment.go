@@ -18,6 +18,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"io/fs"
 	"math/rand"
 	"sync"
 	"time"
@@ -184,29 +185,38 @@ func (s *seededReader) Read(p []byte) (int, error) {
 	return s.r.Read(p)
 }
 
+// projectTree renders a project spec as the tree a student submits.
+func projectTree(spec project.Spec) (fs.FS, error) {
+	mem := vfs.New()
+	if err := project.WriteTo(mem, "/p", spec); err != nil {
+		return nil, err
+	}
+	return mem.IOFS("/p"), nil
+}
+
 // ProjectManifest renders a project spec and hashes it into the
 // manifest and chunk source a client hands to Submit.
 func ProjectManifest(spec project.Spec) (*cas.Manifest, cas.Source, error) {
-	fs := vfs.New()
-	if err := project.WriteTo(fs, "/p", spec); err != nil {
+	tree, err := projectTree(spec)
+	if err != nil {
 		return nil, nil, err
 	}
-	return cas.BuildVFS(fs, "/p")
+	return cas.Build(tree, nil)
 }
 
 // RunSubmission executes one workload submission end to end: pack the
 // project, submit through the client, let one worker handle it.
 func (d *Deployment) RunSubmission(ctx context.Context, c *core.Client, sub workload.Submission) (*core.JobResult, error) {
 	d.Clock.AdvanceTo(sub.Time)
-	fs := vfs.New()
-	if err := project.WriteTo(fs, "/p", sub.Spec); err != nil {
-		return nil, err
-	}
-	m, src, err := cas.BuildVFS(fs, "/p")
+	tree, err := projectTree(sub.Spec)
 	if err != nil {
 		return nil, err
 	}
-	spec, err := core.PrepareProject(fs, "/p")
+	m, src, err := cas.Build(tree, nil)
+	if err != nil {
+		return nil, err
+	}
+	spec, _, err := core.PrepareProject(tree)
 	if err != nil {
 		return nil, err
 	}

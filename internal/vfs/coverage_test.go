@@ -2,8 +2,12 @@ package vfs
 
 import (
 	"errors"
+	"io/fs"
 	"testing"
 )
+
+// The Walk tests drive fs.WalkDir over IOFS, the one walk every caller
+// of the package uses.
 
 func TestWalkCallbackErrorStops(t *testing.T) {
 	f := New()
@@ -11,9 +15,12 @@ func TestWalkCallbackErrorStops(t *testing.T) {
 	f.WriteFile("/a/2", nil)
 	sentinel := errors.New("stop here")
 	visits := 0
-	err := f.Walk("/", func(p string, fi FileInfo) error {
+	err := fs.WalkDir(f.IOFS("/"), ".", func(p string, _ fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
 		visits++
-		if p == "/a/1" {
+		if p == "a/1" {
 			return sentinel
 		}
 		return nil
@@ -21,14 +28,15 @@ func TestWalkCallbackErrorStops(t *testing.T) {
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("walk err = %v", err)
 	}
-	if visits != 3 { // "/", "/a", "/a/1"
+	if visits != 3 { // ".", "a", "a/1"
 		t.Errorf("visits = %d", visits)
 	}
 }
 
 func TestWalkMissingRoot(t *testing.T) {
 	f := New()
-	if err := f.Walk("/missing", func(string, FileInfo) error { return nil }); !errors.Is(err, ErrNotExist) {
+	err := fs.WalkDir(f.IOFS("/missing"), ".", func(_ string, _ fs.DirEntry, err error) error { return err })
+	if !errors.Is(err, ErrNotExist) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -37,13 +45,16 @@ func TestWalkSingleFileRoot(t *testing.T) {
 	f := New()
 	f.WriteFile("/file.txt", []byte("x"))
 	var paths []string
-	if err := f.Walk("/file.txt", func(p string, fi FileInfo) error {
+	if err := fs.WalkDir(f.IOFS("/"), "file.txt", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
 		paths = append(paths, p)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(paths) != 1 || paths[0] != "/file.txt" {
+	if len(paths) != 1 || paths[0] != "file.txt" {
 		t.Fatalf("paths = %v", paths)
 	}
 }

@@ -457,36 +457,6 @@ func subtreeSize(n *node) int64 {
 	return s
 }
 
-// WalkFunc visits a path during Walk.
-type WalkFunc func(p string, fi FileInfo) error
-
-// Walk visits every file and directory under root in deterministic
-// (depth-first, name-sorted) order, crossing mounts.
-func (f *FS) Walk(root string, fn WalkFunc) error {
-	fi, err := f.Stat(root)
-	if err != nil {
-		return err
-	}
-	root, _ = clean(root)
-	if err := fn(root, fi); err != nil {
-		return err
-	}
-	if !fi.Dir {
-		return nil
-	}
-	entries, err := f.ReadDir(root)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		child := path.Join(root, e.Name)
-		if err := f.Walk(child, fn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // CopyTree copies the subtree at srcPath in src into dst at dstPath.
 func CopyTree(dst *FS, dstPath string, src *FS, srcPath string) error {
 	srcPath, err := clean(srcPath)
@@ -601,6 +571,25 @@ func (f *ioFile) Read(p []byte) (int, error) {
 		return 0, io.EOF
 	}
 	return n, nil
+}
+
+// ReadAt reads from the same segments, at any offset.
+func (f *ioFile) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, &fs.PathError{Op: "readat", Path: f.info.Name, Err: fs.ErrInvalid}
+	}
+	n := 0
+	for _, part := range f.parts {
+		if off >= int64(len(part)) {
+			off -= int64(len(part))
+			continue
+		}
+		n += copy(p[n:], part[off:])
+		if off = 0; n == len(p) {
+			return n, nil
+		}
+	}
+	return n, io.EOF
 }
 
 type ioDir struct {

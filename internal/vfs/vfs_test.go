@@ -2,6 +2,7 @@ package vfs
 
 import (
 	"errors"
+	"io"
 	"io/fs"
 	"testing"
 	"testing/fstest"
@@ -246,14 +247,14 @@ func TestWalkDeterministic(t *testing.T) {
 	f.WriteFile("/a/a.txt", []byte("22"))
 	f.WriteFile("/z.txt", []byte("333"))
 	var paths []string
-	err := f.Walk("/", func(p string, fi FileInfo) error {
+	err := fs.WalkDir(f.IOFS("/"), ".", func(p string, _ fs.DirEntry, err error) error {
 		paths = append(paths, p)
-		return nil
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"/", "/a", "/a/a.txt", "/a/b", "/a/b/c.txt", "/z.txt"}
+	want := []string{".", "a", "a/a.txt", "a/b", "a/b/c.txt", "z.txt"}
 	if len(paths) != len(want) {
 		t.Fatalf("walk = %v", paths)
 	}
@@ -301,6 +302,31 @@ func TestIOFSReadFile(t *testing.T) {
 	got, err := fs.ReadFile(f.IOFS("/"), "a/b.txt")
 	if err != nil || string(got) != "data" {
 		t.Fatalf("fs.ReadFile = %q, %v", got, err)
+	}
+}
+
+// TestIOFSReadAtAcrossSegments: ReadAt on a file written as segments
+// reads any range across them, and reports io.EOF for a short read.
+func TestIOFSReadAtAcrossSegments(t *testing.T) {
+	f := New()
+	if err := f.WriteFileParts("/p", [][]byte{[]byte("abc"), []byte("de"), []byte("fghij")}); err != nil {
+		t.Fatal(err)
+	}
+	file, err := f.IOFS("/").Open("p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ra := file.(io.ReaderAt)
+	for _, c := range []struct {
+		off, n int
+		want   string
+		eof    bool
+	}{{0, 10, "abcdefghij", false}, {2, 4, "cdef", false}, {5, 5, "fghij", false}, {7, 5, "hij", true}, {10, 1, "", true}} {
+		buf := make([]byte, c.n)
+		n, err := ra.ReadAt(buf, int64(c.off))
+		if string(buf[:n]) != c.want || (err == io.EOF) != c.eof || (err != nil && err != io.EOF) {
+			t.Errorf("ReadAt(%d bytes at %d) = %q, %v", c.n, c.off, buf[:n], err)
+		}
 	}
 }
 
@@ -353,11 +379,13 @@ func TestConcurrentAccess(t *testing.T) {
 // treeSize totals the file bytes under root, crossing mounts.
 func treeSize(f *FS, root string) (int64, error) {
 	var total int64
-	err := f.Walk(root, func(p string, fi FileInfo) error {
-		if !fi.Dir {
-			total += fi.Size
+	err := fs.WalkDir(f.IOFS(root), ".", func(_ string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
 		}
-		return nil
+		fi, err := d.Info()
+		total += fi.Size()
+		return err
 	})
 	return total, err
 }
