@@ -506,15 +506,8 @@ func BenchmarkFetchProject(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		missing, err := c.MissingChunks(bg, m.Encode())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.PutChunks(bg, missing, src); err != nil {
-			b.Fatal(err)
-		}
-		if err := c.Put(bg, core.BucketUploads, key, m.Encode(), 0); err != nil {
-			b.Fatal(err)
+		if missing, err := c.PutManifest(bg, core.BucketUploads, key, m.Encode(), 0, m.ChunkSet(), src); err != nil || len(missing) != 0 {
+			b.Fatalf("upload left %v missing: %v", missing, err)
 		}
 		return m
 	}
@@ -676,11 +669,13 @@ func BenchmarkBuildDir(b *testing.B) {
 
 // BenchmarkUploadProject measures client step 3 on the macro-benchmark's
 // fresh_large tree, 8 × 256 KiB of seeded-random bytes on disk, every
-// byte new to the file server: the scan (cas.Build, no index), the
-// negotiation and the one chunk stream, against a raifs on loopback that
-// starts each upload empty. Client and server share the process, so B/op
-// and allocs/op are the sum of both ends, the chunks raifs keeps
-// included.
+// byte new to the file server: the scan (cas.Build, no index) and the
+// one request that carries every chunk and then the manifest, which
+// raifs commits, against a raifs on loopback that starts each upload
+// empty. That is rai's upload when its stat index names none of the
+// chunks it read, as after fresh_large's rewrite of every file. Client
+// and server share the process, so B/op and allocs/op are the sum of
+// both ends, the chunks raifs keeps included.
 func BenchmarkUploadProject(b *testing.B) {
 	root := b.TempDir()
 	rng := rand.New(rand.NewSource(408))
@@ -708,13 +703,9 @@ func BenchmarkUploadProject(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		missing, err := c.MissingChunks(bg, m.Encode())
-		if err != nil {
-			b.Fatal(err)
-		}
-		sent, err := c.PutChunks(bg, missing, src)
-		if err != nil || sent != m.TotalBytes {
-			b.Fatalf("sent %d of %d bytes: %v", sent, m.TotalBytes, err)
+		missing, err := c.PutManifest(bg, core.BucketUploads, "bench/j1/project.manifest", m.Encode(), 0, m.ChunkSet(), src)
+		if err != nil || len(missing) != 0 {
+			b.Fatalf("upload left %d chunks missing: %v", len(missing), err)
 		}
 	}
 }

@@ -130,7 +130,7 @@ func session(ctx context.Context, creds auth.Credentials, dir, brokerAddr, fsURL
 		fmt.Fprintf(stderr, "rai: hashing project tree %s: %v\n", dir, err)
 		return 1
 	}
-	queue, err := brokerd.NewQueue(ctx, brokerAddr, netx.Policy{}, 0)
+	queue, err := brokerd.NewQueue(ctx, brokerAddr, netx.Policy{})
 	if err != nil {
 		fmt.Fprintf(stderr, "rai: connecting to broker: %v\n", err)
 		return 1
@@ -212,7 +212,7 @@ func submit(ctx context.Context, cmd string, creds auth.Credentials, dir, broker
 		}
 	}
 
-	queue, err := brokerd.NewQueue(ctx, brokerAddr, netx.Policy{}, 0)
+	queue, err := brokerd.NewQueue(ctx, brokerAddr, netx.Policy{})
 	if err != nil {
 		fmt.Fprintf(stderr, "rai: connecting to broker: %v\n", err)
 		return 1

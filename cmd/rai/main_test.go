@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,6 +19,7 @@ import (
 	"rai/internal/broker"
 	"rai/internal/brokerd"
 	"rai/internal/cas"
+	"rai/internal/clock"
 	"rai/internal/cnn"
 	"rai/internal/core"
 	"rai/internal/docstore"
@@ -24,12 +27,30 @@ import (
 	"rai/internal/objstore"
 	"rai/internal/project"
 	"rai/internal/registry"
+	"rai/internal/telemetry"
 	"rai/internal/vfs"
 )
 
 // services starts a loopback broker/fs/db plus a worker and returns the
 // endpoints and team credentials.
 func services(t *testing.T) (brokerAddr, fsURL, dbURL string, creds auth.Credentials) {
+	t.Helper()
+	d := deploy(t)
+	return d.brokerAddr, d.fsURL, d.dbURL, d.creds
+}
+
+// deployment is what services starts, with the file server's store, the
+// virtual clock its TTLs run on and the registry its handler counts
+// requests in.
+type deployment struct {
+	brokerAddr, fsURL, dbURL string
+	creds                    auth.Credentials
+	store                    *objstore.Store
+	fsClock                  *clock.Virtual
+	fsMetrics                *telemetry.Registry
+}
+
+func deploy(t *testing.T) *deployment {
 	t.Helper()
 	b := broker.New()
 	brokerSrv, err := brokerd.NewServer(context.Background(), b, "127.0.0.1:0")
@@ -38,9 +59,11 @@ func services(t *testing.T) (brokerAddr, fsURL, dbURL string, creds auth.Credent
 	}
 	t.Cleanup(func() { brokerSrv.Close(); b.Close() })
 
-	store := objstore.New()
+	fsClock := clock.NewVirtual(time.Now())
+	fsMetrics := telemetry.NewRegistry()
+	store := objstore.New(objstore.WithClock(fsClock), objstore.WithDefaultTTL(core.UploadTTL))
 	fsLn, _ := net.Listen("tcp", "127.0.0.1:0")
-	fsSrv := &http.Server{Handler: objstore.Handler(store, nil)}
+	fsSrv := &http.Server{Handler: objstore.Handler(store, nil, objstore.WithTelemetry(fsMetrics))}
 	go fsSrv.Serve(fsLn)
 	t.Cleanup(func() { fsSrv.Close() })
 
@@ -51,7 +74,7 @@ func services(t *testing.T) (brokerAddr, fsURL, dbURL string, creds auth.Credent
 	t.Cleanup(func() { dbSrv.Close() })
 
 	reg := auth.NewRegistry()
-	creds, err = reg.Issue("cli-team")
+	creds, err := reg.Issue("cli-team")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +90,7 @@ func services(t *testing.T) (brokerAddr, fsURL, dbURL string, creds auth.Credent
 	blob, _ = full.Encode()
 	dataFS.WriteFile("/data/testfull.hdf5", blob)
 
-	queue, err := brokerd.NewQueue(context.Background(), brokerSrv.Addr(), netx.Policy{}, 0)
+	queue, err := brokerd.NewQueue(context.Background(), brokerSrv.Addr(), netx.Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +108,43 @@ func services(t *testing.T) (brokerAddr, fsURL, dbURL string, creds auth.Credent
 	go w.Run(context.Background())
 	t.Cleanup(w.Stop)
 
-	return brokerSrv.Addr(), "http://" + fsLn.Addr().String(), "http://" + dbLn.Addr().String(), creds
+	return &deployment{
+		brokerAddr: brokerSrv.Addr(), fsURL: "http://" + fsLn.Addr().String(), dbURL: "http://" + dbLn.Addr().String(),
+		creds: creds, store: store, fsClock: fsClock, fsMetrics: fsMetrics,
+	}
+}
+
+// connCounter relays TCP connections to a server and counts them.
+type connCounter struct {
+	addr string
+	n    atomic.Int64
+}
+
+func countConns(t *testing.T, target string) *connCounter {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	cc := &connCounter{addr: ln.Addr().String()}
+	go func() {
+		for {
+			in, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			cc.n.Add(1)
+			out, err := net.Dial("tcp", target)
+			if err != nil {
+				in.Close()
+				continue
+			}
+			go func() { io.Copy(out, in); out.Close() }()
+			go func() { io.Copy(in, out); in.Close() }()
+		}
+	}()
+	return cc
 }
 
 // writeProject materializes a student project on disk, and points the
@@ -229,6 +288,53 @@ func TestRaiStatIndex(t *testing.T) {
 	}
 	t.Setenv("XDG_CACHE_HOME", filepath.Join(blocker, "cache"))
 	submit("third run\n")
+}
+
+// TestRaiTalksToEachServerOnce: rai uploads a project in one raifs
+// request, two when raifs lacks chunks rai did not send, and holds one
+// broker connection for the publish, the log subscription and the
+// telemetry it ships. A first run has no index record, so it sends the
+// manifest alone and then the chunks raifs names; a resubmission after
+// an edit sends the edited file's chunks with the manifest; and when
+// raifs has swept chunks the index still names, it asks for them and
+// the job succeeds.
+func TestRaiTalksToEachServerOnce(t *testing.T) {
+	d := deploy(t)
+	broker := countConns(t, d.brokerAddr)
+	dir := writeProject(t, project.Spec{Impl: cnn.ImplIm2col, Tuning: 1, Team: "cli-team"})
+	profile := writeProfile(t, d.creds)
+	uploads := func() float64 {
+		v, _ := d.fsMetrics.Value("rai_objstore_requests_total", telemetry.L("op", "cas-manifest"))
+		return v
+	}
+	submit := func(step, note string, wantUploads float64) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte(note), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before, conns := uploads(), broker.n.Load()
+		var out, errb bytes.Buffer
+		if code := run([]string{"-p", dir, "-profile", profile, "-broker", broker.addr, "-fs", d.fsURL, "-db", d.dbURL, "-timeout", "60s", "run"}, &out, &errb); code != 0 {
+			t.Fatalf("%s: rai run exited %d\nstdout: %s\nstderr: %s", step, code, out.String(), errb.String())
+		}
+		if !strings.Contains(out.String(), "succeeded") {
+			t.Fatalf("%s: job did not succeed:\n%s", step, out.String())
+		}
+		if got := uploads() - before; got != wantUploads {
+			t.Errorf("%s: %v upload requests, want %v", step, got, wantUploads)
+		}
+		if got := broker.n.Load() - conns; got != 1 {
+			t.Errorf("%s: %d broker connections, want 1", step, got)
+		}
+	}
+	submit("first run", "first run\n", 2)
+	submit("resubmission", "second run\n", 1)
+
+	d.fsClock.Advance(2 * core.UploadTTL)
+	if n, err := d.store.Sweep(context.Background()); err != nil || n == 0 {
+		t.Fatalf("sweep removed %d objects: %v", n, err)
+	}
+	submit("after a sweep", "third run\n", 2)
 }
 
 func TestRaiSubmitAndRanking(t *testing.T) {

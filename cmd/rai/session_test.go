@@ -50,7 +50,7 @@ func sessionServices(t *testing.T) (brokerAddr, fsURL string, creds auth.Credent
 	blob, _ := ds.Encode()
 	dataFS.WriteFile("/data/test10.hdf5", blob)
 
-	queue, err := brokerd.NewQueue(context.Background(), brokerSrv.Addr(), netx.Policy{}, 0)
+	queue, err := brokerd.NewQueue(context.Background(), brokerSrv.Addr(), netx.Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -333,7 +333,7 @@ func rerun(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "raiadmin rerun: %v\n", err)
 		return 1
 	}
-	queue, err := brokerd.NewQueue(ctx, *brokerAddr, netx.Policy{}, 0)
+	queue, err := brokerd.NewQueue(ctx, *brokerAddr, netx.Policy{})
 	if err != nil {
 		fmt.Fprintf(stderr, "raiadmin rerun: %v\n", err)
 		return 1

@@ -149,7 +149,7 @@ func adminServices(t *testing.T) (brokerAddr, fsURL, dbURL, keysPath string) {
 
 	fsURL = "http://" + fsLn.Addr().String()
 	dbURL = "http://" + dbLn.Addr().String()
-	queue, err := brokerd.NewQueue(context.Background(), brokerSrv.Addr(), netx.Policy{}, 0)
+	queue, err := brokerd.NewQueue(context.Background(), brokerSrv.Addr(), netx.Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func adminServices(t *testing.T) (brokerAddr, fsURL, dbURL, keysPath string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		clientQueue, err := brokerd.NewQueue(context.Background(), brokerSrv.Addr(), netx.Policy{}, 0)
+		clientQueue, err := brokerd.NewQueue(context.Background(), brokerSrv.Addr(), netx.Policy{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -53,7 +53,7 @@ func collect(args []string, stdout, stderr io.Writer, hooks daemon.Hooks) int {
 		return 1
 	}
 	defer d.Close()
-	queue, err := d.Dial(*brokerAddr, netx.Policy{}, 0)
+	queue, err := d.Dial(*brokerAddr, netx.Policy{})
 	if err != nil {
 		fmt.Fprintf(stderr, "raiadmin collect: %v\n", err)
 		return 1

@@ -27,7 +27,7 @@ func TestDaemonServesAndShutsDown(t *testing.T) {
 	}
 	// A real client can publish and subscribe through the daemon.
 	ctx := context.Background()
-	pub, err := brokerd.NewQueue(ctx, addr, netx.Policy{}, 0)
+	pub, err := brokerd.NewQueue(ctx, addr, netx.Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func TestMetricsAddrExposesBrokerTelemetry(t *testing.T) {
 		t.Fatalf("daemon never ready: %s", errb.String())
 	}
 
-	c, err := brokerd.NewQueue(context.Background(), addr, netx.Policy{}, 0)
+	c, err := brokerd.NewQueue(context.Background(), addr, netx.Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer, hooks daemon.Hooks) int {
 	// With a broker configured, finished spans (including the child spans
 	// opened for traced requests) and log events ship to the collector.
 	if *brokerAddr != "" {
-		queue, err := d.Dial(*brokerAddr, netx.Policy{}, 0)
+		queue, err := d.Dial(*brokerAddr, netx.Policy{})
 		if err != nil {
 			fmt.Fprintf(stderr, "raifs: broker: %v\n", err)
 			return 1

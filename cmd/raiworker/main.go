@@ -85,7 +85,7 @@ func run(args []string, stdout, stderr io.Writer, hooks daemon.Hooks) int {
 	queuePolicy := netx.Policy{Metrics: netx.NewMetrics(d.Registry, "broker")}
 	fsPolicy := netx.Policy{Metrics: netx.NewMetrics(d.Registry, "objstore")}
 	dbPolicy := netx.Policy{Metrics: netx.NewMetrics(d.Registry, "docstore")}
-	queue, err := d.Dial(*brokerAddr, queuePolicy, 0)
+	queue, err := d.Dial(*brokerAddr, queuePolicy)
 	if err != nil {
 		fmt.Fprintf(stderr, "raiworker: connecting to broker: %v\n", err)
 		return 1

@@ -71,7 +71,7 @@ func TestWorkerDaemonProcessesJobs(t *testing.T) {
 	}
 
 	// A client submits through the daemon.
-	queue, err := brokerd.NewQueue(context.Background(), brokerSrv.Addr(), netx.Policy{}, 0)
+	queue, err := brokerd.NewQueue(context.Background(), brokerSrv.Addr(), netx.Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func newPair(t *testing.T) (*broker.Broker, *Server) {
 
 func dialT(t *testing.T, srv *Server) *conn {
 	t.Helper()
-	c, err := dial(bg, srv.Addr(), 0)
+	c, err := dial(bg, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,14 +81,11 @@ func TestFrameSizeLimit(t *testing.T) {
 	}
 }
 
-func TestPingPublishSubscribe(t *testing.T) {
+func TestPublishSubscribe(t *testing.T) {
 	_, srv := newPair(t)
 	pub := dialT(t, srv)
 	subC := dialT(t, srv)
 
-	if err := pub.Ping(bg); err != nil {
-		t.Fatal(err)
-	}
 	if err := subC.Subscribe(bg, "rai", "tasks", 4); err != nil {
 		t.Fatal(err)
 	}
@@ -188,8 +185,8 @@ func TestServerCloseDropsClients(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Error("delivery stream did not close")
 	}
-	if err := c.Ping(bg); err == nil {
-		t.Error("ping succeeded after server close")
+	if _, err := c.Publish(bg, "rai", []byte("job")); err == nil {
+		t.Error("publish succeeded after server close")
 	}
 }
 

@@ -51,18 +51,13 @@ func isServerError(err error) bool {
 	return errors.As(err, &se)
 }
 
-// DefaultDialTimeout bounds each dial attempt when the caller passes no
-// timeout of its own.
+// DefaultDialTimeout bounds each dial attempt.
 const DefaultDialTimeout = 10 * time.Second
 
-// dial connects to a brokerd server. timeout caps the TCP dial (0 =
-// DefaultDialTimeout); ctx's own deadline still applies, whichever is
-// sooner.
-func dial(ctx context.Context, addr string, timeout time.Duration) (*conn, error) {
-	if timeout <= 0 {
-		timeout = DefaultDialTimeout
-	}
-	d := net.Dialer{Timeout: timeout}
+// dial connects to a brokerd server within DefaultDialTimeout, or
+// sooner if ctx says so.
+func dial(ctx context.Context, addr string) (*conn, error) {
+	d := net.Dialer{Timeout: DefaultDialTimeout}
 	nc, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, err
@@ -189,10 +184,20 @@ func (c *conn) Requeue(ctx context.Context, m *broker.Message) error {
 	return err
 }
 
-// Ping checks server liveness.
-func (c *conn) Ping(ctx context.Context) error {
-	_, err := c.call(ctx, &Frame{Op: OpPing})
-	return err
+// Unsubscribe ends the connection's subscription and keeps the
+// connection. It does not wait for the reply: frames on a connection are
+// served in order, so the broker has requeued the subscription's
+// unsettled deliveries before it serves anything sent after. Deliveries
+// already on the wire still land on C(), at most the subscription's
+// in-flight window of them, which its buffer holds.
+func (c *conn) Unsubscribe() error {
+	c.mu.Lock()
+	closed := c.closed
+	c.mu.Unlock()
+	if closed {
+		return ErrClientClosed
+	}
+	return c.fw.write(&Frame{Op: OpUnsub})
 }
 
 // Close tears down the connection.

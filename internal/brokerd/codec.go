@@ -63,12 +63,12 @@ const (
 	flagHasTime  = 1 << 0 // distinguishes the zero time.Time from the epoch
 )
 
-// Op codes. Values are wire format — append only. 9 was CLOSE, 10 was
-// STATS and 11 was HELLO (codec negotiation), all retired; do not reuse
-// them.
+// Op codes. Values are wire format — append only. 5 was PING, 9 was
+// CLOSE, 10 was STATS and 11 was HELLO (codec negotiation), all retired;
+// do not reuse them.
 var opToCode = map[string]byte{
-	OpPub: 1, OpSub: 2, OpAck: 3, OpReq: 4, OpPing: 5,
-	OpOK: 6, OpErr: 7, OpMsg: 8,
+	OpPub: 1, OpSub: 2, OpAck: 3, OpReq: 4,
+	OpOK: 6, OpErr: 7, OpMsg: 8, OpUnsub: 12,
 }
 
 var codeToOp = func() map[byte]string {

@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-var fuzzOps = []string{OpPub, OpSub, OpAck, OpReq, OpPing, OpOK, OpErr, OpMsg}
+var fuzzOps = []string{OpPub, OpSub, OpUnsub, OpAck, OpReq, OpOK, OpErr, OpMsg}
 
 // FuzzFrameRoundTrip checks EncodeFrame→DecodeFrame is the identity for
 // any field values: the codec must take arbitrary bytes in strings and
@@ -130,6 +130,7 @@ func TestLegacyPeersDisconnected(t *testing.T) {
 		"op code 9 CLOSE":   framed(append([]byte{9}, make([]byte, binHeaderLen-1+12)...)),
 		"op code 10 STATS":  framed(append([]byte{10}, make([]byte, binHeaderLen-1+12)...)),
 		"op code 11 HELLO":  framed(append([]byte{11}, make([]byte, binHeaderLen-1+16)...)),
+		"op code 5 PING":    framed(append([]byte{5}, make([]byte, binHeaderLen-1+12)...)),
 	}
 	for name, first := range cases {
 		conn, err := net.Dial("tcp", srv.Addr())
@@ -149,7 +150,7 @@ func TestLegacyPeersDisconnected(t *testing.T) {
 		}
 		conn.Close()
 	}
-	if err := dialT(t, srv).Ping(bg); err != nil {
+	if _, err := dialT(t, srv).Publish(bg, "rai", []byte("job")); err != nil {
 		t.Fatalf("server unusable after dropping legacy peers: %v", err)
 	}
 }
@@ -172,14 +173,14 @@ func TestCallAgainstMuteServer(t *testing.T) {
 		_, _ = io.Copy(io.Discard, conn) // read forever, reply never
 	}()
 
-	c, err := dial(bg, ln.Addr().String(), 0)
+	c, err := dial(bg, ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
 	ctx, cancel := context.WithTimeout(bg, 200*time.Millisecond)
 	defer cancel()
-	if err := c.Ping(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("ping against a mute server: %v, want deadline exceeded", err)
+	if _, err := c.Publish(ctx, "rai", []byte("job")); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("publish against a mute server: %v, want deadline exceeded", err)
 	}
 }

@@ -22,7 +22,7 @@ func TestQueueParity(t *testing.T) {
 		},
 		"tcp": func(t *testing.T) (broker.Queue, *broker.Broker) {
 			b, srv := newPair(t)
-			q, err := NewQueue(bg, srv.Addr(), fastReconnPolicy(), 0)
+			q, err := NewQueue(bg, srv.Addr(), fastReconnPolicy())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -14,25 +14,29 @@
 // without a reply.
 //
 // The client side is Queue (queue.go), the TCP implementation of the
-// broker.Queue port: one reconnecting publish connection plus one per
-// subscription, because the protocol allows one subscription per
-// connection and a subscription ends by closing its connection. Queue
-// depth is not on the wire; it is the broker daemon's
-// rai_broker_queue_depth gauge on /metrics.
+// broker.Queue port. It opens one reconnecting connection, which carries
+// every publish and the queue's first subscription; the protocol allows
+// one subscription per connection, so each later subscription holds a
+// connection of its own and ends by closing it. The first ends with
+// UNSUB, which keeps the connection for publishes. A client that
+// subscribes once — rai to its job's log, a worker to the task queue, the
+// collector to telemetry — thus holds one connection. Queue depth is not
+// on the wire; it is the broker daemon's rai_broker_queue_depth gauge on
+// /metrics.
 package brokerd
 
 import "time"
 
 // Op codes used on the wire.
 const (
-	OpPub  = "PUB"  // client -> server: publish Body to Topic
-	OpSub  = "SUB"  // client -> server: subscribe Topic/Channel
-	OpAck  = "ACK"  // client -> server: acknowledge MsgID
-	OpReq  = "REQ"  // client -> server: requeue MsgID
-	OpPing = "PING" // client -> server: liveness check
-	OpOK   = "OK"   // server -> client: success reply to Seq
-	OpErr  = "ERR"  // server -> client: failure reply to Seq
-	OpMsg  = "MSG"  // server -> client: delivered message
+	OpPub   = "PUB"   // client -> server: publish Body to Topic
+	OpSub   = "SUB"   // client -> server: subscribe Topic/Channel
+	OpAck   = "ACK"   // client -> server: acknowledge MsgID
+	OpReq   = "REQ"   // client -> server: requeue MsgID
+	OpUnsub = "UNSUB" // client -> server: end the subscription, keep the connection
+	OpOK    = "OK"    // server -> client: success reply to Seq
+	OpErr   = "ERR"   // server -> client: failure reply to Seq
+	OpMsg   = "MSG"   // server -> client: delivered message
 )
 
 // Frame is the single wire message shape for both directions.

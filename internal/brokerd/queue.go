@@ -2,37 +2,38 @@ package brokerd
 
 import (
 	"context"
-	"time"
+	"sync"
 
 	"rai/internal/broker"
 	"rai/internal/netx"
 )
 
 // Queue is the TCP implementation of the broker.Queue port, built on
-// reconnecting clients: publishes share one connection, each
-// subscription holds its own (the protocol allows one subscription per
-// connection), and all of them redial through broker restarts under the
-// queue's retry policy.
+// reconnecting clients. Publishes and the queue's first subscription
+// share one connection; each later subscription holds its own, since
+// the protocol allows one subscription per connection. All of them
+// redial through broker restarts under the queue's retry policy.
 type Queue struct {
-	addr        string
-	policy      netx.Policy
-	dialTimeout time.Duration
-	pub         *ReconnClient
+	addr   string
+	policy netx.Policy
+	pub    *ReconnClient
+
+	mu     sync.Mutex
+	shared bool // the publish connection's subscription is taken
 }
 
 var (
 	_ broker.Queue    = (*Queue)(nil)
 	_ broker.Consumer = (*ReconnClient)(nil)
+	_ broker.Consumer = sharedSub{}
 )
 
-// NewQueue connects the publish path to the broker at addr; policy and
-// dialTimeout are those of NewReconnClient, for every connection the
-// queue opens. The eager Ping keeps the contract that a bad address
-// fails at construction, not on first use; ctx bounds that probe.
-func NewQueue(ctx context.Context, addr string, policy netx.Policy, dialTimeout time.Duration) (*Queue, error) {
-	q := &Queue{addr: addr, policy: policy, dialTimeout: dialTimeout}
-	q.pub = NewReconnClient(addr, policy, dialTimeout)
-	if err := q.pub.Ping(ctx); err != nil {
+// NewQueue dials the broker at addr, so that a bad address fails at
+// construction, not on first use; ctx bounds the dial. policy is that of
+// NewReconnClient, for every connection the queue opens.
+func NewQueue(ctx context.Context, addr string, policy netx.Policy) (*Queue, error) {
+	q := &Queue{addr: addr, policy: policy, pub: NewReconnClient(addr, policy)}
+	if err := q.pub.connect(ctx); err != nil {
 		_ = q.pub.Close()
 		return nil, err
 	}
@@ -47,9 +48,24 @@ func (q *Queue) Publish(ctx context.Context, topic string, body []byte) (uint64,
 // Subscribe implements broker.Queue. The subscription survives broker
 // restarts: its connection resubscribes transparently and deliveries
 // resume (at-least-once — in-flight messages at the moment of the drop
-// are requeued by the broker and redelivered).
+// are requeued by the broker and redelivered). The first subscription
+// rides the publish connection and ends when it is closed or the queue
+// is; the connection stays for publishes either way.
 func (q *Queue) Subscribe(ctx context.Context, topic, channel string, maxInFlight int) (broker.Consumer, error) {
-	rc := NewReconnClient(q.addr, q.policy, q.dialTimeout)
+	q.mu.Lock()
+	first := !q.shared
+	q.shared = true
+	q.mu.Unlock()
+	if first {
+		if err := q.pub.Subscribe(ctx, topic, channel, maxInFlight); err != nil {
+			q.mu.Lock()
+			q.shared = false
+			q.mu.Unlock()
+			return nil, err
+		}
+		return sharedSub{q.pub}, nil
+	}
+	rc := NewReconnClient(q.addr, q.policy)
 	if err := rc.Subscribe(ctx, topic, channel, maxInFlight); err != nil {
 		_ = rc.Close()
 		return nil, err
@@ -57,5 +73,15 @@ func (q *Queue) Subscribe(ctx context.Context, topic, channel string, maxInFligh
 	return rc, nil
 }
 
-// Close shuts down the publish connection.
+// Close shuts down the publish connection, and with it the first
+// subscription.
 func (q *Queue) Close() error { return q.pub.Close() }
+
+// sharedSub is the subscription on the publish connection: closing it
+// ends the subscription, not the connection.
+type sharedSub struct{ *ReconnClient }
+
+func (s sharedSub) Close() error {
+	s.unsubscribe()
+	return nil
+}

@@ -23,9 +23,8 @@ import (
 //
 // ReconnClient is safe for concurrent use.
 type ReconnClient struct {
-	addr        string
-	policy      netx.Policy
-	dialTimeout time.Duration
+	addr   string
+	policy netx.Policy
 
 	// ctx is the subscription lifetime, created on Subscribe from the
 	// caller's context (values kept, cancellation stripped — the pump
@@ -45,6 +44,7 @@ type ReconnClient struct {
 	subChannel string
 	subMaxIF   int
 	subbed     bool
+	unsubbed   bool             // the subscription ended before the client closed
 	owners     map[uint64]*conn // msgID -> connection that delivered it
 	msgs       chan *broker.Message
 	pumpDone   chan struct{}
@@ -54,15 +54,14 @@ type ReconnClient struct {
 // No connection is made until the first operation. policy applies to
 // every operation: its Retryable is composed with brokerd's own
 // classification (ServerError replies never retry) and its Metrics
-// count the retries, reconnects and blown deadlines. dialTimeout bounds
-// each (re)dial (0 = DefaultDialTimeout).
-func NewReconnClient(addr string, policy netx.Policy, dialTimeout time.Duration) *ReconnClient {
+// count the retries, reconnects and blown deadlines. Each (re)dial is
+// bounded by DefaultDialTimeout.
+func NewReconnClient(addr string, policy netx.Policy) *ReconnClient {
 	r := &ReconnClient{
-		addr:        addr,
-		policy:      policy,
-		dialTimeout: dialTimeout,
-		owners:      map[uint64]*conn{},
-		msgs:        make(chan *broker.Message, deliveryBuffer),
+		addr:   addr,
+		policy: policy,
+		owners: map[uint64]*conn{},
+		msgs:   make(chan *broker.Message, deliveryBuffer),
 	}
 	inner := r.policy.Retryable
 	r.policy.Retryable = func(err error) bool {
@@ -91,7 +90,7 @@ func (r *ReconnClient) live(ctx context.Context) (*conn, error) {
 	}
 	r.mu.Unlock()
 
-	c, err := dial(ctx, r.addr, r.dialTimeout)
+	c, err := dial(ctx, r.addr)
 	if err != nil {
 		return nil, err
 	}
@@ -161,9 +160,10 @@ func (r *ReconnClient) Publish(ctx context.Context, topic string, body []byte) (
 	return id, err
 }
 
-// Ping checks broker liveness (dialing if necessary).
-func (r *ReconnClient) Ping(ctx context.Context) error {
-	return r.do(ctx, func(ctx context.Context, c *conn) error { return c.Ping(ctx) })
+// connect dials the client's connection unless it has one, under the
+// retry policy.
+func (r *ReconnClient) connect(ctx context.Context) error {
+	return r.do(ctx, func(context.Context, *conn) error { return nil })
 }
 
 // Subscribe attaches to topic/channel and keeps the subscription alive
@@ -199,6 +199,7 @@ func (r *ReconnClient) Subscribe(ctx context.Context, topic, channel string, max
 		r.mu.Lock()
 		r.subbed = false
 		r.mu.Unlock()
+		r.cancel()
 		close(r.pumpDone)
 		return err
 	}
@@ -218,19 +219,12 @@ func (r *ReconnClient) subscribeOnce(ctx context.Context) (sub *conn, err error)
 
 // pump forwards deliveries from the current subscribed connection to
 // the client's stream, resubscribing on a fresh connection whenever the
-// current one dies. It exits only when the client is closed.
+// current one dies. It exits only when the subscription ends.
 func (r *ReconnClient) pump(c *conn) {
 	defer close(r.pumpDone)
 	for {
-		for d := range c.C() {
-			r.mu.Lock()
-			r.owners[d.ID] = c
-			r.mu.Unlock()
-			select {
-			case r.msgs <- d:
-			case <-r.ctx.Done():
-				return
-			}
+		if !r.forward(c) {
+			return
 		}
 		// Connection died (or broker restarted). Resubscribe forever —
 		// outages longer than one policy's attempt budget should idle the
@@ -250,6 +244,31 @@ func (r *ReconnClient) pump(c *conn) {
 			case <-r.ctx.Done():
 				return
 			}
+		}
+	}
+}
+
+// forward hands c's deliveries on until c dies, which it reports as
+// true, or the subscription ends.
+func (r *ReconnClient) forward(c *conn) bool {
+	for {
+		var d *broker.Message
+		select {
+		case m, ok := <-c.C():
+			if !ok {
+				return true
+			}
+			d = m
+		case <-r.ctx.Done():
+			return false
+		}
+		r.mu.Lock()
+		r.owners[d.ID] = c
+		r.mu.Unlock()
+		select {
+		case r.msgs <- d:
+		case <-r.ctx.Done():
+			return false
 		}
 	}
 }
@@ -300,6 +319,33 @@ func (r *ReconnClient) settle(ctx context.Context, m *broker.Message, op func(*c
 	return err
 }
 
+// unsubscribe ends the subscription and keeps the connection for the
+// client's other calls: the pump stops, the broker is told with UNSUB
+// (on a connection that has died it already knows), deliveries not yet
+// settled go back to it, and the delivery stream closes. The client
+// does not subscribe again.
+func (r *ReconnClient) unsubscribe() {
+	r.mu.Lock()
+	if r.closed || !r.subbed || r.unsubbed {
+		r.mu.Unlock()
+		return
+	}
+	r.unsubbed = true
+	cancel, pumpDone := r.cancel, r.pumpDone
+	r.mu.Unlock()
+
+	cancel()
+	<-pumpDone
+	r.mu.Lock()
+	c := r.cur
+	clear(r.owners) // settling them now is a no-op: the broker requeues them
+	r.mu.Unlock()
+	if c != nil {
+		_ = c.Unsubscribe() // an error means the connection died, which ends it too
+	}
+	close(r.msgs)
+}
+
 // Close tears down the connection and stops the resubscribe pump. The
 // delivery stream closes.
 func (r *ReconnClient) Close() error {
@@ -313,6 +359,7 @@ func (r *ReconnClient) Close() error {
 	r.cur = nil
 	pumpDone := r.pumpDone
 	cancel := r.cancel
+	unsubbed := r.unsubbed
 	r.mu.Unlock()
 
 	if cancel != nil {
@@ -325,6 +372,8 @@ func (r *ReconnClient) Close() error {
 	if pumpDone != nil {
 		<-pumpDone
 	}
-	close(r.msgs) // once: only the first Close gets past r.closed
+	if !unsubbed {
+		close(r.msgs) // once: only the first Close gets past r.closed
+	}
 	return err
 }

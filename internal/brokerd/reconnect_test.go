@@ -36,7 +36,7 @@ func TestReconnectAcrossServerRestart(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	policy := fastReconnPolicy()
 	policy.Metrics = netx.NewMetrics(reg, "broker")
-	rc := NewReconnClient(addr, policy, 0)
+	rc := NewReconnClient(addr, policy)
 	defer rc.Close()
 
 	if err := rc.Subscribe(bg, "rai", "tasks", 4); err != nil {
@@ -118,24 +118,27 @@ func TestPolicyMetricsAreTheMetrics(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	policy := fastReconnPolicy()
 	policy.Metrics = netx.NewMetrics(reg, "broker")
-	rc := NewReconnClient(addr, policy, 0)
+	rc := NewReconnClient(addr, policy)
 	defer rc.Close()
-	if err := rc.Ping(bg); err != nil {
+	if _, err := rc.Publish(bg, "rai", []byte("before")); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	pinged := make(chan error, 1)
-	go func() { pinged <- rc.Ping(bg) }()
-	time.Sleep(20 * time.Millisecond) // let the ping hit the dead addr at least once
+	published := make(chan error, 1)
+	go func() {
+		_, err := rc.Publish(bg, "rai", []byte("across"))
+		published <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let the publish hit the dead addr at least once
 	srv2, err := NewServer(bg, b, addr, WithLogf(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv2.Close()
-	if err := <-pinged; err != nil {
-		t.Fatalf("ping across the restart: %v", err)
+	if err := <-published; err != nil {
+		t.Fatalf("publish across the restart: %v", err)
 	}
 	component := telemetry.L("component", "broker")
 	if v, _ := reg.Value(netx.MetricReconnects, component); v != 1 {
@@ -154,7 +157,7 @@ func TestPolicyMetricsAreTheMetrics(t *testing.T) {
 func TestDeadConnectionAckIsNoOp(t *testing.T) {
 	b, srv := newPair(t)
 	subscribe := func() *ReconnClient {
-		rc := NewReconnClient(srv.Addr(), fastReconnPolicy(), 0)
+		rc := NewReconnClient(srv.Addr(), fastReconnPolicy())
 		t.Cleanup(func() { rc.Close() })
 		if err := rc.Subscribe(bg, "rai", "tasks", 1); err != nil {
 			t.Fatal(err)
@@ -204,7 +207,7 @@ func TestReconnClientServerErrorNotRetried(t *testing.T) {
 	retries := 0
 	p := fastReconnPolicy()
 	p.OnRetry = func(int, time.Duration, error) { retries++ }
-	rc := NewReconnClient(srv.Addr(), p, 0)
+	rc := NewReconnClient(srv.Addr(), p)
 	defer rc.Close()
 
 	if _, err := rc.Publish(bg, "bad topic name!", nil); err == nil {
@@ -219,10 +222,10 @@ func TestReconnClientServerErrorNotRetried(t *testing.T) {
 // network: dialing a dead address only fails once an operation runs.
 func TestReconnClientLazyDial(t *testing.T) {
 	p := netx.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond}
-	rc := NewReconnClient("127.0.0.1:1", p, 0) // port 1: nothing listens
+	rc := NewReconnClient("127.0.0.1:1", p) // port 1: nothing listens
 	defer rc.Close()
-	if err := rc.Ping(bg); err == nil {
-		t.Fatal("ping of dead address succeeded")
+	if _, err := rc.Publish(bg, "rai", nil); err == nil {
+		t.Fatal("publish to a dead address succeeded")
 	}
 }
 
@@ -243,9 +246,9 @@ func TestOversizedPublishLeavesConnectionAlone(t *testing.T) {
 	p.Metrics = netx.NewMetrics(reg, "broker")
 	var retries atomic.Int32
 	p.OnRetry = func(int, time.Duration, error) { retries.Add(1) }
-	rc := NewReconnClient(srv.Addr(), p, 0)
+	rc := NewReconnClient(srv.Addr(), p)
 	defer rc.Close()
-	if err := rc.Ping(bg); err != nil {
+	if err := rc.connect(bg); err != nil {
 		t.Fatal(err)
 	}
 	rc.mu.Lock()
@@ -290,5 +293,121 @@ func TestOversizedPublishLeavesConnectionAlone(t *testing.T) {
 	}
 	if _, err := rc.Publish(ctx, "small", []byte("after")); err != nil {
 		t.Fatalf("publish after the refusal: %v", err)
+	}
+}
+
+// TestQueueSubscribesOnItsPublishConnection: a queue that subscribes once
+// holds one connection — the first subscription rides the publish
+// connection — and closing that subscription ends it on the broker
+// (its topic is collected) while publishes carry on over the same
+// connection. A second subscription holds its own.
+func TestQueueSubscribesOnItsPublishConnection(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	b := broker.New()
+	defer b.Close()
+	srv, err := NewServer(bg, b, "127.0.0.1:0", WithTelemetry(reg), WithLogf(t.Logf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conns := func() float64 { v, _ := reg.Value("rai_brokerd_connections"); return v }
+	waitConns := func(want float64) {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); conns() != want && time.Now().Before(deadline); {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if got := conns(); got != want {
+			t.Fatalf("%v connections open, want %v", got, want)
+		}
+	}
+	q, err := NewQueue(bg, srv.Addr(), fastReconnPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	log, err := q.Subscribe(bg, "log_j1#ephemeral", "ch", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Publish(bg, "log_j1#ephemeral", []byte("line")); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Ack(bg, recvT(t, log)); err != nil {
+		t.Fatal(err)
+	}
+	waitConns(1)
+
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := <-log.C(); ok {
+		t.Error("delivery stream open after Close")
+	}
+	if _, err := q.Publish(bg, "rai", []byte("after")); err != nil {
+		t.Fatalf("publish after the shared subscription closed: %v", err)
+	}
+	if hasTopic(b, "log_j1#ephemeral") {
+		t.Error("ephemeral topic kept after its subscription closed")
+	}
+	waitConns(1)
+
+	tasks, err := q.Subscribe(bg, "rai", "tasks", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tasks.Close()
+	if m := recvT(t, tasks); string(m.Body) != "after" {
+		t.Fatalf("second subscription got %q", m.Body)
+	}
+	waitConns(2)
+}
+
+// TestSharedSubscriptionSurvivesRestart: the subscription that rides the
+// publish connection is replayed on the redialed connection after a
+// broker restart, and the message in flight when the broker died is
+// delivered again.
+func TestSharedSubscriptionSurvivesRestart(t *testing.T) {
+	b := broker.New()
+	defer b.Close()
+	srv, err := NewServer(bg, b, "127.0.0.1:0", WithLogf(t.Logf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := srv.Addr()
+	q, err := NewQueue(bg, addr, fastReconnPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	sub, err := q.Subscribe(bg, "rai", "tasks", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	if _, err := q.Publish(bg, "rai", []byte("before restart")); err != nil {
+		t.Fatal(err)
+	}
+	recvT(t, sub) // in flight, never acked
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv2, err := NewServer(bg, b, addr, WithLogf(t.Logf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	if _, err := q.Publish(bg, "rai", []byte("after restart")); err != nil {
+		t.Fatalf("publish after the restart: %v", err)
+	}
+	got := map[string]int{}
+	for len(got) < 2 {
+		m := recvT(t, sub)
+		got[string(m.Body)] = m.Attempts
+		if err := sub.Ack(bg, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got["before restart"] < 2 || got["after restart"] != 1 {
+		t.Errorf("deliveries after the restart: %v", got)
 	}
 }

@@ -41,7 +41,7 @@ func WithTelemetry(reg *telemetry.Registry) ServerOption {
 	return func(s *Server) {
 		s.connGauge = reg.Gauge("rai_brokerd_connections", "open client connections")
 		s.ops = map[string]*telemetry.Counter{}
-		for _, op := range []string{OpPing, OpPub, OpSub, OpAck, OpReq} {
+		for _, op := range []string{OpPub, OpSub, OpUnsub, OpAck, OpReq} {
 			s.ops[op] = reg.Counter("rai_brokerd_ops_total", "wire operations served", telemetry.L("op", op))
 		}
 	}
@@ -134,12 +134,14 @@ func (s *Server) serveConn(conn net.Conn) {
 		sub      broker.Consumer
 		pumpDone chan struct{}
 	)
-	defer func() {
+	unsubscribe := func() {
 		if sub != nil {
 			sub.Close()
 			<-pumpDone
+			sub = nil
 		}
-	}()
+	}
+	defer unsubscribe()
 
 	for {
 		f, err := DecodeFrame(br)
@@ -150,8 +152,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.ops[f.Op].Inc() // nil map entry (unknown op) is a no-op
 		}
 		switch f.Op {
-		case OpPing:
-			reply(f.Seq, nil, 0)
 		case OpPub:
 			id, err := s.b.Publish(s.ctx, f.Topic, f.Body)
 			reply(f.Seq, err, id)
@@ -181,6 +181,15 @@ func (s *Server) serveConn(conn net.Conn) {
 					}
 				}
 			}()
+			reply(f.Seq, nil, 0)
+		case OpUnsub:
+			// The client does not wait for this reply; it goes out so that
+			// every request is answered.
+			if sub == nil {
+				reply(f.Seq, errors.New("brokerd: not subscribed"), 0)
+				continue
+			}
+			unsubscribe()
 			reply(f.Seq, nil, 0)
 		case OpAck, OpReq:
 			if sub == nil {

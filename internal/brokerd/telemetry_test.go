@@ -17,27 +17,26 @@ func TestServerTelemetry(t *testing.T) {
 	}
 	defer srv.Close()
 
-	c, err := dial(bg, srv.Addr(), 0)
+	c, err := dial(bg, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A completed round trip guarantees serveConn is running.
-	if err := c.Ping(bg); err != nil {
+	if _, err := c.Publish(bg, "rai", []byte("job")); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := reg.Value("rai_brokerd_connections"); v != 1 {
 		t.Errorf("connections = %v, want 1", v)
 	}
-	if _, err := c.Publish(bg, "rai", []byte("job")); err != nil {
+	if err := c.Subscribe(bg, "rai", "tasks", 1); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
 
-	if v, _ := reg.Value("rai_brokerd_ops_total", telemetry.L("op", OpPub)); v != 1 {
-		t.Errorf("ops{PUB} = %v, want 1", v)
-	}
-	if v, _ := reg.Value("rai_brokerd_ops_total", telemetry.L("op", OpPing)); v != 1 {
-		t.Errorf("ops{PING} = %v, want 1", v)
+	for op, want := range map[string]float64{OpPub: 1, OpSub: 1, OpUnsub: 0} {
+		if v, _ := reg.Value("rai_brokerd_ops_total", telemetry.L("op", op)); v != want {
+			t.Errorf("ops{%s} = %v, want %v", op, v, want)
+		}
 	}
 	// The engine-level counter moves through the wire path too.
 	if v, _ := reg.Value("rai_broker_publish_total", telemetry.L("topic", "rai")); v != 1 {

@@ -61,8 +61,9 @@ type fileKey struct {
 }
 
 type indexEntry struct {
-	key  fileKey
-	refs []ChunkRef
+	key     fileKey
+	refs    []ChunkRef
+	trusted bool // older than the stamp of the scan that recorded it
 }
 
 // The index file is the magic, the version, the stamp, then one record
@@ -73,19 +74,20 @@ const (
 	indexVersion = 1
 )
 
-// indexScan is one Build's use of its DirIndex: the trusted entries
-// the last scan left, and this scan's record, written to the temp file
-// whose mtime is its stamp. A nil *indexScan reads every file and
-// records nothing.
+// indexScan is one Build's use of its DirIndex: the entries the last
+// scan left, and this scan's record, written to the temp file whose
+// mtime is its stamp. A nil *indexScan reads every file and records
+// nothing.
 type indexScan struct {
-	idx  *DirIndex
-	tmp  *os.File
-	prev map[string]indexEntry
-	body []byte
+	idx   *DirIndex
+	tmp   *os.File
+	prev  map[string]indexEntry
+	named map[string]bool // the chunk hashes prev names, once asked
+	body  []byte
 }
 
 // begin creates the temp file this scan's index goes to, which takes
-// the stamp, and then loads the last scan's trusted entries. It returns
+// the stamp, and then loads the last scan's entries. It returns
 // nil when the index's directory cannot be written.
 func (idx *DirIndex) begin() *indexScan {
 	if idx == nil {
@@ -126,7 +128,7 @@ func (sc *indexScan) reuse(rel string, d fs.DirEntry) (FileEntry, bool) {
 		return FileEntry{}, false
 	}
 	e, ok := sc.prev[rel]
-	if !ok {
+	if !ok || !e.trusted {
 		return FileEntry{}, false
 	}
 	fi, err := d.Info()
@@ -152,6 +154,31 @@ func (sc *indexScan) record(fe FileEntry, fi fs.FileInfo) {
 	if k, ok := statKey(fi); ok && k.size == fe.Size {
 		sc.body = appendEntry(sc.body, fe, k)
 	}
+}
+
+// appendFresh appends to fresh each chunk of fe, a file this scan read,
+// that the last scan's record does not name and fresh does not hold:
+// the chunks the store most likely lacks. With no record it knows
+// nothing of the store, and appends none.
+func (sc *indexScan) appendFresh(fresh []string, fe FileEntry) []string {
+	if sc == nil || sc.prev == nil {
+		return fresh
+	}
+	if sc.named == nil {
+		sc.named = make(map[string]bool)
+		for _, e := range sc.prev {
+			for _, c := range e.refs {
+				sc.named[c.Hash] = true
+			}
+		}
+	}
+	for _, c := range fe.Chunks {
+		if !sc.named[c.Hash] {
+			sc.named[c.Hash] = true
+			fresh = append(fresh, c.Hash)
+		}
+	}
+	return fresh
 }
 
 // finish ends the scan: after a successful walk the record replaces the
@@ -197,9 +224,10 @@ func sealIndex(body []byte) []byte {
 	return append(body, sum[:]...)
 }
 
-// decodeIndex returns the trusted entries of an index file by path, or
-// nil unless the whole file is well formed: magic, version, checksum,
-// every hash valid and every entry's chunk sizes summing to its size.
+// decodeIndex returns the entries of an index file by path, each marked
+// trusted or not against the file's stamp, or nil unless the whole file
+// is well formed: magic, version, checksum, every hash valid and every
+// entry's chunk sizes summing to its size.
 // Paths are only ever looked up, never opened, so they need no check.
 func decodeIndex(data []byte) map[string]indexEntry {
 	if len(data) < len(indexMagic)+sha256.Size {
@@ -241,9 +269,8 @@ func decodeIndex(data []byte) map[string]indexEntry {
 		if r.bad || sum != e.key.size {
 			return nil
 		}
-		if before(e.key.mtime, stamp) && before(e.key.ctime, stamp) {
-			entries[rel] = e
-		}
+		e.trusted = before(e.key.mtime, stamp) && before(e.key.ctime, stamp)
+		entries[rel] = e
 	}
 	if r.bad {
 		return nil

@@ -8,7 +8,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -344,6 +346,63 @@ func TestIndexRehashesRacyFiles(t *testing.T) {
 	settle(t, cacheDir)
 	if _, opened := buildBoth(t, opens, idx); len(opened) != 0 {
 		t.Fatalf("unchanged tree, settled clock: read %v", sortedKeys(opened))
+	}
+}
+
+// TestFreshIsWhatTheRecordDoesNotName: Fresh lists the chunks of the
+// files a scan read that the index's last record does not name. With no
+// record — no index, or its first scan — it lists none; an edit lists
+// the edited file's new chunks once, however often they occur; files
+// read again because their entries are racy list none, since the record
+// names their chunks all the same.
+func TestFreshIsWhatTheRecordDoesNotName(t *testing.T) {
+	root, cacheDir := t.TempDir(), t.TempDir()
+	writeTree(t, root, map[string]string{"a": "first version of a\n", "b": "b never changes\n"})
+	idx := &DirIndex{path: filepath.Join(cacheDir, "index")}
+	fresh := func(idx *DirIndex) []string {
+		t.Helper()
+		_, src, err := Build(os.DirFS(root), idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src.Fresh()
+	}
+	if got := fresh(nil); len(got) != 0 {
+		t.Errorf("no index: fresh %v", got)
+	}
+	if got := fresh(idx); len(got) != 0 {
+		t.Errorf("first scan, no record: fresh %v", got)
+	}
+	blob := make([]byte, 5*AvgChunk)
+	rand.New(rand.NewSource(408)).Read(blob)
+	edit := strings.Repeat(string(blob), 3)
+	writeTree(t, root, map[string]string{"a": edit})
+	want := []string{}
+	for _, c := range chunkFile("a", []byte(edit)).Chunks {
+		if !slices.Contains(want, c.Hash) {
+			want = append(want, c.Hash)
+		}
+	}
+	if len(want) >= len(chunkFile("a", []byte(edit)).Chunks) {
+		t.Fatalf("fixture: the edit's chunks do not repeat")
+	}
+	if got := fresh(idx); !slices.Equal(got, want) {
+		t.Errorf("after an edit: fresh %v, want %v", got, want)
+	}
+	settle(t, cacheDir)
+	if got := fresh(idx); len(got) != 0 {
+		t.Errorf("unchanged tree: fresh %v", got)
+	}
+	data, err := os.ReadFile(idx.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(idx.path, encodeIndex(0, decodeIndex(data)), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	opens := logOpens(os.DirFS(root))
+	if _, src, err := Build(opens, idx); err != nil || len(src.Fresh()) != 0 || opens.opens["a"] == 0 {
+		t.Errorf("every entry racy: read a %d times, fresh %v, %v", opens.opens["a"], src.Fresh(), err)
 	}
 }
 

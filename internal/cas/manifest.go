@@ -218,6 +218,12 @@ type Source interface {
 	// refs record it; false for a hash the tree does not hold.
 	Size(hash string) (int64, bool)
 	Chunk(hash string) ([]byte, error)
+	// Fresh lists, in scan order, the chunks of the files the scan read
+	// whose hashes the stat index's last record does not name: those the
+	// store most likely lacks, which an upload sends unasked. It is
+	// empty when there was no record (a first scan, no index, a tree in
+	// memory): then nothing is known of the store.
+	Fresh() []string
 }
 
 type chunkLoc struct {
@@ -257,7 +263,8 @@ const readWindow = 1 << 20
 // buffer Build read the tree through — and serves a chunk from it when
 // the chunk lies inside; no file stays open between calls.
 type treeSource struct {
-	fsys fs.FS
+	fsys  fs.FS
+	fresh []string
 	chunkLocs
 
 	mu      sync.Mutex
@@ -265,6 +272,8 @@ type treeSource struct {
 	winPath string
 	winOff  int64
 }
+
+func (s *treeSource) Fresh() []string { return s.fresh }
 
 func (s *treeSource) Chunk(hash string) ([]byte, error) {
 	loc, ok := s.chunkLocs[hash]
@@ -360,10 +369,12 @@ func skipDir(name string) bool {
 // trusted entry's key is not read, and its refs come from the index;
 // every other file is read and chunked. The manifest is the same either
 // way. Only a host file's stat data can be a key, so a tree in memory is
-// read whole. Every file is read through one buffer, which the Source
-// then reads its windows into; the Source hashes nothing, and the store
-// refuses a chunk whose bytes changed since the scan. After a successful
-// scan the index is rewritten. A nil idx holds nothing.
+// read whole. The Source's Fresh lists the chunks of the files read that
+// the index's last record does not name. Every file is read through one
+// buffer, which the Source then reads its windows into; the Source
+// hashes nothing, and the store refuses a chunk whose bytes changed
+// since the scan. After a successful scan the index is rewritten. A nil
+// idx holds nothing.
 func Build(fsys fs.FS, idx *DirIndex) (*Manifest, Source, error) {
 	m := &Manifest{}
 	src := &treeSource{fsys: fsys, chunkLocs: make(chunkLocs)}
@@ -392,6 +403,7 @@ func Build(fsys fs.FS, idx *DirIndex) (*Manifest, Source, error) {
 			buf = data[:0]
 			fe = chunkFile(rel, data)
 			scan.record(fe, fi)
+			src.fresh = scan.appendFresh(src.fresh, fe)
 		}
 		src.add(fe)
 		m.Files = append(m.Files, fe)

@@ -27,9 +27,12 @@ import (
 // upload are not the bytes the manifest names — an index entry gone
 // stale, a file rewritten between the scan and the upload — the upload
 // fails naming the file, nothing becomes addressable under a hash its
-// bytes do not have, and neither the manifest nor the job is sent. Both
-// through the in-process store and through the HTTP client, with more
-// than 256 KiB of the stream still to come after the bad chunk: the
+// bytes do not have, and neither the manifest is committed nor the job
+// sent. Neither scan reads a file the index's record does not name, so
+// the first upload sends the manifest alone, the store answers with the
+// chunks it lacks, and the second upload, carrying them, is refused.
+// Both through the in-process store and through the HTTP client, with
+// more than 256 KiB of the stream still to come after the bad chunk: the
 // server must read it before it answers, or the client sees a reset
 // connection instead of the refusal.
 func TestStaleIndexFailsUpload(t *testing.T) {
@@ -83,7 +86,7 @@ func TestStaleIndexFailsUpload(t *testing.T) {
 				}
 				m, src := sc.scan(t, root)
 				store := objstore.New()
-				objects := &putLog{Objects: end.open(t, store)}
+				objects := &commitLog{Objects: end.open(t, store)}
 				queue := &publishLog{}
 				c := &core.Client{Creds: auth.Credentials{UserName: "team"}, Queue: queue, Objects: objects, Stdout: io.Discard}
 
@@ -106,8 +109,8 @@ func TestStaleIndexFailsUpload(t *testing.T) {
 				if m.Files[0].Chunks[0].Hash != refused.Hash || after <= 256<<10 {
 					t.Fatalf("fixture: refused %s with %d bytes of stream after it", refused.Hash, after)
 				}
-				if len(objects.puts) != 0 || queue.calls != 0 {
-					t.Errorf("after a refused chunk: objects put %v, queue called %d times", objects.puts, queue.calls)
+				if objects.calls != 2 || len(objects.commits) != 0 || queue.calls != 0 {
+					t.Errorf("after a refused chunk: %d uploads committing %v, queue called %d times; want the second upload refused", objects.calls, objects.commits, queue.calls)
 				}
 				for _, hash := range m.ChunkSet() {
 					key := cas.ChunkKey(hash)
@@ -124,15 +127,21 @@ func TestStaleIndexFailsUpload(t *testing.T) {
 	}
 }
 
-// putLog records the objects put through it.
-type putLog struct {
+// commitLog counts the uploads made through it and records the
+// manifests they committed.
+type commitLog struct {
 	core.Objects
-	puts []string
+	calls   int
+	commits []string
 }
 
-func (p *putLog) Put(ctx context.Context, bucket, key string, data []byte, ttl time.Duration) error {
-	p.puts = append(p.puts, bucket+"/"+key)
-	return p.Objects.Put(ctx, bucket, key, data, ttl)
+func (l *commitLog) PutManifest(ctx context.Context, bucket, key string, manifest []byte, ttl time.Duration, hashes []string, src cas.Source) ([]string, error) {
+	l.calls++
+	missing, err := l.Objects.PutManifest(ctx, bucket, key, manifest, ttl, hashes, src)
+	if err == nil && len(missing) == 0 {
+		l.commits = append(l.commits, bucket+"/"+key)
+	}
+	return missing, err
 }
 
 // publishLog is a queue that counts its calls and serves none.

@@ -273,14 +273,9 @@ func (r *recordingObjects) GetReader(ctx context.Context, bucket, key string) (i
 	return r.Objects.GetReader(ctx, bucket, key)
 }
 
-func (r *recordingObjects) MissingChunks(ctx context.Context, m []byte) ([]string, error) {
-	r.note("MissingChunks", nil)
-	return r.Objects.MissingChunks(ctx, m)
-}
-
-func (r *recordingObjects) PutChunks(ctx context.Context, hashes []string, src cas.Source) (int64, error) {
-	r.note("PutChunks", nil)
-	return r.Objects.PutChunks(ctx, hashes, src)
+func (r *recordingObjects) PutManifest(ctx context.Context, bucket, key string, manifest []byte, ttl time.Duration, hashes []string, src cas.Source) ([]string, error) {
+	r.note("PutManifest", nil)
+	return r.Objects.PutManifest(ctx, bucket, key, manifest, ttl, hashes, src)
 }
 
 func (r *recordingObjects) GetChunks(ctx context.Context, hashes []string, each func(string, []byte) error) error {

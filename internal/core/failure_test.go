@@ -20,13 +20,13 @@ import (
 )
 
 // flakyObjects wraps an Objects port and fails selected operations;
-// everything else (chunk negotiation and upload included) passes
-// through.
+// everything else passes through.
 type flakyObjects struct {
 	Objects
-	mu       sync.Mutex
-	failGets int // fail this many Get calls, then recover
-	failPuts int
+	mu          sync.Mutex
+	failGets    int // fail this many Get calls, then recover
+	failPuts    int
+	failUploads int // fail this many PutManifest calls
 	// cutChunks, when set, ends every chunk stream with this error once
 	// half of its chunks have been handed over.
 	cutChunks error
@@ -59,6 +59,19 @@ func (f *flakyObjects) Get(ctx context.Context, bucket, key string) ([]byte, err
 		return nil, errors.New("injected: file server unavailable")
 	}
 	return f.Objects.Get(ctx, bucket, key)
+}
+
+func (f *flakyObjects) PutManifest(ctx context.Context, bucket, key string, manifest []byte, ttl time.Duration, hashes []string, src cas.Source) ([]string, error) {
+	f.mu.Lock()
+	fail := f.failUploads > 0
+	if fail {
+		f.failUploads--
+	}
+	f.mu.Unlock()
+	if fail {
+		return nil, errors.New("injected: file server unavailable")
+	}
+	return f.Objects.PutManifest(ctx, bucket, key, manifest, ttl, hashes, src)
 }
 
 func (f *flakyObjects) Put(ctx context.Context, bucket, key string, data []byte, ttl time.Duration) error {
@@ -289,7 +302,7 @@ func TestRateLimitFailsOpenWhenDBDown(t *testing.T) {
 func TestClientUploadFailure(t *testing.T) {
 	e := newEnv(t)
 	c := e.client(t, "team-up")
-	c.Objects = &flakyObjects{Objects: e.objects, failPuts: 1}
+	c.Objects = &flakyObjects{Objects: e.objects, failUploads: 1}
 	proj := newProject(t, project.Spec{Impl: cnn.ImplTiled})
 	if _, err := c.Submit(context.Background(), KindRun, build.Default(), proj.m, proj.src); err == nil || !strings.Contains(err.Error(), "uploading project") {
 		t.Fatalf("upload failure: %v", err)

@@ -90,7 +90,7 @@ func TestLongLineReachesClientOverTCP(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close(); b.Close() })
 	queue := func() broker.Queue {
-		q, err := brokerd.NewQueue(context.Background(), srv.Addr(), netx.Policy{}, 0)
+		q, err := brokerd.NewQueue(context.Background(), srv.Addr(), netx.Policy{})
 		if err != nil {
 			t.Fatal(err)
 		}

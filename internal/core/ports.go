@@ -24,23 +24,23 @@ func ShipTelemetry(q broker.Queue) telemetry.ShipFunc {
 
 // Objects is the file-server port, satisfied by both the HTTP client
 // (objstore.Client) and the in-process engine (objstore.Store).
-// Projects go up as chunks plus a manifest (MissingChunks, PutChunks,
-// then Put of the manifest — cas.go) and come down as the manifest plus
-// one GetChunks. GetReader streams an object so the caller can bound
-// what it reads; its int64 is the content length (-1 when the server
-// does not say).
+// Projects go up as chunks plus a manifest in one PutManifest, two when
+// the store lacks chunks the client did not send (cas.go), and come down
+// as the manifest plus one GetChunks. GetReader streams an object so the
+// caller can bound what it reads; its int64 is the content length (-1
+// when the server does not say).
 type Objects interface {
 	Put(ctx context.Context, bucket, key string, data []byte, ttl time.Duration) error
 	Get(ctx context.Context, bucket, key string) ([]byte, error)
 	GetReader(ctx context.Context, bucket, key string) (io.ReadCloser, int64, error)
-	// MissingChunks returns the subset of the encoded manifest's chunks
-	// absent from the store, refreshing the TTL of those present.
-	MissingChunks(ctx context.Context, manifest []byte) ([]string, error)
-	// PutChunks uploads the named chunks from src and returns the
-	// payload bytes transferred. The store hashes each payload as it
-	// lands and refuses one that does not hash to its name with an
-	// *objstore.RefusedChunkError.
-	PutChunks(ctx context.Context, hashes []string, src cas.Source) (int64, error)
+	// PutManifest stores the named chunks, read from src, and then the
+	// encoded manifest under bucket/key with ttl, if every chunk the
+	// manifest names is then held; chunks held already have their TTL
+	// refreshed. Otherwise it stores no manifest and returns the chunks
+	// the store lacks, to be sent with the manifest again. The store
+	// hashes each payload as it lands and refuses one that does not hash
+	// to its name with an *objstore.RefusedChunkError.
+	PutManifest(ctx context.Context, bucket, key string, manifest []byte, ttl time.Duration, hashes []string, src cas.Source) ([]string, error)
 	// GetChunks reads the named chunks in one transfer, handing each the
 	// payload of every one in the order asked, as a slice each owns and
 	// may keep. A chunk the store lacks fails the call before the first

@@ -25,7 +25,7 @@ func TestRemoteQueueEndToEnd(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close(); b.Close() })
 
-	workerQueue, err := brokerd.NewQueue(context.Background(), srv.Addr(), netx.Policy{}, 0)
+	workerQueue, err := brokerd.NewQueue(context.Background(), srv.Addr(), netx.Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestRemoteQueueEndToEnd(t *testing.T) {
 	go e.worker.Run(context.Background())
 	t.Cleanup(e.worker.Stop)
 
-	clientQueue, err := brokerd.NewQueue(context.Background(), srv.Addr(), netx.Policy{}, 0)
+	clientQueue, err := brokerd.NewQueue(context.Background(), srv.Addr(), netx.Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestSubmissionSurvivesBrokerRestart(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	p := netx.Policy{MaxAttempts: 100, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond,
 		Metrics: netx.NewMetrics(reg, "broker")}
-	workerQueue, err := brokerd.NewQueue(context.Background(), addr, p, 0)
+	workerQueue, err := brokerd.NewQueue(context.Background(), addr, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestSubmissionSurvivesBrokerRestart(t *testing.T) {
 	go e.worker.Run(context.Background())
 	t.Cleanup(e.worker.Stop)
 
-	clientQueue, err := brokerd.NewQueue(context.Background(), addr, p, 0)
+	clientQueue, err := brokerd.NewQueue(context.Background(), addr, p)
 	if err != nil {
 		t.Fatal(err)
 	}

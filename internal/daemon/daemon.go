@@ -20,7 +20,6 @@ import (
 	"os/signal"
 	"sync"
 	"syscall"
-	"time"
 
 	"rai/internal/broker"
 	"rai/internal/brokerd"
@@ -145,8 +144,8 @@ func (d *Daemon) Context() context.Context { return d.ctx }
 
 // Dial connects to the broker at addr. The connection closes in Close,
 // after the exporter's final flush.
-func (d *Daemon) Dial(addr string, policy netx.Policy, dialTimeout time.Duration) (*brokerd.Queue, error) {
-	q, err := brokerd.NewQueue(d.ctx, addr, policy, dialTimeout)
+func (d *Daemon) Dial(addr string, policy netx.Policy) (*brokerd.Queue, error) {
+	q, err := brokerd.NewQueue(d.ctx, addr, policy)
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"time"
 
 	"rai/internal/blobstore"
 	"rai/internal/cas"
@@ -18,34 +19,42 @@ import (
 	"rai/internal/telemetry"
 )
 
-// Chunk endpoints (DESIGN.md §16). Upload is a negotiation plus one
-// stream, download is one stream, and both streams carry the same frame:
+// Chunk endpoints (DESIGN.md §16). A project goes up in one request,
+// or two when the store lacks chunks the client did not send, and comes
+// down in one; both directions carry the same frame:
 //
-//	POST /cas/negotiate   body = encoded manifest
-//	                      → {"missing":[hash...]}   (chunks the server lacks)
-//	POST /cas/chunks      body = frames: "<hash> <size>\n" + raw bytes,
+//	POST /cas/manifest/{bucket}/{key}
+//	                      body = chunk frames: "<hash> <size>\n" + raw
+//	                        bytes, then the manifest frame:
+//	                        "manifest <size>\n" + the encoded manifest,
 //	                        under a Content-Length that sums them
-//	                      → {"stored":n,"bytes":b}
+//	                        (X-RAI-TTL-Seconds optional, as for PUT /o/)
+//	                      → {"missing":[]} once the manifest is stored
+//	                        under bucket/key: every chunk it names is held
+//	                      → {"missing":[hash...]} otherwise, with nothing
+//	                        stored under bucket/key; the client sends
+//	                        those chunks and the manifest again
 //	                      → 400 naming the chunk in X-RAI-Refused-Chunk
 //	                        when a payload does not hash to its name
 //	POST /cas/fetch       body = hashes, one per line
 //	                      → frames, one per hash, in the order asked;
 //	                        404 before the first frame if any is absent
 //
-// Present chunks get their TTL refreshed during negotiation and when
-// they are fetched, so a chunk shared by active submissions never
-// expires under them; the sweep that ages out rai-uploads ages rai-cas
-// the same way. All three are auth-gated exactly like /o/ — manifests
-// reveal tree shape, and chunk existence is an oracle, so none is
-// anonymous.
+// A reply that lists missing chunks is a 200: it is the protocol's
+// second step, not an error. Chunks the store already holds get their
+// TTL refreshed by every manifest that names them and when they are
+// fetched, so a chunk shared by active submissions never expires under
+// them; the sweep that ages out rai-uploads ages rai-cas the same way.
+// Both routes are auth-gated exactly like /o/ — manifests reveal tree
+// shape, and chunk existence is an oracle, so neither is anonymous.
 
-// casNegotiateResponse is the body of a successful negotiation.
-type casNegotiateResponse struct {
+// casManifestResponse is the body of a 200 from /cas/manifest/.
+type casManifestResponse struct {
 	Missing []string `json:"missing"`
 }
 
-// headerRefusedChunk names, on a 400 from /cas/chunks, the chunk whose
-// payload did not hash to its name.
+// headerRefusedChunk names, on a 400 from /cas/manifest/, the chunk
+// whose payload did not hash to its name.
 const headerRefusedChunk = "X-RAI-Refused-Chunk"
 
 // RefusedChunkError is an upload the store refused because a chunk's
@@ -62,22 +71,21 @@ func (e *RefusedChunkError) Error() string {
 
 func (e *RefusedChunkError) Unwrap() error { return e.Err }
 
-// casChunksResponse acknowledges a chunk upload stream.
-type casChunksResponse struct {
-	Stored int   `json:"stored"`
-	Bytes  int64 `json:"bytes"`
-}
+// errBadManifest marks a manifest that does not decode: the request's
+// fault, answered 400.
+var errBadManifest = errors.New("objstore: bad manifest")
 
 // casOp labels /cas/ requests for the shared request metrics.
 func casOp(r *http.Request) string {
-	switch {
-	case strings.HasSuffix(r.URL.Path, "/negotiate"):
-		return "cas-negotiate"
-	case strings.HasSuffix(r.URL.Path, "/fetch"):
-		return "cas-fetch"
+	if strings.HasPrefix(r.URL.Path, "/cas/manifest/") {
+		return "cas-manifest"
 	}
-	return "cas-chunks"
+	return "cas-fetch"
 }
+
+// manifestFrame is the word that heads the last frame of an upload, in
+// place of a chunk's hash.
+const manifestFrame = "manifest"
 
 // appendFrameHeader appends the line that precedes a chunk's payload in
 // both directions.
@@ -90,6 +98,14 @@ func appendFrameHeader(dst []byte, hash string, size int64) []byte {
 // space, the digits of a size up to cas.MaxChunk, and the newline.
 var maxFrameHeader = len(appendFrameHeader(nil, strings.Repeat("0", 64), cas.MaxChunk))
 
+// parseManifestHeader reads the header of an upload's manifest frame,
+// refusing a size no manifest can have.
+func parseManifestHeader(line string) (size int64, ok bool) {
+	word, sizeStr, ok := strings.Cut(strings.TrimSuffix(line, "\n"), " ")
+	size, err := strconv.ParseInt(sizeStr, 10, 64)
+	return size, ok && word == manifestFrame && err == nil && size > 0 && size <= cas.MaxManifestBytes
+}
+
 // parseFrameHeader reads a frame's header line back, refusing a hash
 // that is not a chunk address and a size no chunk can have.
 func parseFrameHeader(line string) (hash string, size int64, ok bool) {
@@ -98,31 +114,50 @@ func parseFrameHeader(line string) (hash string, size int64, ok bool) {
 	return hash, size, ok && cas.ValidHash(hash) && err == nil && size > 0 && size <= cas.MaxChunk
 }
 
-// MissingChunks returns the chunks the store lacks of the encoded
-// manifest, which it validates as the negotiation route does.
-func (s *Store) MissingChunks(ctx context.Context, manifest []byte) ([]string, error) {
-	m, err := cas.Decode(manifest)
-	if err != nil {
-		return nil, err
-	}
-	return s.missingChunks(ctx, m)
+// commit is what committing a manifest found.
+type commit struct {
+	missing     []string // chunks the manifest names that the store lacks
+	reused      int      // distinct chunks it held before the request
+	reusedBytes int64
 }
 
-// missingChunks returns the manifest's chunks the store lacks,
-// refreshing last-use of every chunk it already holds so a chunk shared
-// across submissions outlives the TTL clock of its first upload.
-func (s *Store) missingChunks(ctx context.Context, m *cas.Manifest) ([]string, error) {
-	missing := []string{}
-	for _, hash := range m.ChunkSet() {
-		switch err := s.be.Touch(ctx, cas.Bucket, cas.ChunkKey(hash)); {
-		case err == nil:
-		case errors.Is(err, ErrNoObject), errors.Is(err, ErrNoBucket):
-			missing = append(missing, hash)
-		default:
-			return nil, err
+// commitManifest validates the encoded manifest and stores it under
+// bucket/key with ttl if the store holds every chunk it names, or
+// returns the chunks it lacks having stored nothing. Every chunk it
+// holds has its last-use refreshed, so a chunk shared across submissions
+// outlives the TTL clock of its first upload. sent holds the chunks the
+// request just stored, which need no refresh; commitManifest adds to it.
+func (s *Store) commitManifest(ctx context.Context, bucket, key string, enc []byte, ttl time.Duration, sent map[string]bool) (commit, error) {
+	m, err := cas.Decode(enc)
+	if err != nil {
+		return commit{}, fmt.Errorf("%w: %w", errBadManifest, err)
+	}
+	cm := commit{missing: []string{}}
+	seen := sent // each chunk is looked at once
+	if seen == nil {
+		seen = make(map[string]bool)
+	}
+	for _, f := range m.Files {
+		for _, c := range f.Chunks {
+			if seen[c.Hash] {
+				continue
+			}
+			seen[c.Hash] = true
+			switch err := s.be.Touch(ctx, cas.Bucket, cas.ChunkKey(c.Hash)); {
+			case err == nil:
+				cm.reused++
+				cm.reusedBytes += c.Size
+			case errors.Is(err, ErrNoObject), errors.Is(err, ErrNoBucket):
+				cm.missing = append(cm.missing, c.Hash)
+			default:
+				return commit{}, err
+			}
 		}
 	}
-	return missing, nil
+	if len(cm.missing) == 0 {
+		_, err = s.put(ctx, bucket, key, bytes.NewReader(enc), blobstore.PutOptions{TTL: ttl, Size: int64(len(enc))})
+	}
+	return cm, err
 }
 
 // putChunk streams one chunk of size bytes from r into the store under
@@ -147,25 +182,29 @@ func (s *Store) putChunk(ctx context.Context, hash string, r io.Reader, size int
 	return w.Close()
 }
 
-// PutChunks stores the named chunks from src and returns the payload
-// bytes stored. A payload that does not hash to its name is refused with
-// a *RefusedChunkError, and nothing is stored under that name.
-func (s *Store) PutChunks(ctx context.Context, hashes []string, src cas.Source) (int64, error) {
-	var total int64
+// PutManifest stores the chunks hashes names, read from src, and then
+// the encoded manifest under bucket/key with ttl, if the store then
+// holds every chunk the manifest names. Otherwise it stores no manifest
+// and returns the chunks it lacks, for the caller to send with the
+// manifest again. A payload that does not hash to its name is refused
+// with a *RefusedChunkError, and nothing is stored under that name.
+func (s *Store) PutManifest(ctx context.Context, bucket, key string, manifest []byte, ttl time.Duration, hashes []string, src cas.Source) ([]string, error) {
+	sent := make(map[string]bool, len(hashes))
 	for _, hash := range hashes {
 		data, err := src.Chunk(hash)
 		if err != nil {
-			return total, err
+			return nil, err
 		}
 		if err := s.putChunk(ctx, hash, bytes.NewReader(data), int64(len(data)), nil); err != nil {
 			if errors.Is(err, blobstore.ErrETag) {
 				err = &RefusedChunkError{Hash: hash, Err: err}
 			}
-			return total, err
+			return nil, err
 		}
-		total += int64(len(data))
+		sent[hash] = true
 	}
-	return total, nil
+	cm, err := s.commitManifest(ctx, bucket, key, manifest, ttl, sent)
+	return cm.missing, err
 }
 
 // statChunks returns the size of each named chunk. A malformed hash or
@@ -216,76 +255,73 @@ func (s *Store) GetChunks(ctx context.Context, hashes []string, each func(hash s
 	return nil
 }
 
-// handleCASNegotiate answers a manifest with the chunk hashes the store
-// is missing.
-func (h *handlerState) handleCASNegotiate(s *Store, w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, cas.MaxManifestBytes+1))
-	if err != nil {
-		http.Error(w, "reading manifest: "+err.Error(), http.StatusBadRequest)
+// handleCASManifest ingests an upload: chunk frames, each verified
+// against its declared hash before it becomes addressable — the one hash
+// the write path makes — and then the manifest frame, which is committed
+// under the request's bucket/key once every chunk it names is held. A
+// payload that hashes otherwise is refused with a 400 naming it, answered
+// only after the rest of the body is read: the client is still writing
+// it, and a reply sent before would reach it as a reset connection
+// instead.
+func (h *handlerState) handleCASManifest(s *Store, w http.ResponseWriter, r *http.Request) {
+	bucket, key, ok := strings.Cut(strings.TrimPrefix(r.URL.Path, "/cas/manifest/"), "/")
+	if !ok || bucket == "" || key == "" {
+		http.Error(w, "want /cas/manifest/{bucket}/{key}", http.StatusBadRequest)
 		return
 	}
-	if len(body) > cas.MaxManifestBytes {
-		http.Error(w, "manifest too large", http.StatusRequestEntityTooLarge)
-		return
-	}
-	m, err := cas.Decode(body)
+	ttl, err := ttlHeader(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	missing, err := s.missingChunks(r.Context(), m)
-	if err != nil {
-		writeStoreErr(w, err)
-		return
-	}
-	absent := make(map[string]bool, len(missing))
-	for _, hash := range missing {
-		absent[hash] = true
-	}
-	for _, f := range m.Files {
-		for _, c := range f.Chunks {
-			if !absent[c.Hash] {
-				absent[c.Hash] = true // count each distinct present chunk once
-				h.casHits.Inc()
-				h.casSavedBytes.Add(float64(c.Size))
-			}
-		}
-	}
-	h.casMisses.Add(float64(len(missing)))
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(casNegotiateResponse{Missing: missing})
-}
-
-// handleCASChunks ingests a framed chunk stream; each payload is
-// verified against its declared hash before it becomes addressable — the
-// one hash the write path makes. A payload that hashes otherwise is
-// refused with a 400 naming it, answered only after the rest of the
-// stream is read: the client is still writing it, and a reply sent
-// before would reach it as a reset connection instead.
-func (h *handlerState) handleCASChunks(s *Store, w http.ResponseWriter, r *http.Request) {
 	br := bufio.NewReaderSize(http.MaxBytesReader(w, r.Body, MaxObjectBytes), 4<<10)
-	scratch := make([]byte, 32<<10)
-	var resp casChunksResponse
-	for {
+	var (
+		scratch  []byte
+		sent     map[string]bool
+		manifest []byte
+	)
+	for manifest == nil {
 		// ReadSlice, not ReadString: a header is read from the reader's
 		// fixed buffer, and a line longer than any valid header is refused
 		// whatever the body holds.
 		line, err := br.ReadSlice('\n')
-		if err == io.EOF && len(line) == 0 {
-			break
-		}
 		if len(line) > maxFrameHeader {
-			http.Error(w, fmt.Sprintf("chunk frame header over %d bytes", maxFrameHeader), http.StatusBadRequest)
+			http.Error(w, fmt.Sprintf("frame header over %d bytes", maxFrameHeader), http.StatusBadRequest)
+			return
+		}
+		if err == io.EOF && len(line) == 0 {
+			http.Error(w, "upload ends without its manifest frame", http.StatusBadRequest)
 			return
 		}
 		if err != nil {
-			http.Error(w, "reading chunk frame: "+err.Error(), http.StatusBadRequest)
+			http.Error(w, "reading frame: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		hash, size, ok := parseFrameHeader(string(line))
+		header := string(line)
+		if size, ok := parseManifestHeader(header); ok {
+			// The buffer grows with the bytes that arrive, not with the size
+			// the header declares; MinRead spares the read that finds the
+			// end a doubling.
+			var b bytes.Buffer
+			b.Grow(int(min(size, 1<<20)) + bytes.MinRead)
+			if n, err := b.ReadFrom(io.LimitReader(br, size)); err != nil || n < size {
+				http.Error(w, fmt.Sprintf("short manifest frame: %d of %d bytes (%v)", n, size, err), http.StatusBadRequest)
+				return
+			}
+			manifest = b.Bytes()
+			if _, err := br.ReadByte(); err != io.EOF {
+				http.Error(w, "bytes after the manifest frame", http.StatusBadRequest)
+				return
+			}
+			break
+		}
+		hash, size, ok := parseFrameHeader(header)
 		if !ok {
-			http.Error(w, fmt.Sprintf("bad chunk frame %q", bytes.TrimSpace(line)), http.StatusBadRequest)
+			http.Error(w, fmt.Sprintf("bad frame %q", bytes.TrimSpace(line)), http.StatusBadRequest)
 			return
+		}
+		if scratch == nil {
+			scratch, sent = make([]byte, 32<<10), map[string]bool{}
 		}
 		if err := s.putChunk(r.Context(), hash, io.LimitReader(br, size), size, scratch); err != nil {
 			var tooBig *http.MaxBytesError
@@ -305,11 +341,18 @@ func (h *handlerState) handleCASChunks(s *Store, w http.ResponseWriter, r *http.
 		h.streamIn.Add(float64(size))
 		h.casStored.Inc()
 		h.casStoredBytes.Add(float64(size))
-		resp.Stored++
-		resp.Bytes += size
+		sent[hash] = true
 	}
+	cm, err := s.commitManifest(r.Context(), bucket, key, manifest, ttl, sent)
+	if err != nil {
+		writeStoreErr(w, err)
+		return
+	}
+	h.casHits.Add(float64(cm.reused))
+	h.casSavedBytes.Add(float64(cm.reusedBytes))
+	h.casMisses.Add(float64(len(cm.missing)))
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(resp)
+	_ = json.NewEncoder(w).Encode(casManifestResponse{Missing: cm.missing})
 }
 
 // handleCASFetch streams the named chunks back as frames. Sizes are
@@ -363,62 +406,45 @@ func (h *handlerState) handleCASFetch(s *Store, w http.ResponseWriter, r *http.R
 
 // ---- client side ----
 
-// MissingChunks negotiates an encoded manifest: the returned hashes are
-// the chunks the server does not yet hold.
-func (c *Client) MissingChunks(ctx context.Context, enc []byte) ([]string, error) {
-	var resp casNegotiateResponse
-	err := c.roundTrip(ctx, "cas-negotiate", http.StatusOK, func(ctx context.Context) (*http.Request, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/cas/negotiate", bytes.NewReader(enc))
+// PutManifest sends, in one request, the chunks hashes names — read
+// from src as the body is written, so nothing is pinned in memory — and
+// then the encoded manifest, which the server stores under bucket/key
+// with ttl once it holds every chunk the manifest names. Otherwise the
+// server stores no manifest and the chunks it lacks come back, for the
+// caller to send with the manifest again. The request declares its
+// length, summed from the sizes src records, and each retry attempt
+// rebuilds the body from src. A chunk the server refuses because its
+// payload does not hash to its name fails the call with a
+// *RefusedChunkError.
+func (c *Client) PutManifest(ctx context.Context, bucket, key string, manifest []byte, ttl time.Duration, hashes []string, src cas.Source) ([]string, error) {
+	length := int64(len(appendManifestHeader(nil, len(manifest))) + len(manifest))
+	for _, hash := range hashes {
+		size, ok := src.Size(hash)
+		if !ok {
+			return nil, fmt.Errorf("objstore: chunk %s is not in the tree being uploaded", hash)
+		}
+		length += int64(len(appendFrameHeader(nil, hash, size))) + size
+	}
+	var resp casManifestResponse
+	err := c.roundTrip(ctx, "cas-manifest", http.StatusOK, func(ctx context.Context) (*http.Request, error) {
+		body := &uploadStream{src: src, hashes: hashes, manifest: manifest}
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/cas/manifest/"+bucket+"/"+key, io.NopCloser(body))
 		if err != nil {
 			return nil, err
 		}
-		req.ContentLength = int64(len(enc))
+		req.ContentLength = length
+		if ttl > 0 {
+			req.Header.Set(headerTTL, strconv.FormatInt(int64(ttl/time.Second), 10))
+		}
 		return req, nil
 	}, func(r *http.Response) error {
-		resp = casNegotiateResponse{}
+		resp = casManifestResponse{}
 		return json.NewDecoder(r.Body).Decode(&resp)
 	})
 	if err != nil {
 		return nil, err
 	}
 	return resp.Missing, nil
-}
-
-// PutChunks streams the named chunks (fetched from src as the stream
-// advances, so nothing is pinned in memory) and returns the payload
-// bytes that went over the wire. The request declares its length, summed
-// from the chunk sizes src records. Each retry attempt rebuilds the
-// stream from src, so the full retry policy applies. A chunk the server
-// refuses because its payload does not hash to its name fails the call
-// with a *RefusedChunkError.
-func (c *Client) PutChunks(ctx context.Context, hashes []string, src cas.Source) (int64, error) {
-	if len(hashes) == 0 {
-		return 0, nil
-	}
-	var length int64
-	for _, hash := range hashes {
-		size, ok := src.Size(hash)
-		if !ok {
-			return 0, fmt.Errorf("objstore: chunk %s is not in the tree being uploaded", hash)
-		}
-		length += int64(len(appendFrameHeader(nil, hash, size))) + size
-	}
-	var resp casChunksResponse
-	err := c.roundTrip(ctx, "cas-chunks", http.StatusOK, func(ctx context.Context) (*http.Request, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/cas/chunks", io.NopCloser(&chunkStream{src: src, hashes: hashes}))
-		if err != nil {
-			return nil, err
-		}
-		req.ContentLength = length
-		return req, nil
-	}, func(r *http.Response) error {
-		resp = casChunksResponse{}
-		return json.NewDecoder(r.Body).Decode(&resp)
-	})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Bytes, nil
 }
 
 // GetChunks fetches the named chunks in one request and hands each its
@@ -486,24 +512,38 @@ func readChunkFrames(body io.Reader, hashes []string, each func(hash string, dat
 	return nil
 }
 
-// chunkStream frames chunks lazily: it pulls a chunk from the source
-// only once the one before has been read, so memory stays O(MaxChunk)
-// however large the tree, and each Read fills p across frame
-// boundaries, so the transport writes in large pieces.
-type chunkStream struct {
-	src    cas.Source
-	hashes []string // the chunks not yet pulled
-	hdr    []byte   // the unread rest of the current frame's header
-	data   []byte   // the unread rest of the current frame's payload
-	hdrBuf [96]byte // over maxFrameHeader
+// appendManifestHeader appends the line that precedes an upload's
+// manifest.
+func appendManifestHeader(dst []byte, size int) []byte {
+	dst = append(dst, manifestFrame+" "...)
+	return append(strconv.AppendInt(dst, int64(size), 10), '\n')
 }
 
-func (cs *chunkStream) Read(p []byte) (int, error) {
+// uploadStream is the body of an upload. It frames chunks lazily,
+// pulling a chunk from the source only once the one before has been
+// read, so memory stays O(MaxChunk) however large the tree, and ends
+// with the manifest frame. Each Read fills p across frame boundaries, so
+// the transport writes in large pieces.
+type uploadStream struct {
+	src      cas.Source
+	hashes   []string // the chunks not yet pulled
+	manifest []byte   // the last frame's payload, until it is framed
+	hdr      []byte   // the unread rest of the current frame's header
+	data     []byte   // the unread rest of the current frame's payload
+	hdrBuf   [96]byte // over maxFrameHeader
+}
+
+func (cs *uploadStream) Read(p []byte) (int, error) {
 	n := 0
 	for n < len(p) {
 		if len(cs.hdr) == 0 && len(cs.data) == 0 {
 			if len(cs.hashes) == 0 {
-				return n, io.EOF
+				if cs.manifest == nil {
+					return n, io.EOF
+				}
+				cs.hdr = appendManifestHeader(cs.hdrBuf[:0], len(cs.manifest))
+				cs.data, cs.manifest = cs.manifest, nil
+				continue
 			}
 			hash := cs.hashes[0]
 			cs.hashes = cs.hashes[1:]
@@ -529,8 +569,8 @@ func (cs *chunkStream) Read(p []byte) (int, error) {
 // registerCASMetrics wires the rai_cas_* counters; absent telemetry they
 // stay nil-safe no-ops like the rest of the handler counters.
 func (h *handlerState) registerCASMetrics(reg *telemetry.Registry) {
-	h.casHits = reg.Counter("rai_cas_chunk_hits_total", "negotiated chunks already present (deduplicated)")
-	h.casMisses = reg.Counter("rai_cas_chunk_misses_total", "negotiated chunks the client had to upload")
+	h.casHits = reg.Counter("rai_cas_chunk_hits_total", "chunks an uploaded manifest names that were already present (deduplicated)")
+	h.casMisses = reg.Counter("rai_cas_chunk_misses_total", "chunks an uploaded manifest names that the store lacked and was not sent")
 	h.casSavedBytes = reg.Counter("rai_cas_saved_bytes_total", "upload bytes avoided by chunk reuse")
 	h.casStored = reg.Counter("rai_cas_chunks_stored_total", "chunks ingested into the store")
 	h.casStoredBytes = reg.Counter("rai_cas_stored_bytes_total", "chunk payload bytes ingested into the store")

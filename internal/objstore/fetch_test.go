@@ -27,8 +27,8 @@ func seededTree(t *testing.T, s *Store, size int) (*cas.Manifest, map[string]str
 	rand.New(rand.NewSource(408)).Read(blob)
 	files := map[string]string{"data/blob.bin": string(blob), "rai-build.yml": "rai:\n  version: 0.1\n"}
 	m, src := buildTestTree(t, files)
-	if _, err := s.PutChunks(ctx, m.ChunkSet(), src); err != nil {
-		t.Fatal(err)
+	if missing, err := s.PutManifest(ctx, "uploads", "team/seeded", m.Encode(), 0, m.ChunkSet(), src); err != nil || len(missing) != 0 {
+		t.Fatalf("upload = %v, %v", missing, err)
 	}
 	return m, files
 }
@@ -259,8 +259,8 @@ func TestCASRejectsHostileHash(t *testing.T) {
 	if code, _ := post("/cas/fetch", ""); code != http.StatusBadRequest {
 		t.Errorf("/cas/fetch of nothing answered %d, want 400", code)
 	}
-	if code, _ := post("/cas/chunks", fmt.Sprintf("%s %d\n%s", hostile, len(secret), secret)); code != http.StatusBadRequest {
-		t.Errorf("/cas/chunks frame under a hostile hash answered %d, want 400", code)
+	if code, _ := post("/cas/manifest/uploads/team/j1", fmt.Sprintf("%s %d\n%s", hostile, len(secret), secret)); code != http.StatusBadRequest {
+		t.Errorf("/cas/manifest/ frame under a hostile hash answered %d, want 400", code)
 	}
 	for name, o := range map[string]objects{"Store": s, "Client": c} {
 		err := o.GetChunks(ctx, []string{hostile}, func(_ string, data []byte) error {

@@ -87,7 +87,7 @@ func FuzzReadChunkFrames(f *testing.F) {
 
 // casRoutes are the chunk routes FuzzCASHandler posts to, picked by the
 // input's first byte.
-var casRoutes = []string{"/cas/negotiate", "/cas/chunks", "/cas/fetch"}
+var casRoutes = []string{"/cas/manifest/uploads/team/j1", "/cas/fetch"}
 
 // FuzzCASHandler posts arbitrary bodies to every chunk route of a store
 // holding two chunks, each under a declared Content-Length that may
@@ -96,36 +96,57 @@ var casRoutes = []string{"/cas/negotiate", "/cas/chunks", "/cas/fetch"}
 // at the declared length when that is short, ending in
 // io.ErrUnexpectedEOF when it is long. Whatever the body, the handler
 // must not panic, must answer a bad request with a 4xx rather than a
-// 5xx, and must leave nothing addressable under a hash its bytes do not
-// hash to.
+// 5xx, must leave nothing addressable under a hash its bytes do not
+// hash to, and must commit a manifest only if it decodes and every
+// chunk it names is held.
 func FuzzCASHandler(f *testing.F) {
 	a, b, ha, hb, frame := frameFixture()
-	m := &cas.Manifest{
-		Files:      []cas.FileEntry{{Path: "a", Size: 3000, Chunks: []cas.ChunkRef{{Hash: ha, Size: 3000}}}},
-		TotalBytes: 3000,
+	c := strings.Repeat("c", 5000)
+	hc := cas.HashHex([]byte(c))
+	manifest := func(refs ...cas.ChunkRef) string {
+		m := &cas.Manifest{}
+		for i, ref := range refs {
+			m.Files = append(m.Files, cas.FileEntry{Path: fmt.Sprintf("f%d", i), Size: ref.Size, Chunks: []cas.ChunkRef{ref}})
+			m.TotalBytes += ref.Size
+		}
+		m.Seal()
+		enc := m.Encode()
+		return string(appendManifestHeader(nil, len(enc))) + string(enc)
 	}
-	m.Seal()
-	f.Add(byte(0), m.Encode(), int64(-1))
-	f.Add(byte(0), []byte(cas.Magic+`{"tree_hash":"beef"}`), int64(-1))
-	f.Add(byte(1), []byte(frame(ha, 3000, a)+frame(hb, 4000, b)), int64(-1))
-	f.Add(byte(1), []byte(frame(ha, 16, "forged payload!!")), int64(-1))
-	f.Add(byte(1), []byte(frame(cas.HashHex([]byte("c")), 1, "c")+frame(hb, 4000, b[:10])), int64(-1))
-	f.Add(byte(1), bytes.Repeat([]byte("a"), 2*cas.MaxChunk), int64(-1)) // no header ends
-	f.Add(byte(2), []byte(ha+"\n"+hb), int64(-1))
-	f.Add(byte(2), []byte(ha+"\n\n"+strings.Repeat("0", 64)), int64(-1))
-	f.Add(byte(2), []byte(strings.Repeat("/.", 17)+"//../../rai-uploads/alice/j1/k"), int64(-1))
+	held := manifest(cas.ChunkRef{Hash: ha, Size: 3000}, cas.ChunkRef{Hash: hb, Size: 4000})
+	withC := manifest(cas.ChunkRef{Hash: ha, Size: 3000}, cas.ChunkRef{Hash: hc, Size: 5000})
+	// Upload bodies: chunk frames then the manifest frame; the manifest
+	// alone; a chunk it names that is neither held nor sent; a forged
+	// payload; a bad manifest; no manifest frame; bytes after it; a
+	// header that never ends.
+	bad := cas.Magic + `{"tree_hash":"beef"}`
+	f.Add(byte(0), []byte(frame(hc, 5000, c)+withC), int64(-1))
+	f.Add(byte(0), []byte(held), int64(-1))
+	f.Add(byte(0), []byte(withC), int64(-1))
+	f.Add(byte(0), []byte(frame(ha, 16, "forged payload!!")+held), int64(-1))
+	f.Add(byte(0), []byte(string(appendManifestHeader(nil, len(bad)))+bad), int64(-1))
+	f.Add(byte(0), []byte(frame(ha, 3000, a)+frame(hb, 4000, b)), int64(-1))
+	f.Add(byte(0), []byte(held+frame(hc, 5000, c)), int64(-1))
+	f.Add(byte(0), []byte(frame(cas.HashHex([]byte("d")), 1, "d")+frame(hb, 4000, b[:10])), int64(-1))
+	f.Add(byte(0), bytes.Repeat([]byte("a"), 2*cas.MaxChunk), int64(-1)) // no header ends
+	f.Add(byte(1), []byte(ha+"\n"+hb), int64(-1))
+	f.Add(byte(1), []byte(ha+"\n\n"+strings.Repeat("0", 64)), int64(-1))
+	f.Add(byte(1), []byte(strings.Repeat("/.", 17)+"//../../rai-uploads/alice/j1/k"), int64(-1))
 	// Content-Length against the frames: short inside the second
-	// payload, short at the frame boundary, long by a byte and by a frame.
-	two := frame(ha, 3000, a) + frame(hb, 4000, b)
-	f.Add(byte(1), []byte(two), int64(len(two)-100))
-	f.Add(byte(1), []byte(two), int64(len(frame(ha, 3000, a))))
-	f.Add(byte(1), []byte(two), int64(len(two)+1))
-	f.Add(byte(1), []byte(two), int64(len(two)+len(frame(hb, 4000, b))))
+	// payload, short at the frame boundary, short inside the manifest,
+	// long by a byte and by a frame.
+	two := frame(ha, 3000, a) + frame(hc, 5000, c) + withC
+	f.Add(byte(0), []byte(two), int64(len(frame(ha, 3000, a))+100))
+	f.Add(byte(0), []byte(two), int64(len(frame(ha, 3000, a))))
+	f.Add(byte(0), []byte(two), int64(len(two)-10))
+	f.Add(byte(0), []byte(two), int64(len(two)+1))
+	f.Add(byte(0), []byte(two), int64(len(two)+len(frame(hb, 4000, b))))
 	f.Fuzz(func(t *testing.T, route byte, body []byte, declared int64) {
 		created := &createLog{Backend: blobstore.NewMemory()}
 		s := NewWithBackend(created)
-		if _, err := s.PutChunks(ctx, []string{ha, hb}, chunkMap{ha: []byte(a), hb: []byte(b)}); err != nil {
-			t.Fatal(err)
+		seed := chunkMap{ha: []byte(a), hb: []byte(b)}
+		if missing, err := s.PutManifest(ctx, "uploads", "seed", []byte(held[strings.IndexByte(held, '\n')+1:]), 0, []string{ha, hb}, seed); err != nil || len(missing) != 0 {
+			t.Fatal(missing, err)
 		}
 		p := casRoutes[int(route)%len(casRoutes)]
 		req := httptest.NewRequest(http.MethodPost, p, bytes.NewReader(body))
@@ -154,6 +175,22 @@ func FuzzCASHandler(f *testing.F) {
 				t.Fatalf("POST %s left %d bytes hashing to %s addressable as %s", p, len(data), got, key)
 			}
 		}
+		enc, err := s.Get(ctx, "uploads", "team/j1")
+		if errors.Is(err, ErrNoObject) {
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := cas.Decode(enc)
+		if err != nil {
+			t.Fatalf("POST %s committed a manifest that does not decode: %v", p, err)
+		}
+		for _, hash := range m.ChunkSet() {
+			if _, err := s.Head(ctx, cas.Bucket, cas.ChunkKey(hash)); err != nil {
+				t.Fatalf("POST %s committed a manifest naming chunk %s, which the store lacks: %v", p, hash, err)
+			}
+		}
 	})
 }
 
@@ -164,6 +201,8 @@ func (c chunkMap) Size(hash string) (int64, bool) {
 	data, ok := c[hash]
 	return int64(len(data)), ok
 }
+
+func (c chunkMap) Fresh() []string { return nil }
 
 func (c chunkMap) Chunk(hash string) ([]byte, error) {
 	data, ok := c[hash]

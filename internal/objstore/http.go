@@ -38,8 +38,9 @@ const MaxObjectBytes = 2 << 30
 //	PUT    /o/{bucket}/{key}   store (X-RAI-TTL-Seconds optional; body streamed)
 //	GET    /o/{bucket}/{key}   fetch (streamed)
 //	HEAD   /o/{bucket}/{key}   metadata
-//	POST   /cas/negotiate      chunks the store lacks for a manifest (cas.go)
-//	POST   /cas/chunks         framed, hash-verified chunk upload (cas.go)
+//	POST   /cas/manifest/{bucket}/{key}
+//	                           hash-verified chunk frames, then a manifest
+//	                           stored once every chunk it names is (cas.go)
 //	POST   /cas/fetch          the named chunks as one framed stream (cas.go)
 //	GET    /healthz            liveness
 //
@@ -70,14 +71,10 @@ func Handler(s *Store, auth AuthFunc, opts ...HandlerOption) http.Handler {
 		}
 		switch r.Method {
 		case http.MethodPut:
-			var ttl time.Duration
-			if v := r.Header.Get("X-RAI-TTL-Seconds"); v != "" {
-				secs, err := strconv.ParseInt(v, 10, 64)
-				if err != nil || secs < 0 {
-					http.Error(w, "bad X-RAI-TTL-Seconds", http.StatusBadRequest)
-					return
-				}
-				ttl = time.Duration(secs) * time.Second
+			ttl, err := ttlHeader(r)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
 			}
 			// The body streams straight into the backend — the server never
 			// holds the archive in memory. Crossing the size limit aborts
@@ -131,15 +128,13 @@ func Handler(s *Store, auth AuthFunc, opts ...HandlerOption) http.Handler {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
 		}
-		switch strings.TrimPrefix(r.URL.Path, "/cas/") {
-		case "negotiate":
-			h.handleCASNegotiate(s, w, r)
-		case "chunks":
-			h.handleCASChunks(s, w, r)
-		case "fetch":
+		switch {
+		case strings.HasPrefix(r.URL.Path, "/cas/manifest/"):
+			h.handleCASManifest(s, w, r)
+		case r.URL.Path == "/cas/fetch":
 			h.handleCASFetch(s, w, r)
 		default:
-			http.Error(w, "want /cas/negotiate, /cas/chunks or /cas/fetch", http.StatusNotFound)
+			http.Error(w, "want /cas/manifest/{bucket}/{key} or /cas/fetch", http.StatusNotFound)
 		}
 	}))
 	return mux
@@ -157,7 +152,7 @@ func WithTelemetry(reg *telemetry.Registry) HandlerOption {
 		h.reg = reg
 		h.requests = map[string]*telemetry.Counter{}
 		h.latency = map[string]*telemetry.HDRHistogram{}
-		for _, op := range []string{"put", "get", "head", "cas-negotiate", "cas-chunks", "cas-fetch", "other"} {
+		for _, op := range []string{"put", "get", "head", "cas-manifest", "cas-fetch", "other"} {
 			h.requests[op] = reg.Counter("rai_objstore_requests_total", "requests served", telemetry.L("op", op))
 			h.latency[op] = reg.Histogram("rai_objstore_request_seconds", "request latency", telemetry.L("op", op))
 		}
@@ -265,11 +260,28 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// headerTTL carries an upload's time to live in whole seconds.
+const headerTTL = "X-RAI-TTL-Seconds"
+
+// ttlHeader reads a request's X-RAI-TTL-Seconds; absent, it is zero,
+// and the store's default applies.
+func ttlHeader(r *http.Request) (time.Duration, error) {
+	v := r.Header.Get(headerTTL)
+	if v == "" {
+		return 0, nil
+	}
+	secs, err := strconv.ParseInt(v, 10, 64)
+	if err != nil || secs < 0 {
+		return 0, errors.New("bad " + headerTTL)
+	}
+	return time.Duration(secs) * time.Second, nil
+}
+
 func writeStoreErr(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrNoBucket), errors.Is(err, ErrNoObject):
 		http.Error(w, err.Error(), http.StatusNotFound)
-	case errors.Is(err, ErrBadName), errors.Is(err, blobstore.ErrETag):
+	case errors.Is(err, ErrBadName), errors.Is(err, blobstore.ErrETag), errors.Is(err, errBadManifest):
 		http.Error(w, err.Error(), http.StatusBadRequest)
 	case errors.Is(err, ErrQuota):
 		http.Error(w, err.Error(), http.StatusInsufficientStorage)
@@ -395,7 +407,7 @@ func (c *Client) PutReader(ctx context.Context, bucket, key string, r io.Reader,
 			req.ContentLength = size
 		}
 		if ttl > 0 {
-			req.Header.Set("X-RAI-TTL-Seconds", strconv.FormatInt(int64(ttl/time.Second), 10))
+			req.Header.Set(headerTTL, strconv.FormatInt(int64(ttl/time.Second), 10))
 		}
 		return req, nil
 	}, nil)

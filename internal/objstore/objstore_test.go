@@ -137,9 +137,9 @@ func TestCapacity(t *testing.T) {
 	}
 }
 
-// TestTouch: a negotiation that names a chunk the store holds refreshes
-// its last use, so a chunk shared across submissions outlives the TTL
-// clock of its first upload.
+// TestTouch: a manifest that names a chunk the store holds refreshes its
+// last use, so a chunk shared across submissions outlives the TTL clock
+// of its first upload.
 func TestTouch(t *testing.T) {
 	vc := clock.NewVirtual(t0)
 	s := New(WithClock(vc))
@@ -149,12 +149,12 @@ func TestTouch(t *testing.T) {
 	m := &cas.Manifest{Files: []cas.FileEntry{{Path: "a", Size: int64(len(data)), Chunks: []cas.ChunkRef{{Hash: hash, Size: int64(len(data))}}}}, TotalBytes: int64(len(data))}
 	m.Seal()
 	vc.Advance(50 * time.Minute)
-	if missing, err := s.MissingChunks(ctx, m.Encode()); err != nil || len(missing) != 0 {
-		t.Fatalf("negotiation = %v, %v; want the chunk present", missing, err)
+	if missing, err := s.PutManifest(ctx, "uploads", "team/j1", m.Encode(), 0, nil, nil); err != nil || len(missing) != 0 {
+		t.Fatalf("upload = %v, %v; want the chunk present", missing, err)
 	}
 	vc.Advance(50 * time.Minute)
 	if _, err := s.Head(ctx, cas.Bucket, cas.ChunkKey(hash)); err != nil {
-		t.Errorf("negotiated chunk expired early: %v", err)
+		t.Errorf("chunk named by a manifest expired early: %v", err)
 	}
 }
 

@@ -21,8 +21,7 @@ type objects interface {
 	Put(ctx context.Context, bucket, key string, data []byte, ttl time.Duration) error
 	Get(ctx context.Context, bucket, key string) ([]byte, error)
 	GetReader(ctx context.Context, bucket, key string) (io.ReadCloser, int64, error)
-	MissingChunks(ctx context.Context, manifest []byte) ([]string, error)
-	PutChunks(ctx context.Context, hashes []string, src cas.Source) (int64, error)
+	PutManifest(ctx context.Context, bucket, key string, manifest []byte, ttl time.Duration, hashes []string, src cas.Source) ([]string, error)
 	GetChunks(ctx context.Context, hashes []string, each func(hash string, data []byte) error) error
 }
 
@@ -31,13 +30,15 @@ type forgedSource struct{}
 
 func (forgedSource) Size(string) (int64, bool)    { return int64(len("forged payload")), true }
 func (forgedSource) Chunk(string) ([]byte, error) { return []byte("forged payload"), nil }
+func (forgedSource) Fresh() []string              { return nil }
 
 // TestStoreClientParity runs one scenario against the in-process engine
 // and against the HTTP client: the two ends of the file-server port
-// behave alike, including what the negotiate and chunk paths promise —
-// present chunks have their last-use refreshed, a payload is
-// hash-verified before it becomes addressable, and a bulk read hands
-// back exactly the chunks asked for, in order, or fails before the first.
+// behave alike, including what the upload route promises — a manifest
+// is committed only when every chunk it names is held, present chunks
+// have their last-use refreshed, a payload is hash-verified before it
+// becomes addressable — and a bulk read hands back exactly the chunks
+// asked for, in order, or fails before the first.
 func TestStoreClientParity(t *testing.T) {
 	const ttl = 4 * time.Hour
 	impls := []struct {
@@ -85,12 +86,18 @@ func TestStoreClientParity(t *testing.T) {
 				"build.yml": "commands:\n  build: make\n",
 			}
 			m, src := buildTestTree(t, files)
-			missing, err := o.MissingChunks(ctx, m.Encode())
+			missing, err := o.PutManifest(ctx, "uploads", "team/m1", m.Encode(), 0, nil, src)
 			if err != nil || !slices.Equal(missing, m.ChunkSet()) {
 				t.Fatalf("fresh store missing %d of %d chunks, %v", len(missing), len(m.ChunkSet()), err)
 			}
-			if sent, err := o.PutChunks(ctx, missing, src); err != nil || sent != m.TotalBytes {
-				t.Fatalf("PutChunks = %d of %d bytes, %v", sent, m.TotalBytes, err)
+			if _, err := o.Get(ctx, "uploads", "team/m1"); !errors.Is(err, ErrNoObject) {
+				t.Fatalf("manifest committed with every chunk missing: %v", err)
+			}
+			if again, err := o.PutManifest(ctx, "uploads", "team/m1", m.Encode(), 0, missing, src); err != nil || len(again) != 0 {
+				t.Fatalf("upload with the missing chunks still missing %v, %v", again, err)
+			}
+			if got, err := o.Get(ctx, "uploads", "team/m1"); err != nil || !bytes.Equal(got, m.Encode()) {
+				t.Fatalf("committed manifest = %d bytes, %v", len(got), err)
 			}
 			// The bulk read returns what went up: every chunk asked for, in
 			// the order asked, the tree reassembling byte for byte.
@@ -126,8 +133,8 @@ func TestStoreClientParity(t *testing.T) {
 					added = append(added, h)
 				}
 			}
-			if delta, err := o.MissingChunks(ctx, m2.Encode()); err != nil || len(added) == 0 || !slices.Equal(delta, added) {
-				t.Fatalf("edit negotiation missing %v, %v; want %v", delta, err, added)
+			if delta, err := o.PutManifest(ctx, "uploads", "team/m2", m2.Encode(), 0, nil, src); err != nil || len(added) == 0 || !slices.Equal(delta, added) {
+				t.Fatalf("edited manifest missing %v, %v; want %v", delta, err, added)
 			}
 			// One absent chunk fails the whole read, before any is handed over.
 			handed := 0
@@ -136,30 +143,34 @@ func TestStoreClientParity(t *testing.T) {
 				t.Errorf("GetChunks with %s absent = %v after %d chunks; want ErrNoObject naming it after none", added[0], err, handed)
 			}
 
-			// Last-use refresh: chunks negotiated at 3/4 TTL survive a sweep
-			// at 5/4 TTL; the object nobody touched does not.
+			// Last-use refresh: chunks a manifest names at 3/4 TTL survive a
+			// sweep at 5/4 TTL; the objects nobody touched since do not.
 			vc.Advance(ttl * 3 / 4)
-			if again, err := o.MissingChunks(ctx, m.Encode()); err != nil || len(again) != 0 {
-				t.Fatalf("renegotiation missing %d chunks, %v", len(again), err)
+			if again, err := o.PutManifest(ctx, "uploads", "team/m3", m.Encode(), 0, nil, src); err != nil || len(again) != 0 {
+				t.Fatalf("resent manifest missing %d chunks, %v", len(again), err)
 			}
 			vc.Advance(ttl / 2)
-			if n, err := engine.Sweep(ctx); err != nil || n != 1 {
-				t.Errorf("Sweep removed %d, %v; want only uploads/team/a", n, err)
+			if n, err := engine.Sweep(ctx); err != nil || n != 2 {
+				t.Errorf("Sweep removed %d, %v; want uploads/team/a and uploads/team/m1", n, err)
 			}
-			if again, err := o.MissingChunks(ctx, m.Encode()); err != nil || len(again) != 0 {
+			if again, err := o.PutManifest(ctx, "uploads", "team/m4", m.Encode(), 0, nil, src); err != nil || len(again) != 0 {
 				t.Errorf("refreshed chunks expired: %d missing, %v", len(again), err)
 			}
 
 			// A payload that hashes differently errors and leaves nothing
 			// addressable under the name it claimed.
-			if _, err := o.PutChunks(ctx, added, forgedSource{}); err == nil {
-				t.Error("forged chunk accepted")
+			var refusal *RefusedChunkError
+			if _, err := o.PutManifest(ctx, "uploads", "team/m2", m2.Encode(), 0, added, forgedSource{}); !errors.As(err, &refusal) || refusal.Hash != added[0] {
+				t.Errorf("forged chunk: %v, want it refused by name", err)
 			}
 			if _, err := o.Get(ctx, cas.Bucket, cas.ChunkKey(added[0])); !errors.Is(err, ErrNoObject) {
 				t.Errorf("forged chunk addressable: %v", err)
 			}
-			if delta, err := o.MissingChunks(ctx, m2.Encode()); err != nil || !slices.Equal(delta, added) {
+			if delta, err := o.PutManifest(ctx, "uploads", "team/m2", m2.Encode(), 0, nil, src); err != nil || !slices.Equal(delta, added) {
 				t.Errorf("after forged upload missing %v, %v; want %v", delta, err, added)
+			}
+			if _, err := o.Get(ctx, "uploads", "team/m2"); !errors.Is(err, ErrNoObject) {
+				t.Errorf("edited manifest committed with its chunks missing: %v", err)
 			}
 
 			// A cancelled ctx is refused.
@@ -168,8 +179,8 @@ func TestStoreClientParity(t *testing.T) {
 			if err := o.Put(dead, "uploads", "team/c", []byte("c"), 0); !errors.Is(err, context.Canceled) {
 				t.Errorf("Put on a cancelled ctx = %v", err)
 			}
-			if _, err := o.MissingChunks(dead, m.Encode()); !errors.Is(err, context.Canceled) {
-				t.Errorf("MissingChunks on a cancelled ctx = %v", err)
+			if _, err := o.PutManifest(dead, "uploads", "team/m5", m.Encode(), 0, nil, src); !errors.Is(err, context.Canceled) {
+				t.Errorf("PutManifest on a cancelled ctx = %v", err)
 			}
 			if err := o.GetChunks(dead, m.ChunkSet(), func(string, []byte) error { return nil }); !errors.Is(err, context.Canceled) {
 				t.Errorf("GetChunks on a cancelled ctx = %v", err)

@@ -264,17 +264,23 @@ func (d *discardResponse) Write(p []byte) (int, error) {
 }
 
 // chunkStreams splits n seeded-random bytes with cut and returns the
-// chunks' hashes, the /cas/chunks body that uploads them and the
+// chunks' hashes, the /cas/manifest/ body that uploads them with the
+// manifest of a one-file tree holding them, that manifest, and the
 // /cas/fetch body that asks for them back.
-func chunkStreams(n int, cut func([]byte) [][]byte) (hashes []string, upload, fetch []byte) {
+func chunkStreams(n int, cut func([]byte) [][]byte) (hashes []string, upload, manifest, fetch []byte) {
 	blob := make([]byte, n)
 	rand.New(rand.NewSource(408)).Read(blob)
+	m := &cas.Manifest{Files: []cas.FileEntry{{Path: "blob", Size: int64(n)}}, TotalBytes: int64(n)}
 	for _, c := range cut(blob) {
 		h := cas.HashHex(c)
 		hashes = append(hashes, h)
 		upload = append(appendFrameHeader(upload, h, int64(len(c))), c...)
+		m.Files[0].Chunks = append(m.Files[0].Chunks, cas.ChunkRef{Hash: h, Size: int64(len(c))})
 	}
-	return hashes, upload, []byte(strings.Join(hashes, "\n"))
+	m.Seal()
+	manifest = m.Encode()
+	upload = append(appendManifestHeader(upload, len(manifest)), manifest...)
+	return hashes, upload, manifest, []byte(strings.Join(hashes, "\n"))
 }
 
 // allocatedBy reports the bytes the heap handed out while f ran.
@@ -290,9 +296,10 @@ func allocatedBy(f func()) uint64 {
 // keep raifs's footprint the size of what it stores, measured on the
 // handlers alone (no client in the loop) over the memory backend:
 //
-//   - ingesting N bytes of chunks through /cas/chunks allocates each
+//   - ingesting N bytes of chunks through /cas/manifest/ allocates each
 //     payload once, at its final size; a staging buffer, a growing one,
-//     or a copy at commit each cost another N;
+//     or a copy at commit each cost another N (the manifest that ends
+//     the upload, its decode and its commit are counted too);
 //   - serving them back through /cas/fetch allocates per chunk, not per
 //     byte — a handler that copies each chunk out of the store costs N.
 //
@@ -318,7 +325,7 @@ func TestCASHandlersAllocateOncePerStoredByte(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := New()
 			h := Handler(s, nil)
-			hashes, upload, fetch := chunkStreams(n, tc.cut)
+			hashes, upload, manifest, fetch := chunkStreams(n, tc.cut)
 			post := func(path string, body []byte) *discardResponse {
 				w := &discardResponse{header: http.Header{}, code: http.StatusOK}
 				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
@@ -327,9 +334,9 @@ func TestCASHandlersAllocateOncePerStoredByte(t *testing.T) {
 				}
 				return w
 			}
-			ingest := allocatedBy(func() { post("/cas/chunks", upload) })
-			if s.Used() != n {
-				t.Fatalf("store holds %d bytes after ingesting %d", s.Used(), n)
+			ingest := allocatedBy(func() { post("/cas/manifest/uploads/team/j1", upload) })
+			if want := int64(n + len(manifest)); s.Used() != want {
+				t.Fatalf("store holds %d bytes after ingesting %d", s.Used(), want)
 			}
 			if ingest > tc.ingestBound {
 				t.Errorf("ingesting %d bytes in %d chunks allocated %d, over %d: a payload is allocated more than once", n, len(hashes), ingest, tc.ingestBound)

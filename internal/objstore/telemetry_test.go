@@ -94,8 +94,10 @@ func TestEveryOpHasAClient(t *testing.T) {
 			}
 			return err
 		},
-		func() error { _, err := c.MissingChunks(ctx, m.Encode()); return err },
-		func() error { _, err := c.PutChunks(ctx, m.ChunkSet(), src); return err },
+		func() error {
+			_, err := c.PutManifest(ctx, "uploads", "m", m.Encode(), 0, m.ChunkSet(), src)
+			return err
+		},
 		func() error { return c.GetChunks(ctx, m.ChunkSet(), func(string, []byte) error { return nil }) },
 	} {
 		if err := call(); err != nil {

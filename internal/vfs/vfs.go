@@ -532,6 +532,21 @@ func (i ioFS) Open(name string) (fs.File, error) {
 	return &ioFile{info: fi, parts: parts}, nil
 }
 
+// Stat makes ioFS an fs.StatFS: fs.Stat, and the stat fs.WalkDir makes
+// of its root, read the one entry instead of opening it, which for a
+// directory would list it.
+func (i ioFS) Stat(name string) (fs.FileInfo, error) {
+	p, err := i.abs(name)
+	if err != nil {
+		return nil, err
+	}
+	fi, err := i.f.Stat(p)
+	if err != nil {
+		return nil, &fs.PathError{Op: "stat", Path: name, Err: fs.ErrNotExist}
+	}
+	return stdInfo{fi}, nil
+}
+
 func (i ioFS) ReadDir(name string) ([]fs.DirEntry, error) {
 	p, err := i.abs(name)
 	if err != nil {

@@ -305,6 +305,53 @@ func TestIOFSReadFile(t *testing.T) {
 	}
 }
 
+// dirReads counts the directory listings an io/fs walk asks of an IOFS
+// view: every ReadDir, and every Open that lands on a directory (which
+// lists it to serve ReadDir on the file).
+type dirReads struct {
+	ioFS
+	n int
+}
+
+func (d *dirReads) Open(name string) (fs.File, error) {
+	f, err := d.ioFS.Open(name)
+	if _, ok := f.(*ioDir); ok {
+		d.n++
+	}
+	return f, err
+}
+
+func (d *dirReads) ReadDir(name string) ([]fs.DirEntry, error) {
+	d.n++
+	return d.ioFS.ReadDir(name)
+}
+
+// TestIOFSWalkListsEachDirOnce: one fs.WalkDir over an IOFS tree lists
+// each directory once; its root is stat'ed, not opened and listed.
+func TestIOFSWalkListsEachDirOnce(t *testing.T) {
+	f := New()
+	f.WriteFile("/tree/x.txt", []byte("hello"))
+	f.WriteFile("/tree/sub/y.txt", []byte("world"))
+	f.MkdirAll("/tree/sub/empty")
+	fsys := &dirReads{ioFS: f.IOFS("/tree").(ioFS)}
+	dirs := 0
+	err := fs.WalkDir(fsys, ".", func(_ string, d fs.DirEntry, err error) error {
+		if err == nil && d.IsDir() {
+			dirs++
+		}
+		return err
+	})
+	if err != nil || dirs != 3 || fsys.n != dirs {
+		t.Fatalf("walk of %d directories listed %d times (%v), want once each", dirs, fsys.n, err)
+	}
+	if fi, err := fs.Stat(fsys, "sub"); err != nil || !fi.IsDir() || fsys.n != dirs {
+		t.Errorf("fs.Stat of a directory = %v, %v after %d listings", fi, err, fsys.n-dirs)
+	}
+	if _, err := fs.Stat(fsys, "nope"); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("fs.Stat of an absent name = %v", err)
+	}
+}
+
 // TestIOFSReadAtAcrossSegments: ReadAt on a file written as segments
 // reads any range across them, and reports io.EOF for a short read.
 func TestIOFSReadAtAcrossSegments(t *testing.T) {

@@ -38,7 +38,7 @@ go test -race ./...
 # worker's admit stage parses, the h5lite data files a student's
 # command line names, the telemetry batches any client may publish,
 # raidb's RPC bodies and its journal, both ends of raifs's /cas/ routes
-# (the handlers and the client's frame reader), and the .tar.bz2
+# (the upload and fetch handlers, and the client's frame reader), and the .tar.bz2
 # archives the grading downloader unpacks.
 go test -run='^$' -fuzz='^FuzzBinaryDecode$' -fuzztime=5s ./internal/brokerd
 go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=5s ./internal/cas
