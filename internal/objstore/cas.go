@@ -77,10 +77,13 @@ var errBadManifest = errors.New("objstore: bad manifest")
 
 // casOp labels /cas/ requests for the shared request metrics.
 func casOp(r *http.Request) string {
-	if strings.HasPrefix(r.URL.Path, "/cas/manifest/") {
+	switch {
+	case strings.HasPrefix(r.URL.Path, "/cas/manifest/"):
 		return "cas-manifest"
+	case r.URL.Path == "/cas/fetch":
+		return "cas-fetch"
 	}
-	return "cas-fetch"
+	return "other"
 }
 
 // manifestFrame is the word that heads the last frame of an upload, in
