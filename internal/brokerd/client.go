@@ -190,15 +190,7 @@ func (c *conn) Requeue(ctx context.Context, m *broker.Message) error {
 // unsettled deliveries before it serves anything sent after. Deliveries
 // already on the wire still land on C(), at most the subscription's
 // in-flight window of them, which its buffer holds.
-func (c *conn) Unsubscribe() error {
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
-		return ErrClientClosed
-	}
-	return c.fw.write(&Frame{Op: OpUnsub})
-}
+func (c *conn) Unsubscribe() error { return c.fw.write(&Frame{Op: OpUnsub}) }
 
 // Close tears down the connection.
 func (c *conn) Close() error {

@@ -2,7 +2,7 @@ package brokerd
 
 import (
 	"context"
-	"sync"
+	"sync/atomic"
 
 	"rai/internal/broker"
 	"rai/internal/netx"
@@ -17,9 +17,7 @@ type Queue struct {
 	addr   string
 	policy netx.Policy
 	pub    *ReconnClient
-
-	mu     sync.Mutex
-	shared bool // the publish connection's subscription is taken
+	shared atomic.Bool // the publish connection's subscription is taken
 }
 
 var (
@@ -52,15 +50,9 @@ func (q *Queue) Publish(ctx context.Context, topic string, body []byte) (uint64,
 // rides the publish connection and ends when it is closed or the queue
 // is; the connection stays for publishes either way.
 func (q *Queue) Subscribe(ctx context.Context, topic, channel string, maxInFlight int) (broker.Consumer, error) {
-	q.mu.Lock()
-	first := !q.shared
-	q.shared = true
-	q.mu.Unlock()
-	if first {
+	if q.shared.CompareAndSwap(false, true) {
 		if err := q.pub.Subscribe(ctx, topic, channel, maxInFlight); err != nil {
-			q.mu.Lock()
-			q.shared = false
-			q.mu.Unlock()
+			q.shared.Store(false)
 			return nil, err
 		}
 		return sharedSub{q.pub}, nil

@@ -82,7 +82,7 @@ type indexScan struct {
 	idx   *DirIndex
 	tmp   *os.File
 	prev  map[string]indexEntry
-	named map[string]bool // the chunk hashes prev names, once asked
+	named map[string]bool // the chunk hashes prev names, and those listed fresh; built on first use
 	body  []byte
 }
 
