@@ -885,6 +885,41 @@ func BenchmarkCNNForward(b *testing.B) {
 	}
 }
 
+// BenchmarkECE408Run measures the arithmetic the worker does for one
+// `./ece408 /data/test10.hdf5 /data/model.hdf5` build step: read both
+// files from the course /data volume, decode them, and run the im2col
+// kernel over the 10-image verification subset (shell's verifyImages).
+func BenchmarkECE408Run(b *testing.B) {
+	data, err := cnn.DataVolume(408, 12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dataBlob, err := data.ReadFile("/data/test10.hdf5")
+		if err != nil {
+			b.Fatal(err)
+		}
+		modelBlob, err := data.ReadFile("/data/model.hdf5")
+		if err != nil {
+			b.Fatal(err)
+		}
+		ds, err := cnn.DecodeDataset(dataBlob)
+		if err != nil {
+			b.Fatal(err)
+		}
+		nw, err := cnn.LoadModel(modelBlob)
+		if err != nil {
+			b.Fatal(err)
+		}
+		acc, err := nw.Accuracy(cnn.ImplIm2col, ds.Images, ds.Labels)
+		if err != nil || acc != 1 || ds.Images.N != 10 {
+			b.Fatalf("accuracy %v over %d images: %v", acc, ds.Images.N, err)
+		}
+	}
+}
+
 // BenchmarkSandboxStartup measures container creation with mounts.
 func BenchmarkSandboxStartup(b *testing.B) {
 	src := vfs.New()

@@ -176,21 +176,10 @@ func convIm2col(in, w *Tensor, bias []float32, out *Tensor, parallel bool) {
 				}
 			}
 		}
-		// GEMM: out[m, :] = wMat[m, :] * col + bias[m]
+		// GEMM: out[m, :] = bias[m] + wMat[m, :] * col
 		for m := 0; m < out.C; m++ {
 			outRow := out.Index(n, m, 0, 0)
-			dst := out.Data[outRow : outRow+cols]
-			for i := range dst {
-				dst[i] = bias[m]
-			}
-			wRow := wMat[m*rows : (m+1)*rows]
-			for r := 0; r < rows; r++ {
-				wv := wRow[r]
-				src := col[r*cols : (r+1)*cols]
-				for i, sv := range src {
-					dst[i] += wv * sv
-				}
-			}
+			gemmStrip(out.Data[outRow:outRow+cols], wMat[m*rows:(m+1)*rows], col, bias[m])
 		}
 	}
 
@@ -224,29 +213,74 @@ func convIm2col(in, w *Tensor, bias []float32, out *Tensor, parallel bool) {
 	wg.Wait()
 }
 
-// ReLU applies max(0, x) elementwise, in place, and returns t.
-func ReLU(t *Tensor) *Tensor {
-	for i, v := range t.Data {
-		if v < 0 {
-			t.Data[i] = 0
+// gemmStripGo computes one output channel of the im2col GEMM for every
+// pixel i >= from: dst[i] = bias + Σ_r w[r]·col[r·len(dst)+i], with col
+// the (len(w) × len(dst)) patch matrix. Eight adjacent pixels are summed
+// at a time in locals, so dst is written once per pixel; the pixels past
+// the last full block are summed one at a time. Every sum starts at bias
+// and adds w[r]·col in ascending r, the order every Impl uses, so the
+// result is bit-identical to ImplNaiveSerial.
+func gemmStripGo(dst, w, col []float32, bias float32, from int) {
+	cols := len(dst)
+	i := from
+	for ; i+8 <= cols; i += 8 {
+		a0, a1, a2, a3, a4, a5, a6, a7 := bias, bias, bias, bias, bias, bias, bias, bias
+		off := i
+		for _, wv := range w {
+			s := (*[8]float32)(col[off:])
+			off += cols
+			a0 += wv * s[0]
+			a1 += wv * s[1]
+			a2 += wv * s[2]
+			a3 += wv * s[3]
+			a4 += wv * s[4]
+			a5 += wv * s[5]
+			a6 += wv * s[6]
+			a7 += wv * s[7]
 		}
+		d := (*[8]float32)(dst[i:])
+		d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = a0, a1, a2, a3, a4, a5, a6, a7
+	}
+	for ; i < cols; i++ {
+		acc := bias
+		off := i
+		for _, wv := range w {
+			acc += wv * col[off]
+			off += cols
+		}
+		dst[i] = acc
+	}
+}
+
+// ReLU applies max(x, 0) elementwise, in place, and returns t. It is
+// branch-free: activations change sign unpredictably. A NaN stays NaN,
+// and -0 becomes +0, which can change only the sign of a later sum that
+// is exactly zero.
+func ReLU(t *Tensor) *Tensor {
+	d := t.Data
+	for i, v := range d {
+		d[i] = max(v, 0)
 	}
 	return t
 }
 
-// AvgPool2 performs 2x2 average pooling with stride 2 (dimensions must
-// be even).
+// AvgPool2 performs 2x2 average pooling with stride 2 (an odd last row
+// or column is dropped).
 func AvgPool2(in *Tensor) *Tensor {
 	out := NewTensor(in.N, in.C, in.H/2, in.W/2)
-	for n := 0; n < in.N; n++ {
-		for c := 0; c < in.C; c++ {
-			for y := 0; y < out.H; y++ {
-				for x := 0; x < out.W; x++ {
-					s := in.At(n, c, 2*y, 2*x) + in.At(n, c, 2*y, 2*x+1) +
-						in.At(n, c, 2*y+1, 2*x) + in.At(n, c, 2*y+1, 2*x+1)
-					out.Set(n, c, y, x, s/4)
-				}
+	plane := in.H * in.W
+	o := 0
+	for p := 0; p < in.N*in.C; p++ {
+		for y := 0; y < out.H; y++ {
+			top := p*plane + 2*y*in.W
+			r0 := in.Data[top : top+in.W]
+			r1 := in.Data[top+in.W : top+2*in.W]
+			d := out.Data[o : o+out.W]
+			for x := range d {
+				s := r0[2*x] + r0[2*x+1] + r1[2*x] + r1[2*x+1]
+				d[x] = s / 4
 			}
+			o += out.W
 		}
 	}
 	return out
@@ -254,20 +288,38 @@ func AvgPool2(in *Tensor) *Tensor {
 
 // FullyConnected computes out[n, j] = bias[j] + sum_i in[n, i] * w[j, i],
 // treating the input as (N, C*H*W). Weights are shaped (outDim, inDim)
-// in w.N and w.C with H=W=1.
+// in w.N and w.C with H=W=1. Four outputs are summed per pass over an
+// input row, as four independent chains in ascending i.
 func FullyConnected(im Impl, in, w *Tensor, bias []float32) *Tensor {
 	inDim := in.C * in.H * in.W
 	outDim := w.N
 	out := NewTensor(in.N, outDim, 1, 1)
 	run := func(n int) {
-		inRow := in.Data[n*inDim : (n+1)*inDim]
-		for j := 0; j < outDim; j++ {
+		x := in.Data[n*inDim : (n+1)*inDim]
+		dst := out.Data[n*outDim : (n+1)*outDim]
+		j := 0
+		for ; j+4 <= outDim; j += 4 {
+			w0 := w.Data[j*inDim : (j+1)*inDim]
+			w1 := w.Data[(j+1)*inDim : (j+2)*inDim]
+			w2 := w.Data[(j+2)*inDim : (j+3)*inDim]
+			w3 := w.Data[(j+3)*inDim : (j+4)*inDim]
+			w0, w1, w2, w3 = w0[:len(x)], w1[:len(x)], w2[:len(x)], w3[:len(x)]
+			a0, a1, a2, a3 := bias[j], bias[j+1], bias[j+2], bias[j+3]
+			for i, v := range x {
+				a0 += v * w0[i]
+				a1 += v * w1[i]
+				a2 += v * w2[i]
+				a3 += v * w3[i]
+			}
+			dst[j], dst[j+1], dst[j+2], dst[j+3] = a0, a1, a2, a3
+		}
+		for ; j < outDim; j++ {
 			acc := bias[j]
 			wRow := w.Data[j*inDim : (j+1)*inDim]
-			for i, v := range inRow {
+			for i, v := range x {
 				acc += v * wRow[i]
 			}
-			out.Data[n*outDim+j] = acc
+			dst[j] = acc
 		}
 	}
 	if im == ImplParallel && in.N > 1 {
@@ -313,11 +365,4 @@ func ArgMax(t *Tensor) []int {
 		out[n] = bestIdx
 	}
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -2,6 +2,7 @@ package cnn
 
 import (
 	"fmt"
+	"slices"
 
 	"rai/internal/h5lite"
 	"rai/internal/vfs"
@@ -35,37 +36,55 @@ const (
 	NumClasses = 10
 )
 
+// weighted describes one weighted layer of the network: its dataset
+// names in model.hdf5, its weight shape (out, in, k, k) with a bias of
+// length out, and the scales NewNetwork draws weights and bias from.
+type weighted struct {
+	wName, bName   string
+	out, in, k     int
+	wScale, bScale float32
+}
+
+// weightedLayers lists the network's weighted layers in Forward order.
+var weightedLayers = [4]weighted{
+	{"conv1/weights", "conv1/bias", 6, 1, 5, 0.4, 0.1},
+	{"conv2/weights", "conv2/bias", 16, 6, 5, 0.2, 0.1},
+	{"fc1/weights", "fc1/bias", 120, 16 * 4 * 4, 1, 0.1, 0.05},
+	{"fc2/weights", "fc2/bias", NumClasses, 120, 1, 0.2, 0.05},
+}
+
+// param points at the weights and bias of one weighted layer.
+type param struct {
+	w **Tensor
+	b *[]float32
+}
+
+// params returns the network's weights and biases in weightedLayers order.
+func (nw *Network) params() [4]param {
+	return [4]param{
+		{&nw.Conv1W, &nw.Conv1B}, {&nw.Conv2W, &nw.Conv2B},
+		{&nw.FC1W, &nw.FC1B}, {&nw.FC2W, &nw.FC2B},
+	}
+}
+
 // NewNetwork builds a network with deterministic pseudo-random weights
 // derived from seed (the course shipped fixed pre-trained weights; a
 // seeded model plays that role here).
 func NewNetwork(seed uint64) *Network {
 	rng := newPRNG(seed)
-	fill := func(t *Tensor, scale float32) {
-		for i := range t.Data {
-			t.Data[i] = rng.float(scale)
+	fill := func(vals []float32, scale float32) {
+		for i := range vals {
+			vals[i] = rng.float(scale)
 		}
 	}
-	fillB := func(n int, scale float32) []float32 {
-		b := make([]float32, n)
-		for i := range b {
-			b[i] = rng.float(scale)
-		}
-		return b
+	nw := &Network{}
+	for i, p := range nw.params() {
+		l := weightedLayers[i]
+		*p.w = NewTensor(l.out, l.in, l.k, l.k)
+		fill((*p.w).Data, l.wScale)
+		*p.b = make([]float32, l.out)
+		fill(*p.b, l.bScale)
 	}
-	nw := &Network{
-		Conv1W: NewTensor(6, 1, 5, 5),
-		Conv2W: NewTensor(16, 6, 5, 5),
-		FC1W:   NewTensor(120, 16*4*4, 1, 1),
-		FC2W:   NewTensor(NumClasses, 120, 1, 1),
-	}
-	fill(nw.Conv1W, 0.4)
-	nw.Conv1B = fillB(6, 0.1)
-	fill(nw.Conv2W, 0.2)
-	nw.Conv2B = fillB(16, 0.1)
-	fill(nw.FC1W, 0.1)
-	nw.FC1B = fillB(120, 0.05)
-	fill(nw.FC2W, 0.2)
-	nw.FC2B = fillB(NumClasses, 0.05)
 	return nw
 }
 
@@ -114,101 +133,57 @@ func (nw *Network) Accuracy(im Impl, in *Tensor, labels []int32) (float64, error
 	return float64(correct) / float64(len(labels)), nil
 }
 
-// Model dataset names inside the h5lite file (the reproduction's
-// model.hdf5).
-const (
-	dsConv1W = "conv1/weights"
-	dsConv1B = "conv1/bias"
-	dsConv2W = "conv2/weights"
-	dsConv2B = "conv2/bias"
-	dsFC1W   = "fc1/weights"
-	dsFC1B   = "fc1/bias"
-	dsFC2W   = "fc2/weights"
-	dsFC2B   = "fc2/bias"
-)
-
 // SaveModel serializes the weights as an h5lite file (model.hdf5).
 func (nw *Network) SaveModel() ([]byte, error) {
 	f := h5lite.NewFile()
-	add := func(name string, t *Tensor) error {
-		return f.AddFloat32(name, t.Shape(), t.Data)
-	}
-	addB := func(name string, b []float32) error {
-		return f.AddFloat32(name, []int{len(b)}, b)
-	}
-	for _, step := range []error{
-		add(dsConv1W, nw.Conv1W), addB(dsConv1B, nw.Conv1B),
-		add(dsConv2W, nw.Conv2W), addB(dsConv2B, nw.Conv2B),
-		add(dsFC1W, nw.FC1W), addB(dsFC1B, nw.FC1B),
-		add(dsFC2W, nw.FC2W), addB(dsFC2B, nw.FC2B),
-	} {
-		if step != nil {
-			return nil, step
+	for i, p := range nw.params() {
+		l, w, b := weightedLayers[i], *p.w, *p.b
+		if err := f.AddFloat32(l.wName, w.Shape(), w.Data); err != nil {
+			return nil, err
+		}
+		if err := f.AddFloat32(l.bName, []int{len(b)}, b); err != nil {
+			return nil, err
 		}
 	}
 	return f.Encode(), nil
 }
 
-// LoadModel reads a model.hdf5 produced by SaveModel.
+// LoadModel reads a model.hdf5 produced by SaveModel. Every dataset must
+// have the course network's shape (fully connected weights may also be
+// stored as rank 2), so a malformed model is an error here rather than an
+// index out of range inside Forward. Each decoded slice becomes its
+// tensor's storage as is.
 func LoadModel(data []byte) (*Network, error) {
 	f, err := h5lite.Decode(data)
 	if err != nil {
 		return nil, err
 	}
-	get4 := func(name string) (*Tensor, error) {
+	get := func(name string, want ...int) ([]float32, error) {
 		d, err := f.Get(name)
 		if err != nil {
 			return nil, err
 		}
-		vals, err := d.Float32s()
-		if err != nil {
-			return nil, err
+		shape := d.Shape
+		if len(want) == 4 && len(shape) == 2 {
+			shape = []int{shape[0], shape[1], 1, 1}
 		}
-		s := d.Shape
-		switch len(s) {
-		case 4:
-			t := NewTensor(s[0], s[1], s[2], s[3])
-			copy(t.Data, vals)
-			return t, nil
-		case 2:
-			t := NewTensor(s[0], s[1], 1, 1)
-			copy(t.Data, vals)
-			return t, nil
-		default:
-			return nil, fmt.Errorf("cnn: dataset %q has rank %d", name, len(s))
-		}
-	}
-	getB := func(name string) ([]float32, error) {
-		d, err := f.Get(name)
-		if err != nil {
-			return nil, err
+		if !slices.Equal(shape, want) {
+			// A copy of want, so that want itself stays off the heap.
+			return nil, fmt.Errorf("cnn: dataset %q has shape %v, want %v", name, d.Shape, slices.Clone(want))
 		}
 		return d.Float32s()
 	}
 	nw := &Network{}
-	if nw.Conv1W, err = get4(dsConv1W); err != nil {
-		return nil, err
-	}
-	if nw.Conv1B, err = getB(dsConv1B); err != nil {
-		return nil, err
-	}
-	if nw.Conv2W, err = get4(dsConv2W); err != nil {
-		return nil, err
-	}
-	if nw.Conv2B, err = getB(dsConv2B); err != nil {
-		return nil, err
-	}
-	if nw.FC1W, err = get4(dsFC1W); err != nil {
-		return nil, err
-	}
-	if nw.FC1B, err = getB(dsFC1B); err != nil {
-		return nil, err
-	}
-	if nw.FC2W, err = get4(dsFC2W); err != nil {
-		return nil, err
-	}
-	if nw.FC2B, err = getB(dsFC2B); err != nil {
-		return nil, err
+	for i, p := range nw.params() {
+		l := weightedLayers[i]
+		w, err := get(l.wName, l.out, l.in, l.k, l.k)
+		if err != nil {
+			return nil, err
+		}
+		*p.w = &Tensor{N: l.out, C: l.in, H: l.k, W: l.k, Data: w}
+		if *p.b, err = get(l.bName, l.out); err != nil {
+			return nil, err
+		}
 	}
 	return nw, nil
 }
@@ -276,8 +251,7 @@ func DecodeDataset(data []byte) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	imgs := NewTensor(di.Shape[0], di.Shape[1], di.Shape[2], di.Shape[3])
-	copy(imgs.Data, vals)
+	imgs := &Tensor{N: di.Shape[0], C: di.Shape[1], H: di.Shape[2], W: di.Shape[3], Data: vals}
 	dl, err := f.Get(dsLabels)
 	if err != nil {
 		return nil, err

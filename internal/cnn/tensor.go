@@ -11,6 +11,14 @@
 // optimization levels — naive serial loops, loop-reordered, cache-tiled,
 // im2col+GEMM, and a goroutine-parallel "device" version. Real arithmetic
 // runs on every path, so relative speedups are measured, not asserted.
+//
+// Every implementation returns the same logits, bit for bit. Each output
+// of a convolution or fully connected layer is summed as its bias first,
+// then acc += w*x over the reduction index (channel, kernel row, kernel
+// column; or input element) in ascending order, with every product and
+// sum rounded to float32. A faster kernel may block outputs in registers,
+// SIMD lanes or goroutines, but never reassociates a sum, so an
+// implementation's accuracy is exactly ImplNaiveSerial's.
 package cnn
 
 import "fmt"

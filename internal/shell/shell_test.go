@@ -367,6 +367,18 @@ func TestBinaryRunRejectsMissingArgs(t *testing.T) {
 	if _, err := sh.Run("./ece408 /data/test10.hdf5 /data/model.hdf5 -3"); err == nil {
 		t.Error("negative count accepted")
 	}
+	// A student's own model of the wrong geometry is refused, not run
+	// into an index out of range.
+	nw := cnn.NewNetwork(1)
+	nw.FC1W = cnn.NewTensor(120, 100, 1, 1)
+	model, err := nw.SaveModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.WriteFile("/build/model.hdf5", model)
+	if res, err := sh.Run("./ece408 /data/test10.hdf5 /build/model.hdf5"); err == nil || res.ExitCode != 1 {
+		t.Errorf("malformed model: %v %+v", err, res)
+	}
 	// Running a non-binary file fails like exec would.
 	fs.WriteFile("/build/script.txt", []byte("just text"))
 	if res, err := sh.Run("./script.txt"); err == nil || res.ExitCode != 126 {

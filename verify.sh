@@ -39,18 +39,22 @@ go test -race ./...
 # command line names, the telemetry batches any client may publish,
 # raidb's RPC bodies and its journal, both ends of raifs's /cas/ routes
 # (the upload and fetch handlers, and the client's frame reader), and the .tar.bz2
-# archives the grading downloader unpacks.
-go test -run='^$' -fuzz='^FuzzBinaryDecode$' -fuzztime=5s ./internal/brokerd
-go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=5s ./internal/cas
-go test -run='^$' -fuzz='^FuzzDirIndex$' -fuzztime=5s ./internal/cas
-go test -run='^$' -fuzz='^FuzzParse$' -fuzztime=5s ./internal/build
-go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=5s ./internal/h5lite
-go test -run='^$' -fuzz='^FuzzDecodeBatch$' -fuzztime=5s ./internal/telemetry
-go test -run='^$' -fuzz='^FuzzHandler$' -fuzztime=5s ./internal/docstore
-go test -run='^$' -fuzz='^FuzzJournal$' -fuzztime=5s ./internal/docstore
-go test -run='^$' -fuzz='^FuzzReadChunkFrames$' -fuzztime=5s ./internal/objstore
-go test -run='^$' -fuzz='^FuzzCASHandler$' -fuzztime=5s ./internal/objstore
-go test -run='^$' -fuzz='^FuzzUnpackVFS$' -fuzztime=5s ./internal/archivex
+# archives the grading downloader unpacks. Minimization is capped at 100
+# runs per new input: uncapped, once the cached corpus has grown a run
+# spends its time minimizing (FuzzCASHandler, -parallel=1, 44 cached
+# entries: 0 execs/s from the third second of 12 uncapped, ~2,000/s
+# capped).
+go test -run='^$' -fuzz='^FuzzBinaryDecode$' -fuzztime=5s -fuzzminimizetime=100x ./internal/brokerd
+go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=5s -fuzzminimizetime=100x ./internal/cas
+go test -run='^$' -fuzz='^FuzzDirIndex$' -fuzztime=5s -fuzzminimizetime=100x ./internal/cas
+go test -run='^$' -fuzz='^FuzzParse$' -fuzztime=5s -fuzzminimizetime=100x ./internal/build
+go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=5s -fuzzminimizetime=100x ./internal/h5lite
+go test -run='^$' -fuzz='^FuzzDecodeBatch$' -fuzztime=5s -fuzzminimizetime=100x ./internal/telemetry
+go test -run='^$' -fuzz='^FuzzHandler$' -fuzztime=5s -fuzzminimizetime=100x ./internal/docstore
+go test -run='^$' -fuzz='^FuzzJournal$' -fuzztime=5s -fuzzminimizetime=100x ./internal/docstore
+go test -run='^$' -fuzz='^FuzzReadChunkFrames$' -fuzztime=5s -fuzzminimizetime=100x ./internal/objstore
+go test -run='^$' -fuzz='^FuzzCASHandler$' -fuzztime=5s -fuzzminimizetime=100x ./internal/objstore
+go test -run='^$' -fuzz='^FuzzUnpackVFS$' -fuzztime=5s -fuzzminimizetime=100x ./internal/archivex
 go test -run='^$' -bench=. -benchtime=1x .
 # One-iteration smoke of the analysis benchmark: catches the engine
 # regressing into re-type-checking per check (DESIGN.md §15).
