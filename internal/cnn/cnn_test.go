@@ -1,9 +1,12 @@
 package cnn
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -49,7 +52,7 @@ func TestConvKnownValues(t *testing.T) {
 		1 + 3 + 4 + 6 + 7, 1 + 4 + 5 + 7 + 8,
 	}
 	for _, im := range Impls {
-		out := Conv2D(im, in, w, []float32{1})
+		out := newConv2D(im, in, w, []float32{1})
 		if out.H != 2 || out.W != 2 {
 			t.Fatalf("%v: out shape %v", im, out.Shape())
 		}
@@ -98,7 +101,7 @@ func TestAvgPool2MatchesReference(t *testing.T) {
 		for i := range in.Data {
 			in.Data[i] = rng.float(1) / 3 // a full mantissa, so sums round
 		}
-		if i := firstDiff(refAvgPool2(in), AvgPool2(in)); i >= 0 {
+		if i := firstDiff(refAvgPool2(in), newAvgPool2(in)); i >= 0 {
 			t.Errorf("%v: output %d differs", s, i)
 		}
 	}
@@ -107,7 +110,7 @@ func TestAvgPool2MatchesReference(t *testing.T) {
 func TestAvgPool2(t *testing.T) {
 	in := NewTensor(1, 1, 2, 4)
 	copy(in.Data, []float32{1, 2, 3, 4, 5, 6, 7, 8})
-	out := AvgPool2(in)
+	out := newAvgPool2(in)
 	if out.H != 1 || out.W != 2 {
 		t.Fatalf("shape = %v", out.Shape())
 	}
@@ -122,7 +125,7 @@ func TestFullyConnectedKnown(t *testing.T) {
 	w := NewTensor(2, 3, 1, 1)
 	copy(w.Data, []float32{1, 0, 0, 0, 1, 1})
 	for _, im := range Impls {
-		out := FullyConnected(im, in, w, []float32{10, 20})
+		out := newFullyConnected(im, in, w, []float32{10, 20})
 		if out.Data[0] != 11 || out.Data[1] != 25 {
 			t.Fatalf("%v: fc = %v", im, out.Data)
 		}
@@ -205,6 +208,69 @@ func TestForwardMatchesReference(t *testing.T) {
 	}
 }
 
+// TestForwardScratchReuse runs one scratch through batches that shrink
+// and grow and through every Impl, so each buffer starts with the last
+// call's values, and then runs Forward from several goroutines at once:
+// every result must be the reference's bits, and neither the weights nor
+// the input may change (the worker shares one decoded network and
+// dataset between its slots and never copies them).
+func TestForwardScratchReuse(t *testing.T) {
+	nw := NewNetwork(408)
+	model, err := nw.SaveModel() // before SynthesizeDataset runs inference
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := SynthesizeDataset(nw, 5, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	images := slices.Clone(ds.Images.Data)
+	var s scratch
+	for _, n := range []int{16, 3, 1, 16, 7} {
+		in := &Tensor{N: n, C: 1, H: InputH, W: InputW, Data: ds.Images.Data[:n*InputH*InputW]}
+		want := refForward(nw, in)
+		for _, im := range Impls {
+			got, err := nw.forward(im, in, &s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i := firstDiff(want, got); i >= 0 {
+				t.Errorf("batch %d %v: logit %d = %v, reference %v", n, im, i, got.Data[i], want.Data[i])
+			}
+		}
+	}
+	want := refForward(nw, ds.Images)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				im := Impls[(g+i)%len(Impls)]
+				got, err := nw.Forward(im, ds.Images)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if j := firstDiff(want, got); j >= 0 {
+					t.Errorf("goroutine %d %v: logit %d = %v, reference %v", g, im, j, got.Data[j], want.Data[j])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	after, err := nw.SaveModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(model, after) {
+		t.Error("inference wrote the weights")
+	}
+	if !slices.Equal(images, ds.Images.Data) {
+		t.Error("inference wrote its input")
+	}
+}
+
 // TestQuickConvEquivalence checks every Impl against ImplNaiveSerial on
 // random shapes, bit for bit. Output widths and pixel counts that are not
 // multiples of the GEMM's eight-pixel block exercise its tail.
@@ -225,9 +291,9 @@ func TestQuickConvEquivalence(t *testing.T) {
 		for i := range bias {
 			bias[i] = rng.float(0.5)
 		}
-		ref := Conv2D(ImplNaiveSerial, in, w, bias)
+		ref := newConv2D(ImplNaiveSerial, in, w, bias)
 		for _, im := range Impls[1:] {
-			if i := firstDiff(ref, Conv2D(im, in, w, bias)); i >= 0 {
+			if i := firstDiff(ref, newConv2D(im, in, w, bias)); i >= 0 {
 				t.Logf("%v differs at %d on in %v, w %v", im, i, in.Shape(), w.Shape())
 				return false
 			}
@@ -265,9 +331,9 @@ func TestConvTails(t *testing.T) {
 		for i := range bias {
 			bias[i] = rng.float(0.5)
 		}
-		ref := Conv2D(ImplNaiveSerial, in, w, bias)
+		ref := newConv2D(ImplNaiveSerial, in, w, bias)
 		for _, im := range Impls[1:] {
-			if i := firstDiff(ref, Conv2D(im, in, w, bias)); i >= 0 {
+			if i := firstDiff(ref, newConv2D(im, in, w, bias)); i >= 0 {
 				t.Errorf("%+v %v: output %d differs", c, im, i)
 			}
 		}
@@ -278,7 +344,7 @@ func TestConvTails(t *testing.T) {
 		}
 		want := refFullyConnected(in, fcw, bias)
 		for _, im := range Impls {
-			if i := firstDiff(want, FullyConnected(im, in, fcw, bias)); i >= 0 {
+			if i := firstDiff(want, newFullyConnected(im, in, fcw, bias)); i >= 0 {
 				t.Errorf("%+v %v: fc output %d differs", c, im, i)
 			}
 		}
@@ -581,5 +647,28 @@ func refFullyConnected(in, w *Tensor, bias []float32) *Tensor {
 			out.Data[n*w.N+j] = acc
 		}
 	}
+	return out
+}
+
+// newConv2D is conv2D into a tensor of its own.
+func newConv2D(im Impl, in, weights *Tensor, bias []float32) *Tensor {
+	k := weights.H
+	out := NewTensor(in.N, weights.N, in.H-k+1, in.W-k+1)
+	var cols patches
+	conv2D(im, in, weights, bias, out, &cols)
+	return out
+}
+
+// newAvgPool2 is avgPool2 into a tensor of its own.
+func newAvgPool2(in *Tensor) *Tensor {
+	out := NewTensor(in.N, in.C, in.H/2, in.W/2)
+	avgPool2(in, out)
+	return out
+}
+
+// newFullyConnected is fullyConnected into a tensor of its own.
+func newFullyConnected(im Impl, in, w *Tensor, bias []float32) *Tensor {
+	out := NewTensor(in.N, w.N, 1, 1)
+	fullyConnected(im, in, w, bias, out)
 	return out
 }

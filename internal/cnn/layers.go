@@ -48,13 +48,13 @@ func (im Impl) String() string {
 	}
 }
 
-// Conv2D computes a valid (no padding, stride 1) cross-correlation:
+// conv2D computes a valid (no padding, stride 1) cross-correlation:
 // out[n,m,y,x] = bias[m] + sum_{c,p,q} in[n,c,y+p,x+q] * w[m,c,p,q].
-// Weights are shaped (M out-channels, C in-channels, K, K).
-func Conv2D(im Impl, in, weights *Tensor, bias []float32) *Tensor {
-	k := weights.H
-	outH, outW := in.H-k+1, in.W-k+1
-	out := NewTensor(in.N, weights.N, outH, outW)
+// Weights are shaped (M out-channels, C in-channels, K, K), and out is
+// shaped (N, M, H-K+1, W-K+1) by the caller; the im2col kernels take
+// their patch buffers from cols. Every kernel writes every element of
+// out, so out may hold anything before.
+func conv2D(im Impl, in, weights *Tensor, bias []float32, out *Tensor, cols *patches) {
 	switch im {
 	case ImplNaiveSerial:
 		convNaive(in, weights, bias, out)
@@ -63,13 +63,12 @@ func Conv2D(im Impl, in, weights *Tensor, bias []float32) *Tensor {
 	case ImplTiled:
 		convTiled(in, weights, bias, out)
 	case ImplIm2col:
-		convIm2col(in, weights, bias, out, false)
+		convIm2col(in, weights, bias, out, cols, false)
 	case ImplParallel:
-		convIm2col(in, weights, bias, out, true)
+		convIm2col(in, weights, bias, out, cols, true)
 	default:
 		convNaive(in, weights, bias, out)
 	}
-	return out
 }
 
 func convNaive(in, w *Tensor, bias []float32, out *Tensor) {
@@ -154,39 +153,37 @@ func convTiled(in, w *Tensor, bias []float32, out *Tensor) {
 	}
 }
 
-// convIm2col lowers each image to a (C*K*K) x (outH*outW) matrix and
-// multiplies by the (M) x (C*K*K) weight matrix.
-func convIm2col(in, w *Tensor, bias []float32, out *Tensor, parallel bool) {
-	k := w.H
-	rows := in.C * k * k
-	cols := out.H * out.W
-	wMat := w.Data // already (M, C*K*K) contiguous
+// patches holds im2col patch buffers, one per goroutine, across calls.
+type patches [][]float32
 
-	work := func(n int, col []float32) {
-		// im2col
-		idx := 0
-		for c := 0; c < in.C; c++ {
-			for p := 0; p < k; p++ {
-				for q := 0; q < k; q++ {
-					for y := 0; y < out.H; y++ {
-						inRow := in.Index(n, c, y+p, q)
-						copy(col[idx+y*out.W:idx+(y+1)*out.W], in.Data[inRow:inRow+out.W])
-					}
-					idx += cols
-				}
-			}
-		}
-		// GEMM: out[m, :] = bias[m] + wMat[m, :] * col
-		for m := 0; m < out.C; m++ {
-			outRow := out.Index(n, m, 0, 0)
-			gemmStrip(out.Data[outRow:outRow+cols], wMat[m*rows:(m+1)*rows], col, bias[m])
-		}
+// get returns buffer i resized to n elements, allocating only when it
+// is too small. Only the goroutine that owns p calls it.
+func (p *patches) get(i, n int) []float32 {
+	for len(*p) <= i {
+		*p = append(*p, nil)
 	}
+	(*p)[i] = grow((*p)[i], n)
+	return (*p)[i]
+}
 
+// grow returns buf resliced to n elements, reallocated only when its
+// capacity is short. The elements keep whatever they held.
+func grow(buf []float32, n int) []float32 {
+	if cap(buf) < n {
+		return make([]float32, n)
+	}
+	return buf[:n]
+}
+
+// convIm2col lowers each image to a (C*K*K) x (outH*outW) matrix and
+// multiplies by the (M) x (C*K*K) weight matrix, with one patch buffer
+// from cols per goroutine.
+func convIm2col(in, w *Tensor, bias []float32, out *Tensor, cols *patches, parallel bool) {
+	size := in.C * w.H * w.H * out.H * out.W
 	if !parallel || in.N == 1 {
-		col := make([]float32, rows*cols)
+		col := cols.get(0, size)
 		for n := 0; n < in.N; n++ {
-			work(n, col)
+			im2colImage(in, w, bias, out, n, col)
 		}
 		return
 	}
@@ -197,12 +194,12 @@ func convIm2col(in, w *Tensor, bias []float32, out *Tensor, parallel bool) {
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for g := 0; g < workers; g++ {
+		col := cols.get(g, size)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			col := make([]float32, rows*cols)
 			for n := range next {
-				work(n, col)
+				im2colImage(in, w, bias, out, n, col)
 			}
 		}()
 	}
@@ -211,6 +208,32 @@ func convIm2col(in, w *Tensor, bias []float32, out *Tensor, parallel bool) {
 	}
 	close(next)
 	wg.Wait()
+}
+
+// im2colImage computes image n of convIm2col, lowering it into col.
+func im2colImage(in, w *Tensor, bias []float32, out *Tensor, n int, col []float32) {
+	k := w.H
+	rows := in.C * k * k
+	cols := out.H * out.W
+	wMat := w.Data // already (M, C*K*K) contiguous
+	// im2col
+	idx := 0
+	for c := 0; c < in.C; c++ {
+		for p := 0; p < k; p++ {
+			for q := 0; q < k; q++ {
+				for y := 0; y < out.H; y++ {
+					inRow := in.Index(n, c, y+p, q)
+					copy(col[idx+y*out.W:idx+(y+1)*out.W], in.Data[inRow:inRow+out.W])
+				}
+				idx += cols
+			}
+		}
+	}
+	// GEMM: out[m, :] = bias[m] + wMat[m, :] * col
+	for m := 0; m < out.C; m++ {
+		outRow := out.Index(n, m, 0, 0)
+		gemmStrip(out.Data[outRow:outRow+cols], wMat[m*rows:(m+1)*rows], col, bias[m])
+	}
 }
 
 // gemmStripGo computes one output channel of the im2col GEMM for every
@@ -264,10 +287,9 @@ func ReLU(t *Tensor) *Tensor {
 	return t
 }
 
-// AvgPool2 performs 2x2 average pooling with stride 2 (an odd last row
-// or column is dropped).
-func AvgPool2(in *Tensor) *Tensor {
-	out := NewTensor(in.N, in.C, in.H/2, in.W/2)
+// avgPool2 performs 2x2 average pooling with stride 2 into out, shaped
+// (N, C, H/2, W/2) (an odd last row or column is dropped).
+func avgPool2(in, out *Tensor) {
 	plane := in.H * in.W
 	o := 0
 	for p := 0; p < in.N*in.C; p++ {
@@ -283,86 +305,92 @@ func AvgPool2(in *Tensor) *Tensor {
 			o += out.W
 		}
 	}
-	return out
 }
 
-// FullyConnected computes out[n, j] = bias[j] + sum_i in[n, i] * w[j, i],
-// treating the input as (N, C*H*W). Weights are shaped (outDim, inDim)
-// in w.N and w.C with H=W=1. Four outputs are summed per pass over an
-// input row, as four independent chains in ascending i.
-func FullyConnected(im Impl, in, w *Tensor, bias []float32) *Tensor {
+// fullyConnected computes out[n, j] = bias[j] + sum_i in[n, i] * w[j, i]
+// into out, shaped (N, outDim, 1, 1), treating the input as (N, C*H*W).
+// Weights are shaped (outDim, inDim) in w.N and w.C with H=W=1. Four
+// outputs are summed per pass over an input row, as four independent
+// chains in ascending i.
+func fullyConnected(im Impl, in, w *Tensor, bias []float32, out *Tensor) {
+	if im != ImplParallel || in.N <= 1 {
+		for n := 0; n < in.N; n++ {
+			fcRow(in, w, bias, out, n)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	next := make(chan int)
+	workers := runtime.GOMAXPROCS(0)
+	if workers > in.N {
+		workers = in.N
+	}
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := range next {
+				fcRow(in, w, bias, out, n)
+			}
+		}()
+	}
+	for n := 0; n < in.N; n++ {
+		next <- n
+	}
+	close(next)
+	wg.Wait()
+}
+
+// fcRow computes batch element n of fullyConnected.
+func fcRow(in, w *Tensor, bias []float32, out *Tensor, n int) {
 	inDim := in.C * in.H * in.W
 	outDim := w.N
-	out := NewTensor(in.N, outDim, 1, 1)
-	run := func(n int) {
-		x := in.Data[n*inDim : (n+1)*inDim]
-		dst := out.Data[n*outDim : (n+1)*outDim]
-		j := 0
-		for ; j+4 <= outDim; j += 4 {
-			w0 := w.Data[j*inDim : (j+1)*inDim]
-			w1 := w.Data[(j+1)*inDim : (j+2)*inDim]
-			w2 := w.Data[(j+2)*inDim : (j+3)*inDim]
-			w3 := w.Data[(j+3)*inDim : (j+4)*inDim]
-			w0, w1, w2, w3 = w0[:len(x)], w1[:len(x)], w2[:len(x)], w3[:len(x)]
-			a0, a1, a2, a3 := bias[j], bias[j+1], bias[j+2], bias[j+3]
-			for i, v := range x {
-				a0 += v * w0[i]
-				a1 += v * w1[i]
-				a2 += v * w2[i]
-				a3 += v * w3[i]
-			}
-			dst[j], dst[j+1], dst[j+2], dst[j+3] = a0, a1, a2, a3
+	x := in.Data[n*inDim : (n+1)*inDim]
+	dst := out.Data[n*outDim : (n+1)*outDim]
+	j := 0
+	for ; j+4 <= outDim; j += 4 {
+		w0 := w.Data[j*inDim : (j+1)*inDim]
+		w1 := w.Data[(j+1)*inDim : (j+2)*inDim]
+		w2 := w.Data[(j+2)*inDim : (j+3)*inDim]
+		w3 := w.Data[(j+3)*inDim : (j+4)*inDim]
+		w0, w1, w2, w3 = w0[:len(x)], w1[:len(x)], w2[:len(x)], w3[:len(x)]
+		a0, a1, a2, a3 := bias[j], bias[j+1], bias[j+2], bias[j+3]
+		for i, v := range x {
+			a0 += v * w0[i]
+			a1 += v * w1[i]
+			a2 += v * w2[i]
+			a3 += v * w3[i]
 		}
-		for ; j < outDim; j++ {
-			acc := bias[j]
-			wRow := w.Data[j*inDim : (j+1)*inDim]
-			for i, v := range x {
-				acc += v * wRow[i]
-			}
-			dst[j] = acc
-		}
+		dst[j], dst[j+1], dst[j+2], dst[j+3] = a0, a1, a2, a3
 	}
-	if im == ImplParallel && in.N > 1 {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		workers := runtime.GOMAXPROCS(0)
-		if workers > in.N {
-			workers = in.N
+	for ; j < outDim; j++ {
+		acc := bias[j]
+		wRow := w.Data[j*inDim : (j+1)*inDim]
+		for i, v := range x {
+			acc += v * wRow[i]
 		}
-		for g := 0; g < workers; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for n := range next {
-					run(n)
-				}
-			}()
-		}
-		for n := 0; n < in.N; n++ {
-			next <- n
-		}
-		close(next)
-		wg.Wait()
-	} else {
-		for n := 0; n < in.N; n++ {
-			run(n)
-		}
+		dst[j] = acc
 	}
-	return out
 }
 
 // ArgMax returns the index of the largest logit per batch element.
 func ArgMax(t *Tensor) []int {
-	dim := t.C * t.H * t.W
 	out := make([]int, t.N)
-	for n := 0; n < t.N; n++ {
-		best, bestIdx := t.Data[n*dim], 0
-		for i := 1; i < dim; i++ {
-			if v := t.Data[n*dim+i]; v > best {
-				best, bestIdx = v, i
-			}
-		}
-		out[n] = bestIdx
+	for n := range out {
+		out[n] = argMax(t, n)
 	}
 	return out
+}
+
+// argMax returns the index of batch element n's largest logit.
+func argMax(t *Tensor, n int) int {
+	dim := t.C * t.H * t.W
+	row := t.Data[n*dim : (n+1)*dim]
+	best, bestIdx := row[0], 0
+	for i, v := range row[1:] {
+		if v > best {
+			best, bestIdx = v, i+1
+		}
+	}
+	return bestIdx
 }

@@ -3,6 +3,7 @@ package cnn
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"rai/internal/h5lite"
 	"rai/internal/vfs"
@@ -89,21 +90,68 @@ func NewNetwork(seed uint64) *Network {
 }
 
 // Forward runs inference on a batch using the selected implementation
-// and returns the logits tensor (N, 10, 1, 1).
+// and returns the logits tensor (N, 10, 1, 1), which the caller owns.
 func (nw *Network) Forward(im Impl, in *Tensor) (*Tensor, error) {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	logits, err := nw.forward(im, in, s)
+	if err != nil {
+		return nil, err
+	}
+	out := NewTensor(logits.N, logits.C, logits.H, logits.W)
+	copy(out.Data, logits.Data)
+	return out, nil
+}
+
+// scratch is one inference's working memory: each layer's output and
+// the im2col patch buffers. The first inference at a shape sizes it, and
+// later ones at that shape reuse it without allocating. Inferences in
+// flight at once each take their own from scratchPool, so none shares a
+// buffer with another.
+type scratch struct {
+	act  [6]Tensor // conv1, pool1, conv2, pool2, fc1, fc2
+	cols patches
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// out returns activation i shaped (n, c, h, w), its contents undefined.
+func (s *scratch) out(i, n, c, h, w int) *Tensor {
+	if n <= 0 || c <= 0 || h <= 0 || w <= 0 {
+		panic(fmt.Sprintf("cnn: invalid tensor shape %dx%dx%dx%d", n, c, h, w))
+	}
+	t := &s.act[i]
+	t.N, t.C, t.H, t.W = n, c, h, w
+	t.Data = grow(t.Data, t.Len())
+	return t
+}
+
+// forward runs the network on in with s as its working memory. The
+// logits it returns live in s. It reads in and the weights and writes
+// neither.
+func (nw *Network) forward(im Impl, in *Tensor, s *scratch) (*Tensor, error) {
 	if in.C != 1 || in.H != InputH || in.W != InputW {
 		return nil, fmt.Errorf("cnn: input must be Nx1x%dx%d, got %v", InputH, InputW, in.Shape())
 	}
-	x := Conv2D(im, in, nw.Conv1W, nw.Conv1B)
-	x = ReLU(x)
-	x = AvgPool2(x)
-	x = Conv2D(im, x, nw.Conv2W, nw.Conv2B)
-	x = ReLU(x)
-	x = AvgPool2(x)
-	x = FullyConnected(im, x, nw.FC1W, nw.FC1B)
-	x = ReLU(x)
-	x = FullyConnected(im, x, nw.FC2W, nw.FC2B)
-	return x, nil
+	conv := func(i int, x, w *Tensor, b []float32) *Tensor {
+		out := s.out(i, x.N, w.N, x.H-w.H+1, x.W-w.H+1)
+		conv2D(im, x, w, b, out, &s.cols)
+		return ReLU(out)
+	}
+	pool := func(i int, x *Tensor) *Tensor {
+		out := s.out(i, x.N, x.C, x.H/2, x.W/2)
+		avgPool2(x, out)
+		return out
+	}
+	fc := func(i int, x, w *Tensor, b []float32) *Tensor {
+		out := s.out(i, x.N, w.N, 1, 1)
+		fullyConnected(im, x, w, b, out)
+		return out
+	}
+	x := pool(1, conv(0, in, nw.Conv1W, nw.Conv1B))
+	x = pool(3, conv(2, x, nw.Conv2W, nw.Conv2B))
+	x = ReLU(fc(4, x, nw.FC1W, nw.FC1B))
+	return fc(5, x, nw.FC2W, nw.FC2B), nil
 }
 
 // Classify returns the predicted class per image.
@@ -115,18 +163,21 @@ func (nw *Network) Classify(im Impl, in *Tensor) ([]int, error) {
 	return ArgMax(logits), nil
 }
 
-// Accuracy runs inference and compares predictions with labels.
+// Accuracy runs inference and compares predictions with labels. At a
+// shape it has run before, it allocates nothing.
 func (nw *Network) Accuracy(im Impl, in *Tensor, labels []int32) (float64, error) {
 	if in.N != len(labels) {
 		return 0, fmt.Errorf("cnn: %d images but %d labels", in.N, len(labels))
 	}
-	preds, err := nw.Classify(im, in)
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	logits, err := nw.forward(im, in, s)
 	if err != nil {
 		return 0, err
 	}
 	correct := 0
-	for i, p := range preds {
-		if int32(p) == labels[i] {
+	for i, l := range labels {
+		if int32(argMax(logits, i)) == l {
 			correct++
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -52,10 +53,23 @@ func TestDecodeRefusesPayloadLargerThanFile(t *testing.T) {
 	}
 }
 
+// oddOffsetFile is a file of one float32 dataset whose payload starts at
+// an odd offset: 7 bytes of magic, a 4-byte count, a 2-byte name length,
+// the 2-byte name, dtype and rank, and one 8-byte dim put it at byte 25.
+func oddOffsetFile(t testing.TB) []byte {
+	file := NewFile()
+	if err := file.AddFloat32("xy", []int{3}, []float32{1.5, -2, 3.25}); err != nil {
+		t.Fatal(err)
+	}
+	return file.Encode()
+}
+
 // FuzzDecode feeds arbitrary bytes to Decode, which parses data files a
 // student's command line names. Whatever the input, it must not panic,
-// must not allocate more than the input could hold, and a file it accepts
-// must survive an encode/decode round trip unchanged.
+// must not allocate more than the input could hold, must hand out each
+// payload as a view into the input, whose values Float32s and Int32s
+// read at any alignment, and a file it accepts must survive an
+// encode/decode round trip unchanged.
 func FuzzDecode(f *testing.F) {
 	file := NewFile()
 	if err := file.AddFloat32("x", []int{2, 2}, []float32{1, 2, 3, 4}); err != nil {
@@ -65,6 +79,7 @@ func FuzzDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(file.Encode())
+	f.Add(oddOffsetFile(f))
 	f.Add(sealed(header("x", Float64, 1<<17, 1<<17)))
 	f.Add(sealed(header("x", Uint8, 1<<34, 1<<40)))
 	f.Add([]byte("not even close"))
@@ -79,10 +94,71 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
+		for _, name := range got.Names() {
+			d, _ := got.Get(name)
+			if len(d.Raw) > 0 && !within(d.Raw, data) {
+				t.Fatalf("dataset %q's payload is not a view into the input", name)
+			}
+			var n int
+			switch d.Dtype {
+			case Float32:
+				v, err := d.Float32s()
+				if err != nil {
+					t.Fatal(err)
+				}
+				n = len(v)
+			case Int32:
+				v, err := d.Int32s()
+				if err != nil {
+					t.Fatal(err)
+				}
+				n = len(v)
+			default:
+				continue
+			}
+			if n != d.Len() || 4*n != len(d.Raw) {
+				t.Fatalf("dataset %q: %d values from %d bytes, shape %v", name, n, len(d.Raw), d.Shape)
+			}
+		}
 		enc := got.Encode()
 		again, err := Decode(enc)
 		if err != nil || !bytes.Equal(again.Encode(), enc) {
 			t.Fatalf("accepted %q, whose encoding %q does not round-trip (%v)", data, enc, err)
 		}
 	})
+}
+
+// within reports whether sub lies inside buf's bytes.
+func within(sub, buf []byte) bool {
+	for i := range buf {
+		if &buf[i] == &sub[0] {
+			return len(buf)-i >= len(sub)
+		}
+	}
+	return false
+}
+
+// TestDecodeViewsPayloads pins what the worker's decode relies on: a
+// payload is a view into the decoded bytes, with no capacity past its
+// end, and Float32s reads one that starts at an odd offset exactly.
+func TestDecodeViewsPayloads(t *testing.T) {
+	data := oddOffsetFile(t)
+	f, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := f.Get("xy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &d.Raw[0] != &data[25] || cap(d.Raw) != len(d.Raw) {
+		t.Fatalf("payload is not data[25:37:37]")
+	}
+	got, err := d.Float32s()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []float32{1.5, -2, 3.25}; !slices.Equal(got, want) {
+		t.Fatalf("Float32s = %v, want %v", got, want)
+	}
 }

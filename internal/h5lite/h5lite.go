@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"sort"
 )
@@ -85,7 +84,8 @@ type Dataset struct {
 	Name  string
 	Dtype DType
 	Shape []int
-	// Raw holds the little-endian payload.
+	// Raw holds the little-endian payload. In a decoded file it is a
+	// view into the decoded bytes, with no spare capacity.
 	Raw []byte
 }
 
@@ -227,7 +227,9 @@ func (f *File) Encode() []byte {
 	return buf.Bytes()
 }
 
-// Decode parses a serialized file.
+// Decode parses a serialized file. Each dataset's Raw is a view into
+// data, not a copy: the caller must not write data while the File or
+// anything holding a Raw is in use. Float32s and Int32s copy out.
 func Decode(data []byte) (*File, error) {
 	if len(data) < len(magic)+8 {
 		return nil, ErrBadMagic
@@ -239,48 +241,51 @@ func Decode(data []byte) (*File, error) {
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(crcBytes) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	r := bytes.NewReader(body[len(magic):])
-	readU32 := func() (uint32, error) {
-		var b [4]byte
-		if _, err := io.ReadFull(r, b[:]); err != nil {
-			return 0, err
+	// rest is what is left to parse; next takes n bytes off its front,
+	// or reports that fewer remain.
+	rest := body[len(magic):]
+	next := func(n uint64) ([]byte, bool) {
+		if n > uint64(len(rest)) {
+			return nil, false
 		}
-		return binary.LittleEndian.Uint32(b[:]), nil
+		b := rest[:n:n]
+		rest = rest[n:]
+		return b, true
 	}
-	count, err := readU32()
-	if err != nil {
+	b, ok := next(4)
+	if !ok {
 		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
 	}
+	count := binary.LittleEndian.Uint32(b)
 	if count > 1<<20 {
 		return nil, fmt.Errorf("%w: implausible dataset count %d", ErrCorrupt, count)
 	}
 	f := NewFile()
 	for i := uint32(0); i < count; i++ {
-		var nl [2]byte
-		if _, err := io.ReadFull(r, nl[:]); err != nil {
+		b, ok := next(2)
+		if !ok {
 			return nil, fmt.Errorf("%w: truncated dataset %d", ErrCorrupt, i)
 		}
-		nameLen := binary.LittleEndian.Uint16(nl[:])
-		nameBytes := make([]byte, nameLen)
-		if _, err := io.ReadFull(r, nameBytes); err != nil {
+		nameBytes, ok := next(uint64(binary.LittleEndian.Uint16(b)))
+		if !ok {
 			return nil, fmt.Errorf("%w: truncated name", ErrCorrupt)
 		}
-		var meta [2]byte
-		if _, err := io.ReadFull(r, meta[:]); err != nil {
+		meta, ok := next(2)
+		if !ok {
 			return nil, fmt.Errorf("%w: truncated metadata", ErrCorrupt)
 		}
 		dtype, rank := DType(meta[0]), int(meta[1])
 		if dtype.Size() == 0 {
 			return nil, fmt.Errorf("%w: bad dtype %d", ErrCorrupt, meta[0])
 		}
+		dims, ok := next(8 * uint64(rank))
+		if !ok {
+			return nil, fmt.Errorf("%w: truncated shape", ErrCorrupt)
+		}
 		shape := make([]int, rank)
 		elems := 1
-		for j := 0; j < rank; j++ {
-			var b [8]byte
-			if _, err := io.ReadFull(r, b[:]); err != nil {
-				return nil, fmt.Errorf("%w: truncated shape", ErrCorrupt)
-			}
-			dim := binary.LittleEndian.Uint64(b[:])
+		for j := range shape {
+			dim := binary.LittleEndian.Uint64(dims[8*j:])
 			if dim == 0 || dim > 1<<40 {
 				return nil, fmt.Errorf("%w: bad dimension %d", ErrCorrupt, dim)
 			}
@@ -291,22 +296,17 @@ func Decode(data []byte) (*File, error) {
 			shape[j] = int(dim)
 			elems *= int(dim)
 		}
-		// The shape is the file's claim; the bytes left are the fact. A
-		// payload larger than what remains is refused before it is
-		// allocated, so a few bytes cannot demand gigabytes.
-		if uint64(elems)*uint64(dtype.Size()) > uint64(r.Len()) {
-			return nil, fmt.Errorf("%w: truncated payload for %q", ErrCorrupt, nameBytes)
-		}
-		payload := make([]byte, elems*dtype.Size())
-		if _, err := io.ReadFull(r, payload); err != nil {
+		// The shape is the file's claim; the bytes left are the fact.
+		payload, ok := next(uint64(elems) * uint64(dtype.Size()))
+		if !ok {
 			return nil, fmt.Errorf("%w: truncated payload for %q", ErrCorrupt, nameBytes)
 		}
 		if err := f.add(&Dataset{Name: string(nameBytes), Dtype: dtype, Shape: shape, Raw: payload}); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.Len())
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
 	}
 	return f, nil
 }

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"rai/internal/blobstore"
@@ -470,6 +471,12 @@ func (c *Client) GetChunks(ctx context.Context, hashes []string, each func(hash 
 	})
 }
 
+// frameReaders holds the cas.MaxChunk-sized readers readChunkFrames
+// reads through, so that a fetch does not allocate 64 KiB of buffer
+// however few bytes it brings. Nothing read is handed out of the
+// buffer: each payload is copied into a slice of its own.
+var frameReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, cas.MaxChunk) }}
+
 // readChunkFrames reads the reply to a fetch of hashes: one frame per
 // hash, in order, each at most cas.MaxChunk, each payload read into a
 // slice of its exact size that is handed over. What the server got wrong —
@@ -477,7 +484,12 @@ func (c *Client) GetChunks(ctx context.Context, hashes []string, each func(hash 
 // frames promise — is permanent and names the chunk; a read error is the
 // connection's and goes back bare, for the retry policy to judge.
 func readChunkFrames(body io.Reader, hashes []string, each func(hash string, data []byte) error) error {
-	br := bufio.NewReaderSize(body, cas.MaxChunk)
+	br := frameReaders.Get().(*bufio.Reader)
+	br.Reset(body)
+	defer func() {
+		br.Reset(nil) // drop body, so the pool does not keep it alive
+		frameReaders.Put(br)
+	}()
 	for i, want := range hashes {
 		// ReadSlice, not ReadString: a header line is bounded by the buffer
 		// whatever the server sends.

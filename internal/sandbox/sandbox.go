@@ -70,6 +70,10 @@ type Config struct {
 // Runtime starts containers, pulling images through a worker-local cache.
 type Runtime struct {
 	cache *registry.Cache
+	// decoded is the one cache of decoded course files that every
+	// container it starts shares: the /data volume is the same for all
+	// of them.
+	decoded shell.DecodeCache
 }
 
 // NewRuntime returns a runtime pulling from reg.
@@ -126,6 +130,7 @@ func (rt *Runtime) Start(cfg Config) (*Container, error) {
 		}
 	}
 	sh := shell.New(fs, cfg.WorkDir, cfg.Stdout, cfg.Stderr, cfg.Cost)
+	sh.Decoded = &rt.decoded
 	c := &Container{fs: fs, sh: sh, cfg: cfg, PullLatency: pullLat}
 	c.registerNetworkStubs()
 	return c, nil

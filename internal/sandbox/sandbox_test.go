@@ -216,6 +216,36 @@ func TestPullLatencyOnlyFirstContainer(t *testing.T) {
 	}
 }
 
+// TestContainersShareDecodeCache runs the graded step in two containers
+// of one runtime: both decode through the runtime's one cache, so the
+// course model and dataset are decoded once between them.
+func TestContainersShareDecodeCache(t *testing.T) {
+	src, data := hostFS(t, project.Spec{Impl: cnn.ImplIm2col})
+	rt := NewRuntime(registry.NewCourseRegistry())
+	cfg := Config{
+		Image: "webgpu/rai:root",
+		Mounts: []Mount{
+			{Source: src, SourcePath: "/job/src", Target: "/src", ReadOnly: true},
+			{Source: data, SourcePath: "/data", Target: "/data", ReadOnly: true},
+		},
+	}
+	for i := 0; i < 2; i++ {
+		c, err := rt.Start(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Destroy()
+		for _, cmd := range []string{"cmake /src", "make", "./ece408 /data/test10.hdf5 /data/model.hdf5"} {
+			if _, err := c.Exec(cmd); err != nil {
+				t.Fatalf("%s: %v", cmd, err)
+			}
+		}
+		if c.sh.Decoded != &rt.decoded {
+			t.Fatalf("container %d decodes through a cache of its own", i)
+		}
+	}
+}
+
 func TestDiskQuota(t *testing.T) {
 	c, _, _ := startContainer(t, project.Spec{Impl: cnn.ImplTiled}, func(cfg *Config) {
 		cfg.DiskBytes = 1024

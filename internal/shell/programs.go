@@ -417,13 +417,13 @@ func progTime(sh *Shell, argv []string, res *Result) error {
 // runBinary executes a compiled descriptor (./ece408 DATA MODEL [N]).
 func runBinary(sh *Shell, argv []string, res *Result) error {
 	binPath := sh.abs(argv[0])
-	blob, err := sh.FS.ReadFile(binPath)
+	parts, _, err := sh.FS.Segments(binPath)
 	if err != nil {
 		fmt.Fprintf(sh.Stderr, "sh: %s: %v\n", argv[0], err)
 		return &ExitError{Code: 126, Msg: err.Error()}
 	}
 	var desc binaryDescriptor
-	if err := json.Unmarshal(blob, &desc); err != nil || desc.RAIBinary != 1 {
+	if err := json.Unmarshal(contiguous(parts), &desc); err != nil || desc.RAIBinary != 1 {
 		msg := fmt.Sprintf("sh: %s: cannot execute binary file", argv[0])
 		fmt.Fprintln(sh.Stderr, msg)
 		return &ExitError{Code: 126, Msg: msg}
@@ -452,22 +452,24 @@ func runBinary(sh *Shell, argv []string, res *Result) error {
 		return &ExitError{Code: 137, Msg: "killed: container lifetime exceeded"}
 	}
 
-	dataBlob, err := sh.FS.ReadFile(dataPath)
+	// The files are read in place, and one this shell's cache has
+	// decoded before is not decoded again.
+	dataParts, dataSize, err := sh.FS.Segments(dataPath)
 	if err != nil {
 		fmt.Fprintf(sh.Stderr, "%s: cannot open data file %s\n", desc.Target, argv[1])
 		return &ExitError{Code: 1, Msg: err.Error()}
 	}
-	modelBlob, err := sh.FS.ReadFile(modelPath)
+	modelParts, modelSize, err := sh.FS.Segments(modelPath)
 	if err != nil {
 		fmt.Fprintf(sh.Stderr, "%s: cannot open model file %s\n", desc.Target, argv[2])
 		return &ExitError{Code: 1, Msg: err.Error()}
 	}
-	ds, err := cnn.DecodeDataset(dataBlob)
+	ds, err := sh.Decoded.dataset(dataParts)
 	if err != nil {
 		fmt.Fprintf(sh.Stderr, "%s: bad data file: %v\n", desc.Target, err)
 		return &ExitError{Code: 1, Msg: err.Error()}
 	}
-	nw, err := cnn.LoadModel(modelBlob)
+	nw, err := sh.Decoded.model(modelParts)
 	if err != nil {
 		fmt.Fprintf(sh.Stderr, "%s: bad model file: %v\n", desc.Target, err)
 		return &ExitError{Code: 1, Msg: err.Error()}
@@ -483,15 +485,21 @@ func runBinary(sh *Shell, argv []string, res *Result) error {
 		count = n
 	}
 	impl := implByName(desc.Impl)
-	fmt.Fprintf(sh.Stdout, "Loading model... done\nLoading data... done\nRunning inference on %d images (%s kernel)\n", count, desc.Impl)
+	// The binary's stdout is built in one buffer rather than by
+	// fmt.Fprintf, whose arguments would each cost an allocation.
+	out := make([]byte, 0, 160)
+	out = append(out, "Loading model... done\nLoading data... done\nRunning inference on "...)
+	out = strconv.AppendInt(out, int64(count), 10)
+	out = append(append(append(out, " images ("...), desc.Impl...), " kernel)\n"...)
+	sh.Stdout.Write(out)
 
 	// Real arithmetic on the verification subset.
 	vn := verifyImages
 	if vn > ds.Images.N {
 		vn = ds.Images.N
 	}
-	sub := subset(ds, vn)
-	acc, err := nw.Accuracy(impl, sub.Images, sub.Labels)
+	images, labels := subset(ds, vn)
+	acc, err := nw.Accuracy(impl, images, labels)
 	if err != nil {
 		return &ExitError{Code: 1, Msg: err.Error()}
 	}
@@ -501,25 +509,27 @@ func runBinary(sh *Shell, argv []string, res *Result) error {
 	}
 
 	// Modeled time: load + inference over the full requested count.
-	loadCost := time.Duration(float64(len(dataBlob)+len(modelBlob)) / dataLoadBytesPerSec * float64(time.Second))
+	loadCost := time.Duration(float64(dataSize+modelSize) / dataLoadBytesPerSec * float64(time.Second))
 	inferCost := sh.Cost.Inference(impl, count, desc.Tuning)
 	res.Wall += loadCost + inferCost
 	res.InternalTimer = inferCost
 	res.RanInference = true
 	res.Accuracy = acc
 	// Working set: model + data resident plus activation buffers.
-	res.MemBytes = int64(len(modelBlob)+len(dataBlob)) + 256<<20
+	res.MemBytes = modelSize + dataSize + 256<<20
 
-	fmt.Fprintf(sh.Stdout, "Correctness: %.4f Model: %s\n", acc, desc.Impl)
-	fmt.Fprintf(sh.Stdout, "Internal timer: %.4f s\n", inferCost.Seconds())
+	out = strconv.AppendFloat(append(out[:0], "Correctness: "...), acc, 'f', 4, 64)
+	out = append(append(append(out, " Model: "...), desc.Impl...), '\n')
+	out = strconv.AppendFloat(append(out, "Internal timer: "...), inferCost.Seconds(), 'f', 4, 64)
+	sh.Stdout.Write(append(out, " s\n"...))
 	return nil
 }
 
-func subset(ds *cnn.Dataset, n int) *cnn.Dataset {
-	if n >= ds.Images.N {
-		return ds
+// subset returns ds's first n images and labels, sharing its storage.
+func subset(ds *cnn.Dataset, n int) (*cnn.Tensor, []int32) {
+	im := ds.Images
+	if n >= im.N {
+		return im, ds.Labels
 	}
-	imgs := cnn.NewTensor(n, ds.Images.C, ds.Images.H, ds.Images.W)
-	copy(imgs.Data, ds.Images.Data[:imgs.Len()])
-	return &cnn.Dataset{Images: imgs, Labels: ds.Labels[:n]}
+	return &cnn.Tensor{N: n, C: im.C, H: im.H, W: im.W, Data: im.Data[:n*im.C*im.H*im.W]}, ds.Labels[:n]
 }

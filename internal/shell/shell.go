@@ -16,6 +16,7 @@ package shell
 import (
 	"fmt"
 	"io"
+	"path"
 	"strings"
 	"time"
 
@@ -62,6 +63,10 @@ type Shell struct {
 	Stdout io.Writer
 	Stderr io.Writer
 	Cost   CostModel
+	// Decoded caches the model and data files ./ece408 decodes. New
+	// gives each shell its own; shells that share one, as the containers
+	// of one worker do, decode a file they all read once.
+	Decoded *DecodeCache
 	// Env holds variables; unused by the default programs but kept for
 	// extension parity with the real client.
 	Env map[string]string
@@ -80,6 +85,7 @@ func New(fs *vfs.FS, cwd string, stdout, stderr io.Writer, cost CostModel) *Shel
 	}
 	sh := &Shell{
 		FS: fs, Cwd: cwd, Stdout: stdout, Stderr: stderr, Cost: cost,
+		Decoded:  new(DecodeCache),
 		Env:      map[string]string{},
 		programs: map[string]Program{},
 	}
@@ -152,34 +158,34 @@ func (sh *Shell) lookupProgram(name string) (Program, bool) {
 	return nil, false
 }
 
-// abs resolves a path against the cwd.
+// abs resolves a path against the cwd. An absolute path that is
+// already clean comes back as is, without allocating.
 func (sh *Shell) abs(p string) string {
-	if strings.HasPrefix(p, "/") {
-		return cleanPath(p)
-	}
-	return cleanPath(sh.Cwd + "/" + p)
-}
-
-func cleanPath(p string) string {
-	parts := strings.Split(p, "/")
-	var stack []string
-	for _, part := range parts {
-		switch part {
-		case "", ".":
-		case "..":
-			if len(stack) > 0 {
-				stack = stack[:len(stack)-1]
-			}
-		default:
-			stack = append(stack, part)
+	if !strings.HasPrefix(p, "/") {
+		// Without its leading "./", ./ece408 under a clean cwd joins to
+		// a clean path, which costs one allocation instead of three.
+		for strings.HasPrefix(p, "./") {
+			p = p[2:]
+		}
+		p = sh.Cwd + "/" + p
+		if !strings.HasPrefix(p, "/") {
+			p = "/" + p
 		}
 	}
-	return "/" + strings.Join(stack, "/")
+	return path.Clean(p)
 }
 
 // Tokenize splits a command line honoring single/double quotes and
 // backslash escapes (enough for build-file commands; no expansions).
 func Tokenize(line string) ([]string, error) {
+	// A line without quotes, escapes or operators is split on blanks
+	// alone, and its words are substrings of it.
+	if !strings.ContainsAny(line, "'\"\\|><&;") {
+		if words := strings.FieldsFunc(line, isBlank); len(words) > 0 {
+			return words, nil
+		}
+		return nil, nil
+	}
 	var out []string
 	var cur strings.Builder
 	started := false
@@ -218,7 +224,7 @@ func Tokenize(line string) ([]string, error) {
 			i++
 			cur.WriteByte(line[i])
 			started = true
-		case c == ' ' || c == '\t':
+		case isBlank(rune(c)):
 			if started {
 				out = append(out, cur.String())
 				cur.Reset()
@@ -239,3 +245,6 @@ func Tokenize(line string) ([]string, error) {
 	}
 	return out, nil
 }
+
+// isBlank reports whether r separates words on a command line.
+func isBlank(r rune) bool { return r == ' ' || r == '\t' }

@@ -12,7 +12,8 @@
 // filesystems, may hold the same one. Writers pay instead of readers:
 // WriteFile copies its buffer into a fresh segment and never writes
 // into a segment already there. ReadFile
-// still returns a fresh copy, so no caller can reach a shared byte.
+// still returns a fresh copy; Segments hands out the segments themselves,
+// to a caller that writes none of them.
 //
 // Paths are absolute and slash-separated. The root ("/") always exists.
 // An FS is safe for concurrent use. It also adapts to io/fs.FS for
@@ -118,10 +119,13 @@ func (f *FS) resolve(p string, mkParents bool) (resolveResult, error) {
 	if p == "/" {
 		return resolveResult{node: f.root, parent: nil, leaf: "/"}, nil
 	}
-	parts := strings.Split(strings.TrimPrefix(p, "/"), "/")
-	cur := f.root
-	for i, part := range parts {
-		last := i == len(parts)-1
+	// The walk takes one component of p at a time off rest, so it
+	// allocates nothing of its own until it crosses a mount.
+	cur, rest := f.root, p[1:]
+	for {
+		part, tail, more := strings.Cut(rest, "/")
+		last := !more
+		rest = tail
 		child, ok := cur.children[part]
 		if !ok {
 			if !last {
@@ -135,10 +139,10 @@ func (f *FS) resolve(p string, mkParents bool) (resolveResult, error) {
 			}
 		}
 		if child.mount != nil {
-			rest := strings.Join(parts[i+1:], "/")
 			sub := child.mount.at
-			if rest != "" {
-				sub = path.Join(sub, rest)
+			if more {
+				// Both halves are clean, so their join is too.
+				sub = strings.TrimSuffix(sub, "/") + "/" + rest
 			}
 			return resolveResult{fs: child.mount.fs, path: sub, readOnly: child.mount.readOnly}, nil
 		}
@@ -150,7 +154,6 @@ func (f *FS) resolve(p string, mkParents bool) (resolveResult, error) {
 		}
 		cur = child
 	}
-	return resolveResult{}, fmt.Errorf("%s: %w", p, ErrNotExist)
 }
 
 // Mount binds src's subtree at srcPath onto dst at dstPath. The mount
@@ -281,7 +284,7 @@ func (f *FS) WriteFileParts(p string, parts [][]byte) error {
 
 // ReadFile returns a copy of the file's contents.
 func (f *FS) ReadFile(p string) ([]byte, error) {
-	parts, size, err := f.segments(p)
+	parts, size, err := f.Segments(p)
 	if err != nil {
 		return nil, err
 	}
@@ -292,9 +295,11 @@ func (f *FS) ReadFile(p string) ([]byte, error) {
 	return out, nil
 }
 
-// segments returns a regular file's segment list and total size. The
-// list is the file's own: the caller reads it and writes nothing.
-func (f *FS) segments(p string) ([][]byte, int64, error) {
+// Segments returns a regular file's segment list and total size,
+// without copying either. The list is the file's own and, like its
+// segments, immutable: the caller reads it and writes nothing. A later
+// write to p replaces the file's list and leaves this one as it is.
+func (f *FS) Segments(p string) ([][]byte, int64, error) {
 	f.mu.RLock()
 	res, err := f.resolve(p, false)
 	if err != nil {
@@ -303,7 +308,7 @@ func (f *FS) segments(p string) ([][]byte, int64, error) {
 	}
 	if res.fs != nil {
 		f.mu.RUnlock()
-		return res.fs.segments(res.path)
+		return res.fs.Segments(res.path)
 	}
 	defer f.mu.RUnlock()
 	if res.node == nil {
@@ -525,7 +530,7 @@ func (i ioFS) Open(name string) (fs.File, error) {
 		}
 		return &ioDir{info: fi, entries: entries}, nil
 	}
-	parts, _, err := i.f.segments(p)
+	parts, _, err := i.f.Segments(p)
 	if err != nil {
 		return nil, &fs.PathError{Op: "open", Path: name, Err: err}
 	}
